@@ -37,6 +37,11 @@ pub struct ReadTicket<R: Record> {
     /// spend here so the completion phase can share one per-logical-op
     /// attempt budget with the submit instead of starting a fresh one.
     pub(crate) issues: u32,
+    /// Set by [`crate::ParityDiskArray`] on a read it forwarded: the
+    /// physical addresses the ticket carried below the parity layer.
+    /// `addrs` shows the caller's logical addresses while the ticket is
+    /// above that layer; completion swaps these back in on the way down.
+    pub(crate) phys: Option<Vec<BlockAddr>>,
 }
 
 impl<R: Record> ReadTicket<R> {
@@ -45,6 +50,7 @@ impl<R: Record> ReadTicket<R> {
             addrs,
             state: ReadState::Ready(blocks),
             issues: 1,
+            phys: None,
         }
     }
 
@@ -53,6 +59,7 @@ impl<R: Record> ReadTicket<R> {
             addrs,
             state: ReadState::Pending(replies),
             issues: 1,
+            phys: None,
         }
     }
 
@@ -90,10 +97,22 @@ pub(crate) enum WriteState {
 ///
 /// Must be handed back to [`DiskArray::complete_write`] on the same
 /// array to observe the write's success.  A dropped ticket abandons
-/// error reporting, not the write itself.
+/// error reporting, not the write itself — and with it whatever the
+/// wrapper layers attached for their completion phase: a parity update
+/// that was never committed, a payload that will never be re-issued.
 pub struct WriteTicket {
     pub(crate) addrs: Vec<BlockAddr>,
     pub(crate) state: WriteState,
+    /// I/O issues the submit phase consumed; see [`ReadTicket`]'s field.
+    pub(crate) issues: u32,
+    /// The blocks of this write (`Vec<(BlockAddr, Block<R>)>`, erased
+    /// because the ticket is not generic), kept by
+    /// [`crate::RetryingDiskArray`] so a retryable completion failure
+    /// can re-issue the write.
+    pub(crate) payload: Option<Box<dyn std::any::Any + Send>>,
+    /// The parity update [`crate::ParityDiskArray`] owes this write,
+    /// applied once the data completion below it has succeeded.
+    pub(crate) parity: Option<crate::parity::ParityCommit>,
 }
 
 impl WriteTicket {
@@ -101,6 +120,9 @@ impl WriteTicket {
         WriteTicket {
             addrs,
             state: WriteState::Ready,
+            issues: 1,
+            payload: None,
+            parity: None,
         }
     }
 
@@ -108,6 +130,9 @@ impl WriteTicket {
         WriteTicket {
             addrs,
             state: WriteState::Pending(replies),
+            issues: 1,
+            payload: None,
+            parity: None,
         }
     }
 
@@ -220,7 +245,9 @@ pub trait DiskArray<R: Record> {
     /// the read eagerly (synchronous backends degenerate to serial
     /// behaviour with no semantic change); [`crate::FileDiskArray`]
     /// overrides it to leave the per-disk transfers genuinely in
-    /// flight on its worker threads.
+    /// flight on its worker threads, and the fault, retry and parity
+    /// wrappers forward the pending ticket, so a stack over the file
+    /// backend pipelines as the bare array does.
     fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         let blocks = self.read(addrs)?;
         Ok(ReadTicket::ready(addrs.to_vec(), blocks))
@@ -239,8 +266,10 @@ pub trait DiskArray<R: Record> {
     /// Begin one parallel write without waiting for it; the operation
     /// is charged now, completion is observed via
     /// [`DiskArray::complete_write`].  The default executes the write
-    /// eagerly through [`DiskArray::write`], so every wrapper's write
-    /// semantics (fault injection, retry, parity) apply unchanged.
+    /// eagerly through [`DiskArray::write`].  A wrapper that acts on
+    /// writes (fault injection, retry, parity) overrides the pair and
+    /// defines `write` as submit-then-complete, so its semantics exist
+    /// once and apply to both forms.
     fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
         let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
         self.write(writes)?;
@@ -264,9 +293,11 @@ pub trait DiskArray<R: Record> {
     /// This is a *hint with no semantics*: it is not a parallel I/O
     /// operation of the model, charges nothing to [`IoStats`], emits no
     /// trace events, and may be ignored entirely — the default does
-    /// exactly that, so simulation backends and wrapper stacks degrade
-    /// to depth-1 pipelining unchanged.  [`crate::FileDiskArray`]
-    /// overrides it with a per-worker speculative cache.
+    /// exactly that, so simulation backends degrade to depth-1
+    /// pipelining unchanged.  [`crate::FileDiskArray`] overrides it
+    /// with a per-worker speculative cache; wrappers forward the hint
+    /// (translating addresses where they remap them) unless they serve
+    /// reads some other way than by reading the hinted slot.
     fn prefetch(&mut self, addrs: &[BlockAddr]) {
         let _ = addrs;
     }

@@ -168,6 +168,10 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ClusteredDiskArray<R, A> {
         self.inner.reset_stats();
     }
 
+    fn redundancy(&self) -> Option<crate::backend::RedundancyInfo> {
+        self.inner.redundancy()
+    }
+
     fn sync(&mut self) -> Result<()> {
         self.inner.sync()
     }

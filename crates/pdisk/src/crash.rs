@@ -250,6 +250,11 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for CrashingDiskArray<R, A> {
         Ok(())
     }
 
+    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+        // No tick: a hint is not an I/O boundary a crash can split.
+        self.inner.prefetch(addrs);
+    }
+
     fn sync(&mut self) -> Result<()> {
         self.clock.tick("sync")?;
         self.inner.sync()?;

@@ -18,7 +18,7 @@
 //! through [`crate::retry::RetryingDiskArray`]'s retry counters.
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::{DiskArray, ReadTicket};
+use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::Block;
 use crate::error::{FaultKind, FaultOp, PdiskError, Result};
 use crate::geometry::Geometry;
@@ -523,31 +523,13 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for FaultyDiskArray<R, A> {
     }
 
     fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        if addrs.is_empty() {
-            return self.inner.read(addrs);
-        }
-        let ordinal = self.reads_seen;
-        self.reads_seen += 1;
-        let disks: Vec<DiskId> = addrs.iter().map(|a| a.disk).collect();
-        if let Err(e) = self.model.check(FaultOp::Read, ordinal, &disks) {
-            self.emit_fault(FaultOp::Read, &e);
-            return Err(e);
-        }
-        self.inner.read(addrs)
+        let ticket = self.submit_read(addrs)?;
+        self.complete_read(ticket)
     }
 
     fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        if writes.is_empty() {
-            return self.inner.write(writes);
-        }
-        let ordinal = self.writes_seen;
-        self.writes_seen += 1;
-        let disks: Vec<DiskId> = writes.iter().map(|(a, _)| a.disk).collect();
-        if let Err(e) = self.model.check(FaultOp::Write, ordinal, &disks) {
-            self.emit_fault(FaultOp::Write, &e);
-            return Err(e);
-        }
-        self.inner.write(writes)
+        let ticket = self.submit_write(writes)?;
+        self.complete_write(ticket)
     }
 
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
@@ -584,10 +566,9 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for FaultyDiskArray<R, A> {
         if addrs.is_empty() {
             return self.inner.submit_read(addrs);
         }
-        // The fault decision is made at submit time against the same
-        // per-read ordinal the serial path uses, so for a given seed the
-        // Nth scheduled read fails identically whether the engine runs
-        // serial or pipelined.
+        // The fault decision is made at submit time against the per-read
+        // ordinal, so for a given seed the Nth scheduled read fails
+        // identically whether the engine runs serial or pipelined.
         let ordinal = self.reads_seen;
         self.reads_seen += 1;
         let disks: Vec<DiskId> = addrs.iter().map(|a| a.disk).collect();
@@ -602,8 +583,29 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for FaultyDiskArray<R, A> {
         self.inner.complete_read(ticket)
     }
 
-    // submit_write / complete_write use the trait defaults, which route
-    // through `self.write` and therefore this wrapper's injection logic.
+    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
+        if writes.is_empty() {
+            return self.inner.submit_write(writes);
+        }
+        // Decided at submit against the per-write ordinal, as for reads.
+        let ordinal = self.writes_seen;
+        self.writes_seen += 1;
+        let disks: Vec<DiskId> = writes.iter().map(|(a, _)| a.disk).collect();
+        if let Err(e) = self.model.check(FaultOp::Write, ordinal, &disks) {
+            self.emit_fault(FaultOp::Write, &e);
+            return Err(e);
+        }
+        self.inner.submit_write(writes)
+    }
+
+    fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
+        self.inner.complete_write(ticket)
+    }
+
+    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+        // A hint is not an operation: it consumes no fault ordinal.
+        self.inner.prefetch(addrs);
+    }
 
     fn sync(&mut self) -> Result<()> {
         // A durability barrier is not a counted parallel op; it has its
@@ -689,6 +691,38 @@ mod tests {
         let addr = BlockAddr::new(DiskId(0), 0);
         assert!(a.write(vec![(addr, block.clone())]).is_err());
         assert!(a.write(vec![(addr, block)]).is_ok());
+    }
+
+    #[test]
+    fn nth_write_fails_identically_serial_or_split_phase() {
+        let outcomes = |split: bool| -> Vec<bool> {
+            let mut a = setup(
+                FaultModel::random(21)
+                    .with_write_rate(0.3)
+                    .with_scripted(ScriptedFault {
+                        op: FaultOp::Write,
+                        ordinal: 5,
+                        kind: FaultKind::Transient,
+                    }),
+            );
+            (0..64u64)
+                .map(|i| {
+                    let addr = BlockAddr::new(DiskId(0), i % 4);
+                    let w = vec![(addr, Block::new(vec![U64Record(i)], Forecast::Next(u64::MAX)))];
+                    if split {
+                        // A hint between two writes must not shift the schedule.
+                        a.prefetch(&[addr]);
+                        a.submit_write(w).and_then(|t| a.complete_write(t)).is_err()
+                    } else {
+                        a.write(w).is_err()
+                    }
+                })
+                .collect()
+        };
+        let serial = outcomes(false);
+        assert_eq!(serial, outcomes(true), "write N must meet the same fate either way");
+        assert!(serial[5], "the scripted fault lands on write 5");
+        assert!(serial.iter().any(|f| !f), "the rate is not 1");
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! multiple slower than the fastest disk, its reads use the
 //! reconstruction path instead of waiting (`hedged_reads`).
 //!
+//! On a healthy array the layer is split-phase: a submitted read or
+//! write stays in flight below, and a write's parity update travels in
+//! its ticket and commits only after the data completion succeeded
+//! (DESIGN.md §9.1.1).  Degraded and hedged reads, and overwrites of a
+//! committed slot, are served before the submit returns.
+//!
 //! Parity frames live in the wrapper (write-back, at the reserved slot's
 //! identity), optionally persisted write-through to a sidecar file via
 //! [`ParityDiskArray::with_store`] so a checkpointed sort can resume
@@ -39,7 +45,7 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::{DiskArray, RedundancyInfo, ScrubOutcome};
+use crate::backend::{DiskArray, ReadState, ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
 use crate::block::{Block, Forecast, NO_BLOCK};
 use crate::crash::CrashClock;
 use crate::error::{FaultKind, PdiskError, Result};
@@ -125,6 +131,18 @@ impl Stripe {
             parity_lost,
         }
     }
+}
+
+/// The parity update one parallel write owes, carried in its
+/// [`WriteTicket`] from submit to completion.  It lives in the ticket and
+/// not in the array so that a ticket the engine abandons takes its
+/// uncommitted update with it.
+pub(crate) struct ParityCommit {
+    /// The addresses the ticket carried below the parity layer.
+    inner_addrs: Vec<BlockAddr>,
+    /// Per block written: its physical slot, and the frame to XOR into
+    /// the stripe's parity (new frame, XOR the old one for an overwrite).
+    deltas: Vec<(BlockAddr, Vec<u8>)>,
 }
 
 /// Write-through persistence for stripe state: one fixed slot per
@@ -534,6 +552,155 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
         Ok(frame)
     }
 
+    /// Whether the stripe state records a block at physical slot `pa`.
+    fn is_written(&self, pa: &BlockAddr) -> bool {
+        self.stripes
+            .get(&pa.offset)
+            .is_some_and(|st| st.written & (1 << pa.disk.index()) != 0)
+    }
+
+    /// Validate one parallel op's logical addresses and translate them
+    /// to the physical slots behind them, in request order.
+    fn map_op(&self, addrs: impl Iterator<Item = BlockAddr> + Clone) -> Result<Vec<BlockAddr>> {
+        self.geom.check_parallel_op(addrs.clone().map(|a| a.disk))?;
+        addrs
+            .map(|a| {
+                if a.offset >= self.logical_free[a.disk.index()] {
+                    return Err(PdiskError::UnmappedBlock(a));
+                }
+                Ok(self.physical_addr(a))
+            })
+            .collect()
+    }
+
+    /// Serve one parallel read without leaving anything in flight: dead
+    /// disks' blocks by reconstruction, stragglers' by hedging, the rest
+    /// by one direct inner read.  `pas` are `addrs` translated.
+    fn read_eager(&mut self, addrs: &[BlockAddr], pas: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+        let mut direct: Vec<(usize, BlockAddr)> = Vec::new();
+        let mut recon: Vec<(usize, BlockAddr, bool)> = Vec::new();
+        for (i, &pa) in pas.iter().enumerate() {
+            if self.dead.contains(&pa.disk) {
+                recon.push((i, pa, false));
+            } else if self.should_hedge(&pa) {
+                recon.push((i, pa, true));
+            } else {
+                direct.push((i, pa));
+            }
+        }
+        let mut out: Vec<Option<Block<R>>> = Vec::new();
+        out.resize_with(addrs.len(), || None);
+        // Direct reads, absorbing a mid-read permanent fault by moving
+        // the newly dead disk's block onto the reconstruction path.
+        loop {
+            let req: Vec<BlockAddr> = direct.iter().map(|(_, a)| *a).collect();
+            match self.inner.read(&req) {
+                Ok(blocks) => {
+                    for ((i, _), b) in direct.iter().zip(blocks) {
+                        out[*i] = Some(b);
+                    }
+                    break;
+                }
+                Err(PdiskError::Fault {
+                    kind: FaultKind::Permanent,
+                    disk: Some(dead),
+                    ..
+                }) => {
+                    self.mark_dead(dead)?;
+                    let (lost, live): (Vec<_>, Vec<_>) =
+                        direct.into_iter().partition(|(_, a)| a.disk == dead);
+                    direct = live;
+                    for (i, a) in lost {
+                        recon.push((i, a, false));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        for (i, pa, hedged) in recon {
+            let logical = addrs[i];
+            if !self.is_written(&pa) {
+                if hedged {
+                    // Should not happen (hedging checks the bit), but a
+                    // direct read is always a safe fallback.
+                    out[i] = Some(self.inner.read(&[pa])?.remove(0));
+                    continue;
+                }
+                return Err(PdiskError::UnmappedBlock(logical));
+            }
+            let frame = self.reconstruct_frame(pa.offset, pa.disk)?;
+            let block = self.decode_frame(&frame).map_err(|e| {
+                PdiskError::Unrecoverable(format!(
+                    "reconstruction of block {logical:?} decoded to garbage: {e}"
+                ))
+            })?;
+            self.reconstructed_reads += 1;
+            if hedged {
+                self.hedged_reads += 1;
+            }
+            out[i] = Some(block);
+        }
+        out.into_iter()
+            .enumerate()
+            .map(|(i, b)| {
+                b.ok_or_else(|| {
+                    PdiskError::Unrecoverable(format!(
+                        "parity read left request slot {i} unserved (internal invariant)"
+                    ))
+                })
+            })
+            .collect()
+    }
+
+    /// Fold one write's frames into the stripes it touched.  Called
+    /// exactly once per logical write, and only after every durable
+    /// effect below succeeded.  A crash (or an abandoned ticket) before
+    /// this point leaves the stripes' `written` bits unset, so the frames
+    /// read back as unwritten and the sorter re-issues them after
+    /// recovery — never a half-updated parity that would reconstruct
+    /// garbage.  XOR commutes, so the commits of writes that were in
+    /// flight together may land in any order.
+    fn commit_parity(&mut self, deltas: &[(BlockAddr, Vec<u8>)]) -> Result<()> {
+        self.crash_tick("parity-update")?;
+        let mut touched: BTreeSet<u64> = BTreeSet::new();
+        for (pa, delta) in deltas {
+            let parity_disk_dead = self.dead.contains(&DiskId::from_mod(pa.offset, self.geom.d));
+            if self.dead.contains(&pa.disk) && parity_disk_dead {
+                return Err(PdiskError::Unrecoverable(format!(
+                    "write to dead disk {} in stripe {} whose parity is also lost",
+                    pa.disk.0, pa.offset
+                )));
+            }
+            let frame_len = self.frame_len;
+            let st = self
+                .stripes
+                .entry(pa.offset)
+                .or_insert_with(|| Stripe::empty(frame_len, parity_disk_dead));
+            if !st.parity_lost {
+                xor_into(&mut st.parity, delta);
+                touched.insert(pa.offset);
+            }
+            st.written |= 1 << pa.disk.index();
+            self.save_stripe(pa.offset)?;
+        }
+        self.parity_writes += touched.len() as u64;
+        if let Some(sink) = self.inner.trace_sink() {
+            for &s in &touched {
+                let data_disks: Vec<DiskId> = deltas
+                    .iter()
+                    .filter(|(pa, _)| pa.offset == s)
+                    .map(|(pa, _)| pa.disk)
+                    .collect();
+                sink.emit(TraceEvent::ParityCommit {
+                    stripe: s,
+                    parity_disk: DiskId::from_mod(s, self.geom.d),
+                    data_disks,
+                });
+            }
+        }
+        self.crash_tick("parity-updated")
+    }
+
     /// Whether a read of physical slot `pa` on a *live* disk should be
     /// hedged through reconstruction instead.
     fn should_hedge(&self, pa: &BlockAddr) -> bool {
@@ -640,145 +807,88 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
     }
 
     fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+        let ticket = self.submit_read(addrs)?;
+        self.complete_read(ticket)
+    }
+
+    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
+        let ticket = self.submit_write(writes)?;
+        self.complete_write(ticket)
+    }
+
+    /// On a healthy array with no hedging configured the read stays in
+    /// flight below: the ticket shows the caller's addresses upward and
+    /// the remapped ones downward.  A degraded or hedged array serves
+    /// the read before returning, as does a permanent fault met here.
+    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         if addrs.is_empty() {
-            return self.inner.read(addrs);
+            return Ok(ReadTicket::ready(Vec::new(), Vec::new()));
         }
-        self.geom.check_parallel_op(addrs.iter().map(|a| a.disk))?;
-        let dd = self.geom.d as u64;
-        let mut direct: Vec<(usize, BlockAddr)> = Vec::new();
-        let mut recon: Vec<(usize, BlockAddr, bool)> = Vec::new();
-        for (i, a) in addrs.iter().enumerate() {
-            if a.disk.index() >= self.geom.d {
-                return Err(PdiskError::NoSuchDisk(a.disk));
-            }
-            if a.offset >= self.logical_free[a.disk.index()] {
-                return Err(PdiskError::UnmappedBlock(*a));
-            }
-            let pa = BlockAddr::new(a.disk, phys_of(a.disk.index(), a.offset, dd));
-            if self.dead.contains(&a.disk) {
-                recon.push((i, pa, false));
-            } else if self.should_hedge(&pa) {
-                recon.push((i, pa, true));
-            } else {
-                direct.push((i, pa));
-            }
-        }
-        let mut out: Vec<Option<Block<R>>> = Vec::new();
-        out.resize_with(addrs.len(), || None);
-        // Direct reads, absorbing a mid-read permanent fault by moving
-        // the newly dead disk's block onto the reconstruction path.
-        loop {
-            let req: Vec<BlockAddr> = direct.iter().map(|(_, a)| *a).collect();
-            match self.inner.read(&req) {
-                Ok(blocks) => {
-                    for ((i, _), b) in direct.iter().zip(blocks) {
-                        out[*i] = Some(b);
-                    }
-                    break;
+        let pas = self.map_op(addrs.iter().copied())?;
+        if self.dead.is_empty() && self.hedge.is_none() {
+            match self.inner.submit_read(&pas) {
+                Ok(mut ticket) => {
+                    ticket.phys = Some(std::mem::replace(&mut ticket.addrs, addrs.to_vec()));
+                    return Ok(ticket);
                 }
                 Err(PdiskError::Fault {
                     kind: FaultKind::Permanent,
                     disk: Some(dead),
                     ..
-                }) => {
-                    self.mark_dead(dead)?;
-                    let (lost, live): (Vec<_>, Vec<_>) =
-                        direct.into_iter().partition(|(_, a)| a.disk == dead);
-                    direct = live;
-                    for (i, a) in lost {
-                        recon.push((i, a, false));
-                    }
-                }
+                }) => self.mark_dead(dead)?,
                 Err(e) => return Err(e),
             }
         }
-        for (i, pa, hedged) in recon {
-            let logical = addrs[i];
-            if self
-                .stripes
-                .get(&pa.offset)
-                .is_none_or(|st| st.written & (1 << pa.disk.index()) == 0)
-            {
-                if hedged {
-                    // Should not happen (hedging checks the bit), but a
-                    // direct read is always a safe fallback.
-                    out[i] = Some(self.inner.read(&[pa])?.remove(0));
-                    continue;
-                }
-                return Err(PdiskError::UnmappedBlock(logical));
-            }
-            let frame = self.reconstruct_frame(pa.offset, pa.disk)?;
-            let block = self.decode_frame(&frame).map_err(|e| {
-                PdiskError::Unrecoverable(format!(
-                    "reconstruction of block {logical:?} decoded to garbage: {e}"
-                ))
-            })?;
-            self.reconstructed_reads += 1;
-            if hedged {
-                self.hedged_reads += 1;
-            }
-            out[i] = Some(block);
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, b)| {
-                b.ok_or_else(|| {
-                    PdiskError::Unrecoverable(format!(
-                        "parity read left request slot {i} unserved (internal invariant)"
-                    ))
-                })
-            })
-            .collect()
+        let blocks = self.read_eager(addrs, &pas)?;
+        Ok(ReadTicket::ready(addrs.to_vec(), blocks))
     }
 
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
+    fn complete_read(&mut self, mut ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
+        match ticket.phys.take() {
+            Some(phys) => {
+                ticket.addrs = phys;
+                self.inner.complete_read(ticket)
+            }
+            // Served at submit: nothing is in flight below.
+            None => match ticket.state {
+                ReadState::Ready(blocks) => Ok(blocks),
+                ReadState::Pending(_) => Err(PdiskError::TicketMismatch),
+            },
+        }
+    }
+
+    /// Everything a write needs from the current stripe state happens
+    /// here — map, encode, old frames for overwrites, reconstruction for
+    /// a dead target — *before* touching the inner array, so a transient
+    /// failure anywhere leaves no partial parity state and the op
+    /// replays cleanly under a retry policy.  The data frames are then
+    /// left in flight and the parity update rides in the ticket to
+    /// [`DiskArray::complete_write`].
+    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
         if writes.is_empty() {
-            return self.inner.write(writes);
+            return Ok(WriteTicket::ready(Vec::new()));
         }
-        self.geom
-            .check_parallel_op(writes.iter().map(|(a, _)| a.disk))?;
-        let dd = self.geom.d as u64;
-        // Map, encode, and fetch old frames (overwrites only) *before*
-        // touching the inner array, so a transient failure anywhere
-        // leaves no partial parity state and the op replays cleanly
-        // under a retry policy.
-        let mut pas = Vec::with_capacity(writes.len());
-        let mut new_frames = Vec::with_capacity(writes.len());
-        for (a, b) in &writes {
-            if a.disk.index() >= self.geom.d {
-                return Err(PdiskError::NoSuchDisk(a.disk));
-            }
-            if a.offset >= self.logical_free[a.disk.index()] {
-                return Err(PdiskError::UnmappedBlock(*a));
-            }
-            pas.push(BlockAddr::new(a.disk, phys_of(a.disk.index(), a.offset, dd)));
-            new_frames.push(self.encode_frame(b)?);
+        let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
+        let pas = self.map_op(addrs.iter().copied())?;
+        let mut deltas = Vec::with_capacity(writes.len());
+        for (pa, (_, b)) in pas.iter().zip(&writes) {
+            deltas.push((*pa, self.encode_frame(b)?));
         }
-        let written_bit = |this: &Self, pa: &BlockAddr| {
-            this.stripes
-                .get(&pa.offset)
-                .is_some_and(|st| st.written & (1 << pa.disk.index()) != 0)
-        };
-        let mut old_frames: Vec<Option<Vec<u8>>> = vec![None; writes.len()];
-        let overwrites: Vec<(usize, BlockAddr)> = pas
-            .iter()
-            .enumerate()
-            .filter(|(_, pa)| written_bit(self, pa) && !self.dead.contains(&pa.disk))
-            .map(|(i, pa)| (i, *pa))
-            .collect();
-        if !overwrites.is_empty() {
-            let req: Vec<BlockAddr> = overwrites.iter().map(|(_, a)| *a).collect();
-            let blocks = self.inner.read(&req)?;
-            for ((i, _), b) in overwrites.iter().zip(blocks) {
-                old_frames[*i] = Some(self.encode_frame(&b)?);
+        let (dead_ow, live_ow): (Vec<usize>, Vec<usize>) = (0..pas.len())
+            .filter(|&i| self.is_written(&pas[i]))
+            .partition(|&i| self.dead.contains(&pas[i].disk));
+        let overwrite = !dead_ow.is_empty() || !live_ow.is_empty();
+        if !live_ow.is_empty() {
+            let req: Vec<BlockAddr> = live_ow.iter().map(|&i| pas[i]).collect();
+            for (&i, b) in live_ow.iter().zip(self.inner.read(&req)?) {
+                let old = self.encode_frame(&b)?;
+                xor_into(&mut deltas[i].1, &old);
             }
         }
-        for (i, pa) in pas.iter().enumerate() {
-            if self.dead.contains(&pa.disk) && written_bit(self, pa) {
-                let f = self.reconstruct_frame(pa.offset, pa.disk)?;
-                self.reconstructed_reads += 1;
-                old_frames[i] = Some(f);
-            }
+        for &i in &dead_ow {
+            let old = self.reconstruct_frame(pas[i].offset, pas[i].disk)?;
+            self.reconstructed_reads += 1;
+            xor_into(&mut deltas[i].1, &old);
         }
         // Inner write of the live targets, absorbing a mid-write
         // permanent fault: the newly dead disk's block then survives
@@ -786,13 +896,13 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
         let mut live: Vec<usize> = (0..writes.len())
             .filter(|&i| !self.dead.contains(&pas[i].disk))
             .collect();
-        loop {
+        let mut ticket = loop {
             let req: Vec<(BlockAddr, Block<R>)> = live
                 .iter()
                 .map(|&i| (pas[i], writes[i].1.clone()))
                 .collect();
-            match self.inner.write(req) {
-                Ok(()) => break,
+            match self.inner.submit_write(req) {
+                Ok(ticket) => break ticket,
                 Err(PdiskError::Fault {
                     kind: FaultKind::Permanent,
                     disk: Some(dead),
@@ -803,54 +913,43 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
                 }
                 Err(e) => return Err(e),
             }
+        };
+        if overwrite {
+            // Between an overwrite landing and its commit, parity still
+            // holds the old frame: a reconstruction in that window would
+            // XOR it against the new data.  Close the window here.
+            self.inner.complete_write(ticket)?;
+            self.commit_parity(&deltas)?;
+            return Ok(WriteTicket::ready(addrs));
         }
-        // All durable effects succeeded; commit parity exactly once.  A
-        // crash landing between the inner write and this commit leaves
-        // the stripes' `written` bits unset, so the frames read back as
-        // unwritten and the sorter re-issues them after recovery —
-        // never a half-updated parity that would reconstruct garbage.
-        self.crash_tick("parity-update")?;
-        let mut touched: BTreeSet<u64> = BTreeSet::new();
-        for (i, pa) in pas.iter().enumerate() {
-            let parity_disk_dead = self.dead.contains(&DiskId::from_mod(pa.offset, self.geom.d));
-            if self.dead.contains(&pa.disk) && parity_disk_dead {
-                return Err(PdiskError::Unrecoverable(format!(
-                    "write to dead disk {} in stripe {} whose parity is also lost",
-                    pa.disk.0, pa.offset
-                )));
-            }
-            let frame_len = self.frame_len;
-            let st = self
-                .stripes
-                .entry(pa.offset)
-                .or_insert_with(|| Stripe::empty(frame_len, parity_disk_dead));
-            if !st.parity_lost {
-                if let Some(old) = &old_frames[i] {
-                    xor_into(&mut st.parity, old);
-                }
-                xor_into(&mut st.parity, &new_frames[i]);
-                touched.insert(pa.offset);
-            }
-            st.written |= 1 << pa.disk.index();
-            self.save_stripe(pa.offset)?;
+        let inner_addrs = std::mem::replace(&mut ticket.addrs, addrs);
+        ticket.parity = Some(ParityCommit { inner_addrs, deltas });
+        Ok(ticket)
+    }
+
+    fn complete_write(&mut self, mut ticket: WriteTicket) -> Result<()> {
+        // Committed at submit (an overwrite), or empty: nothing is owed.
+        let Some(commit) = ticket.parity.take() else {
+            return Ok(());
+        };
+        ticket.addrs = commit.inner_addrs;
+        self.inner.complete_write(ticket)?;
+        self.commit_parity(&commit.deltas)
+    }
+
+    /// Forward the hint in physical addresses.  A degraded or hedged
+    /// array may serve the block by reconstruction instead of reading
+    /// its slot, so there the hint is dropped.
+    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+        if !self.dead.is_empty() || self.hedge.is_some() {
+            return;
         }
-        self.parity_writes += touched.len() as u64;
-        if let Some(sink) = self.inner.trace_sink() {
-            for &s in &touched {
-                let data_disks: Vec<DiskId> = pas
-                    .iter()
-                    .filter(|pa| pa.offset == s)
-                    .map(|pa| pa.disk)
-                    .collect();
-                sink.emit(TraceEvent::ParityCommit {
-                    stripe: s,
-                    parity_disk: DiskId::from_mod(s, self.geom.d),
-                    data_disks,
-                });
-            }
-        }
-        self.crash_tick("parity-updated")?;
-        Ok(())
+        let pas: Vec<BlockAddr> = addrs
+            .iter()
+            .filter(|a| a.disk.index() < self.geom.d && a.offset < self.logical_free[a.disk.index()])
+            .map(|&a| self.physical_addr(a))
+            .collect();
+        self.inner.prefetch(&pas);
     }
 
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
@@ -950,11 +1049,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
                 Err(e) => return Err(e),
             }
         }
-        if self
-            .stripes
-            .get(&pa.offset)
-            .is_none_or(|st| st.written & (1 << pa.disk.index()) == 0)
-        {
+        if !self.is_written(&pa) {
             return Ok(ScrubOutcome::Unrepairable(format!(
                 "block {addr:?} fails verification and its stripe holds no \
                  parity state to rebuild it from"
@@ -1008,11 +1103,6 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
         self.inner.trace_sink()
     }
 
-    // submit_read / submit_write use the trait defaults: they execute
-    // eagerly through this wrapper's read/write, so reconstruction,
-    // parity maintenance, and hedging all apply to split-phase traffic
-    // unchanged (the split degenerates to serial at this layer).
-
     fn install_pool(&mut self, pool: crate::pool::BufferPool<R>) {
         self.inner.install_pool(pool);
     }
@@ -1029,6 +1119,7 @@ mod tests {
     use crate::file::FileDiskArray;
     use crate::mem::MemDiskArray;
     use crate::record::U64Record;
+    use crate::retry::tests::FlakySplit;
     use crate::timing::DiskModel;
     use std::path::PathBuf;
 
@@ -1393,6 +1484,128 @@ mod tests {
             .write(vec![(BlockAddr::new(DiskId(0), 0), expected(0, 0))])
             .unwrap_err();
         assert!(matches!(err, PdiskError::Crashed { point: 0, .. }));
+    }
+
+    /// Three fresh blocks at `slot`, one per disk of a 3-disk array.
+    fn stripe_writes(slot: u64) -> Vec<(BlockAddr, Block<U64Record>)> {
+        (0..3)
+            .map(|d| (BlockAddr::new(DiskId(d), slot), expected(d as usize, slot)))
+            .collect()
+    }
+
+    /// A 3-disk parity array over a double whose write completions fail
+    /// retryably `fail_completes` times, after the data has landed.
+    fn over_flaky(fail_completes: u32) -> ParityDiskArray<U64Record, FlakySplit> {
+        let geom = Geometry::new(3, 4, 1000).unwrap();
+        let inner = FlakySplit {
+            inner: MemDiskArray::new(geom),
+            fail_submits: 0,
+            fail_completes,
+            fail_fallbacks: 0,
+            issues: 0,
+        };
+        let mut a = ParityDiskArray::new(inner).unwrap();
+        for d in 0..3 {
+            a.alloc_contiguous(DiskId(d), 2).unwrap();
+        }
+        a
+    }
+
+    #[test]
+    fn dropped_write_ticket_takes_its_parity_update_with_it() {
+        let mut a = over_flaky(0);
+        let ticket = a.submit_write(stripe_writes(0)).unwrap();
+        assert_eq!(ticket.addrs(), &stripe_writes(0).iter().map(|(a, _)| *a).collect::<Vec<_>>()[..]);
+        assert!(a.stripes.is_empty(), "parity committed before the completion");
+        drop(ticket);
+        assert!(a.stripes.is_empty(), "an abandoned ticket must never commit");
+        assert_eq!(a.stats().parity_writes, 0);
+        // The frames read back as unwritten, so the re-issue is a first write.
+        a.write(stripe_writes(0)).unwrap();
+        a.fail_disk(DiskId(1)).unwrap();
+        assert_eq!(a.read(&[BlockAddr::new(DiskId(1), 0)]).unwrap()[0], expected(1, 0));
+    }
+
+    #[test]
+    fn failed_inner_completion_commits_nothing() {
+        let mut a = over_flaky(1);
+        let ticket = a.submit_write(stripe_writes(0)).unwrap();
+        let err = a.complete_write(ticket).unwrap_err();
+        assert!(err.is_retryable(), "got {err:?}");
+        assert!(a.stripes.is_empty(), "parity committed despite the failed completion");
+        assert_eq!(a.stats().parity_writes, 0);
+    }
+
+    #[test]
+    fn retried_completion_commits_exactly_once() {
+        let serial = {
+            let mut a = over_flaky(0);
+            a.write(stripe_writes(0)).unwrap();
+            (a.stats().parity_writes, a.stripes.clone())
+        };
+        let mut a = crate::retry::RetryingDiskArray::new(over_flaky(1), crate::retry::RetryPolicy::default());
+        let ticket = a.submit_write(stripe_writes(0)).unwrap();
+        a.complete_write(ticket).unwrap();
+        assert_eq!(a.stats().write_retries, 1, "the completion was re-issued");
+        assert_eq!(a.stats().parity_writes, serial.0, "one commit, as in the serial run");
+        assert_eq!(a.inner().stripes, serial.1);
+    }
+
+    #[test]
+    fn overwrite_commits_before_submit_returns() {
+        let mut a = over_flaky(0);
+        a.write(stripe_writes(0)).unwrap();
+        let before = a.stripes.clone();
+        let over = vec![(BlockAddr::new(DiskId(0), 0), blk(&[7, 8, 9]))];
+        let ticket = a.submit_write(over).unwrap();
+        assert!(ticket.parity.is_none(), "an overwrite leaves nothing owed");
+        assert_ne!(a.stripes, before, "parity must follow the data at once");
+        a.complete_write(ticket).unwrap();
+        a.fail_disk(DiskId(0)).unwrap();
+        assert_eq!(a.read(&[BlockAddr::new(DiskId(0), 0)]).unwrap()[0], blk(&[7, 8, 9]));
+    }
+
+    #[test]
+    fn permanent_fault_at_submit_is_absorbed_like_the_eager_path() {
+        // Reads: disk 1 dies on the submit; the ticket comes back served.
+        let mut a = seeded(3, 4);
+        a.inner_mut().model_mut().kill_disk(DiskId(1));
+        let (reads_before, _) = a.inner().observed();
+        let addrs: Vec<_> = (0..3).map(|d| BlockAddr::new(DiskId(d), 2)).collect();
+        let ticket = a.submit_read(&addrs).unwrap();
+        assert!(!ticket.is_pending());
+        assert_eq!(ticket.addrs(), &addrs[..]);
+        for (disk, b) in a.complete_read(ticket).unwrap().iter().enumerate() {
+            assert_eq!(*b, expected(disk, 2));
+        }
+        assert_eq!(a.dead_disks().collect::<Vec<_>>(), vec![DiskId(1)]);
+        assert_eq!(a.stats().reconstructed_reads, 1);
+        // The failed submit, the live pair, the sibling read: the inner
+        // ordinals the eager retry loop always consumed.
+        assert_eq!(a.inner().observed().0 - reads_before, 3);
+
+        // Writes: disk 0 dies on write 1; its block survives via parity.
+        let geom = Geometry::new(3, 4, 1000).unwrap();
+        let inner = FaultyDiskArray::new(
+            MemDiskArray::new(geom),
+            FaultModel::none().kill_at(crate::error::FaultOp::Write, 1),
+        );
+        let mut a = ParityDiskArray::new(inner).unwrap();
+        for d in 0..3 {
+            a.alloc_contiguous(DiskId(d), 2).unwrap();
+        }
+        for slot in 0..2 {
+            let ticket = a.submit_write(stripe_writes(slot)).unwrap();
+            a.complete_write(ticket).unwrap();
+        }
+        assert_eq!(a.dead_disks().collect::<Vec<_>>(), vec![DiskId(0)]);
+        assert_eq!(a.inner().observed().1, 3, "write 1 is issued twice: whole, then without disk 0");
+        for slot in 0..2u64 {
+            let addrs: Vec<_> = (0..3).map(|d| BlockAddr::new(DiskId(d), slot)).collect();
+            for (disk, b) in a.read(&addrs).unwrap().iter().enumerate() {
+                assert_eq!(*b, expected(disk, slot), "slot {slot} disk {disk}");
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! it cannot drift between operation kinds.
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::{DiskArray, ReadTicket};
+use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::Block;
 use crate::error::{FaultOp, PdiskError, Result};
 use crate::geometry::Geometry;
@@ -297,21 +297,13 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
     }
 
     fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let before = self.reads.attempted;
-        let inner = &mut self.inner;
-        let out = self.policy.run(&mut self.reads, || inner.read(addrs));
-        self.emit_retries(FaultOp::Read, self.reads.attempted - before);
-        out
+        let ticket = self.submit_read(addrs)?;
+        self.complete_read(ticket)
     }
 
     fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        let before = self.writes.attempted;
-        let inner = &mut self.inner;
-        let out = self
-            .policy
-            .run(&mut self.writes, || inner.write(writes.clone()));
-        self.emit_retries(FaultOp::Write, self.writes.attempted - before);
-        out
+        let ticket = self.submit_write(writes)?;
+        self.complete_write(ticket)
     }
 
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
@@ -389,9 +381,8 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
         // further attempts fall back to a fresh synchronous read of the
         // same addresses.  Note the fallback charges a second read op
         // in the inner backend's stats — acceptable for a recovery
-        // path, and unreachable through the CLI stacks, where the
-        // parity layer executes submits eagerly and completion cannot
-        // fail.
+        // path: injected faults surface at submit, so only a real device
+        // error or a checksum mismatch reaches it.
         //
         // Submit and complete share ONE attempt budget: the ticket says
         // how many issues its submit consumed, and `run_from` resumes
@@ -410,10 +401,48 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
         out
     }
 
-    // submit_write / complete_write deliberately use the trait defaults:
-    // the default submit executes eagerly via `self.write`, which runs
-    // this wrapper's retrying write logic, so split-phase writes through
-    // a retry layer degenerate to the (fully protected) serial path.
+    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
+        let before = self.writes.attempted;
+        let inner = &mut self.inner;
+        let out = self
+            .policy
+            .run(&mut self.writes, || inner.submit_write(writes.clone()));
+        let issued = self.writes.attempted - before;
+        self.emit_retries(FaultOp::Write, issued);
+        // The blocks travel with the ticket, so the completion phase can
+        // re-issue them under the budget this submit started.
+        out.map(|mut t| {
+            t.issues = 1 + issued as u32;
+            t.payload = Some(Box::new(writes));
+            t
+        })
+    }
+
+    fn complete_write(&mut self, mut ticket: WriteTicket) -> Result<()> {
+        // The write-side twin of `complete_read`: drain the ticket once,
+        // then fall back to synchronous writes of the blocks the submit
+        // left in it, all within the one per-logical-op budget.
+        let spent = ticket.issues;
+        let writes = ticket
+            .payload
+            .take()
+            .and_then(|p| p.downcast::<Vec<(BlockAddr, Block<R>)>>().ok())
+            .ok_or(PdiskError::TicketMismatch)?;
+        let before = self.writes.attempted;
+        let inner = &mut self.inner;
+        let mut first = Some(ticket);
+        let out = self.policy.run_from(&mut self.writes, spent, || match first.take() {
+            Some(t) => inner.complete_write(t),
+            None => inner.write((*writes).clone()),
+        });
+        self.emit_retries(FaultOp::Write, self.writes.attempted - before);
+        out
+    }
+
+    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+        // A hint cannot fail, so there is nothing to retry or count.
+        self.inner.prefetch(addrs);
+    }
 
     fn install_pool(&mut self, pool: BufferPool<R>) {
         self.inner.install_pool(pool);
@@ -425,7 +454,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::block::Forecast;
     use crate::error::{FaultKind, FaultOp};
@@ -643,15 +672,16 @@ mod tests {
     }
 
     /// Split-phase test double: submits and completions fail retryably a
-    /// scripted number of times, and every raw I/O *issue* (a submit or a
-    /// fallback read — not a ticket drain) is counted, so tests can
-    /// assert the per-logical-op budget precisely.
-    struct FlakySplit {
-        inner: MemDiskArray<U64Record>,
-        fail_submits: u32,
-        fail_completes: u32,
-        fail_reads: u32,
-        issues: u64,
+    /// scripted number of times, reads and writes alike, and every raw
+    /// I/O *issue* (a submit or a synchronous fallback — not a ticket
+    /// drain) is counted, so tests can assert the per-logical-op budget
+    /// precisely.
+    pub(crate) struct FlakySplit {
+        pub(crate) inner: MemDiskArray<U64Record>,
+        pub(crate) fail_submits: u32,
+        pub(crate) fail_completes: u32,
+        pub(crate) fail_fallbacks: u32,
+        pub(crate) issues: u64,
     }
 
     impl FlakySplit {
@@ -671,15 +701,39 @@ mod tests {
 
         fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<U64Record>>> {
             self.issues += 1;
-            if self.fail_reads > 0 {
-                self.fail_reads -= 1;
+            if self.fail_fallbacks > 0 {
+                self.fail_fallbacks -= 1;
                 return Err(Self::transient());
             }
             self.inner.read(addrs)
         }
 
         fn write(&mut self, writes: Vec<(BlockAddr, Block<U64Record>)>) -> Result<()> {
+            self.issues += 1;
+            if self.fail_fallbacks > 0 {
+                self.fail_fallbacks -= 1;
+                return Err(Self::transient());
+            }
             self.inner.write(writes)
+        }
+
+        fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<U64Record>)>) -> Result<WriteTicket> {
+            self.issues += 1;
+            if self.fail_submits > 0 {
+                self.fail_submits -= 1;
+                return Err(Self::transient());
+            }
+            let addrs = writes.iter().map(|(a, _)| *a).collect();
+            self.inner.write(writes)?;
+            Ok(WriteTicket::ready(addrs))
+        }
+
+        fn complete_write(&mut self, _ticket: WriteTicket) -> Result<()> {
+            if self.fail_completes > 0 {
+                self.fail_completes -= 1;
+                return Err(Self::transient());
+            }
+            Ok(())
         }
 
         fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<U64Record>> {
@@ -716,7 +770,7 @@ mod tests {
         }
     }
 
-    fn flaky_split(fail_submits: u32, fail_completes: u32, fail_reads: u32) -> FlakySplit {
+    fn flaky_split(fail_submits: u32, fail_completes: u32, fail_fallbacks: u32) -> FlakySplit {
         let geom = Geometry::new(2, 2, 100).unwrap();
         let mut inner: MemDiskArray<U64Record> = MemDiskArray::new(geom);
         let o = inner.alloc_contiguous(DiskId(0), 1).unwrap();
@@ -730,22 +784,45 @@ mod tests {
             inner,
             fail_submits,
             fail_completes,
-            fail_reads,
+            fail_fallbacks,
             issues: 0,
+        }
+    }
+
+    /// One split-phase op through `a`, read or write, and the retries
+    /// and give-ups `a` has charged to that side so far.
+    fn split_op(
+        a: &mut RetryingDiskArray<U64Record, FlakySplit>,
+        write: bool,
+    ) -> (Result<()>, u64, u64) {
+        let addr = BlockAddr::new(DiskId(0), 0);
+        let out = if write {
+            let block = Block::new(vec![U64Record(1)], Forecast::Next(u64::MAX));
+            a.submit_write(vec![(addr, block)]).and_then(|t| a.complete_write(t))
+        } else {
+            a.submit_read(&[addr])
+                .and_then(|t| a.complete_read(t))
+                .map(|got| assert_eq!(got[0].records[0], U64Record(1)))
+        };
+        let stats = a.stats();
+        if write {
+            (out, stats.write_retries, stats.write_exhausted)
+        } else {
+            (out, stats.read_retries, stats.read_exhausted)
         }
     }
 
     #[test]
     fn submit_and_complete_share_one_attempt_budget() {
-        // Submit fails once (2 issues), the drain fails, the fallback
-        // read succeeds: 3 issues total, within the budget of 4.
-        let mut a = RetryingDiskArray::new(flaky_split(1, 1, 0), RetryPolicy::default());
-        let addr = BlockAddr::new(DiskId(0), 0);
-        let t = a.submit_read(&[addr]).unwrap();
-        let got = a.complete_read(t).unwrap();
-        assert_eq!(got[0].records[0], U64Record(1));
-        assert_eq!(a.inner().issues, 3, "submit + retried submit + fallback read");
-        assert_eq!(a.stats().read_retries, 2, "one submit retry + one completion re-issue");
+        // Submit fails once (2 issues), the drain fails, the synchronous
+        // fallback succeeds: 3 issues total, within the budget of 4.
+        for write in [false, true] {
+            let mut a = RetryingDiskArray::new(flaky_split(1, 1, 0), RetryPolicy::default());
+            let (out, retries, _) = split_op(&mut a, write);
+            out.unwrap();
+            assert_eq!(a.inner().issues, 3, "submit + retried submit + fallback (write={write})");
+            assert_eq!(retries, 2, "one submit retry + one completion re-issue (write={write})");
+        }
     }
 
     #[test]
@@ -753,27 +830,27 @@ mod tests {
         // Regression: submit consumes the budget's first two issues
         // (one transient failure + the success); when the completion
         // then fails, NO fallback issue remains — the old code gave the
-        // completion a fresh budget of its own, letting one logical read
+        // completion a fresh budget of its own, letting one logical op
         // consume up to 2x max_attempts issues.
-        let mut a = RetryingDiskArray::new(
-            flaky_split(1, 1, 0),
-            RetryPolicy::new(2, Duration::from_millis(1)),
-        );
-        let addr = BlockAddr::new(DiskId(0), 0);
-        let t = a.submit_read(&[addr]).unwrap();
-        let err = a.complete_read(t).unwrap_err();
-        match err {
-            PdiskError::RetriesExhausted { attempts, .. } => {
-                assert_eq!(attempts, 2, "whole logical op capped at max_attempts")
+        for write in [false, true] {
+            let mut a = RetryingDiskArray::new(
+                flaky_split(1, 1, 0),
+                RetryPolicy::new(2, Duration::from_millis(1)),
+            );
+            let (out, _, exhausted) = split_op(&mut a, write);
+            match out.unwrap_err() {
+                PdiskError::RetriesExhausted { attempts, .. } => {
+                    assert_eq!(attempts, 2, "whole logical op capped at max_attempts")
+                }
+                other => panic!("expected RetriesExhausted, got {other:?}"),
             }
-            other => panic!("expected RetriesExhausted, got {other:?}"),
+            assert_eq!(
+                a.inner().issues,
+                2,
+                "no issue beyond the per-logical-op budget of 2 (write={write})"
+            );
+            assert_eq!(exhausted, 1);
         }
-        assert_eq!(
-            a.inner().issues,
-            2,
-            "no issue beyond the per-logical-op budget of 2"
-        );
-        assert_eq!(a.stats().read_exhausted, 1);
     }
 
     #[test]

@@ -136,6 +136,12 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for FencedDiskArray<R, A> {
         self.inner.complete_write(ticket)
     }
 
+    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+        if self.check().is_ok() {
+            self.inner.prefetch(addrs)
+        }
+    }
+
     fn sync(&mut self) -> Result<(), PdiskError> {
         self.check()?;
         self.inner.sync()

@@ -60,6 +60,8 @@ pub fn serve(server: Arc<JobServer>, listener: TcpListener) -> std::io::Result<D
 // not apply to this poll loop (`Interrupted` below is io::ErrorKind).
 fn handle_conn(server: &Arc<JobServer>, mut stream: TcpStream) -> std::io::Result<()> { // srmlint::allow(interrupt)
     stream.set_read_timeout(Some(READ_POLL))?;
+    // Replies are single short lines a client waits on: send them now.
+    stream.set_nodelay(true)?;
     let shutdown = server.shutdown_flag();
     let mut pending = Vec::new();
     let mut chunk = [0u8; 1024];
@@ -74,7 +76,7 @@ fn handle_conn(server: &Arc<JobServer>, mut stream: TcpStream) -> std::io::Resul
         }
         if shutdown.is_set() {
             // Jobs are checkpointing; tell the client and hang up.
-            let _ = writeln!(stream, "BYE draining");
+            let _ = send_line(&mut stream, "BYE draining".into());
             return Ok(());
         }
         match stream.read(&mut chunk) {
@@ -87,6 +89,14 @@ fn handle_conn(server: &Arc<JobServer>, mut stream: TcpStream) -> std::io::Resul
     }
 }
 
+/// Send one reply line as a single write.  `writeln!` straight onto the
+/// socket writes each format fragment separately, and a small write
+/// behind an unacknowledged one waits for the peer's delayed ACK.
+fn send_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
+    line.push('\n');
+    stream.write_all(line.as_bytes())
+}
+
 /// Handle one request line; `Ok(false)` closes the connection.
 fn dispatch(
     server: &Arc<JobServer>,
@@ -96,12 +106,12 @@ fn dispatch(
     let request = match parse_request(line) {
         Ok(r) => r,
         Err(err_line) => {
-            writeln!(stream, "{err_line}")?;
+            send_line(stream, err_line)?;
             return Ok(true);
         }
     };
     match request {
-        Request::Ping => writeln!(stream, "OK pong")?,
+        Request::Ping => send_line(stream, "OK pong".into())?,
         Request::Quit => return Ok(false),
         Request::Submit(spec) => match server.submit(spec) {
             Ok(id) => {
@@ -109,31 +119,31 @@ fn dispatch(
                     .status(id)
                     .map(|s| s.cost)
                     .unwrap_or_default();
-                writeln!(stream, "OK id={id} cost={cost}")?;
+                send_line(stream, format!("OK id={id} cost={cost}"))?;
             }
-            Err(e) => writeln!(stream, "{}", submit_error_line(&e))?,
+            Err(e) => send_line(stream, submit_error_line(&e))?,
         },
         Request::Status(id) => match server.status(id) {
-            Some(s) => writeln!(stream, "OK {}", status_fields(&s))?,
-            None => writeln!(stream, "ERR code=not-found job {id}")?,
+            Some(s) => send_line(stream, format!("OK {}", status_fields(&s)))?,
+            None => send_line(stream, format!("ERR code=not-found job {id}"))?,
         },
         Request::Watch(id) => {
             let shutdown = server.shutdown_flag();
             loop {
                 let Some(s) = server.status(id) else {
-                    writeln!(stream, "ERR code=not-found job {id}")?;
+                    send_line(stream, format!("ERR code=not-found job {id}"))?;
                     break;
                 };
                 let settled = s.state.is_terminal() || s.state == crate::server::JobState::Suspended;
                 if settled {
-                    writeln!(stream, "OK {}", status_fields(&s))?;
+                    send_line(stream, format!("OK {}", status_fields(&s)))?;
                     break;
                 }
-                writeln!(stream, "EVENT {}", status_fields(&s))?;
+                send_line(stream, format!("EVENT {}", status_fields(&s)))?;
                 if shutdown.is_set() {
                     // The drain will settle it; one final status follows
                     // on the next WATCH. Don't hold the connection.
-                    writeln!(stream, "BYE draining")?;
+                    send_line(stream, "BYE draining".into())?;
                     break;
                 }
                 std::thread::sleep(WATCH_POLL);
@@ -141,21 +151,22 @@ fn dispatch(
         }
         Request::Cancel(id) => {
             if server.cancel(id) {
-                writeln!(stream, "OK cancelling id={id}")?;
+                send_line(stream, format!("OK cancelling id={id}"))?;
             } else {
-                writeln!(stream, "ERR code=not-found job {id} (or already settled)")?;
+                send_line(stream, format!("ERR code=not-found job {id} (or already settled)"))?;
             }
         }
         Request::List => {
             let jobs = server.list();
+            let mut reply = String::new();
             for s in &jobs {
-                writeln!(stream, "JOB {}", status_fields(s))?;
+                reply.push_str(&format!("JOB {}\n", status_fields(s)));
             }
-            writeln!(stream, "OK count={}", jobs.len())?;
+            send_line(stream, format!("{reply}OK count={}", jobs.len()))?;
         }
-        Request::Stats => writeln!(stream, "OK {}", stats_fields(&server.stats()))?,
+        Request::Stats => send_line(stream, format!("OK {}", stats_fields(&server.stats())))?,
         Request::Drain => {
-            writeln!(stream, "OK draining")?;
+            send_line(stream, "OK draining".into())?;
             server.shutdown_flag().trigger();
         }
     }

@@ -1,0 +1,116 @@
+//! A recording `DiskArray` layer shared by the integration suites: it
+//! forwards every trait method, the defaulted ones included, logs the
+//! name of each call it sees, and counts how many of the tickets passing
+//! up through it are still in flight.
+#![allow(dead_code)] // each suite uses its own half
+
+use pdisk::backend::{ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
+use pdisk::{
+    Block, BlockAddr, BufferPool, DiskArray, DiskId, Geometry, IoStats, Result, TraceSink,
+    U64Record,
+};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
+use std::rc::Rc;
+
+type Rec = U64Record;
+pub type Log = Rc<RefCell<BTreeSet<&'static str>>>;
+
+pub struct Probe<A> {
+    pub inner: A,
+    /// Names of the trait methods called since the log was last cleared.
+    pub log: Log,
+    /// Tickets handed up by `inner`, and how many of them were pending.
+    pub tickets: u64,
+    pub pending: u64,
+}
+
+impl<A> Probe<A> {
+    pub fn new(inner: A) -> Self {
+        Probe { inner, log: Log::default(), tickets: 0, pending: 0 }
+    }
+
+    fn hit(&self, method: &'static str) {
+        self.log.borrow_mut().insert(method);
+    }
+
+    fn saw_ticket(&mut self, pending: bool) {
+        self.tickets += 1;
+        self.pending += u64::from(pending);
+    }
+}
+
+impl<A: DiskArray<Rec>> DiskArray<Rec> for Probe<A> {
+    fn geometry(&self) -> Geometry {
+        self.inner.geometry()
+    }
+    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<Rec>>> {
+        self.hit("read");
+        self.inner.read(addrs)
+    }
+    fn write(&mut self, writes: Vec<(BlockAddr, Block<Rec>)>) -> Result<()> {
+        self.hit("write");
+        self.inner.write(writes)
+    }
+    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
+        self.inner.alloc_contiguous(disk, count)
+    }
+    fn stats(&self) -> IoStats {
+        self.inner.stats()
+    }
+    fn reset_stats(&mut self) {
+        self.inner.reset_stats()
+    }
+    fn redundancy(&self) -> Option<RedundancyInfo> {
+        self.hit("redundancy");
+        self.inner.redundancy()
+    }
+    fn install_trace(&mut self, sink: TraceSink) {
+        self.hit("install_trace");
+        self.inner.install_trace(sink)
+    }
+    fn trace_sink(&self) -> Option<&TraceSink> {
+        self.hit("trace_sink");
+        self.inner.trace_sink()
+    }
+    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<Rec>> {
+        self.hit("submit_read");
+        let ticket = self.inner.submit_read(addrs)?;
+        self.saw_ticket(ticket.is_pending());
+        Ok(ticket)
+    }
+    fn complete_read(&mut self, ticket: ReadTicket<Rec>) -> Result<Vec<Block<Rec>>> {
+        self.hit("complete_read");
+        self.inner.complete_read(ticket)
+    }
+    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<Rec>)>) -> Result<WriteTicket> {
+        self.hit("submit_write");
+        let ticket = self.inner.submit_write(writes)?;
+        self.saw_ticket(ticket.is_pending());
+        Ok(ticket)
+    }
+    fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
+        self.hit("complete_write");
+        self.inner.complete_write(ticket)
+    }
+    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+        self.hit("prefetch");
+        self.inner.prefetch(addrs)
+    }
+    fn sync(&mut self) -> Result<()> {
+        self.hit("sync");
+        self.inner.sync()
+    }
+    fn scrub_block(&mut self, addr: BlockAddr) -> Result<ScrubOutcome> {
+        self.hit("scrub_block");
+        self.inner.scrub_block(addr)
+    }
+    fn install_pool(&mut self, pool: BufferPool<Rec>) {
+        self.hit("install_pool");
+        self.inner.install_pool(pool)
+    }
+    fn buffer_pool(&self) -> Option<&BufferPool<Rec>> {
+        self.hit("buffer_pool");
+        self.inner.buffer_pool()
+    }
+}

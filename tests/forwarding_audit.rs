@@ -1,0 +1,127 @@
+//! Forwarding audit: every `DiskArray` method that has a default body
+//! must, in every wrapper of the workspace, reach the array underneath —
+//! or the wrapper must say here why it does not.
+//!
+//! A wrapper that forgets to override a defaulted method still compiles
+//! and still sorts correctly; it just silently runs the default, which
+//! for the split-phase pair means eager I/O and for `prefetch` means no
+//! read-ahead.  This test is what notices.
+
+mod common;
+
+use common::{Log, Probe};
+use pdisk::{
+    Block, BlockAddr, BufferPool, ClusteredDiskArray, CrashClock, CrashingDiskArray, DiskArray,
+    DiskId, FaultModel, FaultyDiskArray, Forecast, Geometry, MemDiskArray, ParityDiskArray,
+    RetryPolicy, RetryingDiskArray, TraceSink, TracingDiskArray, U64Record,
+};
+use srm_dist::{FenceFlag, FencedDiskArray};
+
+type Rec = U64Record;
+type Mem = Probe<MemDiskArray<Rec>>;
+
+/// The trait methods with a default body.
+const DEFAULTED: [&str; 12] = [
+    "submit_read",
+    "complete_read",
+    "submit_write",
+    "complete_write",
+    "prefetch",
+    "sync",
+    "scrub_block",
+    "install_pool",
+    "buffer_pool",
+    "install_trace",
+    "trace_sink",
+    "redundancy",
+];
+
+/// (wrapper, method, why the call stops at this wrapper).
+const DECLINED: [(&str, &str, &str); 10] = [
+    ("Parity", "scrub_block", "it is the layer that repairs: it verifies by reading the slot below and rewrites it from parity"),
+    ("Parity", "redundancy", "it is the redundancy layer and answers for itself"),
+    ("Tracing", "trace_sink", "it owns the sink it installed below and answers with it"),
+    ("Clustered", "submit_read", "one logical block is c physical blocks reassembled on return, and no production stack builds it: eager through read"),
+    ("Clustered", "complete_read", "its tickets are always already served"),
+    ("Clustered", "submit_write", "as submit_read: eager through write"),
+    ("Clustered", "complete_write", "its tickets are always already served"),
+    ("Clustered", "prefetch", "a hint for one logical block would have to fan out to c slots; unused, so dropped"),
+    ("Clustered", "install_trace", "physical events would carry disk ids outside the logical geometry a trace is checked against"),
+    ("Clustered", "trace_sink", "as install_trace: no sink is installed below"),
+];
+
+fn block(key: u64) -> Block<Rec> {
+    Block::new(vec![U64Record(key)], Forecast::Next(u64::MAX))
+}
+
+/// Call `method` on `a` and report whether the probe saw the same call.
+/// `fresh` hands out slots nothing has written yet, so a parity layer
+/// treats every write here as a first write.
+fn reaches<A: DiskArray<Rec>>(a: &mut A, log: &Log, method: &'static str, fresh: &mut u64) -> bool {
+    let written = BlockAddr::new(DiskId(0), 0);
+    let mut next = || {
+        *fresh += 1;
+        BlockAddr::new(DiskId(0), *fresh)
+    };
+    // The first half of a pair runs before the log is cleared.
+    let read_ticket = (method == "complete_read").then(|| a.submit_read(&[written]).unwrap());
+    let write_ticket =
+        (method == "complete_write").then(|| a.submit_write(vec![(next(), block(2))]).unwrap());
+    log.borrow_mut().clear();
+    match method {
+        "submit_read" => drop(a.submit_read(&[written]).unwrap()),
+        "complete_read" => drop(a.complete_read(read_ticket.unwrap()).unwrap()),
+        "submit_write" => drop(a.submit_write(vec![(next(), block(3))]).unwrap()),
+        "complete_write" => a.complete_write(write_ticket.unwrap()).unwrap(),
+        "prefetch" => a.prefetch(&[written]),
+        "sync" => a.sync().unwrap(),
+        "scrub_block" => drop(a.scrub_block(written).unwrap()),
+        "install_pool" => a.install_pool(BufferPool::new()),
+        "buffer_pool" => drop(a.buffer_pool()),
+        "install_trace" => a.install_trace(TraceSink::new()),
+        "trace_sink" => drop(a.trace_sink()),
+        "redundancy" => drop(a.redundancy()),
+        other => panic!("no driver for {other}"),
+    }
+    log.borrow().contains(method)
+}
+
+/// Audit one wrapper; returns one line per disagreement with `DECLINED`.
+fn audit<A: DiskArray<Rec>>(wrapper: &'static str, wrap: impl FnOnce(Mem) -> A) -> Vec<String> {
+    let probe = Probe::new(MemDiskArray::new(Geometry::new(2, 2, 100).unwrap()));
+    let log = probe.log.clone();
+    let mut a = wrap(probe);
+    for d in 0..a.geometry().d {
+        a.alloc_contiguous(DiskId::from_index(d), 8).unwrap();
+    }
+    a.write(vec![(BlockAddr::new(DiskId(0), 0), block(1))]).unwrap();
+    let mut fresh = 0;
+    let mut findings = Vec::new();
+    for method in DEFAULTED {
+        let declined = DECLINED.iter().find(|(w, m, _)| *w == wrapper && *m == method);
+        match (reaches(&mut a, &log, method, &mut fresh), declined) {
+            (true, None) | (false, Some(_)) => {}
+            (false, None) => findings.push(format!(
+                "{wrapper}::{method} never reaches the inner array: forward it, or decline it in DECLINED with a reason"
+            )),
+            (true, Some(_)) => findings.push(format!("{wrapper}::{method} is declined in DECLINED but forwards")),
+        }
+    }
+    findings
+}
+
+#[test]
+fn every_wrapper_forwards_or_declines_every_defaulted_method() {
+    let mut findings = Vec::new();
+    findings.extend(audit("Retrying", |p| RetryingDiskArray::new(p, RetryPolicy::default())));
+    findings.extend(audit("Parity", |p| ParityDiskArray::new(p).unwrap()));
+    findings.extend(audit("Faulty", |p| FaultyDiskArray::new(p, FaultModel::none())));
+    findings.extend(audit("Crashing", |p| CrashingDiskArray::new(p, CrashClock::counting())));
+    findings.extend(audit("Tracing", TracingDiskArray::new));
+    findings.extend(audit("Clustered", |p| ClusteredDiskArray::new(p, 2).unwrap()));
+    findings.extend(audit("Fenced", |p| FencedDiskArray::new(p, FenceFlag::new())));
+    for (wrapper, method, why) in DECLINED {
+        println!("declined: {wrapper}::{method}: {why}");
+    }
+    assert!(findings.is_empty(), "forwarding audit:\n{}", findings.join("\n"));
+}

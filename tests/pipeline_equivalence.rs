@@ -13,6 +13,8 @@
 //! engines, because the pipelined engine *submits* operations in the
 //! serial order and only overlaps their completion.
 
+mod common;
+
 use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use modelcheck::{check_stats, check_trace};
 use pdisk::trace::TracingDiskArray;
@@ -223,6 +225,59 @@ fn deep_read_ahead_and_threads_equivalent() {
         let (deep_out, deep_io) = drive(true, depth, &format!("deep-{depth}"));
         assert_eq!(deep_out, serial_out, "depth {depth}: output must be byte-identical");
         assert_eq!(deep_io, serial_io, "depth {depth}: IoStats must be identical");
+    }
+    let mut sorted = data.clone();
+    sorted.sort();
+    assert_eq!(serial_out, encode_all(&sorted), "output must be sorted");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The stack `srm-cli`, `srm-server` and `srm-dist` build,
+/// `Retrying(Parity(Faulty(File)))` with the parity sidecar, under a
+/// random transient fault rate: serial and pipelined sorts agree byte for
+/// byte and count for count at read-ahead 0 and 3, and every operation
+/// the pipelined engine submits is still in flight when the outermost
+/// layer hands its ticket up — no wrapper waits inside a submit.
+#[test]
+fn full_production_stack_equivalent_and_pipelined() {
+    let geom = Geometry::new(4, 8, 256).unwrap();
+    let data = random_records(8000, 0xEA);
+    let dir = unique_dir("stack");
+
+    let drive = |pipeline: bool, depth: usize, sub: &str| -> (Vec<u8>, IoStats, u64, u64) {
+        let sub = dir.join(sub);
+        let file = FileDiskArray::<U64Record>::create(geom, sub.join("disks")).unwrap();
+        let faulty = FaultyDiskArray::new(file, FaultModel::random(0x5EED).with_rate(0.01));
+        let parity = ParityDiskArray::new(faulty).unwrap().with_store(sub.join("parity.store")).unwrap();
+        let stack = RetryingDiskArray::new(parity, RetryPolicy::new(8, Duration::ZERO));
+        let mut a = TracingDiskArray::new(common::Probe::new(stack));
+        let input = write_unsorted_input(&mut a, &data).unwrap();
+        let (run, _) = SrmSorter::default()
+            .with_pipeline(pipeline)
+            .with_read_ahead(depth)
+            .sort(&mut a, &input)
+            .unwrap_or_else(|e| panic!("sort (pipeline={pipeline} depth={depth}) failed: {e}"));
+        let stats = a.stats();
+        let out = read_run(&mut a, &run).unwrap();
+        let trace = a.take_trace();
+        check_trace(geom, &trace)
+            .unwrap_or_else(|v| panic!("violation (pipeline={pipeline} depth={depth}): {v}"));
+        check_stats(&trace, &a.stats())
+            .unwrap_or_else(|v| panic!("stats drift (pipeline={pipeline} depth={depth}): {v}"));
+        let watch = a.inner();
+        (encode_all(&out), stats, watch.tickets, watch.pending)
+    };
+
+    let (serial_out, serial_io, serial_tickets, _) = drive(false, 0, "serial");
+    assert_eq!(serial_tickets, 0, "the serial engine never splits an operation");
+    assert!(serial_io.total_retries() > 0, "the fault rate must bite");
+    assert!(serial_io.parity_writes > 0);
+    for depth in [0usize, 3] {
+        let (out, io, tickets, pending) = drive(true, depth, &format!("pipe-{depth}"));
+        assert_eq!(out, serial_out, "depth {depth}: output must be byte-identical");
+        assert_eq!(io, serial_io, "depth {depth}: IoStats must be identical");
+        assert!(tickets > 0, "depth {depth}: the pipelined engine must split its operations");
+        assert_eq!(pending, tickets, "depth {depth}: a wrapper completed an operation inside its submit");
     }
     let mut sorted = data.clone();
     sorted.sort();
