@@ -1,6 +1,7 @@
-//! **Wall-clock pipeline benchmark** — times the serial (blocking) and
-//! pipelined (forecast-driven deep read-ahead + write-behind) engines of
-//! SRM and DSM on the *file* backend, where disk latency is real, and
+//! **Wall-clock pipeline benchmark** — times SRM's and DSM's one engine
+//! at its two windows, blocking ("serial": every I/O waited for where it
+//! is issued) and pipelined (forecast-driven deep read-ahead +
+//! write-behind), on the *file* backend, where disk latency is real, and
 //! writes `BENCH_pipeline.json` at the repo root.
 //!
 //! ```text
@@ -9,11 +10,11 @@
 //!     [--out PATH] [--seed N] [--reps N]
 //! ```
 //!
-//! Every case runs the same input through both engines and asserts the
+//! Every case runs the same input at both windows and asserts the
 //! outputs are byte-identical and the [`pdisk::IoStats`] exactly equal —
-//! the pipeline moves waiting, never work (DESIGN.md §9, §14).  Engines
+//! the pipeline moves waiting, never work (DESIGN.md §9, §14).  Windows
 //! are interleaved and each is timed as the minimum of `--reps` runs
-//! (default 3), which filters host scheduling noise.  Both engines run
+//! (default 3), which filters host scheduling noise.  Both run
 //! with trusted reads on (first contact verifies the FNV checksum, a
 //! pool-recycled re-read skips the rehash), so the comparison isolates
 //! overlap, not checksum elision.  The headline case (SRM, `D = 8`,
@@ -172,7 +173,7 @@ fn main() {
         ]
     };
 
-    println!("# Wall-clock: serial vs pipelined engines (file backend)\n");
+    println!("# Wall-clock: blocking (serial) vs pipelined window (file backend)\n");
     println!("(seed={seed:#x}; every case asserts identical output bytes and identical IoStats)\n");
     println!("| algo | D | B | M | records | delay | depth | thr | serial | pipelined | form | merge | speedup |");
     println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
@@ -259,8 +260,8 @@ fn case(
 }
 
 /// The SRM sorter for a case: formation threads and read-ahead depth
-/// applied identically regardless of engine (the serial engine ignores
-/// the depth), so the two timed runs differ *only* in pipelining.
+/// applied identically at both windows (the blocking one sends no
+/// hints), so the two timed runs differ *only* in pipelining.
 fn srm_sorter(case: &Case) -> SrmSorter {
     let config = if case.threads > 1 {
         SrmConfig {

@@ -50,8 +50,8 @@ pub struct CheckSummary {
     pub merges: u64,
     /// Scheduled parallel reads verified.
     pub sched_reads: u64,
-    /// Split-phase read submissions verified (pipelined engine only;
-    /// each is later matched by its completing `SchedRead`).
+    /// Split-phase read submissions verified (each is later matched by
+    /// its completing `SchedRead`).
     pub read_submits: u64,
     /// Blocks virtually flushed by rule 2c.
     pub flushed_blocks: u64,
@@ -181,7 +181,7 @@ struct RunReplica {
 }
 
 /// A split-phase read between its `ReadSubmit` and completing
-/// `SchedRead` events (pipelined engine).  Scheduling legality — flush
+/// `SchedRead` events.  Scheduling legality — flush
 /// arithmetic, forecast minimality, fetch-set completeness — was judged
 /// at submit, against the state the decision was actually made in; the
 /// completion must repeat the same fetch set verbatim and is then only

@@ -28,7 +28,7 @@ pub(crate) enum ReadState<R: Record> {
 /// the same array** (or a wrapper stack containing it) to collect the
 /// blocks.  The I/O operation was already charged to [`IoStats`] at
 /// submit time; dropping a ticket abandons the data but never un-counts
-/// the operation — exactly like dropping the result of a serial read.
+/// the operation — exactly like dropping the result of a blocking read.
 pub struct ReadTicket<R: Record> {
     pub(crate) addrs: Vec<BlockAddr>,
     pub(crate) state: ReadState<R>,
@@ -241,8 +241,8 @@ pub trait DiskArray<R: Record> {
     /// The submit/complete pair models **the same single** parallel I/O
     /// operation as [`DiskArray::read`] — the split only exposes the
     /// latency between issuing it and needing its data, which a
-    /// pipelined engine overlaps with merging.  The default executes
-    /// the read eagerly (synchronous backends degenerate to serial
+    /// pipelined sort overlaps with merging.  The default executes
+    /// the read eagerly (synchronous backends degenerate to blocking
     /// behaviour with no semantic change); [`crate::FileDiskArray`]
     /// overrides it to leave the per-disk transfers genuinely in
     /// flight on its worker threads, and the fault, retry and parity

@@ -121,9 +121,9 @@ pub struct FaultModel {
     /// Seed for random trials.  Each trial derives its draw as a pure
     /// hash of `(seed, op kind, per-kind ordinal, disk)` — never from a
     /// shared stream — so fault decisions depend only on *which*
-    /// operation this is, not on how reads and writes interleave.  The
-    /// pipelined engines submit the same Nth read and Nth write as the
-    /// serial engines, so both see byte-identical fault sequences.
+    /// operation this is, not on how reads and writes interleave.  A
+    /// pipelined sort submits the same Nth read and Nth write as a
+    /// blocking one, so both see byte-identical fault sequences.
     seed: u64,
     /// Disks that have suffered a permanent fault; every later
     /// operation touching them fails permanently.

@@ -39,6 +39,7 @@ use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::{Block, Forecast, NO_BLOCK};
 use crate::error::{PdiskError, Result};
 use crate::geometry::Geometry;
+use crate::manifest::fnv1a64;
 use crate::pool::BufferPool;
 use crate::record::Record;
 use crate::stats::IoStats;
@@ -155,17 +156,6 @@ impl Drop for DirLock {
         Self::registry().remove(&self.canonical);
         let _ = std::fs::remove_file(&self.lock_path);
     }
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and plenty to catch torn or
-/// bit-flipped slots (this guards against accidents, not adversaries).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Whether the slot at `index` passes its leading checksum.
@@ -598,10 +588,7 @@ impl<R: Record> FileDiskArray<R> {
     }
 
     /// Validate and fan out one parallel read to the per-disk workers,
-    /// returning the reply channels in request order.  Shared by the
-    /// serial [`DiskArray::read`] and split-phase
-    /// [`DiskArray::submit_read`] paths so both enforce identical
-    /// model rules.
+    /// returning the reply channels in request order.
     fn dispatch_reads(
         &mut self,
         addrs: &[BlockAddr],
@@ -698,47 +685,13 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
     }
 
     fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        if addrs.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.geom.check_parallel_op(addrs.iter().map(|a| a.disk))?;
-        // Fan out: one positioned read per disk, executed concurrently by
-        // the per-disk workers.
-        let replies = self.dispatch_reads(addrs)?;
-        let mut out = Vec::with_capacity(addrs.len());
-        for (rx, &addr) in replies.into_iter().zip(addrs.iter()) {
-            let bytes = rx.recv().map_err(|_| worker_gone())??;
-            let block = self.decode_block_at(addr, &bytes)?;
-            self.pool.put_bytes(bytes);
-            out.push(block);
-        }
-        self.stats.record_read(addrs.len());
-        if let Some(sink) = &self.trace {
-            sink.emit(TraceEvent::PhysRead {
-                addrs: addrs.to_vec(),
-            });
-        }
-        Ok(out)
+        let ticket = self.submit_read(addrs)?;
+        self.complete_read(ticket)
     }
 
     fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        if writes.is_empty() {
-            return Ok(());
-        }
-        self.geom
-            .check_parallel_op(writes.iter().map(|(a, _)| a.disk))?;
-        let n = writes.len();
-        let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
-        let replies = self.dispatch_writes(writes)?;
-        for rx in replies {
-            let bytes = rx.recv().map_err(|_| worker_gone())??;
-            self.pool.put_bytes(bytes);
-        }
-        self.stats.record_write(n);
-        if let Some(sink) = &self.trace {
-            sink.emit(TraceEvent::PhysWrite { addrs });
-        }
-        Ok(())
+        let ticket = self.submit_write(writes)?;
+        self.complete_write(ticket)
     }
 
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
@@ -758,8 +711,8 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
         let replies = self.dispatch_reads(addrs)?;
         // The operation is charged (and physically traced) at submit:
         // the split-phase pair is one parallel I/O, and counting it
-        // where it is issued keeps the op sequence identical to the
-        // serial engine's.
+        // where it is issued makes the op sequence independent of how
+        // long the caller leaves the ticket outstanding.
         self.stats.record_read(addrs.len());
         if let Some(sink) = &self.trace {
             sink.emit(TraceEvent::PhysRead {

@@ -36,7 +36,10 @@
 //! * [`crash`] — deterministic crash-point injection: [`CrashingDiskArray`]
 //!   numbers every I/O boundary with a shared [`CrashClock`] and can kill
 //!   the (simulated) process at any one of them, including torn multi-disk
-//!   writes where only a prefix of the frames landed.
+//!   writes where only a prefix of the frames landed;
+//! * [`manifest`] — the journaled checkpoint-manifest store ([`Manifest`]):
+//!   checksum envelope, generation journal with `.prev` rotation, and the
+//!   redundancy-line codec, shared by every sorter's checkpoint payload.
 //!
 //! Stack order for a fully protected array, bottom to top:
 //! `RetryingDiskArray(ParityDiskArray(FaultyDiskArray(backend)))` — the
@@ -56,6 +59,7 @@ pub mod file;
 pub mod geometry;
 pub mod interrupt;
 pub mod lockwitness;
+pub mod manifest;
 pub mod mem;
 pub mod netfault;
 pub mod parity;
@@ -77,6 +81,7 @@ pub use faulty::{FaultModel, FaultPlan, FaultyDiskArray, ScriptedFault};
 pub use file::{FileDiskArray, PrefetchStats, WRITE_BEHIND_LIMIT};
 pub use geometry::Geometry;
 pub use interrupt::InterruptFlag;
+pub use manifest::{fnv1a64, Manifest};
 pub use mem::MemDiskArray;
 pub use netfault::{Delivery, NetFault, NetFaultModel, PartitionWindow, ScriptedNetFault};
 pub use parity::ParityDiskArray;

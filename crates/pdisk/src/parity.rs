@@ -50,6 +50,7 @@ use crate::block::{Block, Forecast, NO_BLOCK};
 use crate::crash::CrashClock;
 use crate::error::{FaultKind, PdiskError, Result};
 use crate::geometry::Geometry;
+use crate::manifest::fnv1a64;
 use crate::record::Record;
 use crate::stats::IoStats;
 use crate::timing::ArrayTiming;
@@ -96,16 +97,6 @@ fn le_u32(bytes: &[u8]) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&bytes[..4]);
     u32::from_le_bytes(b)
-}
-
-/// FNV-1a, 64-bit, for the sidecar store's slot checksums.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Mask bit marking a stripe whose parity died with its disk.

@@ -130,10 +130,11 @@ pub enum TraceEvent {
         /// Logical addresses written, one per participating disk.
         addrs: Vec<BlockAddr>,
     },
-    /// A parallel write's durable completion.  Serial writes emit this
-    /// immediately after their [`Write`]; a pipelined engine emits it
-    /// only when the write ticket completes successfully, so the gap
-    /// between the two events is exactly the window a crash can tear.
+    /// A parallel write's durable completion, emitted only when the
+    /// write (or its ticket) completes successfully — right after the
+    /// [`Write`] for a blocking write or a ticket completed where it was
+    /// submitted, up to the write-behind window later otherwise — so the
+    /// gap between the two events is exactly the window a crash can tear.
     /// The `modelcheck` recovery invariant forbids reading a block
     /// whose `Write` was never followed by this event.
     ///
@@ -248,13 +249,14 @@ pub enum TraceEvent {
         /// `(run, disk)` of each fetched initial block.
         blocks: Vec<(u32, DiskId)>,
     },
-    /// A pipelined engine *submitted* one scheduled parallel read
-    /// without waiting for it.  The flush decision and the fetch set
-    /// are fixed here — at the same merge position the serial engine
-    /// would issue its blocking read — while the arrivals (implants,
-    /// buffer routing) are recorded by the matching [`SchedRead`]
-    /// event when the engine later completes the ticket.  Serial
-    /// merges never emit this event.
+    /// The merge *submitted* one scheduled parallel read without
+    /// waiting for it.  The flush decision and the fetch set are fixed
+    /// here — at the merge position §5.5 initiates the read — while the
+    /// arrivals (implants, buffer routing) are recorded by the matching
+    /// [`SchedRead`] event when the engine completes the ticket: at
+    /// once at window 0, once the blocks are needed or fit when
+    /// pipelined.  Every scheduled read of a merge emits this pair; a
+    /// lone `SchedRead` (a blocking read) is still a legal trace.
     ///
     /// [`SchedRead`]: TraceEvent::SchedRead
     ReadSubmit {
@@ -507,8 +509,8 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for TracingDiskArray<R, A> {
     fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         let ticket = self.inner.submit_read(addrs)?;
         // The logical operation is recorded where it is issued — at
-        // submit — so a pipelined engine's logical Read stream is
-        // position-identical to the serial engine's.
+        // submit — so the logical Read stream is position-identical
+        // however long the engine leaves the ticket outstanding.
         if !addrs.is_empty() {
             self.sink.emit(TraceEvent::Read {
                 addrs: addrs.to_vec(),

@@ -189,9 +189,9 @@ pub struct CampaignConfig {
     pub b: usize,
     /// Memory, records.
     pub m: usize,
-    /// Drive merges through the pipelined engine.
+    /// Overlap I/O with merging (the engine's pipelined window).
     pub pipeline: bool,
-    /// Forecast read-ahead depth for the pipelined engine.
+    /// Forecast read-ahead depth (pipelined window only).
     pub read_ahead: usize,
     /// Sorter placement seed (distinct from the campaign seed so the
     /// same schedule can be replayed against a different placement).

@@ -32,8 +32,8 @@ use crate::{CampaignConfig, ChaosError, TrialOutcome, Violation};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     Block, BlockAddr, CrashClock, CrashingDiskArray, DiskArray, DiskId, FaultKind, FaultModel,
-    FaultOp, Geometry, InterruptFlag, IoStats, MemDiskArray, ParityDiskArray, PdiskError,
-    Record, RetryPolicy, RetryingDiskArray, ScriptedFault, StripedRun, U64Record,
+    FaultOp, Geometry, InterruptFlag, IoStats, Manifest as _, MemDiskArray, ParityDiskArray,
+    PdiskError, Record, RetryPolicy, RetryingDiskArray, ScriptedFault, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, SortManifest, SrmError};

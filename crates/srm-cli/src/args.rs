@@ -62,6 +62,18 @@ impl Flags {
     pub fn has(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// The `--pipeline` / `--read-ahead K` pair.  Read-ahead hints ride on
+    /// pipelined reads, so a depth without `--pipeline` would be silently
+    /// ignored: a usage error instead.
+    pub fn overlap(&self) -> Result<(bool, usize), String> {
+        let pipeline = self.has("pipeline");
+        let read_ahead: usize = self.get_or("read-ahead", 0)?;
+        if read_ahead > 0 && !pipeline {
+            return Err(format!("--read-ahead {read_ahead} needs --pipeline"));
+        }
+        Ok((pipeline, read_ahead))
+    }
 }
 
 #[cfg(test)]
@@ -71,6 +83,15 @@ mod tests {
     fn parse(s: &str) -> Flags {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
         Flags::parse(&argv).unwrap()
+    }
+
+    #[test]
+    fn read_ahead_without_pipeline_is_a_usage_error() {
+        assert_eq!(parse("--pipeline --read-ahead 3").overlap(), Ok((true, 3)));
+        assert_eq!(parse("--pipeline").overlap(), Ok((true, 0)));
+        assert_eq!(parse("--read-ahead 0").overlap(), Ok((false, 0)));
+        let err = parse("--read-ahead 3").overlap().unwrap_err();
+        assert!(err.contains("needs --pipeline"), "{err}");
     }
 
     #[test]

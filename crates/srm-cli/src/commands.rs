@@ -5,8 +5,8 @@ use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     ArrayTiming, CrashClock, CrashingDiskArray, DiskArray, DiskId, DiskModel, FaultModel,
-    FaultyDiskArray, FileDiskArray, Geometry, InterruptFlag, MemDiskArray, ParityDiskArray, Record,
-    RetryPolicy, RetryingDiskArray, U64Record,
+    FaultyDiskArray, FileDiskArray, Geometry, InterruptFlag, Manifest as _, MemDiskArray,
+    ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -58,15 +58,16 @@ USAGE:
       moves up to one block per disk) plus estimated wall times under a
       1996-era disk model and an SSD model.
 
-      --pipeline switches both sorters to the split-phase engine: the
-      next scheduled read is in flight while the merge drains the
-      current buffers, and output stripes are written behind the merge
-      (DESIGN.md §9).  The operation sequence, I/O accounting, and
-      output bytes are identical to the blocking engine — only the
+      --pipeline opens both sorters' I/O window: the next scheduled
+      read is in flight while the merge drains the current buffers, and
+      output stripes are written behind the merge (DESIGN.md §9).
+      Without it every parallel I/O is waited for where it is issued —
+      the same engine at window 0.  The operation sequence, I/O
+      accounting, and output bytes are identical either way — only the
       waiting overlaps — so --check-model and --resume work unchanged.
       --read-ahead K additionally hints the next K forecast-predicted
       blocks per disk to the backend as speculative reads (DESIGN.md
-      §14; SRM pipelined engine only, default 0).
+      §14; SRM only, needs --pipeline, default 0).
       --threads N sizes parallel run formation (and implies
       --formation parload when --formation is not given).
 
@@ -283,8 +284,7 @@ pub fn sort(argv: &[String]) -> i32 {
             "rs" => RunFormation::ReplacementSelection,
             other => return Err(format!("unknown formation `{other}`").into()),
         };
-        let pipeline = flags.has("pipeline");
-        let read_ahead: usize = flags.get_or("read-ahead", 0)?;
+        let (pipeline, read_ahead) = flags.overlap()?;
         let fault_rate: f64 = flags.get_or("fault-rate", 0.0)?;
         if !(0.0..1.0).contains(&fault_rate) {
             return Err(format!("--fault-rate {fault_rate} outside [0, 1)").into());
@@ -387,7 +387,7 @@ pub fn sort(argv: &[String]) -> i32 {
         if algo == "srm" || algo == "both" {
             let sorter = spec.srm_sorter().with_interrupt(interrupt.clone());
             if pipeline {
-                println!("engine: pipelined (split-phase reads + write-behind)");
+                println!("window: pipelined (reads in flight + write-behind)");
             }
             match backend {
                 "mem" => {
@@ -1073,11 +1073,12 @@ pub fn crash_matrix(argv: &[String]) -> i32 {
             .unwrap_or_else(|| {
                 std::env::temp_dir().join(format!("srm-crash-matrix-{}", std::process::id()))
             });
+        let (pipeline, read_ahead) = flags.overlap()?;
         let cfg = MatrixConfig {
             geom,
             seed,
-            pipeline: flags.has("pipeline"),
-            read_ahead: flags.get_or("read-ahead", 0)?,
+            pipeline,
+            read_ahead,
             parity: flags.has("parity"),
             backend,
             check_recovery: !flags.has("no-check"),
@@ -1086,11 +1087,11 @@ pub fn crash_matrix(argv: &[String]) -> i32 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let data: Vec<U64Record> = (0..records).map(|_| U64Record(rng.random())).collect();
         println!(
-            "crash matrix: {records} records on D={} B={} M={} ({} engine, parity {}, {} backend)",
+            "crash matrix: {records} records on D={} B={} M={} ({} window, parity {}, {} backend)",
             geom.d,
             geom.b,
             geom.m,
-            if cfg.pipeline { "pipelined" } else { "serial" },
+            if cfg.pipeline { "pipelined" } else { "blocking" },
             if cfg.parity { "on" } else { "off" },
             if backend == Backend::Mem { "mem" } else { "file" },
         );
@@ -1580,8 +1581,7 @@ pub fn chaos(argv: &[String]) -> i32 {
             cfg.d = flags.get_or("d", cfg.d)?;
             cfg.b = flags.get_or("b", cfg.b)?;
             cfg.m = flags.get_or("m", cfg.m)?;
-            cfg.pipeline = flags.has("pipeline");
-            cfg.read_ahead = flags.get_or("read-ahead", cfg.read_ahead)?;
+            (cfg.pipeline, cfg.read_ahead) = flags.overlap()?;
             cfg.shards = flags.get_or("shards", cfg.shards)?;
             cfg.server_jobs = flags.get_or("jobs", cfg.server_jobs)?;
             cfg.plant_bug = flags.has("plant-bug");

@@ -31,9 +31,9 @@
 //!   selection (§2.1);
 //! * [`sort`] — the multi-pass mergesort driver, randomized or
 //!   deterministic-staggered placement (§3, §8);
-//! * [`checkpoint`] — pass-granular checkpoint manifests so an
-//!   interrupted multi-pass sort resumes from its last completed pass
-//!   with byte-identical output;
+//! * [`checkpoint`] — the pass-granular checkpoint payload (kept in
+//!   [`pdisk::manifest`]'s journaled store) so an interrupted multi-pass
+//!   sort resumes from its last completed pass with byte-identical output;
 //! * [`simulator`] — block-granularity re-implementation of the exact same
 //!   schedule, used to reproduce Table 3 at paper scale (§9.3);
 //! * [`error`] — error types.
@@ -59,11 +59,11 @@ pub mod sort;
 pub use checkpoint::{resume_point, ResumePoint, SortManifest};
 pub use error::{Result, SrmError};
 pub use key::{BlockKey, RunId};
-pub use merge::{merge_runs, merge_runs_pipelined, merge_runs_pipelined_deep, MergeOutcome, MergeStats};
+pub use merge::{merge_runs, MergeOutcome, MergeStats};
 pub use merge_path::{diagonal_split, merge_pair_into, par_merge_sorted_chunks};
 pub use naive::{naive_merge_count, NaiveMergeStats};
 pub use output::{read_run, RunWriter};
-pub use run_formation::{form_runs, form_runs_pipelined, RunFormation};
+pub use run_formation::{form_runs, RunFormation};
 pub use scheduler::{ScheduleStats, Scheduler};
 pub use scrub::{scrub_runs, ScrubReport};
 pub use simulator::{MergeSim, SimInput, SimStats, TraceEvent};

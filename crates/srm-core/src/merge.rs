@@ -7,6 +7,19 @@
 //! possible time, which is what the dedicated `M_D` buffers exist for —
 //! and the merge consumes records whenever no read can be initiated).
 //!
+//! # One engine, two windows
+//!
+//! Every scheduled read is *submitted* (planned, flushed for, charged and
+//! traced) at the record position §5.5 initiates it, and *completed* —
+//! its blocks admitted to `M_D`/`M_R` or a leading buffer — at a point
+//! the [`Overlap`] window chooses.  At [`Overlap::None`] that point is
+//! the submit itself: the blocking schedule, which is the reference the
+//! equivalence suites compare against.  At [`Overlap::Pipelined`] the
+//! loser tree keeps consuming resident buffers while the read is in
+//! flight and completes it at the first point its blocks are needed or
+//! can be admitted.  The operation sequence is the same in both — only
+//! where the waiting happens differs.
+//!
 //! # Degraded mode
 //!
 //! The merge is deliberately oblivious to disk death.  When the array is a
@@ -66,8 +79,46 @@ struct RunState<'a, R: Record> {
     exhausted: bool,
 }
 
-/// The one parallel read in flight between `submit_read` and
-/// `complete_read` in the pipelined engine.
+/// How far I/O may run ahead of the record stream — the engine's window.
+///
+/// Both settings run the same code and issue the same operations in the
+/// same order; the window only decides how long a submitted ticket may
+/// stay outstanding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Overlap {
+    /// The degenerate window: every ticket is completed where it was
+    /// submitted, nothing is carried across a loop iteration, and no
+    /// read-ahead hint is sent.
+    #[default]
+    None,
+    /// A submitted read completes when its blocks are needed or fit
+    /// (`P_need` / `P_s`), writes retire [`pdisk::WRITE_BEHIND_LIMIT`]
+    /// stripes behind, and each read submission hints the backend about
+    /// the next `read_ahead` forecast-predicted blocks per disk
+    /// ([`DiskArray::prefetch`]; 0 = no hints).
+    Pipelined {
+        /// Forecast-driven prefetch depth per disk.
+        read_ahead: usize,
+    },
+}
+
+impl Overlap {
+    /// The window the public `pipeline` / `read_ahead` settings describe;
+    /// a read-ahead depth without `pipeline` has nothing to run ahead of.
+    pub(crate) fn new(pipeline: bool, read_ahead: usize) -> Self {
+        if pipeline {
+            Overlap::Pipelined { read_ahead }
+        } else {
+            Overlap::None
+        }
+    }
+
+    pub(crate) fn pipelined(self) -> bool {
+        self != Overlap::None
+    }
+}
+
+/// The one parallel read between `submit_read` and `complete_read`.
 struct InFlightRead<R: Record> {
     ticket: ReadTicket<R>,
     /// The planned fetch set, in ticket (= address) order.
@@ -81,7 +132,11 @@ struct InFlightRead<R: Record> {
     pending: usize,
 }
 
-/// Merge `runs` into a single run starting on `out_start_disk`.
+/// Merge `runs` into a single run starting on `out_start_disk`, with the
+/// blocking schedule (every parallel I/O waited for where it is issued).
+/// [`crate::SrmSorter::with_pipeline`] runs the same engine with I/O
+/// overlapped; the output run, [`pdisk::IoStats`] and operation sequence
+/// are identical either way.
 ///
 /// The scheduler's memory partition is sized for `R = runs.len()`:
 /// `R` leading buffers (`M_L`), `R + D` buffers in `M_R`, `D` in `M_D`, and
@@ -117,115 +172,15 @@ pub fn merge_runs<R: Record, A: DiskArray<R>>(
     runs: &[StripedRun],
     out_start_disk: DiskId,
 ) -> Result<MergeOutcome> {
-    merge_impl(array, runs, out_start_disk, false, 0)
+    merge_runs_overlapped(array, runs, out_start_disk, Overlap::None)
 }
 
-/// Like [`merge_runs`], but overlapping disk time with merge time via the
-/// split-phase [`DiskArray`] interface: each parallel read is *submitted*
-/// at exactly the point the serial engine would execute it, the loser tree
-/// keeps consuming already-resident buffers while the read is in flight,
-/// and the read is *completed* at the first point its blocks are needed
-/// (`P_need`: the tree's winner awaits one of them) or can be admitted
-/// (`P_s`: the fetch set has room again).  Output writes are likewise
-/// submitted a stripe ahead (write-behind, see
-/// [`RunWriter::new_pipelined`]).
-///
-/// The I/O *schedule* is unchanged: reads and writes are initiated in the
-/// same order, at the same record positions, against the same addresses as
-/// [`merge_runs`], so the output run, the [`pdisk::IoStats`] deltas, and
-/// the logical operation sequence in a model-check trace are identical.
-/// Only wall-clock overlap differs — on a backend with real I/O latency
-/// (e.g. [`pdisk::FileDiskArray`]) disk time hides behind merge time.  On
-/// a synchronous backend the split-phase calls degenerate to the serial
-/// ones and the result is the same by construction.
-///
-/// # Examples
-///
-/// ```
-/// use pdisk::{DiskId, Geometry, MemDiskArray, U64Record};
-/// use srm_core::{merge_runs_pipelined, read_run, RunWriter};
-///
-/// let geom = Geometry::new(2, 4, 1000)?;
-/// let mut disks: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-/// let mut handles = Vec::new();
-/// for (start, keys) in [(0u32, [1u64, 3, 5, 7]), (1, [2, 4, 6, 8])] {
-///     let mut w = RunWriter::new(geom, DiskId(start));
-///     for k in keys { w.push(&mut disks, U64Record(k))?; }
-///     handles.push(w.finish(&mut disks)?);
-/// }
-///
-/// let out = merge_runs_pipelined(&mut disks, &handles, DiskId(0))?;
-/// let merged = read_run(&mut disks, &out.run)?;
-/// assert_eq!(merged.iter().map(|r| r.0).collect::<Vec<_>>(),
-///            vec![1, 2, 3, 4, 5, 6, 7, 8]);
-/// # Ok::<(), srm_core::SrmError>(())
-/// ```
-pub fn merge_runs_pipelined<R: Record, A: DiskArray<R>>(
+/// [`merge_runs`] under the given window.
+pub(crate) fn merge_runs_overlapped<R: Record, A: DiskArray<R>>(
     array: &mut A,
     runs: &[StripedRun],
     out_start_disk: DiskId,
-) -> Result<MergeOutcome> {
-    merge_impl(array, runs, out_start_disk, true, 0)
-}
-
-/// Like [`merge_runs_pipelined`], but additionally hinting the backend
-/// about the next `read_ahead` *predicted* blocks per disk via
-/// [`DiskArray::prefetch`] every time a read is submitted.
-///
-/// The candidates come straight from the forecasting table: ranks 2..
-/// of each disk's FDS column (rank 1 is the frontier the submitted read
-/// already fetches), taken round-robin by rank across disks.  Every FDS
-/// entry is a block the merge *will* read — the forecast is exact, not
-/// heuristic — so no hint is ever wasted.  The hint count is capped by
-/// the Definition-3 occupancy slack `(R + D − |F_t| − pending) + D`
-/// (the buffers admission could hand out before the next submit, plus
-/// the `M_D` demand buffers), so deep read-ahead never overshoots what
-/// the schedule could accept.
-///
-/// Hints carry **no semantics**: they are not charged to
-/// [`pdisk::IoStats`], not traced, and backends may ignore them
-/// entirely (the default implementation does).  The logical operation
-/// sequence is therefore byte-identical to [`merge_runs_pipelined`] and
-/// [`merge_runs`] at every depth — only wall-clock changes, because a
-/// file backend can overlap the *next several* parallel reads with
-/// merge work instead of just one.
-///
-/// # Examples
-///
-/// ```
-/// use pdisk::{DiskId, Geometry, MemDiskArray, U64Record};
-/// use srm_core::{merge_runs_pipelined_deep, read_run, RunWriter};
-///
-/// let geom = Geometry::new(2, 4, 1000)?;
-/// let mut disks: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-/// let mut handles = Vec::new();
-/// for (start, keys) in [(0u32, [1u64, 3, 5, 7]), (1, [2, 4, 6, 8])] {
-///     let mut w = RunWriter::new(geom, DiskId(start));
-///     for k in keys { w.push(&mut disks, U64Record(k))?; }
-///     handles.push(w.finish(&mut disks)?);
-/// }
-///
-/// let out = merge_runs_pipelined_deep(&mut disks, &handles, DiskId(0), 4)?;
-/// let merged = read_run(&mut disks, &out.run)?;
-/// assert_eq!(merged.iter().map(|r| r.0).collect::<Vec<_>>(),
-///            vec![1, 2, 3, 4, 5, 6, 7, 8]);
-/// # Ok::<(), srm_core::SrmError>(())
-/// ```
-pub fn merge_runs_pipelined_deep<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    runs: &[StripedRun],
-    out_start_disk: DiskId,
-    read_ahead: usize,
-) -> Result<MergeOutcome> {
-    merge_impl(array, runs, out_start_disk, true, read_ahead)
-}
-
-fn merge_impl<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    runs: &[StripedRun],
-    out_start_disk: DiskId,
-    pipelined: bool,
-    read_ahead: usize,
+    overlap: Overlap,
 ) -> Result<MergeOutcome> {
     let geom = array.geometry();
     if runs.is_empty() {
@@ -274,22 +229,14 @@ fn merge_impl<R: Record, A: DiskArray<R>>(
         sched: Scheduler::new(runs.len(), geom.d),
         tree: LoserTree::new(vec![u64::MAX; runs.len()]),
         buffers: HashMap::new(),
-        writer: if pipelined {
-            RunWriter::new_pipelined(geom, out_start_disk)
-        } else {
-            RunWriter::new(geom, out_start_disk)
-        },
+        writer: RunWriter::new(geom, out_start_disk).write_behind(overlap.pipelined()),
         in_flight: None,
-        read_ahead,
+        overlap,
         pool: array.buffer_pool().cloned(),
         trace,
     };
     merger.initial_load(array)?;
-    if pipelined {
-        merger.run_to_completion_pipelined(array)
-    } else {
-        merger.run_to_completion(array)
-    }
+    merger.run_to_completion(array)
 }
 
 struct Merger<'a, R: Record> {
@@ -300,12 +247,12 @@ struct Merger<'a, R: Record> {
     /// Contents of blocks in `M_R ∪ M_D`, keyed by `(run, block idx)`.
     buffers: HashMap<(RunId, u64), (u64, Vec<R>)>,
     writer: RunWriter<R>,
-    /// The one read in flight (pipelined engine only; always `None` in
-    /// the serial engine).
+    /// The one read in flight.  At [`Overlap::None`] it never survives
+    /// the loop iteration after its submit.
     in_flight: Option<InFlightRead<R>>,
-    /// Forecast-driven prefetch depth `K`: predicted blocks per disk to
-    /// hint at every submit (0 = no hints; serial engine ignores it).
-    read_ahead: usize,
+    /// The window: when an in-flight read is completed, and how many
+    /// forecast-predicted blocks per disk each submit hints.
+    overlap: Overlap,
     /// Recycling pool shared with the backend, if the stack has one.
     pool: Option<BufferPool<R>>,
     /// Annotation sink, cloned from the array's installed trace (if any).
@@ -404,7 +351,7 @@ impl<R: Record> Merger<'_, R> {
 
     /// One block's arrival: implant its forecast key, hand it to the
     /// awaiting run's leading buffer or park it in `M_D`, and record the
-    /// trace row.  Shared verbatim by the serial and pipelined engines.
+    /// trace row.
     fn arrive_block(
         &mut self,
         disk: DiskId,
@@ -454,35 +401,11 @@ impl<R: Record> Merger<'_, R> {
         Ok(())
     }
 
-    fn execute_read<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
-        let runs = &self.runs;
-        let plan: PlannedRead = self.sched.plan_read(|k: &BlockKey| {
-            runs[k.run as usize].handle.disk_of(k.idx)
-        });
-        let flushed = self.trace_flushes(&plan.flushed);
-        self.drop_flushed(&plan.flushed);
-        let addrs: Vec<BlockAddr> = plan.targets.iter().map(|(_, k)| self.addr_of(k)).collect();
-        let blocks = array.read(&addrs)?;
-        let mut traced: Vec<TraceBlock> = Vec::with_capacity(plan.targets.len());
-        for ((disk, key), block) in plan.targets.into_iter().zip(blocks) {
-            self.arrive_block(disk, key, block, &mut traced)?;
-        }
-        if let Some(sink) = &self.trace {
-            sink.emit(TraceEvent::SchedRead {
-                targets: traced,
-                flushed,
-                fset_len: self.sched.fset_len(),
-                staged_len: self.sched.staged_len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Pipelined step 1: plan the next parallel read at the exact point
-    /// the serial engine would execute it, then *submit* it and return
-    /// without waiting.  The operation is charged and traced at submit, so
-    /// the logical I/O sequence is identical to [`merge_runs`]'s.
-    fn submit_read_pipelined<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
+    /// Step 1 of a scheduled read: plan it (rules 2a–2c), drop the flush
+    /// victims, *submit* it and return without waiting.  The operation is
+    /// charged and traced here, so the logical I/O sequence does not
+    /// depend on when [`Self::complete_read`] runs.
+    fn submit_read<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
         debug_assert!(self.in_flight.is_none(), "one read in flight at a time");
         let runs = &self.runs;
         let plan: PlannedRead = self.sched.plan_read(|k: &BlockKey| {
@@ -525,8 +448,8 @@ impl<R: Record> Merger<'_, R> {
             flushed,
             pending,
         });
-        if self.read_ahead > 0 {
-            self.hint_read_ahead(array);
+        if let Overlap::Pipelined { read_ahead } = self.overlap {
+            self.hint_read_ahead(array, read_ahead);
         }
         Ok(())
     }
@@ -547,10 +470,10 @@ impl<R: Record> Merger<'_, R> {
     /// is exact — so no admission decision is ever preempted.)  Pure
     /// hint — uncharged, untraced, semantics-free — so the op sequence
     /// is untouched at any depth.
-    fn hint_read_ahead<A: DiskArray<R>>(&mut self, array: &mut A) {
+    fn hint_read_ahead<A: DiskArray<R>>(&mut self, array: &mut A, read_ahead: usize) {
         let d = self.geom.d;
         let k_cap = (self.runs.len() + d) / d;
-        let depth = self.read_ahead.min(k_cap.max(1));
+        let depth = read_ahead.min(k_cap.max(1));
         let budget = depth * d;
         if budget == 0 {
             return;
@@ -580,10 +503,9 @@ impl<R: Record> Merger<'_, R> {
         }
     }
 
-    /// Pipelined step 2: wait for the in-flight read and apply its
-    /// arrivals — the same per-block handling as the serial
-    /// `execute_read`, in the same (address) order.
-    fn complete_read_pipelined<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
+    /// Step 2 of a scheduled read: wait for the in-flight ticket and
+    /// apply its arrivals in ticket (= address) order.
+    fn complete_read<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
         let fl = self
             .in_flight
             .take()
@@ -667,7 +589,7 @@ impl<R: Record> Merger<'_, R> {
             }
             st.awaiting = true;
             self.tree.update(run, entry.key);
-            // Pipelined: if the awaited block is already in flight, it
+            // If the awaited block is already in flight, it
             // will now arrive straight to leading instead of occupying
             // `M_D`/`M_R`, so it stops counting against the `P_s` gate.
             if let Some(fl) = &mut self.in_flight {
@@ -703,58 +625,10 @@ impl<R: Record> Merger<'_, R> {
         Ok(())
     }
 
+    /// Run the merge to completion, quiescing in-flight tickets if the
+    /// main loop errors.
     fn run_to_completion<A: DiskArray<R>>(mut self, array: &mut A) -> Result<MergeOutcome> {
-        loop {
-            self.sched.drain();
-            if self.sched.can_attempt_read() {
-                self.execute_read(array)?;
-                continue;
-            }
-            if self.tree.all_exhausted() {
-                break;
-            }
-            let (run, key) = self.tree.peek();
-            if self.runs[run].awaiting {
-                // Lemma 1 guarantees the schedule never wedges like this.
-                return Err(SrmError::Internal(format!(
-                    "merge stuck: run {run} awaits block {} (key {key}) with M_D occupied",
-                    self.runs[run].cur_idx
-                )));
-            }
-            self.emit_winner(array, run, key)?;
-        }
-        self.finish_merge(array)
-    }
-
-    /// The pipelined main loop: the same decisions at the same record
-    /// positions as [`Merger::run_to_completion`], except that a planned
-    /// read is *submitted* where the serial loop would execute it and
-    /// *completed* at the first later point where either
-    ///
-    /// * `P_need` — the loser tree's winner awaits a block, so merging
-    ///   cannot proceed without the in-flight arrival (by Lemma 1 the
-    ///   awaited block is always among the flight's targets, so this
-    ///   never wedges — the stuck branch below is the runtime witness);
-    ///   or
-    /// * `P_s` — enough buffers have drained that every in-flight
-    ///   block headed for `M_D`/`M_R` now fits: `fset_len + pending ≤
-    ///   R + D`.  This is exactly the serial engine's "staging empty
-    ///   after drain" read condition, so the *next* read is planned at
-    ///   the identical record position with the identical `F_t`,
-    ///   keeping the op sequence — flush decisions included —
-    ///   byte-identical to the serial engine's.  (Completing any later
-    ///   would let extra promotions shift `OutRank` and change rule
-    ///   2a–2c outcomes.)
-    ///
-    /// Between submit and completion the loop keeps merging records from
-    /// resident leading buffers — that interval is the read-ahead
-    /// overlap: loser-tree work, record copies, and output-block encodes
-    /// proceed while the disks serve the flight.
-    fn run_to_completion_pipelined<A: DiskArray<R>>(
-        mut self,
-        array: &mut A,
-    ) -> Result<MergeOutcome> {
-        if let Err(e) = self.pipelined_loop(array) {
+        if let Err(e) = self.main_loop(array) {
             // Quiesce before unwinding: abandon split-phase tickets
             // without touching the (possibly crashed) array.  The ops
             // were already charged and traced at submit; an abandoned
@@ -788,10 +662,36 @@ impl<R: Record> Merger<'_, R> {
         self.writer.abandon_ticket();
     }
 
-    /// Body of the pipelined main loop; returns once every run is
-    /// exhausted.  Split from [`Self::run_to_completion_pipelined`] so
-    /// the caller can quiesce in-flight tickets when this errors.
-    fn pipelined_loop<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
+    /// The main loop of §5.5: a read is *submitted* whenever the schedule
+    /// allows one (`M_D` free after draining), records are merged when it
+    /// does not, and the in-flight read is *completed* at the first point
+    /// where any of these holds:
+    ///
+    /// * the window is [`Overlap::None`] — complete where submitted (the
+    ///   blocking schedule);
+    /// * `P_need` — the loser tree's winner awaits a block, so merging
+    ///   cannot proceed without the in-flight arrival (by Lemma 1 the
+    ///   awaited block is always among the flight's targets, so this
+    ///   never wedges — the stuck branch below is the runtime witness);
+    /// * `P_s` — enough buffers have drained that every in-flight
+    ///   block headed for `M_D`/`M_R` now fits: `fset_len + pending ≤
+    ///   R + D`.  This is exactly the blocking schedule's "staging empty
+    ///   after drain" read condition, so the *next* read is planned at
+    ///   the identical record position with the identical `F_t`,
+    ///   keeping the op sequence — flush decisions included —
+    ///   byte-identical at every window.  (Completing any later
+    ///   would let extra promotions shift `OutRank` and change rule
+    ///   2a–2c outcomes.)
+    ///
+    /// Between submit and completion the loop keeps merging records from
+    /// resident leading buffers — that interval is the read-ahead
+    /// overlap: loser-tree work, record copies, and output-block encodes
+    /// proceed while the disks serve the flight.
+    ///
+    /// Returns once every run is exhausted; split from
+    /// [`Self::run_to_completion`] so the caller can quiesce in-flight
+    /// tickets when this errors.
+    fn main_loop<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
         let cap = self.runs.len() + self.geom.d;
         loop {
             self.sched.drain();
@@ -801,12 +701,12 @@ impl<R: Record> Merger<'_, R> {
                     let (run, _) = self.tree.peek();
                     self.runs[run].awaiting
                 };
-                if p_need || p_s {
-                    self.complete_read_pipelined(array)?;
+                if self.overlap == Overlap::None || p_need || p_s {
+                    self.complete_read(array)?;
                     continue;
                 }
             } else if self.sched.can_attempt_read() {
-                self.submit_read_pipelined(array)?;
+                self.submit_read(array)?;
                 continue;
             }
             if self.tree.all_exhausted() {
@@ -814,8 +714,9 @@ impl<R: Record> Merger<'_, R> {
             }
             let (run, key) = self.tree.peek();
             if self.runs[run].awaiting {
+                // Lemma 1 guarantees the schedule never wedges like this.
                 return Err(SrmError::Internal(format!(
-                    "pipelined merge stuck: run {run} awaits block {} (key {key}) \
+                    "merge stuck: run {run} awaits block {} (key {key}) \
                      with no read in flight",
                     self.runs[run].cur_idx
                 )));
@@ -997,110 +898,70 @@ mod tests {
         );
     }
 
-    /// The pipelined engine's contract: same output, same scheduling
-    /// counters, same backend I/O as the serial engine, on every shape.
+    /// Every window of the one engine: the blocking schedule, then
+    /// pipelined at read-ahead 0, 1, 3 and 8.
+    const WINDOWS: [Overlap; 5] = [
+        Overlap::None,
+        Overlap::Pipelined { read_ahead: 0 },
+        Overlap::Pipelined { read_ahead: 1 },
+        Overlap::Pipelined { read_ahead: 3 },
+        Overlap::Pipelined { read_ahead: 8 },
+    ];
+
+    /// Merge `run_keys` under every window on identically built arrays:
+    /// output, scheduling counters and backend I/O must all equal the
+    /// blocking schedule's (read-ahead hints are uncharged, so depth must
+    /// be invisible too).
+    fn assert_window_invariant(geom: Geometry, run_keys: &[Vec<u64>], starts: &[u32], ctx: &str) {
+        let drive = |overlap: Overlap| {
+            let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
+            let handles: Vec<StripedRun> = run_keys
+                .iter()
+                .zip(starts)
+                .map(|(keys, &s)| put_run(&mut a, geom, s, keys))
+                .collect();
+            a.reset_stats();
+            let out = merge_runs_overlapped(&mut a, &handles, DiskId(0), overlap).unwrap();
+            let io = a.stats();
+            let keys: Vec<u64> = read_run(&mut a, &out.run).unwrap().iter().map(|r| r.0).collect();
+            (keys, out.stats, io)
+        };
+        let blocking = drive(WINDOWS[0]);
+        for window in &WINDOWS[1..] {
+            assert_eq!(drive(*window), blocking, "{ctx} {window:?}");
+        }
+    }
+
     #[test]
-    fn pipelined_merge_matches_serial_exactly() {
-        let mut rng = SmallRng::seed_from_u64(99);
-        for &(d, b, n_runs) in &[
-            (2usize, 4usize, 3usize),
-            (3, 4, 5),
-            (4, 8, 7),
-            (5, 2, 9),
-            (1, 4, 4),
-            (4, 4, 12),
-        ] {
-            let geom = Geometry::new(d, b, 1_000_000).unwrap();
-            let runs = random_sorted_runs(&mut rng, n_runs, 1..200);
-            let starts: Vec<u32> = (0..n_runs).map(|_| rng.random_range(0..d as u32)).collect();
-            let drive = |pipelined: bool| {
-                let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-                let handles: Vec<StripedRun> = runs
-                    .iter()
-                    .zip(&starts)
-                    .map(|(keys, &s)| put_run(&mut a, geom, s, keys))
-                    .collect();
-                a.reset_stats();
-                let out = if pipelined {
-                    merge_runs_pipelined(&mut a, &handles, DiskId(0)).unwrap()
-                } else {
-                    merge_runs(&mut a, &handles, DiskId(0)).unwrap()
-                };
-                let io = a.stats();
-                let keys: Vec<u64> =
-                    read_run(&mut a, &out.run).unwrap().iter().map(|r| r.0).collect();
-                (keys, out.stats, io)
-            };
-            let (serial_keys, serial_stats, serial_io) = drive(false);
-            let (piped_keys, piped_stats, piped_io) = drive(true);
-            assert_eq!(piped_keys, serial_keys, "d={d} b={b} runs={n_runs}");
-            assert_eq!(piped_stats, serial_stats, "d={d} b={b} runs={n_runs}");
-            assert_eq!(piped_io, serial_io, "d={d} b={b} runs={n_runs}");
+    fn every_window_matches_the_blocking_schedule() {
+        type Shape = (usize, usize, usize); // (d, b, runs)
+        let seeded: [(u64, &[Shape]); 2] = [
+            (99, &[(2, 4, 3), (3, 4, 5), (4, 8, 7), (5, 2, 9), (1, 4, 4), (4, 4, 12)]),
+            (321, &[(2, 4, 3), (4, 8, 7), (3, 2, 6)]),
+        ];
+        for (seed, shapes) in seeded {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for &(d, b, n_runs) in shapes {
+                let geom = Geometry::new(d, b, 1_000_000).unwrap();
+                let runs = random_sorted_runs(&mut rng, n_runs, 1..200);
+                let starts: Vec<u32> =
+                    (0..n_runs).map(|_| rng.random_range(0..d as u32)).collect();
+                assert_window_invariant(geom, &runs, &starts, &format!("d={d} b={b} runs={n_runs}"));
+            }
         }
     }
 
     /// All-runs-on-one-disk contention plus globally interleaved keys:
     /// the flush-heavy worst cases must also be schedule-identical.
     #[test]
-    fn pipelined_merge_matches_serial_under_contention() {
+    fn every_window_matches_under_contention() {
         let geom = Geometry::new(2, 2, 1_000_000).unwrap();
         let n_runs = 6;
         let len = 120u64;
         let run_keys: Vec<Vec<u64>> = (0..n_runs)
             .map(|j| (0..len).map(|i| i * n_runs as u64 + j as u64).collect())
             .collect();
-        let starts = vec![0u32; n_runs];
-        let drive = |pipelined: bool| {
-            let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-            let handles: Vec<StripedRun> = run_keys
-                .iter()
-                .zip(&starts)
-                .map(|(keys, &s)| put_run(&mut a, geom, s, keys))
-                .collect();
-            a.reset_stats();
-            let out = if pipelined {
-                merge_runs_pipelined(&mut a, &handles, DiskId(0)).unwrap()
-            } else {
-                merge_runs(&mut a, &handles, DiskId(0)).unwrap()
-            };
-            (a.stats(), out.stats)
-        };
-        assert_eq!(drive(true), drive(false));
-    }
-
-    /// Deep read-ahead is a pure hint: output, scheduling counters, and
-    /// backend I/O are identical to the serial engine at every depth.
-    #[test]
-    fn deep_read_ahead_is_schedule_invisible() {
-        let mut rng = SmallRng::seed_from_u64(321);
-        for &(d, b, n_runs) in &[(2usize, 4usize, 3usize), (4, 8, 7), (3, 2, 6)] {
-            let geom = Geometry::new(d, b, 1_000_000).unwrap();
-            let runs = random_sorted_runs(&mut rng, n_runs, 1..200);
-            let starts: Vec<u32> = (0..n_runs).map(|_| rng.random_range(0..d as u32)).collect();
-            let drive = |depth: Option<usize>| {
-                let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-                let handles: Vec<StripedRun> = runs
-                    .iter()
-                    .zip(&starts)
-                    .map(|(keys, &s)| put_run(&mut a, geom, s, keys))
-                    .collect();
-                a.reset_stats();
-                let out = match depth {
-                    Some(k) => {
-                        merge_runs_pipelined_deep(&mut a, &handles, DiskId(0), k).unwrap()
-                    }
-                    None => merge_runs(&mut a, &handles, DiskId(0)).unwrap(),
-                };
-                let io = a.stats();
-                let keys: Vec<u64> =
-                    read_run(&mut a, &out.run).unwrap().iter().map(|r| r.0).collect();
-                (keys, out.stats, io)
-            };
-            let serial = drive(None);
-            for depth in [1usize, 3, 8] {
-                assert_eq!(drive(Some(depth)), serial, "d={d} b={b} depth={depth}");
-            }
-        }
+        assert_window_invariant(geom, &run_keys, &vec![0u32; n_runs], "contention");
     }
 
     #[test]

@@ -53,18 +53,19 @@ pub struct RunWriter<R: Record> {
     last_key: Option<u64>,
     stripes_written: u64,
     finished: bool,
-    /// Write-behind mode: stripes are `submit_write`-ten and completed up
-    /// to [`pdisk::WRITE_BEHIND_LIMIT`] stripes later, so disk time hides
-    /// behind record production.
-    pipelined: bool,
-    /// Stripe writes in flight, oldest first (pipelined mode only; at
-    /// most [`pdisk::WRITE_BEHIND_LIMIT`] deep — the torn-write window
-    /// [`pdisk::FileDiskArray`] recovery tolerates is sized to match).
+    /// Stripe writes that may stay in flight after a submit: 0 (each
+    /// stripe is completed where it was submitted) or
+    /// [`pdisk::WRITE_BEHIND_LIMIT`] with write-behind on.
+    window: usize,
+    /// Stripe writes in flight, oldest first (at most `window` deep — the
+    /// torn-write window [`pdisk::FileDiskArray`] recovery tolerates is
+    /// sized to match).
     tickets: VecDeque<WriteTicket>,
 }
 
 impl<R: Record> RunWriter<R> {
-    /// Start a run whose block 0 will live on `start_disk`.
+    /// Start a run whose block 0 will live on `start_disk`.  Every stripe
+    /// write is waited for where it is issued.
     pub fn new(geom: Geometry, start_disk: DiskId) -> Self {
         assert!(start_disk.index() < geom.d);
         RunWriter {
@@ -79,24 +80,21 @@ impl<R: Record> RunWriter<R> {
             last_key: None,
             stripes_written: 0,
             finished: false,
-            pipelined: false,
+            window: 0,
             tickets: VecDeque::new(),
         }
     }
 
-    /// Like [`RunWriter::new`], but with write-behind: each stripe is
-    /// submitted (via [`DiskArray::submit_write`]) at exactly the record
-    /// position [`RunWriter::new`] would write it — so the operation
-    /// sequence and [`pdisk::IoStats`] are identical — and completed up
-    /// to [`pdisk::WRITE_BEHIND_LIMIT`] stripe submissions later (or in
+    /// Write-behind: with `on`, a stripe — still submitted at exactly the
+    /// record position it is otherwise written, so the operation sequence
+    /// and [`pdisk::IoStats`] are identical — is completed up to
+    /// [`pdisk::WRITE_BEHIND_LIMIT`] stripe submissions later (or in
     /// [`RunWriter::finish`]), keeping a bounded window of stripes in
     /// flight.  Completions happen oldest-first, so durability order
     /// matches submission order.
-    pub fn new_pipelined(geom: Geometry, start_disk: DiskId) -> Self {
-        RunWriter {
-            pipelined: true,
-            ..Self::new(geom, start_disk)
-        }
+    pub(crate) fn write_behind(mut self, on: bool) -> Self {
+        self.window = if on { pdisk::WRITE_BEHIND_LIMIT } else { 0 };
+        self
     }
 
     /// Disk of block `i` under the cyclic layout.
@@ -189,24 +187,29 @@ impl<R: Record> RunWriter<R> {
                 Block::new(records, forecast),
             ));
         }
-        if self.pipelined {
-            // Write-behind: retire the oldest stripes down to the window
-            // bound, then put this one in flight.  Submission (where the
-            // operation is charged and traced) happens at the same record
-            // position the serial writer's `write` would, so the I/O
-            // sequence is unchanged — only completion is deferred.
-            while self.tickets.len() >= pdisk::WRITE_BEHIND_LIMIT {
-                let Some(oldest) = self.tickets.pop_front() else {
-                    break;
-                };
-                array.complete_write(oldest)?;
-            }
-            self.tickets.push_back(array.submit_write(writes)?);
-        } else {
-            array.write(writes)?;
+        // Retire the oldest stripes until this one fits the window, put
+        // it in flight, and leave at most `window` outstanding — none at
+        // window 0, where the stripe is retired at once.  The submit
+        // (where the operation is charged and traced) is at the same
+        // record position either way, so the I/O sequence does not depend
+        // on the window — only where completion waits does.
+        while self.tickets.len() >= self.window.max(1) {
+            self.retire_oldest(array)?;
+        }
+        self.tickets.push_back(array.submit_write(writes)?);
+        while self.tickets.len() > self.window {
+            self.retire_oldest(array)?;
         }
         self.stripes_written += 1;
         Ok(())
+    }
+
+    /// Complete the oldest in-flight stripe write, if any.
+    fn retire_oldest<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<(), PdiskError> {
+        match self.tickets.pop_front() {
+            Some(oldest) => array.complete_write(oldest),
+            None => Ok(()),
+        }
     }
 
     /// Abandon all write-behind tickets without completing them; returns
@@ -248,8 +251,8 @@ impl<R: Record> RunWriter<R> {
         while !self.pending.is_empty() {
             self.write_stripe(array, self.geom.d)?;
         }
-        while let Some(ticket) = self.tickets.pop_front() {
-            array.complete_write(ticket)?;
+        while !self.tickets.is_empty() {
+            self.retire_oldest(array)?;
         }
         let len_blocks = self.emitted_blocks;
         if let Some(sink) = array.trace_sink() {

@@ -55,35 +55,31 @@ impl Default for RunFormation {
 /// order, laid out striped).  `place` chooses each new run's start disk.
 ///
 /// The input is consumed with full read parallelism: blocks are fetched in
-/// stripes of `D`, exactly one block per disk per operation.
+/// stripes of `D`, exactly one block per disk per operation.  Every
+/// operation is waited for where it is issued;
+/// [`crate::SrmSorter::with_pipeline`] runs the same pass with the §2.1
+/// overlap.
 pub fn form_runs<R: Record, A: DiskArray<R>>(
     array: &mut A,
     input: &StripedRun,
     strategy: RunFormation,
     place: impl FnMut() -> DiskId,
 ) -> Result<Vec<StripedRun>> {
-    form_runs_inner(array, input, strategy, false, place)
+    form_runs_overlapped(array, input, strategy, false, place)
 }
 
-/// [`form_runs`] with the split-phase overlap §2.1 motivates: while one
-/// memory load is sorted and written, the *next* load's stripe reads are
-/// already in flight (up to one load of records ahead — the other half
-/// of memory when `fraction = 1/2`), and run stripes are written behind
-/// via [`RunWriter::new_pipelined`].  The operation sequence is planned
-/// from the same arithmetic as the serial reader, so op sizes, counts,
-/// and [`pdisk::IoStats`] are identical; only waiting moves.
-/// Replacement selection keeps serial reads (each fetch decision depends
-/// on the records just consumed) but still writes behind.
-pub fn form_runs_pipelined<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    input: &StripedRun,
-    strategy: RunFormation,
-    place: impl FnMut() -> DiskId,
-) -> Result<Vec<StripedRun>> {
-    form_runs_inner(array, input, strategy, true, place)
-}
-
-fn form_runs_inner<R: Record, A: DiskArray<R>>(
+/// [`form_runs`], with `pipeline` choosing the window.  On, it is the
+/// split-phase overlap §2.1 motivates: while one memory load is sorted
+/// and written, the *next* load's stripe reads are already in flight (up
+/// to one load of records ahead — the other half of memory when
+/// `fraction = 1/2`), and run stripes are written behind
+/// ([`RunWriter::write_behind`]).  Off, each planned read and each stripe
+/// write is completed where it is submitted.  The planned operations are
+/// the same either way, so op sizes, counts, and [`pdisk::IoStats`] are
+/// identical; only waiting moves.  Replacement selection always reads on
+/// demand (each fetch decision depends on the records just consumed) but
+/// still writes behind.
+pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
     array: &mut A,
     input: &StripedRun,
     strategy: RunFormation,
@@ -106,24 +102,12 @@ fn form_runs_inner<R: Record, A: DiskArray<R>>(
                 )));
             }
             let capacity = ((geom.m as f64 * fraction) as usize).max(geom.b);
-            let mut serial_reader;
-            let mut prefetch_reader;
+            let mut reader = PrefetchStripeReader::new(geom, input, capacity, pipeline);
             let mut out = Vec::new();
-            if pipeline {
-                prefetch_reader = PrefetchStripeReader::new(geom, input, capacity);
-                serial_reader = None;
-            } else {
-                serial_reader = Some(StripeReader::new(input));
-                prefetch_reader = PrefetchStripeReader::empty();
-            }
             loop {
                 let mut load: Vec<R> = Vec::with_capacity(capacity);
                 while load.len() < capacity {
-                    let stripe = match &mut serial_reader {
-                        Some(r) => r.next_stripe(array, capacity - load.len())?,
-                        None => prefetch_reader.next_stripe(array)?,
-                    };
-                    match stripe {
+                    match reader.next_stripe(array)? {
                         Some(records) => load.extend(records),
                         None => break,
                     }
@@ -132,11 +116,7 @@ fn form_runs_inner<R: Record, A: DiskArray<R>>(
                     break;
                 }
                 crate::par_sort::par_sort_by_key(&mut load, threads);
-                let mut w = if pipeline {
-                    RunWriter::new_pipelined(geom, place())
-                } else {
-                    RunWriter::new(geom, place())
-                };
+                let mut w = RunWriter::new(geom, place()).write_behind(pipeline);
                 for rec in load {
                     w.push(array, rec)?;
                 }
@@ -150,7 +130,9 @@ fn form_runs_inner<R: Record, A: DiskArray<R>>(
     }
 }
 
-/// Reads an unsorted striped run one stripe at a time.
+/// Reads an unsorted striped run one stripe at a time, on demand — for
+/// replacement selection, whose op width depends on heap state and so
+/// cannot be planned ahead.
 struct StripeReader<'a> {
     input: &'a StripedRun,
     next_block: u64,
@@ -184,17 +166,16 @@ impl<'a> StripeReader<'a> {
     }
 }
 
-/// One planned parallel input read: the exact addresses (and record
-/// yield) the serial [`StripeReader`] would fetch in one operation.
+/// One planned parallel input read: its addresses and record yield.
 struct StripePlan {
     addrs: Vec<BlockAddr>,
     records: usize,
 }
 
-/// Replay the serial reader's op arithmetic over the whole input:
-/// within each memory load, `want = capacity − filled` decides the op
-/// width exactly as [`StripeReader::next_stripe`] does, so the planned
-/// sequence is the serial sequence, op for op and block for block.
+/// Plan the memory-load pass's input reads over the whole input: within
+/// each memory load, `want = capacity − filled` decides the op width
+/// exactly as [`StripeReader::next_stripe`] does, so a load is fetched in
+/// full stripes except for the ops that top it off.
 fn plan_stripe_ops(geom: Geometry, input: &StripedRun, capacity: usize) -> VecDeque<StripePlan> {
     let b = geom.b;
     let block_records = |i: u64| -> usize {
@@ -222,35 +203,28 @@ fn plan_stripe_ops(geom: Geometry, input: &StripedRun, capacity: usize) -> VecDe
     ops
 }
 
-/// Split-phase input reader: issues the planned serial op sequence via
-/// [`DiskArray::submit_read`], keeping up to one memory load of records
-/// in flight — the paper's §2.1 double buffer: while load `k` is sorted
-/// and written, load `k + 1` streams in.
+/// Split-phase input reader: issues the planned op sequence via
+/// [`DiskArray::submit_read`].  With `pipeline` it keeps up to one memory
+/// load of records in flight — the paper's §2.1 double buffer: while load
+/// `k` is sorted and written, load `k + 1` streams in.  Without, the
+/// budget is zero: one op is submitted, completed, and nothing is issued
+/// behind it.
 struct PrefetchStripeReader<R: Record> {
     ops: VecDeque<StripePlan>,
     in_flight: VecDeque<(ReadTicket<R>, usize)>,
     in_flight_records: usize,
-    /// Records allowed in flight (`capacity` = one memory load).
+    /// Records allowed in flight beyond the op being waited for
+    /// (`capacity` = one memory load, or 0).
     budget: usize,
 }
 
 impl<R: Record> PrefetchStripeReader<R> {
-    fn new(geom: Geometry, input: &StripedRun, capacity: usize) -> Self {
+    fn new(geom: Geometry, input: &StripedRun, capacity: usize, pipeline: bool) -> Self {
         PrefetchStripeReader {
             ops: plan_stripe_ops(geom, input, capacity),
             in_flight: VecDeque::new(),
             in_flight_records: 0,
-            budget: capacity.max(1),
-        }
-    }
-
-    /// A reader that yields nothing (the serial-path placeholder).
-    fn empty() -> Self {
-        PrefetchStripeReader {
-            ops: VecDeque::new(),
-            in_flight: VecDeque::new(),
-            in_flight_records: 0,
-            budget: 1,
+            budget: if pipeline { capacity.max(1) } else { 0 },
         }
     }
 
@@ -272,8 +246,8 @@ impl<R: Record> PrefetchStripeReader<R> {
         Ok(())
     }
 
-    /// Retire the oldest in-flight op and immediately reuse its budget.
-    /// Returns `None` when the input is exhausted.
+    /// Retire the oldest in-flight op and, when there is a budget,
+    /// immediately reuse it.  Returns `None` when the input is exhausted.
     fn next_stripe<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<Option<Vec<R>>> {
         self.top_up(array)?;
         let Some((ticket, n)) = self.in_flight.pop_front() else {
@@ -281,7 +255,9 @@ impl<R: Record> PrefetchStripeReader<R> {
         };
         let blocks = array.complete_read(ticket)?;
         self.in_flight_records -= n;
-        self.top_up(array)?;
+        if self.budget > 0 {
+            self.top_up(array)?;
+        }
         let mut records = Vec::with_capacity(n);
         for block in blocks {
             records.extend(block.records);
@@ -344,11 +320,7 @@ fn replacement_selection<R: Record, A: DiskArray<R>>(
     let mut epoch = 0u64;
     refill(&mut heap, &mut payloads, &mut pending, &mut reader, array, epoch, &mut seq)?;
     while !heap.is_empty() {
-        let mut writer = if pipeline {
-            RunWriter::new_pipelined(geom, place())
-        } else {
-            RunWriter::new(geom, place())
-        };
+        let mut writer = RunWriter::new(geom, place()).write_behind(pipeline);
         loop {
             match heap.peek() {
                 Some(&Reverse((e, _, _))) if e == epoch => {}
@@ -530,10 +502,10 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_formation_matches_serial_exactly() {
-        // Same runs, layouts, and IoStats across shapes that exercise
-        // partial final blocks, partial final stripes, and both
-        // memory-load strategies.
+    fn formation_is_window_invariant() {
+        // Same runs, layouts, and IoStats with and without the §2.1
+        // overlap, across shapes that exercise partial final blocks,
+        // partial final stripes, and every strategy.
         for &(d, b, m, n, strategy) in &[
             (2usize, 4usize, 64usize, 300usize, RunFormation::MemoryLoad { fraction: 0.5 }),
             (4, 8, 256, 1_000, RunFormation::MemoryLoad { fraction: 0.5 }),
@@ -548,13 +520,15 @@ mod tests {
             let mut a = MemDiskArray::new(geom);
             let input_a = write_input(&mut a, geom, &input_keys);
             a.reset_stats();
-            let serial = form_runs(&mut a, &input_a, strategy, || DiskId(0)).unwrap();
+            let serial =
+                form_runs_overlapped(&mut a, &input_a, strategy, false, || DiskId(0)).unwrap();
             let serial_io = a.stats();
 
             let mut p = MemDiskArray::new(geom);
             let input_p = write_input(&mut p, geom, &input_keys);
             p.reset_stats();
-            let piped = form_runs_pipelined(&mut p, &input_p, strategy, || DiskId(0)).unwrap();
+            let piped =
+                form_runs_overlapped(&mut p, &input_p, strategy, true, || DiskId(0)).unwrap();
             let piped_io = p.stats();
 
             let ctx = format!("d={d} b={b} m={m} n={n} strategy={strategy:?}");

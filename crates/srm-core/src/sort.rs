@@ -13,11 +13,12 @@
 
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
-use crate::merge::{merge_runs, merge_runs_pipelined_deep, MergeStats};
-use crate::run_formation::{form_runs, form_runs_pipelined, RunFormation};
+use crate::merge::{merge_runs_overlapped, MergeStats, Overlap};
+use crate::run_formation::{form_runs_overlapped, RunFormation};
 use crate::scheduler::ScheduleStats;
 use pdisk::{
-    Block, CrashClock, DiskArray, DiskId, Forecast, InterruptFlag, IoStats, Record, StripedRun,
+    Block, CrashClock, DiskArray, DiskId, Forecast, InterruptFlag, IoStats, Manifest, Record,
+    StripedRun,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -153,16 +154,15 @@ impl Placer {
 #[derive(Debug, Clone, Default)]
 pub struct SrmSorter {
     config: SrmConfig,
-    /// Use the pipelined merge engine
-    /// ([`crate::merge::merge_runs_pipelined`]).  Not part of
-    /// [`SrmConfig`] because it does not affect the I/O schedule or the
-    /// output — checkpoint manifests stay compatible, and a sort may
-    /// even be resumed under the other engine.
+    /// Overlap disk time with formation and merge time (the engine's
+    /// window; see [`crate::merge`]).  Not part of [`SrmConfig`] because
+    /// it does not affect the I/O schedule or the output — checkpoint
+    /// manifests stay compatible, and a sort may even be resumed under
+    /// the other setting.
     pipeline: bool,
-    /// Forecast-driven prefetch depth per disk for pipelined merges
-    /// (see [`merge_runs_pipelined_deep`]); 0 disables hints.  Like
-    /// `pipeline`, a pure wall-clock knob: the schedule, output, and
-    /// stats are identical at every depth.
+    /// Forecast-driven prefetch depth per disk for pipelined merges; 0
+    /// disables hints.  Like `pipeline`, a pure wall-clock knob: the
+    /// schedule, output, and stats are identical at every depth.
     read_ahead: usize,
     /// Crash clock shared with a [`pdisk::CrashingDiskArray`] wrapping
     /// the array, so manifest writes get their own numbered crash
@@ -189,28 +189,31 @@ impl SrmSorter {
         }
     }
 
-    /// Overlap disk time with merge time: run every merge through
-    /// [`crate::merge::merge_runs_pipelined`] (read-ahead via
-    /// split-phase reads, write-behind on the output run).  The I/O
-    /// schedule, the output, the [`IoStats`] deltas, and the
-    /// model-check trace's operation sequence are identical to the
-    /// serial engine; only wall-clock behavior on a real backend
-    /// changes.
+    /// Overlap disk time with merge and formation time: each scheduled
+    /// read stays in flight until its blocks are needed or fit, the next
+    /// memory load streams in while this one sorts, and output stripes
+    /// are written behind.  Off (the default), every parallel I/O is
+    /// waited for where it is issued.  It is the same engine either way:
+    /// the I/O schedule, the output, the [`IoStats`] deltas, and the
+    /// model-check trace's operation sequence are identical; only
+    /// wall-clock behavior on a real backend changes.
     pub fn with_pipeline(mut self, on: bool) -> Self {
         self.pipeline = on;
         self
     }
 
-    /// Whether merges run on the pipelined engine.
+    /// Whether I/O is overlapped with merging.
     pub fn pipeline(&self) -> bool {
         self.pipeline
     }
 
     /// Set the forecast-driven prefetch depth for pipelined merges: at
-    /// every submitted read, hint the backend about the next `depth`
-    /// predicted blocks per disk (see [`merge_runs_pipelined_deep`]).
-    /// Ignored unless [`SrmSorter::with_pipeline`] is on.  Schedule,
-    /// output, and stats are unchanged at any depth.
+    /// every submitted read, hint the backend
+    /// ([`DiskArray::prefetch`]) about the next `depth` predicted blocks
+    /// per disk — ranks 2.. of each disk's forecast column, which the
+    /// merge *will* read, so no hint is wasted.  Ignored unless
+    /// [`SrmSorter::with_pipeline`] is on.  Hints are uncharged and
+    /// untraced: schedule, output, and stats are unchanged at any depth.
     pub fn with_read_ahead(mut self, depth: usize) -> Self {
         self.read_ahead = depth;
         self
@@ -356,13 +359,13 @@ impl SrmSorter {
                     // Run formation is pass 0; merge passes count from 1.
                     sink.begin_pass(0);
                 }
-                let queue = if self.pipeline {
-                    form_runs_pipelined(array, input, self.config.run_formation, || {
-                        placer.next()
-                    })?
-                } else {
-                    form_runs(array, input, self.config.run_formation, || placer.next())?
-                };
+                let queue = form_runs_overlapped(
+                    array,
+                    input,
+                    self.config.run_formation,
+                    self.pipeline,
+                    || placer.next(),
+                )?;
                 let runs_formed = queue.len();
                 if let Some(obs) = observer.as_deref_mut() {
                     obs(0, array)?;
@@ -384,6 +387,7 @@ impl SrmSorter {
             ..SortReport::default()
         };
 
+        let overlap = Overlap::new(self.pipeline, self.read_ahead);
         while queue.len() > 1 {
             pass += 1;
             if let Some(sink) = array.trace_sink() {
@@ -397,11 +401,7 @@ impl SrmSorter {
                     next.push(group[0].clone());
                     continue;
                 }
-                let out = if self.pipeline {
-                    merge_runs_pipelined_deep(array, group, placer.next(), self.read_ahead)?
-                } else {
-                    merge_runs(array, group, placer.next())?
-                };
+                let out = merge_runs_overlapped(array, group, placer.next(), overlap)?;
                 report.merges += 1;
                 accumulate(&mut report.schedule, &out.stats);
                 next.push(out.run);

@@ -368,10 +368,11 @@ pub(crate) fn plan_for(
         shards: cfg.shards,
         dir: root.join(format!("shard-{shard:03}")),
         geom,
-        seed: spec.seed.wrapping_add(salt),
-        placement: spec.placement,
-        formation: spec.formation,
-        pipeline: spec.pipeline,
+        sorter: JobSpec {
+            seed: spec.seed.wrapping_add(salt),
+            ..spec.clone()
+        }
+        .srm_sorter(),
         parity: cfg.parity,
         fault_rate: spec.fault_rate,
         fault_seed: spec.fault_seed.wrapping_add(salt),
@@ -818,5 +819,26 @@ impl Coordinator<'_> {
                 let _ = h.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A shard sorts under the spec's whole overlap setting — read-ahead
+    /// depth included — with its own salted seed.
+    #[test]
+    fn shard_plan_carries_the_specs_pipeline_and_read_ahead() {
+        let spec = JobSpec {
+            pipeline: true,
+            read_ahead: 3,
+            ..JobSpec::default()
+        };
+        let geom = spec.geometry().unwrap();
+        let plan = plan_for(&spec, &DistConfig::new(2), geom, Path::new("unused"), 1, None);
+        assert!(plan.sorter.pipeline());
+        assert_eq!(plan.sorter.read_ahead(), 3);
+        assert_ne!(plan.sorter.config().seed, spec.seed);
     }
 }

@@ -28,12 +28,12 @@ use crate::msg::Msg;
 use crate::net::{Endpoint, NetSender};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
-    DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, Geometry, ParityDiskArray, PdiskError,
-    RetryPolicy, RetryingDiskArray, StripedRun, U64Record,
+    DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, Geometry, Manifest as _,
+    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{
-    read_run, resume_point, scrub_runs, ResumePoint, SortManifest, SrmConfig, SrmError, SrmSorter,
+    read_run, resume_point, scrub_runs, ResumePoint, SortManifest, SrmError, SrmSorter,
 };
 use srm_server::{digest_keys, JobRun};
 use std::io::Write as _;
@@ -69,14 +69,11 @@ pub struct ShardPlan {
     pub dir: PathBuf,
     /// Per-shard disk-array geometry.
     pub geom: Geometry,
-    /// Per-shard sorter seed (derived deterministically from the spec).
-    pub seed: u64,
-    /// Start-disk placement policy.
-    pub placement: srm_core::Placement,
-    /// Run-formation strategy.
-    pub formation: srm_core::RunFormation,
-    /// Use the pipelined merge engine.
-    pub pipeline: bool,
+    /// The shard's sorter: the spec's placement, formation, `pipeline`
+    /// and `read_ahead` under a per-shard seed derived deterministically
+    /// from the spec's.  Identical across incarnations, which is what
+    /// makes recovery byte-identical.
+    pub sorter: SrmSorter,
     /// Rotating parity over the shard's disks (enables the
     /// rebuild-from-parity recovery path).
     pub parity: bool,
@@ -99,16 +96,6 @@ pub struct ShardPlan {
 impl ShardPlan {
     fn coord(&self) -> u32 {
         self.shards
-    }
-
-    /// The shard's sorter configuration (identical across incarnations,
-    /// which is what makes recovery byte-identical).
-    pub fn srm_config(&self) -> SrmConfig {
-        SrmConfig {
-            placement: self.placement,
-            run_formation: self.formation,
-            seed: self.seed,
-        }
     }
 
     /// Path of the journaled input descriptor.
@@ -450,13 +437,12 @@ fn sort_instance<A: DiskArray<U64Record>>(
         SortInput::Durable(run) => run,
     };
 
-    let sorter = SrmSorter::new(plan.srm_config()).with_pipeline(plan.pipeline);
     let kill_at = match plan.kill {
         Some(KillPoint::Pass(p)) => Some(p),
         _ => None,
     };
     let manifest = plan.manifest_path();
-    let sorted = sorter.sort_observed(&mut traced, &input_run, Some(&manifest), |pass, _a| {
+    let sorted = plan.sorter.sort_observed(&mut traced, &input_run, Some(&manifest), |pass, _a| {
         on_pass(pass);
         if kill_at == Some(pass) {
             return Err(SrmError::Internal(KILL_SENTINEL.into()));
@@ -588,7 +574,7 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
             // Refuse early if the manifest belongs to a different sort —
             // it would fail identically on every resume attempt.
             let pass = match resume_point(
-                &plan.srm_config(),
+                plan.sorter.config(),
                 plan.geom,
                 input_run.records,
                 &plan.manifest_path(),

@@ -26,7 +26,9 @@
 
 use analysis::MemoryBudget;
 use dsm::{read_logical_run, write_unsorted_stripes, DsmConfig, DsmError, DsmSorter};
-use pdisk::{DiskArray, Geometry, InterruptFlag, PdiskError, Record, StripedRun, U64Record};
+use pdisk::{
+    DiskArray, Geometry, InterruptFlag, Manifest as _, PdiskError, Record, StripedRun, U64Record,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::checkpoint::SortManifest;
@@ -435,9 +437,9 @@ pub struct JobSpec {
     pub placement: Placement,
     /// Run-formation strategy (SRM; DSM always uses memory loads).
     pub formation: RunFormation,
-    /// Use the pipelined (split-phase) merge engine.
+    /// Overlap I/O with merging (the engine's pipelined window).
     pub pipeline: bool,
-    /// Forecast-driven read-ahead depth for the pipelined SRM engine
+    /// Forecast-driven read-ahead depth for pipelined SRM merges
     /// (0 = demand reads only; ignored when `pipeline` is off).
     pub read_ahead: usize,
     /// Per-job execution deadline in milliseconds, checked at pass

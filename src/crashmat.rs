@@ -25,7 +25,7 @@
 
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
-    CrashClock, CrashingDiskArray, DiskArray, FileDiskArray, Geometry, MemDiskArray,
+    CrashClock, CrashingDiskArray, DiskArray, FileDiskArray, Geometry, Manifest as _, MemDiskArray,
     ParityDiskArray, PdiskError, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
@@ -52,7 +52,7 @@ pub struct MatrixConfig {
     /// Sorter seed (placement RNG); fixed so the baseline and every
     /// recovery make identical placement draws.
     pub seed: u64,
-    /// Drive the merges through the pipelined (split-phase) engine.
+    /// Overlap I/O with merging (the engine's pipelined window).
     pub pipeline: bool,
     /// Forecast read-ahead depth for the pipelined engine (0 = demand
     /// reads only) — the sweep must stay crash-clean at depth > 1,

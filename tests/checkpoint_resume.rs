@@ -6,8 +6,10 @@
 //! fast-forwarded to exactly where the interrupted sort left off.
 
 use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
+use pdisk::manifest::manifest_sibling;
 use pdisk::{
-    DiskArray, FaultModel, FaultOp, FileDiskArray, Geometry, MemDiskArray, Record, U64Record,
+    DiskArray, FaultModel, FaultOp, FileDiskArray, Geometry, Manifest, MemDiskArray, Record,
+    U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -214,55 +216,412 @@ fn srm_pipelined_killed_mid_merge_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Two saved generations for the byte-flip property below: generation 1
-/// (pass 1), then generation 2 (pass 2) which journals generation 1 to
-/// `.prev`.  Returns the parsed states plus the pristine file bytes.
-fn two_generations(
-    dir: &std::path::Path,
-) -> (
-    srm_core::SortManifest,
-    srm_core::SortManifest,
-    Vec<u8>,
-    Vec<u8>,
-) {
-    let path = dir.join("sort.manifest");
-    let mk = |pass: u64, len: u64| {
+/// What the shared store suite needs from a manifest payload: a sample
+/// with redundancy lines and two runs, a field that tells two saved
+/// generations apart, and how to recognise its typed checkpoint error.
+/// Every store test below runs once per implementor — the envelope, the
+/// journal and the redundancy codec are one body of code
+/// (`pdisk::manifest`), exercised through both payloads.
+trait Payload: Manifest<Error: std::fmt::Debug> + Clone + PartialEq + std::fmt::Debug {
+    const TAG: &'static str;
+    fn sample(pass: u64) -> Self;
+    fn pass(&self) -> u64;
+    fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>);
+    fn is_checkpoint_error(e: &Self::Error) -> bool;
+}
+
+impl Payload for srm_core::SortManifest {
+    const TAG: &'static str = "srm";
+
+    fn sample(pass: u64) -> Self {
         srm_core::SortManifest::new(
             &srm_core::SrmConfig::default(),
             geom(),
             3000,
             63,
             pass,
-            60 + pass,
-            None,
-            vec![pdisk::StripedRun {
-                start_disk: pdisk::DiskId(0),
-                len_blocks: len,
-                records: len * 4,
-                base_offsets: vec![7, 9],
-            }],
+            65 + pass,
+            Some(pdisk::RedundancyInfo {
+                stripe_disks: 2,
+                dead: vec![pdisk::DiskId(1)],
+            }),
+            vec![
+                pdisk::StripedRun {
+                    start_disk: pdisk::DiskId(1),
+                    len_blocks: 130,
+                    records: 520,
+                    base_offsets: vec![10, 20],
+                },
+                pdisk::StripedRun {
+                    start_disk: pdisk::DiskId(0),
+                    len_blocks: 120,
+                    records: 480,
+                    base_offsets: vec![55, 66],
+                },
+            ],
         )
+    }
+
+    fn pass(&self) -> u64 {
+        self.pass
+    }
+
+    fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>) {
+        self.redundancy = redundancy;
+    }
+
+    fn is_checkpoint_error(e: &srm_core::SrmError) -> bool {
+        matches!(e, srm_core::SrmError::Checkpoint(_))
+    }
+}
+
+impl Payload for dsm::DsmManifest {
+    const TAG: &'static str = "dsm";
+
+    fn sample(pass: u64) -> Self {
+        dsm::DsmManifest {
+            geometry: geom(),
+            records: 3000,
+            runs_formed: 63,
+            pass,
+            generation: 0,
+            redundancy: Some(pdisk::RedundancyInfo {
+                stripe_disks: 2,
+                dead: vec![pdisk::DiskId(0)],
+            }),
+            runs: vec![
+                dsm::LogicalRun {
+                    start_stripe: 400,
+                    len_stripes: 30,
+                    records: 240,
+                },
+                dsm::LogicalRun {
+                    start_stripe: 430,
+                    len_stripes: 20,
+                    records: 160,
+                },
+            ],
+        }
+    }
+
+    fn pass(&self) -> u64 {
+        self.pass
+    }
+
+    fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>) {
+        self.redundancy = redundancy;
+    }
+
+    fn is_checkpoint_error(e: &dsm::DsmError) -> bool {
+        matches!(e, dsm::DsmError::Checkpoint(_))
+    }
+}
+
+/// A fresh scratch directory and the manifest path inside it.
+fn journal_dir<M: Payload>(tag: &str) -> (PathBuf, PathBuf) {
+    let dir = unique_dir(&format!("{}-{tag}", M::TAG));
+    let path = dir.join("sort.manifest");
+    (dir, path)
+}
+
+/// Save generation 1 (pass 1), then generation 2 (pass 2) — which
+/// journals generation 1 to `.prev` — and return the second as saved.
+fn save_two_generations<M: Payload>(path: &std::path::Path) -> M {
+    M::sample(1).save(path).unwrap();
+    let mut newest = M::sample(2);
+    newest.save(path).unwrap();
+    assert_eq!(newest.generation(), 2);
+    newest
+}
+
+fn flip_byte(path: &std::path::Path, at: impl Fn(usize) -> usize, mask: u8) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let i = at(bytes.len());
+    bytes[i] ^= mask;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+fn save_load_roundtrips_and_remove_is_idempotent<M: Payload>() {
+    let (dir, path) = journal_dir::<M>("roundtrip");
+    let mut m = M::sample(2);
+    m.save(&path).unwrap();
+    assert_eq!(m.generation(), 1, "first save starts the generation chain");
+    assert_eq!(M::load(&path).unwrap(), m);
+    M::remove(&path).unwrap();
+    M::remove(&path).unwrap(); // second remove: no error
+    assert!(M::load(&path).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn saves_journal_the_previous_generation<M: Payload>() {
+    let (dir, path) = journal_dir::<M>("gen");
+    let newest = save_two_generations::<M>(&path);
+    // Both generations live on disk: the newest at `path`, its
+    // predecessor journaled beside it.
+    assert_eq!(M::load_latest(&path).unwrap().unwrap(), newest);
+    let prev_path = manifest_sibling(&path, "prev");
+    let prev = M::load(&prev_path).unwrap();
+    assert_eq!(prev.generation(), 1);
+    assert_eq!(prev.pass(), 1, "journal holds the pre-update snapshot");
+    // Remove clears the whole journal.
+    M::remove(&path).unwrap();
+    assert!(M::load_latest(&path).unwrap().is_none());
+    assert!(!path.exists() && !prev_path.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn load_latest_falls_back_to_the_previous_valid_generation<M: Payload>() {
+    let (dir, path) = journal_dir::<M>("fallback");
+    save_two_generations::<M>(&path);
+    // Tear the newest manifest mid-byte: recovery must pick gen 1.
+    flip_byte(&path, |len| len / 2, 0x01);
+    let recovered = M::load_latest(&path).unwrap().unwrap();
+    assert_eq!((recovered.generation(), recovered.pass()), (1, 1));
+    // With *every* candidate corrupt, recovery refuses loudly — a typed
+    // error, not a silent fresh start.
+    flip_byte(&manifest_sibling(&path, "prev"), |len| len / 2, 0x01);
+    let err = M::load_latest(&path).unwrap_err();
+    assert!(M::is_checkpoint_error(&err), "{err:?}");
+    assert!(err.to_string().contains("corrupt"), "{err}");
+    // And with no candidates at all, there is nothing to resume.
+    M::remove(&path).unwrap();
+    assert!(M::load_latest(&path).unwrap().is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn a_torn_current_manifest_is_not_rotated_over_the_journal<M: Payload>() {
+    let (dir, path) = journal_dir::<M>("rotate");
+    let mut m = save_two_generations::<M>(&path);
+    std::fs::write(&path, b"torn garbage").unwrap();
+    // The next save must not shove the garbage over the valid gen 1.
+    m.save(&path).unwrap();
+    assert_eq!(m.generation(), 2, "torn gen 2 does not advance the chain");
+    let prev = M::load(&manifest_sibling(&path, "prev")).unwrap();
+    assert_eq!(prev.generation(), 1, "journaled gen 1 survived the torn save");
+    assert_eq!(M::load_latest(&path).unwrap().unwrap().generation(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Generation journaling under fire: with two saved generations on
+/// disk (current + `.prev`), random byte-flips in either file must
+/// always be detected — recovery loads the newest generation that
+/// still validates, falls back to the journaled predecessor when the
+/// current copy is torn, and never parses to a state that was not
+/// one of the two saved.
+fn generation_fallback_survives_byte_flips<M: Payload>(flips: &[(usize, u8, bool)]) {
+    let (dir, path) = journal_dir::<M>("genfuzz");
+    let prev_path = manifest_sibling(&path, "prev");
+    let newest = save_two_generations::<M>(&path);
+    let prev = M::load(&prev_path).unwrap();
+    assert_eq!(prev.generation(), 1);
+
+    let mut cur_touched = false;
+    for &(pos, mask, hit_current) in flips {
+        flip_byte(if hit_current { &path } else { &prev_path }, |len| pos % len, mask);
+        cur_touched |= hit_current;
+    }
+
+    match M::load_latest(&path) {
+        Ok(Some(got)) if got == newest => {}
+        Ok(Some(got)) if got == prev => {
+            // Fallback is only legitimate when the current manifest
+            // really is torn (a flip in trailing whitespace can
+            // leave it valid).
+            assert!(
+                cur_touched && M::load(&path).is_err(),
+                "fell back to generation 1 while generation 2 still validates"
+            );
+        }
+        Ok(Some(got)) => panic!(
+            "corrupt manifests parsed to a state never saved: gen {}",
+            got.generation()
+        ),
+        Ok(None) => panic!("files exist but recovery found nothing"),
+        // Both generations torn: a typed error, not a panic.
+        Err(e) => assert!(M::is_checkpoint_error(&e), "wrong error type: {e:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Parity over the sample geometry's two disks, with `dead` already lost.
+fn parity2(dead: &[u32]) -> pdisk::RedundancyInfo {
+    pdisk::RedundancyInfo {
+        stripe_disks: 2,
+        dead: dead.iter().map(|&d| pdisk::DiskId(d)).collect(),
+    }
+}
+
+fn encode_parse_roundtrips_and_corruption_is_detected<M: Payload>() {
+    let m = M::sample(2);
+    let text = m.encode();
+    assert_eq!(M::parse(&text).unwrap(), m);
+    // Flip one digit in the first run line.
+    let broken = text.replacen("\nrun ", "\nrun 9", 1);
+    assert_ne!(broken, text);
+    let err = M::parse(&broken).unwrap_err();
+    assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    // Truncation loses the checksum line, wholly or in part.
+    assert!(M::parse(&text[..text.len() / 2]).is_err());
+    assert!(M::parse(&text[..text.len() - 20]).is_err());
+}
+
+fn redundancy_lines_roundtrip<M: Payload>() {
+    // Degraded snapshot: parity width 2, disk 1 dead.
+    let mut m = M::sample(2);
+    m.set_redundancy(Some(parity2(&[1])));
+    let text = m.encode();
+    assert!(text.contains("parity 2\n"), "{text}");
+    assert!(text.contains("dead 1\n"), "{text}");
+    assert_eq!(M::parse(&text).unwrap(), m);
+    // Healthy parity snapshot: no `dead` line at all.
+    m.set_redundancy(Some(parity2(&[])));
+    let text = m.encode();
+    assert!(!text.contains("dead"), "{text}");
+    assert_eq!(M::parse(&text).unwrap(), m);
+    // Plain manifests stay byte-compatible with the v1 wire format.
+    m.set_redundancy(None);
+    assert!(!m.encode().contains("parity"));
+}
+
+fn redundancy_lines_are_validated_against_geometry<M: Payload>() {
+    // Re-stamp a hand-edited manifest body with a fresh valid checksum so
+    // this exercises the *semantic* validation, not the checksum.
+    let recheck = |text: String| {
+        let body = &text[..text.rfind("checksum ").unwrap()];
+        format!("{body}checksum {:016x}\n", pdisk::fnv1a64(body.as_bytes()))
     };
-    mk(1, 100).save(&path).unwrap();
-    mk(2, 25).save(&path).unwrap();
-    let newest = srm_core::SortManifest::load(&path).unwrap();
-    let prev = srm_core::SortManifest::load(&dir.join("sort.manifest.prev")).unwrap();
-    assert_eq!(newest.generation, 2);
-    assert_eq!(prev.generation, 1);
-    let current_bytes = std::fs::read(&path).unwrap();
-    let prev_bytes = std::fs::read(dir.join("sort.manifest.prev")).unwrap();
-    (newest, prev, current_bytes, prev_bytes)
+    let mut m = M::sample(2);
+    m.set_redundancy(Some(parity2(&[1])));
+    assert_eq!(M::parse(&recheck(m.encode())).unwrap(), m);
+    // Stripe width must equal D.
+    assert!(M::parse(&recheck(m.encode().replace("parity 2", "parity 3"))).is_err());
+    // Dead ids must be in range.
+    assert!(M::parse(&recheck(m.encode().replace("dead 1", "dead 9"))).is_err());
+}
+
+fn validate_redundancy_refuses_mismatches<M: Payload>() {
+    let mut m = M::sample(2);
+    m.set_redundancy(None);
+    // Plain manifest on a plain array: fine.
+    m.validate_redundancy(None).unwrap();
+    // Plain manifest on a parity array: refused (remap mismatch).
+    assert!(m.validate_redundancy(Some(&parity2(&[]))).is_err());
+    m.set_redundancy(Some(parity2(&[1])));
+    // Parity manifest on a plain array: refused.
+    assert!(m.validate_redundancy(None).is_err());
+    // Array must already treat manifest-dead disks as dead.
+    let err = m.validate_redundancy(Some(&parity2(&[]))).unwrap_err();
+    assert!(M::is_checkpoint_error(&err), "{err:?}");
+    m.validate_redundancy(Some(&parity2(&[1]))).unwrap();
+    // Extra deaths discovered since the snapshot are tolerated.
+    m.validate_redundancy(Some(&parity2(&[0, 1]))).unwrap();
+    // Stripe width mismatch is refused outright.
+    let narrower = pdisk::RedundancyInfo {
+        stripe_disks: 1,
+        dead: vec![pdisk::DiskId(1)],
+    };
+    assert!(m.validate_redundancy(Some(&narrower)).is_err());
+}
+
+/// Exhaustive single-byte corruption: flipping **any** byte of a valid
+/// manifest (two masks per position: a low bit and all bits) must either
+/// be refused with a typed checkpoint error or parse back to a manifest
+/// identical to the original — never panic, never yield a silently
+/// different resume state.  (A flip in trailing whitespace can leave the
+/// content intact; that is the only acceptable "success".)
+fn byte_flips_never_panic_or_resume_wrong<M: Payload>() {
+    let (dir, path) = journal_dir::<M>("fuzz");
+    let mut m = M::sample(2);
+    m.save(&path).unwrap();
+    let valid = std::fs::read(&path).unwrap();
+
+    for i in 0..valid.len() {
+        for mask in [0x01u8, 0xFF] {
+            let mut bytes = valid.clone();
+            bytes[i] ^= mask;
+            std::fs::write(&path, &bytes).unwrap();
+            match M::load(&path) {
+                Err(e) => assert!(
+                    M::is_checkpoint_error(&e),
+                    "byte {i} ^ {mask:#04x}: wrong error type {e:?}"
+                ),
+                Ok(parsed) => assert_eq!(
+                    parsed, m,
+                    "byte {i} ^ {mask:#04x}: corrupt manifest parsed to different state"
+                ),
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `#[test]` per store property, each run through both payloads.
+mod both_payloads {
+    use dsm::DsmManifest;
+    use srm_core::SortManifest;
+
+    #[test]
+    fn encode_parse_roundtrips_and_corruption_is_detected() {
+        super::encode_parse_roundtrips_and_corruption_is_detected::<SortManifest>();
+        super::encode_parse_roundtrips_and_corruption_is_detected::<DsmManifest>();
+    }
+
+    #[test]
+    fn redundancy_lines_roundtrip() {
+        super::redundancy_lines_roundtrip::<SortManifest>();
+        super::redundancy_lines_roundtrip::<DsmManifest>();
+    }
+
+    #[test]
+    fn redundancy_lines_are_validated_against_geometry() {
+        super::redundancy_lines_are_validated_against_geometry::<SortManifest>();
+        super::redundancy_lines_are_validated_against_geometry::<DsmManifest>();
+    }
+
+    #[test]
+    fn validate_redundancy_refuses_mismatches() {
+        super::validate_redundancy_refuses_mismatches::<SortManifest>();
+        super::validate_redundancy_refuses_mismatches::<DsmManifest>();
+    }
+
+    #[test]
+    fn save_load_roundtrips_and_remove_is_idempotent() {
+        super::save_load_roundtrips_and_remove_is_idempotent::<SortManifest>();
+        super::save_load_roundtrips_and_remove_is_idempotent::<DsmManifest>();
+    }
+
+    #[test]
+    fn saves_journal_the_previous_generation() {
+        super::saves_journal_the_previous_generation::<SortManifest>();
+        super::saves_journal_the_previous_generation::<DsmManifest>();
+    }
+
+    #[test]
+    fn load_latest_falls_back_to_the_previous_valid_generation() {
+        super::load_latest_falls_back_to_the_previous_valid_generation::<SortManifest>();
+        super::load_latest_falls_back_to_the_previous_valid_generation::<DsmManifest>();
+    }
+
+    #[test]
+    fn a_torn_current_manifest_is_not_rotated_over_the_journal() {
+        super::a_torn_current_manifest_is_not_rotated_over_the_journal::<SortManifest>();
+        super::a_torn_current_manifest_is_not_rotated_over_the_journal::<DsmManifest>();
+    }
+}
+
+#[test]
+fn srm_manifest_byte_flips_never_panic_or_resume_wrong() {
+    byte_flips_never_panic_or_resume_wrong::<srm_core::SortManifest>();
+}
+
+#[test]
+fn dsm_manifest_byte_flips_never_panic_or_resume_wrong() {
+    byte_flips_never_panic_or_resume_wrong::<dsm::DsmManifest>();
 }
 
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-    /// Generation journaling under fire: with two saved generations on
-    /// disk (current + `.prev`), random byte-flips in either file must
-    /// always be detected — recovery loads the newest generation that
-    /// still validates, falls back to the journaled predecessor when the
-    /// current copy is torn, and never parses to a state that was not
-    /// one of the two saved.
     #[test]
     fn srm_generation_fallback_survives_random_byte_flips(
         flips in proptest::collection::vec(
@@ -270,46 +629,17 @@ proptest::proptest! {
             1..8,
         ),
     ) {
-        let dir = unique_dir("srm-genfuzz");
-        let path = dir.join("sort.manifest");
-        let prev_path = dir.join("sort.manifest.prev");
-        let (newest, prev, current_bytes, prev_bytes) = two_generations(&dir);
+        generation_fallback_survives_byte_flips::<srm_core::SortManifest>(&flips);
+    }
 
-        let mut cur = current_bytes.clone();
-        let mut prv = prev_bytes.clone();
-        let mut cur_touched = false;
-        for &(pos, mask, hit_current) in &flips {
-            if hit_current {
-                cur[pos % current_bytes.len()] ^= mask;
-                cur_touched = true;
-            } else {
-                prv[pos % prev_bytes.len()] ^= mask;
-            }
-        }
-        std::fs::write(&path, &cur).unwrap();
-        std::fs::write(&prev_path, &prv).unwrap();
-
-        match srm_core::SortManifest::load_latest(&path) {
-            Ok(Some(got)) if got == newest => {}
-            Ok(Some(got)) if got == prev => {
-                // Fallback is only legitimate when the current manifest
-                // really is torn (a flip in trailing whitespace can
-                // leave it valid).
-                assert!(
-                    cur_touched && srm_core::SortManifest::load(&path).is_err(),
-                    "fell back to generation 1 while generation 2 still validates"
-                );
-            }
-            Ok(Some(got)) => panic!(
-                "corrupt manifests parsed to a state never saved: gen {}",
-                got.generation
-            ),
-            Ok(None) => panic!("files exist but recovery found nothing"),
-            // Both generations torn: a typed error, not a panic.
-            Err(srm_core::SrmError::Checkpoint(_)) => {}
-            Err(other) => panic!("wrong error type: {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
+    #[test]
+    fn dsm_generation_fallback_survives_random_byte_flips(
+        flips in proptest::collection::vec(
+            (proptest::arbitrary::any::<usize>(), 1u8..=255u8, proptest::arbitrary::any::<bool>()),
+            1..8,
+        ),
+    ) {
+        generation_fallback_survives_byte_flips::<dsm::DsmManifest>(&flips);
     }
 }
 
@@ -354,117 +684,6 @@ fn resume_rejects_incompatible_manifests() {
             assert!(msg.contains("checksum mismatch"), "{msg}")
         }
         other => panic!("torn manifest must be refused, got {other:?}"),
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Exhaustive single-byte corruption: flipping **any** byte of a valid
-/// manifest (two masks per position: a low bit and all bits) must either
-/// be refused with a typed checkpoint error or parse back to a manifest
-/// identical to the original — never panic, never yield a silently
-/// different resume state.  (A flip in trailing whitespace can leave the
-/// content intact; that is the only acceptable "success".)
-#[test]
-fn srm_manifest_byte_flips_never_panic_or_resume_wrong() {
-    let mut m = srm_core::SortManifest::new(
-        &srm_core::SrmConfig::default(),
-        geom(),
-        3000,
-        63,
-        2,
-        67,
-        Some(pdisk::RedundancyInfo {
-            stripe_disks: 2,
-            dead: vec![pdisk::DiskId(1)],
-        }),
-        vec![
-            pdisk::StripedRun {
-                start_disk: pdisk::DiskId(1),
-                len_blocks: 130,
-                records: 520,
-                base_offsets: vec![10, 20],
-            },
-            pdisk::StripedRun {
-                start_disk: pdisk::DiskId(0),
-                len_blocks: 120,
-                records: 480,
-                base_offsets: vec![55, 66],
-            },
-        ],
-    );
-    let dir = unique_dir("srm-fuzz");
-    let path = dir.join("sort.manifest");
-    m.save(&path).unwrap();
-    let valid = std::fs::read(&path).unwrap();
-    m = srm_core::SortManifest::load(&path).unwrap(); // normalize
-
-    for i in 0..valid.len() {
-        for mask in [0x01u8, 0xFF] {
-            let mut bytes = valid.clone();
-            bytes[i] ^= mask;
-            std::fs::write(&path, &bytes).unwrap();
-            match srm_core::SortManifest::load(&path) {
-                Err(srm_core::SrmError::Checkpoint(_)) => {}
-                Err(other) => {
-                    panic!("byte {i} ^ {mask:#04x}: wrong error type {other:?}")
-                }
-                Ok(parsed) => assert_eq!(
-                    parsed, m,
-                    "byte {i} ^ {mask:#04x}: corrupt manifest parsed to different state"
-                ),
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Same exhaustive corruption sweep for the DSM manifest format.
-#[test]
-fn dsm_manifest_byte_flips_never_panic_or_resume_wrong() {
-    let mut m = dsm::DsmManifest {
-        geometry: geom(),
-        records: 3000,
-        runs_formed: 63,
-        pass: 1,
-        generation: 0,
-        redundancy: Some(pdisk::RedundancyInfo {
-            stripe_disks: 2,
-            dead: vec![pdisk::DiskId(0)],
-        }),
-        runs: vec![
-            dsm::LogicalRun {
-                start_stripe: 400,
-                len_stripes: 30,
-                records: 240,
-            },
-            dsm::LogicalRun {
-                start_stripe: 430,
-                len_stripes: 20,
-                records: 160,
-            },
-        ],
-    };
-    let dir = unique_dir("dsm-fuzz");
-    let path = dir.join("sort.manifest");
-    m.save(&path).unwrap();
-    let valid = std::fs::read(&path).unwrap();
-
-    for i in 0..valid.len() {
-        for mask in [0x01u8, 0xFF] {
-            let mut bytes = valid.clone();
-            bytes[i] ^= mask;
-            std::fs::write(&path, &bytes).unwrap();
-            match dsm::DsmManifest::load(&path) {
-                Err(dsm::DsmError::Checkpoint(_)) => {}
-                Err(other) => {
-                    panic!("byte {i} ^ {mask:#04x}: wrong error type {other:?}")
-                }
-                Ok(parsed) => assert_eq!(
-                    parsed, m,
-                    "byte {i} ^ {mask:#04x}: corrupt manifest parsed to different state"
-                ),
-            }
-        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,8 @@
 //! A recording `DiskArray` layer shared by the integration suites: it
 //! forwards every trait method, the defaulted ones included, logs the
-//! name of each call it sees, and counts how many of the tickets passing
-//! up through it are still in flight.
+//! name of each call it sees, counts how many of the tickets passing up
+//! through it are still in flight, and counts the operations issued
+//! while an earlier ticket had not been completed yet.
 #![allow(dead_code)] // each suite uses its own half
 
 use pdisk::backend::{ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
@@ -23,20 +24,31 @@ pub struct Probe<A> {
     /// Tickets handed up by `inner`, and how many of them were pending.
     pub tickets: u64,
     pub pending: u64,
+    /// Tickets handed up and not completed yet.
+    pub outstanding: u64,
+    /// Operations (blocking or split-phase) issued while `outstanding`
+    /// was non-zero: 0 means every ticket was completed where it was
+    /// submitted.
+    pub overlapped: u64,
 }
 
 impl<A> Probe<A> {
     pub fn new(inner: A) -> Self {
-        Probe { inner, log: Log::default(), tickets: 0, pending: 0 }
+        Probe { inner, log: Log::default(), tickets: 0, pending: 0, outstanding: 0, overlapped: 0 }
     }
 
     fn hit(&self, method: &'static str) {
         self.log.borrow_mut().insert(method);
     }
 
+    fn issue(&mut self) {
+        self.overlapped += u64::from(self.outstanding > 0);
+    }
+
     fn saw_ticket(&mut self, pending: bool) {
         self.tickets += 1;
         self.pending += u64::from(pending);
+        self.outstanding += 1;
     }
 }
 
@@ -46,10 +58,12 @@ impl<A: DiskArray<Rec>> DiskArray<Rec> for Probe<A> {
     }
     fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<Rec>>> {
         self.hit("read");
+        self.issue();
         self.inner.read(addrs)
     }
     fn write(&mut self, writes: Vec<(BlockAddr, Block<Rec>)>) -> Result<()> {
         self.hit("write");
+        self.issue();
         self.inner.write(writes)
     }
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
@@ -75,22 +89,26 @@ impl<A: DiskArray<Rec>> DiskArray<Rec> for Probe<A> {
     }
     fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<Rec>> {
         self.hit("submit_read");
+        self.issue();
         let ticket = self.inner.submit_read(addrs)?;
         self.saw_ticket(ticket.is_pending());
         Ok(ticket)
     }
     fn complete_read(&mut self, ticket: ReadTicket<Rec>) -> Result<Vec<Block<Rec>>> {
         self.hit("complete_read");
+        self.outstanding = self.outstanding.saturating_sub(1);
         self.inner.complete_read(ticket)
     }
     fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<Rec>)>) -> Result<WriteTicket> {
         self.hit("submit_write");
+        self.issue();
         let ticket = self.inner.submit_write(writes)?;
         self.saw_ticket(ticket.is_pending());
         Ok(ticket)
     }
     fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
         self.hit("complete_write");
+        self.outstanding = self.outstanding.saturating_sub(1);
         self.inner.complete_write(ticket)
     }
     fn prefetch(&mut self, addrs: &[BlockAddr]) {

@@ -1,7 +1,8 @@
 //! Exhaustive crash-matrix: crash a checkpointed SRM sort at **every**
 //! numbered I/O boundary, reboot, recover, and require byte-identical
-//! sorted output — across serial and pipelined engines, mem and file
-//! backends, with and without parity.  Every recovery's own I/O trace is
+//! sorted output — at the blocking window (the `serial_*` sweeps) and the
+//! pipelined one, on mem and file backends, with and without parity.
+//! Every recovery's own I/O trace is
 //! replayed through the model checker, so a recovery that reads a frame
 //! whose write never durably completed fails the suite even if its
 //! output happens to be right.
@@ -9,9 +10,17 @@
 //! This is the proof behind `DESIGN.md`'s crash-consistency claim: the
 //! checkpoint manifests are journaled (write-temp + fsync + rename with
 //! generations), every snapshot is preceded by an `array.sync()`
-//! durability barrier, and the pipelined engine quiesces split-phase
-//! tickets on the way out — so no crash point, including torn parallel
-//! writes and a crash *during* the manifest rename, can lose the sort.
+//! durability barrier, and the engine quiesces split-phase tickets on
+//! the way out — so no crash point, including torn parallel writes and a
+//! crash *during* the manifest rename, can lose the sort.
+//!
+//! Point counts: the blocking sweeps number the same boundaries as the
+//! pipelined ones since the engines were merged, because every scheduled
+//! operation is now a `submit_*` followed by a `complete_*` at both
+//! windows and the crash layer numbers each half (`srm crash-matrix
+//! --records 600 --d 4 --b 4`: 810 points before, 1262 after — the count
+//! `--pipeline` always had).  Nothing was renumbered at the pipelined
+//! window.
 
 use pdisk::Geometry;
 use pdisk::U64Record;
@@ -86,7 +95,7 @@ fn pipelined_mem_parity_recovers_from_every_crash_point() {
 
 /// File-backend sweeps exercise real fsync barriers, DirLock handoff,
 /// and torn-frame detection on reopen.  The file worlds are much slower
-/// per point, so they run at a smaller record count (still two passes).
+/// per point, so only two of the four configurations run on them.
 #[test]
 fn serial_file_plain_recovers_from_every_crash_point() {
     sweep("serial-file", false, false, Backend::File);

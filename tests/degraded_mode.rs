@@ -8,7 +8,7 @@
 use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use pdisk::{
     DiskArray, DiskId, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry,
-    MemDiskArray, ParityDiskArray, Record, U64Record,
+    Manifest as _, MemDiskArray, ParityDiskArray, Record, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -112,7 +112,8 @@ fn buffer_ledger_drift_is_rejected() {
 fn flushing_an_unbuffered_block_is_rejected() {
     let (geom, trace) = clean_trace();
     let (mutated, seq) = mutate_first(trace, |e| match e {
-        TraceEvent::SchedRead { targets, flushed, .. } if !flushed.is_empty() => {
+        // Flush legality is judged where the read is submitted.
+        TraceEvent::ReadSubmit { targets, flushed } if !flushed.is_empty() => {
             // Redirect the flush at one of this very read's fetch
             // targets: a real block, but in flight rather than in M_R.
             let t = &targets[0];

@@ -1,17 +1,24 @@
-//! Pipelined-vs-serial equivalence suite: the pipelined engines
-//! (split-phase read-ahead / write-behind) must be **observationally
-//! identical** to the serial engines everywhere the repo's fault and
-//! recovery machinery can see — byte-identical sorted output, identical
-//! [`pdisk::IoStats`], and model-checker-clean traces — across healthy,
-//! transiently-faulty, parity-protected, degraded (permanent disk
-//! death), and checkpoint-resume configurations, on both the in-memory
-//! and the file backend.
+//! Window-invariance suite: the sorters have one engine, and `pipeline` /
+//! `read_ahead` only set its window — how long a submitted parallel I/O
+//! may stay outstanding.  Every window must be **observationally
+//! identical** to the blocking one (window 0: each ticket completed where
+//! it was submitted) everywhere the repo's fault and recovery machinery
+//! can see — byte-identical sorted output, identical [`pdisk::IoStats`],
+//! and model-checker-clean traces — across healthy, transiently-faulty,
+//! parity-protected, degraded (permanent disk death), full production
+//! stack, and checkpoint-resume configurations, on both the in-memory and
+//! the file backend.
 //!
-//! This is the contract that makes pipelining safe to turn on by
-//! default: every scripted fault ordinal, parity commit, reconstruction,
-//! and checkpoint boundary lands at exactly the same operation in both
-//! engines, because the pipelined engine *submits* operations in the
-//! serial order and only overlaps their completion.
+//! Window 0 is a valid reference because it is not the only oracle: the
+//! pinned counts in `golden_io_counts.rs`, the block-level simulator in
+//! `simulator_vs_engine.rs` and `modelcheck`'s replay all judge it
+//! independently of this comparison.
+//!
+//! This is the contract that makes pipelining safe to turn on: every
+//! scripted fault ordinal, parity commit, reconstruction, and checkpoint
+//! boundary lands at exactly the same operation at every window, because
+//! operations are always *submitted* in the same order and only their
+//! completion moves.
 
 mod common;
 
@@ -24,10 +31,63 @@ use pdisk::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use srm_core::sort::write_unsorted_input;
+use srm_core::sort::{write_unsorted_input, SrmConfig};
 use srm_core::{read_run, SrmError, SrmSorter};
 use std::path::PathBuf;
 use std::time::Duration;
+
+/// One engine setting, as the public options spell it.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    pipeline: bool,
+    read_ahead: usize,
+}
+
+impl Window {
+    const fn pipelined(read_ahead: usize) -> Self {
+        Window { pipeline: true, read_ahead }
+    }
+
+    fn srm(self, config: SrmConfig) -> SrmSorter {
+        SrmSorter::new(config)
+            .with_pipeline(self.pipeline)
+            .with_read_ahead(self.read_ahead)
+    }
+
+    /// A directory name unique to this window.
+    fn slug(self) -> String {
+        format!("p{}-k{}", u8::from(self.pipeline), self.read_ahead)
+    }
+}
+
+/// The sweep: the blocking window first (the reference), then pipelined at
+/// read-ahead 0, 1, 3 and 8.
+const WINDOWS: [Window; 5] = [
+    Window { pipeline: false, read_ahead: 0 },
+    Window::pipelined(0),
+    Window::pipelined(1),
+    Window::pipelined(3),
+    Window::pipelined(8),
+];
+
+/// What a sort leaves behind for comparison: the sorted bytes and the
+/// sort's own [`IoStats`] (snapshotted before the verification read).
+type Outcome = (Vec<u8>, IoStats);
+
+/// The one comparison: `run` under every window must leave exactly what
+/// it leaves under the blocking one, and that must be `data`, sorted.
+fn assert_window_invariant(tag: &str, data: &[U64Record], mut run: impl FnMut(Window) -> Outcome) {
+    let blocking = run(WINDOWS[0]);
+    for w in &WINDOWS[1..] {
+        let (out, io) = run(*w);
+        assert_eq!(out, blocking.0, "{tag} {w:?}: output must be byte-identical");
+        assert_eq!(io, blocking.1, "{tag} {w:?}: IoStats must be identical");
+    }
+    // Guard against every window agreeing on a wrong answer.
+    let mut sorted = data.to_vec();
+    sorted.sort();
+    assert_eq!(blocking.0, encode_all(&sorted), "{tag}: output must be sorted");
+}
 
 fn random_records(n: u64, seed: u64) -> Vec<U64Record> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -49,58 +109,52 @@ fn unique_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Run a full SRM sort on a freshly built array, replay the trace
-/// through the model checker, and return the sorted bytes plus the
-/// sort's own [`IoStats`] (snapshotted before the verification read).
-fn srm_outcome<A, F>(make: F, data: &[U64Record], pipeline: bool) -> (Vec<u8>, IoStats)
-where
-    A: DiskArray<U64Record>,
-    F: FnOnce() -> A,
-{
-    let mut a = TracingDiskArray::new(make());
+/// Run a full SRM sort on `inner` under window `w`, replay the trace
+/// through the model checker, and return the outcome plus the array (for
+/// suites that inspect a layer afterwards).
+fn srm_outcome<A: DiskArray<U64Record>>(
+    inner: A,
+    config: SrmConfig,
+    data: &[U64Record],
+    w: Window,
+) -> (Outcome, TracingDiskArray<U64Record, A>) {
+    let mut a = TracingDiskArray::new(inner);
     let geom = a.geometry();
     let input = write_unsorted_input(&mut a, data).unwrap();
-    let (run, _) = SrmSorter::default()
-        .with_pipeline(pipeline)
+    let (run, _) = w
+        .srm(config)
         .sort(&mut a, &input)
-        .unwrap_or_else(|e| panic!("sort (pipeline={pipeline}) failed: {e}"));
+        .unwrap_or_else(|e| panic!("sort ({w:?}) failed: {e}"));
     let stats = a.stats();
     let out = read_run(&mut a, &run).unwrap();
     let trace = a.take_trace();
-    check_trace(geom, &trace).unwrap_or_else(|v| panic!("violation (pipeline={pipeline}): {v}"));
-    check_stats(&trace, &a.stats())
-        .unwrap_or_else(|v| panic!("stats drift (pipeline={pipeline}): {v}"));
-    (encode_all(&out), stats)
+    check_trace(geom, &trace).unwrap_or_else(|v| panic!("violation ({w:?}): {v}"));
+    check_stats(&trace, &a.stats()).unwrap_or_else(|v| panic!("stats drift ({w:?}): {v}"));
+    ((encode_all(&out), stats), a)
 }
 
-/// The core assertion: serial and pipelined SRM sorts of the same data
-/// on identically-constructed arrays agree byte-for-byte and op-for-op.
-fn assert_srm_equivalent<A, F>(make: F, data: &[U64Record], tag: &str)
+/// SRM with the default configuration on identically-constructed arrays.
+fn assert_srm_invariant<A, F>(make: F, data: &[U64Record], tag: &str)
 where
     A: DiskArray<U64Record>,
-    F: Fn() -> A,
+    F: Fn(Window) -> A,
 {
-    let (serial_out, serial_io) = srm_outcome(&make, data, false);
-    let (pipe_out, pipe_io) = srm_outcome(&make, data, true);
-    assert_eq!(serial_out, pipe_out, "{tag}: output must be byte-identical");
-    assert_eq!(serial_io, pipe_io, "{tag}: IoStats must be identical");
-    // Guard against both engines agreeing on a wrong answer.
-    let mut sorted = data.to_vec();
-    sorted.sort();
-    assert_eq!(serial_out, encode_all(&sorted), "{tag}: output must be sorted");
+    assert_window_invariant(tag, data, |w| {
+        srm_outcome(make(w), SrmConfig::default(), data, w).0
+    });
 }
 
 #[test]
 fn healthy_srm_equivalent() {
     // A deep-merge geometry and a flush-heavy (low k = R/D) geometry, so
     // both the plain-read and the rule-2c paths are exercised.
-    assert_srm_equivalent(
-        || MemDiskArray::<U64Record>::new(Geometry::new(2, 4, 96).unwrap()),
+    assert_srm_invariant(
+        |_| MemDiskArray::<U64Record>::new(Geometry::new(2, 4, 96).unwrap()),
         &random_records(3000, 0xE1),
         "healthy d=2",
     );
-    assert_srm_equivalent(
-        || MemDiskArray::<U64Record>::new(Geometry::new(4, 8, 256).unwrap()),
+    assert_srm_invariant(
+        |_| MemDiskArray::<U64Record>::new(Geometry::new(4, 8, 256).unwrap()),
         &random_records(12_000, 0xE2),
         "healthy d=4 flush-heavy",
     );
@@ -108,12 +162,12 @@ fn healthy_srm_equivalent() {
 
 #[test]
 fn transient_faults_with_retry_equivalent() {
-    // Scripted transient faults hit the same op ordinals in both engines
-    // (the pipelined engine submits in serial order), so even the retry
+    // Scripted transient faults hit the same op ordinals at every window
+    // (operations are submitted in the same order), so even the retry
     // counts must agree exactly.
     let geom = Geometry::new(2, 4, 96).unwrap();
-    assert_srm_equivalent(
-        || {
+    assert_srm_invariant(
+        |_| {
             let faulty = FaultyDiskArray::new(
                 MemDiskArray::<U64Record>::new(geom),
                 FaultModel::random(7).with_rate(0.01),
@@ -128,8 +182,8 @@ fn transient_faults_with_retry_equivalent() {
 #[test]
 fn parity_equivalent() {
     let geom = Geometry::new(3, 4, 120).unwrap();
-    assert_srm_equivalent(
-        || ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap(),
+    assert_srm_invariant(
+        |_| ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap(),
         &random_records(3000, 0xE4),
         "parity",
     );
@@ -147,8 +201,8 @@ fn degraded_equivalent() {
         SrmSorter::default().sort(&mut a, &input).unwrap();
         a.stats().read_ops
     };
-    assert_srm_equivalent(
-        || {
+    assert_srm_invariant(
+        |_| {
             let faulty = FaultyDiskArray::new(
                 MemDiskArray::<U64Record>::new(geom),
                 FaultModel::none().kill_at(FaultOp::Read, reads / 2),
@@ -166,32 +220,23 @@ fn file_backend_equivalent() {
     // (per-disk worker threads), so this is where completion genuinely
     // overlaps with merging — and where equivalence is least trivial.
     let geom = Geometry::new(4, 8, 256).unwrap();
-    let data = random_records(8000, 0xE6);
     let dir = unique_dir("file");
-    let mut outcomes = Vec::new();
-    for pipeline in [false, true] {
-        let sub = dir.join(if pipeline { "pipe" } else { "serial" });
-        outcomes.push(srm_outcome(
-            || FileDiskArray::<U64Record>::create(geom, &sub).unwrap(),
-            &data,
-            pipeline,
-        ));
-    }
-    let (serial, pipe) = (&outcomes[0], &outcomes[1]);
-    assert_eq!(serial.0, pipe.0, "file backend: output must be byte-identical");
-    assert_eq!(serial.1, pipe.1, "file backend: IoStats must be identical");
+    assert_srm_invariant(
+        |w| FileDiskArray::<U64Record>::create(geom, dir.join(w.slug())).unwrap(),
+        &random_records(8000, 0xE6),
+        "file backend",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Depth-K read-ahead and multi-threaded run formation are pure
 /// wall-clock knobs: on the file backend — the one whose speculative
-/// prefetch cache actually acts on the hints — a pipelined sort at
-/// depth 8 with 4 formation threads must be byte- and op-identical to
-/// the serial engine, and its trace must replay checker-clean.
+/// prefetch cache actually acts on the hints — a sort with 4 formation
+/// threads is byte- and op-identical at every window, depth 8 included,
+/// and its trace replays checker-clean.
 #[test]
 fn deep_read_ahead_and_threads_equivalent() {
     use srm_core::run_formation::RunFormation;
-    use srm_core::sort::SrmConfig;
 
     let geom = Geometry::new(4, 8, 256).unwrap();
     let data = random_records(8000, 0xE9);
@@ -200,93 +245,56 @@ fn deep_read_ahead_and_threads_equivalent() {
         run_formation: RunFormation::ParallelMemoryLoad { fraction: 1.0, threads: 4 },
         ..SrmConfig::default()
     };
-
-    let drive = |pipeline: bool, depth: usize, sub: &str| -> (Vec<u8>, IoStats) {
-        let sub = dir.join(sub);
-        let mut a = TracingDiskArray::new(FileDiskArray::<U64Record>::create(geom, &sub).unwrap());
-        let input = write_unsorted_input(&mut a, &data).unwrap();
-        let (run, _) = SrmSorter::new(config)
-            .with_pipeline(pipeline)
-            .with_read_ahead(depth)
-            .sort(&mut a, &input)
-            .unwrap_or_else(|e| panic!("sort (pipeline={pipeline} depth={depth}) failed: {e}"));
-        let stats = a.stats();
-        let out = read_run(&mut a, &run).unwrap();
-        let trace = a.take_trace();
-        check_trace(geom, &trace)
-            .unwrap_or_else(|v| panic!("violation (pipeline={pipeline} depth={depth}): {v}"));
-        check_stats(&trace, &a.stats())
-            .unwrap_or_else(|v| panic!("stats drift (pipeline={pipeline} depth={depth}): {v}"));
-        (encode_all(&out), stats)
-    };
-
-    let (serial_out, serial_io) = drive(false, 0, "serial");
-    for depth in [1usize, 3, 8] {
-        let (deep_out, deep_io) = drive(true, depth, &format!("deep-{depth}"));
-        assert_eq!(deep_out, serial_out, "depth {depth}: output must be byte-identical");
-        assert_eq!(deep_io, serial_io, "depth {depth}: IoStats must be identical");
-    }
-    let mut sorted = data.clone();
-    sorted.sort();
-    assert_eq!(serial_out, encode_all(&sorted), "output must be sorted");
+    assert_window_invariant("deep read-ahead + threads", &data, |w| {
+        let file = FileDiskArray::<U64Record>::create(geom, dir.join(w.slug())).unwrap();
+        srm_outcome(file, config, &data, w).0
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The stack `srm-cli`, `srm-server` and `srm-dist` build,
 /// `Retrying(Parity(Faulty(File)))` with the parity sidecar, under a
-/// random transient fault rate: serial and pipelined sorts agree byte for
-/// byte and count for count at read-ahead 0 and 3, and every operation
-/// the pipelined engine submits is still in flight when the outermost
-/// layer hands its ticket up — no wrapper waits inside a submit.
+/// random transient fault rate: every window agrees byte for byte and
+/// count for count.  At window 0 no ticket is ever outstanding when the
+/// next operation is issued and no read-ahead hint is sent; at every
+/// pipelined window operations do overlap, and each one submitted is
+/// still in flight when the outermost layer hands its ticket up — no
+/// wrapper waits inside a submit.
 #[test]
 fn full_production_stack_equivalent_and_pipelined() {
     let geom = Geometry::new(4, 8, 256).unwrap();
     let data = random_records(8000, 0xEA);
     let dir = unique_dir("stack");
 
-    let drive = |pipeline: bool, depth: usize, sub: &str| -> (Vec<u8>, IoStats, u64, u64) {
-        let sub = dir.join(sub);
+    assert_window_invariant("production stack", &data, |w| {
+        let sub = dir.join(w.slug());
         let file = FileDiskArray::<U64Record>::create(geom, sub.join("disks")).unwrap();
         let faulty = FaultyDiskArray::new(file, FaultModel::random(0x5EED).with_rate(0.01));
         let parity = ParityDiskArray::new(faulty).unwrap().with_store(sub.join("parity.store")).unwrap();
         let stack = RetryingDiskArray::new(parity, RetryPolicy::new(8, Duration::ZERO));
-        let mut a = TracingDiskArray::new(common::Probe::new(stack));
-        let input = write_unsorted_input(&mut a, &data).unwrap();
-        let (run, _) = SrmSorter::default()
-            .with_pipeline(pipeline)
-            .with_read_ahead(depth)
-            .sort(&mut a, &input)
-            .unwrap_or_else(|e| panic!("sort (pipeline={pipeline} depth={depth}) failed: {e}"));
-        let stats = a.stats();
-        let out = read_run(&mut a, &run).unwrap();
-        let trace = a.take_trace();
-        check_trace(geom, &trace)
-            .unwrap_or_else(|v| panic!("violation (pipeline={pipeline} depth={depth}): {v}"));
-        check_stats(&trace, &a.stats())
-            .unwrap_or_else(|v| panic!("stats drift (pipeline={pipeline} depth={depth}): {v}"));
+        let (outcome, a) = srm_outcome(common::Probe::new(stack), SrmConfig::default(), &data, w);
         let watch = a.inner();
-        (encode_all(&out), stats, watch.tickets, watch.pending)
-    };
-
-    let (serial_out, serial_io, serial_tickets, _) = drive(false, 0, "serial");
-    assert_eq!(serial_tickets, 0, "the serial engine never splits an operation");
-    assert!(serial_io.total_retries() > 0, "the fault rate must bite");
-    assert!(serial_io.parity_writes > 0);
-    for depth in [0usize, 3] {
-        let (out, io, tickets, pending) = drive(true, depth, &format!("pipe-{depth}"));
-        assert_eq!(out, serial_out, "depth {depth}: output must be byte-identical");
-        assert_eq!(io, serial_io, "depth {depth}: IoStats must be identical");
-        assert!(tickets > 0, "depth {depth}: the pipelined engine must split its operations");
-        assert_eq!(pending, tickets, "depth {depth}: a wrapper completed an operation inside its submit");
-    }
-    let mut sorted = data.clone();
-    sorted.sort();
-    assert_eq!(serial_out, encode_all(&sorted), "output must be sorted");
+        assert!(watch.tickets > 0, "{w:?}: every scheduled operation is split-phase");
+        assert_eq!(watch.outstanding, 0, "{w:?}: a ticket was never completed");
+        if w.pipeline {
+            assert!(watch.overlapped > 0, "{w:?}: the window must keep tickets in flight");
+            assert_eq!(
+                watch.pending, watch.tickets,
+                "{w:?}: a wrapper completed an operation inside its submit"
+            );
+        } else {
+            assert_eq!(watch.overlapped, 0, "{w:?}: a ticket was outstanding at the next operation");
+            assert!(!watch.log.borrow().contains("prefetch"), "{w:?}: window 0 sends no hints");
+            assert!(outcome.1.total_retries() > 0, "the fault rate must bite");
+            assert!(outcome.1.parity_writes > 0);
+        }
+        outcome
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A sort that crashes at a pass boundary and resumes from its manifest
-/// must agree across engines *per session*: same crash point, same
+/// must agree across windows *per session*: same crash point, same
 /// resumed schedule, same final bytes, same combined stats — and every
 /// session's trace replays clean.
 #[test]
@@ -295,62 +303,49 @@ fn checkpoint_resume_equivalent() {
     let data = random_records(3000, 0xE7);
     let dir = unique_dir("resume");
 
-    let run = |pipeline: bool| -> (Vec<u8>, IoStats) {
-        let manifest = dir.join(format!("pipe-{pipeline}.manifest"));
+    assert_window_invariant("resume", &data, |w| {
+        let manifest = dir.join(format!("{}.manifest", w.slug()));
         let mut a = TracingDiskArray::new(MemDiskArray::<U64Record>::new(geom));
         let input = write_unsorted_input(&mut a, &data).unwrap();
 
         // Session 1: crash after merge pass 1 completes.
-        let sorter = SrmSorter::default().with_pipeline(pipeline);
+        let sorter = w.srm(SrmConfig::default());
         let crashed = sorter.sort_observed(&mut a, &input, Some(&manifest), |pass, _| {
             if pass == 1 {
                 return Err(SrmError::Internal("simulated crash".into()));
             }
             Ok(())
         });
-        assert!(crashed.is_err(), "session 1 (pipeline={pipeline}) must crash");
+        assert!(crashed.is_err(), "session 1 ({w:?}) must crash");
         let first = a.take_trace();
-        check_trace(geom, &first)
-            .unwrap_or_else(|v| panic!("session 1 violation (pipeline={pipeline}): {v}"));
+        check_trace(geom, &first).unwrap_or_else(|v| panic!("session 1 violation ({w:?}): {v}"));
 
         // Session 2: resume from the manifest and finish.
         let (run, _) = sorter.sort_checkpointed(&mut a, &input, &manifest).unwrap();
         let stats = a.stats();
         let out = read_run(&mut a, &run).unwrap();
         let second = a.take_trace();
-        check_trace(geom, &second)
-            .unwrap_or_else(|v| panic!("session 2 violation (pipeline={pipeline}): {v}"));
+        check_trace(geom, &second).unwrap_or_else(|v| panic!("session 2 violation ({w:?}): {v}"));
         let mut all = first;
         all.extend(second);
-        check_stats(&all, &a.stats())
-            .unwrap_or_else(|v| panic!("stats drift (pipeline={pipeline}): {v}"));
+        check_stats(&all, &a.stats()).unwrap_or_else(|v| panic!("stats drift ({w:?}): {v}"));
         (encode_all(&out), stats)
-    };
-
-    let (serial_out, serial_io) = run(false);
-    let (pipe_out, pipe_io) = run(true);
-    assert_eq!(serial_out, pipe_out, "resume: output must be byte-identical");
-    assert_eq!(serial_io, pipe_io, "resume: combined IoStats must be identical");
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// DSM counterpart of [`srm_outcome`]: sort, model-check the trace,
-/// return bytes + pre-verification stats.
-fn dsm_outcome<A: DiskArray<U64Record>>(
-    inner: A,
-    data: &[U64Record],
-    pipeline: bool,
-) -> (Vec<u8>, IoStats) {
+/// DSM counterpart of [`srm_outcome`] (DSM has no read-ahead depth, so
+/// the pipelined windows of the sweep coincide for it).
+fn dsm_outcome<A: DiskArray<U64Record>>(inner: A, data: &[U64Record], w: Window) -> Outcome {
     let mut a = TracingDiskArray::new(inner);
     let geom = a.geometry();
     let input = write_unsorted_stripes(&mut a, data).unwrap();
-    let (run, _) = DsmSorter::default().with_pipeline(pipeline).sort(&mut a, &input).unwrap();
+    let (run, _) = DsmSorter::default().with_pipeline(w.pipeline).sort(&mut a, &input).unwrap();
     let stats = a.stats();
     let out = read_logical_run(&mut a, &run).unwrap();
     let trace = a.take_trace();
-    check_trace(geom, &trace).unwrap_or_else(|v| panic!("dsm violation (pipeline={pipeline}): {v}"));
-    check_stats(&trace, &a.stats())
-        .unwrap_or_else(|v| panic!("dsm stats drift (pipeline={pipeline}): {v}"));
+    check_trace(geom, &trace).unwrap_or_else(|v| panic!("dsm violation ({w:?}): {v}"));
+    check_stats(&trace, &a.stats()).unwrap_or_else(|v| panic!("dsm stats drift ({w:?}): {v}"));
     (encode_all(&out), stats)
 }
 
@@ -360,15 +355,11 @@ fn dsm_equivalent() {
     // contract, healthy and under parity.
     let geom = Geometry::new(3, 4, 120).unwrap();
     let data = random_records(3000, 0xE8);
-
-    let (serial_out, serial_io) = dsm_outcome(MemDiskArray::<U64Record>::new(geom), &data, false);
-    let (pipe_out, pipe_io) = dsm_outcome(MemDiskArray::<U64Record>::new(geom), &data, true);
-    assert_eq!(serial_out, pipe_out, "dsm healthy: output must be byte-identical");
-    assert_eq!(serial_io, pipe_io, "dsm healthy: IoStats must be identical");
-
-    let mk = || ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap();
-    let (serial_out, serial_io) = dsm_outcome(mk(), &data, false);
-    let (pipe_out, pipe_io) = dsm_outcome(mk(), &data, true);
-    assert_eq!(serial_out, pipe_out, "dsm parity: output must be byte-identical");
-    assert_eq!(serial_io, pipe_io, "dsm parity: IoStats must be identical");
+    assert_window_invariant("dsm healthy", &data, |w| {
+        dsm_outcome(MemDiskArray::<U64Record>::new(geom), &data, w)
+    });
+    assert_window_invariant("dsm parity", &data, |w| {
+        let parity = ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap();
+        dsm_outcome(parity, &data, w)
+    });
 }
