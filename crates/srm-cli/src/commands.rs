@@ -186,8 +186,10 @@ USAGE:
       Distributed sort that survives node death: a coordinator samples
       P-1 splitters, routes records to P shard nodes over a
       fault-injectable message channel, each shard runs a checkpointed
-      SRM sort over its own disk cluster (traces model-checked), and a
-      striped cross-shard merge produces the global output.  Shards are
+      SRM sort over its own disk cluster (traces model-checked), and
+      the coordinator concatenates the shards' runs in splitter order,
+      fetched in stripe-wide windows with one request always in flight,
+      into the striped global output.  Shards are
       threads by default; --procs spawns real `srm` child processes so
       the node-death drill is a genuine SIGKILL.  A heartbeat failure
       detector (--heartbeat-ms / --timeout-ms) declares silent nodes
@@ -195,11 +197,11 @@ USAGE:
       messages are discarded), and boots a replacement that resumes
       from the shard's last checkpoint manifest.  --kill-node S@PASS is
       the drill: kill shard S at pass boundary PASS (or S@merge:K after
-      K merge blocks served); with --parity, --corrupt-disk D also
-      trashes disk D of the victim's cluster so the replacement must
-      rebuild from parity before resuming.  The merge degrades
-      gracefully: it stalls on a dead shard and resumes when the
-      replacement serves again.  --net-* and --partition inject seeded
+      it has served K stripe-wide output windows, K=0 being before the
+      first); with --parity, --corrupt-disk D also trashes disk D of the
+      victim's cluster so the replacement must rebuild from parity
+      before resuming.  The output stream degrades gracefully: it stalls
+      on a dead shard and resumes when the replacement serves again.  --net-* and --partition inject seeded
       channel faults (drop/duplicate/delay/partition windows).  The
       final digest is checked against a centrally sorted oracle; any
       mismatch exits nonzero.
@@ -1440,6 +1442,11 @@ pub fn distsort(argv: &[String]) -> i32 {
                 shard.repaired
             );
         }
+        let ph = report.phase_ms;
+        println!(
+            "  phases: split {} ms, shards {} ms, merge {} ms ({} ms waiting on a window)",
+            ph.split, ph.shards, ph.merge, ph.merge_wait
+        );
         println!(
             "  recoveries: {} total, merge stalls: {}, recovery wall-clock: {:?} ms",
             report.recoveries, report.merge_stalls, report.recovery_ms

@@ -18,7 +18,8 @@
 use crate::key::RunId;
 use pdisk::trace::TraceEvent;
 use pdisk::{
-    Block, DiskArray, DiskId, Forecast, Geometry, PdiskError, Record, StripedRun, WriteTicket,
+    Block, BlockAddr, DiskArray, DiskId, Forecast, Geometry, PdiskError, Record, StripedRun,
+    WriteTicket,
 };
 use pdisk::block::NO_BLOCK;
 use std::collections::VecDeque;
@@ -274,22 +275,31 @@ impl<R: Record> RunWriter<R> {
     }
 }
 
+/// The parallel reads that fetch `blocks` of `run` in order: consecutive
+/// groups of at most `d` blocks, which the cyclic striping puts on `d`
+/// distinct disks, so each group is one legal parallel I/O.
+pub fn stripe_reads(
+    run: &StripedRun,
+    d: usize,
+    blocks: std::ops::Range<u64>,
+) -> impl Iterator<Item = Vec<BlockAddr>> + '_ {
+    let end = blocks.end.min(run.len_blocks);
+    (blocks.start..end)
+        .step_by(d.max(1))
+        .map(move |lo| (lo..(lo + d as u64).min(end)).map(|j| run.addr_of(j)).collect())
+}
+
 /// Read a whole run back in stripe-sized parallel reads (a verification /
 /// utility path, also used by examples).  Returns the records in order.
 pub fn read_run<R: Record, A: DiskArray<R>>(
     array: &mut A,
     run: &StripedRun,
 ) -> Result<Vec<R>, PdiskError> {
-    let d = array.geometry().d as u64;
     let mut out = Vec::with_capacity(run.records as usize);
-    let mut i = 0u64;
-    while i < run.len_blocks {
-        let hi = (i + d).min(run.len_blocks);
-        let addrs: Vec<_> = (i..hi).map(|j| run.addr_of(j)).collect();
+    for addrs in stripe_reads(run, array.geometry().d, 0..run.len_blocks) {
         for block in array.read(&addrs)? {
             out.extend(block.records);
         }
-        i = hi;
     }
     Ok(out)
 }

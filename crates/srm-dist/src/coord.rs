@@ -1,6 +1,6 @@
 //! The coordinator: splitter sampling, record routing, heartbeat failure
 //! detection, fence-and-respawn recovery, and the degraded cross-shard
-//! merge.
+//! output stream.
 //!
 //! The protocol has three phases:
 //!
@@ -11,30 +11,29 @@
 //!    before acknowledging, so staging survives any channel fault.
 //! 2. **Sorting** — each shard runs an ordinary checkpointed SRM sort on
 //!    its own disk cluster; the coordinator just watches heartbeats.
-//! 3. **Merging** — a striped k-way merge over block RPCs against the
-//!    shards' sorted runs, written through [`srm_core::RunWriter`] to
-//!    the coordinator's own output cluster.
+//! 3. **Streaming out** — the shards' sorted runs concatenated in
+//!    splitter order ([`crate::concat`]), fetched in stripe-wide windows
+//!    with one request always in flight, written through
+//!    [`srm_core::RunWriter`] to the coordinator's own output cluster.
 //!
 //! The whole time, a heartbeat failure detector watches every shard.  A
 //! silent shard is declared dead, **fenced** (its storage refuses all
 //! further I/O and its epoch is retired), and replaced by a fresh
 //! instance booted on the same durable directory — which resumes from
 //! the journaled checkpoint (rebuilding lost blocks from parity first
-//! when `--parity` is on).  The merge does not abort while this happens:
-//! it *stalls* on the dead shard's stream and resumes when the
+//! when `--parity` is on).  The stream does not abort while this
+//! happens: it *stalls* on the dead shard's window and resumes when the
 //! replacement starts serving, so a node death degrades throughput, not
 //! correctness.
 
+use crate::concat::{concat_output, window_blocks, WindowSource};
 use crate::error::{DistError, Result};
 use crate::msg::{Envelope, Msg};
 use crate::net::{Endpoint, NetStats, Network};
 use crate::shard::{run_shard, KillPoint, ShardPlan};
 use crate::split::{route, sample_splitters};
-use pdisk::{DiskArray, DiskId, FileDiskArray, NetFaultModel, RetryPolicy, U64Record};
-use srm_core::RunWriter;
+use pdisk::{NetFaultModel, RetryPolicy, U64Record};
 use srm_server::{expected_digest, generate_records, JobSpec};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,7 +53,7 @@ pub struct KillPlan {
 }
 
 /// Parse a `--kill-node` spec: `N@PASS`, `N@merge`, or `N@merge:K`
-/// (die after serving `K` merge block requests; default 1).
+/// (die after serving `K` output windows; default 1).
 pub fn parse_kill_node(s: &str) -> Result<KillPlan> {
     let bad = || DistError::Config(format!("bad --kill-node `{s}` (want N@PASS or N@merge[:K])"));
     let (shard, point) = s.split_once('@').ok_or_else(bad)?;
@@ -87,7 +86,7 @@ pub struct DistConfig {
     pub timeout: Duration,
     /// How long one RPC attempt waits before retrying.
     pub rpc_timeout: Duration,
-    /// Retry schedule for staging batches and merge block RPCs
+    /// Retry schedule for staging batches and output-window RPCs
     /// (attempt count, exponential backoff, jitter).
     pub retry: RetryPolicy,
     /// Channel fault regime (drops, delays, duplicates, partitions).
@@ -190,6 +189,21 @@ pub struct ShardReport {
     pub recoveries: u32,
 }
 
+/// Where a distributed sort's wall-clock went, in milliseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseMs {
+    /// Generate, sample splitters, route.
+    pub split: u64,
+    /// Spawning the shards until the last one reported its sort done
+    /// (staging included).
+    pub shards: u64,
+    /// The cross-shard output stream, start to synced output.
+    pub merge: u64,
+    /// The part of `merge` spent blocked on a window that had not
+    /// arrived yet.
+    pub merge_wait: u64,
+}
+
 /// What a distributed sort did.
 #[derive(Debug, Clone)]
 pub struct DistReport {
@@ -215,14 +229,78 @@ pub struct DistReport {
     pub net: NetStats,
     /// End-to-end wall-clock.
     pub elapsed_ms: u64,
+    /// The same wall-clock, by phase.
+    pub phase_ms: PhaseMs,
+}
+
+/// Stop-and-wait retransmission state of one outstanding request.
+struct Resend {
+    attempts: u32,
+    sent_at: Instant,
+    wait: Duration,
+}
+
+/// What an outstanding request needs now.
+enum Due {
+    NotYet,
+    /// Send it again (the attempt is already counted).
+    Resend,
+    /// The retry budget is spent: escalate to the failure detector.
+    Exhausted,
+}
+
+impl Resend {
+    fn new(cfg: &DistConfig) -> Self {
+        Resend {
+            attempts: 1,
+            sent_at: Instant::now(),
+            wait: cfg.rpc_timeout,
+        }
+    }
+
+    /// Advance the schedule to `now`: each retransmission waits the RPC
+    /// timeout plus a jittered exponential backoff.
+    fn poll(&mut self, now: Instant, cfg: &DistConfig, nonce: u64) -> Due {
+        if now.duration_since(self.sent_at) <= self.wait {
+            return Due::NotYet;
+        }
+        if self.attempts >= cfg.retry.max_attempts {
+            return Due::Exhausted;
+        }
+        self.attempts += 1;
+        self.sent_at = now;
+        self.wait = cfg.rpc_timeout + cfg.retry.jittered_backoff(self.attempts, nonce);
+        Due::Resend
+    }
 }
 
 /// A shard's staging progress (stop-and-wait, one batch in flight).
 struct StageProgress {
     next: usize,
-    attempts: u32,
-    sent_at: Instant,
-    wait: Duration,
+    resend: Resend,
+}
+
+/// The output stream's one outstanding window request.
+struct Fetch {
+    shard: usize,
+    first: u64,
+    resend: Resend,
+    /// Recoveries this window has stalled through.
+    rounds: u32,
+    /// The window's keys, once a matching reply has been adopted.
+    reply: Option<Vec<u64>>,
+}
+
+impl Fetch {
+    /// Adopt `keys` if they answer this request and nothing has yet: a
+    /// duplicate, or a reply to a window already drained, is refused.
+    fn adopt(&mut self, shard: usize, first: u64, keys: Vec<u64>) -> bool {
+        let fresh = self.shard == shard && self.first == first && self.reply.is_none();
+        if fresh {
+            self.reply = Some(keys);
+        }
+        fresh
+    }
 }
 
 /// Where a shard is in its lifecycle, as the coordinator sees it.
@@ -233,14 +311,8 @@ enum Phase {
     Staging(StageProgress),
     /// It has its input and is sorting.
     Sorting,
-    /// Its sort is done and it is serving merge reads.
+    /// Its sort is done and it is serving output windows.
     Done,
-}
-
-/// A shard's `SortDone` facts the merge needs.
-#[derive(Clone, Copy)]
-struct DoneInfo {
-    blocks: u64,
 }
 
 /// Coordinator-side state of one node slot.
@@ -249,7 +321,6 @@ struct Node {
     fence: FenceFlag,
     last_seen: Instant,
     phase: Phase,
-    done: Option<DoneInfo>,
     report: ShardReport,
     recovery_started: Option<Instant>,
     handles: Vec<JoinHandle<()>>,
@@ -269,6 +340,7 @@ struct Coordinator<'a> {
     merge_stalls: u64,
     recovery_ms: Vec<u64>,
     rpc_nonce: u64,
+    fetch: Option<Fetch>,
 }
 
 /// Run a full distributed sort of `spec` across `cfg.shards` simulated
@@ -279,16 +351,35 @@ pub fn distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<DistRep
     cfg.validate()?;
     spec.validate()?;
     let started = Instant::now();
+    let (splitters, buckets) = split_input(spec, cfg.shards);
+    let split = started.elapsed();
+    let mut report = distsort_routed(spec, cfg, root, splitters, buckets)?;
+    report.phase_ms.split = split.as_millis() as u64;
+    report.elapsed_ms = started.elapsed().as_millis() as u64;
+    Ok(report)
+}
+
+/// Phase 0, shared by both modes: generate, sample, route.  Splitters
+/// are a pure function of (spec, P), so any replacement re-staged later
+/// gets the same partition the failure-free run would have.
+pub(crate) fn split_input(spec: &JobSpec, shards: u32) -> (Vec<u64>, Vec<Vec<u64>>) {
+    let records = generate_records(spec.records, spec.seed);
+    let splitters = sample_splitters(&records, shards, spec.seed);
+    let buckets = route(&records, &splitters, shards);
+    (splitters, buckets)
+}
+
+/// Everything after the split: stage `buckets[s]` to shard `s`, sort,
+/// stream out.
+fn distsort_routed(
+    spec: &JobSpec,
+    cfg: &DistConfig,
+    root: &Path,
+    splitters: Vec<u64>,
+    buckets: Vec<Vec<u64>>,
+) -> Result<DistReport> {
     std::fs::create_dir_all(root)
         .map_err(|e| DistError::Io(format!("create {}: {e}", root.display())))?;
-
-    // Phase 0: generate, sample, route.  Splitters are a pure function
-    // of (spec, P), so any replacement re-staged later gets the same
-    // partition the failure-free run would have.
-    let records = generate_records(spec.records, spec.seed);
-    let splitters = sample_splitters(&records, cfg.shards, spec.seed);
-    let buckets = route(&records, &splitters, cfg.shards);
-    drop(records);
     let batches: Vec<Vec<Vec<u64>>> = buckets
         .into_iter()
         .map(|bucket| {
@@ -319,6 +410,7 @@ pub fn distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<DistRep
         merge_stalls: 0,
         recovery_ms: Vec::new(),
         rpc_nonce: 0,
+        fetch: None,
     };
 
     // Phase 1+2: spawn every shard (the drill target armed), then drive
@@ -336,7 +428,6 @@ pub fn distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<DistRep
             fence,
             last_seen: now,
             phase: Phase::Waiting,
-            done: None,
             report: ShardReport::default(),
             recovery_started: None,
             handles: vec![handle],
@@ -345,9 +436,7 @@ pub fn distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<DistRep
 
     let result = coord.run();
     coord.shutdown();
-    let mut report = result?;
-    report.elapsed_ms = started.elapsed().as_millis() as u64;
-    Ok(report)
+    result
 }
 
 /// Build shard `shard`'s plan — THE one derivation both the thread-mode
@@ -419,22 +508,34 @@ impl Coordinator<'_> {
     }
 
     fn run(&mut self) -> Result<DistReport> {
+        let spawned = Instant::now();
         self.await_all_done()?;
-        let (digest, out_records) = self.merge()?;
-        let oracle = expected_digest(self.spec);
+        let shards = spawned.elapsed();
+        let blocks: Vec<u64> = self.nodes.iter().map(|n| n.report.blocks).collect();
+        let (geom, root) = (self.geom, self.root.clone());
+        let out = concat_output(geom, &root, &blocks, self)?;
+        let merge = spawned.elapsed() - shards;
         let per_shard: Vec<ShardReport> = self.nodes.iter().map(|n| n.report.clone()).collect();
         Ok(DistReport {
-            records: out_records,
+            records: out.records,
             shards: self.cfg.shards,
             splitters: std::mem::take(&mut self.splitters),
-            digest,
-            oracle_ok: digest == oracle && out_records == self.spec.records,
+            digest: out.digest,
+            oracle_ok: out.digest == expected_digest(self.spec) && out.records == self.spec.records,
             per_shard,
             recoveries: self.recoveries,
             merge_stalls: self.merge_stalls,
             recovery_ms: std::mem::take(&mut self.recovery_ms),
             net: self.net.stats(),
             elapsed_ms: 0,
+            // `split` happened before this coordinator existed: the
+            // caller fills it in, like `elapsed_ms`.
+            phase_ms: PhaseMs {
+                shards: shards.as_millis() as u64,
+                merge: merge.as_millis() as u64,
+                merge_wait: out.wait.as_millis() as u64,
+                ..PhaseMs::default()
+            },
         })
     }
 
@@ -470,9 +571,7 @@ impl Coordinator<'_> {
                     if needs_input {
                         self.nodes[s].phase = Phase::Staging(StageProgress {
                             next: 0,
-                            attempts: 1,
-                            sent_at: Instant::now(),
-                            wait: self.cfg.rpc_timeout,
+                            resend: Resend::new(self.cfg),
                         });
                         self.send_batch(s, 0);
                     } else {
@@ -484,14 +583,11 @@ impl Coordinator<'_> {
             }
             Msg::StageAck { seq } => {
                 let total = self.batches[s].len();
-                let rpc_timeout = self.cfg.rpc_timeout;
                 let mut advance = None;
                 if let Phase::Staging(p) = &mut self.nodes[s].phase {
                     if seq as usize == p.next {
                         p.next += 1;
-                        p.attempts = 1;
-                        p.wait = rpc_timeout;
-                        p.sent_at = Instant::now();
+                        p.resend = Resend::new(self.cfg);
                         advance = Some(p.next);
                     }
                 }
@@ -516,7 +612,6 @@ impl Coordinator<'_> {
                 repaired,
             } => {
                 let node = &mut self.nodes[s];
-                node.done = Some(DoneInfo { blocks });
                 node.report.records = records;
                 node.report.blocks = blocks;
                 node.report.passes = passes;
@@ -535,13 +630,21 @@ impl Coordinator<'_> {
                     msg,
                 });
             }
-            // Heartbeat already bumped last_seen; Pass is progress-only;
-            // BlockData outside an RPC wait is a late duplicate.
-            Msg::Heartbeat | Msg::Pass { .. } | Msg::BlockData { .. } => {}
+            // The stream's outstanding request adopts the window that
+            // answers it, whenever it arrives; anything else (a
+            // duplicate, a window already drained) carries bytes the
+            // stream has seen and is dropped.
+            Msg::BlockData { first, keys, .. } => {
+                if let Some(fetch) = &mut self.fetch {
+                    fetch.adopt(s, first, keys);
+                }
+            }
+            // Heartbeat already bumped last_seen; Pass is progress-only.
+            Msg::Heartbeat | Msg::Pass { .. } => {}
             // Shard-bound kinds cannot arrive on the coordinator's
             // mailbox; named rather than wildcarded so the protocol
             // pass proves no shard message is ever silently swallowed.
-            Msg::Stage { .. } | Msg::ReadBlock { .. } | Msg::Shutdown => {}
+            Msg::Stage { .. } | Msg::ReadBlocks { .. } | Msg::Shutdown => {}
         }
         Ok(())
     }
@@ -574,31 +677,14 @@ impl Coordinator<'_> {
                 continue;
             }
             // Stop-and-wait retransmission with backoff + jitter.
-            let cfg_retry = self.cfg.retry;
-            let rpc_timeout = self.cfg.rpc_timeout;
             self.rpc_nonce += 1;
-            let nonce = self.rpc_nonce;
-            let mut exhausted = false;
-            let mut resend = None;
             if let Phase::Staging(p) = &mut self.nodes[s].phase {
-                if now.duration_since(p.sent_at) > p.wait {
-                    if p.attempts >= cfg_retry.max_attempts {
-                        // Retries exhausted: escalate to the detector.
-                        exhausted = true;
-                    } else {
-                        p.attempts += 1;
-                        p.sent_at = now;
-                        p.wait = rpc_timeout + cfg_retry.jittered_backoff(p.attempts, nonce);
-                        resend = Some(p.next);
-                    }
+                let seq = p.next;
+                match p.resend.poll(now, self.cfg, self.rpc_nonce) {
+                    Due::NotYet => {}
+                    Due::Resend => self.send_batch(s, seq),
+                    Due::Exhausted => self.recover(s)?,
                 }
-            }
-            if exhausted {
-                self.recover(s)?;
-                continue;
-            }
-            if let Some(seq) = resend {
-                self.send_batch(s, seq);
             }
         }
         Ok(())
@@ -644,7 +730,6 @@ impl Coordinator<'_> {
         node.handles.push(handle);
         node.last_seen = Instant::now();
         node.phase = Phase::Waiting;
-        node.done = None;
         if node.recovery_started.is_none() {
             node.recovery_started = Some(Instant::now());
         }
@@ -672,138 +757,20 @@ impl Coordinator<'_> {
         }
     }
 
-    /// Fetch one block of shard `s`'s sorted run, stalling through node
-    /// deaths: bounded retries per attempt round, and when a round is
-    /// exhausted the shard is declared dead, replaced, and the fetch
-    /// resumes against the replacement.
-    fn fetch_block(&mut self, s: usize, block: u64) -> Result<Vec<u64>> {
-        let mut rounds = 0u32;
-        loop {
-            for attempt in 1..=self.cfg.retry.max_attempts {
-                self.rpc_nonce += 1;
-                let req = self.rpc_nonce;
-                self.ep
-                    .send(s as u32, self.nodes[s].epoch, Msg::ReadBlock { req, block });
-                let deadline = Instant::now() + self.cfg.rpc_timeout;
-                while Instant::now() < deadline {
-                    if let Some(env) = self.ep.recv_timeout(self.cfg.heartbeat) {
-                        // Accept any reply for this (shard, block) at the
-                        // current epoch — a duplicate of an earlier
-                        // request carries identical bytes.
-                        if env.src == s as u32 && env.epoch == self.nodes[s].epoch {
-                            if let Msg::BlockData {
-                                block: b, keys, ..
-                            } = &env.msg
-                            {
-                                if *b == block {
-                                    self.nodes[s].last_seen = Instant::now();
-                                    return Ok(keys.clone());
-                                }
-                            }
-                        }
-                        self.handle(env)?;
-                    }
-                    self.tick()?;
-                    // tick() may have recovered shard s (its heartbeats
-                    // stopped); the outstanding request is then moot.
-                    if !matches!(self.nodes[s].phase, Phase::Done) {
-                        break;
-                    }
-                }
-                if !matches!(self.nodes[s].phase, Phase::Done) {
-                    break; // go stall on the replacement
-                }
-                std::thread::sleep(self.cfg.retry.jittered_backoff(attempt, self.rpc_nonce));
-            }
-            // The source is gone (or never answered a full retry round):
-            // declare it dead if the detector hasn't already, then stall
-            // until its replacement serves again.
-            self.merge_stalls += 1;
-            if matches!(self.nodes[s].phase, Phase::Done) {
-                self.recover(s)?;
-            }
-            self.await_serving(s)?;
-            rounds += 1;
-            if rounds > self.cfg.max_recoveries {
-                return Err(DistError::Shard {
-                    shard: s as u32,
-                    msg: "merge could not obtain block after repeated recoveries".into(),
-                });
-            }
-        }
-    }
-
-    /// The striped cross-shard merge: k-way over the shards' sorted
-    /// streams, one block RPC at a time, written through [`RunWriter`]
-    /// to the coordinator's own output cluster.
-    fn merge(&mut self) -> Result<(u64, u64)> {
-        struct Source {
-            blocks: u64,
-            next_block: u64,
-            buf: std::collections::VecDeque<u64>,
-        }
-        let mut sources: Vec<Source> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let blocks = n.done.map_or(0, |d| d.blocks);
-                Source {
-                    blocks,
-                    next_block: 0,
-                    buf: std::collections::VecDeque::new(),
-                }
-            })
-            .collect();
-
-        let geom = self.geom;
-        let out_dir = self.root.join("global");
-        if out_dir.exists() {
-            std::fs::remove_dir_all(&out_dir)
-                .map_err(|e| DistError::Io(format!("clear {}: {e}", out_dir.display())))?;
-        }
-        let mut out = FileDiskArray::<U64Record>::create(geom, &out_dir)?;
-        let mut writer = RunWriter::new(geom, DiskId(0));
-
-        // Prime every non-empty source, then heap-merge.
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        for (s, src) in sources.iter_mut().enumerate() {
-            if src.blocks == 0 {
-                continue;
-            }
-            let keys = self.fetch_block(s, 0)?;
-            src.next_block = 1;
-            src.buf = keys.into();
-            if let Some(&k) = src.buf.front() {
-                heap.push(Reverse((k, s)));
-            }
-        }
-
-        let mut merged = 0u64;
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a, as digest_keys
-        while let Some(Reverse((key, s))) = heap.pop() {
-            sources[s].buf.pop_front();
-            writer.push(&mut out, U64Record(key))?;
-            for byte in key.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-            merged += 1;
-            if sources[s].buf.is_empty() && sources[s].next_block < sources[s].blocks {
-                let block = sources[s].next_block;
-                let keys = self.fetch_block(s, block)?;
-                sources[s].next_block += 1;
-                sources[s].buf = keys.into();
-            }
-            if let Some(&k) = sources[s].buf.front() {
-                heap.push(Reverse((k, s)));
-            }
-        }
-
-        if merged > 0 {
-            writer.finish(&mut out)?;
-            out.sync()?;
-        }
-        Ok((hash, merged))
+    /// (Re)send the outstanding window request to its shard's current
+    /// epoch.
+    fn send_fetch(&mut self) {
+        let Some(fetch) = &self.fetch else { return };
+        self.rpc_nonce += 1;
+        self.ep.send(
+            fetch.shard as u32,
+            self.nodes[fetch.shard].epoch,
+            Msg::ReadBlocks {
+                req: self.rpc_nonce,
+                first: fetch.first,
+                count: window_blocks(self.geom),
+            },
+        );
     }
 
     /// Politely stop every shard, then force the issue via the fences
@@ -818,6 +785,72 @@ impl Coordinator<'_> {
             for h in node.handles.drain(..) {
                 let _ = h.join();
             }
+        }
+    }
+}
+
+/// Thread mode's window source: one `ReadBlocks` RPC outstanding
+/// against a serving shard, stalling through node deaths.
+impl WindowSource for Coordinator<'_> {
+    fn request(&mut self, shard: usize, first: u64) -> Result<()> {
+        self.fetch = Some(Fetch {
+            shard,
+            first,
+            resend: Resend::new(self.cfg),
+            rounds: 0,
+            reply: None,
+        });
+        self.send_fetch();
+        Ok(())
+    }
+
+    /// Bounded retries per round; when a round is exhausted — or the
+    /// detector got there first — the shard is dead: the stream stalls
+    /// until its replacement serves, then asks the replacement again.
+    fn wait(&mut self) -> Result<Vec<u64>> {
+        loop {
+            self.rpc_nonce += 1;
+            let fetch = self.fetch.as_mut().ok_or_else(|| {
+                DistError::Net("output stream waited with no window requested".into())
+            })?;
+            if let Some(keys) = fetch.reply.take() {
+                self.fetch = None;
+                return Ok(keys);
+            }
+            let s = fetch.shard;
+            let serving = matches!(self.nodes[s].phase, Phase::Done);
+            let due = if serving {
+                fetch.resend.poll(Instant::now(), self.cfg, self.rpc_nonce)
+            } else {
+                Due::Exhausted
+            };
+            match due {
+                Due::NotYet => {}
+                Due::Resend => self.send_fetch(),
+                Due::Exhausted => {
+                    fetch.rounds += 1;
+                    if fetch.rounds > self.cfg.max_recoveries {
+                        return Err(DistError::Shard {
+                            shard: s as u32,
+                            msg: "output stream could not obtain a window after repeated recoveries"
+                                .into(),
+                        });
+                    }
+                    self.merge_stalls += 1;
+                    if serving {
+                        self.recover(s)?;
+                    }
+                    self.await_serving(s)?;
+                    if let Some(fetch) = &mut self.fetch {
+                        fetch.resend = Resend::new(self.cfg);
+                    }
+                    self.send_fetch();
+                }
+            }
+            if let Some(env) = self.ep.recv_timeout(self.cfg.heartbeat) {
+                self.handle(env)?;
+            }
+            self.tick()?;
         }
     }
 }
@@ -840,5 +873,68 @@ mod tests {
         assert!(plan.sorter.pipeline());
         assert_eq!(plan.sorter.read_ahead(), 3);
         assert_ne!(plan.sorter.config().seed, spec.seed);
+    }
+
+    /// A reply is adopted by the request it answers, once: duplicates
+    /// and replies to other windows never reach the stream.
+    #[test]
+    fn the_outstanding_request_adopts_its_reply_exactly_once() {
+        let cfg = DistConfig::new(2);
+        let mut fetch = Fetch { shard: 1, first: 30, resend: Resend::new(&cfg), rounds: 0, reply: None };
+        assert!(!fetch.adopt(0, 30, vec![9]), "another shard's window");
+        assert!(!fetch.adopt(1, 0, vec![9]), "a window already drained");
+        assert!(!fetch.adopt(1, 60, vec![9]), "a window not yet asked for");
+        assert!(fetch.adopt(1, 30, vec![1, 2]));
+        assert!(!fetch.adopt(1, 30, vec![9]), "a duplicate of the adopted reply");
+        assert_eq!(fetch.reply, Some(vec![1, 2]));
+    }
+
+    fn small_spec() -> JobSpec {
+        JobSpec { records: 3_000, seed: 0x0DD_BA11, d: 3, b: 16, m: 512, ..JobSpec::default() }
+    }
+
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("srm-dist-coord-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Swap two shards' partitions: every shard still sorts cleanly, but
+    /// the runs no longer ascend in splitter order — the stream must
+    /// refuse with the typed order error rather than write (and digest)
+    /// a mis-ordered output.
+    #[test]
+    fn swapped_partitions_fail_the_order_check() {
+        let (spec, cfg, dir) = (small_spec(), DistConfig::new(3), scratch("swap"));
+        let (splitters, mut buckets) = split_input(&spec, cfg.shards);
+        buckets.swap(0, 1);
+        let err = distsort_routed(&spec, &cfg, &dir, splitters.clone(), buckets).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        match err {
+            DistError::Order { shard: 1, first: 0, key, prev } => {
+                assert!(key < splitters[0] && prev >= splitters[0], "{key:#x} after {prev:#x}");
+            }
+            other => panic!("want the typed order error, got {other}"),
+        }
+    }
+
+    /// Splitters that coincide (as they do when P exceeds the number of
+    /// distinct keys) leave the first and the middle shards empty: the
+    /// in-flight slot must pass over them without a stall.
+    #[test]
+    fn empty_leading_and_middle_shards_are_skipped() {
+        let (spec, cfg, dir) = (small_spec(), DistConfig::new(5), scratch("holes"));
+        let records = generate_records(spec.records, spec.seed);
+        let splitters = vec![0, 1 << 63, 1 << 63, 1 << 63];
+        let buckets = route(&records, &splitters, cfg.shards);
+        assert_eq!(
+            buckets.iter().map(|b| b.is_empty()).collect::<Vec<_>>(),
+            [true, false, true, true, false]
+        );
+        let report = distsort_routed(&spec, &cfg, &dir, splitters, buckets).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.oracle_ok);
+        assert_eq!(report.records, spec.records);
+        assert_eq!((report.merge_stalls, report.recoveries), (0, 0));
     }
 }

@@ -31,6 +31,19 @@ pub enum DistError {
     Io(String),
     /// A shard's trace violated the model checker's invariants.
     Model(String),
+    /// The cross-shard stream met a key below its predecessor: the
+    /// shards' runs are not range-disjoint in splitter order (a record
+    /// was routed to the wrong shard, or a window arrived out of turn).
+    Order {
+        /// The shard whose window held the offending key.
+        shard: u32,
+        /// First block of that window.
+        first: u64,
+        /// The offending key.
+        key: u64,
+        /// The key written just before it.
+        prev: u64,
+    },
 }
 
 impl std::fmt::Display for DistError {
@@ -44,6 +57,11 @@ impl std::fmt::Display for DistError {
             DistError::Job(e) => write!(f, "job error: {e}"),
             DistError::Io(m) => write!(f, "i/o error: {m}"),
             DistError::Model(m) => write!(f, "model-rule violation: {m}"),
+            DistError::Order { shard, first, key, prev } => write!(
+                f,
+                "output order violated: shard {shard}'s window at block {first} holds key \
+                 {key:#x} after {prev:#x}"
+            ),
         }
     }
 }

@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod concat;
 pub mod coord;
 pub mod error;
 pub mod fence;
@@ -42,7 +43,9 @@ pub mod procs;
 pub mod shard;
 pub mod split;
 
-pub use coord::{distsort, parse_kill_node, DistConfig, DistReport, KillPlan, ShardReport};
+pub use coord::{
+    distsort, parse_kill_node, DistConfig, DistReport, KillPlan, PhaseMs, ShardReport,
+};
 pub use error::{DistError, Result};
 pub use fence::{FenceFlag, FencedDiskArray};
 pub use msg::{Envelope, Msg};

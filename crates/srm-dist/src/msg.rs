@@ -26,12 +26,16 @@ pub enum Msg {
         /// True on the final batch: the shard may stage and sort.
         last: bool,
     },
-    /// Request block `block` of the shard's sorted output run.
-    ReadBlock {
-        /// Request ID for reply matching and duplicate suppression.
+    /// Request one window — a whole number of stripes — of the shard's
+    /// sorted output run: blocks `first..first + count`, clamped to the
+    /// run's end.
+    ReadBlocks {
+        /// Request ID, echoed in the reply.
         req: u64,
-        /// Block index within the shard's output run.
-        block: u64,
+        /// First block of the window within the shard's output run.
+        first: u64,
+        /// Blocks in the window.
+        count: u64,
     },
     /// Finish up: the distributed sort is complete.
     Shutdown,
@@ -81,13 +85,14 @@ pub enum Msg {
         /// Blocks healed by the parity scrub during recovery.
         repaired: u64,
     },
-    /// Reply to [`Msg::ReadBlock`]: the keys of that block, in order.
+    /// Reply to [`Msg::ReadBlocks`]: the keys of that window, in order
+    /// (empty when `first` lies past the run's end).
     BlockData {
         /// Request ID being answered.
         req: u64,
-        /// Block index within the shard's output run.
-        block: u64,
-        /// The block's keys.
+        /// First block of the window being answered.
+        first: u64,
+        /// The window's keys.
         keys: Vec<u64>,
     },
     /// The shard hit an unrecoverable error.

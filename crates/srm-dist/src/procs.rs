@@ -21,23 +21,22 @@
 //! exactly like thread mode.  Any child that dies without `DONE` (drill
 //! or otherwise) is likewise replaced, up to the recovery cap.
 //!
-//! After every child reports `DONE`, the parent merges the shard outputs
-//! directly from their directories (children have exited; their clusters'
-//! advisory locks are free) into the global output run.
+//! After every child reports `DONE`, the parent streams the shard
+//! outputs out of their directories (children have exited; their
+//! clusters' advisory locks are free) through the same concatenating
+//! writer as thread mode, in the same stripe windows.
 
-use crate::coord::{plan_for, DistConfig, DistReport, KillPlan, ShardReport};
+use crate::concat::{concat_output, window_blocks, WindowSource};
+use crate::coord::{plan_for, split_input, DistConfig, DistReport, KillPlan, PhaseMs, ShardReport};
 use crate::error::{DistError, Result};
 use crate::fence::FenceFlag;
 use crate::net::NetStats;
 use crate::shard::{
-    atomic_write, inspect_dir, read_output_run, sort_shard, Boot, KillPoint, Outcome, OutputMeta,
-    ShardPlan, SortInput,
+    atomic_write, complete_window, inspect_dir, open_output_stack, sort_shard, submit_window, Boot,
+    KillPoint, Outcome, OutputMeta, ShardPlan, SortInput,
 };
-use pdisk::{DiskArray, DiskId, FileDiskArray, U64Record};
-use srm_core::RunWriter;
-use srm_server::{digest_keys, expected_digest, generate_records, JobSpec};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use pdisk::{DiskArray, ReadTicket, StripedRun, U64Record};
+use srm_server::{expected_digest, JobSpec};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -228,10 +227,8 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
     write_plan(spec, cfg, root)?;
 
     // Route each shard's partition to a durable keys file.
-    let records = generate_records(spec.records, spec.seed);
-    let splitters = crate::split::sample_splitters(&records, cfg.shards, spec.seed);
-    let buckets = crate::split::route(&records, &splitters, cfg.shards);
-    drop(records);
+    let (splitters, buckets) = split_input(spec, cfg.shards);
+    let split = started.elapsed();
     let geom = spec.geometry()?;
     for (shard, bucket) in buckets.iter().enumerate() {
         let plan = plan_for(spec, cfg, geom, root, shard as u32, None);
@@ -320,73 +317,83 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
     for child in children.iter_mut().flatten() {
         let _ = child.wait();
     }
+    let shards = started.elapsed() - split;
 
-    // Merge directly from the shard directories.
-    let mut all_keys: Vec<Vec<u64>> = Vec::with_capacity(cfg.shards as usize);
-    for shard in 0..cfg.shards {
-        let s = shard as usize;
+    // Stream the output straight from the shard directories.
+    let mut src = LocalWindows {
+        plans: Vec::new(),
+        runs: Vec::new(),
+        window: window_blocks(geom),
+        open: None,
+        tickets: Vec::new(),
+    };
+    for (shard, report) in (0..cfg.shards).zip(&mut reports) {
         let plan = plan_for(spec, cfg, geom, root, shard, None);
         let text = std::fs::read_to_string(plan.output_path()).map_err(|e| {
             DistError::Io(format!("read {}: {e}", plan.output_path().display()))
         })?;
         let meta = OutputMeta::parse(&text)?;
-        reports[s].records = meta.records;
-        reports[s].blocks = meta.run.as_ref().map_or(0, |r| r.len_blocks);
-        reports[s].passes = meta.passes;
-        reports[s].digest = meta.digest;
-        reports[s].trace_events = meta.trace_events;
-        reports[s].trace_clean = meta.trace_clean;
-        reports[s].repaired = meta.repaired;
-        match &meta.run {
-            Some(run) => {
-                let recs = read_output_run(&plan, run)?;
-                all_keys.push(recs.into_iter().map(|r| r.0).collect());
-            }
-            None => all_keys.push(Vec::new()),
-        }
+        report.records = meta.records;
+        report.blocks = meta.run.as_ref().map_or(0, |r| r.len_blocks);
+        report.passes = meta.passes;
+        report.digest = meta.digest;
+        report.trace_events = meta.trace_events;
+        report.trace_clean = meta.trace_clean;
+        report.repaired = meta.repaired;
+        src.plans.push(plan);
+        src.runs.push(meta.run);
     }
-
-    let out_dir = root.join("global");
-    if out_dir.exists() {
-        std::fs::remove_dir_all(&out_dir)
-            .map_err(|e| DistError::Io(format!("clear {}: {e}", out_dir.display())))?;
-    }
-    let mut out = FileDiskArray::<U64Record>::create(geom, &out_dir)?;
-    let mut writer = RunWriter::new(geom, DiskId(0));
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-    let mut cursors = vec![0usize; all_keys.len()];
-    for (s, keys) in all_keys.iter().enumerate() {
-        if let Some(&k) = keys.first() {
-            heap.push(Reverse((k, s)));
-        }
-    }
-    let mut merged_keys: Vec<u64> = Vec::with_capacity(spec.records as usize);
-    while let Some(Reverse((key, s))) = heap.pop() {
-        writer.push(&mut out, U64Record(key))?;
-        merged_keys.push(key);
-        cursors[s] += 1;
-        if let Some(&k) = all_keys[s].get(cursors[s]) {
-            heap.push(Reverse((k, s)));
-        }
-    }
-    if !merged_keys.is_empty() {
-        writer.finish(&mut out)?;
-        out.sync()?;
-    }
-    let digest = digest_keys(merged_keys.iter().copied());
-    let oracle = expected_digest(spec);
+    let blocks: Vec<u64> = reports.iter().map(|r| r.blocks).collect();
+    let out = concat_output(geom, root, &blocks, &mut src)?;
+    let merge = started.elapsed() - split - shards;
 
     Ok(DistReport {
-        records: merged_keys.len() as u64,
+        records: out.records,
         shards: cfg.shards,
         splitters,
-        digest,
-        oracle_ok: digest == oracle && merged_keys.len() as u64 == spec.records,
+        digest: out.digest,
+        oracle_ok: out.digest == expected_digest(spec) && out.records == spec.records,
         per_shard: reports,
         recoveries,
         merge_stalls: 0,
         recovery_ms,
         net: NetStats::default(),
         elapsed_ms: started.elapsed().as_millis() as u64,
+        phase_ms: PhaseMs {
+            split: split.as_millis() as u64,
+            shards: shards.as_millis() as u64,
+            merge: merge.as_millis() as u64,
+            merge_wait: out.wait.as_millis() as u64,
+        },
     })
+}
+
+/// Process mode's window source: the parent reads each finished
+/// shard's cluster itself, through the stack the shard's plan mandates,
+/// keeping open only the cluster the stream is currently in.
+struct LocalWindows {
+    plans: Vec<ShardPlan>,
+    runs: Vec<Option<StripedRun>>,
+    window: u64,
+    open: Option<(usize, Box<dyn DiskArray<U64Record>>)>,
+    tickets: Vec<ReadTicket<U64Record>>,
+}
+
+impl WindowSource for LocalWindows {
+    fn request(&mut self, shard: usize, first: u64) -> Result<()> {
+        if self.open.as_ref().map(|(s, _)| *s) != Some(shard) {
+            self.open = Some((shard, open_output_stack(&self.plans[shard])?));
+        }
+        if let (Some((_, array)), Some(run)) = (&mut self.open, &self.runs[shard]) {
+            self.tickets = submit_window(array.as_mut(), run, first, self.window)?;
+        }
+        Ok(())
+    }
+
+    fn wait(&mut self) -> Result<Vec<u64>> {
+        match &mut self.open {
+            Some((_, array)) => complete_window(array.as_mut(), std::mem::take(&mut self.tickets)),
+            None => Ok(Vec::new()),
+        }
+    }
 }

@@ -29,11 +29,13 @@ use crate::net::{Endpoint, NetSender};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, Geometry, Manifest as _,
-    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, StripedRun, U64Record,
+    ParityDiskArray, PdiskError, ReadTicket, RetryPolicy, RetryingDiskArray, StripedRun,
+    U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{
-    read_run, resume_point, scrub_runs, ResumePoint, SortManifest, SrmError, SrmSorter,
+    read_run, resume_point, scrub_runs, stripe_reads, ResumePoint, SortManifest, SrmError,
+    SrmSorter,
 };
 use srm_server::{digest_keys, JobRun};
 use std::io::Write as _;
@@ -53,8 +55,9 @@ pub enum KillPoint {
     /// announcing the pass but *before* the checkpoint snapshot — the
     /// most adversarial instant, since the pass's work is lost.
     Pass(u64),
-    /// Die while serving the cross-shard merge, after answering this
-    /// many block requests — forcing the merge to stall and resume.
+    /// Die while serving the cross-shard output stream, after
+    /// answering this many window requests: the next request (0 = the
+    /// first) goes unanswered, forcing the stream to stall and resume.
     Merge(u64),
 }
 
@@ -372,16 +375,43 @@ pub(crate) fn parity_stack(plan: &ShardPlan, base: FileDiskArray<U64Record>) -> 
     Ok(RetryingDiskArray::new(pa, RetryPolicy::default()))
 }
 
-/// Read a shard's finished output run through whatever stack its plan
-/// mandates (process-mode merge reads the shard directories directly).
-pub(crate) fn read_output_run(plan: &ShardPlan, run: &StripedRun) -> Result<Vec<U64Record>> {
-    if plan.parity {
-        let mut stack = parity_stack(plan, open_base(plan, false)?)?;
-        Ok(read_run(&mut stack, run)?)
+/// Reopen a finished shard's cluster through whatever read stack its
+/// plan mandates (process mode streams the shard directories directly).
+pub(crate) fn open_output_stack(plan: &ShardPlan) -> Result<Box<dyn DiskArray<U64Record>>> {
+    let base = open_base(plan, false)?;
+    Ok(if plan.parity {
+        Box::new(parity_stack(plan, base)?)
     } else {
-        let mut base = open_base(plan, false)?;
-        Ok(read_run(&mut base, run)?)
+        Box::new(base)
+    })
+}
+
+/// Start reading blocks `first..first + count` of `run`, clamped to its
+/// end: every stripe of the window is submitted (one parallel I/O each)
+/// before any is awaited, so the per-disk workers run back to back.
+pub(crate) fn submit_window<A: DiskArray<U64Record> + ?Sized>(
+    array: &mut A,
+    run: &StripedRun,
+    first: u64,
+    count: u64,
+) -> Result<Vec<ReadTicket<U64Record>>> {
+    stripe_reads(run, array.geometry().d, first..first.saturating_add(count))
+        .map(|addrs| Ok(array.submit_read(&addrs)?))
+        .collect()
+}
+
+/// Await a submitted window, stripe by stripe: its keys, in run order.
+pub(crate) fn complete_window<A: DiskArray<U64Record> + ?Sized>(
+    array: &mut A,
+    tickets: Vec<ReadTicket<U64Record>>,
+) -> Result<Vec<u64>> {
+    let mut keys = Vec::new();
+    for ticket in tickets {
+        for block in array.complete_read(ticket)? {
+            keys.extend(block.records.iter().map(|r| r.0));
+        }
     }
+    Ok(keys)
 }
 
 fn sort_instance<A: DiskArray<U64Record>>(
@@ -695,12 +725,12 @@ fn stage_loop(
                 // coordinator will retry the one we actually need.
             }
             Msg::Shutdown => return Ok(None),
-            // ReadBlock cannot arrive before staging finishes (the
+            // ReadBlocks cannot arrive before staging finishes (the
             // coordinator is still batching), and the shard-to-
             // coordinator kinds never land on a shard mailbox; named
             // rather than wildcarded so the protocol pass proves no
             // message kind is ever silently swallowed.
-            Msg::ReadBlock { .. }
+            Msg::ReadBlocks { .. }
             | Msg::Hello { .. }
             | Msg::StageAck { .. }
             | Msg::Staged { .. }
@@ -713,7 +743,7 @@ fn stage_loop(
     }
 }
 
-/// Serve the finished sort to the cross-shard merge.  Serving reopens
+/// Serve the finished sort to the cross-shard stream.  Serving reopens
 /// the cluster (the sort incarnation dropped its stack when it
 /// journaled the output) through the plan's full read stack — a parity
 /// cluster's run addresses are logical, so a bare reopen would read the
@@ -773,25 +803,22 @@ fn serve_loop<A: DiskArray<U64Record>>(
         }
         heard = true;
         match env.msg {
-            Msg::ReadBlock { req, block } => {
-                let (Some(run), Some(arr)) = (&meta.run, array.as_mut()) else {
-                    continue;
-                };
-                if block >= run.len_blocks {
-                    continue;
+            Msg::ReadBlocks { req, first, count } => {
+                if matches!(plan.kill, Some(KillPoint::Merge(after)) if served >= after) {
+                    return Ok(Exit::Killed);
                 }
-                let blocks = arr.read(&[run.addr_of(block)])?;
-                let keys: Vec<u64> = blocks
-                    .first()
-                    .map(|b| b.records.iter().map(|r| r.0).collect())
-                    .unwrap_or_default();
-                ep.send(coord, epoch, Msg::BlockData { req, block, keys });
-                served += 1;
-                if let Some(KillPoint::Merge(after)) = plan.kill {
-                    if served >= after {
-                        return Ok(Exit::Killed);
+                // A window past the run's end (or any window of an empty
+                // shard) is answered, empty: silence would read as a
+                // dead shard and cost a spurious fence-and-respawn.
+                let keys = match (&meta.run, array.as_mut()) {
+                    (Some(run), Some(arr)) => {
+                        let tickets = submit_window(arr, run, first, count)?;
+                        complete_window(arr, tickets)?
                     }
-                }
+                    _ => Vec::new(),
+                };
+                ep.send(coord, epoch, Msg::BlockData { req, first, keys });
+                served += 1;
             }
             Msg::Shutdown => return Ok(Exit::Completed),
             // A serving shard's input is already durable, so Stage is a
@@ -808,5 +835,62 @@ fn serve_loop<A: DiskArray<U64Record>>(
             | Msg::BlockData { .. }
             | Msg::Fatal { .. } => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::concat::window_blocks;
+    use crate::coord::{plan_for, DistConfig};
+    use pdisk::DiskId;
+    use srm_core::RunWriter;
+    use srm_server::JobSpec;
+
+    /// Serving an n-block run window by window costs exactly ceil(n/D)
+    /// parallel reads — only the run's last stripe may be narrow — on
+    /// the bare cluster and through the parity stack alike; a window
+    /// straddling the run's end is clamped and one past it is empty.
+    #[test]
+    fn a_served_run_costs_one_parallel_read_per_stripe() {
+        fn check<A: DiskArray<U64Record>>(mut array: A, geom: Geometry) {
+            let keys: Vec<u64> = (0..(49 * geom.b as u64 + 5)).map(|k| k * 7).collect();
+            let mut writer = RunWriter::new(geom, DiskId(1));
+            for &k in &keys {
+                writer.push(&mut array, U64Record(k)).unwrap();
+            }
+            let run = writer.finish(&mut array).unwrap();
+            assert_eq!(run.len_blocks, 50, "not a multiple of D = 3");
+            array.reset_stats();
+
+            let window = window_blocks(geom);
+            let mut served = Vec::new();
+            for first in (0..run.len_blocks).step_by(window as usize) {
+                let tickets = submit_window(&mut array, &run, first, window).unwrap();
+                assert_eq!(tickets.len() as u64, (window.min(50 - first)).div_ceil(3));
+                served.extend(complete_window(&mut array, tickets).unwrap());
+            }
+            assert_eq!(served, keys);
+            assert_eq!(array.stats().read_ops, 50u64.div_ceil(3));
+            assert_eq!(array.stats().blocks_read, 50);
+
+            let past = submit_window(&mut array, &run, 50, window).unwrap();
+            assert!(complete_window(&mut array, past).unwrap().is_empty());
+            let huge = submit_window(&mut array, &run, 48, u64::MAX).unwrap();
+            assert_eq!(complete_window(&mut array, huge).unwrap(), keys[48 * geom.b..]);
+            assert_eq!(array.stats().read_ops, 50u64.div_ceil(3) + 1);
+        }
+
+        let spec = JobSpec { d: 3, b: 16, m: 512, ..JobSpec::default() };
+        let geom = spec.geometry().unwrap();
+        let root = std::env::temp_dir().join(format!("srm-dist-window-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut plan = plan_for(&spec, &DistConfig::new(2), geom, &root, 0, None);
+        std::fs::create_dir_all(&plan.dir).unwrap();
+        check(open_base(&plan, true).unwrap(), geom);
+        plan.parity = true;
+        let base = open_base(&plan, true).unwrap();
+        check(parity_stack(&plan, base).unwrap(), geom);
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -119,22 +119,33 @@ fn node_death_matrix_is_byte_identical() {
     }
 }
 
-/// Kill a shard while it serves the cross-shard merge: the merge must
-/// stall, the replacement must come back serving, and the output must
-/// still be byte-identical.
+/// Kill a shard while it serves the cross-shard output stream: the
+/// stream must stall, the replacement must come back serving, and the
+/// output must still be byte-identical.  `Merge(K)` dies with K windows
+/// served; at m=512 a window is (512/2)/(3·16) = 5 stripes = 15 blocks,
+/// so a ~188-block shard serves 13.
 #[test]
 fn merge_survives_a_serving_node_death() {
     let p = 2;
-    let want = baseline(p);
-    let mut cfg = DistConfig::new(p);
-    cfg.kill = Some(KillPlan {
-        shard: 1,
-        point: KillPoint::Merge(2),
-    });
-    let report = run("mergekill", &cfg);
-    assert_clean(&report, want);
-    assert!(report.merge_stalls >= 1, "the merge must have stalled");
-    assert!(report.per_shard[1].recoveries >= 1);
+    let clean = run("mergekill-base", &DistConfig::new(p));
+    assert!(clean.oracle_ok && clean.recoveries == 0);
+    let windows = clean.per_shard[0].blocks.div_ceil(15);
+    assert!(windows > 3, "the drill needs a few windows per shard, got {windows}");
+    for (victim, served, what) in [
+        (1, 2, "mid-run"),
+        (0, windows - 1, "on the last window of a shard"),
+        (1, 0, "on the next shard's first window, requested while shard 0's last drains"),
+    ] {
+        let mut cfg = DistConfig::new(p);
+        cfg.kill = Some(KillPlan {
+            shard: victim,
+            point: KillPoint::Merge(served),
+        });
+        let report = run("mergekill", &cfg);
+        assert_clean(&report, clean.digest);
+        assert!(report.merge_stalls >= 1, "{what}: the stream must have stalled");
+        assert!(report.per_shard[victim as usize].recoveries >= 1, "{what}");
+    }
 }
 
 /// Kill a shard during a channel partition that also separates the
@@ -158,23 +169,29 @@ fn node_death_mid_partition_is_byte_identical() {
 
 /// A lossy, delaying, duplicating channel — no kills — must still
 /// produce the byte-identical output (false suspicions are allowed and
-/// must be harmless thanks to fencing + epochs).
+/// must be harmless thanks to fencing + epochs).  Window replies are
+/// dropped, doubled and overtaken like everything else: a run that
+/// returns at all never tripped the stream's order check, and the
+/// digest shows each window was adopted exactly once, in sequence.
 #[test]
 fn channel_faults_never_corrupt_output() {
     let p = 3;
     let want = baseline(p);
-    let mut cfg = DistConfig::new(p);
-    cfg.net = NetFaultModel::seeded(0x5EED_CAFE)
-        .with_drop_rate(0.05)
-        .with_dup_rate(0.05)
-        .with_delay_rate(0.10)
-        .with_max_delay(6);
-    let report = run("lossy", &cfg);
-    assert_clean(&report, want);
-    assert!(
-        report.net.dropped + report.net.duplicated + report.net.delayed > 0,
-        "the fault model must actually have fired"
-    );
+    for seed in [0x5EED_CAFE, 0xD0_0B1E, 0x0DD_BA11] {
+        let mut cfg = DistConfig::new(p);
+        cfg.net = NetFaultModel::seeded(seed)
+            .with_drop_rate(0.05)
+            .with_dup_rate(0.10)
+            .with_delay_rate(0.15)
+            .with_max_delay(6);
+        let report = run("lossy", &cfg);
+        assert_clean(&report, want);
+        assert!(
+            report.net.dropped > 0 && report.net.duplicated > 0 && report.net.delayed > 0,
+            "the fault model must actually have fired, got {:?}",
+            report.net
+        );
+    }
 }
 
 /// A scripted drop of a staging batch exercises the stop-and-wait
@@ -238,6 +255,27 @@ fn empty_shard_partitions_are_tolerated() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(report.oracle_ok);
     assert_eq!(report.records, 40);
+}
+
+/// The window size is derived from M; the output must not depend on
+/// it.  The smallest M SRM accepts here (two-stripe windows), the
+/// suite's 512 and a 4096 whose window swallows most of a shard all
+/// agree.
+#[test]
+fn window_size_never_leaks_into_output() {
+    let legal = |m: usize| JobSpec { m, ..spec() }.validate().is_ok();
+    let smallest = (1..512).find(|&m| legal(m)).expect("some M below 512 is legal");
+    let mut digests = Vec::new();
+    for m in [smallest, 512, 4096] {
+        let dir = scratch("msweep");
+        let report = distsort(&JobSpec { m, ..spec() }, &DistConfig::new(3), &dir)
+            .unwrap_or_else(|e| panic!("m={m}: {e}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.oracle_ok, "m={m}");
+        assert!(report.per_shard.iter().all(|s| s.trace_clean), "m={m}");
+        digests.push(report.digest);
+    }
+    assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:x?}");
 }
 
 #[test]

@@ -687,14 +687,42 @@ pub fn generate_records(records: u64, seed: u64) -> Vec<U64Record> {
 /// byte-identity fingerprint used to compare a resumed job's output
 /// against an uninterrupted run's.
 pub fn digest_keys(keys: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = KeyDigest::new();
     for k in keys {
-        for b in k.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        digest.push(k);
+    }
+    digest.finish()
+}
+
+/// [`digest_keys`] one key at a time, for a stream that is never
+/// resident as a whole (the distributed sort's concatenated output).
+#[derive(Debug, Clone, Copy)]
+pub struct KeyDigest(u64);
+
+impl KeyDigest {
+    /// The digest of the empty sequence.
+    pub fn new() -> Self {
+        KeyDigest(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Append one key.
+    pub fn push(&mut self, key: u64) {
+        for b in key.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    h
+
+    /// The digest of everything pushed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for KeyDigest {
+    fn default() -> Self {
+        KeyDigest::new()
+    }
 }
 
 /// The expected output digest of a job: generate its input, sort in

@@ -39,7 +39,7 @@ pub mod server;
 pub use drain::{DrainReport, ShutdownFlag};
 pub use job::{
     digest_keys, expected_digest, generate_records, AnyJob, DsmJob, EngineKind, JobError,
-    JobOutcome, JobRun, JobSpec, Sorter, SrmJob,
+    JobOutcome, JobRun, JobSpec, KeyDigest, Sorter, SrmJob,
 };
 pub use net::serve;
 pub use queue::Admission;
