@@ -19,20 +19,31 @@
 //! digest (the global output does not depend on the partitioning).
 //!
 //! Each P's row also carries the coordinator's phase split
-//! (`phase_ms`: split, shards, merge, merge_wait) of its fastest rep.
+//! (`phase_ms`: split, shards, merge, merge_wait) of its fastest rep,
+//! and under it what each shard's incarnation spent staging, sorting,
+//! verifying and model-checking (`shard_ms`, one entry per shard).
 //!
 //! `--assert-scaling` exits non-zero unless wall-clock improves
 //! monotonically from P=1 through P=4 *and* P=4 reaches the measured
-//! speedup floor over P=1 (2.5x; 2.0x for the small `--quick` input,
-//! whose fixed costs weigh more).  P=8 typically oversubscribes CI
-//! hosts and is reported but not gated.
+//! speedup floor over P=1: 2.1x, and 1.75x for the small `--quick`
+//! input, whose fixed costs weigh more.  The floors sit 11–12 % under
+//! the slowest of six full (2.38–2.63x) and ten `--quick`
+//! (1.97–2.23x) runs on the 2-core build host.  They are lower than
+//! the 2.5x / 2.0x held while shards sorted at window 0 because a
+//! split-phase shard made P=1 2.4x faster (2.55 s → 1.01–1.12 s) while
+//! the output stream, already at its device floor, stayed ≈ 0.13 s of
+//! every P — the same absolute saving leaves a smaller ratio.  At
+//! `--quick` size a P=2 and a P=4 run both sit on per-shard fixed costs
+//! (60 and 60–61 ms in all ten runs), so there the P=2 → 4 step may
+//! tie within 5 % instead of having to improve.  P=8 typically
+//! oversubscribes CI hosts and is reported but not gated.
 //!
 //! The recovery drill reruns P ∈ {2, 4} with `--kill-node` at the
 //! first merge-pass boundary and reports both the end-to-end overhead
 //! against the clean run and the fence-to-replacement-ready time the
 //! coordinator measured.
 
-use srm_dist::{distsort, DistConfig, DistReport, KillPlan, KillPoint, PhaseMs};
+use srm_dist::{distsort, DistConfig, DistReport, KillPlan, KillPoint, PhaseMs, ShardMs};
 use srm_server::JobSpec;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -44,6 +55,12 @@ struct Scale {
     digest: u64,
     /// Phase split of the fastest rep.
     phase_ms: PhaseMs,
+    /// Each shard's own phases in that rep.
+    shard_ms: Vec<ShardMs>,
+}
+
+fn shard_ms(report: &DistReport) -> Vec<ShardMs> {
+    report.per_shard.iter().map(|s| s.ms).collect()
 }
 
 /// One kill-drill measurement.
@@ -105,8 +122,11 @@ fn main() {
         "({} records, d={} b={} m={} per shard, {}us/block, min of {} reps)\n",
         records, spec.d, spec.b, spec.m, io_delay_us, reps
     );
-    println!("| P | wall-clock | speedup vs P=1 | efficiency | split / shards / merge (waiting) ms |");
-    println!("|---|---|---|---|---|");
+    println!(
+        "| P | wall-clock | speedup vs P=1 | efficiency | split / shards / merge (waiting) ms \
+         | slowest shard: stage / sort / verify / check ms |"
+    );
+    println!("|---|---|---|---|---|---|");
 
     // Interleave shard counts across reps (round-robin, not P-at-a-
     // time) so slow drift in host load cannot favor one P.
@@ -124,6 +144,7 @@ fn main() {
                     if report.elapsed_ms < prev.elapsed_ms {
                         prev.elapsed_ms = report.elapsed_ms;
                         prev.phase_ms = report.phase_ms;
+                        prev.shard_ms = shard_ms(&report);
                     }
                 }
                 None => {
@@ -132,6 +153,7 @@ fn main() {
                         elapsed_ms: report.elapsed_ms,
                         digest: report.digest,
                         phase_ms: report.phase_ms,
+                        shard_ms: shard_ms(&report),
                     })
                 }
             }
@@ -149,8 +171,9 @@ fn main() {
     for s in &scales {
         let speedup = t1 / s.elapsed_ms.max(1) as f64;
         let ph = s.phase_ms;
+        let slowest = |f: fn(&ShardMs) -> u64| s.shard_ms.iter().map(f).max().unwrap_or(0);
         println!(
-            "| {} | {}ms | {:.2}x | {:.0}% | {} / {} / {} ({}) |",
+            "| {} | {}ms | {:.2}x | {:.0}% | {} / {} / {} ({}) | {} / {} / {} / {} |",
             s.shards,
             s.elapsed_ms,
             speedup,
@@ -158,7 +181,11 @@ fn main() {
             ph.split,
             ph.shards,
             ph.merge,
-            ph.merge_wait
+            ph.merge_wait,
+            slowest(|m| m.stage),
+            slowest(|m| m.sort),
+            slowest(|m| m.verify),
+            slowest(|m| m.check),
         );
     }
 
@@ -215,8 +242,9 @@ fn main() {
 
     if assert_scaling {
         for pair in scales[..3].windows(2) {
+            let tie_ms = if quick && pair[0].shards > 1 { pair[0].elapsed_ms / 20 } else { 0 };
             assert!(
-                pair[1].elapsed_ms < pair[0].elapsed_ms,
+                pair[1].elapsed_ms < pair[0].elapsed_ms + tie_ms,
                 "wall-clock must improve monotonically P={} ({}ms) -> P={} ({}ms)",
                 pair[0].shards,
                 pair[0].elapsed_ms,
@@ -224,7 +252,7 @@ fn main() {
                 pair[1].elapsed_ms
             );
         }
-        let floor = if quick { 2.0 } else { 2.5 };
+        let floor = if quick { 1.75 } else { 2.1 };
         let speedup = t1 / scales[2].elapsed_ms.max(1) as f64;
         assert!(
             speedup >= floor,
@@ -282,10 +310,15 @@ fn render_json(
     s.push_str("  \"scaling\": [\n");
     for (i, sc) in scales.iter().enumerate() {
         let speedup = t1 / sc.elapsed_ms.max(1) as f64;
+        let per_shard = |f: fn(&ShardMs) -> u64| {
+            let ms: Vec<String> = sc.shard_ms.iter().map(|m| f(m).to_string()).collect();
+            ms.join(", ")
+        };
         s.push_str(&format!(
             "    {{\"shards\": {}, \"elapsed_ms\": {}, \"speedup\": {:.4}, \
              \"efficiency\": {:.4}, \"phase_ms\": {{\"split\": {}, \"shards\": {}, \
-             \"merge\": {}, \"merge_wait\": {}}}}}{}\n",
+             \"merge\": {}, \"merge_wait\": {}}},\n     \"shard_ms\": {{\"stage\": [{}], \
+             \"sort\": [{}], \"verify\": [{}], \"check\": [{}]}}}}{}\n",
             sc.shards,
             sc.elapsed_ms,
             speedup,
@@ -294,6 +327,10 @@ fn render_json(
             sc.phase_ms.shards,
             sc.phase_ms.merge,
             sc.phase_ms.merge_wait,
+            per_shard(|m| m.stage),
+            per_shard(|m| m.sort),
+            per_shard(|m| m.verify),
+            per_shard(|m| m.check),
             if i + 1 == scales.len() { "" } else { "," },
         ));
     }

@@ -18,8 +18,9 @@
 //! A trial stages the input once, then loops incarnations: each builds
 //! fresh wrappers over the surviving backend (exactly what a process
 //! restart discards and keeps), re-marks sticky state (dead disks,
-//! full disks), arms at most one crash point, and re-runs
-//! `sort_checkpointed` against the same manifest.  Typed outcomes the
+//! full disks), arms at most one crash point, re-runs
+//! `sort_checkpointed` against the same manifest and reads the output
+//! back through the same stack.  Typed outcomes the
 //! schedule explains (crash, interrupt, ENOSPC, sync failure,
 //! exhausted retries) trigger the scripted repair for that fault and
 //! another incarnation; anything else is an oracle violation.  The
@@ -450,7 +451,7 @@ fn run_trial_in(
             .srm_sorter()
             .with_crash_clock(clock.clone())
             .with_interrupt(flag.clone());
-        let result = {
+        let sorted = {
             let flag = &flag;
             let kill_fired = &mut kill_fired;
             let interrupt_fired = &mut interrupt_fired;
@@ -478,14 +479,15 @@ fn run_trial_in(
                 Ok(())
             })
         };
+        // The verification read runs under the incarnation's clock and
+        // fault model too (a crash point past a short, resumed sort's
+        // own boundaries lands here), so its failures take the same
+        // repairs: the process died verifying, and the rerun sorts again.
+        let result = sorted.and_then(|(run, _report)| Ok(read_run(&mut stack, &run)?));
 
         match result {
-            Ok((run, _report)) => {
-                let keys = read_run(&mut stack, &run)
-                    .map_err(|e| ChaosError::Io(format!("cannot read sorted output: {e}")))?
-                    .iter()
-                    .map(|r| r.0)
-                    .collect::<Vec<u64>>();
+            Ok(records) => {
+                let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
                 let trace = stack.take_trace();
                 if let Err(v) = modelcheck::check_trace(geom, &trace) {
                     outcome.violation = Some(Violation::ModelViolation(v.to_string()));

@@ -164,7 +164,11 @@ USAGE:
 
       Protocol verbs, one request per line:
         SUBMIT key=value ...   (records=N d=D b=B m=M engine=srm|dsm
-                                seed=S deadline-ms=T fault-rate=R ...)
+                                seed=S deadline-ms=T fault-rate=R
+                                pipeline=0|1 read-ahead=K ...)
+                               A job sorts pipelined at read-ahead 3
+                               unless it says otherwise; pipeline=0 is
+                               the window-0 reference (DESIGN.md §11.1).
         STATUS ID | WATCH ID | CANCEL ID | LIST | STATS | DRAIN |
         PING | QUIT
 
@@ -176,7 +180,8 @@ USAGE:
       backoff, so a client racing a still-booting server wins.
 
   srm distsort [--shards P] [--records N] [--d D] [--b B] [--m M]
-           [--seed S] [--pipeline] [--placement random|staggered]
+           [--seed S] [--pipeline] [--read-ahead K]
+           [--placement random|staggered]
            [--parity] [--dir PATH] [--keep] [--procs]
            [--heartbeat-ms H] [--timeout-ms T] [--io-delay-us U]
            [--kill-node S@PASS | --kill-node S@merge:K]
@@ -189,7 +194,14 @@ USAGE:
       SRM sort over its own disk cluster (traces model-checked), and
       the coordinator concatenates the shards' runs in splitter order,
       fetched in stripe-wide windows with one request always in flight,
-      into the striped global output.  Shards are
+      into the striped global output.  A shard's stage-in, sort and
+      digest read-back all keep their I/O in flight: without either
+      window flag the sort runs pipelined at read-ahead 3 (the job
+      default); --pipeline [--read-ahead K] picks the depth as for
+      `srm sort`, and --read-ahead 0 alone asks for window 0, the
+      reference every window is byte- and count-identical to.  Per
+      shard the report prints where its time went (stage / sort /
+      verify / check ms).  Shards are
       threads by default; --procs spawns real `srm` child processes so
       the node-death drill is a genuine SIGKILL.  A heartbeat failure
       detector (--heartbeat-ms / --timeout-ms) declares silent nodes
@@ -1340,9 +1352,13 @@ pub fn distsort(argv: &[String]) -> i32 {
             seed: flags.get_or("seed", 0xC11_5EED)?,
             d: flags.get_or("d", 4)?,
             b: flags.get_or("b", 64)?,
-            pipeline: flags.has("pipeline"),
             ..JobSpec::default()
         };
+        // The shards' window: `JobSpec`'s default unless either flag
+        // asks for another one (`--read-ahead 0` alone is window 0).
+        if flags.has("pipeline") || flags.get_str("read-ahead").is_some() {
+            (spec.pipeline, spec.read_ahead) = flags.overlap()?;
+        }
         spec.m = match flags.get::<usize>("m")? {
             Some(m) => m,
             // No explicit memory: size M for a k-way SRM merge on this
@@ -1407,6 +1423,9 @@ pub fn distsort(argv: &[String]) -> i32 {
             });
         let keep = flags.has("keep") || flags.get_str("dir").is_some();
 
+        if spec.pipeline {
+            println!("window: pipelined (reads in flight + write-behind)");
+        }
         let report = if flags.has("procs") {
             let bin = std::env::current_exe()
                 .map_err(|e| format!("current_exe: {e}"))?;
@@ -1440,6 +1459,10 @@ pub fn distsort(argv: &[String]) -> i32 {
                 shard.trace_events,
                 shard.recoveries,
                 shard.repaired
+            );
+            println!(
+                "    stage {} ms, sort {} ms, verify {} ms, check {} ms",
+                shard.ms.stage, shard.ms.sort, shard.ms.verify, shard.ms.check
             );
         }
         let ph = report.phase_ms;

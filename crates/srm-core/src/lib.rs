@@ -62,7 +62,7 @@ pub use key::{BlockKey, RunId};
 pub use merge::{merge_runs, MergeOutcome, MergeStats};
 pub use merge_path::{diagonal_split, merge_pair_into, par_merge_sorted_chunks};
 pub use naive::{naive_merge_count, NaiveMergeStats};
-pub use output::{read_run, stripe_reads, RunWriter};
+pub use output::{read_run, RunWriter, StripeWindow};
 pub use run_formation::{form_runs, RunFormation};
 pub use scheduler::{ScheduleStats, Scheduler};
 pub use scrub::{scrub_runs, ScrubReport};

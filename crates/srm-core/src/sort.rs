@@ -14,6 +14,7 @@
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
 use crate::merge::{merge_runs_overlapped, MergeStats, Overlap};
+use crate::output::WriteBehind;
 use crate::run_formation::{form_runs_overlapped, RunFormation};
 use crate::scheduler::ScheduleStats;
 use pdisk::{
@@ -478,8 +479,15 @@ fn accumulate(into: &mut ScheduleStats, merge: &MergeStats) {
 }
 
 /// Lay `records` out as an unsorted striped input file, written with full
-/// write parallelism (one stripe per operation).  This is the standard way
-/// to stage data for [`SrmSorter::sort`] in examples and tests.
+/// write parallelism (one stripe per operation) and written behind: up to
+/// [`pdisk::WRITE_BEHIND_LIMIT`] stripes stay in flight — the bound the
+/// reopen recovery's torn-write window is sized for — and all of them are
+/// complete when this returns.  This is the standard way to stage data
+/// for [`SrmSorter::sort`] in examples and tests.
+///
+/// A stripe that fails quiesces the window first, as `Merger::quiesce`
+/// does: the writes still in flight are abandoned, not completed, before
+/// the error is returned (the `WriteBehind` queue sees to it).
 pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
     array: &mut A,
     records: &[R],
@@ -490,27 +498,23 @@ pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
     let geom = array.geometry();
     let len_blocks = (records.len() as u64).div_ceil(geom.b as u64);
     let run = array.alloc_run(DiskId(0), len_blocks, records.len() as u64)?;
+    let mut behind = WriteBehind::new(true);
     let mut block_idx = 0u64;
-    let mut chunks = records.chunks(geom.b).peekable();
-    while chunks.peek().is_some() {
+    for stripe in records.chunks(geom.b * geom.d) {
         let mut writes = Vec::with_capacity(geom.d);
-        for _ in 0..geom.d {
-            match chunks.next() {
-                Some(chunk) => {
-                    // Unsorted input carries no forecast data; bypass
-                    // Block::new's sortedness debug-assert.
-                    let block = Block {
-                        records: chunk.to_vec(),
-                        forecast: Forecast::Next(pdisk::block::NO_BLOCK),
-                    };
-                    writes.push((run.addr_of(block_idx), block));
-                    block_idx += 1;
-                }
-                None => break,
-            }
+        for chunk in stripe.chunks(geom.b) {
+            // Unsorted input carries no forecast data; bypass
+            // Block::new's sortedness debug-assert.
+            let block = Block {
+                records: chunk.to_vec(),
+                forecast: Forecast::Next(pdisk::block::NO_BLOCK),
+            };
+            writes.push((run.addr_of(block_idx), block));
+            block_idx += 1;
         }
-        array.write(writes)?;
+        behind.submit(array, writes)?;
     }
+    behind.drain(array)?;
     Ok(run)
 }
 

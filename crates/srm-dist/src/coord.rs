@@ -30,7 +30,7 @@ use crate::concat::{concat_output, window_blocks, WindowSource};
 use crate::error::{DistError, Result};
 use crate::msg::{Envelope, Msg};
 use crate::net::{Endpoint, NetStats, Network};
-use crate::shard::{run_shard, KillPoint, ShardPlan};
+use crate::shard::{run_shard, KillPoint, ShardMs, ShardPlan};
 use crate::split::{route, sample_splitters};
 use pdisk::{NetFaultModel, RetryPolicy, U64Record};
 use srm_server::{expected_digest, generate_records, JobSpec};
@@ -187,6 +187,8 @@ pub struct ShardReport {
     pub repaired: u64,
     /// Times this node was declared dead and replaced.
     pub recoveries: u32,
+    /// Its finishing incarnation's wall-clock, by phase.
+    pub ms: ShardMs,
 }
 
 /// Where a distributed sort's wall-clock went, in milliseconds.
@@ -610,6 +612,7 @@ impl Coordinator<'_> {
                 trace_events,
                 trace_clean,
                 repaired,
+                ms,
             } => {
                 let node = &mut self.nodes[s];
                 node.report.records = records;
@@ -619,6 +622,7 @@ impl Coordinator<'_> {
                 node.report.trace_events = trace_events;
                 node.report.trace_clean = trace_clean;
                 node.report.repaired += repaired;
+                node.report.ms = ms;
                 node.phase = Phase::Done;
                 if let Some(t) = node.recovery_started.take() {
                     self.recovery_ms.push(t.elapsed().as_millis() as u64);
@@ -859,20 +863,42 @@ impl WindowSource for Coordinator<'_> {
 mod tests {
     use super::*;
 
-    /// A shard sorts under the spec's whole overlap setting — read-ahead
-    /// depth included — with its own salted seed.
+    /// A shard sorts at the spec's window under its own salted seed:
+    /// pipelined with read-ahead 3 unless the spec says otherwise, at
+    /// window 0 when it says `pipeline: false` — and on every shard's
+    /// partition the two sorters issue the same parallel I/Os and leave
+    /// the same bytes.
     #[test]
-    fn shard_plan_carries_the_specs_pipeline_and_read_ahead() {
-        let spec = JobSpec {
-            pipeline: true,
-            read_ahead: 3,
-            ..JobSpec::default()
-        };
-        let geom = spec.geometry().unwrap();
-        let plan = plan_for(&spec, &DistConfig::new(2), geom, Path::new("unused"), 1, None);
-        assert!(plan.sorter.pipeline());
-        assert_eq!(plan.sorter.read_ahead(), 3);
-        assert_ne!(plan.sorter.config().seed, spec.seed);
+    fn shard_plans_follow_the_specs_window_and_the_windows_agree() {
+        use crate::shard::open_base;
+        use pdisk::DiskArray as _;
+        use srm_core::sort::write_unsorted_input;
+
+        let (pipelined, cfg, root) = (small_spec(), DistConfig::new(3), scratch("windows"));
+        let blocking = JobSpec { pipeline: false, ..small_spec() };
+        let geom = pipelined.geometry().unwrap();
+        let (_, buckets) = split_input(&pipelined, cfg.shards);
+        for (shard, bucket) in buckets.iter().enumerate() {
+            let keys: Vec<U64Record> = bucket.iter().copied().map(U64Record).collect();
+            let sort = |spec: &JobSpec| {
+                let plan = plan_for(spec, &cfg, geom, &root, shard as u32, None);
+                assert_ne!(plan.sorter.config().seed, spec.seed);
+                std::fs::create_dir_all(&plan.dir).unwrap();
+                let mut cluster = open_base(&plan, true).unwrap();
+                let input = write_unsorted_input(&mut cluster, &keys).unwrap();
+                cluster.reset_stats();
+                let (run, report) = plan.sorter.sort(&mut cluster, &input).unwrap();
+                let out = srm_core::read_run(&mut cluster, &run).unwrap();
+                let window = (plan.sorter.pipeline(), plan.sorter.read_ahead());
+                (window, report.io, cluster.stats(), srm_server::digest_keys(out.iter().map(|r| r.0)))
+            };
+            let (window, sort_io, total_io, digest) = sort(&pipelined);
+            assert_eq!(window, (true, 3), "the default spec opens the window");
+            let (window0, sort_io0, total_io0, digest0) = sort(&blocking);
+            assert!(!window0.0, "an explicit pipeline: false is honoured");
+            assert_eq!((sort_io, total_io, digest), (sort_io0, total_io0, digest0), "shard {shard}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A reply is adopted by the request it answers, once: duplicates

@@ -51,5 +51,5 @@ pub use fence::{FenceFlag, FencedDiskArray};
 pub use msg::{Envelope, Msg};
 pub use net::{Endpoint, NetSender, NetStats, Network};
 pub use procs::{run_procs, shard_run_standalone};
-pub use shard::{KillPoint, OutputMeta, ShardPlan};
+pub use shard::{KillPoint, OutputMeta, ShardMs, ShardPlan};
 pub use split::{route, sample_splitters, shard_of};

@@ -84,6 +84,8 @@ pub enum Msg {
         trace_clean: bool,
         /// Blocks healed by the parity scrub during recovery.
         repaired: u64,
+        /// The finishing incarnation's wall-clock, by phase.
+        ms: crate::shard::ShardMs,
     },
     /// Reply to [`Msg::ReadBlocks`]: the keys of that window, in order
     /// (empty when `first` lies past the run's end).

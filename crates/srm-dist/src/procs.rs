@@ -35,7 +35,8 @@ use crate::shard::{
     atomic_write, complete_window, inspect_dir, open_output_stack, sort_shard, submit_window, Boot,
     KillPoint, Outcome, OutputMeta, ShardPlan, SortInput,
 };
-use pdisk::{DiskArray, ReadTicket, StripedRun, U64Record};
+use pdisk::{DiskArray, StripedRun, U64Record};
+use srm_core::StripeWindow;
 use srm_server::{expected_digest, JobSpec};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
@@ -325,7 +326,7 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
         runs: Vec::new(),
         window: window_blocks(geom),
         open: None,
-        tickets: Vec::new(),
+        in_flight: None,
     };
     for (shard, report) in (0..cfg.shards).zip(&mut reports) {
         let plan = plan_for(spec, cfg, geom, root, shard, None);
@@ -340,6 +341,7 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
         report.trace_events = meta.trace_events;
         report.trace_clean = meta.trace_clean;
         report.repaired = meta.repaired;
+        report.ms = meta.ms;
         src.plans.push(plan);
         src.runs.push(meta.run);
     }
@@ -376,7 +378,7 @@ struct LocalWindows {
     runs: Vec<Option<StripedRun>>,
     window: u64,
     open: Option<(usize, Box<dyn DiskArray<U64Record>>)>,
-    tickets: Vec<ReadTicket<U64Record>>,
+    in_flight: Option<StripeWindow<U64Record>>,
 }
 
 impl WindowSource for LocalWindows {
@@ -385,15 +387,15 @@ impl WindowSource for LocalWindows {
             self.open = Some((shard, open_output_stack(&self.plans[shard])?));
         }
         if let (Some((_, array)), Some(run)) = (&mut self.open, &self.runs[shard]) {
-            self.tickets = submit_window(array.as_mut(), run, first, self.window)?;
+            self.in_flight = Some(submit_window(array.as_mut(), run, first, self.window)?);
         }
         Ok(())
     }
 
     fn wait(&mut self) -> Result<Vec<u64>> {
-        match &mut self.open {
-            Some((_, array)) => complete_window(array.as_mut(), std::mem::take(&mut self.tickets)),
-            None => Ok(Vec::new()),
+        match (&mut self.open, self.in_flight.take()) {
+            (Some((_, array)), Some(window)) => complete_window(array.as_mut(), window),
+            _ => Ok(Vec::new()),
         }
     }
 }

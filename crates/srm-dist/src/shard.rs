@@ -29,13 +29,12 @@ use crate::net::{Endpoint, NetSender};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, Geometry, Manifest as _,
-    ParityDiskArray, PdiskError, ReadTicket, RetryPolicy, RetryingDiskArray, StripedRun,
-    U64Record,
+    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{
-    read_run, resume_point, scrub_runs, stripe_reads, ResumePoint, SortManifest, SrmError,
-    SrmSorter,
+    read_run, resume_point, scrub_runs, ResumePoint, SortManifest, SrmError, SrmSorter,
+    StripeWindow,
 };
 use srm_server::{digest_keys, JobRun};
 use std::io::Write as _;
@@ -146,6 +145,23 @@ pub enum Outcome {
     Done(OutputMeta),
 }
 
+/// Where one sort incarnation's wall-clock went, in milliseconds.  Every
+/// phase is split-phase I/O on a file cluster: staging writes behind,
+/// the sort runs at the plan's window, the verification read keeps a
+/// few stripes in flight.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardMs {
+    /// Staging the partition onto the cluster until its descriptor is
+    /// durable (0 for an incarnation that resumed a durable input).
+    pub stage: u64,
+    /// The checkpointed sort (of a resumed incarnation: what was left).
+    pub sort: u64,
+    /// Reading the output back and digesting it.
+    pub verify: u64,
+    /// Replaying the incarnation's trace through the model checker.
+    pub check: u64,
+}
+
 /// The durable `output` descriptor: what a replacement (or the
 /// cross-shard merge) needs to know about a finished shard sort.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,6 +180,8 @@ pub struct OutputMeta {
     pub trace_clean: bool,
     /// Blocks healed by the parity scrub during recovery.
     pub repaired: u64,
+    /// The finishing incarnation's wall-clock, by phase.
+    pub ms: ShardMs,
 }
 
 impl OutputMeta {
@@ -177,6 +195,7 @@ impl OutputMeta {
             trace_events: 0,
             trace_clean: true,
             repaired: 0,
+            ms: ShardMs::default(),
         }
     }
 
@@ -186,8 +205,10 @@ impl OutputMeta {
             Some(r) => JobRun::Striped(r.clone()).encode(),
             None => "empty".to_string(),
         };
+        let ShardMs { stage, sort, verify, check } = self.ms;
         format!(
-            "run {run}\nrecords {}\ndigest {:#x}\npasses {}\ntrace-events {}\ntrace-clean {}\nrepaired {}\n",
+            "run {run}\nrecords {}\ndigest {:#x}\npasses {}\ntrace-events {}\ntrace-clean {}\nrepaired {}\n\
+             ms {stage} {sort} {verify} {check}\n",
             self.records, self.digest, self.passes, self.trace_events, self.trace_clean, self.repaired
         )
     }
@@ -220,6 +241,12 @@ impl OutputMeta {
                 "trace-events" => meta.trace_events = val.parse().map_err(|_| bad(line))?,
                 "trace-clean" => meta.trace_clean = val.parse().map_err(|_| bad(line))?,
                 "repaired" => meta.repaired = val.parse().map_err(|_| bad(line))?,
+                "ms" => {
+                    let ms: Vec<u64> =
+                        val.split(' ').map(str::parse).collect::<std::result::Result<_, _>>().map_err(|_| bad(line))?;
+                    let [stage, sort, verify, check] = ms[..] else { return Err(bad(line)) };
+                    meta.ms = ShardMs { stage, sort, verify, check };
+                }
                 _ => return Err(bad(line)),
             }
         }
@@ -394,20 +421,20 @@ pub(crate) fn submit_window<A: DiskArray<U64Record> + ?Sized>(
     run: &StripedRun,
     first: u64,
     count: u64,
-) -> Result<Vec<ReadTicket<U64Record>>> {
-    stripe_reads(run, array.geometry().d, first..first.saturating_add(count))
-        .map(|addrs| Ok(array.submit_read(&addrs)?))
-        .collect()
+) -> Result<StripeWindow<U64Record>> {
+    let mut window = StripeWindow::new(run, first..first.saturating_add(count));
+    window.submit(array, usize::MAX)?;
+    Ok(window)
 }
 
 /// Await a submitted window, stripe by stripe: its keys, in run order.
 pub(crate) fn complete_window<A: DiskArray<U64Record> + ?Sized>(
     array: &mut A,
-    tickets: Vec<ReadTicket<U64Record>>,
+    mut window: StripeWindow<U64Record>,
 ) -> Result<Vec<u64>> {
     let mut keys = Vec::new();
-    for ticket in tickets {
-        for block in array.complete_read(ticket)? {
+    while let Some(blocks) = window.complete_oldest(array)? {
+        for block in blocks {
             keys.extend(block.records.iter().map(|r| r.0));
         }
     }
@@ -456,11 +483,14 @@ fn sort_instance<A: DiskArray<U64Record>>(
     // Stage fresh input inside the trace (exactly like the CLI), making
     // the descriptor durable *before* sorting so a death between staging
     // and the first checkpoint resumes instead of re-staging.
+    let mut ms = ShardMs::default();
+    let clock = Instant::now();
     let input_run = match input {
         SortInput::Fresh(records) => {
             let run = write_unsorted_input(&mut traced, &records)?;
             traced.sync()?;
             atomic_write(&plan.input_path(), &JobRun::Striped(run.clone()).encode())?;
+            ms.stage = clock.elapsed().as_millis() as u64;
             on_staged(run.records);
             run
         }
@@ -472,6 +502,7 @@ fn sort_instance<A: DiskArray<U64Record>>(
         _ => None,
     };
     let manifest = plan.manifest_path();
+    let clock = Instant::now();
     let sorted = plan.sorter.sort_observed(&mut traced, &input_run, Some(&manifest), |pass, _a| {
         on_pass(pass);
         if kill_at == Some(pass) {
@@ -484,19 +515,24 @@ fn sort_instance<A: DiskArray<U64Record>>(
         Err(SrmError::Internal(msg)) if msg == KILL_SENTINEL => return Ok(Outcome::Killed),
         Err(e) => return Err(e.into()),
     };
+    ms.sort = clock.elapsed().as_millis() as u64;
 
     // Digest the output (the verification read is part of the trace, as
     // in the CLI), then replay the whole incarnation's trace through the
     // model checker: staging + sort + verification must all obey the
     // Vitter–Shriver rules.
+    let clock = Instant::now();
     let out = read_run(&mut traced, &run)?;
     let digest = digest_keys(out.iter().map(|r| r.0));
+    ms.verify = clock.elapsed().as_millis() as u64;
+    let clock = Instant::now();
     let stats = traced.stats();
     let trace = traced.take_trace();
     let summary = modelcheck::check_trace(plan.geom, &trace)
         .map_err(|v| DistError::Model(format!("shard {}: {v}", plan.shard)))?;
     modelcheck::check_stats(&trace, &stats)
         .map_err(|v| DistError::Model(format!("shard {}: trace/stats drift: {v}", plan.shard)))?;
+    ms.check = clock.elapsed().as_millis() as u64;
 
     let meta = OutputMeta {
         run: Some(run),
@@ -506,6 +542,7 @@ fn sort_instance<A: DiskArray<U64Record>>(
         trace_events: summary.events,
         trace_clean: true,
         repaired,
+        ms,
     };
     atomic_write(&plan.output_path(), &meta.encode())?;
     Ok(Outcome::Done(meta))
@@ -656,6 +693,7 @@ fn announce_done(plan: &ShardPlan, ep: &Endpoint, epoch: u64, meta: &OutputMeta)
             trace_events: meta.trace_events,
             trace_clean: meta.trace_clean,
             repaired: meta.repaired,
+            ms: meta.ms,
         },
     );
 }
@@ -812,8 +850,8 @@ fn serve_loop<A: DiskArray<U64Record>>(
                 // dead shard and cost a spurious fence-and-respawn.
                 let keys = match (&meta.run, array.as_mut()) {
                     (Some(run), Some(arr)) => {
-                        let tickets = submit_window(arr, run, first, count)?;
-                        complete_window(arr, tickets)?
+                        let window = submit_window(arr, run, first, count)?;
+                        complete_window(arr, window)?
                     }
                     _ => Vec::new(),
                 };
@@ -847,6 +885,23 @@ mod tests {
     use srm_core::RunWriter;
     use srm_server::JobSpec;
 
+    /// The phase timers ride in the durable descriptor: they round-trip,
+    /// a descriptor written before they existed reads as zeros, and a
+    /// torn `ms` line is an error, not a plausible report.
+    #[test]
+    fn the_output_descriptor_carries_the_phase_timers() {
+        let meta = OutputMeta {
+            records: 9,
+            ms: ShardMs { stage: 37, sort: 201, verify: 31, check: 4 },
+            ..OutputMeta::empty()
+        };
+        let text = meta.encode();
+        assert_eq!(OutputMeta::parse(&text).unwrap(), meta);
+        let older: String = text.lines().filter(|l| !l.starts_with("ms ")).map(|l| format!("{l}\n")).collect();
+        assert_eq!(OutputMeta::parse(&older).unwrap().ms, ShardMs::default());
+        assert!(OutputMeta::parse(&text.replace("ms 37 201 31 4", "ms 37 201")).is_err());
+    }
+
     /// Serving an n-block run window by window costs exactly ceil(n/D)
     /// parallel reads — only the run's last stripe may be narrow — on
     /// the bare cluster and through the parity stack alike; a window
@@ -866,9 +921,9 @@ mod tests {
             let window = window_blocks(geom);
             let mut served = Vec::new();
             for first in (0..run.len_blocks).step_by(window as usize) {
-                let tickets = submit_window(&mut array, &run, first, window).unwrap();
-                assert_eq!(tickets.len() as u64, (window.min(50 - first)).div_ceil(3));
-                served.extend(complete_window(&mut array, tickets).unwrap());
+                let stripes = submit_window(&mut array, &run, first, window).unwrap();
+                assert_eq!(stripes.in_flight() as u64, (window.min(50 - first)).div_ceil(3));
+                served.extend(complete_window(&mut array, stripes).unwrap());
             }
             assert_eq!(served, keys);
             assert_eq!(array.stats().read_ops, 50u64.div_ceil(3));

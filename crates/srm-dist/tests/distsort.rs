@@ -37,8 +37,12 @@ fn spec() -> JobSpec {
 }
 
 fn run(tag: &str, cfg: &DistConfig) -> DistReport {
+    run_spec(tag, &spec(), cfg)
+}
+
+fn run_spec(tag: &str, spec: &JobSpec, cfg: &DistConfig) -> DistReport {
     let dir = scratch(tag);
-    let report = distsort(&spec(), cfg, &dir).expect("distsort failed");
+    let report = distsort(spec, cfg, &dir).expect("distsort failed");
     let _ = std::fs::remove_dir_all(&dir);
     report
 }
@@ -145,6 +149,35 @@ fn merge_survives_a_serving_node_death() {
         assert_clean(&report, clean.digest);
         assert!(report.merge_stalls >= 1, "{what}: the stream must have stalled");
         assert!(report.per_shard[victim as usize].recoveries >= 1, "{what}");
+    }
+}
+
+/// Every drill above runs the shards at `JobSpec`'s default window
+/// (pipelined, read-ahead 3).  The explicit window-0 spec is the same
+/// sort: same global digest, and per shard the same partition, run
+/// length, passes and digest (the trace lengths may differ: `Promote`
+/// annotations follow the window) — and it survives a death at a pass
+/// boundary and one while serving.
+#[test]
+fn window_zero_shards_agree_with_the_default_and_survive_the_drills() {
+    assert!(spec().pipeline && spec().read_ahead == 3, "the default spec is pipelined");
+    let window0 = JobSpec { pipeline: false, read_ahead: 0, ..spec() };
+    let p = 2;
+    let want = run("w0-default", &DistConfig::new(p));
+    let clean = run_spec("w0-clean", &window0, &DistConfig::new(p));
+    assert_clean(&clean, want.digest);
+    for (a, b) in clean.per_shard.iter().zip(&want.per_shard) {
+        assert_eq!(
+            (a.records, a.blocks, a.passes, a.digest),
+            (b.records, b.blocks, b.passes, b.digest)
+        );
+    }
+    for point in [KillPoint::Pass(1), KillPoint::Merge(2)] {
+        let mut cfg = DistConfig::new(p);
+        cfg.kill = Some(KillPlan { shard: 1, point });
+        let report = run_spec("w0-kill", &window0, &cfg);
+        assert_clean(&report, want.digest);
+        assert!(report.per_shard[1].recoveries >= 1, "{point:?}: the victim must be recovered");
     }
 }
 

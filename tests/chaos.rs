@@ -231,3 +231,29 @@ fn dist_fill_write_fails_typed_not_wedged() {
     }
     let _ = std::fs::remove_dir_all(&cfg.scratch);
 }
+
+/// A crash point is drawn against a whole sort's boundaries, but the
+/// incarnation that arms it may be a resumed one with fewer of its own —
+/// then the point lands in the verification read, which runs under the
+/// same clock.  That is a process death like any other: reboot, rerun,
+/// same output; never a harness error.
+#[test]
+fn a_crash_during_the_verification_read_is_rebooted_through() {
+    let cfg = local_cfg("crash-verify", 11);
+    std::fs::create_dir_all(&cfg.scratch).unwrap();
+    let points = srm_chaos::local::dry_run(&cfg).expect("dry run").points;
+    // The first crash strikes late, so the second incarnation resumes
+    // the last pass only; sweep the second across everything after it.
+    let (mut rebooted_twice, dir) = (0, cfg.scratch.join("t"));
+    for second in (0..points).step_by(29) {
+        let events = [
+            ChaosEvent::CrashAt { point: points - 50 },
+            ChaosEvent::CrashAt { point: second },
+        ];
+        let outcome = run_trial(&cfg, &events, &dir).expect("a crash is not a harness error");
+        assert_eq!(outcome.violation, None, "second crash at {second}");
+        rebooted_twice += u32::from(outcome.attempts == 3);
+    }
+    assert!(rebooted_twice > 0, "no second crash ever fired");
+    let _ = std::fs::remove_dir_all(&cfg.scratch);
+}

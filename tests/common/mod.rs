@@ -1,8 +1,9 @@
 //! A recording `DiskArray` layer shared by the integration suites: it
 //! forwards every trait method, the defaulted ones included, logs the
 //! name of each call it sees, counts how many of the tickets passing up
-//! through it are still in flight, and counts the operations issued
-//! while an earlier ticket had not been completed yet.
+//! through it are still in flight (and the most write tickets that ever
+//! were), and counts the operations issued while an earlier ticket had
+//! not been completed yet.
 #![allow(dead_code)] // each suite uses its own half
 
 use pdisk::backend::{ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
@@ -30,11 +31,24 @@ pub struct Probe<A> {
     /// was non-zero: 0 means every ticket was completed where it was
     /// submitted.
     pub overlapped: u64,
+    /// Write tickets handed up and not completed yet, and the most there
+    /// ever were.
+    pub writes_out: u64,
+    pub max_writes_out: u64,
 }
 
 impl<A> Probe<A> {
     pub fn new(inner: A) -> Self {
-        Probe { inner, log: Log::default(), tickets: 0, pending: 0, outstanding: 0, overlapped: 0 }
+        Probe {
+            inner,
+            log: Log::default(),
+            tickets: 0,
+            pending: 0,
+            outstanding: 0,
+            overlapped: 0,
+            writes_out: 0,
+            max_writes_out: 0,
+        }
     }
 
     fn hit(&self, method: &'static str) {
@@ -104,11 +118,14 @@ impl<A: DiskArray<Rec>> DiskArray<Rec> for Probe<A> {
         self.issue();
         let ticket = self.inner.submit_write(writes)?;
         self.saw_ticket(ticket.is_pending());
+        self.writes_out += 1;
+        self.max_writes_out = self.max_writes_out.max(self.writes_out);
         Ok(ticket)
     }
     fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
         self.hit("complete_write");
         self.outstanding = self.outstanding.saturating_sub(1);
+        self.writes_out = self.writes_out.saturating_sub(1);
         self.inner.complete_write(ticket)
     }
     fn prefetch(&mut self, addrs: &[BlockAddr]) {

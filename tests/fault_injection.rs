@@ -4,8 +4,8 @@
 
 use dsm::{write_unsorted_stripes, DsmError, DsmSorter};
 use pdisk::{
-    DiskArray, FaultModel, FaultOp, FaultPlan, FaultyDiskArray, Geometry, MemDiskArray,
-    PdiskError, RetryPolicy, RetryingDiskArray, U64Record,
+    DiskArray, FaultModel, FaultOp, FaultPlan, FaultyDiskArray, FileDiskArray, Geometry,
+    MemDiskArray, ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -311,4 +311,86 @@ fn freed_space_clears_the_no_space_fault() {
     let (run, _) = SrmSorter::default().sort(&mut a, &input).expect("sort completes");
     let out = read_run(&mut a, &run).unwrap();
     assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
+}
+
+// ---------------------------------------------------------------------------
+// Mid-window failures.  Staging writes behind and the read-back reads
+// ahead, so a permanent failure finds tickets in flight: the helper must
+// abandon them (no completion, so no parity commit, for a write the
+// caller was told failed), return the typed error, and leave the
+// production stack `Retrying(Parity(Faulty(File)))` usable — a barrier
+// and a reopen both succeed.
+// ---------------------------------------------------------------------------
+
+type FileStack = RetryingDiskArray<
+    U64Record,
+    ParityDiskArray<U64Record, FaultyDiskArray<U64Record, FileDiskArray<U64Record>>>,
+>;
+
+fn file_geom() -> Geometry {
+    Geometry::new(4, 8, 256).unwrap()
+}
+
+fn file_stack(dir: &std::path::Path, model: FaultModel) -> FileStack {
+    let _ = std::fs::remove_dir_all(dir);
+    let file = FileDiskArray::<U64Record>::create(file_geom(), dir.join("disks")).unwrap();
+    let parity = ParityDiskArray::new(FaultyDiskArray::new(file, model))
+        .unwrap()
+        .with_store(dir.join("parity.store"))
+        .unwrap();
+    RetryingDiskArray::new(parity, RetryPolicy::default())
+}
+
+fn scratch(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("srm-midwindow-{tag}-{}", std::process::id()))
+}
+
+#[test]
+fn a_write_failing_mid_window_quiesces_staging() {
+    const FAILING_STRIPE: u64 = 20;
+    let data = records(4000, 30); // 125 stripes of 4 blocks of 8
+    let dir = scratch("write");
+    let mut a = file_stack(&dir, FaultModel::none().fill_at(FaultOp::Write, FAILING_STRIPE));
+    match write_unsorted_input(&mut a, &data) {
+        Err(SrmError::Disk(PdiskError::Fault { kind: pdisk::FaultKind::NoSpace, .. })) => {}
+        other => panic!("want the typed no-space fault, got {other:?}"),
+    }
+    assert_eq!(a.retries(), (0, 0), "a full disk must never be retried");
+    // The failing submit had retired the oldest ticket to make room and
+    // found the rest of the window in flight: those stripes were dropped
+    // uncommitted, so parity holds exactly what staging the completed
+    // stripes alone commits.
+    let completed = FAILING_STRIPE - (pdisk::WRITE_BEHIND_LIMIT as u64 - 1);
+    let committed = a.stats().parity_writes;
+    a.sync().expect("a barrier after the quiesced failure");
+    drop(a);
+    FileDiskArray::<U64Record>::open(file_geom(), dir.join("disks")).expect("reopen after the failure");
+
+    let reference = scratch("write-ref");
+    let mut clean = file_stack(&reference, FaultModel::none());
+    write_unsorted_input(&mut clean, &data[..(completed as usize) * 4 * 8]).unwrap();
+    assert_eq!(committed, clean.stats().parity_writes, "a dropped ticket committed parity");
+    for d in [dir, reference] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
+#[test]
+fn a_read_failing_mid_window_quiesces_the_read_back() {
+    let data = records(4000, 31);
+    let dir = scratch("read");
+    // Parity absorbs one disk death; the second, on the next read the
+    // fault layer sees, is data loss — with the read-ahead window full.
+    let model = FaultModel::none().kill_at(FaultOp::Read, 20).kill_at(FaultOp::Read, 21);
+    let mut a = file_stack(&dir, model);
+    let staged = write_unsorted_input(&mut a, &data).unwrap();
+    match read_run(&mut a, &staged) {
+        Err(PdiskError::Unrecoverable(_) | PdiskError::Fault { .. }) => {}
+        other => panic!("want a typed data-loss error, got {:?}", other.map(|r| r.len())),
+    }
+    assert!(a.stats().read_ops >= 20, "the failure struck mid-run");
+    a.sync().expect("a barrier after the quiesced failure");
+    drop(a);
+    FileDiskArray::<U64Record>::open(file_geom(), dir.join("disks")).expect("reopen after the failure");
+    let _ = std::fs::remove_dir_all(dir);
 }

@@ -9,6 +9,11 @@
 //! stack, and checkpoint-resume configurations, on both the in-memory and
 //! the file backend.
 //!
+//! Staging (`write_unsorted_input`) and the verification read
+//! (`read_run`) are split-phase at every window — they write behind and
+//! read ahead by a constant depth whatever the sorter's setting — and
+//! are held to the same contract against the eager in-memory backend.
+//!
 //! Window 0 is a valid reference because it is not the only oracle: the
 //! pinned counts in `golden_io_counts.rs`, the block-level simulator in
 //! `simulator_vs_engine.rs` and `modelcheck`'s replay all judge it
@@ -265,6 +270,9 @@ fn full_production_stack_equivalent_and_pipelined() {
     let geom = Geometry::new(4, 8, 256).unwrap();
     let data = random_records(8000, 0xEA);
     let dir = unique_dir("stack");
+    // Staging and the read-back keep stripes in flight at every window:
+    // each of their submits but the first finds a ticket outstanding.
+    let stripes = data.len().div_ceil(geom.b).div_ceil(geom.d) as u64;
 
     assert_window_invariant("production stack", &data, |w| {
         let sub = dir.join(w.slug());
@@ -283,13 +291,104 @@ fn full_production_stack_equivalent_and_pipelined() {
                 "{w:?}: a wrapper completed an operation inside its submit"
             );
         } else {
-            assert_eq!(watch.overlapped, 0, "{w:?}: a ticket was outstanding at the next operation");
+            assert_eq!(
+                watch.overlapped,
+                2 * (stripes - 1),
+                "{w:?}: the sort left a ticket outstanding at its next operation"
+            );
             assert!(!watch.log.borrow().contains("prefetch"), "{w:?}: window 0 sends no hints");
             assert!(outcome.1.total_retries() > 0, "the fault rate must bite");
             assert!(outcome.1.parity_writes > 0);
         }
         outcome
     });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One traced incarnation as a distsort shard runs it — stage, sort,
+/// read back — on `stack`, with a probe over the whole stack.
+struct Incarnation {
+    bytes: Vec<u8>,
+    staged: IoStats,
+    total: IoStats,
+    trace: Vec<pdisk::trace::Tagged>,
+    tickets: u64,
+    pending: u64,
+    max_writes_out: u64,
+}
+
+fn incarnation<A: DiskArray<U64Record>>(stack: A, data: &[U64Record]) -> Incarnation {
+    let mut a = TracingDiskArray::new(common::Probe::new(stack));
+    let geom = a.geometry();
+    let input = write_unsorted_input(&mut a, data).unwrap();
+    let staged = a.stats();
+    let (run, _) = Window::pipelined(3).srm(SrmConfig::default()).sort(&mut a, &input).unwrap();
+    // The sort writes split-phase only (its blocking reads are each
+    // merge's initial loads); staging and the read-back must not fall
+    // back to a blocking call either.
+    assert!(!a.inner().log.borrow().contains("write"), "a blocking write");
+    a.inner().log.borrow_mut().clear();
+    let out = read_run(&mut a, &run).unwrap();
+    assert!(!a.inner().log.borrow().contains("read"), "a blocking read-back");
+    let total = a.stats();
+    let trace = a.take_trace();
+    check_trace(geom, &trace).unwrap_or_else(|v| panic!("violation: {v}"));
+    check_stats(&trace, &total).unwrap_or_else(|v| panic!("stats drift: {v}"));
+    let watch = a.inner();
+    assert_eq!(watch.outstanding, 0, "a ticket was never completed");
+    Incarnation {
+        bytes: encode_all(&out),
+        staged,
+        total,
+        trace,
+        tickets: watch.tickets,
+        pending: watch.pending,
+        max_writes_out: watch.max_writes_out,
+    }
+}
+
+/// Stage-in, sort and read-back through `Retrying(Parity(Faulty(File)))`
+/// leave the bytes, the [`IoStats`] of every phase and the very trace
+/// the same stack leaves over `MemDiskArray`, whose eager trait defaults
+/// execute each operation inside its submit: the helpers issue the same
+/// parallel I/Os in the same order on both, and only where completion
+/// waits differs.  On the file stack every ticket is handed up still in
+/// flight, and the write-behind depth never passes the torn-write
+/// window reopen recovery is sized for.
+#[test]
+fn stage_in_and_read_back_match_the_eager_backend() {
+    let geom = Geometry::new(4, 8, 256).unwrap();
+    let data = random_records(8000, 0xEB);
+    let dir = unique_dir("phases");
+    fn stack<B: DiskArray<U64Record>>(base: B, store: PathBuf) -> impl DiskArray<U64Record> {
+        let faulty = FaultyDiskArray::new(base, FaultModel::random(0x5EED).with_rate(0.01));
+        let parity = ParityDiskArray::new(faulty).unwrap().with_store(store).unwrap();
+        RetryingDiskArray::new(parity, RetryPolicy::new(8, Duration::ZERO))
+    }
+
+    let eager = incarnation(stack(MemDiskArray::<U64Record>::new(geom), dir.join("mem.parity")), &data);
+    let file = FileDiskArray::<U64Record>::create(geom, dir.join("disks")).unwrap();
+    let split = incarnation(stack(file, dir.join("file.parity")), &data);
+
+    let mut sorted = data.clone();
+    sorted.sort();
+    assert_eq!(split.bytes, encode_all(&sorted));
+    assert_eq!(split.bytes, eager.bytes);
+    assert_eq!(split.staged, eager.staged, "stage-in IoStats");
+    assert_eq!(split.total, eager.total, "stage-in + sort + read-back IoStats");
+    assert!(split.total.total_retries() > 0, "the fault rate must bite");
+    assert!(split.trace == eager.trace, "the two backends' traces differ");
+
+    assert_eq!(split.tickets, eager.tickets);
+    assert_eq!(split.pending, split.tickets, "a wrapper completed an operation inside its submit");
+    assert_eq!(eager.pending, 0, "the in-memory backend has nothing to leave in flight");
+    for (tag, run) in [("file", &split), ("mem", &eager)] {
+        assert_eq!(
+            run.max_writes_out,
+            pdisk::WRITE_BEHIND_LIMIT as u64,
+            "{tag}: write tickets in flight"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
