@@ -33,14 +33,17 @@
 //! and newest-valid-generation recovery are [`pdisk::Manifest`]'s provided
 //! methods, the same store `srm-core::checkpoint` uses.
 //!
-//! One DSM-specific caveat: resuming requires the array's per-disk bump
-//! allocators to still be in lockstep (see [`crate::logical::alloc_stripe`]).
-//! A sort interrupted *between* the per-disk allocations of one stripe
-//! violates that; the lockstep assertion reports it loudly on resume.
+//! One DSM-specific caveat: stripes need the array's per-disk bump
+//! allocators in lockstep, and a reopened file array can bring them back
+//! ragged (a partial final stripe, a kill between the per-disk writes of
+//! one).  [`crate::logical::alloc_stripe`] realigns them on the first
+//! allocation after a resume.
 
 use crate::logical::LogicalRun;
 use crate::sort::DsmError;
-use pdisk::manifest::{generation_line, geometry_line, malformed, redundancy_lines, Lines};
+use pdisk::manifest::{
+    generation_line, geometry_line, malformed, redundancy_lines, validate_target, Lines,
+};
 use pdisk::{Geometry, Manifest, RedundancyInfo};
 
 const HEADER: &str = "dsm-sort-manifest v1";
@@ -69,32 +72,11 @@ pub struct DsmManifest {
 impl DsmManifest {
     /// Refuse to resume against a different array or input.
     pub fn validate(&self, geometry: Geometry, records: u64) -> Result<(), DsmError> {
-        if self.geometry != geometry {
-            return Err(DsmError::Checkpoint(format!(
-                "manifest geometry (D={} B={} M={}) does not match array (D={} B={} M={})",
-                self.geometry.d, self.geometry.b, self.geometry.m, geometry.d, geometry.b, geometry.m
-            )));
-        }
-        if self.records != records {
-            return Err(DsmError::Checkpoint(format!(
-                "manifest records {} does not match input records {records}",
-                self.records
-            )));
-        }
-        if self.runs.is_empty() {
-            return Err(DsmError::Checkpoint("manifest holds no runs".into()));
-        }
-        Ok(())
+        validate_target(self.geometry, self.records, self.runs.len(), geometry, records)
     }
 }
 
 impl Manifest for DsmManifest {
-    type Error = DsmError;
-
-    fn checkpoint_error(msg: String) -> DsmError {
-        DsmError::Checkpoint(msg)
-    }
-
     fn generation(&self) -> u64 {
         self.generation
     }

@@ -19,6 +19,12 @@ pub struct LogicalRun {
     pub records: u64,
 }
 
+impl pdisk::passes::Run for LogicalRun {
+    fn records(&self) -> u64 {
+        self.records
+    }
+}
+
 impl LogicalRun {
     /// Records per full stripe for geometry `(d, b)`.
     pub fn stripe_records(d: usize, b: usize) -> u64 {
@@ -37,18 +43,25 @@ impl LogicalRun {
 /// Allocate one stripe: the same fresh offset on every disk.
 ///
 /// DSM must be the only allocator on its array — that keeps the per-disk
-/// bump allocators in lockstep, which this function asserts.
+/// bump allocators in lockstep.  They can still come back ragged from a
+/// reopen: a file array recovers each allocator from its file's length,
+/// and a partial final stripe (or a kill between the per-disk writes of
+/// one) leaves some disks short.  The stripe is therefore placed at the
+/// furthest allocator and the laggards skip forward to it; the skipped
+/// slots are never referenced.
 pub fn alloc_stripe<R: Record, A: DiskArray<R>>(array: &mut A) -> Result<u64, PdiskError> {
     let d = array.geometry().d;
-    let first = array.alloc_contiguous(DiskId(0), 1)?;
-    for disk in 1..d {
-        let off = array.alloc_contiguous(DiskId::from_index(disk), 1)?;
-        assert_eq!(
-            off, first,
-            "DSM requires lockstep allocation; disk {disk} is at {off}, disk 0 at {first}"
-        );
+    let mut offsets = Vec::with_capacity(d);
+    for disk in 0..d {
+        offsets.push(array.alloc_contiguous(DiskId::from_index(disk), 1)?);
     }
-    Ok(first)
+    let stripe = offsets.iter().copied().max().unwrap_or(0);
+    for (disk, off) in offsets.into_iter().enumerate() {
+        if off < stripe {
+            array.alloc_contiguous(DiskId::from_index(disk), stripe - off)?;
+        }
+    }
+    Ok(stripe)
 }
 
 /// The addresses holding the first `n_records` records of stripe `s`.
@@ -195,6 +208,17 @@ mod tests {
         write_stripe(&mut a, s1, &partial).unwrap();
         assert_eq!(read_stripe(&mut a, s0, 12).unwrap(), full);
         assert_eq!(read_stripe(&mut a, s1, 5).unwrap(), partial);
+    }
+
+    /// A reopened array can bring the allocators back ragged; the next
+    /// stripe lands past the furthest one and lockstep holds again.
+    #[test]
+    fn alloc_stripe_realigns_ragged_allocators() {
+        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+        assert_eq!(alloc_stripe(&mut a).unwrap(), 0);
+        a.alloc_contiguous(DiskId(1), 2).unwrap();
+        assert_eq!(alloc_stripe(&mut a).unwrap(), 3);
+        assert_eq!(alloc_stripe(&mut a).unwrap(), 4);
     }
 
     #[test]

@@ -39,7 +39,10 @@
 //!   writes where only a prefix of the frames landed;
 //! * [`manifest`] — the journaled checkpoint-manifest store ([`Manifest`]):
 //!   checksum envelope, generation journal with `.prev` rotation, and the
-//!   redundancy-line codec, shared by every sorter's checkpoint payload.
+//!   redundancy-line codec, shared by every sorter's checkpoint payload;
+//! * [`passes`] — the one pass driver ([`passes::Checkpointing::drive`])
+//!   over a [`PassEngine`], the [`Sorter`] lifecycle, and the
+//!   [`SortError`] vocabulary every engine shares.
 //!
 //! Stack order for a fully protected array, bottom to top:
 //! `RetryingDiskArray(ParityDiskArray(FaultyDiskArray(backend)))` — the
@@ -63,6 +66,7 @@ pub mod manifest;
 pub mod mem;
 pub mod netfault;
 pub mod parity;
+pub mod passes;
 pub mod pool;
 pub mod record;
 pub mod retry;
@@ -85,6 +89,7 @@ pub use manifest::{fnv1a64, Manifest};
 pub use mem::MemDiskArray;
 pub use netfault::{Delivery, NetFault, NetFaultModel, PartitionWindow, ScriptedNetFault};
 pub use parity::ParityDiskArray;
+pub use passes::{PassEngine, PassReport, SortError, Sorter};
 pub use pool::{BufferPool, PoolStats};
 pub use record::{KeyPayloadRecord, Record, U64Record};
 pub use retry::{Jitter, RetryCounters, RetryPolicy, RetryingDiskArray};

@@ -25,7 +25,8 @@
 //! A payload implements the required items of [`Manifest`]; the provided
 //! methods are the store.
 
-use crate::{CrashClock, DiskId, Geometry, PdiskError, RedundancyInfo};
+use crate::passes::SortError;
+use crate::{CrashClock, DiskId, Geometry, RedundancyInfo};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -50,6 +51,26 @@ pub fn manifest_sibling(path: &Path, suffix: &str) -> PathBuf {
     os.push(".");
     os.push(suffix);
     PathBuf::from(os)
+}
+
+/// Write `bytes` to `<path>.tmp` and fsync it: the half of an atomic
+/// publish that can be torn.  The caller renames the returned temp path
+/// over `path`.
+fn write_synced_temp(path: &Path, bytes: &[u8]) -> std::io::Result<PathBuf> {
+    let tmp = manifest_sibling(path, "tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    Ok(tmp)
+}
+
+/// Publish `bytes` at `path` atomically — temp + fsync + rename, so a
+/// crash leaves either the old file or the new one, never a torn hybrid.
+/// The one such sequence in the workspace: manifests, the job server's
+/// markers and the shards' descriptors all go through it.  The raw
+/// [`std::io::Error`] is kept so callers can classify by kind (ENOSPC).
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    std::fs::rename(write_synced_temp(path, bytes)?, path)
 }
 
 /// The message of a structurally broken manifest.
@@ -87,6 +108,32 @@ pub fn redundancy_lines(redundancy: Option<&RedundancyInfo>) -> String {
         }
     }
     s
+}
+
+/// Refuse to resume a payload against a different array or input — the
+/// checks every payload's `validate` shares.  A mismatch would produce
+/// wrong output, not just different I/O.
+pub fn validate_target(
+    have_geometry: Geometry,
+    have_records: u64,
+    have_runs: usize,
+    geometry: Geometry,
+    records: u64,
+) -> Result<(), SortError> {
+    let (h, g) = (have_geometry, geometry);
+    let refused = if h != g {
+        format!(
+            "manifest geometry (D={} B={} M={}) does not match array (D={} B={} M={})",
+            h.d, h.b, h.m, g.d, g.b, g.m
+        )
+    } else if have_records != records {
+        format!("manifest records {have_records} does not match input records {records}")
+    } else if have_runs == 0 {
+        "manifest holds no runs".into()
+    } else {
+        return Ok(());
+    };
+    Err(SortError::Checkpoint(refused))
 }
 
 /// Close a manifest body with its `checksum` line.
@@ -222,16 +269,11 @@ impl<'a> Lines<'a> {
 
 /// A checkpoint payload kept in the journaled store.
 ///
-/// Implementors supply their error type, their generation and redundancy
-/// fields, and the body text in their own field order; the provided
-/// methods are the envelope, the journal and recovery.
+/// Implementors supply their generation and redundancy fields and the
+/// body text in their own field order; the provided methods are the
+/// envelope, the journal and recovery.  Every failure is a
+/// [`SortError::Checkpoint`] (or the crash clock's `Disk(Crashed)`).
 pub trait Manifest: Sized {
-    /// The owning sorter's error type.
-    type Error: From<PdiskError> + std::fmt::Display;
-
-    /// Wrap a message as the sorter's `Checkpoint` error.
-    fn checkpoint_error(msg: String) -> Self::Error;
-
     /// Monotonic save counter (0 until first saved), stamped by
     /// [`Self::save`]: each save writes one past the newest valid
     /// generation on disk, and recovery picks the valid candidate with
@@ -259,12 +301,12 @@ pub trait Manifest: Sized {
     }
 
     /// Parse manifest text, verifying the trailing checksum.
-    fn parse(text: &str) -> Result<Self, Self::Error> {
-        let body = unseal(text).map_err(Self::checkpoint_error)?;
+    fn parse(text: &str) -> Result<Self, SortError> {
+        let body = unseal(text).map_err(SortError::Checkpoint)?;
         let mut lines = Lines(body.lines().peekable());
-        let manifest = Self::parse_body(&mut lines).map_err(Self::checkpoint_error)?;
+        let manifest = Self::parse_body(&mut lines).map_err(SortError::Checkpoint)?;
         if lines.0.next().is_some() {
-            return Err(Self::checkpoint_error(malformed("trailing data after runs")));
+            return Err(SortError::Checkpoint(malformed("trailing data after runs")));
         }
         Ok(manifest)
     }
@@ -276,7 +318,7 @@ pub trait Manifest: Sized {
     /// the same stripe width and must already treat every manifest-dead
     /// disk as dead (extra deaths discovered since the snapshot are fine;
     /// they just mean more reconstruction).
-    fn validate_redundancy(&self, current: Option<&RedundancyInfo>) -> Result<(), Self::Error> {
+    fn validate_redundancy(&self, current: Option<&RedundancyInfo>) -> Result<(), SortError> {
         let refused = match (self.redundancy(), current) {
             (None, None) => return Ok(()),
             (Some(_), None) => "manifest was written under parity redundancy but the array has \
@@ -304,7 +346,7 @@ pub trait Manifest: Sized {
                 }
             }
         };
-        Err(Self::checkpoint_error(refused))
+        Err(SortError::Checkpoint(refused))
     }
 
     /// Write journaled and atomic.  The previous valid manifest at
@@ -313,7 +355,7 @@ pub trait Manifest: Sized {
     /// `path`, stamped with a generation one past the newest valid
     /// generation already on disk.  A crash at any point leaves at
     /// least one valid manifest for [`Self::load_latest`] to pick up.
-    fn save(&mut self, path: &Path) -> Result<(), Self::Error> {
+    fn save(&mut self, path: &Path) -> Result<(), SortError> {
         self.save_clocked(path, None)
     }
 
@@ -324,9 +366,9 @@ pub trait Manifest: Sized {
     /// recovery must come up from the rotated `.prev` generation.  The
     /// rotation below happens *before* the temp write precisely so
     /// that fallback always exists.
-    fn save_clocked(&mut self, path: &Path, clock: Option<&CrashClock>) -> Result<(), Self::Error> {
+    fn save_clocked(&mut self, path: &Path, clock: Option<&CrashClock>) -> Result<(), SortError> {
         let ckpt = |e: std::io::Error| {
-            Self::checkpoint_error(format!("cannot write manifest {}: {e}", path.display()))
+            SortError::Checkpoint(format!("cannot write manifest {}: {e}", path.display()))
         };
         let prev = manifest_sibling(path, "prev");
         let current = Self::load(path).ok();
@@ -338,11 +380,7 @@ pub trait Manifest: Sized {
         if current.is_some() {
             std::fs::rename(path, &prev).map_err(ckpt)?;
         }
-        let tmp = manifest_sibling(path, "tmp");
-        let mut f = std::fs::File::create(&tmp).map_err(ckpt)?;
-        f.write_all(self.encode().as_bytes()).map_err(ckpt)?;
-        f.sync_all().map_err(ckpt)?;
-        drop(f);
+        let tmp = write_synced_temp(path, self.encode().as_bytes()).map_err(ckpt)?;
         if let Some(c) = clock {
             c.tick("manifest-sync")?;
         }
@@ -351,9 +389,9 @@ pub trait Manifest: Sized {
     }
 
     /// Load and parse a manifest file.
-    fn load(path: &Path) -> Result<Self, Self::Error> {
+    fn load(path: &Path) -> Result<Self, SortError> {
         let text = std::fs::read_to_string(path).map_err(|e| {
-            Self::checkpoint_error(format!("cannot read manifest {}: {e}", path.display()))
+            SortError::Checkpoint(format!("cannot read manifest {}: {e}", path.display()))
         })?;
         Self::parse(&text)
     }
@@ -367,7 +405,7 @@ pub trait Manifest: Sized {
     /// * Candidates exist but every one is torn or corrupt → an error;
     ///   resuming blind would re-sort from scratch and clobber state
     ///   the operator may want to inspect.
-    fn load_latest(path: &Path) -> Result<Option<Self>, Self::Error> {
+    fn load_latest(path: &Path) -> Result<Option<Self>, SortError> {
         let prev = manifest_sibling(path, "prev");
         let mut best: Option<Self> = None;
         let mut existed = 0u32;
@@ -388,11 +426,11 @@ pub trait Manifest: Sized {
         match (best, existed, last_err) {
             (Some(m), _, _) => Ok(Some(m)),
             (None, 0, _) => Ok(None),
-            (None, _, Some(e)) => Err(Self::checkpoint_error(format!(
+            (None, _, Some(e)) => Err(SortError::Checkpoint(format!(
                 "every manifest candidate for {} is corrupt (last error: {e})",
                 path.display()
             ))),
-            (None, _, None) => Err(Self::checkpoint_error(format!(
+            (None, _, None) => Err(SortError::Checkpoint(format!(
                 "every manifest candidate for {} is unreadable",
                 path.display()
             ))),
@@ -402,7 +440,7 @@ pub trait Manifest: Sized {
     /// Delete a completed sort's manifest, including its `.prev` journal
     /// sibling and any orphaned `.tmp`; missing files are fine (the sort
     /// may never have checkpointed).
-    fn remove(path: &Path) -> Result<(), Self::Error> {
+    fn remove(path: &Path) -> Result<(), SortError> {
         for p in [
             path.to_path_buf(),
             manifest_sibling(path, "prev"),
@@ -412,7 +450,7 @@ pub trait Manifest: Sized {
                 Ok(()) => {}
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => {
-                    return Err(Self::checkpoint_error(format!(
+                    return Err(SortError::Checkpoint(format!(
                         "cannot remove manifest {}: {e}",
                         p.display()
                     )))

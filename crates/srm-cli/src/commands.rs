@@ -1,20 +1,18 @@
 //! Subcommand implementations.
 
 use crate::args::Flags;
-use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     ArrayTiming, CrashClock, CrashingDiskArray, DiskArray, DiskId, DiskModel, FaultModel,
     FaultyDiskArray, FileDiskArray, Geometry, InterruptFlag, Manifest as _, MemDiskArray,
-    ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, U64Record,
+    ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, SortError, Sorter, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::simulator::{estimate_overhead_v, SimPlacement};
-use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, Placement, RunFormation, SrmSorter};
+use srm_core::{Placement, RunFormation};
 use srm_server::{EngineKind, JobServer, JobSpec, ServerConfig};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// CLI-level error: either a message for stderr (exit 2) or a graceful
 /// interruption (exit 130 = 128 + SIGINT, the shell convention), which
@@ -22,7 +20,8 @@ use std::path::Path;
 /// same flags resumes byte-identically.
 enum CliError {
     Msg(String),
-    Interrupted(Option<std::path::PathBuf>),
+    /// What became of the sort's progress, for the `interrupted:` line.
+    Interrupted(String),
 }
 
 impl From<String> for CliError {
@@ -77,7 +76,14 @@ USAGE:
       the I/O line.  --resume MANIFEST checkpoints the sort to MANIFEST
       after every pass and, when the file already exists, resumes from it
       (with --backend file the disk files are reopened, not truncated —
-      a killed sort picks up from its last completed pass).
+      a killed sort picks up from its last completed pass).  Both
+      sorters run the same pass driver (DESIGN.md §6.4), so --algo dsm
+      honours --backend, --resume and Ctrl-C checkpointing exactly as
+      --algo srm does.  One manifest names one sort: under --algo both
+      it is the SRM sort's, and DSM runs unjournaled.  Memory disks die
+      with their process, so --backend mem refuses a MANIFEST that
+      survives from an earlier run (delete it, or sort on --backend
+      file --dir D --keep).
 
       --parity adds rotating-parity redundancy (RAID-5 style): the array
       survives one permanent disk death, serving the dead disk's blocks by
@@ -100,8 +106,9 @@ USAGE:
       (including torn parallel writes where only a prefix of the stripe
       lands) and exits nonzero.  Rerun without --crash-at (keeping
       --resume MANIFEST and, with --backend file, the same --dir) to
-      recover from the last durable checkpoint.  Both flags apply to the
-      SRM sort only (--algo srm) and cannot be combined with --kill-disk.
+      recover from the last durable checkpoint.  Both flags stay
+      SRM-only (--algo srm; DSM carries no crash clock) and cannot be
+      combined with --kill-disk.
 
       --check-model records the structured I/O trace of each sort and
       replays it through the modelcheck invariant checker (one block per
@@ -110,12 +117,12 @@ USAGE:
       §8).  Any violation aborts with a typed, located error naming the
       pass, disk, and block involved.
 
-      Ctrl-C (SIGINT) or SIGTERM interrupts the sort gracefully: with
-      --resume MANIFEST the current pass finishes, the checkpoint is
-      journaled, and the process exits with code 130; rerunning with the
-      same flags resumes byte-identically from that boundary.  (The
-      hidden --interrupt-after-pass K flag trips the same path from
-      tests without a signal.)
+      Ctrl-C (SIGINT) or SIGTERM interrupts either sorter gracefully:
+      with --resume MANIFEST the current pass finishes, the checkpoint
+      is journaled, and the process exits with code 130; rerunning with
+      the same flags (on --backend file) resumes byte-identically from
+      that boundary.  (The hidden --interrupt-after-pass K flag trips
+      the same path from tests without a signal.)
 
   srm occupancy --k K --d D [--trials N] [--seed S]
       Estimate Table 1's overhead v(k, D) = C(kD, D)/k by ball-throwing.
@@ -278,7 +285,13 @@ pub fn sort(argv: &[String]) -> i32 {
             }
         };
         let algo = flags.get_str("algo").unwrap_or("both");
+        if !matches!(algo, "srm" | "dsm" | "both") {
+            return Err(format!("unknown algo `{algo}`").into());
+        }
         let backend = flags.get_str("backend").unwrap_or("mem");
+        if !matches!(backend, "mem" | "file") {
+            return Err(format!("unknown backend `{backend}`").into());
+        }
         let placement = match flags.get_str("placement").unwrap_or("random") {
             "random" => Placement::Random,
             "staggered" => Placement::Staggered,
@@ -304,8 +317,7 @@ pub fn sort(argv: &[String]) -> i32 {
             return Err(format!("--fault-rate {fault_rate} outside [0, 1)").into());
         }
         let fault_seed: u64 = flags.get_or("fault-seed", 0xFA_017)?;
-        let resume = flags.get_str("resume").map(std::path::PathBuf::from);
-        let check_model = flags.has("check-model");
+        let resume = flags.get_str("resume").map(PathBuf::from);
 
         // Crash drills: a counting clock numbers the boundaries, an
         // armed clock kills the process state at one of them.
@@ -366,9 +378,11 @@ pub fn sort(argv: &[String]) -> i32 {
         }
         println!("input: {records} random u64 records (seed {seed:#x})\n");
         // One construction path everywhere: the CLI builds the same
-        // JobSpec the job server and the crash-matrix harness use, so
-        // `srm sort`, `srm serve`, and `srm crash-matrix` can never
-        // drift in how they wire a sorter or generate input.
+        // JobSpec the job server and the crash-matrix harness use, and
+        // drives the sorters it builds through the same `Sorter`
+        // lifecycle, so `srm sort`, `srm serve`, and `srm crash-matrix`
+        // can never drift in how they wire a sorter, generate input, or
+        // resume.
         let spec = JobSpec {
             engine: EngineKind::Srm,
             records,
@@ -398,131 +412,184 @@ pub fn sort(argv: &[String]) -> i32 {
             .get::<u64>("interrupt-after-pass")?
             .map(|k| (interrupt.clone(), k));
 
+        let job = |label: &'static str, resume: Option<&Path>| SortJob {
+            label,
+            data: &data,
+            geom,
+            fault_rate,
+            fault_seed,
+            resume: resume.map(Path::to_path_buf),
+            durable: backend == "file",
+            parity: popts.clone(),
+            check_model: flags.has("check-model"),
+            crash: crash.clone(),
+            trip: trip.clone(),
+        };
         if algo == "srm" || algo == "both" {
             let sorter = spec.srm_sorter().with_interrupt(interrupt.clone());
+            // The sorter ticks its own manifest-write boundaries on the
+            // same clock the array layers use, so boundary numbering is
+            // total.
+            let sorter = match &crash {
+                Some(c) => sorter.with_crash_clock(c.clone()),
+                None => sorter,
+            };
             if pipeline {
                 println!("window: pipelined (reads in flight + write-behind)");
             }
-            match backend {
-                "mem" => {
-                    let array: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-                    srm_with_faults(
-                        array,
-                        &data,
-                        sorter.clone(),
-                        geom,
-                        fault_rate,
-                        fault_seed,
-                        resume.as_deref(),
-                        popts.as_ref(),
-                        None,
-                        check_model,
-                        crash.clone(),
-                        trip.clone(),
-                    )?;
-                }
-                "file" => {
-                    let dir = flags
-                        .get_str("dir")
-                        .map(std::path::PathBuf::from)
-                        .unwrap_or_else(|| {
-                            std::env::temp_dir().join(format!("srm-cli-{}", std::process::id()))
-                        });
-                    println!("file backend at {}", dir.display());
-                    // Resuming from a manifest means the disk files hold
-                    // prior progress: reopen them instead of truncating.
-                    // The generation-aware load also accepts a torn
-                    // current manifest whose journaled predecessor is
-                    // still valid.
-                    let resuming = match resume.as_deref() {
-                        Some(path) => srm_core::SortManifest::load_latest(path)
-                            .map_err(|e| e.to_string())?
-                            .is_some(),
-                        None => false,
-                    };
-                    let array: FileDiskArray<U64Record> = if resuming {
-                        println!("resuming from {}", resume.as_deref().unwrap().display());
-                        FileDiskArray::open(geom, &dir).map_err(|e| e.to_string())?
-                    } else {
-                        FileDiskArray::create(geom, &dir).map_err(|e| e.to_string())?
-                    };
-                    // Parity frames persist next to the disk files so a
-                    // degraded sort can be resumed after a crash.  A
-                    // fresh sort truncates the disks, so any sidecar
-                    // left by an earlier (crashed) run is stale and
-                    // must go with them.
-                    let store = popts.as_ref().map(|_| dir.join("parity.store"));
-                    if !resuming {
-                        if let Some(s) = &store {
-                            let _ = std::fs::remove_file(s);
-                        }
-                    }
-                    srm_with_faults(
-                        array,
-                        &data,
-                        sorter,
-                        geom,
-                        fault_rate,
-                        fault_seed,
-                        resume.as_deref(),
-                        popts.as_ref(),
-                        store.as_deref(),
-                        check_model,
-                        crash.clone(),
-                        trip.clone(),
-                    )?;
-                    if !flags.has("keep") {
-                        let _ = std::fs::remove_dir_all(&dir);
-                    } else {
-                        println!("disk files kept at {}", dir.display());
-                    }
-                }
-                other => return Err(format!("unknown backend `{other}`").into()),
-            }
-            if crash_points {
-                if let Some(c) = &crash {
-                    println!("crash boundaries numbered: {} (explore with --crash-at 0..{})",
-                        c.points(), c.points());
-                }
+            sort_on_backend(&flags, &sorter, &job("SRM", resume.as_deref()))?;
+            if let Some(c) = crash.as_ref().filter(|_| crash_points) {
+                println!(
+                    "crash boundaries numbered: {} (explore with --crash-at 0..{})",
+                    c.points(),
+                    c.points()
+                );
             }
         }
         if algo == "dsm" || algo == "both" {
-            if backend != "mem" {
-                println!("(DSM runs on the in-memory backend)");
-            }
-            let array: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-            dsm_with_faults(
-                array,
-                &data,
-                spec.dsm_sorter().with_interrupt(interrupt.clone()),
-                geom,
-                fault_rate,
-                fault_seed,
-                popts.as_ref(),
-                check_model,
-            )?;
-        }
-        if algo != "srm" && algo != "dsm" && algo != "both" {
-            return Err(format!("unknown algo `{algo}`").into());
+            // One manifest names one sort: under `--algo both` it is SRM's.
+            let resume = resume.as_deref().filter(|_| algo == "dsm");
+            let sorter = spec.dsm_sorter().with_interrupt(interrupt.clone());
+            sort_on_backend(&flags, &sorter, &job("DSM", resume))?;
         }
         Ok(())
     };
     match inner() {
         Ok(()) => 0,
-        Err(CliError::Interrupted(manifest)) => {
-            match manifest {
-                Some(m) => eprintln!(
-                    "interrupted: checkpoint journaled; rerun with the same flags to resume from {}",
-                    m.display()
-                ),
-                None => eprintln!(
-                    "interrupted: no --resume manifest, so nothing was checkpointed; rerun to start over"
-                ),
-            }
+        Err(CliError::Interrupted(outcome)) => {
+            eprintln!("interrupted: {outcome}");
             EXIT_INTERRUPTED
         }
         Err(CliError::Msg(e)) => fail(e),
     }
+}
+
+/// What one `srm sort` run hands down the chain besides the array and
+/// the sorter.
+struct SortJob<'a> {
+    /// The engine's name in the report (`SRM` / `DSM`).
+    label: &'static str,
+    data: &'a [U64Record],
+    geom: Geometry,
+    fault_rate: f64,
+    fault_seed: u64,
+    /// `--resume`: the manifest this sort journals to and resumes from.
+    resume: Option<PathBuf>,
+    /// Whether the disks outlive the process (`--backend file`): only
+    /// then can a journaled checkpoint actually be resumed.
+    durable: bool,
+    parity: Option<ParityOpts>,
+    check_model: bool,
+    crash: Option<CrashClock>,
+    /// `--interrupt-after-pass K`, standing in for a human Ctrl-C.
+    trip: Option<(InterruptFlag, u64)>,
+}
+
+/// Why a checkpoint under `--backend mem` cannot be resumed, and the two
+/// ways out.
+fn memory_disks_die(manifest: &Path, consequence: &str) -> String {
+    format!(
+        "--backend mem disks die with their process, so {consequence}; delete {} to start \
+         over, or sort with --backend file --dir D --keep for a resumable one",
+        manifest.display()
+    )
+}
+
+impl SortJob<'_> {
+    /// Render a sort failure with the advice that fits it: what a rerun
+    /// would do, or why it cannot help.
+    fn failure(&self, e: SortError) -> CliError {
+        match (&e, self.resume.as_deref(), self.durable) {
+            (SortError::Interrupted, Some(m), true) => CliError::Interrupted(format!(
+                "checkpoint journaled; rerun with the same flags to resume from {}",
+                m.display()
+            )),
+            (SortError::Interrupted, Some(m), false) => CliError::Interrupted(format!(
+                "checkpoint journaled at {}, but {}",
+                m.display(),
+                memory_disks_die(m, "it cannot be resumed")
+            )),
+            (SortError::Interrupted, None, _) => CliError::Interrupted(
+                "this sort had no --resume manifest (under --algo both it is the SRM sort's), \
+                 so nothing was checkpointed; rerun to start over"
+                    .into(),
+            ),
+            // A bad manifest will fail the same way on every rerun — the
+            // only way out is to discard it.
+            (SortError::Checkpoint(_), Some(m), _) => CliError::Msg(format!(
+                "{e}; delete {} to start a fresh sort",
+                m.display()
+            )),
+            (_, Some(m), true) => CliError::Msg(format!(
+                "{e}; rerun with the same flags to resume from {}",
+                m.display()
+            )),
+            _ => CliError::Msg(e.to_string()),
+        }
+    }
+
+    /// Whether `sorter` would resume from `--resume` — asked before the
+    /// array is built, since a resume reopens the disk files instead of
+    /// truncating them — and if so, the disks the checkpoint records dead,
+    /// for the parity layer to re-mark.
+    fn resume_point<S: Sorter>(&self, sorter: &S) -> Result<Option<Vec<DiskId>>, CliError> {
+        let Some(path) = self.resume.as_deref() else {
+            return Ok(None);
+        };
+        let at = sorter
+            .resume_point(self.geom, self.data.len() as u64, path)
+            .map_err(|e| self.failure(e))?;
+        let Some(at) = at else {
+            return Ok(None);
+        };
+        if !self.durable {
+            return Err(format!(
+                "{} holds a checkpoint from an earlier run, but {}",
+                path.display(),
+                memory_disks_die(path, "the runs it names are gone")
+            )
+            .into());
+        }
+        println!("resuming from {}", path.display());
+        Ok(Some(at.redundancy.map(|r| r.dead).unwrap_or_default()))
+    }
+}
+
+/// Build the `--backend` array — fresh, or reopened when `--resume` finds
+/// a checkpoint — and run `sorter` on it.
+fn sort_on_backend<S: Sorter>(flags: &Flags, sorter: &S, job: &SortJob) -> Result<(), CliError> {
+    let resuming = job.resume_point(sorter)?;
+    let dead = resuming.as_deref().unwrap_or_default();
+    if !job.durable {
+        let array: MemDiskArray<U64Record> = MemDiskArray::new(job.geom);
+        return with_faults(array, sorter, job, None, dead);
+    }
+    let dir = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("srm-cli-{}", std::process::id()))
+    });
+    println!("file backend at {}", dir.display());
+    // Resuming from a manifest means the disk files hold prior progress:
+    // reopen them instead of truncating.
+    let array: FileDiskArray<U64Record> = if resuming.is_some() {
+        FileDiskArray::open(job.geom, &dir).map_err(|e| e.to_string())?
+    } else {
+        FileDiskArray::create(job.geom, &dir).map_err(|e| e.to_string())?
+    };
+    // Parity frames persist next to the disk files so a degraded sort can
+    // be resumed after a crash.  A fresh sort truncates the disks, so any
+    // sidecar left by an earlier (crashed) run is stale and must go with
+    // them.
+    let store = job.parity.as_ref().map(|_| dir.join("parity.store"));
+    if let Some(s) = store.as_ref().filter(|_| resuming.is_none()) {
+        let _ = std::fs::remove_file(s);
+    }
+    with_faults(array, sorter, job, store.as_deref(), dead)?;
+    if !flags.has("keep") {
+        let _ = std::fs::remove_dir_all(&dir);
+    } else {
+        println!("disk files kept at {}", dir.display());
+    }
+    Ok(())
 }
 
 fn print_io(label: &str, io: &pdisk::IoStats, geom: Geometry, cpu: std::time::Duration) {
@@ -589,31 +656,27 @@ type ProtectedStack<A> =
 
 /// Pass-boundary callback handed down to the sorter (the `--kill-disk`
 /// injection point).
-type SrmObserver<'a, A> = Option<Box<dyn FnMut(u64, &mut A) -> srm_core::Result<()> + 'a>>;
-type DsmObserver<'a, A> = Option<Box<dyn FnMut(u64, &mut A) -> Result<(), dsm::DsmError> + 'a>>;
+type Observer<'a, A> = Option<Box<dyn FnMut(u64, &mut A) -> Result<(), SortError> + 'a>>;
 
 /// Build the parity layer for either sorter: wrap `array` in fault
 /// injection + rotating parity, attach the sidecar store, configure
 /// hedging, and re-mark any disks a resumed manifest recorded as dead.
-#[allow(clippy::too_many_arguments)]
 fn build_parity_stack<A: DiskArray<U64Record>>(
     array: A,
-    geom: Geometry,
-    fault_rate: f64,
-    fault_seed: u64,
+    job: &SortJob,
     opts: &ParityOpts,
     store: Option<&Path>,
     dead_from_manifest: &[DiskId],
-    crash: Option<&CrashClock>,
 ) -> Result<ProtectedStack<A>, String> {
+    let geom = job.geom;
     println!(
         "parity: rotating parity over {} disks ({} of every {} blocks usable); survives one disk death",
         geom.d,
         geom.d - 1,
         geom.d
     );
-    let faulty = FaultyDiskArray::new(array, FaultModel::random(fault_seed).with_rate(fault_rate));
-    let mut pa = ParityDiskArray::new(faulty).map_err(|e| e.to_string())?;
+    let model = FaultModel::random(job.fault_seed).with_rate(job.fault_rate);
+    let mut pa = ParityDiskArray::new(FaultyDiskArray::new(array, model)).map_err(|e| e.to_string())?;
     if let Some(path) = store {
         pa = pa.with_store(path).map_err(|e| e.to_string())?;
     }
@@ -635,69 +698,36 @@ fn build_parity_stack<A: DiskArray<U64Record>>(
     // Crash drills also number the parity layer's read-modify-write
     // boundaries, so --crash-at can land between a data write and its
     // parity commit.
-    if let Some(c) = crash {
+    if let Some(c) = &job.crash {
         pa.set_crash_clock(c.clone());
     }
     Ok(RetryingDiskArray::new(pa, RetryPolicy::default()))
 }
 
-/// Run SRM on `array`, optionally behind the fault-injection + retry
-/// stack (`--fault-rate`), the rotating-parity layer (`--parity`), and
-/// checkpointing (`--resume`).
-#[allow(clippy::too_many_arguments)]
-fn srm_with_faults<A: DiskArray<U64Record>>(
+/// Run `sorter` on `array`, optionally behind the fault-injection + retry
+/// stack (`--fault-rate`) and the rotating-parity layer (`--parity`, with
+/// its sidecar `store` and the disks a resumed manifest records `dead`).
+fn with_faults<S: Sorter, A: DiskArray<U64Record>>(
     array: A,
-    data: &[U64Record],
-    sorter: SrmSorter,
-    geom: Geometry,
-    fault_rate: f64,
-    fault_seed: u64,
-    resume: Option<&Path>,
-    parity: Option<&ParityOpts>,
+    sorter: &S,
+    job: &SortJob,
     store: Option<&Path>,
-    check_model: bool,
-    crash: Option<CrashClock>,
-    trip: Option<(InterruptFlag, u64)>,
+    dead: &[DiskId],
 ) -> Result<(), CliError> {
     let policy = RetryPolicy::default();
-    if fault_rate > 0.0 {
+    if job.fault_rate > 0.0 {
         println!(
-            "fault injection: transient rate {fault_rate} per disk (seed {fault_seed:#x}), up to {} attempts per op",
-            policy.max_attempts
+            "fault injection: transient rate {} per disk (seed {:#x}), up to {} attempts per op",
+            job.fault_rate, job.fault_seed, policy.max_attempts
         );
     }
-    // The sorter ticks its own manifest-write boundaries on the same
-    // clock the array layers use, so boundary numbering is total.
-    let sorter = match &crash {
-        Some(c) => sorter.with_crash_clock(c.clone()),
-        None => sorter,
-    };
-    match parity {
+    match &job.parity {
         Some(p) => {
-            // A degraded resume must re-mark the manifest's dead disks
-            // *before* the sorter validates redundancy.  The
-            // generation-aware load tolerates a torn current manifest.
-            let mut dead = Vec::new();
-            if let Some(path) = resume {
-                if let Some(m) =
-                    srm_core::SortManifest::load_latest(path).map_err(|e| e.to_string())?
-                {
-                    if let Some(red) = &m.redundancy {
-                        dead = red.dead.clone();
-                    }
-                }
-            }
-            let wrapped = build_parity_stack(
-                array, geom, fault_rate, fault_seed, p, store, &dead, crash.as_ref(),
-            )?;
-            if let Some(c) = crash {
-                // Crash drills exclude --kill-disk (validated at parse
-                // time), so no observer is needed on this path.
-                let arr = CrashingDiskArray::new(wrapped, c);
-                return run_srm(arr, data, sorter, geom, resume, check_model, None, trip);
-            }
+            // A degraded resume re-marks the manifest's dead disks here,
+            // *before* the sorter validates redundancy.
+            let wrapped = build_parity_stack(array, job, p, store, dead)?;
             let kill = p.kill;
-            let observer: SrmObserver<'_, ProtectedStack<A>> = Some(Box::new(move |pass, a| {
+            let observer: Observer<'_, ProtectedStack<A>> = Some(Box::new(move |pass, a| {
                 if let Some((disk, at)) = kill {
                     if pass == at {
                         println!("drill: disk {disk} dies permanently after pass {pass}");
@@ -706,29 +736,14 @@ fn srm_with_faults<A: DiskArray<U64Record>>(
                 }
                 Ok(())
             }));
-            run_srm(wrapped, data, sorter.clone(), geom, resume, check_model, observer, trip)
+            run(wrapped, sorter, job, observer)
         }
-        None if fault_rate > 0.0 => {
-            let faulty =
-                FaultyDiskArray::new(array, FaultModel::random(fault_seed).with_rate(fault_rate));
-            let wrapped = RetryingDiskArray::new(faulty, policy);
-            match crash {
-                Some(c) => {
-                    let arr = CrashingDiskArray::new(wrapped, c);
-                    run_srm(arr, data, sorter, geom, resume, check_model, None, trip)
-                }
-                None => {
-                    run_srm(wrapped, data, sorter.clone(), geom, resume, check_model, None, trip)
-                }
-            }
+        None if job.fault_rate > 0.0 => {
+            let model = FaultModel::random(job.fault_seed).with_rate(job.fault_rate);
+            let wrapped = RetryingDiskArray::new(FaultyDiskArray::new(array, model), policy);
+            run(wrapped, sorter, job, None)
         }
-        None => match crash {
-            Some(c) => {
-                let arr = CrashingDiskArray::new(array, c);
-                run_srm(arr, data, sorter, geom, resume, check_model, None, trip)
-            }
-            None => run_srm(array, data, sorter, geom, resume, check_model, None, trip),
-        },
+        None => run(array, sorter, job, None),
     }
 }
 
@@ -756,55 +771,63 @@ fn report_model_check<A: DiskArray<U64Record>>(
     Ok(())
 }
 
-/// Dispatch a sort to [`run_srm_on`], optionally under the tracing
-/// wrapper + invariant checker (`--check-model`).
-#[allow(clippy::too_many_arguments)]
-fn run_srm<A: DiskArray<U64Record>>(
+/// Put the crash clock's array layer (`--crash-at` / `--crash-points`)
+/// on top of the stack, when asked for.
+fn run<S: Sorter, A: DiskArray<U64Record>>(
     array: A,
-    data: &[U64Record],
-    sorter: SrmSorter,
-    geom: Geometry,
-    resume: Option<&Path>,
-    check_model: bool,
-    observer: SrmObserver<'_, A>,
-    trip: Option<(InterruptFlag, u64)>,
+    sorter: &S,
+    job: &SortJob,
+    observer: Observer<'_, A>,
 ) -> Result<(), CliError> {
-    if check_model {
+    match &job.crash {
+        // Crash drills exclude --kill-disk (validated at parse time), so
+        // no observer is needed on this path.
+        Some(c) => run_checked(CrashingDiskArray::new(array, c.clone()), sorter, job, None),
+        None => run_checked(array, sorter, job, observer),
+    }
+}
+
+/// Dispatch a sort to [`run_on`], optionally under the tracing wrapper +
+/// invariant checker (`--check-model`).
+fn run_checked<S: Sorter, A: DiskArray<U64Record>>(
+    array: A,
+    sorter: &S,
+    job: &SortJob,
+    observer: Observer<'_, A>,
+) -> Result<(), CliError> {
+    if job.check_model {
         let mut traced = TracingDiskArray::new(array);
         let mut obs = observer;
-        let adapted: SrmObserver<'_, TracingDiskArray<U64Record, A>> =
+        let adapted: Observer<'_, TracingDiskArray<U64Record, A>> =
             Some(Box::new(move |pass, t| match obs.as_deref_mut() {
                 Some(f) => f(pass, t.inner_mut()),
                 None => Ok(()),
             }));
-        run_srm_on(&mut traced, data, sorter, geom, resume, adapted, trip)?;
-        Ok(report_model_check(geom, &traced)?)
+        run_on(&mut traced, sorter, job, adapted)?;
+        Ok(report_model_check(job.geom, &traced)?)
     } else {
         let mut array = array;
-        run_srm_on(&mut array, data, sorter, geom, resume, observer, trip)
+        run_on(&mut array, sorter, job, observer)
     }
 }
 
-fn run_srm_on<A: DiskArray<U64Record>>(
+fn run_on<S: Sorter, A: DiskArray<U64Record>>(
     array: &mut A,
-    data: &[U64Record],
-    sorter: SrmSorter,
-    geom: Geometry,
-    resume: Option<&Path>,
-    observer: SrmObserver<'_, A>,
-    trip: Option<(InterruptFlag, u64)>,
+    sorter: &S,
+    job: &SortJob,
+    observer: Observer<'_, A>,
 ) -> Result<(), CliError> {
-    let input = write_unsorted_input(array, data).map_err(|e| e.to_string())?;
+    let input = sorter.stage(array, job.data).map_err(|e| e.to_string())?;
     let staged = array.stats();
     let start = std::time::Instant::now();
     let mut obs = observer;
-    let result = sorter
-        .sort_observed(array, &input, resume, |pass, a| {
+    let (sorted, report) = sorter
+        .run(array, &input, job.resume.as_deref(), |pass, a| {
             // The --interrupt-after-pass test hook stands in for a human
             // Ctrl-C: the observer runs at the boundary *before* the
             // snapshot and the interrupt check, so tripping here drains
             // at this very pass.
-            if let Some((flag, after)) = &trip {
+            if let Some((flag, after)) = &job.trip {
                 if pass >= *after {
                     flag.trigger();
                 }
@@ -814,37 +837,14 @@ fn run_srm_on<A: DiskArray<U64Record>>(
                 None => Ok(()),
             }
         })
-        .map_err(|e| match (&e, resume) {
-            (srm_core::SrmError::Interrupted, m) => {
-                CliError::Interrupted(m.map(Path::to_path_buf))
-            }
-            // A bad manifest will fail the same way on every rerun — the
-            // only way out is to discard it.
-            (srm_core::SrmError::Checkpoint(_), Some(m)) => CliError::Msg(format!(
-                "{e}; delete {} to start a fresh sort",
-                m.display()
-            )),
-            (_, Some(m)) => CliError::Msg(format!(
-                "{e}; rerun with the same flags to resume from {}",
-                m.display()
-            )),
-            _ => CliError::Msg(e.to_string()),
-        });
-    let (sorted, report) = result?;
+        .map_err(|e| job.failure(e))?;
     let elapsed = start.elapsed();
     verify_sorted(
-        &read_run(array, &sorted).map_err(|e| e.to_string())?,
-        data,
+        &sorter.output(array, &sorted).map_err(|e| e.to_string())?,
+        job.data,
     )?;
-    println!("SRM: sorted & verified in {elapsed:.2?} (host time)");
-    println!(
-        "  merge order R={}, runs formed={}, merge passes={}, flushes={} ({} blocks)",
-        report.merge_order,
-        report.runs_formed,
-        report.merge_passes,
-        report.schedule.flush_ops,
-        report.schedule.blocks_flushed
-    );
+    println!("{}: sorted & verified in {elapsed:.2?} (host time)", job.label);
+    println!("  {report}");
     if let Some(red) = array.redundancy() {
         if !red.dead.is_empty() {
             let ids: Vec<u32> = red.dead.iter().map(|d| d.0).collect();
@@ -854,124 +854,7 @@ fn run_srm_on<A: DiskArray<U64Record>>(
         }
     }
     let io = array.stats().since(&staged);
-    print_io("I/O (sort only)", &io, geom, elapsed);
-    println!();
-    Ok(())
-}
-
-/// Run DSM on `array`, optionally behind the same protective stack as SRM.
-#[allow(clippy::too_many_arguments)]
-fn dsm_with_faults<A: DiskArray<U64Record>>(
-    array: A,
-    data: &[U64Record],
-    sorter: DsmSorter,
-    geom: Geometry,
-    fault_rate: f64,
-    fault_seed: u64,
-    parity: Option<&ParityOpts>,
-    check_model: bool,
-) -> Result<(), CliError> {
-    let policy = RetryPolicy::default();
-    if fault_rate > 0.0 {
-        println!(
-            "fault injection: transient rate {fault_rate} per disk (seed {fault_seed:#x}), up to {} attempts per op",
-            policy.max_attempts
-        );
-    }
-    match parity {
-        Some(p) => {
-            let wrapped =
-                build_parity_stack(array, geom, fault_rate, fault_seed, p, None, &[], None)?;
-            let kill = p.kill;
-            let observer: DsmObserver<'_, ProtectedStack<A>> = Some(Box::new(move |pass, a| {
-                if let Some((disk, at)) = kill {
-                    if pass == at {
-                        println!("drill: disk {disk} dies permanently after pass {pass}");
-                        a.inner_mut().fail_disk(DiskId(disk))?;
-                    }
-                }
-                Ok(())
-            }));
-            run_dsm(wrapped, data, sorter, geom, check_model, observer)
-        }
-        None if fault_rate > 0.0 => {
-            let faulty =
-                FaultyDiskArray::new(array, FaultModel::random(fault_seed).with_rate(fault_rate));
-            let wrapped = RetryingDiskArray::new(faulty, policy);
-            run_dsm(wrapped, data, sorter, geom, check_model, None)
-        }
-        None => run_dsm(array, data, sorter, geom, check_model, None),
-    }
-}
-
-/// Dispatch a DSM sort to [`run_dsm_on`], optionally under the tracing
-/// wrapper + invariant checker (`--check-model`).
-fn run_dsm<A: DiskArray<U64Record>>(
-    array: A,
-    data: &[U64Record],
-    sorter: DsmSorter,
-    geom: Geometry,
-    check_model: bool,
-    observer: DsmObserver<'_, A>,
-) -> Result<(), CliError> {
-    if check_model {
-        let mut traced = TracingDiskArray::new(array);
-        let mut obs = observer;
-        let adapted: DsmObserver<'_, TracingDiskArray<U64Record, A>> =
-            Some(Box::new(move |pass, t| match obs.as_deref_mut() {
-                Some(f) => f(pass, t.inner_mut()),
-                None => Ok(()),
-            }));
-        run_dsm_on(&mut traced, data, sorter, geom, adapted)?;
-        Ok(report_model_check(geom, &traced)?)
-    } else {
-        let mut array = array;
-        run_dsm_on(&mut array, data, sorter, geom, observer)
-    }
-}
-
-fn run_dsm_on<A: DiskArray<U64Record>>(
-    array: &mut A,
-    data: &[U64Record],
-    sorter: DsmSorter,
-    geom: Geometry,
-    observer: DsmObserver<'_, A>,
-) -> Result<(), CliError> {
-    let input = write_unsorted_stripes(array, data).map_err(|e| e.to_string())?;
-    let staged = array.stats();
-    let start = std::time::Instant::now();
-    let mut obs = observer;
-    let (sorted, report) = sorter
-        .sort_observed(array, &input, None, |pass, a| match obs.as_deref_mut() {
-            Some(f) => f(pass, a),
-            None => Ok(()),
-        })
-        .map_err(|e| match &e {
-            // DSM has no CLI checkpoint path: an interrupt just stops the
-            // sort early (nothing to resume), but it is still exit 130.
-            dsm::DsmError::Interrupted => CliError::Interrupted(None),
-            _ => CliError::Msg(e.to_string()),
-        })?;
-    let elapsed = start.elapsed();
-    verify_sorted(
-        &read_logical_run(array, &sorted).map_err(|e| e.to_string())?,
-        data,
-    )?;
-    println!("DSM: sorted & verified in {elapsed:.2?} (host time)");
-    println!(
-        "  merge order R={}, runs formed={}, merge passes={}",
-        report.merge_order, report.runs_formed, report.merge_passes
-    );
-    if let Some(red) = array.redundancy() {
-        if !red.dead.is_empty() {
-            let ids: Vec<u32> = red.dead.iter().map(|d| d.0).collect();
-            println!(
-                "  degraded: completed with disk(s) {ids:?} dead; output identical to the failure-free run"
-            );
-        }
-    }
-    let io = array.stats().since(&staged);
-    print_io("I/O (sort only)", &io, geom, elapsed);
+    print_io("I/O (sort only)", &io, job.geom, elapsed);
     println!();
     Ok(())
 }

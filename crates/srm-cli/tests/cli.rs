@@ -1,5 +1,6 @@
 //! End-to-end tests of the `srm` binary via `std::process`.
 
+use pdisk::Manifest as _;
 use std::process::{Command, Output};
 
 fn srm(args: &[&str]) -> Output {
@@ -11,6 +12,19 @@ fn srm(args: &[&str]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// A fresh manifest path under a scratch directory of its own.
+fn scratch_manifest(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("srm-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = dir.join("sort.manifest");
+    (dir, manifest)
 }
 
 #[test]
@@ -43,6 +57,95 @@ fn sort_both_algorithms_mem_backend() {
     assert!(text.contains("merge order"));
     assert!(text.contains("memory partition"));
     assert!(text.contains("overlapped"));
+}
+
+/// The degraded-DSM drill: a disk dies after merge pass 1 under parity,
+/// the sort completes by reconstruction, and the trace stays clean.
+#[test]
+fn sort_dsm_survives_a_disk_death_under_parity_with_a_clean_model_check() {
+    let out = srm(&[
+        "sort", "--records", "20000", "--algo", "dsm", "--parity", "--kill-disk", "1@1",
+        "--check-model",
+    ]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = stdout(&out);
+    for marker in [
+        "drill: disk 1 dies",
+        "degraded: completed with disk(s) [1] dead",
+        "DSM: sorted & verified",
+        "model check: clean",
+    ] {
+        assert!(text.contains(marker), "missing `{marker}` in: {text}");
+    }
+}
+
+/// DSM behind the fault-injection + retry stack at the default geometry.
+#[test]
+fn sort_dsm_absorbs_transient_faults() {
+    let out = srm(&[
+        "sort", "--records", "20000", "--algo", "dsm", "--fault-rate", "0.05", "--fault-seed", "42",
+    ]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = stdout(&out);
+    assert!(text.contains("DSM: sorted & verified"), "{text}");
+    assert!(text.contains("retries="), "retry counts belong in the I/O line: {text}");
+}
+
+/// `--algo dsm` drives the same chain as SRM: `--resume` journals, the
+/// interrupt hook stops the sort behind its checkpoint, exit 130.
+#[test]
+fn sort_dsm_honours_resume_and_interrupt() {
+    let (dir, manifest) = scratch_manifest("dsm-resume");
+    let out = srm(&[
+        "sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "dsm",
+        "--resume", manifest.to_str().unwrap(), "--interrupt-after-pass", "0",
+    ]);
+    assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
+    let checkpoint = dsm::DsmManifest::load_latest(&manifest)
+        .expect("the manifest must load")
+        .expect("the interrupt must leave a manifest behind");
+    assert_eq!((checkpoint.pass, checkpoint.records), (0, 3000));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Memory disks die with their process, so a manifest that survives one
+/// names runs that are gone: the interrupted sort says so instead of
+/// promising a resume, and the rerun is refused up front with the cause
+/// and both ways out — not with a disk error that recurs on every rerun.
+#[test]
+fn mem_backend_refuses_a_manifest_from_an_earlier_process() {
+    let (dir, manifest) = scratch_manifest("mem-resume");
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "srm",
+            "--resume", manifest.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        srm(&args)
+    };
+    let out = run(&["--interrupt-after-pass", "0"]);
+    assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
+    let said = stderr(&out);
+    assert!(said.contains("checkpoint journaled") && said.contains("cannot be resumed"), "{said}");
+    assert!(!said.contains("rerun with the same flags to resume"), "{said}");
+
+    let out = run(&[]);
+    assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
+    let said = stderr(&out);
+    assert!(said.contains("--backend mem disks die with their process"), "{said}");
+    assert!(said.contains("delete") && said.contains("--backend file --dir D --keep"), "{said}");
+    assert!(!said.contains("rerun with the same flags"), "{said}");
+    assert!(!stdout(&out).contains("sorted & verified"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--algo` is validated with the other flags, before any work or output.
+#[test]
+fn unknown_algo_is_refused_before_the_banner() {
+    let out = srm(&["sort", "--records", "100", "--algo", "quantum"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("unknown algo `quantum`"), "{}", stderr(&out));
+    assert!(!stdout(&out).contains("geometry:"), "{}", stdout(&out));
 }
 
 #[test]

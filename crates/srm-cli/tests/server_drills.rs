@@ -36,52 +36,58 @@ fn wait_for(mut done: impl FnMut() -> bool, what: &str) {
     panic!("timed out waiting for {what}");
 }
 
+/// Both engines run the one pass driver, so both checkpoint on an
+/// interrupt and resume across processes.  DSM's record count leaves a
+/// partial final stripe: the reopened disk files come back with ragged
+/// allocators, which the resumed sort must realign rather than trip on.
 #[test]
 fn sort_interrupt_exits_130_and_rerun_resumes() {
-    let root = scratch("interrupt");
-    let disks = root.join("disks");
-    let manifest = root.join("manifest");
-    let run = |extra: &[&str]| {
-        let mut cmd = bin();
-        cmd.args([
-            "sort", "--records", "2000", "--d", "2", "--b", "4", "--m", "96", "--algo", "srm",
-            "--backend", "file", "--keep",
-        ]);
-        cmd.arg("--dir").arg(&disks);
-        cmd.arg("--resume").arg(&manifest);
-        cmd.args(extra);
-        cmd.output().expect("run srm sort")
-    };
+    for (algo, records) in [("srm", "2000"), ("dsm", "2001")] {
+        let root = scratch(&format!("interrupt-{algo}"));
+        let disks = root.join("disks");
+        let manifest = root.join("manifest");
+        let run = |extra: &[&str]| {
+            let mut cmd = bin();
+            cmd.args([
+                "sort", "--records", records, "--d", "2", "--b", "4", "--m", "96", "--algo", algo,
+                "--backend", "file", "--keep",
+            ]);
+            cmd.arg("--dir").arg(&disks);
+            cmd.arg("--resume").arg(&manifest);
+            cmd.args(extra);
+            cmd.output().expect("run srm sort")
+        };
 
-    // The hidden test hook trips the same flag a SIGINT would; the CLI
-    // must exit 130 (= 128 + SIGINT) with the checkpoint journaled.
-    let out = run(&["--interrupt-after-pass", "1"]);
-    assert_eq!(
-        out.status.code(),
-        Some(130),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("checkpoint journaled"),
-        "stderr should point at the resume path"
-    );
-    assert!(manifest.exists(), "interrupt must leave a manifest behind");
+        // The hidden test hook trips the same flag a SIGINT would; the CLI
+        // must exit 130 (= 128 + SIGINT) with the checkpoint journaled.
+        let out = run(&["--interrupt-after-pass", "1"]);
+        assert_eq!(
+            out.status.code(),
+            Some(130),
+            "{algo} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("checkpoint journaled"),
+            "{algo}: stderr should point at the resume path"
+        );
+        assert!(manifest.exists(), "{algo}: interrupt must leave a manifest behind");
 
-    // Rerunning with the same flags resumes from the boundary and
-    // finishes; the retired manifest is the proof the sort completed.
-    let out = run(&[]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(text.contains("resuming from"), "stdout: {text}");
-    assert!(text.contains("sorted & verified"), "stdout: {text}");
-    assert!(!manifest.exists(), "completion must retire the manifest");
-    let _ = std::fs::remove_dir_all(&root);
+        // Rerunning with the same flags resumes from the boundary and
+        // finishes; the retired manifest is the proof the sort completed.
+        let out = run(&[]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{algo} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(text.contains("resuming from"), "{algo} stdout: {text}");
+        assert!(text.contains("sorted & verified"), "{algo} stdout: {text}");
+        assert!(!manifest.exists(), "{algo}: completion must retire the manifest");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 /// Spawn `srm serve` on `dir` and return the child plus the ephemeral

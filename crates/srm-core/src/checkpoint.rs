@@ -53,9 +53,10 @@
 
 use crate::error::{Result, SrmError};
 use crate::sort::{Placement, SrmConfig};
-use pdisk::manifest::{generation_line, geometry_line, malformed, redundancy_lines, Lines};
+use pdisk::manifest::{
+    generation_line, geometry_line, malformed, redundancy_lines, validate_target, Lines,
+};
 use pdisk::{DiskId, Geometry, Manifest, RedundancyInfo, StripedRun};
-use std::path::Path;
 
 const HEADER: &str = "srm-sort-manifest v1";
 
@@ -122,12 +123,7 @@ impl SortManifest {
     /// that wrote the manifest — a mismatch would produce wrong output,
     /// not just different I/O.
     pub fn validate(&self, config: &SrmConfig, geometry: Geometry, records: u64) -> Result<()> {
-        if self.geometry != geometry {
-            return Err(SrmError::Checkpoint(format!(
-                "manifest geometry (D={} B={} M={}) does not match array (D={} B={} M={})",
-                self.geometry.d, self.geometry.b, self.geometry.m, geometry.d, geometry.b, geometry.m
-            )));
-        }
+        validate_target(self.geometry, self.records, self.runs.len(), geometry, records)?;
         if self.seed != config.seed {
             return Err(SrmError::Checkpoint(format!(
                 "manifest seed {} does not match sorter seed {}",
@@ -140,26 +136,11 @@ impl SortManifest {
                 self.placement, config.placement
             )));
         }
-        if self.records != records {
-            return Err(SrmError::Checkpoint(format!(
-                "manifest records {} does not match input records {records}",
-                self.records
-            )));
-        }
-        if self.runs.is_empty() {
-            return Err(SrmError::Checkpoint("manifest holds no runs".into()));
-        }
         Ok(())
     }
 }
 
 impl Manifest for SortManifest {
-    type Error = SrmError;
-
-    fn checkpoint_error(msg: String) -> SrmError {
-        SrmError::Checkpoint(msg)
-    }
-
     fn generation(&self) -> u64 {
         self.generation
     }
@@ -330,60 +311,5 @@ checksum 5e206cbfbe423d69\n";
         assert!(m.validate(&staggered, geom, 1000).is_err());
         // Wrong record count.
         assert!(m.validate(&cfg, geom, 999).is_err());
-    }
-}
-
-/// What a replacement node can do with a shard's sort state — the
-/// **shard-resume entry point** used by `srm-dist` recovery.
-///
-/// A coordinator replacing a dead shard inspects the shard's manifest
-/// *before* spawning the new sorter, so it can log the recovery path it
-/// is about to take (fresh restage vs checkpoint resume vs
-/// rebuild-then-resume) and refuse early if the checkpoint belongs to a
-/// different configuration.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ResumePoint {
-    /// No (valid) manifest: the sort starts from the staged input.
-    Fresh,
-    /// A valid checkpoint exists; the sort will fast-forward to here.
-    Checkpointed {
-        /// Completed merge passes (0 = formation done, no merges yet).
-        pass: u64,
-        /// Runs still to be merged from this point.
-        runs_left: u64,
-        /// Generation of the newest valid manifest on disk.
-        generation: u64,
-        /// Redundancy geometry at snapshot time: `Some` when the sort ran
-        /// under parity (with the disks already dead then) — the signal
-        /// that a `--parity` recovery may rebuild before resuming.
-        redundancy: Option<RedundancyInfo>,
-    },
-}
-
-/// Inspect `manifest` and report where a sort with this `config`,
-/// `geometry`, and `records` count would resume.
-///
-/// Returns [`ResumePoint::Fresh`] when no valid manifest exists (never
-/// started, or already completed and retired), and an error when a valid
-/// manifest exists but belongs to a *different* sort — resuming it would
-/// misread every block address, so a replacement node must not try.
-pub fn resume_point(
-    config: &SrmConfig,
-    geometry: Geometry,
-    records: u64,
-    manifest: &Path,
-) -> Result<ResumePoint> {
-    match SortManifest::load_latest(manifest)? {
-        None => Ok(ResumePoint::Fresh),
-        Some(m) => {
-            m.validate(config, geometry, records)?;
-            Ok(ResumePoint::Checkpointed {
-                pass: m.pass,
-                runs_left: m.runs.len() as u64,
-                generation: m.generation,
-                redundancy: m.redundancy.clone(),
-            })
-        }
     }
 }

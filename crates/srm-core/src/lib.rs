@@ -56,7 +56,7 @@ pub mod scrub;
 pub mod simulator;
 pub mod sort;
 
-pub use checkpoint::{resume_point, ResumePoint, SortManifest};
+pub use checkpoint::SortManifest;
 pub use error::{Result, SrmError};
 pub use key::{BlockKey, RunId};
 pub use merge::{merge_runs, MergeOutcome, MergeStats};

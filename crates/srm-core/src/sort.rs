@@ -14,12 +14,13 @@
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
 use crate::merge::{merge_runs_overlapped, MergeStats, Overlap};
-use crate::output::WriteBehind;
+use crate::output::{read_run, WriteBehind};
 use crate::run_formation::{form_runs_overlapped, RunFormation};
 use crate::scheduler::ScheduleStats;
+use pdisk::passes::{Boundary, Checkpointing};
 use pdisk::{
-    Block, CrashClock, DiskArray, DiskId, Forecast, InterruptFlag, IoStats, Manifest, Record,
-    StripedRun,
+    Block, CrashClock, DiskArray, DiskId, Forecast, Geometry, InterruptFlag, IoStats, PassEngine,
+    PassReport, Record, Sorter, StripedRun,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -87,9 +88,36 @@ impl SortReport {
     }
 }
 
+/// The one-line summary drivers print: the shared accounting plus the
+/// virtual flushes (§5.5 rule 2c).
+impl std::fmt::Display for SortReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}, flushes={} ({} blocks)",
+            PassReport::from(*self),
+            self.schedule.flush_ops,
+            self.schedule.blocks_flushed
+        )
+    }
+}
+
+impl From<SortReport> for PassReport {
+    fn from(r: SortReport) -> Self {
+        PassReport {
+            records: r.records,
+            merge_order: r.merge_order,
+            runs_formed: r.runs_formed,
+            merge_passes: r.merge_passes,
+            io: r.io,
+        }
+    }
+}
+
 /// Start-disk source: the sort's only randomness, factored out so a
 /// resumed sort can fast-forward to exactly where an interrupted one
 /// left off (every run written draws exactly once).
+#[derive(Debug)]
 struct Placer {
     placement: Placement,
     rng: SmallRng,
@@ -128,6 +156,15 @@ impl Placer {
             self.next();
         }
     }
+}
+
+/// What one SRM sort carries from pass to pass: the placement draws and
+/// the scheduling counters of the merges this call performed.
+#[derive(Debug)]
+pub struct SrmState {
+    placer: Placer,
+    merges: u64,
+    schedule: ScheduleStats,
 }
 
 /// The SRM external sorter.
@@ -173,10 +210,6 @@ pub struct SrmSorter {
     /// [`SrmSorter::with_interrupt`].
     interrupt: Option<InterruptFlag>,
 }
-
-/// Pass-boundary callback threaded through `sort_inner`; see
-/// [`SrmSorter::sort_observed`].
-type PassObserver<'a, A> = &'a mut dyn FnMut(u64, &mut A) -> Result<()>;
 
 impl SrmSorter {
     /// Sorter with the given configuration.
@@ -254,17 +287,6 @@ impl SrmSorter {
         &self.config
     }
 
-    /// `Err(Interrupted)` if a stop has been requested and `runs_left`
-    /// merging work remains; called only after the boundary's snapshot
-    /// (if any) is durable — which srmlint's interrupt pass enforces.
-    #[srmlint::interrupt_observer]
-    fn check_interrupt(&self, runs_left: usize) -> Result<()> {
-        match &self.interrupt {
-            Some(flag) if flag.is_set() && runs_left > 1 => Err(SrmError::Interrupted),
-            _ => Ok(()),
-        }
-    }
-
     /// Sort `input` (an unsorted striped file) and return the sorted run
     /// plus a full accounting.
     pub fn sort<R: Record, A: DiskArray<R>>(
@@ -272,7 +294,7 @@ impl SrmSorter {
         array: &mut A,
         input: &StripedRun,
     ) -> Result<(StripedRun, SortReport)> {
-        self.sort_inner(array, input, None, None)
+        self.run(array, input, None, |_, _| Ok(()))
     }
 
     /// Like [`SrmSorter::sort`], but checkpointing progress to `manifest`
@@ -304,7 +326,7 @@ impl SrmSorter {
         input: &StripedRun,
         manifest: &Path,
     ) -> Result<(StripedRun, SortReport)> {
-        self.sort_inner(array, input, Some(manifest), None)
+        self.run(array, input, Some(manifest), |_, _| Ok(()))
     }
 
     /// Like [`SrmSorter::sort_checkpointed`] (pass `manifest: None` for an
@@ -322,151 +344,130 @@ impl SrmSorter {
         array: &mut A,
         input: &StripedRun,
         manifest: Option<&Path>,
-        mut observer: impl FnMut(u64, &mut A) -> Result<()>,
+        observer: impl FnMut(u64, &mut A) -> Result<()>,
     ) -> Result<(StripedRun, SortReport)> {
-        self.sort_inner(array, input, manifest, Some(&mut observer))
+        self.run(array, input, manifest, observer)
     }
 
-    fn sort_inner<R: Record, A: DiskArray<R>>(
+    fn state(&self, geometry: Geometry) -> SrmState {
+        SrmState {
+            placer: Placer::new(self.config.placement, self.config.seed, geometry.d as u32),
+            merges: 0,
+            schedule: ScheduleStats::default(),
+        }
+    }
+}
+
+/// SRM as the pass driver sees it: `R` from the memory formula of §2.2,
+/// runs placed by the [`Placer`], groups merged by forecast-and-flush.
+impl PassEngine for SrmSorter {
+    type Run = StripedRun;
+    type Manifest = SortManifest;
+    type State = SrmState;
+
+    fn merge_order(&self, geometry: Geometry) -> Result<usize> {
+        Ok(geometry.srm_merge_order()?)
+    }
+
+    fn form<R: Record, A: DiskArray<R>>(
         &self,
         array: &mut A,
         input: &StripedRun,
-        manifest: Option<&Path>,
-        mut observer: Option<PassObserver<'_, A>>,
-    ) -> Result<(StripedRun, SortReport)> {
-        let geom = array.geometry();
-        if input.records == 0 {
-            return Err(SrmError::Config("cannot sort an empty input".into()));
-        }
-        let r_max = geom.srm_merge_order()?;
-        let io_before = array.stats();
-        let mut placer = Placer::new(self.config.placement, self.config.seed, geom.d as u32);
+    ) -> Result<(Vec<StripedRun>, SrmState)> {
+        let mut state = self.state(array.geometry());
+        let queue = form_runs_overlapped(
+            array,
+            input,
+            self.config.run_formation,
+            self.pipeline,
+            || state.placer.next(),
+        )?;
+        Ok((queue, state))
+    }
 
-        // Recovery rule: newest valid manifest generation wins; a torn
-        // current manifest falls back to its journaled predecessor.
-        let resume = match manifest {
-            Some(path) => SortManifest::load_latest(path)?,
-            None => None,
-        };
-        let (mut queue, mut pass, runs_formed) = match resume {
-            Some(m) => {
-                m.validate(&self.config, geom, input.records)?;
-                m.validate_redundancy(array.redundancy().as_ref())?;
-                placer.fast_forward(m.draws);
-                (m.runs, m.pass, m.runs_formed as usize)
-            }
-            None => {
-                if let Some(sink) = array.trace_sink() {
-                    // Run formation is pass 0; merge passes count from 1.
-                    sink.begin_pass(0);
-                }
-                let queue = form_runs_overlapped(
-                    array,
-                    input,
-                    self.config.run_formation,
-                    self.pipeline,
-                    || placer.next(),
-                )?;
-                let runs_formed = queue.len();
-                if let Some(obs) = observer.as_deref_mut() {
-                    obs(0, array)?;
-                }
-                if let Some(path) = manifest {
-                    self.snapshot(path, input, runs_formed, 0, &placer, array, &queue)?;
-                }
-                (queue, 0, runs_formed)
-            }
-        };
-        // Drain hook, boundary 0: the formation snapshot above (or the
-        // resumed manifest already on disk) is durable, so stopping here
-        // loses nothing.
-        self.check_interrupt(queue.len())?;
-        let mut report = SortReport {
-            records: input.records,
-            merge_order: r_max,
-            runs_formed,
-            ..SortReport::default()
-        };
-
+    fn merge_group<R: Record, A: DiskArray<R>>(
+        &self,
+        array: &mut A,
+        group: &[StripedRun],
+        state: &mut SrmState,
+    ) -> Result<StripedRun> {
         let overlap = Overlap::new(self.pipeline, self.read_ahead);
-        while queue.len() > 1 {
-            pass += 1;
-            if let Some(sink) = array.trace_sink() {
-                sink.begin_pass(pass);
-            }
-            let mut next = Vec::with_capacity(queue.len().div_ceil(r_max));
-            for group in queue.chunks(r_max) {
-                if group.len() == 1 {
-                    // A lone leftover run advances to the next pass at no
-                    // I/O cost.
-                    next.push(group[0].clone());
-                    continue;
-                }
-                let out = merge_runs_overlapped(array, group, placer.next(), overlap)?;
-                report.merges += 1;
-                accumulate(&mut report.schedule, &out.stats);
-                next.push(out.run);
-            }
-            queue = next;
-            if let Some(obs) = observer.as_deref_mut() {
-                obs(pass, array)?;
-            }
-            if let Some(path) = manifest {
-                if queue.len() > 1 {
-                    self.snapshot(path, input, runs_formed, pass, &placer, array, &queue)?;
-                }
-            }
-            // Drain hook: the boundary's snapshot is durable, so a rerun
-            // resumes from exactly this pass.
-            self.check_interrupt(queue.len())?;
-        }
-        report.merge_passes = pass;
-        let sorted = queue
-            .pop()
-            .ok_or_else(|| SrmError::Internal("merge queue drained to empty".into()))?;
-        debug_assert_eq!(sorted.records, input.records);
-        if let Some(path) = manifest {
-            SortManifest::remove(path)?;
-        }
-        report.io = array.stats().since(&io_before);
-        Ok((sorted, report))
+        let out = merge_runs_overlapped(array, group, state.placer.next(), overlap)?;
+        state.merges += 1;
+        accumulate(&mut state.schedule, &out.stats);
+        Ok(out.run)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[srmlint::checkpoint]
-    fn snapshot<R: Record, A: DiskArray<R>>(
-        &self,
-        path: &Path,
-        input: &StripedRun,
-        runs_formed: usize,
-        pass: u64,
-        placer: &Placer,
-        array: &mut A,
-        queue: &[StripedRun],
-    ) -> Result<()> {
-        // Durability barrier: every block the manifest is about to
-        // reference must be on stable storage before the manifest
-        // claims the pass completed — otherwise a crash could leave a
-        // manifest pointing at frames that never landed.
-        array.sync()?;
-        if let Some(c) = &self.crash {
-            c.tick("manifest-write")?;
-        }
+    fn checkpoint(&self, state: &SrmState, at: Boundary<StripedRun>) -> SortManifest {
         SortManifest::new(
             &self.config,
-            array.geometry(),
-            input.records,
-            runs_formed as u64,
-            pass,
-            placer.draws,
-            array.redundancy(),
-            queue.to_vec(),
+            at.geometry,
+            at.records,
+            at.runs_formed,
+            at.pass,
+            state.placer.draws,
+            at.redundancy,
+            at.runs,
         )
-        .save_clocked(path, self.crash.as_ref())?;
-        if let Some(c) = &self.crash {
-            c.tick("manifest-written")?;
+    }
+
+    /// Fast-forwards a fresh placement RNG by the manifest's draw count,
+    /// so the resumed sort draws the start disks an uninterrupted one
+    /// would have.
+    fn restore(
+        &self,
+        manifest: &SortManifest,
+        geometry: Geometry,
+        records: u64,
+    ) -> Result<(Boundary<StripedRun>, SrmState)> {
+        manifest.validate(&self.config, geometry, records)?;
+        let mut state = self.state(geometry);
+        state.placer.fast_forward(manifest.draws);
+        let at = Boundary {
+            geometry,
+            records,
+            runs_formed: manifest.runs_formed,
+            pass: manifest.pass,
+            redundancy: manifest.redundancy.clone(),
+            runs: manifest.runs.clone(),
+        };
+        Ok((at, state))
+    }
+}
+
+impl Sorter for SrmSorter {
+    type Report = SortReport;
+
+    fn stage<R: Record, A: DiskArray<R>>(&self, array: &mut A, data: &[R]) -> Result<StripedRun> {
+        write_unsorted_input(array, data)
+    }
+
+    fn output<R: Record, A: DiskArray<R>>(
+        &self,
+        array: &mut A,
+        run: &StripedRun,
+    ) -> Result<Vec<R>> {
+        Ok(read_run(array, run)?)
+    }
+
+    fn checkpointing<'a>(&'a self, manifest: Option<&'a Path>) -> Checkpointing<'a> {
+        Checkpointing {
+            manifest,
+            interrupt: self.interrupt.as_ref(),
+            crash: self.crash.as_ref(),
         }
-        Ok(())
+    }
+
+    fn report(&self, passes: PassReport, state: SrmState) -> SortReport {
+        SortReport {
+            records: passes.records,
+            merge_order: passes.merge_order,
+            runs_formed: passes.runs_formed,
+            merge_passes: passes.merge_passes,
+            merges: state.merges,
+            schedule: state.schedule,
+            io: passes.io,
+        }
     }
 }
 
@@ -521,8 +522,7 @@ pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::output::read_run;
-    use pdisk::{Geometry, KeyPayloadRecord, MemDiskArray, U64Record};
+    use pdisk::{KeyPayloadRecord, MemDiskArray, U64Record};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -694,81 +694,6 @@ mod tests {
             "write ops {} vs ideal {ideal}",
             report.io.write_ops
         );
-    }
-
-    #[test]
-    fn interrupt_stops_at_boundary_and_resume_is_byte_identical() {
-        let dir = std::env::temp_dir().join(format!("srm-interrupt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let manifest = dir.join("manifest");
-        let _ = std::fs::remove_file(&manifest);
-
-        let mut rng = SmallRng::seed_from_u64(31);
-        let geom = Geometry::new(2, 4, 96).unwrap();
-        let keys = random_keys(&mut rng, 3000);
-        let recs: Vec<U64Record> = keys.iter().map(|&k| U64Record(k)).collect();
-
-        // Reference: uninterrupted sort on an identical array.
-        let mut reference: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-        let input_ref = write_unsorted_input(&mut reference, &recs).unwrap();
-        let (sorted_ref, report_ref) = SrmSorter::default().sort(&mut reference, &input_ref).unwrap();
-        let expect = read_run(&mut reference, &sorted_ref).unwrap();
-        assert!(report_ref.merge_passes >= 2, "need a multi-pass workload");
-
-        // Interrupted run: flag set before the sort starts, so it stops
-        // at boundary 0 with the formation checkpoint journaled.
-        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-        let input = write_unsorted_input(&mut a, &recs).unwrap();
-        let flag = pdisk::InterruptFlag::new();
-        flag.trigger();
-        let interrupted = SrmSorter::default()
-            .with_interrupt(flag.clone())
-            .sort_checkpointed(&mut a, &input, &manifest);
-        assert!(matches!(interrupted, Err(SrmError::Interrupted)));
-        assert!(manifest.exists(), "checkpoint must be durable before Interrupted");
-
-        // Interrupt again at the first merge-pass boundary.
-        flag.clear();
-        let drain_at_pass_1 = SrmSorter::default()
-            .with_interrupt(flag.clone())
-            .sort_observed(&mut a, &input, Some(&manifest), |pass, _a: &mut _| {
-                if pass >= 1 {
-                    flag.trigger();
-                }
-                Ok(())
-            });
-        assert!(matches!(drain_at_pass_1, Err(SrmError::Interrupted)));
-
-        // Final rerun with no interrupt completes and matches the
-        // uninterrupted output byte for byte.
-        let (sorted, report) = SrmSorter::default()
-            .sort_checkpointed(&mut a, &input, &manifest)
-            .unwrap();
-        assert_eq!(report.merge_passes, report_ref.merge_passes);
-        assert_eq!(read_run(&mut a, &sorted).unwrap(), expect);
-        assert!(!manifest.exists(), "manifest removed after completion");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interrupt_with_single_run_left_completes_anyway() {
-        // One memory-load => one run => no pass boundary with work left:
-        // a triggered flag must not prevent completion.
-        let geom = Geometry::new(2, 4, 128).unwrap();
-        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-        let recs: Vec<U64Record> = (0..60u64).rev().map(U64Record).collect();
-        let input = write_unsorted_input(&mut a, &recs).unwrap();
-        let flag = pdisk::InterruptFlag::new();
-        flag.trigger();
-        let sorter = SrmSorter::new(SrmConfig {
-            run_formation: RunFormation::MemoryLoad { fraction: 1.0 },
-            ..SrmConfig::default()
-        })
-        .with_interrupt(flag);
-        let (sorted, report) = sorter.sort(&mut a, &input).unwrap();
-        assert_eq!(report.runs_formed, 1);
-        let got: Vec<u64> = read_run(&mut a, &sorted).unwrap().iter().map(|r| r.0).collect();
-        assert!(got.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -29,15 +29,12 @@ use crate::net::{Endpoint, NetSender};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, Geometry, Manifest as _,
-    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, StripedRun, U64Record,
+    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, Sorter as _, StripedRun,
+    U64Record,
 };
 use srm_core::sort::write_unsorted_input;
-use srm_core::{
-    read_run, resume_point, scrub_runs, ResumePoint, SortManifest, SrmError, SrmSorter,
-    StripeWindow,
-};
+use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter, StripeWindow};
 use srm_server::{digest_keys, JobRun};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -257,17 +254,11 @@ impl OutputMeta {
     }
 }
 
-/// Write `text` to `path` via temp + fsync + rename, so a crash leaves
-/// either the old file or the new one, never a torn hybrid.
+/// Publish `text` at `path` through the checkpoint journal's own temp +
+/// fsync + rename, so a crash leaves either the old file or the new one.
 pub(crate) fn atomic_write(path: &Path, text: &str) -> Result<()> {
-    let io = |e: std::io::Error| DistError::Io(format!("write {}: {e}", path.display()));
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp).map_err(io)?;
-        f.write_all(text.as_bytes()).map_err(io)?;
-        f.sync_all().map_err(io)?;
-    }
-    std::fs::rename(&tmp, path).map_err(io)
+    pdisk::manifest::atomic_write(path, text.as_bytes())
+        .map_err(|e| DistError::Io(format!("write {}: {e}", path.display())))
 }
 
 /// Open (or create) the shard's file-backed disk cluster.
@@ -640,15 +631,10 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
         Boot::Sort(input_run) => {
             // Refuse early if the manifest belongs to a different sort —
             // it would fail identically on every resume attempt.
-            let pass = match resume_point(
-                plan.sorter.config(),
-                plan.geom,
-                input_run.records,
-                &plan.manifest_path(),
-            )? {
-                ResumePoint::Checkpointed { pass, .. } => Some(pass),
-                _ => None,
-            };
+            let pass = plan
+                .sorter
+                .resume_point(plan.geom, input_run.records, &plan.manifest_path())?
+                .map(|at| at.pass);
             hello(false, pass);
             SortInput::Durable(input_run)
         }

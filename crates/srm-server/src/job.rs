@@ -13,9 +13,12 @@
 //!   durable spec files.  `JobSpec` is the **single construction
 //!   point** for engines: CLI, crashmat, and server all call
 //!   [`JobSpec::srm_sorter`] / [`JobSpec::dsm_sorter`] / [`JobSpec::build`];
-//! * [`Sorter`] — the uniform stage / run / output lifecycle over any
-//!   [`DiskArray`], with checkpoint-manifest resume and a pass-boundary
-//!   observer (the hook deadlines and kill drills ride on);
+//! * [`AnyJob`] — either engine behind one type, forwarding to
+//!   [`pdisk::Sorter`], the uniform stage / run / output / resume-point
+//!   lifecycle both sorters implement directly (checkpoint-manifest
+//!   resume and the pass-boundary observer deadlines and kill drills
+//!   ride on are the one pass driver's,
+//!   [`pdisk::passes::Checkpointing::drive`]);
 //! * [`JobRun`] — an engine-agnostic handle to a staged input or sorted
 //!   output run, encodable for the server's durable job state.
 //!
@@ -25,15 +28,14 @@
 //! merge uses.
 
 use analysis::MemoryBudget;
-use dsm::{read_logical_run, write_unsorted_stripes, DsmConfig, DsmError, DsmSorter};
+use dsm::{DsmConfig, DsmSorter};
 use pdisk::{
-    DiskArray, Geometry, InterruptFlag, Manifest as _, PdiskError, Record, StripedRun, U64Record,
+    DiskArray, Geometry, InterruptFlag, PassEngine as _, PassReport, PdiskError, Record,
+    SortError, Sorter as _, StripedRun, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use srm_core::checkpoint::SortManifest;
-use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, Placement, RunFormation, SrmConfig, SrmError, SrmSorter};
+use srm_core::{Placement, RunFormation, SrmConfig, SrmSorter};
 use std::path::Path;
 
 /// Errors surfaced by the job layer and the server built on it.
@@ -89,26 +91,14 @@ impl From<PdiskError> for JobError {
     }
 }
 
-impl From<SrmError> for JobError {
-    fn from(e: SrmError) -> Self {
+impl From<SortError> for JobError {
+    fn from(e: SortError) -> Self {
         match e {
-            SrmError::Interrupted => JobError::Interrupted,
-            SrmError::Disk(d) => JobError::Disk(d),
-            SrmError::Config(m) => JobError::Config(m),
-            SrmError::Checkpoint(m) => JobError::Checkpoint(m),
-            SrmError::Internal(m) => JobError::Engine(m),
-            other => JobError::Engine(other.to_string()),
-        }
-    }
-}
-
-impl From<DsmError> for JobError {
-    fn from(e: DsmError) -> Self {
-        match e {
-            DsmError::Interrupted => JobError::Interrupted,
-            DsmError::Disk(d) => JobError::Disk(d),
-            DsmError::Config(m) => JobError::Config(m),
-            DsmError::Checkpoint(m) => JobError::Checkpoint(m),
+            SortError::Interrupted => JobError::Interrupted,
+            SortError::Disk(d) => JobError::Disk(d),
+            SortError::Config(m) => JobError::Config(m),
+            SortError::Checkpoint(m) => JobError::Checkpoint(m),
+            SortError::Internal(m) => JobError::Engine(m),
             other => JobError::Engine(other.to_string()),
         }
     }
@@ -125,7 +115,8 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    fn as_str(&self) -> &'static str {
+    /// The engine's name on the wire and in durable spec files.
+    pub fn as_str(&self) -> &'static str {
         match self {
             EngineKind::Srm => "srm",
             EngineKind::Dsm => "dsm",
@@ -144,14 +135,6 @@ pub enum JobRun {
 }
 
 impl JobRun {
-    /// Records in the run.
-    pub fn records(&self) -> u64 {
-        match self {
-            JobRun::Striped(r) => r.records,
-            JobRun::Logical(r) => r.records,
-        }
-    }
-
     /// One-line encoding for durable job state.
     pub fn encode(&self) -> String {
         match self {
@@ -207,213 +190,80 @@ impl JobRun {
     }
 }
 
-/// Unified result of one sort run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobOutcome {
-    /// The sorted output run.
-    pub run: JobRun,
-    /// Records sorted.
-    pub records: u64,
-    /// Runs produced by formation (whole logical sort, across resumes).
-    pub runs_formed: u64,
-    /// Merge passes (whole logical sort, across resumes).
-    pub merge_passes: u64,
-    /// Merge order the engine used.
-    pub merge_order: usize,
-}
-
-/// The uniform job lifecycle over one engine.
-///
-/// `stage` lays unsorted records out in the engine's input format;
-/// `run` sorts (or resumes from `manifest`), calling `observer` at each
-/// pass boundary this call completes (pass 0 = formation); `output`
-/// reads the sorted records back.  `run` returns
-/// [`JobError::Interrupted`] when the engine's interrupt flag stopped
-/// it at a boundary — the manifest is journaled first, so calling `run`
-/// again continues byte-identically.
-pub trait Sorter<R: Record> {
-    /// Stage `data` as this engine's unsorted input layout.
-    fn stage<A: DiskArray<R>>(&self, array: &mut A, data: &[R]) -> Result<JobRun, JobError>;
-
-    /// Sort (or resume) the staged input.
-    fn run<A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        input: &JobRun,
-        manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64),
-    ) -> Result<JobOutcome, JobError>;
-
-    /// Read a run's records back in order.
-    fn output<A: DiskArray<R>>(&self, array: &mut A, run: &JobRun) -> Result<Vec<R>, JobError>;
-
-    /// Whether a valid checkpoint generation exists at `manifest`.
-    fn checkpoint_present(&self, manifest: &Path) -> Result<bool, JobError>;
-}
-
-fn want_striped(run: &JobRun) -> Result<&StripedRun, JobError> {
-    match run {
-        JobRun::Striped(r) => Ok(r),
-        JobRun::Logical(_) => Err(JobError::Config(
-            "SRM job handed a DSM (logical) run".into(),
-        )),
-    }
-}
-
-fn want_logical(run: &JobRun) -> Result<&dsm::LogicalRun, JobError> {
-    match run {
-        JobRun::Logical(r) => Ok(r),
-        JobRun::Striped(_) => Err(JobError::Config(
-            "DSM job handed an SRM (striped) run".into(),
-        )),
-    }
-}
-
-/// An SRM job: a configured [`SrmSorter`] behind the [`Sorter`] trait.
-#[derive(Debug, Clone)]
-pub struct SrmJob {
-    sorter: SrmSorter,
-}
-
-impl SrmJob {
-    /// Wrap an already-configured engine (e.g. one carrying a crash
-    /// clock from the crash-matrix harness).
-    pub fn new(sorter: SrmSorter) -> Self {
-        SrmJob { sorter }
-    }
-
-    /// The engine, e.g. to inspect its configuration.
-    pub fn sorter(&self) -> &SrmSorter {
-        &self.sorter
-    }
-}
-
-impl<R: Record> Sorter<R> for SrmJob {
-    fn stage<A: DiskArray<R>>(&self, array: &mut A, data: &[R]) -> Result<JobRun, JobError> {
-        Ok(JobRun::Striped(write_unsorted_input(array, data)?))
-    }
-
-    fn run<A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        input: &JobRun,
-        manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64),
-    ) -> Result<JobOutcome, JobError> {
-        let input = want_striped(input)?;
-        let (run, report) = self.sorter.sort_observed(array, input, manifest, |pass, _a| {
-            observer(pass);
-            Ok(())
-        })?;
-        Ok(JobOutcome {
-            run: JobRun::Striped(run),
-            records: report.records,
-            runs_formed: report.runs_formed as u64,
-            merge_passes: report.merge_passes,
-            merge_order: report.merge_order,
-        })
-    }
-
-    fn output<A: DiskArray<R>>(&self, array: &mut A, run: &JobRun) -> Result<Vec<R>, JobError> {
-        Ok(read_run(array, want_striped(run)?)?)
-    }
-
-    fn checkpoint_present(&self, manifest: &Path) -> Result<bool, JobError> {
-        Ok(SortManifest::load_latest(manifest)?.is_some())
-    }
-}
-
-/// A DSM job: a configured [`DsmSorter`] behind the [`Sorter`] trait.
-#[derive(Debug, Clone)]
-pub struct DsmJob {
-    sorter: DsmSorter,
-}
-
-impl DsmJob {
-    /// Wrap an already-configured engine.
-    pub fn new(sorter: DsmSorter) -> Self {
-        DsmJob { sorter }
-    }
-}
-
-impl<R: Record> Sorter<R> for DsmJob {
-    fn stage<A: DiskArray<R>>(&self, array: &mut A, data: &[R]) -> Result<JobRun, JobError> {
-        Ok(JobRun::Logical(write_unsorted_stripes(array, data)?))
-    }
-
-    fn run<A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        input: &JobRun,
-        manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64),
-    ) -> Result<JobOutcome, JobError> {
-        let input = want_logical(input)?;
-        let (run, report) = self.sorter.sort_observed(array, input, manifest, |pass, _a| {
-            observer(pass);
-            Ok(())
-        })?;
-        Ok(JobOutcome {
-            run: JobRun::Logical(run),
-            records: report.records,
-            runs_formed: report.runs_formed as u64,
-            merge_passes: report.merge_passes,
-            merge_order: report.merge_order,
-        })
-    }
-
-    fn output<A: DiskArray<R>>(&self, array: &mut A, run: &JobRun) -> Result<Vec<R>, JobError> {
-        Ok(read_logical_run(array, want_logical(run)?)?)
-    }
-
-    fn checkpoint_present(&self, manifest: &Path) -> Result<bool, JobError> {
-        Ok(dsm::checkpoint::DsmManifest::load_latest(manifest)?.is_some())
-    }
-}
-
 /// Either engine behind one type, so drivers can hold a job without
-/// generics.
+/// generics: the single enum dispatch behind [`JobSpec::build`].
 #[derive(Debug, Clone)]
 pub enum AnyJob {
     /// An SRM job.
-    Srm(SrmJob),
+    Srm(SrmSorter),
     /// A DSM job.
-    Dsm(DsmJob),
+    Dsm(DsmSorter),
 }
 
-impl<R: Record> Sorter<R> for AnyJob {
-    fn stage<A: DiskArray<R>>(&self, array: &mut A, data: &[R]) -> Result<JobRun, JobError> {
-        match self {
-            AnyJob::Srm(j) => Sorter::<R>::stage(j, array, data),
-            AnyJob::Dsm(j) => Sorter::<R>::stage(j, array, data),
-        }
+fn wrong_layout() -> SortError {
+    SortError::Config("job handed the other engine's run layout".into())
+}
+
+/// [`pdisk::Sorter`]'s lifecycle with the engine's run layout erased to
+/// [`JobRun`] and its report to the shared [`PassReport`].
+impl AnyJob {
+    /// Stage `data` as the engine's unsorted input layout.
+    pub fn stage<R: Record, A: DiskArray<R>>(
+        &self,
+        array: &mut A,
+        data: &[R],
+    ) -> Result<JobRun, SortError> {
+        Ok(match self {
+            AnyJob::Srm(s) => JobRun::Striped(s.stage(array, data)?),
+            AnyJob::Dsm(s) => JobRun::Logical(s.stage(array, data)?),
+        })
     }
 
-    fn run<A: DiskArray<R>>(
+    /// Sort (or resume from `manifest`) the staged input.
+    pub fn run<R: Record, A: DiskArray<R>>(
         &self,
         array: &mut A,
         input: &JobRun,
         manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64),
-    ) -> Result<JobOutcome, JobError> {
-        match self {
-            AnyJob::Srm(j) => Sorter::<R>::run(j, array, input, manifest, observer),
-            AnyJob::Dsm(j) => Sorter::<R>::run(j, array, input, manifest, observer),
+        observer: impl FnMut(u64, &mut A) -> Result<(), SortError>,
+    ) -> Result<(JobRun, PassReport), SortError> {
+        match (self, input) {
+            (AnyJob::Srm(s), JobRun::Striped(input)) => {
+                let (run, report) = s.run(array, input, manifest, observer)?;
+                Ok((JobRun::Striped(run), report.into()))
+            }
+            (AnyJob::Dsm(s), JobRun::Logical(input)) => {
+                let (run, report) = s.run(array, input, manifest, observer)?;
+                Ok((JobRun::Logical(run), report))
+            }
+            _ => Err(wrong_layout()),
         }
     }
 
-    fn output<A: DiskArray<R>>(&self, array: &mut A, run: &JobRun) -> Result<Vec<R>, JobError> {
-        match self {
-            AnyJob::Srm(j) => Sorter::<R>::output(j, array, run),
-            AnyJob::Dsm(j) => Sorter::<R>::output(j, array, run),
+    /// Read a run's records back in order.
+    pub fn output<R: Record, A: DiskArray<R>>(
+        &self,
+        array: &mut A,
+        run: &JobRun,
+    ) -> Result<Vec<R>, SortError> {
+        match (self, run) {
+            (AnyJob::Srm(s), JobRun::Striped(run)) => s.output(array, run),
+            (AnyJob::Dsm(s), JobRun::Logical(run)) => s.output(array, run),
+            _ => Err(wrong_layout()),
         }
     }
 
-    fn checkpoint_present(&self, manifest: &Path) -> Result<bool, JobError> {
-        match self {
-            AnyJob::Srm(j) => Sorter::<U64Record>::checkpoint_present(j, manifest),
-            AnyJob::Dsm(j) => Sorter::<U64Record>::checkpoint_present(j, manifest),
-        }
+    /// The pass `run` would resume from, if `manifest` holds a checkpoint.
+    pub fn resume_point(
+        &self,
+        geometry: Geometry,
+        records: u64,
+        manifest: &Path,
+    ) -> Result<Option<u64>, SortError> {
+        Ok(match self {
+            AnyJob::Srm(s) => s.resume_point(geometry, records, manifest)?.map(|at| at.pass),
+            AnyJob::Dsm(s) => s.resume_point(geometry, records, manifest)?.map(|at| at.pass),
+        })
     }
 }
 
@@ -498,11 +348,13 @@ impl JobSpec {
                 self.fault_rate
             )));
         }
+        // The engine itself says whether it can run on this geometry.
         let geom = self.geometry()?;
-        match self.engine {
-            EngineKind::Srm => geom.srm_merge_order().map(|_| ()).map_err(JobError::Disk),
-            EngineKind::Dsm => geom.dsm_merge_order().map(|_| ()).map_err(JobError::Disk),
-        }
+        match self.build(None) {
+            AnyJob::Srm(s) => s.merge_order(geom)?,
+            AnyJob::Dsm(s) => s.merge_order(geom)?,
+        };
+        Ok(())
     }
 
     /// The job's memory price in records — the quantity admission
@@ -551,14 +403,14 @@ impl JobSpec {
                 if let Some(f) = interrupt {
                     s = s.with_interrupt(f);
                 }
-                AnyJob::Srm(SrmJob::new(s))
+                AnyJob::Srm(s)
             }
             EngineKind::Dsm => {
                 let mut s = self.dsm_sorter();
                 if let Some(f) = interrupt {
                     s = s.with_interrupt(f);
                 }
-                AnyJob::Dsm(DsmJob::new(s))
+                AnyJob::Dsm(s)
             }
         }
     }
@@ -870,12 +722,15 @@ mod tests {
             let job = spec.build(None);
             let input = job.stage(&mut array, &data).unwrap();
             let mut passes = Vec::new();
-            let outcome = job
-                .run(&mut array, &input, None, &mut |p| passes.push(p))
+            let (run, report) = job
+                .run(&mut array, &input, None, |p, _| {
+                    passes.push(p);
+                    Ok(())
+                })
                 .unwrap();
-            assert_eq!(outcome.records, 3000);
+            assert_eq!(report.records, 3000);
             assert!(passes.contains(&0), "formation boundary must be observed");
-            let out = Sorter::<U64Record>::output(&job, &mut array, &outcome.run).unwrap();
+            let out: Vec<U64Record> = job.output(&mut array, &run).unwrap();
             let got = digest_keys(out.iter().map(|r| r.0));
             assert_eq!(got, expected_digest(&spec), "engine {engine:?}");
         }
@@ -896,7 +751,7 @@ mod tests {
         flag.trigger();
         let job = spec.build(Some(flag));
         let input = job.stage(&mut array, &data).unwrap();
-        let r = job.run(&mut array, &input, None, &mut |_| {});
-        assert!(matches!(r, Err(JobError::Interrupted)));
+        let r = job.run(&mut array, &input, None, |_, _| Ok(()));
+        assert!(matches!(r.map_err(JobError::from), Err(JobError::Interrupted)));
     }
 }

@@ -8,11 +8,11 @@
 //!
 //! The pieces, bottom to top:
 //!
-//! * [`job`] — the [`Sorter`](job::Sorter) trait: one job-oriented entry
-//!   point over both engines (`srm_core::SrmSorter` and
-//!   `dsm::DsmSorter`), plus [`JobSpec`](job::JobSpec), the single
-//!   construction point for engines shared by the CLI, the crash-matrix
-//!   harness, and this server;
+//! * [`job`] — [`JobSpec`](job::JobSpec), the single construction point
+//!   for engines shared by the CLI, the crash-matrix harness, and this
+//!   server, and [`AnyJob`](job::AnyJob), either engine
+//!   (`srm_core::SrmSorter`, `dsm::DsmSorter`) behind the one
+//!   [`pdisk::Sorter`] lifecycle both implement;
 //! * [`queue`] — admission control: the Definition-3 memory partition
 //!   (`M/B ≥ 2R + 4D + RD/B`) prices each job, and the server admits
 //!   only combinations whose summed budgets fit the configured `M`;
@@ -38,8 +38,8 @@ pub mod server;
 
 pub use drain::{DrainReport, ShutdownFlag};
 pub use job::{
-    digest_keys, expected_digest, generate_records, AnyJob, DsmJob, EngineKind, JobError,
-    JobOutcome, JobRun, JobSpec, KeyDigest, Sorter, SrmJob,
+    digest_keys, expected_digest, generate_records, AnyJob, EngineKind, JobError, JobRun, JobSpec,
+    KeyDigest,
 };
 pub use net::serve;
 pub use queue::Admission;

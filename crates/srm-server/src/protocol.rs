@@ -100,10 +100,7 @@ pub fn submit_error_line(e: &SubmitError) -> String {
 
 /// Render one job's status as response fields.
 pub fn status_fields(s: &JobStatus) -> String {
-    let engine = match s.spec.engine {
-        crate::job::EngineKind::Srm => "srm",
-        crate::job::EngineKind::Dsm => "dsm",
-    };
+    let engine = s.spec.engine.as_str();
     let mut line = format!(
         "id={} state={} engine={engine} records={} cost={} passes={}",
         s.id,

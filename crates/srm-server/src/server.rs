@@ -32,8 +32,9 @@
 //! capacity, and jobs start in submission order.
 
 use crate::drain::{DrainReport, ShutdownFlag};
-use crate::job::{expected_digest, digest_keys, AnyJob, JobError, JobRun, JobSpec, Sorter};
+use crate::job::{digest_keys, expected_digest, AnyJob, JobError, JobRun, JobSpec};
 use crate::queue::Admission;
+use pdisk::manifest::atomic_write as atomic_write_raw;
 use pdisk::{
     DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, InterruptFlag, RetryPolicy,
     RetryingDiskArray, TracingDiskArray, U64Record,
@@ -303,22 +304,11 @@ pub struct JobServer {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// Write `contents` to `path` atomically (temp + fsync + rename), the
-/// same discipline as the PR-5 checkpoint journal.
+/// Publish a marker through the checkpoint journal's own temp + fsync +
+/// rename ([`pdisk::manifest::atomic_write`]).
 fn atomic_write(path: &Path, contents: &str) -> Result<(), JobError> {
-    atomic_write_raw(path, contents)
+    atomic_write_raw(path, contents.as_bytes())
         .map_err(|e| JobError::Io(format!("write {}: {e}", path.display())))
-}
-
-/// [`atomic_write`] preserving the raw [`std::io::Error`], so callers
-/// that classify by kind (ENOSPC vs. everything else) can do so.
-fn atomic_write_raw(path: &Path, contents: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let tmp = path.with_extension("tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(contents.as_bytes())?;
-    f.sync_all()?;
-    std::fs::rename(&tmp, path)
 }
 
 fn read_marker(path: &Path) -> Option<BTreeMap<String, String>> {
@@ -472,7 +462,7 @@ impl JobServer {
             }
         }
         let persist = std::fs::create_dir_all(&dir)
-            .and_then(|()| atomic_write_raw(&dir.join("spec"), &spec.encode()));
+            .and_then(|()| atomic_write_raw(&dir.join("spec"), spec.encode().as_bytes()));
         if let Err(e) = persist {
             // Best-effort cleanup: an unpersisted job directory must not
             // confuse a future restart scan.
@@ -759,7 +749,8 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
 
     // Resume only when both halves of the crashed world survive: the
     // staged input descriptor and a loadable checkpoint generation.
-    let resume = input_path.exists() && Sorter::<U64Record>::checkpoint_present(&job, &manifest)?;
+    let resume = input_path.exists()
+        && job.resume_point(geom, spec.records, &manifest)?.is_some();
     let (file, input) = if resume {
         let f: FileDiskArray<U64Record> = FileDiskArray::open(geom, &disks)?;
         let text = std::fs::read_to_string(&input_path)
@@ -837,16 +828,19 @@ fn sort_and_digest<A: DiskArray<U64Record>>(
     manifest: &Path,
     observer: &mut dyn FnMut(u64),
 ) -> Result<u64, JobError> {
-    let outcome = job.run(array, input, Some(manifest), observer)?;
-    let out = Sorter::<U64Record>::output(job, array, &outcome.run)?;
+    let (run, report) = job.run(array, input, Some(manifest), |pass, _| {
+        observer(pass);
+        Ok(())
+    })?;
+    let out = job.output(array, &run)?;
     let digest = digest_keys(out.iter().map(|r| r.0));
     let done = format!(
         "digest={digest}\nrecords={}\nruns-formed={}\nmerge-passes={}\nmerge-order={}\nrun={}\n",
-        outcome.records,
-        outcome.runs_formed,
-        outcome.merge_passes,
-        outcome.merge_order,
-        outcome.run.encode(),
+        report.records,
+        report.runs_formed,
+        report.merge_passes,
+        report.merge_order,
+        run.encode(),
     );
     atomic_write(&manifest.with_file_name("done"), &done)?;
     Ok(digest)

@@ -26,7 +26,7 @@
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     CrashClock, CrashingDiskArray, DiskArray, FileDiskArray, Geometry, Manifest as _, MemDiskArray,
-    ParityDiskArray, PdiskError, StripedRun, U64Record,
+    ParityDiskArray, PdiskError, Sorter as _, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, SrmError, SrmSorter};
@@ -193,6 +193,13 @@ fn run_point(
         write_unsorted_input(a, data).map_err(|e| format!("staging failed: {e}"))
     }
     let err = |e: PdiskError| e.to_string();
+    // Whether a valid checkpoint generation survived the crash.
+    let checkpointed = || {
+        sorter(cfg)
+            .resume_point(cfg.geom, data.len() as u64, &manifest)
+            .map(|at| at.is_some())
+            .map_err(|e| format!("manifest unreadable after crash: {e}"))
+    };
 
     // The four worlds differ only in how the stack is built and rebuilt;
     // the crash/recover protocol is identical.
@@ -208,7 +215,7 @@ fn run_point(
                 }
                 None => {
                     let mem = arr.into_inner();
-                    let resumed = manifest_present(&manifest)?;
+                    let resumed = checkpointed()?;
                     (recover(mem, cfg, &input, &manifest, k)?, resumed)
                 }
             }
@@ -241,7 +248,7 @@ fn run_point(
                         .map_err(err)?
                         .with_store(&pstore)
                         .map_err(err)?;
-                    let resumed = manifest_present(&manifest)?;
+                    let resumed = checkpointed()?;
                     (recover(pa, cfg, &input, &manifest, k)?, resumed)
                 }
             }
@@ -263,7 +270,7 @@ fn run_point(
                     drop(arr);
                     let fa: FileDiskArray<U64Record> =
                         FileDiskArray::open(cfg.geom, &ddir).map_err(err)?;
-                    let resumed = manifest_present(&manifest)?;
+                    let resumed = checkpointed()?;
                     (recover(fa, cfg, &input, &manifest, k)?, resumed)
                 }
             }
@@ -295,7 +302,7 @@ fn run_point(
                         .map_err(err)?
                         .with_store(&pstore)
                         .map_err(err)?;
-                    let resumed = manifest_present(&manifest)?;
+                    let resumed = checkpointed()?;
                     (recover(pa, cfg, &input, &manifest, k)?, resumed)
                 }
             }
@@ -305,13 +312,6 @@ fn run_point(
     let _ = std::fs::remove_file(&pstore);
     srm_core::SortManifest::remove(&manifest).map_err(|e| e.to_string())?;
     Ok((keys, resumed))
-}
-
-/// Whether a valid checkpoint generation survived the crash.
-fn manifest_present(path: &Path) -> Result<bool, String> {
-    srm_core::SortManifest::load_latest(path)
-        .map(|m| m.is_some())
-        .map_err(|e| format!("manifest unreadable after crash: {e}"))
 }
 
 /// Dry run: number every boundary with a counting clock and capture the

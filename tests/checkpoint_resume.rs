@@ -217,17 +217,21 @@ fn srm_pipelined_killed_mid_merge_resumes_byte_identical() {
 }
 
 /// What the shared store suite needs from a manifest payload: a sample
-/// with redundancy lines and two runs, a field that tells two saved
-/// generations apart, and how to recognise its typed checkpoint error.
+/// with redundancy lines and two runs, and a field that tells two saved
+/// generations apart.
 /// Every store test below runs once per implementor — the envelope, the
 /// journal and the redundancy codec are one body of code
 /// (`pdisk::manifest`), exercised through both payloads.
-trait Payload: Manifest<Error: std::fmt::Debug> + Clone + PartialEq + std::fmt::Debug {
+trait Payload: Manifest + Clone + PartialEq + std::fmt::Debug {
     const TAG: &'static str;
     fn sample(pass: u64) -> Self;
     fn pass(&self) -> u64;
     fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>);
-    fn is_checkpoint_error(e: &Self::Error) -> bool;
+}
+
+/// The store's failures are all the shared vocabulary's `Checkpoint`.
+fn is_checkpoint_error(e: &pdisk::SortError) -> bool {
+    matches!(e, pdisk::SortError::Checkpoint(_))
 }
 
 impl Payload for srm_core::SortManifest {
@@ -269,10 +273,6 @@ impl Payload for srm_core::SortManifest {
     fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>) {
         self.redundancy = redundancy;
     }
-
-    fn is_checkpoint_error(e: &srm_core::SrmError) -> bool {
-        matches!(e, srm_core::SrmError::Checkpoint(_))
-    }
 }
 
 impl Payload for dsm::DsmManifest {
@@ -310,10 +310,6 @@ impl Payload for dsm::DsmManifest {
 
     fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>) {
         self.redundancy = redundancy;
-    }
-
-    fn is_checkpoint_error(e: &dsm::DsmError) -> bool {
-        matches!(e, dsm::DsmError::Checkpoint(_))
     }
 }
 
@@ -381,7 +377,7 @@ fn load_latest_falls_back_to_the_previous_valid_generation<M: Payload>() {
     // error, not a silent fresh start.
     flip_byte(&manifest_sibling(&path, "prev"), |len| len / 2, 0x01);
     let err = M::load_latest(&path).unwrap_err();
-    assert!(M::is_checkpoint_error(&err), "{err:?}");
+    assert!(is_checkpoint_error(&err), "{err:?}");
     assert!(err.to_string().contains("corrupt"), "{err}");
     // And with no candidates at all, there is nothing to resume.
     M::remove(&path).unwrap();
@@ -438,7 +434,7 @@ fn generation_fallback_survives_byte_flips<M: Payload>(flips: &[(usize, u8, bool
         ),
         Ok(None) => panic!("files exist but recovery found nothing"),
         // Both generations torn: a typed error, not a panic.
-        Err(e) => assert!(M::is_checkpoint_error(&e), "wrong error type: {e:?}"),
+        Err(e) => assert!(is_checkpoint_error(&e), "wrong error type: {e:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -511,7 +507,7 @@ fn validate_redundancy_refuses_mismatches<M: Payload>() {
     assert!(m.validate_redundancy(None).is_err());
     // Array must already treat manifest-dead disks as dead.
     let err = m.validate_redundancy(Some(&parity2(&[]))).unwrap_err();
-    assert!(M::is_checkpoint_error(&err), "{err:?}");
+    assert!(is_checkpoint_error(&err), "{err:?}");
     m.validate_redundancy(Some(&parity2(&[1]))).unwrap();
     // Extra deaths discovered since the snapshot are tolerated.
     m.validate_redundancy(Some(&parity2(&[0, 1]))).unwrap();
@@ -542,7 +538,7 @@ fn byte_flips_never_panic_or_resume_wrong<M: Payload>() {
             std::fs::write(&path, &bytes).unwrap();
             match M::load(&path) {
                 Err(e) => assert!(
-                    M::is_checkpoint_error(&e),
+                    is_checkpoint_error(&e),
                     "byte {i} ^ {mask:#04x}: wrong error type {e:?}"
                 ),
                 Ok(parsed) => assert_eq!(
@@ -686,4 +682,362 @@ fn resume_rejects_incompatible_manifests() {
         other => panic!("torn manifest must be refused, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Engine conformance: the pass-driver contract, run once per engine
+// through nothing but its public stage / `sort_observed` / read-back
+// trio.  What a pass boundary promises is the same for every engine:
+//
+// * the observer fires exactly once per boundary *completed by this
+//   call* (pass 0 = formation) and is never replayed after a resume;
+// * when `Interrupted` comes back, the manifest on disk loads and names
+//   the boundary the sort stopped at;
+// * every snapshot sits behind a `sync()` barrier with no write issued
+//   between the observer and the return;
+// * a set flag with one run left still completes;
+// * success retires the manifest and its whole journal;
+// * resuming under the other window is byte-identical.
+// ---------------------------------------------------------------------
+
+mod common;
+
+use common::Probe;
+use pdisk::passes::{Boundary, Checkpointing};
+use pdisk::InterruptFlag;
+use std::path::Path;
+
+/// How a conformance sort ended, when it did not complete.
+#[derive(Debug)]
+enum Stop {
+    Interrupted,
+    Failed(String),
+}
+
+/// The slice of an engine the conformance suite drives.
+trait Conformant {
+    type Run: Clone;
+    const TAG: &'static str;
+
+    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run;
+
+    /// `sort_observed` under the given window and flag; returns the
+    /// sorted run and the report's whole-sort merge-pass count.
+    fn sort<A: DiskArray<U64Record>>(
+        pipeline: bool,
+        flag: &InterruptFlag,
+        a: &mut A,
+        input: &Self::Run,
+        manifest: Option<&Path>,
+        observer: &mut dyn FnMut(u64, &mut A),
+    ) -> Result<(Self::Run, u64), Stop>;
+
+    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record>;
+
+    /// The pass named by the newest loadable checkpoint at `manifest`.
+    fn checkpointed_pass(manifest: &Path) -> Option<u64>;
+}
+
+struct Srm;
+
+impl Conformant for Srm {
+    type Run = pdisk::StripedRun;
+    const TAG: &'static str = "srm";
+
+    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
+        write_unsorted_input(a, data).unwrap()
+    }
+
+    fn sort<A: DiskArray<U64Record>>(
+        pipeline: bool,
+        flag: &InterruptFlag,
+        a: &mut A,
+        input: &Self::Run,
+        manifest: Option<&Path>,
+        observer: &mut dyn FnMut(u64, &mut A),
+    ) -> Result<(Self::Run, u64), Stop> {
+        SrmSorter::default()
+            .with_pipeline(pipeline)
+            .with_interrupt(flag.clone())
+            .sort_observed(a, input, manifest, |pass, a: &mut A| {
+                observer(pass, a);
+                Ok(())
+            })
+            .map(|(run, report)| (run, report.merge_passes))
+            .map_err(|e| match e {
+                srm_core::SrmError::Interrupted => Stop::Interrupted,
+                e => Stop::Failed(e.to_string()),
+            })
+    }
+
+    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
+        read_run(a, run).unwrap()
+    }
+
+    fn checkpointed_pass(manifest: &Path) -> Option<u64> {
+        srm_core::SortManifest::load_latest(manifest).unwrap().map(|m| m.pass)
+    }
+}
+
+struct Dsm;
+
+impl Conformant for Dsm {
+    type Run = dsm::LogicalRun;
+    const TAG: &'static str = "dsm";
+
+    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
+        write_unsorted_stripes(a, data).unwrap()
+    }
+
+    fn sort<A: DiskArray<U64Record>>(
+        pipeline: bool,
+        flag: &InterruptFlag,
+        a: &mut A,
+        input: &Self::Run,
+        manifest: Option<&Path>,
+        observer: &mut dyn FnMut(u64, &mut A),
+    ) -> Result<(Self::Run, u64), Stop> {
+        DsmSorter::default()
+            .with_pipeline(pipeline)
+            .with_interrupt(flag.clone())
+            .sort_observed(a, input, manifest, |pass, a: &mut A| {
+                observer(pass, a);
+                Ok(())
+            })
+            .map(|(run, report)| (run, report.merge_passes))
+            .map_err(|e| match e {
+                dsm::DsmError::Interrupted => Stop::Interrupted,
+                e => Stop::Failed(e.to_string()),
+            })
+    }
+
+    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
+        read_logical_run(a, run).unwrap()
+    }
+
+    fn checkpointed_pass(manifest: &Path) -> Option<u64> {
+        dsm::DsmManifest::load_latest(manifest).unwrap().map(|m| m.pass)
+    }
+}
+
+/// A third engine, the proof that one is "one `impl`": two-way mergesort
+/// over DSM's logical runs, checkpointing in DSM's payload, written
+/// against [`pdisk::PassEngine`] alone — no product file knows it exists.
+/// [`Checkpointing::drive`] gives it the resume rule, the observer, the
+/// barrier, the journal, the interrupt check and manifest retirement.
+struct Toy;
+
+impl pdisk::PassEngine for Toy {
+    type Run = dsm::LogicalRun;
+    type Manifest = dsm::DsmManifest;
+    type State = ();
+
+    fn merge_order(&self, _: Geometry) -> Result<usize, pdisk::SortError> {
+        Ok(2)
+    }
+
+    fn form<R: Record, A: DiskArray<R>>(
+        &self,
+        a: &mut A,
+        input: &Self::Run,
+    ) -> Result<(Vec<Self::Run>, ()), pdisk::SortError> {
+        let mut records = read_logical_run(a, input)?;
+        let mut runs = Vec::new();
+        for load in records.chunks_mut(a.geometry().m / 2) {
+            load.sort_unstable_by_key(|r| r.key());
+            runs.push(write_unsorted_stripes(a, load)?);
+        }
+        Ok((runs, ()))
+    }
+
+    fn merge_group<R: Record, A: DiskArray<R>>(
+        &self,
+        a: &mut A,
+        group: &[Self::Run],
+        _: &mut (),
+    ) -> Result<Self::Run, pdisk::SortError> {
+        let mut merged = Vec::new();
+        for run in group {
+            merged.extend(read_logical_run(a, run)?);
+        }
+        merged.sort_by_key(|r| r.key()); // stable: ties keep run order
+        write_unsorted_stripes(a, &merged)
+    }
+
+    fn checkpoint(&self, _: &(), at: Boundary<Self::Run>) -> Self::Manifest {
+        let Boundary { geometry, records, runs_formed, pass, redundancy, runs } = at;
+        dsm::DsmManifest { geometry, records, runs_formed, pass, redundancy, generation: 0, runs }
+    }
+
+    fn restore(
+        &self,
+        m: &Self::Manifest,
+        geometry: Geometry,
+        records: u64,
+    ) -> Result<(Boundary<Self::Run>, ()), pdisk::SortError> {
+        m.validate(geometry, records)?;
+        let (runs_formed, pass) = (m.runs_formed, m.pass);
+        let (redundancy, runs) = (m.redundancy.clone(), m.runs.clone());
+        Ok((Boundary { geometry, records, runs_formed, pass, redundancy, runs }, ()))
+    }
+}
+
+impl Conformant for Toy {
+    type Run = dsm::LogicalRun;
+    const TAG: &'static str = "toy";
+
+    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
+        write_unsorted_stripes(a, data).unwrap()
+    }
+
+    fn sort<A: DiskArray<U64Record>>(
+        _pipeline: bool,
+        flag: &InterruptFlag,
+        a: &mut A,
+        input: &Self::Run,
+        manifest: Option<&Path>,
+        observer: &mut dyn FnMut(u64, &mut A),
+    ) -> Result<(Self::Run, u64), Stop> {
+        let checkpointing = Checkpointing { manifest, interrupt: Some(flag), crash: None };
+        checkpointing
+            .drive(&Toy, a, input, |pass, a: &mut A| {
+                observer(pass, a);
+                Ok(())
+            })
+                .map(|(run, report, ())| (run, report.merge_passes))
+            .map_err(|e| match e {
+                pdisk::SortError::Interrupted => Stop::Interrupted,
+                e => Stop::Failed(e.to_string()),
+            })
+    }
+
+    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
+        read_logical_run(a, run).unwrap()
+    }
+
+    fn checkpointed_pass(manifest: &Path) -> Option<u64> {
+        Dsm::checkpointed_pass(manifest)
+    }
+}
+
+/// The journal is wholly gone: manifest, `.prev` and `.tmp`.
+fn assert_journal_retired(manifest: &Path) {
+    for p in [
+        manifest.to_path_buf(),
+        manifest_sibling(manifest, "prev"),
+        manifest_sibling(manifest, "tmp"),
+    ] {
+        assert!(!p.exists(), "{} must be retired on success", p.display());
+    }
+}
+
+/// Interrupt at *every* boundary in turn, alternating the window between
+/// calls, and hold each return against the contract above.
+fn stepping_through_every_boundary_honours_the_contract<E: Conformant>() {
+    let data = random_records(3000, 81);
+    let dir = unique_dir(&format!("conform-step-{}", E::TAG));
+    let manifest = dir.join("sort.manifest");
+    let flag = InterruptFlag::new();
+
+    // Uninterrupted reference: one observer call per boundary, 0..=P.
+    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+    let input = E::stage(&mut clean, &data);
+    let mut boundaries = Vec::new();
+    let (run, passes) =
+        E::sort(false, &flag, &mut clean, &input, None, &mut |pass, _| boundaries.push(pass))
+            .unwrap();
+    assert!(passes >= 2, "need a genuinely multi-pass sort");
+    assert_eq!(boundaries, (0..=passes).collect::<Vec<_>>());
+    let want = encode_all(&E::read(&mut clean, &run));
+
+    // Stepping run: the observer trips the flag at every boundary, so
+    // each call completes exactly one pass and stops behind its snapshot.
+    let mut a = Probe::new(MemDiskArray::<U64Record>::new(geom()));
+    let input = E::stage(&mut a, &data);
+    let mut seen = Vec::new();
+    let mut interrupts = 0u64;
+    let run = loop {
+        let pipeline = interrupts % 2 == 1;
+        let before = E::checkpointed_pass(&manifest);
+        let stopped = E::sort(pipeline, &flag, &mut a, &input, Some(&manifest), &mut |pass, a| {
+            seen.push(pass);
+            assert_eq!(
+                E::checkpointed_pass(&manifest),
+                before,
+                "pass {pass}: the observer runs before the boundary's snapshot"
+            );
+            a.log.borrow_mut().clear();
+            flag.trigger();
+        });
+        match stopped {
+            Ok((run, total)) => {
+                assert_eq!(total, passes, "whole-sort pass count survives the resumes");
+                break run;
+            }
+            Err(Stop::Interrupted) => {
+                let at = *seen.last().expect("interrupted before any boundary");
+                assert_eq!(
+                    E::checkpointed_pass(&manifest),
+                    Some(at),
+                    "Interrupted must leave a loadable manifest naming the boundary"
+                );
+                let log = a.log.borrow();
+                assert!(log.contains("sync"), "pass {at}: snapshot without a sync barrier");
+                assert!(
+                    !log.contains("write") && !log.contains("submit_write"),
+                    "pass {at}: a write slipped between the barrier and the snapshot: {log:?}"
+                );
+                interrupts += 1;
+                flag.clear();
+            }
+            Err(Stop::Failed(e)) => panic!("{} sort failed: {e}", E::TAG),
+        }
+    };
+    // Every boundary once, in order, none replayed by a resume; the last
+    // one (a single run left) completes although the flag was set.
+    assert_eq!(seen, (0..=passes).collect::<Vec<_>>());
+    assert_eq!(interrupts, passes, "one stop per boundary with work left");
+    assert_eq!(encode_all(&E::read(&mut a, &run)), want, "stepped output diverged");
+    assert_journal_retired(&manifest);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One memory load, one run, no boundary with work left: a set flag must
+/// not stop the sort, and the formation checkpoint is retired again.
+fn a_set_flag_with_one_run_left_still_completes<E: Conformant>() {
+    let dir = unique_dir(&format!("conform-lone-{}", E::TAG));
+    let manifest = dir.join("sort.manifest");
+    let data: Vec<U64Record> = (0..60u64).rev().map(U64Record).collect();
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(Geometry::new(2, 4, 128).unwrap());
+    let input = E::stage(&mut a, &data);
+    let flag = InterruptFlag::new();
+    flag.trigger();
+    let mut seen = Vec::new();
+    let (run, passes) =
+        E::sort(false, &flag, &mut a, &input, Some(&manifest), &mut |pass, _| seen.push(pass))
+            .unwrap();
+    assert_eq!((passes, seen), (0, vec![0]));
+    let keys: Vec<u64> = E::read(&mut a, &run).iter().map(|r| r.0).collect();
+    assert_eq!(keys, (0..60).collect::<Vec<u64>>());
+    assert_journal_retired(&manifest);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One `#[test]` per contract, each run through every engine.
+mod every_engine {
+    use super::{Dsm, Srm, Toy};
+
+    #[test]
+    fn stepping_through_every_boundary_honours_the_contract() {
+        super::stepping_through_every_boundary_honours_the_contract::<Srm>();
+        super::stepping_through_every_boundary_honours_the_contract::<Dsm>();
+        super::stepping_through_every_boundary_honours_the_contract::<Toy>();
+    }
+
+    #[test]
+    fn a_set_flag_with_one_run_left_still_completes() {
+        super::a_set_flag_with_one_run_left_still_completes::<Srm>();
+        super::a_set_flag_with_one_run_left_still_completes::<Dsm>();
+        super::a_set_flag_with_one_run_left_still_completes::<Toy>();
+    }
 }
