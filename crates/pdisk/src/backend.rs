@@ -10,8 +10,15 @@ use crate::stats::IoStats;
 use crate::striping::StripedRun;
 use crate::trace::TraceSink;
 
-/// Raw slot bytes travelling back from a per-disk I/O worker.
+/// A written slot's image buffer travelling back from a per-disk I/O
+/// worker, for the completing thread to recycle.
 pub(crate) type SlotReply = crossbeam::channel::Receiver<std::io::Result<Vec<u8>>>;
+
+/// A read slot travelling back from a per-disk I/O worker: the block the
+/// worker verified and decoded, beside its image buffer (for recycling).
+/// The error is typed where it arose — [`PdiskError::Io`] for the
+/// transfer, [`PdiskError::Corrupt`] for the slot's content.
+pub(crate) type BlockReply<R> = crossbeam::channel::Receiver<Result<(Block<R>, Vec<u8>)>>;
 
 /// In-progress state of a split-phase read.
 pub(crate) enum ReadState<R: Record> {
@@ -19,7 +26,7 @@ pub(crate) enum ReadState<R: Record> {
     Ready(Vec<Block<R>>),
     /// The read is in flight on per-disk worker threads; one reply
     /// channel per requested block, in request order.
-    Pending(Vec<SlotReply>),
+    Pending(Vec<BlockReply<R>>),
 }
 
 /// Handle to a submitted parallel read ([`DiskArray::submit_read`]).
@@ -54,7 +61,7 @@ impl<R: Record> ReadTicket<R> {
         }
     }
 
-    pub(crate) fn pending(addrs: Vec<BlockAddr>, replies: Vec<SlotReply>) -> Self {
+    pub(crate) fn pending(addrs: Vec<BlockAddr>, replies: Vec<BlockReply<R>>) -> Self {
         ReadTicket {
             addrs,
             state: ReadState::Pending(replies),

@@ -22,6 +22,14 @@
 //! read time — corruption can abort a sort but can never silently
 //! mis-sort.  [`FileDiskArray::open`] reopens an existing array without
 //! truncating, which is what checkpoint/resume builds on.
+//!
+//! The slot codec (`SlotLayout`) runs on the worker threads, beside the
+//! transfer it belongs to: a write job carries its typed block and the
+//! worker encodes, checksums and writes it; a read job's worker reads,
+//! verifies and decodes, and replies with the block.  The submitting
+//! thread only validates the operation, draws buffers from the pool and
+//! queues the jobs, so the `D` slots of one parallel I/O are coded `D`
+//! ways in parallel and none of it delays the merge.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -35,7 +43,9 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Sender};
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::{DiskArray, ReadTicket, WriteTicket};
+use crate::backend::{
+    BlockReply, DiskArray, ReadState, ReadTicket, SlotReply, WriteState, WriteTicket,
+};
 use crate::block::{Block, Forecast, NO_BLOCK};
 use crate::error::{PdiskError, Result};
 use crate::geometry::Geometry;
@@ -171,20 +181,156 @@ fn worker_gone() -> PdiskError {
     PdiskError::Io(io::Error::other("disk worker thread terminated"))
 }
 
-enum Job {
+/// The geometry of one on-disk slot — all the codec needs to know about
+/// an array, small and `Copy` so every worker thread holds its own.
+#[derive(Debug, Clone, Copy)]
+struct SlotLayout {
+    /// Records per block (`B`).
+    b: usize,
+    /// Bytes a slot occupies on disk.
+    slot_bytes: usize,
+    /// Forecast-key cells reserved per slot (`max(D, 1)`).
+    forecast_keys: usize,
+}
+
+impl SlotLayout {
+    fn new<R: Record>(geom: Geometry) -> Self {
+        let forecast_keys = geom.d.max(1);
+        SlotLayout {
+            b: geom.b,
+            slot_bytes: CHECKSUM_BYTES + 8 + 8 * forecast_keys + geom.b * R::ENCODED_LEN,
+            forecast_keys,
+        }
+    }
+
+    /// Whether `block` fits a slot: everything [`SlotLayout::encode`]
+    /// takes for granted, checked where the caller can still be refused.
+    fn admits<R: Record>(&self, block: &Block<R>) -> Result<()> {
+        if block.len() > self.b {
+            return Err(PdiskError::BadBlockSize {
+                expected: self.b,
+                got: block.len(),
+            });
+        }
+        if let Forecast::Initial(keys) = &block.forecast {
+            if keys.len() > self.forecast_keys {
+                return Err(PdiskError::Corrupt(format!(
+                    "forecast table of {} keys exceeds reserved {}",
+                    keys.len(),
+                    self.forecast_keys
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Serialize `block`, which [`SlotLayout::admits`] has passed, into
+    /// `out` as one checksummed slot image.
+    fn encode<R: Record>(&self, block: &Block<R>, out: &mut Vec<u8>) {
+        // Zero-fill the whole slot first: short final blocks leave no
+        // stale payload behind the record count.
+        out.clear();
+        out.resize(self.slot_bytes, 0);
+        let payload_at = CHECKSUM_BYTES;
+        out[payload_at..payload_at + 4].copy_from_slice(&(block.len() as u32).to_le_bytes());
+        let (kind, keys): (u32, &[u64]) = match &block.forecast {
+            Forecast::Next(k) => (0, std::slice::from_ref(k)),
+            Forecast::Initial(ks) => (1, ks.as_slice()),
+        };
+        out[payload_at + 4..payload_at + 8].copy_from_slice(&kind.to_le_bytes());
+        let mut off = payload_at + 8;
+        for i in 0..self.forecast_keys {
+            let k = keys.get(i).copied().unwrap_or(NO_BLOCK);
+            out[off..off + 8].copy_from_slice(&k.to_le_bytes());
+            off += 8;
+        }
+        for rec in &block.records {
+            rec.encode(&mut out[off..off + R::ENCODED_LEN]);
+            off += R::ENCODED_LEN;
+        }
+        let checksum = fnv1a64(&out[CHECKSUM_BYTES..]);
+        out[..CHECKSUM_BYTES].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// Parse one slot image into a block, filling the empty buffer
+    /// `records`.  `verify` off skips the checksum compare and nothing
+    /// else: the structural checks always run.
+    fn decode<R: Record>(&self, bytes: &[u8], verify: bool, mut records: Vec<R>) -> Result<Block<R>> {
+        if bytes.len() != self.slot_bytes {
+            return Err(PdiskError::Corrupt(format!(
+                "slot of {} bytes, expected {}",
+                bytes.len(),
+                self.slot_bytes
+            )));
+        }
+        if verify {
+            let stored = le_u64(&bytes[..CHECKSUM_BYTES]);
+            let actual = fnv1a64(&bytes[CHECKSUM_BYTES..]);
+            if stored != actual {
+                return Err(PdiskError::Corrupt(format!(
+                    "block checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+                )));
+            }
+        }
+        let bytes = &bytes[CHECKSUM_BYTES..];
+        let n = le_u32(&bytes[..4]) as usize;
+        if n > self.b {
+            return Err(PdiskError::Corrupt(format!(
+                "record count {n} exceeds block size {}",
+                self.b
+            )));
+        }
+        let kind = le_u32(&bytes[4..8]);
+        let mut off = 8;
+        let forecast = match kind {
+            // `Next` carries one live key; skipping the reserved tail
+            // avoids a per-block Vec on the hot path.
+            0 => Forecast::Next(le_u64(&bytes[off..off + 8])),
+            1 => {
+                let mut keys = Vec::with_capacity(self.forecast_keys);
+                for i in 0..self.forecast_keys {
+                    keys.push(le_u64(&bytes[off + 8 * i..off + 8 * i + 8]));
+                }
+                Forecast::Initial(keys)
+            }
+            k => return Err(PdiskError::Corrupt(format!("unknown forecast kind {k}"))),
+        };
+        off += 8 * self.forecast_keys;
+        for _ in 0..n {
+            records.push(R::decode(&bytes[off..off + R::ENCODED_LEN]));
+            off += R::ENCODED_LEN;
+        }
+        Ok(Block { records, forecast })
+    }
+}
+
+/// One per-disk transfer, carrying everything its worker needs to code
+/// the slot as well as move it.  Every buffer in a job was drawn from
+/// the pool by the submitting thread.
+enum Job<R: Record> {
     Read {
         offset: u64,
-        /// Pool-drawn buffer, pre-sized to the slot length; the worker
-        /// fills it in place and sends it back, so steady-state reads
-        /// allocate nothing.
+        /// Slot image buffer with room for one slot; the worker reads
+        /// into it and sends it back beside the block, so steady-state
+        /// reads allocate nothing.
         buf: Vec<u8>,
-        reply: Sender<io::Result<Vec<u8>>>,
+        /// Empty buffer the decoded records go into.
+        records: Vec<R>,
+        /// Whether to compare the slot's checksum (see
+        /// [`FileDiskArray::set_trusted_reads`]).
+        verify: bool,
+        reply: Sender<Result<(Block<R>, Vec<u8>)>>,
     },
     Write {
         offset: u64,
-        bytes: Vec<u8>,
-        /// Workers reply with the consumed slot bytes on success so the
-        /// caller can recycle them into the buffer pool.
+        block: Block<R>,
+        /// Buffer the worker encodes the slot image into; it replies
+        /// with the consumed bytes on success so the caller can recycle
+        /// them into the buffer pool.
+        buf: Vec<u8>,
+        /// Where the block's record buffer goes once it is encoded: the
+        /// pool the array had installed when the write was submitted.
+        pool: BufferPool<R>,
         reply: Sender<io::Result<Vec<u8>>>,
     },
     /// Durability barrier: `fsync` the disk file.  Because each worker
@@ -196,8 +342,8 @@ enum Job {
     },
 }
 
-struct Worker {
-    tx: Sender<Job>,
+struct Worker<R: Record> {
+    tx: Sender<Job<R>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -220,11 +366,10 @@ pub struct PrefetchStats {
 pub struct FileDiskArray<R: Record> {
     geom: Geometry,
     dir: PathBuf,
-    workers: Vec<Worker>,
+    workers: Vec<Worker<R>>,
     next_free: Vec<u64>,
     stats: IoStats,
-    slot_bytes: usize,
-    forecast_keys: usize,
+    layout: SlotLayout,
     trace: Option<TraceSink>,
     pool: BufferPool<R>,
     /// Artificial per-job service time in microseconds, shared with the
@@ -238,11 +383,11 @@ pub struct FileDiskArray<R: Record> {
     torn_dropped: Vec<u64>,
     /// Speculative read-ahead cache: slots whose per-disk read was
     /// started on a [`DiskArray::prefetch`] hint and not yet claimed by
-    /// a demand read.  Holds only the reply channel — the bytes stay on
-    /// the worker side until claimed, so a hit simply adopts the
-    /// receiver and the demand path proceeds as if it had dispatched
-    /// the job itself.
-    prefetched: HashMap<BlockAddr, crate::backend::SlotReply>,
+    /// a demand read.  Holds only the reply channel — the decoded block
+    /// and its slot image wait in it until claimed, so a hit simply
+    /// adopts the receiver and the demand path proceeds as if it had
+    /// dispatched the job itself.
+    prefetched: HashMap<BlockAddr, BlockReply<R>>,
     prefetch_stats: PrefetchStats,
     /// Opt-in checksum elision (see [`FileDiskArray::set_trusted_reads`]).
     trust_reads: bool,
@@ -250,7 +395,6 @@ pub struct FileDiskArray<R: Record> {
     /// checksum-verified; only populated while `trust_reads` is on.
     verified: HashSet<BlockAddr>,
     _lock: DirLock,
-    _marker: std::marker::PhantomData<R>,
 }
 
 impl<R: Record> FileDiskArray<R> {
@@ -280,8 +424,8 @@ impl<R: Record> FileDiskArray<R> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let lock = DirLock::acquire(&dir)?;
-        let forecast_keys = geom.d.max(1);
-        let slot_bytes = CHECKSUM_BYTES + 8 + 8 * forecast_keys + geom.b * R::ENCODED_LEN;
+        let layout = SlotLayout::new::<R>(geom);
+        let slot_bytes = layout.slot_bytes;
         let io_delay_us = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::with_capacity(geom.d);
         let mut next_free = vec![0u64; geom.d];
@@ -349,7 +493,7 @@ impl<R: Record> FileDiskArray<R> {
                 torn_dropped[d] = dropped + u64::from(rem != 0);
                 *free = keep;
             }
-            workers.push(Self::spawn_worker(d, file, Arc::clone(&io_delay_us))?);
+            workers.push(Self::spawn_worker(d, file, layout, Arc::clone(&io_delay_us))?);
         }
         Ok(FileDiskArray {
             geom,
@@ -357,8 +501,7 @@ impl<R: Record> FileDiskArray<R> {
             workers,
             next_free,
             stats: IoStats::default(),
-            slot_bytes,
-            forecast_keys,
+            layout,
             trace: None,
             pool: BufferPool::new(),
             io_delay_us,
@@ -368,18 +511,22 @@ impl<R: Record> FileDiskArray<R> {
             trust_reads: false,
             verified: HashSet::new(),
             _lock: lock,
-            _marker: std::marker::PhantomData,
         })
     }
 
     // The disk worker thread: ALL of its blocking I/O (positioned
     // reads/writes, fsync, channel recv) lives in this one blessed fn;
     // srmlint's blocking pass rejects any other blocking call that
-    // becomes reachable from it.
+    // becomes reachable from it.  The slot codec it calls is pure.
     #[srmlint::worker_entry]
     #[srmlint::blessed_seam]
-    fn spawn_worker(idx: usize, file: File, delay_us: Arc<AtomicU64>) -> Result<Worker> {
-        let (tx, rx) = unbounded::<Job>();
+    fn spawn_worker(
+        idx: usize,
+        file: File,
+        layout: SlotLayout,
+        delay_us: Arc<AtomicU64>,
+    ) -> Result<Worker<R>> {
+        let (tx, rx) = unbounded::<Job<R>>();
         let handle = std::thread::Builder::new()
             .name(format!("pdisk-io-{idx}"))
             .spawn(move || {
@@ -417,12 +564,22 @@ impl<R: Record> FileDiskArray<R> {
                         }
                     }
                     match job {
-                        Job::Read { offset, mut buf, reply } => {
-                            let res = file.read_exact_at(&mut buf, offset).map(|()| buf);
+                        // Each reply channel holds one message and gets
+                        // exactly one, so a send never blocks; it fails
+                        // only when the ticket was dropped, which
+                        // abandons the result and nothing else.
+                        Job::Read { offset, mut buf, records, verify, reply } => {
+                            buf.resize(layout.slot_bytes, 0);
+                            let res = match file.read_exact_at(&mut buf, offset) {
+                                Ok(()) => layout.decode(&buf, verify, records).map(|block| (block, buf)),
+                                Err(e) => Err(PdiskError::Io(e)),
+                            };
                             let _ = reply.send(res);
                         }
-                        Job::Write { offset, bytes, reply } => {
-                            let res = file.write_all_at(&bytes, offset).map(|()| bytes);
+                        Job::Write { offset, block, mut buf, pool, reply } => {
+                            layout.encode(&block, &mut buf);
+                            pool.put_records(block.records);
+                            let res = file.write_all_at(&buf, offset).map(|()| buf);
                             let _ = reply.send(res);
                         }
                         Job::Sync { reply } => {
@@ -452,7 +609,7 @@ impl<R: Record> FileDiskArray<R> {
 
     /// Bytes a block slot occupies on disk.
     pub fn slot_bytes(&self) -> usize {
-        self.slot_bytes
+        self.layout.slot_bytes
     }
 
     /// Add an artificial service time to every per-disk transfer,
@@ -485,177 +642,83 @@ impl<R: Record> FileDiskArray<R> {
         }
     }
 
-    fn encode_block(&self, block: &Block<R>) -> Result<Vec<u8>> {
-        if block.len() > self.geom.b {
-            return Err(PdiskError::BadBlockSize {
-                expected: self.geom.b,
-                got: block.len(),
-            });
-        }
-        // Pool-drawn buffers come back cleared (len 0), so the resize
-        // zero-fills the whole slot: short final blocks leave no stale
-        // payload behind the record count.
-        let mut out = self.pool.take_bytes(self.slot_bytes);
-        out.resize(self.slot_bytes, 0);
-        let payload_at = CHECKSUM_BYTES;
-        out[payload_at..payload_at + 4].copy_from_slice(&(block.len() as u32).to_le_bytes());
-        let (kind, keys): (u32, &[u64]) = match &block.forecast {
-            Forecast::Next(k) => (0, std::slice::from_ref(k)),
-            Forecast::Initial(ks) => (1, ks.as_slice()),
-        };
-        if keys.len() > self.forecast_keys {
-            return Err(PdiskError::Corrupt(format!(
-                "forecast table of {} keys exceeds reserved {}",
-                keys.len(),
-                self.forecast_keys
-            )));
-        }
-        out[payload_at + 4..payload_at + 8].copy_from_slice(&kind.to_le_bytes());
-        let mut off = payload_at + 8;
-        for i in 0..self.forecast_keys {
-            let k = keys.get(i).copied().unwrap_or(NO_BLOCK);
-            out[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            off += 8;
-        }
-        for rec in &block.records {
-            rec.encode(&mut out[off..off + R::ENCODED_LEN]);
-            off += R::ENCODED_LEN;
-        }
-        let checksum = fnv1a64(&out[CHECKSUM_BYTES..]);
-        out[..CHECKSUM_BYTES].copy_from_slice(&checksum.to_le_bytes());
-        Ok(out)
+    /// Queue the read of one mapped slot on its disk's worker.  Whether
+    /// the worker compares the checksum is decided here: with trusted
+    /// reads on it is skipped for slots this process already verified or
+    /// wrote; the first read of a slot always verifies.
+    fn queue_read(&mut self, addr: BlockAddr) -> Result<BlockReply<R>> {
+        let (tx, rx) = bounded(1);
+        self.workers[addr.disk.index()]
+            .tx
+            .send(Job::Read {
+                offset: addr.offset * self.layout.slot_bytes as u64,
+                buf: self.pool.take_bytes(self.layout.slot_bytes),
+                records: self.pool.take_records(self.layout.b),
+                verify: !(self.trust_reads && self.verified.contains(&addr)),
+                reply: tx,
+            })
+            .map_err(|_| worker_gone())?;
+        Ok(rx)
     }
 
-    /// Decode the slot read back from `addr`.  With trusted reads on,
-    /// the checksum compare is skipped for slots this process already
-    /// verified or wrote; the first read of a slot always verifies.
-    fn decode_block_at(&mut self, addr: BlockAddr, bytes: &[u8]) -> Result<Block<R>> {
-        let skip = self.trust_reads && self.verified.contains(&addr);
-        let block = self.decode_block(bytes, !skip)?;
-        if self.trust_reads && !skip {
-            self.verified.insert(addr);
-        }
-        Ok(block)
-    }
-
-    fn decode_block(&self, bytes: &[u8], verify: bool) -> Result<Block<R>> {
-        if bytes.len() != self.slot_bytes {
-            return Err(PdiskError::Corrupt(format!(
-                "slot of {} bytes, expected {}",
-                bytes.len(),
-                self.slot_bytes
-            )));
-        }
-        if verify {
-            let stored = le_u64(&bytes[..CHECKSUM_BYTES]);
-            let actual = fnv1a64(&bytes[CHECKSUM_BYTES..]);
-            if stored != actual {
-                return Err(PdiskError::Corrupt(format!(
-                    "block checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-                )));
-            }
-        }
-        let bytes = &bytes[CHECKSUM_BYTES..];
-        let n = le_u32(&bytes[..4]) as usize;
-        if n > self.geom.b {
-            return Err(PdiskError::Corrupt(format!(
-                "record count {n} exceeds block size {}",
-                self.geom.b
-            )));
-        }
-        let kind = le_u32(&bytes[4..8]);
-        let mut off = 8;
-        let forecast = match kind {
-            // `Next` carries one live key; skipping the reserved tail
-            // avoids a per-block Vec on the hot path.
-            0 => Forecast::Next(le_u64(&bytes[off..off + 8])),
-            1 => {
-                let mut keys = Vec::with_capacity(self.forecast_keys);
-                for i in 0..self.forecast_keys {
-                    keys.push(le_u64(&bytes[off + 8 * i..off + 8 * i + 8]));
-                }
-                Forecast::Initial(keys)
-            }
-            k => return Err(PdiskError::Corrupt(format!("unknown forecast kind {k}"))),
-        };
-        off += 8 * self.forecast_keys;
-        let mut records = self.pool.take_records(n);
-        for _ in 0..n {
-            records.push(R::decode(&bytes[off..off + R::ENCODED_LEN]));
-            off += R::ENCODED_LEN;
-        }
-        Ok(Block { records, forecast })
-    }
-
-    /// Validate and fan out one parallel read to the per-disk workers,
-    /// returning the reply channels in request order.
-    fn dispatch_reads(
-        &mut self,
-        addrs: &[BlockAddr],
-    ) -> Result<Vec<crossbeam::channel::Receiver<io::Result<Vec<u8>>>>> {
+    /// Validate the whole of one parallel read, then fan it out to the
+    /// per-disk workers, returning the reply channels in request order.
+    /// A refused read has queued nothing.
+    fn dispatch_reads(&mut self, addrs: &[BlockAddr]) -> Result<Vec<BlockReply<R>>> {
         self.geom.check_parallel_op(addrs.iter().map(|a| a.disk))?;
+        if let Some(&addr) = addrs.iter().find(|a| a.offset >= self.next_free[a.disk.index()]) {
+            return Err(PdiskError::UnmappedBlock(addr));
+        }
         let mut replies = Vec::with_capacity(addrs.len());
         for &addr in addrs {
-            if addr.offset >= self.next_free[addr.disk.index()] {
-                return Err(PdiskError::UnmappedBlock(addr));
-            }
             // A prefetch already started (or finished) this exact slot
             // read: adopt its reply channel instead of queueing the job
             // again.  The demand path downstream is unchanged — it just
             // receives sooner.
-            if let Some(rx) = self.prefetched.remove(&addr) {
-                self.prefetch_stats.hits += 1;
-                replies.push(rx);
-                continue;
-            }
-            let mut buf = self.pool.take_bytes(self.slot_bytes);
-            buf.resize(self.slot_bytes, 0);
-            let (tx, rx) = bounded(1);
-            self.workers[addr.disk.index()]
-                .tx
-                .send(Job::Read {
-                    offset: addr.offset * self.slot_bytes as u64,
-                    buf,
-                    reply: tx,
-                })
-                .map_err(|_| worker_gone())?;
+            let rx = match self.prefetched.remove(&addr) {
+                Some(rx) => {
+                    self.prefetch_stats.hits += 1;
+                    rx
+                }
+                None => self.queue_read(addr)?,
+            };
             replies.push(rx);
         }
         Ok(replies)
     }
 
-    /// Validate, encode, and fan out one parallel write; the consumed
-    /// record buffers are recycled into the pool immediately (the
-    /// workers own the encoded bytes until completion).
-    fn dispatch_writes(
-        &mut self,
-        writes: Vec<(BlockAddr, Block<R>)>,
-    ) -> Result<Vec<crossbeam::channel::Receiver<io::Result<Vec<u8>>>>> {
+    /// Validate the whole of one parallel write, then fan it out; the
+    /// workers encode the blocks and recycle their record buffers into
+    /// the pool.  A refused write has queued nothing.
+    fn dispatch_writes(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<Vec<SlotReply>> {
         self.geom
             .check_parallel_op(writes.iter().map(|(a, _)| a.disk))?;
+        for (addr, block) in &writes {
+            if addr.offset >= self.next_free[addr.disk.index()] {
+                return Err(PdiskError::UnmappedBlock(*addr));
+            }
+            self.layout.admits(block)?;
+        }
         let mut replies = Vec::with_capacity(writes.len());
         for (addr, block) in writes {
-            if addr.offset >= self.next_free[addr.disk.index()] {
-                return Err(PdiskError::UnmappedBlock(addr));
-            }
             // Never serve stale bytes: a prefetch of this slot raced the
             // overwrite, so drop its receiver (the worker's send to a
             // dropped channel is harmless).
             if self.prefetched.remove(&addr).is_some() {
                 self.prefetch_stats.invalidated += 1;
             }
-            let bytes = self.encode_block(&block)?;
             if self.trust_reads {
-                // We computed this slot's checksum ourselves just now.
+                // This process computes the slot's checksum itself.
                 self.verified.insert(addr);
             }
-            self.pool.put_records(block.records);
             let (tx, rx) = bounded(1);
             self.workers[addr.disk.index()]
                 .tx
                 .send(Job::Write {
-                    offset: addr.offset * self.slot_bytes as u64,
-                    bytes,
+                    offset: addr.offset * self.layout.slot_bytes as u64,
+                    block,
+                    buf: self.pool.take_bytes(self.layout.slot_bytes),
+                    pool: self.pool.clone(),
                     reply: tx,
                 })
                 .map_err(|_| worker_gone())?;
@@ -724,12 +787,15 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
 
     fn complete_read(&mut self, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
         match ticket.state {
-            crate::backend::ReadState::Ready(blocks) => Ok(blocks),
-            crate::backend::ReadState::Pending(replies) => {
+            ReadState::Ready(blocks) => Ok(blocks),
+            ReadState::Pending(replies) => {
                 let mut out = Vec::with_capacity(replies.len());
                 for (rx, &addr) in replies.into_iter().zip(ticket.addrs.iter()) {
-                    let bytes = rx.recv().map_err(|_| worker_gone())??;
-                    let block = self.decode_block_at(addr, &bytes)?;
+                    let (block, bytes) = rx.recv().map_err(|_| worker_gone())??;
+                    if self.trust_reads {
+                        // Verified by the worker just now, or earlier.
+                        self.verified.insert(addr);
+                    }
                     self.pool.put_bytes(bytes);
                     out.push(block);
                 }
@@ -756,8 +822,8 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
 
     fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
         match ticket.state {
-            crate::backend::WriteState::Ready => Ok(()),
-            crate::backend::WriteState::Pending(replies) => {
+            WriteState::Ready => Ok(()),
+            WriteState::Pending(replies) => {
                 for rx in replies {
                     let bytes = rx.recv().map_err(|_| worker_gone())??;
                     self.pool.put_bytes(bytes);
@@ -784,15 +850,7 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
             {
                 continue;
             }
-            let mut buf = self.pool.take_bytes(self.slot_bytes);
-            buf.resize(self.slot_bytes, 0);
-            let (tx, rx) = bounded(1);
-            let sent = self.workers[addr.disk.index()].tx.send(Job::Read {
-                offset: addr.offset * self.slot_bytes as u64,
-                buf,
-                reply: tx,
-            });
-            if sent.is_ok() {
+            if let Ok(rx) = self.queue_read(addr) {
                 self.prefetched.insert(addr, rx);
                 self.prefetch_stats.issued += 1;
             }
@@ -843,9 +901,111 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
     }
 }
 
-// The file backend's tests live on the real filesystem, which miri's
-// isolation does not provide — the CI miri job covers every other pdisk
-// module and skips these.
+// The slot codec is pure — no file, no thread — so unlike the backend's
+// own tests below these also run under the CI miri job.
+#[cfg(test)]
+mod codec_tests {
+    use super::*;
+    use crate::record::{KeyPayloadRecord, U64Record};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn layout<R: Record>(d: usize, b: usize) -> SlotLayout {
+        SlotLayout::new::<R>(Geometry::new(d, b, 1000).unwrap())
+    }
+
+    fn roundtrip<R: Record + PartialEq + std::fmt::Debug>(l: SlotLayout, block: &Block<R>) -> Vec<u8> {
+        l.admits(block).unwrap();
+        // A recycled buffer arrives with stale capacity, not zeroes.
+        let mut image = vec![0xEE; l.slot_bytes + 7];
+        l.encode(block, &mut image);
+        assert_eq!(image.len(), l.slot_bytes);
+        assert_eq!(&l.decode::<R>(&image, true, Vec::new()).unwrap(), block);
+        image
+    }
+
+    #[test]
+    fn both_forecast_kinds_round_trip() {
+        let l = layout::<U64Record>(3, 4);
+        let keys = [1u64, 5, 9, 9].map(U64Record).to_vec();
+        roundtrip(l, &Block::new(keys.clone(), Forecast::Initial(vec![1, 20, NO_BLOCK])));
+        roundtrip(l, &Block::new(keys, Forecast::Next(40)));
+        // A table shorter than the reserved cells comes back padded.
+        let mut image = Vec::new();
+        l.encode(&Block::new(vec![U64Record(1)], Forecast::Initial(vec![7])), &mut image);
+        let back = l.decode::<U64Record>(&image, true, Vec::new()).unwrap();
+        assert_eq!(back.forecast, Forecast::Initial(vec![7, NO_BLOCK, NO_BLOCK]));
+
+        let l = layout::<KeyPayloadRecord<24>>(2, 3);
+        let recs: Vec<_> = (0..3).map(|k| KeyPayloadRecord::<24>::with_derived_payload(k * 7)).collect();
+        roundtrip(l, &Block::new(recs, Forecast::Next(99)));
+    }
+
+    #[test]
+    fn short_final_block_keeps_its_count_and_zeroes_its_tail() {
+        let l = layout::<U64Record>(2, 8);
+        let image = roundtrip(l, &Block::new(vec![U64Record(3), U64Record(4)], Forecast::Next(NO_BLOCK)));
+        let tail_at = l.slot_bytes - 6 * U64Record::ENCODED_LEN;
+        assert!(image[tail_at..].iter().all(|&b| b == 0), "stale bytes behind the records");
+        roundtrip(l, &Block::<U64Record>::new(Vec::new(), Forecast::Next(NO_BLOCK)));
+    }
+
+    #[test]
+    fn blocks_that_do_not_fit_a_slot_are_refused() {
+        let l = layout::<U64Record>(2, 2);
+        let oversized = Block::new([1u64, 2, 3].map(U64Record).to_vec(), Forecast::Next(0));
+        assert!(matches!(l.admits(&oversized), Err(PdiskError::BadBlockSize { expected: 2, got: 3 })));
+        let wide = Block::new(vec![U64Record(1)], Forecast::Initial(vec![1, 2, 3]));
+        assert!(matches!(l.admits(&wide), Err(PdiskError::Corrupt(_))));
+    }
+
+    #[test]
+    fn an_unverified_decode_skips_the_checksum_and_nothing_else() {
+        let l = layout::<U64Record>(2, 4);
+        let block = Block::new(vec![U64Record(10), U64Record(20)], Forecast::Next(77));
+        let mut image = Vec::new();
+        l.encode(&block, &mut image);
+        image[0] ^= 0x40;
+        assert!(matches!(l.decode::<U64Record>(&image, true, Vec::new()), Err(PdiskError::Corrupt(_))));
+        assert_eq!(l.decode::<U64Record>(&image, false, Vec::new()).unwrap(), block);
+        // Structure is still checked: a record count past B, an unknown
+        // forecast kind, a slot of the wrong length.
+        let mut bad = image.clone();
+        bad[CHECKSUM_BYTES] = 5;
+        assert!(matches!(l.decode::<U64Record>(&bad, false, Vec::new()), Err(PdiskError::Corrupt(_))));
+        let mut bad = image.clone();
+        bad[CHECKSUM_BYTES + 4] = 2;
+        assert!(matches!(l.decode::<U64Record>(&bad, false, Vec::new()), Err(PdiskError::Corrupt(_))));
+        image.pop();
+        assert!(matches!(l.decode::<U64Record>(&image, false, Vec::new()), Err(PdiskError::Corrupt(_))));
+    }
+
+    proptest! {
+        /// Any single flipped byte, anywhere in a slot of either forecast
+        /// kind and any fill, fails a verified decode as `Corrupt`.
+        #[test]
+        fn any_single_byte_flip_is_corrupt(
+            keys in vec(any::<u64>(), 0..=4usize),
+            initial in any::<bool>(),
+            pos in any::<usize>(),
+            mask in 1u8..=255u8,
+        ) {
+            let l = layout::<U64Record>(3, 4);
+            let mut keys = keys;
+            keys.sort_unstable();
+            let forecast = if initial { Forecast::Initial(vec![pos as u64, NO_BLOCK]) } else { Forecast::Next(pos as u64) };
+            let block = Block::new(keys.into_iter().map(U64Record).collect(), forecast);
+            let mut image = Vec::new();
+            l.encode(&block, &mut image);
+            image[pos % l.slot_bytes] ^= mask;
+            prop_assert!(matches!(l.decode::<U64Record>(&image, true, Vec::new()), Err(PdiskError::Corrupt(_))));
+        }
+    }
+}
+
+// The backend's own tests live on the real filesystem, which miri's
+// isolation does not provide — the CI miri job runs the codec tests
+// above and every other pdisk module, and skips these.
 #[cfg(all(test, not(miri)))]
 mod tests {
     use super::*;
@@ -945,6 +1105,320 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PdiskError::DuplicateDisk(_)));
         assert_eq!(a.stats().read_ops, 0);
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A parallel op the array refuses must leave no trace: nothing
+    /// queued to a worker, nothing charged, nothing drawn from the pool.
+    #[test]
+    fn rejected_op_has_no_partial_effect() {
+        let g = Geometry::new(2, 2, 1000).unwrap();
+        let dir = tmpdir("reject");
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        let a0 = BlockAddr::new(DiskId(0), a.alloc_contiguous(DiskId(0), 1).unwrap());
+        let a1 = BlockAddr::new(DiskId(1), a.alloc_contiguous(DiskId(1), 1).unwrap());
+        let unmapped = BlockAddr::new(DiskId(1), 99);
+        let old = blk(&[1, 2], Forecast::Next(9));
+        let new = blk(&[7, 8], Forecast::Next(9));
+        a.write(vec![(a0, old.clone()), (a1, old.clone())]).unwrap();
+        let stats = a.stats();
+        let draws = |a: &FileDiskArray<U64Record>| {
+            let p = a.buffer_pool().unwrap().stats();
+            (p.fresh_records + p.reused_records, p.fresh_bytes + p.reused_bytes)
+        };
+        let pool = draws(&a);
+
+        // Each op is valid on disk 0 and refused for what it asks of disk 1.
+        let oversized = blk(&[1, 2, 3], Forecast::Next(9));
+        let err = a.write(vec![(a0, new.clone()), (a1, oversized)]).unwrap_err();
+        assert!(matches!(err, PdiskError::BadBlockSize { expected: 2, got: 3 }), "got {err:?}");
+        let wide = blk(&[1], Forecast::Initial(vec![1, 2, 3]));
+        let err = a.write(vec![(a0, new.clone()), (a1, wide)]).unwrap_err();
+        assert!(matches!(err, PdiskError::Corrupt(_)), "got {err:?}");
+        let err = a.write(vec![(a0, new.clone()), (unmapped, new.clone())]).unwrap_err();
+        assert!(matches!(err, PdiskError::UnmappedBlock(x) if x == unmapped), "got {err:?}");
+        let err = a.read(&[a0, unmapped]).unwrap_err();
+        assert!(matches!(err, PdiskError::UnmappedBlock(x) if x == unmapped), "got {err:?}");
+
+        assert_eq!(a.stats(), stats, "a refused op charges nothing");
+        assert_eq!(draws(&a), pool, "a refused op draws no buffer");
+        // The barrier drains the worker queues, so a write a refused op
+        // had queued for disk 0 would be on disk by now.
+        a.sync().unwrap();
+        assert_eq!(a.read(&[a0, a1]).unwrap(), vec![old.clone(), old]);
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// The golden geometry: D = 2 reserves two forecast keys per slot,
+    /// B = 3 leaves a two-record tail behind the short block.
+    fn golden_geometry() -> Geometry {
+        Geometry::new(2, 3, 1000).unwrap()
+    }
+
+    /// A full `Forecast::Initial` block and a one-record `Forecast::Next`
+    /// block of `R`, built from the same keys for both record types.
+    fn golden_blocks<R: Record>(rec: fn(u64) -> R) -> (Block<R>, Block<R>) {
+        (
+            Block::new(
+                vec![rec(0x0102_0304_0506_0708), rec(0x1112_1314_1516_1718), rec(u64::MAX - 1)],
+                Forecast::Initial(vec![0x0102_0304_0506_0708, NO_BLOCK]),
+            ),
+            Block::new(vec![rec(0x2122_2324_2526_2728)], Forecast::Next(0x3132_3334_3536_3738)),
+        )
+    }
+
+    /// Write the golden pair through a fresh array — the `Initial` block
+    /// to disk 0, the short `Next` block to disk 1 — and return the two
+    /// disk files as hex.
+    fn golden_slots_on_disk<R: Record>(tag: &str, rec: fn(u64) -> R) -> (String, String) {
+        let dir = tmpdir(tag);
+        let mut a: FileDiskArray<R> = FileDiskArray::create(golden_geometry(), &dir).unwrap();
+        let (initial, next) = golden_blocks(rec);
+        let o0 = a.alloc_contiguous(DiskId(0), 1).unwrap();
+        let o1 = a.alloc_contiguous(DiskId(1), 1).unwrap();
+        a.write(vec![(BlockAddr::new(DiskId(0), o0), initial), (BlockAddr::new(DiskId(1), o1), next)])
+            .unwrap();
+        drop(a);
+        let on_disk = |d: usize| hex(&std::fs::read(dir.join(format!("disk_{d:04}.bin"))).unwrap());
+        let files = (on_disk(0), on_disk(1));
+        let _ = std::fs::remove_dir_all(&dir);
+        files
+    }
+
+    // Slot images, one field per line: checksum, count + kind, the two
+    // reserved forecast keys, then the B = 3 record cells.
+    const GOLDEN_U64_INITIAL: &str = "befa72b7466a00d0\
+         0300000001000000\
+         0807060504030201ffffffffffffffff\
+         0807060504030201\
+         1817161514131211\
+         feffffffffffffff";
+    const GOLDEN_U64_NEXT: &str = "ecafd01cc7dbd183\
+         0100000000000000\
+         3837363534333231ffffffffffffffff\
+         2827262524232221\
+         0000000000000000\
+         0000000000000000";
+    const GOLDEN_KP24_INITIAL: &str = "a776629f5a565d16\
+         0300000001000000\
+         0807060504030201ffffffffffffffff\
+         08070605040302010806040600060406000e0c0e080e0c0e1816141610161416\
+         18171615141312111816141610161416101e1c1e181e1c1e0806040600060406\
+         fefffffffffffffffefefdfcfbfaf9f8f6f6f5f4f3f2f1f0eeeeedecebeae9e8";
+    const GOLDEN_KP24_NEXT: &str = "b4e40fbdfc5869b0\
+         0100000000000000\
+         3837363534333231ffffffffffffffff\
+         28272625242322212826242620262426202e2c2e282e2c2e3836343630363436\
+         0000000000000000000000000000000000000000000000000000000000000000\
+         0000000000000000000000000000000000000000000000000000000000000000";
+
+    /// The on-disk slot format, byte for byte: an array written by any
+    /// earlier build must stay readable, so no change to where or how
+    /// slots are encoded may move a single byte of these.
+    #[test]
+    fn golden_slot_bytes_are_pinned() {
+        let (initial, next) = golden_slots_on_disk("golden-u64", U64Record);
+        assert_eq!(initial, GOLDEN_U64_INITIAL);
+        assert_eq!(next, GOLDEN_U64_NEXT);
+        let (initial, next) =
+            golden_slots_on_disk("golden-kp24", KeyPayloadRecord::<24>::with_derived_payload);
+        assert_eq!(initial, GOLDEN_KP24_INITIAL);
+        assert_eq!(next, GOLDEN_KP24_NEXT);
+    }
+
+    /// An array laid down by an earlier build (the golden bytes, placed
+    /// on disk by hand) reopens and reads back block-equal.
+    #[test]
+    fn array_written_by_an_earlier_build_reads_back() {
+        fn check<R: Record + std::fmt::Debug + PartialEq>(
+            tag: &str,
+            rec: fn(u64) -> R,
+            files: [&str; 2],
+        ) {
+            let dir = tmpdir(tag);
+            std::fs::create_dir_all(&dir).unwrap();
+            for (d, image) in files.iter().enumerate() {
+                std::fs::write(dir.join(format!("disk_{d:04}.bin")), unhex(image)).unwrap();
+            }
+            let mut a: FileDiskArray<R> = FileDiskArray::open(golden_geometry(), &dir).unwrap();
+            let got = a
+                .read(&[BlockAddr::new(DiskId(0), 0), BlockAddr::new(DiskId(1), 0)])
+                .unwrap();
+            let (initial, next) = golden_blocks(rec);
+            assert_eq!(got, vec![initial, next]);
+            drop(a);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        check("golden-reopen-u64", U64Record, [GOLDEN_U64_INITIAL, GOLDEN_U64_NEXT]);
+        check(
+            "golden-reopen-kp24",
+            KeyPayloadRecord::<24>::with_derived_payload,
+            [GOLDEN_KP24_INITIAL, GOLDEN_KP24_NEXT],
+        );
+    }
+
+    /// XOR `mask` into byte `at` of one disk file, behind the array's back.
+    fn flip_on_disk(dir: &Path, disk: usize, at: usize, mask: u8) {
+        let path = dir.join(format!("disk_{disk:04}.bin"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[at] ^= mask;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+
+    /// Dropping the array with work outstanding — read tickets, write
+    /// tickets and prefetches nobody completed or claimed — must return.
+    /// The drop runs on a helper thread so a regression fails this test
+    /// instead of wedging the suite.
+    #[test]
+    fn drop_with_outstanding_tickets_and_prefetches_returns() {
+        let g = Geometry::new(2, 4, 1000).unwrap();
+        let dir = tmpdir("drop-outstanding");
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        let at = |d: u32, o: u64| BlockAddr::new(DiskId(d), o);
+        for d in 0..2 {
+            a.alloc_contiguous(DiskId(d), 2).unwrap();
+        }
+        let old = blk(&[1, 2, 3, 4], Forecast::Next(9));
+        let new = [blk(&[5, 6, 7, 8], Forecast::Next(9)), blk(&[9], Forecast::Next(NO_BLOCK))];
+        a.write(vec![(at(0, 0), old.clone()), (at(1, 0), old.clone())]).unwrap();
+        // The tickets outlive the array: their reply channels stay open
+        // and are never received from while the workers wind down.
+        let reads = a.submit_read(&[at(0, 0), at(1, 0)]).unwrap();
+        let writes = a
+            .submit_write(vec![(at(0, 1), new[0].clone()), (at(1, 1), new[1].clone())])
+            .unwrap();
+        a.prefetch(&[at(0, 0), at(1, 0)]);
+        assert_eq!(a.prefetch_stats().issued, 2);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(a);
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("dropping an array with outstanding tickets must not hang");
+        dropper.join().unwrap();
+        drop((reads, writes));
+        // The directory is released, and the abandoned writes were
+        // carried out whole before the workers exited.
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
+        a.sync().unwrap();
+        assert_eq!(a.read(&[at(0, 1), at(1, 1)]).unwrap(), new);
+        assert_eq!(a.read(&[at(0, 0), at(1, 0)]).unwrap(), vec![old.clone(), old]);
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The worker that decodes a slot reports what went wrong with its
+    /// type intact, to exactly the operation that asked for the slot —
+    /// also when the read was started by a prefetch.
+    #[test]
+    fn worker_side_failures_stay_typed_and_contained() {
+        use crate::backend::ScrubOutcome;
+        let g = Geometry::new(3, 4, 1000).unwrap();
+        let dir = tmpdir("typed-errors");
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        let at = |d: u32, o: u64| BlockAddr::new(DiskId(d), o);
+        let block = |d: u32, o: u64| blk(&[o * 10 + d as u64], Forecast::Next(9));
+        for d in 0..3 {
+            a.alloc_contiguous(DiskId(d), 2).unwrap();
+        }
+        for o in 0..2 {
+            a.write((0..3).map(|d| (at(d, o), block(d, o))).collect()).unwrap();
+        }
+        a.sync().unwrap();
+        // Latent damage in the records of disk 1's first slot.
+        flip_on_disk(&dir, 1, a.slot_bytes() - 1, 0x01);
+        let bad = at(1, 0);
+
+        a.prefetch(&[at(0, 0), bad, at(2, 0)]);
+        // Adopting the clean prefetches is unaffected by the bad one...
+        assert_eq!(a.read(&[at(0, 0)]).unwrap()[0], block(0, 0));
+        // ...which fails the demand op that adopts it, at completion.
+        let ticket = a.submit_read(&[bad, at(2, 0)]).unwrap();
+        assert_eq!(a.prefetch_stats().hits, 3);
+        let err = a.complete_read(ticket).unwrap_err();
+        assert!(matches!(err, PdiskError::Corrupt(_)), "got {err:?}");
+        // The next op neither inherits the failure nor loses its data.
+        let next: Vec<_> = (0..3).map(|d| block(d, 1)).collect();
+        assert_eq!(a.read(&[at(0, 1), at(1, 1), at(2, 1)]).unwrap(), next);
+        // A plain array can detect the damage but has nothing to heal from.
+        assert!(matches!(a.scrub_block(bad).unwrap(), ScrubOutcome::Unrepairable(_)));
+
+        // A disk file cut short is a failed transfer, not bad content.
+        let file = OpenOptions::new().write(true).open(dir.join("disk_0002.bin")).unwrap();
+        file.set_len(a.slot_bytes() as u64 / 2).unwrap();
+        let err = a.read(&[at(0, 0), at(2, 0)]).unwrap_err();
+        assert!(matches!(err, PdiskError::Io(_)), "got {err:?}");
+        assert_eq!(a.read(&[at(0, 0)]).unwrap()[0], block(0, 0));
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Under parity the slot the worker reports corrupt is rebuilt from
+    /// its stripe: the scrubber classifies on the error's variant.
+    #[test]
+    fn parity_over_file_reconstructs_a_slot_the_worker_reports_corrupt() {
+        use crate::backend::ScrubOutcome;
+        use crate::parity::ParityDiskArray;
+        let g = Geometry::new(3, 4, 1000).unwrap();
+        let dir = tmpdir("typed-errors-parity");
+        let inner: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        let slot = inner.slot_bytes();
+        let mut a = ParityDiskArray::new(inner).unwrap();
+        let at = |d: u32| BlockAddr::new(DiskId(d), 0);
+        let block = |d: u32| blk(&[d as u64, 7], Forecast::Next(9));
+        for d in 0..3 {
+            a.alloc_contiguous(DiskId(d), 1).unwrap();
+        }
+        a.write((0..3).map(|d| (at(d), block(d))).collect()).unwrap();
+        a.sync().unwrap();
+        // The rotated layout keeps disk 1's logical slot 0 in its
+        // physical slot 0 (disk 1 donates physical slot 1 to parity).
+        flip_on_disk(&dir, 1, slot - 1, 0x01);
+        a.prefetch(&[at(1)]);
+        let err = a.read(&[at(1)]).unwrap_err();
+        assert!(matches!(err, PdiskError::Corrupt(_)), "got {err:?}");
+        assert_eq!(a.scrub_block(at(1)).unwrap(), ScrubOutcome::Repaired);
+        assert_eq!(a.read(&[at(0), at(1), at(2)]).unwrap(), (0..3).map(block).collect::<Vec<_>>());
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A retryable failure a worker reports at completion continues the
+    /// attempt budget the ticket's submit started; it does not open one.
+    #[test]
+    fn worker_reported_failure_spends_the_tickets_retry_budget() {
+        use crate::retry::{RetryPolicy, RetryingDiskArray};
+        let g = Geometry::new(2, 4, 1000).unwrap();
+        let dir = tmpdir("typed-errors-retry");
+        let mut inner: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        let addr = BlockAddr::new(DiskId(0), inner.alloc_contiguous(DiskId(0), 1).unwrap());
+        inner.write(vec![(addr, blk(&[1, 2], Forecast::Next(9)))]).unwrap();
+        inner.sync().unwrap();
+        flip_on_disk(&dir, 0, CHECKSUM_BYTES + 1, 0x10);
+        let mut a = RetryingDiskArray::new(inner, RetryPolicy::new(3, Duration::ZERO));
+        let ticket = a.submit_read(&[addr]).unwrap();
+        assert!(ticket.is_pending());
+        match a.complete_read(ticket).unwrap_err() {
+            PdiskError::RetriesExhausted { attempts: 3, last } => {
+                assert!(matches!(*last, PdiskError::Corrupt(_)), "got {last:?}")
+            }
+            other => panic!("expected RetriesExhausted after 3 attempts, got {other:?}"),
+        }
+        // The ticket's own read plus two re-issues: three in all.
+        assert_eq!(a.retries(), (2, 0));
+        assert_eq!(a.inner().stats().read_ops, 3);
         drop(a);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -13,6 +13,25 @@
 //!
 //! Leaves compare by `(key, leaf index)`, so equal keys resolve
 //! deterministically and the merge is stable across runs.
+//!
+//! Every node holds the winning `(key, leaf)` pair itself, not an index
+//! into a key table.  A replay then needs one load per level — the
+//! *sibling* of the node just written, `nodes[pos ^ 1]`, whose address
+//! follows from the leaf alone, so the loads of all levels issue at once
+//! instead of each waiting on the comparison below it — and the match is
+//! a select the compiler is told not to turn into a branch: on uniform
+//! keys every level is a coin flip the predictor loses half the time
+//! (DESIGN.md §14.7 has the measured variants).
+
+use std::hint::select_unpredictable;
+
+/// One bracket entry: a leaf and the key it currently holds.  The
+/// derived order is `(key, leaf)`, the tournament's total order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    key: u64,
+    leaf: usize,
+}
 
 /// A tournament tree over `k` leaves with `u64` keys.
 ///
@@ -21,11 +40,11 @@
 #[derive(Debug, Clone)]
 pub struct LoserTree {
     k: usize,
-    /// Heap-shaped bracket: leaves at `k .. 2k-1` hold their own index;
-    /// internal nodes `1 .. k-1` hold the winning leaf of their subtree.
-    /// For `k == 1` only `winner[1]` is meaningful.
-    winner: Vec<usize>,
-    keys: Vec<u64>,
+    /// Heap-shaped bracket: leaf `i` sits at `k + i`; internal nodes
+    /// `1 .. k-1` hold the smaller of their two children, so `nodes[1]`
+    /// is the overall winner (for `k == 1` it is the only leaf).
+    /// `nodes[0]` is unused.
+    nodes: Vec<Entry>,
 }
 
 impl LoserTree {
@@ -36,26 +55,14 @@ impl LoserTree {
     pub fn new(keys: Vec<u64>) -> Self {
         let k = keys.len();
         assert!(k > 0, "tournament tree needs at least one leaf");
-        let mut winner = vec![usize::MAX; 2 * k];
-        for (i, slot) in winner.iter_mut().skip(k).enumerate() {
-            *slot = i;
-        }
-        if k == 1 {
-            winner[1] = 0;
-            return LoserTree { k, winner, keys };
+        let mut nodes = vec![Entry { key: u64::MAX, leaf: usize::MAX }; 2 * k];
+        for (leaf, (slot, key)) in nodes[k..].iter_mut().zip(keys).enumerate() {
+            *slot = Entry { key, leaf };
         }
         for n in (1..k).rev() {
-            let a = winner[2 * n];
-            let b = winner[2 * n + 1];
-            winner[n] = if Self::beats(&keys, a, b) { a } else { b };
+            nodes[n] = nodes[2 * n].min(nodes[2 * n + 1]);
         }
-        LoserTree { k, winner, keys }
-    }
-
-    /// `true` when leaf `a` wins against leaf `b` (smaller `(key, index)`).
-    #[inline]
-    fn beats(keys: &[u64], a: usize, b: usize) -> bool {
-        (keys[a], a) < (keys[b], b)
+        LoserTree { k, nodes }
     }
 
     /// Number of leaves.
@@ -66,37 +73,36 @@ impl LoserTree {
     /// Current overall winner: `(leaf, key)`.
     #[inline]
     pub fn peek(&self) -> (usize, u64) {
-        let w = self.winner[1];
-        (w, self.keys[w])
+        let w = self.nodes[1];
+        (w.leaf, w.key)
     }
 
     /// The key currently registered at `leaf`.
     #[inline]
     pub fn key_of(&self, leaf: usize) -> u64 {
-        self.keys[leaf]
+        self.nodes[self.k + leaf].key
     }
 
     /// Replace `leaf`'s key and replay its path to the root.  Correct for
     /// any leaf, whether or not it is the current winner, and for both
     /// increasing and decreasing key changes.
+    #[inline]
     pub fn update(&mut self, leaf: usize, new_key: u64) {
         debug_assert!(leaf < self.k);
-        self.keys[leaf] = new_key;
-        if self.k == 1 {
-            return;
-        }
-        let mut node = (self.k + leaf) / 2;
-        while node >= 1 {
-            let a = self.winner[2 * node];
-            let b = self.winner[2 * node + 1];
-            self.winner[node] = if Self::beats(&self.keys, a, b) { a } else { b };
-            node /= 2;
+        let mut pos = self.k + leaf;
+        let mut cur = Entry { key: new_key, leaf };
+        self.nodes[pos] = cur;
+        while pos > 1 {
+            let sibling = self.nodes[pos ^ 1];
+            cur = select_unpredictable(cur < sibling, cur, sibling);
+            pos /= 2;
+            self.nodes[pos] = cur;
         }
     }
 
     /// True when every leaf is parked at `u64::MAX` (all runs exhausted).
     pub fn all_exhausted(&self) -> bool {
-        self.keys[self.winner[1]] == u64::MAX
+        self.nodes[1].key == u64::MAX
     }
 }
 
@@ -206,18 +212,40 @@ mod tests {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
         let mut rng = SmallRng::seed_from_u64(9);
-        for k in [2usize, 3, 16, 17] {
-            let mut keys: Vec<u64> = (0..k).map(|_| rng.random_range(0..1000)).collect();
-            let mut tree = LoserTree::new(keys.clone());
-            for _ in 0..2000 {
-                let heap: BinaryHeap<Reverse<(u64, usize)>> =
-                    keys.iter().enumerate().map(|(i, &v)| Reverse((v, i))).collect();
-                let Reverse((k_min, leaf_min)) = heap.peek().copied().unwrap();
-                assert_eq!(tree.peek(), (leaf_min, k_min), "k = {k}");
-                let leaf = rng.random_range(0..k);
-                let new = rng.random_range(0..1000);
-                keys[leaf] = new;
-                tree.update(leaf, new);
+        // Wide keys, then duplicate-heavy ones where nearly every match
+        // is decided by the leaf index.
+        for range in [1000u64, 4] {
+            for k in [1usize, 2, 3, 15, 16, 17, 33] {
+                let mut keys: Vec<u64> = (0..k).map(|_| rng.random_range(0..range)).collect();
+                let mut tree = LoserTree::new(keys.clone());
+                assert_eq!(tree.leaves(), k);
+                for step in 0..2000 {
+                    let heap: BinaryHeap<Reverse<(u64, usize)>> =
+                        keys.iter().enumerate().map(|(i, &v)| Reverse((v, i))).collect();
+                    let Reverse((k_min, leaf_min)) = heap.peek().copied().unwrap();
+                    assert_eq!(tree.peek(), (leaf_min, k_min), "k = {k}, range {range}");
+                    assert_eq!(tree.all_exhausted(), keys.iter().all(|&v| v == u64::MAX));
+                    // Alternate the winner (the merge loop's update) with
+                    // an arbitrary leaf (the block-arrival update).
+                    let leaf = if step % 2 == 0 { leaf_min } else { rng.random_range(0..k) };
+                    // Park a leaf at u64::MAX now and then; a parked leaf
+                    // is un-parked by any later draw of a real key.
+                    let new = if rng.random_range(0..4) == 0 {
+                        u64::MAX
+                    } else {
+                        rng.random_range(0..range)
+                    };
+                    keys[leaf] = new;
+                    tree.update(leaf, new);
+                    assert_eq!(tree.key_of(leaf), new);
+                }
+                // Park everything: the tree must report exhaustion with
+                // the lowest leaf as the (tied) winner.
+                for leaf in 0..k {
+                    tree.update(leaf, u64::MAX);
+                }
+                assert!(tree.all_exhausted());
+                assert_eq!(tree.peek(), (0, u64::MAX));
             }
         }
     }
