@@ -80,6 +80,16 @@ impl<R: Record> ReadTicket<R> {
     pub fn is_pending(&self) -> bool {
         matches!(self.state, ReadState::Pending(_))
     }
+
+    /// The blocks of a read that was served at submit.  A pending ticket
+    /// here was issued by some other array: nothing below the caller
+    /// left anything in flight.
+    pub(crate) fn into_ready(self) -> Result<Vec<Block<R>>> {
+        match self.state {
+            ReadState::Ready(blocks) => Ok(blocks),
+            ReadState::Pending(_) => Err(PdiskError::TicketMismatch),
+        }
+    }
 }
 
 impl<R: Record> std::fmt::Debug for ReadTicket<R> {
@@ -151,6 +161,14 @@ impl WriteTicket {
     /// Whether the I/O is still in flight.
     pub fn is_pending(&self) -> bool {
         matches!(self.state, WriteState::Pending(_))
+    }
+
+    /// The write-side twin of [`ReadTicket::into_ready`].
+    pub(crate) fn into_ready(self) -> Result<()> {
+        match self.state {
+            WriteState::Ready => Ok(()),
+            WriteState::Pending(_) => Err(PdiskError::TicketMismatch),
+        }
     }
 }
 
@@ -264,10 +282,7 @@ pub trait DiskArray<R: Record> {
     /// order.  Fails with [`PdiskError::TicketMismatch`] if handed a
     /// still-pending ticket issued by a different backend.
     fn complete_read(&mut self, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
-        match ticket.state {
-            ReadState::Ready(blocks) => Ok(blocks),
-            ReadState::Pending(_) => Err(PdiskError::TicketMismatch),
-        }
+        ticket.into_ready()
     }
 
     /// Begin one parallel write without waiting for it; the operation
@@ -285,10 +300,7 @@ pub trait DiskArray<R: Record> {
 
     /// Wait for a submitted write and surface any I/O error.
     fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
-        match ticket.state {
-            WriteState::Ready => Ok(()),
-            WriteState::Pending(_) => Err(PdiskError::TicketMismatch),
-        }
+        ticket.into_ready()
     }
 
     /// Speculative read-ahead hint: the caller predicts it will read

@@ -14,21 +14,31 @@
 //! order.
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::DiskArray;
+use crate::backend::{DiskArray, ReadTicket, ScrubOutcome, WriteTicket};
 use crate::block::{Block, Forecast};
 use crate::error::{PdiskError, Result};
 use crate::geometry::Geometry;
+use crate::layer::{Layer, Stack};
 use crate::record::Record;
-use crate::stats::IoStats;
+use crate::trace::TraceSink;
 
-/// A clustered view over a physical [`DiskArray`].
+/// The layer that presents clusters of `c` physical disks as one logical
+/// disk each.  It is the one layer whose addresses and block size differ
+/// from those below it, so where the others pass an operation through it
+/// answers for itself: a logical block is `c` physical blocks reassembled
+/// on return and no production stack builds it, so its split-phase pair
+/// is served at submit; a prefetch hint would have to fan out to `c`
+/// slots and is dropped; and no trace sink is installed below, where
+/// physical events would carry disk ids outside the logical geometry a
+/// trace is checked against.
 #[derive(Debug)]
-pub struct ClusteredDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
+pub struct Clustered {
     c: usize,
     logical: Geometry,
-    _marker: std::marker::PhantomData<R>,
 }
+
+/// A clustered view over a physical [`DiskArray`].
+pub type ClusteredDiskArray<R, A> = Stack<R, Clustered, A>;
 
 impl<R: Record, A: DiskArray<R>> ClusteredDiskArray<R, A> {
     /// Cluster `inner`'s disks in groups of `c`.
@@ -45,50 +55,37 @@ impl<R: Record, A: DiskArray<R>> ClusteredDiskArray<R, A> {
             )));
         }
         let logical = Geometry::new(phys.d / c, phys.b * c, phys.m)?;
-        Ok(ClusteredDiskArray {
-            inner,
-            c,
-            logical,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// The physical backend (e.g. to read its raw stats).
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> A {
-        self.inner
+        Ok(Stack::from_parts(inner, Clustered { c, logical }))
     }
 
     /// Cluster size `c`.
     pub fn cluster_size(&self) -> usize {
-        self.c
+        self.layer.c
     }
+}
 
+impl Clustered {
     fn physical_addrs(&self, addr: BlockAddr) -> impl Iterator<Item = BlockAddr> + '_ {
         let base = addr.disk.index() * self.c;
         (0..self.c).map(move |i| BlockAddr::new(DiskId::from_index(base + i), addr.offset))
     }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for ClusteredDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
+impl<R: Record> Layer<R> for Clustered {
+    fn geometry(&self, _inner: &impl DiskArray<R>) -> Geometry {
         self.logical
     }
 
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         if addrs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(ReadTicket::ready(Vec::new(), Vec::new()));
         }
         self.logical.check_parallel_op(addrs.iter().map(|a| a.disk))?;
         let phys: Vec<BlockAddr> = addrs
             .iter()
             .flat_map(|&a| self.physical_addrs(a))
             .collect();
-        let blocks = self.inner.read(&phys)?;
+        let blocks = inner.read(&phys)?;
         // Reassemble: each run of `c` physical blocks is one logical
         // block; the logical forecast rides in the first physical block.
         let mut out = Vec::with_capacity(addrs.len());
@@ -100,16 +97,25 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ClusteredDiskArray<R, A> {
             }
             out.push(Block { records, forecast });
         }
-        Ok(out)
+        Ok(ReadTicket::ready(addrs.to_vec(), out))
     }
 
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
+    fn complete_read(&mut self, _inner: &mut impl DiskArray<R>, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
+        ticket.into_ready()
+    }
+
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket> {
         if writes.is_empty() {
-            return Ok(());
+            return Ok(WriteTicket::ready(Vec::new()));
         }
         self.logical
             .check_parallel_op(writes.iter().map(|(a, _)| a.disk))?;
-        let phys_b = self.inner.geometry().b;
+        let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
+        let phys_b = inner.geometry().b;
         let mut phys = Vec::with_capacity(writes.len() * self.c);
         for (addr, block) in writes {
             if block.len() > self.logical.b {
@@ -129,65 +135,56 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ClusteredDiskArray<R, A> {
                 phys.push((paddr, Block { records, forecast }));
             }
         }
-        self.inner.write(phys)
+        inner.write(phys)?;
+        Ok(WriteTicket::ready(addrs))
     }
 
-    fn install_pool(&mut self, pool: crate::pool::BufferPool<R>) {
-        self.inner.install_pool(pool);
+    fn complete_write(&mut self, _inner: &mut impl DiskArray<R>, ticket: WriteTicket) -> Result<()> {
+        ticket.into_ready()
     }
 
-    fn buffer_pool(&self) -> Option<&crate::pool::BufferPool<R>> {
-        self.inner.buffer_pool()
+    fn prefetch(&mut self, _inner: &mut impl DiskArray<R>, _addrs: &[BlockAddr]) {}
+
+    fn install_trace(&mut self, _inner: &mut impl DiskArray<R>, _sink: TraceSink) {}
+
+    fn trace_sink<'a>(&'a self, _inner: &'a impl DiskArray<R>) -> Option<&'a TraceSink> {
+        None
     }
 
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
+    /// Reserve the same `count` slots on every member of the cluster.
+    /// The members' allocators move in lockstep, except after a call
+    /// that failed part-way (a fault on a later member leaves the
+    /// earlier ones advanced): the reservation is therefore placed at
+    /// the furthest member and the laggards skip forward to it, the
+    /// skipped slots never referenced.
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
         if disk.index() >= self.logical.d {
             return Err(PdiskError::NoSuchDisk(disk));
         }
         let base = disk.index() * self.c;
-        let first = self
-            .inner
-            .alloc_contiguous(DiskId::from_index(base), count)?;
-        for i in 1..self.c {
-            let off = self
-                .inner
-                .alloc_contiguous(DiskId::from_index(base + i), count)?;
-            assert_eq!(
-                off, first,
-                "cluster {disk} allocators out of lockstep (physical disk {i})"
-            );
+        let mut offsets = Vec::with_capacity(self.c);
+        for i in 0..self.c {
+            offsets.push(inner.alloc_contiguous(DiskId::from_index(base + i), count)?);
+        }
+        let first = offsets.iter().copied().max().unwrap_or(0);
+        for (i, off) in offsets.into_iter().enumerate() {
+            if off < first {
+                inner.alloc_contiguous(DiskId::from_index(base + i), first - off)?;
+            }
         }
         Ok(first)
-    }
-
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn redundancy(&self) -> Option<crate::backend::RedundancyInfo> {
-        self.inner.redundancy()
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.inner.sync()
     }
 
     /// Scrub every physical block of the logical mini-stripe and fold
     /// the outcomes: any unrepairable member poisons the logical block,
     /// otherwise one repair suffices to report it repaired.
-    fn scrub_block(&mut self, addr: BlockAddr) -> Result<crate::backend::ScrubOutcome> {
-        use crate::backend::ScrubOutcome;
+    fn scrub_block(&mut self, inner: &mut impl DiskArray<R>, addr: BlockAddr) -> Result<ScrubOutcome> {
         if addr.disk.index() >= self.logical.d {
             return Err(PdiskError::NoSuchDisk(addr.disk));
         }
-        let phys: Vec<BlockAddr> = self.physical_addrs(addr).collect();
         let mut repaired = false;
-        for pa in phys {
-            match self.inner.scrub_block(pa)? {
+        for pa in self.physical_addrs(addr) {
+            match inner.scrub_block(pa)? {
                 ScrubOutcome::Clean => {}
                 ScrubOutcome::Repaired => repaired = true,
                 ScrubOutcome::Unrepairable(why) => {
@@ -293,6 +290,29 @@ mod tests {
             .read(&[BlockAddr::new(DiskId(0), off), BlockAddr::new(DiskId(0), off + 1)])
             .unwrap_err();
         assert!(matches!(err, PdiskError::DuplicateDisk(_)));
+    }
+
+    /// A member allocation that fails leaves the members before it
+    /// advanced.  The fault is retryable, so the retry must find the
+    /// cluster usable: the reservation lands past the furthest member
+    /// and the allocators are in lockstep again behind it.
+    #[test]
+    fn failed_member_allocation_realigns_on_retry() {
+        use crate::faulty::{FaultPlan, FaultyDiskArray};
+        use crate::retry::{RetryPolicy, RetryingDiskArray};
+        let mem = MemDiskArray::<U64Record>::new(Geometry::new(4, 2, 100).unwrap());
+        let faulty = FaultyDiskArray::new(mem, FaultPlan::alloc(1));
+        let clustered = ClusteredDiskArray::new(faulty, 2).unwrap();
+        let mut a = RetryingDiskArray::new(clustered, RetryPolicy::default());
+        let off = a.alloc_contiguous(DiskId(0), 3).unwrap();
+        assert_eq!(a.stats().alloc_retries, 1);
+        let block = Block::new((0..4).map(U64Record).collect(), Forecast::Next(9));
+        for slot in [off, off + 2] {
+            a.write(vec![(BlockAddr::new(DiskId(0), slot), block.clone())]).unwrap();
+            assert_eq!(a.read(&[BlockAddr::new(DiskId(0), slot)]).unwrap()[0], block);
+        }
+        assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), off + 3);
+        assert_eq!(a.alloc_contiguous(DiskId(1), 1).unwrap(), 0, "the other cluster is untouched");
     }
 
     #[test]

@@ -39,15 +39,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::addr::{BlockAddr, DiskId};
-use crate::backend::{DiskArray, ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
+use crate::addr::BlockAddr;
+use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::Block;
 use crate::error::{PdiskError, Result};
-use crate::geometry::Geometry;
-use crate::pool::BufferPool;
+use crate::layer::{Layer, Stack};
 use crate::record::Record;
-use crate::stats::IoStats;
-use crate::trace::TraceSink;
 
 struct ClockState {
     /// Number of the next boundary to be ticked.
@@ -136,54 +133,43 @@ impl std::fmt::Debug for CrashClock {
     }
 }
 
-/// Wrapper that injects a deterministic simulated process crash at a
-/// numbered I/O boundary (see module docs).  Wraps the *outermost* array
-/// of a stack so its boundaries bracket the whole logical operation.
-pub struct CrashingDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
+/// The layer that injects a deterministic simulated process crash at a
+/// numbered I/O boundary (see module docs): the shared clock is its whole
+/// state.  Stacked on the *outermost* array so its boundaries bracket the
+/// whole logical operation.  A hint is not a boundary a crash can split,
+/// so `prefetch` passes unticked.
+#[derive(Debug)]
+pub struct Crashing {
     clock: CrashClock,
-    _marker: std::marker::PhantomData<R>,
 }
+
+/// `inner` under the crash layer.  [`Stack::into_inner`] is the "reboot":
+/// the array below (the disks) survives the crash; the poisoned layer
+/// does not.
+pub type CrashingDiskArray<R, A> = Stack<R, Crashing, A>;
 
 impl<R: Record, A: DiskArray<R>> CrashingDiskArray<R, A> {
     /// Wrap `inner`, ticking `clock` at every boundary.
     pub fn new(inner: A, clock: CrashClock) -> Self {
-        CrashingDiskArray {
-            inner,
-            clock,
-            _marker: std::marker::PhantomData,
-        }
+        Stack::from_parts(inner, Crashing { clock })
     }
 
     /// The shared clock.
     pub fn clock(&self) -> &CrashClock {
-        &self.clock
+        &self.layer.clock
     }
+}
 
-    /// Unwrap — the "reboot": the inner array (the disks) survives the
-    /// crash; the poisoned wrapper does not.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    /// The wrapped array.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped array.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
+impl Crashing {
     /// Run the torn-write boundaries for an `n`-frame parallel write.
     /// When boundary `j` (1-based frame count) fires, land exactly the
     /// first `j` frames as one narrower parallel operation on the inner
     /// array — the state a real array shows when the process died after
     /// only a prefix of the stripe reached the disks — then report the
     /// crash.  When no boundary fires, hand the frames back untouched.
-    fn torn_boundaries(
-        &mut self,
+    fn torn_boundaries<R: Record>(
+        &self,
+        inner: &mut impl DiskArray<R>,
         writes: Vec<(BlockAddr, Block<R>)>,
     ) -> Result<Vec<(BlockAddr, Block<R>)>> {
         let n = writes.len();
@@ -191,7 +177,7 @@ impl<R: Record, A: DiskArray<R>> CrashingDiskArray<R, A> {
             if let Err(crash) = self.clock.tick("write-torn") {
                 let prefix: Vec<(BlockAddr, Block<R>)> =
                     writes.into_iter().take(landed).collect();
-                self.inner.write(prefix)?;
+                inner.write(prefix)?;
                 return Err(crash);
             }
         }
@@ -199,110 +185,73 @@ impl<R: Record, A: DiskArray<R>> CrashingDiskArray<R, A> {
     }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for CrashingDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
-        self.inner.geometry()
-    }
-
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+// The blocking pair is its own pair of hooks, not the default: `read` /
+// `read-done` and `write` / `write-torn` / `write-done` are boundaries of
+// their own in the crash vocabulary (the merge's initial load, DSM's
+// `read_stripe` and replacement selection issue blocking reads), and the
+// array below sees the blocking form.
+impl<R: Record> Layer<R> for Crashing {
+    fn read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
         self.clock.tick("read")?;
-        let blocks = self.inner.read(addrs)?;
+        let blocks = inner.read(addrs)?;
         self.clock.tick("read-done")?;
         Ok(blocks)
     }
 
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
+    fn write(&mut self, inner: &mut impl DiskArray<R>, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
         self.clock.tick("write")?;
-        let writes = self.torn_boundaries(writes)?;
-        self.inner.write(writes)?;
-        self.clock.tick("write-done")?;
-        Ok(())
+        let writes = self.torn_boundaries(inner, writes)?;
+        inner.write(writes)?;
+        self.clock.tick("write-done")
     }
 
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         self.clock.tick("read-submit")?;
-        let ticket = self.inner.submit_read(addrs)?;
+        let ticket = inner.submit_read(addrs)?;
         // A crash here abandons the in-flight ticket: the I/O may still
         // land on the inner array, but the dead process never sees it.
         self.clock.tick("read-submitted")?;
         Ok(ticket)
     }
 
-    fn complete_read(&mut self, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
+    fn complete_read(&mut self, inner: &mut impl DiskArray<R>, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
         self.clock.tick("read-complete")?;
-        let blocks = self.inner.complete_read(ticket)?;
+        let blocks = inner.complete_read(ticket)?;
         self.clock.tick("read-completed")?;
         Ok(blocks)
     }
 
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket> {
         self.clock.tick("write-submit")?;
-        let writes = self.torn_boundaries(writes)?;
-        let ticket = self.inner.submit_write(writes)?;
+        let writes = self.torn_boundaries(inner, writes)?;
+        let ticket = inner.submit_write(writes)?;
         self.clock.tick("write-submitted")?;
         Ok(ticket)
     }
 
-    fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
+    fn complete_write(&mut self, inner: &mut impl DiskArray<R>, ticket: WriteTicket) -> Result<()> {
         self.clock.tick("write-complete")?;
-        self.inner.complete_write(ticket)?;
-        self.clock.tick("write-completed")?;
-        Ok(())
+        inner.complete_write(ticket)?;
+        self.clock.tick("write-completed")
     }
 
-    fn prefetch(&mut self, addrs: &[BlockAddr]) {
-        // No tick: a hint is not an I/O boundary a crash can split.
-        self.inner.prefetch(addrs);
-    }
-
-    fn sync(&mut self) -> Result<()> {
+    fn sync(&mut self, inner: &mut impl DiskArray<R>) -> Result<()> {
         self.clock.tick("sync")?;
-        self.inner.sync()?;
-        self.clock.tick("sync-done")?;
-        Ok(())
-    }
-
-    fn scrub_block(&mut self, addr: BlockAddr) -> Result<ScrubOutcome> {
-        self.inner.scrub_block(addr)
-    }
-
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
-        self.inner.alloc_contiguous(disk, count)
-    }
-
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn redundancy(&self) -> Option<RedundancyInfo> {
-        self.inner.redundancy()
-    }
-
-    fn install_trace(&mut self, sink: TraceSink) {
-        self.inner.install_trace(sink);
-    }
-
-    fn trace_sink(&self) -> Option<&TraceSink> {
-        self.inner.trace_sink()
-    }
-
-    fn install_pool(&mut self, pool: BufferPool<R>) {
-        self.inner.install_pool(pool);
-    }
-
-    fn buffer_pool(&self) -> Option<&BufferPool<R>> {
-        self.inner.buffer_pool()
+        inner.sync()?;
+        self.clock.tick("sync-done")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::DiskId;
     use crate::block::{Forecast, NO_BLOCK};
+    use crate::geometry::Geometry;
     use crate::mem::MemDiskArray;
     use crate::record::U64Record;
 

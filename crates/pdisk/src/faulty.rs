@@ -13,7 +13,7 @@
 //!   reproducible from `(workload seed, fault seed)`.
 //!
 //! Faulted operations charge **no I/O** to the inner backend (the
-//! backend is never invoked), so the inner [`IoStats`] always reflects
+//! backend is never invoked), so the inner [`crate::IoStats`] always reflects
 //! logical, successful operations; recovery work is visible separately
 //! through [`crate::retry::RetryingDiskArray`]'s retry counters.
 
@@ -21,11 +21,9 @@ use crate::addr::{BlockAddr, DiskId};
 use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::Block;
 use crate::error::{FaultKind, FaultOp, PdiskError, Result};
-use crate::geometry::Geometry;
-use crate::pool::BufferPool;
+use crate::layer::{Layer, Stack};
 use crate::record::Record;
-use crate::stats::IoStats;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use std::collections::BTreeSet;
 
 /// Which operations to fail, counted from 0 over the wrapper's lifetime.
@@ -445,68 +443,76 @@ impl From<FaultPlan> for FaultModel {
     }
 }
 
-/// A [`DiskArray`] that injects failures per a [`FaultModel`].
+/// The layer that injects failures per a [`FaultModel`]: the model and
+/// the per-kind operation ordinals it is consulted with.  A faulted
+/// operation never reaches the array below.  What is *not* an operation
+/// consumes no ordinal and passes untouched: a prefetch hint, a ticket's
+/// completion (the decision was made at its submit), and a scrub, which
+/// verifies the media below the injector — routing it through the read
+/// hook would make the sort's fault schedule depend on whether a scrub
+/// ran.
 #[derive(Debug)]
-pub struct FaultyDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
+pub struct Faulty {
     model: FaultModel,
     reads_seen: u64,
     writes_seen: u64,
     allocs_seen: u64,
     syncs_seen: u64,
-    _marker: std::marker::PhantomData<R>,
 }
+
+/// `inner` under the fault layer.
+pub type FaultyDiskArray<R, A> = Stack<R, Faulty, A>;
 
 impl<R: Record, A: DiskArray<R>> FaultyDiskArray<R, A> {
     /// Wrap `inner` with the given plan or model.
     pub fn new(inner: A, model: impl Into<FaultModel>) -> Self {
-        FaultyDiskArray {
-            inner,
+        let layer = Faulty {
             model: model.into(),
             reads_seen: 0,
             writes_seen: 0,
             allocs_seen: 0,
             syncs_seen: 0,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Unwrap the inner backend (e.g. to inspect state after a failure).
-    pub fn into_inner(self) -> A {
-        self.inner
+        };
+        Stack::from_parts(inner, layer)
     }
 
     /// Operations observed so far (reads, writes).
     pub fn observed(&self) -> (u64, u64) {
-        (self.reads_seen, self.writes_seen)
+        (self.layer.reads_seen, self.layer.writes_seen)
     }
 
     /// Every per-op ordinal counter: (reads, writes, allocs, syncs).
     /// A fault-free dry run exposes these so a schedule generator can
     /// draw scripted ordinals that actually land inside the sort.
     pub fn observed_ops(&self) -> (u64, u64, u64, u64) {
-        (
-            self.reads_seen,
-            self.writes_seen,
-            self.allocs_seen,
-            self.syncs_seen,
-        )
+        let l = &self.layer;
+        (l.reads_seen, l.writes_seen, l.allocs_seen, l.syncs_seen)
     }
 
     /// The fault model, e.g. to inspect which disks have died.
     pub fn model(&self) -> &FaultModel {
-        &self.model
+        &self.layer.model
     }
 
     /// Mutable access to the fault model, e.g. to kill a disk at an
     /// exact point in a sort or to attach a spare before a rebuild.
     pub fn model_mut(&mut self) -> &mut FaultModel {
-        &mut self.model
+        &mut self.layer.model
     }
+}
 
-    /// Record an injected fault in the trace, if tracing is active.
-    fn emit_fault(&self, op: FaultOp, err: &PdiskError) {
-        if let Some(sink) = self.inner.trace_sink() {
+impl Faulty {
+    /// Consult the model for the `ordinal`-th `op` touching `disks`; an
+    /// injected fault is recorded in the trace, if tracing is active.
+    fn decide<R: Record>(
+        &mut self,
+        inner: &impl DiskArray<R>,
+        op: FaultOp,
+        ordinal: u64,
+        disks: &[DiskId],
+    ) -> Result<()> {
+        let fault = self.model.check(op, ordinal, disks);
+        if let (Err(err), Some(sink)) = (&fault, inner.trace_sink()) {
             let (kind, disk) = match err {
                 PdiskError::Fault { kind, disk, .. } => (*kind, *disk),
                 // Injected corruption is retryable, i.e. transient.
@@ -514,57 +520,21 @@ impl<R: Record, A: DiskArray<R>> FaultyDiskArray<R, A> {
             };
             sink.emit(TraceEvent::Fault { op, kind, disk });
         }
+        fault
     }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for FaultyDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
-        self.inner.geometry()
-    }
-
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let ticket = self.submit_read(addrs)?;
-        self.complete_read(ticket)
-    }
-
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        let ticket = self.submit_write(writes)?;
-        self.complete_write(ticket)
-    }
-
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
+impl<R: Record> Layer<R> for Faulty {
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
         let ordinal = self.allocs_seen;
         self.allocs_seen += 1;
-        if let Err(e) = self.model.check(FaultOp::Alloc, ordinal, &[disk]) {
-            self.emit_fault(FaultOp::Alloc, &e);
-            return Err(e);
-        }
-        self.inner.alloc_contiguous(disk, count)
+        self.decide(inner, FaultOp::Alloc, ordinal, &[disk])?;
+        inner.alloc_contiguous(disk, count)
     }
 
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn redundancy(&self) -> Option<crate::backend::RedundancyInfo> {
-        self.inner.redundancy()
-    }
-
-    fn install_trace(&mut self, sink: TraceSink) {
-        self.inner.install_trace(sink);
-    }
-
-    fn trace_sink(&self) -> Option<&TraceSink> {
-        self.inner.trace_sink()
-    }
-
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         if addrs.is_empty() {
-            return self.inner.submit_read(addrs);
+            return inner.submit_read(addrs);
         }
         // The fault decision is made at submit time against the per-read
         // ordinal, so for a given seed the Nth scheduled read fails
@@ -572,42 +542,27 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for FaultyDiskArray<R, A> {
         let ordinal = self.reads_seen;
         self.reads_seen += 1;
         let disks: Vec<DiskId> = addrs.iter().map(|a| a.disk).collect();
-        if let Err(e) = self.model.check(FaultOp::Read, ordinal, &disks) {
-            self.emit_fault(FaultOp::Read, &e);
-            return Err(e);
-        }
-        self.inner.submit_read(addrs)
+        self.decide(inner, FaultOp::Read, ordinal, &disks)?;
+        inner.submit_read(addrs)
     }
 
-    fn complete_read(&mut self, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
-        self.inner.complete_read(ticket)
-    }
-
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket> {
         if writes.is_empty() {
-            return self.inner.submit_write(writes);
+            return inner.submit_write(writes);
         }
         // Decided at submit against the per-write ordinal, as for reads.
         let ordinal = self.writes_seen;
         self.writes_seen += 1;
         let disks: Vec<DiskId> = writes.iter().map(|(a, _)| a.disk).collect();
-        if let Err(e) = self.model.check(FaultOp::Write, ordinal, &disks) {
-            self.emit_fault(FaultOp::Write, &e);
-            return Err(e);
-        }
-        self.inner.submit_write(writes)
+        self.decide(inner, FaultOp::Write, ordinal, &disks)?;
+        inner.submit_write(writes)
     }
 
-    fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
-        self.inner.complete_write(ticket)
-    }
-
-    fn prefetch(&mut self, addrs: &[BlockAddr]) {
-        // A hint is not an operation: it consumes no fault ordinal.
-        self.inner.prefetch(addrs);
-    }
-
-    fn sync(&mut self) -> Result<()> {
+    fn sync(&mut self, inner: &mut impl DiskArray<R>) -> Result<()> {
         // A durability barrier is not a counted parallel op; it has its
         // own ordinal space, so seeded read/write/alloc fault sequences
         // are unchanged by how often the sorter checkpoints.  Only
@@ -617,26 +572,8 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for FaultyDiskArray<R, A> {
         // it tried to persist as suspect rather than retry the sync.
         let ordinal = self.syncs_seen;
         self.syncs_seen += 1;
-        if let Err(e) = self.model.check(FaultOp::Sync, ordinal, &[]) {
-            self.emit_fault(FaultOp::Sync, &e);
-            return Err(e);
-        }
-        self.inner.sync()
-    }
-
-    fn scrub_block(&mut self, addr: BlockAddr) -> Result<crate::backend::ScrubOutcome> {
-        // Scrubbing verifies the media below the injector: routing it
-        // through `self.read` would consume fault ordinals and make the
-        // sort's fault schedule depend on whether a scrub ran.
-        self.inner.scrub_block(addr)
-    }
-
-    fn install_pool(&mut self, pool: BufferPool<R>) {
-        self.inner.install_pool(pool);
-    }
-
-    fn buffer_pool(&self) -> Option<&BufferPool<R>> {
-        self.inner.buffer_pool()
+        self.decide(inner, FaultOp::Sync, ordinal, &[])?;
+        inner.sync()
     }
 }
 
@@ -644,6 +581,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for FaultyDiskArray<R, A> {
 mod tests {
     use super::*;
     use crate::block::Forecast;
+    use crate::geometry::Geometry;
     use crate::mem::MemDiskArray;
     use crate::record::U64Record;
 

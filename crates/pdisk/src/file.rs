@@ -79,8 +79,8 @@ const MAX_TORN_SLOTS: u64 = WRITE_BEHIND_LIMIT as u64 + 1;
 const LOCK_FILE: &str = "pdisk.lock";
 
 /// First 8 bytes of `bytes` as a little-endian `u64`.  Callers pass
-/// buffers sized by this module, so the length is guaranteed.
-fn le_u64(bytes: &[u8]) -> u64 {
+/// buffers sized by the codec, so the length is guaranteed.
+pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
     let mut b = [0u8; 8];
     b.copy_from_slice(&bytes[..8]);
     u64::from_le_bytes(b)
@@ -183,8 +183,13 @@ fn worker_gone() -> PdiskError {
 
 /// The geometry of one on-disk slot — all the codec needs to know about
 /// an array, small and `Copy` so every worker thread holds its own.
+///
+/// A slot is a checksum in front of a *payload* (count, forecast, record
+/// cells).  The payload half is the one block codec of the crate: the
+/// parity layer XORs the same bytes, so both persistent formats — disk
+/// files and the parity store — move together or not at all.
 #[derive(Debug, Clone, Copy)]
-struct SlotLayout {
+pub(crate) struct SlotLayout {
     /// Records per block (`B`).
     b: usize,
     /// Bytes a slot occupies on disk.
@@ -194,7 +199,7 @@ struct SlotLayout {
 }
 
 impl SlotLayout {
-    fn new<R: Record>(geom: Geometry) -> Self {
+    pub(crate) fn new<R: Record>(geom: Geometry) -> Self {
         let forecast_keys = geom.d.max(1);
         SlotLayout {
             b: geom.b,
@@ -203,9 +208,14 @@ impl SlotLayout {
         }
     }
 
-    /// Whether `block` fits a slot: everything [`SlotLayout::encode`]
-    /// takes for granted, checked where the caller can still be refused.
-    fn admits<R: Record>(&self, block: &Block<R>) -> Result<()> {
+    /// Bytes of a slot's payload: everything behind the checksum.
+    pub(crate) fn payload_bytes(&self) -> usize {
+        self.slot_bytes - CHECKSUM_BYTES
+    }
+
+    /// Whether `block` fits a slot: everything the encoders take for
+    /// granted, checked where the caller can still be refused.
+    pub(crate) fn admits<R: Record>(&self, block: &Block<R>) -> Result<()> {
         if block.len() > self.b {
             return Err(PdiskError::BadBlockSize {
                 expected: self.b,
@@ -225,20 +235,16 @@ impl SlotLayout {
     }
 
     /// Serialize `block`, which [`SlotLayout::admits`] has passed, into
-    /// `out` as one checksummed slot image.
-    fn encode<R: Record>(&self, block: &Block<R>, out: &mut Vec<u8>) {
-        // Zero-fill the whole slot first: short final blocks leave no
-        // stale payload behind the record count.
-        out.clear();
-        out.resize(self.slot_bytes, 0);
-        let payload_at = CHECKSUM_BYTES;
-        out[payload_at..payload_at + 4].copy_from_slice(&(block.len() as u32).to_le_bytes());
+    /// `out`, a zeroed buffer of [`SlotLayout::payload_bytes`]: short
+    /// final blocks leave no stale bytes behind the record count.
+    pub(crate) fn encode_payload<R: Record>(&self, block: &Block<R>, out: &mut [u8]) {
+        out[..4].copy_from_slice(&(block.len() as u32).to_le_bytes());
         let (kind, keys): (u32, &[u64]) = match &block.forecast {
             Forecast::Next(k) => (0, std::slice::from_ref(k)),
             Forecast::Initial(ks) => (1, ks.as_slice()),
         };
-        out[payload_at + 4..payload_at + 8].copy_from_slice(&kind.to_le_bytes());
-        let mut off = payload_at + 8;
+        out[4..8].copy_from_slice(&kind.to_le_bytes());
+        let mut off = 8;
         for i in 0..self.forecast_keys {
             let k = keys.get(i).copied().unwrap_or(NO_BLOCK);
             out[off..off + 8].copy_from_slice(&k.to_le_bytes());
@@ -248,31 +254,11 @@ impl SlotLayout {
             rec.encode(&mut out[off..off + R::ENCODED_LEN]);
             off += R::ENCODED_LEN;
         }
-        let checksum = fnv1a64(&out[CHECKSUM_BYTES..]);
-        out[..CHECKSUM_BYTES].copy_from_slice(&checksum.to_le_bytes());
     }
 
-    /// Parse one slot image into a block, filling the empty buffer
-    /// `records`.  `verify` off skips the checksum compare and nothing
-    /// else: the structural checks always run.
-    fn decode<R: Record>(&self, bytes: &[u8], verify: bool, mut records: Vec<R>) -> Result<Block<R>> {
-        if bytes.len() != self.slot_bytes {
-            return Err(PdiskError::Corrupt(format!(
-                "slot of {} bytes, expected {}",
-                bytes.len(),
-                self.slot_bytes
-            )));
-        }
-        if verify {
-            let stored = le_u64(&bytes[..CHECKSUM_BYTES]);
-            let actual = fnv1a64(&bytes[CHECKSUM_BYTES..]);
-            if stored != actual {
-                return Err(PdiskError::Corrupt(format!(
-                    "block checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-                )));
-            }
-        }
-        let bytes = &bytes[CHECKSUM_BYTES..];
+    /// Parse a payload of [`SlotLayout::payload_bytes`] into a block,
+    /// filling the empty buffer `records`.
+    pub(crate) fn decode_payload<R: Record>(&self, bytes: &[u8], mut records: Vec<R>) -> Result<Block<R>> {
         let n = le_u32(&bytes[..4]) as usize;
         if n > self.b {
             return Err(PdiskError::Corrupt(format!(
@@ -301,6 +287,39 @@ impl SlotLayout {
             off += R::ENCODED_LEN;
         }
         Ok(Block { records, forecast })
+    }
+
+    /// Serialize `block`, which [`SlotLayout::admits`] has passed, into
+    /// `out` as one checksummed slot image.
+    fn encode<R: Record>(&self, block: &Block<R>, out: &mut Vec<u8>) {
+        out.clear();
+        out.resize(self.slot_bytes, 0);
+        self.encode_payload(block, &mut out[CHECKSUM_BYTES..]);
+        let checksum = fnv1a64(&out[CHECKSUM_BYTES..]);
+        out[..CHECKSUM_BYTES].copy_from_slice(&checksum.to_le_bytes());
+    }
+
+    /// Parse one slot image into a block, filling the empty buffer
+    /// `records`.  `verify` off skips the checksum compare and nothing
+    /// else: the structural checks always run.
+    fn decode<R: Record>(&self, bytes: &[u8], verify: bool, records: Vec<R>) -> Result<Block<R>> {
+        if bytes.len() != self.slot_bytes {
+            return Err(PdiskError::Corrupt(format!(
+                "slot of {} bytes, expected {}",
+                bytes.len(),
+                self.slot_bytes
+            )));
+        }
+        if verify {
+            let stored = le_u64(&bytes[..CHECKSUM_BYTES]);
+            let actual = fnv1a64(&bytes[CHECKSUM_BYTES..]);
+            if stored != actual {
+                return Err(PdiskError::Corrupt(format!(
+                    "block checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+                )));
+            }
+        }
+        self.decode_payload(&bytes[CHECKSUM_BYTES..], records)
     }
 }
 
@@ -1222,18 +1241,37 @@ mod tests {
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000";
 
+    /// The golden pair as the frames the parity layer XORs (and its
+    /// store persists the XOR of), as hex.
+    fn golden_parity_frames<R: Record>(rec: fn(u64) -> R) -> (String, String) {
+        let mem = crate::mem::MemDiskArray::<R>::new(golden_geometry());
+        let parity = crate::parity::ParityDiskArray::new(mem).unwrap();
+        let (initial, next) = golden_blocks(rec);
+        let frame = |b: &Block<R>| hex(&parity.layer.encode_frame(b).unwrap());
+        (frame(&initial), frame(&next))
+    }
+
     /// The on-disk slot format, byte for byte: an array written by any
     /// earlier build must stay readable, so no change to where or how
-    /// slots are encoded may move a single byte of these.
+    /// slots are encoded may move a single byte of these.  The parity
+    /// store is as persistent, and its frame is the slot behind the
+    /// checksum: pinned here so the two formats cannot part.
     #[test]
     fn golden_slot_bytes_are_pinned() {
+        let payload = |slot: &'static str| &slot[2 * CHECKSUM_BYTES..];
         let (initial, next) = golden_slots_on_disk("golden-u64", U64Record);
         assert_eq!(initial, GOLDEN_U64_INITIAL);
         assert_eq!(next, GOLDEN_U64_NEXT);
+        let (initial, next) = golden_parity_frames(U64Record);
+        assert_eq!(initial, payload(GOLDEN_U64_INITIAL));
+        assert_eq!(next, payload(GOLDEN_U64_NEXT));
         let (initial, next) =
             golden_slots_on_disk("golden-kp24", KeyPayloadRecord::<24>::with_derived_payload);
         assert_eq!(initial, GOLDEN_KP24_INITIAL);
         assert_eq!(next, GOLDEN_KP24_NEXT);
+        let (initial, next) = golden_parity_frames(KeyPayloadRecord::<24>::with_derived_payload);
+        assert_eq!(initial, payload(GOLDEN_KP24_INITIAL));
+        assert_eq!(next, payload(GOLDEN_KP24_NEXT));
     }
 
     /// An array laid down by an earlier build (the golden bytes, placed

@@ -25,6 +25,12 @@
 //!   start disk `d_r` lives on disk `(d_r + i) mod D`, §3 of the paper);
 //! * [`timing`] — a seek/rotate/transfer service-time model to convert
 //!   operation counts into estimated wall time on a physical disk array;
+//! * [`layer`] — the wrapper stack's one forwarding point: a [`Layer`] is
+//!   a wrapper's state plus the [`DiskArray`] operations it intercepts
+//!   (every other one defaults to the array below), and [`Stack`] — a
+//!   layer on an array — is the only `impl DiskArray` besides the two
+//!   backends.  Each wrapper below is an alias of it
+//!   (`RetryingDiskArray<R, A>` = `Stack<R, Retrying, A>`);
 //! * [`faulty`] / [`retry`] — the fault-tolerance layer: a scriptable
 //!   transient/permanent fault model ([`FaultModel`]) and a bounded-retry
 //!   wrapper ([`RetryingDiskArray`]) that absorbs transient faults with
@@ -61,6 +67,7 @@ pub mod faulty;
 pub mod file;
 pub mod geometry;
 pub mod interrupt;
+pub mod layer;
 pub mod lockwitness;
 pub mod manifest;
 pub mod mem;
@@ -85,6 +92,7 @@ pub use faulty::{FaultModel, FaultPlan, FaultyDiskArray, ScriptedFault};
 pub use file::{FileDiskArray, PrefetchStats, WRITE_BEHIND_LIMIT};
 pub use geometry::Geometry;
 pub use interrupt::InterruptFlag;
+pub use layer::{Layer, Stack};
 pub use manifest::{fnv1a64, Manifest};
 pub use mem::MemDiskArray;
 pub use netfault::{Delivery, NetFault, NetFaultModel, PartitionWindow, ScriptedNetFault};

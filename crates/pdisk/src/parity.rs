@@ -45,16 +45,18 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::{DiskArray, ReadState, ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
-use crate::block::{Block, Forecast, NO_BLOCK};
+use crate::backend::{DiskArray, ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
+use crate::block::Block;
 use crate::crash::CrashClock;
 use crate::error::{FaultKind, PdiskError, Result};
+use crate::file::{le_u64, SlotLayout};
 use crate::geometry::Geometry;
+use crate::layer::{Layer, Stack};
 use crate::manifest::fnv1a64;
 use crate::record::Record;
 use crate::stats::IoStats;
 use crate::timing::ArrayTiming;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 
 /// Physical offset of logical slot `lo` on disk `d` in a `dd`-disk
 /// array: every group of `dd` physical slots donates the one at
@@ -82,21 +84,6 @@ fn xor_into(dst: &mut [u8], src: &[u8]) {
     for (a, b) in dst.iter_mut().zip(src) {
         *a ^= b;
     }
-}
-
-/// First 8 bytes of `bytes` as a little-endian `u64`.  All callers pass
-/// buffers sized by this module, so the length is guaranteed.
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(b)
-}
-
-/// First 4 bytes of `bytes` as a little-endian `u32`.
-fn le_u32(bytes: &[u8]) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&bytes[..4]);
-    u32::from_le_bytes(b)
 }
 
 /// Mask bit marking a stripe whose parity died with its disk.
@@ -205,17 +192,19 @@ impl ParityStore {
     }
 }
 
-/// A [`DiskArray`] with single-disk-failure tolerance via rotating
-/// parity.  See the module docs for the layout and degraded-mode
-/// semantics.  Stack order matters: place this *above* the fault
-/// injection layer (so it observes permanent faults) and *below*
-/// [`crate::RetryingDiskArray`] (so transient faults still retry).
+/// The layer that gives an array single-disk-failure tolerance via
+/// rotating parity: the stripe state, the three allocation watermarks,
+/// the dead set and this layer's counters.  See the module docs for the
+/// layout and degraded-mode semantics.  Stack order matters: place it
+/// *above* the fault injection layer (so it observes permanent faults)
+/// and *below* [`crate::RetryingDiskArray`] (so transient faults still
+/// retry).
 #[derive(Debug)]
-pub struct ParityDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
+pub struct Parity {
     geom: Geometry,
-    forecast_keys: usize,
-    frame_len: usize,
+    /// The block codec parity is XORed over: a *frame* is a file slot's
+    /// payload, fixed-length and total.
+    layout: SlotLayout,
     /// Per-disk logical allocation watermark (what callers see).
     logical_free: Vec<u64>,
     /// Per-disk physical extent the logical watermark maps into.
@@ -231,8 +220,10 @@ pub struct ParityDiskArray<R: Record, A: DiskArray<R>> {
     hedged_reads: u64,
     store: Option<ParityStore>,
     crash: Option<CrashClock>,
-    _marker: std::marker::PhantomData<R>,
 }
+
+/// `inner` under the parity layer.
+pub type ParityDiskArray<R, A> = Stack<R, Parity, A>;
 
 impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// Wrap `inner`.  Rotating parity needs at least two disks (with
@@ -244,13 +235,9 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
                 "rotating parity needs at least 2 disks".into(),
             ));
         }
-        let forecast_keys = geom.d.max(1);
-        let frame_len = 8 + 8 * forecast_keys + geom.b * R::ENCODED_LEN;
-        Ok(ParityDiskArray {
-            inner,
+        let layer = Parity {
             geom,
-            forecast_keys,
-            frame_len,
+            layout: SlotLayout::new::<R>(geom),
             logical_free: vec![0; geom.d],
             phys_free: vec![0; geom.d],
             inner_free: vec![0; geom.d],
@@ -262,8 +249,8 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
             hedged_reads: 0,
             store: None,
             crash: None,
-            _marker: std::marker::PhantomData,
-        })
+        };
+        Ok(Stack::from_parts(inner, layer))
     }
 
     /// Attach (or reopen) a sidecar parity store at `path`.  Existing
@@ -271,35 +258,36 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// from the written-block masks, which is what lets a checkpointed
     /// sort resume against a reopened, possibly degraded array.
     pub fn with_store(mut self, path: impl AsRef<Path>) -> Result<Self> {
-        let (store, stripes) = ParityStore::open(path.as_ref(), self.frame_len)?;
+        let p = &mut self.layer;
+        let frame_len = p.layout.payload_bytes();
+        let (store, stripes) = ParityStore::open(path.as_ref(), frame_len)?;
         for (s, stripe) in &stripes {
-            if stripe.parity.len() != self.frame_len {
+            if stripe.parity.len() != frame_len {
                 return Err(PdiskError::Corrupt(format!(
-                    "parity store stripe {s} has a {}-byte frame, expected {}",
-                    stripe.parity.len(),
-                    self.frame_len
+                    "parity store stripe {s} has a {}-byte frame, expected {frame_len}",
+                    stripe.parity.len()
                 )));
             }
-            let dd = self.geom.d as u64;
-            for d in 0..self.geom.d {
+            let dd = p.geom.d as u64;
+            for d in 0..p.geom.d {
                 if stripe.written & (1 << d) != 0 {
                     let lo = logical_of(d, *s, dd).ok_or_else(|| {
                         PdiskError::Corrupt(format!(
                             "parity store stripe {s} claims data on its parity disk {d}"
                         ))
                     })?;
-                    self.logical_free[d] = self.logical_free[d].max(lo + 1);
-                    self.inner_free[d] = self.inner_free[d].max(s + 1);
+                    p.logical_free[d] = p.logical_free[d].max(lo + 1);
+                    p.inner_free[d] = p.inner_free[d].max(s + 1);
                 }
             }
         }
-        for d in 0..self.geom.d {
-            if self.logical_free[d] > 0 {
-                self.phys_free[d] = phys_of(d, self.logical_free[d] - 1, self.geom.d as u64) + 1;
+        for d in 0..p.geom.d {
+            if p.logical_free[d] > 0 {
+                p.phys_free[d] = phys_of(d, p.logical_free[d] - 1, p.geom.d as u64) + 1;
             }
         }
-        self.stripes = stripes;
-        self.store = Some(store);
+        p.stripes = stripes;
+        p.store = Some(store);
         Ok(self)
     }
 
@@ -309,14 +297,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// `parity-updated`), so a crash-matrix sweep covers the window
     /// where data frames are durable but the parity sidecar is not.
     pub fn set_crash_clock(&mut self, clock: CrashClock) {
-        self.crash = Some(clock);
-    }
-
-    fn crash_tick(&self, label: &'static str) -> Result<()> {
-        match &self.crash {
-            Some(c) => c.tick(label),
-            None => Ok(()),
-        }
+        self.layer.crash = Some(clock);
     }
 
     /// Enable straggler hedging: a read addressed to a disk that
@@ -325,23 +306,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// waiting on the slow disk, whenever the stripe permits it.
     pub fn set_hedging(&mut self, timing: ArrayTiming, after: f64) {
         assert!(after > 0.0, "hedge threshold must be positive");
-        self.hedge = Some((timing, after));
-    }
-
-    /// The wrapped array.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped array (e.g. the fault layer, to
-    /// attach a spare before [`Self::rebuild`]).
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> A {
-        self.inner
+        self.layer.hedge = Some((timing, after));
     }
 
     /// The physical slot (on the wrapped array) backing a logical
@@ -349,15 +314,12 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// and tests that need to reach below the parity layer — e.g. to
     /// inject latent corruption a scrub should then heal.
     pub fn physical_addr(&self, addr: BlockAddr) -> BlockAddr {
-        BlockAddr::new(
-            addr.disk,
-            phys_of(addr.disk.index(), addr.offset, self.geom.d as u64),
-        )
+        self.layer.physical_addr(addr)
     }
 
     /// Disks currently served by reconstruction.
     pub fn dead_disks(&self) -> impl Iterator<Item = DiskId> + '_ {
-        self.dead.iter().copied()
+        self.layer.dead.iter().copied()
     }
 
     /// Administratively kill `disk` (models a head crash discovered out
@@ -365,13 +327,103 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// already-dead disk; a *second* distinct death is
     /// [`PdiskError::Unrecoverable`].
     pub fn fail_disk(&mut self, disk: DiskId) -> Result<()> {
-        if disk.index() >= self.geom.d {
+        if disk.index() >= self.layer.geom.d {
             return Err(PdiskError::NoSuchDisk(disk));
         }
-        self.mark_dead(disk)
+        self.layer.mark_dead(&self.inner, disk)
     }
 
-    fn mark_dead(&mut self, disk: DiskId) -> Result<()> {
+    /// Re-materialize dead `disk` onto an attached spare while the
+    /// array stays online: re-sync the spare's allocation, rewrite
+    /// every lost data block from parity, recompute parity stripes that
+    /// died with the disk, then return the disk to service.  The layer
+    /// below must already serve the disk again (e.g.
+    /// [`crate::FaultModel::attach_spare`]); otherwise this fails with
+    /// the underlying fault and the array stays degraded.
+    pub fn rebuild(&mut self, disk: DiskId) -> Result<()> {
+        let Stack { layer: p, inner, .. } = self;
+        let i = disk.index();
+        if i >= p.geom.d {
+            return Err(PdiskError::NoSuchDisk(disk));
+        }
+        if !p.dead.contains(&disk) {
+            return Ok(());
+        }
+        // Allocation skipped while dead is granted now, so the spare's
+        // watermark covers every slot the logical space maps into.
+        if p.phys_free[i] > p.inner_free[i] {
+            let count = p.phys_free[i] - p.inner_free[i];
+            inner.alloc_contiguous(disk, count)?;
+            p.inner_free[i] = p.phys_free[i];
+        }
+        let dd = p.geom.d as u64;
+        // Rewrite the disk's data blocks from the surviving stripes.
+        let data_stripes: Vec<u64> = p
+            .stripes
+            .iter()
+            .filter(|(_, st)| st.written & (1 << i) != 0)
+            .map(|(s, _)| *s)
+            .collect();
+        for s in data_stripes {
+            let frame = p.reconstruct_frame(inner, s, disk)?;
+            let block = p.decode_frame(&frame)?;
+            p.reconstructed_reads += 1;
+            inner.write(vec![(BlockAddr::new(disk, s), block)])?;
+        }
+        // Recompute parity that died with the disk (stripes s ≡ i mod D).
+        let lost: Vec<u64> = p
+            .stripes
+            .iter()
+            .filter(|(_, st)| st.parity_lost)
+            .map(|(s, _)| *s)
+            .collect();
+        for s in lost {
+            debug_assert_eq!(s % dd, i as u64, "only the dead disk's parity is lost");
+            let written = p.stripes[&s].written;
+            let mut members = Vec::new();
+            for d in 0..p.geom.d {
+                if d != i && written & (1 << d) != 0 {
+                    members.push(BlockAddr::new(DiskId::from_index(d), s));
+                }
+            }
+            let mut parity = vec![0u8; p.layout.payload_bytes()];
+            if !members.is_empty() {
+                for b in inner.read(&members)? {
+                    let f = p.encode_frame(&b)?;
+                    xor_into(&mut parity, &f);
+                }
+            }
+            if let Some(st) = p.stripes.get_mut(&s) {
+                st.parity = parity;
+                st.parity_lost = false;
+            }
+            p.parity_writes += 1;
+            p.save_stripe(s)?;
+        }
+        p.dead.remove(&disk);
+        if let Some(sink) = inner.trace_sink() {
+            sink.emit(TraceEvent::DiskRebuilt { disk });
+        }
+        Ok(())
+    }
+}
+
+impl Parity {
+    fn crash_tick(&self, label: &'static str) -> Result<()> {
+        match &self.crash {
+            Some(c) => c.tick(label),
+            None => Ok(()),
+        }
+    }
+
+    fn physical_addr(&self, addr: BlockAddr) -> BlockAddr {
+        BlockAddr::new(
+            addr.disk,
+            phys_of(addr.disk.index(), addr.offset, self.geom.d as u64),
+        )
+    }
+
+    fn mark_dead<R: Record>(&mut self, inner: &impl DiskArray<R>, disk: DiskId) -> Result<()> {
         if self.dead.contains(&disk) {
             return Ok(());
         }
@@ -383,7 +435,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
             )));
         }
         self.dead.insert(disk);
-        if let Some(sink) = self.inner.trace_sink() {
+        if let Some(sink) = inner.trace_sink() {
             sink.emit(TraceEvent::DiskDeath { disk });
         }
         // Parity stored on the dead disk is gone with it.
@@ -412,80 +464,31 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
         Ok(())
     }
 
-    /// Frame encoding mirrors [`crate::FileDiskArray`]'s slot payload
-    /// (record count, forecast kind + keys, record bytes) so parity XOR
-    /// is defined over a fixed-length, total representation.
-    fn encode_frame(&self, block: &Block<R>) -> Result<Vec<u8>> {
-        if block.len() > self.geom.b {
-            return Err(PdiskError::BadBlockSize {
-                expected: self.geom.b,
-                got: block.len(),
-            });
-        }
-        let mut out = vec![0u8; self.frame_len];
-        out[..4].copy_from_slice(&(block.len() as u32).to_le_bytes());
-        let (kind, keys): (u32, &[u64]) = match &block.forecast {
-            Forecast::Next(k) => (0, std::slice::from_ref(k)),
-            Forecast::Initial(ks) => (1, ks.as_slice()),
-        };
-        if keys.len() > self.forecast_keys {
-            return Err(PdiskError::Corrupt(format!(
-                "forecast table of {} keys exceeds reserved {}",
-                keys.len(),
-                self.forecast_keys
-            )));
-        }
-        out[4..8].copy_from_slice(&kind.to_le_bytes());
-        let mut off = 8;
-        for i in 0..self.forecast_keys {
-            let k = keys.get(i).copied().unwrap_or(NO_BLOCK);
-            out[off..off + 8].copy_from_slice(&k.to_le_bytes());
-            off += 8;
-        }
-        for rec in &block.records {
-            rec.encode(&mut out[off..off + R::ENCODED_LEN]);
-            off += R::ENCODED_LEN;
-        }
+    /// `block` as the frame parity is XORed over: the payload of the
+    /// slot [`crate::FileDiskArray`] would write for it (record count,
+    /// forecast kind + keys, record cells), a fixed-length, total
+    /// representation.
+    pub(crate) fn encode_frame<R: Record>(&self, block: &Block<R>) -> Result<Vec<u8>> {
+        self.layout.admits(block)?;
+        let mut out = vec![0u8; self.layout.payload_bytes()];
+        self.layout.encode_payload(block, &mut out);
         Ok(out)
     }
 
-    fn decode_frame(&self, bytes: &[u8]) -> Result<Block<R>> {
-        let n = le_u32(&bytes[..4]) as usize;
-        if n > self.geom.b {
-            return Err(PdiskError::Corrupt(format!(
-                "reconstructed record count {n} exceeds block size {}",
-                self.geom.b
-            )));
-        }
-        let kind = le_u32(&bytes[4..8]);
-        let mut off = 8;
-        let mut keys = Vec::with_capacity(self.forecast_keys);
-        for _ in 0..self.forecast_keys {
-            keys.push(le_u64(&bytes[off..off + 8]));
-            off += 8;
-        }
-        let forecast = match kind {
-            0 => Forecast::Next(keys[0]),
-            1 => Forecast::Initial(keys),
-            k => {
-                return Err(PdiskError::Corrupt(format!(
-                    "reconstructed forecast kind {k} is unknown"
-                )))
-            }
-        };
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            records.push(R::decode(&bytes[off..off + R::ENCODED_LEN]));
-            off += R::ENCODED_LEN;
-        }
-        Ok(Block { records, forecast })
+    fn decode_frame<R: Record>(&self, bytes: &[u8]) -> Result<Block<R>> {
+        self.layout.decode_payload(bytes, Vec::new())
     }
 
     /// Raw frame of stripe `s`'s block on `target`, reconstructed as
     /// parity XOR the stripe's other written data frames (one extra
     /// parallel read when any survive; for `D = 2` the parity alone is
     /// the mirror).
-    fn reconstruct_frame(&mut self, s: u64, target: DiskId) -> Result<Vec<u8>> {
+    fn reconstruct_frame<R: Record>(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        s: u64,
+        target: DiskId,
+    ) -> Result<Vec<u8>> {
         let stripe = self.stripes.get(&s).cloned().ok_or_else(|| {
             PdiskError::Unrecoverable(format!("stripe {s} has no parity state"))
         })?;
@@ -513,14 +516,14 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
         }
         let mut frame = stripe.parity;
         if !sibs.is_empty() {
-            let blocks = match self.inner.read(&sibs) {
+            let blocks = match inner.read(&sibs) {
                 Ok(b) => b,
                 Err(PdiskError::Fault {
                     kind: FaultKind::Permanent,
                     disk: Some(dd2),
                     ..
                 }) => {
-                    self.mark_dead(dd2)?;
+                    self.mark_dead(inner, dd2)?;
                     return Err(PdiskError::Unrecoverable(format!(
                         "stripe {s}: sibling disk {} died during reconstruction",
                         dd2.0
@@ -533,7 +536,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
                 xor_into(&mut frame, &sib_frame);
             }
         }
-        if let Some(sink) = self.inner.trace_sink() {
+        if let Some(sink) = inner.trace_sink() {
             sink.emit(TraceEvent::Reconstruct {
                 disk: target,
                 stripe: s,
@@ -567,7 +570,12 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// Serve one parallel read without leaving anything in flight: dead
     /// disks' blocks by reconstruction, stragglers' by hedging, the rest
     /// by one direct inner read.  `pas` are `addrs` translated.
-    fn read_eager(&mut self, addrs: &[BlockAddr], pas: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+    fn read_eager<R: Record>(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        addrs: &[BlockAddr],
+        pas: &[BlockAddr],
+    ) -> Result<Vec<Block<R>>> {
         let mut direct: Vec<(usize, BlockAddr)> = Vec::new();
         let mut recon: Vec<(usize, BlockAddr, bool)> = Vec::new();
         for (i, &pa) in pas.iter().enumerate() {
@@ -585,7 +593,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
         // the newly dead disk's block onto the reconstruction path.
         loop {
             let req: Vec<BlockAddr> = direct.iter().map(|(_, a)| *a).collect();
-            match self.inner.read(&req) {
+            match inner.read(&req) {
                 Ok(blocks) => {
                     for ((i, _), b) in direct.iter().zip(blocks) {
                         out[*i] = Some(b);
@@ -597,7 +605,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
                     disk: Some(dead),
                     ..
                 }) => {
-                    self.mark_dead(dead)?;
+                    self.mark_dead(inner, dead)?;
                     let (lost, live): (Vec<_>, Vec<_>) =
                         direct.into_iter().partition(|(_, a)| a.disk == dead);
                     direct = live;
@@ -614,12 +622,12 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
                 if hedged {
                     // Should not happen (hedging checks the bit), but a
                     // direct read is always a safe fallback.
-                    out[i] = Some(self.inner.read(&[pa])?.remove(0));
+                    out[i] = Some(inner.read(&[pa])?.remove(0));
                     continue;
                 }
                 return Err(PdiskError::UnmappedBlock(logical));
             }
-            let frame = self.reconstruct_frame(pa.offset, pa.disk)?;
+            let frame = self.reconstruct_frame(inner, pa.offset, pa.disk)?;
             let block = self.decode_frame(&frame).map_err(|e| {
                 PdiskError::Unrecoverable(format!(
                     "reconstruction of block {logical:?} decoded to garbage: {e}"
@@ -651,7 +659,11 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// recovery — never a half-updated parity that would reconstruct
     /// garbage.  XOR commutes, so the commits of writes that were in
     /// flight together may land in any order.
-    fn commit_parity(&mut self, deltas: &[(BlockAddr, Vec<u8>)]) -> Result<()> {
+    fn commit_parity<R: Record>(
+        &mut self,
+        inner: &impl DiskArray<R>,
+        deltas: &[(BlockAddr, Vec<u8>)],
+    ) -> Result<()> {
         self.crash_tick("parity-update")?;
         let mut touched: BTreeSet<u64> = BTreeSet::new();
         for (pa, delta) in deltas {
@@ -662,7 +674,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
                     pa.disk.0, pa.offset
                 )));
             }
-            let frame_len = self.frame_len;
+            let frame_len = self.layout.payload_bytes();
             let st = self
                 .stripes
                 .entry(pa.offset)
@@ -675,7 +687,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
             self.save_stripe(pa.offset)?;
         }
         self.parity_writes += touched.len() as u64;
-        if let Some(sink) = self.inner.trace_sink() {
+        if let Some(sink) = inner.trace_sink() {
             for &s in &touched {
                 let data_disks: Vec<DiskId> = deltas
                     .iter()
@@ -717,107 +729,20 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
                 || !self.dead.contains(&did)
         })
     }
-
-    /// Re-materialize dead `disk` onto an attached spare while the
-    /// array stays online: re-sync the spare's allocation, rewrite
-    /// every lost data block from parity, recompute parity stripes that
-    /// died with the disk, then return the disk to service.  The layer
-    /// below must already serve the disk again (e.g.
-    /// [`crate::FaultModel::attach_spare`]); otherwise this fails with
-    /// the underlying fault and the array stays degraded.
-    pub fn rebuild(&mut self, disk: DiskId) -> Result<()> {
-        let i = disk.index();
-        if i >= self.geom.d {
-            return Err(PdiskError::NoSuchDisk(disk));
-        }
-        if !self.dead.contains(&disk) {
-            return Ok(());
-        }
-        // Allocation skipped while dead is granted now, so the spare's
-        // watermark covers every slot the logical space maps into.
-        if self.phys_free[i] > self.inner_free[i] {
-            let count = self.phys_free[i] - self.inner_free[i];
-            self.inner.alloc_contiguous(disk, count)?;
-            self.inner_free[i] = self.phys_free[i];
-        }
-        let dd = self.geom.d as u64;
-        // Rewrite the disk's data blocks from the surviving stripes.
-        let data_stripes: Vec<u64> = self
-            .stripes
-            .iter()
-            .filter(|(_, st)| st.written & (1 << i) != 0)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in data_stripes {
-            let frame = self.reconstruct_frame(s, disk)?;
-            let block = self.decode_frame(&frame)?;
-            self.reconstructed_reads += 1;
-            self.inner.write(vec![(BlockAddr::new(disk, s), block)])?;
-        }
-        // Recompute parity that died with the disk (stripes s ≡ i mod D).
-        let lost: Vec<u64> = self
-            .stripes
-            .iter()
-            .filter(|(_, st)| st.parity_lost)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in lost {
-            debug_assert_eq!(s % dd, i as u64, "only the dead disk's parity is lost");
-            let written = self.stripes[&s].written;
-            let mut members = Vec::new();
-            for d in 0..self.geom.d {
-                if d != i && written & (1 << d) != 0 {
-                    members.push(BlockAddr::new(DiskId::from_index(d), s));
-                }
-            }
-            let mut parity = vec![0u8; self.frame_len];
-            if !members.is_empty() {
-                for b in self.inner.read(&members)? {
-                    let f = self.encode_frame(&b)?;
-                    xor_into(&mut parity, &f);
-                }
-            }
-            if let Some(st) = self.stripes.get_mut(&s) {
-                st.parity = parity;
-                st.parity_lost = false;
-            }
-            self.parity_writes += 1;
-            self.save_stripe(s)?;
-        }
-        self.dead.remove(&disk);
-        if let Some(sink) = self.inner.trace_sink() {
-            sink.emit(TraceEvent::DiskRebuilt { disk });
-        }
-        Ok(())
-    }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
-        self.geom
-    }
-
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let ticket = self.submit_read(addrs)?;
-        self.complete_read(ticket)
-    }
-
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        let ticket = self.submit_write(writes)?;
-        self.complete_write(ticket)
-    }
-
+impl<R: Record> Layer<R> for Parity {
     /// On a healthy array with no hedging configured the read stays in
     /// flight below: the ticket shows the caller's addresses upward and
     /// the remapped ones downward.  A degraded or hedged array serves
     /// the read before returning, as does a permanent fault met here.
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         if addrs.is_empty() {
             return Ok(ReadTicket::ready(Vec::new(), Vec::new()));
         }
         let pas = self.map_op(addrs.iter().copied())?;
         if self.dead.is_empty() && self.hedge.is_none() {
-            match self.inner.submit_read(&pas) {
+            match inner.submit_read(&pas) {
                 Ok(mut ticket) => {
                     ticket.phys = Some(std::mem::replace(&mut ticket.addrs, addrs.to_vec()));
                     return Ok(ticket);
@@ -826,25 +751,22 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
                     kind: FaultKind::Permanent,
                     disk: Some(dead),
                     ..
-                }) => self.mark_dead(dead)?,
+                }) => self.mark_dead(inner, dead)?,
                 Err(e) => return Err(e),
             }
         }
-        let blocks = self.read_eager(addrs, &pas)?;
+        let blocks = self.read_eager(inner, addrs, &pas)?;
         Ok(ReadTicket::ready(addrs.to_vec(), blocks))
     }
 
-    fn complete_read(&mut self, mut ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
+    fn complete_read(&mut self, inner: &mut impl DiskArray<R>, mut ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
         match ticket.phys.take() {
             Some(phys) => {
                 ticket.addrs = phys;
-                self.inner.complete_read(ticket)
+                inner.complete_read(ticket)
             }
             // Served at submit: nothing is in flight below.
-            None => match ticket.state {
-                ReadState::Ready(blocks) => Ok(blocks),
-                ReadState::Pending(_) => Err(PdiskError::TicketMismatch),
-            },
+            None => ticket.into_ready(),
         }
     }
 
@@ -853,9 +775,13 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
     /// a dead target — *before* touching the inner array, so a transient
     /// failure anywhere leaves no partial parity state and the op
     /// replays cleanly under a retry policy.  The data frames are then
-    /// left in flight and the parity update rides in the ticket to
-    /// [`DiskArray::complete_write`].
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
+    /// left in flight and the parity update rides in the ticket to the
+    /// complete hook.
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket> {
         if writes.is_empty() {
             return Ok(WriteTicket::ready(Vec::new()));
         }
@@ -871,13 +797,13 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
         let overwrite = !dead_ow.is_empty() || !live_ow.is_empty();
         if !live_ow.is_empty() {
             let req: Vec<BlockAddr> = live_ow.iter().map(|&i| pas[i]).collect();
-            for (&i, b) in live_ow.iter().zip(self.inner.read(&req)?) {
+            for (&i, b) in live_ow.iter().zip(inner.read(&req)?) {
                 let old = self.encode_frame(&b)?;
                 xor_into(&mut deltas[i].1, &old);
             }
         }
         for &i in &dead_ow {
-            let old = self.reconstruct_frame(pas[i].offset, pas[i].disk)?;
+            let old = self.reconstruct_frame(inner, pas[i].offset, pas[i].disk)?;
             self.reconstructed_reads += 1;
             xor_into(&mut deltas[i].1, &old);
         }
@@ -892,14 +818,14 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
                 .iter()
                 .map(|&i| (pas[i], writes[i].1.clone()))
                 .collect();
-            match self.inner.submit_write(req) {
+            match inner.submit_write(req) {
                 Ok(ticket) => break ticket,
                 Err(PdiskError::Fault {
                     kind: FaultKind::Permanent,
                     disk: Some(dead),
                     ..
                 }) => {
-                    self.mark_dead(dead)?;
+                    self.mark_dead(inner, dead)?;
                     live.retain(|&i| pas[i].disk != dead);
                 }
                 Err(e) => return Err(e),
@@ -909,8 +835,8 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
             // Between an overwrite landing and its commit, parity still
             // holds the old frame: a reconstruction in that window would
             // XOR it against the new data.  Close the window here.
-            self.inner.complete_write(ticket)?;
-            self.commit_parity(&deltas)?;
+            inner.complete_write(ticket)?;
+            self.commit_parity(inner, &deltas)?;
             return Ok(WriteTicket::ready(addrs));
         }
         let inner_addrs = std::mem::replace(&mut ticket.addrs, addrs);
@@ -918,20 +844,20 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
         Ok(ticket)
     }
 
-    fn complete_write(&mut self, mut ticket: WriteTicket) -> Result<()> {
+    fn complete_write(&mut self, inner: &mut impl DiskArray<R>, mut ticket: WriteTicket) -> Result<()> {
         // Committed at submit (an overwrite), or empty: nothing is owed.
         let Some(commit) = ticket.parity.take() else {
             return Ok(());
         };
         ticket.addrs = commit.inner_addrs;
-        self.inner.complete_write(ticket)?;
-        self.commit_parity(&commit.deltas)
+        inner.complete_write(ticket)?;
+        self.commit_parity(inner, &commit.deltas)
     }
 
     /// Forward the hint in physical addresses.  A degraded or hedged
     /// array may serve the block by reconstruction instead of reading
     /// its slot, so there the hint is dropped.
-    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+    fn prefetch(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) {
         if !self.dead.is_empty() || self.hedge.is_some() {
             return;
         }
@@ -940,10 +866,10 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
             .filter(|a| a.disk.index() < self.geom.d && a.offset < self.logical_free[a.disk.index()])
             .map(|&a| self.physical_addr(a))
             .collect();
-        self.inner.prefetch(&pas);
+        inner.prefetch(&pas);
     }
 
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
         let i = disk.index();
         if i >= self.geom.d {
             return Err(PdiskError::NoSuchDisk(disk));
@@ -961,7 +887,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
         // untouched so a retried alloc returns the same offset.
         if !self.dead.contains(&disk) && phys_needed > self.inner_free[i] {
             let req = phys_needed - self.inner_free[i];
-            let got = self.inner.alloc_contiguous(disk, req)?;
+            let got = inner.alloc_contiguous(disk, req)?;
             // After a resume the inner watermark may already be ahead of
             // ours; all that matters is that it now covers phys_needed.
             self.inner_free[i] = (got + req).max(phys_needed);
@@ -975,22 +901,22 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
     /// reads issued for reconstruction are charged on the inner array
     /// as ordinary parallel reads (they are real I/O); the blocks they
     /// *serve* are visible here as `reconstructed_reads`.
-    fn stats(&self) -> IoStats {
-        let mut s = self.inner.stats();
+    fn stats(&self, inner: &impl DiskArray<R>) -> IoStats {
+        let mut s = inner.stats();
         s.reconstructed_reads += self.reconstructed_reads;
         s.parity_writes += self.parity_writes;
         s.hedged_reads += self.hedged_reads;
         s
     }
 
-    fn reset_stats(&mut self) {
+    fn reset_stats(&mut self, inner: &mut impl DiskArray<R>) {
         self.reconstructed_reads = 0;
         self.parity_writes = 0;
         self.hedged_reads = 0;
-        self.inner.reset_stats();
+        inner.reset_stats();
     }
 
-    fn redundancy(&self) -> Option<RedundancyInfo> {
+    fn redundancy(&self, _inner: &impl DiskArray<R>) -> Option<RedundancyInfo> {
         Some(RedundancyInfo {
             stripe_disks: self.geom.d,
             dead: self.dead.iter().copied().collect(),
@@ -1001,8 +927,8 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
     /// then the parity sidecar, so a crash between the two leaves
     /// parity *behind* the data — the safe direction, since a stale
     /// `written` mask merely re-exposes frames as unwritten.
-    fn sync(&mut self) -> Result<()> {
-        self.inner.sync()?;
+    fn sync(&mut self, inner: &mut impl DiskArray<R>) -> Result<()> {
+        inner.sync()?;
         if let Some(store) = &self.store {
             store.file.sync_all()?;
         }
@@ -1015,17 +941,16 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
     /// array: parity already reflects the *correct* frame (the
     /// corruption is latent media damage below us), so updating it
     /// again would wreck it.
-    fn scrub_block(&mut self, addr: BlockAddr) -> Result<ScrubOutcome> {
+    fn scrub_block(&mut self, inner: &mut impl DiskArray<R>, addr: BlockAddr) -> Result<ScrubOutcome> {
         if addr.disk.index() >= self.geom.d {
             return Err(PdiskError::NoSuchDisk(addr.disk));
         }
         if addr.offset >= self.logical_free[addr.disk.index()] {
             return Err(PdiskError::UnmappedBlock(addr));
         }
-        let dd = self.geom.d as u64;
-        let pa = BlockAddr::new(addr.disk, phys_of(addr.disk.index(), addr.offset, dd));
+        let pa = self.physical_addr(addr);
         if !self.dead.contains(&addr.disk) {
-            match self.inner.read(&[pa]) {
+            match inner.read(&[pa]) {
                 Ok(_) => return Ok(ScrubOutcome::Clean),
                 Err(PdiskError::Corrupt(_)) => {}
                 Err(PdiskError::Fault {
@@ -1035,7 +960,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
                 }) => {
                     // The disk died under the scrubber; fall through to
                     // the degraded verification path.
-                    self.mark_dead(dead)?;
+                    self.mark_dead(inner, dead)?;
                 }
                 Err(e) => return Err(e),
             }
@@ -1046,7 +971,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
                  parity state to rebuild it from"
             )));
         }
-        let frame = match self.reconstruct_frame(pa.offset, pa.disk) {
+        let frame = match self.reconstruct_frame(inner, pa.offset, pa.disk) {
             Ok(f) => f,
             Err(PdiskError::Unrecoverable(why)) => {
                 return Ok(ScrubOutcome::Unrepairable(why));
@@ -1076,8 +1001,8 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
             // promise here.
             return Ok(ScrubOutcome::Clean);
         }
-        self.inner.write(vec![(pa, block)])?;
-        if let Some(sink) = self.inner.trace_sink() {
+        inner.write(vec![(pa, block)])?;
+        if let Some(sink) = inner.trace_sink() {
             sink.emit(TraceEvent::ScrubRepair {
                 addr: pa,
                 stripe: pa.offset,
@@ -1085,27 +1010,12 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for ParityDiskArray<R, A> {
         }
         Ok(ScrubOutcome::Repaired)
     }
-
-    fn install_trace(&mut self, sink: TraceSink) {
-        self.inner.install_trace(sink);
-    }
-
-    fn trace_sink(&self) -> Option<&TraceSink> {
-        self.inner.trace_sink()
-    }
-
-    fn install_pool(&mut self, pool: crate::pool::BufferPool<R>) {
-        self.inner.install_pool(pool);
-    }
-
-    fn buffer_pool(&self) -> Option<&crate::pool::BufferPool<R>> {
-        self.inner.buffer_pool()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{Forecast, NO_BLOCK};
     use crate::faulty::{FaultModel, FaultyDiskArray};
     use crate::file::FileDiskArray;
     use crate::mem::MemDiskArray;
@@ -1469,7 +1379,7 @@ mod tests {
         assert_eq!(clock.fired(), Some(0));
         // Data frames landed below, but no stripe committed: recovery
         // sees the frames as unwritten and re-issues them.
-        assert!(a.stripes.is_empty(), "parity committed despite the crash");
+        assert!(a.layer.stripes.is_empty(), "parity committed despite the crash");
         // The poisoned clock keeps refusing work, like a dead process.
         let err = a
             .write(vec![(BlockAddr::new(DiskId(0), 0), expected(0, 0))])
@@ -1507,9 +1417,9 @@ mod tests {
         let mut a = over_flaky(0);
         let ticket = a.submit_write(stripe_writes(0)).unwrap();
         assert_eq!(ticket.addrs(), &stripe_writes(0).iter().map(|(a, _)| *a).collect::<Vec<_>>()[..]);
-        assert!(a.stripes.is_empty(), "parity committed before the completion");
+        assert!(a.layer.stripes.is_empty(), "parity committed before the completion");
         drop(ticket);
-        assert!(a.stripes.is_empty(), "an abandoned ticket must never commit");
+        assert!(a.layer.stripes.is_empty(), "an abandoned ticket must never commit");
         assert_eq!(a.stats().parity_writes, 0);
         // The frames read back as unwritten, so the re-issue is a first write.
         a.write(stripe_writes(0)).unwrap();
@@ -1523,7 +1433,7 @@ mod tests {
         let ticket = a.submit_write(stripe_writes(0)).unwrap();
         let err = a.complete_write(ticket).unwrap_err();
         assert!(err.is_retryable(), "got {err:?}");
-        assert!(a.stripes.is_empty(), "parity committed despite the failed completion");
+        assert!(a.layer.stripes.is_empty(), "parity committed despite the failed completion");
         assert_eq!(a.stats().parity_writes, 0);
     }
 
@@ -1532,25 +1442,25 @@ mod tests {
         let serial = {
             let mut a = over_flaky(0);
             a.write(stripe_writes(0)).unwrap();
-            (a.stats().parity_writes, a.stripes.clone())
+            (a.stats().parity_writes, a.layer.stripes.clone())
         };
         let mut a = crate::retry::RetryingDiskArray::new(over_flaky(1), crate::retry::RetryPolicy::default());
         let ticket = a.submit_write(stripe_writes(0)).unwrap();
         a.complete_write(ticket).unwrap();
         assert_eq!(a.stats().write_retries, 1, "the completion was re-issued");
         assert_eq!(a.stats().parity_writes, serial.0, "one commit, as in the serial run");
-        assert_eq!(a.inner().stripes, serial.1);
+        assert_eq!(a.inner().layer.stripes, serial.1);
     }
 
     #[test]
     fn overwrite_commits_before_submit_returns() {
         let mut a = over_flaky(0);
         a.write(stripe_writes(0)).unwrap();
-        let before = a.stripes.clone();
+        let before = a.layer.stripes.clone();
         let over = vec![(BlockAddr::new(DiskId(0), 0), blk(&[7, 8, 9]))];
         let ticket = a.submit_write(over).unwrap();
         assert!(ticket.parity.is_none(), "an overwrite leaves nothing owed");
-        assert_ne!(a.stripes, before, "parity must follow the data at once");
+        assert_ne!(a.layer.stripes, before, "parity must follow the data at once");
         a.complete_write(ticket).unwrap();
         a.fail_disk(DiskId(0)).unwrap();
         assert_eq!(a.read(&[BlockAddr::new(DiskId(0), 0)]).unwrap()[0], blk(&[7, 8, 9]));

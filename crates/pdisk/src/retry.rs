@@ -23,12 +23,11 @@ use crate::addr::{BlockAddr, DiskId};
 use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::Block;
 use crate::error::{FaultOp, PdiskError, Result};
-use crate::geometry::Geometry;
-use crate::pool::BufferPool;
+use crate::layer::{Layer, Stack};
 use crate::record::Record;
 use crate::stats::IoStats;
 use crate::timing::DiskModel;
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use std::time::Duration;
 
 /// Jitter applied to the simulated backoff schedule.
@@ -221,104 +220,87 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A [`DiskArray`] that absorbs transient faults by retrying.
+/// The layer that absorbs transient faults by retrying: the policy and
+/// the per-kind retry accounting.  Two operations pass unretried.  A
+/// failed `sync` leaves the kernel's dirty state unknown, so the
+/// checkpoint writer above must see the failure and withhold its
+/// manifest; and a scrub's repair accounting stays with the redundancy
+/// layer that performs it.
 #[derive(Debug)]
-pub struct RetryingDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
+pub struct Retrying {
     policy: RetryPolicy,
     reads: RetryCounters,
     writes: RetryCounters,
     allocs: RetryCounters,
-    _marker: std::marker::PhantomData<R>,
 }
+
+/// `inner` under the retry layer.
+pub type RetryingDiskArray<R, A> = Stack<R, Retrying, A>;
 
 impl<R: Record, A: DiskArray<R>> RetryingDiskArray<R, A> {
     /// Wrap `inner` with the given policy.
     pub fn new(inner: A, policy: RetryPolicy) -> Self {
-        RetryingDiskArray {
-            inner,
+        let layer = Retrying {
             policy,
             reads: RetryCounters::default(),
             writes: RetryCounters::default(),
             allocs: RetryCounters::default(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Unwrap the inner backend.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    /// The inner backend, e.g. to read its unretried stats.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Mutable access to the inner backend, e.g. to administratively
-    /// fail or rebuild a disk in a wrapped redundancy layer.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
+        };
+        Stack::from_parts(inner, layer)
     }
 
     /// Retries performed so far (reads, writes).  Allocation retries are
     /// reported separately by [`Self::counters`].
     pub fn retries(&self) -> (u64, u64) {
-        (self.reads.attempted, self.writes.attempted)
+        (self.layer.reads.attempted, self.layer.writes.attempted)
     }
 
     /// Per-operation retry accounting, in [`FaultOp`](crate::FaultOp)
     /// order: reads, writes, allocations.
     pub fn counters(&self) -> (RetryCounters, RetryCounters, RetryCounters) {
-        (self.reads, self.writes, self.allocs)
+        (self.layer.reads, self.layer.writes, self.layer.allocs)
     }
 
     /// Total simulated backoff wait accrued by all retries.
     pub fn total_backoff(&self) -> Duration {
-        self.reads.backoff + self.writes.backoff + self.allocs.backoff
-    }
-
-    /// Record `count` re-issues of `op` in the trace, if tracing is on.
-    fn emit_retries(&self, op: FaultOp, count: u64) {
-        if count == 0 {
-            return;
-        }
-        if let Some(sink) = self.inner.trace_sink() {
-            for _ in 0..count {
-                sink.emit(TraceEvent::Retry { op });
-            }
-        }
+        self.layer.reads.backoff + self.layer.writes.backoff + self.layer.allocs.backoff
     }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
-        self.inner.geometry()
+/// Run `op` under `policy` as a logical operation that has already spent
+/// `spent` issues, charging `counters` and recording each re-issue of
+/// `kind` in `inner`'s trace; returns the re-issue count beside the
+/// outcome.
+fn retried<R: Record, A: DiskArray<R>, T>(
+    policy: &RetryPolicy,
+    counters: &mut RetryCounters,
+    inner: &mut A,
+    kind: FaultOp,
+    spent: u32,
+    mut op: impl FnMut(&mut A) -> Result<T>,
+) -> (Result<T>, u64) {
+    let before = counters.attempted;
+    let out = policy.run_from(counters, spent, || op(inner));
+    let issued = counters.attempted - before;
+    if let Some(sink) = inner.trace_sink() {
+        for _ in 0..issued {
+            sink.emit(TraceEvent::Retry { op: kind });
+        }
+    }
+    (out, issued)
+}
+
+impl<R: Record> Layer<R> for Retrying {
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
+        retried(&self.policy, &mut self.allocs, inner, FaultOp::Alloc, 1, |a| {
+            a.alloc_contiguous(disk, count)
+        })
+        .0
     }
 
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let ticket = self.submit_read(addrs)?;
-        self.complete_read(ticket)
-    }
-
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        let ticket = self.submit_write(writes)?;
-        self.complete_write(ticket)
-    }
-
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
-        let before = self.allocs.attempted;
-        let inner = &mut self.inner;
-        let out = self
-            .policy
-            .run(&mut self.allocs, || inner.alloc_contiguous(disk, count));
-        self.emit_retries(FaultOp::Alloc, self.allocs.attempted - before);
-        out
-    }
-
-    /// Inner (logical) stats plus this wrapper's retry counters.
-    fn stats(&self) -> IoStats {
-        let mut stats = self.inner.stats();
+    /// Inner (logical) stats plus this layer's retry counters.
+    fn stats(&self, inner: &impl DiskArray<R>) -> IoStats {
+        let mut stats = inner.stats();
         stats.read_retries += self.reads.attempted;
         stats.write_retries += self.writes.attempted;
         stats.alloc_retries += self.allocs.attempted;
@@ -328,44 +310,17 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
         stats
     }
 
-    fn reset_stats(&mut self) {
+    fn reset_stats(&mut self, inner: &mut impl DiskArray<R>) {
         self.reads = RetryCounters::default();
         self.writes = RetryCounters::default();
         self.allocs = RetryCounters::default();
-        self.inner.reset_stats();
+        inner.reset_stats();
     }
 
-    fn redundancy(&self) -> Option<crate::backend::RedundancyInfo> {
-        self.inner.redundancy()
-    }
-
-    /// Durability barriers are forwarded unretried: a failed `fsync`
-    /// leaves the kernel's dirty state unknown, so the checkpoint writer
-    /// above must see the failure and withhold its manifest.
-    fn sync(&mut self) -> Result<()> {
-        self.inner.sync()
-    }
-
-    /// Scrubbing is forwarded unretried so repair accounting stays with
-    /// the redundancy layer that performs it.
-    fn scrub_block(&mut self, addr: BlockAddr) -> Result<crate::backend::ScrubOutcome> {
-        self.inner.scrub_block(addr)
-    }
-
-    fn install_trace(&mut self, sink: TraceSink) {
-        self.inner.install_trace(sink);
-    }
-
-    fn trace_sink(&self) -> Option<&TraceSink> {
-        self.inner.trace_sink()
-    }
-
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
-        let before = self.reads.attempted;
-        let inner = &mut self.inner;
-        let out = self.policy.run(&mut self.reads, || inner.submit_read(addrs));
-        let issued = self.reads.attempted - before;
-        self.emit_retries(FaultOp::Read, issued);
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
+        let (out, issued) = retried(&self.policy, &mut self.reads, inner, FaultOp::Read, 1, |a| {
+            a.submit_read(addrs)
+        });
         // Record the issues this submit consumed in the ticket, so the
         // completion phase continues the same per-logical-op budget
         // instead of starting a fresh one.
@@ -375,7 +330,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
         })
     }
 
-    fn complete_read(&mut self, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
+    fn complete_read(&mut self, inner: &mut impl DiskArray<R>, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
         // The first completion attempt drains the in-flight ticket; if
         // it fails with a retryable error the data is gone with it, so
         // further attempts fall back to a fresh synchronous read of the
@@ -390,25 +345,22 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
         // than `max_attempts` issues across both phases.
         let spent = ticket.issues;
         let addrs: Vec<BlockAddr> = ticket.addrs().to_vec();
-        let before = self.reads.attempted;
-        let inner = &mut self.inner;
         let mut first = Some(ticket);
-        let out = self.policy.run_from(&mut self.reads, spent, || match first.take() {
-            Some(t) => inner.complete_read(t),
-            None => inner.read(&addrs),
-        });
-        self.emit_retries(FaultOp::Read, self.reads.attempted - before);
-        out
+        retried(&self.policy, &mut self.reads, inner, FaultOp::Read, spent, |a| match first.take() {
+            Some(t) => a.complete_read(t),
+            None => a.read(&addrs),
+        })
+        .0
     }
 
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
-        let before = self.writes.attempted;
-        let inner = &mut self.inner;
-        let out = self
-            .policy
-            .run(&mut self.writes, || inner.submit_write(writes.clone()));
-        let issued = self.writes.attempted - before;
-        self.emit_retries(FaultOp::Write, issued);
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket> {
+        let (out, issued) = retried(&self.policy, &mut self.writes, inner, FaultOp::Write, 1, |a| {
+            a.submit_write(writes.clone())
+        });
         // The blocks travel with the ticket, so the completion phase can
         // re-issue them under the budget this submit started.
         out.map(|mut t| {
@@ -418,7 +370,7 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
         })
     }
 
-    fn complete_write(&mut self, mut ticket: WriteTicket) -> Result<()> {
+    fn complete_write(&mut self, inner: &mut impl DiskArray<R>, mut ticket: WriteTicket) -> Result<()> {
         // The write-side twin of `complete_read`: drain the ticket once,
         // then fall back to synchronous writes of the blocks the submit
         // left in it, all within the one per-logical-op budget.
@@ -428,28 +380,12 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for RetryingDiskArray<R, A> {
             .take()
             .and_then(|p| p.downcast::<Vec<(BlockAddr, Block<R>)>>().ok())
             .ok_or(PdiskError::TicketMismatch)?;
-        let before = self.writes.attempted;
-        let inner = &mut self.inner;
         let mut first = Some(ticket);
-        let out = self.policy.run_from(&mut self.writes, spent, || match first.take() {
-            Some(t) => inner.complete_write(t),
-            None => inner.write((*writes).clone()),
-        });
-        self.emit_retries(FaultOp::Write, self.writes.attempted - before);
-        out
-    }
-
-    fn prefetch(&mut self, addrs: &[BlockAddr]) {
-        // A hint cannot fail, so there is nothing to retry or count.
-        self.inner.prefetch(addrs);
-    }
-
-    fn install_pool(&mut self, pool: BufferPool<R>) {
-        self.inner.install_pool(pool);
-    }
-
-    fn buffer_pool(&self) -> Option<&BufferPool<R>> {
-        self.inner.buffer_pool()
+        retried(&self.policy, &mut self.writes, inner, FaultOp::Write, spent, |a| match first.take() {
+            Some(t) => a.complete_write(t),
+            None => a.write((*writes).clone()),
+        })
+        .0
     }
 }
 
@@ -459,6 +395,7 @@ pub(crate) mod tests {
     use crate::block::Forecast;
     use crate::error::{FaultKind, FaultOp};
     use crate::faulty::{FaultModel, FaultPlan, FaultyDiskArray, ScriptedFault};
+    use crate::geometry::Geometry;
     use crate::mem::MemDiskArray;
     use crate::record::U64Record;
 
@@ -751,10 +688,7 @@ pub(crate) mod tests {
                 self.fail_completes -= 1;
                 return Err(Self::transient());
             }
-            match ticket.state {
-                crate::backend::ReadState::Ready(blocks) => Ok(blocks),
-                crate::backend::ReadState::Pending(_) => Err(PdiskError::TicketMismatch),
-            }
+            ticket.into_ready()
         }
 
         fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {

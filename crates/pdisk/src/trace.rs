@@ -35,9 +35,8 @@ use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::Block;
 use crate::error::{FaultKind, FaultOp, Result};
 use crate::geometry::Geometry;
-use crate::pool::BufferPool;
+use crate::layer::{Layer, Stack};
 use crate::record::Record;
-use crate::stats::IoStats;
 
 /// Layout of one input run, announced at the start of a traced merge so
 /// a replay can map `(run, block idx)` to the [`BlockAddr`] the engine
@@ -383,10 +382,19 @@ impl TraceSink {
     }
 }
 
-/// Top-of-stack wrapper that records the *logical* operation stream —
-/// reads, writes, and allocations exactly as the algorithm issued them —
-/// and installs its sink down the stack so every layer's own events land
-/// in the same log.
+/// Top-of-stack layer that records the *logical* operation stream —
+/// reads, writes, and allocations exactly as the algorithm issued them,
+/// on success only — into the sink it installed down the stack, so every
+/// layer's own events land in the same log.  A prefetch hint is
+/// deliberately untraced: it is not an operation of the model (nothing
+/// is charged, the op sequence is unchanged), so traced runs stay
+/// representative of the untraced ones the benchmarks time.
+#[derive(Debug)]
+pub struct Tracing {
+    sink: TraceSink,
+}
+
+/// `inner` under the trace layer.
 ///
 /// # Examples
 ///
@@ -401,12 +409,7 @@ impl TraceSink {
 /// assert!(matches!(trace[0].event, TraceEvent::Alloc { count: 1, .. }));
 /// # Ok::<(), pdisk::PdiskError>(())
 /// ```
-#[derive(Debug)]
-pub struct TracingDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
-    sink: TraceSink,
-    _marker: std::marker::PhantomData<R>,
-}
+pub type TracingDiskArray<R, A> = Stack<R, Tracing, A>;
 
 impl<R: Record, A: DiskArray<R>> TracingDiskArray<R, A> {
     /// Wrap `inner`, creating a fresh sink and installing it down the
@@ -418,46 +421,29 @@ impl<R: Record, A: DiskArray<R>> TracingDiskArray<R, A> {
     /// Wrap `inner`, recording into an existing `sink`.
     pub fn with_sink(mut inner: A, sink: TraceSink) -> Self {
         inner.install_trace(sink.clone());
-        TracingDiskArray {
-            inner,
-            sink,
-            _marker: std::marker::PhantomData,
-        }
+        Stack::from_parts(inner, Tracing { sink })
     }
 
     /// The shared sink.
     pub fn sink(&self) -> &TraceSink {
-        &self.sink
+        &self.layer.sink
     }
 
     /// Drain the recorded trace.
     pub fn take_trace(&self) -> Vec<Tagged> {
-        self.sink.take()
-    }
-
-    /// The wrapped array.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped array.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> A {
-        self.inner
+        self.layer.sink.take()
     }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for TracingDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
-        self.inner.geometry()
-    }
-
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let out = self.inner.read(addrs)?;
+// The blocking pair is its own pair of hooks, not the default: this layer
+// sits above the crash layer, which numbers a blocking operation's
+// boundaries differently from a split-phase one's, and above parity,
+// whose commit events land before a blocking write's `Write` but after a
+// submitted one's — so a blocking operation must reach the array below
+// as one.
+impl<R: Record> Layer<R> for Tracing {
+    fn read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+        let out = inner.read(addrs)?;
         if !addrs.is_empty() {
             self.sink.emit(TraceEvent::Read {
                 addrs: addrs.to_vec(),
@@ -466,9 +452,9 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for TracingDiskArray<R, A> {
         Ok(out)
     }
 
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
+    fn write(&mut self, inner: &mut impl DiskArray<R>, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
         let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
-        self.inner.write(writes)?;
+        inner.write(writes)?;
         if !addrs.is_empty() {
             self.sink.emit(TraceEvent::Write {
                 addrs: addrs.clone(),
@@ -479,35 +465,23 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for TracingDiskArray<R, A> {
         Ok(())
     }
 
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
-        let start = self.inner.alloc_contiguous(disk, count)?;
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
+        let start = inner.alloc_contiguous(disk, count)?;
         self.sink.emit(TraceEvent::Alloc { disk, start, count });
         Ok(start)
     }
 
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn redundancy(&self) -> Option<crate::backend::RedundancyInfo> {
-        self.inner.redundancy()
-    }
-
-    fn install_trace(&mut self, sink: TraceSink) {
+    fn install_trace(&mut self, inner: &mut impl DiskArray<R>, sink: TraceSink) {
         self.sink = sink.clone();
-        self.inner.install_trace(sink);
+        inner.install_trace(sink);
     }
 
-    fn trace_sink(&self) -> Option<&TraceSink> {
+    fn trace_sink<'a>(&'a self, _inner: &'a impl DiskArray<R>) -> Option<&'a TraceSink> {
         Some(&self.sink)
     }
 
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
-        let ticket = self.inner.submit_read(addrs)?;
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
+        let ticket = inner.submit_read(addrs)?;
         // The logical operation is recorded where it is issued — at
         // submit — so the logical Read stream is position-identical
         // however long the engine leaves the ticket outstanding.
@@ -519,50 +493,26 @@ impl<R: Record, A: DiskArray<R>> DiskArray<R> for TracingDiskArray<R, A> {
         Ok(ticket)
     }
 
-    fn complete_read(&mut self, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
-        self.inner.complete_read(ticket)
-    }
-
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket> {
         let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
-        let ticket = self.inner.submit_write(writes)?;
+        let ticket = inner.submit_write(writes)?;
         if !addrs.is_empty() {
             self.sink.emit(TraceEvent::Write { addrs });
         }
         Ok(ticket)
     }
 
-    fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {
+    fn complete_write(&mut self, inner: &mut impl DiskArray<R>, ticket: WriteTicket) -> Result<()> {
         let addrs = ticket.addrs().to_vec();
-        self.inner.complete_write(ticket)?;
+        inner.complete_write(ticket)?;
         if !addrs.is_empty() {
             self.sink.emit(TraceEvent::WriteDurable { addrs });
         }
         Ok(())
-    }
-
-    fn prefetch(&mut self, addrs: &[BlockAddr]) {
-        // Deliberately untraced: a prefetch hint is not an operation of
-        // the model (nothing is charged, the op sequence is unchanged),
-        // so forwarding it silently keeps traced runs representative of
-        // the untraced ones the benchmarks time.
-        self.inner.prefetch(addrs);
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.inner.sync()
-    }
-
-    fn scrub_block(&mut self, addr: BlockAddr) -> Result<crate::backend::ScrubOutcome> {
-        self.inner.scrub_block(addr)
-    }
-
-    fn install_pool(&mut self, pool: BufferPool<R>) {
-        self.inner.install_pool(pool);
-    }
-
-    fn buffer_pool(&self) -> Option<&BufferPool<R>> {
-        self.inner.buffer_pool()
     }
 }
 

@@ -33,7 +33,7 @@ use crate::{CampaignConfig, ChaosError, TrialOutcome, Violation};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     Block, BlockAddr, CrashClock, CrashingDiskArray, DiskArray, DiskId, FaultKind, FaultModel,
-    FaultOp, Geometry, InterruptFlag, IoStats, Manifest as _, MemDiskArray, ParityDiskArray,
+    FaultOp, Geometry, InterruptFlag, Layer, Manifest as _, MemDiskArray, ParityDiskArray,
     PdiskError, Record, RetryPolicy, RetryingDiskArray, ScriptedFault, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
@@ -41,10 +41,12 @@ use srm_core::{read_run, SortManifest, SrmError};
 use std::path::Path;
 use std::time::Duration;
 
-/// A wrapper that (when armed) misclassifies ENOSPC write/alloc
-/// failures as transient before the retry layer sees them — the
-/// planted retry-classification bug.  Disarmed it is a transparent
-/// pass-through, so the one concrete stack type serves both modes.
+/// A layer that (when armed) misclassifies ENOSPC write/alloc failures
+/// as transient before the retry layer sees them — the planted
+/// retry-classification bug.  Disarmed it is a transparent pass-through,
+/// so the one concrete stack type serves both modes.  Sync failures pass
+/// unmapped either way: fsyncgate semantics must hold even with the bug
+/// armed.
 ///
 /// With the bug armed, a full disk turns into an infinite "transient"
 /// that the retry layer dutifully spins on until its budget exhausts;
@@ -52,32 +54,16 @@ use std::time::Duration;
 /// frees space, and recovery wedges — which the campaign's oracle
 /// reports and the minimizer shrinks to the single `disk-full` event.
 #[derive(Debug)]
-pub struct MisclassifyingDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
-    armed: bool,
-    _marker: std::marker::PhantomData<R>,
+pub struct Misclassifying {
+    /// Whether the bug is planted.
+    pub armed: bool,
 }
 
-impl<R: Record, A: DiskArray<R>> MisclassifyingDiskArray<R, A> {
-    /// Wrap `inner`; `armed` plants the bug.
-    pub fn new(inner: A, armed: bool) -> Self {
-        MisclassifyingDiskArray {
-            inner,
-            armed,
-            _marker: std::marker::PhantomData,
-        }
-    }
+/// `inner` under the misclassifier:
+/// `Stack::from_parts(inner, Misclassifying { armed })`.
+pub type MisclassifyingDiskArray<R, A> = pdisk::Stack<R, Misclassifying, A>;
 
-    /// Unwrap.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    /// Mutable access to the wrapped array.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
+impl Misclassifying {
     fn remap(&self, e: PdiskError) -> PdiskError {
         match e {
             PdiskError::Fault {
@@ -94,81 +80,21 @@ impl<R: Record, A: DiskArray<R>> MisclassifyingDiskArray<R, A> {
     }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for MisclassifyingDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
-        self.inner.geometry()
+impl<R: Record> Layer<R> for Misclassifying {
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> pdisk::Result<u64> {
+        inner.alloc_contiguous(disk, count).map_err(|e| self.remap(e))
     }
 
-    fn read(&mut self, addrs: &[BlockAddr]) -> pdisk::Result<Vec<Block<R>>> {
-        self.inner.read(addrs)
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> pdisk::Result<pdisk::WriteTicket> {
+        inner.submit_write(writes).map_err(|e| self.remap(e))
     }
 
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> pdisk::Result<()> {
-        self.inner.write(writes).map_err(|e| self.remap(e))
-    }
-
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> pdisk::Result<u64> {
-        self.inner
-            .alloc_contiguous(disk, count)
-            .map_err(|e| self.remap(e))
-    }
-
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn redundancy(&self) -> Option<pdisk::RedundancyInfo> {
-        self.inner.redundancy()
-    }
-
-    fn install_trace(&mut self, sink: pdisk::TraceSink) {
-        self.inner.install_trace(sink);
-    }
-
-    fn trace_sink(&self) -> Option<&pdisk::TraceSink> {
-        self.inner.trace_sink()
-    }
-
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> pdisk::Result<pdisk::ReadTicket<R>> {
-        self.inner.submit_read(addrs)
-    }
-
-    fn complete_read(&mut self, ticket: pdisk::ReadTicket<R>) -> pdisk::Result<Vec<Block<R>>> {
-        self.inner.complete_read(ticket)
-    }
-
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> pdisk::Result<pdisk::WriteTicket> {
-        self.inner.submit_write(writes).map_err(|e| self.remap(e))
-    }
-
-    fn complete_write(&mut self, ticket: pdisk::WriteTicket) -> pdisk::Result<()> {
-        self.inner.complete_write(ticket).map_err(|e| self.remap(e))
-    }
-
-    fn prefetch(&mut self, addrs: &[BlockAddr]) {
-        self.inner.prefetch(addrs);
-    }
-
-    fn sync(&mut self) -> pdisk::Result<()> {
-        // Sync failures pass through unmapped: fsyncgate semantics must
-        // hold even with the planted bug armed.
-        self.inner.sync()
-    }
-
-    fn scrub_block(&mut self, addr: BlockAddr) -> pdisk::Result<pdisk::ScrubOutcome> {
-        self.inner.scrub_block(addr)
-    }
-
-    fn install_pool(&mut self, pool: pdisk::BufferPool<R>) {
-        self.inner.install_pool(pool);
-    }
-
-    fn buffer_pool(&self) -> Option<&pdisk::BufferPool<R>> {
-        self.inner.buffer_pool()
+    fn complete_write(&mut self, inner: &mut impl DiskArray<R>, ticket: pdisk::WriteTicket) -> pdisk::Result<()> {
+        inner.complete_write(ticket).map_err(|e| self.remap(e))
     }
 }
 
@@ -199,7 +125,7 @@ fn build_stack(
         pa.fail_disk(*d).map_err(perr)?;
     }
     pa.set_crash_clock(clock.clone());
-    let mc = MisclassifyingDiskArray::new(pa, plant);
+    let mc = pdisk::Stack::from_parts(pa, Misclassifying { armed: plant });
     // A generous budget so scripted transient storms are absorbed, but
     // finite so a misclassified permanent condition exhausts visibly.
     let ra = RetryingDiskArray::new(mc, RetryPolicy::new(6, Duration::from_millis(1)));

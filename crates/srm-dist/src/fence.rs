@@ -10,12 +10,8 @@
 //! instance aborts at its next I/O, the replacement resumes from the
 //! journaled checkpoint, and the output is byte-identical.
 
-use pdisk::backend::{ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
-use pdisk::trace::TraceSink;
-use pdisk::{
-    Block, BlockAddr, BufferPool, DiskArray, DiskId, Geometry, IoStats, PdiskError, Record,
-};
-use std::marker::PhantomData;
+use pdisk::backend::{ReadTicket, ScrubOutcome, WriteTicket};
+use pdisk::{Block, BlockAddr, DiskArray, DiskId, Layer, PdiskError, Record, Stack};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -42,31 +38,18 @@ impl FenceFlag {
     }
 }
 
-/// A [`DiskArray`] wrapper that refuses all I/O once its fence fires.
+/// The layer that refuses all I/O once its fence fires.  Geometry, stats
+/// and the trace stay observable (diagnostics only).
 #[derive(Debug)]
-pub struct FencedDiskArray<R: Record, A: DiskArray<R>> {
-    inner: A,
-    fence: FenceFlag,
-    _records: PhantomData<fn() -> R>,
-}
+pub struct Fenced(pub FenceFlag);
 
-impl<R: Record, A: DiskArray<R>> FencedDiskArray<R, A> {
-    /// Wrap `inner`; I/O flows until `fence.fire()`.
-    pub fn new(inner: A, fence: FenceFlag) -> Self {
-        FencedDiskArray {
-            inner,
-            fence,
-            _records: PhantomData,
-        }
-    }
+/// `inner` behind a fence: `Stack::from_parts(inner, Fenced(flag))`; I/O
+/// flows until `flag.fire()`.
+pub type FencedDiskArray<R, A> = Stack<R, Fenced, A>;
 
-    /// The wrapped array.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
-    }
-
+impl Fenced {
     fn check(&self) -> Result<(), PdiskError> {
-        if self.fence.is_fired() {
+        if self.0.is_fired() {
             Err(PdiskError::Unrecoverable(
                 "node fenced: a replacement owns this storage".into(),
             ))
@@ -76,102 +59,66 @@ impl<R: Record, A: DiskArray<R>> FencedDiskArray<R, A> {
     }
 }
 
-impl<R: Record, A: DiskArray<R>> DiskArray<R> for FencedDiskArray<R, A> {
-    fn geometry(&self) -> Geometry {
-        self.inner.geometry()
-    }
-
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>, PdiskError> {
+// The blocking pair is the default (submit hook, then complete hook), so
+// a blocking operation is checked on both sides of the wait.
+impl<R: Record> Layer<R> for Fenced {
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64, PdiskError> {
         self.check()?;
-        self.inner.read(addrs)
+        inner.alloc_contiguous(disk, count)
     }
 
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<(), PdiskError> {
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>, PdiskError> {
         self.check()?;
-        self.inner.write(writes)
+        inner.submit_read(addrs)
     }
 
-    fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64, PdiskError> {
+    fn complete_read(&mut self, inner: &mut impl DiskArray<R>, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>, PdiskError> {
         self.check()?;
-        self.inner.alloc_contiguous(disk, count)
+        inner.complete_read(ticket)
     }
 
-    fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats()
-    }
-
-    fn redundancy(&self) -> Option<RedundancyInfo> {
-        self.inner.redundancy()
-    }
-
-    fn install_trace(&mut self, sink: TraceSink) {
-        self.inner.install_trace(sink)
-    }
-
-    fn trace_sink(&self) -> Option<&TraceSink> {
-        self.inner.trace_sink()
-    }
-
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>, PdiskError> {
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket, PdiskError> {
         self.check()?;
-        self.inner.submit_read(addrs)
+        inner.submit_write(writes)
     }
 
-    fn complete_read(&mut self, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>, PdiskError> {
+    fn complete_write(&mut self, inner: &mut impl DiskArray<R>, ticket: WriteTicket) -> Result<(), PdiskError> {
         self.check()?;
-        self.inner.complete_read(ticket)
+        inner.complete_write(ticket)
     }
 
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket, PdiskError> {
-        self.check()?;
-        self.inner.submit_write(writes)
-    }
-
-    fn complete_write(&mut self, ticket: WriteTicket) -> Result<(), PdiskError> {
-        self.check()?;
-        self.inner.complete_write(ticket)
-    }
-
-    fn prefetch(&mut self, addrs: &[BlockAddr]) {
+    fn prefetch(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) {
         if self.check().is_ok() {
-            self.inner.prefetch(addrs)
+            inner.prefetch(addrs)
         }
     }
 
-    fn sync(&mut self) -> Result<(), PdiskError> {
+    fn sync(&mut self, inner: &mut impl DiskArray<R>) -> Result<(), PdiskError> {
         self.check()?;
-        self.inner.sync()
+        inner.sync()
     }
 
-    fn scrub_block(&mut self, addr: BlockAddr) -> Result<ScrubOutcome, PdiskError> {
+    fn scrub_block(&mut self, inner: &mut impl DiskArray<R>, addr: BlockAddr) -> Result<ScrubOutcome, PdiskError> {
         self.check()?;
-        self.inner.scrub_block(addr)
-    }
-
-    fn install_pool(&mut self, pool: BufferPool<R>) {
-        self.inner.install_pool(pool)
-    }
-
-    fn buffer_pool(&self) -> Option<&BufferPool<R>> {
-        self.inner.buffer_pool()
+        inner.scrub_block(addr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::{MemDiskArray, U64Record};
+    use pdisk::{Geometry, MemDiskArray, U64Record};
 
     #[test]
     fn fence_cuts_off_all_io_irreversibly() {
         let geom = Geometry::new(2, 4, 64).unwrap();
         let fence = FenceFlag::new();
         let mut arr: FencedDiskArray<U64Record, _> =
-            FencedDiskArray::new(MemDiskArray::new(geom), fence.clone());
+            Stack::from_parts(MemDiskArray::new(geom), Fenced(fence.clone()));
         let off = arr.alloc_contiguous(DiskId(0), 1).unwrap();
         let addr = BlockAddr {
             disk: DiskId(0),

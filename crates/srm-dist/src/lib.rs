@@ -47,7 +47,7 @@ pub use coord::{
     distsort, parse_kill_node, DistConfig, DistReport, KillPlan, PhaseMs, ShardReport,
 };
 pub use error::{DistError, Result};
-pub use fence::{FenceFlag, FencedDiskArray};
+pub use fence::{FenceFlag, Fenced, FencedDiskArray};
 pub use msg::{Envelope, Msg};
 pub use net::{Endpoint, NetSender, NetStats, Network};
 pub use procs::{run_procs, shard_run_standalone};

@@ -23,13 +23,13 @@
 //! RNG and staging is deterministic.
 
 use crate::error::{DistError, Result};
-use crate::fence::{FenceFlag, FencedDiskArray};
+use crate::fence::{FenceFlag, Fenced};
 use crate::msg::Msg;
 use crate::net::{Endpoint, NetSender};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, Geometry, Manifest as _,
-    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, Sorter as _, StripedRun,
+    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, Sorter as _, Stack, StripedRun,
     U64Record,
 };
 use srm_core::sort::write_unsorted_input;
@@ -440,7 +440,7 @@ fn sort_instance<A: DiskArray<U64Record>>(
     on_staged: &mut dyn FnMut(u64),
     on_pass: &mut dyn FnMut(u64),
 ) -> Result<Outcome> {
-    let mut fenced = FencedDiskArray::new(stack, fence.clone());
+    let mut fenced = Stack::from_parts(stack, Fenced(fence.clone()));
 
     // Recovery path 2 (`--parity`): before resuming, scrub every run the
     // resume can still touch — the staged input (a pass-0 resume re-sorts
@@ -800,7 +800,7 @@ fn serve_loop<A: DiskArray<U64Record>>(
     array: Option<A>,
 ) -> Result<Exit> {
     let coord = plan.coord();
-    let mut array = array.map(|a| FencedDiskArray::new(a, fence.clone()));
+    let mut array = array.map(|a| Stack::from_parts(a, Fenced(fence.clone())));
     let mut served = 0u64;
     let mut heard = false;
     let mut idle = 0u32;

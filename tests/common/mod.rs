@@ -3,7 +3,9 @@
 //! name of each call it sees, counts how many of the tickets passing up
 //! through it are still in flight (and the most write tickets that ever
 //! were), and counts the operations issued while an earlier ticket had
-//! not been completed yet.
+//! not been completed yet.  It is a direct `impl DiskArray`, not a
+//! `pdisk::Layer`, so that it observes the forwarding point from outside.
+//! Beside it, the layer with no overrides.
 #![allow(dead_code)] // each suite uses its own half
 
 use pdisk::backend::{ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
@@ -17,6 +19,12 @@ use std::rc::Rc;
 
 type Rec = U64Record;
 pub type Log = Rc<RefCell<BTreeSet<&'static str>>>;
+
+/// The layer that intercepts nothing: every hook is `pdisk::Layer`'s
+/// default, so a `Stack` of it is the forwarding point and nothing else.
+pub struct Transparent;
+
+impl<R: pdisk::Record> pdisk::Layer<R> for Transparent {}
 
 pub struct Probe<A> {
     pub inner: A,

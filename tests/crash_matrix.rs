@@ -125,3 +125,28 @@ fn recovery_is_deterministic_at_a_fixed_crash_point() {
     assert_eq!(first, baseline, "recovery from point {k} diverged from baseline");
     let _ = std::fs::remove_dir_all(&cfg.scratch);
 }
+
+/// The crash vocabulary, pinned: the boundaries a dry run numbers for the
+/// four mem configurations.  Every tick label of the crash layer
+/// (`read`/`read-done`, `write`/`write-torn`/`write-done`, the split-phase
+/// `*-submit`/`*-submitted`/`*-complete`/`*-completed`, `sync`/`sync-done`),
+/// the parity layer's `parity-update`/`parity-updated` and the pass
+/// driver's manifest ticks feed these counts, so a layer that starts
+/// routing a blocking read through the split-phase pair (or stops
+/// ticking) moves them.  No sweep: dry runs only.
+#[test]
+fn dry_run_point_counts_are_pinned() {
+    let input = data(600);
+    for (tag, pipeline, parity, want) in [
+        ("pin-serial-mem", false, false, 1274u64),
+        ("pin-serial-mem-par", false, true, 1502),
+        ("pin-pipe-mem", true, false, 1274),
+        ("pin-pipe-mem-par", true, true, 1502),
+    ] {
+        let cfg = config(tag, pipeline, parity, Backend::Mem);
+        std::fs::create_dir_all(&cfg.scratch).unwrap();
+        let (points, _) = dry_run(&cfg, &input).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let _ = std::fs::remove_dir_all(&cfg.scratch);
+        assert_eq!(points, want, "{tag}: the dry run numbers {points} boundaries");
+    }
+}

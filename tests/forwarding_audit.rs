@@ -1,21 +1,26 @@
 //! Forwarding audit: every `DiskArray` method that has a default body
-//! must, in every wrapper of the workspace, reach the array underneath —
-//! or the wrapper must say here why it does not.
+//! must, through every layer of the workspace, reach the array
+//! underneath — or the layer must say here why it answers for itself.
 //!
-//! A wrapper that forgets to override a defaulted method still compiles
-//! and still sorts correctly; it just silently runs the default, which
-//! for the split-phase pair means eager I/O and for `prefetch` means no
-//! read-ahead.  This test is what notices.
+//! Forwarding lives in one place: `pdisk::Stack`, whose `pdisk::Layer`
+//! hooks default to "call the array below".  The first audit is of that
+//! one impl, through a layer with no overrides, where nothing may be
+//! declined: a method `Stack` left to the trait default would still
+//! compile and still sort correctly, silently eager for the split-phase
+//! pair and with no read-ahead for `prefetch`.  The per-layer audits
+//! then pin the operations a layer keeps to itself — a hook overridden
+//! to answer without calling down — so that list changes only on purpose.
 
 mod common;
 
-use common::{Log, Probe};
+use common::{Log, Probe, Transparent};
 use pdisk::{
     Block, BlockAddr, BufferPool, ClusteredDiskArray, CrashClock, CrashingDiskArray, DiskArray,
     DiskId, FaultModel, FaultyDiskArray, Forecast, Geometry, MemDiskArray, ParityDiskArray,
-    RetryPolicy, RetryingDiskArray, TraceSink, TracingDiskArray, U64Record,
+    RetryPolicy, RetryingDiskArray, Stack, TraceSink, TracingDiskArray, U64Record,
 };
-use srm_dist::{FenceFlag, FencedDiskArray};
+use srm_chaos::local::Misclassifying;
+use srm_dist::{FenceFlag, Fenced};
 
 type Rec = U64Record;
 type Mem = Probe<MemDiskArray<Rec>>;
@@ -36,7 +41,7 @@ const DEFAULTED: [&str; 12] = [
     "redundancy",
 ];
 
-/// (wrapper, method, why the call stops at this wrapper).
+/// (layer, method, why the call stops at this layer).
 const DECLINED: [(&str, &str, &str); 10] = [
     ("Parity", "scrub_block", "it is the layer that repairs: it verifies by reading the slot below and rewrites it from parity"),
     ("Parity", "redundancy", "it is the redundancy layer and answers for itself"),
@@ -112,14 +117,15 @@ fn audit<A: DiskArray<Rec>>(wrapper: &'static str, wrap: impl FnOnce(Mem) -> A) 
 
 #[test]
 fn every_wrapper_forwards_or_declines_every_defaulted_method() {
-    let mut findings = Vec::new();
+    let mut findings = audit("no overrides", |p| Stack::from_parts(p, Transparent));
     findings.extend(audit("Retrying", |p| RetryingDiskArray::new(p, RetryPolicy::default())));
     findings.extend(audit("Parity", |p| ParityDiskArray::new(p).unwrap()));
     findings.extend(audit("Faulty", |p| FaultyDiskArray::new(p, FaultModel::none())));
     findings.extend(audit("Crashing", |p| CrashingDiskArray::new(p, CrashClock::counting())));
     findings.extend(audit("Tracing", TracingDiskArray::new));
     findings.extend(audit("Clustered", |p| ClusteredDiskArray::new(p, 2).unwrap()));
-    findings.extend(audit("Fenced", |p| FencedDiskArray::new(p, FenceFlag::new())));
+    findings.extend(audit("Fenced", |p| Stack::from_parts(p, Fenced(FenceFlag::new()))));
+    findings.extend(audit("Misclassifying", |p| Stack::from_parts(p, Misclassifying { armed: true })));
     for (wrapper, method, why) in DECLINED {
         println!("declined: {wrapper}::{method}: {why}");
     }

@@ -32,7 +32,7 @@ use modelcheck::{check_stats, check_trace};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
     DiskArray, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry, IoStats,
-    MemDiskArray, ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, U64Record,
+    MemDiskArray, ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, Stack, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -354,40 +354,53 @@ fn incarnation<A: DiskArray<U64Record>>(stack: A, data: &[U64Record]) -> Incarna
 /// parallel I/Os in the same order on both, and only where completion
 /// waits differs.  On the file stack every ticket is handed up still in
 /// flight, and the write-behind depth never passes the torn-write
-/// window reopen recovery is sized for.
+/// window reopen recovery is sized for.  The same holds with the layer
+/// that intercepts nothing stacked above every layer of the file stack:
+/// the forwarding point is transparent to a pipelined stacked sort.
 #[test]
 fn stage_in_and_read_back_match_the_eager_backend() {
     let geom = Geometry::new(4, 8, 256).unwrap();
     let data = random_records(8000, 0xEB);
     let dir = unique_dir("phases");
-    fn stack<B: DiskArray<U64Record>>(base: B, store: PathBuf) -> impl DiskArray<U64Record> {
-        let faulty = FaultyDiskArray::new(base, FaultModel::random(0x5EED).with_rate(0.01));
-        let parity = ParityDiskArray::new(faulty).unwrap().with_store(store).unwrap();
-        RetryingDiskArray::new(parity, RetryPolicy::new(8, Duration::ZERO))
+    fn model() -> FaultModel {
+        FaultModel::random(0x5EED).with_rate(0.01)
     }
+    fn policy() -> RetryPolicy {
+        RetryPolicy::new(8, Duration::ZERO)
+    }
+    fn stack<B: DiskArray<U64Record>>(base: B, store: PathBuf) -> impl DiskArray<U64Record> {
+        let faulty = FaultyDiskArray::new(base, model());
+        let parity = ParityDiskArray::new(faulty).unwrap().with_store(store).unwrap();
+        RetryingDiskArray::new(parity, policy())
+    }
+    fn thru<A: DiskArray<U64Record>>(a: A) -> Stack<U64Record, common::Transparent, A> {
+        Stack::from_parts(a, common::Transparent)
+    }
+    fn layered<B: DiskArray<U64Record>>(base: B, store: PathBuf) -> impl DiskArray<U64Record> {
+        let faulty = FaultyDiskArray::new(thru(base), model());
+        let parity = ParityDiskArray::new(thru(faulty)).unwrap().with_store(store).unwrap();
+        thru(RetryingDiskArray::new(thru(parity), policy()))
+    }
+    let file = |sub: &str| FileDiskArray::<U64Record>::create(geom, dir.join(sub)).unwrap();
 
     let eager = incarnation(stack(MemDiskArray::<U64Record>::new(geom), dir.join("mem.parity")), &data);
-    let file = FileDiskArray::<U64Record>::create(geom, dir.join("disks")).unwrap();
-    let split = incarnation(stack(file, dir.join("file.parity")), &data);
+    let split = incarnation(stack(file("disks"), dir.join("file.parity")), &data);
+    let layered = incarnation(layered(file("layered"), dir.join("layered.parity")), &data);
 
     let mut sorted = data.clone();
     sorted.sort();
-    assert_eq!(split.bytes, encode_all(&sorted));
-    assert_eq!(split.bytes, eager.bytes);
-    assert_eq!(split.staged, eager.staged, "stage-in IoStats");
-    assert_eq!(split.total, eager.total, "stage-in + sort + read-back IoStats");
-    assert!(split.total.total_retries() > 0, "the fault rate must bite");
-    assert!(split.trace == eager.trace, "the two backends' traces differ");
-
-    assert_eq!(split.tickets, eager.tickets);
-    assert_eq!(split.pending, split.tickets, "a wrapper completed an operation inside its submit");
+    assert_eq!(eager.bytes, encode_all(&sorted));
+    assert!(eager.total.total_retries() > 0, "the fault rate must bite");
     assert_eq!(eager.pending, 0, "the in-memory backend has nothing to leave in flight");
-    for (tag, run) in [("file", &split), ("mem", &eager)] {
-        assert_eq!(
-            run.max_writes_out,
-            pdisk::WRITE_BEHIND_LIMIT as u64,
-            "{tag}: write tickets in flight"
-        );
+    assert_eq!(eager.max_writes_out, pdisk::WRITE_BEHIND_LIMIT as u64, "mem: write tickets in flight");
+    for (tag, run) in [("file", &split), ("file under empty layers", &layered)] {
+        assert_eq!(run.bytes, eager.bytes, "{tag}: sorted bytes");
+        assert_eq!(run.staged, eager.staged, "{tag}: stage-in IoStats");
+        assert_eq!(run.total, eager.total, "{tag}: stage-in + sort + read-back IoStats");
+        assert!(run.trace == eager.trace, "{tag}: the trace differs from the eager backend's");
+        assert_eq!(run.tickets, eager.tickets, "{tag}: tickets");
+        assert_eq!(run.pending, run.tickets, "{tag}: a layer completed an operation inside its submit");
+        assert_eq!(run.max_writes_out, pdisk::WRITE_BEHIND_LIMIT as u64, "{tag}: write tickets in flight");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
