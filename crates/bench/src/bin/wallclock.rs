@@ -14,17 +14,14 @@
 //! outputs are byte-identical and the [`pdisk::IoStats`] exactly equal —
 //! the pipeline moves waiting, never work (DESIGN.md §9, §14).  Windows
 //! are interleaved and each is timed as the minimum of `--reps` runs
-//! (default 3), which filters host scheduling noise.  Both run
-//! with trusted reads on (first contact verifies the FNV checksum, a
-//! pool-recycled re-read skips the rehash), so the comparison isolates
-//! overlap, not checksum elision.  The headline case (SRM, `D = 8`,
-//! realistic per-block delay, depth-3 read-ahead, 4 formation threads)
-//! is additionally run under the tracing wrapper and replayed through
-//! the modelcheck invariant checker.  `--assert-speedup 1.5` exits
-//! non-zero unless the headline pipelined sort is at least 1.5x faster
-//! than serial; `--assert-zero-delay 1.0` gates the `io_delay = 0` SRM
-//! case the same way (the pipeline must never *cost* wall-clock even
-//! with nothing to hide).
+//! (default 3), which filters host scheduling noise.  The headline case
+//! (SRM, `D = 8`, realistic per-block delay, depth-3 read-ahead, 4
+//! formation threads) is additionally run under the tracing wrapper and
+//! replayed through the modelcheck invariant checker.
+//! `--assert-speedup 1.5` exits non-zero unless the headline pipelined
+//! sort is at least 1.5x faster than serial; `--assert-zero-delay 1.0`
+//! gates the `io_delay = 0` SRM case the same way (the pipeline must never
+//! *cost* wall-clock even with nothing to hide).
 //!
 //! The full matrix includes a read-ahead **depth sweep** over the
 //! headline geometry (depth 0, 1, 3, 6), so the emitted JSON records
@@ -279,7 +276,7 @@ fn srm_sorter(case: &Case) -> SrmSorter {
 
 /// Stage `data` on a fresh file array in `dir`, switch on the service
 /// delay, time one sort, then return (sorted output, total elapsed,
-/// formation elapsed, IoStats).  Trusted reads are on for both engines.
+/// formation elapsed, IoStats).
 fn timed_sort(
     dir: &std::path::Path,
     geom: Geometry,
@@ -291,7 +288,6 @@ fn timed_sort(
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("bench dir");
     let mut array: FileDiskArray<U64Record> = FileDiskArray::create(geom, dir).expect("array");
-    array.set_trusted_reads(true);
     let (output, elapsed, formation, io) = match case.algo {
         "srm" => {
             let input = write_unsorted_input(&mut array, data).expect("stage");

@@ -25,7 +25,5 @@ pub mod logical;
 pub mod sort;
 
 pub use checkpoint::DsmManifest;
-pub use logical::{
-    complete_stripe_read, read_logical_run, submit_stripe_read, submit_stripe_write, LogicalRun,
-};
+pub use logical::{read_logical_run, LogicalRun};
 pub use sort::{write_unsorted_stripes, DsmConfig, DsmError, DsmReport, DsmSorter};

@@ -1,8 +1,8 @@
 //! The logical single-disk view: stripes of `D` same-offset blocks.
 
 use pdisk::{
-    Block, BlockAddr, DiskArray, DiskId, Forecast, PdiskError, ReadTicket, Record, StripedRun,
-    WriteTicket,
+    read_run, Block, BlockAddr, DiskArray, DiskId, Forecast, Geometry, PdiskError, Record,
+    StripedRun,
 };
 
 /// A run stored as consecutive *stripes* — block `s` of every disk, for
@@ -64,86 +64,12 @@ pub fn alloc_stripe<R: Record, A: DiskArray<R>>(array: &mut A) -> Result<u64, Pd
     Ok(stripe)
 }
 
-/// The addresses holding the first `n_records` records of stripe `s`.
-fn stripe_addrs(d: usize, b: usize, s: u64, n_records: u64) -> Vec<BlockAddr> {
-    assert!(n_records > 0 && n_records <= (d * b) as u64);
-    let n_blocks = (n_records as usize).div_ceil(b);
-    (0..n_blocks)
-        .map(|disk| BlockAddr::new(DiskId::from_index(disk), s))
-        .collect()
-}
-
-/// Read the first `n_records` records of stripe `s` in one parallel
-/// operation (only the `⌈n/B⌉` blocks that exist are touched).
-pub fn read_stripe<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    s: u64,
-    n_records: u64,
-) -> Result<Vec<R>, PdiskError> {
-    let geom = array.geometry();
-    let addrs = stripe_addrs(geom.d, geom.b, s, n_records);
-    let blocks = array.read(&addrs)?;
-    let mut out = Vec::with_capacity(n_records as usize);
-    for block in blocks {
-        out.extend(block.records);
-    }
-    debug_assert_eq!(out.len() as u64, n_records);
-    Ok(out)
-}
-
-/// Split-phase variant of [`read_stripe`]: queue the parallel read and
-/// return a ticket.  The I/O is charged and traced now, so the logical
-/// operation sequence is the same as the blocking call's.
-pub fn submit_stripe_read<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    s: u64,
-    n_records: u64,
-) -> Result<ReadTicket<R>, PdiskError> {
-    let geom = array.geometry();
-    let addrs = stripe_addrs(geom.d, geom.b, s, n_records);
-    array.submit_read(&addrs)
-}
-
-/// Wait for a stripe read submitted with [`submit_stripe_read`] and
-/// concatenate its blocks into records.
-pub fn complete_stripe_read<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    ticket: ReadTicket<R>,
-) -> Result<Vec<R>, PdiskError> {
-    let blocks = array.complete_read(ticket)?;
-    let mut out = Vec::new();
-    for block in blocks {
-        out.extend(block.records);
-    }
-    Ok(out)
-}
-
-/// Write `records` (at most `D·B` of them) as stripe `s` in one parallel
-/// operation.  Leading blocks of the stripe are filled first; trailing
-/// disks receive nothing when the stripe is partial.
-pub fn write_stripe<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    s: u64,
-    records: &[R],
-) -> Result<(), PdiskError> {
-    let writes = stripe_writes(array.geometry(), s, records);
-    array.write(writes)
-}
-
-/// Split-phase variant of [`write_stripe`]: queue the parallel write and
-/// return a ticket to wait on later.
-pub fn submit_stripe_write<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    s: u64,
-    records: &[R],
-) -> Result<WriteTicket, PdiskError> {
-    let writes = stripe_writes(array.geometry(), s, records);
-    array.submit_write(writes)
-}
-
-/// Build the per-disk block writes of a stripe.
-fn stripe_writes<R: Record>(
-    geom: pdisk::Geometry,
+/// The per-disk block writes of stripe `s` holding `records` (at most
+/// `D·B` of them): one parallel operation.  Leading blocks of the stripe
+/// are filled first; trailing disks receive nothing when the stripe is
+/// partial.
+pub(crate) fn stripe_writes<R: Record>(
+    geom: Geometry,
     s: u64,
     records: &[R],
 ) -> Vec<(BlockAddr, Block<R>)> {
@@ -161,53 +87,39 @@ fn stripe_writes<R: Record>(
     writes
 }
 
-/// Read a whole logical run back (verification path).
+/// Read a whole logical run back (verification path): [`read_run`] over
+/// the run's striped view, a few stripes in flight at a time.
 pub fn read_logical_run<R: Record, A: DiskArray<R>>(
     array: &mut A,
     run: &LogicalRun,
 ) -> Result<Vec<R>, PdiskError> {
-    let geom = array.geometry();
-    let mut out = Vec::with_capacity(run.records as usize);
-    for i in 0..run.len_stripes {
-        let n = run.records_in_stripe(i, geom.d, geom.b);
-        out.extend(read_stripe(array, run.start_stripe + i, n)?);
-    }
-    Ok(out)
+    read_run(array, &as_striped(run, array.geometry()))
 }
 
-/// Convert a [`LogicalRun`] into the cyclic-striped representation used by
-/// SRM's utilities — only valid for describing *where data lives*, not for
-/// SRM merging (the forecast format is absent).
-pub fn as_striped(run: &LogicalRun, d: usize) -> StripedRun {
+/// A [`LogicalRun`] as the cyclic-striped run it also is — start disk 0,
+/// every disk's first block at `start_stripe`, `⌈records / B⌉` blocks (the
+/// last stripe may be partial) — which is how DSM reads: a
+/// [`pdisk::StripeWindow`] over this view fetches the run stripe by
+/// stripe, each one parallel operation touching only the blocks that
+/// exist.  Only valid for describing *where data lives*, not for SRM
+/// merging (the forecast format is absent).
+pub fn as_striped(run: &LogicalRun, geom: Geometry) -> StripedRun {
     StripedRun {
         start_disk: DiskId(0),
-        len_blocks: run.len_stripes * d as u64,
+        len_blocks: run.records.div_ceil(geom.b as u64),
         records: run.records,
-        base_offsets: vec![run.start_stripe; d],
+        base_offsets: vec![run.start_stripe; geom.d],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::{Geometry, MemDiskArray, U64Record};
+    use crate::sort::write_unsorted_stripes;
+    use pdisk::{MemDiskArray, U64Record};
 
     fn geom() -> Geometry {
         Geometry::new(3, 4, 10_000).unwrap()
-    }
-
-    #[test]
-    fn stripe_roundtrip_full_and_partial() {
-        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-        let s0 = alloc_stripe(&mut a).unwrap();
-        let s1 = alloc_stripe(&mut a).unwrap();
-        assert_eq!(s1, s0 + 1);
-        let full: Vec<U64Record> = (0..12).map(U64Record).collect();
-        write_stripe(&mut a, s0, &full).unwrap();
-        let partial: Vec<U64Record> = (100..105).map(U64Record).collect();
-        write_stripe(&mut a, s1, &partial).unwrap();
-        assert_eq!(read_stripe(&mut a, s0, 12).unwrap(), full);
-        assert_eq!(read_stripe(&mut a, s1, 5).unwrap(), partial);
     }
 
     /// A reopened array can bring the allocators back ragged; the next
@@ -224,9 +136,8 @@ mod tests {
     #[test]
     fn each_stripe_op_is_one_parallel_io() {
         let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-        let s = alloc_stripe(&mut a).unwrap();
-        write_stripe(&mut a, s, &(0..12).map(U64Record).collect::<Vec<_>>()).unwrap();
-        let _ = read_stripe(&mut a, s, 12).unwrap();
+        let run = write_unsorted_stripes(&mut a, &(0..12).map(U64Record).collect::<Vec<_>>()).unwrap();
+        let _ = read_logical_run(&mut a, &run).unwrap();
         let stats = a.stats();
         assert_eq!(stats.write_ops, 1);
         assert_eq!(stats.read_ops, 1);
@@ -237,27 +148,10 @@ mod tests {
     #[test]
     fn partial_stripe_reads_touch_only_existing_blocks() {
         let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-        let s = alloc_stripe(&mut a).unwrap();
-        write_stripe(&mut a, s, &[U64Record(1), U64Record(2)]).unwrap();
-        let got = read_stripe(&mut a, s, 2).unwrap();
+        let run = write_unsorted_stripes(&mut a, &[U64Record(1), U64Record(2)]).unwrap();
+        let got = read_logical_run(&mut a, &run).unwrap();
         assert_eq!(got, vec![U64Record(1), U64Record(2)]);
         assert_eq!(a.stats().blocks_read, 1);
-    }
-
-    #[test]
-    fn logical_run_roundtrip() {
-        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-        let start = alloc_stripe(&mut a).unwrap();
-        let _ = alloc_stripe(&mut a).unwrap();
-        let run = LogicalRun {
-            start_stripe: start,
-            len_stripes: 2,
-            records: 17,
-        };
-        let recs: Vec<U64Record> = (0..17).map(U64Record).collect();
-        write_stripe(&mut a, start, &recs[..12]).unwrap();
-        write_stripe(&mut a, start + 1, &recs[12..]).unwrap();
-        assert_eq!(read_logical_run(&mut a, &run).unwrap(), recs);
     }
 
     #[test]
@@ -272,15 +166,25 @@ mod tests {
         assert_eq!(run.records_in_stripe(2, 3, 4), 5);
     }
 
+    /// The striped view names exactly the blocks that were written — full
+    /// stripes, a partial last stripe, a partial last block, a single
+    /// block — so reading through it returns the run and touches nothing
+    /// else.  (It used to claim `len_stripes · D` blocks, and a read over
+    /// it ran off the partial tail into unmapped slots.)
     #[test]
-    fn as_striped_covers_all_records() {
-        let run = LogicalRun {
-            start_stripe: 2,
-            len_stripes: 4,
-            records: 40,
-        };
-        let s = as_striped(&run, 3);
-        assert_eq!(s.len_blocks, 12);
-        assert_eq!(s.records, 40);
+    fn striped_view_round_trips_full_partial_and_single_block_runs() {
+        for n in [24u64, 40, 17, 3] {
+            let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+            // Not at stripe 0: the view must carry the run's offset.
+            alloc_stripe(&mut a).unwrap();
+            let recs: Vec<U64Record> = (0..n).map(U64Record).collect();
+            let run = write_unsorted_stripes(&mut a, &recs).unwrap();
+            let view = as_striped(&run, geom());
+            assert_eq!(view.len_blocks, a.stats().blocks_written, "n={n}");
+            assert_eq!(view.records, n);
+            assert_eq!(read_run(&mut a, &view).unwrap(), recs, "n={n}");
+            assert_eq!(a.stats().blocks_read, view.len_blocks, "n={n}");
+            assert_eq!(a.stats().read_ops, run.len_stripes, "n={n}: one read per stripe");
+        }
     }
 }

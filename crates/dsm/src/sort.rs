@@ -1,14 +1,18 @@
 //! The DSM sorter: memory-load run formation plus striped merge passes.
+//!
+//! Every stripe moves through a ticket window of [`pdisk::window`] — reads
+//! through a [`StripeWindow`] over the run's striped view, writes through
+//! a [`WriteBehind`] — so the engine issues one sequence of submits and the
+//! window decides only where their completions wait: at once with the
+//! pipeline off, one stripe later with it on (eq. 41 budgets each input
+//! run and the output two stripes, which is a double buffer and no more).
 
 use crate::checkpoint::DsmManifest;
-use crate::logical::{
-    alloc_stripe, complete_stripe_read, read_logical_run, read_stripe, submit_stripe_read,
-    submit_stripe_write, LogicalRun,
-};
+use crate::logical::{alloc_stripe, as_striped, read_logical_run, stripe_writes, LogicalRun};
 use pdisk::passes::{Boundary, Checkpointing};
 use pdisk::{
-    DiskArray, Geometry, InterruptFlag, PassEngine, PdiskError, ReadTicket, Record, Sorter,
-    WriteTicket,
+    DiskArray, Geometry, InterruptFlag, PassEngine, PdiskError, Record, Sorter, StripeWindow,
+    WriteBehind,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -173,34 +177,26 @@ impl PassEngine for DsmSorter {
         let geom = array.geometry();
         let capacity = ((geom.m as f64 * self.config.load_fraction) as usize).max(geom.b * geom.d);
         let mut queue: Vec<LogicalRun> = Vec::new();
-        let mut next_in = 0u64; // stripes of the input consumed
         let mut consumed = 0u64; // records consumed
-        // Pipelined formation keeps one input stripe in flight — it even
-        // spans load boundaries, so the next load's first stripe is read
-        // while this load sorts and writes.
-        let mut prefetch: Option<ReadTicket<R>> = None;
+        // Pipelined formation keeps one input stripe in flight beside the
+        // one it waits for — it even spans load boundaries, so the next
+        // load's first stripe is read while this load sorts and writes.
+        let mut input_stripes = stripes_of(input, geom);
+        let depth = 1 + usize::from(self.pipeline);
         while consumed < input.records {
             let mut load: Vec<R> = Vec::with_capacity(capacity);
             // Consume whole stripes to keep every input read full-width;
             // when load_fraction·M is not stripe-aligned the load runs
             // slightly over, never under.
-            while load.len() < capacity && consumed < input.records {
-                let n = input.records_in_stripe(next_in, geom.d, geom.b);
-                let ticket = match prefetch.take() {
-                    Some(t) => t,
-                    None => submit_stripe_read(array, input.start_stripe + next_in, n)?,
+            while load.len() < capacity {
+                let Some(stripe) = next_stripe(array, &mut input_stripes, depth)? else {
+                    break;
                 };
-                if self.pipeline && consumed + n < input.records {
-                    let after = next_in + 1;
-                    let n2 = input.records_in_stripe(after, geom.d, geom.b);
-                    prefetch = Some(submit_stripe_read(array, input.start_stripe + after, n2)?);
-                }
-                load.extend(complete_stripe_read(array, ticket)?);
-                next_in += 1;
-                consumed += n;
+                load.extend(stripe);
             }
+            consumed += load.len() as u64;
             load.sort_unstable_by_key(|r| r.key());
-            queue.push(write_run(array, &load, self.pipeline)?);
+            queue.push(write_run(array, &load, usize::from(self.pipeline))?);
         }
         Ok((queue, ()))
     }
@@ -277,52 +273,45 @@ impl Sorter for DsmSorter {
     }
 }
 
-/// Submit stripe `s` after retiring the previous stripe's write.  With
-/// `pipeline` the new ticket is kept for the next call (or the caller's
-/// final completion), so its disk time overlaps the next stripe's
-/// production; without, it is completed here.
-fn write_behind<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    in_flight: &mut Option<WriteTicket>,
-    s: u64,
-    records: &[R],
-    pipeline: bool,
-) -> Result<(), PdiskError> {
-    if let Some(t) = in_flight.take() {
-        array.complete_write(t)?;
-    }
-    let ticket = submit_stripe_write(array, s, records)?;
-    if pipeline {
-        *in_flight = Some(ticket);
-        Ok(())
-    } else {
-        array.complete_write(ticket)
-    }
+/// The stripes of `run` not yet read, none submitted.
+fn stripes_of<R: Record>(run: &LogicalRun, geom: Geometry) -> StripeWindow<R> {
+    let view = as_striped(run, geom);
+    StripeWindow::new(&view, 0..view.len_blocks)
 }
 
-/// Write sorted records as a fresh logical run, one stripe per parallel
-/// write, written behind when `pipeline` is on.
+/// Bring `stripes` up to `depth` reads in flight and wait for the oldest:
+/// the run's next stripe as records, or `None` past its end.
+fn next_stripe<R: Record, A: DiskArray<R>>(
+    array: &mut A,
+    stripes: &mut StripeWindow<R>,
+    depth: usize,
+) -> Result<Option<Vec<R>>, PdiskError> {
+    stripes.submit(array, depth)?;
+    let blocks = stripes.complete_oldest(array)?;
+    Ok(blocks.map(|blocks| blocks.into_iter().flat_map(|b| b.records).collect()))
+}
+
+/// Write records as a fresh logical run, one stripe per parallel write,
+/// up to `depth` of them left in flight behind the one being produced.
 fn write_run<R: Record, A: DiskArray<R>>(
     array: &mut A,
     records: &[R],
-    pipeline: bool,
+    depth: usize,
 ) -> Result<LogicalRun, DsmError> {
     let geom = array.geometry();
     let per = LogicalRun::stripe_records(geom.d, geom.b) as usize;
     let mut start = None;
     let mut len = 0u64;
-    let mut ticket: Option<WriteTicket> = None;
+    let mut behind = WriteBehind::new(depth);
     for chunk in records.chunks(per) {
         let s = alloc_stripe(array)?;
         if start.is_none() {
             start = Some(s);
         }
-        write_behind(array, &mut ticket, s, chunk, pipeline)?;
+        behind.submit(array, stripe_writes(geom, s, chunk))?;
         len += 1;
     }
-    if let Some(t) = ticket.take() {
-        array.complete_write(t)?;
-    }
+    behind.complete_all(array)?;
     let start_stripe =
         start.ok_or_else(|| DsmError::Internal("cannot write an empty run".into()))?;
     Ok(LogicalRun {
@@ -352,47 +341,43 @@ fn merge_group<R: Record, A: DiskArray<R>>(
     struct Cursor<R: Record> {
         buf: Vec<R>,
         pos: usize,
-        next_stripe: u64,
-        /// In-flight read of stripe `next_stripe` (kept only with
-        /// `pipeline`).
-        pending: Option<ReadTicket<R>>,
+        /// The run's stripes after `buf`; with `pipeline`, the next one
+        /// is in flight.
+        rest: StripeWindow<R>,
     }
-    // Submit the read of `cur`'s next stripe, if the run has one.
-    let submit_next = |array: &mut A, run: &LogicalRun, cur: &mut Cursor<R>| {
-        if cur.next_stripe < run.len_stripes {
-            let n = run.records_in_stripe(cur.next_stripe, geom.d, geom.b);
-            cur.pending = Some(submit_stripe_read(array, run.start_stripe + cur.next_stripe, n)?);
+    // Load `cur`'s next stripe (empty past the run's end), then with
+    // `pipeline` put the one after it in flight.
+    let refill = |array: &mut A, cur: &mut Cursor<R>| {
+        cur.buf = next_stripe(array, &mut cur.rest, 1)?.unwrap_or_default();
+        cur.pos = 0;
+        if pipeline {
+            cur.rest.submit(array, 1)?;
         }
         Ok::<(), PdiskError>(())
     };
     let mut cursors: Vec<Cursor<R>> = Vec::with_capacity(group.len());
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     for (i, run) in group.iter().enumerate() {
-        let n = run.records_in_stripe(0, geom.d, geom.b);
-        let buf = read_stripe(array, run.start_stripe, n)?;
-        heap.push(Reverse((buf[0].key(), i)));
         let mut cur = Cursor {
-            buf,
+            buf: Vec::new(),
             pos: 0,
-            next_stripe: 1,
-            pending: None,
+            rest: stripes_of(run, geom),
         };
-        if pipeline {
-            submit_next(array, run, &mut cur)?;
-        }
+        refill(array, &mut cur)?;
+        heap.push(Reverse((cur.buf[0].key(), i)));
         cursors.push(cur);
     }
     let total: u64 = group.iter().map(|r| r.records).sum();
     let mut out: Vec<R> = Vec::with_capacity(per);
     let mut out_run: Option<LogicalRun> = None;
-    let mut out_ticket: Option<WriteTicket> = None;
+    let mut behind = WriteBehind::new(usize::from(pipeline));
     let flush = |array: &mut A,
                  out: &mut Vec<R>,
                  run: &mut Option<LogicalRun>,
-                 ticket: &mut Option<WriteTicket>|
+                 behind: &mut WriteBehind|
      -> Result<(), DsmError> {
         let s = alloc_stripe(array)?;
-        write_behind(array, ticket, s, out, pipeline)?;
+        behind.submit(array, stripe_writes(geom, s, out))?;
         match run {
             None => {
                 *run = Some(LogicalRun {
@@ -418,35 +403,19 @@ fn merge_group<R: Record, A: DiskArray<R>>(
         cur.pos += 1;
         out.push(rec);
         if out.len() == per {
-            flush(array, &mut out, &mut out_run, &mut out_ticket)?;
+            flush(array, &mut out, &mut out_run, &mut behind)?;
         }
         if cur.pos == cur.buf.len() {
-            // Refill from the run's next stripe, if any.
-            let run = &group[i];
-            if cur.pending.is_none() {
-                submit_next(array, run, cur)?;
-            }
-            if let Some(ticket) = cur.pending.take() {
-                cur.buf = complete_stripe_read(array, ticket)?;
-                cur.pos = 0;
-                cur.next_stripe += 1;
-                if pipeline {
-                    submit_next(array, run, cur)?;
-                }
-            } else {
-                cur.buf = Vec::new();
-            }
+            refill(array, cur)?;
         }
         if !cur.buf.is_empty() {
             heap.push(Reverse((cur.buf[cur.pos].key(), i)));
         }
     }
     if !out.is_empty() {
-        flush(array, &mut out, &mut out_run, &mut out_ticket)?;
+        flush(array, &mut out, &mut out_run, &mut behind)?;
     }
-    if let Some(t) = out_ticket.take() {
-        array.complete_write(t)?;
-    }
+    behind.complete_all(array)?;
     let out_run =
         out_run.ok_or_else(|| DsmError::Internal("merge produced no output stripes".into()))?;
     debug_assert_eq!(out_run.records, total);
@@ -454,7 +423,8 @@ fn merge_group<R: Record, A: DiskArray<R>>(
 }
 
 /// Stage unsorted records as a logical-striped input file for
-/// [`DsmSorter::sort`].
+/// [`DsmSorter::sort`], each stripe written behind the next one's
+/// production.
 pub fn write_unsorted_stripes<R: Record, A: DiskArray<R>>(
     array: &mut A,
     records: &[R],
@@ -462,7 +432,7 @@ pub fn write_unsorted_stripes<R: Record, A: DiskArray<R>>(
     if records.is_empty() {
         return Err(DsmError::Config("empty input".into()));
     }
-    write_run(array, records, false)
+    write_run(array, records, 1)
 }
 
 #[cfg(test)]

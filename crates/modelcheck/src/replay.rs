@@ -369,17 +369,16 @@ impl Replay {
             TraceEvent::SchedRead { targets, flushed, fset_len, staged_len } => {
                 self.summary.sched_reads += 1;
                 self.summary.flushed_blocks += flushed.len() as u64;
-                let pending = self.merge.as_mut().and_then(|m| m.pending_read.take());
                 let m = require_merge(&mut self.merge, "SchedRead")?;
-                match pending {
-                    // Completion of a split-phase read: legality was
-                    // judged at its `ReadSubmit`; here only the arrivals.
-                    Some(p) => m.sched_read_complete(&p, targets, flushed, *fset_len, *staged_len),
-                    None => {
-                        let last_read = self.last_read.take();
-                        m.sched_read(targets, flushed, *fset_len, *staged_len, last_read.as_deref())
-                    }
-                }
+                // Legality was judged at the read's `ReadSubmit`; its
+                // completion is only checked for the arrivals.
+                let Some(submitted) = m.pending_read.take() else {
+                    return Err(ViolationKind::UnexpectedEvent {
+                        event: "SchedRead",
+                        reason: "no ReadSubmit is in flight",
+                    });
+                };
+                m.sched_read_complete(&submitted, targets, flushed, *fset_len, *staged_len)
             }
             TraceEvent::Promote { run, idx } => {
                 self.summary.promotes += 1;
@@ -616,18 +615,26 @@ impl MergeReplica {
         Ok(())
     }
 
-    /// The legality half of a scheduled read, judged in the state the
-    /// engine made the decision in: staging drained and empty, rule
-    /// 2a–2c flush arithmetic, §4 forecast-minimality, fetch-set
-    /// completeness, and the cross-check against the logical read's
-    /// addresses.  Mutates the replica only by applying the flushes.
-    fn verify_plan(
+    /// A read's submission — the legality half of a scheduled read,
+    /// judged in the state the engine made the decision in: staging
+    /// drained and empty, rule 2a–2c flush arithmetic, §4
+    /// forecast-minimality, fetch-set completeness, and the cross-check
+    /// against the logical read's addresses.  Mutates the replica only by
+    /// applying the flushes: the arrivals wait for the completing
+    /// `SchedRead`, and the forecasting table is left untouched until
+    /// then — exactly as the engine's is.
+    fn read_submit(
         &mut self,
-        event: &'static str,
         targets: &[TraceTarget],
         flushed: &[TraceFlush],
         last_read: Option<&[BlockAddr]>,
     ) -> Result<(), ViolationKind> {
+        if self.pending_read.is_some() {
+            return Err(ViolationKind::UnexpectedEvent {
+                event: "ReadSubmit",
+                reason: "a split-phase read is already in flight",
+            });
+        }
         let d = self.sched.d;
         // The engine drains M_D at the top of every loop iteration; a
         // read is only attempted once staging is empty.
@@ -645,7 +652,7 @@ impl MergeReplica {
             let extra = occ - self.sched.r;
             let Some(s_min) = self.sched.frontier_min() else {
                 return Err(ViolationKind::UnexpectedEvent {
-                    event,
+                    event: "ReadSubmit",
                     reason: "flush arithmetic needs a forecasting minimum, but FDS is empty",
                 });
             };
@@ -748,6 +755,10 @@ impl MergeReplica {
                 }
             }
         }
+        self.pending_read = Some(PendingRead {
+            targets: targets.to_vec(),
+            flushed: flushed.to_vec(),
+        });
         Ok(())
     }
 
@@ -820,54 +831,6 @@ impl MergeReplica {
                 cap: self.sched.r + d,
             });
         }
-        Ok(())
-    }
-
-    /// Verify one serial scheduled read against §5.5's rules 2a–2c and
-    /// §4's forecast-minimality, then apply its arrivals.
-    fn sched_read(
-        &mut self,
-        targets: &[TraceBlock],
-        flushed: &[TraceFlush],
-        fset_len: usize,
-        staged_len: usize,
-        last_read: Option<&[BlockAddr]>,
-    ) -> Result<(), ViolationKind> {
-        let plan: Vec<TraceTarget> = targets
-            .iter()
-            .map(|t| TraceTarget {
-                run: t.run,
-                idx: t.idx,
-                key: t.key,
-                disk: t.disk,
-            })
-            .collect();
-        self.verify_plan("SchedRead", &plan, flushed, last_read)?;
-        self.apply_arrivals(targets)?;
-        self.check_occupancy(fset_len, staged_len)
-    }
-
-    /// A split-phase submission: full scheduling legality now (this is
-    /// the state the plan was made in), arrivals deferred to the
-    /// completing `SchedRead`.  The forecasting table is left untouched
-    /// until then — exactly as the engine's is.
-    fn read_submit(
-        &mut self,
-        targets: &[TraceTarget],
-        flushed: &[TraceFlush],
-        last_read: Option<&[BlockAddr]>,
-    ) -> Result<(), ViolationKind> {
-        if self.pending_read.is_some() {
-            return Err(ViolationKind::UnexpectedEvent {
-                event: "ReadSubmit",
-                reason: "a split-phase read is already in flight",
-            });
-        }
-        self.verify_plan("ReadSubmit", targets, flushed, last_read)?;
-        self.pending_read = Some(PendingRead {
-            targets: targets.to_vec(),
-            flushed: flushed.to_vec(),
-        });
         Ok(())
     }
 
@@ -1282,7 +1245,15 @@ mod tests {
             TraceEvent::InitImplant { run: 1, idx: 1, key: 40, disk: DiskId(2) },
             TraceEvent::Deplete { run: 0, idx: 0 },
             // Run 0 now awaits block 1 from disk 1; both pending blocks
-            // are fetched in one parallel read.
+            // are fetched in one parallel read, completed where it is
+            // submitted (window 0).
+            TraceEvent::ReadSubmit {
+                targets: vec![
+                    TraceTarget { run: 0, idx: 1, key: 30, disk: DiskId(1) },
+                    TraceTarget { run: 1, idx: 1, key: 40, disk: DiskId(2) },
+                ],
+                flushed: vec![],
+            },
             TraceEvent::SchedRead {
                 targets: vec![
                     TraceBlock {
@@ -1321,16 +1292,34 @@ mod tests {
             Err(v) => panic!("clean trace rejected: {v}"),
         };
         assert_eq!(summary.merges, 1);
+        assert_eq!(summary.read_submits, 1);
         assert_eq!(summary.sched_reads, 1);
         assert_eq!(summary.depletes, 4);
         assert_eq!(summary.promotes, 1);
     }
 
-    /// The same merge as [`clean_merge_events`], but driven by the
-    /// pipelined engine: the read is split into a `ReadSubmit` at the
-    /// plan point and a `SchedRead` at completion, and run 1 depletes
-    /// *during the flight* — so its block arrives straight to leading
-    /// (`to_leading: true`) instead of staging, with no `Promote`.
+    /// The read grammar is two events: a completion with no submission
+    /// in flight is not a trace any engine writes.
+    #[test]
+    fn sched_read_without_a_submit_is_flagged() {
+        let mut events = clean_merge_events();
+        events.remove(5);
+        let v = match check_trace(geom(), &tag(events)) {
+            Err(v) => v,
+            Ok(_) => panic!("accepted a SchedRead nothing submitted"),
+        };
+        assert!(matches!(
+            v.kind,
+            ViolationKind::UnexpectedEvent { event: "SchedRead", reason }
+                if reason.contains("no ReadSubmit")
+        ));
+    }
+
+    /// The same merge as [`clean_merge_events`], but with the window
+    /// open: the `SchedRead` completing the read comes later than its
+    /// `ReadSubmit`, and run 1 depletes *during the flight* — so its
+    /// block arrives straight to leading (`to_leading: true`) instead of
+    /// staging, with no `Promote`.
     fn clean_pipelined_merge_events() -> Vec<TraceEvent> {
         let g = geom();
         let m0 = meta(0, 2);
@@ -1467,7 +1456,7 @@ mod tests {
         // Corrupt the read: claim run 1's block 1 has key 5 (smaller
         // than its forecast entry says), i.e. fetch a different block
         // than the forecast minimum.
-        if let TraceEvent::SchedRead { targets, .. } = &mut events[5] {
+        if let TraceEvent::ReadSubmit { targets, .. } = &mut events[5] {
             targets[1].key = 5;
         }
         let v = match check_trace(geom(), &tag(events)) {
@@ -1483,7 +1472,7 @@ mod tests {
     #[test]
     fn skipping_a_pending_disk_is_flagged() {
         let mut events = clean_merge_events();
-        if let TraceEvent::SchedRead { targets, .. } = &mut events[5] {
+        if let TraceEvent::ReadSubmit { targets, .. } = &mut events[5] {
             targets.pop();
         }
         let v = match check_trace(geom(), &tag(events)) {
@@ -1499,7 +1488,7 @@ mod tests {
     #[test]
     fn occupancy_tag_drift_is_flagged() {
         let mut events = clean_merge_events();
-        if let TraceEvent::SchedRead { staged_len, .. } = &mut events[5] {
+        if let TraceEvent::SchedRead { staged_len, .. } = &mut events[6] {
             *staged_len = 0;
         }
         let v = match check_trace(geom(), &tag(events)) {
@@ -1516,7 +1505,7 @@ mod tests {
     fn unsanctioned_flush_is_flagged() {
         let mut events = clean_merge_events();
         // Claim a flush when rule 2c's arithmetic allows none.
-        if let TraceEvent::SchedRead { flushed, .. } = &mut events[5] {
+        if let TraceEvent::ReadSubmit { flushed, .. } = &mut events[5] {
             flushed.push(TraceFlush { run: 0, idx: 1, key: 30, disk: DiskId(1) });
         }
         let v = match check_trace(geom(), &tag(events)) {

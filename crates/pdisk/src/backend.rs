@@ -208,23 +208,35 @@ pub enum ScrubOutcome {
 
 /// An array of `D` independent disks addressed in blocks.
 ///
-/// The two transfer methods each model **one** parallel I/O operation of the
-/// Vitter–Shriver model: up to one block per disk moves, and exactly one
-/// operation is charged to [`IoStats`] regardless of how many disks
-/// participate.  Backends must reject operations that address a disk twice.
+/// A transfer is **one** parallel I/O operation of the Vitter–Shriver
+/// model: up to one block per disk moves, and exactly one operation is
+/// charged to [`IoStats`] regardless of how many disks participate.
+/// Backends must reject operations that address a disk twice.
+///
+/// The protocol is split-phase — [`DiskArray::submit_read`] /
+/// [`DiskArray::complete_read`] and the write pair — because the sorters
+/// overlap every transfer with merging (§2.1's double buffer, §5.1's
+/// `M_W`).  The blocking [`DiskArray::read`] / [`DiskArray::write`] are
+/// that pair called back to back, provided here and defined nowhere
+/// else: whatever an array or a layer does to a transfer, it does in the
+/// pair, and the blocking form inherits it.
 pub trait DiskArray<R: Record> {
     /// The machine geometry this array was built for.
     fn geometry(&self) -> Geometry;
 
-    /// One parallel read.  Returns the blocks in request order.
-    ///
-    /// `addrs` must address each disk at most once; an empty request is a
-    /// no-op that charges nothing.
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>>;
+    /// One parallel read, waited for: [`DiskArray::submit_read`] then
+    /// [`DiskArray::complete_read`].  Returns the blocks in request order.
+    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+        let ticket = self.submit_read(addrs)?;
+        self.complete_read(ticket)
+    }
 
-    /// One parallel write.  `writes` must address each disk at most once.
-    /// An empty request is a no-op that charges nothing.
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()>;
+    /// One parallel write, waited for: [`DiskArray::submit_write`] then
+    /// [`DiskArray::complete_write`].
+    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
+        let ticket = self.submit_write(writes)?;
+        self.complete_write(ticket)
+    }
 
     /// Reserve `count` consecutive block slots on one disk; returns the
     /// offset of the first.
@@ -261,22 +273,17 @@ pub trait DiskArray<R: Record> {
 
     /// Begin one parallel read without waiting for it: the operation is
     /// charged (and physical trace events emitted) now, the data is
-    /// collected later via [`DiskArray::complete_read`].
+    /// collected later via [`DiskArray::complete_read`].  The latency
+    /// between issuing a read and needing its data is what a pipelined
+    /// sort overlaps with merging.
     ///
-    /// The submit/complete pair models **the same single** parallel I/O
-    /// operation as [`DiskArray::read`] — the split only exposes the
-    /// latency between issuing it and needing its data, which a
-    /// pipelined sort overlaps with merging.  The default executes
-    /// the read eagerly (synchronous backends degenerate to blocking
-    /// behaviour with no semantic change); [`crate::FileDiskArray`]
-    /// overrides it to leave the per-disk transfers genuinely in
-    /// flight on its worker threads, and the fault, retry and parity
-    /// wrappers forward the pending ticket, so a stack over the file
-    /// backend pipelines as the bare array does.
-    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
-        let blocks = self.read(addrs)?;
-        Ok(ReadTicket::ready(addrs.to_vec(), blocks))
-    }
+    /// `addrs` must address each disk at most once; an empty request is a
+    /// no-op that charges nothing.  A synchronous backend serves the read
+    /// here and returns a ready ticket; [`crate::FileDiskArray`] leaves the
+    /// per-disk transfers in flight on its worker threads, and the fault,
+    /// retry and parity layers forward the pending ticket, so a stack over
+    /// the file backend pipelines as the bare array does.
+    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>>;
 
     /// Wait for a submitted read and return its blocks in request
     /// order.  Fails with [`PdiskError::TicketMismatch`] if handed a
@@ -287,16 +294,9 @@ pub trait DiskArray<R: Record> {
 
     /// Begin one parallel write without waiting for it; the operation
     /// is charged now, completion is observed via
-    /// [`DiskArray::complete_write`].  The default executes the write
-    /// eagerly through [`DiskArray::write`].  A wrapper that acts on
-    /// writes (fault injection, retry, parity) overrides the pair and
-    /// defines `write` as submit-then-complete, so its semantics exist
-    /// once and apply to both forms.
-    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
-        let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
-        self.write(writes)?;
-        Ok(WriteTicket::ready(addrs))
-    }
+    /// [`DiskArray::complete_write`].  `writes` must address each disk at
+    /// most once; an empty request is a no-op that charges nothing.
+    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket>;
 
     /// Wait for a submitted write and surface any I/O error.
     fn complete_write(&mut self, ticket: WriteTicket) -> Result<()> {

@@ -18,8 +18,11 @@
 //!   point observed on a dry run names the same boundary on every rerun,
 //!   and a harness can exhaustively explore `k = 0..N`.
 //! * [`CrashingDiskArray`] wraps the outermost array of a stack and ticks
-//!   the clock before and after every read, write, submit, complete, and
-//!   sync.  Parallel writes additionally get one *torn* boundary per
+//!   the clock before and after every submit, complete, and sync — a
+//!   blocking read or write is its submit and its complete, so there is
+//!   one numbering: `read-submit`, `read-submitted`, `read-complete`,
+//!   `read-completed`, the same four for `write-`, `sync`, `sync-done`.
+//!   Parallel writes additionally get one *torn* boundary per
 //!   possible prefix: if boundary `write-torn` number `j` fires during an
 //!   `n`-frame write, exactly the first `j` frames land on their disks
 //!   (as one narrower parallel operation) and the rest are lost —
@@ -185,26 +188,7 @@ impl Crashing {
     }
 }
 
-// The blocking pair is its own pair of hooks, not the default: `read` /
-// `read-done` and `write` / `write-torn` / `write-done` are boundaries of
-// their own in the crash vocabulary (the merge's initial load, DSM's
-// `read_stripe` and replacement selection issue blocking reads), and the
-// array below sees the blocking form.
 impl<R: Record> Layer<R> for Crashing {
-    fn read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        self.clock.tick("read")?;
-        let blocks = inner.read(addrs)?;
-        self.clock.tick("read-done")?;
-        Ok(blocks)
-    }
-
-    fn write(&mut self, inner: &mut impl DiskArray<R>, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        self.clock.tick("write")?;
-        let writes = self.torn_boundaries(inner, writes)?;
-        inner.write(writes)?;
-        self.clock.tick("write-done")
-    }
-
     fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         self.clock.tick("read-submit")?;
         let ticket = inner.submit_read(addrs)?;
@@ -287,8 +271,11 @@ mod tests {
         a.write(writes).unwrap();
         let blocks = a.read(&addrs).unwrap();
         assert_eq!(blocks.len(), 3);
-        // write + 2 torn + write-done + read + read-done = 6 boundaries.
-        assert_eq!(clock.points(), 6);
+        // A blocking call is the split-phase pair back to back, so it
+        // passes the pair's boundaries: write-submit + 2 torn +
+        // write-submitted + write-complete + write-completed, then
+        // read-submit + read-submitted + read-complete + read-completed.
+        assert_eq!(clock.points(), 10);
         assert_eq!(clock.fired(), None);
     }
 
@@ -312,8 +299,8 @@ mod tests {
     #[test]
     fn torn_write_lands_exactly_the_prefix() {
         // Boundary numbering for a 3-frame write:
-        //   0 = write, 1 = write-torn (1 frame lands), 2 = write-torn
-        //   (2 frames land), 3 = write-done.
+        //   0 = write-submit, 1 = write-torn (1 frame lands), 2 =
+        //   write-torn (2 frames land), 3 = write-submitted.
         for (point, landed) in [(1u64, 1usize), (2, 2)] {
             let mut a = CrashingDiskArray::new(array(), CrashClock::crash_at(point));
             let writes = three_frames(&mut a);
@@ -355,8 +342,9 @@ mod tests {
 
     #[test]
     fn crash_after_write_leaves_data_durable() {
-        // Boundary 3 is write-done: all frames landed, then the process
-        // died before the caller observed success.
+        // Boundary 3 is write-submitted: all frames landed (the memory
+        // backend serves at submit), then the process died before the
+        // caller observed success.
         let mut a = CrashingDiskArray::new(array(), CrashClock::crash_at(3));
         let writes = three_frames(&mut a);
         let addrs: Vec<BlockAddr> = writes.iter().map(|(ad, _)| *ad).collect();
@@ -380,6 +368,46 @@ mod tests {
         // write-completed, read-submit + read-submitted, read-complete +
         // read-completed = 10 boundaries.
         assert_eq!(clock.points(), 10);
+    }
+
+    /// The crash vocabulary, as a set: crash at every boundary of a read,
+    /// a 3-frame write and a sync, driven through the blocking calls and
+    /// through the pair, and collect the labels that fired.  There is one
+    /// numbering; a label outside this list is a second one growing back.
+    #[test]
+    fn the_crash_vocabulary_is_eleven_labels() {
+        let drive = |a: &mut CrashingDiskArray<U64Record, MemDiskArray<U64Record>>, blocking: bool| {
+            let writes = three_frames(a);
+            let addrs: Vec<BlockAddr> = writes.iter().map(|(ad, _)| *ad).collect();
+            if blocking {
+                a.write(writes)?;
+                a.read(&addrs)?;
+            } else {
+                let wt = a.submit_write(writes)?;
+                a.complete_write(wt)?;
+                let rt = a.submit_read(&addrs)?;
+                a.complete_read(rt)?;
+            }
+            a.sync()
+        };
+        let mut labels = std::collections::BTreeSet::new();
+        for blocking in [true, false] {
+            let dry = CrashClock::counting();
+            drive(&mut CrashingDiskArray::new(array(), dry.clone()), blocking).unwrap();
+            assert_eq!(dry.points(), 12);
+            for k in 0..dry.points() {
+                let mut a = CrashingDiskArray::new(array(), CrashClock::crash_at(k));
+                match drive(&mut a, blocking) {
+                    Err(PdiskError::Crashed { point, label }) if point == k => labels.insert(label),
+                    other => panic!("crash at {k} (blocking: {blocking}) gave {other:?}"),
+                };
+            }
+        }
+        let want = [
+            "read-complete", "read-completed", "read-submit", "read-submitted", "sync", "sync-done",
+            "write-complete", "write-completed", "write-submit", "write-submitted", "write-torn",
+        ];
+        assert_eq!(labels.into_iter().collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! queues the jobs, so the `D` slots of one parallel I/O are coded `D`
 //! ways in parallel and none of it delays the merge.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::os::unix::fs::FileExt;
@@ -299,10 +299,9 @@ impl SlotLayout {
         out[..CHECKSUM_BYTES].copy_from_slice(&checksum.to_le_bytes());
     }
 
-    /// Parse one slot image into a block, filling the empty buffer
-    /// `records`.  `verify` off skips the checksum compare and nothing
-    /// else: the structural checks always run.
-    fn decode<R: Record>(&self, bytes: &[u8], verify: bool, records: Vec<R>) -> Result<Block<R>> {
+    /// Verify one slot image against its checksum and parse it into a
+    /// block, filling the empty buffer `records`.
+    fn decode<R: Record>(&self, bytes: &[u8], records: Vec<R>) -> Result<Block<R>> {
         if bytes.len() != self.slot_bytes {
             return Err(PdiskError::Corrupt(format!(
                 "slot of {} bytes, expected {}",
@@ -310,14 +309,12 @@ impl SlotLayout {
                 self.slot_bytes
             )));
         }
-        if verify {
-            let stored = le_u64(&bytes[..CHECKSUM_BYTES]);
-            let actual = fnv1a64(&bytes[CHECKSUM_BYTES..]);
-            if stored != actual {
-                return Err(PdiskError::Corrupt(format!(
-                    "block checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-                )));
-            }
+        let stored = le_u64(&bytes[..CHECKSUM_BYTES]);
+        let actual = fnv1a64(&bytes[CHECKSUM_BYTES..]);
+        if stored != actual {
+            return Err(PdiskError::Corrupt(format!(
+                "block checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
+            )));
         }
         self.decode_payload(&bytes[CHECKSUM_BYTES..], records)
     }
@@ -335,9 +332,6 @@ enum Job<R: Record> {
         buf: Vec<u8>,
         /// Empty buffer the decoded records go into.
         records: Vec<R>,
-        /// Whether to compare the slot's checksum (see
-        /// [`FileDiskArray::set_trusted_reads`]).
-        verify: bool,
         reply: Sender<Result<(Block<R>, Vec<u8>)>>,
     },
     Write {
@@ -408,11 +402,6 @@ pub struct FileDiskArray<R: Record> {
     /// dispatched the job itself.
     prefetched: HashMap<BlockAddr, BlockReply<R>>,
     prefetch_stats: PrefetchStats,
-    /// Opt-in checksum elision (see [`FileDiskArray::set_trusted_reads`]).
-    trust_reads: bool,
-    /// Slots whose on-disk bytes this process produced or has already
-    /// checksum-verified; only populated while `trust_reads` is on.
-    verified: HashSet<BlockAddr>,
     _lock: DirLock,
 }
 
@@ -527,8 +516,6 @@ impl<R: Record> FileDiskArray<R> {
             torn_dropped,
             prefetched: HashMap::new(),
             prefetch_stats: PrefetchStats::default(),
-            trust_reads: false,
-            verified: HashSet::new(),
             _lock: lock,
         })
     }
@@ -587,10 +574,10 @@ impl<R: Record> FileDiskArray<R> {
                         // exactly one, so a send never blocks; it fails
                         // only when the ticket was dropped, which
                         // abandons the result and nothing else.
-                        Job::Read { offset, mut buf, records, verify, reply } => {
+                        Job::Read { offset, mut buf, records, reply } => {
                             buf.resize(layout.slot_bytes, 0);
                             let res = match file.read_exact_at(&mut buf, offset) {
-                                Ok(()) => layout.decode(&buf, verify, records).map(|block| (block, buf)),
+                                Ok(()) => layout.decode(&buf, records).map(|block| (block, buf)),
                                 Err(e) => Err(PdiskError::Io(e)),
                             };
                             let _ = reply.send(res);
@@ -645,26 +632,7 @@ impl<R: Record> FileDiskArray<R> {
         self.prefetch_stats
     }
 
-    /// Skip the FNV checksum compare on reads of slots this process
-    /// already verified (or wrote itself) during this run.  Default
-    /// off: every read verifies.  With it on, the *first* read of any
-    /// slot still verifies — only re-reads of bytes whose checksum this
-    /// process computed or checked are elided, so external corruption
-    /// is still caught at first contact.  Meant for benchmarking and
-    /// for single-pass workloads where the OS page cache makes a
-    /// re-hash pure CPU overhead; leave off when the storage below can
-    /// mutate between reads.
-    pub fn set_trusted_reads(&mut self, on: bool) {
-        self.trust_reads = on;
-        if !on {
-            self.verified.clear();
-        }
-    }
-
-    /// Queue the read of one mapped slot on its disk's worker.  Whether
-    /// the worker compares the checksum is decided here: with trusted
-    /// reads on it is skipped for slots this process already verified or
-    /// wrote; the first read of a slot always verifies.
+    /// Queue the read of one mapped slot on its disk's worker.
     fn queue_read(&mut self, addr: BlockAddr) -> Result<BlockReply<R>> {
         let (tx, rx) = bounded(1);
         self.workers[addr.disk.index()]
@@ -673,7 +641,6 @@ impl<R: Record> FileDiskArray<R> {
                 offset: addr.offset * self.layout.slot_bytes as u64,
                 buf: self.pool.take_bytes(self.layout.slot_bytes),
                 records: self.pool.take_records(self.layout.b),
-                verify: !(self.trust_reads && self.verified.contains(&addr)),
                 reply: tx,
             })
             .map_err(|_| worker_gone())?;
@@ -726,10 +693,6 @@ impl<R: Record> FileDiskArray<R> {
             if self.prefetched.remove(&addr).is_some() {
                 self.prefetch_stats.invalidated += 1;
             }
-            if self.trust_reads {
-                // This process computes the slot's checksum itself.
-                self.verified.insert(addr);
-            }
             let (tx, rx) = bounded(1);
             self.workers[addr.disk.index()]
                 .tx
@@ -766,16 +729,6 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
         self.geom
     }
 
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let ticket = self.submit_read(addrs)?;
-        self.complete_read(ticket)
-    }
-
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        let ticket = self.submit_write(writes)?;
-        self.complete_write(ticket)
-    }
-
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {
         let slot = self
             .next_free
@@ -809,12 +762,8 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
             ReadState::Ready(blocks) => Ok(blocks),
             ReadState::Pending(replies) => {
                 let mut out = Vec::with_capacity(replies.len());
-                for (rx, &addr) in replies.into_iter().zip(ticket.addrs.iter()) {
+                for rx in replies {
                     let (block, bytes) = rx.recv().map_err(|_| worker_gone())??;
-                    if self.trust_reads {
-                        // Verified by the worker just now, or earlier.
-                        self.verified.insert(addr);
-                    }
                     self.pool.put_bytes(bytes);
                     out.push(block);
                 }
@@ -939,7 +888,7 @@ mod codec_tests {
         let mut image = vec![0xEE; l.slot_bytes + 7];
         l.encode(block, &mut image);
         assert_eq!(image.len(), l.slot_bytes);
-        assert_eq!(&l.decode::<R>(&image, true, Vec::new()).unwrap(), block);
+        assert_eq!(&l.decode::<R>(&image, Vec::new()).unwrap(), block);
         image
     }
 
@@ -952,7 +901,7 @@ mod codec_tests {
         // A table shorter than the reserved cells comes back padded.
         let mut image = Vec::new();
         l.encode(&Block::new(vec![U64Record(1)], Forecast::Initial(vec![7])), &mut image);
-        let back = l.decode::<U64Record>(&image, true, Vec::new()).unwrap();
+        let back = l.decode::<U64Record>(&image, Vec::new()).unwrap();
         assert_eq!(back.forecast, Forecast::Initial(vec![7, NO_BLOCK, NO_BLOCK]));
 
         let l = layout::<KeyPayloadRecord<24>>(2, 3);
@@ -978,30 +927,29 @@ mod codec_tests {
         assert!(matches!(l.admits(&wide), Err(PdiskError::Corrupt(_))));
     }
 
+    /// Behind a checksum that matches — or none at all: the parity layer
+    /// decodes payloads it rebuilt by XOR — structure is still checked: a
+    /// record count past B, an unknown forecast kind, a slot of the wrong
+    /// length.
     #[test]
-    fn an_unverified_decode_skips_the_checksum_and_nothing_else() {
+    fn a_well_summed_slot_with_bad_structure_is_corrupt() {
         let l = layout::<U64Record>(2, 4);
-        let block = Block::new(vec![U64Record(10), U64Record(20)], Forecast::Next(77));
         let mut image = Vec::new();
-        l.encode(&block, &mut image);
-        image[0] ^= 0x40;
-        assert!(matches!(l.decode::<U64Record>(&image, true, Vec::new()), Err(PdiskError::Corrupt(_))));
-        assert_eq!(l.decode::<U64Record>(&image, false, Vec::new()).unwrap(), block);
-        // Structure is still checked: a record count past B, an unknown
-        // forecast kind, a slot of the wrong length.
-        let mut bad = image.clone();
-        bad[CHECKSUM_BYTES] = 5;
-        assert!(matches!(l.decode::<U64Record>(&bad, false, Vec::new()), Err(PdiskError::Corrupt(_))));
-        let mut bad = image.clone();
-        bad[CHECKSUM_BYTES + 4] = 2;
-        assert!(matches!(l.decode::<U64Record>(&bad, false, Vec::new()), Err(PdiskError::Corrupt(_))));
+        l.encode(&Block::new(vec![U64Record(10), U64Record(20)], Forecast::Next(77)), &mut image);
+        let payload = |at: usize, byte: u8| {
+            let mut bad = image[CHECKSUM_BYTES..].to_vec();
+            bad[at] = byte;
+            l.decode_payload::<U64Record>(&bad, Vec::new())
+        };
+        assert!(matches!(payload(0, 5), Err(PdiskError::Corrupt(_))));
+        assert!(matches!(payload(4, 2), Err(PdiskError::Corrupt(_))));
         image.pop();
-        assert!(matches!(l.decode::<U64Record>(&image, false, Vec::new()), Err(PdiskError::Corrupt(_))));
+        assert!(matches!(l.decode::<U64Record>(&image, Vec::new()), Err(PdiskError::Corrupt(_))));
     }
 
     proptest! {
         /// Any single flipped byte, anywhere in a slot of either forecast
-        /// kind and any fill, fails a verified decode as `Corrupt`.
+        /// kind and any fill, fails the decode as `Corrupt`.
         #[test]
         fn any_single_byte_flip_is_corrupt(
             keys in vec(any::<u64>(), 0..=4usize),
@@ -1017,7 +965,7 @@ mod codec_tests {
             let mut image = Vec::new();
             l.encode(&block, &mut image);
             image[pos % l.slot_bytes] ^= mask;
-            prop_assert!(matches!(l.decode::<U64Record>(&image, true, Vec::new()), Err(PdiskError::Corrupt(_))));
+            prop_assert!(matches!(l.decode::<U64Record>(&image, Vec::new()), Err(PdiskError::Corrupt(_))));
         }
     }
 }
@@ -1844,45 +1792,6 @@ mod tests {
         assert_eq!(a.prefetch_stats().invalidated, 1);
         assert_eq!(a.read(&[addr]).unwrap()[0], newer);
         assert_eq!(a.prefetch_stats().hits, 0);
-        drop(a);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn trusted_reads_skip_rehash_but_first_contact_still_verifies() {
-        let g = Geometry::new(2, 4, 1000).unwrap();
-        let dir = tmpdir("trusted");
-        let block = blk(&[10, 20], Forecast::Next(0));
-        let (addr, corrupt_addr);
-        {
-            let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
-            let o = a.alloc_contiguous(DiskId(0), 3).unwrap();
-            addr = BlockAddr::new(DiskId(0), o);
-            corrupt_addr = BlockAddr::new(DiskId(0), o + 1);
-            a.write(vec![(addr, block.clone())]).unwrap();
-            a.write(vec![(corrupt_addr, block.clone())]).unwrap();
-            // A clean trailing slot so the corrupt one is not mistaken
-            // for a torn tail and truncated by the reopen recovery.
-            a.write(vec![(BlockAddr::new(DiskId(0), o + 2), block.clone())]).unwrap();
-        }
-        // Corrupt the middle slot on disk, then reopen with trust on:
-        // this process has verified nothing yet, so the first read of
-        // the corrupt slot must still fail.
-        let path = dir.join("disk_0000.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let slot = bytes.len() / 3;
-        bytes[slot + CHECKSUM_BYTES + 5] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
-        a.set_trusted_reads(true);
-        assert!(matches!(a.read(&[corrupt_addr]), Err(PdiskError::Corrupt(_))));
-        // The clean slot verifies once, then re-reads elide the hash and
-        // still return identical bytes.
-        assert_eq!(a.read(&[addr]).unwrap()[0], block);
-        assert_eq!(a.read(&[addr]).unwrap()[0], block);
-        // Toggling trust off restores full verification.
-        a.set_trusted_reads(false);
-        assert_eq!(a.read(&[addr]).unwrap()[0], block);
         drop(a);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -16,13 +16,11 @@
 //! the call below, parity's write issues several and absorbs a permanent
 //! fault between them, a fired fence never calls down at all.
 //!
-//! The blocking pair is the exception to "call the array below":
-//! [`Layer::read`] and [`Layer::write`] default to the layer's own
-//! submit hook followed by its complete hook, so a layer that acts on the
-//! split-phase pair has those semantics once, for both forms.  A layer
-//! that must keep a blocking operation blocking for the layers under it
-//! (the crash layer numbers the two forms differently; the trace layer
-//! sits above it) overrides the pair and says so.
+//! There is no hook for the blocking [`DiskArray::read`] /
+//! [`DiskArray::write`]: they are the trait's provided composition of the
+//! split-phase pair, so a blocking call on a [`Stack`] runs the top
+//! layer's submit hook and then its complete hook, and every layer below
+//! sees the pair.  What a layer does to a transfer it does once.
 
 use std::marker::PhantomData;
 
@@ -45,20 +43,6 @@ pub trait Layer<R: Record> {
     /// [`DiskArray::geometry`] as seen above this layer.
     fn geometry(&self, inner: &impl DiskArray<R>) -> Geometry {
         inner.geometry()
-    }
-
-    /// [`DiskArray::read`]: this layer's submit hook, then its complete
-    /// hook.
-    fn read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let ticket = self.submit_read(inner, addrs)?;
-        self.complete_read(inner, ticket)
-    }
-
-    /// [`DiskArray::write`]: this layer's submit hook, then its complete
-    /// hook.
-    fn write(&mut self, inner: &mut impl DiskArray<R>, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        let ticket = self.submit_write(inner, writes)?;
-        self.complete_write(inner, ticket)
     }
 
     /// [`DiskArray::alloc_contiguous`].
@@ -179,14 +163,6 @@ impl<R: Record, L: Layer<R>, A: DiskArray<R>> Stack<R, L, A> {
 impl<R: Record, L: Layer<R>, A: DiskArray<R>> DiskArray<R> for Stack<R, L, A> {
     fn geometry(&self) -> Geometry {
         self.layer.geometry(&self.inner)
-    }
-
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        self.layer.read(&mut self.inner, addrs)
-    }
-
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        self.layer.write(&mut self.inner, writes)
     }
 
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {

@@ -13,9 +13,12 @@
 //!   binary encoding so records can live on real disk files);
 //! * [`Block`] — a block of `B` records plus the *forecasting format*
 //!   metadata of §4 of the paper (implanted future keys);
-//! * [`DiskArray`] — the parallel I/O interface.  Every call to
-//!   [`DiskArray::read`] / [`DiskArray::write`] is **one** parallel I/O
-//!   operation and is counted as such in [`IoStats`];
+//! * [`DiskArray`] — the parallel I/O interface.  The protocol is
+//!   split-phase: [`DiskArray::submit_read`] / [`DiskArray::submit_write`]
+//!   issue **one** parallel I/O operation, counted as such in [`IoStats`]
+//!   there and then, and the matching `complete_*` waits for it; blocking
+//!   [`DiskArray::read`] / [`DiskArray::write`] are that pair back to
+//!   back, provided by the trait and defined nowhere else;
 //! * [`MemDiskArray`] — the in-memory simulation backend used for exact I/O
 //!   accounting experiments (the paper's own evaluation substrate);
 //! * [`FileDiskArray`] — a real backend storing each simulated disk in its
@@ -43,6 +46,10 @@
 //!   numbers every I/O boundary with a shared [`CrashClock`] and can kill
 //!   the (simulated) process at any one of them, including torn multi-disk
 //!   writes where only a prefix of the frames landed;
+//! * [`window`] — the ticket queues every stripe loop runs on:
+//!   [`WriteBehind`] (a bounded window of writes in flight, capped at
+//!   [`WRITE_BEHIND_LIMIT`]), [`StripeWindow`] (the reads of one striped
+//!   run) and [`read_run`], shared by both sorters and the shards;
 //! * [`manifest`] — the journaled checkpoint-manifest store ([`Manifest`]):
 //!   checksum envelope, generation journal with `.prev` rotation, and the
 //!   redundancy-line codec, shared by every sorter's checkpoint payload;
@@ -81,6 +88,7 @@ pub mod stats;
 pub mod striping;
 pub mod timing;
 pub mod trace;
+pub mod window;
 
 pub use addr::{BlockAddr, DiskId};
 pub use backend::{DiskArray, ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
@@ -105,3 +113,4 @@ pub use stats::IoStats;
 pub use striping::StripedRun;
 pub use timing::{ArrayTiming, DiskModel};
 pub use trace::{TraceEvent, TraceSink, TracingDiskArray};
+pub use window::{read_run, StripeWindow, WriteBehind};

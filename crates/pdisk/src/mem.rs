@@ -1,12 +1,12 @@
 //! In-memory disk array: the exact-accounting simulation backend.
 //!
 //! This is the substrate equivalent to the paper's own evaluation: blocks
-//! live in RAM, every [`DiskArray::read`]/[`DiskArray::write`] is counted as
-//! one parallel operation, and the model constraint (≤ 1 block per disk per
-//! operation) is enforced strictly.
+//! live in RAM, every submitted read or write is counted as one parallel
+//! operation and served at submit (its ticket is ready), and the model
+//! constraint (≤ 1 block per disk per operation) is enforced strictly.
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::DiskArray;
+use crate::backend::{DiskArray, ReadTicket, WriteTicket};
 use crate::block::Block;
 use crate::error::{PdiskError, Result};
 use crate::geometry::Geometry;
@@ -114,9 +114,9 @@ impl<R: Record> DiskArray<R> for MemDiskArray<R> {
         self.geom
     }
 
-    fn read(&mut self, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
+    fn submit_read(&mut self, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         if addrs.is_empty() {
-            return Ok(Vec::new());
+            return Ok(ReadTicket::ready(Vec::new(), Vec::new()));
         }
         self.geom.check_parallel_op(addrs.iter().map(|a| a.disk))?;
         let mut out = Vec::with_capacity(addrs.len());
@@ -142,12 +142,12 @@ impl<R: Record> DiskArray<R> for MemDiskArray<R> {
                 addrs: addrs.to_vec(),
             });
         }
-        Ok(out)
+        Ok(ReadTicket::ready(addrs.to_vec(), out))
     }
 
-    fn write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
+    fn submit_write(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<WriteTicket> {
         if writes.is_empty() {
-            return Ok(());
+            return Ok(WriteTicket::ready(Vec::new()));
         }
         self.geom
             .check_parallel_op(writes.iter().map(|(a, _)| a.disk))?;
@@ -168,9 +168,11 @@ impl<R: Record> DiskArray<R> for MemDiskArray<R> {
         }
         self.stats.record_write(n);
         if let Some(t) = &self.trace {
-            t.emit(TraceEvent::PhysWrite { addrs });
+            t.emit(TraceEvent::PhysWrite {
+                addrs: addrs.clone(),
+            });
         }
-        Ok(())
+        Ok(WriteTicket::ready(addrs))
     }
 
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {

@@ -130,9 +130,9 @@ pub enum TraceEvent {
         addrs: Vec<BlockAddr>,
     },
     /// A parallel write's durable completion, emitted only when the
-    /// write (or its ticket) completes successfully — right after the
-    /// [`Write`] for a blocking write or a ticket completed where it was
-    /// submitted, up to the write-behind window later otherwise — so the
+    /// write's ticket completes successfully — right after the [`Write`]
+    /// for a ticket completed where it was submitted (a blocking write),
+    /// up to the write-behind window later otherwise — so the
     /// gap between the two events is exactly the window a crash can tear.
     /// The `modelcheck` recovery invariant forbids reading a block
     /// whose `Write` was never followed by this event.
@@ -254,8 +254,9 @@ pub enum TraceEvent {
     /// arrivals (implants, buffer routing) are recorded by the matching
     /// [`SchedRead`] event when the engine completes the ticket: at
     /// once at window 0, once the blocks are needed or fit when
-    /// pipelined.  Every scheduled read of a merge emits this pair; a
-    /// lone `SchedRead` (a blocking read) is still a legal trace.
+    /// pipelined.  Every scheduled read of a merge is this pair, in this
+    /// order, at most one in flight: a `SchedRead` nothing submitted is
+    /// not a legal trace.
     ///
     /// [`SchedRead`]: TraceEvent::SchedRead
     ReadSubmit {
@@ -435,36 +436,7 @@ impl<R: Record, A: DiskArray<R>> TracingDiskArray<R, A> {
     }
 }
 
-// The blocking pair is its own pair of hooks, not the default: this layer
-// sits above the crash layer, which numbers a blocking operation's
-// boundaries differently from a split-phase one's, and above parity,
-// whose commit events land before a blocking write's `Write` but after a
-// submitted one's — so a blocking operation must reach the array below
-// as one.
 impl<R: Record> Layer<R> for Tracing {
-    fn read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<Vec<Block<R>>> {
-        let out = inner.read(addrs)?;
-        if !addrs.is_empty() {
-            self.sink.emit(TraceEvent::Read {
-                addrs: addrs.to_vec(),
-            });
-        }
-        Ok(out)
-    }
-
-    fn write(&mut self, inner: &mut impl DiskArray<R>, writes: Vec<(BlockAddr, Block<R>)>) -> Result<()> {
-        let addrs: Vec<BlockAddr> = writes.iter().map(|(a, _)| *a).collect();
-        inner.write(writes)?;
-        if !addrs.is_empty() {
-            self.sink.emit(TraceEvent::Write {
-                addrs: addrs.clone(),
-            });
-            // A blocking write that returned is durably complete.
-            self.sink.emit(TraceEvent::WriteDurable { addrs });
-        }
-        Ok(())
-    }
-
     fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
         let start = inner.alloc_contiguous(disk, count)?;
         self.sink.emit(TraceEvent::Alloc { disk, start, count });

@@ -17,102 +17,11 @@
 
 use crate::key::RunId;
 use pdisk::trace::TraceEvent;
-use pdisk::{
-    Block, BlockAddr, DiskArray, DiskId, Forecast, Geometry, PdiskError, ReadTicket, Record,
-    StripedRun, WriteTicket,
-};
 use pdisk::block::NO_BLOCK;
+use pdisk::window::WriteBehind;
+pub use pdisk::window::{read_run, StripeWindow};
+use pdisk::{Block, DiskArray, DiskId, Forecast, Geometry, PdiskError, Record, StripedRun};
 use std::collections::VecDeque;
-
-/// A bounded queue of parallel writes in flight, oldest first: the one
-/// place that holds the write-behind depth to [`pdisk::WRITE_BEHIND_LIMIT`]
-/// — the torn-write window [`pdisk::FileDiskArray`] recovery tolerates is
-/// sized to match — for run output and input staging alike.
-///
-/// A write that fails, at submit or at completion, quiesces the queue
-/// before the error is returned: the tickets still in flight are
-/// abandoned, not completed ([`WriteBehind::abandon`]).
-#[derive(Debug)]
-pub(crate) struct WriteBehind {
-    /// Writes that may stay in flight after a submit: 0 (each write is
-    /// completed where it was submitted) or [`pdisk::WRITE_BEHIND_LIMIT`].
-    window: usize,
-    tickets: VecDeque<WriteTicket>,
-}
-
-impl WriteBehind {
-    pub(crate) fn new(on: bool) -> Self {
-        WriteBehind {
-            window: if on { pdisk::WRITE_BEHIND_LIMIT } else { 0 },
-            tickets: VecDeque::new(),
-        }
-    }
-
-    /// Retire the oldest writes until this one fits the window, put it in
-    /// flight, and leave at most `window` outstanding — none at window 0,
-    /// where the write is retired at once.  The submit (where the
-    /// operation is charged and traced) happens at the caller's position
-    /// either way, so the I/O sequence does not depend on the window —
-    /// only where completion waits does.  Completions happen
-    /// oldest-first, so durability order matches submission order.
-    pub(crate) fn submit<R: Record, A: DiskArray<R>>(
-        &mut self,
-        array: &mut A,
-        writes: Vec<(BlockAddr, Block<R>)>,
-    ) -> Result<(), PdiskError> {
-        while self.tickets.len() >= self.window.max(1) {
-            self.retire_oldest(array)?;
-        }
-        let ticket = array.submit_write(writes);
-        let ticket = self.quiesce_on_error(ticket)?;
-        self.tickets.push_back(ticket);
-        while self.tickets.len() > self.window {
-            self.retire_oldest(array)?;
-        }
-        Ok(())
-    }
-
-    /// Complete the oldest in-flight write, if any.
-    fn retire_oldest<R: Record, A: DiskArray<R>>(&mut self, array: &mut A) -> Result<(), PdiskError> {
-        match self.tickets.pop_front() {
-            Some(oldest) => {
-                let done = array.complete_write(oldest);
-                self.quiesce_on_error(done)
-            }
-            None => Ok(()),
-        }
-    }
-
-    fn quiesce_on_error<T>(&mut self, result: Result<T, PdiskError>) -> Result<T, PdiskError> {
-        if result.is_err() {
-            self.abandon();
-        }
-        result
-    }
-
-    /// Complete every write still in flight, oldest first.
-    pub(crate) fn drain<R: Record, A: DiskArray<R>>(&mut self, array: &mut A) -> Result<(), PdiskError> {
-        while !self.tickets.is_empty() {
-            self.retire_oldest(array)?;
-        }
-        Ok(())
-    }
-
-    /// Abandon all tickets without completing them.
-    ///
-    /// Error paths only — a failed write here, or any other failure of
-    /// the caller (see `Merger::quiesce`): the submitted writes may
-    /// or may not have landed — in a real crash that is exactly a
-    /// torn-write window — and whatever a wrapper attached to a ticket
-    /// for its completion phase (a parity commit, a retry payload) goes
-    /// with it.  Their traces show `Write` with no `WriteDurable`, so the
-    /// modelcheck durability invariant rejects any replay that reads
-    /// them, and resume rewrites the frames from the last durable
-    /// checkpoint.
-    pub(crate) fn abandon(&mut self) {
-        self.tickets.clear();
-    }
-}
 
 /// Incremental writer for one cyclically striped run.
 ///
@@ -165,7 +74,7 @@ impl<R: Record> RunWriter<R> {
             last_key: None,
             stripes_written: 0,
             finished: false,
-            behind: WriteBehind::new(false),
+            behind: WriteBehind::new(0),
         }
     }
 
@@ -176,7 +85,7 @@ impl<R: Record> RunWriter<R> {
     /// [`RunWriter::finish`]), keeping a bounded window of stripes in
     /// flight ([`WriteBehind`]).
     pub(crate) fn write_behind(mut self, on: bool) -> Self {
-        self.behind = WriteBehind::new(on);
+        self.behind = WriteBehind::new(if on { pdisk::WRITE_BEHIND_LIMIT } else { 0 });
         self
     }
 
@@ -305,7 +214,7 @@ impl<R: Record> RunWriter<R> {
         while !self.pending.is_empty() {
             self.write_stripe(array, self.geom.d)?;
         }
-        self.behind.drain(array)?;
+        self.behind.complete_all(array)?;
         let len_blocks = self.emitted_blocks;
         if let Some(sink) = array.trace_sink() {
             sink.emit(TraceEvent::RunEnd {
@@ -323,111 +232,6 @@ impl<R: Record> RunWriter<R> {
                 .map(|o| o.unwrap_or(0))
                 .collect(),
         })
-    }
-}
-
-/// Parallel reads [`read_run`] keeps in flight: one stripe being decoded
-/// while [`pdisk::WRITE_BEHIND_LIMIT`] more keep every disk's queue fed.
-const READ_BACK_DEPTH: usize = pdisk::WRITE_BEHIND_LIMIT + 1;
-
-/// The stripe loop over a range of one run's blocks: consecutive groups
-/// of at most `D` blocks — which the cyclic striping puts on `D` distinct
-/// disks, so each group is one legal parallel I/O — submitted in order,
-/// kept in flight up to a caller-chosen depth, and completed oldest
-/// first.  The submits are the operations a blocking stripe loop issues,
-/// in the same order; only where completion waits differs.
-///
-/// A read that fails, at submit or at completion, quiesces the window as
-/// `Merger::quiesce` does: the tickets still in flight are abandoned
-/// before the error is returned (the operations were charged and traced
-/// at submit; a file backend's workers drain their queues regardless).
-#[derive(Debug)]
-pub struct StripeWindow<R: Record> {
-    run: StripedRun,
-    /// First block not yet submitted.
-    next: u64,
-    /// One past the last block of the range.
-    end: u64,
-    tickets: VecDeque<ReadTicket<R>>,
-}
-
-impl<R: Record> StripeWindow<R> {
-    /// A window over `blocks` of `run`, clamped to the run's end; nothing
-    /// is submitted yet.
-    pub fn new(run: &StripedRun, blocks: std::ops::Range<u64>) -> Self {
-        let end = blocks.end.min(run.len_blocks);
-        StripeWindow {
-            run: run.clone(),
-            next: blocks.start.min(end),
-            end,
-            tickets: VecDeque::new(),
-        }
-    }
-
-    /// Submit the range's next stripes until `depth` reads are in flight
-    /// or none is left to submit.
-    pub fn submit<A: DiskArray<R> + ?Sized>(
-        &mut self,
-        array: &mut A,
-        depth: usize,
-    ) -> Result<(), PdiskError> {
-        let d = array.geometry().d.max(1) as u64;
-        while self.tickets.len() < depth && self.next < self.end {
-            let hi = (self.next + d).min(self.end);
-            let addrs: Vec<BlockAddr> = (self.next..hi).map(|j| self.run.addr_of(j)).collect();
-            match array.submit_read(&addrs) {
-                Ok(ticket) => self.tickets.push_back(ticket),
-                Err(e) => {
-                    self.tickets.clear();
-                    return Err(e);
-                }
-            }
-            self.next = hi;
-        }
-        Ok(())
-    }
-
-    /// Reads in flight.
-    pub fn in_flight(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// Complete the oldest read in flight: its stripe's blocks, in run
-    /// order, or `None` when nothing is in flight.
-    pub fn complete_oldest<A: DiskArray<R> + ?Sized>(
-        &mut self,
-        array: &mut A,
-    ) -> Result<Option<Vec<Block<R>>>, PdiskError> {
-        let Some(oldest) = self.tickets.pop_front() else {
-            return Ok(None);
-        };
-        match array.complete_read(oldest) {
-            Ok(blocks) => Ok(Some(blocks)),
-            Err(e) => {
-                self.tickets.clear();
-                Err(e)
-            }
-        }
-    }
-}
-
-/// Read a whole run back in stripe-sized parallel reads, a few of them
-/// in flight at a time (a verification / utility path, also used by
-/// examples).  Returns the records in order.
-pub fn read_run<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    run: &StripedRun,
-) -> Result<Vec<R>, PdiskError> {
-    let mut out = Vec::with_capacity(run.records as usize);
-    let mut window = StripeWindow::new(run, 0..run.len_blocks);
-    loop {
-        window.submit(array, READ_BACK_DEPTH)?;
-        let Some(blocks) = window.complete_oldest(array)? else {
-            return Ok(out);
-        };
-        for block in blocks {
-            out.extend(block.records);
-        }
     }
 }
 

@@ -14,10 +14,11 @@
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
 use crate::merge::{merge_runs_overlapped, MergeStats, Overlap};
-use crate::output::{read_run, WriteBehind};
+use crate::output::read_run;
 use crate::run_formation::{form_runs_overlapped, RunFormation};
 use crate::scheduler::ScheduleStats;
 use pdisk::passes::{Boundary, Checkpointing};
+use pdisk::window::WriteBehind;
 use pdisk::{
     Block, CrashClock, DiskArray, DiskId, Forecast, Geometry, InterruptFlag, IoStats, PassEngine,
     PassReport, Record, Sorter, StripedRun,
@@ -499,7 +500,7 @@ pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
     let geom = array.geometry();
     let len_blocks = (records.len() as u64).div_ceil(geom.b as u64);
     let run = array.alloc_run(DiskId(0), len_blocks, records.len() as u64)?;
-    let mut behind = WriteBehind::new(true);
+    let mut behind = WriteBehind::new(pdisk::WRITE_BEHIND_LIMIT);
     let mut block_idx = 0u64;
     for stripe in records.chunks(geom.b * geom.d) {
         let mut writes = Vec::with_capacity(geom.d);
@@ -515,7 +516,7 @@ pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
         }
         behind.submit(array, writes)?;
     }
-    behind.drain(array)?;
+    behind.complete_all(array)?;
     Ok(run)
 }
 

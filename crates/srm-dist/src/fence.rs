@@ -59,8 +59,8 @@ impl Fenced {
     }
 }
 
-// The blocking pair is the default (submit hook, then complete hook), so
-// a blocking operation is checked on both sides of the wait.
+// A blocking operation is its submit then its complete, so it is checked
+// on both sides of the wait.
 impl<R: Record> Layer<R> for Fenced {
     fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64, PdiskError> {
         self.check()?;

@@ -1,15 +1,21 @@
-//! Forwarding audit: every `DiskArray` method that has a default body
-//! must, through every layer of the workspace, reach the array
-//! underneath — or the layer must say here why it answers for itself.
+//! Forwarding audit: every `DiskArray` method a layer could fail to pass
+//! on — the required split-phase submits and each method with a default
+//! body — must, through every layer of the workspace, reach the array
+//! underneath, or the layer must say here why it answers for itself.
 //!
 //! Forwarding lives in one place: `pdisk::Stack`, whose `pdisk::Layer`
 //! hooks default to "call the array below".  The first audit is of that
 //! one impl, through a layer with no overrides, where nothing may be
 //! declined: a method `Stack` left to the trait default would still
-//! compile and still sort correctly, silently eager for the split-phase
-//! pair and with no read-ahead for `prefetch`.  The per-layer audits
+//! compile and still sort correctly, silently completing tickets it never
+//! saw and with no read-ahead for `prefetch`.  The per-layer audits
 //! then pin the operations a layer keeps to itself — a hook overridden
 //! to answer without calling down — so that list changes only on purpose.
+//!
+//! The blocking `read` / `write` are the trait's provided composition of
+//! the pair and no layer has a hook for them, so they never travel: the
+//! last rows call them on each stacked array and require the array below
+//! to see the submit and the complete, not a blocking call.
 
 mod common;
 
@@ -25,11 +31,13 @@ use srm_dist::{FenceFlag, Fenced};
 type Rec = U64Record;
 type Mem = Probe<MemDiskArray<Rec>>;
 
-/// The trait methods with a default body.
-const DEFAULTED: [&str; 12] = [
-    "submit_read",
+/// The required half of the protocol: the split-phase submits.
+const SUBMITS: [&str; 2] = ["submit_read", "submit_write"];
+
+/// The trait methods with a default body (the provided blocking pair is
+/// audited apart, by [`travels_as_the_pair`]).
+const DEFAULTED: [&str; 10] = [
     "complete_read",
-    "submit_write",
     "complete_write",
     "prefetch",
     "sync",
@@ -41,15 +49,23 @@ const DEFAULTED: [&str; 12] = [
     "redundancy",
 ];
 
+/// A blocking call and the pair the array below must see in its place.
+const BLOCKING: [(&str, [&str; 2]); 2] = [
+    ("read", ["submit_read", "complete_read"]),
+    ("write", ["submit_write", "complete_write"]),
+];
+
 /// (layer, method, why the call stops at this layer).
-const DECLINED: [(&str, &str, &str); 10] = [
+const DECLINED: [(&str, &str, &str); 12] = [
     ("Parity", "scrub_block", "it is the layer that repairs: it verifies by reading the slot below and rewrites it from parity"),
     ("Parity", "redundancy", "it is the redundancy layer and answers for itself"),
     ("Tracing", "trace_sink", "it owns the sink it installed below and answers with it"),
-    ("Clustered", "submit_read", "one logical block is c physical blocks reassembled on return, and no production stack builds it: eager through read"),
+    ("Clustered", "submit_read", "one logical block is c physical blocks reassembled on return, and no production stack builds it: served at submit by one blocking read below"),
     ("Clustered", "complete_read", "its tickets are always already served"),
-    ("Clustered", "submit_write", "as submit_read: eager through write"),
+    ("Clustered", "submit_write", "as submit_read: served at submit by one blocking write below"),
     ("Clustered", "complete_write", "its tickets are always already served"),
+    ("Clustered", "read", "its submit_read is where the blocking call below comes from"),
+    ("Clustered", "write", "as read: from its submit_write"),
     ("Clustered", "prefetch", "a hint for one logical block would have to fan out to c slots; unused, so dropped"),
     ("Clustered", "install_trace", "physical events would carry disk ids outside the logical geometry a trace is checked against"),
     ("Clustered", "trace_sink", "as install_trace: no sink is installed below"),
@@ -91,6 +107,27 @@ fn reaches<A: DiskArray<Rec>>(a: &mut A, log: &Log, method: &'static str, fresh:
     log.borrow().contains(method)
 }
 
+/// Call the blocking `method` on `a` and report whether the probe saw its
+/// pair, submit and complete, and no blocking call.
+fn travels_as_the_pair<A: DiskArray<Rec>>(
+    a: &mut A,
+    log: &Log,
+    (method, pair): (&'static str, [&'static str; 2]),
+    fresh: &mut u64,
+) -> bool {
+    log.borrow_mut().clear();
+    match method {
+        "read" => drop(a.read(&[BlockAddr::new(DiskId(0), 0)]).unwrap()),
+        "write" => {
+            *fresh += 1;
+            a.write(vec![(BlockAddr::new(DiskId(0), *fresh), block(4))]).unwrap()
+        }
+        other => panic!("no driver for {other}"),
+    }
+    let log = log.borrow();
+    pair.iter().all(|m| log.contains(m)) && !log.contains(method)
+}
+
 /// Audit one wrapper; returns one line per disagreement with `DECLINED`.
 fn audit<A: DiskArray<Rec>>(wrapper: &'static str, wrap: impl FnOnce(Mem) -> A) -> Vec<String> {
     let probe = Probe::new(MemDiskArray::new(Geometry::new(2, 2, 100).unwrap()));
@@ -102,14 +139,27 @@ fn audit<A: DiskArray<Rec>>(wrapper: &'static str, wrap: impl FnOnce(Mem) -> A) 
     a.write(vec![(BlockAddr::new(DiskId(0), 0), block(1))]).unwrap();
     let mut fresh = 0;
     let mut findings = Vec::new();
-    for method in DEFAULTED {
-        let declined = DECLINED.iter().find(|(w, m, _)| *w == wrapper && *m == method);
-        match (reaches(&mut a, &log, method, &mut fresh), declined) {
-            (true, None) | (false, Some(_)) => {}
-            (false, None) => findings.push(format!(
+    let declined = |method: &str| DECLINED.iter().any(|(w, m, _)| *w == wrapper && *m == method);
+    for method in SUBMITS.into_iter().chain(DEFAULTED) {
+        match (reaches(&mut a, &log, method, &mut fresh), declined(method)) {
+            (true, false) | (false, true) => {}
+            (false, false) => findings.push(format!(
                 "{wrapper}::{method} never reaches the inner array: forward it, or decline it in DECLINED with a reason"
             )),
-            (true, Some(_)) => findings.push(format!("{wrapper}::{method} is declined in DECLINED but forwards")),
+            (true, true) => findings.push(format!("{wrapper}::{method} is declined in DECLINED but forwards")),
+        }
+    }
+    for blocking in BLOCKING {
+        match (travels_as_the_pair(&mut a, &log, blocking, &mut fresh), declined(blocking.0)) {
+            (true, false) | (false, true) => {}
+            (false, false) => findings.push(format!(
+                "a blocking {} on {wrapper} does not reach the inner array as {:?} alone",
+                blocking.0, blocking.1
+            )),
+            (true, true) => findings.push(format!(
+                "{wrapper}::{} is declined in DECLINED but travels as the pair",
+                blocking.0
+            )),
         }
     }
     findings

@@ -180,3 +180,23 @@ fn non_striped_output_run_is_rejected() {
         "{v}"
     );
 }
+
+/// A scheduled read is a `ReadSubmit` and then its `SchedRead`: an engine
+/// that recorded only the completion (the serial form no engine writes
+/// any more) has dropped the event the read's legality is judged at.
+#[test]
+fn a_sched_read_nothing_submitted_is_rejected() {
+    let (geom, trace) = clean_trace();
+    let at = trace
+        .iter()
+        .position(|e| matches!(e.event, TraceEvent::ReadSubmit { .. }))
+        .expect("the sort schedules reads");
+    let mut mutated = trace.clone();
+    mutated.remove(at);
+    let v = expect_violation(*geom, &mutated);
+    assert_eq!(v.seq, trace[at].seq + 1, "window 0 completes a read where it submits it: {v}");
+    assert!(
+        matches!(v.kind, ViolationKind::UnexpectedEvent { event: "SchedRead", .. }),
+        "{v}"
+    );
+}

@@ -9,10 +9,11 @@
 //! stack, and checkpoint-resume configurations, on both the in-memory and
 //! the file backend.
 //!
-//! Staging (`write_unsorted_input`) and the verification read
-//! (`read_run`) are split-phase at every window — they write behind and
-//! read ahead by a constant depth whatever the sorter's setting — and
-//! are held to the same contract against the eager in-memory backend.
+//! Staging (`write_unsorted_input`, `write_unsorted_stripes`) and the
+//! verification read (`read_run`, `read_logical_run`) are split-phase at
+//! every window — they write behind and read ahead by a constant depth
+//! whatever the sorter's setting — and are held to the same contract
+//! against the eager in-memory backend.
 //!
 //! Window 0 is a valid reference because it is not the only oracle: the
 //! pinned counts in `golden_io_counts.rs`, the block-level simulator in
@@ -29,7 +30,7 @@ mod common;
 
 use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use modelcheck::{check_stats, check_trace};
-use pdisk::trace::TracingDiskArray;
+use pdisk::trace::{TraceEvent, TracingDiskArray};
 use pdisk::{
     DiskArray, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry, IoStats,
     MemDiskArray, ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, Stack, U64Record,
@@ -447,18 +448,52 @@ fn checkpoint_resume_equivalent() {
 }
 
 /// DSM counterpart of [`srm_outcome`] (DSM has no read-ahead depth, so
-/// the pipelined windows of the sweep coincide for it).
-fn dsm_outcome<A: DiskArray<U64Record>>(inner: A, data: &[U64Record], w: Window) -> Outcome {
-    let mut a = TracingDiskArray::new(inner);
+/// the pipelined windows of the sweep coincide for it), with the two
+/// phases around the sort held to the contract too: beside the outcome,
+/// the [`IoStats`] after stage-in and after the read-back.  Neither phase
+/// has a window setting — staging writes one stripe behind (eq. 41's two
+/// output stripes), the read-back keeps several stripes in flight — and a
+/// probe over the array checks that is what they do.
+fn dsm_outcome<A: DiskArray<U64Record>>(inner: A, data: &[U64Record], w: Window) -> (Outcome, [IoStats; 2]) {
+    let mut a = TracingDiskArray::new(common::Probe::new(inner));
     let geom = a.geometry();
     let input = write_unsorted_stripes(&mut a, data).unwrap();
+    let staged = a.stats();
+    // One stripe behind: the next stripe is allocated (and was cut from
+    // the input) while the first one's write is still in flight.
+    let next_stripe_begun_in_flight = (a.sink().snapshot().iter())
+        .skip_while(|e| !matches!(e.event, TraceEvent::Write { .. }))
+        .take_while(|e| !matches!(e.event, TraceEvent::WriteDurable { .. }))
+        .any(|e| matches!(e.event, TraceEvent::Alloc { .. }));
+    assert!(next_stripe_begun_in_flight, "{w:?}: staging waited for each stripe where it wrote it");
     let (run, _) = DsmSorter::default().with_pipeline(w.pipeline).sort(&mut a, &input).unwrap();
     let stats = a.stats();
+    let before = a.inner().overlapped;
     let out = read_logical_run(&mut a, &run).unwrap();
+    let watch = a.inner();
+    assert!(watch.overlapped > before, "{w:?}: the read-back waited for each stripe where it asked for it");
+    assert_eq!(watch.outstanding, 0, "{w:?}: a ticket was never completed");
+    assert_eq!(watch.max_writes_out, 1, "{w:?}: DSM's output budget is two stripes, one in flight");
+    let log = watch.log.borrow();
+    assert!(!log.contains("read") && !log.contains("write"), "{w:?}: a blocking call");
+    drop(log);
     let trace = a.take_trace();
     check_trace(geom, &trace).unwrap_or_else(|v| panic!("dsm violation ({w:?}): {v}"));
     check_stats(&trace, &a.stats()).unwrap_or_else(|v| panic!("dsm stats drift ({w:?}): {v}"));
-    (encode_all(&out), stats)
+    ((encode_all(&out), stats), [staged, a.stats()])
+}
+
+/// The sweep for DSM on arrays built by `array`: the sort is window
+/// invariant, and stage-in and read-back charge the same operations
+/// whatever window the sort between them ran at.
+fn assert_dsm_window_invariant<A: DiskArray<U64Record>>(tag: &str, data: &[U64Record], array: impl Fn() -> A) {
+    let mut around = Vec::new();
+    assert_window_invariant(tag, data, |w| {
+        let (outcome, phases) = dsm_outcome(array(), data, w);
+        around.push(phases);
+        outcome
+    });
+    assert!(around.windows(2).all(|p| p[0] == p[1]), "{tag}: stage-in / read-back IoStats");
 }
 
 #[test]
@@ -467,11 +502,8 @@ fn dsm_equivalent() {
     // contract, healthy and under parity.
     let geom = Geometry::new(3, 4, 120).unwrap();
     let data = random_records(3000, 0xE8);
-    assert_window_invariant("dsm healthy", &data, |w| {
-        dsm_outcome(MemDiskArray::<U64Record>::new(geom), &data, w)
-    });
-    assert_window_invariant("dsm parity", &data, |w| {
-        let parity = ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap();
-        dsm_outcome(parity, &data, w)
+    assert_dsm_window_invariant("dsm healthy", &data, || MemDiskArray::<U64Record>::new(geom));
+    assert_dsm_window_invariant("dsm parity", &data, || {
+        ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap()
     });
 }
