@@ -47,8 +47,7 @@
 //! no pass observer).
 
 use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
-use pdisk::trace::TracingDiskArray;
-use pdisk::{DiskArray, FileDiskArray, Geometry, IoStats, U64Record};
+use pdisk::{DiskArray, FileDiskArray, Geometry, IoStats, StackSpec, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::run_formation::RunFormation;
@@ -397,7 +396,8 @@ fn run_case(case: Case, seed: u64, reps: usize) -> Outcome {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("trace dir");
         let file: FileDiskArray<U64Record> = FileDiskArray::create(geom, &dir).expect("array");
-        let mut traced = TracingDiskArray::new(file);
+        let spec = StackSpec { trace: true, ..StackSpec::default() };
+        let mut traced = spec.build(file, ()).expect("stack");
         let input = write_unsorted_input(&mut traced, &data).expect("stage");
         srm_sorter(&case)
             .with_pipeline(true)

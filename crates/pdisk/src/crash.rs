@@ -143,7 +143,7 @@ impl std::fmt::Debug for CrashClock {
 /// so `prefetch` passes unticked.
 #[derive(Debug)]
 pub struct Crashing {
-    clock: CrashClock,
+    pub(crate) clock: CrashClock,
 }
 
 /// `inner` under the crash layer.  [`Stack::into_inner`] is the "reboot":

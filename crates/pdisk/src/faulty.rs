@@ -466,14 +466,7 @@ pub type FaultyDiskArray<R, A> = Stack<R, Faulty, A>;
 impl<R: Record, A: DiskArray<R>> FaultyDiskArray<R, A> {
     /// Wrap `inner` with the given plan or model.
     pub fn new(inner: A, model: impl Into<FaultModel>) -> Self {
-        let layer = Faulty {
-            model: model.into(),
-            reads_seen: 0,
-            writes_seen: 0,
-            allocs_seen: 0,
-            syncs_seen: 0,
-        };
-        Stack::from_parts(inner, layer)
+        Stack::from_parts(inner, Faulty::new(model.into()))
     }
 
     /// Operations observed so far (reads, writes).
@@ -481,17 +474,14 @@ impl<R: Record, A: DiskArray<R>> FaultyDiskArray<R, A> {
         (self.layer.reads_seen, self.layer.writes_seen)
     }
 
-    /// Every per-op ordinal counter: (reads, writes, allocs, syncs).
-    /// A fault-free dry run exposes these so a schedule generator can
-    /// draw scripted ordinals that actually land inside the sort.
+    /// [`Faulty::observed_ops`].
     pub fn observed_ops(&self) -> (u64, u64, u64, u64) {
-        let l = &self.layer;
-        (l.reads_seen, l.writes_seen, l.allocs_seen, l.syncs_seen)
+        self.layer.observed_ops()
     }
 
-    /// The fault model, e.g. to inspect which disks have died.
+    /// [`Faulty::model`].
     pub fn model(&self) -> &FaultModel {
-        &self.layer.model
+        self.layer.model()
     }
 
     /// Mutable access to the fault model, e.g. to kill a disk at an
@@ -502,6 +492,28 @@ impl<R: Record, A: DiskArray<R>> FaultyDiskArray<R, A> {
 }
 
 impl Faulty {
+    pub(crate) fn new(model: FaultModel) -> Self {
+        Faulty {
+            model,
+            reads_seen: 0,
+            writes_seen: 0,
+            allocs_seen: 0,
+            syncs_seen: 0,
+        }
+    }
+
+    /// Every per-op ordinal counter: (reads, writes, allocs, syncs).
+    /// A fault-free dry run exposes these so a schedule generator can
+    /// draw scripted ordinals that actually land inside the sort.
+    pub fn observed_ops(&self) -> (u64, u64, u64, u64) {
+        (self.reads_seen, self.writes_seen, self.allocs_seen, self.syncs_seen)
+    }
+
+    /// The fault model, e.g. to inspect which disks have died.
+    pub fn model(&self) -> &FaultModel {
+        &self.model
+    }
+
     /// Consult the model for the `ordinal`-th `op` touching `disks`; an
     /// injected fault is recorded in the trace, if tracing is active.
     fn decide<R: Record>(

@@ -120,6 +120,118 @@ pub trait Layer<R: Record> {
     }
 }
 
+/// The empty slot of [`crate::StackSpec::build`]: every default hook.
+impl<R: Record> Layer<R> for () {}
+
+/// A layer that may be absent: `None` is every default hook, `Some(l)` is
+/// `l`.  This is what lets [`crate::StackSpec::build`] return one type
+/// whichever wrappers are switched on — an absent wrapper is a value (and
+/// a predictable branch per operation), not another stack type with the
+/// sorters compiled again for it.
+impl<R: Record, L: Layer<R>> Layer<R> for Option<L> {
+    fn geometry(&self, inner: &impl DiskArray<R>) -> Geometry {
+        match self {
+            Some(l) => l.geometry(inner),
+            None => inner.geometry(),
+        }
+    }
+
+    fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
+        match self {
+            Some(l) => l.alloc_contiguous(inner, disk, count),
+            None => inner.alloc_contiguous(disk, count),
+        }
+    }
+
+    fn stats(&self, inner: &impl DiskArray<R>) -> IoStats {
+        match self {
+            Some(l) => l.stats(inner),
+            None => inner.stats(),
+        }
+    }
+
+    fn reset_stats(&mut self, inner: &mut impl DiskArray<R>) {
+        match self {
+            Some(l) => l.reset_stats(inner),
+            None => inner.reset_stats(),
+        }
+    }
+
+    fn redundancy(&self, inner: &impl DiskArray<R>) -> Option<RedundancyInfo> {
+        match self {
+            Some(l) => l.redundancy(inner),
+            None => inner.redundancy(),
+        }
+    }
+
+    fn install_trace(&mut self, inner: &mut impl DiskArray<R>, sink: TraceSink) {
+        match self {
+            Some(l) => l.install_trace(inner, sink),
+            None => inner.install_trace(sink),
+        }
+    }
+
+    fn trace_sink<'a>(&'a self, inner: &'a impl DiskArray<R>) -> Option<&'a TraceSink> {
+        match self {
+            Some(l) => l.trace_sink(inner),
+            None => inner.trace_sink(),
+        }
+    }
+
+    fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
+        match self {
+            Some(l) => l.submit_read(inner, addrs),
+            None => inner.submit_read(addrs),
+        }
+    }
+
+    fn complete_read(&mut self, inner: &mut impl DiskArray<R>, ticket: ReadTicket<R>) -> Result<Vec<Block<R>>> {
+        match self {
+            Some(l) => l.complete_read(inner, ticket),
+            None => inner.complete_read(ticket),
+        }
+    }
+
+    fn submit_write(
+        &mut self,
+        inner: &mut impl DiskArray<R>,
+        writes: Vec<(BlockAddr, Block<R>)>,
+    ) -> Result<WriteTicket> {
+        match self {
+            Some(l) => l.submit_write(inner, writes),
+            None => inner.submit_write(writes),
+        }
+    }
+
+    fn complete_write(&mut self, inner: &mut impl DiskArray<R>, ticket: WriteTicket) -> Result<()> {
+        match self {
+            Some(l) => l.complete_write(inner, ticket),
+            None => inner.complete_write(ticket),
+        }
+    }
+
+    fn prefetch(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) {
+        match self {
+            Some(l) => l.prefetch(inner, addrs),
+            None => inner.prefetch(addrs),
+        }
+    }
+
+    fn sync(&mut self, inner: &mut impl DiskArray<R>) -> Result<()> {
+        match self {
+            Some(l) => l.sync(inner),
+            None => inner.sync(),
+        }
+    }
+
+    fn scrub_block(&mut self, inner: &mut impl DiskArray<R>, addr: BlockAddr) -> Result<ScrubOutcome> {
+        match self {
+            Some(l) => l.scrub_block(inner, addr),
+            None => inner.scrub_block(addr),
+        }
+    }
+}
+
 /// `layer` stacked on `inner`: the one [`DiskArray`] every wrapper is.
 /// Each wrapper is an alias of this (`RetryingDiskArray<R, A>` is
 /// `Stack<R, Retrying, A>`) with its constructor and its own public

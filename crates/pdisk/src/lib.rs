@@ -60,7 +60,10 @@
 //! Stack order for a fully protected array, bottom to top:
 //! `RetryingDiskArray(ParityDiskArray(FaultyDiskArray(backend)))` — the
 //! parity layer absorbs *permanent* faults from below; *transient* faults
-//! pass through it to the retry layer above.
+//! pass through it to the retry layer above.  [`StackSpec::build`]
+//! ([`stack`]) is the one place that assembles it, crash points, the
+//! trace and a downstream layer's slot included; product code states
+//! which layers are on and calls it.
 
 #![forbid(unsafe_code)]
 
@@ -84,6 +87,7 @@ pub mod passes;
 pub mod pool;
 pub mod record;
 pub mod retry;
+pub mod stack;
 pub mod stats;
 pub mod striping;
 pub mod timing;
@@ -109,6 +113,7 @@ pub use passes::{PassEngine, PassReport, SortError, Sorter};
 pub use pool::{BufferPool, PoolStats};
 pub use record::{KeyPayloadRecord, Record, U64Record};
 pub use retry::{Jitter, RetryCounters, RetryPolicy, RetryingDiskArray};
+pub use stack::{BuiltStack, ParitySpec, StackSpec};
 pub use stats::IoStats;
 pub use striping::StripedRun;
 pub use timing::{ArrayTiming, DiskModel};

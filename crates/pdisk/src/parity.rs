@@ -327,10 +327,7 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// already-dead disk; a *second* distinct death is
     /// [`PdiskError::Unrecoverable`].
     pub fn fail_disk(&mut self, disk: DiskId) -> Result<()> {
-        if disk.index() >= self.layer.geom.d {
-            return Err(PdiskError::NoSuchDisk(disk));
-        }
-        self.layer.mark_dead(&self.inner, disk)
+        self.layer.fail_disk(&self.inner, disk)
     }
 
     /// Re-materialize dead `disk` onto an attached spare while the
@@ -421,6 +418,14 @@ impl Parity {
             addr.disk,
             phys_of(addr.disk.index(), addr.offset, self.geom.d as u64),
         )
+    }
+
+    /// [`ParityDiskArray::fail_disk`], given the array below.
+    pub(crate) fn fail_disk<R: Record>(&mut self, inner: &impl DiskArray<R>, disk: DiskId) -> Result<()> {
+        if disk.index() >= self.geom.d {
+            return Err(PdiskError::NoSuchDisk(disk));
+        }
+        self.mark_dead(inner, disk)
     }
 
     fn mark_dead<R: Record>(&mut self, inner: &impl DiskArray<R>, disk: DiskId) -> Result<()> {

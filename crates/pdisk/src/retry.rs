@@ -240,13 +240,7 @@ pub type RetryingDiskArray<R, A> = Stack<R, Retrying, A>;
 impl<R: Record, A: DiskArray<R>> RetryingDiskArray<R, A> {
     /// Wrap `inner` with the given policy.
     pub fn new(inner: A, policy: RetryPolicy) -> Self {
-        let layer = Retrying {
-            policy,
-            reads: RetryCounters::default(),
-            writes: RetryCounters::default(),
-            allocs: RetryCounters::default(),
-        };
-        Stack::from_parts(inner, layer)
+        Stack::from_parts(inner, Retrying::new(policy))
     }
 
     /// Retries performed so far (reads, writes).  Allocation retries are
@@ -264,6 +258,17 @@ impl<R: Record, A: DiskArray<R>> RetryingDiskArray<R, A> {
     /// Total simulated backoff wait accrued by all retries.
     pub fn total_backoff(&self) -> Duration {
         self.layer.reads.backoff + self.layer.writes.backoff + self.layer.allocs.backoff
+    }
+}
+
+impl Retrying {
+    pub(crate) fn new(policy: RetryPolicy) -> Self {
+        Retrying {
+            policy,
+            reads: RetryCounters::default(),
+            writes: RetryCounters::default(),
+            allocs: RetryCounters::default(),
+        }
     }
 }
 

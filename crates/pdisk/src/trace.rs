@@ -392,7 +392,7 @@ impl TraceSink {
 /// representative of the untraced ones the benchmarks time.
 #[derive(Debug)]
 pub struct Tracing {
-    sink: TraceSink,
+    pub(crate) sink: TraceSink,
 }
 
 /// `inner` under the trace layer.

@@ -2,8 +2,8 @@
 //! protection stack, driven through composed fault schedules with a
 //! crash/repair/recover loop around it.
 //!
-//! The stack mirrors the CLI's protected stack with the chaos layers
-//! added:
+//! The stack is `pdisk`'s production stack ([`pdisk::StackSpec`]) with
+//! every layer on and the chaos layer in its slot:
 //!
 //! ```text
 //! Tracing( Crashing( Retrying( Misclassify( Parity( Faulty( Mem ))))))
@@ -30,11 +30,10 @@
 
 use crate::schedule::{ChaosEvent, Envelope};
 use crate::{CampaignConfig, ChaosError, TrialOutcome, Violation};
-use pdisk::trace::TracingDiskArray;
 use pdisk::{
-    Block, BlockAddr, CrashClock, CrashingDiskArray, DiskArray, DiskId, FaultKind, FaultModel,
-    FaultOp, Geometry, InterruptFlag, Layer, Manifest as _, MemDiskArray, ParityDiskArray,
-    PdiskError, Record, RetryPolicy, RetryingDiskArray, ScriptedFault, StripedRun, U64Record,
+    Block, BlockAddr, BuiltStack, CrashClock, DiskArray, DiskId, FaultKind, FaultModel, FaultOp,
+    Geometry, InterruptFlag, Layer, Manifest as _, MemDiskArray, ParitySpec, PdiskError, Record,
+    RetryPolicy, ScriptedFault, StackSpec, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, SortManifest, SrmError};
@@ -58,10 +57,6 @@ pub struct Misclassifying {
     /// Whether the bug is planted.
     pub armed: bool,
 }
-
-/// `inner` under the misclassifier:
-/// `Stack::from_parts(inner, Misclassifying { armed })`.
-pub type MisclassifyingDiskArray<R, A> = pdisk::Stack<R, Misclassifying, A>;
 
 impl Misclassifying {
     fn remap(&self, e: PdiskError) -> PdiskError {
@@ -98,11 +93,7 @@ impl<R: Record> Layer<R> for Misclassifying {
     }
 }
 
-type Base = FaultyDiskArrayT;
-type FaultyDiskArrayT = pdisk::FaultyDiskArray<U64Record, MemDiskArray<U64Record>>;
-type Prot = MisclassifyingDiskArray<U64Record, ParityDiskArray<U64Record, Base>>;
-type Stack =
-    TracingDiskArray<U64Record, CrashingDiskArray<U64Record, RetryingDiskArray<U64Record, Prot>>>;
+type Stack = BuiltStack<U64Record, MemDiskArray<U64Record>, Misclassifying>;
 
 fn perr(e: PdiskError) -> ChaosError {
     ChaosError::Io(format!("chaos world setup failed: {e}"))
@@ -116,21 +107,21 @@ fn build_stack(
     pstore: &Path,
     dead: &[DiskId],
 ) -> Result<Stack, ChaosError> {
-    let fa = pdisk::FaultyDiskArray::new(mem, model);
-    let mut pa = ParityDiskArray::new(fa)
-        .map_err(perr)?
-        .with_store(pstore)
-        .map_err(perr)?;
-    for d in dead {
-        pa.fail_disk(*d).map_err(perr)?;
+    StackSpec {
+        faults: Some(model),
+        parity: Some(ParitySpec {
+            store: Some(pstore.to_path_buf()),
+            dead: dead.to_vec(),
+            hedge: None,
+        }),
+        // A generous budget so scripted transient storms are absorbed, but
+        // finite so a misclassified permanent condition exhausts visibly.
+        retry: Some(RetryPolicy::new(6, Duration::from_millis(1))),
+        crash: Some(clock.clone()),
+        trace: true,
     }
-    pa.set_crash_clock(clock.clone());
-    let mc = pdisk::Stack::from_parts(pa, Misclassifying { armed: plant });
-    // A generous budget so scripted transient storms are absorbed, but
-    // finite so a misclassified permanent condition exhausts visibly.
-    let ra = RetryingDiskArray::new(mc, RetryPolicy::new(6, Duration::from_millis(1)));
-    let ca = CrashingDiskArray::new(ra, clock.clone());
-    Ok(TracingDiskArray::new(ca))
+    .build(mem, Misclassifying { armed: plant })
+    .map_err(perr)
 }
 
 struct Teardown {
@@ -142,16 +133,15 @@ struct Teardown {
 }
 
 fn teardown(stack: Stack) -> Teardown {
-    let pa = stack.into_inner().into_inner().into_inner().into_inner();
-    let dead = pa.dead_disks().collect();
-    let fa = pa.into_inner();
-    let full = fa.model().full_disks().collect();
-    let ops = fa.observed_ops();
+    let (full, ops) = stack
+        .faulty()
+        .map(|f| (f.model().full_disks().collect(), f.observed_ops()))
+        .unwrap_or_default();
     Teardown {
-        mem: fa.into_inner(),
-        dead,
+        dead: stack.redundancy().map(|r| r.dead).unwrap_or_default(),
         full,
         ops,
+        mem: stack.into_backend(),
     }
 }
 
@@ -270,14 +260,17 @@ fn stage(
     data: &[U64Record],
     pstore: &Path,
 ) -> Result<(MemDiskArray<U64Record>, StripedRun), ChaosError> {
-    let mem: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-    let mut pa = ParityDiskArray::new(mem)
-        .map_err(perr)?
-        .with_store(pstore)
-        .map_err(perr)?;
+    let spec = StackSpec {
+        parity: Some(ParitySpec {
+            store: Some(pstore.to_path_buf()),
+            ..ParitySpec::default()
+        }),
+        ..StackSpec::default()
+    };
+    let mut pa = spec.build(MemDiskArray::new(geom), ()).map_err(perr)?;
     let input = write_unsorted_input(&mut pa, data)
         .map_err(|e| ChaosError::Io(format!("staging input failed: {e}")))?;
-    Ok((pa.into_inner(), input))
+    Ok((pa.into_backend(), input))
 }
 
 /// Run one composed-fault trial.  See the module docs for the loop's
@@ -386,12 +379,7 @@ fn run_trial_in(
                     match ev {
                         ChaosEvent::KillDisk { disk, pass: at } if !kill_fired[i] && pass == *at => {
                             kill_fired[i] = true;
-                            // Tracing -> Crashing -> Retrying -> Misclassify -> Parity.
-                            a.inner_mut()
-                                .inner_mut()
-                                .inner_mut()
-                                .inner_mut()
-                                .fail_disk(DiskId(*disk))?;
+                            a.fail_disk(DiskId(*disk))?;
                         }
                         ChaosEvent::Interrupt { pass: at }
                             if !interrupt_fired[i] && pass == *at =>

@@ -10,9 +10,16 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// Parse, treating every `--key` followed by a non-flag token as a
-    /// valued flag and everything else as a switch.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parse `srm SUB`'s arguments, treating every `--key` followed by a
+    /// non-flag token as a valued flag and everything else as a switch.
+    /// `usage` is the subcommand's help text and the one list of its
+    /// flags: a `--key` it does not name is a usage error, so a mistyped
+    /// flag cannot silently run something else.
+    pub fn parse(sub: &str, usage: &str, argv: &[String]) -> Result<Self, String> {
+        let named = |name: &str| {
+            let mut words = usage.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            words.any(|word| word.strip_prefix("--") == Some(name))
+        };
         let mut flags = Flags::default();
         let mut i = 0;
         while i < argv.len() {
@@ -20,6 +27,9 @@ impl Flags {
             let Some(name) = token.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{token}`"));
             };
+            if !named(name) {
+                return Err(format!("unknown flag `{token}` for `srm {sub}` (see `srm {sub} --help`)"));
+            }
             if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
                 flags.values.insert(name.to_string(), argv[i + 1].clone());
                 i += 2;
@@ -80,9 +90,12 @@ impl Flags {
 mod tests {
     use super::*;
 
+    const USAGE: &str = "  srm test [--records N] [--verify] [--algo A] [--d D]
+           [--pipeline] [--read-ahead K]";
+
     fn parse(s: &str) -> Flags {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
-        Flags::parse(&argv).unwrap()
+        Flags::parse("test", USAGE, &argv).unwrap()
     }
 
     #[test]
@@ -118,6 +131,6 @@ mod tests {
     #[test]
     fn positional_rejected() {
         let argv = vec!["stray".to_string()];
-        assert!(Flags::parse(&argv).is_err());
+        assert!(Flags::parse("test", USAGE, &argv).is_err());
     }
 }

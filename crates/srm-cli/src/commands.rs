@@ -1,11 +1,10 @@
 //! Subcommand implementations.
 
 use crate::args::Flags;
-use pdisk::trace::TracingDiskArray;
 use pdisk::{
-    ArrayTiming, CrashClock, CrashingDiskArray, DiskArray, DiskId, DiskModel, FaultModel,
-    FaultyDiskArray, FileDiskArray, Geometry, InterruptFlag, Manifest as _, MemDiskArray,
-    ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, SortError, Sorter, U64Record,
+    ArrayTiming, CrashClock, DiskArray, DiskId, DiskModel, FaultModel, FileDiskArray, Geometry,
+    InterruptFlag, Manifest as _, MemDiskArray, ParitySpec, Record, RetryPolicy, SortError, Sorter,
+    StackSpec, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -186,7 +185,7 @@ USAGE:
       retried up to N times (default 8) with capped exponential
       backoff, so a client racing a still-booting server wins.
 
-  srm distsort [--shards P] [--records N] [--d D] [--b B] [--m M]
+  srm distsort [--shards P] [--records N] [--d D] [--b B] [--k K | --m M]
            [--seed S] [--pipeline] [--read-ahead K]
            [--placement random|staggered]
            [--parity] [--dir PATH] [--keep] [--procs]
@@ -261,17 +260,33 @@ USAGE:
       This text.
 ";
 
-fn fail(msg: impl std::fmt::Display) -> i32 {
+/// The hidden subcommand `--procs` spawns its children as.
+const SHARD_RUN_USAGE: &str = "  srm shard-run --root PATH --shard S [--arm-kill PASS]
+      One `srm distsort --procs` shard as a child process (internal).
+";
+
+/// `sub`'s own section of [`USAGE`], synopsis and description: what `srm
+/// SUB --help` prints, and the text [`Flags::parse`] takes the
+/// subcommand's flags from.
+pub fn usage_of(sub: &str) -> &'static str {
+    if sub == "shard-run" {
+        return SHARD_RUN_USAGE;
+    }
+    let head = format!("\n  srm {sub} ");
+    let from = USAGE.find(&head).map_or(0, |at| at + 1);
+    let section = &USAGE[from..];
+    // Up to the next subcommand's synopsis (`srm chaos` has two lines).
+    let next = section.match_indices("\n  srm ").find(|(at, _)| !section[*at..].starts_with(&head));
+    &section[..next.map_or(section.len(), |(at, _)| at + 1)]
+}
+
+pub fn fail(msg: impl std::fmt::Display) -> i32 {
     eprintln!("error: {msg}");
     2
 }
 
 /// `srm sort`
-pub fn sort(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
+pub fn sort(flags: &Flags) -> i32 {
     let inner = || -> Result<(), CliError> {
         let records: u64 = flags.get_or("records", 1_000_000)?;
         let d: usize = flags.get_or("d", 4)?;
@@ -437,7 +452,7 @@ pub fn sort(argv: &[String]) -> i32 {
             if pipeline {
                 println!("window: pipelined (reads in flight + write-behind)");
             }
-            sort_on_backend(&flags, &sorter, &job("SRM", resume.as_deref()))?;
+            sort_on_backend(flags, &sorter, &job("SRM", resume.as_deref()))?;
             if let Some(c) = crash.as_ref().filter(|_| crash_points) {
                 println!(
                     "crash boundaries numbered: {} (explore with --crash-at 0..{})",
@@ -450,7 +465,7 @@ pub fn sort(argv: &[String]) -> i32 {
             // One manifest names one sort: under `--algo both` it is SRM's.
             let resume = resume.as_deref().filter(|_| algo == "dsm");
             let sorter = spec.dsm_sorter().with_interrupt(interrupt.clone());
-            sort_on_backend(&flags, &sorter, &job("DSM", resume))?;
+            sort_on_backend(flags, &sorter, &job("DSM", resume))?;
         }
         Ok(())
     };
@@ -562,7 +577,7 @@ fn sort_on_backend<S: Sorter>(flags: &Flags, sorter: &S, job: &SortJob) -> Resul
     let dead = resuming.as_deref().unwrap_or_default();
     if !job.durable {
         let array: MemDiskArray<U64Record> = MemDiskArray::new(job.geom);
-        return with_faults(array, sorter, job, None, dead);
+        return run_sort(array, sorter, job, None, dead);
     }
     let dir = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("srm-cli-{}", std::process::id()))
@@ -583,7 +598,7 @@ fn sort_on_backend<S: Sorter>(flags: &Flags, sorter: &S, job: &SortJob) -> Resul
     if let Some(s) = store.as_ref().filter(|_| resuming.is_none()) {
         let _ = std::fs::remove_file(s);
     }
-    with_faults(array, sorter, job, store.as_deref(), dead)?;
+    run_sort(array, sorter, job, store.as_deref(), dead)?;
     if !flags.has("keep") {
         let _ = std::fs::remove_dir_all(&dir);
     } else {
@@ -649,71 +664,19 @@ fn parse_slow_spec(s: &str) -> Result<Vec<(u32, f64)>, String> {
         .collect()
 }
 
-/// The fully protected stack, bottom to top: scriptable faults, rotating
-/// parity, bounded retry (see `pdisk` docs for why this order).
-type ProtectedStack<A> =
-    RetryingDiskArray<U64Record, ParityDiskArray<U64Record, FaultyDiskArray<U64Record, A>>>;
-
-/// Pass-boundary callback handed down to the sorter (the `--kill-disk`
-/// injection point).
-type Observer<'a, A> = Option<Box<dyn FnMut(u64, &mut A) -> Result<(), SortError> + 'a>>;
-
-/// Build the parity layer for either sorter: wrap `array` in fault
-/// injection + rotating parity, attach the sidecar store, configure
-/// hedging, and re-mark any disks a resumed manifest recorded as dead.
-fn build_parity_stack<A: DiskArray<U64Record>>(
-    array: A,
-    job: &SortJob,
-    opts: &ParityOpts,
-    store: Option<&Path>,
-    dead_from_manifest: &[DiskId],
-) -> Result<ProtectedStack<A>, String> {
-    let geom = job.geom;
-    println!(
-        "parity: rotating parity over {} disks ({} of every {} blocks usable); survives one disk death",
-        geom.d,
-        geom.d - 1,
-        geom.d
-    );
-    let model = FaultModel::random(job.fault_seed).with_rate(job.fault_rate);
-    let mut pa = ParityDiskArray::new(FaultyDiskArray::new(array, model)).map_err(|e| e.to_string())?;
-    if let Some(path) = store {
-        pa = pa.with_store(path).map_err(|e| e.to_string())?;
-    }
-    if !opts.slow.is_empty() {
-        let mut timing = ArrayTiming::uniform(DiskModel::hdd_modern(), geom.d);
-        for &(disk, f) in &opts.slow {
-            println!(
-                "straggler: disk {disk} at {f}x nominal service time (hedging reads past {}x the fastest)",
-                opts.hedge_after
-            );
-            timing = timing.with_slowdown(DiskId(disk), f);
-        }
-        pa.set_hedging(timing, opts.hedge_after);
-    }
-    for &dd in dead_from_manifest {
-        println!("manifest records disk {} dead; resuming degraded", dd.0);
-        pa.fail_disk(dd).map_err(|e| e.to_string())?;
-    }
-    // Crash drills also number the parity layer's read-modify-write
-    // boundaries, so --crash-at can land between a data write and its
-    // parity commit.
-    if let Some(c) = &job.crash {
-        pa.set_crash_clock(c.clone());
-    }
-    Ok(RetryingDiskArray::new(pa, RetryPolicy::default()))
-}
-
-/// Run `sorter` on `array`, optionally behind the fault-injection + retry
-/// stack (`--fault-rate`) and the rotating-parity layer (`--parity`, with
-/// its sidecar `store` and the disks a resumed manifest records `dead`).
-fn with_faults<S: Sorter, A: DiskArray<U64Record>>(
-    array: A,
+/// Run `sorter` on `backend` under the layers this job asks for — fault
+/// injection + retry (`--fault-rate`), rotating parity (`--parity`, with
+/// its sidecar `store` and the disks a resumed manifest records `dead`),
+/// the crash clock (`--crash-at` / `--crash-points`) and the trace
+/// (`--check-model`): stage, sort, verify, report.
+fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
+    backend: A,
     sorter: &S,
     job: &SortJob,
     store: Option<&Path>,
     dead: &[DiskId],
 ) -> Result<(), CliError> {
+    let geom = job.geom;
     let policy = RetryPolicy::default();
     if job.fault_rate > 0.0 {
         println!(
@@ -721,106 +684,55 @@ fn with_faults<S: Sorter, A: DiskArray<U64Record>>(
             job.fault_rate, job.fault_seed, policy.max_attempts
         );
     }
-    match &job.parity {
-        Some(p) => {
-            // A degraded resume re-marks the manifest's dead disks here,
-            // *before* the sorter validates redundancy.
-            let wrapped = build_parity_stack(array, job, p, store, dead)?;
-            let kill = p.kill;
-            let observer: Observer<'_, ProtectedStack<A>> = Some(Box::new(move |pass, a| {
-                if let Some((disk, at)) = kill {
-                    if pass == at {
-                        println!("drill: disk {disk} dies permanently after pass {pass}");
-                        a.inner_mut().fail_disk(DiskId(disk))?;
-                    }
-                }
-                Ok(())
-            }));
-            run(wrapped, sorter, job, observer)
+    let parity = job.parity.as_ref().map(|opts| {
+        println!(
+            "parity: rotating parity over {} disks ({} of every {} blocks usable); survives one disk death",
+            geom.d,
+            geom.d - 1,
+            geom.d
+        );
+        let hedge = (!opts.slow.is_empty()).then(|| {
+            let mut timing = ArrayTiming::uniform(DiskModel::hdd_modern(), geom.d);
+            for &(disk, f) in &opts.slow {
+                println!(
+                    "straggler: disk {disk} at {f}x nominal service time (hedging reads past {}x the fastest)",
+                    opts.hedge_after
+                );
+                timing = timing.with_slowdown(DiskId(disk), f);
+            }
+            (timing, opts.hedge_after)
+        });
+        // A degraded resume re-marks the manifest's dead disks in the
+        // build, *before* the sorter validates redundancy.
+        for dd in dead {
+            println!("manifest records disk {} dead; resuming degraded", dd.0);
         }
-        None if job.fault_rate > 0.0 => {
-            let model = FaultModel::random(job.fault_seed).with_rate(job.fault_rate);
-            let wrapped = RetryingDiskArray::new(FaultyDiskArray::new(array, model), policy);
-            run(wrapped, sorter, job, None)
+        ParitySpec {
+            store: store.map(Path::to_path_buf),
+            dead: dead.to_vec(),
+            hedge,
         }
-        None => run(array, sorter, job, None),
-    }
-}
+    });
+    // The injector and retry go in with parity or a fault rate; a plain
+    // sort runs on the bare backend.
+    let protected = parity.is_some() || job.fault_rate > 0.0;
+    let spec = StackSpec {
+        faults: protected.then(|| FaultModel::random(job.fault_seed).with_rate(job.fault_rate)),
+        parity,
+        retry: protected.then_some(policy),
+        // Crash drills also number the parity layer's read-modify-write
+        // boundaries, so --crash-at can land between a data write and its
+        // parity commit.
+        crash: job.crash.clone(),
+        trace: job.check_model,
+    };
+    let array = &mut spec.build(backend, ()).map_err(|e| e.to_string())?;
 
-/// Replay a traced sort's event stream through the model checker and
-/// report the verdict (the CLI's `--check-model` back end).
-fn report_model_check<A: DiskArray<U64Record>>(
-    geom: Geometry,
-    traced: &TracingDiskArray<U64Record, A>,
-) -> Result<(), String> {
-    let trace = traced.take_trace();
-    let summary = modelcheck::check_trace(geom, &trace)
-        .map_err(|v| format!("model-rule violation: {v}"))?;
-    modelcheck::check_stats(&trace, &traced.stats())
-        .map_err(|v| format!("trace/stats drift: {v}"))?;
-    println!(
-        "  model check: clean — {} events replayed ({} scheduled reads, {} blocks flushed, \
-         {} runs written, {} parity commits, {} reconstructions)",
-        summary.events,
-        summary.sched_reads,
-        summary.flushed_blocks,
-        summary.runs_written,
-        summary.parity_commits,
-        summary.reconstructs,
-    );
-    Ok(())
-}
-
-/// Put the crash clock's array layer (`--crash-at` / `--crash-points`)
-/// on top of the stack, when asked for.
-fn run<S: Sorter, A: DiskArray<U64Record>>(
-    array: A,
-    sorter: &S,
-    job: &SortJob,
-    observer: Observer<'_, A>,
-) -> Result<(), CliError> {
-    match &job.crash {
-        // Crash drills exclude --kill-disk (validated at parse time), so
-        // no observer is needed on this path.
-        Some(c) => run_checked(CrashingDiskArray::new(array, c.clone()), sorter, job, None),
-        None => run_checked(array, sorter, job, observer),
-    }
-}
-
-/// Dispatch a sort to [`run_on`], optionally under the tracing wrapper +
-/// invariant checker (`--check-model`).
-fn run_checked<S: Sorter, A: DiskArray<U64Record>>(
-    array: A,
-    sorter: &S,
-    job: &SortJob,
-    observer: Observer<'_, A>,
-) -> Result<(), CliError> {
-    if job.check_model {
-        let mut traced = TracingDiskArray::new(array);
-        let mut obs = observer;
-        let adapted: Observer<'_, TracingDiskArray<U64Record, A>> =
-            Some(Box::new(move |pass, t| match obs.as_deref_mut() {
-                Some(f) => f(pass, t.inner_mut()),
-                None => Ok(()),
-            }));
-        run_on(&mut traced, sorter, job, adapted)?;
-        Ok(report_model_check(job.geom, &traced)?)
-    } else {
-        let mut array = array;
-        run_on(&mut array, sorter, job, observer)
-    }
-}
-
-fn run_on<S: Sorter, A: DiskArray<U64Record>>(
-    array: &mut A,
-    sorter: &S,
-    job: &SortJob,
-    observer: Observer<'_, A>,
-) -> Result<(), CliError> {
     let input = sorter.stage(array, job.data).map_err(|e| e.to_string())?;
     let staged = array.stats();
     let start = std::time::Instant::now();
-    let mut obs = observer;
+    // Crash drills exclude --kill-disk (validated at parse time).
+    let kill = job.parity.as_ref().and_then(|p| p.kill);
     let (sorted, report) = sorter
         .run(array, &input, job.resume.as_deref(), |pass, a| {
             // The --interrupt-after-pass test hook stands in for a human
@@ -832,10 +744,14 @@ fn run_on<S: Sorter, A: DiskArray<U64Record>>(
                     flag.trigger();
                 }
             }
-            match obs.as_deref_mut() {
-                Some(f) => f(pass, a),
-                None => Ok(()),
+            // The `--kill-disk` injection point.
+            if let Some((disk, at)) = kill {
+                if pass == at {
+                    println!("drill: disk {disk} dies permanently after pass {pass}");
+                    a.fail_disk(DiskId(disk))?;
+                }
             }
+            Ok(())
         })
         .map_err(|e| job.failure(e))?;
     let elapsed = start.elapsed();
@@ -856,6 +772,28 @@ fn run_on<S: Sorter, A: DiskArray<U64Record>>(
     let io = array.stats().since(&staged);
     print_io("I/O (sort only)", &io, job.geom, elapsed);
     println!();
+    if job.check_model {
+        report_model_check(job.geom, &array.take_trace(), &array.stats())?;
+    }
+    Ok(())
+}
+
+/// Replay a traced sort's event stream through the model checker and
+/// report the verdict (the CLI's `--check-model` back end).
+fn report_model_check(geom: Geometry, trace: &[pdisk::trace::Tagged], stats: &pdisk::IoStats) -> Result<(), String> {
+    let summary = modelcheck::check_trace(geom, trace)
+        .map_err(|v| format!("model-rule violation: {v}"))?;
+    modelcheck::check_stats(trace, stats).map_err(|v| format!("trace/stats drift: {v}"))?;
+    println!(
+        "  model check: clean — {} events replayed ({} scheduled reads, {} blocks flushed, \
+         {} runs written, {} parity commits, {} reconstructions)",
+        summary.events,
+        summary.sched_reads,
+        summary.flushed_blocks,
+        summary.runs_written,
+        summary.parity_commits,
+        summary.reconstructs,
+    );
     Ok(())
 }
 
@@ -879,11 +817,7 @@ fn verify_sorted(got: &[U64Record], original: &[U64Record]) -> Result<(), String
 }
 
 /// `srm scrub`
-pub fn scrub(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
+pub fn scrub(flags: &Flags) -> i32 {
     let inner = || -> Result<bool, String> {
         let dir = flags
             .get_str("dir")
@@ -908,22 +842,24 @@ pub fn scrub(argv: &[String]) -> i32 {
         );
         let fa: FileDiskArray<U64Record> =
             FileDiskArray::open(geom, &dir).map_err(|e| e.to_string())?;
-        let report = if parity {
-            let mut pa = ParityDiskArray::new(fa)
-                .map_err(|e| e.to_string())?
-                .with_store(dir.join("parity.store"))
-                .map_err(|e| e.to_string())?;
-            if let Some(red) = &m.redundancy {
-                for &dd in &red.dead {
+        // Under --parity the scrub reads through the parity layer, the
+        // manifest's dead disks re-marked; without it, the bare files.
+        let dead = m.redundancy.as_ref().map(|red| red.dead.clone()).unwrap_or_default();
+        let spec = StackSpec {
+            parity: parity.then(|| {
+                for dd in &dead {
                     println!("manifest records disk {} dead; scrubbing degraded", dd.0);
-                    pa.fail_disk(dd).map_err(|e| e.to_string())?;
                 }
-            }
-            srm_core::scrub_runs(&mut pa, &m.runs).map_err(|e| e.to_string())?
-        } else {
-            let mut fa = fa;
-            srm_core::scrub_runs(&mut fa, &m.runs).map_err(|e| e.to_string())?
+                ParitySpec {
+                    store: Some(dir.join("parity.store")),
+                    dead,
+                    hedge: None,
+                }
+            }),
+            ..StackSpec::default()
         };
+        let mut array = spec.build(fa, ()).map_err(|e| e.to_string())?;
+        let report = srm_core::scrub_runs(&mut array, &m.runs).map_err(|e| e.to_string())?;
         println!("{report}");
         for f in &report.failures {
             println!("  unrepairable: {f}");
@@ -938,12 +874,8 @@ pub fn scrub(argv: &[String]) -> i32 {
 }
 
 /// `srm crash-matrix`
-pub fn crash_matrix(argv: &[String]) -> i32 {
+pub fn crash_matrix(flags: &Flags) -> i32 {
     use srm_repro::crashmat::{run_matrix, Backend, MatrixConfig};
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
     let inner = || -> Result<(), String> {
         let records: u64 = flags.get_or("records", 600)?;
         let d: usize = flags.get_or("d", 4)?;
@@ -1021,11 +953,7 @@ pub fn crash_matrix(argv: &[String]) -> i32 {
 }
 
 /// `srm occupancy`
-pub fn occupancy(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
+pub fn occupancy(flags: &Flags) -> i32 {
     let inner = || -> Result<(), String> {
         let k: u64 = flags
             .get("k")?
@@ -1049,11 +977,7 @@ pub fn occupancy(argv: &[String]) -> i32 {
 }
 
 /// `srm simulate`
-pub fn simulate(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
+pub fn simulate(flags: &Flags) -> i32 {
     let inner = || -> Result<(), String> {
         let k: usize = flags.get("k")?.ok_or("`srm simulate` requires --k")?;
         let d: usize = flags.get("d")?.ok_or("`srm simulate` requires --d")?;
@@ -1081,12 +1005,8 @@ pub fn simulate(argv: &[String]) -> i32 {
 }
 
 /// `srm serve`
-pub fn serve(argv: &[String]) -> i32 {
+pub fn serve(flags: &Flags) -> i32 {
     use std::io::Write as _;
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
     let inner = || -> Result<(), String> {
         let dir = flags
             .get_str("dir")
@@ -1183,12 +1103,8 @@ fn connect_with_retry(
 }
 
 /// `srm client`
-pub fn client(argv: &[String]) -> i32 {
+pub fn client(flags: &Flags) -> i32 {
     use std::io::{BufRead as _, Write as _};
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
     let inner = || -> Result<bool, String> {
         let port: u16 = flags
             .get("port")?
@@ -1224,11 +1140,7 @@ pub fn client(argv: &[String]) -> i32 {
 }
 
 /// `srm distsort`
-pub fn distsort(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
+pub fn distsort(flags: &Flags) -> i32 {
     let inner = || -> Result<(), String> {
         let mut spec = JobSpec {
             records: flags.get_or("records", 100_000)?,
@@ -1389,11 +1301,7 @@ pub fn distsort(argv: &[String]) -> i32 {
 /// `--procs` distributed sort (see `srm_dist::procs`).  Not advertised —
 /// it is an implementation detail of `srm distsort --procs`, spawned
 /// with plan files already on disk.
-pub fn shard_run(argv: &[String]) -> i32 {
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
+pub fn shard_run(flags: &Flags) -> i32 {
     let inner = || -> Result<(), String> {
         let root = flags
             .get_str("root")
@@ -1418,12 +1326,8 @@ pub fn shard_run(argv: &[String]) -> i32 {
 }
 
 /// `srm chaos`
-pub fn chaos(argv: &[String]) -> i32 {
+pub fn chaos(flags: &Flags) -> i32 {
     use srm_chaos::{replay, run_campaign, CampaignConfig, ReproArtifact, Target};
-    let flags = match Flags::parse(argv) {
-        Ok(f) => f,
-        Err(e) => return fail(e),
-    };
     let inner = || -> Result<i32, String> {
         let scratch = match flags.get_str("dir") {
             Some(d) => std::path::PathBuf::from(d),

@@ -33,25 +33,35 @@ mod commands;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let code = match argv.first().map(String::as_str) {
-        Some("sort") => commands::sort(&argv[1..]),
-        Some("occupancy") => commands::occupancy(&argv[1..]),
-        Some("simulate") => commands::simulate(&argv[1..]),
-        Some("scrub") => commands::scrub(&argv[1..]),
-        Some("crash-matrix") => commands::crash_matrix(&argv[1..]),
-        Some("serve") => commands::serve(&argv[1..]),
-        Some("client") => commands::client(&argv[1..]),
-        Some("distsort") => commands::distsort(&argv[1..]),
-        Some("chaos") => commands::chaos(&argv[1..]),
-        Some("shard-run") => commands::shard_run(&argv[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
+    let sub = argv.first().map_or("help", String::as_str);
+    let run: fn(&args::Flags) -> i32 = match sub {
+        "sort" => commands::sort,
+        "occupancy" => commands::occupancy,
+        "simulate" => commands::simulate,
+        "scrub" => commands::scrub,
+        "crash-matrix" => commands::crash_matrix,
+        "serve" => commands::serve,
+        "client" => commands::client,
+        "distsort" => commands::distsort,
+        "chaos" => commands::chaos,
+        "shard-run" => commands::shard_run,
+        "help" | "--help" | "-h" => {
             print!("{}", commands::USAGE);
-            0
+            std::process::exit(0);
         }
-        Some(other) => {
+        other => {
             eprintln!("unknown subcommand `{other}`\n\n{}", commands::USAGE);
-            2
+            std::process::exit(2);
         }
+    };
+    let usage = commands::usage_of(sub);
+    if argv[1..].iter().any(|arg| arg == "--help") {
+        print!("{usage}");
+        std::process::exit(0);
+    }
+    let code = match args::Flags::parse(sub, usage, &argv[1..]) {
+        Ok(flags) => run(&flags),
+        Err(e) => commands::fail(e),
     };
     std::process::exit(code);
 }

@@ -44,6 +44,57 @@ fn unknown_subcommand_fails_with_usage() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown subcommand"));
 }
 
+/// A flag the subcommand's help does not name is a usage error naming
+/// both, and nothing runs: before this check `srm sort --bogus-flag 1` and
+/// `srm sort --read-ahed 3 --pipeline` ran the default sort and exited 0.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    for args in [&["sort", "--bogus-flag", "1"][..], &["sort", "--read-ahed", "3", "--pipeline"][..]] {
+        let out = srm(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let flag = args[1];
+        assert!(stderr(&out).contains(&format!("unknown flag `{flag}` for `srm sort`")), "{}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{args:?}: nothing may run");
+    }
+}
+
+/// `srm SUB --help` prints SUB's own usage and runs nothing; every
+/// subcommand refuses a flag its usage does not name and accepts one it
+/// does (each probe then stops at a later usage error, so no sort runs).
+#[test]
+fn every_subcommand_checks_its_flags_against_its_own_usage() {
+    let probes: [(&str, &[&str]); 10] = [
+        ("sort", &["--algo", "nope"]),
+        ("occupancy", &["--trials", "10"]),
+        ("simulate", &["--trials", "10"]),
+        ("scrub", &["--parity"]),
+        ("crash-matrix", &["--backend", "nope"]),
+        ("serve", &["--port", "nope"]),
+        ("client", &["--connect-retries", "0"]),
+        ("distsort", &["--placement", "nope"]),
+        ("chaos", &["--target", "nope"]),
+        ("shard-run", &["--shard", "0"]),
+    ];
+    for (sub, accepted) in probes {
+        let help = srm(&[sub, "--records", "10", "--help"]);
+        assert_eq!(help.status.code(), Some(0), "srm {sub} --help");
+        assert!(stdout(&help).starts_with(&format!("  srm {sub} ")), "srm {sub} --help: {}", stdout(&help));
+        assert!(!stdout(&help).contains("USAGE"), "srm {sub} --help prints its own section only");
+
+        let bogus = srm(&[sub, "--no-such-flag"]);
+        assert_eq!(bogus.status.code(), Some(2), "srm {sub} --no-such-flag");
+        assert!(
+            stderr(&bogus).contains(&format!("unknown flag `--no-such-flag` for `srm {sub}`")),
+            "srm {sub}: {}",
+            stderr(&bogus)
+        );
+
+        let out = srm(&[&[sub], accepted].concat());
+        assert_eq!(out.status.code(), Some(2), "srm {sub} {accepted:?} is a usage error of its own");
+        assert!(!stderr(&out).contains("unknown flag"), "srm {sub} {accepted:?}: {}", stderr(&out));
+    }
+}
+
 #[test]
 fn sort_both_algorithms_mem_backend() {
     let out = srm(&[

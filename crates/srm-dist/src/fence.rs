@@ -43,8 +43,9 @@ impl FenceFlag {
 #[derive(Debug)]
 pub struct Fenced(pub FenceFlag);
 
-/// `inner` behind a fence: `Stack::from_parts(inner, Fenced(flag))`; I/O
-/// flows until `flag.fire()`.
+/// `inner` behind a fence; I/O flows until `flag.fire()`.  A shard puts
+/// `Fenced(flag)` in the slot of `pdisk::StackSpec::build`, under the
+/// retry layer, so a re-issued operation passes the fence again.
 pub type FencedDiskArray<R, A> = Stack<R, Fenced, A>;
 
 impl Fenced {

@@ -32,10 +32,10 @@ use crate::error::{DistError, Result};
 use crate::fence::FenceFlag;
 use crate::net::NetStats;
 use crate::shard::{
-    atomic_write, complete_window, inspect_dir, open_output_stack, sort_shard, submit_window, Boot,
-    KillPoint, Outcome, OutputMeta, ShardPlan, SortInput,
+    atomic_write, complete_window, inspect_dir, open_base, shard_stack, sort_shard, submit_window, Boot,
+    KillPoint, Outcome, OutputMeta, ShardPlan, ShardStack, SortInput,
 };
-use pdisk::{DiskArray, StripedRun, U64Record};
+use pdisk::{StripedRun, U64Record};
 use srm_core::StripeWindow;
 use srm_server::{expected_digest, JobSpec};
 use std::io::{BufRead, BufReader, Write as _};
@@ -377,24 +377,27 @@ struct LocalWindows {
     plans: Vec<ShardPlan>,
     runs: Vec<Option<StripedRun>>,
     window: u64,
-    open: Option<(usize, Box<dyn DiskArray<U64Record>>)>,
+    open: Option<(usize, ShardStack)>,
     in_flight: Option<StripeWindow<U64Record>>,
 }
 
 impl WindowSource for LocalWindows {
     fn request(&mut self, shard: usize, first: u64) -> Result<()> {
         if self.open.as_ref().map(|(s, _)| *s) != Some(shard) {
-            self.open = Some((shard, open_output_stack(&self.plans[shard])?));
+            // No replacement can own a finished shard's cluster: the
+            // parent reads it behind a fence that never fires.
+            let plan = &self.plans[shard];
+            self.open = Some((shard, shard_stack(plan, open_base(plan, false)?, &FenceFlag::new(), false)?));
         }
         if let (Some((_, array)), Some(run)) = (&mut self.open, &self.runs[shard]) {
-            self.in_flight = Some(submit_window(array.as_mut(), run, first, self.window)?);
+            self.in_flight = Some(submit_window(array, run, first, self.window)?);
         }
         Ok(())
     }
 
     fn wait(&mut self) -> Result<Vec<u64>> {
         match (&mut self.open, self.in_flight.take()) {
-            (Some((_, array)), Some(window)) => complete_window(array.as_mut(), window),
+            (Some((_, array)), Some(window)) => complete_window(array, window),
             _ => Ok(Vec::new()),
         }
     }

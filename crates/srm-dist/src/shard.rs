@@ -26,11 +26,9 @@ use crate::error::{DistError, Result};
 use crate::fence::{FenceFlag, Fenced};
 use crate::msg::Msg;
 use crate::net::{Endpoint, NetSender};
-use pdisk::trace::TracingDiskArray;
 use pdisk::{
-    DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, Geometry, Manifest as _,
-    ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, Sorter as _, Stack, StripedRun,
-    U64Record,
+    BuiltStack, DiskArray, FaultModel, FileDiskArray, Geometry, Manifest as _, ParitySpec,
+    PdiskError, RetryPolicy, Sorter as _, StackSpec, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter, StripeWindow};
@@ -357,96 +355,13 @@ pub(crate) fn sort_shard(
     on_pass: &mut dyn FnMut(u64),
 ) -> Result<Outcome> {
     let base = open_base(plan, matches!(input, SortInput::Fresh(_)))?;
-    if plan.parity {
-        let stack = parity_stack(plan, base)?;
-        sort_instance(stack, plan, fence, input, on_staged, on_pass)
-    } else if plan.fault_rate > 0.0 || plan.fill_write.is_some() {
-        let stack =
-            RetryingDiskArray::new(FaultyDiskArray::new(base, fault_model(plan)), RetryPolicy::default());
-        sort_instance(stack, plan, fence, input, on_staged, on_pass)
-    } else {
-        sort_instance(base, plan, fence, input, on_staged, on_pass)
-    }
-}
-
-/// The shard's disk fault model: the plan's random transient regime,
-/// plus the armed disk-full drill if any.
-fn fault_model(plan: &ShardPlan) -> FaultModel {
-    let mut model = FaultModel::random(plan.fault_seed).with_rate(plan.fault_rate);
-    if let Some(n) = plan.fill_write {
-        model = model.fill_at(pdisk::FaultOp::Write, n);
-    }
-    model
-}
-
-/// The protective stack of a parity shard: retry over rotating parity
-/// over injected faults over the files.  Every reader of a parity
-/// cluster must go through this — the rotating layout shifts physical
-/// slots, so a bare [`FileDiskArray`] read of a run's *logical* address
-/// would land on the wrong frame (or a reserved parity slot).
-type ParityStack =
-    RetryingDiskArray<U64Record, ParityDiskArray<U64Record, FaultyDiskArray<U64Record, FileDiskArray<U64Record>>>>;
-
-pub(crate) fn parity_stack(plan: &ShardPlan, base: FileDiskArray<U64Record>) -> Result<ParityStack> {
-    let faulty = FaultyDiskArray::new(base, fault_model(plan));
-    let pa = ParityDiskArray::new(faulty)?.with_store(plan.parity_store())?;
-    Ok(RetryingDiskArray::new(pa, RetryPolicy::default()))
-}
-
-/// Reopen a finished shard's cluster through whatever read stack its
-/// plan mandates (process mode streams the shard directories directly).
-pub(crate) fn open_output_stack(plan: &ShardPlan) -> Result<Box<dyn DiskArray<U64Record>>> {
-    let base = open_base(plan, false)?;
-    Ok(if plan.parity {
-        Box::new(parity_stack(plan, base)?)
-    } else {
-        Box::new(base)
-    })
-}
-
-/// Start reading blocks `first..first + count` of `run`, clamped to its
-/// end: every stripe of the window is submitted (one parallel I/O each)
-/// before any is awaited, so the per-disk workers run back to back.
-pub(crate) fn submit_window<A: DiskArray<U64Record> + ?Sized>(
-    array: &mut A,
-    run: &StripedRun,
-    first: u64,
-    count: u64,
-) -> Result<StripeWindow<U64Record>> {
-    let mut window = StripeWindow::new(run, first..first.saturating_add(count));
-    window.submit(array, usize::MAX)?;
-    Ok(window)
-}
-
-/// Await a submitted window, stripe by stripe: its keys, in run order.
-pub(crate) fn complete_window<A: DiskArray<U64Record> + ?Sized>(
-    array: &mut A,
-    mut window: StripeWindow<U64Record>,
-) -> Result<Vec<u64>> {
-    let mut keys = Vec::new();
-    while let Some(blocks) = window.complete_oldest(array)? {
-        for block in blocks {
-            keys.extend(block.records.iter().map(|r| r.0));
-        }
-    }
-    Ok(keys)
-}
-
-fn sort_instance<A: DiskArray<U64Record>>(
-    stack: A,
-    plan: &ShardPlan,
-    fence: &FenceFlag,
-    input: SortInput,
-    on_staged: &mut dyn FnMut(u64),
-    on_pass: &mut dyn FnMut(u64),
-) -> Result<Outcome> {
-    let mut fenced = Stack::from_parts(stack, Fenced(fence.clone()));
+    let mut stack = shard_stack(plan, base, fence, true)?;
 
     // Recovery path 2 (`--parity`): before resuming, scrub every run the
     // resume can still touch — the staged input (a pass-0 resume re-sorts
     // it) and whatever the newest manifest keeps live — healing any block
-    // the dead node's storage lost; then zero the counters so the traced
-    // sort's stats match its trace exactly.
+    // the dead node's storage lost; then zero the counters and drop the
+    // scrub's events so the traced sort's stats match its trace exactly.
     let mut repaired = 0u64;
     if plan.parity {
         if let SortInput::Durable(run) = &input {
@@ -454,7 +369,7 @@ fn sort_instance<A: DiskArray<U64Record>>(
             if let Some(m) = SortManifest::load_latest(&plan.manifest_path())? {
                 live.extend(m.runs);
             }
-            let report = scrub_runs(&mut fenced, &live)?;
+            let report = scrub_runs(&mut stack, &live)?;
             repaired = report.repaired;
             if report.unrepairable > 0 {
                 return Err(DistError::Shard {
@@ -467,9 +382,8 @@ fn sort_instance<A: DiskArray<U64Record>>(
             }
         }
     }
-    fenced.reset_stats();
-
-    let mut traced = TracingDiskArray::new(fenced);
+    stack.reset_stats();
+    drop(stack.take_trace());
 
     // Stage fresh input inside the trace (exactly like the CLI), making
     // the descriptor durable *before* sorting so a death between staging
@@ -478,8 +392,8 @@ fn sort_instance<A: DiskArray<U64Record>>(
     let clock = Instant::now();
     let input_run = match input {
         SortInput::Fresh(records) => {
-            let run = write_unsorted_input(&mut traced, &records)?;
-            traced.sync()?;
+            let run = write_unsorted_input(&mut stack, &records)?;
+            stack.sync()?;
             atomic_write(&plan.input_path(), &JobRun::Striped(run.clone()).encode())?;
             ms.stage = clock.elapsed().as_millis() as u64;
             on_staged(run.records);
@@ -494,7 +408,7 @@ fn sort_instance<A: DiskArray<U64Record>>(
     };
     let manifest = plan.manifest_path();
     let clock = Instant::now();
-    let sorted = plan.sorter.sort_observed(&mut traced, &input_run, Some(&manifest), |pass, _a| {
+    let sorted = plan.sorter.sort_observed(&mut stack, &input_run, Some(&manifest), |pass, _a| {
         on_pass(pass);
         if kill_at == Some(pass) {
             return Err(SrmError::Internal(KILL_SENTINEL.into()));
@@ -513,12 +427,12 @@ fn sort_instance<A: DiskArray<U64Record>>(
     // model checker: staging + sort + verification must all obey the
     // Vitter–Shriver rules.
     let clock = Instant::now();
-    let out = read_run(&mut traced, &run)?;
+    let out = read_run(&mut stack, &run)?;
     let digest = digest_keys(out.iter().map(|r| r.0));
     ms.verify = clock.elapsed().as_millis() as u64;
     let clock = Instant::now();
-    let stats = traced.stats();
-    let trace = traced.take_trace();
+    let stats = stack.stats();
+    let trace = stack.take_trace();
     let summary = modelcheck::check_trace(plan.geom, &trace)
         .map_err(|v| DistError::Model(format!("shard {}: {v}", plan.shard)))?;
     modelcheck::check_stats(&trace, &stats)
@@ -537,6 +451,74 @@ fn sort_instance<A: DiskArray<U64Record>>(
     };
     atomic_write(&plan.output_path(), &meta.encode())?;
     Ok(Outcome::Done(meta))
+}
+
+/// The one stack a shard's cluster is ever read or written through: the
+/// `pdisk` production stack with the fence in its slot.
+pub(crate) type ShardStack = BuiltStack<U64Record, FileDiskArray<U64Record>, Fenced>;
+
+/// Build it over `base`.  A parity plan's cluster is always behind the
+/// protective layers — retry over rotating parity over the injector (the
+/// plan's random transient regime, plus the armed disk-full drill if
+/// any): every reader of a parity cluster must go through them, since
+/// the rotating layout shifts physical slots and a bare
+/// [`FileDiskArray`] read of a run's *logical* address would land on the
+/// wrong frame (or a reserved parity slot).  Without parity, the
+/// `sorting` incarnation gets injector + retry when the plan has a fault
+/// rate or a fill drill, and a finished shard's read-back is bare.  The
+/// sort incarnation is the traced one.
+pub(crate) fn shard_stack(
+    plan: &ShardPlan,
+    base: FileDiskArray<U64Record>,
+    fence: &FenceFlag,
+    sorting: bool,
+) -> Result<ShardStack> {
+    let protected = plan.parity || (sorting && (plan.fault_rate > 0.0 || plan.fill_write.is_some()));
+    let spec = StackSpec {
+        faults: protected.then(|| {
+            let model = FaultModel::random(plan.fault_seed).with_rate(plan.fault_rate);
+            match plan.fill_write {
+                Some(n) => model.fill_at(pdisk::FaultOp::Write, n),
+                None => model,
+            }
+        }),
+        parity: plan.parity.then(|| ParitySpec {
+            store: Some(plan.parity_store()),
+            ..ParitySpec::default()
+        }),
+        retry: protected.then(RetryPolicy::default),
+        crash: None,
+        trace: sorting,
+    };
+    Ok(spec.build(base, Fenced(fence.clone()))?)
+}
+
+/// Start reading blocks `first..first + count` of `run`, clamped to its
+/// end: every stripe of the window is submitted (one parallel I/O each)
+/// before any is awaited, so the per-disk workers run back to back.
+pub(crate) fn submit_window<A: DiskArray<U64Record>>(
+    array: &mut A,
+    run: &StripedRun,
+    first: u64,
+    count: u64,
+) -> Result<StripeWindow<U64Record>> {
+    let mut window = StripeWindow::new(run, first..first.saturating_add(count));
+    window.submit(array, usize::MAX)?;
+    Ok(window)
+}
+
+/// Await a submitted window, stripe by stripe: its keys, in run order.
+pub(crate) fn complete_window<A: DiskArray<U64Record>>(
+    array: &mut A,
+    mut window: StripeWindow<U64Record>,
+) -> Result<Vec<u64>> {
+    let mut keys = Vec::new();
+    while let Some(blocks) = window.complete_oldest(array)? {
+        for block in blocks {
+            keys.extend(block.records.iter().map(|r| r.0));
+        }
+    }
+    Ok(keys)
 }
 
 // ─── thread-mode wiring: heartbeats, staging, serving ────────────────────
@@ -780,27 +762,11 @@ fn serve(
     fence: &FenceFlag,
     meta: &OutputMeta,
 ) -> Result<Exit> {
-    if meta.run.is_none() {
-        return serve_loop::<FileDiskArray<U64Record>>(plan, ep, epoch, fence, meta, None);
-    }
-    if plan.parity {
-        let stack = parity_stack(plan, open_base(plan, false)?)?;
-        serve_loop(plan, ep, epoch, fence, meta, Some(stack))
-    } else {
-        serve_loop(plan, ep, epoch, fence, meta, Some(open_base(plan, false)?))
-    }
-}
-
-fn serve_loop<A: DiskArray<U64Record>>(
-    plan: &ShardPlan,
-    ep: &Endpoint,
-    epoch: u64,
-    fence: &FenceFlag,
-    meta: &OutputMeta,
-    array: Option<A>,
-) -> Result<Exit> {
     let coord = plan.coord();
-    let mut array = array.map(|a| Stack::from_parts(a, Fenced(fence.clone())));
+    let mut array = match meta.run {
+        Some(_) => Some(shard_stack(plan, open_base(plan, false)?, fence, false)?),
+        None => None,
+    };
     let mut served = 0u64;
     let mut heard = false;
     let mut idle = 0u32;
@@ -931,7 +897,7 @@ mod tests {
         check(open_base(&plan, true).unwrap(), geom);
         plan.parity = true;
         let base = open_base(&plan, true).unwrap();
-        check(parity_stack(&plan, base).unwrap(), geom);
+        check(shard_stack(&plan, base, &FenceFlag::new(), false).unwrap(), geom);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -35,17 +35,15 @@ use crate::drain::{DrainReport, ShutdownFlag};
 use crate::job::{digest_keys, expected_digest, AnyJob, JobError, JobRun, JobSpec};
 use crate::queue::Admission;
 use pdisk::manifest::atomic_write as atomic_write_raw;
-use pdisk::{
-    DiskArray, FaultModel, FaultyDiskArray, FileDiskArray, InterruptFlag, RetryPolicy,
-    RetryingDiskArray, TracingDiskArray, U64Record,
-};
+use pdisk::{DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, StackSpec, U64Record};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// How long a worker sleeps between queue polls (the vendored
-/// `parking_lot` has no condvar, so coordination is polling).
+/// How long a worker sleeps between queue polls.  Polling is a choice,
+/// not a constraint — the state sits behind a `std::sync::Mutex`, which
+/// has a `Condvar` — and ROADMAP item 6 revisits it.
 const WORKER_POLL: Duration = Duration::from_millis(10);
 
 /// Server configuration.
@@ -775,11 +773,13 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
     // transient faults over the durable file backend.  With the spec's
     // fault rate at 0 the fault layer is a no-op passthrough, so one
     // stack shape serves both faulty and clean jobs.
-    let faulty = FaultyDiskArray::new(
-        file,
-        FaultModel::random(spec.fault_seed).with_rate(spec.fault_rate),
-    );
-    let mut stack = RetryingDiskArray::new(faulty, inner.cfg.retry);
+    let mut stack = StackSpec {
+        faults: Some(FaultModel::random(spec.fault_seed).with_rate(spec.fault_rate)),
+        retry: Some(inner.cfg.retry),
+        trace: inner.cfg.check_model,
+        ..StackSpec::default()
+    }
+    .build(file, ())?;
 
     let started = Instant::now();
     let deadline = spec.deadline_ms.map(Duration::from_millis);
@@ -797,16 +797,11 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
         }
     };
 
-    let digest = if inner.cfg.check_model {
-        let mut traced = TracingDiskArray::new(stack);
-        let digest = sort_and_digest(&job, &mut traced, &input, &manifest, &mut observer)?;
-        let trace = traced.take_trace();
-        modelcheck::check_trace(geom, &trace)
+    let digest = sort_and_digest(&job, &mut stack, &input, &manifest, &mut observer)?;
+    if inner.cfg.check_model {
+        modelcheck::check_trace(geom, &stack.take_trace())
             .map_err(|v| JobError::Model(v.to_string()))?;
-        digest
-    } else {
-        sort_and_digest(&job, &mut stack, &input, &manifest, &mut observer)?
-    };
+    }
 
     let expected = expected_digest(spec);
     if digest != expected {

@@ -23,10 +23,9 @@
 //! Used by the `srm crash-matrix` CLI subcommand and the
 //! `tests/crash_matrix.rs` integration suite.
 
-use pdisk::trace::TracingDiskArray;
 use pdisk::{
-    CrashClock, CrashingDiskArray, DiskArray, FileDiskArray, Geometry, Manifest as _, MemDiskArray,
-    ParityDiskArray, PdiskError, Sorter as _, StripedRun, U64Record,
+    CrashClock, DiskArray, FileDiskArray, Geometry, Manifest as _, MemDiskArray, ParitySpec,
+    PdiskError, Sorter as _, StackSpec, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, SrmError, SrmSorter};
@@ -123,59 +122,66 @@ fn read_keys<A: DiskArray<U64Record>>(array: &mut A, run: &StripedRun) -> Result
         .collect())
 }
 
-/// Complete an interrupted sort on the rebooted world and hand back the
-/// output keys, optionally model-checking the recovery's own trace.
-fn recover<A: DiskArray<U64Record>>(
-    mut array: A,
-    cfg: &MatrixConfig,
-    input: &StripedRun,
-    manifest: &Path,
-    k: u64,
-) -> Result<Vec<u64>, String> {
-    let s = sorter(cfg);
-    if cfg.check_recovery {
-        let mut traced = TracingDiskArray::new(array);
-        let (run, _) = s
-            .sort_checkpointed(&mut traced, input, manifest)
-            .map_err(|e| format!("crash point {k}: recovery failed: {e}"))?;
-        let keys = read_keys(&mut traced, &run)?;
-        let trace = traced.take_trace();
-        modelcheck::check_trace(traced.geometry(), &trace)
-            .map_err(|v| format!("crash point {k}: recovery trace violates the model: {v}"))?;
-        Ok(keys)
-    } else {
-        let (run, _) = s
-            .sort_checkpointed(&mut array, input, manifest)
-            .map_err(|e| format!("crash point {k}: recovery failed: {e}"))?;
-        read_keys(&mut array, &run)
-    }
-}
-
-/// Drive one world to the crash (or to completion, for the dry run).
-/// Returns `Ok(Some(run))` when the sort finished, `Ok(None)` when the
-/// armed boundary fired.  The caller reads the output *after* unwrapping
-/// the crash layer, so the boundary count `N` covers exactly the sort.
-fn drive<A: DiskArray<U64Record>>(
-    array: &mut A,
-    cfg: &MatrixConfig,
-    clock: &CrashClock,
-    input: &StripedRun,
-    manifest: &Path,
-    k: u64,
-) -> Result<Option<StripedRun>, String> {
-    let s = sorter(cfg).with_crash_clock(clock.clone());
-    match crash_or(s.sort_checkpointed(array, input, manifest), k)? {
-        Some((run, _)) => Ok(Some(run)),
-        None => Ok(None),
-    }
-}
-
-/// One crash-and-recover cycle (or, with a counting clock, the dry run).
+/// One crash-and-recover cycle (or, with a counting clock, the dry run)
+/// on `backend`, whose `reboot` is what a power cut does to it.
 ///
 /// Returns `(output_keys, resumed_from_checkpoint)`.  Volatile state —
 /// every wrapper, the parity layer's in-memory masks, the crashed
 /// process's tickets — is rebuilt from scratch at the reboot; only the
 /// backend (and the parity sidecar / manifest files) survives.
+fn run_world<A: DiskArray<U64Record>>(
+    cfg: &MatrixConfig,
+    data: &[U64Record],
+    clock: CrashClock,
+    k: u64,
+    (manifest, pstore): (&Path, &Path),
+    backend: A,
+    reboot: impl FnOnce(A) -> Result<A, String>,
+) -> Result<(Vec<u64>, bool), String> {
+    // The world's stack, parity (masks and watermarks from its sidecar)
+    // on or off by the config; its phases differ in the clock and the
+    // trace.
+    let stack = |backend: A, crash: Option<CrashClock>, trace: bool| {
+        let parity = cfg.parity.then(|| ParitySpec {
+            store: Some(pstore.to_path_buf()),
+            ..ParitySpec::default()
+        });
+        StackSpec { parity, crash, trace, ..StackSpec::default() }
+            .build(backend, ())
+            .map_err(|e| e.to_string())
+    };
+    // Staging and the output read are off the clock, so the boundary
+    // count `N` covers exactly the sort.
+    let mut staging = stack(backend, None, false)?;
+    let input = write_unsorted_input(&mut staging, data).map_err(|e| format!("staging failed: {e}"))?;
+    let mut world = stack(staging.into_backend(), Some(clock.clone()), false)?;
+    let s = sorter(cfg).with_crash_clock(clock);
+    if let Some((run, _)) = crash_or(s.sort_checkpointed(&mut world, &input, manifest), k)? {
+        let mut world = stack(world.into_backend(), None, false)?;
+        return Ok((read_keys(&mut world, &run)?, false));
+    }
+    // The armed boundary fired.  Reboot, see whether a valid checkpoint
+    // generation survived, and complete the sort on the rebooted world,
+    // optionally model-checking the recovery's own trace.
+    let backend = reboot(world.into_backend())?;
+    let resumed = sorter(cfg)
+        .resume_point(cfg.geom, data.len() as u64, manifest)
+        .map(|at| at.is_some())
+        .map_err(|e| format!("manifest unreadable after crash: {e}"))?;
+    let mut world = stack(backend, None, cfg.check_recovery)?;
+    let (run, _) = sorter(cfg)
+        .sort_checkpointed(&mut world, &input, manifest)
+        .map_err(|e| format!("crash point {k}: recovery failed: {e}"))?;
+    let keys = read_keys(&mut world, &run)?;
+    if cfg.check_recovery {
+        modelcheck::check_trace(world.geometry(), &world.take_trace())
+            .map_err(|v| format!("crash point {k}: recovery trace violates the model: {v}"))?;
+    }
+    Ok((keys, resumed))
+}
+
+/// [`run_world`] on the configured substrate, with a clean scratch
+/// before and after.
 fn run_point(
     cfg: &MatrixConfig,
     data: &[U64Record],
@@ -189,129 +195,24 @@ fn run_point(
     let ddir = cfg.scratch.join(format!("point-{k}-disks"));
     let _ = std::fs::remove_dir_all(&ddir);
 
-    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Result<StripedRun, String> {
-        write_unsorted_input(a, data).map_err(|e| format!("staging failed: {e}"))
-    }
-    let err = |e: PdiskError| e.to_string();
-    // Whether a valid checkpoint generation survived the crash.
-    let checkpointed = || {
-        sorter(cfg)
-            .resume_point(cfg.geom, data.len() as u64, &manifest)
-            .map(|at| at.is_some())
-            .map_err(|e| format!("manifest unreadable after crash: {e}"))
-    };
-
-    // The four worlds differ only in how the stack is built and rebuilt;
-    // the crash/recover protocol is identical.
-    let (keys, resumed) = match (cfg.backend, cfg.parity) {
-        (Backend::Mem, false) => {
-            let mut mem: MemDiskArray<U64Record> = MemDiskArray::new(cfg.geom);
-            let input = stage(&mut mem, data)?;
-            let mut arr = CrashingDiskArray::new(mem, clock.clone());
-            match drive(&mut arr, cfg, &clock, &input, &manifest, k)? {
-                Some(run) => {
-                    let mut mem = arr.into_inner();
-                    (read_keys(&mut mem, &run)?, false)
-                }
-                None => {
-                    let mem = arr.into_inner();
-                    let resumed = checkpointed()?;
-                    (recover(mem, cfg, &input, &manifest, k)?, resumed)
-                }
-            }
+    let files = (manifest.as_path(), pstore.as_path());
+    let result = match cfg.backend {
+        // The same instance survives, exactly as platters do.
+        Backend::Mem => run_world(cfg, data, clock, k, files, MemDiskArray::new(cfg.geom), Ok),
+        Backend::File => {
+            let fa = FileDiskArray::create(cfg.geom, &ddir).map_err(|e| e.to_string())?;
+            run_world(cfg, data, clock, k, files, fa, |crashed| {
+                // Drop the crashed array (its workers drain), then reopen
+                // the directory — torn-frame detection runs here.
+                drop(crashed);
+                FileDiskArray::open(cfg.geom, &ddir).map_err(|e| e.to_string())
+            })
         }
-        (Backend::Mem, true) => {
-            let mem: MemDiskArray<U64Record> = MemDiskArray::new(cfg.geom);
-            let mut pa = ParityDiskArray::new(mem)
-                .map_err(err)?
-                .with_store(&pstore)
-                .map_err(err)?;
-            let input = stage(&mut pa, data)?;
-            pa.set_crash_clock(clock.clone());
-            let mut arr = CrashingDiskArray::new(pa, clock.clone());
-            match drive(&mut arr, cfg, &clock, &input, &manifest, k)? {
-                Some(run) => {
-                    // Re-wrap without the crash clock to read the output.
-                    let mem = arr.into_inner().into_inner();
-                    let mut pa = ParityDiskArray::new(mem)
-                        .map_err(err)?
-                        .with_store(&pstore)
-                        .map_err(err)?;
-                    (read_keys(&mut pa, &run)?, false)
-                }
-                None => {
-                    // Reboot: the parity layer's in-memory state dies with
-                    // the process; masks and watermarks come back from the
-                    // sidecar.
-                    let mem = arr.into_inner().into_inner();
-                    let pa = ParityDiskArray::new(mem)
-                        .map_err(err)?
-                        .with_store(&pstore)
-                        .map_err(err)?;
-                    let resumed = checkpointed()?;
-                    (recover(pa, cfg, &input, &manifest, k)?, resumed)
-                }
-            }
-        }
-        (Backend::File, false) => {
-            let mut fa: FileDiskArray<U64Record> =
-                FileDiskArray::create(cfg.geom, &ddir).map_err(err)?;
-            let input = stage(&mut fa, data)?;
-            let mut arr = CrashingDiskArray::new(fa, clock.clone());
-            match drive(&mut arr, cfg, &clock, &input, &manifest, k)? {
-                Some(run) => {
-                    let mut fa = arr.into_inner();
-                    (read_keys(&mut fa, &run)?, false)
-                }
-                None => {
-                    // Reboot: drop the crashed array (its workers drain),
-                    // then reopen the directory — torn-frame detection
-                    // runs here.
-                    drop(arr);
-                    let fa: FileDiskArray<U64Record> =
-                        FileDiskArray::open(cfg.geom, &ddir).map_err(err)?;
-                    let resumed = checkpointed()?;
-                    (recover(fa, cfg, &input, &manifest, k)?, resumed)
-                }
-            }
-        }
-        (Backend::File, true) => {
-            let fa: FileDiskArray<U64Record> =
-                FileDiskArray::create(cfg.geom, &ddir).map_err(err)?;
-            let mut pa = ParityDiskArray::new(fa)
-                .map_err(err)?
-                .with_store(&pstore)
-                .map_err(err)?;
-            let input = stage(&mut pa, data)?;
-            pa.set_crash_clock(clock.clone());
-            let mut arr = CrashingDiskArray::new(pa, clock.clone());
-            match drive(&mut arr, cfg, &clock, &input, &manifest, k)? {
-                Some(run) => {
-                    let fa = arr.into_inner().into_inner();
-                    let mut pa = ParityDiskArray::new(fa)
-                        .map_err(err)?
-                        .with_store(&pstore)
-                        .map_err(err)?;
-                    (read_keys(&mut pa, &run)?, false)
-                }
-                None => {
-                    drop(arr);
-                    let fa: FileDiskArray<U64Record> =
-                        FileDiskArray::open(cfg.geom, &ddir).map_err(err)?;
-                    let pa = ParityDiskArray::new(fa)
-                        .map_err(err)?
-                        .with_store(&pstore)
-                        .map_err(err)?;
-                    let resumed = checkpointed()?;
-                    (recover(pa, cfg, &input, &manifest, k)?, resumed)
-                }
-            }
-        }
-    };
+    }?;
     let _ = std::fs::remove_dir_all(&ddir);
     let _ = std::fs::remove_file(&pstore);
     srm_core::SortManifest::remove(&manifest).map_err(|e| e.to_string())?;
-    Ok((keys, resumed))
+    Ok(result)
 }
 
 /// Dry run: number every boundary with a counting clock and capture the

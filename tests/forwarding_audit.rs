@@ -23,7 +23,8 @@ use common::{Log, Probe, Transparent};
 use pdisk::{
     Block, BlockAddr, BufferPool, ClusteredDiskArray, CrashClock, CrashingDiskArray, DiskArray,
     DiskId, FaultModel, FaultyDiskArray, Forecast, Geometry, MemDiskArray, ParityDiskArray,
-    RetryPolicy, RetryingDiskArray, Stack, TraceSink, TracingDiskArray, U64Record,
+    ParitySpec, RetryPolicy, RetryingDiskArray, Stack, StackSpec, TraceSink, TracingDiskArray,
+    U64Record,
 };
 use srm_chaos::local::Misclassifying;
 use srm_dist::{FenceFlag, Fenced};
@@ -179,5 +180,32 @@ fn every_wrapper_forwards_or_declines_every_defaulted_method() {
     for (wrapper, method, why) in DECLINED {
         println!("declined: {wrapper}::{method}: {why}");
     }
+    assert!(findings.is_empty(), "forwarding audit:\n{}", findings.join("\n"));
+}
+
+/// The optional layer and the builder under the same audit.  An absent
+/// layer — `None`, the empty slot `()`, and `pdisk::StackSpec::build`
+/// with nothing switched on, which is five `None`s and a `()` stacked —
+/// declines nothing; and with one layer on, the built stack declines
+/// exactly what that layer declines alone (its rows in `DECLINED`), as
+/// `Some(layer)` among `None`s or in the builder's slot.
+#[test]
+fn an_absent_layer_declines_nothing_and_the_builder_what_its_one_layer_declines() {
+    let spec = StackSpec::default;
+    let mut findings = audit("None", |p| Stack::from_parts(p, None::<Transparent>));
+    findings.extend(audit("()", |p| Stack::from_parts(p, ())));
+    findings.extend(audit("every layer absent", |p| spec().build(p, ()).unwrap()));
+    let one = [
+        ("Retrying", StackSpec { retry: Some(RetryPolicy::default()), ..spec() }),
+        ("Parity", StackSpec { parity: Some(ParitySpec::default()), ..spec() }),
+        ("Faulty", StackSpec { faults: Some(FaultModel::none()), ..spec() }),
+        ("Crashing", StackSpec { crash: Some(CrashClock::counting()), ..spec() }),
+        ("Tracing", StackSpec { trace: true, ..spec() }),
+    ];
+    for (layer, spec) in one {
+        findings.extend(audit(layer, |p| spec.build(p, ()).unwrap()));
+    }
+    findings.extend(audit("Fenced", |p| spec().build(p, Fenced(FenceFlag::new())).unwrap()));
+    findings.extend(audit("Misclassifying", |p| spec().build(p, Misclassifying { armed: true }).unwrap()));
     assert!(findings.is_empty(), "forwarding audit:\n{}", findings.join("\n"));
 }

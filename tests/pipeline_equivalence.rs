@@ -406,6 +406,83 @@ fn stage_in_and_read_back_match_the_eager_backend() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `pdisk::StackSpec::build` against the constructors nested by hand, in
+/// the shapes the product's sites ask it for — injector + retry (the
+/// server, a faulty shard), parity with its sidecar (staging, a scrub),
+/// those under a crash clock shared with the parity commit (the crash
+/// matrix), under the trace, and every layer at once (the CLI, the chaos
+/// target): a pipelined sort leaves the same bytes, [`IoStats`], trace
+/// and crash-point count on both, so an absent layer (`None`, the empty
+/// slot) is absent and a present one sits where the hand nest put it.
+#[test]
+fn the_builder_is_the_hand_nested_stack() {
+    use pdisk::{CrashClock, CrashingDiskArray, ParitySpec, StackSpec};
+
+    type Seen = (Vec<u8>, IoStats, Vec<pdisk::trace::Tagged>, u64);
+    fn observe<A: DiskArray<U64Record>>(mut a: A, data: &[U64Record], clock: &CrashClock) -> Seen {
+        let input = write_unsorted_input(&mut a, data).unwrap();
+        let (run, _) = Window::pipelined(3).srm(SrmConfig::default()).sort(&mut a, &input).unwrap();
+        let out = read_run(&mut a, &run).unwrap();
+        let trace = a.trace_sink().map(|sink| sink.take()).unwrap_or_default();
+        (encode_all(&out), a.stats(), trace, clock.points())
+    }
+    fn same(tag: &str, built: Seen, hand: Seen) -> Seen {
+        assert_eq!(built.0, hand.0, "{tag}: sorted bytes");
+        assert_eq!(built.1, hand.1, "{tag}: IoStats");
+        assert!(built.2 == hand.2, "{tag}: the trace differs from the hand-nested stack's");
+        assert_eq!(built.3, hand.3, "{tag}: crash points");
+        built
+    }
+
+    let geom = Geometry::new(3, 4, 120).unwrap();
+    let data = random_records(3000, 0xEC);
+    let dir = unique_dir("builder");
+    let mem = || MemDiskArray::<U64Record>::new(geom);
+    let model = || FaultModel::random(0x5EED).with_rate(0.01);
+    let policy = || RetryPolicy::new(8, Duration::ZERO);
+    let parity = |store: &str| ParitySpec { store: Some(dir.join(store)), ..ParitySpec::default() };
+    let built = |spec: StackSpec, clock: &CrashClock| observe(spec.build(mem(), ()).unwrap(), &data, clock);
+    let off = CrashClock::counting();
+
+    let spec = StackSpec { faults: Some(model()), retry: Some(policy()), ..StackSpec::default() };
+    let hand = RetryingDiskArray::new(FaultyDiskArray::new(mem(), model()), policy());
+    same("faults + retry", built(spec, &off), observe(hand, &data, &off));
+
+    let spec = StackSpec { parity: Some(parity("b1")), ..StackSpec::default() };
+    let hand = ParityDiskArray::new(mem()).unwrap().with_store(dir.join("h1")).unwrap();
+    same("parity + store", built(spec, &off), observe(hand, &data, &off));
+
+    let (b, h) = (CrashClock::counting(), CrashClock::counting());
+    let spec = StackSpec { parity: Some(parity("b2")), crash: Some(b.clone()), ..StackSpec::default() };
+    let mut hand = ParityDiskArray::new(mem()).unwrap().with_store(dir.join("h2")).unwrap();
+    hand.set_crash_clock(h.clone());
+    let hand = CrashingDiskArray::new(hand, h.clone());
+    same("parity + crash clock", built(spec, &b), observe(hand, &data, &h));
+
+    let (b, h) = (CrashClock::counting(), CrashClock::counting());
+    let spec = StackSpec { parity: Some(parity("b3")), crash: Some(b.clone()), trace: true, ..StackSpec::default() };
+    let mut hand = ParityDiskArray::new(mem()).unwrap().with_store(dir.join("h3")).unwrap();
+    hand.set_crash_clock(h.clone());
+    let hand = TracingDiskArray::new(CrashingDiskArray::new(hand, h.clone()));
+    same("parity + crash clock + trace", built(spec, &b), observe(hand, &data, &h));
+
+    let (b, h) = (CrashClock::counting(), CrashClock::counting());
+    let spec = StackSpec {
+        faults: Some(model()),
+        parity: Some(parity("b4")),
+        retry: Some(policy()),
+        crash: Some(b.clone()),
+        trace: true,
+    };
+    let mut hand = ParityDiskArray::new(FaultyDiskArray::new(mem(), model())).unwrap().with_store(dir.join("h4")).unwrap();
+    hand.set_crash_clock(h.clone());
+    let hand = TracingDiskArray::new(CrashingDiskArray::new(RetryingDiskArray::new(hand, policy()), h.clone()));
+    let all = same("every layer", built(spec, &b), observe(hand, &data, &h));
+    assert!(all.1.total_retries() > 0 && all.1.parity_writes > 0, "the layers must bite");
+    assert!(!all.2.is_empty() && all.3 > 0, "the trace and the clock must run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A sort that crashes at a pass boundary and resumes from its manifest
 /// must agree across windows *per session*: same crash point, same
 /// resumed schedule, same final bytes, same combined stats — and every
