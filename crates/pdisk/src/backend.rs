@@ -10,22 +10,23 @@ use crate::stats::IoStats;
 use crate::striping::StripedRun;
 use crate::trace::TraceSink;
 
-/// A written slot's image buffer travelling back from a per-disk I/O
-/// worker, for the completing thread to recycle.
-pub(crate) type SlotReply = crossbeam::channel::Receiver<std::io::Result<Vec<u8>>>;
+/// The caller half of a written slot's completion: its image buffer
+/// travelling back from a per-disk I/O worker, for the completing thread
+/// to recycle.
+pub(crate) type SlotReply = crate::queue::SlotWait<std::io::Result<Vec<u8>>>;
 
-/// A read slot travelling back from a per-disk I/O worker: the block the
-/// worker verified and decoded, beside its image buffer (for recycling).
+/// The caller half of a read slot's completion: the block the worker
+/// verified and decoded, beside its image buffer (for recycling).
 /// The error is typed where it arose — [`PdiskError::Io`] for the
 /// transfer, [`PdiskError::Corrupt`] for the slot's content.
-pub(crate) type BlockReply<R> = crossbeam::channel::Receiver<Result<(Block<R>, Vec<u8>)>>;
+pub(crate) type BlockReply<R> = crate::queue::SlotWait<Result<(Block<R>, Vec<u8>)>>;
 
 /// In-progress state of a split-phase read.
 pub(crate) enum ReadState<R: Record> {
     /// The backend executed the read eagerly; the blocks are here.
     Ready(Vec<Block<R>>),
-    /// The read is in flight on per-disk worker threads; one reply
-    /// channel per requested block, in request order.
+    /// The read is in flight on per-disk worker threads; one completion
+    /// slot per requested block, in request order.
     Pending(Vec<BlockReply<R>>),
 }
 

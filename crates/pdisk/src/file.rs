@@ -30,6 +30,12 @@
 //! thread only validates the operation, draws buffers from the pool and
 //! queues the jobs, so the `D` slots of one parallel I/O are coded `D`
 //! ways in parallel and none of it delays the merge.
+//!
+//! An operation reaches the workers whole (`crate::queue`): its jobs are
+//! built first, pushed onto the per-disk queues under one lock, and the
+//! workers are woken once, after the last job is queued — one scheduling
+//! event per parallel I/O, not one per block.  Its results come back
+//! through one completion record with a slot per job.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
@@ -40,8 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Sender};
-
 use crate::addr::{BlockAddr, DiskId};
 use crate::backend::{
     BlockReply, DiskArray, ReadState, ReadTicket, SlotReply, WriteState, WriteTicket,
@@ -51,6 +55,7 @@ use crate::error::{PdiskError, Result};
 use crate::geometry::Geometry;
 use crate::manifest::fnv1a64;
 use crate::pool::BufferPool;
+use crate::queue::{completion, DiskQueues, SlotFill};
 use crate::record::Record;
 use crate::stats::IoStats;
 use crate::trace::{TraceEvent, TraceSink};
@@ -174,11 +179,6 @@ fn slot_checksum_ok(file: &File, slot_bytes: usize, index: u64) -> io::Result<bo
     file.read_exact_at(&mut buf, index * slot_bytes as u64)?;
     let stored = le_u64(&buf[..CHECKSUM_BYTES]);
     Ok(stored == fnv1a64(&buf[CHECKSUM_BYTES..]))
-}
-
-/// The channel to a per-disk worker broke: the thread is gone.
-fn worker_gone() -> PdiskError {
-    PdiskError::Io(io::Error::other("disk worker thread terminated"))
 }
 
 /// The geometry of one on-disk slot — all the codec needs to know about
@@ -332,7 +332,7 @@ enum Job<R: Record> {
         buf: Vec<u8>,
         /// Empty buffer the decoded records go into.
         records: Vec<R>,
-        reply: Sender<Result<(Block<R>, Vec<u8>)>>,
+        reply: SlotFill<Result<(Block<R>, Vec<u8>)>>,
     },
     Write {
         offset: u64,
@@ -344,20 +344,34 @@ enum Job<R: Record> {
         /// Where the block's record buffer goes once it is encoded: the
         /// pool the array had installed when the write was submitted.
         pool: BufferPool<R>,
-        reply: Sender<io::Result<Vec<u8>>>,
+        reply: SlotFill<io::Result<Vec<u8>>>,
     },
     /// Durability barrier: `fsync` the disk file.  Because each worker
     /// processes its queue in order, the barrier also *drains* every
     /// write queued before it — a sync reply means those writes are on
     /// stable storage, not merely in flight.
     Sync {
-        reply: Sender<io::Result<()>>,
+        reply: SlotFill<io::Result<()>>,
     },
 }
 
-struct Worker<R: Record> {
-    tx: Sender<Job<R>>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// The per-disk worker threads and the queues that feed them.
+struct Workers<R: Record> {
+    queues: Arc<DiskQueues<Job<R>>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl<R: Record> Drop for Workers<R> {
+    /// Workers exit on *closed and empty*, so this returns — with every
+    /// queued write carried out — whatever tickets and prefetches are
+    /// still outstanding: their results are filled into completion
+    /// records nobody waits on.
+    fn drop(&mut self) {
+        self.queues.close();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
 }
 
 /// Counters for the speculative read-ahead cache of
@@ -375,11 +389,26 @@ pub struct PrefetchStats {
     pub invalidated: u64,
 }
 
+/// Counters for the dispatch path.  *Queue everything, then wake* keeps
+/// `notifications` at or below `submissions` whatever an operation's
+/// width — the in-product check that a parallel I/O is one scheduling
+/// event.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Operations (reads, writes, hints, barriers) queued whole under
+    /// one lock acquisition.
+    pub submissions: u64,
+    /// Submissions that found a worker they touch asleep and notified.
+    pub notifications: u64,
+    /// Times a completing thread slept waiting for a result.
+    pub completion_waits: u64,
+}
+
 /// A disk array backed by one file per disk, with per-disk I/O threads.
 pub struct FileDiskArray<R: Record> {
     geom: Geometry,
     dir: PathBuf,
-    workers: Vec<Worker<R>>,
+    workers: Workers<R>,
     next_free: Vec<u64>,
     stats: IoStats,
     layout: SlotLayout,
@@ -396,12 +425,13 @@ pub struct FileDiskArray<R: Record> {
     torn_dropped: Vec<u64>,
     /// Speculative read-ahead cache: slots whose per-disk read was
     /// started on a [`DiskArray::prefetch`] hint and not yet claimed by
-    /// a demand read.  Holds only the reply channel — the decoded block
-    /// and its slot image wait in it until claimed, so a hit simply
-    /// adopts the receiver and the demand path proceeds as if it had
-    /// dispatched the job itself.
+    /// a demand read.  Holds only the caller half of the read's completion
+    /// slot — the decoded block and its slot image wait in it until
+    /// claimed, so a hit simply adopts the half and the demand path
+    /// proceeds as if it had dispatched the job itself.
     prefetched: HashMap<BlockAddr, BlockReply<R>>,
     prefetch_stats: PrefetchStats,
+    completion_waits: u64,
     _lock: DirLock,
 }
 
@@ -435,7 +465,12 @@ impl<R: Record> FileDiskArray<R> {
         let layout = SlotLayout::new::<R>(geom);
         let slot_bytes = layout.slot_bytes;
         let io_delay_us = Arc::new(AtomicU64::new(0));
-        let mut workers = Vec::with_capacity(geom.d);
+        // Owns the threads from the first spawn on: an error below closes
+        // the queues and joins what was started.
+        let mut workers = Workers {
+            queues: Arc::new(DiskQueues::new(geom.d)),
+            handles: Vec::with_capacity(geom.d),
+        };
         let mut next_free = vec![0u64; geom.d];
         let mut torn_dropped = vec![0u64; geom.d];
         for (d, free) in next_free.iter_mut().enumerate() {
@@ -501,7 +536,8 @@ impl<R: Record> FileDiskArray<R> {
                 torn_dropped[d] = dropped + u64::from(rem != 0);
                 *free = keep;
             }
-            workers.push(Self::spawn_worker(d, file, layout, Arc::clone(&io_delay_us))?);
+            let queues = Arc::clone(&workers.queues);
+            workers.handles.push(Self::spawn_worker(d, file, layout, Arc::clone(&io_delay_us), queues)?);
         }
         Ok(FileDiskArray {
             geom,
@@ -516,14 +552,16 @@ impl<R: Record> FileDiskArray<R> {
             torn_dropped,
             prefetched: HashMap::new(),
             prefetch_stats: PrefetchStats::default(),
+            completion_waits: 0,
             _lock: lock,
         })
     }
 
     // The disk worker thread: ALL of its blocking I/O (positioned
-    // reads/writes, fsync, channel recv) lives in this one blessed fn;
-    // srmlint's blocking pass rejects any other blocking call that
-    // becomes reachable from it.  The slot codec it calls is pure.
+    // reads/writes, fsync) lives in this one blessed fn, and its wait for
+    // work in `QueueWorker::next_job`, the other; srmlint's blocking pass
+    // rejects any other blocking call that becomes reachable from it.
+    // The slot codec it calls is pure.
     #[srmlint::worker_entry]
     #[srmlint::blessed_seam]
     fn spawn_worker(
@@ -531,8 +569,8 @@ impl<R: Record> FileDiskArray<R> {
         file: File,
         layout: SlotLayout,
         delay_us: Arc<AtomicU64>,
-    ) -> Result<Worker<R>> {
-        let (tx, rx) = unbounded::<Job<R>>();
+        queues: Arc<DiskQueues<Job<R>>>,
+    ) -> Result<std::thread::JoinHandle<()>> {
         let handle = std::thread::Builder::new()
             .name(format!("pdisk-io-{idx}"))
             .spawn(move || {
@@ -548,15 +586,9 @@ impl<R: Record> FileDiskArray<R> {
                 // so a backlogged queue drains at exactly one block per
                 // `delay` while an idle disk still charges full latency.
                 let mut busy_until = std::time::Instant::now();
-                loop {
-                    let (job, backlogged) = match rx.try_recv() {
-                        Ok(job) => (job, true),
-                        Err(crossbeam::channel::TryRecvError::Empty) => match rx.recv() {
-                            Ok(job) => (job, false),
-                            Err(_) => break,
-                        },
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => break,
-                    };
+                // Retires the disk when the thread ends, however it ends.
+                let worker = queues.worker(idx);
+                while let Some((job, backlogged)) = worker.next_job() {
                     let d = delay_us.load(Ordering::Relaxed);
                     if d > 0 {
                         let now = std::time::Instant::now();
@@ -570,34 +602,29 @@ impl<R: Record> FileDiskArray<R> {
                         }
                     }
                     match job {
-                        // Each reply channel holds one message and gets
-                        // exactly one, so a send never blocks; it fails
-                        // only when the ticket was dropped, which
-                        // abandons the result and nothing else.
+                        // Filling a slot never blocks; when the ticket
+                        // was dropped the result is abandoned with the
+                        // completion record and nothing else.
                         Job::Read { offset, mut buf, records, reply } => {
                             buf.resize(layout.slot_bytes, 0);
                             let res = match file.read_exact_at(&mut buf, offset) {
                                 Ok(()) => layout.decode(&buf, records).map(|block| (block, buf)),
                                 Err(e) => Err(PdiskError::Io(e)),
                             };
-                            let _ = reply.send(res);
+                            reply.fill_slot(res);
                         }
                         Job::Write { offset, block, mut buf, pool, reply } => {
                             layout.encode(&block, &mut buf);
                             pool.put_records(block.records);
-                            let res = file.write_all_at(&buf, offset).map(|()| buf);
-                            let _ = reply.send(res);
+                            reply.fill_slot(file.write_all_at(&buf, offset).map(|()| buf));
                         }
                         Job::Sync { reply } => {
-                            let _ = reply.send(file.sync_all());
+                            reply.fill_slot(file.sync_all());
                         }
                     }
                 }
             })?;
-        Ok(Worker {
-            tx,
-            handle: Some(handle),
-        })
+        Ok(handle)
     }
 
     /// Directory holding the disk files.
@@ -632,48 +659,64 @@ impl<R: Record> FileDiskArray<R> {
         self.prefetch_stats
     }
 
-    /// Queue the read of one mapped slot on its disk's worker.
-    fn queue_read(&mut self, addr: BlockAddr) -> Result<BlockReply<R>> {
-        let (tx, rx) = bounded(1);
-        self.workers[addr.disk.index()]
-            .tx
-            .send(Job::Read {
-                offset: addr.offset * self.layout.slot_bytes as u64,
-                buf: self.pool.take_bytes(self.layout.slot_bytes),
-                records: self.pool.take_records(self.layout.b),
-                reply: tx,
-            })
-            .map_err(|_| worker_gone())?;
-        Ok(rx)
+    /// Snapshot of the dispatch counters.
+    pub fn queue_stats(&self) -> QueueStats {
+        let (submissions, notifications) = self.workers.queues.counts();
+        QueueStats {
+            submissions,
+            notifications,
+            completion_waits: self.completion_waits,
+        }
     }
 
-    /// Validate the whole of one parallel read, then fan it out to the
-    /// per-disk workers, returning the reply channels in request order.
-    /// A refused read has queued nothing.
+    /// Queue the reads of mapped slots as one submission with one
+    /// completion record, returning its caller halves in `addrs` order.
+    /// Every job is built — pool draws included — before the queue lock
+    /// is taken; a refused submission has queued nothing.
+    fn queue_reads(&mut self, addrs: &[BlockAddr]) -> Result<Vec<BlockReply<R>>> {
+        if addrs.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (jobs, replies): (Vec<_>, Vec<_>) = addrs
+            .iter()
+            .zip(completion(addrs.len()))
+            .map(|(addr, (reply, wait))| {
+                let job = Job::Read {
+                    offset: addr.offset * self.layout.slot_bytes as u64,
+                    buf: self.pool.take_bytes(self.layout.slot_bytes),
+                    records: self.pool.take_records(self.layout.b),
+                    reply,
+                };
+                ((addr.disk.index(), job), wait)
+            })
+            .unzip();
+        self.workers.queues.submit(jobs)?;
+        Ok(replies)
+    }
+
+    /// Validate the whole of one parallel read, then queue it, returning
+    /// the completion halves in request order.  A refused read has
+    /// queued nothing.
     fn dispatch_reads(&mut self, addrs: &[BlockAddr]) -> Result<Vec<BlockReply<R>>> {
         self.geom.check_parallel_op(addrs.iter().map(|a| a.disk))?;
         if let Some(&addr) = addrs.iter().find(|a| a.offset >= self.next_free[a.disk.index()]) {
             return Err(PdiskError::UnmappedBlock(addr));
         }
-        let mut replies = Vec::with_capacity(addrs.len());
-        for &addr in addrs {
-            // A prefetch already started (or finished) this exact slot
-            // read: adopt its reply channel instead of queueing the job
-            // again.  The demand path downstream is unchanged — it just
-            // receives sooner.
-            let rx = match self.prefetched.remove(&addr) {
-                Some(rx) => {
-                    self.prefetch_stats.hits += 1;
-                    rx
-                }
-                None => self.queue_read(addr)?,
-            };
-            replies.push(rx);
-        }
-        Ok(replies)
+        // A prefetch already started (or finished) some of these slot
+        // reads: queue the rest, then adopt those completion halves
+        // instead of reading again.  The demand path downstream is
+        // unchanged — it just finds its slot filled sooner.
+        let misses: Vec<BlockAddr> =
+            addrs.iter().copied().filter(|a| !self.prefetched.contains_key(a)).collect();
+        let mut queued = self.queue_reads(&misses)?.into_iter();
+        self.prefetch_stats.hits += (addrs.len() - misses.len()) as u64;
+        Ok(addrs
+            .iter()
+            .filter_map(|a| self.prefetched.remove(a).or_else(|| queued.next()))
+            .collect())
     }
 
-    /// Validate the whole of one parallel write, then fan it out; the
+    /// Validate the whole of one parallel write, then queue it; the
     /// workers encode the blocks and recycle their record buffers into
     /// the pool.  A refused write has queued nothing.
     fn dispatch_writes(&mut self, writes: Vec<(BlockAddr, Block<R>)>) -> Result<Vec<SlotReply>> {
@@ -685,42 +728,28 @@ impl<R: Record> FileDiskArray<R> {
             }
             self.layout.admits(block)?;
         }
-        let mut replies = Vec::with_capacity(writes.len());
-        for (addr, block) in writes {
-            // Never serve stale bytes: a prefetch of this slot raced the
-            // overwrite, so drop its receiver (the worker's send to a
-            // dropped channel is harmless).
-            if self.prefetched.remove(&addr).is_some() {
-                self.prefetch_stats.invalidated += 1;
-            }
-            let (tx, rx) = bounded(1);
-            self.workers[addr.disk.index()]
-                .tx
-                .send(Job::Write {
+        let n = writes.len();
+        let (jobs, replies): (Vec<_>, Vec<_>) = writes
+            .into_iter()
+            .zip(completion(n))
+            .map(|((addr, block), (reply, wait))| {
+                // Never serve stale bytes: a prefetch of this slot raced
+                // the overwrite, so abandon its result.
+                if self.prefetched.remove(&addr).is_some() {
+                    self.prefetch_stats.invalidated += 1;
+                }
+                let job = Job::Write {
                     offset: addr.offset * self.layout.slot_bytes as u64,
                     block,
                     buf: self.pool.take_bytes(self.layout.slot_bytes),
                     pool: self.pool.clone(),
-                    reply: tx,
-                })
-                .map_err(|_| worker_gone())?;
-            replies.push(rx);
-        }
+                    reply,
+                };
+                ((addr.disk.index(), job), wait)
+            })
+            .unzip();
+        self.workers.queues.submit(jobs)?;
         Ok(replies)
-    }
-}
-
-impl<R: Record> Drop for FileDiskArray<R> {
-    fn drop(&mut self) {
-        for w in &mut self.workers {
-            // Dropping the sender closes the channel; recv errors end the loop.
-            let (dummy_tx, _) = unbounded();
-            let tx = std::mem::replace(&mut w.tx, dummy_tx);
-            drop(tx);
-            if let Some(h) = w.handle.take() {
-                let _ = h.join();
-            }
-        }
     }
 }
 
@@ -762,8 +791,8 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
             ReadState::Ready(blocks) => Ok(blocks),
             ReadState::Pending(replies) => {
                 let mut out = Vec::with_capacity(replies.len());
-                for rx in replies {
-                    let (block, bytes) = rx.recv().map_err(|_| worker_gone())??;
+                for reply in replies {
+                    let (block, bytes) = reply.wait_slot(&mut self.completion_waits)??;
                     self.pool.put_bytes(bytes);
                     out.push(block);
                 }
@@ -792,8 +821,8 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
         match ticket.state {
             WriteState::Ready => Ok(()),
             WriteState::Pending(replies) => {
-                for rx in replies {
-                    let bytes = rx.recv().map_err(|_| worker_gone())??;
+                for reply in replies {
+                    let bytes = reply.wait_slot(&mut self.completion_waits)??;
                     self.pool.put_bytes(bytes);
                 }
                 Ok(())
@@ -801,27 +830,31 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
         }
     }
 
-    /// Speculative read-ahead: start the per-disk reads for `addrs` now
-    /// and park the reply channels in a cache keyed by address.  A later
-    /// demand read of the same slot adopts the channel and skips the
-    /// device wait.  Hints are *not* parallel I/O operations: nothing is
+    /// Speculative read-ahead: start the per-disk reads for `addrs` now —
+    /// the whole hint as one submission — and park the completion halves
+    /// in a cache keyed by address.  A later demand read of the same slot
+    /// adopts its half and skips the device wait.  Hints are *not* parallel I/O operations: nothing is
     /// charged to [`IoStats`], no trace events are emitted, and bad or
     /// already-cached addresses are silently skipped — but each
     /// speculative read does occupy its disk's worker (including any
     /// simulated service delay), so the device time is physically
     /// honest; prefetching only ever moves it earlier.
     fn prefetch(&mut self, addrs: &[BlockAddr]) {
+        let mut wanted: Vec<BlockAddr> = Vec::with_capacity(addrs.len());
         for &addr in addrs {
             if self.prefetched.contains_key(&addr)
+                || wanted.contains(&addr)
                 || addr.disk.index() >= self.geom.d
                 || addr.offset >= self.next_free[addr.disk.index()]
             {
                 continue;
             }
-            if let Ok(rx) = self.queue_read(addr) {
-                self.prefetched.insert(addr, rx);
-                self.prefetch_stats.issued += 1;
-            }
+            wanted.push(addr);
+        }
+        // A hint that could not be queued leaves no entry behind.
+        if let Ok(replies) = self.queue_reads(&wanted) {
+            self.prefetch_stats.issued += wanted.len() as u64;
+            self.prefetched.extend(wanted.into_iter().zip(replies));
         }
     }
 
@@ -832,14 +865,13 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
     /// storage.  Checkpoint writers call this before publishing a
     /// manifest.
     fn sync(&mut self) -> Result<()> {
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for w in &self.workers {
-            let (tx, rx) = bounded(1);
-            w.tx.send(Job::Sync { reply: tx }).map_err(|_| worker_gone())?;
-            replies.push(rx);
-        }
-        for rx in replies {
-            rx.recv().map_err(|_| worker_gone())??;
+        let (jobs, replies): (Vec<_>, Vec<_>) = completion(self.geom.d)
+            .enumerate()
+            .map(|(disk, (reply, wait))| ((disk, Job::Sync { reply }), wait))
+            .unzip();
+        self.workers.queues.submit(jobs)?;
+        for reply in replies {
+            reply.wait_slot(&mut self.completion_waits)??;
         }
         Ok(())
     }
@@ -1114,6 +1146,60 @@ mod tests {
         // had queued for disk 0 would be on disk by now.
         a.sync().unwrap();
         assert_eq!(a.read(&[a0, a1]).unwrap(), vec![old.clone(), old]);
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One parallel I/O is one scheduling event: a full-width write that
+    /// finds every worker asleep notifies once, not `D` times.
+    #[test]
+    fn a_full_width_write_on_idle_workers_notifies_once() {
+        let g = Geometry::new(4, 2, 1000).unwrap();
+        let dir = tmpdir("notify-once");
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        let stripe: Vec<_> = (0..4)
+            .map(|d| {
+                let o = a.alloc_contiguous(DiskId(d), 1).unwrap();
+                (BlockAddr::new(DiskId(d), o), blk(&[d as u64], Forecast::Next(9)))
+            })
+            .collect();
+        a.workers.queues.until_asleep(0..4);
+        let before = a.queue_stats();
+        a.write(stripe).unwrap();
+        let after = a.queue_stats();
+        assert_eq!(after.submissions - before.submissions, 1);
+        assert_eq!(after.notifications - before.notifications, 1);
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With one disk's worker dead, an operation touching that disk is
+    /// refused whole: nothing reaches the other disks, nothing is
+    /// charged, and a hint leaves no cache entry behind.
+    #[test]
+    fn a_dead_worker_refuses_the_whole_operation() {
+        let g = Geometry::new(4, 2, 1000).unwrap();
+        let dir = tmpdir("dead-worker");
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        let at = |d: u32| BlockAddr::new(DiskId(d), 0);
+        let stripe = |k: u64| (0..4).map(|d| (at(d), blk(&[k], Forecast::Next(9)))).collect::<Vec<_>>();
+        for d in 0..4 {
+            a.alloc_contiguous(DiskId(d), 1).unwrap();
+        }
+        a.write(stripe(1)).unwrap();
+        let stats = a.stats();
+        // Retire disk 2 the way its worker would on the way out.
+        drop(a.workers.queues.worker(2));
+
+        assert!(matches!(a.write(stripe(2)).unwrap_err(), PdiskError::Io(_)));
+        assert!(matches!(a.read(&[at(0), at(2)]).unwrap_err(), PdiskError::Io(_)));
+        a.prefetch(&[at(1), at(2)]);
+        assert!(a.prefetched.is_empty());
+        assert_eq!(a.prefetch_stats().issued, 0);
+        assert!(a.sync().is_err());
+        assert_eq!(a.stats(), stats, "a refused op charges nothing");
+        // Nothing of the refused write landed on the surviving disks.
+        assert_eq!(a.read(&[at(0), at(1), at(3)]).unwrap(), vec![blk(&[1], Forecast::Next(9)); 3]);
         drop(a);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -23,7 +23,8 @@
 //!   accounting experiments (the paper's own evaluation substrate);
 //! * [`FileDiskArray`] — a real backend storing each simulated disk in its
 //!   own file, executing the per-disk transfers of one parallel operation on
-//!   dedicated worker threads;
+//!   dedicated worker threads — fed by its own per-disk queues (`queue`),
+//!   onto which an operation is pushed whole before the workers are woken;
 //! * [`StripedRun`] — cyclically striped run layout (block `i` of a run with
 //!   start disk `d_r` lives on disk `(d_r + i) mod D`, §3 of the paper);
 //! * [`timing`] — a seek/rotate/transfer service-time model to convert
@@ -85,6 +86,7 @@ pub mod netfault;
 pub mod parity;
 pub mod passes;
 pub mod pool;
+mod queue;
 pub mod record;
 pub mod retry;
 pub mod stack;
@@ -101,7 +103,7 @@ pub use cluster::ClusteredDiskArray;
 pub use crash::{CrashClock, CrashingDiskArray};
 pub use error::{FaultKind, FaultOp, PdiskError, Result};
 pub use faulty::{FaultModel, FaultPlan, FaultyDiskArray, ScriptedFault};
-pub use file::{FileDiskArray, PrefetchStats, WRITE_BEHIND_LIMIT};
+pub use file::{FileDiskArray, PrefetchStats, QueueStats, WRITE_BEHIND_LIMIT};
 pub use geometry::Geometry;
 pub use interrupt::InterruptFlag;
 pub use layer::{Layer, Stack};
@@ -118,4 +120,4 @@ pub use stats::IoStats;
 pub use striping::StripedRun;
 pub use timing::{ArrayTiming, DiskModel};
 pub use trace::{TraceEvent, TraceSink, TracingDiskArray};
-pub use window::{read_run, StripeWindow, WriteBehind};
+pub use window::{append_records, read_run, StripeWindow, WriteBehind};

@@ -30,14 +30,29 @@
 //! every platform we run on; the reader deduplicates anyway).
 
 use std::ops::{Deref, DerefMut};
+use std::sync::{Condvar, MutexGuard, PoisonError};
 
 /// A lock guard tagged with its static node id.  Transparent via
-/// `Deref`/`DerefMut`; releases the witness stack entry on drop.
+/// `Deref`/`DerefMut`; the held-stack entry is released when it drops.
 #[derive(Debug)]
 pub struct Witnessed<G> {
     guard: G,
     #[cfg(feature = "lock-witness")]
-    label: &'static str,
+    held: Held,
+}
+
+/// One entry of this thread's held-label stack, released on drop.  It is
+/// a field rather than a `Drop` on [`Witnessed`] so that a guard can be
+/// taken apart and put back around a `Condvar` wait.
+#[cfg(feature = "lock-witness")]
+#[derive(Debug)]
+struct Held(&'static str);
+
+#[cfg(feature = "lock-witness")]
+impl Drop for Held {
+    fn drop(&mut self) {
+        rec::release(self.0);
+    }
 }
 
 /// Wrap a freshly-acquired guard, recording the acquisition (and its
@@ -54,7 +69,24 @@ pub fn guard<G>(label: &'static str, guard: G) -> Witnessed<G> {
     Witnessed {
         guard,
         #[cfg(feature = "lock-witness")]
-        label,
+        held: Held(label),
+    }
+}
+
+impl<T> Witnessed<MutexGuard<'_, T>> {
+    /// `Condvar::wait`, coming back witnessed.  The label stays on the
+    /// held stack across the wait: a parked thread acquires nothing, so
+    /// no order is recorded or missed.  A poisoned lock is recovered, as
+    /// at every acquisition site.  This is the crate's one `Condvar`
+    /// wait; the blocking pass lists `wait_on` beside `wait`, so a worker
+    /// may call it only from its blessed seam.
+    #[srmlint::blessed_seam]
+    pub fn wait_on(self, cv: &Condvar) -> Self {
+        Witnessed {
+            guard: Condvar::wait(cv, self.guard).unwrap_or_else(PoisonError::into_inner),
+            #[cfg(feature = "lock-witness")]
+            held: self.held,
+        }
     }
 }
 
@@ -68,13 +100,6 @@ impl<G> Deref for Witnessed<G> {
 impl<G> DerefMut for Witnessed<G> {
     fn deref_mut(&mut self) -> &mut G {
         &mut self.guard
-    }
-}
-
-impl<G> Drop for Witnessed<G> {
-    fn drop(&mut self) {
-        #[cfg(feature = "lock-witness")]
-        rec::release(self.label);
     }
 }
 

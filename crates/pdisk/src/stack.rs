@@ -142,6 +142,11 @@ impl<R: Record, A: DiskArray<R>, X: Layer<R>> BuiltStack<R, A, X> {
         self.layer.as_ref().map(|t| t.sink.take()).unwrap_or_default()
     }
 
+    /// The backend under every layer.
+    pub fn backend(&self) -> &A {
+        &self.inner.inner.inner.inner.inner.inner
+    }
+
     /// The "reboot": every layer's state dies with the process, the
     /// backend (the disks) survives.
     pub fn into_backend(self) -> A {

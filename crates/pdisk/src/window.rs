@@ -216,8 +216,22 @@ pub fn read_run<R: Record, A: DiskArray<R>>(
         let Some(blocks) = window.complete_oldest(array)? else {
             return Ok(out);
         };
-        for block in blocks {
-            out.extend(block.records);
+        append_records(array, blocks, &mut out);
+    }
+}
+
+/// Append the records of `blocks`, in order, to `out`, handing each
+/// emptied record buffer to the array's pool when it has one — so the
+/// next read decodes into it instead of allocating.
+pub fn append_records<R: Record, A: DiskArray<R> + ?Sized>(
+    array: &A,
+    blocks: Vec<Block<R>>,
+    out: &mut Vec<R>,
+) {
+    for block in blocks {
+        out.extend_from_slice(&block.records);
+        if let Some(pool) = array.buffer_pool() {
+            pool.put_records(block.records);
         }
     }
 }

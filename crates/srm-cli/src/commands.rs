@@ -577,7 +577,7 @@ fn sort_on_backend<S: Sorter>(flags: &Flags, sorter: &S, job: &SortJob) -> Resul
     let dead = resuming.as_deref().unwrap_or_default();
     if !job.durable {
         let array: MemDiskArray<U64Record> = MemDiskArray::new(job.geom);
-        return run_sort(array, sorter, job, None, dead);
+        return run_sort(array, sorter, job, None, dead, |_| None);
     }
     let dir = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("srm-cli-{}", std::process::id()))
@@ -598,13 +598,33 @@ fn sort_on_backend<S: Sorter>(flags: &Flags, sorter: &S, job: &SortJob) -> Resul
     if let Some(s) = store.as_ref().filter(|_| resuming.is_none()) {
         let _ = std::fs::remove_file(s);
     }
-    run_sort(array, sorter, job, store.as_deref(), dead)?;
+    run_sort(array, sorter, job, store.as_deref(), dead, |a| Some(file_counters(a)))?;
     if !flags.has("keep") {
         let _ = std::fs::remove_dir_all(&dir);
     } else {
         println!("disk files kept at {}", dir.display());
     }
     Ok(())
+}
+
+/// The file backend's own counters, one line: whether a parallel I/O
+/// reached the workers as one event, whether read-ahead hints landed,
+/// and whether buffers came out of the pool.
+fn file_counters(a: &FileDiskArray<U64Record>) -> String {
+    let (q, pf) = (a.queue_stats(), a.prefetch_stats());
+    let pool = a.buffer_pool().map(|p| p.stats()).unwrap_or_default();
+    format!(
+        "{} submissions, {} notifications, {} completion waits; read-ahead {} issued, {} hit, \
+         {} invalidated; pool hit rate {:.4} ({} misses)",
+        q.submissions,
+        q.notifications,
+        q.completion_waits,
+        pf.issued,
+        pf.hits,
+        pf.invalidated,
+        pool.hit_rate().unwrap_or(0.0),
+        pool.misses(),
+    )
 }
 
 fn print_io(label: &str, io: &pdisk::IoStats, geom: Geometry, cpu: std::time::Duration) {
@@ -668,13 +688,15 @@ fn parse_slow_spec(s: &str) -> Result<Vec<(u32, f64)>, String> {
 /// injection + retry (`--fault-rate`), rotating parity (`--parity`, with
 /// its sidecar `store` and the disks a resumed manifest records `dead`),
 /// the crash clock (`--crash-at` / `--crash-points`) and the trace
-/// (`--check-model`): stage, sort, verify, report.
+/// (`--check-model`): stage, sort, verify, report — the report ending with
+/// `backend_counters`' line when the backend keeps counters of its own.
 fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
     backend: A,
     sorter: &S,
     job: &SortJob,
     store: Option<&Path>,
     dead: &[DiskId],
+    backend_counters: fn(&A) -> Option<String>,
 ) -> Result<(), CliError> {
     let geom = job.geom;
     let policy = RetryPolicy::default();
@@ -771,6 +793,9 @@ fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
     }
     let io = array.stats().since(&staged);
     print_io("I/O (sort only)", &io, job.geom, elapsed);
+    if let Some(line) = backend_counters(array.backend()) {
+        println!("  file backend (staging included): {line}");
+    }
     println!();
     if job.check_model {
         report_model_check(job.geom, &array.take_trace(), &array.stats())?;

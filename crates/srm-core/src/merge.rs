@@ -607,24 +607,6 @@ impl<R: Record> Merger<'_, R> {
         Ok(())
     }
 
-    /// Consume the loser tree's winning record (the caller has
-    /// established that its run is not awaiting I/O), then hand the
-    /// depleted leading buffer on if the block ran dry.
-    fn emit_winner<A: DiskArray<R>>(&mut self, array: &mut A, run: usize, key: u64) -> Result<()> {
-        let st = &mut self.runs[run];
-        let rec = st.leading[st.cursor];
-        st.cursor += 1;
-        debug_assert_eq!(rec.key(), key, "tree winner key mismatch");
-        self.writer.push(array, rec)?;
-        if st.cursor == st.leading.len() {
-            self.advance_run(run)?;
-        } else {
-            let next_key = st.leading[st.cursor].key();
-            self.tree.update(run, next_key);
-        }
-        Ok(())
-    }
-
     /// Run the merge to completion, quiescing in-flight tickets if the
     /// main loop errors.
     fn run_to_completion<A: DiskArray<R>>(mut self, array: &mut A) -> Result<MergeOutcome> {
@@ -721,7 +703,28 @@ impl<R: Record> Merger<'_, R> {
                     self.runs[run].cur_idx
                 )));
             }
-            self.emit_winner(array, run, key)?;
+            // Emit winners until the next scheduling event.  Everything
+            // tested above moves only in `advance_run` or on an arrival,
+            // so between two of them a record needs just the per-record
+            // questions: is the winner's run awaiting, is the merge done,
+            // did its leading block run dry.
+            loop {
+                let (run, key) = self.tree.peek();
+                let st = &mut self.runs[run];
+                if st.awaiting || self.tree.all_exhausted() {
+                    break;
+                }
+                let rec = st.leading[st.cursor];
+                st.cursor += 1;
+                debug_assert_eq!(rec.key(), key, "tree winner key mismatch");
+                self.writer.push(array, rec)?;
+                if st.cursor == st.leading.len() {
+                    self.advance_run(run)?;
+                    break;
+                }
+                let next_key = st.leading[st.cursor].key();
+                self.tree.update(run, next_key);
+            }
         }
     }
 

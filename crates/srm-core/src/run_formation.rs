@@ -159,9 +159,8 @@ impl<'a> StripeReader<'a> {
         let addrs: Vec<_> = (self.next_block..hi).map(|i| self.input.addr_of(i)).collect();
         self.next_block = hi;
         let mut records = Vec::with_capacity(addrs.len() * geom.b);
-        for block in array.read(&addrs)? {
-            records.extend(block.records);
-        }
+        let blocks = array.read(&addrs)?;
+        pdisk::append_records(array, blocks, &mut records);
         Ok(Some(records))
     }
 }
@@ -259,9 +258,7 @@ impl<R: Record> PrefetchStripeReader<R> {
             self.top_up(array)?;
         }
         let mut records = Vec::with_capacity(n);
-        for block in blocks {
-            records.extend(block.records);
-        }
+        pdisk::append_records(array, blocks, &mut records);
         debug_assert_eq!(records.len(), n, "planned record yield mismatch");
         Ok(Some(records))
     }

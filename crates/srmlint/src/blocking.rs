@@ -9,9 +9,9 @@
 //! body) and flags calls from a blocklist of `std::io`/channel
 //! blocking primitives.  A fn annotated `#[srmlint::blessed_seam]` may
 //! make *direct* blocking calls — that is the sanctioned
-//! submit/complete seam (the positioned reads/writes, fsync, and the
-//! job-queue `recv` of `pdisk`'s I/O workers) — but its callees are
-//! still traversed.  `thread::sleep` is deliberately allowed: the
+//! submit/complete seam (the positioned reads/writes and fsync of
+//! `pdisk`'s I/O workers, and the `Condvar` wait of their job queue) —
+//! but its callees are still traversed.  `thread::sleep` is deliberately allowed: the
 //! workers use it to emulate device service time.  One-off exceptions
 //! use `// srmlint::allow(blocking)` on the call line.
 
@@ -34,6 +34,7 @@ const BLOCKING: &[&str] = &[
     "sync_data",
     "accept",
     "wait",
+    "wait_on", // `lockwitness::Witnessed`'s Condvar wait
     "stdin",
 ];
 

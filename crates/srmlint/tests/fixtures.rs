@@ -99,6 +99,30 @@ fn unhandled_variant_fixture_is_rejected_at_the_match() {
 }
 
 #[test]
+fn condvar_wait_outside_the_blessed_seam_is_rejected() {
+    let dir = fixture("condvar_wait");
+    let analysis = srmlint::analyze_crate_dirs(std::slice::from_ref(&dir), None);
+    let lib = dir.join("src/lib.rs");
+    let blocking: Vec<(u32, &str)> = analysis
+        .findings
+        .iter()
+        .filter(|f| f.rule == "blocking")
+        .map(|f| (f.line, f.message.as_str()))
+        .collect();
+    // The queue wait in `next_job` and the wrapper's own `Condvar::wait`
+    // sit in blessed seams; the two helpers the worker also reaches do not.
+    let linger = line_of(&lib, "// unblessed wait");
+    let dawdle = line_of(&lib, "// unblessed wait_on");
+    assert_eq!(
+        blocking.iter().map(|(l, _)| *l).collect::<Vec<_>>(),
+        [linger, dawdle],
+        "findings: {blocking:#?}"
+    );
+    assert!(blocking[0].1.contains("`wait` in `linger`") && blocking[0].1.contains("`run`"));
+    assert!(blocking[1].1.contains("`wait_on` in `dawdle`"));
+}
+
+#[test]
 fn witness_log_inconsistent_with_graph_is_rejected() {
     let dir = fixture("lock_cycle");
     let mut analysis = srmlint::analyze_crate_dirs(std::slice::from_ref(&dir), None);
@@ -169,6 +193,8 @@ fn real_workspace_is_clean() {
         "pdisk::trace::TraceSink.buf",
         "pdisk::crash::CrashClock.0",
         "pdisk::file::open_dirs",
+        "pdisk::queue::DiskQueues.state",
+        "pdisk::queue::Completion.slots",
         "srm_dist::net::NetState",
         "srm_server::server::Inner.state",
         "srm_server::server::JobServer.workers",
@@ -182,6 +208,8 @@ fn real_workspace_is_clean() {
     // The declared leaves really are leaves.
     assert!(analysis.graph.nodes["pdisk::trace::TraceSink.buf"]);
     assert!(analysis.graph.nodes["pdisk::crash::CrashClock.0"]);
+    assert!(analysis.graph.nodes["pdisk::queue::DiskQueues.state"]);
+    assert!(analysis.graph.nodes["pdisk::queue::Completion.slots"]);
     // Every thread-spawning site is a known worker entry, so the
     // blocking and interrupt passes patrol it: the per-disk I/O
     // workers and the Merge Path segment workers.

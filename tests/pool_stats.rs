@@ -59,5 +59,21 @@ fn steady_state_merge_runs_out_of_the_pool() {
     assert!(rec_rate >= 0.85, "record hit rate {rec_rate:.4} below floor (stats {end:?})");
     assert!(byte_rate >= 0.99, "byte hit rate {byte_rate:.4} below floor (stats {end:?})");
 
+    // Formation too: each input block's records are copied into the
+    // memory load and the emptied buffer goes back to the pool, so the
+    // whole sort allocates far fewer record buffers than the input has
+    // blocks (one per block before formation recycled them).
+    let input_blocks = records.len().div_ceil(geom.b) as u64;
+    assert!(
+        end.fresh_records * 10 < input_blocks,
+        "{} fresh record buffers for {input_blocks} input blocks (stats {end:?})",
+        end.fresh_records
+    );
+
+    // A parallel I/O reaches the workers as one event: whatever its
+    // width, a submission notifies at most once.
+    let q = a.queue_stats();
+    assert!(q.submissions > 0 && q.notifications <= q.submissions, "{q:?}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
