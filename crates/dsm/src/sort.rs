@@ -188,12 +188,7 @@ impl PassEngine for DsmSorter {
             // Consume whole stripes to keep every input read full-width;
             // when load_fraction·M is not stripe-aligned the load runs
             // slightly over, never under.
-            while load.len() < capacity {
-                let Some(stripe) = next_stripe(array, &mut input_stripes, depth)? else {
-                    break;
-                };
-                load.extend(stripe);
-            }
+            while load.len() < capacity && input_stripes.next_into(array, depth, &mut load)? {}
             consumed += load.len() as u64;
             load.sort_unstable_by_key(|r| r.key());
             queue.push(write_run(array, &load, usize::from(self.pipeline))?);
@@ -279,18 +274,6 @@ fn stripes_of<R: Record>(run: &LogicalRun, geom: Geometry) -> StripeWindow<R> {
     StripeWindow::new(&view, 0..view.len_blocks)
 }
 
-/// Bring `stripes` up to `depth` reads in flight and wait for the oldest:
-/// the run's next stripe as records, or `None` past its end.
-fn next_stripe<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    stripes: &mut StripeWindow<R>,
-    depth: usize,
-) -> Result<Option<Vec<R>>, PdiskError> {
-    stripes.submit(array, depth)?;
-    let blocks = stripes.complete_oldest(array)?;
-    Ok(blocks.map(|blocks| blocks.into_iter().flat_map(|b| b.records).collect()))
-}
-
 /// Write records as a fresh logical run, one stripe per parallel write,
 /// up to `depth` of them left in flight behind the one being produced.
 fn write_run<R: Record, A: DiskArray<R>>(
@@ -348,8 +331,9 @@ fn merge_group<R: Record, A: DiskArray<R>>(
     // Load `cur`'s next stripe (empty past the run's end), then with
     // `pipeline` put the one after it in flight.
     let refill = |array: &mut A, cur: &mut Cursor<R>| {
-        cur.buf = next_stripe(array, &mut cur.rest, 1)?.unwrap_or_default();
+        cur.buf.clear();
         cur.pos = 0;
+        cur.rest.next_into(array, 1, &mut cur.buf)?;
         if pipeline {
             cur.rest.submit(array, 1)?;
         }

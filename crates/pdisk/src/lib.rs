@@ -120,4 +120,4 @@ pub use stats::IoStats;
 pub use striping::StripedRun;
 pub use timing::{ArrayTiming, DiskModel};
 pub use trace::{TraceEvent, TraceSink, TracingDiskArray};
-pub use window::{append_records, read_run, StripeWindow, WriteBehind};
+pub use window::{read_run, StripeWindow, WriteBehind};

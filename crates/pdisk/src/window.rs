@@ -200,6 +200,31 @@ impl<R: Record> StripeWindow<R> {
             }
         }
     }
+
+    /// The in-order reader's one step: bring the window to `depth` reads
+    /// in flight ([`Self::submit`]), complete the oldest, and append its
+    /// stripe's records to `out`, handing each emptied record buffer to
+    /// the array's pool when it has one — so the next read decodes into
+    /// it instead of allocating.  `false` when no stripe was left.
+    pub fn next_into<A: DiskArray<R> + ?Sized>(
+        &mut self,
+        array: &mut A,
+        depth: usize,
+        out: &mut Vec<R>,
+    ) -> Result<bool> {
+        self.submit(array, depth)?;
+        let Some(blocks) = self.complete_oldest(array)? else {
+            return Ok(false);
+        };
+        let pool = array.buffer_pool();
+        for block in blocks {
+            out.extend_from_slice(&block.records);
+            if let Some(pool) = pool {
+                pool.put_records(block.records);
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// Read a whole run back in stripe-sized parallel reads, a few of them
@@ -211,27 +236,6 @@ pub fn read_run<R: Record, A: DiskArray<R>>(
 ) -> Result<Vec<R>> {
     let mut out = Vec::with_capacity(run.records as usize);
     let mut window = StripeWindow::new(run, 0..run.len_blocks);
-    loop {
-        window.submit(array, READ_BACK_DEPTH)?;
-        let Some(blocks) = window.complete_oldest(array)? else {
-            return Ok(out);
-        };
-        append_records(array, blocks, &mut out);
-    }
-}
-
-/// Append the records of `blocks`, in order, to `out`, handing each
-/// emptied record buffer to the array's pool when it has one — so the
-/// next read decodes into it instead of allocating.
-pub fn append_records<R: Record, A: DiskArray<R> + ?Sized>(
-    array: &A,
-    blocks: Vec<Block<R>>,
-    out: &mut Vec<R>,
-) {
-    for block in blocks {
-        out.extend_from_slice(&block.records);
-        if let Some(pool) = array.buffer_pool() {
-            pool.put_records(block.records);
-        }
-    }
+    while window.next_into(array, READ_BACK_DEPTH, &mut out)? {}
+    Ok(out)
 }

@@ -84,6 +84,22 @@ impl Flags {
         }
         Ok((pipeline, read_ahead))
     }
+
+    /// The `--formation F` / `--threads N` pair: the formation's name and
+    /// the thread count.  Only `parload` sorts on threads — `--threads N`
+    /// alone implies it — so a count under `load` or `rs` would be
+    /// silently ignored: a usage error instead.
+    pub fn formation(&self) -> Result<(&str, Option<usize>), String> {
+        let threads: Option<usize> = self.get("threads")?;
+        let implied = if threads.is_some() { "parload" } else { "load" };
+        let formation = self.get_str("formation").unwrap_or(implied);
+        match threads {
+            Some(n) if formation != "parload" => {
+                Err(format!("--threads {n} needs --formation parload"))
+            }
+            _ => Ok((formation, threads)),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -91,7 +107,7 @@ mod tests {
     use super::*;
 
     const USAGE: &str = "  srm test [--records N] [--verify] [--algo A] [--d D]
-           [--pipeline] [--read-ahead K]";
+           [--pipeline] [--read-ahead K] [--formation F] [--threads N]";
 
     fn parse(s: &str) -> Flags {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();
@@ -105,6 +121,18 @@ mod tests {
         assert_eq!(parse("--read-ahead 0").overlap(), Ok((false, 0)));
         let err = parse("--read-ahead 3").overlap().unwrap_err();
         assert!(err.contains("needs --pipeline"), "{err}");
+    }
+
+    #[test]
+    fn threads_without_parload_is_a_usage_error() {
+        assert_eq!(parse("").formation(), Ok(("load", None)));
+        assert_eq!(parse("--formation rs").formation(), Ok(("rs", None)));
+        assert_eq!(parse("--threads 4").formation(), Ok(("parload", Some(4))));
+        assert_eq!(parse("--formation parload --threads 2").formation(), Ok(("parload", Some(2))));
+        for ignored in ["rs", "load"] {
+            let err = parse(&format!("--threads 4 --formation {ignored}")).formation().unwrap_err();
+            assert!(err.contains("needs --formation parload"), "{err}");
+        }
     }
 
     #[test]

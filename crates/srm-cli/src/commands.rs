@@ -67,7 +67,9 @@ USAGE:
       blocks per disk to the backend as speculative reads (DESIGN.md
       §14; SRM only, needs --pipeline, default 0).
       --threads N sizes parallel run formation (and implies
-      --formation parload when --formation is not given).
+      --formation parload when --formation is not given); under
+      --formation load or rs, which sort on one thread, it is a usage
+      error.
 
       --fault-rate R injects transient faults on reads and writes with
       per-disk probability R (0 <= R < 1, seeded by --fault-seed) and
@@ -312,10 +314,8 @@ pub fn sort(flags: &Flags) -> i32 {
             "staggered" => Placement::Staggered,
             other => return Err(format!("unknown placement `{other}`").into()),
         };
-        // `--threads N` alone opts into parallel run formation.
-        let threads: Option<usize> = flags.get("threads")?;
-        let default_formation = if threads.is_some() { "parload" } else { "load" };
-        let formation = match flags.get_str("formation").unwrap_or(default_formation) {
+        let (formation, threads) = flags.formation()?;
+        let formation = match formation {
             "load" => RunFormation::MemoryLoad { fraction: 0.5 },
             "parload" => RunFormation::ParallelMemoryLoad {
                 fraction: 0.5,

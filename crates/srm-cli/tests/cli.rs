@@ -219,6 +219,16 @@ fn sort_staggered_replacement_selection() {
     ]);
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout(&out).contains("SRM: sorted & verified"));
+    // Formation's own line: 1000 input blocks on 3 disks, a stripe a read.
+    assert!(stdout(&out).contains("formation reads=334 (2.99x par)"), "{}", stdout(&out));
+}
+
+#[test]
+fn threads_under_a_serial_formation_is_refused_before_the_banner() {
+    let out = srm(&["sort", "--records", "100", "--threads", "4", "--formation", "rs"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(stderr(&out).contains("--threads 4 needs --formation parload"), "{}", stderr(&out));
+    assert!(!stdout(&out).contains("geometry:"), "{}", stdout(&out));
 }
 
 #[test]

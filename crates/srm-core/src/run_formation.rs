@@ -11,16 +11,18 @@
 //!   current run are tagged for the next, producing runs of expected
 //!   length `2M` on random input (and exactly one run on sorted input).
 //!
+//! Both consume the input strictly in order, so both read it through
+//! [`StripeWindow`] like every other sequential reader: whatever a
+//! strategy does with the records, the next stripe is the right read.
 //! Each produced run is written in forecasting format via
 //! [`crate::output::RunWriter`], cyclically striped from a start disk
 //! chosen by the caller-provided placement callback — this is where SRM's
 //! randomization (or the deterministic stagger of §8) enters.
 
 use crate::error::{Result, SrmError};
-use crate::output::RunWriter;
-use pdisk::{BlockAddr, DiskArray, DiskId, Geometry, ReadTicket, Record, StripedRun};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use crate::loser_tree::LoserTree;
+use crate::output::{RunWriter, StripeWindow};
+use pdisk::{DiskArray, DiskId, Record, StripedRun};
 
 /// Strategy for the run-formation pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +43,8 @@ pub enum RunFormation {
         /// Worker threads for the internal sort.
         threads: usize,
     },
-    /// Replacement selection with a heap of `M` records.
+    /// Replacement selection on a tournament of `M − 4DB` slots (the rest
+    /// of memory holds the stripes being read and written).
     ReplacementSelection,
 }
 
@@ -69,16 +72,20 @@ pub fn form_runs<R: Record, A: DiskArray<R>>(
 }
 
 /// [`form_runs`], with `pipeline` choosing the window.  On, it is the
-/// split-phase overlap §2.1 motivates: while one memory load is sorted
-/// and written, the *next* load's stripe reads are already in flight (up
-/// to one load of records ahead — the other half of memory when
-/// `fraction = 1/2`), and run stripes are written behind
-/// ([`RunWriter::write_behind`]).  Off, each planned read and each stripe
-/// write is completed where it is submitted.  The planned operations are
-/// the same either way, so op sizes, counts, and [`pdisk::IoStats`] are
-/// identical; only waiting moves.  Replacement selection always reads on
-/// demand (each fetch decision depends on the records just consumed) but
-/// still writes behind.
+/// split-phase overlap §2.1 motivates: input stripes are in flight ahead
+/// of the records being consumed and run stripes are written behind
+/// ([`RunWriter::write_behind`]).  Off, each stripe read and each stripe
+/// write is completed where it is submitted.  The operations are the same
+/// either way, so op sizes, counts, and [`pdisk::IoStats`] are identical;
+/// only waiting moves.
+///
+/// Memory loads read one [`StripeWindow`] per load, over that load's
+/// `⌈capacity/B⌉` blocks of the input — whole stripes, then the op that
+/// tops the load off.  Pipelined, the *next* load's window rides behind
+/// the current one, the two together holding one memory load of whole
+/// reads in flight (the paper's §2.1 double buffer — the other half of
+/// memory when `fraction = 1/2`): while load `k` is sorted and written,
+/// load `k + 1` streams in.
 pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
     array: &mut A,
     input: &StripedRun,
@@ -86,186 +93,57 @@ pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
     pipeline: bool,
     mut place: impl FnMut() -> DiskId,
 ) -> Result<Vec<StripedRun>> {
-    let geom = array.geometry();
-    match strategy {
-        RunFormation::MemoryLoad { .. } | RunFormation::ParallelMemoryLoad { .. } => {
-            let (fraction, threads) = match strategy {
-                RunFormation::MemoryLoad { fraction } => (fraction, 1),
-                RunFormation::ParallelMemoryLoad { fraction, threads } => {
-                    (fraction, threads.max(1))
-                }
-                RunFormation::ReplacementSelection => unreachable!(), // lint:allow(panic) outer match arm pins the variant
-            };
-            if !(fraction > 0.0 && fraction <= 1.0) {
-                return Err(SrmError::Config(format!(
-                    "memory-load fraction {fraction} outside (0, 1]"
-                )));
-            }
-            let capacity = ((geom.m as f64 * fraction) as usize).max(geom.b);
-            let mut reader = PrefetchStripeReader::new(geom, input, capacity, pipeline);
-            let mut out = Vec::new();
-            loop {
-                let mut load: Vec<R> = Vec::with_capacity(capacity);
-                while load.len() < capacity {
-                    match reader.next_stripe(array)? {
-                        Some(records) => load.extend(records),
-                        None => break,
-                    }
-                }
-                if load.is_empty() {
-                    break;
-                }
-                crate::par_sort::par_sort_by_key(&mut load, threads);
-                let mut w = RunWriter::new(geom, place()).write_behind(pipeline);
-                for rec in load {
-                    w.push(array, rec)?;
-                }
-                out.push(w.finish(array)?);
-            }
-            Ok(out)
-        }
+    let (fraction, threads) = match strategy {
+        RunFormation::MemoryLoad { fraction } => (fraction, 1),
+        RunFormation::ParallelMemoryLoad { fraction, threads } => (fraction, threads.max(1)),
         RunFormation::ReplacementSelection => {
-            replacement_selection(array, input, pipeline, place)
-        }
-    }
-}
-
-/// Reads an unsorted striped run one stripe at a time, on demand — for
-/// replacement selection, whose op width depends on heap state and so
-/// cannot be planned ahead.
-struct StripeReader<'a> {
-    input: &'a StripedRun,
-    next_block: u64,
-}
-
-impl<'a> StripeReader<'a> {
-    fn new(input: &'a StripedRun) -> Self {
-        StripeReader { input, next_block: 0 }
-    }
-
-    /// Fetch up to one stripe (`D` blocks), but never more blocks than
-    /// needed to cover `want` records.  Returns `None` when exhausted.
-    fn next_stripe<R: Record, A: DiskArray<R>>(
-        &mut self,
-        array: &mut A,
-        want: usize,
-    ) -> Result<Option<Vec<R>>> {
-        if self.next_block >= self.input.len_blocks {
-            return Ok(None);
-        }
-        let geom = array.geometry();
-        let blocks_wanted = want.div_ceil(geom.b).max(1).min(geom.d);
-        let hi = (self.next_block + blocks_wanted as u64).min(self.input.len_blocks);
-        let addrs: Vec<_> = (self.next_block..hi).map(|i| self.input.addr_of(i)).collect();
-        self.next_block = hi;
-        let mut records = Vec::with_capacity(addrs.len() * geom.b);
-        let blocks = array.read(&addrs)?;
-        pdisk::append_records(array, blocks, &mut records);
-        Ok(Some(records))
-    }
-}
-
-/// One planned parallel input read: its addresses and record yield.
-struct StripePlan {
-    addrs: Vec<BlockAddr>,
-    records: usize,
-}
-
-/// Plan the memory-load pass's input reads over the whole input: within
-/// each memory load, `want = capacity − filled` decides the op width
-/// exactly as [`StripeReader::next_stripe`] does, so a load is fetched in
-/// full stripes except for the ops that top it off.
-fn plan_stripe_ops(geom: Geometry, input: &StripedRun, capacity: usize) -> VecDeque<StripePlan> {
-    let b = geom.b;
-    let block_records = |i: u64| -> usize {
-        if i + 1 == input.len_blocks {
-            (input.records - (input.len_blocks - 1) * b as u64) as usize
-        } else {
-            b
+            return replacement_selection(array, input, pipeline, place)
         }
     };
-    let mut ops = VecDeque::new();
-    let mut next_block = 0u64;
-    while next_block < input.len_blocks {
-        let mut filled = 0usize;
-        while filled < capacity && next_block < input.len_blocks {
-            let want = capacity - filled;
-            let blocks_wanted = want.div_ceil(b).max(1).min(geom.d);
-            let hi = (next_block + blocks_wanted as u64).min(input.len_blocks);
-            let addrs: Vec<BlockAddr> = (next_block..hi).map(|i| input.addr_of(i)).collect();
-            let records = (next_block..hi).map(block_records).sum();
-            filled += records;
-            next_block = hi;
-            ops.push_back(StripePlan { addrs, records });
-        }
+    if !(fraction > 0.0 && fraction <= 1.0) {
+        return Err(SrmError::Config(format!(
+            "memory-load fraction {fraction} outside (0, 1]"
+        )));
     }
-    ops
+    let geom = array.geometry();
+    let capacity = ((geom.m as f64 * fraction) as usize).max(geom.b);
+    let load_blocks = capacity.div_ceil(geom.b) as u64;
+    let depth = if pipeline { (capacity / (geom.d * geom.b)).max(1) } else { 1 };
+    let window = |load: u64| StripeWindow::new(input, load * load_blocks..(load + 1) * load_blocks);
+    let (mut current, mut next) = (window(0), window(1));
+    let mut out = Vec::new();
+    for following in 2.. {
+        let mut load: Vec<R> = Vec::with_capacity(capacity);
+        loop {
+            current.submit(array, depth)?;
+            if pipeline {
+                next.submit(array, depth - current.in_flight())?;
+            }
+            if !current.next_into(array, depth, &mut load)? {
+                break;
+            }
+        }
+        if load.is_empty() {
+            break;
+        }
+        crate::par_sort::par_sort_by_key(&mut load, threads);
+        let mut w = RunWriter::new(geom, place()).write_behind(pipeline);
+        for rec in load {
+            w.push(array, rec)?;
+        }
+        out.push(w.finish(array)?);
+        (current, next) = (next, window(following));
+    }
+    Ok(out)
 }
 
-/// Split-phase input reader: issues the planned op sequence via
-/// [`DiskArray::submit_read`].  With `pipeline` it keeps up to one memory
-/// load of records in flight — the paper's §2.1 double buffer: while load
-/// `k` is sorted and written, load `k + 1` streams in.  Without, the
-/// budget is zero: one op is submitted, completed, and nothing is issued
-/// behind it.
-struct PrefetchStripeReader<R: Record> {
-    ops: VecDeque<StripePlan>,
-    in_flight: VecDeque<(ReadTicket<R>, usize)>,
-    in_flight_records: usize,
-    /// Records allowed in flight beyond the op being waited for
-    /// (`capacity` = one memory load, or 0).
-    budget: usize,
-}
-
-impl<R: Record> PrefetchStripeReader<R> {
-    fn new(geom: Geometry, input: &StripedRun, capacity: usize, pipeline: bool) -> Self {
-        PrefetchStripeReader {
-            ops: plan_stripe_ops(geom, input, capacity),
-            in_flight: VecDeque::new(),
-            in_flight_records: 0,
-            budget: if pipeline { capacity.max(1) } else { 0 },
-        }
-    }
-
-    /// Submit planned ops until the in-flight budget is spent (always at
-    /// least one, so the reader cannot stall on an oversized op).
-    fn top_up<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
-        while self
-            .ops
-            .front()
-            .is_some_and(|op| {
-                self.in_flight.is_empty() || self.in_flight_records + op.records <= self.budget
-            })
-        {
-            let Some(op) = self.ops.pop_front() else { break };
-            let ticket = array.submit_read(&op.addrs)?;
-            self.in_flight_records += op.records;
-            self.in_flight.push_back((ticket, op.records));
-        }
-        Ok(())
-    }
-
-    /// Retire the oldest in-flight op and, when there is a budget,
-    /// immediately reuse it.  Returns `None` when the input is exhausted.
-    fn next_stripe<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<Option<Vec<R>>> {
-        self.top_up(array)?;
-        let Some((ticket, n)) = self.in_flight.pop_front() else {
-            return Ok(None);
-        };
-        let blocks = array.complete_read(ticket)?;
-        self.in_flight_records -= n;
-        if self.budget > 0 {
-            self.top_up(array)?;
-        }
-        let mut records = Vec::with_capacity(n);
-        pdisk::append_records(array, blocks, &mut records);
-        debug_assert_eq!(records.len(), n, "planned record yield mismatch");
-        Ok(Some(records))
-    }
-}
-
-/// Replacement selection: heap entries are `(epoch, key, seq)` so that
-/// records frozen for the next run sink below every current-run record.
+/// Replacement selection: the tournament's leaf *is* the slot holding the
+/// record in place, keyed `(epoch, key)` so that a record frozen for the
+/// next run loses to every current-run record; a slot the input could not
+/// refill is parked at `epoch = u64::MAX` (so a record key of `u64::MAX`
+/// is just a key).  The `4·D·B` records withheld from the tournament are
+/// an account, not a guess: the stripe being consumed, the one in flight
+/// behind it when pipelined, and [`RunWriter`]'s `2D` pending blocks.
 fn replacement_selection<R: Record, A: DiskArray<R>>(
     array: &mut A,
     input: &StripedRun,
@@ -273,82 +151,58 @@ fn replacement_selection<R: Record, A: DiskArray<R>>(
     mut place: impl FnMut() -> DiskId,
 ) -> Result<Vec<StripedRun>> {
     let geom = array.geometry();
-    // Reserve ~4D blocks of the memory budget for I/O buffers; the rest
-    // feeds the selection heap.
-    let heap_capacity = geom
-        .m
-        .saturating_sub(4 * geom.d * geom.b)
-        .max(geom.b)
-        .max(1);
-    let mut reader = StripeReader::new(input);
-    let mut pending: std::collections::VecDeque<R> = std::collections::VecDeque::new();
-    let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
-    let mut payloads: std::collections::HashMap<u64, R> = std::collections::HashMap::new();
-    let mut seq = 0u64;
-
-    let refill = |heap: &mut BinaryHeap<Reverse<(u64, u64, u64)>>,
-                      payloads: &mut std::collections::HashMap<u64, R>,
-                      pending: &mut std::collections::VecDeque<R>,
-                      reader: &mut StripeReader,
-                      array: &mut A,
-                      epoch: u64,
-                      seq: &mut u64|
-     -> Result<()> {
-        while heap.len() < heap_capacity {
-            if pending.is_empty() {
-                match reader.next_stripe(array, heap_capacity - heap.len())? {
-                    Some(records) => pending.extend(records),
-                    None => break,
-                }
-            }
-            match pending.pop_front() {
-                Some(rec) => {
-                    heap.push(Reverse((epoch, rec.key(), *seq)));
-                    payloads.insert(*seq, rec);
-                    *seq += 1;
-                }
-                None => break,
+    let capacity = geom.m.saturating_sub(4 * geom.d * geom.b).max(geom.b).max(1);
+    let depth = 1 + usize::from(pipeline);
+    let mut window = StripeWindow::new(input, 0..input.len_blocks);
+    // The stripe being consumed, and how far into it.
+    let (mut stripe, mut taken): (Vec<R>, usize) = (Vec::new(), 0);
+    let mut next_record = |array: &mut A| -> Result<Option<R>> {
+        while taken == stripe.len() {
+            stripe.clear();
+            taken = 0;
+            if !window.next_into(array, depth, &mut stripe)? {
+                return Ok(None);
             }
         }
-        Ok(())
+        taken += 1;
+        Ok(Some(stripe[taken - 1]))
     };
 
+    let mut slots: Vec<R> = Vec::with_capacity(capacity.min(input.records as usize));
+    while slots.len() < capacity {
+        match next_record(array)? {
+            Some(rec) => slots.push(rec),
+            None => break,
+        }
+    }
     let mut out = Vec::new();
-    let mut epoch = 0u64;
-    refill(&mut heap, &mut payloads, &mut pending, &mut reader, array, epoch, &mut seq)?;
-    while !heap.is_empty() {
+    if slots.is_empty() {
+        return Ok(out);
+    }
+    const PARKED: (u64, u64) = (u64::MAX, 0);
+    let mut tree = LoserTree::new(slots.iter().map(|rec| (0u64, rec.key())).collect());
+    let mut epoch = 0;
+    while tree.peek().1 != PARKED {
         let mut writer = RunWriter::new(geom, place()).write_behind(pipeline);
         loop {
-            match heap.peek() {
-                Some(&Reverse((e, _, _))) if e == epoch => {}
-                _ => break, // heap empty or only next-epoch records left
+            let (leaf, (e, key)) = tree.peek();
+            if e != epoch {
+                break; // only next-epoch (or parked) slots left
             }
-            let Reverse((_, key, id)) = heap
-                .pop()
-                .ok_or_else(|| SrmError::Internal("selection heap drained mid-run".into()))?;
-            let rec = payloads
-                .remove(&id)
-                .ok_or_else(|| SrmError::Internal(format!("no payload for heap entry {id}")))?;
-            debug_assert_eq!(rec.key(), key);
-            writer.push(array, rec)?;
-            // Admit one replacement record; freeze it for the next run if
-            // it cannot extend the current one.
-            if pending.is_empty() {
-                if let Some(records) = reader.next_stripe(array, 1)? {
-                    pending.extend(records);
+            writer.push(array, slots[leaf])?;
+            // Admit one replacement record into the vacated slot; freeze
+            // it for the next run if it cannot extend the current one.
+            match next_record(array)? {
+                Some(new) => {
+                    slots[leaf] = new;
+                    tree.update(leaf, (epoch + u64::from(new.key() < key), new.key()));
                 }
-            }
-            if let Some(new) = pending.pop_front() {
-                let e = if new.key() >= key { epoch } else { epoch + 1 };
-                heap.push(Reverse((e, new.key(), seq)));
-                payloads.insert(seq, new);
-                seq += 1;
+                None => tree.update(leaf, PARKED),
             }
         }
         out.push(writer.finish(array)?);
         epoch += 1;
     }
-    debug_assert!(payloads.is_empty());
     Ok(out)
 }
 
@@ -548,65 +402,80 @@ mod tests {
     #[test]
     fn replacement_selection_partitions_and_sorts() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let geom = Geometry::new(2, 4, 64).unwrap();
-        let mut a = MemDiskArray::new(geom);
-        let input_keys = random_input(&mut rng, 500);
-        let input = write_input(&mut a, geom, &input_keys);
-        let runs = form_runs(&mut a, &input, RunFormation::ReplacementSelection, || {
-            DiskId(0)
-        })
-        .unwrap();
-        verify_runs(&mut a, &runs, &input_keys);
+        rs_runs(2, 4, 64, &random_input(&mut rng, 500));
     }
 
     #[test]
     fn replacement_selection_runs_longer_than_memory_loads() {
-        // On random input RS runs average ~2x the heap size.
+        // On random input RS runs average ~2x the tournament's size.
         let mut rng = SmallRng::seed_from_u64(4);
-        let geom = Geometry::new(2, 4, 96).unwrap();
-        let mut a = MemDiskArray::new(geom);
-        let input_keys = random_input(&mut rng, 2000);
-        let input = write_input(&mut a, geom, &input_keys);
-        let rs = form_runs(&mut a, &input, RunFormation::ReplacementSelection, || {
-            DiskId(0)
-        })
-        .unwrap();
-        let heap_cap = 96 - 4 * 2 * 4; // M - 4DB
+        let rs = rs_runs(2, 4, 96, &random_input(&mut rng, 2000));
+        let slots = 96 - 4 * 2 * 4; // M - 4DB
         let avg = 2000.0 / rs.len() as f64;
         assert!(
-            avg > heap_cap as f64 * 1.3,
-            "average RS run {avg} records should beat heap capacity {heap_cap}"
+            avg > slots as f64 * 1.3,
+            "average RS run {avg} records should beat the {slots} slots"
         );
     }
 
     #[test]
     fn replacement_selection_sorted_input_gives_one_run() {
-        let geom = Geometry::new(2, 4, 64).unwrap();
-        let mut a = MemDiskArray::new(geom);
-        let input_keys: Vec<u64> = (0..400).collect();
-        let input = write_input(&mut a, geom, &input_keys);
-        let runs = form_runs(&mut a, &input, RunFormation::ReplacementSelection, || {
-            DiskId(0)
-        })
-        .unwrap();
-        assert_eq!(runs.len(), 1);
-        verify_runs(&mut a, &runs, &input_keys);
+        assert_eq!(rs_runs(2, 4, 64, &(0..400).collect::<Vec<_>>()).len(), 1);
     }
 
     #[test]
     fn replacement_selection_reverse_sorted_input_worst_case() {
-        let geom = Geometry::new(2, 4, 64).unwrap();
-        let heap_cap = 64 - 4 * 2 * 4;
+        // Reverse input: every record freezes immediately; runs = slots.
+        let slots = 64 - 4 * 2 * 4;
+        let runs = rs_runs(2, 4, 64, &(0..300).rev().collect::<Vec<_>>());
+        assert_eq!(runs.len(), 300usize.div_ceil(slots));
+    }
+
+    /// Replacement selection over `keys` on `(d, b, m)`, verified: the
+    /// runs formed.
+    fn rs_runs(d: usize, b: usize, m: usize, keys: &[u64]) -> Vec<StripedRun> {
+        let geom = Geometry::new(d, b, m).unwrap();
         let mut a = MemDiskArray::new(geom);
-        let input_keys: Vec<u64> = (0..300).rev().collect();
-        let input = write_input(&mut a, geom, &input_keys);
-        let runs = form_runs(&mut a, &input, RunFormation::ReplacementSelection, || {
-            DiskId(0)
-        })
-        .unwrap();
-        // Reverse input: every record freezes immediately; runs ≈ heap size.
-        assert_eq!(runs.len(), 300usize.div_ceil(heap_cap));
-        verify_runs(&mut a, &runs, &input_keys);
+        let input = write_input(&mut a, geom, keys);
+        let runs =
+            form_runs(&mut a, &input, RunFormation::ReplacementSelection, || DiskId(0)).unwrap();
+        verify_runs(&mut a, &runs, keys);
+        runs
+    }
+
+    /// The tournament's edges: every record comes out exactly once
+    /// (`verify_runs`) whatever the input does to the slots.
+    #[test]
+    fn replacement_selection_tournament_edges() {
+        // M − 4DB = 32 slots on (2, 4, 64).  Fewer records than slots —
+        // one, and a partial block's worth — leave no leaf unparked: one run.
+        assert_eq!(rs_runs(2, 4, 64, &[7]).len(), 1);
+        assert_eq!(rs_runs(2, 4, 64, &(0..19).rev().collect::<Vec<_>>()).len(), 1);
+        // Exactly the slots, and one more (which freezes: reverse input).
+        assert_eq!(rs_runs(2, 4, 64, &(0..32).rev().collect::<Vec<_>>()).len(), 1);
+        assert_eq!(rs_runs(2, 4, 64, &(0..33).rev().collect::<Vec<_>>()).len(), 2);
+        // The parked sentinel is the epoch, so a record key of `u64::MAX`
+        // mid-input is just the largest key: it ends its run, it is not
+        // mistaken for an empty slot.  Sorted but for the MAXes: they wait
+        // in their slots while the run grows past them, so still one run.
+        let mut keys: Vec<u64> = (0..200).collect();
+        for at in [5, 70, 71, 150] {
+            keys[at] = u64::MAX;
+        }
+        assert_eq!(rs_runs(2, 4, 64, &keys).len(), 1);
+        keys.reverse();
+        assert!(rs_runs(2, 4, 64, &keys).len() >= 200 / 33);
+        // All keys equal: ties resolve by leaf and nothing ever freezes.
+        assert_eq!(rs_runs(2, 4, 64, &[42; 333]).len(), 1);
+        // Zipf-heavy duplicates; 333 and 1001 records end in a partial
+        // last block and a partial last stripe.
+        let mut rng = SmallRng::seed_from_u64(0x21F);
+        let zipf: Vec<u64> =
+            (0..1001).map(|_| (1.0 / rng.random_range(0.001..1.0f64)) as u64).collect();
+        assert!(rs_runs(3, 4, 96, &zipf).len() < 1001 / 48, "runs longer than the 48 slots");
+        // M < 4DB + B: the `.max(b)` floor leaves one block of slots.
+        let runs = rs_runs(2, 4, 33, &(0..100).rev().collect::<Vec<_>>());
+        assert_eq!(runs.len(), 100usize.div_ceil(4));
     }
 
     #[test]

@@ -90,7 +90,10 @@ impl SortReport {
 }
 
 /// The one-line summary drivers print: the shared accounting plus the
-/// virtual flushes (§5.5 rule 2c).
+/// virtual flushes (§5.5 rule 2c) and, when this call formed the runs,
+/// formation's own reads — every read the scheduler did not plan — with
+/// their parallelism, so "did formation read in stripes" needs no
+/// subtraction (a resume past pass 0 has none, and no such clause).
 impl std::fmt::Display for SortReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -99,7 +102,13 @@ impl std::fmt::Display for SortReport {
             PassReport::from(*self),
             self.schedule.flush_ops,
             self.schedule.blocks_flushed
-        )
+        )?;
+        let reads = self.io.read_ops.saturating_sub(self.schedule.total_reads());
+        if reads == 0 {
+            return Ok(());
+        }
+        let blocks = self.io.blocks_read.saturating_sub(self.schedule.blocks_read);
+        write!(f, ", formation reads={reads} ({:.2}x par)", blocks as f64 / reads as f64)
     }
 }
 

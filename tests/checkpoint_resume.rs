@@ -43,26 +43,70 @@ fn geom() -> Geometry {
     Geometry::new(2, 4, 96).unwrap()
 }
 
-/// Uninterrupted SRM baseline: output bytes plus total sort read/write ops
-/// (used to aim the kill points across the whole schedule).
-fn srm_baseline(data: &[U64Record]) -> (Vec<u8>, u64, u64) {
+/// Uninterrupted baseline of `sorter`: output bytes, total sort read/write
+/// ops (used to aim the kill points across the whole schedule) and the
+/// report.
+fn baseline_of(sorter: &SrmSorter, data: &[U64Record]) -> (Vec<u8>, u64, u64, srm_core::SortReport) {
     let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom());
     let input = write_unsorted_input(&mut a, data).unwrap();
     a.reset_stats();
-    let (run, report) = SrmSorter::default().sort(&mut a, &input).unwrap();
-    assert!(report.merge_passes >= 3, "need a genuinely multi-pass sort");
+    let (run, report) = sorter.sort(&mut a, &input).unwrap();
     // Capture the op counts before the verification read below inflates
     // them — kill points must land inside the sort itself.
     let (reads, writes) = (a.stats().read_ops, a.stats().write_ops);
     let out = read_run(&mut a, &run).unwrap();
-    (encode_all(&out), reads, writes)
+    (encode_all(&out), reads, writes, report)
+}
+
+/// [`baseline_of`] the default sorter, which must need three merge passes.
+fn srm_baseline(data: &[U64Record]) -> (Vec<u8>, u64, u64) {
+    let (want, reads, writes, report) = baseline_of(&SrmSorter::default(), data);
+    assert!(report.merge_passes >= 3, "need a genuinely multi-pass sort");
+    (want, reads, writes)
+}
+
+/// Kill a checkpointed sort of `data` by `sorter()` at each of `kills`,
+/// "reboot" — same data on disk, fault gone, same sorter and manifest —
+/// and require the resumed sort to finish byte-identical to `want`.
+fn kill_and_resume(
+    tag: &str,
+    sorter: impl Fn() -> SrmSorter,
+    data: &[U64Record],
+    kills: &[(FaultOp, u64)],
+    want: &[u8],
+    passes: u64,
+) {
+    let dir = unique_dir(tag);
+    for (i, &(op, ordinal)) in kills.iter().enumerate() {
+        let manifest = dir.join(format!("kill-{i}.manifest"));
+        let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+        let mut a = pdisk::FaultyDiskArray::new(inner, FaultModel::none().kill_at(op, ordinal));
+        let input = write_unsorted_input(&mut a, data).unwrap();
+
+        let killed = sorter().sort_checkpointed(&mut a, &input, &manifest);
+        assert!(killed.is_err(), "{tag}: kill at {op} op {ordinal} must abort the sort");
+
+        let mut recovered = a.into_inner();
+        let (run, report) = sorter()
+            .sort_checkpointed(&mut recovered, &input, &manifest)
+            .unwrap_or_else(|e| panic!("{tag}: resume after kill at {op} op {ordinal} failed: {e}"));
+        let out = read_run(&mut recovered, &run).unwrap();
+        assert_eq!(
+            encode_all(&out),
+            want,
+            "{tag}: kill at {op} op {ordinal}: resumed output differs from uninterrupted sort"
+        );
+        assert_eq!(report.records, data.len() as u64);
+        assert_eq!(report.merge_passes, passes, "{tag}: whole-sort pass count survives resume");
+        assert!(!manifest.exists(), "manifest must be deleted on completion");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn srm_killed_at_any_point_resumes_byte_identical() {
     let data = random_records(3000, 71);
     let (want, reads, writes) = srm_baseline(&data);
-    let dir = unique_dir("srm-mem");
 
     // Read-ordinal kill points: formation's first read, mid-schedule
     // probes, and the very last read.  Write kills land after the
@@ -73,32 +117,32 @@ fn srm_killed_at_any_point_resumes_byte_identical() {
         .map(|&n| (FaultOp::Read, n))
         .chain([0, writes / 2, writes - 1].iter().map(|&n| (FaultOp::Write, staging_writes + n)))
         .collect();
+    kill_and_resume("srm-mem", SrmSorter::default, &data, &kills, &want, 3);
+}
 
-    for (i, &(op, ordinal)) in kills.iter().enumerate() {
-        let manifest = dir.join(format!("kill-{i}.manifest"));
-        let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-        let mut a = pdisk::FaultyDiskArray::new(inner, FaultModel::none().kill_at(op, ordinal));
-        let input = write_unsorted_input(&mut a, &data).unwrap();
-
-        let killed = SrmSorter::default().sort_checkpointed(&mut a, &input, &manifest);
-        assert!(killed.is_err(), "kill at {op} op {ordinal} must abort the sort");
-
-        // "Reboot": same data on disk, fault gone, same sorter + manifest.
-        let mut recovered = a.into_inner();
-        let (run, report) = SrmSorter::default()
-            .sort_checkpointed(&mut recovered, &input, &manifest)
-            .unwrap_or_else(|e| panic!("resume after kill at {op} op {ordinal} failed: {e}"));
-        let out = read_run(&mut recovered, &run).unwrap();
-        assert_eq!(
-            encode_all(&out),
-            want,
-            "kill at {op} op {ordinal}: resumed output differs from uninterrupted sort"
-        );
-        assert_eq!(report.records, 3000);
-        assert_eq!(report.merge_passes, 3, "whole-sort pass count survives resume");
-        assert!(!manifest.exists(), "manifest must be deleted on completion");
+/// Replacement selection is one more pass 0 under the same contract, at
+/// window 0 and pipelined (where the kill finds an input stripe in
+/// flight behind the one it strikes): killed inside formation — mid-input,
+/// and on its last read — the rerun forms the runs again; killed on the
+/// first read past the boundary, it resumes from formation's checkpoint.
+#[test]
+fn srm_replacement_selection_killed_in_and_at_pass_0_resumes_byte_identical() {
+    let data = random_records(3000, 76);
+    let config = srm_core::SrmConfig {
+        run_formation: srm_core::run_formation::RunFormation::ReplacementSelection,
+        ..srm_core::SrmConfig::default()
+    };
+    let (want, _, _, report) = baseline_of(&SrmSorter::new(config), &data);
+    // Formation reads the input once, a stripe per read, and nothing else.
+    let formation_reads = report.io.read_ops - report.schedule.total_reads();
+    assert_eq!(formation_reads, 3000u64.div_ceil(4).div_ceil(2));
+    let kills: Vec<(FaultOp, u64)> = [formation_reads / 2, formation_reads - 1, formation_reads]
+        .map(|n| (FaultOp::Read, n))
+        .to_vec();
+    for pipeline in [false, true] {
+        let sorter = || SrmSorter::new(config).with_pipeline(pipeline);
+        kill_and_resume(&format!("srm-rs-p{pipeline}"), sorter, &data, &kills, &want, report.merge_passes);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The real recovery story: a sort on the file backend dies (process and

@@ -394,3 +394,42 @@ fn a_read_failing_mid_window_quiesces_the_read_back() {
     FileDiskArray::<U64Record>::open(file_geom(), dir.join("disks")).expect("reopen after the failure");
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// Replacement selection's input window under the same contract,
+/// pipelined so a stripe is in flight behind the one the fault strikes: a
+/// read lost inside formation (two disks dead, past what parity absorbs)
+/// and a disk filling under a run stripe both surface typed, with every
+/// ticket quiesced — a barrier and a reopen succeed — and before any merge
+/// has read a block.
+#[test]
+fn a_fault_inside_replacement_selection_quiesces_its_window() {
+    use srm_core::run_formation::RunFormation;
+    let data = records(4000, 32);
+    let stripes = 4000u64.div_ceil(8).div_ceil(4); // staging writes; formation reads
+    let config = srm_core::SrmConfig {
+        run_formation: RunFormation::ReplacementSelection,
+        ..srm_core::SrmConfig::default()
+    };
+    let strike = |tag: &str, model: FaultModel, typed: fn(&PdiskError) -> bool| {
+        let dir = scratch(tag);
+        let mut a = file_stack(&dir, model);
+        let input = write_unsorted_input(&mut a, &data).unwrap();
+        let before = a.stats();
+        match SrmSorter::new(config).with_pipeline(true).sort(&mut a, &input) {
+            Err(SrmError::Disk(e)) if typed(&e) => {}
+            other => panic!("{tag}: want the typed disk error, got {:?}", other.map(|(run, _)| run)),
+        }
+        let during = a.stats().since(&before);
+        assert!(during.read_ops > 0 && during.read_ops <= stripes, "{tag}: struck outside formation: {during:?}");
+        a.sync().expect("a barrier after the quiesced failure");
+        drop(a);
+        FileDiskArray::<U64Record>::open(file_geom(), dir.join("disks")).expect("reopen after the failure");
+        let _ = std::fs::remove_dir_all(dir);
+    };
+    strike("rs-read", FaultModel::none().kill_at(FaultOp::Read, 20).kill_at(FaultOp::Read, 21), |e| {
+        matches!(e, PdiskError::Unrecoverable(_) | PdiskError::Fault { .. })
+    });
+    strike("rs-write", FaultModel::none().fill_at(FaultOp::Write, stripes + 10), |e| {
+        matches!(e, PdiskError::Fault { kind: pdisk::FaultKind::NoSpace, .. })
+    });
+}

@@ -51,6 +51,39 @@ fn golden_sort_counts() {
     assert_eq!(report.schedule.blocks_flushed, 0);
 }
 
+/// Replacement selection on the same geometry, seed and input: its 64
+/// slots (`M − 4DB`) form runs of ≈ 2·64 records, so the 63 runs become
+/// 24 and a merge pass disappears (3 → 2); and formation's share of the
+/// reads, in closed form, is one full stripe per parallel read — the
+/// input read once at parallelism `D`.
+#[test]
+fn golden_replacement_selection_counts() {
+    use srm_core::run_formation::RunFormation;
+    use srm_core::SrmConfig;
+
+    let geom = Geometry::new(2, 4, 96).unwrap();
+    let mut rng = SmallRng::seed_from_u64(0xD00D);
+    let data: Vec<U64Record> = (0..3000).map(|_| U64Record(rng.random())).collect();
+    let mut a = TracingDiskArray::new(MemDiskArray::<U64Record>::new(geom));
+    let input = write_unsorted_input(&mut a, &data).unwrap();
+    a.reset_stats();
+    let config = SrmConfig { run_formation: RunFormation::ReplacementSelection, ..SrmConfig::default() };
+    let (_, report) = SrmSorter::new(config).sort(&mut a, &input).unwrap();
+    check_trace(geom, &a.take_trace())
+        .unwrap_or_else(|v| panic!("golden replacement-selection trace violates the model: {v}"));
+
+    assert_eq!((report.merge_order, report.runs_formed, report.merge_passes), (6, 24, 2));
+    let io = report.io;
+    assert_eq!(
+        (io.read_ops, io.write_ops, io.blocks_read, io.blocks_written),
+        (1136, 1135, 2260, 2260),
+        "I/O trace changed: {io:?}"
+    );
+    let input_blocks = 3000u64.div_ceil(geom.b as u64);
+    assert_eq!(io.read_ops - report.schedule.total_reads(), input_blocks.div_ceil(geom.d as u64));
+    assert_eq!(io.blocks_read - report.schedule.blocks_read, input_blocks);
+}
+
 #[test]
 fn golden_simulator_counts() {
     use modelcheck::sim::{check_sim_trace, SimCheckInput, SimEvent, SimRunLayout};

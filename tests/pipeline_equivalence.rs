@@ -235,11 +235,13 @@ fn file_backend_equivalent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Depth-K read-ahead and multi-threaded run formation are pure
+/// Depth-K read-ahead and the formation strategy's own machinery are pure
 /// wall-clock knobs: on the file backend — the one whose speculative
 /// prefetch cache actually acts on the hints — a sort with 4 formation
-/// threads is byte- and op-identical at every window, depth 8 included,
-/// and its trace replays checker-clean.
+/// threads, and one by replacement selection (its input stripe window
+/// one read deep at window 0, two pipelined), is byte- and op-identical
+/// at every window, depth 8 included, and its trace replays
+/// checker-clean.
 #[test]
 fn deep_read_ahead_and_threads_equivalent() {
     use srm_core::run_formation::RunFormation;
@@ -247,14 +249,16 @@ fn deep_read_ahead_and_threads_equivalent() {
     let geom = Geometry::new(4, 8, 256).unwrap();
     let data = random_records(8000, 0xE9);
     let dir = unique_dir("deep");
-    let config = SrmConfig {
-        run_formation: RunFormation::ParallelMemoryLoad { fraction: 1.0, threads: 4 },
-        ..SrmConfig::default()
-    };
-    assert_window_invariant("deep read-ahead + threads", &data, |w| {
-        let file = FileDiskArray::<U64Record>::create(geom, dir.join(w.slug())).unwrap();
-        srm_outcome(file, config, &data, w).0
-    });
+    for (tag, run_formation) in [
+        ("threads", RunFormation::ParallelMemoryLoad { fraction: 1.0, threads: 4 }),
+        ("rs", RunFormation::ReplacementSelection),
+    ] {
+        let config = SrmConfig { run_formation, ..SrmConfig::default() };
+        assert_window_invariant(&format!("deep read-ahead + {tag}"), &data, |w| {
+            let file = FileDiskArray::<U64Record>::create(geom, dir.join(tag).join(w.slug())).unwrap();
+            srm_outcome(file, config, &data, w).0
+        });
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -10,27 +10,33 @@
 use pdisk::{DiskArray, FileDiskArray, Geometry, PoolStats, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use srm_core::run_formation::RunFormation;
 use srm_core::sort::write_unsorted_input;
-use srm_core::SrmSorter;
+use srm_core::{SortReport, SrmConfig, SrmSorter};
 use std::cell::Cell;
 
-#[test]
-fn steady_state_merge_runs_out_of_the_pool() {
-    // The headline geometry (D=8, B=16, M=1792 records) at reduced
-    // record count: enough for multiple merge passes, fast enough for CI.
-    let geom = Geometry::new(8, 16, 1792).unwrap();
-    let mut rng = SmallRng::seed_from_u64(0xB0F0);
-    let records: Vec<U64Record> = (0..40_000).map(|_| U64Record(rng.random())).collect();
+/// The headline geometry (D=8, B=16, M=1792 records).
+fn geom() -> Geometry {
+    Geometry::new(8, 16, 1792).unwrap()
+}
 
-    let dir = std::env::temp_dir().join(format!("srm-poolstats-{}", std::process::id()));
+/// A pipelined sort of `records` on a fresh file array under
+/// `run_formation`: the report, the pool's stats after merge pass 1 and
+/// at the end, and the backend's queue counters.
+fn pooled_sort(
+    run_formation: RunFormation,
+    records: &[U64Record],
+) -> (SortReport, PoolStats, PoolStats, pdisk::QueueStats) {
+    let rs = run_formation == RunFormation::ReplacementSelection;
+    let dir = std::env::temp_dir().join(format!("srm-poolstats-rs{rs}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut a = FileDiskArray::<U64Record>::create(geom, &dir).unwrap();
-    let input = write_unsorted_input(&mut a, &records).unwrap();
+    let mut a = FileDiskArray::<U64Record>::create(geom(), &dir).unwrap();
+    let input = write_unsorted_input(&mut a, records).unwrap();
 
     // Snapshot the pool after merge pass 1: by then one full merge has
     // cycled every buffer class through the pool at the pass's R.
     let warm: Cell<Option<PoolStats>> = Cell::new(None);
-    let (sorted, report) = SrmSorter::default()
+    let (sorted, report) = SrmSorter::new(SrmConfig { run_formation, ..SrmConfig::default() })
         .with_pipeline(true)
         .with_read_ahead(3)
         .sort_observed(&mut a, &input, None, |pass, a: &mut FileDiskArray<U64Record>| {
@@ -40,11 +46,21 @@ fn steady_state_merge_runs_out_of_the_pool() {
             Ok(())
         })
         .unwrap();
-    assert!(report.merge_passes >= 2, "need a multi-pass workload to test steady state");
     assert_eq!(sorted.records, records.len() as u64);
+    let out = (report, warm.get().expect("observer saw pass 1"), a.buffer_pool().unwrap().stats(), a.queue_stats());
+    drop(a);
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
 
-    let warm = warm.get().expect("observer saw pass 1");
-    let end = a.buffer_pool().unwrap().stats();
+#[test]
+fn steady_state_merge_runs_out_of_the_pool() {
+    // Reduced record count: enough for multiple merge passes, fast
+    // enough for CI.
+    let mut rng = SmallRng::seed_from_u64(0xB0F0);
+    let records: Vec<U64Record> = (0..40_000).map(|_| U64Record(rng.random())).collect();
+    let (report, warm, end, q) = pooled_sort(RunFormation::default(), &records);
+    assert!(report.merge_passes >= 2, "need a multi-pass workload to test steady state");
 
     // Steady state after warm-up: zero fresh allocations of either kind.
     assert_eq!(
@@ -63,17 +79,19 @@ fn steady_state_merge_runs_out_of_the_pool() {
     // memory load and the emptied buffer goes back to the pool, so the
     // whole sort allocates far fewer record buffers than the input has
     // blocks (one per block before formation recycled them).
-    let input_blocks = records.len().div_ceil(geom.b) as u64;
-    assert!(
-        end.fresh_records * 10 < input_blocks,
-        "{} fresh record buffers for {input_blocks} input blocks (stats {end:?})",
-        end.fresh_records
-    );
+    // Replacement selection's input stripes go through the same window
+    // and back to the same pool.
+    let input_blocks = records.len().div_ceil(geom().b) as u64;
+    let (_, _, rs_end, _) = pooled_sort(RunFormation::ReplacementSelection, &records);
+    for end in [end, rs_end] {
+        assert!(
+            end.fresh_records * 10 < input_blocks,
+            "{} fresh record buffers for {input_blocks} input blocks (stats {end:?})",
+            end.fresh_records
+        );
+    }
 
     // A parallel I/O reaches the workers as one event: whatever its
     // width, a submission notifies at most once.
-    let q = a.queue_stats();
     assert!(q.submissions > 0 && q.notifications <= q.submissions, "{q:?}");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
