@@ -41,8 +41,8 @@
 //!   simulated backoff while counting retries in [`IoStats`];
 //! * [`parity`] — single-disk-failure tolerance: [`ParityDiskArray`] adds
 //!   RAID-5-style rotating parity over any backend, serves a dead disk's
-//!   blocks by reconstruction (degraded mode), rebuilds onto a spare
-//!   online, and hedges straggler reads via [`ArrayTiming`];
+//!   blocks by reconstruction (degraded mode) and rebuilds onto a spare
+//!   online;
 //! * [`crash`] — deterministic crash-point injection: [`CrashingDiskArray`]
 //!   numbers every I/O boundary with a shared [`CrashClock`] and can kill
 //!   the (simulated) process at any one of them, including torn multi-disk
@@ -118,6 +118,6 @@ pub use retry::{Jitter, RetryCounters, RetryPolicy, RetryingDiskArray};
 pub use stack::{BuiltStack, ParitySpec, StackSpec};
 pub use stats::IoStats;
 pub use striping::StripedRun;
-pub use timing::{ArrayTiming, DiskModel};
+pub use timing::DiskModel;
 pub use trace::{TraceEvent, TraceSink, TracingDiskArray};
 pub use window::{read_run, StripeWindow, WriteBehind};

@@ -22,16 +22,12 @@
 //! simultaneous death is [`PdiskError::Unrecoverable`].
 //!
 //! [`ParityDiskArray::rebuild`] re-materializes a dead disk onto an
-//! attached spare while the array stays usable, and
-//! [`ParityDiskArray::set_hedging`] lets a *straggler* disk (per
-//! [`ArrayTiming`]) be bypassed: once it is a configured latency
-//! multiple slower than the fastest disk, its reads use the
-//! reconstruction path instead of waiting (`hedged_reads`).
+//! attached spare while the array stays usable.
 //!
 //! On a healthy array the layer is split-phase: a submitted read or
 //! write stays in flight below, and a write's parity update travels in
 //! its ticket and commits only after the data completion succeeded
-//! (DESIGN.md §9.1.1).  Degraded and hedged reads, and overwrites of a
+//! (DESIGN.md §9.1.1).  Reads on a degraded array, and overwrites of a
 //! committed slot, are served before the submit returns.
 //!
 //! Parity frames live in the wrapper (write-back, at the reserved slot's
@@ -55,7 +51,6 @@ use crate::layer::{Layer, Stack};
 use crate::manifest::fnv1a64;
 use crate::record::Record;
 use crate::stats::IoStats;
-use crate::timing::ArrayTiming;
 use crate::trace::TraceEvent;
 
 /// Physical offset of logical slot `lo` on disk `d` in a `dd`-disk
@@ -214,10 +209,8 @@ pub struct Parity {
     inner_free: Vec<u64>,
     stripes: BTreeMap<u64, Stripe>,
     dead: BTreeSet<DiskId>,
-    hedge: Option<(ArrayTiming, f64)>,
     reconstructed_reads: u64,
     parity_writes: u64,
-    hedged_reads: u64,
     store: Option<ParityStore>,
     crash: Option<CrashClock>,
 }
@@ -243,10 +236,8 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
             inner_free: vec![0; geom.d],
             stripes: BTreeMap::new(),
             dead: BTreeSet::new(),
-            hedge: None,
             reconstructed_reads: 0,
             parity_writes: 0,
-            hedged_reads: 0,
             store: None,
             crash: None,
         };
@@ -298,15 +289,6 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// where data frames are durable but the parity sidecar is not.
     pub fn set_crash_clock(&mut self, clock: CrashClock) {
         self.layer.crash = Some(clock);
-    }
-
-    /// Enable straggler hedging: a read addressed to a disk that
-    /// `timing` reports at least `after ×` slower than the array's
-    /// fastest disk is served by parity reconstruction instead of
-    /// waiting on the slow disk, whenever the stripe permits it.
-    pub fn set_hedging(&mut self, timing: ArrayTiming, after: f64) {
-        assert!(after > 0.0, "hedge threshold must be positive");
-        self.layer.hedge = Some((timing, after));
     }
 
     /// The physical slot (on the wrapped array) backing a logical
@@ -573,25 +555,16 @@ impl Parity {
     }
 
     /// Serve one parallel read without leaving anything in flight: dead
-    /// disks' blocks by reconstruction, stragglers' by hedging, the rest
-    /// by one direct inner read.  `pas` are `addrs` translated.
+    /// disks' blocks by reconstruction, the rest by one direct inner
+    /// read.  `pas` are `addrs` translated.
     fn read_eager<R: Record>(
         &mut self,
         inner: &mut impl DiskArray<R>,
         addrs: &[BlockAddr],
         pas: &[BlockAddr],
     ) -> Result<Vec<Block<R>>> {
-        let mut direct: Vec<(usize, BlockAddr)> = Vec::new();
-        let mut recon: Vec<(usize, BlockAddr, bool)> = Vec::new();
-        for (i, &pa) in pas.iter().enumerate() {
-            if self.dead.contains(&pa.disk) {
-                recon.push((i, pa, false));
-            } else if self.should_hedge(&pa) {
-                recon.push((i, pa, true));
-            } else {
-                direct.push((i, pa));
-            }
-        }
+        let (mut recon, mut direct): (Vec<_>, Vec<_>) =
+            pas.iter().copied().enumerate().partition(|(_, pa)| self.dead.contains(&pa.disk));
         let mut out: Vec<Option<Block<R>>> = Vec::new();
         out.resize_with(addrs.len(), || None);
         // Direct reads, absorbing a mid-read permanent fault by moving
@@ -614,22 +587,14 @@ impl Parity {
                     let (lost, live): (Vec<_>, Vec<_>) =
                         direct.into_iter().partition(|(_, a)| a.disk == dead);
                     direct = live;
-                    for (i, a) in lost {
-                        recon.push((i, a, false));
-                    }
+                    recon.extend(lost);
                 }
                 Err(e) => return Err(e),
             }
         }
-        for (i, pa, hedged) in recon {
+        for (i, pa) in recon {
             let logical = addrs[i];
             if !self.is_written(&pa) {
-                if hedged {
-                    // Should not happen (hedging checks the bit), but a
-                    // direct read is always a safe fallback.
-                    out[i] = Some(inner.read(&[pa])?.remove(0));
-                    continue;
-                }
                 return Err(PdiskError::UnmappedBlock(logical));
             }
             let frame = self.reconstruct_frame(inner, pa.offset, pa.disk)?;
@@ -639,9 +604,6 @@ impl Parity {
                 ))
             })?;
             self.reconstructed_reads += 1;
-            if hedged {
-                self.hedged_reads += 1;
-            }
             out[i] = Some(block);
         }
         out.into_iter()
@@ -708,45 +670,19 @@ impl Parity {
         }
         self.crash_tick("parity-updated")
     }
-
-    /// Whether a read of physical slot `pa` on a *live* disk should be
-    /// hedged through reconstruction instead.
-    fn should_hedge(&self, pa: &BlockAddr) -> bool {
-        let Some((timing, after)) = &self.hedge else {
-            return false;
-        };
-        if !timing.is_straggler(pa.disk, *after) {
-            return false;
-        }
-        let Some(st) = self.stripes.get(&pa.offset) else {
-            return false;
-        };
-        if st.parity_lost || st.written & (1 << pa.disk.index()) == 0 {
-            return false;
-        }
-        // Every written sibling must be live, else the hedge would fail.
-        let dd = self.geom.d as u64;
-        (0..self.geom.d).all(|d| {
-            let did = DiskId::from_index(d);
-            did == pa.disk
-                || d as u64 == pa.offset % dd
-                || st.written & (1 << d) == 0
-                || !self.dead.contains(&did)
-        })
-    }
 }
 
 impl<R: Record> Layer<R> for Parity {
-    /// On a healthy array with no hedging configured the read stays in
-    /// flight below: the ticket shows the caller's addresses upward and
-    /// the remapped ones downward.  A degraded or hedged array serves
-    /// the read before returning, as does a permanent fault met here.
+    /// On a healthy array the read stays in flight below: the ticket
+    /// shows the caller's addresses upward and the remapped ones
+    /// downward.  A degraded array serves the read before returning, as
+    /// does a permanent fault met here.
     fn submit_read(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) -> Result<ReadTicket<R>> {
         if addrs.is_empty() {
             return Ok(ReadTicket::ready(Vec::new(), Vec::new()));
         }
         let pas = self.map_op(addrs.iter().copied())?;
-        if self.dead.is_empty() && self.hedge.is_none() {
+        if self.dead.is_empty() {
             match inner.submit_read(&pas) {
                 Ok(mut ticket) => {
                     ticket.phys = Some(std::mem::replace(&mut ticket.addrs, addrs.to_vec()));
@@ -859,11 +795,11 @@ impl<R: Record> Layer<R> for Parity {
         self.commit_parity(inner, &commit.deltas)
     }
 
-    /// Forward the hint in physical addresses.  A degraded or hedged
-    /// array may serve the block by reconstruction instead of reading
-    /// its slot, so there the hint is dropped.
+    /// Forward the hint in physical addresses.  A degraded array serves
+    /// reads at submit, some by reconstruction instead of reading their
+    /// slot, so there the hint is dropped.
     fn prefetch(&mut self, inner: &mut impl DiskArray<R>, addrs: &[BlockAddr]) {
-        if !self.dead.is_empty() || self.hedge.is_some() {
+        if !self.dead.is_empty() {
             return;
         }
         let pas: Vec<BlockAddr> = addrs
@@ -910,14 +846,12 @@ impl<R: Record> Layer<R> for Parity {
         let mut s = inner.stats();
         s.reconstructed_reads += self.reconstructed_reads;
         s.parity_writes += self.parity_writes;
-        s.hedged_reads += self.hedged_reads;
         s
     }
 
     fn reset_stats(&mut self, inner: &mut impl DiskArray<R>) {
         self.reconstructed_reads = 0;
         self.parity_writes = 0;
-        self.hedged_reads = 0;
         inner.reset_stats();
     }
 
@@ -1026,7 +960,6 @@ mod tests {
     use crate::mem::MemDiskArray;
     use crate::record::U64Record;
     use crate::retry::tests::FlakySplit;
-    use crate::timing::DiskModel;
     use std::path::PathBuf;
 
     type Mem = MemDiskArray<U64Record>;
@@ -1157,7 +1090,6 @@ mod tests {
         }
         let s = a.stats();
         assert_eq!(s.reconstructed_reads, 5);
-        assert_eq!(s.hedged_reads, 0);
         assert_eq!(
             a.redundancy(),
             Some(RedundancyInfo {
@@ -1282,23 +1214,6 @@ mod tests {
         // The array tolerates a fresh (different) failure after rebuild.
         a.fail_disk(DiskId(0)).unwrap();
         assert_eq!(a.read(&[BlockAddr::new(DiskId(0), 1)]).unwrap()[0], expected(0, 1));
-    }
-
-    #[test]
-    fn hedged_reads_bypass_a_straggler() {
-        let mut a = seeded(3, 3);
-        let timing = ArrayTiming::uniform(DiskModel::hdd_1996(), 3)
-            .with_slowdown(DiskId(1), 8.0);
-        a.set_hedging(timing, 4.0);
-        let got = a.read(&[BlockAddr::new(DiskId(1), 1)]).unwrap();
-        assert_eq!(got[0], expected(1, 1));
-        let s = a.stats();
-        assert_eq!(s.hedged_reads, 1);
-        assert_eq!(s.reconstructed_reads, 1);
-        // A fast disk is never hedged.
-        let got = a.read(&[BlockAddr::new(DiskId(0), 1)]).unwrap();
-        assert_eq!(got[0], expected(0, 1));
-        assert_eq!(a.stats().hedged_reads, 1);
     }
 
     /// Like [`seeded`] but directly over [`MemDiskArray`], so tests can
@@ -1546,6 +1461,14 @@ mod tests {
             .unwrap()
             .with_store(&store_path)
             .unwrap();
+        // The layer's one read decision.  Healthy: the read stays in
+        // flight below and the hint is forwarded.
+        let probe = [BlockAddr::new(DiskId(2), 1)];
+        let ticket = a.submit_read(&probe).unwrap();
+        assert!(ticket.is_pending(), "a healthy read must stay in flight below");
+        assert_eq!(a.complete_read(ticket).unwrap()[0], expected(2, 1));
+        a.prefetch(&[BlockAddr::new(DiskId(0), 0)]);
+        assert_eq!(a.inner().prefetch_stats().issued, 1, "a healthy array forwards the hint");
         a.fail_disk(DiskId(2)).unwrap();
         for slot in 0..2u64 {
             let addrs: Vec<_> = (0..3).map(|d| BlockAddr::new(DiskId(d), slot)).collect();
@@ -1555,6 +1478,12 @@ mod tests {
             }
         }
         assert_eq!(a.stats().reconstructed_reads, 2);
+        // Degraded: the read is served at submit and the hint dropped.
+        let ticket = a.submit_read(&probe).unwrap();
+        assert!(!ticket.is_pending(), "a degraded read must be served at submit");
+        assert_eq!(a.complete_read(ticket).unwrap()[0], expected(2, 1));
+        a.prefetch(&[BlockAddr::new(DiskId(1), 0)]);
+        assert_eq!(a.inner().prefetch_stats().issued, 1, "a degraded array drops the hint");
         // New allocations continue past the recovered watermark.
         assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), 2);
         drop(a);

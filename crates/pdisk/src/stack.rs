@@ -40,7 +40,6 @@ use crate::layer::{Layer, Stack};
 use crate::parity::{Parity, ParityDiskArray};
 use crate::record::Record;
 use crate::retry::{RetryPolicy, Retrying};
-use crate::timing::ArrayTiming;
 use crate::trace::{Tagged, TraceSink, Tracing};
 
 /// The parity layer's share of a [`StackSpec`].
@@ -51,8 +50,6 @@ pub struct ParitySpec {
     pub store: Option<PathBuf>,
     /// Disks a resumed manifest records dead, re-marked before any I/O.
     pub dead: Vec<DiskId>,
-    /// Straggler hedging ([`ParityDiskArray::set_hedging`]).
-    pub hedge: Option<(ArrayTiming, f64)>,
 }
 
 /// Which layers of the production stack are on, and with what (see the
@@ -93,9 +90,6 @@ impl StackSpec {
                 let mut pa = ParityDiskArray::new(faulty)?;
                 if let Some(store) = spec.store {
                     pa = pa.with_store(store)?;
-                }
-                if let Some((timing, after)) = spec.hedge {
-                    pa.set_hedging(timing, after);
                 }
                 for disk in spec.dead {
                     pa.fail_disk(disk)?;

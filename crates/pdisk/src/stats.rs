@@ -40,16 +40,13 @@ pub struct IoStats {
     /// Allocations that failed every attempt under a retry policy.
     pub alloc_exhausted: u64,
     /// Blocks served by parity reconstruction instead of a direct read
-    /// (dead disk, or a straggler hedged via the reconstruction path).
+    /// (a dead disk's block, or one a rebuild or a scrub repairs).
     ///
     /// Counted separately from `read_ops` so the healthy-path golden
     /// counts are untouched by the redundancy layer.
     pub reconstructed_reads: u64,
     /// Parity blocks written (or updated) by the redundancy layer.
     pub parity_writes: u64,
-    /// Reconstructions triggered by straggler hedging rather than disk
-    /// death (also included in `reconstructed_reads`).
-    pub hedged_reads: u64,
 }
 
 /// Apply `op` to every counter pair; exhaustive field list in one place so
@@ -69,7 +66,6 @@ macro_rules! fieldwise {
             alloc_exhausted: $a.alloc_exhausted $op $b.alloc_exhausted,
             reconstructed_reads: $a.reconstructed_reads $op $b.reconstructed_reads,
             parity_writes: $a.parity_writes $op $b.parity_writes,
-            hedged_reads: $a.hedged_reads $op $b.hedged_reads,
         }
     };
 }
@@ -196,9 +192,6 @@ impl std::fmt::Display for IoStats {
                 " reconstructed={} parity-writes={}",
                 self.reconstructed_reads, self.parity_writes
             )?;
-            if self.hedged_reads > 0 {
-                write!(f, " hedged={}", self.hedged_reads)?;
-            }
         }
         Ok(())
     }
@@ -303,13 +296,12 @@ mod tests {
         s.record_reconstructed_read();
         s.record_parity_write();
         s.record_parity_write();
-        s.hedged_reads = 1;
         assert_eq!(s.read_ops, 1, "reconstruction must not inflate read ops");
         assert_eq!(s.write_ops, 0, "parity updates must not inflate write ops");
         assert_eq!(s.reconstructed_reads, 1);
         assert_eq!(s.parity_writes, 2);
         let text = s.to_string();
-        assert!(text.contains("reconstructed=1 parity-writes=2 hedged=1"), "{text}");
+        assert!(text.ends_with("reconstructed=1 parity-writes=2"), "{text}");
         assert_eq!(s.merged(&s).parity_writes, 4);
         assert_eq!(s.since(&IoStats::default()).reconstructed_reads, 1);
     }

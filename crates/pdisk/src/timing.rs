@@ -36,15 +36,6 @@ impl DiskModel {
         }
     }
 
-    /// A contemporary 7200 RPM SATA drive.
-    pub fn hdd_modern() -> Self {
-        DiskModel {
-            avg_seek_ms: 8.0,
-            avg_rotational_ms: 4.2,
-            transfer_mb_per_s: 180.0,
-        }
-    }
-
     /// A solid-state device: no mechanical latency to speak of, but a
     /// non-zero per-operation overhead.
     pub fn ssd() -> Self {
@@ -67,16 +58,6 @@ impl DiskModel {
     /// is a random access (the pessimistic end of the paper's model).
     pub fn estimate(&self, stats: &IoStats, block_bytes: usize) -> Duration {
         let ops = stats.total_ops() as u32;
-        self.op_time(block_bytes) * ops
-    }
-
-    /// Estimated wall time including fault-recovery work: every retried
-    /// operation costs one extra random access on top of the logical
-    /// trace priced by [`DiskModel::estimate`].  Backoff waits added by
-    /// a retry policy are *not* included here; see
-    /// [`crate::retry::RetryPolicy::total_backoff`].
-    pub fn estimate_with_retries(&self, stats: &IoStats, block_bytes: usize) -> Duration {
-        let ops = (stats.total_ops() + stats.total_retries()) as u32;
         self.op_time(block_bytes) * ops
     }
 
@@ -111,92 +92,9 @@ impl DiskModel {
     }
 }
 
-/// Service timing for a whole array: one shared [`DiskModel`] plus a
-/// per-disk slowdown factor.
-///
-/// A parallel operation completes when its **slowest** participant does,
-/// so a single degraded drive (vibration, remapped sectors, a busy bus)
-/// stretches every operation that touches it — the classic *straggler*.
-/// [`ArrayTiming::is_straggler`] is the trigger for hedged reads: once a
-/// disk is more than `hedge_after ×` slower than the fastest disk, the
-/// redundancy layer stops waiting for it and reconstructs its block from
-/// the other disks' parity instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayTiming {
-    model: DiskModel,
-    /// Multiplier on every service time of disk `i`; `1.0` = nominal.
-    slowdown: Vec<f64>,
-}
-
-impl ArrayTiming {
-    /// All `d` disks at the model's nominal speed.
-    pub fn uniform(model: DiskModel, d: usize) -> Self {
-        ArrayTiming {
-            model,
-            slowdown: vec![1.0; d],
-        }
-    }
-
-    /// Make disk `disk` `factor ×` slower than nominal (builder style).
-    pub fn with_slowdown(mut self, disk: crate::addr::DiskId, factor: f64) -> Self {
-        assert!(factor >= 1.0, "slowdown factor must be >= 1");
-        let i = disk.0 as usize;
-        assert!(i < self.slowdown.len(), "disk {i} out of range");
-        self.slowdown[i] = factor;
-        self
-    }
-
-    /// The shared per-disk service model.
-    pub fn model(&self) -> &DiskModel {
-        &self.model
-    }
-
-    /// Current slowdown factor of `disk`.
-    pub fn factor(&self, disk: crate::addr::DiskId) -> f64 {
-        self.slowdown
-            .get(disk.0 as usize)
-            .copied()
-            .unwrap_or(1.0)
-    }
-
-    /// Service time of one block-sized operation on `disk`, including
-    /// its slowdown.
-    pub fn op_time_on(&self, disk: crate::addr::DiskId, block_bytes: usize) -> Duration {
-        self.model.op_time(block_bytes).mul_f64(self.factor(disk))
-    }
-
-    /// Estimated wall time for a trace, priced at the **slowest** disk's
-    /// rate: every parallel operation is assumed to touch the straggler
-    /// (the pessimistic end, consistent with [`DiskModel::estimate`]).
-    pub fn estimate(&self, stats: &IoStats, block_bytes: usize) -> Duration {
-        let worst = self
-            .slowdown
-            .iter()
-            .copied()
-            .fold(1.0f64, f64::max);
-        self.model.estimate(stats, block_bytes).mul_f64(worst)
-    }
-
-    /// Whether `disk` is a straggler worth hedging: at least `after ×`
-    /// slower than the fastest disk in the array.  `after <= 1` hedges
-    /// any disk slower than the fastest; the CLI default is 4.
-    pub fn is_straggler(&self, disk: crate::addr::DiskId, after: f64) -> bool {
-        let fastest = self
-            .slowdown
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        if !fastest.is_finite() {
-            return false;
-        }
-        self.factor(disk) >= after * fastest
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::DiskId;
 
     fn stats(reads: u64, writes: u64, blocks_each: u64) -> IoStats {
         IoStats {
@@ -220,7 +118,7 @@ mod tests {
 
     #[test]
     fn estimate_is_linear_in_ops() {
-        let m = DiskModel::hdd_modern();
+        let m = DiskModel::hdd_1996();
         let one = m.estimate(&stats(1, 0, 4), 1 << 16);
         let ten = m.estimate(&stats(6, 4, 4), 1 << 16);
         assert!((ten.as_secs_f64() / one.as_secs_f64() - 10.0).abs() < 1e-9);
@@ -265,30 +163,5 @@ mod tests {
         assert_eq!(m.serial_estimate(&s, 1 << 16, short_cpu), io + short_cpu);
         // Overlap never loses.
         assert!(m.overlapped_estimate(&s, 1 << 16, long_cpu) <= m.serial_estimate(&s, 1 << 16, long_cpu));
-    }
-
-    #[test]
-    fn array_timing_prices_the_straggler() {
-        let t = ArrayTiming::uniform(DiskModel::hdd_1996(), 4).with_slowdown(DiskId(2), 3.0);
-        assert_eq!(t.factor(DiskId(0)), 1.0);
-        assert_eq!(t.factor(DiskId(2)), 3.0);
-        let b = 1 << 16;
-        assert_eq!(t.op_time_on(DiskId(2), b), t.model().op_time(b).mul_f64(3.0));
-        // Whole-trace estimate is pessimistic: priced at the straggler.
-        let s = stats(10, 10, 4);
-        assert_eq!(t.estimate(&s, b), t.model().estimate(&s, b).mul_f64(3.0));
-    }
-
-    #[test]
-    fn straggler_detection_is_relative_to_fastest() {
-        let t = ArrayTiming::uniform(DiskModel::ssd(), 3).with_slowdown(DiskId(1), 5.0);
-        assert!(t.is_straggler(DiskId(1), 4.0), "5x >= 4x threshold");
-        assert!(!t.is_straggler(DiskId(0), 4.0), "nominal disk never hedged");
-        assert!(!t.is_straggler(DiskId(1), 8.0), "5x < 8x threshold");
-        // Uniformly slow arrays have no straggler: relative, not absolute.
-        let all_slow = ArrayTiming::uniform(DiskModel::hdd_1996(), 2)
-            .with_slowdown(DiskId(0), 5.0)
-            .with_slowdown(DiskId(1), 5.0);
-        assert!(!all_slow.is_straggler(DiskId(0), 4.0));
     }
 }

@@ -112,7 +112,6 @@ fn build_stack(
         parity: Some(ParitySpec {
             store: Some(pstore.to_path_buf()),
             dead: dead.to_vec(),
-            hedge: None,
         }),
         // A generous budget so scripted transient storms are absorbed, but
         // finite so a misclassified permanent condition exhausts visibly.

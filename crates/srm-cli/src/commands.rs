@@ -2,7 +2,7 @@
 
 use crate::args::Flags;
 use pdisk::{
-    ArrayTiming, CrashClock, DiskArray, DiskId, DiskModel, FaultModel, FileDiskArray, Geometry,
+    CrashClock, DiskArray, DiskId, DiskModel, FaultModel, FileDiskArray, Geometry,
     InterruptFlag, Manifest as _, MemDiskArray, ParitySpec, Record, RetryPolicy, SortError, Sorter,
     StackSpec, U64Record,
 };
@@ -48,8 +48,7 @@ USAGE:
            [--placement random|staggered] [--formation load|parload|rs]
            [--threads N] [--pipeline] [--read-ahead K] [--keep]
            [--fault-rate R] [--fault-seed S] [--resume MANIFEST]
-           [--parity] [--kill-disk D@PASS] [--slow-disk D:F[,D:F...]]
-           [--hedge-after MULT] [--check-model]
+           [--parity] [--kill-disk D@PASS] [--check-model]
            [--crash-at K] [--crash-points]
       Generate N random records, stage them on the simulated disk array,
       sort, verify, and print the I/O accounting (one parallel operation
@@ -93,13 +92,9 @@ USAGE:
       comparable).  --kill-disk D@PASS is the failure drill: disk D dies
       permanently right after pass PASS (0 = run formation) and the sort
       completes degraded, byte-identical to the failure-free run.
-      --slow-disk D:F marks disk D as F times slower than nominal;
-      --hedge-after MULT (default 4) reads around any disk at least
-      MULT times slower than the fastest via parity reconstruction
-      instead of waiting for it.  Checkpoint manifests record the parity
-      geometry and dead-disk set, so --resume works from a degraded
-      array.  --kill-disk, --slow-disk, and --hedge-after require
-      --parity.
+      Checkpoint manifests record the parity geometry and dead-disk
+      set, so --resume works from a degraded array.  --kill-disk
+      requires --parity.
 
       --crash-points numbers every I/O boundary of the SRM sort with a
       counting crash clock and reports the total N after success;
@@ -199,19 +194,20 @@ USAGE:
       Distributed sort that survives node death: a coordinator samples
       P-1 splitters, routes records to P shard nodes over a
       fault-injectable message channel, each shard runs a checkpointed
-      SRM sort over its own disk cluster (traces model-checked), and
-      the coordinator concatenates the shards' runs in splitter order,
-      fetched in stripe-wide windows with one request always in flight,
-      into the striped global output.  A shard's stage-in, sort and
-      digest read-back all keep their I/O in flight: without either
-      window flag the sort runs pipelined at read-ahead 3 (the job
-      default); --pipeline [--read-ahead K] picks the depth as for
-      `srm sort`, and --read-ahead 0 alone asks for window 0, the
-      reference every window is byte- and count-identical to.  Per
-      shard the report prints where its time went (stage / sort /
-      verify / check ms).  Shards are
-      threads by default; --procs spawns real `srm` child processes so
-      the node-death drill is a genuine SIGKILL.  A heartbeat failure
+      SRM sort over its own disk cluster (traces model-checked).  The
+      shards' sorted, range-disjoint runs are the output: the
+      coordinator streams them in splitter order, fetched in
+      stripe-wide windows with one request always in flight, checking
+      the order of every key and folding the global digest.  A shard's
+      stage-in, sort and digest read-back all keep their I/O in
+      flight: without either window flag the sort runs pipelined at
+      read-ahead 3 (the job default); --pipeline [--read-ahead K]
+      picks the depth as for `srm sort`, and --read-ahead 0 alone asks
+      for window 0, the reference every window is byte- and
+      count-identical to.  Per shard the report prints where its time
+      went (stage / sort / verify / check ms).  Shards are threads by
+      default; --procs spawns real `srm` child processes so the
+      node-death drill is a genuine SIGKILL.  A heartbeat failure
       detector (--heartbeat-ms / --timeout-ms) declares silent nodes
       dead, fences the old epoch (its in-flight I/O fails, its stale
       messages are discarded), and boots a replacement that resumes
@@ -220,8 +216,9 @@ USAGE:
       it has served K stripe-wide output windows, K=0 being before the
       first); with --parity, --corrupt-disk D also trashes disk D of the
       victim's cluster so the replacement must rebuild from parity
-      before resuming.  The output stream degrades gracefully: it stalls
-      on a dead shard and resumes when the replacement serves again.  --net-* and --partition inject seeded
+      before resuming.  The output stream degrades gracefully: it
+      stalls on a dead shard and resumes when the replacement serves
+      again.  --net-* and --partition inject seeded
       channel faults (drop/duplicate/delay/partition windows).  The
       final digest is checked against a centrally sorted oracle; any
       mismatch exits nonzero.
@@ -346,32 +343,16 @@ pub fn sort(flags: &Flags) -> i32 {
 
         let parity = flags.has("parity");
         let kill = flags.get_str("kill-disk").map(parse_kill_spec).transpose()?;
-        let slow = flags
-            .get_str("slow-disk")
-            .map(parse_slow_spec)
-            .transpose()?
-            .unwrap_or_default();
-        let hedge_after: f64 = flags.get_or("hedge-after", 4.0)?;
-        if !parity && (kill.is_some() || !slow.is_empty() || flags.get_str("hedge-after").is_some())
-        {
-            return Err("--kill-disk, --slow-disk, and --hedge-after require --parity".into());
+        if !parity && kill.is_some() {
+            return Err("--kill-disk requires --parity".into());
         }
         if parity && geom.d < 2 {
             return Err("--parity needs at least 2 disks".into());
         }
-        if hedge_after <= 0.0 {
-            return Err(format!("--hedge-after {hedge_after} must be positive").into());
+        if let Some((disk, _)) = kill.filter(|&(d, _)| d as usize >= geom.d) {
+            return Err(format!("disk {disk} out of range for D={}", geom.d).into());
         }
-        for disk in kill.iter().map(|&(d, _)| d).chain(slow.iter().map(|&(d, _)| d)) {
-            if disk as usize >= geom.d {
-                return Err(format!("disk {disk} out of range for D={}", geom.d).into());
-            }
-        }
-        let popts = parity.then_some(ParityOpts {
-            kill,
-            slow,
-            hedge_after,
-        });
+        let popts = parity.then_some(ParityOpts { kill });
         if crash.is_some() {
             if algo != "srm" {
                 return Err("--crash-at / --crash-points require --algo srm".into());
@@ -650,11 +631,6 @@ fn print_io(label: &str, io: &pdisk::IoStats, geom: Geometry, cpu: std::time::Du
 struct ParityOpts {
     /// `--kill-disk D@PASS`: disk D dies permanently right after PASS.
     kill: Option<(u32, u64)>,
-    /// `--slow-disk D:F`: per-disk slowdown factors.
-    slow: Vec<(u32, f64)>,
-    /// `--hedge-after MULT`: hedge reads off disks this much slower than
-    /// the fastest.
-    hedge_after: f64,
 }
 
 fn parse_kill_spec(s: &str) -> Result<(u32, u64), String> {
@@ -666,22 +642,6 @@ fn parse_kill_spec(s: &str) -> Result<(u32, u64), String> {
         pass.parse()
             .map_err(|_| format!("--kill-disk {s}: bad pass number"))?,
     ))
-}
-
-fn parse_slow_spec(s: &str) -> Result<Vec<(u32, f64)>, String> {
-    s.split(',')
-        .map(|part| {
-            let (d, f) = part
-                .split_once(':')
-                .ok_or_else(|| format!("--slow-disk {part}: expected D:FACTOR"))?;
-            let disk: u32 = d.parse().map_err(|_| format!("--slow-disk {part}: bad disk id"))?;
-            let factor: f64 = f.parse().map_err(|_| format!("--slow-disk {part}: bad factor"))?;
-            if factor < 1.0 {
-                return Err(format!("--slow-disk {part}: factor must be >= 1"));
-            }
-            Ok((disk, factor))
-        })
-        .collect()
 }
 
 /// Run `sorter` on `backend` under the layers this job asks for — fault
@@ -706,24 +666,13 @@ fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
             job.fault_rate, job.fault_seed, policy.max_attempts
         );
     }
-    let parity = job.parity.as_ref().map(|opts| {
+    let parity = job.parity.as_ref().map(|_| {
         println!(
             "parity: rotating parity over {} disks ({} of every {} blocks usable); survives one disk death",
             geom.d,
             geom.d - 1,
             geom.d
         );
-        let hedge = (!opts.slow.is_empty()).then(|| {
-            let mut timing = ArrayTiming::uniform(DiskModel::hdd_modern(), geom.d);
-            for &(disk, f) in &opts.slow {
-                println!(
-                    "straggler: disk {disk} at {f}x nominal service time (hedging reads past {}x the fastest)",
-                    opts.hedge_after
-                );
-                timing = timing.with_slowdown(DiskId(disk), f);
-            }
-            (timing, opts.hedge_after)
-        });
         // A degraded resume re-marks the manifest's dead disks in the
         // build, *before* the sorter validates redundancy.
         for dd in dead {
@@ -732,7 +681,6 @@ fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
         ParitySpec {
             store: store.map(Path::to_path_buf),
             dead: dead.to_vec(),
-            hedge,
         }
     });
     // The injector and retry go in with parity or a fault rate; a plain
@@ -878,7 +826,6 @@ pub fn scrub(flags: &Flags) -> i32 {
                 ParitySpec {
                     store: Some(dir.join("parity.store")),
                     dead,
-                    hedge: None,
                 }
             }),
             ..StackSpec::default()

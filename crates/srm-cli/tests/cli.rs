@@ -47,9 +47,15 @@ fn unknown_subcommand_fails_with_usage() {
 /// A flag the subcommand's help does not name is a usage error naming
 /// both, and nothing runs: before this check `srm sort --bogus-flag 1` and
 /// `srm sort --read-ahed 3 --pipeline` ran the default sort and exited 0.
+/// `--slow-disk` and `--hedge-after` went with straggler hedging.
 #[test]
 fn unknown_flags_are_usage_errors() {
-    for args in [&["sort", "--bogus-flag", "1"][..], &["sort", "--read-ahed", "3", "--pipeline"][..]] {
+    for args in [
+        &["sort", "--bogus-flag", "1"][..],
+        &["sort", "--read-ahed", "3", "--pipeline"][..],
+        &["sort", "--slow-disk", "2:8", "--parity"][..],
+        &["sort", "--hedge-after", "4", "--parity"][..],
+    ] {
         let out = srm(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         let flag = args[1];

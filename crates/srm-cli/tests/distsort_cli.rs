@@ -34,7 +34,9 @@ fn distsort(name: &str, extra: &[&str]) -> String {
     cmd.arg("--dir").arg(&dir);
     cmd.args(extra);
     let out = cmd.output().expect("run srm distsort");
+    let gathered = dir.join("global").exists();
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(!gathered, "distsort {extra:?}: the shards' runs are the output; nothing gathers a copy");
     assert!(
         out.status.success(),
         "distsort {extra:?} failed\nstdout: {}\nstderr: {}",

@@ -2,21 +2,19 @@
 //!
 //! [`crate::split::shard_of`] is monotone in the key and the splitters
 //! are a pure function of `(spec, P)`, so every key of shard `i` is
-//! `<=` every key of shard `i + 1`: the global output is the shards'
-//! sorted runs **concatenated in splitter order**, with no comparison
-//! across shards left to make.  The stream therefore drains one window
-//! of one shard at a time into [`RunWriter`] while exactly one request —
-//! the next window of this shard, or the first window of the next
-//! non-empty shard — is in flight (§2.1's double buffer at stripe
-//! granularity), and checks `key >= previous` on every key so a
-//! mis-routed partition fails typed instead of producing a wrong
-//! digest.
+//! `<=` every key of shard `i + 1`: the global output *is* the shards'
+//! sorted runs **in splitter order**, with no comparison across shards
+//! left to make and nothing to gather.  The stream therefore drains one
+//! window of one shard at a time while exactly one request — the next
+//! window of this shard, or the first window of the next non-empty
+//! shard — is in flight (§2.1's double buffer at stripe granularity),
+//! folds every key into the global digest, and checks `key >= previous`
+//! on it so a mis-routed partition fails typed instead of producing a
+//! wrong digest.
 
 use crate::error::{DistError, Result};
-use pdisk::{DiskArray, DiskId, FileDiskArray, Geometry, U64Record};
-use srm_core::RunWriter;
+use pdisk::Geometry;
 use srm_server::KeyDigest;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Blocks per window: `max(1, (M/2) / (D·B))` whole stripes, so the
@@ -39,32 +37,18 @@ pub(crate) trait WindowSource {
     fn wait(&mut self) -> Result<Vec<u64>>;
 }
 
-/// What the stream wrote.
+/// What the stream saw.
 pub(crate) struct Concat {
     /// FNV-1a digest of the global output.
     pub digest: u64,
-    /// Records written.
+    /// Records streamed.
     pub records: u64,
     /// Time spent blocked in [`WindowSource::wait`].
     pub wait: Duration,
 }
 
-/// Concatenate the shards' runs (`blocks[s]` blocks each) into the
-/// global output cluster under `root`.
-pub(crate) fn concat_output(
-    geom: Geometry,
-    root: &Path,
-    blocks: &[u64],
-    src: &mut impl WindowSource,
-) -> Result<Concat> {
-    let out_dir = root.join("global");
-    if out_dir.exists() {
-        std::fs::remove_dir_all(&out_dir)
-            .map_err(|e| DistError::Io(format!("clear {}: {e}", out_dir.display())))?;
-    }
-    let mut out = FileDiskArray::<U64Record>::create(geom, &out_dir)?;
-    let mut writer = RunWriter::new(geom, DiskId(0));
-
+/// Stream the shards' runs (`blocks[s]` blocks each) in splitter order.
+pub(crate) fn concat_output(geom: Geometry, blocks: &[u64], src: &mut impl WindowSource) -> Result<Concat> {
     let step = window_blocks(geom) as usize;
     let mut windows = blocks
         .iter()
@@ -96,14 +80,9 @@ pub(crate) fn concat_output(
                 return Err(DistError::Order { shard: s as u32, first, key, prev });
             }
             prev = key;
-            writer.push(&mut out, U64Record(key))?;
             digest.push(key);
             records += 1;
         }
-    }
-    if records > 0 {
-        writer.finish(&mut out)?;
-        out.sync()?;
     }
     Ok(Concat { digest: digest.finish(), records, wait })
 }
@@ -150,14 +129,8 @@ mod tests {
     /// d=2, b=4, m=16: one-stripe, two-block (8-key) windows.
     fn stream(runs: Vec<Vec<u64>>, blocks: &[u64]) -> (Result<Concat>, Vec<(usize, u64)>) {
         let geom = Geometry::new(2, 4, 16).unwrap();
-        let root = std::env::temp_dir().join(format!(
-            "srm-dist-concat-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
         let mut src = Canned { runs, per_window: 8, outstanding: None, log: Vec::new() };
-        let out = concat_output(geom, &root, blocks, &mut src);
-        let _ = std::fs::remove_dir_all(&root);
+        let out = concat_output(geom, blocks, &mut src);
         (out, src.log)
     }
 

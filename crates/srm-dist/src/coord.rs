@@ -199,7 +199,7 @@ pub struct PhaseMs {
     /// Spawning the shards until the last one reported its sort done
     /// (staging included).
     pub shards: u64,
-    /// The cross-shard output stream, start to synced output.
+    /// The cross-shard output stream, first request to last key.
     pub merge: u64,
     /// The part of `merge` spent blocked on a window that had not
     /// arrived yet.
@@ -346,9 +346,9 @@ struct Coordinator<'a> {
 }
 
 /// Run a full distributed sort of `spec` across `cfg.shards` simulated
-/// nodes rooted at `root` (one subdirectory per shard plus the global
-/// output cluster).  Returns the report; the directory tree is left in
-/// place for the caller to inspect or delete.
+/// nodes rooted at `root` (one subdirectory per shard, whose sorted run
+/// is that shard's share of the output).  Returns the report; the
+/// directory tree is left in place for the caller to inspect or delete.
 pub fn distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<DistReport> {
     cfg.validate()?;
     spec.validate()?;
@@ -514,8 +514,7 @@ impl Coordinator<'_> {
         self.await_all_done()?;
         let shards = spawned.elapsed();
         let blocks: Vec<u64> = self.nodes.iter().map(|n| n.report.blocks).collect();
-        let (geom, root) = (self.geom, self.root.clone());
-        let out = concat_output(geom, &root, &blocks, self)?;
+        let out = concat_output(self.geom, &blocks, self)?;
         let merge = spawned.elapsed() - shards;
         let per_shard: Vec<ShardReport> = self.nodes.iter().map(|n| n.report.clone()).collect();
         Ok(DistReport {

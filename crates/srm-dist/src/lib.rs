@@ -5,7 +5,8 @@
 //!
 //! - **Partitioning** ([`split`]): sample-based range splitters
 //!   (Rahn/Sanders/Singler style) route every record to a shard; shard
-//!   sorts then never need to talk to each other until the final merge.
+//!   sorts then never need to talk to each other, and their sorted runs
+//!   in splitter order are the output.
 //! - **Transport** ([`net`], [`pdisk::NetFaultModel`]): an in-process
 //!   message network whose every send passes through a seeded,
 //!   scriptable fault model — drops, bounded delays, duplicates, and

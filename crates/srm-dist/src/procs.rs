@@ -23,8 +23,8 @@
 //!
 //! After every child reports `DONE`, the parent streams the shard
 //! outputs out of their directories (children have exited; their
-//! clusters' advisory locks are free) through the same concatenating
-//! writer as thread mode, in the same stripe windows.
+//! clusters' advisory locks are free) through the same order-checking,
+//! digesting stream as thread mode, in the same stripe windows.
 
 use crate::concat::{concat_output, window_blocks, WindowSource};
 use crate::coord::{plan_for, split_input, DistConfig, DistReport, KillPlan, PhaseMs, ShardReport};
@@ -346,7 +346,7 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
         src.runs.push(meta.run);
     }
     let blocks: Vec<u64> = reports.iter().map(|r| r.blocks).collect();
-    let out = concat_output(geom, root, &blocks, &mut src)?;
+    let out = concat_output(geom, &blocks, &mut src)?;
     let merge = started.elapsed() - split - shards;
 
     Ok(DistReport {

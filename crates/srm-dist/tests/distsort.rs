@@ -43,6 +43,7 @@ fn run(tag: &str, cfg: &DistConfig) -> DistReport {
 fn run_spec(tag: &str, spec: &JobSpec, cfg: &DistConfig) -> DistReport {
     let dir = scratch(tag);
     let report = distsort(spec, cfg, &dir).expect("distsort failed");
+    assert!(!dir.join("global").exists(), "the shards' runs are the output; nothing gathers a copy");
     let _ = std::fs::remove_dir_all(&dir);
     report
 }
