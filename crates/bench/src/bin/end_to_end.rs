@@ -8,7 +8,7 @@
 //! ```
 
 use dsm::{write_unsorted_stripes, DsmSorter};
-use pdisk::{DiskArray as _, DiskModel, Geometry, MemDiskArray, U64Record};
+use pdisk::{DiskArray as _, Geometry, MemDiskArray, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::write_unsorted_input;
@@ -28,12 +28,11 @@ fn main() {
             (8, 4, 32, 4_000_000),
         ]
     };
-    let model = DiskModel::hdd_1996();
 
     println!("# End-to-end sorts: SRM vs DSM, measured vs predicted\n");
-    println!("(seed={seed:#x}, disk model: 1996-era 9ms/5.6ms/6MBps)\n");
-    println!("| k | D | B | N | SRM ops (meas) | SRM ops (eq.40, v=1.1) | DSM ops (meas) | DSM ops (eq.41) | meas ratio | SRM est time | DSM est time |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("(seed={seed:#x})\n");
+    println!("| k | D | B | N | SRM ops (meas) | SRM ops (eq.40, v=1.1) | DSM ops (meas) | DSM ops (eq.41) | meas ratio |");
+    println!("|---|---|---|---|---|---|---|---|---|");
     for &(k, d, b, n) in configs {
         let mut rng = SmallRng::seed_from_u64(seed);
         let geom = Geometry::for_table(k, d, b).expect("geometry");
@@ -57,12 +56,9 @@ fn main() {
 
         let srm_pred = analysis::srm_total_ios(n, geom.m as u64, d, b, k, 1.1);
         let dsm_pred = analysis::dsm_total_ios(n, geom.m as u64, d, b, k);
-        let block_bytes = b * 8;
         println!(
-            "| {k} | {d} | {b} | {n} | {srm_ops} | {srm_pred:.0} | {dsm_ops} | {dsm_pred:.0} | {:.2} | {:.1?} | {:.1?} |",
+            "| {k} | {d} | {b} | {n} | {srm_ops} | {srm_pred:.0} | {dsm_ops} | {dsm_pred:.0} | {:.2} |",
             srm_ops as f64 / dsm_ops as f64,
-            model.estimate(&srm_report.io, block_bytes),
-            model.estimate(&dsm_report.io, block_bytes),
         );
     }
     println!("\nExpected shape: the measured ratio column sits below 1 whenever");

@@ -1,12 +1,13 @@
 //! The wrapper stack's one forwarding point.
 //!
 //! Everything stacked on a backend — fault injection, retry, parity,
-//! crash points, tracing, clustering, and the fence and misclassifier
-//! other crates add — must pass the [`DiskArray`] interface through
-//! unchanged except where it acts.  A [`Layer`] is such a wrapper's state
-//! plus the operations it intercepts: one hook per `DiskArray` operation,
-//! each handed the array below and each defaulting to "call the array
-//! below", so a layer's `impl` lists exactly what it changes.  [`Stack`]
+//! crash points, tracing, and the fence and misclassifier other crates
+//! add — must pass the [`DiskArray`] interface through unchanged except
+//! where it acts.  A [`Layer`] is such a wrapper's state plus the
+//! operations it intercepts: one hook per `DiskArray` operation, each
+//! handed the array below and each defaulting to "call the array below",
+//! so a layer's `impl` lists exactly what it changes.  The geometry has
+//! no hook: no layer changes addresses or block size.  [`Stack`]
 //! owns one layer and the array under it, and is the only
 //! `impl DiskArray` that forwards: a layer cannot forget a method, and a
 //! new one is its state and its hooks.
@@ -40,11 +41,6 @@ use crate::trace::TraceSink;
 /// `payload`, the parity commit) is how a layer's submit hook talks to
 /// its complete hook.
 pub trait Layer<R: Record> {
-    /// [`DiskArray::geometry`] as seen above this layer.
-    fn geometry(&self, inner: &impl DiskArray<R>) -> Geometry {
-        inner.geometry()
-    }
-
     /// [`DiskArray::alloc_contiguous`].
     fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
         inner.alloc_contiguous(disk, count)
@@ -129,13 +125,6 @@ impl<R: Record> Layer<R> for () {}
 /// a predictable branch per operation), not another stack type with the
 /// sorters compiled again for it.
 impl<R: Record, L: Layer<R>> Layer<R> for Option<L> {
-    fn geometry(&self, inner: &impl DiskArray<R>) -> Geometry {
-        match self {
-            Some(l) => l.geometry(inner),
-            None => inner.geometry(),
-        }
-    }
-
     fn alloc_contiguous(&mut self, inner: &mut impl DiskArray<R>, disk: DiskId, count: u64) -> Result<u64> {
         match self {
             Some(l) => l.alloc_contiguous(inner, disk, count),
@@ -273,8 +262,11 @@ impl<R: Record, L: Layer<R>, A: DiskArray<R>> Stack<R, L, A> {
 }
 
 impl<R: Record, L: Layer<R>, A: DiskArray<R>> DiskArray<R> for Stack<R, L, A> {
+    // No layer changes addresses or block size: a partially striped
+    // array is a geometry (`Geometry::new(D/c, c·B, M)`), not a layer,
+    // so every layer sees the geometry of the array below.
     fn geometry(&self) -> Geometry {
-        self.layer.geometry(&self.inner)
+        self.inner.geometry()
     }
 
     fn alloc_contiguous(&mut self, disk: DiskId, count: u64) -> Result<u64> {

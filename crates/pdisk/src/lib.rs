@@ -27,8 +27,8 @@
 //!   onto which an operation is pushed whole before the workers are woken;
 //! * [`StripedRun`] — cyclically striped run layout (block `i` of a run with
 //!   start disk `d_r` lives on disk `(d_r + i) mod D`, §3 of the paper);
-//! * [`timing`] — a seek/rotate/transfer service-time model to convert
-//!   operation counts into estimated wall time on a physical disk array;
+//!   partial striping (§2.2's `D = O(B)`) is no layer but a geometry:
+//!   `D` disks clustered by `c` are `Geometry::new(D/c, c·B, M)`;
 //! * [`layer`] — the wrapper stack's one forwarding point: a [`Layer`] is
 //!   a wrapper's state plus the [`DiskArray`] operations it intercepts
 //!   (every other one defaults to the array below), and [`Stack`] — a
@@ -71,7 +71,6 @@
 pub mod addr;
 pub mod backend;
 pub mod block;
-pub mod cluster;
 pub mod crash;
 pub mod error;
 pub mod faulty;
@@ -92,14 +91,12 @@ pub mod retry;
 pub mod stack;
 pub mod stats;
 pub mod striping;
-pub mod timing;
 pub mod trace;
 pub mod window;
 
 pub use addr::{BlockAddr, DiskId};
 pub use backend::{DiskArray, ReadTicket, RedundancyInfo, ScrubOutcome, WriteTicket};
 pub use block::{Block, Forecast};
-pub use cluster::ClusteredDiskArray;
 pub use crash::{CrashClock, CrashingDiskArray};
 pub use error::{FaultKind, FaultOp, PdiskError, Result};
 pub use faulty::{FaultModel, FaultPlan, FaultyDiskArray, ScriptedFault};
@@ -118,6 +115,5 @@ pub use retry::{Jitter, RetryCounters, RetryPolicy, RetryingDiskArray};
 pub use stack::{BuiltStack, ParitySpec, StackSpec};
 pub use stats::IoStats;
 pub use striping::StripedRun;
-pub use timing::DiskModel;
 pub use trace::{TraceEvent, TraceSink, TracingDiskArray};
 pub use window::{read_run, StripeWindow, WriteBehind};

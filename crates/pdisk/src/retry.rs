@@ -9,9 +9,9 @@
 //! attempt's error as its `source()`.
 //!
 //! Backoff is *simulated*: instead of sleeping, the wrapper accrues the
-//! wait it would have performed into [`RetryingDiskArray::total_backoff`],
-//! in the spirit of [`crate::timing`]'s counted-cost model — experiments
-//! stay fast and deterministic while recovery cost remains measurable.
+//! wait it would have performed into [`RetryingDiskArray::total_backoff`]
+//! — experiments stay fast and deterministic while recovery cost remains
+//! measurable.
 //! Retry counts are folded into the [`IoStats`] this wrapper reports,
 //! per operation kind (`read_retries` / `write_retries` /
 //! `alloc_retries`, and the matching `*_exhausted` give-up counters),
@@ -26,7 +26,6 @@ use crate::error::{FaultOp, PdiskError, Result};
 use crate::layer::{Layer, Stack};
 use crate::record::Record;
 use crate::stats::IoStats;
-use crate::timing::DiskModel;
 use crate::trace::TraceEvent;
 use std::time::Duration;
 
@@ -98,12 +97,6 @@ impl RetryPolicy {
     pub fn with_full_jitter(mut self, seed: u64) -> Self {
         self.jitter = Jitter::Full { seed };
         self
-    }
-
-    /// A policy priced from a [`DiskModel`]: the first retry waits one
-    /// block-sized operation time, doubling thereafter.
-    pub fn from_model(max_attempts: u32, model: &DiskModel, block_bytes: usize) -> Self {
-        Self::new(max_attempts, model.op_time(block_bytes))
     }
 
     /// Never retry; failures surface unchanged.
@@ -604,13 +597,6 @@ pub(crate) mod tests {
         // the accrual is the sum of two different draws.
         let expect = policy.jittered_backoff(1, 1) + policy.jittered_backoff(1, 2);
         assert_eq!(c1.backoff, expect);
-    }
-
-    #[test]
-    fn policy_from_model_prices_one_op() {
-        let m = DiskModel::hdd_1996();
-        let p = RetryPolicy::from_model(5, &m, 1 << 16);
-        assert_eq!(p.base_backoff, m.op_time(1 << 16));
     }
 
     /// Split-phase test double: submits and completions fail retryably a

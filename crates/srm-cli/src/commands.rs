@@ -2,7 +2,7 @@
 
 use crate::args::Flags;
 use pdisk::{
-    CrashClock, DiskArray, DiskId, DiskModel, FaultModel, FileDiskArray, Geometry,
+    CrashClock, DiskArray, DiskId, FaultModel, FileDiskArray, Geometry,
     InterruptFlag, Manifest as _, MemDiskArray, ParitySpec, Record, RetryPolicy, SortError, Sorter,
     StackSpec, U64Record,
 };
@@ -11,6 +11,7 @@ use rand::{Rng, SeedableRng};
 use srm_core::simulator::{estimate_overhead_v, SimPlacement};
 use srm_core::{Placement, RunFormation};
 use srm_server::{EngineKind, JobServer, JobSpec, ServerConfig};
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 
 /// CLI-level error: either a message for stderr (exit 2) or a graceful
@@ -52,8 +53,7 @@ USAGE:
            [--crash-at K] [--crash-points]
       Generate N random records, stage them on the simulated disk array,
       sort, verify, and print the I/O accounting (one parallel operation
-      moves up to one block per disk) plus estimated wall times under a
-      1996-era disk model and an SSD model.
+      moves up to one block per disk).
 
       --pipeline opens both sorters' I/O window: the next scheduled
       read is in flight while the merge drains the current buffers, and
@@ -608,24 +608,6 @@ fn file_counters(a: &FileDiskArray<U64Record>) -> String {
     )
 }
 
-fn print_io(label: &str, io: &pdisk::IoStats, geom: Geometry, cpu: std::time::Duration) {
-    println!("  {label}: {io}");
-    for (name, model) in [
-        ("1996 HDD array", DiskModel::hdd_1996()),
-        ("modern SSD array", DiskModel::ssd()),
-    ] {
-        let bytes = geom.b * U64Record::ENCODED_LEN;
-        let t = model.estimate(io, bytes);
-        println!(
-            "    {name}: {:.2}s I/O ({:.1} MB/s); with compute overlapped {:.2}s, serialized {:.2}s",
-            t.as_secs_f64(),
-            model.achieved_bandwidth(io, bytes),
-            model.overlapped_estimate(io, bytes, cpu).as_secs_f64(),
-            model.serial_estimate(io, bytes, cpu).as_secs_f64(),
-        );
-    }
-}
-
 /// Redundancy drill options parsed from `--parity` and friends.
 #[derive(Debug, Clone)]
 struct ParityOpts {
@@ -740,7 +722,7 @@ fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
         }
     }
     let io = array.stats().since(&staged);
-    print_io("I/O (sort only)", &io, job.geom, elapsed);
+    println!("  I/O (sort only): {io}");
     if let Some(line) = backend_counters(array.backend()) {
         println!("  file backend (staging included): {line}");
     }
@@ -927,11 +909,17 @@ pub fn crash_matrix(flags: &Flags) -> i32 {
 /// `srm occupancy`
 pub fn occupancy(flags: &Flags) -> i32 {
     let inner = || -> Result<(), String> {
-        let k: u64 = flags
-            .get("k")?
-            .ok_or("`srm occupancy` requires --k")?;
-        let d: usize = flags.get("d")?.ok_or("`srm occupancy` requires --d")?;
-        let trials: u64 = flags.get_or("trials", 1000)?;
+        let k = flags
+            .get::<NonZeroU64>("k")?
+            .ok_or("`srm occupancy` requires --k")?
+            .get();
+        let d = flags
+            .get::<NonZeroUsize>("d")?
+            .ok_or("`srm occupancy` requires --d")?
+            .get();
+        let trials = flags
+            .get::<NonZeroU64>("trials")?
+            .map_or(1000, NonZeroU64::get);
         let seed: u64 = flags.get_or("seed", 0xC11_0CC)?;
         let mut rng = SmallRng::seed_from_u64(seed);
         let v = ::occupancy::overhead_v(k, d, trials, &mut rng);
@@ -951,10 +939,20 @@ pub fn occupancy(flags: &Flags) -> i32 {
 /// `srm simulate`
 pub fn simulate(flags: &Flags) -> i32 {
     let inner = || -> Result<(), String> {
-        let k: usize = flags.get("k")?.ok_or("`srm simulate` requires --k")?;
-        let d: usize = flags.get("d")?.ok_or("`srm simulate` requires --d")?;
-        let blocks: u64 = flags.get_or("blocks", 1000)?;
-        let trials: u64 = flags.get_or("trials", 3)?;
+        let k = flags
+            .get::<NonZeroUsize>("k")?
+            .ok_or("`srm simulate` requires --k")?
+            .get();
+        let d = flags
+            .get::<NonZeroUsize>("d")?
+            .ok_or("`srm simulate` requires --d")?
+            .get();
+        let blocks = flags
+            .get::<NonZeroU64>("blocks")?
+            .map_or(1000, NonZeroU64::get);
+        let trials = flags
+            .get::<NonZeroU64>("trials")?
+            .map_or(3, NonZeroU64::get);
         let seed: u64 = flags.get_or("seed", 0x000C_1151)?;
         let placement = match flags.get_str("placement").unwrap_or("random") {
             "random" => SimPlacement::Random,

@@ -4,7 +4,7 @@
 //!
 //! * `srm sort` — generate records, sort them with SRM and/or DSM on the
 //!   in-memory or real-file backend, verify, and print the I/O accounting
-//!   plus estimated wall times under a disk service-time model;
+//!   in parallel operations;
 //! * `srm occupancy` — quick `v(k, D)` estimate by ball-throwing (Table 1
 //!   cells on demand);
 //! * `srm simulate` — quick `v(k, D)` estimate by simulating the SRM

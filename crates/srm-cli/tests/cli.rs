@@ -113,7 +113,7 @@ fn sort_both_algorithms_mem_backend() {
     assert!(text.contains("DSM: sorted & verified"));
     assert!(text.contains("merge order"));
     assert!(text.contains("memory partition"));
-    assert!(text.contains("overlapped"));
+    assert!(text.contains("I/O (sort only): reads="), "{text}");
 }
 
 /// The degraded-DSM drill: a disk dies after merge pass 1 under parity,
@@ -260,6 +260,30 @@ fn simulate_subcommand() {
     ]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("simulated v(2, 4)"));
+}
+
+/// A zero count is a usage error naming the flag: before, `occupancy`
+/// printed a `NaN` line and panicked in the bounds, `simulate` panicked in
+/// its input sampler, and `--trials 0` printed an `n=0` estimate.
+#[test]
+fn zero_counts_are_usage_errors() {
+    for args in [
+        &["occupancy", "--d", "4", "--k", "0"][..],
+        &["occupancy", "--k", "2", "--d", "0"],
+        &["occupancy", "--k", "2", "--d", "4", "--trials", "0"],
+        &["simulate", "--d", "4", "--k", "0"],
+        &["simulate", "--k", "2", "--d", "0"],
+        &["simulate", "--k", "2", "--d", "4", "--blocks", "0"],
+        &["simulate", "--k", "2", "--d", "4", "--trials", "0"],
+    ] {
+        let zero = args[args.len() - 2];
+        let out = srm(args);
+        let said = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {said}");
+        assert!(said.contains(&format!("{zero} 0")), "{args:?}: {said}");
+        assert!(!said.contains("panicked"), "{args:?}: {said}");
+        assert_eq!(stdout(&out), "", "{args:?}: nothing may print a result");
+    }
 }
 
 #[test]

@@ -453,7 +453,8 @@ impl MergeSim {
 
 /// Convenience: average the overhead factor `v(k, D)` over `trials`
 /// simulated merges of `kD` runs of `blocks_per_run` blocks (Table 3's
-/// experiment: the paper uses `blocks_per_run = 1000`).
+/// experiment: the paper uses `blocks_per_run = 1000`).  Every count must
+/// be at least 1: a zero is [`SrmError::Config`], not an empty estimate.
 pub fn estimate_overhead_v<RN: Rng + ?Sized>(
     k: usize,
     d: usize,
@@ -463,6 +464,12 @@ pub fn estimate_overhead_v<RN: Rng + ?Sized>(
     trials: u64,
     rng: &mut RN,
 ) -> Result<occupancy::Estimate> {
+    if k == 0 || d == 0 || blocks_per_run == 0 || b == 0 || trials == 0 {
+        return Err(SrmError::Config(format!(
+            "v(k, D) needs k, D, blocks per run, B and trials all at least 1 \
+             (got k={k} D={d} blocks={blocks_per_run} B={b} trials={trials})"
+        )));
+    }
     let mut acc = occupancy::RunningStats::new();
     for _ in 0..trials {
         let input = SimInput::average_case(k * d, blocks_per_run, b, d, placement, rng);
@@ -729,6 +736,24 @@ mod tests {
                 assert_eq!(disks.len(), targets.len());
             }
         }
+    }
+
+    /// A zero count is a configuration error, not a panic in the input
+    /// sampler or an `n = 0` estimate.
+    #[test]
+    fn zero_counts_are_config_errors() {
+        let mut rng = SmallRng::seed_from_u64(9);
+        for (k, d, blocks, b, trials) in [
+            (0, 4, 10, 8, 1),
+            (2, 0, 10, 8, 1),
+            (2, 4, 0, 8, 1),
+            (2, 4, 10, 0, 1),
+            (2, 4, 10, 8, 0),
+        ] {
+            let got = estimate_overhead_v(k, d, blocks, b, SimPlacement::Random, trials, &mut rng);
+            assert!(matches!(got, Err(SrmError::Config(_))), "{got:?}");
+        }
+        assert!(estimate_overhead_v(2, 4, 10, 8, SimPlacement::Random, 1, &mut rng).is_ok());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The original `cargo xtask lint` rules, re-based onto the lexer and
+//! The original line-scanner lint rules, re-based onto the lexer and
 //! item model.  Semantics are preserved — same rule names, messages,
 //! and `// lint:allow(...)` suppression markers — but the scan now
 //! runs on real tokens, so string literals (raw, multi-line, braces
@@ -23,7 +23,7 @@ use crate::model::{ItemKind, SourceFile};
 use crate::Finding;
 
 /// Crates whose non-test code must be panic-free (rule `no-panic`).
-/// Binaries (`srm-cli`, `xtask`) and the benchmark harness may abort on
+/// Binaries (`srm-cli`) and the benchmark harness may abort on
 /// their own errors; libraries must propagate typed ones.
 pub const PANIC_FREE_CRATES: &[&str] = &[
     "pdisk",

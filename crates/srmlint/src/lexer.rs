@@ -1,9 +1,9 @@
 //! A real (if lightweight) Rust lexer.
 //!
-//! This is the piece that retires the old `cargo xtask lint` line
-//! scanner's known false positives: string literals — including raw
-//! strings (`r#"…"#`), byte strings, and multi-line strings — become
-//! single opaque tokens, so a `{` or `// …` inside one can never be
+//! This is the piece that retires the old lint line scanner's known
+//! false positives: string literals — including raw strings
+//! (`r#"…"#`), byte strings, and multi-line strings — become single
+//! opaque tokens, so a `{` or `// …` inside one can never be
 //! mistaken for structure.  Comments are dropped, except that lint
 //! directives embedded in them (`// lint:allow(panic)`,
 //! `// srmlint::lock(...)`) are preserved as [`Directive`]s so the

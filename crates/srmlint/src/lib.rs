@@ -16,14 +16,14 @@
 //!   `#[srmlint::worker_entry]` threads outside blessed seams.
 //! - [`interrupt`] — every path observing `InterruptFlag` checkpoints
 //!   before returning `Interrupted`.
-//! - [`legacy`] — the original `xtask lint` rules (`no-panic`, `cast`,
+//! - [`legacy`] — the original line-scanner rules (`no-panic`, `cast`,
 //!   `non-exhaustive`, `backend`), re-based onto the lexer so string
 //!   literals can no longer desynchronize them; plus the `unsafe`
 //!   crate-root rule here.
 //!
-//! `cargo xtask lint` remains the entry point (the `xtask` binary
-//! calls [`analyze_workspace`]); `cargo run -p srmlint` exposes the
-//! same analysis plus `--verify-witness` directly.
+//! This package's binary is the one entry point: `cargo xtask lint` is
+//! an alias for `cargo run -q -p srmlint --` (see `main.rs` for the rule
+//! catalogue and `--verify-witness`).
 
 #![forbid(unsafe_code)]
 

@@ -1,33 +1,63 @@
-//! `srmlint` CLI: run the workspace analysis directly, optionally
-//! cross-checking a runtime lock-order witness log.
+//! `srmlint` — the workspace's one lint binary, invoked as `cargo xtask
+//! lint` (the alias in `.cargo/config.toml` runs this package) or
+//! directly against an arbitrary checkout:
 //!
 //! ```text
-//! srmlint [--root DIR] [--verify-witness LOG]
+//! srmlint [lint] [--root DIR] [--verify-witness LOG]
 //! ```
 //!
-//! `cargo xtask lint` wraps the same library for day-to-day use; this
-//! binary exists for CI's witness step and for running the analyzer
-//! against an arbitrary checkout.
+//! The leading `lint` word is accepted and ignored, so `cargo xtask lint`
+//! reads as it always has.
+//!
+//! Rules:
+//!
+//! 1. `no-panic` — panic-free crates' non-test code must not call
+//!    `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/
+//!    `unimplemented!`; fallible paths return typed errors the
+//!    checkpoint/retry layers can act on.
+//! 2. `cast` — no `as` narrowing inside a `DiskId(...)` construction;
+//!    use the range-proved `DiskId::from_index`/`DiskId::from_mod`.
+//! 3. `non-exhaustive` — public `*Error` enums carry `#[non_exhaustive]`.
+//! 4. `backend` — algorithm crates stay generic over `DiskArray` so no
+//!    I/O bypasses `IoStats`.
+//! 5. `unsafe` — every crate root carries `#![forbid(unsafe_code)]`.
+//! 6. `lock-order`/`witness` — the inter-procedural may-hold graph is
+//!    acyclic, leaf locks stay leaves, and every acquisition site is
+//!    wrapped for the runtime lock witness.
+//! 7. `protocol` — dispatch matches over `#[srmlint::protocol]` enums
+//!    name every variant; no `_ =>` can swallow a message kind.
+//! 8. `blocking` — no blocking calls reachable from
+//!    `#[srmlint::worker_entry]` threads outside blessed seams.
+//! 9. `interrupt` — every observer of `InterruptFlag` checkpoints
+//!    before returning `Interrupted`.
+//!
+//! `--verify-witness LOG` additionally cross-checks a runtime lock-order
+//! witness log (recorded by test runs with `--features lock-witness` and
+//! `SRM_LOCK_WITNESS=LOG`) against the static graph, and names the static
+//! nodes and edges no test exercised.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: srmlint [lint] [--root DIR] [--verify-witness LOG]";
+
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut witness: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
+    args.next_if_eq("lint");
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--verify-witness" => witness = args.next().map(PathBuf::from),
             "--help" | "-h" => {
-                println!("usage: srmlint [--root DIR] [--verify-witness LOG]");
+                println!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
             other => {
-                eprintln!("unknown argument `{other}`; see --help");
+                eprintln!("unknown argument `{other}`\n{USAGE}");
                 return ExitCode::FAILURE;
             }
         }

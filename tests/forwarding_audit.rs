@@ -21,10 +21,9 @@ mod common;
 
 use common::{Log, Probe, Transparent};
 use pdisk::{
-    Block, BlockAddr, BufferPool, ClusteredDiskArray, CrashClock, CrashingDiskArray, DiskArray,
-    DiskId, FaultModel, FaultyDiskArray, Forecast, Geometry, MemDiskArray, ParityDiskArray,
-    ParitySpec, RetryPolicy, RetryingDiskArray, Stack, StackSpec, TraceSink, TracingDiskArray,
-    U64Record,
+    Block, BlockAddr, BufferPool, CrashClock, CrashingDiskArray, DiskArray, DiskId, FaultModel,
+    FaultyDiskArray, Forecast, Geometry, MemDiskArray, ParityDiskArray, ParitySpec, RetryPolicy,
+    RetryingDiskArray, Stack, StackSpec, TraceSink, TracingDiskArray, U64Record,
 };
 use srm_chaos::local::Misclassifying;
 use srm_dist::{FenceFlag, Fenced};
@@ -57,19 +56,10 @@ const BLOCKING: [(&str, [&str; 2]); 2] = [
 ];
 
 /// (layer, method, why the call stops at this layer).
-const DECLINED: [(&str, &str, &str); 12] = [
+const DECLINED: [(&str, &str, &str); 3] = [
     ("Parity", "scrub_block", "it is the layer that repairs: it verifies by reading the slot below and rewrites it from parity"),
     ("Parity", "redundancy", "it is the redundancy layer and answers for itself"),
     ("Tracing", "trace_sink", "it owns the sink it installed below and answers with it"),
-    ("Clustered", "submit_read", "one logical block is c physical blocks reassembled on return, and no production stack builds it: served at submit by one blocking read below"),
-    ("Clustered", "complete_read", "its tickets are always already served"),
-    ("Clustered", "submit_write", "as submit_read: served at submit by one blocking write below"),
-    ("Clustered", "complete_write", "its tickets are always already served"),
-    ("Clustered", "read", "its submit_read is where the blocking call below comes from"),
-    ("Clustered", "write", "as read: from its submit_write"),
-    ("Clustered", "prefetch", "a hint for one logical block would have to fan out to c slots; unused, so dropped"),
-    ("Clustered", "install_trace", "physical events would carry disk ids outside the logical geometry a trace is checked against"),
-    ("Clustered", "trace_sink", "as install_trace: no sink is installed below"),
 ];
 
 fn block(key: u64) -> Block<Rec> {
@@ -174,7 +164,6 @@ fn every_wrapper_forwards_or_declines_every_defaulted_method() {
     findings.extend(audit("Faulty", |p| FaultyDiskArray::new(p, FaultModel::none())));
     findings.extend(audit("Crashing", |p| CrashingDiskArray::new(p, CrashClock::counting())));
     findings.extend(audit("Tracing", TracingDiskArray::new));
-    findings.extend(audit("Clustered", |p| ClusteredDiskArray::new(p, 2).unwrap()));
     findings.extend(audit("Fenced", |p| Stack::from_parts(p, Fenced(FenceFlag::new()))));
     findings.extend(audit("Misclassifying", |p| Stack::from_parts(p, Misclassifying { armed: true })));
     for (wrapper, method, why) in DECLINED {
