@@ -8,7 +8,7 @@
 //! On-disk format: fixed-size block slots.  Each slot is
 //!
 //! ```text
-//! [u64 FNV-1a checksum of the rest of the slot]
+//! [u64 checksum of the rest of the slot: v1 FNV-1a, v2 word-at-a-time]
 //! [u32 record-count][u32 forecast-kind][8 * max(D,1) bytes forecast keys]
 //! [B * ENCODED_LEN bytes records]
 //! ```
@@ -16,6 +16,12 @@
 //! `forecast-kind` is 0 for [`Forecast::Next`] (one key used) and 1 for
 //! [`Forecast::Initial`] (`D` keys used).  Unused key slots hold
 //! [`crate::block::NO_BLOCK`].
+//!
+//! Which checksum the slots carry is the array's [`SlotFormat`], stated
+//! by the format record `pdisk.format` in its directory, never guessed
+//! from slot bytes: no record means v1 (FNV-1a, byte-serial), and
+//! [`FileDiskArray::create`] writes v2 (a word-at-a-time sum).  A
+//! reopened v1 array stays v1.  The payload is the same bytes in both.
 //!
 //! The leading checksum covers every payload byte, so a torn write, a
 //! flipped bit, or a stale sector surfaces as [`PdiskError::Corrupt`] at
@@ -39,7 +45,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +59,7 @@ use crate::backend::{
 use crate::block::{Block, Forecast, NO_BLOCK};
 use crate::error::{PdiskError, Result};
 use crate::geometry::Geometry;
-use crate::manifest::fnv1a64;
+use crate::manifest::{atomic_write, fnv1a64};
 use crate::pool::BufferPool;
 use crate::queue::{completion, DiskQueues, SlotFill};
 use crate::record::Record;
@@ -82,6 +88,82 @@ const MAX_TORN_SLOTS: u64 = WRITE_BEHIND_LIMIT as u64 + 1;
 
 /// Name of the advisory lock file guarding an array directory.
 const LOCK_FILE: &str = "pdisk.lock";
+
+/// Name of the format record in an array directory.
+const FORMAT_FILE: &str = "pdisk.format";
+
+/// The whole format record of a v2 array; a v1 array has none.
+const FORMAT_RECORD_V2: &[u8] = b"pdisk slot format 2\n";
+
+/// Which checksum an array's slots carry: one per array, never per slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum SlotFormat {
+    /// FNV-1a, byte-serial: arrays laid down before the format record.
+    V1 = 1,
+    /// The word-at-a-time `sum_v2`: every array `create` makes.
+    V2 = 2,
+}
+
+impl std::fmt::Display for SlotFormat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "v{}", *self as u8)
+    }
+}
+
+/// The slot format the record in `dir` states: v1 when there is none,
+/// and a refusal when it holds anything but a record this build wrote.
+fn read_format(dir: &Path) -> Result<SlotFormat> {
+    let path = dir.join(FORMAT_FILE);
+    let mut record = Vec::new();
+    match File::open(&path) {
+        Ok(file) => file.take(64).read_to_end(&mut record)?,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(SlotFormat::V1),
+        Err(e) => return Err(e.into()),
+    };
+    if record == FORMAT_RECORD_V2 {
+        return Ok(SlotFormat::V2);
+    }
+    Err(PdiskError::Corrupt(format!(
+        "format record {} names no slot format this build reads: {:?}",
+        path.display(),
+        String::from_utf8_lossy(&record)
+    )))
+}
+
+const V2_PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
+const V2_PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// One step of the v2 sum: a bijection of `acc` for a fixed `word` (add,
+/// rotate, odd multiply), and of `word` for a fixed `acc`.
+fn v2_round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(V2_PRIME_2)).rotate_left(31).wrapping_mul(V2_PRIME_1)
+}
+
+/// The v2 slot checksum.  Words go round-robin into four independent
+/// lanes, so neighbouring words' multiplies overlap where FNV-1a chains
+/// one per byte; a short tail is zero-padded.  The lanes fold into the
+/// payload length and a xorshift-multiply finalizer mixes it.  Every
+/// later step is a bijection of what a one-word change touched, so any
+/// single-bit flip changes the sum, with certainty.
+fn sum_v2(payload: &[u8]) -> u64 {
+    let mut lanes = [V2_PRIME_1, V2_PRIME_2, V2_PRIME_1 ^ V2_PRIME_2, !V2_PRIME_1];
+    let mut chunks = payload.chunks_exact(32);
+    for chunk in &mut chunks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = v2_round(*lane, le_u64(&chunk[8 * i..]));
+        }
+    }
+    for (lane, tail) in lanes.iter_mut().zip(chunks.remainder().chunks(8)) {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        *lane = v2_round(*lane, u64::from_le_bytes(word));
+    }
+    let h = lanes.into_iter().fold(payload.len() as u64, v2_round);
+    let h = (h ^ (h >> 33)).wrapping_mul(V2_PRIME_2);
+    let h = (h ^ (h >> 29)).wrapping_mul(V2_PRIME_1);
+    h ^ (h >> 32)
+}
 
 /// First 8 bytes of `bytes` as a little-endian `u64`.  Callers pass
 /// buffers sized by the codec, so the length is guaranteed.
@@ -174,20 +256,21 @@ impl Drop for DirLock {
 }
 
 /// Whether the slot at `index` passes its leading checksum.
-fn slot_checksum_ok(file: &File, slot_bytes: usize, index: u64) -> io::Result<bool> {
-    let mut buf = vec![0u8; slot_bytes];
-    file.read_exact_at(&mut buf, index * slot_bytes as u64)?;
+fn slot_checksum_ok(file: &File, layout: &SlotLayout, index: u64) -> io::Result<bool> {
+    let mut buf = vec![0u8; layout.slot_bytes];
+    file.read_exact_at(&mut buf, index * layout.slot_bytes as u64)?;
     let stored = le_u64(&buf[..CHECKSUM_BYTES]);
-    Ok(stored == fnv1a64(&buf[CHECKSUM_BYTES..]))
+    Ok(stored == layout.sum(&buf[CHECKSUM_BYTES..]))
 }
 
-/// The geometry of one on-disk slot — all the codec needs to know about
-/// an array, small and `Copy` so every worker thread holds its own.
+/// The geometry and format of one on-disk slot — all the codec needs to
+/// know about an array, small and `Copy` so every worker holds its own.
 ///
 /// A slot is a checksum in front of a *payload* (count, forecast, record
 /// cells).  The payload half is the one block codec of the crate: the
 /// parity layer XORs the same bytes, so both persistent formats — disk
-/// files and the parity store — move together or not at all.
+/// files and the parity store — move together or not at all.  The slot
+/// format chooses only the checksum.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SlotLayout {
     /// Records per block (`B`).
@@ -196,15 +279,29 @@ pub(crate) struct SlotLayout {
     slot_bytes: usize,
     /// Forecast-key cells reserved per slot (`max(D, 1)`).
     forecast_keys: usize,
+    /// Which checksum the slots carry.
+    format: SlotFormat,
 }
 
 impl SlotLayout {
+    /// The layout of a fresh array's slots, which are v2.
     pub(crate) fn new<R: Record>(geom: Geometry) -> Self {
         let forecast_keys = geom.d.max(1);
         SlotLayout {
             b: geom.b,
             slot_bytes: CHECKSUM_BYTES + 8 + 8 * forecast_keys + geom.b * R::ENCODED_LEN,
             forecast_keys,
+            format: SlotFormat::V2,
+        }
+    }
+
+    /// The leading checksum of a slot carrying `payload`: the one place
+    /// the format chooses the sum, so encode, decode and the reopen's
+    /// torn-tail recovery cannot disagree.
+    fn sum(&self, payload: &[u8]) -> u64 {
+        match self.format {
+            SlotFormat::V1 => fnv1a64(payload),
+            SlotFormat::V2 => sum_v2(payload),
         }
     }
 
@@ -295,7 +392,7 @@ impl SlotLayout {
         out.clear();
         out.resize(self.slot_bytes, 0);
         self.encode_payload(block, &mut out[CHECKSUM_BYTES..]);
-        let checksum = fnv1a64(&out[CHECKSUM_BYTES..]);
+        let checksum = self.sum(&out[CHECKSUM_BYTES..]);
         out[..CHECKSUM_BYTES].copy_from_slice(&checksum.to_le_bytes());
     }
 
@@ -310,7 +407,7 @@ impl SlotLayout {
             )));
         }
         let stored = le_u64(&bytes[..CHECKSUM_BYTES]);
-        let actual = fnv1a64(&bytes[CHECKSUM_BYTES..]);
+        let actual = self.sum(&bytes[CHECKSUM_BYTES..]);
         if stored != actual {
             return Err(PdiskError::Corrupt(format!(
                 "block checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
@@ -436,10 +533,10 @@ pub struct FileDiskArray<R: Record> {
 }
 
 impl<R: Record> FileDiskArray<R> {
-    /// Create (or truncate) `D` disk files under `dir` and start the worker
-    /// threads.
+    /// Create (or truncate) `D` disk files under `dir`, record the array
+    /// as v2, and start the worker threads.
     pub fn create(geom: Geometry, dir: impl AsRef<Path>) -> Result<Self> {
-        Self::build(geom, dir, true)
+        Self::build(geom, dir, Some(SlotFormat::V2))
     }
 
     /// Reopen an existing array without truncating: every block written
@@ -448,6 +545,10 @@ impl<R: Record> FileDiskArray<R> {
     /// substrate for checkpoint/resume — a resumed sort reopens the
     /// array and continues from its manifest.
     ///
+    /// The slot format is what the format record states (v1 without
+    /// one) and stays so as the array grows; a record this build cannot
+    /// read is [`PdiskError::Corrupt`] before any disk file is touched.
+    ///
     /// A crash mid-write can leave one *torn* slot at a file's tail
     /// (partial, or full-length with a failing checksum).  The reopen
     /// detects it via the slot checksum and truncates back to the last
@@ -455,14 +556,18 @@ impl<R: Record> FileDiskArray<R> {
     /// reopen under the wrong geometry still fails with
     /// [`PdiskError::Corrupt`] instead of shearing real data.
     pub fn open(geom: Geometry, dir: impl AsRef<Path>) -> Result<Self> {
-        Self::build(geom, dir, false)
+        Self::build(geom, dir, None)
     }
 
-    fn build(geom: Geometry, dir: impl AsRef<Path>, truncate: bool) -> Result<Self> {
+    /// Truncate the array under `dir` to empty in format `fresh` (v2 in
+    /// product code; tests also lay down v1), or reopen it if `None`.
+    fn build(geom: Geometry, dir: impl AsRef<Path>, fresh: Option<SlotFormat>) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
         let lock = DirLock::acquire(&dir)?;
-        let layout = SlotLayout::new::<R>(geom);
+        let truncate = fresh.is_some();
+        let format = fresh.map_or_else(|| read_format(&dir), Ok)?;
+        let layout = SlotLayout { format, ..SlotLayout::new::<R>(geom) };
         let slot_bytes = layout.slot_bytes;
         let io_delay_us = Arc::new(AtomicU64::new(0));
         // Owns the threads from the first spawn on: an error below closes
@@ -511,12 +616,12 @@ impl<R: Record> FileDiskArray<R> {
                 let mut dropped = 0u64;
                 while keep > 0
                     && dropped < MAX_TORN_SLOTS
-                    && !slot_checksum_ok(&file, slot_bytes, keep - 1)?
+                    && !slot_checksum_ok(&file, &layout, keep - 1)?
                 {
                     keep -= 1;
                     dropped += 1;
                 }
-                if keep > 0 && !slot_checksum_ok(&file, slot_bytes, keep - 1)? {
+                if keep > 0 && !slot_checksum_ok(&file, &layout, keep - 1)? {
                     // Corruption deeper than any torn write can reach.
                     return refuse("a corrupt trailing region");
                 }
@@ -538,6 +643,12 @@ impl<R: Record> FileDiskArray<R> {
             }
             let queues = Arc::clone(&workers.queues);
             workers.handles.push(Self::spawn_worker(d, file, layout, Arc::clone(&io_delay_us), queues)?);
+        }
+        // After truncating, so a crash leaves no slot in a format the
+        // record does not state; the directory sync makes its name durable.
+        if fresh == Some(SlotFormat::V2) {
+            atomic_write(&dir.join(FORMAT_FILE), FORMAT_RECORD_V2)?;
+            File::open(&dir)?.sync_all()?;
         }
         Ok(FileDiskArray {
             geom,
@@ -643,6 +754,11 @@ impl<R: Record> FileDiskArray<R> {
     /// Bytes a block slot occupies on disk.
     pub fn slot_bytes(&self) -> usize {
         self.layout.slot_bytes
+    }
+
+    /// Which checksum this array's slots carry.
+    pub fn slot_format(&self) -> SlotFormat {
+        self.layout.format
     }
 
     /// Add an artificial service time to every per-disk transfer,
@@ -979,17 +1095,39 @@ mod codec_tests {
         assert!(matches!(l.decode::<U64Record>(&image, Vec::new()), Err(PdiskError::Corrupt(_))));
     }
 
+    /// Every single-bit flip of one `sort_cpu`-geometry payload (D = 4,
+    /// B = 512 `U64Record`s: 4 136 bytes, 33 088 sums) changes the v2 sum.
+    #[test]
+    #[cfg_attr(miri, ignore = "33 k sums of a 4 KiB payload take hours under the interpreter; \
+                               any_single_byte_flip_is_corrupt covers v2 there")]
+    fn every_single_bit_flip_changes_the_v2_sum() {
+        let l = SlotLayout::new::<U64Record>(Geometry::for_table(4, 4, 512).unwrap());
+        // Sorted keys, every byte of them varied: k on top, noise below.
+        let keys = (0..512u64).map(|k| U64Record(k << 40 | k.wrapping_mul(V2_PRIME_1) >> 24)).collect();
+        let mut payload = vec![0u8; l.payload_bytes()];
+        l.encode_payload(&Block::new(keys, Forecast::Next(7)), &mut payload);
+        let sum = l.sum(&payload);
+        for bit in 0..8 * payload.len() {
+            payload[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(l.sum(&payload), sum, "flipping bit {bit} left the sum unchanged");
+            payload[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
     proptest! {
-        /// Any single flipped byte, anywhere in a slot of either forecast
-        /// kind and any fill, fails the decode as `Corrupt`.
+        /// Any single flipped byte, anywhere in a slot of either format,
+        /// either forecast kind and any fill, fails the decode as
+        /// `Corrupt`.
         #[test]
         fn any_single_byte_flip_is_corrupt(
             keys in vec(any::<u64>(), 0..=4usize),
             initial in any::<bool>(),
+            v1 in any::<bool>(),
             pos in any::<usize>(),
             mask in 1u8..=255u8,
         ) {
-            let l = layout::<U64Record>(3, 4);
+            let format = if v1 { SlotFormat::V1 } else { SlotFormat::V2 };
+            let l = SlotLayout { format, ..layout::<U64Record>(3, 4) };
             let mut keys = keys;
             keys.sort_unstable();
             let forecast = if initial { Forecast::Initial(vec![pos as u64, NO_BLOCK]) } else { Forecast::Next(pos as u64) };
@@ -1230,12 +1368,12 @@ mod tests {
         )
     }
 
-    /// Write the golden pair through a fresh array — the `Initial` block
-    /// to disk 0, the short `Next` block to disk 1 — and return the two
-    /// disk files as hex.
-    fn golden_slots_on_disk<R: Record>(tag: &str, rec: fn(u64) -> R) -> (String, String) {
+    /// Write the golden pair through a fresh array of `format` — the
+    /// `Initial` block to disk 0, the short `Next` block to disk 1 — and
+    /// return the two disk files as hex.
+    fn golden_slots_on_disk<R: Record>(tag: &str, rec: fn(u64) -> R, f: SlotFormat) -> (String, String) {
         let dir = tmpdir(tag);
-        let mut a: FileDiskArray<R> = FileDiskArray::create(golden_geometry(), &dir).unwrap();
+        let mut a: FileDiskArray<R> = FileDiskArray::build(golden_geometry(), &dir, Some(f)).unwrap();
         let (initial, next) = golden_blocks(rec);
         let o0 = a.alloc_contiguous(DiskId(0), 1).unwrap();
         let o1 = a.alloc_contiguous(DiskId(1), 1).unwrap();
@@ -1275,6 +1413,11 @@ mod tests {
          0000000000000000000000000000000000000000000000000000000000000000\
          0000000000000000000000000000000000000000000000000000000000000000";
 
+    // The v2 checksums of the same slots, `Initial` then `Next`.  The
+    // payload behind them is the v1 one: v2 moves only these 8 bytes.
+    const GOLDEN_U64_V2_SUMS: [&str; 2] = ["fae8f8f3fc39868e", "f861540c8be5d737"];
+    const GOLDEN_KP24_V2_SUMS: [&str; 2] = ["e54c69176394b15a", "9f13b27177a8a6ca"];
+
     /// The golden pair as the frames the parity layer XORs (and its
     /// store persists the XOR of), as hex.
     fn golden_parity_frames<R: Record>(rec: fn(u64) -> R) -> (String, String) {
@@ -1289,23 +1432,22 @@ mod tests {
     /// earlier build must stay readable, so no change to where or how
     /// slots are encoded may move a single byte of these.  The parity
     /// store is as persistent, and its frame is the slot behind the
-    /// checksum: pinned here so the two formats cannot part.
+    /// checksum: pinned here so the two formats cannot part.  v1 is
+    /// pinned for arrays laid down before slot formats, v2 for new ones.
     #[test]
     fn golden_slot_bytes_are_pinned() {
-        let payload = |slot: &'static str| &slot[2 * CHECKSUM_BYTES..];
-        let (initial, next) = golden_slots_on_disk("golden-u64", U64Record);
-        assert_eq!(initial, GOLDEN_U64_INITIAL);
-        assert_eq!(next, GOLDEN_U64_NEXT);
-        let (initial, next) = golden_parity_frames(U64Record);
-        assert_eq!(initial, payload(GOLDEN_U64_INITIAL));
-        assert_eq!(next, payload(GOLDEN_U64_NEXT));
-        let (initial, next) =
-            golden_slots_on_disk("golden-kp24", KeyPayloadRecord::<24>::with_derived_payload);
-        assert_eq!(initial, GOLDEN_KP24_INITIAL);
-        assert_eq!(next, GOLDEN_KP24_NEXT);
-        let (initial, next) = golden_parity_frames(KeyPayloadRecord::<24>::with_derived_payload);
-        assert_eq!(initial, payload(GOLDEN_KP24_INITIAL));
-        assert_eq!(next, payload(GOLDEN_KP24_NEXT));
+        fn check<R: Record>(tag: &str, rec: fn(u64) -> R, v1: [&'static str; 2], v2_sums: [&str; 2]) {
+            let payload = |slot: &'static str| slot[2 * CHECKSUM_BYTES..].to_string();
+            let (initial, next) = golden_slots_on_disk(&format!("{tag}-v1"), rec, SlotFormat::V1);
+            assert_eq!([initial, next], v1.map(String::from));
+            let (initial, next) = golden_slots_on_disk(&format!("{tag}-v2"), rec, SlotFormat::V2);
+            assert_eq!([initial, next], [0, 1].map(|i| format!("{}{}", v2_sums[i], payload(v1[i]))));
+            let (initial, next) = golden_parity_frames(rec);
+            assert_eq!([initial, next], v1.map(payload));
+        }
+        check("golden-u64", U64Record, [GOLDEN_U64_INITIAL, GOLDEN_U64_NEXT], GOLDEN_U64_V2_SUMS);
+        let kp24 = KeyPayloadRecord::<24>::with_derived_payload;
+        check("golden-kp24", kp24, [GOLDEN_KP24_INITIAL, GOLDEN_KP24_NEXT], GOLDEN_KP24_V2_SUMS);
     }
 
     /// An array laid down by an earlier build (the golden bytes, placed
@@ -1337,6 +1479,73 @@ mod tests {
             KeyPayloadRecord::<24>::with_derived_payload,
             [GOLDEN_KP24_INITIAL, GOLDEN_KP24_NEXT],
         );
+    }
+
+    /// A v1 array that is reopened and grows stays v1: the new slot is
+    /// summed as v1 (the reopen without a record reads it back), the old
+    /// slots keep their bytes, and no format record appears.
+    #[test]
+    fn v1_array_reopened_and_extended_stays_v1() {
+        let dir = tmpdir("v1-extend");
+        std::fs::create_dir_all(&dir).unwrap();
+        let disk = |d: usize| dir.join(format!("disk_{d:04}.bin"));
+        let golden = [GOLDEN_U64_INITIAL, GOLDEN_U64_NEXT].map(unhex);
+        for (d, image) in golden.iter().enumerate() {
+            std::fs::write(disk(d), image).unwrap();
+        }
+        let (at, third) = (BlockAddr::new(DiskId(0), 1), blk(&[5, 6, 7], Forecast::Next(NO_BLOCK)));
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::open(golden_geometry(), &dir).unwrap();
+        assert_eq!((a.slot_format(), a.alloc_contiguous(DiskId(0), 1).unwrap()), (SlotFormat::V1, 1));
+        a.write(vec![(at, third.clone())]).unwrap();
+        drop(a);
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::open(golden_geometry(), &dir).unwrap();
+        assert_eq!(a.slot_format(), SlotFormat::V1);
+        let (initial, next) = golden_blocks(U64Record);
+        let first = [BlockAddr::new(DiskId(0), 0), BlockAddr::new(DiskId(1), 0)];
+        assert_eq!(a.read(&first).unwrap(), [initial, next]);
+        assert_eq!(a.read(&[at]).unwrap(), [third]);
+        drop(a);
+        for (d, image) in golden.iter().enumerate() {
+            let file = std::fs::read(disk(d)).unwrap();
+            assert_eq!(file[..image.len()], image[..], "disk {d}'s first slot moved");
+        }
+        assert!(!dir.join(FORMAT_FILE).exists(), "a v1 array grew a format record");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A format record this build did not write — a version it does not
+    /// know, or garbage — refuses the reopen as `Corrupt`, before the
+    /// torn-tail recovery could truncate a disk file under the wrong sum.
+    #[test]
+    fn an_unreadable_format_record_refuses_the_reopen() {
+        let g = golden_geometry();
+        let dir = tmpdir("format-record");
+        let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        assert_eq!((a.slot_format(), a.alloc_contiguous(DiskId(0), 1).unwrap()), (SlotFormat::V2, 0));
+        a.write(vec![(BlockAddr::new(DiskId(0), 0), blk(&[1, 2], Forecast::Next(9)))]).unwrap();
+        drop(a);
+        // A torn tail that a successful reopen would cut off.
+        let path = dir.join("disk_0000.bin");
+        let bytes = [std::fs::read(&path).unwrap(), vec![0xAA; 10]].concat();
+        std::fs::write(&path, &bytes).unwrap();
+        for record in [&b"pdisk slot format 3\n"[..], &[0xFF; 200][..], &b""[..]] {
+            std::fs::write(dir.join(FORMAT_FILE), record).unwrap();
+            match FileDiskArray::<U64Record>::open(g, &dir) {
+                Err(PdiskError::Corrupt(msg)) => assert!(msg.contains(FORMAT_FILE), "{msg}"),
+                other => panic!("record {record:?}: expected Corrupt, got {:?}", other.err()),
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refused reopen touched a disk file");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Both slot formats: the reopen's torn-tail recovery runs under each.
+    const FORMATS: [SlotFormat; 2] = [SlotFormat::V1, SlotFormat::V2];
+
+    /// A fresh array in `format`, under a directory of its own.
+    fn fresh(g: Geometry, tag: &str, format: SlotFormat) -> (FileDiskArray<U64Record>, PathBuf) {
+        let dir = tmpdir(&format!("{tag}-{format}"));
+        (FileDiskArray::build(g, &dir, Some(format)).unwrap(), dir)
     }
 
     /// XOR `mask` into byte `at` of one disk file, behind the array's back.
@@ -1561,64 +1770,57 @@ mod tests {
     #[test]
     fn open_truncates_a_torn_trailing_slot() {
         let g = Geometry::new(2, 3, 1000).unwrap();
-        let dir = tmpdir("torn");
         let block = blk(&[1, 2, 3], Forecast::Next(9));
-        let slot;
-        {
-            let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
-            slot = a.slot_bytes() as u64;
+        for format in FORMATS {
+            let (mut a, dir) = fresh(g, "torn", format);
+            let slot = a.slot_bytes() as u64;
             let o = a.alloc_contiguous(DiskId(0), 2).unwrap();
-            a.write(vec![(BlockAddr::new(DiskId(0), o), block.clone())])
-                .unwrap();
-            a.write(vec![(BlockAddr::new(DiskId(0), o + 1), block.clone())])
-                .unwrap();
+            a.write(vec![(BlockAddr::new(DiskId(0), o), block.clone())]).unwrap();
+            a.write(vec![(BlockAddr::new(DiskId(0), o + 1), block.clone())]).unwrap();
+            drop(a);
+            // Simulate a crash mid-write of slot 2: append half a slot.
+            let path = dir.join("disk_0000.bin");
+            let mut bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes.len() as u64, 2 * slot);
+            bytes.extend(vec![0xAAu8; slot as usize / 2]);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
+            assert_eq!(a.slot_format(), format);
+            // The torn tail is gone; the two whole slots survive.
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), 2 * slot);
+            assert_eq!(a.read(&[BlockAddr::new(DiskId(0), 0)]).unwrap()[0], block);
+            // Allocation resumes at the recovered high-water mark: the torn
+            // slot's space is reused, not silently accepted as data.
+            assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), 2);
+            drop(a);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        // Simulate a crash mid-write of slot 2: append half a slot.
-        let path = dir.join("disk_0000.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes.len() as u64, 2 * slot);
-        bytes.extend(vec![0xAAu8; slot as usize / 2]);
-        std::fs::write(&path, &bytes).unwrap();
-        let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
-        // The torn tail is gone; the two whole slots survive.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 2 * slot);
-        let got = a
-            .read(&[BlockAddr::new(DiskId(0), 0)])
-            .unwrap();
-        assert_eq!(got[0], block);
-        // Allocation resumes at the recovered high-water mark: the torn
-        // slot's space is reused, not silently accepted as data.
-        assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), 2);
-        drop(a);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn open_truncates_a_full_length_garbage_tail_slot() {
         let g = Geometry::new(2, 3, 1000).unwrap();
-        let dir = tmpdir("torn-full");
         let block = blk(&[4, 5, 6], Forecast::Next(9));
-        let slot;
-        {
-            let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
-            slot = a.slot_bytes() as u64;
+        for format in FORMATS {
+            let (mut a, dir) = fresh(g, "torn-full", format);
+            let slot = a.slot_bytes() as u64;
             let o = a.alloc_contiguous(DiskId(0), 1).unwrap();
-            a.write(vec![(BlockAddr::new(DiskId(0), o), block.clone())])
-                .unwrap();
+            a.write(vec![(BlockAddr::new(DiskId(0), o), block.clone())]).unwrap();
+            drop(a);
+            // A torn write that reached the slot boundary: full length, bad
+            // checksum.  Before the fix this was silently accepted and the
+            // allocator handed out slot 2.
+            let path = dir.join("disk_0000.bin");
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend(vec![0x55u8; slot as usize]);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), slot);
+            assert_eq!(a.read(&[BlockAddr::new(DiskId(0), 0)]).unwrap()[0], block);
+            assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), 1);
+            drop(a);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        // A torn write that reached the slot boundary: full length, bad
-        // checksum.  Before the fix this was silently accepted and the
-        // allocator handed out slot 2.
-        let path = dir.join("disk_0000.bin");
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend(vec![0x55u8; slot as usize]);
-        std::fs::write(&path, &bytes).unwrap();
-        let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), slot);
-        assert_eq!(a.read(&[BlockAddr::new(DiskId(0), 0)]).unwrap()[0], block);
-        assert_eq!(a.alloc_contiguous(DiskId(0), 1).unwrap(), 1);
-        drop(a);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1629,12 +1831,10 @@ mod tests {
         // Recovery must trim each member of the group independently and
         // report what it dropped.
         let g = Geometry::new(3, 3, 1000).unwrap();
-        let dir = tmpdir("torn-group");
         let block = blk(&[1, 2, 3], Forecast::Next(9));
-        let slot;
-        {
-            let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
-            slot = a.slot_bytes() as u64;
+        for format in FORMATS {
+            let (mut a, dir) = fresh(g, "torn-group", format);
+            let slot = a.slot_bytes() as u64;
             // One clean full-width stripe everywhere.
             let writes: Vec<_> = (0..3u32)
                 .map(|d| {
@@ -1643,67 +1843,66 @@ mod tests {
                 })
                 .collect();
             a.write(writes).unwrap();
-        }
-        // Torn group on top: disk 0 = full-length garbage slot, disk 1 =
-        // half a slot, disk 2 = untouched (its frame never made it out
-        // of the dead process).
-        let p0 = dir.join("disk_0000.bin");
-        let p1 = dir.join("disk_0001.bin");
-        let mut b0 = std::fs::read(&p0).unwrap();
-        b0.extend(vec![0x55u8; slot as usize]);
-        std::fs::write(&p0, &b0).unwrap();
-        let mut b1 = std::fs::read(&p1).unwrap();
-        b1.extend(vec![0xAAu8; slot as usize / 2]);
-        std::fs::write(&p1, &b1).unwrap();
+            drop(a);
+            // Torn group on top: disk 0 = full-length garbage slot, disk 1 =
+            // half a slot, disk 2 = untouched (its frame never made it out
+            // of the dead process).
+            let p0 = dir.join("disk_0000.bin");
+            let p1 = dir.join("disk_0001.bin");
+            let mut b0 = std::fs::read(&p0).unwrap();
+            b0.extend(vec![0x55u8; slot as usize]);
+            std::fs::write(&p0, &b0).unwrap();
+            let mut b1 = std::fs::read(&p1).unwrap();
+            b1.extend(vec![0xAAu8; slot as usize / 2]);
+            std::fs::write(&p1, &b1).unwrap();
 
-        let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
-        assert_eq!(a.torn_frames_dropped(), &[1, 1, 0]);
-        // Every disk is trimmed back to the last durable group.
-        for d in 0..3u32 {
-            assert_eq!(a.read(&[BlockAddr::new(DiskId(d), 0)]).unwrap()[0], block);
-            assert_eq!(a.alloc_contiguous(DiskId(d), 1).unwrap(), 1);
+            let mut a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
+            assert_eq!(a.torn_frames_dropped(), &[1, 1, 0]);
+            // Every disk is trimmed back to the last durable group.
+            for d in 0..3u32 {
+                assert_eq!(a.read(&[BlockAddr::new(DiskId(d), 0)]).unwrap()[0], block);
+                assert_eq!(a.alloc_contiguous(DiskId(d), 1).unwrap(), 1);
+            }
+            drop(a);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        drop(a);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn open_recovers_full_torn_window_but_refuses_deeper_corruption() {
         let g = Geometry::new(2, 3, 1000).unwrap();
-        let dir = tmpdir("torn-window");
         let block = blk(&[7, 8, 9], Forecast::Next(9));
-        let slot;
-        {
-            let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
-            slot = a.slot_bytes() as u64;
+        for format in FORMATS {
+            let (mut a, dir) = fresh(g, "torn-window", format);
+            let slot = a.slot_bytes() as u64;
             let o = a.alloc_contiguous(DiskId(0), 1).unwrap();
-            a.write(vec![(BlockAddr::new(DiskId(0), o), block.clone())])
-                .unwrap();
+            a.write(vec![(BlockAddr::new(DiskId(0), o), block.clone())]).unwrap();
+            drop(a);
+            let path = dir.join("disk_0000.bin");
+            // MAX_TORN_SLOTS garbage whole slots — the deepest a torn
+            // write-behind pipeline can reach — recover fine...
+            let window = MAX_TORN_SLOTS as usize;
+            let clean = std::fs::read(&path).unwrap();
+            let mut bytes = clean.clone();
+            bytes.extend(vec![0x66u8; window * slot as usize]);
+            std::fs::write(&path, &bytes).unwrap();
+            {
+                let a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
+                assert_eq!(a.torn_frames_dropped()[0], MAX_TORN_SLOTS);
+                assert_eq!(std::fs::metadata(&path).unwrap().len(), slot);
+            }
+            // ...but one more garbage slot exceeds the window: that is not
+            // a torn write, and recovery must refuse instead of shearing.
+            let mut bytes = clean;
+            bytes.extend(vec![0x66u8; (window + 1) * slot as usize]);
+            std::fs::write(&path, &bytes).unwrap();
+            let err = match FileDiskArray::<U64Record>::open(g, &dir) {
+                Ok(_) => panic!("corruption beyond the torn window must refuse"),
+                Err(e) => e,
+            };
+            assert!(matches!(err, PdiskError::Corrupt(_)), "got {err:?}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let path = dir.join("disk_0000.bin");
-        // MAX_TORN_SLOTS garbage whole slots — the deepest a torn
-        // write-behind pipeline can reach — recover fine...
-        let window = MAX_TORN_SLOTS as usize;
-        let clean = std::fs::read(&path).unwrap();
-        let mut bytes = clean.clone();
-        bytes.extend(vec![0x66u8; window * slot as usize]);
-        std::fs::write(&path, &bytes).unwrap();
-        {
-            let a: FileDiskArray<U64Record> = FileDiskArray::open(g, &dir).unwrap();
-            assert_eq!(a.torn_frames_dropped()[0], MAX_TORN_SLOTS);
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), slot);
-        }
-        // ...but one more garbage slot exceeds the window: that is not
-        // a torn write, and recovery must refuse instead of shearing.
-        let mut bytes = clean;
-        bytes.extend(vec![0x66u8; (window + 1) * slot as usize]);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = match FileDiskArray::<U64Record>::open(g, &dir) {
-            Ok(_) => panic!("corruption beyond the torn window must refuse"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, PdiskError::Corrupt(_)), "got {err:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1736,17 +1935,17 @@ mod tests {
         // A lone partial slot has no preceding whole slot to verify
         // against; recovery must refuse rather than guess.
         let g = Geometry::new(2, 3, 1000).unwrap();
-        let dir = tmpdir("torn-anchor");
-        {
-            let _a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
+        for format in FORMATS {
+            let (a, dir) = fresh(g, "torn-anchor", format);
+            drop(a);
+            std::fs::write(dir.join("disk_0000.bin"), vec![0xAA; 10]).unwrap();
+            let err = match FileDiskArray::<U64Record>::open(g, &dir) {
+                Ok(_) => panic!("unanchored torn tail must be refused"),
+                Err(e) => e,
+            };
+            assert!(matches!(err, PdiskError::Corrupt(_)), "got {err:?}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        std::fs::write(dir.join("disk_0000.bin"), vec![0xAA; 10]).unwrap();
-        let err = match FileDiskArray::<U64Record>::open(g, &dir) {
-            Ok(_) => panic!("unanchored torn tail must be refused"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, PdiskError::Corrupt(_)), "got {err:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -100,7 +100,7 @@ pub use block::{Block, Forecast};
 pub use crash::{CrashClock, CrashingDiskArray};
 pub use error::{FaultKind, FaultOp, PdiskError, Result};
 pub use faulty::{FaultModel, FaultPlan, FaultyDiskArray, ScriptedFault};
-pub use file::{FileDiskArray, PrefetchStats, QueueStats, WRITE_BEHIND_LIMIT};
+pub use file::{FileDiskArray, PrefetchStats, QueueStats, SlotFormat, WRITE_BEHIND_LIMIT};
 pub use geometry::Geometry;
 pub use interrupt::InterruptFlag;
 pub use layer::{Layer, Stack};

@@ -588,15 +588,17 @@ fn sort_on_backend<S: Sorter>(flags: &Flags, sorter: &S, job: &SortJob) -> Resul
     Ok(())
 }
 
-/// The file backend's own counters, one line: whether a parallel I/O
-/// reached the workers as one event, whether read-ahead hints landed,
-/// and whether buffers came out of the pool.
+/// The file backend's own counters, one line: which checksum its slots
+/// carry, whether a parallel I/O reached the workers as one event,
+/// whether read-ahead hints landed, and whether buffers came out of the
+/// pool.
 fn file_counters(a: &FileDiskArray<U64Record>) -> String {
     let (q, pf) = (a.queue_stats(), a.prefetch_stats());
     let pool = a.buffer_pool().map(|p| p.stats()).unwrap_or_default();
     format!(
-        "{} submissions, {} notifications, {} completion waits; read-ahead {} issued, {} hit, \
-         {} invalidated; pool hit rate {:.4} ({} misses)",
+        "slot format {}; {} submissions, {} notifications, {} completion waits; read-ahead {} issued, \
+         {} hit, {} invalidated; pool hit rate {:.4} ({} misses)",
+        a.slot_format(),
         q.submissions,
         q.notifications,
         q.completion_waits,

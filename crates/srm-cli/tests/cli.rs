@@ -217,6 +217,21 @@ fn sort_file_backend_cleans_up() {
     assert!(!dir.exists(), "directory must be removed without --keep");
 }
 
+/// A fresh array is v2: the report says so, and the kept directory
+/// holds the format record that says it to a later reopen.
+#[test]
+fn sort_file_backend_names_its_slot_format() {
+    let dir = std::env::temp_dir().join(format!("srm-cli-format-{}", std::process::id()));
+    let out = srm(&[
+        "sort", "--records", "5000", "--d", "2", "--b", "8", "--algo", "srm", "--backend", "file",
+        "--dir", dir.to_str().unwrap(), "--keep",
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("file backend (staging included): slot format v2; "), "{}", stdout(&out));
+    assert_eq!(std::fs::read(dir.join("pdisk.format")).unwrap(), b"pdisk slot format 2\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sort_staggered_replacement_selection() {
     let out = srm(&[
