@@ -24,7 +24,8 @@ pub fn table1(ks: &[usize], ds: &[usize], trials: u64, seed: u64) -> Grid {
 /// (same row/column labels) and `B = 1000`.
 pub fn table2(v: &Grid) -> Grid {
     Grid::build(&v.ks, &v.ds, |k, d| {
-        let vkd = v.get(k, d).expect("v grid covers (k, d)"); // lint:allow(panic) Grid::build iterates v's own axes
+        #[expect(clippy::expect_used, reason = "Grid::build iterates v's own axes")]
+        let vkd = v.get(k, d).expect("v grid covers (k, d)");
         c_srm(vkd, k, d) / c_dsm(k, d, TABLE_B)
     })
 }
@@ -59,6 +60,7 @@ impl Default for Table3Params {
 
 /// Table 3: `v(k, D)` from simulating the SRM merge itself on
 /// average-case inputs (merging `kD` runs of `blocks_per_run` blocks).
+#[expect(clippy::expect_used, reason = "inputs are table constants")]
 pub fn table3(ks: &[usize], ds: &[usize], params: Table3Params) -> Grid {
     let mut rng = SmallRng::seed_from_u64(params.seed);
     Grid::build(ks, ds, |k, d| {
@@ -71,7 +73,7 @@ pub fn table3(ks: &[usize], ds: &[usize], params: Table3Params) -> Grid {
             params.trials,
             &mut rng,
         )
-        .expect("simulation cannot fail on well-formed inputs") // lint:allow(panic) inputs are table constants
+        .expect("simulation cannot fail on well-formed inputs")
         .mean
     })
 }

@@ -19,6 +19,10 @@
 //! memory budget, identical counting.
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors: clippy denies it a panic (test code
+// excepted, see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod checkpoint;
 pub mod logical;

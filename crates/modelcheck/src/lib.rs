@@ -43,6 +43,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors: clippy denies it a panic (test code
+// excepted, see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
 pub mod replay;

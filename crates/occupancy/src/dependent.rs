@@ -168,8 +168,9 @@ impl DependentProblem {
     pub fn exact_expected_max(&self) -> f64 {
         let d = self.d as u64;
         let c = self.chains.len() as u32;
+        #[expect(clippy::panic, reason = "documented # Panics contract")]
         let outcomes = d.checked_pow(c).filter(|&o| o <= 100_000_000).unwrap_or_else(|| {
-            panic!("exact enumeration infeasible: {d}^{c} outcomes") // lint:allow(panic) documented # Panics contract
+            panic!("exact enumeration infeasible: {d}^{c} outcomes")
         });
         let mut total = 0u64;
         let mut starts = vec![0usize; self.chains.len()];

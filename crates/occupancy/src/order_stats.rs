@@ -142,11 +142,16 @@ impl BlockBounds {
                 records - j * block
             };
             if in_block > 1 {
-                s += if in_block == block {
-                    gamma_gap.as_ref().expect("block > 1").sample(rng) // lint:allow(panic) Some whenever block > 1, the only way here
+                #[expect(
+                    clippy::expect_used,
+                    reason = "Some whenever block > 1, the only way here"
+                )]
+                let interior = if in_block == block {
+                    gamma_gap.as_ref().expect("block > 1").sample(rng)
                 } else {
                     GammaSampler::new((in_block - 1) as f64).sample(rng)
                 };
+                s += interior;
             }
             maxima.push(s);
         }

@@ -75,14 +75,16 @@ impl<R: Record> Block<R> {
     /// # Panics
     /// Panics on an empty block — empty blocks are never written.
     #[inline]
+    #[expect(clippy::expect_used, reason = "documented # Panics contract")]
     pub fn min_key(&self) -> u64 {
-        self.records.first().expect("non-empty block").key() // lint:allow(panic) documented # Panics contract
+        self.records.first().expect("non-empty block").key()
     }
 
     /// Largest key in the block.
     #[inline]
+    #[expect(clippy::expect_used, reason = "documented # Panics contract")]
     pub fn max_key(&self) -> u64 {
-        self.records.last().expect("non-empty block").key() // lint:allow(panic) documented # Panics contract
+        self.records.last().expect("non-empty block").key()
     }
 
     /// Number of records currently held.

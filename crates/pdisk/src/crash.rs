@@ -40,7 +40,7 @@
 //! reboot), re-wrap it with a disarmed clock, and drive recovery — all in
 //! one process, thousands of times per second.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::addr::BlockAddr;
 use crate::backend::{DiskArray, ReadTicket, WriteTicket};
@@ -48,6 +48,7 @@ use crate::block::Block;
 use crate::error::{PdiskError, Result};
 use crate::layer::{Layer, Stack};
 use crate::record::Record;
+use crate::sync::Mutex;
 
 struct ClockState {
     /// Number of the next boundary to be ticked.
@@ -64,7 +65,7 @@ struct ClockState {
 /// (the [`CrashingDiskArray`] wrapper, the parity layer, the sorter's
 /// checkpoint writer) and still produce a single global numbering.
 #[derive(Clone)]
-pub struct CrashClock(Arc<Mutex<ClockState>>); // srmlint::leaf — never acquire under it
+pub struct CrashClock(Arc<Mutex<ClockState>>);
 
 impl CrashClock {
     /// A clock that never fires: boundaries are numbered and counted but
@@ -86,20 +87,11 @@ impl CrashClock {
         })))
     }
 
-    fn lock(&self) -> crate::lockwitness::Witnessed<std::sync::MutexGuard<'_, ClockState>> {
-        // A panic while holding the lock poisons it; the counter itself
-        // is still consistent, so recover the guard.
-        crate::lockwitness::guard(
-            "pdisk::crash::CrashClock.0",
-            self.0.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
-    }
-
     /// Pass one I/O boundary.  Fails with [`PdiskError::Crashed`] when the
     /// armed point is reached — and forever after, because a crashed
     /// process does not come back without a reboot.
     pub fn tick(&self, label: &'static str) -> Result<()> {
-        let mut s = self.lock();
+        let mut s = self.0.lock();
         if let Some((point, label)) = s.fired {
             return Err(PdiskError::Crashed { point, label });
         }
@@ -116,18 +108,18 @@ impl CrashClock {
     /// dry run with a counting clock this is `N`, the exclusive upper
     /// bound for `crash-at`.
     pub fn points(&self) -> u64 {
-        self.lock().next
+        self.0.lock().next
     }
 
     /// Whether the armed crash has fired, and at which boundary.
     pub fn fired(&self) -> Option<u64> {
-        self.lock().fired.map(|(p, _)| p)
+        self.0.lock().fired.map(|(p, _)| p)
     }
 }
 
 impl std::fmt::Debug for CrashClock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.lock();
+        let s = self.0.lock();
         f.debug_struct("CrashClock")
             .field("next", &s.next)
             .field("crash_at", &s.crash_at)

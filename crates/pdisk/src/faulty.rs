@@ -7,10 +7,10 @@
 //! * [`FaultPlan`] — the simple deterministic script ("fail the n-th
 //!   read"), kept for precise error-path tests;
 //! * [`FaultModel`] — the general model: scripted *and* seeded-random
-//!   faults, transient vs. permanent ([`FaultKind`]), per-disk fault
-//!   rates, and detected-corruption faults.  Random faults are driven
-//!   by a dedicated RNG seeded explicitly, so every faulty run is
-//!   reproducible from `(workload seed, fault seed)`.
+//!   faults, transient vs. permanent ([`FaultKind`]), read and write
+//!   fault rates per disk touched, and scripted detected corruption.
+//!   Random faults are drawn from an explicit seed, so every faulty run
+//!   is reproducible from `(workload seed, fault seed)`.
 //!
 //! Faulted operations charge **no I/O** to the inner backend (the
 //! backend is never invoked), so the inner [`crate::IoStats`] always reflects
@@ -96,8 +96,8 @@ pub struct ScriptedFault {
     pub kind: FaultKind,
 }
 
-/// The general fault model: scripted one-shot faults plus seeded-random
-/// transient faults at per-disk rates, plus detected-corruption faults.
+/// The general fault model: scripted one-shot faults (detected corruption
+/// included) plus seeded-random transient faults.
 ///
 /// Random fault decisions are made per *disk touched* by an operation,
 /// so wider (more parallel) operations are proportionally more exposed
@@ -110,12 +110,6 @@ pub struct FaultModel {
     read_rate: f64,
     /// Probability a write op faults transiently, per disk touched.
     write_rate: f64,
-    /// Probability a read op reports detected corruption (a torn read
-    /// caught by checksums), per disk touched.  Retryable.
-    corrupt_rate: f64,
-    /// Per-disk multipliers on the random rates; `1.0` when absent, so
-    /// an empty vector means uniform exposure.
-    disk_weights: Vec<f64>,
     /// Seed for random trials.  Each trial derives its draw as a pure
     /// hash of `(seed, op kind, per-kind ordinal, disk)` — never from a
     /// shared stream — so fault decisions depend only on *which*
@@ -131,9 +125,9 @@ pub struct FaultModel {
     /// clears the condition.  Reads are unaffected — the data already
     /// on a full disk is still readable.
     full: BTreeSet<DiskId>,
-    /// Read ordinals that return detected corruption, each exactly
-    /// once.  The scripted counterpart of `corrupt_rate`, used by the
-    /// chaos engine to place corruption deterministically.
+    /// Read ordinals that return detected corruption (a torn read caught
+    /// by checksums, retryable), each exactly once — how the chaos engine
+    /// places corruption deterministically.
     corrupt_at: Vec<u64>,
 }
 
@@ -150,8 +144,6 @@ impl FaultModel {
             scripted: Vec::new(),
             read_rate: 0.0,
             write_rate: 0.0,
-            corrupt_rate: 0.0,
-            disk_weights: Vec::new(),
             seed,
             dead: BTreeSet::new(),
             full: BTreeSet::new(),
@@ -176,25 +168,6 @@ impl FaultModel {
     /// Transient-fault probability per disk touched, both directions.
     pub fn with_rate(self, rate: f64) -> Self {
         self.with_read_rate(rate).with_write_rate(rate)
-    }
-
-    /// Detected-corruption probability per disk touched, for reads.
-    pub fn with_corrupt_rate(mut self, rate: f64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-        self.corrupt_rate = rate;
-        self
-    }
-
-    /// Per-disk multipliers on the random rates (index = disk id).
-    /// Disks beyond the vector keep weight `1.0`; use e.g.
-    /// `vec![4.0, 1.0, 1.0]` for one flaky disk in three.
-    pub fn with_disk_weights(mut self, weights: Vec<f64>) -> Self {
-        assert!(
-            weights.iter().all(|w| *w >= 0.0),
-            "weights must be non-negative"
-        );
-        self.disk_weights = weights;
-        self
     }
 
     /// Add a scripted one-shot fault.
@@ -282,10 +255,6 @@ impl FaultModel {
         self.full.remove(&disk)
     }
 
-    fn weight(&self, disk: DiskId) -> f64 {
-        self.disk_weights.get(disk.0 as usize).copied().unwrap_or(1.0)
-    }
-
     fn rate_for(&self, op: FaultOp) -> f64 {
         match op {
             FaultOp::Read => self.read_rate,
@@ -295,10 +264,9 @@ impl FaultModel {
     }
 
     /// A uniform `[0, 1)` draw that is a pure function of
-    /// `(seed, op, ordinal, disk, salt)`: splitmix64 over the packed
-    /// trial identity.  `salt` separates the transient and corruption
-    /// trials an op makes against the same disk.
-    fn trial(&self, op: FaultOp, ordinal: u64, disk: DiskId, salt: u64) -> f64 {
+    /// `(seed, op, ordinal, disk)`: splitmix64 over the packed trial
+    /// identity.
+    fn trial(&self, op: FaultOp, ordinal: u64, disk: DiskId) -> f64 {
         let op_tag = match op {
             FaultOp::Read => 1u64,
             FaultOp::Write => 2,
@@ -309,8 +277,7 @@ impl FaultModel {
             .seed
             .wrapping_add(ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .wrapping_add(op_tag.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-            .wrapping_add(u64::from(disk.0).wrapping_mul(0x94D0_49BB_1331_11EB))
-            .wrapping_add(salt);
+            .wrapping_add(u64::from(disk.0).wrapping_mul(0x94D0_49BB_1331_11EB));
         x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         x ^= x >> 31;
@@ -382,26 +349,12 @@ impl FaultModel {
         let rate = self.rate_for(op);
         if rate > 0.0 {
             for &disk in disks {
-                let p = (rate * self.weight(disk)).min(1.0);
-                if p > 0.0 && self.trial(op, ordinal, disk, 0) < p {
+                if self.trial(op, ordinal, disk) < rate {
                     return Err(PdiskError::Fault {
                         kind: FaultKind::Transient,
                         op,
                         disk: Some(disk),
                     });
-                }
-            }
-        }
-        // Detected corruption: the read completes but fails its
-        // checksum.  Retryable — re-reading gets the good copy.
-        if op == FaultOp::Read && self.corrupt_rate > 0.0 {
-            for &disk in disks {
-                let p = (self.corrupt_rate * self.weight(disk)).min(1.0);
-                if p > 0.0 && self.trial(op, ordinal, disk, 1) < p {
-                    return Err(PdiskError::Corrupt(format!(
-                        "injected checksum mismatch on disk {}",
-                        disk.0
-                    )));
                 }
             }
         }
@@ -838,33 +791,5 @@ mod tests {
         let faults = a.iter().filter(|&&x| x).count();
         // 200 trials at p = 0.3: expect ~60, allow wide slack.
         assert!((20..120).contains(&faults), "got {faults} faults");
-    }
-
-    #[test]
-    fn disk_weights_skew_fault_exposure() {
-        let mut a = setup(
-            FaultModel::random(5)
-                .with_read_rate(0.2)
-                .with_disk_weights(vec![0.0, 5.0]),
-        );
-        let mut failures = [0u32; 2];
-        for _ in 0..200 {
-            for d in 0..2u32 {
-                if a.read(&[BlockAddr::new(DiskId(d), 0)]).is_err() {
-                    failures[d as usize] += 1;
-                }
-            }
-        }
-        assert_eq!(failures[0], 0, "weight 0 disables faults on disk 0");
-        assert!(failures[1] > 50, "weight 5 amplifies disk 1 faults");
-    }
-
-    #[test]
-    fn corruption_faults_surface_as_corrupt() {
-        let mut a = setup(FaultModel::random(9).with_corrupt_rate(1.0));
-        assert!(matches!(
-            a.read(&[BlockAddr::new(DiskId(0), 0)]),
-            Err(PdiskError::Corrupt(_))
-        ));
     }
 }

@@ -49,7 +49,7 @@ use std::io::{self, Read};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::addr::{BlockAddr, DiskId};
@@ -64,6 +64,7 @@ use crate::pool::BufferPool;
 use crate::queue::{completion, DiskQueues, SlotFill};
 use crate::record::Record;
 use crate::stats::IoStats;
+use crate::sync::Mutex;
 use crate::trace::{TraceEvent, TraceSink};
 
 /// Bytes of the leading per-slot checksum.
@@ -181,10 +182,7 @@ fn le_u32(bytes: &[u8]) -> u32 {
 }
 
 /// Canonicalized array directories currently open in this process.
-fn open_dirs() -> &'static Mutex<BTreeSet<PathBuf>> {
-    static DIRS: OnceLock<Mutex<BTreeSet<PathBuf>>> = OnceLock::new();
-    DIRS.get_or_init(|| Mutex::new(BTreeSet::new()))
-}
+static OPEN_DIRS: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
 
 /// Whether a process with `pid` is alive, per procfs.  On platforms
 /// without `/proc` this reports `false`, treating foreign locks as
@@ -210,19 +208,11 @@ struct DirLock {
 }
 
 impl DirLock {
-    fn registry() -> crate::lockwitness::Witnessed<std::sync::MutexGuard<'static, BTreeSet<PathBuf>>>
-    {
-        crate::lockwitness::guard(
-            "pdisk::file::open_dirs",
-            open_dirs().lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
-    }
-
     fn acquire(dir: &Path) -> Result<Self> {
         let canonical = dir.canonicalize()?;
         let lock_path = dir.join(LOCK_FILE);
         let me = std::process::id();
-        let mut dirs = Self::registry();
+        let mut dirs = OPEN_DIRS.lock();
         if dirs.contains(&canonical) {
             return Err(PdiskError::ArrayLocked {
                 dir: canonical,
@@ -250,7 +240,7 @@ impl DirLock {
 
 impl Drop for DirLock {
     fn drop(&mut self) {
-        Self::registry().remove(&self.canonical);
+        OPEN_DIRS.lock().remove(&self.canonical);
         let _ = std::fs::remove_file(&self.lock_path);
     }
 }
@@ -1143,7 +1133,8 @@ mod codec_tests {
 // The backend's own tests live on the real filesystem, which miri's
 // isolation does not provide — the CI miri job runs the codec tests
 // above and every other pdisk module, and skips these.
-#[cfg(all(test, not(miri)))]
+#[cfg(test)]
+#[cfg(not(miri))]
 mod tests {
     use super::*;
     use crate::record::{KeyPayloadRecord, U64Record};

@@ -67,6 +67,10 @@
 //! which layers are on and calls it.
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors: clippy denies it a panic (test code
+// excepted, see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod addr;
 pub mod backend;
@@ -78,7 +82,6 @@ pub mod file;
 pub mod geometry;
 pub mod interrupt;
 pub mod layer;
-pub mod lockwitness;
 pub mod manifest;
 pub mod mem;
 pub mod netfault;
@@ -91,6 +94,7 @@ pub mod retry;
 pub mod stack;
 pub mod stats;
 pub mod striping;
+pub mod sync;
 pub mod trace;
 pub mod window;
 

@@ -25,7 +25,9 @@
 //! simply dropped.  [`PoolStats`] counts fresh vs. reused draws, which is
 //! how the tests prove the steady state really is allocation-free.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
+
+use crate::sync::Mutex;
 
 /// Allocation-vs-reuse counters for one [`BufferPool`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,18 +127,9 @@ impl<R> BufferPool<R> {
         }
     }
 
-    fn lock(&self) -> crate::lockwitness::Witnessed<MutexGuard<'_, PoolInner<R>>> {
-        // A panic while holding the lock poisons it; pooled buffers are
-        // plain vectors, always consistent, so recover the guard.
-        crate::lockwitness::guard(
-            "pdisk::pool::BufferPool.inner",
-            self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
-    }
-
     /// An empty record buffer with capacity at least `cap`.
     pub fn take_records(&self, cap: usize) -> Vec<R> {
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         match g.records.pop() {
             Some(mut v) => {
                 g.stats.reused_records += 1;
@@ -162,7 +155,7 @@ impl<R> BufferPool<R> {
             return;
         }
         v.clear();
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         if g.records.len() < g.cap_per_kind {
             g.records.push(v);
             g.stats.returned_records += 1;
@@ -171,7 +164,7 @@ impl<R> BufferPool<R> {
 
     /// An empty byte buffer with capacity at least `cap`.
     pub fn take_bytes(&self, cap: usize) -> Vec<u8> {
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         match g.bytes.pop() {
             Some(mut v) => {
                 g.stats.reused_bytes += 1;
@@ -197,7 +190,7 @@ impl<R> BufferPool<R> {
             return;
         }
         v.clear();
-        let mut g = self.lock();
+        let mut g = self.inner.lock();
         if g.bytes.len() < g.cap_per_kind {
             g.bytes.push(v);
             g.stats.returned_bytes += 1;
@@ -206,12 +199,12 @@ impl<R> BufferPool<R> {
 
     /// Snapshot of the allocation/reuse counters.
     pub fn stats(&self) -> PoolStats {
-        self.lock().stats
+        self.inner.lock().stats
     }
 
     /// Idle buffers currently held, `(record_buffers, byte_buffers)`.
     pub fn idle(&self) -> (usize, usize) {
-        let g = self.lock();
+        let g = self.inner.lock();
         (g.records.len(), g.bytes.len())
     }
 }

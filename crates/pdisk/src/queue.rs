@@ -20,13 +20,14 @@
 //! sleeps only while the slot it is blocked on is empty, and abandons
 //! the result by dropping.  A fill never blocks.
 //!
-//! Both locks are leaves: jobs are built, and dropped, outside them.
+//! Jobs are built, and dropped, outside both locks, and no other lock is
+//! taken under either (the lock rule, [`crate::sync`]).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar};
 
 use crate::error::{PdiskError, Result};
-use crate::lockwitness::{self, Witnessed};
+use crate::sync::Mutex;
 
 /// The worker a job or a result depended on has exited.
 fn worker_gone() -> PdiskError {
@@ -69,21 +70,11 @@ impl<J> DiskQueues<J> {
         }
     }
 
-    #[srmlint::leaf]
-    fn lock(&self) -> Witnessed<MutexGuard<'_, State<J>>> {
-        // The state is plain queues and flags, consistent at every
-        // statement boundary, so a poisoned lock is recovered.
-        lockwitness::guard(
-            "pdisk::queue::DiskQueues.state",
-            self.state.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
-    }
-
     /// Queue one operation's jobs, each on its disk, then wake.  Refused
     /// whole — nothing queued — when the queues are closed or the worker
     /// of any touched disk is gone.
     pub(crate) fn submit(&self, jobs: Vec<(usize, J)>) -> Result<()> {
-        let mut st = self.lock();
+        let mut st = self.state.lock();
         if st.closed || jobs.iter().any(|(d, _)| st.disks[*d].gone) {
             drop(st);
             return Err(worker_gone());
@@ -110,13 +101,13 @@ impl<J> DiskQueues<J> {
     /// Stop accepting work and let the workers exit once their queues
     /// are empty.
     pub(crate) fn close(&self) {
-        self.lock().closed = true;
+        self.state.lock().closed = true;
         self.wake.notify_all();
     }
 
     /// Operations submitted so far, and how many of them had to notify.
     pub(crate) fn counts(&self) -> (u64, u64) {
-        let st = self.lock();
+        let st = self.state.lock();
         (st.submissions, st.notifications)
     }
 }
@@ -125,7 +116,7 @@ impl<J> DiskQueues<J> {
 impl<J> DiskQueues<J> {
     /// Block until the workers of `disks` are parked on the condvar.
     pub(crate) fn until_asleep(&self, disks: std::ops::Range<usize>) {
-        while !disks.clone().all(|d| self.lock().disks[d].asleep) {
+        while !disks.clone().all(|d| self.state.lock().disks[d].asleep) {
             std::thread::yield_now();
         }
     }
@@ -144,7 +135,7 @@ impl<J> QueueWorker<'_, J> {
     /// closed and this one is empty.
     #[srmlint::blessed_seam]
     pub(crate) fn next_job(&self) -> Option<(J, bool)> {
-        let mut st = self.queues.lock();
+        let mut st = self.queues.state.lock();
         let mut backlogged = true;
         loop {
             if let Some(job) = st.disks[self.disk].jobs.pop_front() {
@@ -155,7 +146,7 @@ impl<J> QueueWorker<'_, J> {
             }
             backlogged = false;
             st.disks[self.disk].asleep = true;
-            st = st.wait_on(&self.queues.wake);
+            st = st.wait(&self.queues.wake);
             st.disks[self.disk].asleep = false;
         }
     }
@@ -166,7 +157,7 @@ impl<J> Drop for QueueWorker<'_, J> {
     /// disk and drop what was queued — outside the lock — so that every
     /// job's completion half reports the worker gone.
     fn drop(&mut self) {
-        let mut st = self.queues.lock();
+        let mut st = self.queues.state.lock();
         st.disks[self.disk].gone = true;
         let orphans = std::mem::take(&mut st.disks[self.disk].jobs);
         drop(st);
@@ -190,16 +181,8 @@ pub(crate) struct Completion<T> {
 }
 
 impl<T> Completion<T> {
-    #[srmlint::leaf]
-    fn lock(&self) -> Witnessed<MutexGuard<'_, Vec<Slot<T>>>> {
-        lockwitness::guard(
-            "pdisk::queue::Completion.slots",
-            self.slots.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
-    }
-
     fn await_slot(&self, slot: usize, waits: &mut u64) -> Result<T> {
-        let mut slots = self.lock();
+        let mut slots = self.slots.lock();
         loop {
             match std::mem::replace(&mut slots[slot], Slot::Gone) {
                 Slot::Full(value) => return Ok(value),
@@ -207,7 +190,7 @@ impl<T> Completion<T> {
                 Slot::Empty | Slot::Awaited => {
                     slots[slot] = Slot::Awaited;
                     *waits += 1;
-                    slots = slots.wait_on(&self.filled);
+                    slots = slots.wait(&self.filled);
                 }
             }
         }
@@ -215,7 +198,7 @@ impl<T> Completion<T> {
 
     /// Move `slot` from empty to `to`, waking the caller asleep on it.
     fn settle(&self, slot: usize, to: Slot<T>) {
-        let mut slots = self.lock();
+        let mut slots = self.slots.lock();
         let awaited = matches!(slots[slot], Slot::Awaited);
         slots[slot] = to;
         drop(slots);
@@ -286,7 +269,7 @@ mod tests {
     use std::thread;
 
     fn queued<J>(q: &DiskQueues<J>) -> Vec<usize> {
-        q.lock().disks.iter().map(|d| d.jobs.len()).collect()
+        q.state.lock().disks.iter().map(|d| d.jobs.len()).collect()
     }
 
     #[test]
@@ -410,7 +393,7 @@ mod tests {
         thread::scope(|s| {
             let shared = Arc::clone(&last.shared);
             s.spawn(move || {
-                while !matches!(shared.lock()[3], Slot::Awaited) {
+                while !matches!(shared.slots.lock()[3], Slot::Awaited) {
                     thread::yield_now();
                 }
                 fill.fill_slot(11);

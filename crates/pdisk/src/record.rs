@@ -45,8 +45,9 @@ impl Record for U64Record {
     }
 
     #[inline]
+    #[expect(clippy::expect_used, reason = "decode's length contract")]
     fn decode(bytes: &[u8]) -> Self {
-        U64Record(u64::from_le_bytes(bytes.try_into().expect("8-byte record"))) // lint:allow(panic) decode's length contract
+        U64Record(u64::from_le_bytes(bytes.try_into().expect("8-byte record")))
     }
 }
 
@@ -87,7 +88,8 @@ impl<const P: usize> Record for KeyPayloadRecord<P> {
     }
 
     fn decode(bytes: &[u8]) -> Self {
-        let key = u64::from_le_bytes(bytes[..8].try_into().expect("key bytes")); // lint:allow(panic) decode's length contract
+        #[expect(clippy::expect_used, reason = "decode's length contract")]
+        let key = u64::from_le_bytes(bytes[..8].try_into().expect("key bytes"));
         let mut payload = [0u8; P];
         payload.copy_from_slice(&bytes[8..]);
         KeyPayloadRecord { key, payload }

@@ -28,7 +28,7 @@
 //!
 //! [`DiskArray::install_trace`]: crate::DiskArray::install_trace
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use crate::addr::{BlockAddr, DiskId};
 use crate::backend::{DiskArray, ReadTicket, WriteTicket};
@@ -37,6 +37,7 @@ use crate::error::{FaultKind, FaultOp, Result};
 use crate::geometry::Geometry;
 use crate::layer::{Layer, Stack};
 use crate::record::Record;
+use crate::sync::Mutex;
 
 /// Layout of one input run, announced at the start of a traced merge so
 /// a replay can map `(run, block idx)` to the [`BlockAddr`] the engine
@@ -327,7 +328,7 @@ struct TraceBuf {
 /// Shared, append-only event log.  Cloning shares the log.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
-    buf: Arc<Mutex<TraceBuf>>, // srmlint::leaf — innermost lock; never acquire under it
+    buf: Arc<Mutex<TraceBuf>>,
 }
 
 impl TraceSink {
@@ -336,18 +337,9 @@ impl TraceSink {
         Self::default()
     }
 
-    fn lock(&self) -> crate::lockwitness::Witnessed<MutexGuard<'_, TraceBuf>> {
-        // A panic while holding the lock poisons it; the log itself is
-        // still consistent (appends are atomic), so recover the guard.
-        crate::lockwitness::guard(
-            "pdisk::trace::TraceSink.buf",
-            self.buf.lock().unwrap_or_else(|poisoned| poisoned.into_inner()),
-        )
-    }
-
     /// Append one event, stamping sequence number and pass.
     pub fn emit(&self, event: TraceEvent) {
-        let mut buf = self.lock();
+        let mut buf = self.buf.lock();
         let seq = buf.events.len() as u64;
         let pass = buf.pass;
         buf.events.push(Tagged { seq, pass, event });
@@ -356,7 +348,7 @@ impl TraceSink {
     /// Set the pass tag for subsequent events and record the boundary.
     pub fn begin_pass(&self, pass: u64) {
         {
-            let mut buf = self.lock();
+            let mut buf = self.buf.lock();
             buf.pass = pass;
         }
         self.emit(TraceEvent::PassBegin { pass });
@@ -364,7 +356,7 @@ impl TraceSink {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.buf.lock().events.len()
     }
 
     /// Whether nothing has been recorded.
@@ -374,12 +366,12 @@ impl TraceSink {
 
     /// Drain the log, leaving it empty (pass tag preserved).
     pub fn take(&self) -> Vec<Tagged> {
-        std::mem::take(&mut self.lock().events)
+        std::mem::take(&mut self.buf.lock().events)
     }
 
     /// Copy of the log without draining it.
     pub fn snapshot(&self) -> Vec<Tagged> {
-        self.lock().events.clone()
+        self.buf.lock().events.clone()
     }
 }
 

@@ -89,10 +89,7 @@ impl WriteBehind {
         result
     }
 
-    /// Complete every write still in flight, oldest first.  (Not named
-    /// `drain`: srmlint's lock pass binds an unresolved `.drain(..)` — a
-    /// `Vec::drain` under a lock — to every workspace method of that
-    /// name, and would draw this one's I/O under the caller's lock.)
+    /// Complete every write still in flight, oldest first.
     pub fn complete_all<R: Record, A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
         while !self.tickets.is_empty() {
             self.retire_oldest(array)?;

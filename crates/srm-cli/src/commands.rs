@@ -1006,9 +1006,8 @@ pub fn serve(flags: &Flags) -> i32 {
         // SIGINT/SIGTERM trigger the same drain as the DRAIN verb:
         // stop admitting, checkpoint every running job at its next pass
         // boundary, exit.  A restarted server resumes them all.
-        let shutdown = server.shutdown_flag();
         srm_repro::signals::install();
-        srm_repro::signals::watch(shutdown.interrupt_flag(), || false);
+        srm_repro::signals::watch(server.shutdown_flag(), || false);
 
         let stats = server.stats();
         println!(

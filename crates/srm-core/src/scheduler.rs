@@ -139,10 +139,11 @@ impl Scheduler {
         if occ > self.r {
             // Rules 2b/2c: occ = R + extra with 1 <= extra <= D.
             let extra = occ - self.r;
+            #[expect(clippy::expect_used, reason = "documented # Panics contract")]
             let s_min = self
                 .fds
                 .frontier_min()
-                .expect("can_attempt_read guarantees a frontier"); // lint:allow(panic) documented # Panics contract
+                .expect("can_attempt_read guarantees a frontier");
             // OutRank_t: rank of the smallest S_t block within F_t ∪ S_t.
             // The smallest S_t block is s_min itself, so its rank is one
             // plus the number of F blocks strictly below it.
@@ -152,7 +153,8 @@ impl Scheduler {
                 // blocks of F_t.
                 let n_flush = extra - out_rank + 1;
                 for _ in 0..n_flush {
-                    let victim = *self.fset.last().expect("F non-empty while flushing"); // lint:allow(panic) occ > R ⇒ F has ≥ extra blocks
+                    #[expect(clippy::expect_used, reason = "occ > R ⇒ F has ≥ extra blocks")]
+                    let victim = *self.fset.last().expect("F non-empty while flushing");
                     self.fset.remove(&victim);
                     self.fds.lower_to(disk_of(&victim), victim.run, victim);
                     flushed.push(victim);

@@ -13,10 +13,11 @@
 //! windows always eventually release.
 
 use crate::msg::{Envelope, Msg};
+use pdisk::sync::Mutex;
 use pdisk::{Delivery, NetFault, NetFaultModel};
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Counters for the whole network's lifetime.
@@ -54,7 +55,7 @@ struct NetState {
 #[derive(Clone)]
 pub struct NetSender {
     node: u32,
-    state: Arc<Mutex<NetState>>, // srmlint::lock(srm_dist::net::NetState)
+    state: Arc<Mutex<NetState>>,
 }
 
 impl NetSender {
@@ -71,10 +72,7 @@ impl NetSender {
             epoch,
             msg,
         };
-        let mut st = pdisk::lockwitness::guard(
-            "srm_dist::net::NetState",
-            self.state.lock().unwrap_or_else(|p| p.into_inner()),
-        );
+        let mut st = self.state.lock();
         let global = st.global;
         st.global += 1;
         let edge = st.edges.entry((self.node, dst)).or_insert(0);
@@ -159,7 +157,7 @@ impl Endpoint {
 
 /// The shared network: build once, hand one [`Endpoint`] to each node.
 pub struct Network {
-    state: Arc<Mutex<NetState>>, // srmlint::lock(srm_dist::net::NetState)
+    state: Arc<Mutex<NetState>>,
 }
 
 impl Network {
@@ -202,10 +200,7 @@ impl Network {
     /// rejected by the epoch stamp).
     pub fn reconnect(&self, node: u32) -> Endpoint {
         let (tx, rx) = mpsc::channel();
-        let mut st = pdisk::lockwitness::guard(
-            "srm_dist::net::NetState",
-            self.state.lock().unwrap_or_else(|p| p.into_inner()),
-        );
+        let mut st = self.state.lock();
         if let Some(slot) = st.mailboxes.get_mut(node as usize) {
             *slot = tx;
         }
@@ -220,11 +215,7 @@ impl Network {
 
     /// Lifetime counters so far.
     pub fn stats(&self) -> NetStats {
-        pdisk::lockwitness::guard(
-            "srm_dist::net::NetState",
-            self.state.lock().unwrap_or_else(|p| p.into_inner()),
-        )
-        .stats
+        self.state.lock().stats
     }
 }
 

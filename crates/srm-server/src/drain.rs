@@ -3,45 +3,13 @@
 //! A drain is the server-wide analogue of a single sort's interrupt:
 //! stop admitting work, let every running job reach its next pass
 //! boundary (where the PR-5 checkpoint path journals a manifest
-//! atomically), and only then stop.  [`ShutdownFlag`] is the signal —
-//! one flag shared by the signal handler, the network front end, and
-//! the `DRAIN` protocol verb — and [`DrainReport`] is the accounting a
-//! completed drain hands back: what finished, what was suspended
-//! mid-sort (resumable on restart, byte-identically), what was
-//! cancelled, and what was still queued.
-
-use pdisk::InterruptFlag;
-
-/// Server-wide shutdown signal.  Clones share state; triggering is
-/// sticky and safe from signal handlers and foreign threads.
-#[derive(Debug, Clone, Default)]
-pub struct ShutdownFlag {
-    flag: InterruptFlag,
-}
-
-impl ShutdownFlag {
-    /// A new, untriggered flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Request shutdown.  Idempotent.
-    pub fn trigger(&self) {
-        self.flag.trigger();
-    }
-
-    /// Whether shutdown has been requested.
-    pub fn is_set(&self) -> bool {
-        self.flag.is_set()
-    }
-
-    /// The underlying [`InterruptFlag`], for bridging external triggers
-    /// (signal handlers, watchdogs) into the drain: triggering the
-    /// returned flag triggers this shutdown.
-    pub fn interrupt_flag(&self) -> InterruptFlag {
-        self.flag.clone()
-    }
-}
+//! atomically), and only then stop.  The signal is one
+//! [`pdisk::InterruptFlag`] ([`crate::JobServer::shutdown_flag`]), shared
+//! by the signal handler, the network front end, and the `DRAIN`
+//! protocol verb.  [`DrainReport`] is the accounting a completed drain
+//! hands back: what finished, what was suspended mid-sort (resumable on
+//! restart, byte-identically), what was cancelled, and what was still
+//! queued.
 
 /// What a completed drain left behind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -79,17 +47,6 @@ impl std::fmt::Display for DrainReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shutdown_flag_is_sticky_and_shared() {
-        let a = ShutdownFlag::new();
-        let b = a.clone();
-        assert!(!a.is_set());
-        b.trigger();
-        assert!(a.is_set());
-        b.trigger();
-        assert!(a.is_set());
-    }
 
     #[test]
     fn report_totals_and_renders() {

@@ -28,6 +28,10 @@
 //!   loopback TCP front end.
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors: clippy denies it a panic (test code
+// excepted, see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod drain;
 pub mod job;
@@ -36,7 +40,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use drain::{DrainReport, ShutdownFlag};
+pub use drain::DrainReport;
 pub use job::{
     digest_keys, expected_digest, generate_records, AnyJob, EngineKind, JobError, JobRun, JobSpec,
     KeyDigest,

@@ -1,6 +1,7 @@
 //! The loopback TCP front end: accept connections, speak the line
-//! protocol, and turn `DRAIN` (or an external [`ShutdownFlag`] trigger,
-//! e.g. from a SIGTERM handler) into a graceful server drain.
+//! protocol, and turn `DRAIN` (or an external trigger of
+//! [`JobServer::shutdown_flag`], e.g. from a SIGTERM handler) into a
+//! graceful server drain.
 //!
 //! Everything here polls — the accept loop runs the listener
 //! non-blocking and connection reads use short timeouts — so a shutdown

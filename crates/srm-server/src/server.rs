@@ -31,19 +31,20 @@
 //! every instant the summed budgets of running jobs fit the configured
 //! capacity, and jobs start in submission order.
 
-use crate::drain::{DrainReport, ShutdownFlag};
+use crate::drain::DrainReport;
 use crate::job::{digest_keys, expected_digest, AnyJob, JobError, JobRun, JobSpec};
 use crate::queue::Admission;
 use pdisk::manifest::atomic_write as atomic_write_raw;
+use pdisk::sync::Mutex;
 use pdisk::{DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, StackSpec, U64Record};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a worker sleeps between queue polls.  Polling is a choice,
-/// not a constraint — the state sits behind a `std::sync::Mutex`, which
-/// has a `Condvar` — and ROADMAP item 6 revisits it.
+/// not a constraint — the state sits behind a `Mutex`, which has a
+/// `Condvar` — and ROADMAP item 6 revisits it.
 const WORKER_POLL: Duration = Duration::from_millis(10);
 
 /// Server configuration.
@@ -274,22 +275,13 @@ struct State {
 struct Inner {
     cfg: ServerConfig,
     state: Mutex<State>,
-    shutdown: ShutdownFlag,
+    shutdown: InterruptFlag,
     /// Successful job-store spec writes, for the
     /// [`ServerConfig::store_nospace_after`] injection hook.
     store_writes: std::sync::atomic::AtomicU64,
 }
 
 impl Inner {
-    fn state(&self) -> pdisk::lockwitness::Witnessed<MutexGuard<'_, State>> {
-        // A worker panicking mid-update cannot leave partial state: every
-        // critical section is a handful of field writes.  Recover the guard.
-        pdisk::lockwitness::guard(
-            "srm_server::server::Inner.state",
-            self.state.lock().unwrap_or_else(|p| p.into_inner()),
-        )
-    }
-
     fn job_dir(&self, id: u64) -> PathBuf {
         self.cfg.jobs_dir.join(format!("job-{id:06}"))
     }
@@ -393,7 +385,7 @@ impl JobServer {
                 draining: false,
                 running: 0,
             }),
-            shutdown: ShutdownFlag::new(),
+            shutdown: InterruptFlag::new(),
             cfg,
             store_writes: std::sync::atomic::AtomicU64::new(0),
         });
@@ -411,7 +403,7 @@ impl JobServer {
 
     /// The flag that requests a server-wide drain-and-stop; share it
     /// with signal handlers and the network front end.
-    pub fn shutdown_flag(&self) -> ShutdownFlag {
+    pub fn shutdown_flag(&self) -> InterruptFlag {
         self.inner.shutdown.clone()
     }
 
@@ -430,7 +422,7 @@ impl JobServer {
         let cost = spec
             .budget_records()
             .map_err(|e| SubmitError::Invalid(e.to_string()))?;
-        let mut st = self.inner.state();
+        let mut st = self.inner.state.lock();
         if st.draining || self.inner.shutdown.is_set() {
             return Err(SubmitError::Draining);
         }
@@ -493,13 +485,14 @@ impl JobServer {
 
     /// Status of one job, if it exists.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
-        self.inner.state().jobs.get(&id).map(|j| j.status(id))
+        self.inner.state.lock().jobs.get(&id).map(|j| j.status(id))
     }
 
     /// Status of every job, in id order.
     pub fn list(&self) -> Vec<JobStatus> {
         self.inner
-            .state()
+            .state
+            .lock()
             .jobs
             .iter()
             .map(|(id, j)| j.status(*id))
@@ -512,7 +505,7 @@ impl JobServer {
     /// terminal jobs.
     pub fn cancel(&self, id: u64) -> bool {
         let marker = {
-            let mut st = self.inner.state();
+            let mut st = self.inner.state.lock();
             let Some(job) = st.jobs.get_mut(&id) else {
                 return false;
             };
@@ -543,7 +536,7 @@ impl JobServer {
 
     /// Point-in-time counters.
     pub fn stats(&self) -> ServerStats {
-        let st = self.inner.state();
+        let st = self.inner.state.lock();
         let mut s = ServerStats {
             capacity: st.admission.capacity(),
             admitted: st.admission.admitted(),
@@ -569,7 +562,7 @@ impl JobServer {
     /// jobs stay queued (durably) for the next server.
     pub fn drain(&self) -> DrainReport {
         {
-            let mut st = self.inner.state();
+            let mut st = self.inner.state.lock();
             st.draining = true;
             for job in st.jobs.values() {
                 if job.state == JobState::Running {
@@ -579,7 +572,7 @@ impl JobServer {
         }
         loop {
             {
-                let st = self.inner.state();
+                let st = self.inner.state.lock();
                 if st.running == 0 {
                     break;
                 }
@@ -600,13 +593,7 @@ impl JobServer {
     pub fn shutdown(&self) -> DrainReport {
         let report = self.drain();
         self.inner.shutdown.trigger();
-        let handles: Vec<_> = {
-            let mut w = pdisk::lockwitness::guard(
-                "srm_server::server::JobServer.workers",
-                self.workers.lock().unwrap_or_else(|p| p.into_inner()),
-            );
-            w.drain(..).collect()
-        };
+        let handles: Vec<_> = self.workers.lock().drain(..).collect();
         for h in handles {
             let _ = h.join();
         }
@@ -642,7 +629,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             return;
         }
         let claimed = {
-            let mut st = inner.state();
+            let mut st = inner.state.lock();
             if st.draining {
                 None
             } else {
@@ -684,7 +671,7 @@ fn worker_loop(inner: &Arc<Inner>) {
 /// durable marker.
 fn execute(inner: &Arc<Inner>, id: u64, cost: u64) {
     let (spec, flag) = {
-        let st = inner.state();
+        let st = inner.state.lock();
         match st.jobs.get(&id) {
             Some(job) => (job.spec.clone(), job.flag.clone()),
             None => return,
@@ -694,7 +681,7 @@ fn execute(inner: &Arc<Inner>, id: u64, cost: u64) {
     let dir = inner.job_dir(id);
     let marker: Option<(String, String)>;
     {
-        let mut st = inner.state();
+        let mut st = inner.state.lock();
         st.running -= 1;
         st.admission.release(cost);
         let Some(job) = st.jobs.get_mut(&id) else {
@@ -785,7 +772,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
     let deadline = spec.deadline_ms.map(Duration::from_millis);
     let inner_obs = Arc::clone(inner);
     let mut observer = move |pass: u64| {
-        let mut st = inner_obs.state();
+        let mut st = inner_obs.state.lock();
         if let Some(j) = st.jobs.get_mut(&id) {
             j.passes = pass;
             if let Some(limit) = deadline {

@@ -12,18 +12,17 @@
 //!
 //! | attribute                       | on            | meaning |
 //! |---------------------------------|---------------|---------|
-//! | `#[srmlint::leaf]`              | guard helper  | no other lock may be acquired while this one is held |
 //! | `#[srmlint::worker_entry]`      | fn            | body (incl. closures) runs on a disk-worker/heartbeat thread |
 //! | `#[srmlint::blessed_seam]`      | fn            | its *direct* blocking calls are the sanctioned I/O seam |
 //! | `#[srmlint::interrupt_observer]`| fn            | observes `InterruptFlag` and returns `Interrupted`; callers must checkpoint first |
 //! | `#[srmlint::checkpoint]`        | fn            | journals a durable checkpoint (satisfies the interrupt pass) |
 //! | `#[srmlint::protocol]`          | enum          | a message vocabulary: dispatch `match`es must name every variant |
-//!
-//! Field-position annotations (attribute macros cannot attach to
-//! fields) use comment directives instead: `// srmlint::leaf` and
-//! `// srmlint::lock(<node-id>)` — see `crates/srmlint`.
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors: clippy denies it a panic (test code
+// excepted, see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use proc_macro::TokenStream;
 
@@ -37,12 +36,6 @@ macro_rules! marker {
     };
 }
 
-marker!(
-    /// Marks a lock (via its guard-returning helper) as a **leaf**: the
-    /// lock-order pass rejects any lock acquisition while a leaf lock
-    /// is held.
-    leaf
-);
 marker!(
     /// Marks a function whose body (including closures it spawns) runs
     /// on a disk-worker or heartbeat thread; the blocking-in-worker

@@ -33,8 +33,7 @@ const BLOCKING: &[&str] = &[
     "sync_all",
     "sync_data",
     "accept",
-    "wait",
-    "wait_on", // `lockwitness::Witnessed`'s Condvar wait
+    "wait", // `Condvar::wait`, and `pdisk::sync::MutexGuard::wait` on one
     "stdin",
 ];
 

@@ -7,10 +7,7 @@
 //! type).  A method call on an arbitrary expression resolves only if
 //! its name is unique among all workspace functions — anything looser
 //! would invent call edges through `std` methods that happen to share
-//! a name.  The lock pass layers a may-analysis on top (see
-//! `locks.rs`): for ambiguous receivers it unions every candidate that
-//! could acquire a lock, which over-approximates holds but never
-//! misses one.
+//! a name.
 
 use crate::model::{Item, ItemKind, SourceFile};
 use std::collections::BTreeMap;
@@ -230,13 +227,6 @@ impl<'a> Index<'a> {
             }
         }
         None
-    }
-
-    /// The struct `Item` (with its file) declaring `name`, if unique.
-    pub fn struct_item(&self, name: &str) -> Option<(&SourceFile, &Item)> {
-        let ids = self.structs.get(name)?;
-        let &(fi, ii) = ids.first()?;
-        Some((&self.files[fi], &self.files[fi].items[ii]))
     }
 
     /// Strict resolution of one call to workspace fns.  `ctx_impl` is

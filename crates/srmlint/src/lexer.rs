@@ -5,9 +5,9 @@
 //! (`r#"…"#`), byte strings, and multi-line strings — become single
 //! opaque tokens, so a `{` or `// …` inside one can never be
 //! mistaken for structure.  Comments are dropped, except that lint
-//! directives embedded in them (`// lint:allow(panic)`,
-//! `// srmlint::lock(...)`) are preserved as [`Directive`]s so the
-//! passes can honor in-place suppressions and field annotations.
+//! directives embedded in them (`// lint:allow(cast)`,
+//! `// srmlint::allow(blocking)`) are preserved as [`Directive`]s so the
+//! passes can honor in-place suppressions.
 //!
 //! The lexer is deliberately permissive about things the passes never
 //! look at (numeric suffixes, exotic escapes): it only has to token
@@ -33,9 +33,8 @@ pub enum TokKind {
     /// A lifetime (`'a`), name without the quote.
     Lifetime(String),
     /// Any string-like literal (string, raw string, byte string, char,
-    /// byte); the *unescaped-as-written* body, quotes stripped.  The
-    /// passes only ever compare whole literal bodies (witness labels),
-    /// so escapes are left as-is.
+    /// byte); the *unescaped-as-written* body, quotes stripped.  No
+    /// pass looks inside a literal, so escapes are left as-is.
     Literal(String),
     /// A numeric literal, as written.
     Num(String),
@@ -48,8 +47,8 @@ pub enum TokKind {
 pub struct Directive {
     /// 1-based line the comment starts on.
     pub line: u32,
-    /// The directive text, e.g. `lint:allow(panic)` or
-    /// `srmlint::lock(srm_dist::net::NetState)`.
+    /// The directive text, e.g. `lint:allow(cast)` or
+    /// `srmlint::allow(blocking)`.
     pub text: String,
 }
 
@@ -430,18 +429,13 @@ mod tests {
 
     #[test]
     fn comments_vanish_but_directives_survive() {
-        let l = lex("x(); // lint:allow(panic) justified\n/* srmlint::leaf */ y();").unwrap();
+        let l = lex("x(); // lint:allow(cast) justified\n/* srmlint::allow(blocking) */ y();")
+            .unwrap();
         assert_eq!(l.directives.len(), 2);
-        assert_eq!(l.directives[0].text, "lint:allow(panic)");
+        assert_eq!(l.directives[0].text, "lint:allow(cast)");
         assert_eq!(l.directives[0].line, 1);
-        assert_eq!(l.directives[1].text, "srmlint::leaf");
+        assert_eq!(l.directives[1].text, "srmlint::allow(blocking)");
         assert!(!l.toks.iter().any(|t| t.kind == TokKind::Ident("justified".into())));
-    }
-
-    #[test]
-    fn directive_with_argument_is_captured_whole() {
-        let l = lex("state: M, // srmlint::lock(srm_dist::net::NetState)\n").unwrap();
-        assert_eq!(l.directives[0].text, "srmlint::lock(srm_dist::net::NetState)");
     }
 
     #[test]

@@ -3,12 +3,6 @@
 //! Parses every crate's sources into a lightweight syntax/scope model
 //! ([`model`], on the lexer in [`lexer`]) and runs cross-crate passes:
 //!
-//! - [`locks`] — extracts every `Mutex`/`RwLock` acquisition site,
-//!   builds the inter-procedural may-hold graph across `pdisk`,
-//!   `srm-server`, and `srm-dist`, and rejects cycles, acquisitions
-//!   under a `#[srmlint::leaf]` lock, and acquisition sites the
-//!   runtime lock witness cannot see.  [`locks::verify_witness`]
-//!   cross-checks a recorded witness log against the static graph.
 //! - [`protocol`] — every dispatch `match` over a
 //!   `#[srmlint::protocol]` enum (`Msg`, `Request`) names every
 //!   variant; no `_ =>` swallowing a message kind.
@@ -16,23 +10,33 @@
 //!   `#[srmlint::worker_entry]` threads outside blessed seams.
 //! - [`interrupt`] — every path observing `InterruptFlag` checkpoints
 //!   before returning `Interrupted`.
-//! - [`legacy`] — the original line-scanner rules (`no-panic`, `cast`,
+//! - [`legacy`] — the original line-scanner rules (`cast`,
 //!   `non-exhaustive`, `backend`), re-based onto the lexer so string
 //!   literals can no longer desynchronize them; plus the `unsafe`
 //!   crate-root rule here.
 //!
+//! Locks have no pass: the workspace's one lock rule — a thread never
+//! acquires a lock while it holds one — is enforced at run time by the
+//! lock type, `pdisk::sync::Mutex`, and clippy's `disallowed-types`
+//! keeps every lock that type.  Panics in library code are clippy's
+//! too (`unwrap_used`, `expect_used`, `panic` and kin, denied at each
+//! library crate's root).
+//!
 //! This package's binary is the one entry point: `cargo xtask lint` is
 //! an alias for `cargo run -q -p srmlint --` (see `main.rs` for the rule
-//! catalogue and `--verify-witness`).
+//! catalogue).
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors: clippy denies it a panic (test code
+// excepted, see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 pub mod blocking;
 pub mod calls;
 pub mod interrupt;
 pub mod legacy;
 pub mod lexer;
-pub mod locks;
 pub mod model;
 pub mod protocol;
 
@@ -61,14 +65,11 @@ impl fmt::Display for Finding {
     }
 }
 
-/// A finished analysis: findings plus the artifacts `--verify-witness`
-/// needs.
+/// A finished analysis.
 pub struct Analysis {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files analyzed.
     pub files: usize,
-    /// The static lock-order graph.
-    pub graph: locks::LockGraph,
     /// Every `#[srmlint::worker_entry]` function found, as
     /// `module::name` — the roots the blocking and interrupt passes
     /// patrol.  Tests pin this list so a new thread spawn site cannot
@@ -76,9 +77,7 @@ pub struct Analysis {
     pub worker_entries: Vec<String>,
 }
 
-/// Analyze the workspace rooted at `root` (its `crates/*/src` trees),
-/// with the lock pass scoped to the concurrent crates
-/// ([`locks::LOCK_CRATES`]).
+/// Analyze the workspace rooted at `root` (its `crates/*/src` trees).
 pub fn analyze_workspace(root: &Path) -> Analysis {
     let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
         .map(|rd| {
@@ -88,13 +87,12 @@ pub fn analyze_workspace(root: &Path) -> Analysis {
         })
         .unwrap_or_default();
     crate_dirs.sort();
-    analyze_crate_dirs(&crate_dirs, Some(locks::LOCK_CRATES))
+    analyze_crate_dirs(&crate_dirs)
 }
 
 /// Analyze an explicit list of crate directories (each containing a
-/// `Cargo.toml` and `src/`).  `lock_crates: None` runs the lock pass
-/// over every crate found — used for the violation fixtures.
-pub fn analyze_crate_dirs(crate_dirs: &[PathBuf], lock_crates: Option<&[&str]>) -> Analysis {
+/// `Cargo.toml` and `src/`) — the workspace's, or a violation fixture.
+pub fn analyze_crate_dirs(crate_dirs: &[PathBuf]) -> Analysis {
     let mut findings = Vec::new();
     let mut files_parsed: Vec<model::SourceFile> = Vec::new();
     let mut files = 0usize;
@@ -135,7 +133,6 @@ pub fn analyze_crate_dirs(crate_dirs: &[PathBuf], lock_crates: Option<&[&str]>) 
         legacy::run(f, &mut findings);
     }
     let idx = calls::Index::build(&files_parsed);
-    let graph = locks::run(&files_parsed, &idx, lock_crates, &mut findings);
     protocol::run(&files_parsed, &idx, &mut findings);
     blocking::run(&idx, &mut findings);
     interrupt::run(&idx, &mut findings);
@@ -156,7 +153,6 @@ pub fn analyze_crate_dirs(crate_dirs: &[PathBuf], lock_crates: Option<&[&str]>) 
     Analysis {
         findings,
         files,
-        graph,
         worker_entries,
     }
 }

@@ -3,7 +3,7 @@
 //! directly against an arbitrary checkout:
 //!
 //! ```text
-//! srmlint [lint] [--root DIR] [--verify-witness LOG]
+//! srmlint [lint] [--root DIR]
 //! ```
 //!
 //! The leading `lint` word is accepted and ignored, so `cargo xtask lint`
@@ -11,47 +11,43 @@
 //!
 //! Rules:
 //!
-//! 1. `no-panic` — panic-free crates' non-test code must not call
-//!    `.unwrap()`/`.expect()`/`panic!`/`unreachable!`/`todo!`/
-//!    `unimplemented!`; fallible paths return typed errors the
-//!    checkpoint/retry layers can act on.
-//! 2. `cast` — no `as` narrowing inside a `DiskId(...)` construction;
+//! 1. `cast` — no `as` narrowing inside a `DiskId(...)` construction;
 //!    use the range-proved `DiskId::from_index`/`DiskId::from_mod`.
-//! 3. `non-exhaustive` — public `*Error` enums carry `#[non_exhaustive]`.
-//! 4. `backend` — algorithm crates stay generic over `DiskArray` so no
+//! 2. `non-exhaustive` — public `*Error` enums carry `#[non_exhaustive]`.
+//! 3. `backend` — algorithm crates stay generic over `DiskArray` so no
 //!    I/O bypasses `IoStats`.
-//! 5. `unsafe` — every crate root carries `#![forbid(unsafe_code)]`.
-//! 6. `lock-order`/`witness` — the inter-procedural may-hold graph is
-//!    acyclic, leaf locks stay leaves, and every acquisition site is
-//!    wrapped for the runtime lock witness.
-//! 7. `protocol` — dispatch matches over `#[srmlint::protocol]` enums
+//! 4. `unsafe` — every crate root carries `#![forbid(unsafe_code)]`.
+//! 5. `protocol` — dispatch matches over `#[srmlint::protocol]` enums
 //!    name every variant; no `_ =>` can swallow a message kind.
-//! 8. `blocking` — no blocking calls reachable from
+//! 6. `blocking` — no blocking calls reachable from
 //!    `#[srmlint::worker_entry]` threads outside blessed seams.
-//! 9. `interrupt` — every observer of `InterruptFlag` checkpoints
+//! 7. `interrupt` — every observer of `InterruptFlag` checkpoints
 //!    before returning `Interrupted`.
 //!
-//! `--verify-witness LOG` additionally cross-checks a runtime lock-order
-//! witness log (recorded by test runs with `--features lock-witness` and
-//! `SRM_LOCK_WITNESS=LOG`) against the static graph, and names the static
-//! nodes and edges no test exercised.
+//! What clippy can express is clippy's: library code's panics
+//! (`unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo`,
+//! `unimplemented`, denied at each library crate's root) and locks
+//! other than `pdisk::sync::Mutex` (`disallowed-types` in
+//! `clippy.toml`).
 
 #![forbid(unsafe_code)]
+// Library code returns typed errors: clippy denies it a panic (test code
+// excepted, see clippy.toml).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: srmlint [lint] [--root DIR] [--verify-witness LOG]";
+const USAGE: &str = "usage: srmlint [lint] [--root DIR]";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut witness: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1).peekable();
     args.next_if_eq("lint");
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
-            "--verify-witness" => witness = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -65,43 +61,6 @@ fn main() -> ExitCode {
     let root = root.unwrap_or_else(default_root);
 
     let mut analysis = srmlint::analyze_workspace(&root);
-
-    if let Some(log_path) = &witness {
-        match std::fs::read_to_string(log_path) {
-            Ok(log) => {
-                let report = srmlint::locks::verify_witness(
-                    &analysis.graph,
-                    log_path,
-                    &log,
-                    &mut analysis.findings,
-                );
-                println!(
-                    "srmlint: witness: {} label(s), {} order(s) observed; static \
-                     graph has {} node(s), {} edge(s); {} node(s) and {} edge(s) \
-                     unobserved by tests",
-                    report.labels_observed,
-                    report.orders_observed,
-                    report.nodes_static,
-                    report.edges_static,
-                    report.unobserved_nodes.len(),
-                    report.unobserved_edges.len(),
-                );
-                for n in &report.unobserved_nodes {
-                    println!("srmlint: witness: note: static lock `{n}` never observed at runtime");
-                }
-                for (a, b) in &report.unobserved_edges {
-                    println!(
-                        "srmlint: witness: note: static may-hold edge `{a}` → `{b}` \
-                         never observed at runtime"
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("cannot read witness log {}: {e}", log_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     srmlint::relativize(&mut analysis.findings, &root);
     for f in &analysis.findings {

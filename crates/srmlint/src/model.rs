@@ -47,18 +47,6 @@ impl SourceFile {
     pub fn has_directive(&self, line: u32, text: &str) -> bool {
         self.directives.iter().any(|d| d.line == line && d.text == text)
     }
-
-    /// First directive on `line` starting with `prefix`, if any.
-    pub fn directive_arg(&self, line: u32, prefix: &str) -> Option<String> {
-        self.directives.iter().find_map(|d| {
-            if d.line != line {
-                return None;
-            }
-            let rest = d.text.strip_prefix(prefix)?;
-            let rest = rest.strip_prefix('(')?;
-            Some(rest.strip_suffix(')').unwrap_or(rest).to_string())
-        })
-    }
 }
 
 /// A named item.
@@ -74,8 +62,8 @@ pub struct Item {
     pub is_pub: bool,
     /// Item is inside `#[cfg(test)]` scope or carries `#[test]`.
     pub is_test: bool,
-    /// Normalized attribute texts, e.g. `srmlint::leaf`, `non_exhaustive`,
-    /// `cfg(test)`, `derive(Debug,Clone)`.
+    /// Normalized attribute texts, e.g. `srmlint::worker_entry`,
+    /// `non_exhaustive`, `cfg(test)`, `derive(Debug,Clone)`.
     pub attrs: Vec<String>,
     pub kind: ItemKind,
     /// Token range `[start, end)` of the whole item including attrs.
@@ -294,7 +282,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Like [`render`] but with no spaces at all — attribute texts compare
-/// against exact strings like `cfg(test)` and `srmlint::leaf`.
+/// against exact strings like `cfg(test)` and `srmlint::worker_entry`.
 fn render_compact(toks: &[Tok]) -> String {
     let mut out = String::new();
     for t in toks {
@@ -980,8 +968,8 @@ mod tests {
 
     #[test]
     fn attrs_are_normalized() {
-        let f = parse("#[srmlint::leaf]\n#[non_exhaustive]\npub enum FooError { A }");
-        assert!(f.items[0].has_attr("srmlint::leaf"));
+        let f = parse("#[srmlint::worker_entry]\n#[non_exhaustive]\npub enum FooError { A }");
+        assert!(f.items[0].has_attr("srmlint::worker_entry"));
         assert!(f.items[0].has_attr("non_exhaustive"));
     }
 

@@ -59,8 +59,8 @@ pub fn reset() {
 }
 
 /// Spawn a watcher that forwards the process signal latch to `flag`
-/// (e.g. a sorter's [`InterruptFlag`] or, via its inner flag, the job
-/// server's `ShutdownFlag`).  The thread exits once it has forwarded a
+/// (e.g. a sorter's [`InterruptFlag`] or the job server's shutdown
+/// flag).  The thread exits once it has forwarded a
 /// trigger or when `stop` returns true.
 pub fn watch(flag: InterruptFlag, stop: impl Fn() -> bool + Send + 'static) {
     std::thread::spawn(move || loop {
