@@ -16,13 +16,11 @@
 //! typed, located [`Violation`] naming the pass, disk, run, and block
 //! involved.
 //!
-//! Two entry points:
-//!
-//! * [`check_trace`] / [`check_trace_collect`] / [`check_stats`] — judge
-//!   an engine trace recorded by `pdisk::trace::TraceSink` (used by both
-//!   sorters and the CLI's `--check-model`);
-//! * [`sim::check_sim_trace`] — judge the block-granularity simulator's
-//!   schedule trace against the same scheduling rules.
+//! [`check_trace`] / [`check_trace_collect`] / [`check_stats`] judge an
+//! engine trace recorded by `pdisk::trace::TraceSink` (both sorters and
+//! the CLI's `--check-model`).  The block-granularity simulator is not
+//! checked separately: `tests/simulator_vs_engine.rs` requires its
+//! schedule to equal, event for event, a checker-clean engine trace.
 //!
 //! ```
 //! use pdisk::trace::{Tagged, TraceEvent};
@@ -50,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod replay;
-pub mod sim;
 pub mod violation;
 
 pub use replay::{check_stats, check_trace, check_trace_collect, CheckSummary, Replay};

@@ -404,6 +404,12 @@ impl Replay {
                         reason: "a split-phase read is still in flight",
                     });
                 }
+                if m.runs.iter().any(|st| st.cur_idx < st.meta.len_blocks) {
+                    return Err(ViolationKind::UnexpectedEvent {
+                        event: "MergeEnd",
+                        reason: "a run was never fully depleted",
+                    });
+                }
                 let fset = m.sched.fset.len();
                 let staged = m.sched.staged.len();
                 let unread = m.sched.unread();
@@ -958,12 +964,12 @@ pub fn check_trace_collect(geom: Geometry, events: &[Tagged]) -> (CheckSummary, 
 ///   nothing — its parity frame lives in memory);
 /// * an op whose every block sits on a dead disk never reaches the
 ///   backend at all, so it is charged zero despite its logical event.
-///   The dead set is tracked from [`TraceEvent::DiskDeath`] /
-///   [`TraceEvent::DiskRebuilt`] and permanent [`TraceEvent::Fault`]s.
+///   The dead set is tracked from [`TraceEvent::DiskDeath`] and
+///   permanent [`TraceEvent::Fault`]s.
 ///
 /// The check covers sort workloads (fresh writes only).  Overwrites of
-/// parity-protected blocks and mid-trace online rebuilds perform
-/// additional inner I/O with no logical event, and are out of scope.
+/// parity-protected blocks perform additional inner I/O with no logical
+/// event, and are out of scope.
 pub fn check_stats(events: &[Tagged], stats: &IoStats) -> Result<(), Box<Violation>> {
     let mut reads = 0u64;
     let mut writes = 0u64;
@@ -1015,9 +1021,6 @@ pub fn check_stats(events: &[Tagged], stats: &IoStats) -> Result<(), Box<Violati
             }
             TraceEvent::DiskDeath { disk } => {
                 dead.insert(*disk);
-            }
-            TraceEvent::DiskRebuilt { disk } => {
-                dead.remove(disk);
             }
             _ => {}
         }
@@ -1130,6 +1133,20 @@ mod tests {
         ));
         assert_eq!(v.seq, 0);
         assert_eq!(v.pass, 1);
+
+        // Step 1's initial blocks obey the same constraint: two runs'
+        // block 0 from disk 0 cannot arrive in one batch.
+        let mut events = clean_merge_events();
+        events[1] = TraceEvent::InitLoad { blocks: vec![(0, DiskId(0)), (1, DiskId(0))] };
+        let v = match check_trace(geom(), &tag(events)) {
+            Err(v) => v,
+            Ok(s) => panic!("accepted duplicate-disk initial load: {s:?}"),
+        };
+        assert!(matches!(
+            v.kind,
+            ViolationKind::DuplicateDiskInOp { op: "initial load", disk: DiskId(0) }
+        ));
+        assert_eq!(v.seq, 1);
     }
 
     #[test]
@@ -1433,7 +1450,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_end_with_read_in_flight_is_flagged() {
+    fn premature_merge_end_is_flagged() {
         let mut events = clean_pipelined_merge_events();
         // Cut the merge off right after the submit: the read never
         // completed.
@@ -1447,6 +1464,20 @@ mod tests {
             v.kind,
             ViolationKind::UnexpectedEvent { event: "MergeEnd", reason }
                 if reason.contains("in flight")
+        ));
+
+        // Drop the last depletion: every block was read and consumed from
+        // the buffers, but run 1's leading block never depleted.
+        let mut events = clean_merge_events();
+        events.remove(events.len() - 2);
+        let v = match check_trace(geom(), &tag(events)) {
+            Err(v) => v,
+            Ok(_) => panic!("accepted MergeEnd before the last depletion"),
+        };
+        assert!(matches!(
+            v.kind,
+            ViolationKind::UnexpectedEvent { event: "MergeEnd", reason }
+                if reason.contains("never fully depleted")
         ));
     }
 

@@ -211,44 +211,3 @@ fn dsm_healthy_and_parity_sorts_are_checker_clean() {
     check_stats(&trace, &under_parity.stats())
         .unwrap_or_else(|v| panic!("dsm parity stats drift: {v}"));
 }
-
-/// The block-granularity simulator's schedule obeys the same rules: its
-/// trace maps structurally onto [`modelcheck::sim`]'s events.
-#[test]
-fn simulator_schedule_is_checker_clean() {
-    use modelcheck::sim::{check_sim_trace, SimCheckInput, SimEvent, SimRunLayout};
-    use srm_core::simulator::{MergeSim, SimInput, SimPlacement, TraceEvent as SimTrace};
-
-    let mut rng = SmallRng::seed_from_u64(0xFEED);
-    let input = SimInput::average_case(20, 100, 64, 5, SimPlacement::Random, &mut rng);
-    let (stats, trace) = MergeSim::run_traced(&input).unwrap();
-    assert!(stats.schedule.blocks_flushed > 0, "seed must exercise rule 2c");
-
-    let check_input = SimCheckInput {
-        d: input.d,
-        runs: input
-            .runs
-            .iter()
-            .map(|r| SimRunLayout {
-                start_disk: r.start_disk,
-                min_keys: r.min_keys.clone(),
-            })
-            .collect(),
-    };
-    let events: Vec<SimEvent> = trace
-        .iter()
-        .map(|e| match e {
-            SimTrace::InitRead { runs } => SimEvent::InitRead { runs: runs.clone() },
-            SimTrace::ParRead { targets, flushed } => SimEvent::ParRead {
-                targets: targets.clone(),
-                flushed: flushed.clone(),
-            },
-            SimTrace::Depleted { run, idx } => SimEvent::Depleted { run: *run, idx: *idx },
-        })
-        .collect();
-    let summary = check_sim_trace(&check_input, &events).unwrap_or_else(|v| panic!("sim: {v}"));
-    assert_eq!(summary.init_reads, stats.schedule.init_reads);
-    assert_eq!(summary.par_reads, stats.schedule.par_reads);
-    assert_eq!(summary.flushed_blocks, stats.schedule.blocks_flushed);
-    assert_eq!(summary.blocks_fetched, stats.schedule.blocks_read);
-}

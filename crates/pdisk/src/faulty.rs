@@ -67,12 +67,6 @@ impl FaultPlan {
         }
     }
 
-    /// Also fail the `n`-th read.
-    pub fn and_read(mut self, n: u64) -> Self {
-        self.fail_read = Some(n);
-        self
-    }
-
     /// Also fail the `n`-th write.
     pub fn and_write(mut self, n: u64) -> Self {
         self.fail_write = Some(n);
@@ -222,18 +216,13 @@ impl FaultModel {
         self.dead.iter().copied()
     }
 
-    /// Administratively kill `disk` now: every later operation touching
-    /// it fails permanently.  Used by tests and the CLI's `--kill-disk`
-    /// to model a mid-sort head crash at an exact point.
+    /// Kill `disk` now: every later operation touching it fails
+    /// permanently, as if a permanent fault had struck it — the layer
+    /// above sees the fault.  Tests use it to model a mid-sort head crash
+    /// at an exact point; the CLI's `--kill-disk` instead tells the parity
+    /// layer directly ([`crate::ParityDiskArray::fail_disk`]).
     pub fn kill_disk(&mut self, disk: DiskId) {
         self.dead.insert(disk);
-    }
-
-    /// A spare has been attached in place of `disk`: the slot works
-    /// again.  Models the swap that precedes an online rebuild; returns
-    /// whether the disk was actually dead.
-    pub fn attach_spare(&mut self, disk: DiskId) -> bool {
-        self.dead.remove(&disk)
     }
 
     /// Disks currently out of space.
@@ -438,7 +427,7 @@ impl<R: Record, A: DiskArray<R>> FaultyDiskArray<R, A> {
     }
 
     /// Mutable access to the fault model, e.g. to kill a disk at an
-    /// exact point in a sort or to attach a spare before a rebuild.
+    /// exact point in a sort.
     pub fn model_mut(&mut self) -> &mut FaultModel {
         &mut self.layer.model
     }
@@ -701,7 +690,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_disk_and_attach_spare_round_trip() {
+    fn kill_disk_is_a_permanent_fault() {
         let mut a = setup(FaultModel::none());
         let d0 = BlockAddr::new(DiskId(0), 0);
         assert!(a.read(&[d0]).is_ok());
@@ -714,9 +703,7 @@ mod tests {
                 ..
             })
         ));
-        assert!(a.model_mut().attach_spare(DiskId(0)), "disk 0 was dead");
-        assert!(!a.model_mut().attach_spare(DiskId(0)), "already revived");
-        assert!(a.read(&[d0]).is_ok(), "spare serves the slot again");
+        assert_eq!(a.model().dead_disks().collect::<Vec<_>>(), vec![DiskId(0)]);
     }
 
     #[test]

@@ -40,9 +40,8 @@
 //!   wrapper ([`RetryingDiskArray`]) that absorbs transient faults with
 //!   simulated backoff while counting retries in [`IoStats`];
 //! * [`parity`] — single-disk-failure tolerance: [`ParityDiskArray`] adds
-//!   RAID-5-style rotating parity over any backend, serves a dead disk's
-//!   blocks by reconstruction (degraded mode) and rebuilds onto a spare
-//!   online;
+//!   RAID-5-style rotating parity over any backend and serves a dead
+//!   disk's blocks by reconstruction (degraded mode);
 //! * [`crash`] — deterministic crash-point injection: [`CrashingDiskArray`]
 //!   numbers every I/O boundary with a shared [`CrashClock`] and can kill
 //!   the (simulated) process at any one of them, including torn multi-disk

@@ -95,11 +95,6 @@ impl<R: Record> MemDiskArray<R> {
             .ok_or(PdiskError::UnmappedBlock(addr))
     }
 
-    /// Total block slots currently reserved across all disks (diagnostic).
-    pub fn allocated_blocks(&self) -> usize {
-        self.disks.iter().map(Vec::len).sum()
-    }
-
     /// Peek at a block without performing (or charging) any I/O.
     ///
     /// Intended for tests and verification code only; algorithms must go

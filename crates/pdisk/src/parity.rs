@@ -19,10 +19,10 @@
 //! through the parity update.  Both are counted separately in
 //! [`IoStats`] (`reconstructed_reads` / `parity_writes`) so the logical
 //! schedule stays comparable to a failure-free run.  A second
-//! simultaneous death is [`PdiskError::Unrecoverable`].
-//!
-//! [`ParityDiskArray::rebuild`] re-materializes a dead disk onto an
-//! attached spare while the array stays usable.
+//! simultaneous death is [`PdiskError::Unrecoverable`].  A dead disk
+//! stays dead for the array's lifetime: there is no online rebuild onto
+//! a spare.  Latent corruption on a live disk is healed in place by the
+//! scrubber ([`DiskArray::scrub_block`]).
 //!
 //! On a healthy array the layer is split-phase: a submitted read or
 //! write stays in flight below, and a write's parity update travels in
@@ -91,8 +91,8 @@ struct Stripe {
     parity: Vec<u8>,
     /// Bit `d` set ⇒ disk `d`'s data slot in this stripe holds a block.
     written: u64,
-    /// The stripe's parity disk died; the stripe is unprotected until a
-    /// rebuild recomputes it.
+    /// The stripe's parity disk died; the stripe is unprotected from
+    /// then on (persisted as the mask's top bit).
     parity_lost: bool,
 }
 
@@ -202,10 +202,8 @@ pub struct Parity {
     layout: SlotLayout,
     /// Per-disk logical allocation watermark (what callers see).
     logical_free: Vec<u64>,
-    /// Per-disk physical extent the logical watermark maps into.
-    phys_free: Vec<u64>,
-    /// Per-disk physical extent actually allocated from `inner` (lags
-    /// `phys_free` while a disk is dead; re-synced by rebuild).
+    /// Per-disk physical extent actually allocated from `inner` (stops
+    /// growing while a disk is dead: its slots exist only as parity).
     inner_free: Vec<u64>,
     stripes: BTreeMap<u64, Stripe>,
     dead: BTreeSet<DiskId>,
@@ -232,7 +230,6 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
             geom,
             layout: SlotLayout::new::<R>(geom),
             logical_free: vec![0; geom.d],
-            phys_free: vec![0; geom.d],
             inner_free: vec![0; geom.d],
             stripes: BTreeMap::new(),
             dead: BTreeSet::new(),
@@ -272,11 +269,6 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
                 }
             }
         }
-        for d in 0..p.geom.d {
-            if p.logical_free[d] > 0 {
-                p.phys_free[d] = phys_of(d, p.logical_free[d] - 1, p.geom.d as u64) + 1;
-            }
-        }
         p.stripes = stripes;
         p.store = Some(store);
         Ok(self)
@@ -310,80 +302,6 @@ impl<R: Record, A: DiskArray<R>> ParityDiskArray<R, A> {
     /// [`PdiskError::Unrecoverable`].
     pub fn fail_disk(&mut self, disk: DiskId) -> Result<()> {
         self.layer.fail_disk(&self.inner, disk)
-    }
-
-    /// Re-materialize dead `disk` onto an attached spare while the
-    /// array stays online: re-sync the spare's allocation, rewrite
-    /// every lost data block from parity, recompute parity stripes that
-    /// died with the disk, then return the disk to service.  The layer
-    /// below must already serve the disk again (e.g.
-    /// [`crate::FaultModel::attach_spare`]); otherwise this fails with
-    /// the underlying fault and the array stays degraded.
-    pub fn rebuild(&mut self, disk: DiskId) -> Result<()> {
-        let Stack { layer: p, inner, .. } = self;
-        let i = disk.index();
-        if i >= p.geom.d {
-            return Err(PdiskError::NoSuchDisk(disk));
-        }
-        if !p.dead.contains(&disk) {
-            return Ok(());
-        }
-        // Allocation skipped while dead is granted now, so the spare's
-        // watermark covers every slot the logical space maps into.
-        if p.phys_free[i] > p.inner_free[i] {
-            let count = p.phys_free[i] - p.inner_free[i];
-            inner.alloc_contiguous(disk, count)?;
-            p.inner_free[i] = p.phys_free[i];
-        }
-        let dd = p.geom.d as u64;
-        // Rewrite the disk's data blocks from the surviving stripes.
-        let data_stripes: Vec<u64> = p
-            .stripes
-            .iter()
-            .filter(|(_, st)| st.written & (1 << i) != 0)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in data_stripes {
-            let frame = p.reconstruct_frame(inner, s, disk)?;
-            let block = p.decode_frame(&frame)?;
-            p.reconstructed_reads += 1;
-            inner.write(vec![(BlockAddr::new(disk, s), block)])?;
-        }
-        // Recompute parity that died with the disk (stripes s ≡ i mod D).
-        let lost: Vec<u64> = p
-            .stripes
-            .iter()
-            .filter(|(_, st)| st.parity_lost)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in lost {
-            debug_assert_eq!(s % dd, i as u64, "only the dead disk's parity is lost");
-            let written = p.stripes[&s].written;
-            let mut members = Vec::new();
-            for d in 0..p.geom.d {
-                if d != i && written & (1 << d) != 0 {
-                    members.push(BlockAddr::new(DiskId::from_index(d), s));
-                }
-            }
-            let mut parity = vec![0u8; p.layout.payload_bytes()];
-            if !members.is_empty() {
-                for b in inner.read(&members)? {
-                    let f = p.encode_frame(&b)?;
-                    xor_into(&mut parity, &f);
-                }
-            }
-            if let Some(st) = p.stripes.get_mut(&s) {
-                st.parity = parity;
-                st.parity_lost = false;
-            }
-            p.parity_writes += 1;
-            p.save_stripe(s)?;
-        }
-        p.dead.remove(&disk);
-        if let Some(sink) = inner.trace_sink() {
-            sink.emit(TraceEvent::DiskRebuilt { disk });
-        }
-        Ok(())
     }
 }
 
@@ -834,7 +752,6 @@ impl<R: Record> Layer<R> for Parity {
             self.inner_free[i] = (got + req).max(phys_needed);
         }
         self.logical_free[i] = new_logical;
-        self.phys_free[i] = self.phys_free[i].max(phys_needed);
         Ok(start)
     }
 
@@ -1189,31 +1106,6 @@ mod tests {
         a.fail_disk(DiskId(0)).unwrap();
         let err = a.read(&[BlockAddr::new(DiskId(0), o)]).unwrap_err();
         assert!(matches!(err, PdiskError::UnmappedBlock(_)), "got {err:?}");
-    }
-
-    #[test]
-    fn rebuild_restores_direct_service() {
-        let mut a = seeded(4, 4);
-        a.fail_disk(DiskId(3)).unwrap();
-        // Degraded write extends the dead disk's space.
-        let o = a.alloc_contiguous(DiskId(3), 1).unwrap();
-        a.write(vec![(BlockAddr::new(DiskId(3), o), blk(&[42]))]).unwrap();
-        // Attach a spare below, then rebuild online.
-        assert!(!a.inner_mut().model_mut().attach_spare(DiskId(3)));
-        a.rebuild(DiskId(3)).unwrap();
-        assert!(a.dead_disks().next().is_none());
-        assert_eq!(a.redundancy().unwrap().dead, Vec::<DiskId>::new());
-        // Reads are direct again: reconstructed count stays flat.
-        let after_rebuild = a.stats().reconstructed_reads;
-        for slot in 0..4u64 {
-            let got = a.read(&[BlockAddr::new(DiskId(3), slot)]).unwrap();
-            assert_eq!(got[0], expected(3, slot));
-        }
-        assert_eq!(a.read(&[BlockAddr::new(DiskId(3), o)]).unwrap()[0], blk(&[42]));
-        assert_eq!(a.stats().reconstructed_reads, after_rebuild);
-        // The array tolerates a fresh (different) failure after rebuild.
-        a.fail_disk(DiskId(0)).unwrap();
-        assert_eq!(a.read(&[BlockAddr::new(DiskId(0), 1)]).unwrap()[0], expected(0, 1));
     }
 
     /// Like [`seeded`] but directly over [`MemDiskArray`], so tests can

@@ -40,7 +40,7 @@ pub struct IoStats {
     /// Allocations that failed every attempt under a retry policy.
     pub alloc_exhausted: u64,
     /// Blocks served by parity reconstruction instead of a direct read
-    /// (a dead disk's block, or one a rebuild or a scrub repairs).
+    /// (a dead disk's block, or one a scrub repairs).
     ///
     /// Counted separately from `read_ops` so the healthy-path golden
     /// counts are untouched by the redundancy layer.

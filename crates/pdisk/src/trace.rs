@@ -195,11 +195,6 @@ pub enum TraceEvent {
         /// Disk now served by reconstruction.
         disk: DiskId,
     },
-    /// An online rebuild returned `disk` to direct service.
-    DiskRebuilt {
-        /// Disk no longer served by reconstruction.
-        disk: DiskId,
-    },
     /// The scrubber repaired a latent-corrupt block in place from its
     /// stripe's parity.
     ScrubRepair {

@@ -216,11 +216,6 @@ impl Scheduler {
         false
     }
 
-    /// Rank (1-based) of `key` within `F_t`, for invariant checks.
-    pub fn rank_in_fset(&self, key: BlockKey) -> Option<usize> {
-        self.fset.contains(&key).then(|| 1 + self.fset.range(..key).count())
-    }
-
     /// Debug check of Definition 3's capacities.
     pub fn assert_capacities(&self) {
         assert!(self.fset.len() <= self.r + self.d, "|F| = {} > R+D", self.fset.len());

@@ -76,13 +76,6 @@ pub struct Lexed {
     pub directives: Vec<Directive>,
 }
 
-impl Lexed {
-    /// Directives whose text starts with `prefix`, on exactly `line`.
-    pub fn directives_on(&self, line: u32) -> impl Iterator<Item = &Directive> {
-        self.directives.iter().filter(move |d| d.line == line)
-    }
-}
-
 /// Extract any lint directives from one comment body.
 fn harvest_directives(body: &str, line: u32, out: &mut Vec<Directive>) {
     for marker in ["lint:allow(", "srmlint::"] {

@@ -1,17 +1,24 @@
 //! Cross-validation: the block-level simulator must reproduce the
-//! record-level engine's I/O schedule **exactly** — same parallel reads,
-//! same flushes, same per-block counts — when both consume the same runs.
+//! record-level engine's I/O schedule **exactly** — the same initial
+//! reads, the same parallel reads with the same targets and flush
+//! victims, the same depletions, in the same order — when both consume
+//! the same runs.
 //!
 //! This is the load-bearing test behind the Table 3 reproduction: the
 //! table is generated by the simulator at scales the engine cannot reach,
-//! and this test is what licenses that substitution.
+//! and this test is what licenses that substitution.  Every engine merge
+//! here is recorded under a [`TracingDiskArray`] and must be
+//! `modelcheck::check_trace`-clean, so the simulator's schedule is
+//! checked by the one model checker transitively: it equals, event for
+//! event, a trace the checker judged.
 
+use pdisk::trace::{Tagged, TraceEvent, TracingDiskArray};
 use pdisk::{DiskId, Geometry, MemDiskArray, StripedRun, U64Record};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use srm_core::simulator::{MergeSim, SimInput, SimRun};
-use srm_core::{merge_runs, RunWriter};
+use srm_core::simulator::{MergeSim, SimInput, SimRun, TraceEvent as SimTrace};
+use srm_core::{merge_runs, RunWriter, ScheduleStats};
 
 /// Build `n_runs` sorted runs over a shared pool of *distinct* keys, with
 /// random (possibly unequal) lengths.
@@ -52,12 +59,31 @@ fn sim_run(keys: &[u64], b: usize, start_disk: u32) -> SimRun {
     }
 }
 
-fn engine_merge(
-    geom: Geometry,
-    runs: &[Vec<u64>],
-    starts: &[u32],
-) -> srm_core::ScheduleStats {
-    let mut array: MemDiskArray<U64Record> = MemDiskArray::new(geom);
+/// The engine's merge trace in the simulator's vocabulary: an initial
+/// load is an `InitRead`, a scheduled read's completion a `ParRead`, a
+/// depletion a `Depleted`; every other event has no simulator analogue.
+fn project(trace: &[Tagged]) -> Vec<SimTrace> {
+    trace
+        .iter()
+        .filter_map(|e| match &e.event {
+            TraceEvent::InitLoad { blocks } => Some(SimTrace::InitRead {
+                runs: blocks.iter().map(|&(run, _)| run).collect(),
+            }),
+            TraceEvent::SchedRead { targets, flushed, .. } => Some(SimTrace::ParRead {
+                targets: targets.iter().map(|t| (t.disk.0, t.run, t.idx)).collect(),
+                flushed: flushed.iter().map(|f| (f.run, f.idx)).collect(),
+            }),
+            TraceEvent::Deplete { run, idx } => Some(SimTrace::Depleted { run: *run, idx: *idx }),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Write `runs` and merge them on the engine under a trace, require the
+/// whole trace to be model-checker clean, and return the merge's
+/// schedule counters with its projected event list.
+fn engine_merge(geom: Geometry, runs: &[Vec<u64>], starts: &[u32]) -> (ScheduleStats, Vec<SimTrace>) {
+    let mut array = TracingDiskArray::new(MemDiskArray::<U64Record>::new(geom));
     let handles: Vec<StripedRun> = runs
         .iter()
         .zip(starts)
@@ -69,32 +95,46 @@ fn engine_merge(
             w.finish(&mut array).unwrap()
         })
         .collect();
-    merge_runs(&mut array, &handles, DiskId(0))
-        .unwrap()
-        .stats
-        .schedule
+    let stats = merge_runs(&mut array, &handles, DiskId(0)).unwrap().stats.schedule;
+    let trace = array.take_trace();
+    let summary = modelcheck::check_trace(geom, &trace)
+        .unwrap_or_else(|v| panic!("engine merge violates the model: {v}"));
+    assert_eq!(summary.merges, 1, "{summary:?}");
+    (stats, project(&trace))
 }
 
-fn compare(seed: u64, d: usize, b: usize, n_runs: usize, min_len: usize, max_len: usize) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let runs = random_distinct_runs(&mut rng, n_runs, min_len, max_len);
-    let starts: Vec<u32> = (0..n_runs).map(|_| rng.random_range(0..d as u32)).collect();
+/// Merge `runs` on both the engine and the simulator; the schedules must
+/// be identical event for event (and so in every counter).  Returns the
+/// shared event list.
+fn assert_same_schedule(d: usize, b: usize, runs: &[Vec<u64>], starts: &[u32], what: &str) -> Vec<SimTrace> {
     let geom = Geometry::new(d, b, 100_000_000).unwrap();
-
-    let engine = engine_merge(geom, &runs, &starts);
+    let (engine_stats, engine_trace) = engine_merge(geom, runs, starts);
     let sim_input = SimInput {
         d,
         runs: runs
             .iter()
-            .zip(&starts)
+            .zip(starts)
             .map(|(keys, &s)| sim_run(keys, b, s))
             .collect(),
     };
-    let sim = MergeSim::run(&sim_input).unwrap().schedule;
-    assert_eq!(
-        engine, sim,
-        "schedule mismatch for seed={seed} d={d} b={b} runs={n_runs} lens={min_len}..{max_len}"
-    );
+    let (sim_stats, sim_trace) = MergeSim::run_traced(&sim_input).unwrap();
+    if let Some(i) = engine_trace.iter().zip(&sim_trace).position(|(e, s)| e != s) {
+        panic!(
+            "schedule diverges at event {i} for {what}: engine {:?}, simulator {:?}",
+            engine_trace[i], sim_trace[i]
+        );
+    }
+    assert_eq!(engine_trace.len(), sim_trace.len(), "schedule length differs for {what}");
+    assert_eq!(engine_stats, sim_stats.schedule, "schedule counters differ for {what}");
+    sim_trace
+}
+
+fn compare(seed: u64, d: usize, b: usize, n_runs: usize, min_len: usize, max_len: usize) -> Vec<SimTrace> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let runs = random_distinct_runs(&mut rng, n_runs, min_len, max_len);
+    let starts: Vec<u32> = (0..n_runs).map(|_| rng.random_range(0..d as u32)).collect();
+    let what = format!("seed={seed} d={d} b={b} runs={n_runs} lens={min_len}..{max_len}");
+    assert_same_schedule(d, b, &runs, &starts, &what)
 }
 
 #[test]
@@ -120,15 +160,7 @@ fn exact_equivalence_same_start_disk() {
     // Adversarial layout: every run starts on disk 0.
     let mut rng = SmallRng::seed_from_u64(20);
     let runs = random_distinct_runs(&mut rng, 7, 20, 60);
-    let starts = vec![0u32; 7];
-    let geom = Geometry::new(3, 3, 1_000_000).unwrap();
-    let engine = engine_merge(geom, &runs, &starts);
-    let sim_input = SimInput {
-        d: 3,
-        runs: runs.iter().map(|k| sim_run(k, 3, 0)).collect(),
-    };
-    let sim = MergeSim::run(&sim_input).unwrap().schedule;
-    assert_eq!(engine, sim);
+    assert_same_schedule(3, 3, &runs, &[0u32; 7], "every run on disk 0");
 }
 
 #[test]
@@ -145,18 +177,12 @@ fn exact_equivalence_randomized_sweep() {
 #[test]
 fn flushes_actually_occur_in_the_sweep() {
     // Guard against the equivalence being vacuous: the k = 1 configs must
-    // exercise rule 2c (measured flush rates there are dozens per merge).
-    let mut any_flush = false;
-    for seed in 0..5 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let runs = random_distinct_runs(&mut rng, 8, 150, 250);
-        let starts: Vec<u32> = (0..8).map(|_| rng.random_range(0..8)).collect();
-        let geom = Geometry::new(8, 2, 1_000_000).unwrap();
-        let stats = engine_merge(geom, &runs, &starts);
-        if stats.flush_ops > 0 {
-            any_flush = true;
-            break;
-        }
-    }
+    // exercise rule 2c (measured flush rates there are dozens per merge),
+    // and the traces compared above must carry the flush victims.
+    let any_flush = (0..5).any(|seed| {
+        compare(seed, 8, 2, 8, 150, 250)
+            .iter()
+            .any(|e| matches!(e, SimTrace::ParRead { flushed, .. } if !flushed.is_empty()))
+    });
     assert!(any_flush, "no configuration exercised flushing");
 }
