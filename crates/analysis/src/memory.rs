@@ -5,10 +5,13 @@
 //! | set   | blocks  | role |
 //! |-------|---------|------|
 //! | `M_L` | `R`     | leading block of each run |
-//! | `M_R` | `R + D` | full non-leading blocks (the flush pool `F_t`) |
+//! | `M_R` | `R + D`, capped at what memory leaves ([`Geometry::fetch_pool`]) | full non-leading blocks (the flush pool `F_t`) |
 //! | `M_D` | `D`     | landing buffers so reads start at the earliest possible time |
 //! | `M_W` | `2D`    | output stripes awaiting forecast finalization |
 //! | FDS   | `≈ RD/B`| the forecasting tables (`D` arrays of `R` keys) |
+//!
+//! The cap binds only above SRM's order: DSM on its one wide disk merges
+//! eq. 41's larger `R` and gets the rest of memory as its pool.
 
 use pdisk::Geometry;
 
@@ -21,7 +24,7 @@ pub struct MemoryBudget {
     pub d: usize,
     /// `M_L`: leading-block buffers (`R`).
     pub m_l: usize,
-    /// `M_R`: the flush pool (`R + D`).
+    /// `M_R`: the flush pool (`R + D`, or what memory leaves).
     pub m_r: usize,
     /// `M_D`: read landing buffers (`D`).
     pub m_d: usize,
@@ -46,7 +49,7 @@ impl MemoryBudget {
             r,
             d: geom.d,
             m_l: r,
-            m_r: r + geom.d,
+            m_r: geom.fetch_pool(r),
             m_d: geom.d,
             m_w: 2 * geom.d,
             fds_blocks: (r * geom.d).div_ceil(geom.b),
@@ -112,6 +115,17 @@ mod tests {
         let budget = MemoryBudget::for_order(geom, 10);
         assert!(budget.fits());
         assert!(budget.total() < budget.available_blocks);
+    }
+
+    /// DSM at `(D, B, M) = (4, 128, 12 352)` is one disk of 512-record
+    /// blocks merging `R = 11`: the pool shrinks to the 9 blocks memory
+    /// leaves, and the partition fills the 24 exactly.
+    #[test]
+    fn the_fetch_pool_takes_what_dsm_memory_leaves() {
+        let wide = Geometry::new(1, 512, 12_352).unwrap();
+        let budget = MemoryBudget::for_order(wide, wide.dsm_merge_order().unwrap());
+        assert_eq!((budget.r, budget.m_r, budget.total()), (11, 9, 24));
+        assert!(budget.fits());
     }
 
     #[test]

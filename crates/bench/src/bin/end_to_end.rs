@@ -7,12 +7,11 @@
 //! cargo run -p bench --release --bin end_to_end [-- --smoke --seed N]
 //! ```
 
-use dsm::{write_unsorted_stripes, DsmSorter};
 use pdisk::{DiskArray as _, Geometry, MemDiskArray, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::write_unsorted_input;
-use srm_core::SrmSorter;
+use srm_core::{EngineKind, SrmSorter};
 
 fn main() {
     let args = bench::Args::parse();
@@ -46,10 +45,13 @@ fn main() {
             .expect("SRM sort");
         let srm_ops = srm_report.io.total_ops();
 
-        let mut dsm_array: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-        let input = write_unsorted_stripes(&mut dsm_array, &keys).expect("stage input");
+        // DSM: the same engine on one disk of D·B-record blocks.
+        let wide = Geometry::new(1, d * b, geom.m).expect("geometry");
+        let mut dsm_array: MemDiskArray<U64Record> = MemDiskArray::new(wide);
+        let input = write_unsorted_input(&mut dsm_array, &keys).expect("stage input");
         dsm_array.reset_stats();
-        let (_, dsm_report) = DsmSorter::default()
+        let (_, dsm_report) = SrmSorter::default()
+            .with_engine(EngineKind::Dsm)
             .sort(&mut dsm_array, &input)
             .expect("DSM sort");
         let dsm_ops = dsm_report.io.total_ops();

@@ -43,16 +43,14 @@
 //!
 //! `formation_ms` / `merge_ms` split the *pipelined* engine's best run
 //! at the pass-0 boundary (run formation vs all merge passes); they sum
-//! to `pipelined_ms` for SRM cases and are 0 for DSM (whose driver has
-//! no pass observer).
+//! to `pipelined_ms`.
 
-use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use pdisk::{DiskArray, FileDiskArray, Geometry, IoStats, StackSpec, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::run_formation::RunFormation;
 use srm_core::sort::{write_unsorted_input, SrmConfig};
-use srm_core::{read_run, SrmSorter};
+use srm_core::{read_run, EngineKind, SrmSorter};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -284,65 +282,46 @@ fn timed_sort(
     case: &Case,
     pipeline: bool,
 ) -> (Vec<U64Record>, Duration, Duration, IoStats) {
+    // DSM is the same engine on one disk of D·B-record blocks.
+    let (geom, sorter) = match case.algo {
+        "srm" => (geom, srm_sorter(case)),
+        "dsm" => (
+            Geometry::new(1, geom.d * geom.b, geom.m).expect("geometry"),
+            srm_sorter(case).with_engine(EngineKind::Dsm),
+        ),
+        other => panic!("unknown algo {other}"),
+    };
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("bench dir");
     let mut array: FileDiskArray<U64Record> = FileDiskArray::create(geom, dir).expect("array");
-    let (output, elapsed, formation, io) = match case.algo {
-        "srm" => {
-            let input = write_unsorted_input(&mut array, data).expect("stage");
-            array.set_io_delay(delay);
-            array.reset_stats();
-            let start = Instant::now();
-            let formation = std::cell::Cell::new(Duration::ZERO);
-            let (sorted, _) = srm_sorter(case)
-                .with_pipeline(pipeline)
-                .sort_observed(&mut array, &input, None, |pass, _a: &mut _| {
-                    if pass == 0 {
-                        formation.set(start.elapsed());
-                    }
-                    Ok(())
-                })
-                .expect("srm sort");
-            let elapsed = start.elapsed();
-            let io = array.stats();
-            array.set_io_delay(Duration::ZERO);
-            if pipeline && std::env::var_os("WALLCLOCK_DEBUG").is_some() {
-                eprintln!(
-                    "prefetch: {:?} / blocks_read {} ops r{} w{}",
-                    array.prefetch_stats(),
-                    io.blocks_read,
-                    io.read_ops,
-                    io.write_ops
-                );
+    let input = write_unsorted_input(&mut array, data).expect("stage");
+    array.set_io_delay(delay);
+    array.reset_stats();
+    let start = Instant::now();
+    let formation = std::cell::Cell::new(Duration::ZERO);
+    let (sorted, _) = sorter
+        .with_pipeline(pipeline)
+        .sort_observed(&mut array, &input, None, |pass, _a: &mut _| {
+            if pass == 0 {
+                formation.set(start.elapsed());
             }
-            (
-                read_run(&mut array, &sorted).expect("read output"),
-                elapsed,
-                formation.get(),
-                io,
-            )
-        }
-        "dsm" => {
-            let input = write_unsorted_stripes(&mut array, data).expect("stage");
-            array.set_io_delay(delay);
-            array.reset_stats();
-            let start = Instant::now();
-            let (sorted, _) = DsmSorter::default()
-                .with_pipeline(pipeline)
-                .sort(&mut array, &input)
-                .expect("dsm sort");
-            let elapsed = start.elapsed();
-            let io = array.stats();
-            array.set_io_delay(Duration::ZERO);
-            (
-                read_logical_run(&mut array, &sorted).expect("read output"),
-                elapsed,
-                Duration::ZERO,
-                io,
-            )
-        }
-        other => panic!("unknown algo {other}"),
-    };
+            Ok(())
+        })
+        .expect("sort");
+    let elapsed = start.elapsed();
+    let io = array.stats();
+    array.set_io_delay(Duration::ZERO);
+    if pipeline && std::env::var_os("WALLCLOCK_DEBUG").is_some() {
+        eprintln!(
+            "prefetch: {:?} / blocks_read {} ops r{} w{}",
+            array.prefetch_stats(),
+            io.blocks_read,
+            io.read_ops,
+            io.write_ops
+        );
+    }
+    let output = read_run(&mut array, &sorted).expect("read output");
+    let formation = formation.get();
     drop(array);
     let _ = std::fs::remove_dir_all(dir);
     (output, elapsed, formation, io)

@@ -14,9 +14,11 @@
 //!   the exact occupancy arithmetic of rule 2c, evict the
 //!   farthest-future blocks, and cost no I/O (they merely restore
 //!   forecasting entries);
-//! * **buffer budgets** (Definition 3): `|F| ≤ R + D` and `|M_D| ≤ D`,
-//!   checked both against the replay and against the occupancy the
-//!   engine recorded for itself;
+//! * **buffer budgets** (Definition 3): a merge's partition
+//!   `R + |M_R| + 3D + ⌈RD/B⌉` fits `M/B`, with `|M_R|` =
+//!   [`Geometry::fetch_pool`] (`R + D` unless memory caps it), and
+//!   `|F| ≤ |M_R|`, `|M_D| ≤ D`, checked both against the replay and
+//!   against the occupancy the engine recorded for itself;
 //! * **write parallelism** (§3): output runs are perfectly `D`-striped
 //!   from their random start disk, full-width on every stripe but the
 //!   last;
@@ -104,6 +106,8 @@ where
 pub(crate) struct SchedReplica {
     pub(crate) r: usize,
     pub(crate) d: usize,
+    /// Capacity of `M_R`.
+    pub(crate) pool: usize,
     /// `F` = `M_R`: the fetch set, ordered by `(key, run, idx)`.
     pub(crate) fset: BTreeSet<BlockRef>,
     /// `M_D`: staged arrivals, drained LIFO into `F`.
@@ -113,10 +117,11 @@ pub(crate) struct SchedReplica {
 }
 
 impl SchedReplica {
-    pub(crate) fn new(r: usize, d: usize) -> Self {
+    pub(crate) fn new(r: usize, d: usize, pool: usize) -> Self {
         SchedReplica {
             r,
             d,
+            pool,
             fset: BTreeSet::new(),
             staged: Vec::new(),
             fds: vec![BTreeMap::new(); d],
@@ -126,7 +131,7 @@ impl SchedReplica {
     /// Mirror of the engine's loop-top drain: move staged blocks into
     /// `F` while capacity allows, taking from the staging pool's end.
     pub(crate) fn drain(&mut self) {
-        while !self.staged.is_empty() && self.fset.len() < self.r + self.d {
+        while !self.staged.is_empty() && self.fset.len() < self.pool {
             if let Some(b) = self.staged.pop() {
                 self.fset.insert(b);
             }
@@ -529,8 +534,18 @@ impl Replay {
                 });
             }
         }
+        // Definition 3: M_L + M_R + M_D + M_W + FDS must fit memory.
+        let (d, pool) = (self.geom.d, self.geom.fetch_pool(r));
+        let need = r + pool + 3 * d + (r * d).div_ceil(self.geom.b);
+        if need > self.geom.memory_blocks() {
+            return Err(ViolationKind::BufferOverCommit {
+                pool: "M",
+                len: need,
+                cap: self.geom.memory_blocks(),
+            });
+        }
         self.merge = Some(MergeReplica {
-            sched: SchedReplica::new(r, self.geom.d),
+            sched: SchedReplica::new(r, d, pool),
             runs: runs
                 .iter()
                 .map(|meta| RunReplica {
@@ -830,11 +845,11 @@ impl MergeReplica {
                 cap: d,
             });
         }
-        if self.sched.fset.len() > self.sched.r + d {
+        if self.sched.fset.len() > self.sched.pool {
             return Err(ViolationKind::BufferOverCommit {
                 pool: "M_R",
                 len: self.sched.fset.len(),
-                cap: self.sched.r + d,
+                cap: self.sched.pool,
             });
         }
         Ok(())
@@ -1300,6 +1315,34 @@ mod tests {
             TraceEvent::Deplete { run: 1, idx: 1 },
             TraceEvent::MergeEnd,
         ]
+    }
+
+    /// A merge whose Definition-3 partition cannot fit memory is
+    /// rejected at its `MergeBegin`: at `M/B = 24` on 3 disks of 4-record
+    /// blocks, `R = 9` needs `9 + 0 + 9 + 7 = 25` blocks even with an
+    /// empty fetch pool (`R = 8` fits, with one block of `M_R`).
+    #[test]
+    fn a_merge_over_memory_is_rejected() {
+        let merge = |r: u32| {
+            tag(vec![TraceEvent::MergeBegin {
+                r: r as usize,
+                geom: geom(),
+                runs: (0..r).map(|j| meta(j % 3, 2)).collect(),
+            }])
+        };
+        let v = match check_trace(geom(), &merge(9)) {
+            Err(v) => v,
+            Ok(s) => panic!("accepted a merge over memory: {s:?}"),
+        };
+        assert!(
+            matches!(v.kind, ViolationKind::BufferOverCommit { pool: "M", len: 25, cap: 24 }),
+            "got {v}"
+        );
+        let (_, violations) = check_trace_collect(geom(), &merge(8));
+        assert!(
+            !violations.iter().any(|v| matches!(v.kind, ViolationKind::BufferOverCommit { .. })),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -98,9 +98,10 @@ pub enum ViolationKind {
         staged: usize,
     },
     /// A buffer pool exceeded its Definition 3 capacity
-    /// (`|F| ≤ R + D`, `|M_D| ≤ D`).
+    /// (`|F| ≤ |M_R|`, `|M_D| ≤ D`), or a merge's whole partition
+    /// exceeded memory (pool "M", capacity `M/B`).
     BufferOverCommit {
-        /// The pool ("M_R", "M_D").
+        /// The pool ("M_R", "M_D", "M").
         pool: &'static str,
         /// Occupancy reached.
         len: usize,

@@ -1,6 +1,6 @@
-//! End-to-end guarantee: full SRM and DSM sorts — healthy, transiently
-//! faulty, parity-protected, degraded by a permanent disk death, and
-//! resumed from a checkpoint — produce traces with **zero** model-rule
+//! End-to-end guarantee: full SRM sorts — healthy, transiently faulty,
+//! parity-protected, degraded by a permanent disk death, and resumed
+//! from a checkpoint — and DSM sorts produce traces with **zero** model-rule
 //! violations, and their [`pdisk::IoStats`] agree with the trace.
 //!
 //! These are the repo's "race detector is quiet" tests: every scheduler
@@ -186,28 +186,46 @@ fn srm_checkpoint_resume_is_checker_clean() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// DSM is SRM's engine on one wide disk, so the checker sees all of it:
+/// scheduled reads, runs written, and a fetch pool cut to what DSM's
+/// memory leaves.  At `(D, B, M) = (3, 4, 120)` the disk holds 12-record
+/// blocks, `M/B' = 10`, `R_DSM = 4` and `|M_R| = 10 − 4 − 3 − 1 = 2`, not
+/// `R + 1 = 5`: every tagged `R + |F| + |M_D| + 2 + ⌈R/B'⌉` must fit
+/// `M/B'`, serial and pipelined.
 #[test]
-fn dsm_healthy_and_parity_sorts_are_checker_clean() {
-    use dsm::{write_unsorted_stripes, DsmSorter};
-    let geom = Geometry::new(3, 4, 120).unwrap();
+fn dsm_sorts_are_checker_clean_within_dsm_memory() {
+    use pdisk::trace::TraceEvent;
+    use srm_core::EngineKind;
+    let wide = Geometry::new(1, 12, 120).unwrap();
     let data = random_records(3000, 0xA7);
-
-    let mut plain = TracingDiskArray::new(MemDiskArray::<U64Record>::new(geom));
-    let input = write_unsorted_stripes(&mut plain, &data).unwrap();
-    DsmSorter::default().sort(&mut plain, &input).unwrap();
-    let trace = plain.take_trace();
-    let summary = check_trace(geom, &trace).unwrap_or_else(|v| panic!("dsm violation: {v}"));
-    assert!(summary.reads > 100, "{summary:?}");
-    check_stats(&trace, &plain.stats()).unwrap_or_else(|v| panic!("dsm stats drift: {v}"));
-
-    let parity = ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap();
-    let mut under_parity = TracingDiskArray::new(parity);
-    let input = write_unsorted_stripes(&mut under_parity, &data).unwrap();
-    DsmSorter::default().sort(&mut under_parity, &input).unwrap();
-    let trace = under_parity.take_trace();
-    let summary =
-        check_trace(geom, &trace).unwrap_or_else(|v| panic!("dsm parity violation: {v}"));
-    assert!(summary.parity_commits > 0, "{summary:?}");
-    check_stats(&trace, &under_parity.stats())
-        .unwrap_or_else(|v| panic!("dsm parity stats drift: {v}"));
+    for pipeline in [false, true] {
+        let mut a = TracingDiskArray::new(MemDiskArray::<U64Record>::new(wide));
+        let input = write_unsorted_input(&mut a, &data).unwrap();
+        let dsm = SrmSorter::default()
+            .with_engine(EngineKind::Dsm)
+            .with_pipeline(pipeline)
+            .with_read_ahead(3);
+        let (_, report) = dsm.sort(&mut a, &input).unwrap();
+        assert_eq!(report.merge_order, 4);
+        assert_eq!(report.schedule.flush_ops, 0);
+        let trace = a.take_trace();
+        let summary = check_trace(wide, &trace).unwrap_or_else(|v| panic!("dsm violation: {v}"));
+        assert!(summary.sched_reads > 0 && summary.runs_written > 0, "{summary:?}");
+        check_stats(&trace, &a.stats()).unwrap_or_else(|v| panic!("dsm stats drift: {v}"));
+        let (mut r, mut peak) = (0, 0);
+        for e in &trace {
+            match &e.event {
+                TraceEvent::MergeBegin { r: order, .. } => r = *order,
+                TraceEvent::SchedRead { fset_len, staged_len, .. } => {
+                    let held = r + fset_len + staged_len + 2 + r.div_ceil(wide.b);
+                    assert!(held <= wide.memory_blocks(), "seq {}: {held} blocks held", e.seq);
+                    if r == 4 {
+                        peak = peak.max(*fset_len);
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(peak, wide.fetch_pool(4), "R_DSM's capped pool is used to the full");
+    }
 }

@@ -7,7 +7,10 @@
 //! * DSM merge order (§9.1): `(M/B − 2D) / 2D`, which equals
 //!   `k + 1 + kD/2B` when `M = (2k+4)DB + kD²`;
 //! * the paper's table memory size (§9.1): `M = (2k+4)·D·B + k·D²` records
-//!   for merge order `R = kD`.
+//!   for merge order `R = kD`;
+//! * the fetch pool `M_R` of Definition 3 for a merge of order `R`: what
+//!   memory has left after `M_L`, `M_D`, `M_W` and the forecasting table,
+//!   capped at `R + D`.
 
 use crate::error::{PdiskError, Result};
 use serde::{Deserialize, Serialize};
@@ -129,6 +132,23 @@ impl Geometry {
         Ok(r)
     }
 
+    /// Definition 3's fetch pool `M_R` for a merge of order `r`, in
+    /// blocks: `min(R + D, M/B − R − 3D − ⌈RD/B⌉)` — what is left after
+    /// `R` leading blocks (`M_L`), `D` landing blocks (`M_D`), the `2D`
+    /// blocks of write buffer (`M_W`) and the forecasting table, capped
+    /// at the `R + D` the schedule can use.  Zero when nothing is left.
+    ///
+    /// For every `r ≤` [`Geometry::srm_merge_order`] this is exactly
+    /// `R + D`: `M/B − 4D − 2R` is an integer `≥ RD/B`, hence
+    /// `≥ ⌈RD/B⌉`.  DSM's larger order on one wide disk is what the
+    /// minimum exists for.
+    pub fn fetch_pool(&self, r: usize) -> usize {
+        let rest = self
+            .memory_blocks()
+            .saturating_sub(r + 3 * self.d + (r * self.d).div_ceil(self.b));
+        rest.min(r + self.d)
+    }
+
     /// `ceil(n / B)`: blocks needed to hold `n` records.
     #[inline]
     pub fn blocks_for_records(&self, n: usize) -> usize {
@@ -205,6 +225,22 @@ mod tests {
         let r = g.dsm_merge_order().unwrap();
         let expected = 10 + 1; // = 11 (kD/2B rounds to 0)
         assert_eq!(r, expected);
+    }
+
+    #[test]
+    fn fetch_pool_is_r_plus_d_up_to_the_srm_order() {
+        for &(d, b, m) in &[(4usize, 64usize, 3136usize), (2, 4, 96), (3, 7, 500), (8, 32, 6000), (1, 4, 64)] {
+            let g = Geometry::new(d, b, m).unwrap();
+            for r in 1..=g.srm_merge_order().unwrap() {
+                assert_eq!(g.fetch_pool(r), r + d, "({d},{b},{m}) r={r}");
+            }
+        }
+        // DSM on one wide disk (D = 4, B = 128, M = 12 352): M/B' = 24,
+        // R_DSM = 11, and memory leaves 24 − 11 − 3 − 1 = 9 of R + D = 12.
+        let wide = Geometry::new(1, 512, 12_352).unwrap();
+        let r = wide.dsm_merge_order().unwrap();
+        assert_eq!((r, wide.fetch_pool(r)), (11, 9));
+        assert_eq!(Geometry::new(1, 1, 6).unwrap().fetch_pool(2), 0);
     }
 
     #[test]

@@ -119,4 +119,4 @@ pub use stack::{BuiltStack, ParitySpec, StackSpec};
 pub use stats::IoStats;
 pub use striping::StripedRun;
 pub use trace::{TraceEvent, TraceSink, TracingDiskArray};
-pub use window::{read_run, StripeWindow, WriteBehind};
+pub use window::{read_run, write_unsorted_input, StripeWindow, WriteBehind};

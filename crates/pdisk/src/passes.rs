@@ -28,8 +28,7 @@ use crate::{
 use std::path::Path;
 
 /// Errors surfaced by a pass-driven sort — the one vocabulary the driver
-/// and every engine share (`srm_core::SrmError` and `dsm::DsmError` are
-/// aliases of it).
+/// and every engine share (`srm_core::SrmError` is an alias of it).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SortError {

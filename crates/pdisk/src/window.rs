@@ -4,15 +4,17 @@
 //! input staging, reading a run back — issues the same operations in the
 //! same order however many of them it leaves outstanding; only where
 //! completion waits differs.  [`WriteBehind`] is that queue for writes,
-//! [`StripeWindow`] for the reads of one striped run, and [`read_run`] the
-//! whole-run read-back built on it.  Both sorters and the distributed
+//! [`StripeWindow`] for the reads of one striped run, [`read_run`] the
+//! whole-run read-back built on it, and [`write_unsorted_input`] the
+//! staging that lays an input down.  The sorter and the distributed
 //! shards use these instead of holding tickets by hand.
 
 use std::collections::VecDeque;
 
 use crate::addr::BlockAddr;
 use crate::backend::{DiskArray, ReadTicket, WriteTicket};
-use crate::block::Block;
+use crate::addr::DiskId;
+use crate::block::{Block, Forecast};
 use crate::error::Result;
 use crate::file::WRITE_BEHIND_LIMIT;
 use crate::record::Record;
@@ -21,8 +23,7 @@ use crate::striping::StripedRun;
 /// A bounded queue of parallel writes in flight, oldest first: the one
 /// place that holds the write-behind depth to [`WRITE_BEHIND_LIMIT`] —
 /// the torn-write window [`crate::FileDiskArray`] recovery tolerates is
-/// sized to match — for run output and input staging, SRM's and DSM's
-/// alike.
+/// sized to match — for run output and input staging.
 ///
 /// A write that fails, at submit or at completion, quiesces the queue
 /// before the error is returned: the tickets still in flight are
@@ -37,9 +38,8 @@ pub struct WriteBehind {
 impl WriteBehind {
     /// A queue that leaves up to `depth` writes in flight after a submit
     /// (capped at [`WRITE_BEHIND_LIMIT`]): 0 completes each write where it
-    /// was submitted, 1 is the double buffer — complete the previous
-    /// stripe, submit this one — that DSM's two-stripe output budget
-    /// (eq. 41) allows, [`WRITE_BEHIND_LIMIT`] is what SRM runs pipelined.
+    /// was submitted, [`WRITE_BEHIND_LIMIT`] is what the engine runs
+    /// pipelined.
     pub fn new(depth: usize) -> Self {
         WriteBehind {
             window: depth.min(WRITE_BEHIND_LIMIT),
@@ -235,4 +235,44 @@ pub fn read_run<R: Record, A: DiskArray<R>>(
     let mut window = StripeWindow::new(run, 0..run.len_blocks);
     while window.next_into(array, READ_BACK_DEPTH, &mut out)? {}
     Ok(out)
+}
+
+/// Lay `records` out as an unsorted striped input file, written with full
+/// write parallelism (one stripe per operation) and written behind: up to
+/// [`WRITE_BEHIND_LIMIT`] stripes stay in flight — the bound the reopen
+/// recovery's torn-write window is sized for — and all of them are
+/// complete when this returns.  This is the standard way to stage data
+/// for a sort in examples and tests.
+///
+/// A stripe that fails quiesces the window first: the writes still in
+/// flight are abandoned, not completed, before the error is returned (the
+/// [`WriteBehind`] queue sees to it).
+pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
+    array: &mut A,
+    records: &[R],
+) -> crate::passes::Result<StripedRun> {
+    if records.is_empty() {
+        return Err(crate::SortError::Config("empty input".into()));
+    }
+    let geom = array.geometry();
+    let len_blocks = (records.len() as u64).div_ceil(geom.b as u64);
+    let run = array.alloc_run(DiskId(0), len_blocks, records.len() as u64)?;
+    let mut behind = WriteBehind::new(WRITE_BEHIND_LIMIT);
+    let mut block_idx = 0u64;
+    for stripe in records.chunks(geom.b * geom.d) {
+        let mut writes = Vec::with_capacity(geom.d);
+        for chunk in stripe.chunks(geom.b) {
+            // Unsorted input carries no forecast data; bypass
+            // Block::new's sortedness debug-assert.
+            let block = Block {
+                records: chunk.to_vec(),
+                forecast: Forecast::Next(crate::block::NO_BLOCK),
+            };
+            writes.push((run.addr_of(block_idx), block));
+            block_idx += 1;
+        }
+        behind.submit(array, writes)?;
+    }
+    behind.complete_all(array)?;
+    Ok(run)
 }

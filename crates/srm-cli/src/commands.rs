@@ -55,7 +55,12 @@ USAGE:
       sort, verify, and print the I/O accounting (one parallel operation
       moves up to one block per disk).
 
-      --pipeline opens both sorters' I/O window: the next scheduled
+      --algo dsm runs the paper's baseline (§9): the same engine on one
+      logical disk whose blocks hold D·B records (every read and write a
+      full stripe), merging eq. 41's R_DSM = (M/B - 2D)/2D runs at a
+      time; --algo both runs SRM, then DSM.
+
+      --pipeline opens the engine's I/O window: the next scheduled
       read is in flight while the merge drains the current buffers, and
       output stripes are written behind the merge (DESIGN.md §9).
       Without it every parallel I/O is waited for where it is issued —
@@ -64,7 +69,7 @@ USAGE:
       waiting overlaps — so --check-model and --resume work unchanged.
       --read-ahead K additionally hints the next K forecast-predicted
       blocks per disk to the backend as speculative reads (DESIGN.md
-      §14; SRM only, needs --pipeline, default 0).
+      §14; needs --pipeline, default 0).
       --threads N sizes parallel run formation (and implies
       --formation parload when --formation is not given); under
       --formation load or rs, which sort on one thread, it is a usage
@@ -76,11 +81,11 @@ USAGE:
       the I/O line.  --resume MANIFEST checkpoints the sort to MANIFEST
       after every pass and, when the file already exists, resumes from it
       (with --backend file the disk files are reopened, not truncated —
-      a killed sort picks up from its last completed pass).  Both
-      sorters run the same pass driver (DESIGN.md §6.4), so --algo dsm
-      honours --backend, --resume and Ctrl-C checkpointing exactly as
-      --algo srm does.  One manifest names one sort: under --algo both
-      it is the SRM sort's, and DSM runs unjournaled.  Memory disks die
+      a killed sort picks up from its last completed pass).  DSM is the
+      same engine, so --algo dsm honours --backend, --resume, Ctrl-C
+      checkpointing and the crash drills exactly as --algo srm does.
+      One manifest names one sort: under --algo both it is the SRM
+      sort's, and DSM runs unjournaled.  Memory disks die
       with their process, so --backend mem refuses a MANIFEST that
       survives from an earlier run (delete it, or sort on --backend
       file --dir D --keep).
@@ -94,17 +99,18 @@ USAGE:
       completes degraded, byte-identical to the failure-free run.
       Checkpoint manifests record the parity geometry and dead-disk
       set, so --resume works from a degraded array.  --kill-disk
-      requires --parity.
+      requires --parity, and both require --algo srm: rotating parity
+      needs at least 2 disks, and DSM sorts on one.
 
-      --crash-points numbers every I/O boundary of the SRM sort with a
+      --crash-points numbers every I/O boundary of the sort with a
       counting crash clock and reports the total N after success;
       --crash-at K then kills the process state at boundary K exactly
       (including torn parallel writes where only a prefix of the stripe
       lands) and exits nonzero.  Rerun without --crash-at (keeping
       --resume MANIFEST and, with --backend file, the same --dir) to
-      recover from the last durable checkpoint.  Both flags stay
-      SRM-only (--algo srm; DSM carries no crash clock) and cannot be
-      combined with --kill-disk.
+      recover from the last durable checkpoint.  Both flags name one
+      sort (--algo srm or --algo dsm, not both) and cannot be combined
+      with --kill-disk.
 
       --check-model records the structured I/O trace of each sort and
       replays it through the modelcheck invariant checker (one block per
@@ -113,7 +119,7 @@ USAGE:
       §8).  Any violation aborts with a typed, located error naming the
       pass, disk, and block involved.
 
-      Ctrl-C (SIGINT) or SIGTERM interrupts either sorter gracefully:
+      Ctrl-C (SIGINT) or SIGTERM interrupts either sort gracefully:
       with --resume MANIFEST the current pass finishes, the checkpoint
       is journaled, and the process exits with code 130; rerunning with
       the same flags (on --backend file) resumes byte-identically from
@@ -346,6 +352,11 @@ pub fn sort(flags: &Flags) -> i32 {
         if !parity && kill.is_some() {
             return Err("--kill-disk requires --parity".into());
         }
+        if parity && algo != "srm" {
+            return Err("--parity / --kill-disk require --algo srm: rotating parity needs at least 2 disks, \
+                        and DSM sorts on one wide disk"
+                .into());
+        }
         if parity && geom.d < 2 {
             return Err("--parity needs at least 2 disks".into());
         }
@@ -354,8 +365,8 @@ pub fn sort(flags: &Flags) -> i32 {
         }
         let popts = parity.then_some(ParityOpts { kill });
         if crash.is_some() {
-            if algo != "srm" {
-                return Err("--crash-at / --crash-points require --algo srm".into());
+            if algo == "both" {
+                return Err("--crash-at / --crash-points name one sort: give --algo srm or --algo dsm".into());
             }
             if popts.as_ref().is_some_and(|p| p.kill.is_some()) {
                 return Err("--crash-at / --crash-points cannot be combined with --kill-disk".into());
@@ -408,7 +419,7 @@ pub fn sort(flags: &Flags) -> i32 {
             .get::<u64>("interrupt-after-pass")?
             .map(|k| (interrupt.clone(), k));
 
-        let job = |label: &'static str, resume: Option<&Path>| SortJob {
+        let job = |label: &'static str, geom: Geometry, resume: Option<&Path>| SortJob {
             label,
             data: &data,
             geom,
@@ -421,8 +432,21 @@ pub fn sort(flags: &Flags) -> i32 {
             crash: crash.clone(),
             trip: trip.clone(),
         };
-        if algo == "srm" || algo == "both" {
-            let sorter = spec.srm_sorter().with_interrupt(interrupt.clone());
+        if pipeline {
+            println!("window: pipelined (reads in flight + write-behind)");
+        }
+        let engines = match algo {
+            "srm" => &[EngineKind::Srm][..],
+            "dsm" => &[EngineKind::Dsm],
+            _ => &[EngineKind::Srm, EngineKind::Dsm],
+        };
+        for &engine in engines {
+            let spec = JobSpec { engine, ..spec.clone() };
+            let label = if engine == EngineKind::Dsm { "DSM" } else { "SRM" };
+            let geom = spec.geometry().map_err(|e| e.to_string())?;
+            // One manifest names one sort: under `--algo both` it is SRM's.
+            let resume = resume.as_deref().filter(|_| engines.len() == 1 || engine == EngineKind::Srm);
+            let sorter = spec.build(Some(interrupt.clone()));
             // The sorter ticks its own manifest-write boundaries on the
             // same clock the array layers use, so boundary numbering is
             // total.
@@ -430,10 +454,7 @@ pub fn sort(flags: &Flags) -> i32 {
                 Some(c) => sorter.with_crash_clock(c.clone()),
                 None => sorter,
             };
-            if pipeline {
-                println!("window: pipelined (reads in flight + write-behind)");
-            }
-            sort_on_backend(flags, &sorter, &job("SRM", resume.as_deref()))?;
+            sort_on_backend(flags, &sorter, &job(label, geom, resume))?;
             if let Some(c) = crash.as_ref().filter(|_| crash_points) {
                 println!(
                     "crash boundaries numbered: {} (explore with --crash-at 0..{})",
@@ -441,12 +462,6 @@ pub fn sort(flags: &Flags) -> i32 {
                     c.points()
                 );
             }
-        }
-        if algo == "dsm" || algo == "both" {
-            // One manifest names one sort: under `--algo both` it is SRM's.
-            let resume = resume.as_deref().filter(|_| algo == "dsm");
-            let sorter = spec.dsm_sorter().with_interrupt(interrupt.clone());
-            sort_on_backend(flags, &sorter, &job("DSM", resume))?;
         }
         Ok(())
     };

@@ -116,24 +116,62 @@ fn sort_both_algorithms_mem_backend() {
     assert!(text.contains("I/O (sort only): reads="), "{text}");
 }
 
-/// The degraded-DSM drill: a disk dies after merge pass 1 under parity,
-/// the sort completes by reconstruction, and the trace stays clean.
+/// Rotating parity needs at least two disks and DSM sorts on one wide
+/// disk, so `--parity` / `--kill-disk` name `--algo srm` — a usage error
+/// otherwise (exit 2, nothing runs), the default `--algo both` included.
 #[test]
-fn sort_dsm_survives_a_disk_death_under_parity_with_a_clean_model_check() {
-    let out = srm(&[
-        "sort", "--records", "20000", "--algo", "dsm", "--parity", "--kill-disk", "1@1",
-        "--check-model",
-    ]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = stdout(&out);
-    for marker in [
-        "drill: disk 1 dies",
-        "degraded: completed with disk(s) [1] dead",
-        "DSM: sorted & verified",
-        "model check: clean",
+fn sort_refuses_parity_and_kill_disk_without_algo_srm() {
+    for args in [
+        &["sort", "--records", "2000", "--algo", "dsm", "--parity"][..],
+        &["sort", "--records", "2000", "--algo", "dsm", "--parity", "--kill-disk", "1@1"][..],
+        &["sort", "--records", "2000", "--parity"][..],
     ] {
-        assert!(text.contains(marker), "missing `{marker}` in: {text}");
+        let out = srm(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(stderr(&out).contains("require --algo srm"), "{args:?}: {}", stderr(&out));
+        assert_eq!(stdout(&out), "", "{args:?}: nothing may run");
     }
+}
+
+/// DSM carries the crash clock: `--crash-points` numbers its boundaries,
+/// `--crash-at K` kills it at one, and the rerun resumes from the last
+/// durable checkpoint to the same sorted output.
+#[test]
+fn sort_dsm_crash_at_a_boundary_then_resume_matches_the_clean_sort() {
+    let (dir, manifest) = scratch_manifest("dsm-crash");
+    let disks = dir.join("disks");
+    let base = [
+        "sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "dsm",
+        "--backend", "file", "--keep", "--dir", disks.to_str().unwrap(),
+    ];
+    let run = |extra: &[&str]| srm(&[&base[..], extra].concat());
+    let report = |out: &Output| {
+        let text = stdout(out);
+        let line = text.lines().find(|l| l.contains("merge order R=")).map(str::to_owned);
+        line.unwrap_or_else(|| panic!("no report line in: {text}"))
+    };
+
+    let clean = run(&["--crash-points"]);
+    assert!(clean.status.success(), "stderr: {}", stderr(&clean));
+    let points: u64 = stdout(&clean)
+        .lines()
+        .find_map(|l| l.strip_prefix("crash boundaries numbered: "))
+        .and_then(|l| l.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no crash count in: {}", stdout(&clean)));
+    assert!(points > 100, "{points} boundaries");
+
+    let crashed = run(&["--crash-at", &(points / 2).to_string(), "--resume", manifest.to_str().unwrap()]);
+    assert_ne!(crashed.status.code(), Some(0), "the crash must stop the sort");
+    assert!(manifest.exists(), "a mid-sort crash leaves the last durable checkpoint");
+
+    let resumed = run(&["--resume", manifest.to_str().unwrap()]);
+    assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
+    assert!(stdout(&resumed).contains("resuming from"), "{}", stdout(&resumed));
+    assert!(stdout(&resumed).contains("DSM: sorted & verified"), "{}", stdout(&resumed));
+    let whole_sort = |line: String| line.split(", flushes").next().map(str::to_owned);
+    assert_eq!(whole_sort(report(&resumed)), whole_sort(report(&clean)));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// DSM behind the fault-injection + retry stack at the default geometry.
@@ -158,10 +196,12 @@ fn sort_dsm_honours_resume_and_interrupt() {
         "--resume", manifest.to_str().unwrap(), "--interrupt-after-pass", "0",
     ]);
     assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
-    let checkpoint = dsm::DsmManifest::load_latest(&manifest)
+    let checkpoint = srm_core::SortManifest::load_latest(&manifest)
         .expect("the manifest must load")
         .expect("the interrupt must leave a manifest behind");
     assert_eq!((checkpoint.pass, checkpoint.records), (0, 3000));
+    assert_eq!(checkpoint.engine, srm_core::EngineKind::Dsm);
+    assert_eq!((checkpoint.geometry.d, checkpoint.geometry.b), (1, 8), "one wide disk");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

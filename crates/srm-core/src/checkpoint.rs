@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! srm-sort-manifest v1
-//! algo srm
+//! algo srm|dsm
 //! geometry <D> <B> <M>
 //! seed <u64>
 //! placement random|staggered
@@ -35,7 +35,12 @@
 //! and [`SortManifest::validate`].  The checksum envelope, the journaled
 //! save (`.prev` rotation, generation stamping, temp + fsync + rename),
 //! newest-valid-generation recovery and the `parity` / `dead` line codec
-//! are [`pdisk::Manifest`]'s provided methods, shared with DSM's manifest.
+//! are [`pdisk::Manifest`]'s provided methods.
+//!
+//! `algo` names the merge-order rule ([`EngineKind`]): a DSM sort is this
+//! engine on one wide disk, so its manifest differs from SRM's in that
+//! line and its one-disk geometry, and a resume under the other rule is
+//! refused.
 //!
 //! `draws` is the key to determinism: SRM's randomized placement draws one
 //! start disk per run written.  Fast-forwarding a fresh placement RNG by
@@ -52,7 +57,7 @@
 //! mismatches.
 
 use crate::error::{Result, SrmError};
-use crate::sort::{Placement, SrmConfig};
+use crate::sort::{EngineKind, Placement, SrmConfig};
 use pdisk::manifest::{
     generation_line, geometry_line, malformed, redundancy_lines, validate_target, Lines,
 };
@@ -64,6 +69,8 @@ const HEADER: &str = "srm-sort-manifest v1";
 /// order plus the state needed to replay the remaining passes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SortManifest {
+    /// Merge-order rule of the sorter that wrote the manifest.
+    pub engine: EngineKind,
     /// Disk-array geometry the sort ran under; a resume on a different
     /// geometry would misinterpret every address, so it is refused.
     pub geometry: Geometry,
@@ -96,6 +103,7 @@ impl SortManifest {
     /// Snapshot a sort's state after a completed pass.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
+        engine: EngineKind,
         config: &SrmConfig,
         geometry: Geometry,
         records: u64,
@@ -106,6 +114,7 @@ impl SortManifest {
         runs: Vec<StripedRun>,
     ) -> Self {
         SortManifest {
+            engine,
             geometry,
             seed: config.seed,
             placement: config.placement,
@@ -122,7 +131,20 @@ impl SortManifest {
     /// Refuse to resume under a sorter or array that doesn't match the one
     /// that wrote the manifest — a mismatch would produce wrong output,
     /// not just different I/O.
-    pub fn validate(&self, config: &SrmConfig, geometry: Geometry, records: u64) -> Result<()> {
+    pub fn validate(
+        &self,
+        engine: EngineKind,
+        config: &SrmConfig,
+        geometry: Geometry,
+        records: u64,
+    ) -> Result<()> {
+        if self.engine != engine {
+            return Err(SrmError::Checkpoint(format!(
+                "manifest was written by a {} sort, not {}",
+                self.engine.as_str(),
+                engine.as_str()
+            )));
+        }
         validate_target(self.geometry, self.records, self.runs.len(), geometry, records)?;
         if self.seed != config.seed {
             return Err(SrmError::Checkpoint(format!(
@@ -154,7 +176,7 @@ impl Manifest for SortManifest {
     }
 
     fn encode_body(&self) -> String {
-        let mut s = format!("{HEADER}\nalgo srm\n");
+        let mut s = format!("{HEADER}\nalgo {}\n", self.engine.as_str());
         s.push_str(&geometry_line(self.geometry));
         s.push_str(&format!("seed {}\n", self.seed));
         s.push_str(&format!(
@@ -186,9 +208,11 @@ impl Manifest for SortManifest {
 
     fn parse_body(lines: &mut Lines<'_>) -> std::result::Result<Self, String> {
         lines.take_header(HEADER)?;
-        if lines.take_field("algo")? != "srm" {
-            return Err(malformed("not an srm manifest"));
-        }
+        let engine = match lines.take_field("algo")? {
+            "srm" => EngineKind::Srm,
+            "dsm" => EngineKind::Dsm,
+            other => return Err(malformed(&format!("unknown algo `{other}`"))),
+        };
         let geometry = lines.take_geometry()?;
         let seed = lines.take_num("seed", "seed")?;
         let placement = match lines.take_field("placement")? {
@@ -214,6 +238,7 @@ impl Manifest for SortManifest {
             })
         })?;
         Ok(SortManifest {
+            engine,
             geometry,
             seed,
             placement,
@@ -235,6 +260,7 @@ mod tests {
     fn sample() -> SortManifest {
         let geometry = Geometry::new(3, 4, 96).unwrap();
         SortManifest::new(
+            EngineKind::Srm,
             &SrmConfig::default(),
             geometry,
             1000,
@@ -291,25 +317,43 @@ checksum 5e206cbfbe423d69\n";
         assert_eq!(SortManifest::parse(GOLDEN).unwrap(), m);
     }
 
+    /// A DSM sort's manifest differs in its `algo` line alone; the old
+    /// engine's `dsm-sort-manifest` is refused, not mis-resumed.
+    #[test]
+    fn dsm_writes_its_algo_line_and_the_old_format_is_refused() {
+        let mut m = sample();
+        m.engine = EngineKind::Dsm;
+        let text = m.encode();
+        assert!(text.starts_with("srm-sort-manifest v1\nalgo dsm\ngeometry 3 4 96\n"));
+        assert_eq!(SortManifest::parse(&text).unwrap(), m);
+        let old = "dsm-sort-manifest v1\nalgo dsm\ngeometry 2 4 96\nrecords 3000\n\
+runs-formed 63\npass 1\nruns 1\nrun 0 375 3000\n";
+        let old = format!("{old}checksum {:016x}\n", pdisk::fnv1a64(old.as_bytes()));
+        assert!(SortManifest::parse(&old).is_err());
+    }
+
     #[test]
     fn validate_refuses_mismatches() {
         let m = sample();
         let cfg = SrmConfig::default();
         let geom = m.geometry;
-        m.validate(&cfg, geom, 1000).unwrap();
+        let srm = EngineKind::Srm;
+        m.validate(srm, &cfg, geom, 1000).unwrap();
+        // Wrong engine.
+        assert!(m.validate(EngineKind::Dsm, &cfg, geom, 1000).is_err());
         // Wrong geometry.
         let other = Geometry::new(2, 4, 96).unwrap();
-        assert!(m.validate(&cfg, other, 1000).is_err());
+        assert!(m.validate(srm, &cfg, other, 1000).is_err());
         // Wrong seed.
         let reseeded = SrmConfig { seed: 7, ..cfg };
-        assert!(m.validate(&reseeded, geom, 1000).is_err());
+        assert!(m.validate(srm, &reseeded, geom, 1000).is_err());
         // Wrong placement.
         let staggered = SrmConfig {
             placement: Placement::Staggered,
             ..cfg
         };
-        assert!(m.validate(&staggered, geom, 1000).is_err());
+        assert!(m.validate(srm, &staggered, geom, 1000).is_err());
         // Wrong record count.
-        assert!(m.validate(&cfg, geom, 999).is_err());
+        assert!(m.validate(srm, &cfg, geom, 999).is_err());
     }
 }

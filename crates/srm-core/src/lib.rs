@@ -30,7 +30,8 @@
 //! * [`run_formation`] — initial runs: memory-load sort and replacement
 //!   selection (§2.1);
 //! * [`sort`] — the multi-pass mergesort driver, randomized or
-//!   deterministic-staggered placement (§3, §8);
+//!   deterministic-staggered placement (§3, §8), and DSM as the same
+//!   engine on one wide disk (§9);
 //! * [`checkpoint`] — the pass-granular checkpoint payload (kept in
 //!   [`pdisk::manifest`]'s journaled store) so an interrupted multi-pass
 //!   sort resumes from its last completed pass with byte-identical output;
@@ -71,4 +72,4 @@ pub use run_formation::{form_runs, RunFormation};
 pub use scheduler::{ScheduleStats, Scheduler};
 pub use scrub::{scrub_runs, ScrubReport};
 pub use simulator::{MergeSim, SimInput, SimStats, TraceEvent};
-pub use sort::{Placement, SortReport, SrmConfig, SrmSorter};
+pub use sort::{EngineKind, Placement, SortReport, SrmConfig, SrmSorter};

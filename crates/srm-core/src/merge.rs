@@ -128,7 +128,7 @@ struct InFlightRead<R: Record> {
     flushed: Vec<TraceFlush>,
     /// Targets whose run is not (yet) awaiting them — the blocks that
     /// will land in `M_D`/`M_R` rather than go straight to leading.
-    /// Completion gate `P_s` compares `fset_len + pending` to `R + D`.
+    /// Completion gate `P_s` compares `fset_len + pending` to `|M_R|`.
     pending: usize,
 }
 
@@ -139,9 +139,10 @@ struct InFlightRead<R: Record> {
 /// are identical either way.
 ///
 /// The scheduler's memory partition is sized for `R = runs.len()`:
-/// `R` leading buffers (`M_L`), `R + D` buffers in `M_R`, `D` in `M_D`, and
-/// `2D` of write buffer inside the [`RunWriter`] — `2R + 4D` blocks total,
-/// matching §5.1.
+/// `R` leading buffers (`M_L`), [`Geometry::fetch_pool`] buffers in `M_R`
+/// (`R + D` at every order up to SRM's), `D` in `M_D`, and `2D` of write
+/// buffer inside the [`RunWriter`] — `2R + 4D` blocks total at SRM's
+/// orders, matching §5.1.
 ///
 /// # Examples
 ///
@@ -226,7 +227,7 @@ pub(crate) fn merge_runs_overlapped<R: Record, A: DiskArray<R>>(
                 exhausted: false,
             })
             .collect(),
-        sched: Scheduler::new(runs.len(), geom.d),
+        sched: Scheduler::new(runs.len(), geom.d, geom.fetch_pool(runs.len())),
         tree: LoserTree::new(vec![u64::MAX; runs.len()]),
         buffers: HashMap::new(),
         writer: RunWriter::new(geom, out_start_disk).write_behind(overlap.pipelined()),
@@ -461,18 +462,18 @@ impl<R: Record> Merger<'_, R> {
     ///
     /// Depth is capped by Definition-3 occupancy accounting: the
     /// backend's speculative cache holds at most `K` raw block images
-    /// per disk, and `K` is clamped to `(R + D) / D` so the cache never
-    /// exceeds the `R + D` blocks of the `M_R` budget — a second,
-    /// physical-layer copy of the fetch-set allowance, never more.
-    /// (The cache is *not* scheduler memory: admission's `|F_t| ≤ R + D`
-    /// bound still governs what the merge holds decoded, and every
+    /// per disk, and `K` is clamped to `|M_R| / D` (at least 1) so the
+    /// cache never exceeds the `M_R` budget — a second, physical-layer
+    /// copy of the fetch-set allowance, never more.  (The cache is *not*
+    /// scheduler memory: admission's `|F_t| ≤ |M_R|` bound still
+    /// governs what the merge holds decoded, and every
     /// hinted block is one the schedule will demand-read — the forecast
     /// is exact — so no admission decision is ever preempted.)  Pure
     /// hint — uncharged, untraced, semantics-free — so the op sequence
     /// is untouched at any depth.
     fn hint_read_ahead<A: DiskArray<R>>(&mut self, array: &mut A, read_ahead: usize) {
         let d = self.geom.d;
-        let k_cap = (self.runs.len() + d) / d;
+        let k_cap = self.geom.fetch_pool(self.runs.len()) / d;
         let depth = read_ahead.min(k_cap.max(1));
         let budget = depth * d;
         if budget == 0 {
@@ -657,7 +658,7 @@ impl<R: Record> Merger<'_, R> {
     ///   never wedges — the stuck branch below is the runtime witness);
     /// * `P_s` — enough buffers have drained that every in-flight
     ///   block headed for `M_D`/`M_R` now fits: `fset_len + pending ≤
-    ///   R + D`.  This is exactly the blocking schedule's "staging empty
+    ///   |M_R|`.  This is exactly the blocking schedule's "staging empty
     ///   after drain" read condition, so the *next* read is planned at
     ///   the identical record position with the identical `F_t`,
     ///   keeping the op sequence — flush decisions included —
@@ -674,7 +675,7 @@ impl<R: Record> Merger<'_, R> {
     /// [`Self::run_to_completion`] so the caller can quiesce in-flight
     /// tickets when this errors.
     fn main_loop<A: DiskArray<R>>(&mut self, array: &mut A) -> Result<()> {
-        let cap = self.runs.len() + self.geom.d;
+        let cap = self.geom.fetch_pool(self.runs.len());
         loop {
             self.sched.drain();
             if let Some(fl) = &self.in_flight {

@@ -4,8 +4,9 @@
 //! The scheduler owns the bookkeeping halves of the memory partition of
 //! Definition 3:
 //!
-//! * `F` (occupied blocks of `M_R`, capacity `R + D`) — the full non-leading
-//!   blocks in memory, ordered by block key;
+//! * `F` (occupied blocks of `M_R`, capacity
+//!   [`pdisk::Geometry::fetch_pool`], which is `R + D` unless memory caps
+//!   it) — the full non-leading blocks in memory, ordered by block key;
 //! * the staging set (occupied blocks of `M_D`, capacity `D`) — blocks just
 //!   read, awaiting exchange into `M_R` or `M_L`;
 //! * the forecasting table (§4).
@@ -61,6 +62,8 @@ pub struct PlannedRead {
 pub struct Scheduler {
     r: usize,
     d: usize,
+    /// Capacity of `M_R`.
+    pool: usize,
     fds: ForecastTable,
     fset: BTreeSet<BlockKey>,
     staged: Vec<BlockKey>,
@@ -68,12 +71,14 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Scheduler for a merge of order `r` on `d` disks.
-    pub fn new(r: usize, d: usize) -> Self {
-        assert!(r >= 1 && d >= 1);
+    /// Scheduler for a merge of order `r` on `d` disks whose `M_R` holds
+    /// `pool` blocks ([`pdisk::Geometry::fetch_pool`]).
+    pub fn new(r: usize, d: usize, pool: usize) -> Self {
+        assert!(r >= 1 && d >= 1 && pool <= r + d);
         Scheduler {
             r,
             d,
+            pool,
             fds: ForecastTable::new(d),
             fset: BTreeSet::new(),
             staged: Vec::with_capacity(d),
@@ -133,7 +138,7 @@ impl Scheduler {
     pub fn plan_read(&mut self, disk_of: impl Fn(&BlockKey) -> DiskId) -> PlannedRead {
         assert!(self.can_attempt_read(), "ParRead requires free M_D and unread blocks");
         let occ = self.fset.len();
-        debug_assert!(occ <= self.r + self.d, "M_R overfull: {occ}");
+        debug_assert!(occ <= self.pool, "M_R overfull: {occ}");
 
         let mut flushed = Vec::new();
         if occ > self.r {
@@ -196,7 +201,7 @@ impl Scheduler {
     /// Exchange rule 3 of §5.2: move staged blocks into `M_R` while `M_R`
     /// has unoccupied blocks.
     pub fn drain(&mut self) {
-        while self.fset.len() < self.r + self.d {
+        while self.fset.len() < self.pool {
             let Some(k) = self.staged.pop() else { break };
             let fresh = self.fset.insert(k);
             debug_assert!(fresh, "block {k:?} already in F");
@@ -218,7 +223,7 @@ impl Scheduler {
 
     /// Debug check of Definition 3's capacities.
     pub fn assert_capacities(&self) {
-        assert!(self.fset.len() <= self.r + self.d, "|F| = {} > R+D", self.fset.len());
+        assert!(self.fset.len() <= self.pool, "|F| = {} > M_R = {}", self.fset.len(), self.pool);
         assert!(self.staged.len() <= self.d, "|M_D| = {} > D", self.staged.len());
     }
 }
@@ -234,7 +239,7 @@ mod tests {
     /// Helper: seed a scheduler whose FDS has `entries` and whose F holds
     /// `fset`.
     fn seeded(r: usize, d: usize, entries: &[(u32, BlockKey)], fset: &[BlockKey]) -> Scheduler {
-        let mut s = Scheduler::new(r, d);
+        let mut s = Scheduler::new(r, d, r + d);
         for &(disk, k) in entries {
             s.fds_mut().set(DiskId(disk), k.run, Some(k));
         }
@@ -332,7 +337,7 @@ mod tests {
 
     #[test]
     fn arrive_updates_forecast_and_stages() {
-        let mut s = Scheduler::new(2, 2);
+        let mut s = Scheduler::new(2, 2, 4);
         s.fds_mut().set(DiskId(0), 0, Some(bk(10, 0, 1)));
         s.arrive(bk(10, 0, 1), DiskId(0), Some(bk(77, 0, 3)), false);
         assert_eq!(s.fds().entry(DiskId(0), 0), Some(bk(77, 0, 3)));
@@ -346,7 +351,7 @@ mod tests {
 
     #[test]
     fn drain_respects_mr_capacity() {
-        let mut s = Scheduler::new(1, 2); // M_R capacity = R + D = 3
+        let mut s = Scheduler::new(1, 2, 3); // M_R capacity = R + D = 3
         for i in 0..2 {
             s.fds_mut().set(DiskId(i), i, Some(bk(10 + i as u64, i, 1)));
         }
@@ -368,7 +373,7 @@ mod tests {
 
     #[test]
     fn promote_finds_blocks_in_both_pools() {
-        let mut s = Scheduler::new(2, 2);
+        let mut s = Scheduler::new(2, 2, 4);
         s.fset.insert(bk(5, 0, 1));
         s.staged.push(bk(6, 1, 1));
         assert!(s.promote_to_leading(bk(5, 0, 1)));
@@ -380,7 +385,7 @@ mod tests {
 
     #[test]
     fn can_attempt_read_requires_free_md_and_pending_blocks() {
-        let mut s = Scheduler::new(2, 2);
+        let mut s = Scheduler::new(2, 2, 4);
         assert!(!s.can_attempt_read(), "no blocks on disk");
         s.fds_mut().set(DiskId(0), 0, Some(bk(1, 0, 1)));
         assert!(s.can_attempt_read());
@@ -411,7 +416,7 @@ mod tests {
                 let extra = extra.min(d);
                 let occ = r + extra;
                 prop_assume!(fkeys.len() >= occ);
-                let mut s = Scheduler::new(r, d);
+                let mut s = Scheduler::new(r, d, r + d);
                 // Distinct F blocks (dedup on the total order).
                 let mut keys: Vec<BlockKey> = fkeys
                     .iter()
@@ -450,7 +455,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate_across_operations() {
-        let mut s = Scheduler::new(4, 2);
+        let mut s = Scheduler::new(4, 2, 6);
         s.charge_initial_read(2);
         s.fds_mut().set(DiskId(0), 0, Some(bk(1, 0, 1)));
         let _ = s.plan_read(|_| DiskId(0));

@@ -299,7 +299,9 @@ impl MergeSim {
                 return Err(SrmError::Config(format!("run {j} start disk out of range")));
             }
         }
-        let mut sched = Scheduler::new(r, d);
+        // The paper's `M_R = R + D`: what `Geometry::fetch_pool` gives
+        // every order up to SRM's, the only orders the simulator models.
+        let mut sched = Scheduler::new(r, d, r + d);
         let mut states: Vec<SimRunState> = (0..r)
             .map(|_| SimRunState {
                 cur_idx: 0,

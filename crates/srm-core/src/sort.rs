@@ -10,6 +10,14 @@
 //! * [`Placement::Staggered`] — the deterministic variant of §8: start
 //!   disks cycle deterministically, trading the worst-case guarantee for
 //!   zero randomness (comparable performance on random inputs).
+//!
+//! DSM, the paper's baseline (§9), is this same engine under
+//! [`EngineKind::Dsm`]: the `D` disks become one disk whose blocks hold
+//! `D·B` records (`Geometry::new(1, D·B, M)`), and `R` is eq. 41's
+//! `R_DSM = (M/B − 2D)/2D` — [`Geometry::dsm_merge_order`] of that wide
+//! geometry, which floor arithmetic makes equal.  With one disk every
+//! read is a full stripe, reads arrive in forecast order, and the fetch
+//! pool shrinks to what DSM's memory leaves ([`Geometry::fetch_pool`]).
 
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
@@ -18,10 +26,9 @@ use crate::output::read_run;
 use crate::run_formation::{form_runs_overlapped, RunFormation};
 use crate::scheduler::ScheduleStats;
 use pdisk::passes::{Boundary, Checkpointing};
-use pdisk::window::WriteBehind;
 use pdisk::{
-    Block, CrashClock, DiskArray, DiskId, Forecast, Geometry, InterruptFlag, IoStats, PassEngine,
-    PassReport, Record, Sorter, StripedRun,
+    CrashClock, DiskArray, DiskId, Geometry, InterruptFlag, IoStats, PassEngine, PassReport, Record,
+    Sorter, StripedRun,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,6 +42,32 @@ pub enum Placement {
     Random,
     /// Deterministic round-robin stagger — the §8 variant.
     Staggered,
+}
+
+pub use pdisk::write_unsorted_input;
+
+/// Which merge-order rule a [`SrmSorter`] sorts under — SRM proper, or
+/// DSM as SRM's engine on one wide disk (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum EngineKind {
+    /// Simple randomized mergesort (the paper's contribution): `R` from
+    /// §2.2's memory formula.
+    #[default]
+    Srm,
+    /// Disk-striped mergesort, the baseline: `R_DSM` of eq. 41, on an
+    /// array of one disk.
+    Dsm,
+}
+
+impl EngineKind {
+    /// The engine's name on the wire, in durable spec files and in
+    /// checkpoint manifests.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            EngineKind::Srm => "srm",
+            EngineKind::Dsm => "dsm",
+        }
+    }
 }
 
 /// Configuration for [`SrmSorter`].
@@ -202,6 +235,8 @@ pub struct SrmState {
 #[derive(Debug, Clone, Default)]
 pub struct SrmSorter {
     config: SrmConfig,
+    /// The merge-order rule; recorded in checkpoint manifests.
+    engine: EngineKind,
     /// Overlap disk time with formation and merge time (the engine's
     /// window; see [`crate::merge`]).  Not part of [`SrmConfig`] because
     /// it does not affect the I/O schedule or the output — checkpoint
@@ -226,11 +261,20 @@ impl SrmSorter {
     pub fn new(config: SrmConfig) -> Self {
         SrmSorter {
             config,
+            engine: EngineKind::Srm,
             pipeline: false,
             read_ahead: 0,
             crash: None,
             interrupt: None,
         }
+    }
+
+    /// Sort under `engine`'s merge-order rule.  [`EngineKind::Dsm`] needs
+    /// an array of one disk — DSM's `D` disks as one logical disk of
+    /// `D·B`-record blocks — and refuses any other with a `Config` error.
+    pub fn with_engine(mut self, engine: EngineKind) -> Self {
+        self.engine = engine;
+        self
     }
 
     /// Overlap disk time with merge and formation time: each scheduled
@@ -368,15 +412,23 @@ impl SrmSorter {
     }
 }
 
-/// SRM as the pass driver sees it: `R` from the memory formula of §2.2,
-/// runs placed by the [`Placer`], groups merged by forecast-and-flush.
+/// SRM as the pass driver sees it: `R` from the memory formula of §2.2
+/// (or eq. 41 under [`EngineKind::Dsm`]), runs placed by the [`Placer`],
+/// groups merged by forecast-and-flush.
 impl PassEngine for SrmSorter {
     type Run = StripedRun;
     type Manifest = SortManifest;
     type State = SrmState;
 
     fn merge_order(&self, geometry: Geometry) -> Result<usize> {
-        Ok(geometry.srm_merge_order()?)
+        match self.engine {
+            EngineKind::Srm => Ok(geometry.srm_merge_order()?),
+            EngineKind::Dsm if geometry.d != 1 => Err(SrmError::Config(format!(
+                "DSM sorts on one wide disk, Geometry::new(1, D·B, M); this array has D = {}",
+                geometry.d
+            ))),
+            EngineKind::Dsm => Ok(geometry.dsm_merge_order()?),
+        }
     }
 
     fn form<R: Record, A: DiskArray<R>>(
@@ -410,6 +462,7 @@ impl PassEngine for SrmSorter {
 
     fn checkpoint(&self, state: &SrmState, at: Boundary<StripedRun>) -> SortManifest {
         SortManifest::new(
+            self.engine,
             &self.config,
             at.geometry,
             at.records,
@@ -430,7 +483,7 @@ impl PassEngine for SrmSorter {
         geometry: Geometry,
         records: u64,
     ) -> Result<(Boundary<StripedRun>, SrmState)> {
-        manifest.validate(&self.config, geometry, records)?;
+        manifest.validate(self.engine, &self.config, geometry, records)?;
         let mut state = self.state(geometry);
         state.placer.fast_forward(manifest.draws);
         let at = Boundary {
@@ -487,46 +540,6 @@ fn accumulate(into: &mut ScheduleStats, merge: &MergeStats) {
     into.flush_ops += merge.schedule.flush_ops;
     into.blocks_flushed += merge.schedule.blocks_flushed;
     into.blocks_read += merge.schedule.blocks_read;
-}
-
-/// Lay `records` out as an unsorted striped input file, written with full
-/// write parallelism (one stripe per operation) and written behind: up to
-/// [`pdisk::WRITE_BEHIND_LIMIT`] stripes stay in flight — the bound the
-/// reopen recovery's torn-write window is sized for — and all of them are
-/// complete when this returns.  This is the standard way to stage data
-/// for [`SrmSorter::sort`] in examples and tests.
-///
-/// A stripe that fails quiesces the window first, as `Merger::quiesce`
-/// does: the writes still in flight are abandoned, not completed, before
-/// the error is returned (the `WriteBehind` queue sees to it).
-pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
-    array: &mut A,
-    records: &[R],
-) -> Result<StripedRun> {
-    if records.is_empty() {
-        return Err(SrmError::Config("empty input".into()));
-    }
-    let geom = array.geometry();
-    let len_blocks = (records.len() as u64).div_ceil(geom.b as u64);
-    let run = array.alloc_run(DiskId(0), len_blocks, records.len() as u64)?;
-    let mut behind = WriteBehind::new(pdisk::WRITE_BEHIND_LIMIT);
-    let mut block_idx = 0u64;
-    for stripe in records.chunks(geom.b * geom.d) {
-        let mut writes = Vec::with_capacity(geom.d);
-        for chunk in stripe.chunks(geom.b) {
-            // Unsorted input carries no forecast data; bypass
-            // Block::new's sortedness debug-assert.
-            let block = Block {
-                records: chunk.to_vec(),
-                forecast: Forecast::Next(pdisk::block::NO_BLOCK),
-            };
-            writes.push((run.addr_of(block_idx), block));
-            block_idx += 1;
-        }
-        behind.submit(array, writes)?;
-    }
-    behind.complete_all(array)?;
-    Ok(run)
 }
 
 #[cfg(test)]
@@ -704,6 +717,34 @@ mod tests {
             "write ops {} vs ideal {ideal}",
             report.io.write_ops
         );
+    }
+
+    /// DSM on `(D, B, M) = (2, 4, 96)` is this engine on `(1, 8, 96)` at
+    /// eq. 41's `R_DSM = (24 − 4)/4 = 5`, every operation a full stripe.
+    #[test]
+    fn dsm_sorts_on_one_wide_disk() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        let keys = random_keys(&mut rng, 3000);
+        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(Geometry::new(1, 8, 96).unwrap());
+        let recs: Vec<U64Record> = keys.iter().map(|&k| U64Record(k)).collect();
+        let input = write_unsorted_input(&mut a, &recs).unwrap();
+        let dsm = SrmSorter::default().with_engine(EngineKind::Dsm);
+        let (sorted, report) = dsm.sort(&mut a, &input).unwrap();
+        assert_eq!(report.merge_order, 5);
+        assert!(report.merge_passes >= 2);
+        assert_eq!(report.schedule.flush_ops, 0);
+        let mut expected = keys;
+        expected.sort_unstable();
+        let got: Vec<u64> = read_run(&mut a, &sorted).unwrap().iter().map(|r| r.0).collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn dsm_refuses_an_array_of_more_than_one_disk() {
+        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(Geometry::new(2, 4, 96).unwrap());
+        let input = write_unsorted_input(&mut a, &[U64Record(1), U64Record(0)]).unwrap();
+        let dsm = SrmSorter::default().with_engine(EngineKind::Dsm);
+        assert!(matches!(dsm.sort(&mut a, &input), Err(SrmError::Config(_))));
     }
 
     #[test]

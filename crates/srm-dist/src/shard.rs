@@ -32,7 +32,7 @@ use pdisk::{
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter, StripeWindow};
-use srm_server::{digest_keys, JobRun};
+use srm_server::{decode_run, digest_keys, encode_run};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -197,7 +197,7 @@ impl OutputMeta {
     /// Serialize as the `output` file's `key value` line format.
     pub fn encode(&self) -> String {
         let run = match &self.run {
-            Some(r) => JobRun::Striped(r.clone()).encode(),
+            Some(r) => encode_run(r),
             None => "empty".to_string(),
         };
         let ShardMs { stage, sort, verify, check } = self.ms;
@@ -220,10 +220,7 @@ impl OutputMeta {
             match key {
                 "run" => {
                     if val != "empty" {
-                        match JobRun::decode(val).map_err(DistError::Job)? {
-                            JobRun::Striped(r) => meta.run = Some(r),
-                            _ => return Err(bad(line)),
-                        }
+                        meta.run = Some(decode_run(val).map_err(DistError::Job)?);
                     }
                 }
                 "records" => meta.records = val.parse().map_err(|_| bad(line))?,
@@ -322,10 +319,7 @@ pub(crate) fn inspect_dir(plan: &ShardPlan) -> Result<Boot> {
         if line == "empty" {
             return Ok(Boot::Empty);
         }
-        match JobRun::decode(line).map_err(DistError::Job)? {
-            JobRun::Striped(r) => return Ok(Boot::Sort(r)),
-            _ => return Err(DistError::Io("input descriptor is not striped".into())),
-        }
+        return Ok(Boot::Sort(decode_run(line).map_err(DistError::Job)?));
     }
     Ok(Boot::Stage)
 }
@@ -394,7 +388,7 @@ pub(crate) fn sort_shard(
         SortInput::Fresh(records) => {
             let run = write_unsorted_input(&mut stack, &records)?;
             stack.sync()?;
-            atomic_write(&plan.input_path(), &JobRun::Striped(run.clone()).encode())?;
+            atomic_write(&plan.input_path(), &encode_run(&run))?;
             ms.stage = clock.elapsed().as_millis() as u64;
             on_staged(run.records);
             run

@@ -11,32 +11,24 @@
 //!   geometry, seed, formation, deadline, fault injection) with a
 //!   key=value encoding shared by the wire protocol and the server's
 //!   durable spec files.  `JobSpec` is the **single construction
-//!   point** for engines: CLI, crashmat, and server all call
-//!   [`JobSpec::srm_sorter`] / [`JobSpec::dsm_sorter`] / [`JobSpec::build`];
-//! * [`AnyJob`] — either engine behind one type, forwarding to
-//!   [`pdisk::Sorter`], the uniform stage / run / output / resume-point
-//!   lifecycle both sorters implement directly (checkpoint-manifest
-//!   resume and the pass-boundary observer deadlines and kill drills
-//!   ride on are the one pass driver's,
-//!   [`pdisk::passes::Checkpointing::drive`]);
-//! * [`JobRun`] — an engine-agnostic handle to a staged input or sorted
-//!   output run, encodable for the server's durable job state.
+//!   point** for the engine: CLI, crashmat, and server all call
+//!   [`JobSpec::srm_sorter`] / [`JobSpec::dsm_sorter`] / [`JobSpec::build`],
+//!   and drive the [`SrmSorter`] through [`pdisk::Sorter`]'s stage / run /
+//!   output / resume-point lifecycle.  A DSM job is the same engine on
+//!   its one wide disk ([`JobSpec::geometry`]);
+//! * [`encode_run`] / [`decode_run`] — a run handle as one line of the
+//!   server's durable job state.
 //!
-//! Admission control prices a job with [`JobSpec::budget_records`]: for
-//! SRM that is the Definition-3 partition `M/B = 2R + 4D + RD/B`
-//! rendered in records; for DSM it is the full memory load the striped
-//! merge uses.
+//! Admission control prices a job with [`JobSpec::budget_records`]: the
+//! Definition-3 partition of the job's array at its merge order,
+//! rendered in records.
 
 use analysis::MemoryBudget;
-use dsm::{DsmConfig, DsmSorter};
-use pdisk::{
-    DiskArray, Geometry, InterruptFlag, PassEngine as _, PassReport, PdiskError, Record,
-    SortError, Sorter as _, StripedRun, U64Record,
-};
+use pdisk::{Geometry, InterruptFlag, PassEngine as _, PdiskError, SortError, StripedRun, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+pub use srm_core::EngineKind;
 use srm_core::{Placement, RunFormation, SrmConfig, SrmSorter};
-use std::path::Path;
 
 /// Errors surfaced by the job layer and the server built on it.
 #[derive(Debug)]
@@ -104,171 +96,45 @@ impl From<SortError> for JobError {
     }
 }
 
-/// Which engine a job runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Simple randomized mergesort (the paper's contribution).
-    #[default]
-    Srm,
-    /// Disk-striped mergesort, the baseline.
-    Dsm,
+/// One-line encoding of a run handle for durable job state.
+pub fn encode_run(r: &StripedRun) -> String {
+    let offs: Vec<String> = r.base_offsets.iter().map(|o| o.to_string()).collect();
+    format!("striped {} {} {} {}", r.start_disk.0, r.len_blocks, r.records, offs.join(","))
 }
 
-impl EngineKind {
-    /// The engine's name on the wire and in durable spec files.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            EngineKind::Srm => "srm",
-            EngineKind::Dsm => "dsm",
+/// Parse [`encode_run`] output.  A `logical …` descriptor is the staged
+/// input of the retired second DSM engine: its stripes are laid out for
+/// `D` disks, not for DSM's one wide disk, so it is refused as a
+/// checkpoint that cannot be trusted, never resumed.
+pub fn decode_run(s: &str) -> Result<StripedRun, JobError> {
+    let bad = || JobError::Io(format!("unparsable run descriptor `{s}`"));
+    let mut parts = s.split_whitespace();
+    match parts.next() {
+        Some("striped") => {
+            let start: u32 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
+            let len_blocks: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
+            let records: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
+            let offs = parts.next().ok_or_else(bad)?;
+            let base_offsets: Vec<u64> = offs
+                .split(',')
+                .map(|o| o.parse().map_err(|_| bad()))
+                .collect::<Result<_, _>>()?;
+            Ok(StripedRun {
+                start_disk: pdisk::DiskId(start),
+                len_blocks,
+                records,
+                base_offsets,
+            })
         }
-    }
-}
-
-/// An engine-agnostic handle to a run on the array: SRM sorts
-/// physically striped runs, DSM logically striped ones.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobRun {
-    /// SRM layout ([`StripedRun`]).
-    Striped(StripedRun),
-    /// DSM layout ([`dsm::LogicalRun`]).
-    Logical(dsm::LogicalRun),
-}
-
-impl JobRun {
-    /// One-line encoding for durable job state.
-    pub fn encode(&self) -> String {
-        match self {
-            JobRun::Striped(r) => {
-                let offs: Vec<String> = r.base_offsets.iter().map(|o| o.to_string()).collect();
-                format!(
-                    "striped {} {} {} {}",
-                    r.start_disk.0,
-                    r.len_blocks,
-                    r.records,
-                    offs.join(",")
-                )
-            }
-            JobRun::Logical(r) => {
-                format!("logical {} {} {}", r.start_stripe, r.len_stripes, r.records)
-            }
-        }
-    }
-
-    /// Parse [`JobRun::encode`] output.
-    pub fn decode(s: &str) -> Result<Self, JobError> {
-        let bad = || JobError::Io(format!("unparsable run descriptor `{s}`"));
-        let mut parts = s.split_whitespace();
-        match parts.next() {
-            Some("striped") => {
-                let start: u32 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                let len_blocks: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                let records: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                let offs = parts.next().ok_or_else(bad)?;
-                let base_offsets: Vec<u64> = offs
-                    .split(',')
-                    .map(|o| o.parse().map_err(|_| bad()))
-                    .collect::<Result<_, _>>()?;
-                Ok(JobRun::Striped(StripedRun {
-                    start_disk: pdisk::DiskId(start),
-                    len_blocks,
-                    records,
-                    base_offsets,
-                }))
-            }
-            Some("logical") => {
-                let start_stripe: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                let len_stripes: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                let records: u64 = parts.next().and_then(|v| v.parse().ok()).ok_or_else(bad)?;
-                Ok(JobRun::Logical(dsm::LogicalRun {
-                    start_stripe,
-                    len_stripes,
-                    records,
-                }))
-            }
-            _ => Err(bad()),
-        }
-    }
-}
-
-/// Either engine behind one type, so drivers can hold a job without
-/// generics: the single enum dispatch behind [`JobSpec::build`].
-#[derive(Debug, Clone)]
-pub enum AnyJob {
-    /// An SRM job.
-    Srm(SrmSorter),
-    /// A DSM job.
-    Dsm(DsmSorter),
-}
-
-fn wrong_layout() -> SortError {
-    SortError::Config("job handed the other engine's run layout".into())
-}
-
-/// [`pdisk::Sorter`]'s lifecycle with the engine's run layout erased to
-/// [`JobRun`] and its report to the shared [`PassReport`].
-impl AnyJob {
-    /// Stage `data` as the engine's unsorted input layout.
-    pub fn stage<R: Record, A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        data: &[R],
-    ) -> Result<JobRun, SortError> {
-        Ok(match self {
-            AnyJob::Srm(s) => JobRun::Striped(s.stage(array, data)?),
-            AnyJob::Dsm(s) => JobRun::Logical(s.stage(array, data)?),
-        })
-    }
-
-    /// Sort (or resume from `manifest`) the staged input.
-    pub fn run<R: Record, A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        input: &JobRun,
-        manifest: Option<&Path>,
-        observer: impl FnMut(u64, &mut A) -> Result<(), SortError>,
-    ) -> Result<(JobRun, PassReport), SortError> {
-        match (self, input) {
-            (AnyJob::Srm(s), JobRun::Striped(input)) => {
-                let (run, report) = s.run(array, input, manifest, observer)?;
-                Ok((JobRun::Striped(run), report.into()))
-            }
-            (AnyJob::Dsm(s), JobRun::Logical(input)) => {
-                let (run, report) = s.run(array, input, manifest, observer)?;
-                Ok((JobRun::Logical(run), report))
-            }
-            _ => Err(wrong_layout()),
-        }
-    }
-
-    /// Read a run's records back in order.
-    pub fn output<R: Record, A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        run: &JobRun,
-    ) -> Result<Vec<R>, SortError> {
-        match (self, run) {
-            (AnyJob::Srm(s), JobRun::Striped(run)) => s.output(array, run),
-            (AnyJob::Dsm(s), JobRun::Logical(run)) => s.output(array, run),
-            _ => Err(wrong_layout()),
-        }
-    }
-
-    /// The pass `run` would resume from, if `manifest` holds a checkpoint.
-    pub fn resume_point(
-        &self,
-        geometry: Geometry,
-        records: u64,
-        manifest: &Path,
-    ) -> Result<Option<u64>, SortError> {
-        Ok(match self {
-            AnyJob::Srm(s) => s.resume_point(geometry, records, manifest)?.map(|at| at.pass),
-            AnyJob::Dsm(s) => s.resume_point(geometry, records, manifest)?.map(|at| at.pass),
-        })
+        Some("logical") => Err(JobError::Checkpoint(format!(
+            "run descriptor `{s}` was staged by the retired DSM engine; resubmit the job"
+        ))),
+        _ => Err(bad()),
     }
 }
 
 /// Plain-data description of one sort job — the single construction
-/// point for engines across the CLI, crash-matrix harness, and server.
+/// point for the engine across the CLI, crash-matrix harness, and server.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Engine to run.
@@ -283,13 +149,13 @@ pub struct JobSpec {
     pub b: usize,
     /// Memory, in records.
     pub m: usize,
-    /// SRM start-disk policy (ignored by DSM).
+    /// SRM start-disk policy (moot for DSM's one disk).
     pub placement: Placement,
-    /// Run-formation strategy (SRM; DSM always uses memory loads).
+    /// Run-formation strategy (SRM; DSM always sorts half-memory loads).
     pub formation: RunFormation,
     /// Overlap I/O with merging (the engine's pipelined window).
     pub pipeline: bool,
-    /// Forecast-driven read-ahead depth for pipelined SRM merges
+    /// Forecast-driven read-ahead depth for pipelined merges
     /// (0 = demand reads only; ignored when `pipeline` is off).
     pub read_ahead: usize,
     /// Per-job execution deadline in milliseconds, checked at pass
@@ -332,9 +198,20 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// The job's array geometry.
+    /// The job's array geometry: `D` disks of `B`-record blocks for SRM;
+    /// for DSM, the one logical disk its stripes make, `D·B`-record
+    /// blocks (§9).
     pub fn geometry(&self) -> Result<Geometry, JobError> {
-        Geometry::new(self.d, self.b, self.m).map_err(JobError::Disk)
+        match self.engine {
+            EngineKind::Srm => Geometry::new(self.d, self.b, self.m),
+            EngineKind::Dsm => {
+                let stripe = self.d.checked_mul(self.b).ok_or_else(|| {
+                    JobError::Config(format!("D·B = {} × {} overflows", self.d, self.b))
+                })?;
+                Geometry::new(1, stripe, self.m)
+            }
+        }
+        .map_err(JobError::Disk)
     }
 
     /// Validate everything a server must reject up front.
@@ -349,28 +226,18 @@ impl JobSpec {
             )));
         }
         // The engine itself says whether it can run on this geometry.
-        let geom = self.geometry()?;
-        match self.build(None) {
-            AnyJob::Srm(s) => s.merge_order(geom)?,
-            AnyJob::Dsm(s) => s.merge_order(geom)?,
-        };
+        self.build(None).merge_order(self.geometry()?)?;
         Ok(())
     }
 
     /// The job's memory price in records — the quantity admission
-    /// control sums against the server's `M`.  For SRM this is the
-    /// Definition-3 buffer partition (`M/B = 2R + 4D + RD/B` blocks,
-    /// rendered in records); for DSM, the full memory load its striped
-    /// merge and formation passes use.
+    /// control sums against the server's `M`: the Definition-3 buffer
+    /// partition of the job's array at its merge order (`2R + 4D + RD/B`
+    /// blocks at SRM's `R`), rendered in records.
     pub fn budget_records(&self) -> Result<u64, JobError> {
         let geom = self.geometry()?;
-        match self.engine {
-            EngineKind::Srm => {
-                let budget = MemoryBudget::for_geometry(geom).map_err(JobError::Disk)?;
-                Ok((budget.total() * geom.b) as u64)
-            }
-            EngineKind::Dsm => Ok(geom.m as u64),
-        }
+        let r = self.build(None).merge_order(geom)?;
+        Ok((MemoryBudget::for_order(geom, r).total() * geom.b) as u64)
     }
 
     /// The SRM engine configuration this spec describes.
@@ -389,29 +256,30 @@ impl JobSpec {
             .with_read_ahead(self.read_ahead)
     }
 
-    /// Build the DSM engine.
-    pub fn dsm_sorter(&self) -> DsmSorter {
-        DsmSorter::new(DsmConfig::default()).with_pipeline(self.pipeline)
+    /// Build the engine DSM-configured: eq. 41's merge order and the
+    /// paper's half-memory loads, to run on [`JobSpec::geometry`]'s one
+    /// wide disk.
+    pub fn dsm_sorter(&self) -> SrmSorter {
+        let config = SrmConfig {
+            run_formation: RunFormation::MemoryLoad { fraction: 0.5 },
+            ..self.srm_config()
+        };
+        SrmSorter::new(config)
+            .with_engine(EngineKind::Dsm)
+            .with_pipeline(self.pipeline)
+            .with_read_ahead(self.read_ahead)
     }
 
-    /// Build the job, optionally wiring an interrupt flag (the drain /
-    /// cancel / deadline hook) into the engine.
-    pub fn build(&self, interrupt: Option<InterruptFlag>) -> AnyJob {
-        match self.engine {
-            EngineKind::Srm => {
-                let mut s = self.srm_sorter();
-                if let Some(f) = interrupt {
-                    s = s.with_interrupt(f);
-                }
-                AnyJob::Srm(s)
-            }
-            EngineKind::Dsm => {
-                let mut s = self.dsm_sorter();
-                if let Some(f) = interrupt {
-                    s = s.with_interrupt(f);
-                }
-                AnyJob::Dsm(s)
-            }
+    /// Build the job's engine, optionally wiring an interrupt flag (the
+    /// drain / cancel / deadline hook) into it.
+    pub fn build(&self, interrupt: Option<InterruptFlag>) -> SrmSorter {
+        let s = match self.engine {
+            EngineKind::Srm => self.srm_sorter(),
+            EngineKind::Dsm => self.dsm_sorter(),
+        };
+        match interrupt {
+            Some(f) => s.with_interrupt(f),
+            None => s,
         }
     }
 
@@ -597,7 +465,7 @@ pub fn expected_digest(spec: &JobSpec) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::MemDiskArray;
+    use pdisk::{MemDiskArray, Sorter as _};
 
     #[test]
     fn spec_roundtrips_through_encoding() {
@@ -673,36 +541,34 @@ mod tests {
 
     #[test]
     fn run_descriptors_roundtrip() {
-        let striped = JobRun::Striped(StripedRun {
+        let striped = StripedRun {
             start_disk: pdisk::DiskId(1),
             len_blocks: 9,
             records: 33,
             base_offsets: vec![4, 0, 7],
-        });
-        assert_eq!(JobRun::decode(&striped.encode()).unwrap(), striped);
-        let logical = JobRun::Logical(dsm::LogicalRun {
-            start_stripe: 2,
-            len_stripes: 5,
-            records: 40,
-        });
-        assert_eq!(JobRun::decode(&logical.encode()).unwrap(), logical);
-        assert!(JobRun::decode("conical 1 2 3").is_err());
+        };
+        assert_eq!(decode_run(&encode_run(&striped)).unwrap(), striped);
+        assert!(matches!(decode_run("conical 1 2 3"), Err(JobError::Io(_))));
+    }
+
+    /// The old engine's staged-input descriptor is refused, typed.
+    #[test]
+    fn a_logical_run_descriptor_is_refused_not_resumed() {
+        assert!(matches!(decode_run("logical 2 5 40"), Err(JobError::Checkpoint(_))));
     }
 
     #[test]
-    fn srm_budget_is_the_definition_3_partition() {
+    fn budget_is_the_definition_3_partition_of_the_jobs_array() {
         let spec = JobSpec::default();
         let geom = spec.geometry().unwrap();
         let budget = MemoryBudget::for_geometry(geom).unwrap();
-        assert_eq!(
-            spec.budget_records().unwrap(),
-            (budget.total() * geom.b) as u64
-        );
-        let dsm = JobSpec {
-            engine: EngineKind::Dsm,
-            ..JobSpec::default()
-        };
-        assert_eq!(dsm.budget_records().unwrap(), geom.m as u64);
+        assert_eq!(spec.budget_records().unwrap(), (budget.total() * geom.b) as u64);
+        // DSM at (D, B, M) = (4, 128, 12 352): one disk of 512-record
+        // blocks, R = 11, M_R = 9 — all 24 blocks, never more than M.
+        let dsm = JobSpec { engine: EngineKind::Dsm, d: 4, b: 128, m: 12_352, ..JobSpec::default() };
+        let wide = dsm.geometry().unwrap();
+        assert_eq!((wide.d, wide.b), (1, 512));
+        assert_eq!(dsm.budget_records().unwrap(), 24 * 512);
     }
 
     #[test]

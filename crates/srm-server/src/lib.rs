@@ -1,4 +1,4 @@
-//! # srm-server — sort-as-a-service over the SRM/DSM engines
+//! # srm-server — sort-as-a-service over the SRM engine (and DSM, its one-wide-disk configuration)
 //!
 //! PRs 1–5 made the paper's sorter fault-injected, parity-protected,
 //! model-checked, and crash-consistent — but still one-process-one-sort.
@@ -9,10 +9,9 @@
 //! The pieces, bottom to top:
 //!
 //! * [`job`] — [`JobSpec`](job::JobSpec), the single construction point
-//!   for engines shared by the CLI, the crash-matrix harness, and this
-//!   server, and [`AnyJob`](job::AnyJob), either engine
-//!   (`srm_core::SrmSorter`, `dsm::DsmSorter`) behind the one
-//!   [`pdisk::Sorter`] lifecycle both implement;
+//!   for the engine shared by the CLI, the crash-matrix harness, and this
+//!   server: an `srm_core::SrmSorter`, SRM- or DSM-configured, driven
+//!   through the one [`pdisk::Sorter`] lifecycle;
 //! * [`queue`] — admission control: the Definition-3 memory partition
 //!   (`M/B ≥ 2R + 4D + RD/B`) prices each job, and the server admits
 //!   only combinations whose summed budgets fit the configured `M`;
@@ -42,8 +41,8 @@ pub mod server;
 
 pub use drain::DrainReport;
 pub use job::{
-    digest_keys, expected_digest, generate_records, AnyJob, EngineKind, JobError, JobRun, JobSpec,
-    KeyDigest,
+    decode_run, digest_keys, encode_run, expected_digest, generate_records, EngineKind, JobError,
+    JobSpec, KeyDigest,
 };
 pub use net::serve;
 pub use queue::Admission;

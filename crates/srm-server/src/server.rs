@@ -32,11 +32,15 @@
 //! capacity, and jobs start in submission order.
 
 use crate::drain::DrainReport;
-use crate::job::{digest_keys, expected_digest, AnyJob, JobError, JobRun, JobSpec};
+use crate::job::{decode_run, digest_keys, encode_run, expected_digest, JobError, JobSpec};
 use crate::queue::Admission;
 use pdisk::manifest::atomic_write as atomic_write_raw;
 use pdisk::sync::Mutex;
-use pdisk::{DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, StackSpec, U64Record};
+use pdisk::{
+    DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, Sorter as _, StackSpec, StripedRun,
+    U64Record,
+};
+use srm_core::SrmSorter;
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -740,7 +744,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
         let f: FileDiskArray<U64Record> = FileDiskArray::open(geom, &disks)?;
         let text = std::fs::read_to_string(&input_path)
             .map_err(|e| JobError::Io(format!("read {}: {e}", input_path.display())))?;
-        (f, JobRun::decode(text.trim())?)
+        (f, decode_run(text.trim())?)
     } else {
         // Partial leftovers (a crash before the first checkpoint) are
         // wiped; the job re-stages deterministically from its spec.
@@ -751,7 +755,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
         let data = spec.input_records();
         let input = job.stage(&mut f, &data)?;
         f.sync()?;
-        atomic_write(&input_path, &input.encode())?;
+        atomic_write(&input_path, &encode_run(&input))?;
         (f, input)
     };
     file.set_io_delay(inner.cfg.io_delay);
@@ -804,9 +808,9 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
 /// caller flips in-memory state, so a crash between the two leaves a
 /// resumable-but-finished job, never a lost result.
 fn sort_and_digest<A: DiskArray<U64Record>>(
-    job: &AnyJob,
+    job: &SrmSorter,
     array: &mut A,
-    input: &JobRun,
+    input: &StripedRun,
     manifest: &Path,
     observer: &mut dyn FnMut(u64),
 ) -> Result<u64, JobError> {
@@ -822,7 +826,7 @@ fn sort_and_digest<A: DiskArray<U64Record>>(
         report.runs_formed,
         report.merge_passes,
         report.merge_order,
-        run.encode(),
+        encode_run(&run),
     );
     atomic_write(&manifest.with_file_name("done"), &done)?;
     Ok(digest)

@@ -21,7 +21,7 @@ use crate::model::{ItemKind, SourceFile};
 use crate::Finding;
 
 /// Crates that must not name a concrete storage backend (rule `backend`).
-pub const TRAIT_ONLY_CRATES: &[&str] = &["srm-core", "dsm"];
+pub const TRAIT_ONLY_CRATES: &[&str] = &["srm-core"];
 
 pub fn run(f: &SourceFile, findings: &mut Vec<Finding>) {
     let trait_only = TRAIT_ONLY_CRATES.contains(&f.crate_name.as_str());

@@ -6,10 +6,9 @@
 //! cargo run --release --example compare_srm_dsm
 //! ```
 
-use srm_repro::dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use srm_repro::pdisk::{Geometry, MemDiskArray, U64Record};
 use srm_repro::srm::sort::write_unsorted_input;
-use srm_repro::srm::SrmSorter;
+use srm_repro::srm::{EngineKind, SrmSorter};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -30,13 +29,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let input = write_unsorted_input(&mut srm_disks, &records)?;
         let (srm_out, srm) = SrmSorter::default().sort(&mut srm_disks, &input)?;
 
-        let mut dsm_disks: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-        let input = write_unsorted_stripes(&mut dsm_disks, &records)?;
-        let (dsm_out, dsm) = DsmSorter::default().sort(&mut dsm_disks, &input)?;
+        // DSM is the same engine with the D disks as one disk of
+        // D·B-record blocks, merging eq. 41's R_DSM runs at a time.
+        let wide = Geometry::new(1, d * b, geom.m)?;
+        let mut dsm_disks: MemDiskArray<U64Record> = MemDiskArray::new(wide);
+        let input = write_unsorted_input(&mut dsm_disks, &records)?;
+        let (dsm_out, dsm) = SrmSorter::default().with_engine(EngineKind::Dsm).sort(&mut dsm_disks, &input)?;
 
         // Both must produce the same sorted sequence.
         let a = srm_repro::srm::read_run(&mut srm_disks, &srm_out)?;
-        let c = read_logical_run(&mut dsm_disks, &dsm_out)?;
+        let c = srm_repro::srm::read_run(&mut dsm_disks, &dsm_out)?;
         assert_eq!(a, c, "SRM and DSM disagree on the sorted output");
 
         let srm_ops = srm.io.total_ops();

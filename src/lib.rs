@@ -5,8 +5,9 @@
 //!
 //! * [`pdisk`] — the Vitter–Shriver parallel disk model (substrate);
 //! * [`occupancy`] — occupancy theory: Monte Carlo + Theorem 2 bounds;
-//! * [`srm`] — the paper's contribution: forecast-and-flush mergesort;
-//! * [`dsm`] — the disk-striped mergesort baseline;
+//! * [`srm`] — the paper's contribution: forecast-and-flush mergesort,
+//!   and the disk-striped baseline (DSM) as its one-wide-disk
+//!   configuration;
 //! * [`analysis`] — closed-form I/O counts and the paper's tables.
 //!
 //! The facade also hosts [`crashmat`], the deterministic crash-matrix
@@ -22,7 +23,6 @@ pub mod crashmat;
 pub mod signals;
 
 pub use analysis;
-pub use dsm;
 pub use occupancy;
 pub use pdisk;
 pub use srm_core as srm;

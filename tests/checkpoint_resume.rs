@@ -5,8 +5,7 @@
 //! same encoded bytes — because the resumed placement RNG is
 //! fast-forwarded to exactly where the interrupted sort left off.
 
-use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
-use pdisk::manifest::manifest_sibling;
+use pdisk::manifest::{manifest_sibling, Lines};
 use pdisk::{
     DiskArray, FaultModel, FaultOp, FileDiskArray, Geometry, Manifest, MemDiskArray, Record,
     U64Record,
@@ -14,7 +13,7 @@ use pdisk::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, SrmSorter};
+use srm_core::{read_run, EngineKind, SortManifest, SrmSorter};
 use std::path::PathBuf;
 
 fn random_records(n: u64, seed: u64) -> Vec<U64Record> {
@@ -183,35 +182,49 @@ fn srm_file_backend_survives_process_death() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// DSM on [`geom`]'s machine: one disk of `D·B`-record blocks.
+fn dsm_geom() -> Geometry {
+    let g = geom();
+    Geometry::new(1, g.d * g.b, g.m).unwrap()
+}
+
+fn dsm() -> SrmSorter {
+    SrmSorter::default().with_engine(EngineKind::Dsm)
+}
+
 #[test]
 fn dsm_killed_mid_pass_resumes_byte_identical() {
     let data = random_records(3000, 73);
 
     // Uninterrupted baseline.
-    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-    let input = write_unsorted_stripes(&mut clean, &data).unwrap();
+    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(dsm_geom());
+    let input = write_unsorted_input(&mut clean, &data).unwrap();
     clean.reset_stats();
-    let (run, report) = DsmSorter::default().sort(&mut clean, &input).unwrap();
+    let (run, report) = dsm().sort(&mut clean, &input).unwrap();
     assert!(report.merge_passes >= 2);
     let reads = clean.stats().read_ops; // before the verification read
-    let want = encode_all(&read_logical_run(&mut clean, &run).unwrap());
+    let want = encode_all(&read_run(&mut clean, &run).unwrap());
 
     let dir = unique_dir("dsm-mem");
     for (i, ordinal) in [reads / 3, 2 * reads / 3, reads - 1].into_iter().enumerate() {
         let manifest = dir.join(format!("kill-{i}.manifest"));
-        let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+        let inner: MemDiskArray<U64Record> = MemDiskArray::new(dsm_geom());
         let mut a =
             pdisk::FaultyDiskArray::new(inner, FaultModel::none().kill_at(FaultOp::Read, ordinal));
-        let input = write_unsorted_stripes(&mut a, &data).unwrap();
-        assert!(DsmSorter::default()
-            .sort_checkpointed(&mut a, &input, &manifest)
-            .is_err());
-
+        let input = write_unsorted_input(&mut a, &data).unwrap();
+        assert!(dsm().sort_checkpointed(&mut a, &input, &manifest).is_err());
+        assert!(
+            std::fs::read_to_string(&manifest).is_ok_and(|t| t.contains("\nalgo dsm\n")),
+            "a DSM checkpoint names its merge-order rule"
+        );
+        // Neither rule resumes the other's checkpoint.
         let mut recovered = a.into_inner();
-        let (run, report) = DsmSorter::default()
-            .sort_checkpointed(&mut recovered, &input, &manifest)
-            .unwrap();
-        let out = read_logical_run(&mut recovered, &run).unwrap();
+        assert!(matches!(
+            SrmSorter::default().sort_checkpointed(&mut recovered, &input, &manifest),
+            Err(srm_core::SrmError::Checkpoint(_))
+        ));
+        let (run, report) = dsm().sort_checkpointed(&mut recovered, &input, &manifest).unwrap();
+        let out = read_run(&mut recovered, &run).unwrap();
         assert_eq!(encode_all(&out), want, "kill at read op {ordinal}");
         assert_eq!(report.records, 3000);
         assert!(!manifest.exists());
@@ -278,11 +291,12 @@ fn is_checkpoint_error(e: &pdisk::SortError) -> bool {
     matches!(e, pdisk::SortError::Checkpoint(_))
 }
 
-impl Payload for srm_core::SortManifest {
+impl Payload for SortManifest {
     const TAG: &'static str = "srm";
 
     fn sample(pass: u64) -> Self {
-        srm_core::SortManifest::new(
+        SortManifest::new(
+            EngineKind::Srm,
             &srm_core::SrmConfig::default(),
             geom(),
             3000,
@@ -319,41 +333,50 @@ impl Payload for srm_core::SortManifest {
     }
 }
 
-impl Payload for dsm::DsmManifest {
+/// The DSM-configured `SortManifest` — the same codec, writing `algo dsm`
+/// — as a payload of its own, so every store test runs through both
+/// `algo` lines.
+#[derive(Debug, Clone, PartialEq)]
+struct DsmPayload(SortManifest);
+
+impl Manifest for DsmPayload {
+    fn generation(&self) -> u64 {
+        self.0.generation()
+    }
+
+    fn set_generation(&mut self, generation: u64) {
+        self.0.set_generation(generation);
+    }
+
+    fn redundancy(&self) -> Option<&pdisk::RedundancyInfo> {
+        self.0.redundancy()
+    }
+
+    fn encode_body(&self) -> String {
+        self.0.encode_body()
+    }
+
+    fn parse_body(lines: &mut Lines<'_>) -> Result<Self, String> {
+        SortManifest::parse_body(lines).map(DsmPayload)
+    }
+}
+
+impl Payload for DsmPayload {
     const TAG: &'static str = "dsm";
 
     fn sample(pass: u64) -> Self {
-        dsm::DsmManifest {
-            geometry: geom(),
-            records: 3000,
-            runs_formed: 63,
-            pass,
-            generation: 0,
-            redundancy: Some(pdisk::RedundancyInfo {
-                stripe_disks: 2,
-                dead: vec![pdisk::DiskId(0)],
-            }),
-            runs: vec![
-                dsm::LogicalRun {
-                    start_stripe: 400,
-                    len_stripes: 30,
-                    records: 240,
-                },
-                dsm::LogicalRun {
-                    start_stripe: 430,
-                    len_stripes: 20,
-                    records: 160,
-                },
-            ],
-        }
+        let mut m = SortManifest::sample(pass);
+        m.engine = EngineKind::Dsm;
+        m.draws = 0;
+        DsmPayload(m)
     }
 
     fn pass(&self) -> u64 {
-        self.pass
+        self.0.pass
     }
 
     fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>) {
-        self.redundancy = redundancy;
+        self.0.redundancy = redundancy;
     }
 }
 
@@ -597,55 +620,55 @@ fn byte_flips_never_panic_or_resume_wrong<M: Payload>() {
 
 /// One `#[test]` per store property, each run through both payloads.
 mod both_payloads {
-    use dsm::DsmManifest;
+    use super::DsmPayload;
     use srm_core::SortManifest;
 
     #[test]
     fn encode_parse_roundtrips_and_corruption_is_detected() {
         super::encode_parse_roundtrips_and_corruption_is_detected::<SortManifest>();
-        super::encode_parse_roundtrips_and_corruption_is_detected::<DsmManifest>();
+        super::encode_parse_roundtrips_and_corruption_is_detected::<DsmPayload>();
     }
 
     #[test]
     fn redundancy_lines_roundtrip() {
         super::redundancy_lines_roundtrip::<SortManifest>();
-        super::redundancy_lines_roundtrip::<DsmManifest>();
+        super::redundancy_lines_roundtrip::<DsmPayload>();
     }
 
     #[test]
     fn redundancy_lines_are_validated_against_geometry() {
         super::redundancy_lines_are_validated_against_geometry::<SortManifest>();
-        super::redundancy_lines_are_validated_against_geometry::<DsmManifest>();
+        super::redundancy_lines_are_validated_against_geometry::<DsmPayload>();
     }
 
     #[test]
     fn validate_redundancy_refuses_mismatches() {
         super::validate_redundancy_refuses_mismatches::<SortManifest>();
-        super::validate_redundancy_refuses_mismatches::<DsmManifest>();
+        super::validate_redundancy_refuses_mismatches::<DsmPayload>();
     }
 
     #[test]
     fn save_load_roundtrips_and_remove_is_idempotent() {
         super::save_load_roundtrips_and_remove_is_idempotent::<SortManifest>();
-        super::save_load_roundtrips_and_remove_is_idempotent::<DsmManifest>();
+        super::save_load_roundtrips_and_remove_is_idempotent::<DsmPayload>();
     }
 
     #[test]
     fn saves_journal_the_previous_generation() {
         super::saves_journal_the_previous_generation::<SortManifest>();
-        super::saves_journal_the_previous_generation::<DsmManifest>();
+        super::saves_journal_the_previous_generation::<DsmPayload>();
     }
 
     #[test]
     fn load_latest_falls_back_to_the_previous_valid_generation() {
         super::load_latest_falls_back_to_the_previous_valid_generation::<SortManifest>();
-        super::load_latest_falls_back_to_the_previous_valid_generation::<DsmManifest>();
+        super::load_latest_falls_back_to_the_previous_valid_generation::<DsmPayload>();
     }
 
     #[test]
     fn a_torn_current_manifest_is_not_rotated_over_the_journal() {
         super::a_torn_current_manifest_is_not_rotated_over_the_journal::<SortManifest>();
-        super::a_torn_current_manifest_is_not_rotated_over_the_journal::<DsmManifest>();
+        super::a_torn_current_manifest_is_not_rotated_over_the_journal::<DsmPayload>();
     }
 }
 
@@ -656,7 +679,7 @@ fn srm_manifest_byte_flips_never_panic_or_resume_wrong() {
 
 #[test]
 fn dsm_manifest_byte_flips_never_panic_or_resume_wrong() {
-    byte_flips_never_panic_or_resume_wrong::<dsm::DsmManifest>();
+    byte_flips_never_panic_or_resume_wrong::<DsmPayload>();
 }
 
 proptest::proptest! {
@@ -679,7 +702,7 @@ proptest::proptest! {
             1..8,
         ),
     ) {
-        generation_fallback_survives_byte_flips::<dsm::DsmManifest>(&flips);
+        generation_fallback_survives_byte_flips::<DsmPayload>(&flips);
     }
 }
 
@@ -763,6 +786,11 @@ trait Conformant {
     type Run: Clone;
     const TAG: &'static str;
 
+    /// The array a sort of `g`'s machine runs on.
+    fn geometry(g: Geometry) -> Geometry {
+        g
+    }
+
     fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run;
 
     /// `sort_observed` under the given window and flag; returns the
@@ -826,11 +854,15 @@ impl Conformant for Srm {
 struct Dsm;
 
 impl Conformant for Dsm {
-    type Run = dsm::LogicalRun;
+    type Run = pdisk::StripedRun;
     const TAG: &'static str = "dsm";
 
+    fn geometry(g: Geometry) -> Geometry {
+        Geometry::new(1, g.d * g.b, g.m).unwrap()
+    }
+
     fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
-        write_unsorted_stripes(a, data).unwrap()
+        write_unsorted_input(a, data).unwrap()
     }
 
     fn sort<A: DiskArray<U64Record>>(
@@ -841,7 +873,7 @@ impl Conformant for Dsm {
         manifest: Option<&Path>,
         observer: &mut dyn FnMut(u64, &mut A),
     ) -> Result<(Self::Run, u64), Stop> {
-        DsmSorter::default()
+        dsm()
             .with_pipeline(pipeline)
             .with_interrupt(flag.clone())
             .sort_observed(a, input, manifest, |pass, a: &mut A| {
@@ -850,30 +882,31 @@ impl Conformant for Dsm {
             })
             .map(|(run, report)| (run, report.merge_passes))
             .map_err(|e| match e {
-                dsm::DsmError::Interrupted => Stop::Interrupted,
+                srm_core::SrmError::Interrupted => Stop::Interrupted,
                 e => Stop::Failed(e.to_string()),
             })
     }
 
     fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
-        read_logical_run(a, run).unwrap()
+        read_run(a, run).unwrap()
     }
 
     fn checkpointed_pass(manifest: &Path) -> Option<u64> {
-        dsm::DsmManifest::load_latest(manifest).unwrap().map(|m| m.pass)
+        Srm::checkpointed_pass(manifest)
     }
 }
 
 /// A third engine, the proof that one is "one `impl`": two-way mergesort
-/// over DSM's logical runs, checkpointing in DSM's payload, written
-/// against [`pdisk::PassEngine`] alone — no product file knows it exists.
-/// [`Checkpointing::drive`] gives it the resume rule, the observer, the
-/// barrier, the journal, the interrupt check and manifest retirement.
+/// over runs laid out like unsorted input, checkpointing in
+/// `SortManifest`, written against [`pdisk::PassEngine`] alone — no
+/// product file knows it exists.  [`Checkpointing::drive`] gives it the
+/// resume rule, the observer, the barrier, the journal, the interrupt
+/// check and manifest retirement.
 struct Toy;
 
 impl pdisk::PassEngine for Toy {
-    type Run = dsm::LogicalRun;
-    type Manifest = dsm::DsmManifest;
+    type Run = pdisk::StripedRun;
+    type Manifest = SortManifest;
     type State = ();
 
     fn merge_order(&self, _: Geometry) -> Result<usize, pdisk::SortError> {
@@ -885,11 +918,11 @@ impl pdisk::PassEngine for Toy {
         a: &mut A,
         input: &Self::Run,
     ) -> Result<(Vec<Self::Run>, ()), pdisk::SortError> {
-        let mut records = read_logical_run(a, input)?;
+        let mut records = read_run(a, input)?;
         let mut runs = Vec::new();
         for load in records.chunks_mut(a.geometry().m / 2) {
             load.sort_unstable_by_key(|r| r.key());
-            runs.push(write_unsorted_stripes(a, load)?);
+            runs.push(write_unsorted_input(a, load)?);
         }
         Ok((runs, ()))
     }
@@ -902,15 +935,16 @@ impl pdisk::PassEngine for Toy {
     ) -> Result<Self::Run, pdisk::SortError> {
         let mut merged = Vec::new();
         for run in group {
-            merged.extend(read_logical_run(a, run)?);
+            merged.extend(read_run(a, run)?);
         }
         merged.sort_by_key(|r| r.key()); // stable: ties keep run order
-        write_unsorted_stripes(a, &merged)
+        write_unsorted_input(a, &merged)
     }
 
     fn checkpoint(&self, _: &(), at: Boundary<Self::Run>) -> Self::Manifest {
         let Boundary { geometry, records, runs_formed, pass, redundancy, runs } = at;
-        dsm::DsmManifest { geometry, records, runs_formed, pass, redundancy, generation: 0, runs }
+        let config = srm_core::SrmConfig::default();
+        SortManifest::new(EngineKind::Srm, &config, geometry, records, runs_formed, pass, 0, redundancy, runs)
     }
 
     fn restore(
@@ -919,7 +953,7 @@ impl pdisk::PassEngine for Toy {
         geometry: Geometry,
         records: u64,
     ) -> Result<(Boundary<Self::Run>, ()), pdisk::SortError> {
-        m.validate(geometry, records)?;
+        m.validate(EngineKind::Srm, &srm_core::SrmConfig::default(), geometry, records)?;
         let (runs_formed, pass) = (m.runs_formed, m.pass);
         let (redundancy, runs) = (m.redundancy.clone(), m.runs.clone());
         Ok((Boundary { geometry, records, runs_formed, pass, redundancy, runs }, ()))
@@ -927,11 +961,11 @@ impl pdisk::PassEngine for Toy {
 }
 
 impl Conformant for Toy {
-    type Run = dsm::LogicalRun;
+    type Run = pdisk::StripedRun;
     const TAG: &'static str = "toy";
 
     fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
-        write_unsorted_stripes(a, data).unwrap()
+        write_unsorted_input(a, data).unwrap()
     }
 
     fn sort<A: DiskArray<U64Record>>(
@@ -956,11 +990,11 @@ impl Conformant for Toy {
     }
 
     fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
-        read_logical_run(a, run).unwrap()
+        read_run(a, run).unwrap()
     }
 
     fn checkpointed_pass(manifest: &Path) -> Option<u64> {
-        Dsm::checkpointed_pass(manifest)
+        Srm::checkpointed_pass(manifest)
     }
 }
 
@@ -984,7 +1018,7 @@ fn stepping_through_every_boundary_honours_the_contract<E: Conformant>() {
     let flag = InterruptFlag::new();
 
     // Uninterrupted reference: one observer call per boundary, 0..=P.
-    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(E::geometry(geom()));
     let input = E::stage(&mut clean, &data);
     let mut boundaries = Vec::new();
     let (run, passes) =
@@ -996,7 +1030,7 @@ fn stepping_through_every_boundary_honours_the_contract<E: Conformant>() {
 
     // Stepping run: the observer trips the flag at every boundary, so
     // each call completes exactly one pass and stops behind its snapshot.
-    let mut a = Probe::new(MemDiskArray::<U64Record>::new(geom()));
+    let mut a = Probe::new(MemDiskArray::<U64Record>::new(E::geometry(geom())));
     let input = E::stage(&mut a, &data);
     let mut seen = Vec::new();
     let mut interrupts = 0u64;
@@ -1052,7 +1086,7 @@ fn a_set_flag_with_one_run_left_still_completes<E: Conformant>() {
     let dir = unique_dir(&format!("conform-lone-{}", E::TAG));
     let manifest = dir.join("sort.manifest");
     let data: Vec<U64Record> = (0..60u64).rev().map(U64Record).collect();
-    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(Geometry::new(2, 4, 128).unwrap());
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(E::geometry(Geometry::new(2, 4, 128).unwrap()));
     let input = E::stage(&mut a, &data);
     let flag = InterruptFlag::new();
     flag.trigger();

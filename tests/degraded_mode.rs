@@ -5,7 +5,6 @@
 //! the parity layer serves the dead disk's blocks by reconstruction and
 //! the merge schedule never changes.
 
-use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use pdisk::{
     DiskArray, DiskId, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry,
     Manifest as _, MemDiskArray, ParityDiskArray, Record, U64Record,
@@ -233,36 +232,4 @@ fn srm_file_backend_degraded_resume_with_parity_store() {
     assert!(!manifest.exists());
     drop(a);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// DSM under the same parity layer: a permanent mid-merge death is
-/// absorbed and the striped sort finishes byte-identically too.
-#[test]
-fn dsm_parity_survives_permanent_mid_merge_death() {
-    let data = random_records(3000, 84);
-
-    // Failure-free baseline.
-    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-    let input = write_unsorted_stripes(&mut clean, &data).unwrap();
-    clean.reset_stats();
-    let (run, report) = DsmSorter::default().sort(&mut clean, &input).unwrap();
-    assert!(report.merge_passes >= 2);
-    let reads = clean.stats().read_ops;
-    let want = encode_all(&read_logical_run(&mut clean, &run).unwrap());
-
-    for ordinal in [reads / 3, 2 * reads / 3] {
-        let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-        let faulty =
-            FaultyDiskArray::new(inner, FaultModel::none().kill_at(FaultOp::Read, ordinal));
-        let mut a = ParityDiskArray::new(faulty).unwrap();
-        let input = write_unsorted_stripes(&mut a, &data).unwrap();
-        a.reset_stats();
-
-        let (run, _) = DsmSorter::default()
-            .sort(&mut a, &input)
-            .unwrap_or_else(|e| panic!("kill at read op {ordinal}: DSM must survive, got {e}"));
-        let out = read_logical_run(&mut a, &run).unwrap();
-        assert_eq!(encode_all(&out), want, "kill at read op {ordinal}");
-        assert!(a.stats().reconstructed_reads > 0);
-    }
 }

@@ -2,13 +2,12 @@
 //! memory budgets; measured I/O versus the closed forms of eq. (40)/(41);
 //! the real-file backend versus the in-memory backend.
 
-use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use pdisk::{DiskArray, FileDiskArray, Geometry, MemDiskArray, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_repro as _;
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, SrmSorter};
+use srm_core::{read_run, EngineKind, SrmSorter};
 
 fn random_records(n: u64, seed: u64) -> Vec<U64Record> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -24,16 +23,14 @@ fn srm_sort(geom: Geometry, data: &[U64Record]) -> (Vec<u64>, srm_core::SortRepo
     (out, report)
 }
 
-fn dsm_sort(geom: Geometry, data: &[U64Record]) -> (Vec<u64>, dsm::DsmReport) {
-    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-    let input = write_unsorted_stripes(&mut a, data).unwrap();
+/// DSM on `geom`'s machine: the engine on one disk of `D·B`-record
+/// blocks, at eq. 41's merge order.
+fn dsm_sort(geom: Geometry, data: &[U64Record]) -> (Vec<u64>, srm_core::SortReport) {
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(Geometry::new(1, geom.d * geom.b, geom.m).unwrap());
+    let input = write_unsorted_input(&mut a, data).unwrap();
     a.reset_stats();
-    let (run, report) = DsmSorter::default().sort(&mut a, &input).unwrap();
-    let out = read_logical_run(&mut a, &run)
-        .unwrap()
-        .iter()
-        .map(|r| r.0)
-        .collect();
+    let (run, report) = SrmSorter::default().with_engine(EngineKind::Dsm).sort(&mut a, &input).unwrap();
+    let out = read_run(&mut a, &run).unwrap().iter().map(|r| r.0).collect();
     (out, report)
 }
 

@@ -4,10 +4,10 @@
 //! silently rendering empty (or drifting) breaks failure reporting in
 //! ways nothing else tests.
 
-use dsm::DsmError;
-use pdisk::PdiskError;
-use srm_core::SrmError;
-use srm_server::JobError;
+use pdisk::{Geometry, Manifest as _, MemDiskArray, PdiskError, U64Record};
+use srm_core::sort::write_unsorted_input;
+use srm_core::{EngineKind, SortManifest, SrmError, SrmSorter};
+use srm_server::{decode_run, JobError};
 
 fn pdisk_io() -> PdiskError {
     PdiskError::BadGeometry("D = 0".into())
@@ -37,17 +37,19 @@ fn every_srm_error_variant_renders() {
     }
 }
 
+/// DSM shares SRM's error vocabulary; what it adds are three refusals:
+/// an array of more than one disk, the retired engine's manifest, and
+/// its staged-input descriptor.
 #[test]
 fn every_dsm_error_variant_renders() {
-    let cases: Vec<(DsmError, &str)> = vec![
-        (DsmError::Disk(pdisk_io()), "disk error"),
-        (DsmError::Config("m too small".into()), "configuration error"),
-        (DsmError::Checkpoint("bad checksum".into()), "checkpoint error"),
-        (DsmError::Interrupted, "interrupted at a pass boundary"),
-    ];
-    for (err, marker) in &cases {
-        check(err, marker);
-    }
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(Geometry::new(2, 4, 96).unwrap());
+    let input = write_unsorted_input(&mut a, &[U64Record(2), U64Record(1)]).unwrap();
+    let wide_only = SrmSorter::default().with_engine(EngineKind::Dsm).sort(&mut a, &input).unwrap_err();
+    check(&wide_only, "configuration error");
+    check(&wide_only, "one wide disk");
+    let old_manifest = SortManifest::parse("dsm-sort-manifest v1\nalgo dsm\nchecksum 0\n").unwrap_err();
+    check(&old_manifest, "checkpoint error");
+    check(&decode_run("logical 0 4 32").unwrap_err(), "checkpoint error");
 }
 
 #[test]
@@ -73,7 +75,6 @@ fn every_job_error_variant_renders() {
 fn interrupted_renderings_promise_a_checkpoint() {
     for s in [
         SrmError::Interrupted.to_string(),
-        DsmError::Interrupted.to_string(),
         JobError::Interrupted.to_string(),
     ] {
         assert!(s.contains("checkpoint journaled"), "{s:?}");

@@ -1,8 +1,7 @@
 //! Failure-path coverage: when any parallel I/O operation fails, every
-//! consumer (both sorters, the merge, run formation) must return an error
+//! consumer (both sorts, the merge, run formation) must return an error
 //! — no panic, no hang, no silent truncation.
 
-use dsm::{write_unsorted_stripes, DsmError, DsmSorter};
 use pdisk::{
     DiskArray, FaultModel, FaultOp, FaultPlan, FaultyDiskArray, FileDiskArray, Geometry,
     MemDiskArray, ParityDiskArray, PdiskError, RetryPolicy, RetryingDiskArray, U64Record,
@@ -10,7 +9,7 @@ use pdisk::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, SrmError, SrmSorter};
+use srm_core::{read_run, EngineKind, SrmError, SrmSorter};
 
 fn records(n: u64, seed: u64) -> Vec<U64Record> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -66,17 +65,27 @@ fn srm_surfaces_write_failures_everywhere() {
     }
 }
 
+/// DSM on [`geom`]'s machine: one disk of `D·B`-record blocks.
+fn dsm_geom() -> Geometry {
+    let g = geom();
+    Geometry::new(1, g.d * g.b, g.m).unwrap()
+}
+
+fn dsm() -> SrmSorter {
+    SrmSorter::default().with_engine(EngineKind::Dsm)
+}
+
 #[test]
 fn dsm_surfaces_failures() {
     let data = records(600, 3);
     for plan in [FaultPlan::read(5), FaultPlan::write(40)] {
-        let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+        let inner: MemDiskArray<U64Record> = MemDiskArray::new(dsm_geom());
         let mut a = FaultyDiskArray::new(inner, plan);
-        match write_unsorted_stripes(&mut a, &data) {
+        match write_unsorted_input(&mut a, &data) {
             // Staging itself may hit the write fault — that's fine too.
             Err(_) => continue,
             Ok(input) => {
-                let result = DsmSorter::default().sort(&mut a, &input);
+                let result = dsm().sort(&mut a, &input);
                 assert!(result.is_err(), "fault {plan:?} must surface");
             }
         }
@@ -103,12 +112,12 @@ fn dsm_run_formation_write_fault_surfaces() {
     // Aim a write fault inside DSM's run-formation write path: staging
     // takes ceil(600/8) = 75 write ops, so op 80 lands in formation.
     let data = records(600, 8);
-    let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+    let inner: MemDiskArray<U64Record> = MemDiskArray::new(dsm_geom());
     let mut a = FaultyDiskArray::new(inner, FaultPlan::write(80));
-    let input = write_unsorted_stripes(&mut a, &data).unwrap();
-    let result = DsmSorter::default().sort(&mut a, &input);
+    let input = write_unsorted_input(&mut a, &data).unwrap();
+    let result = dsm().sort(&mut a, &input);
     assert!(
-        matches!(result, Err(DsmError::Disk(_))),
+        matches!(result, Err(SrmError::Disk(_))),
         "formation write fault must surface, got {result:?}"
     );
 }

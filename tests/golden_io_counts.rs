@@ -105,3 +105,40 @@ fn golden_simulator_counts() {
         stats.schedule
     );
 }
+
+/// DSM, pinned to what the retired second engine printed for `srm sort
+/// --algo dsm --records 54321` (seed `0xC11_5EED`; its `I/O (sort only)`
+/// line counts the verifying read-back too): SRM's engine on
+/// `Geometry::new(1, D·B, M)` at eq. 41's `R_DSM` must give the same
+/// merge order, runs, passes and operation counts, with no flush, on a
+/// checker-clean trace — the fetch pool cut to what DSM's memory leaves.
+#[test]
+fn golden_dsm_counts() {
+    use srm_server::{EngineKind, JobSpec};
+    type Machine = (usize, usize, usize); // (D, B, M)
+    type Counts = (usize, usize, u64, u64, u64); // (R, runs, merge passes, read ops, write ops)
+    let pinned: [(Machine, Counts); 5] = [
+        ((3, 7, 500), (10, 216, 3, 12_935, 10_348)),
+        ((2, 4, 96), (5, 1_132, 5, 47_496, 40_705)),
+        ((5, 3, 391), (12, 279, 3, 18_110, 14_488)),
+        ((4, 64, 3136), (5, 31, 3, 1_062, 849)),
+        ((8, 32, 6000), (10, 18, 2, 852, 639)),
+    ];
+    for ((d, b, m), want) in pinned {
+        let spec = JobSpec { engine: EngineKind::Dsm, records: 54_321, d, b, m, ..JobSpec::default() };
+        let geom = spec.geometry().unwrap();
+        assert_eq!(geom, Geometry::new(1, d * b, m).unwrap());
+        assert_eq!(want.0, Geometry::new(d, b, m).unwrap().dsm_merge_order().unwrap());
+        let mut a = TracingDiskArray::new(MemDiskArray::<U64Record>::new(geom));
+        let input = write_unsorted_input(&mut a, &spec.input_records()).unwrap();
+        a.reset_stats();
+        let (sorted, report) = spec.dsm_sorter().sort(&mut a, &input).unwrap();
+        check_trace(geom, &a.take_trace())
+            .unwrap_or_else(|v| panic!("({d},{b},{m}): DSM trace violates the model: {v}"));
+        srm_core::read_run(&mut a, &sorted).unwrap();
+        let io = a.stats();
+        let got = (report.merge_order, report.runs_formed, report.merge_passes, io.read_ops, io.write_ops);
+        assert_eq!(got, want, "({d},{b},{m})");
+        assert_eq!(report.schedule.flush_ops, 0, "({d},{b},{m})");
+    }
+}

@@ -1,4 +1,4 @@
-//! Window-invariance suite: the sorters have one engine, and `pipeline` /
+//! Window-invariance suite: SRM and DSM share one engine, and `pipeline` /
 //! `read_ahead` only set its window — how long a submitted parallel I/O
 //! may stay outstanding.  Every window must be **observationally
 //! identical** to the blocking one (window 0: each ticket completed where
@@ -9,8 +9,8 @@
 //! stack, and checkpoint-resume configurations, on both the in-memory and
 //! the file backend.
 //!
-//! Staging (`write_unsorted_input`, `write_unsorted_stripes`) and the
-//! verification read (`read_run`, `read_logical_run`) are split-phase at
+//! Staging (`write_unsorted_input`) and the verification read
+//! (`read_run`) are split-phase at
 //! every window — they write behind and read ahead by a constant depth
 //! whatever the sorter's setting — and are held to the same contract
 //! against the eager in-memory backend.
@@ -28,9 +28,8 @@
 
 mod common;
 
-use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use modelcheck::{check_stats, check_trace};
-use pdisk::trace::{TraceEvent, TracingDiskArray};
+use pdisk::trace::TracingDiskArray;
 use pdisk::{
     DiskArray, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry, IoStats,
     MemDiskArray, ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, Stack, U64Record,
@@ -38,7 +37,7 @@ use pdisk::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::{write_unsorted_input, SrmConfig};
-use srm_core::{read_run, SrmError, SrmSorter};
+use srm_core::{read_run, EngineKind, SrmError, SrmSorter};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -124,11 +123,20 @@ fn srm_outcome<A: DiskArray<U64Record>>(
     data: &[U64Record],
     w: Window,
 ) -> (Outcome, TracingDiskArray<U64Record, A>) {
+    outcome_of(w.srm(config), inner, data, w)
+}
+
+/// [`srm_outcome`] for any configured sorter.
+fn outcome_of<A: DiskArray<U64Record>>(
+    sorter: SrmSorter,
+    inner: A,
+    data: &[U64Record],
+    w: Window,
+) -> (Outcome, TracingDiskArray<U64Record, A>) {
     let mut a = TracingDiskArray::new(inner);
     let geom = a.geometry();
     let input = write_unsorted_input(&mut a, data).unwrap();
-    let (run, _) = w
-        .srm(config)
+    let (run, _) = sorter
         .sort(&mut a, &input)
         .unwrap_or_else(|e| panic!("sort ({w:?}) failed: {e}"));
     let stats = a.stats();
@@ -528,63 +536,15 @@ fn checkpoint_resume_equivalent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// DSM counterpart of [`srm_outcome`] (DSM has no read-ahead depth, so
-/// the pipelined windows of the sweep coincide for it), with the two
-/// phases around the sort held to the contract too: beside the outcome,
-/// the [`IoStats`] after stage-in and after the read-back.  Neither phase
-/// has a window setting — staging writes one stripe behind (eq. 41's two
-/// output stripes), the read-back keeps several stripes in flight — and a
-/// probe over the array checks that is what they do.
-fn dsm_outcome<A: DiskArray<U64Record>>(inner: A, data: &[U64Record], w: Window) -> (Outcome, [IoStats; 2]) {
-    let mut a = TracingDiskArray::new(common::Probe::new(inner));
-    let geom = a.geometry();
-    let input = write_unsorted_stripes(&mut a, data).unwrap();
-    let staged = a.stats();
-    // One stripe behind: the next stripe is allocated (and was cut from
-    // the input) while the first one's write is still in flight.
-    let next_stripe_begun_in_flight = (a.sink().snapshot().iter())
-        .skip_while(|e| !matches!(e.event, TraceEvent::Write { .. }))
-        .take_while(|e| !matches!(e.event, TraceEvent::WriteDurable { .. }))
-        .any(|e| matches!(e.event, TraceEvent::Alloc { .. }));
-    assert!(next_stripe_begun_in_flight, "{w:?}: staging waited for each stripe where it wrote it");
-    let (run, _) = DsmSorter::default().with_pipeline(w.pipeline).sort(&mut a, &input).unwrap();
-    let stats = a.stats();
-    let before = a.inner().overlapped;
-    let out = read_logical_run(&mut a, &run).unwrap();
-    let watch = a.inner();
-    assert!(watch.overlapped > before, "{w:?}: the read-back waited for each stripe where it asked for it");
-    assert_eq!(watch.outstanding, 0, "{w:?}: a ticket was never completed");
-    assert_eq!(watch.max_writes_out, 1, "{w:?}: DSM's output budget is two stripes, one in flight");
-    let log = watch.log.borrow();
-    assert!(!log.contains("read") && !log.contains("write"), "{w:?}: a blocking call");
-    drop(log);
-    let trace = a.take_trace();
-    check_trace(geom, &trace).unwrap_or_else(|v| panic!("dsm violation ({w:?}): {v}"));
-    check_stats(&trace, &a.stats()).unwrap_or_else(|v| panic!("dsm stats drift ({w:?}): {v}"));
-    ((encode_all(&out), stats), [staged, a.stats()])
-}
-
-/// The sweep for DSM on arrays built by `array`: the sort is window
-/// invariant, and stage-in and read-back charge the same operations
-/// whatever window the sort between them ran at.
-fn assert_dsm_window_invariant<A: DiskArray<U64Record>>(tag: &str, data: &[U64Record], array: impl Fn() -> A) {
-    let mut around = Vec::new();
-    assert_window_invariant(tag, data, |w| {
-        let (outcome, phases) = dsm_outcome(array(), data, w);
-        around.push(phases);
-        outcome
-    });
-    assert!(around.windows(2).all(|p| p[0] == p[1]), "{tag}: stage-in / read-back IoStats");
-}
-
 #[test]
 fn dsm_equivalent() {
-    // DSM pipelining (striped-read double-buffering) gets the same
-    // contract, healthy and under parity.
-    let geom = Geometry::new(3, 4, 120).unwrap();
+    // DSM is the engine on one wide disk — (3, 4, 120) as one disk of
+    // 12-record blocks — so its sweep, read-ahead depths included, is
+    // the same contract.
+    let wide = Geometry::new(1, 12, 120).unwrap();
     let data = random_records(3000, 0xE8);
-    assert_dsm_window_invariant("dsm healthy", &data, || MemDiskArray::<U64Record>::new(geom));
-    assert_dsm_window_invariant("dsm parity", &data, || {
-        ParityDiskArray::new(MemDiskArray::<U64Record>::new(geom)).unwrap()
+    assert_window_invariant("dsm", &data, |w| {
+        let dsm = w.srm(SrmConfig::default()).with_engine(EngineKind::Dsm);
+        outcome_of(dsm, MemDiskArray::<U64Record>::new(wide), &data, w).0
     });
 }

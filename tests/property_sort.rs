@@ -3,7 +3,6 @@
 //! its I/O lower bound, and the order-statistics sampler keeps its
 //! structural invariants.
 
-use dsm::{read_logical_run, write_unsorted_stripes, DsmSorter};
 use pdisk::{
     DiskArray, FaultModel, FaultyDiskArray, Geometry, MemDiskArray, RetryPolicy,
     RetryingDiskArray, U64Record,
@@ -11,7 +10,17 @@ use pdisk::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, RunFormation, SrmConfig, SrmSorter};
+use srm_core::{read_run, EngineKind, RunFormation, SrmConfig, SrmSorter};
+
+/// DSM on `geom`'s machine: the engine on one disk of `D·B`-record
+/// blocks, at eq. 41's merge order.
+fn dsm_sort(geom: Geometry, recs: &[U64Record]) -> Vec<u64> {
+    let wide = Geometry::new(1, geom.d * geom.b, geom.m).unwrap();
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(wide);
+    let input = write_unsorted_input(&mut a, recs).unwrap();
+    let (run, _) = SrmSorter::default().with_engine(EngineKind::Dsm).sort(&mut a, &input).unwrap();
+    read_run(&mut a, &run).unwrap().iter().map(|r| r.0).collect()
+}
 
 /// Small but varied machine shapes.
 fn geometries() -> impl Strategy<Value = Geometry> {
@@ -77,11 +86,8 @@ proptest! {
         geom in geometries(),
         keys in vec(any::<u64>(), 1..800),
     ) {
-        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
         let recs: Vec<U64Record> = keys.iter().map(|&k| U64Record(k)).collect();
-        let input = write_unsorted_stripes(&mut a, &recs).unwrap();
-        let (run, _) = DsmSorter::default().sort(&mut a, &input).unwrap();
-        let got: Vec<u64> = read_logical_run(&mut a, &run).unwrap().iter().map(|r| r.0).collect();
+        let got = dsm_sort(geom, &recs);
         let mut expected = keys.clone();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
@@ -98,11 +104,7 @@ proptest! {
         let input = write_unsorted_input(&mut a, &recs).unwrap();
         let (srm_run, _) = SrmSorter::default().sort(&mut a, &input).unwrap();
         let srm_out: Vec<u64> = read_run(&mut a, &srm_run).unwrap().iter().map(|r| r.0).collect();
-        let mut b: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-        let input = write_unsorted_stripes(&mut b, &recs).unwrap();
-        let (dsm_run, _) = DsmSorter::default().sort(&mut b, &input).unwrap();
-        let dsm_out: Vec<u64> = read_logical_run(&mut b, &dsm_run).unwrap().iter().map(|r| r.0).collect();
-        prop_assert_eq!(srm_out, dsm_out);
+        prop_assert_eq!(srm_out, dsm_sort(geom, &recs));
     }
 
     /// Fault tolerance as a property: under arbitrary transient-fault
