@@ -13,7 +13,6 @@
 //! * [`render`] — plain-text/markdown rendering used by the `bench`
 //!   binaries and EXPERIMENTS.md.
 
-#![forbid(unsafe_code)]
 // Library code returns typed errors: clippy denies it a panic (test code
 // excepted, see clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

@@ -8,8 +8,6 @@
 //! * `--seed N` — RNG seed (defaults are fixed, so runs are reproducible);
 //! * `--blocks N` — blocks per run for the merge-simulation tables.
 
-#![forbid(unsafe_code)]
-
 /// Parsed common flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Args {

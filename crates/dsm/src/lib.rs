@@ -6,6 +6,4 @@
 //! `srm_core::EngineKind::Dsm`.  This crate keeps the one name external
 //! drivers still import: staging an input is the same for both sorts.
 
-#![forbid(unsafe_code)]
-
 pub use pdisk::write_unsorted_input as write_unsorted_stripes;

@@ -40,7 +40,6 @@
 //! assert!(violation.to_string().contains("d0 twice"));
 //! ```
 
-#![forbid(unsafe_code)]
 // Library code returns typed errors: clippy denies it a panic (test code
 // excepted, see clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

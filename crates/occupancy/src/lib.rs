@@ -27,7 +27,6 @@
 //! * [`stats`] — running means, standard errors and confidence intervals
 //!   for all the estimators above.
 
-#![forbid(unsafe_code)]
 // Library code returns typed errors: clippy denies it a panic (test code
 // excepted, see clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

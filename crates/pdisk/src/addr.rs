@@ -16,13 +16,13 @@ impl DiskId {
     /// A `DiskId` from a per-disk vector index.
     ///
     /// This (with [`DiskId::from_mod`]) is the one blessed narrowing into
-    /// a disk id; everywhere else `cargo xtask lint` rejects `as` casts in
-    /// `DiskId` construction.  [`crate::Geometry::new`] guarantees
+    /// a disk id; everywhere else CI's lint census rejects an `as` cast in
+    /// a `DiskId(…)` construction.  [`crate::Geometry::new`] guarantees
     /// `D ≤ u32::MAX`, so indices of in-range disks always fit.
     #[inline]
     pub fn from_index(i: usize) -> DiskId {
         debug_assert!(i <= u32::MAX as usize, "disk index {i} exceeds u32");
-        DiskId(i as u32) // lint:allow(cast) guarded by Geometry::new's D bound
+        DiskId(i as u32)
     }
 
     /// The disk `value mod d` — the cyclic-striping conversion (§3).
@@ -31,7 +31,7 @@ impl DiskId {
     #[inline]
     pub fn from_mod(value: u64, d: usize) -> DiskId {
         debug_assert!(d > 0 && d <= u32::MAX as usize);
-        DiskId((value % d as u64) as u32) // lint:allow(cast) result < d
+        DiskId((value % d as u64) as u32)
     }
 }
 

@@ -659,12 +659,10 @@ impl<R: Record> FileDiskArray<R> {
     }
 
     // The disk worker thread: ALL of its blocking I/O (positioned
-    // reads/writes, fsync) lives in this one blessed fn, and its wait for
-    // work in `QueueWorker::next_job`, the other; srmlint's blocking pass
-    // rejects any other blocking call that becomes reachable from it.
-    // The slot codec it calls is pure.
-    #[srmlint::worker_entry]
-    #[srmlint::blessed_seam]
+    // reads/writes, fsync) lives in this one fn, and its wait for work in
+    // `QueueWorker::next_job`, whose `Condvar` wait clippy's
+    // `disallowed-methods` admits only under an `#[expect]`.  The slot
+    // codec it calls is pure.
     fn spawn_worker(
         idx: usize,
         file: File,

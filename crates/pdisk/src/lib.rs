@@ -65,7 +65,6 @@
 //! trace and a downstream layer's slot included; product code states
 //! which layers are on and calls it.
 
-#![forbid(unsafe_code)]
 // Library code returns typed errors: clippy denies it a panic (test code
 // excepted, see clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

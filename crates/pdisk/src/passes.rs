@@ -251,7 +251,6 @@ impl Checkpointing<'_> {
     }
 
     /// Journal the boundary `at` describes to `path`.
-    #[srmlint::checkpoint]
     fn snapshot<R: Record, A: DiskArray<R>, E: PassEngine>(
         &self,
         path: &Path,
@@ -274,9 +273,9 @@ impl Checkpointing<'_> {
 
     /// `Err(Interrupted)` if a stop has been requested and merging work
     /// remains; called only after the boundary's snapshot (if any) is
-    /// durable — which srmlint's interrupt pass enforces.  With one run
-    /// left there is no further boundary, so the sort simply completes.
-    #[srmlint::interrupt_observer]
+    /// durable — `tests/checkpoint_resume.rs`'s `every_engine` contract
+    /// tests fail if it moves.  With one run left there is no further
+    /// boundary, so the sort simply completes.
     fn check_interrupt(&self, runs_left: usize) -> Result<()> {
         match self.interrupt {
             Some(flag) if flag.is_set() && runs_left > 1 => Err(SortError::Interrupted),

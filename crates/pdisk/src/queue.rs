@@ -133,7 +133,7 @@ impl<J> QueueWorker<'_, J> {
     /// was *backlogged*: already waiting when the worker came for one, as
     /// opposed to arriving while it slept.  `None` once the queues are
     /// closed and this one is empty.
-    #[srmlint::blessed_seam]
+    #[expect(clippy::disallowed_methods, reason = "a disk worker's wait for work")]
     pub(crate) fn next_job(&self) -> Option<(J, bool)> {
         let mut st = self.queues.state.lock();
         let mut backlogged = true;
@@ -181,6 +181,7 @@ pub(crate) struct Completion<T> {
 }
 
 impl<T> Completion<T> {
+    #[expect(clippy::disallowed_methods, reason = "a submitter's wait for its operation")]
     fn await_slot(&self, slot: usize, waits: &mut u64) -> Result<T> {
         let mut slots = self.slots.lock();
         loop {

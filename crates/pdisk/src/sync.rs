@@ -62,9 +62,9 @@ impl<T> Mutex<T> {
 impl<T> MutexGuard<'_, T> {
     /// `Condvar::wait`: release the lock, sleep until notified, and take
     /// it back.  This thread's record of the lock it holds stays in place
-    /// across the wait.  The blocking pass lists `wait`, so a worker may
-    /// call it only from its blessed seam.
-    #[srmlint::blessed_seam]
+    /// across the wait.  Clippy's `disallowed-methods` lists it, so each
+    /// caller `#[expect]`s the lint and names the seam it waits in.
+    #[expect(clippy::disallowed_methods, reason = "the one wrapper of Condvar::wait")]
     pub fn wait(self, cv: &Condvar) -> Self {
         MutexGuard {
             guard: cv.wait(self.guard).unwrap_or_else(PoisonError::into_inner),
@@ -161,6 +161,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "the wait under test")]
     fn a_guard_waiting_on_a_condvar_comes_back_holding_its_lock() {
         let shared = Arc::new((Mutex::new(false), Condvar::new()));
         // Locked before the notifier starts, so it can only set the flag

@@ -26,8 +26,6 @@
 //!
 //! Run `srm help` for flags.
 
-#![forbid(unsafe_code)]
-
 mod args;
 mod commands;
 

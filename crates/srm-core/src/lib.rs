@@ -39,7 +39,6 @@
 //!   schedule, used to reproduce Table 3 at paper scale (§9.3);
 //! * [`error`] — error types.
 
-#![forbid(unsafe_code)]
 // Library code returns typed errors: clippy denies it a panic (test code
 // excepted, see clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

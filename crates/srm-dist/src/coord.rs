@@ -555,6 +555,7 @@ impl Coordinator<'_> {
     }
 
     /// Process one shard message (epoch-checked).
+    #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     fn handle(&mut self, env: Envelope) -> Result<()> {
         let s = env.src as usize;
         if s >= self.nodes.len() || env.epoch != self.nodes[s].epoch {
@@ -645,8 +646,8 @@ impl Coordinator<'_> {
             // Heartbeat already bumped last_seen; Pass is progress-only.
             Msg::Heartbeat | Msg::Pass { .. } => {}
             // Shard-bound kinds cannot arrive on the coordinator's
-            // mailbox; named rather than wildcarded so the protocol
-            // pass proves no shard message is ever silently swallowed.
+            // mailbox; named, since a wildcard is denied here, so no
+            // shard message is ever silently swallowed.
             Msg::Stage { .. } | Msg::ReadBlocks { .. } | Msg::Shutdown => {}
         }
         Ok(())

@@ -31,7 +31,6 @@
 //! channel partition) yields a global output **byte-identical** to the
 //! failure-free run, with every shard's recovery trace checker-clean.
 
-#![forbid(unsafe_code)]
 // Library code returns typed errors: clippy denies it a panic (test code
 // excepted, see clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

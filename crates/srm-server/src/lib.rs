@@ -26,7 +26,6 @@
 //!   `WATCH`, `CANCEL`, `LIST`, `STATS`, `DRAIN`, `PING`) and the
 //!   loopback TCP front end.
 
-#![forbid(unsafe_code)]
 // Library code returns typed errors: clippy denies it a panic (test code
 // excepted, see clippy.toml).
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

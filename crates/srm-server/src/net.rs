@@ -57,9 +57,9 @@ pub fn serve(server: Arc<JobServer>, listener: TcpListener) -> std::io::Result<D
 /// through the protocol.  Returns when the peer closes, sends `QUIT`,
 /// or the server shuts down.
 // Observes the shutdown flag only to stop *accepting work* — jobs
-// checkpoint via the drain path, not here, so the interrupt rule does
-// not apply to this poll loop (`Interrupted` below is io::ErrorKind).
-fn handle_conn(server: &Arc<JobServer>, mut stream: TcpStream) -> std::io::Result<()> { // srmlint::allow(interrupt)
+// checkpoint via the drain path, not here (`Interrupted` below is
+// io::ErrorKind).
+fn handle_conn(server: &Arc<JobServer>, mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(READ_POLL))?;
     // Replies are single short lines a client waits on: send them now.
     stream.set_nodelay(true)?;
@@ -99,6 +99,7 @@ fn send_line(stream: &mut TcpStream, mut line: String) -> std::io::Result<()> {
 }
 
 /// Handle one request line; `Ok(false)` closes the connection.
+#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 fn dispatch(
     server: &Arc<JobServer>,
     stream: &mut TcpStream,

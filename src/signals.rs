@@ -9,9 +9,9 @@
 //! (journaling a checkpoint before stopping) and the job server treats
 //! as a drain request.
 //!
-//! This is deliberately the *only* `unsafe` in the repository, and it
-//! lives in the facade crate, outside the `#![forbid(unsafe_code)]`
-//! algorithm crates.
+//! This is deliberately the *only* `unsafe` in the repository.  Every
+//! `crates/*` package inherits the workspace's `unsafe_code = "forbid"`;
+//! this package denies it, and [`install`] alone allows it.
 
 use pdisk::InterruptFlag;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -37,6 +37,7 @@ extern "C" {
 
 /// Install the graceful-interrupt handler for `SIGINT` and `SIGTERM`.
 /// Idempotent; later installs are no-ops at the process level.
+#[allow(unsafe_code)]
 pub fn install() {
     // SAFETY: `signal` is the C standard library's signal(2); the
     // handler is an `extern "C" fn` that only performs an atomic store,

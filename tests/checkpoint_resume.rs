@@ -1101,6 +1101,31 @@ fn a_set_flag_with_one_run_left_still_completes<E: Conformant>() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A flag set before the sort starts: formation still completes and is
+/// journaled, and the sort stops behind that first snapshot — not before
+/// it, where the stepping test's observer-set flag cannot look.
+fn a_flag_set_before_the_sort_stops_behind_the_first_snapshot<E: Conformant>() {
+    let dir = unique_dir(&format!("conform-early-{}", E::TAG));
+    let manifest = dir.join("sort.manifest");
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(E::geometry(geom()));
+    let input = E::stage(&mut a, &random_records(3000, 82));
+    let flag = InterruptFlag::new();
+    flag.trigger();
+    let mut seen = Vec::new();
+    match E::sort(false, &flag, &mut a, &input, Some(&manifest), &mut |pass, _| seen.push(pass)) {
+        Err(Stop::Interrupted) => {}
+        Err(Stop::Failed(e)) => panic!("{} sort failed: {e}", E::TAG),
+        Ok(_) => panic!("{} sort ignored a set flag with runs left", E::TAG),
+    }
+    assert_eq!(seen, [0]);
+    assert_eq!(
+        E::checkpointed_pass(&manifest),
+        Some(0),
+        "Interrupted before the formation snapshot"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// One `#[test]` per contract, each run through every engine.
 mod every_engine {
     use super::{Dsm, Srm, Toy};
@@ -1117,5 +1142,12 @@ mod every_engine {
         super::a_set_flag_with_one_run_left_still_completes::<Srm>();
         super::a_set_flag_with_one_run_left_still_completes::<Dsm>();
         super::a_set_flag_with_one_run_left_still_completes::<Toy>();
+    }
+
+    #[test]
+    fn a_flag_set_before_the_sort_stops_behind_the_first_snapshot() {
+        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot::<Srm>();
+        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot::<Dsm>();
+        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot::<Toy>();
     }
 }
