@@ -49,13 +49,9 @@
 //! * [`window`] — the ticket queues every stripe loop runs on:
 //!   [`WriteBehind`] (a bounded window of writes in flight, capped at
 //!   [`WRITE_BEHIND_LIMIT`]), [`StripeWindow`] (the reads of one striped
-//!   run) and [`read_run`], shared by both sorters and the shards;
-//! * [`manifest`] — the journaled checkpoint-manifest store ([`Manifest`]):
-//!   checksum envelope, generation journal with `.prev` rotation, and the
-//!   redundancy-line codec, shared by every sorter's checkpoint payload;
-//! * [`passes`] — the one pass driver ([`passes::Checkpointing::drive`])
-//!   over a [`PassEngine`], the [`Sorter`] lifecycle, and the
-//!   [`SortError`] vocabulary every engine shares.
+//!   run) and [`read_run`], shared by the sorter and the shards;
+//! * [`manifest`] — the byte primitives of a small durable file: the
+//!   FNV-1a hash ([`fnv1a64`]), sibling naming and the atomic publish.
 //!
 //! Stack order for a fully protected array, bottom to top:
 //! `RetryingDiskArray(ParityDiskArray(FaultyDiskArray(backend)))` — the
@@ -84,7 +80,6 @@ pub mod manifest;
 pub mod mem;
 pub mod netfault;
 pub mod parity;
-pub mod passes;
 pub mod pool;
 mod queue;
 pub mod record;
@@ -106,11 +101,10 @@ pub use file::{FileDiskArray, PrefetchStats, QueueStats, SlotFormat, WRITE_BEHIN
 pub use geometry::Geometry;
 pub use interrupt::InterruptFlag;
 pub use layer::{Layer, Stack};
-pub use manifest::{fnv1a64, Manifest};
+pub use manifest::fnv1a64;
 pub use mem::MemDiskArray;
 pub use netfault::{Delivery, NetFault, NetFaultModel, PartitionWindow, ScriptedNetFault};
 pub use parity::ParityDiskArray;
-pub use passes::{PassEngine, PassReport, SortError, Sorter};
 pub use pool::{BufferPool, PoolStats};
 pub use record::{KeyPayloadRecord, Record, U64Record};
 pub use retry::{Jitter, RetryCounters, RetryPolicy, RetryingDiskArray};

@@ -242,7 +242,8 @@ pub fn read_run<R: Record, A: DiskArray<R>>(
 /// [`WRITE_BEHIND_LIMIT`] stripes stay in flight — the bound the reopen
 /// recovery's torn-write window is sized for — and all of them are
 /// complete when this returns.  This is the standard way to stage data
-/// for a sort in examples and tests.
+/// for a sort in examples and tests.  An empty `records` stages an empty
+/// run; the sorter is what refuses it.
 ///
 /// A stripe that fails quiesces the window first: the writes still in
 /// flight are abandoned, not completed, before the error is returned (the
@@ -250,10 +251,7 @@ pub fn read_run<R: Record, A: DiskArray<R>>(
 pub fn write_unsorted_input<R: Record, A: DiskArray<R>>(
     array: &mut A,
     records: &[R],
-) -> crate::passes::Result<StripedRun> {
-    if records.is_empty() {
-        return Err(crate::SortError::Config("empty input".into()));
-    }
+) -> Result<StripedRun> {
     let geom = array.geometry();
     let len_blocks = (records.len() as u64).div_ceil(geom.b as u64);
     let run = array.alloc_run(DiskId(0), len_blocks, records.len() as u64)?;

@@ -32,8 +32,8 @@ use crate::schedule::{ChaosEvent, Envelope};
 use crate::{CampaignConfig, ChaosError, TrialOutcome, Violation};
 use pdisk::{
     Block, BlockAddr, BuiltStack, CrashClock, DiskArray, DiskId, FaultKind, FaultModel, FaultOp,
-    Geometry, InterruptFlag, Layer, Manifest as _, MemDiskArray, ParitySpec, PdiskError, Record,
-    RetryPolicy, ScriptedFault, StackSpec, StripedRun, U64Record,
+    Geometry, InterruptFlag, Layer, MemDiskArray, ParitySpec, PdiskError, Record, RetryPolicy,
+    ScriptedFault, StackSpec, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, SortManifest, SrmError};

@@ -2,14 +2,14 @@
 
 use crate::args::Flags;
 use pdisk::{
-    CrashClock, DiskArray, DiskId, FaultModel, FileDiskArray, Geometry,
-    InterruptFlag, Manifest as _, MemDiskArray, ParitySpec, Record, RetryPolicy, SortError, Sorter,
-    StackSpec, U64Record,
+    CrashClock, DiskArray, DiskId, FaultModel, FileDiskArray, Geometry, InterruptFlag, MemDiskArray,
+    ParitySpec, Record, RetryPolicy, StackSpec, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::simulator::{estimate_overhead_v, SimPlacement};
-use srm_core::{Placement, RunFormation};
+use srm_core::sort::write_unsorted_input;
+use srm_core::{read_run, Placement, RunFormation, SrmError, SrmSorter};
 use srm_server::{EngineKind, JobServer, JobSpec, ServerConfig};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
@@ -384,11 +384,10 @@ pub fn sort(flags: &Flags) -> i32 {
             println!("SRM memory partition (Definition 3): {}", budget.render());
         }
         println!("input: {records} random u64 records (seed {seed:#x})\n");
-        // One construction path everywhere: the CLI builds the same
-        // JobSpec the job server and the crash-matrix harness use, and
-        // drives the sorters it builds through the same `Sorter`
-        // lifecycle, so `srm sort`, `srm serve`, and `srm crash-matrix`
-        // can never drift in how they wire a sorter, generate input, or
+        // One construction path everywhere: the CLI builds and validates
+        // the same JobSpec the job server and the crash-matrix harness
+        // use, so `srm sort`, `srm serve`, and `srm crash-matrix` can
+        // never drift in how they wire a sorter, generate input, or
         // resume.
         let spec = JobSpec {
             engine: EngineKind::Srm,
@@ -442,6 +441,7 @@ pub fn sort(flags: &Flags) -> i32 {
         };
         for &engine in engines {
             let spec = JobSpec { engine, ..spec.clone() };
+            spec.validate().map_err(|e| e.to_string())?;
             let label = if engine == EngineKind::Dsm { "DSM" } else { "SRM" };
             let geom = spec.geometry().map_err(|e| e.to_string())?;
             // One manifest names one sort: under `--algo both` it is SRM's.
@@ -509,25 +509,25 @@ fn memory_disks_die(manifest: &Path, consequence: &str) -> String {
 impl SortJob<'_> {
     /// Render a sort failure with the advice that fits it: what a rerun
     /// would do, or why it cannot help.
-    fn failure(&self, e: SortError) -> CliError {
+    fn failure(&self, e: SrmError) -> CliError {
         match (&e, self.resume.as_deref(), self.durable) {
-            (SortError::Interrupted, Some(m), true) => CliError::Interrupted(format!(
+            (SrmError::Interrupted, Some(m), true) => CliError::Interrupted(format!(
                 "checkpoint journaled; rerun with the same flags to resume from {}",
                 m.display()
             )),
-            (SortError::Interrupted, Some(m), false) => CliError::Interrupted(format!(
+            (SrmError::Interrupted, Some(m), false) => CliError::Interrupted(format!(
                 "checkpoint journaled at {}, but {}",
                 m.display(),
                 memory_disks_die(m, "it cannot be resumed")
             )),
-            (SortError::Interrupted, None, _) => CliError::Interrupted(
+            (SrmError::Interrupted, None, _) => CliError::Interrupted(
                 "this sort had no --resume manifest (under --algo both it is the SRM sort's), \
                  so nothing was checkpointed; rerun to start over"
                     .into(),
             ),
             // A bad manifest will fail the same way on every rerun — the
             // only way out is to discard it.
-            (SortError::Checkpoint(_), Some(m), _) => CliError::Msg(format!(
+            (SrmError::Checkpoint(_), Some(m), _) => CliError::Msg(format!(
                 "{e}; delete {} to start a fresh sort",
                 m.display()
             )),
@@ -543,7 +543,7 @@ impl SortJob<'_> {
     /// array is built, since a resume reopens the disk files instead of
     /// truncating them — and if so, the disks the checkpoint records dead,
     /// for the parity layer to re-mark.
-    fn resume_point<S: Sorter>(&self, sorter: &S) -> Result<Option<Vec<DiskId>>, CliError> {
+    fn resume_point(&self, sorter: &SrmSorter) -> Result<Option<Vec<DiskId>>, CliError> {
         let Some(path) = self.resume.as_deref() else {
             return Ok(None);
         };
@@ -568,7 +568,7 @@ impl SortJob<'_> {
 
 /// Build the `--backend` array — fresh, or reopened when `--resume` finds
 /// a checkpoint — and run `sorter` on it.
-fn sort_on_backend<S: Sorter>(flags: &Flags, sorter: &S, job: &SortJob) -> Result<(), CliError> {
+fn sort_on_backend(flags: &Flags, sorter: &SrmSorter, job: &SortJob) -> Result<(), CliError> {
     let resuming = job.resume_point(sorter)?;
     let dead = resuming.as_deref().unwrap_or_default();
     if !job.durable {
@@ -649,9 +649,9 @@ fn parse_kill_spec(s: &str) -> Result<(u32, u64), String> {
 /// the crash clock (`--crash-at` / `--crash-points`) and the trace
 /// (`--check-model`): stage, sort, verify, report — the report ending with
 /// `backend_counters`' line when the backend keeps counters of its own.
-fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
+fn run_sort<A: DiskArray<U64Record>>(
     backend: A,
-    sorter: &S,
+    sorter: &SrmSorter,
     job: &SortJob,
     store: Option<&Path>,
     dead: &[DiskId],
@@ -697,13 +697,13 @@ fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
     };
     let array = &mut spec.build(backend, ()).map_err(|e| e.to_string())?;
 
-    let input = sorter.stage(array, job.data).map_err(|e| e.to_string())?;
+    let input = write_unsorted_input(array, job.data).map_err(|e| e.to_string())?;
     let staged = array.stats();
     let start = std::time::Instant::now();
     // Crash drills exclude --kill-disk (validated at parse time).
     let kill = job.parity.as_ref().and_then(|p| p.kill);
     let (sorted, report) = sorter
-        .run(array, &input, job.resume.as_deref(), |pass, a| {
+        .sort_observed(array, &input, job.resume.as_deref(), |pass, a| {
             // The --interrupt-after-pass test hook stands in for a human
             // Ctrl-C: the observer runs at the boundary *before* the
             // snapshot and the interrupt check, so tripping here drains
@@ -725,7 +725,7 @@ fn run_sort<S: Sorter, A: DiskArray<U64Record>>(
         .map_err(|e| job.failure(e))?;
     let elapsed = start.elapsed();
     verify_sorted(
-        &sorter.output(array, &sorted).map_err(|e| e.to_string())?,
+        &read_run(array, &sorted).map_err(|e| e.to_string())?,
         job.data,
     )?;
     println!("{}: sorted & verified in {elapsed:.2?} (host time)", job.label);

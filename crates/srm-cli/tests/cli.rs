@@ -1,6 +1,5 @@
 //! End-to-end tests of the `srm` binary via `std::process`.
 
-use pdisk::Manifest as _;
 use std::process::{Command, Output};
 
 fn srm(args: &[&str]) -> Output {
@@ -338,6 +337,19 @@ fn zero_counts_are_usage_errors() {
         assert!(said.contains(&format!("{zero} 0")), "{args:?}: {said}");
         assert!(!said.contains("panicked"), "{args:?}: {said}");
         assert_eq!(stdout(&out), "", "{args:?}: nothing may print a result");
+    }
+}
+
+/// `srm sort` validates its job spec as `srm serve` and `srm distsort`
+/// do, so an empty input is refused once, in the server's words.
+#[test]
+fn sort_of_zero_records_is_refused_by_the_job_spec() {
+    for algo in ["srm", "dsm"] {
+        let out = srm(&["sort", "--records", "0", "--algo", algo]);
+        let said = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{algo}: {said}");
+        assert!(said.contains("job configuration error: records must be positive"), "{algo}: {said}");
+        assert!(!said.contains("empty input"), "{algo}: {said}");
     }
 }
 

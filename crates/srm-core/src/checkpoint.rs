@@ -7,10 +7,7 @@
 //! mid-pass can resume from the last completed pass instead of starting
 //! over (see [`crate::SrmSorter::sort_checkpointed`]).
 //!
-//! The manifest is a small versioned text file, written atomically
-//! (temp file + rename) and protected by an FNV-1a checksum line, so a
-//! crash *while writing the manifest itself* leaves either the previous
-//! valid manifest or a detectably torn one — never a silently wrong one:
+//! The manifest is a small versioned text file:
 //!
 //! ```text
 //! srm-sort-manifest v1
@@ -31,11 +28,18 @@
 //! checksum <fnv1a64 of all preceding bytes, hex>
 //! ```
 //!
-//! This module owns only the *payload*: the fields above, their order,
-//! and [`SortManifest::validate`].  The checksum envelope, the journaled
-//! save (`.prev` rotation, generation stamping, temp + fsync + rename),
-//! newest-valid-generation recovery and the `parity` / `dead` line codec
-//! are [`pdisk::Manifest`]'s provided methods.
+//! What makes the file trustworthy after a crash:
+//!
+//! * **the envelope** — the trailing `checksum` line, so a torn or
+//!   bit-flipped manifest is detected, never silently believed;
+//! * **the journal** — each [`SortManifest::save`] first rotates the
+//!   previous *valid* manifest to `<path>.prev`, then writes the new one
+//!   to `<path>.tmp`, fsyncs it, and renames it over `path`, stamped with
+//!   a generation one past the newest valid generation on disk.  Recovery
+//!   ([`SortManifest::load_latest`]) picks the newest valid candidate
+//!   among `path` and `path.prev`, so a crash at any byte of a manifest
+//!   write falls back to the previous checkpoint instead of refusing to
+//!   resume.
 //!
 //! `algo` names the merge-order rule ([`EngineKind`]): a DSM sort is this
 //! engine on one wide disk, so its manifest differs from SRM's in that
@@ -53,15 +57,14 @@
 //! under parity addresses blocks through the rotating-parity remap, and a
 //! disk listed `dead` holds data that exists *only* as parity — so resuming
 //! such a manifest on a plain array (or without re-marking the dead disks)
-//! would read garbage.  [`Manifest::validate_redundancy`] refuses those
+//! would read garbage.  [`SortManifest::validate_redundancy`] refuses those
 //! mismatches.
 
 use crate::error::{Result, SrmError};
 use crate::sort::{EngineKind, Placement, SrmConfig};
-use pdisk::manifest::{
-    generation_line, geometry_line, malformed, redundancy_lines, validate_target, Lines,
-};
-use pdisk::{DiskId, Geometry, Manifest, RedundancyInfo, StripedRun};
+use pdisk::manifest::{manifest_sibling, write_synced_temp};
+use pdisk::{fnv1a64, CrashClock, DiskId, Geometry, RedundancyInfo, StripedRun};
+use std::path::Path;
 
 const HEADER: &str = "srm-sort-manifest v1";
 
@@ -87,7 +90,7 @@ pub struct SortManifest {
     /// Placement draws consumed so far; the resuming sorter fast-forwards
     /// its RNG by this count.
     pub draws: u64,
-    /// Monotonic save counter, stamped by [`Manifest::save`]: each
+    /// Monotonic save counter, stamped by [`SortManifest::save`]: each
     /// save writes one past the newest valid generation on disk, and
     /// recovery picks the valid candidate with the largest value.
     pub generation: u64,
@@ -97,6 +100,48 @@ pub struct SortManifest {
     pub redundancy: Option<RedundancyInfo>,
     /// The surviving runs, in merge-queue order.
     pub runs: Vec<StripedRun>,
+}
+
+/// The message of a structurally broken manifest.
+fn malformed(msg: &str) -> String {
+    format!("malformed manifest: {msg}")
+}
+
+/// The body lines of a manifest (checksum already verified and cut off),
+/// consumed front to back by [`SortManifest::parse`].  Every error is the
+/// finished checkpoint message.
+struct Lines<'a>(std::iter::Peekable<std::str::Lines<'a>>);
+
+impl<'a> Lines<'a> {
+    /// Consume the next line, which must be `<name> <value>`, and return
+    /// the value.
+    fn field(&mut self, name: &str) -> std::result::Result<&'a str, String> {
+        let line = self.0.next().ok_or_else(|| malformed("truncated"))?;
+        line.strip_prefix(name)
+            .and_then(|rest| rest.strip_prefix(' '))
+            .ok_or_else(|| malformed(&format!("expected `{name}` line, got `{line}`")))
+    }
+
+    /// [`Self::field`] parsed as one number; `what` names the field in
+    /// the error.
+    fn num<T: std::str::FromStr>(&mut self, name: &str, what: &str) -> std::result::Result<T, String> {
+        self.field(name)?.parse().map_err(|_| malformed(what))
+    }
+
+    /// [`Self::field`] parsed as whitespace-separated integers.
+    fn ints<T: std::str::FromStr>(&mut self, name: &str) -> std::result::Result<Vec<T>, String> {
+        self.field(name)?
+            .split_whitespace()
+            .map(|w| w.parse::<T>().map_err(|_| malformed(&format!("bad integer `{w}`"))))
+            .collect()
+    }
+
+    /// Whether the next line is a `name` field (for the optional lines).
+    fn next_is(&mut self, name: &str) -> bool {
+        self.0
+            .peek()
+            .is_some_and(|l| l.strip_prefix(name).is_some_and(|rest| rest.starts_with(' ')))
+    }
 }
 
 impl SortManifest {
@@ -138,60 +183,113 @@ impl SortManifest {
         geometry: Geometry,
         records: u64,
     ) -> Result<()> {
-        if self.engine != engine {
-            return Err(SrmError::Checkpoint(format!(
+        let (h, g) = (self.geometry, geometry);
+        let refused = if self.engine != engine {
+            format!(
                 "manifest was written by a {} sort, not {}",
                 self.engine.as_str(),
                 engine.as_str()
-            )));
-        }
-        validate_target(self.geometry, self.records, self.runs.len(), geometry, records)?;
-        if self.seed != config.seed {
-            return Err(SrmError::Checkpoint(format!(
+            )
+        } else if h != g {
+            format!(
+                "manifest geometry (D={} B={} M={}) does not match array (D={} B={} M={})",
+                h.d, h.b, h.m, g.d, g.b, g.m
+            )
+        } else if self.records != records {
+            format!(
+                "manifest records {} does not match input records {records}",
+                self.records
+            )
+        } else if self.runs.is_empty() {
+            "manifest holds no runs".into()
+        } else if self.seed != config.seed {
+            format!(
                 "manifest seed {} does not match sorter seed {}",
                 self.seed, config.seed
-            )));
-        }
-        if self.placement != config.placement {
-            return Err(SrmError::Checkpoint(format!(
+            )
+        } else if self.placement != config.placement {
+            format!(
                 "manifest placement {:?} does not match sorter placement {:?}",
                 self.placement, config.placement
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl Manifest for SortManifest {
-    fn generation(&self) -> u64 {
-        self.generation
+            )
+        } else {
+            return Ok(());
+        };
+        Err(SrmError::Checkpoint(refused))
     }
 
-    fn set_generation(&mut self, generation: u64) {
-        self.generation = generation;
+    /// Refuse to resume on an array whose redundancy state doesn't cover
+    /// the manifest's.  A manifest written under parity addresses blocks
+    /// through the rotating-parity remap, and blocks written while a disk
+    /// was dead exist *only* as parity — so the resuming array must have
+    /// the same stripe width and must already treat every manifest-dead
+    /// disk as dead (extra deaths discovered since the snapshot are fine;
+    /// they just mean more reconstruction).
+    pub fn validate_redundancy(&self, current: Option<&RedundancyInfo>) -> Result<()> {
+        let refused = match (&self.redundancy, current) {
+            (None, None) => return Ok(()),
+            (Some(_), None) => "manifest was written under parity redundancy but the array has \
+                                none; blocks are laid out through the parity remap and degraded \
+                                writes exist only as parity"
+                .to_string(),
+            (None, Some(_)) => "manifest was written on a plain array but the array has parity \
+                                redundancy; the parity remap would misinterpret every address"
+                .to_string(),
+            (Some(want), Some(have)) => {
+                if want.stripe_disks != have.stripe_disks {
+                    format!(
+                        "manifest parity stripe width {} does not match array stripe width {}",
+                        want.stripe_disks, have.stripe_disks
+                    )
+                } else if let Some(d) = want.dead.iter().find(|d| !have.dead.contains(d)) {
+                    format!(
+                        "manifest records disk {} dead but the array treats it as live; \
+                         its degraded-mode writes exist only as parity and a direct read \
+                         would return stale or missing data",
+                        d.0
+                    )
+                } else {
+                    return Ok(());
+                }
+            }
+        };
+        Err(SrmError::Checkpoint(refused))
     }
 
-    fn redundancy(&self) -> Option<&RedundancyInfo> {
-        self.redundancy.as_ref()
-    }
-
-    fn encode_body(&self) -> String {
-        let mut s = format!("{HEADER}\nalgo {}\n", self.engine.as_str());
-        s.push_str(&geometry_line(self.geometry));
-        s.push_str(&format!("seed {}\n", self.seed));
-        s.push_str(&format!(
-            "placement {}\n",
+    /// Serialize to the manifest text format, checksum line included.
+    pub fn encode(&self) -> String {
+        let g = self.geometry;
+        let mut s = format!(
+            "{HEADER}\nalgo {}\ngeometry {} {} {}\nseed {}\nplacement {}\n",
+            self.engine.as_str(),
+            g.d,
+            g.b,
+            g.m,
+            self.seed,
             match self.placement {
                 Placement::Random => "random",
                 Placement::Staggered => "staggered",
             }
-        ));
+        );
         s.push_str(&format!("records {}\n", self.records));
         s.push_str(&format!("runs-formed {}\n", self.runs_formed));
         s.push_str(&format!("pass {}\n", self.pass));
         s.push_str(&format!("draws {}\n", self.draws));
-        s.push_str(&generation_line(self.generation));
-        s.push_str(&redundancy_lines(self.redundancy.as_ref()));
+        // Generation 0 (never saved) writes no line, which keeps
+        // pre-journal manifests byte-compatible; so does a plain array.
+        if self.generation > 0 {
+            s.push_str(&format!("generation {}\n", self.generation));
+        }
+        if let Some(red) = &self.redundancy {
+            s.push_str(&format!("parity {}\n", red.stripe_disks));
+            if !red.dead.is_empty() {
+                s.push_str("dead");
+                for d in &red.dead {
+                    s.push_str(&format!(" {}", d.0));
+                }
+                s.push('\n');
+            }
+        }
         s.push_str(&format!("runs {}\n", self.runs.len()));
         for run in &self.runs {
             s.push_str(&format!(
@@ -203,40 +301,100 @@ impl Manifest for SortManifest {
             }
             s.push('\n');
         }
+        s.push_str(&format!("checksum {:016x}\n", fnv1a64(s.as_bytes())));
         s
     }
 
-    fn parse_body(lines: &mut Lines<'_>) -> std::result::Result<Self, String> {
-        lines.take_header(HEADER)?;
-        let engine = match lines.take_field("algo")? {
+    /// Parse manifest text, verifying the trailing checksum.
+    pub fn parse(text: &str) -> Result<Self> {
+        let body_end = text
+            .rfind("checksum ")
+            .ok_or_else(|| SrmError::Checkpoint(malformed("missing checksum line")))?;
+        let stored = text[body_end..]
+            .trim()
+            .strip_prefix("checksum ")
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(|| SrmError::Checkpoint(malformed("unreadable checksum")))?;
+        let computed = fnv1a64(&text.as_bytes()[..body_end]);
+        if stored != computed {
+            return Err(SrmError::Checkpoint(format!(
+                "manifest checksum mismatch: stored {stored:016x}, computed {computed:016x} \
+                 (torn or corrupted manifest)"
+            )));
+        }
+        Self::parse_body(Lines(text[..body_end].lines().peekable())).map_err(SrmError::Checkpoint)
+    }
+
+    /// Parse the body [`Self::encode`] wrote above the checksum line.
+    fn parse_body(mut lines: Lines<'_>) -> std::result::Result<Self, String> {
+        if lines.0.next() != Some(HEADER) {
+            return Err(malformed("unknown header or version"));
+        }
+        let engine = match lines.field("algo")? {
             "srm" => EngineKind::Srm,
             "dsm" => EngineKind::Dsm,
             other => return Err(malformed(&format!("unknown algo `{other}`"))),
         };
-        let geometry = lines.take_geometry()?;
-        let seed = lines.take_num("seed", "seed")?;
-        let placement = match lines.take_field("placement")? {
+        let geo: Vec<usize> = lines.ints("geometry")?;
+        if geo.len() != 3 {
+            return Err(malformed("geometry needs three fields"));
+        }
+        let geometry = Geometry::new(geo[0], geo[1], geo[2])
+            .map_err(|e| format!("manifest geometry invalid: {e}"))?;
+        let seed = lines.num("seed", "seed")?;
+        let placement = match lines.field("placement")? {
             "random" => Placement::Random,
             "staggered" => Placement::Staggered,
             other => return Err(malformed(&format!("unknown placement `{other}`"))),
         };
-        let records = lines.take_num("records", "records")?;
-        let runs_formed = lines.take_num("runs-formed", "runs-formed")?;
-        let pass = lines.take_num("pass", "pass")?;
-        let draws = lines.take_num("draws", "draws")?;
-        let generation = lines.take_generation()?;
-        let redundancy = lines.take_redundancy(geometry)?;
-        let runs = lines.take_runs(|nums| {
+        let records = lines.num("records", "records")?;
+        let runs_formed = lines.num("runs-formed", "runs-formed")?;
+        let pass = lines.num("pass", "pass")?;
+        let draws = lines.num("draws", "draws")?;
+        // Manifests from before journaled saves carry no generation and
+        // read as generation 0.
+        let generation = if lines.next_is("generation") {
+            lines.num("generation", "generation")?
+        } else {
+            0
+        };
+        // `dead` without `parity` is malformed (the next field's
+        // `expected` error reports it).
+        let mut redundancy = None;
+        if lines.next_is("parity") {
+            let stripe_disks: usize = lines.num("parity", "parity stripe width")?;
+            if stripe_disks != geometry.d {
+                return Err(malformed("parity stripe width does not match geometry"));
+            }
+            let mut dead = Vec::new();
+            if lines.next_is("dead") {
+                let ids: Vec<u32> = lines.ints("dead")?;
+                if ids.iter().any(|&i| i as usize >= geometry.d) {
+                    return Err(malformed("dead disk id out of range for geometry"));
+                }
+                dead = ids.into_iter().map(DiskId).collect();
+            }
+            redundancy = Some(RedundancyInfo { stripe_disks, dead });
+        }
+        let count: usize = lines.num("runs", "runs count")?;
+        // Cap the pre-allocation: `count` is attacker-ish input (a corrupt
+        // or hostile manifest) and should not drive an unbounded reserve.
+        let mut runs = Vec::with_capacity(count.min(1024));
+        for _ in 0..count {
+            let nums: Vec<u64> = lines.ints("run")?;
             if nums.len() != 3 + geometry.d {
                 return Err(malformed("run line has wrong field count for geometry"));
             }
-            Ok(StripedRun {
+            runs.push(StripedRun {
                 start_disk: DiskId(u32::try_from(nums[0]).map_err(|_| malformed("start disk"))?),
                 len_blocks: nums[1],
                 records: nums[2],
                 base_offsets: nums[3..].to_vec(),
-            })
-        })?;
+            });
+        }
+        if lines.0.next().is_some() {
+            return Err(malformed("trailing data after runs"));
+        }
         Ok(SortManifest {
             engine,
             geometry,
@@ -250,6 +408,114 @@ impl Manifest for SortManifest {
             redundancy,
             runs,
         })
+    }
+
+    /// Write journaled and atomic.  The previous valid manifest at `path`
+    /// is first rotated to `<path>.prev`; the new manifest is then
+    /// serialized to `<path>.tmp`, fsynced, and renamed over `path`,
+    /// stamped with a generation one past the newest valid generation
+    /// already on disk.  A crash at any point leaves at least one valid
+    /// manifest for [`Self::load_latest`] to pick up.
+    ///
+    /// With a `clock`, the save ticks one crash boundary of its own,
+    /// `manifest-sync`, between the temp file's fsync and the publishing
+    /// rename.  A crash there models fsyncgate's worst case: the barrier
+    /// ran (or failed) but the new generation was never published, so
+    /// recovery must come up from the rotated `.prev` generation.  The
+    /// rotation happens *before* the temp write precisely so that
+    /// fallback always exists.
+    pub fn save(&mut self, path: &Path, clock: Option<&CrashClock>) -> Result<()> {
+        let ckpt = |e: std::io::Error| {
+            SrmError::Checkpoint(format!("cannot write manifest {}: {e}", path.display()))
+        };
+        let prev = manifest_sibling(path, "prev");
+        let current = Self::load(path).ok();
+        let journaled = Self::load(&prev).ok();
+        let newest = current.iter().chain(&journaled).map(|m| m.generation).max();
+        self.generation = newest.map_or(1, |g| g + 1);
+        // Rotate only a *valid* current manifest: renaming a torn one
+        // over `.prev` would clobber the good fallback copy.
+        if current.is_some() {
+            std::fs::rename(path, &prev).map_err(ckpt)?;
+        }
+        let tmp = write_synced_temp(path, self.encode().as_bytes()).map_err(ckpt)?;
+        if let Some(c) = clock {
+            c.tick("manifest-sync")?;
+        }
+        std::fs::rename(&tmp, path).map_err(ckpt)?;
+        Ok(())
+    }
+
+    /// Load and parse a manifest file.
+    pub fn load(path: &Path) -> Result<Self> {
+        let text = std::fs::read_to_string(path).map_err(|e| {
+            SrmError::Checkpoint(format!("cannot read manifest {}: {e}", path.display()))
+        })?;
+        Self::parse(&text)
+    }
+
+    /// Recovery rule: the newest *valid* manifest among `path` and its
+    /// `.prev` journal sibling.
+    ///
+    /// * No candidate file exists → `Ok(None)` (nothing to resume).
+    /// * At least one candidate parses and passes its checksum → the one
+    ///   with the largest generation.
+    /// * Candidates exist but every one is torn or corrupt → an error;
+    ///   resuming blind would re-sort from scratch and clobber state
+    ///   the operator may want to inspect.
+    pub fn load_latest(path: &Path) -> Result<Option<Self>> {
+        let prev = manifest_sibling(path, "prev");
+        let mut best: Option<Self> = None;
+        let mut existed = 0u32;
+        let mut last_err = None;
+        for p in [path, prev.as_path()] {
+            if !p.exists() {
+                continue;
+            }
+            existed += 1;
+            match Self::load(p) {
+                Ok(m) if best.as_ref().is_none_or(|b| m.generation > b.generation) => {
+                    best = Some(m);
+                }
+                Ok(_) => {}
+                Err(e) => last_err = Some(e),
+            }
+        }
+        match (best, existed, last_err) {
+            (Some(m), _, _) => Ok(Some(m)),
+            (None, 0, _) => Ok(None),
+            (None, _, Some(e)) => Err(SrmError::Checkpoint(format!(
+                "every manifest candidate for {} is corrupt (last error: {e})",
+                path.display()
+            ))),
+            (None, _, None) => Err(SrmError::Checkpoint(format!(
+                "every manifest candidate for {} is unreadable",
+                path.display()
+            ))),
+        }
+    }
+
+    /// Delete a completed sort's manifest, including its `.prev` journal
+    /// sibling and any orphaned `.tmp`; missing files are fine (the sort
+    /// may never have checkpointed).
+    pub fn remove(path: &Path) -> Result<()> {
+        for p in [
+            path.to_path_buf(),
+            manifest_sibling(path, "prev"),
+            manifest_sibling(path, "tmp"),
+        ] {
+            match std::fs::remove_file(&p) {
+                Ok(()) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => {
+                    return Err(SrmError::Checkpoint(format!(
+                        "cannot remove manifest {}: {e}",
+                        p.display()
+                    )))
+                }
+            }
+        }
+        Ok(())
     }
 }
 

@@ -29,12 +29,12 @@
 //!   adversarial comparison (experiment X6);
 //! * [`run_formation`] — initial runs: memory-load sort and replacement
 //!   selection (§2.1);
-//! * [`sort`] — the multi-pass mergesort driver, randomized or
-//!   deterministic-staggered placement (§3, §8), and DSM as the same
-//!   engine on one wide disk (§9);
-//! * [`checkpoint`] — the pass-granular checkpoint payload (kept in
-//!   [`pdisk::manifest`]'s journaled store) so an interrupted multi-pass
-//!   sort resumes from its last completed pass with byte-identical output;
+//! * [`sort`] — the multi-pass mergesort driver and its one pass loop,
+//!   randomized or deterministic-staggered placement (§3, §8), and DSM
+//!   as the same engine on one wide disk (§9);
+//! * [`checkpoint`] — the pass-granular checkpoint manifest and its
+//!   journaled store, so an interrupted multi-pass sort resumes from its
+//!   last completed pass with byte-identical output;
 //! * [`simulator`] — block-granularity re-implementation of the exact same
 //!   schedule, used to reproduce Table 3 at paper scale (§9.3);
 //! * [`error`] — error types.

@@ -22,14 +22,9 @@
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
 use crate::merge::{merge_runs_overlapped, MergeStats, Overlap};
-use crate::output::read_run;
 use crate::run_formation::{form_runs_overlapped, RunFormation};
 use crate::scheduler::ScheduleStats;
-use pdisk::passes::{Boundary, Checkpointing};
-use pdisk::{
-    CrashClock, DiskArray, DiskId, Geometry, InterruptFlag, IoStats, PassEngine, PassReport, Record,
-    Sorter, StripedRun,
-};
+use pdisk::{CrashClock, DiskArray, DiskId, Geometry, InterruptFlag, IoStats, Record, StripedRun};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
@@ -122,17 +117,20 @@ impl SortReport {
     }
 }
 
-/// The one-line summary drivers print: the shared accounting plus the
-/// virtual flushes (§5.5 rule 2c) and, when this call formed the runs,
-/// formation's own reads — every read the scheduler did not plan — with
-/// their parallelism, so "did formation read in stripes" needs no
-/// subtraction (a resume past pass 0 has none, and no such clause).
+/// The one-line summary drivers print: `R`, the runs formed, the merge
+/// passes, the virtual flushes (§5.5 rule 2c) and, when this call formed
+/// the runs, formation's own reads — every read the scheduler did not
+/// plan — with their parallelism, so "did formation read in stripes"
+/// needs no subtraction (a resume past pass 0 has none, and no such
+/// clause).
 impl std::fmt::Display for SortReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}, flushes={} ({} blocks)",
-            PassReport::from(*self),
+            "merge order R={}, runs formed={}, merge passes={}, flushes={} ({} blocks)",
+            self.merge_order,
+            self.runs_formed,
+            self.merge_passes,
             self.schedule.flush_ops,
             self.schedule.blocks_flushed
         )?;
@@ -142,18 +140,6 @@ impl std::fmt::Display for SortReport {
         }
         let blocks = self.io.blocks_read.saturating_sub(self.schedule.blocks_read);
         write!(f, ", formation reads={reads} ({:.2}x par)", blocks as f64 / reads as f64)
-    }
-}
-
-impl From<SortReport> for PassReport {
-    fn from(r: SortReport) -> Self {
-        PassReport {
-            records: r.records,
-            merge_order: r.merge_order,
-            runs_formed: r.runs_formed,
-            merge_passes: r.merge_passes,
-            io: r.io,
-        }
     }
 }
 
@@ -199,15 +185,6 @@ impl Placer {
             self.next();
         }
     }
-}
-
-/// What one SRM sort carries from pass to pass: the placement draws and
-/// the scheduling counters of the merges this call performed.
-#[derive(Debug)]
-pub struct SrmState {
-    placer: Placer,
-    merges: u64,
-    schedule: ScheduleStats,
 }
 
 /// The SRM external sorter.
@@ -341,6 +318,20 @@ impl SrmSorter {
         &self.config
     }
 
+    /// Validate the configuration for `geometry` and return the merge
+    /// order `R ≥ 2`: §2.2's memory formula, or eq. 41 under
+    /// [`EngineKind::Dsm`], which needs an array of one disk.
+    pub fn merge_order(&self, geometry: Geometry) -> Result<usize> {
+        match self.engine {
+            EngineKind::Srm => Ok(geometry.srm_merge_order()?),
+            EngineKind::Dsm if geometry.d != 1 => Err(SrmError::Config(format!(
+                "DSM sorts on one wide disk, Geometry::new(1, D·B, M); this array has D = {}",
+                geometry.d
+            ))),
+            EngineKind::Dsm => Ok(geometry.dsm_merge_order()?),
+        }
+    }
+
     /// Sort `input` (an unsorted striped file) and return the sorted run
     /// plus a full accounting.
     pub fn sort<R: Record, A: DiskArray<R>>(
@@ -348,7 +339,7 @@ impl SrmSorter {
         array: &mut A,
         input: &StripedRun,
     ) -> Result<(StripedRun, SortReport)> {
-        self.run(array, input, None, |_, _| Ok(()))
+        self.sort_observed(array, input, None, |_, _| Ok(()))
     }
 
     /// Like [`SrmSorter::sort`], but checkpointing progress to `manifest`
@@ -380,7 +371,28 @@ impl SrmSorter {
         input: &StripedRun,
         manifest: &Path,
     ) -> Result<(StripedRun, SortReport)> {
-        self.run(array, input, Some(manifest), |_, _| Ok(()))
+        self.sort_observed(array, input, Some(manifest), |_, _| Ok(()))
+    }
+
+    /// The checkpoint a sort of `records` on `geometry` would resume from,
+    /// or `None` when `manifest` holds none (never started, or completed
+    /// and retired) — asked *before* building the world a resume needs:
+    /// reopen rather than truncate the disk files, re-mark the disks the
+    /// checkpoint records dead.  An error means every generation is
+    /// corrupt or the checkpoint belongs to a *different* sort: resuming
+    /// it would misread every block address, and it would fail
+    /// identically on every rerun.
+    pub fn resume_point(
+        &self,
+        geometry: Geometry,
+        records: u64,
+        manifest: &Path,
+    ) -> Result<Option<SortManifest>> {
+        let Some(m) = SortManifest::load_latest(manifest)? else {
+            return Ok(None);
+        };
+        m.validate(self.engine, &self.config, geometry, records)?;
+        Ok(Some(m))
     }
 
     /// Like [`SrmSorter::sort_checkpointed`] (pass `manifest: None` for an
@@ -393,144 +405,161 @@ impl SrmSorter {
     /// next pass runs degraded).  An observer error aborts the sort.
     ///
     /// Pass boundaries completed *before* a resume are not replayed.
+    ///
+    /// This is the one pass loop, and its order is what makes a resume
+    /// byte-identical:
+    ///
+    /// ```text
+    /// resume rule ─► formation ─► ┌ observer ─► sync ─► journaled snapshot ┐
+    ///                             │      └──────── boundary p ─────────────┤
+    ///                             │ interrupt check ─► merge pass p+1 ─────┘
+    ///                             └► one run left: retire the manifest
+    /// ```
+    ///
+    /// Between boundaries the observer may have mutated the array (a disk
+    /// may have died), so nothing array-derived but run handles is kept
+    /// across a pass.
     pub fn sort_observed<R: Record, A: DiskArray<R>>(
         &self,
         array: &mut A,
         input: &StripedRun,
         manifest: Option<&Path>,
-        observer: impl FnMut(u64, &mut A) -> Result<()>,
+        mut observer: impl FnMut(u64, &mut A) -> Result<()>,
     ) -> Result<(StripedRun, SortReport)> {
-        self.run(array, input, manifest, observer)
-    }
-
-    fn state(&self, geometry: Geometry) -> SrmState {
-        SrmState {
-            placer: Placer::new(self.config.placement, self.config.seed, geometry.d as u32),
-            merges: 0,
-            schedule: ScheduleStats::default(),
+        let geometry = array.geometry();
+        let records = input.records;
+        if records == 0 {
+            return Err(SrmError::Config("cannot sort an empty input".into()));
         }
-    }
-}
+        let merge_order = self.merge_order(geometry)?;
+        let io_before = array.stats();
+        let mut placer = Placer::new(self.config.placement, self.config.seed, geometry.d as u32);
 
-/// SRM as the pass driver sees it: `R` from the memory formula of §2.2
-/// (or eq. 41 under [`EngineKind::Dsm`]), runs placed by the [`Placer`],
-/// groups merged by forecast-and-flush.
-impl PassEngine for SrmSorter {
-    type Run = StripedRun;
-    type Manifest = SortManifest;
-    type State = SrmState;
-
-    fn merge_order(&self, geometry: Geometry) -> Result<usize> {
-        match self.engine {
-            EngineKind::Srm => Ok(geometry.srm_merge_order()?),
-            EngineKind::Dsm if geometry.d != 1 => Err(SrmError::Config(format!(
-                "DSM sorts on one wide disk, Geometry::new(1, D·B, M); this array has D = {}",
-                geometry.d
-            ))),
-            EngineKind::Dsm => Ok(geometry.dsm_merge_order()?),
-        }
-    }
-
-    fn form<R: Record, A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        input: &StripedRun,
-    ) -> Result<(Vec<StripedRun>, SrmState)> {
-        let mut state = self.state(array.geometry());
-        let queue = form_runs_overlapped(
-            array,
-            input,
-            self.config.run_formation,
-            self.pipeline,
-            || state.placer.next(),
-        )?;
-        Ok((queue, state))
-    }
-
-    fn merge_group<R: Record, A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        group: &[StripedRun],
-        state: &mut SrmState,
-    ) -> Result<StripedRun> {
-        let overlap = Overlap::new(self.pipeline, self.read_ahead);
-        let out = merge_runs_overlapped(array, group, state.placer.next(), overlap)?;
-        state.merges += 1;
-        accumulate(&mut state.schedule, &out.stats);
-        Ok(out.run)
-    }
-
-    fn checkpoint(&self, state: &SrmState, at: Boundary<StripedRun>) -> SortManifest {
-        SortManifest::new(
-            self.engine,
-            &self.config,
-            at.geometry,
-            at.records,
-            at.runs_formed,
-            at.pass,
-            state.placer.draws,
-            at.redundancy,
-            at.runs,
-        )
-    }
-
-    /// Fast-forwards a fresh placement RNG by the manifest's draw count,
-    /// so the resumed sort draws the start disks an uninterrupted one
-    /// would have.
-    fn restore(
-        &self,
-        manifest: &SortManifest,
-        geometry: Geometry,
-        records: u64,
-    ) -> Result<(Boundary<StripedRun>, SrmState)> {
-        manifest.validate(self.engine, &self.config, geometry, records)?;
-        let mut state = self.state(geometry);
-        state.placer.fast_forward(manifest.draws);
-        let at = Boundary {
-            geometry,
-            records,
-            runs_formed: manifest.runs_formed,
-            pass: manifest.pass,
-            redundancy: manifest.redundancy.clone(),
-            runs: manifest.runs.clone(),
+        // Recovery rule: newest valid manifest generation wins; a torn
+        // current manifest falls back to its journaled predecessor.
+        let resume = match manifest {
+            Some(path) => self.resume_point(geometry, records, path)?,
+            None => None,
         };
-        Ok((at, state))
+        // `completed_here`: the current boundary was reached by this call, so
+        // it is still to be observed and journaled.  A resumed boundary was,
+        // by the call that completed it; only its interrupt check remains.
+        let mut completed_here = resume.is_none();
+        let (mut queue, mut pass, runs_formed) = match resume {
+            Some(m) => {
+                m.validate_redundancy(array.redundancy().as_ref())?;
+                // Draw the start disks an uninterrupted sort would have.
+                placer.fast_forward(m.draws);
+                (m.runs, m.pass, m.runs_formed)
+            }
+            None => {
+                if let Some(sink) = array.trace_sink() {
+                    // Run formation is pass 0; merge passes count from 1.
+                    sink.begin_pass(0);
+                }
+                let queue = form_runs_overlapped(
+                    array,
+                    input,
+                    self.config.run_formation,
+                    self.pipeline,
+                    || placer.next(),
+                )?;
+                let runs_formed = queue.len() as u64;
+                (queue, 0, runs_formed)
+            }
+        };
+
+        let overlap = Overlap::new(self.pipeline, self.read_ahead);
+        let (mut merges, mut schedule) = (0, ScheduleStats::default());
+        loop {
+            if completed_here {
+                observer(pass, array)?;
+                // The last boundary leaves nothing to resume, so only
+                // formation journals a single run.
+                if let Some(path) = manifest.filter(|_| pass == 0 || queue.len() > 1) {
+                    let snapshot = SortManifest::new(
+                        self.engine,
+                        &self.config,
+                        geometry,
+                        records,
+                        runs_formed,
+                        pass,
+                        placer.draws,
+                        array.redundancy(),
+                        queue.clone(),
+                    );
+                    self.journal(path, array, snapshot)?;
+                }
+            }
+            // Drain hook: the boundary's snapshot (or the resumed manifest
+            // already on disk) is durable, so stopping here loses nothing and
+            // a rerun resumes from exactly this pass.  With one run left
+            // there is no further boundary, so the sort simply completes.
+            // `tests/checkpoint_resume.rs`'s `every_engine` tests fail if
+            // this check moves ahead of the snapshot.
+            if queue.len() <= 1 {
+                break;
+            }
+            if self.interrupt.as_ref().is_some_and(InterruptFlag::is_set) {
+                return Err(SrmError::Interrupted);
+            }
+            pass += 1;
+            if let Some(sink) = array.trace_sink() {
+                sink.begin_pass(pass);
+            }
+            let mut next = Vec::with_capacity(queue.len().div_ceil(merge_order));
+            for group in queue.chunks(merge_order) {
+                next.push(match group {
+                    // A lone leftover run advances to the next pass at no
+                    // I/O cost.
+                    [lone] => lone.clone(),
+                    _ => {
+                        let out = merge_runs_overlapped(array, group, placer.next(), overlap)?;
+                        merges += 1;
+                        accumulate(&mut schedule, &out.stats);
+                        out.run
+                    }
+                });
+            }
+            queue = next;
+            completed_here = true;
+        }
+        let sorted = queue
+            .pop()
+            .ok_or_else(|| SrmError::Internal("merge queue drained to empty".into()))?;
+        debug_assert_eq!(sorted.records, records);
+        if let Some(path) = manifest {
+            SortManifest::remove(path)?;
+        }
+        let report = SortReport {
+            records,
+            merge_order,
+            runs_formed: runs_formed as usize,
+            merge_passes: pass,
+            merges,
+            schedule,
+            io: array.stats().since(&io_before),
+        };
+        Ok((sorted, report))
     }
-}
 
-impl Sorter for SrmSorter {
-    type Report = SortReport;
-
-    fn stage<R: Record, A: DiskArray<R>>(&self, array: &mut A, data: &[R]) -> Result<StripedRun> {
-        write_unsorted_input(array, data)
-    }
-
-    fn output<R: Record, A: DiskArray<R>>(
+    /// Journal `snapshot` to `path`.  Durability barrier first: every
+    /// block the manifest is about to reference must be on stable storage
+    /// before the manifest claims the pass completed — otherwise a crash
+    /// could leave a manifest pointing at frames that never landed.  Under
+    /// a crash clock the snapshot gets its own numbered boundaries:
+    /// `manifest-write`, the save's `manifest-sync`, `manifest-written`.
+    fn journal<R: Record, A: DiskArray<R>>(
         &self,
+        path: &Path,
         array: &mut A,
-        run: &StripedRun,
-    ) -> Result<Vec<R>> {
-        Ok(read_run(array, run)?)
-    }
-
-    fn checkpointing<'a>(&'a self, manifest: Option<&'a Path>) -> Checkpointing<'a> {
-        Checkpointing {
-            manifest,
-            interrupt: self.interrupt.as_ref(),
-            crash: self.crash.as_ref(),
-        }
-    }
-
-    fn report(&self, passes: PassReport, state: SrmState) -> SortReport {
-        SortReport {
-            records: passes.records,
-            merge_order: passes.merge_order,
-            runs_formed: passes.runs_formed,
-            merge_passes: passes.merge_passes,
-            merges: state.merges,
-            schedule: state.schedule,
-            io: passes.io,
-        }
+        mut snapshot: SortManifest,
+    ) -> Result<()> {
+        let tick = |label: &'static str| self.crash.as_ref().map_or(Ok(()), |c| c.tick(label));
+        array.sync()?;
+        tick("manifest-write")?;
+        snapshot.save(path, self.crash.as_ref())?;
+        Ok(tick("manifest-written")?)
     }
 }
 
@@ -545,7 +574,8 @@ fn accumulate(into: &mut ScheduleStats, merge: &MergeStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::{KeyPayloadRecord, MemDiskArray, U64Record};
+    use crate::output::read_run;
+    use pdisk::{FileDiskArray, KeyPayloadRecord, MemDiskArray, U64Record};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -692,11 +722,23 @@ mod tests {
         assert_eq!(r3.records, r1.records); // different trace is fine; same result
     }
 
+    /// Staging an empty input is no error; the sort is the one refusal,
+    /// on either backend.
     #[test]
     fn empty_input_rejected() {
+        fn refused<A: DiskArray<U64Record>>(mut a: A) {
+            let input = write_unsorted_input(&mut a, &[]).unwrap();
+            assert_eq!(input.records, 0);
+            match SrmSorter::default().sort(&mut a, &input) {
+                Err(SrmError::Config(msg)) => assert!(msg.contains("empty input"), "{msg}"),
+                other => panic!("an empty input must be a Config error, got {other:?}"),
+            }
+        }
         let geom = Geometry::new(2, 4, 96).unwrap();
-        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
-        assert!(write_unsorted_input(&mut a, &[]).is_err());
+        refused(MemDiskArray::<U64Record>::new(geom));
+        let dir = std::env::temp_dir().join(format!("srm-core-empty-{}", std::process::id()));
+        refused(FileDiskArray::<U64Record>::create(geom, &dir).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

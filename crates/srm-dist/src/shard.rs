@@ -27,8 +27,8 @@ use crate::fence::{FenceFlag, Fenced};
 use crate::msg::Msg;
 use crate::net::{Endpoint, NetSender};
 use pdisk::{
-    BuiltStack, DiskArray, FaultModel, FileDiskArray, Geometry, Manifest as _, ParitySpec,
-    PdiskError, RetryPolicy, Sorter as _, StackSpec, StripedRun, U64Record,
+    BuiltStack, DiskArray, FaultModel, FileDiskArray, Geometry, ParitySpec, PdiskError,
+    RetryPolicy, StackSpec, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter, StripeWindow};

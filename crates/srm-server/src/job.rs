@@ -13,8 +13,8 @@
 //!   durable spec files.  `JobSpec` is the **single construction
 //!   point** for the engine: CLI, crashmat, and server all call
 //!   [`JobSpec::srm_sorter`] / [`JobSpec::dsm_sorter`] / [`JobSpec::build`],
-//!   and drive the [`SrmSorter`] through [`pdisk::Sorter`]'s stage / run /
-//!   output / resume-point lifecycle.  A DSM job is the same engine on
+//!   and drive the [`SrmSorter`] through its `resume_point` /
+//!   `sort_observed` pair.  A DSM job is the same engine on
 //!   its one wide disk ([`JobSpec::geometry`]);
 //! * [`encode_run`] / [`decode_run`] — a run handle as one line of the
 //!   server's durable job state.
@@ -24,11 +24,11 @@
 //! rendered in records.
 
 use analysis::MemoryBudget;
-use pdisk::{Geometry, InterruptFlag, PassEngine as _, PdiskError, SortError, StripedRun, U64Record};
+use pdisk::{Geometry, InterruptFlag, PdiskError, StripedRun, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 pub use srm_core::EngineKind;
-use srm_core::{Placement, RunFormation, SrmConfig, SrmSorter};
+use srm_core::{Placement, RunFormation, SrmConfig, SrmError, SrmSorter};
 
 /// Errors surfaced by the job layer and the server built on it.
 #[derive(Debug)]
@@ -83,14 +83,14 @@ impl From<PdiskError> for JobError {
     }
 }
 
-impl From<SortError> for JobError {
-    fn from(e: SortError) -> Self {
+impl From<SrmError> for JobError {
+    fn from(e: SrmError) -> Self {
         match e {
-            SortError::Interrupted => JobError::Interrupted,
-            SortError::Disk(d) => JobError::Disk(d),
-            SortError::Config(m) => JobError::Config(m),
-            SortError::Checkpoint(m) => JobError::Checkpoint(m),
-            SortError::Internal(m) => JobError::Engine(m),
+            SrmError::Interrupted => JobError::Interrupted,
+            SrmError::Disk(d) => JobError::Disk(d),
+            SrmError::Config(m) => JobError::Config(m),
+            SrmError::Checkpoint(m) => JobError::Checkpoint(m),
+            SrmError::Internal(m) => JobError::Engine(m),
             other => JobError::Engine(other.to_string()),
         }
     }
@@ -465,7 +465,9 @@ pub fn expected_digest(spec: &JobSpec) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::{MemDiskArray, Sorter as _};
+    use pdisk::MemDiskArray;
+    use srm_core::read_run;
+    use srm_core::sort::write_unsorted_input;
 
     #[test]
     fn spec_roundtrips_through_encoding() {
@@ -586,17 +588,17 @@ mod tests {
             let mut array: MemDiskArray<U64Record> = MemDiskArray::new(geom);
             let data = spec.input_records();
             let job = spec.build(None);
-            let input = job.stage(&mut array, &data).unwrap();
+            let input = write_unsorted_input(&mut array, &data).unwrap();
             let mut passes = Vec::new();
             let (run, report) = job
-                .run(&mut array, &input, None, |p, _| {
+                .sort_observed(&mut array, &input, None, |p, _| {
                     passes.push(p);
                     Ok(())
                 })
                 .unwrap();
             assert_eq!(report.records, 3000);
             assert!(passes.contains(&0), "formation boundary must be observed");
-            let out: Vec<U64Record> = job.output(&mut array, &run).unwrap();
+            let out: Vec<U64Record> = read_run(&mut array, &run).unwrap();
             let got = digest_keys(out.iter().map(|r| r.0));
             assert_eq!(got, expected_digest(&spec), "engine {engine:?}");
         }
@@ -616,8 +618,8 @@ mod tests {
         let flag = InterruptFlag::new();
         flag.trigger();
         let job = spec.build(Some(flag));
-        let input = job.stage(&mut array, &data).unwrap();
-        let r = job.run(&mut array, &input, None, |_, _| Ok(()));
+        let input = write_unsorted_input(&mut array, &data).unwrap();
+        let r = job.sort(&mut array, &input);
         assert!(matches!(r.map_err(JobError::from), Err(JobError::Interrupted)));
     }
 }

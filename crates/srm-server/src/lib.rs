@@ -10,8 +10,7 @@
 //!
 //! * [`job`] — [`JobSpec`](job::JobSpec), the single construction point
 //!   for the engine shared by the CLI, the crash-matrix harness, and this
-//!   server: an `srm_core::SrmSorter`, SRM- or DSM-configured, driven
-//!   through the one [`pdisk::Sorter`] lifecycle;
+//!   server: an `srm_core::SrmSorter`, SRM- or DSM-configured;
 //! * [`queue`] — admission control: the Definition-3 memory partition
 //!   (`M/B ≥ 2R + 4D + RD/B`) prices each job, and the server admits
 //!   only combinations whose summed budgets fit the configured `M`;

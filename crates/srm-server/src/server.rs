@@ -37,10 +37,10 @@ use crate::queue::Admission;
 use pdisk::manifest::atomic_write as atomic_write_raw;
 use pdisk::sync::Mutex;
 use pdisk::{
-    DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, Sorter as _, StackSpec, StripedRun,
-    U64Record,
+    DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, StackSpec, StripedRun, U64Record,
 };
-use srm_core::SrmSorter;
+use srm_core::sort::write_unsorted_input;
+use srm_core::{read_run, SrmSorter};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -753,7 +753,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
         let _ = std::fs::remove_file(manifest.with_extension("prev"));
         let mut f: FileDiskArray<U64Record> = FileDiskArray::create(geom, &disks)?;
         let data = spec.input_records();
-        let input = job.stage(&mut f, &data)?;
+        let input = write_unsorted_input(&mut f, &data)?;
         f.sync()?;
         atomic_write(&input_path, &encode_run(&input))?;
         (f, input)
@@ -814,11 +814,11 @@ fn sort_and_digest<A: DiskArray<U64Record>>(
     manifest: &Path,
     observer: &mut dyn FnMut(u64),
 ) -> Result<u64, JobError> {
-    let (run, report) = job.run(array, input, Some(manifest), |pass, _| {
+    let (run, report) = job.sort_observed(array, input, Some(manifest), |pass, _| {
         observer(pass);
         Ok(())
     })?;
-    let out = job.output(array, &run)?;
+    let out = read_run(array, &run)?;
     let digest = digest_keys(out.iter().map(|r| r.0));
     let done = format!(
         "digest={digest}\nrecords={}\nruns-formed={}\nmerge-passes={}\nmerge-order={}\nrun={}\n",

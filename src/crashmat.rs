@@ -24,8 +24,8 @@
 //! `tests/crash_matrix.rs` integration suite.
 
 use pdisk::{
-    CrashClock, DiskArray, FileDiskArray, Geometry, Manifest as _, MemDiskArray, ParitySpec,
-    PdiskError, Sorter as _, StackSpec, StripedRun, U64Record,
+    CrashClock, DiskArray, FileDiskArray, Geometry, MemDiskArray, ParitySpec, PdiskError, StackSpec,
+    StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, SrmError, SrmSorter};

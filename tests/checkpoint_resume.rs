@@ -5,15 +5,12 @@
 //! same encoded bytes — because the resumed placement RNG is
 //! fast-forwarded to exactly where the interrupted sort left off.
 
-use pdisk::manifest::{manifest_sibling, Lines};
-use pdisk::{
-    DiskArray, FaultModel, FaultOp, FileDiskArray, Geometry, Manifest, MemDiskArray, Record,
-    U64Record,
-};
+use pdisk::manifest::manifest_sibling;
+use pdisk::{DiskArray, FaultModel, FaultOp, FileDiskArray, Geometry, MemDiskArray, Record, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, EngineKind, SortManifest, SrmSorter};
+use srm_core::{read_run, EngineKind, SortManifest, SrmError, SrmSorter};
 use std::path::PathBuf;
 
 fn random_records(n: u64, seed: u64) -> Vec<U64Record> {
@@ -273,127 +270,60 @@ fn srm_pipelined_killed_mid_merge_resumes_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// What the shared store suite needs from a manifest payload: a sample
-/// with redundancy lines and two runs, and a field that tells two saved
-/// generations apart.
-/// Every store test below runs once per implementor — the envelope, the
-/// journal and the redundancy codec are one body of code
-/// (`pdisk::manifest`), exercised through both payloads.
-trait Payload: Manifest + Clone + PartialEq + std::fmt::Debug {
-    const TAG: &'static str;
-    fn sample(pass: u64) -> Self;
-    fn pass(&self) -> u64;
-    fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>);
+/// A manifest under `engine`'s `algo` line, with redundancy lines and two
+/// runs; `pass` tells two saved generations apart.  Every store test below
+/// runs once per `algo` line — the envelope, the journal and the
+/// redundancy codec are one body of code (`srm_core::checkpoint`).
+fn sample(engine: EngineKind, pass: u64) -> SortManifest {
+    let draws = match engine {
+        EngineKind::Srm => 65 + pass,
+        EngineKind::Dsm => 0,
+    };
+    SortManifest::new(
+        engine,
+        &srm_core::SrmConfig::default(),
+        geom(),
+        3000,
+        63,
+        pass,
+        draws,
+        Some(parity2(&[1])),
+        vec![
+            pdisk::StripedRun {
+                start_disk: pdisk::DiskId(1),
+                len_blocks: 130,
+                records: 520,
+                base_offsets: vec![10, 20],
+            },
+            pdisk::StripedRun {
+                start_disk: pdisk::DiskId(0),
+                len_blocks: 120,
+                records: 480,
+                base_offsets: vec![55, 66],
+            },
+        ],
+    )
 }
 
-/// The store's failures are all the shared vocabulary's `Checkpoint`.
-fn is_checkpoint_error(e: &pdisk::SortError) -> bool {
-    matches!(e, pdisk::SortError::Checkpoint(_))
-}
-
-impl Payload for SortManifest {
-    const TAG: &'static str = "srm";
-
-    fn sample(pass: u64) -> Self {
-        SortManifest::new(
-            EngineKind::Srm,
-            &srm_core::SrmConfig::default(),
-            geom(),
-            3000,
-            63,
-            pass,
-            65 + pass,
-            Some(pdisk::RedundancyInfo {
-                stripe_disks: 2,
-                dead: vec![pdisk::DiskId(1)],
-            }),
-            vec![
-                pdisk::StripedRun {
-                    start_disk: pdisk::DiskId(1),
-                    len_blocks: 130,
-                    records: 520,
-                    base_offsets: vec![10, 20],
-                },
-                pdisk::StripedRun {
-                    start_disk: pdisk::DiskId(0),
-                    len_blocks: 120,
-                    records: 480,
-                    base_offsets: vec![55, 66],
-                },
-            ],
-        )
-    }
-
-    fn pass(&self) -> u64 {
-        self.pass
-    }
-
-    fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>) {
-        self.redundancy = redundancy;
-    }
-}
-
-/// The DSM-configured `SortManifest` — the same codec, writing `algo dsm`
-/// — as a payload of its own, so every store test runs through both
-/// `algo` lines.
-#[derive(Debug, Clone, PartialEq)]
-struct DsmPayload(SortManifest);
-
-impl Manifest for DsmPayload {
-    fn generation(&self) -> u64 {
-        self.0.generation()
-    }
-
-    fn set_generation(&mut self, generation: u64) {
-        self.0.set_generation(generation);
-    }
-
-    fn redundancy(&self) -> Option<&pdisk::RedundancyInfo> {
-        self.0.redundancy()
-    }
-
-    fn encode_body(&self) -> String {
-        self.0.encode_body()
-    }
-
-    fn parse_body(lines: &mut Lines<'_>) -> Result<Self, String> {
-        SortManifest::parse_body(lines).map(DsmPayload)
-    }
-}
-
-impl Payload for DsmPayload {
-    const TAG: &'static str = "dsm";
-
-    fn sample(pass: u64) -> Self {
-        let mut m = SortManifest::sample(pass);
-        m.engine = EngineKind::Dsm;
-        m.draws = 0;
-        DsmPayload(m)
-    }
-
-    fn pass(&self) -> u64 {
-        self.0.pass
-    }
-
-    fn set_redundancy(&mut self, redundancy: Option<pdisk::RedundancyInfo>) {
-        self.0.redundancy = redundancy;
-    }
+/// The store's failures are all `Checkpoint`.
+fn is_checkpoint_error(e: &SrmError) -> bool {
+    matches!(e, SrmError::Checkpoint(_))
 }
 
 /// A fresh scratch directory and the manifest path inside it.
-fn journal_dir<M: Payload>(tag: &str) -> (PathBuf, PathBuf) {
-    let dir = unique_dir(&format!("{}-{tag}", M::TAG));
+fn journal_dir(engine: EngineKind, tag: &str) -> (PathBuf, PathBuf) {
+    let dir = unique_dir(&format!("{}-{tag}", engine.as_str()));
     let path = dir.join("sort.manifest");
     (dir, path)
 }
 
 /// Save generation 1 (pass 1), then generation 2 (pass 2) — which
 /// journals generation 1 to `.prev` — and return the second as saved.
-fn save_two_generations<M: Payload>(path: &std::path::Path) -> M {
-    M::sample(1).save(path).unwrap();
-    let mut newest = M::sample(2);
-    newest.save(path).unwrap();
-    assert_eq!(newest.generation(), 2);
+fn save_two_generations(engine: EngineKind, path: &std::path::Path) -> SortManifest {
+    sample(engine, 1).save(path, None).unwrap();
+    let mut newest = sample(engine, 2);
+    newest.save(path, None).unwrap();
+    assert_eq!(newest.generation, 2);
     newest
 }
 
@@ -404,64 +334,64 @@ fn flip_byte(path: &std::path::Path, at: impl Fn(usize) -> usize, mask: u8) {
     std::fs::write(path, &bytes).unwrap();
 }
 
-fn save_load_roundtrips_and_remove_is_idempotent<M: Payload>() {
-    let (dir, path) = journal_dir::<M>("roundtrip");
-    let mut m = M::sample(2);
-    m.save(&path).unwrap();
-    assert_eq!(m.generation(), 1, "first save starts the generation chain");
-    assert_eq!(M::load(&path).unwrap(), m);
-    M::remove(&path).unwrap();
-    M::remove(&path).unwrap(); // second remove: no error
-    assert!(M::load(&path).is_err());
+fn save_load_roundtrips_and_remove_is_idempotent(engine: EngineKind) {
+    let (dir, path) = journal_dir(engine, "roundtrip");
+    let mut m = sample(engine, 2);
+    m.save(&path, None).unwrap();
+    assert_eq!(m.generation, 1, "first save starts the generation chain");
+    assert_eq!(SortManifest::load(&path).unwrap(), m);
+    SortManifest::remove(&path).unwrap();
+    SortManifest::remove(&path).unwrap(); // second remove: no error
+    assert!(SortManifest::load(&path).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn saves_journal_the_previous_generation<M: Payload>() {
-    let (dir, path) = journal_dir::<M>("gen");
-    let newest = save_two_generations::<M>(&path);
+fn saves_journal_the_previous_generation(engine: EngineKind) {
+    let (dir, path) = journal_dir(engine, "gen");
+    let newest = save_two_generations(engine, &path);
     // Both generations live on disk: the newest at `path`, its
     // predecessor journaled beside it.
-    assert_eq!(M::load_latest(&path).unwrap().unwrap(), newest);
+    assert_eq!(SortManifest::load_latest(&path).unwrap().unwrap(), newest);
     let prev_path = manifest_sibling(&path, "prev");
-    let prev = M::load(&prev_path).unwrap();
-    assert_eq!(prev.generation(), 1);
-    assert_eq!(prev.pass(), 1, "journal holds the pre-update snapshot");
+    let prev = SortManifest::load(&prev_path).unwrap();
+    assert_eq!(prev.generation, 1);
+    assert_eq!(prev.pass, 1, "journal holds the pre-update snapshot");
     // Remove clears the whole journal.
-    M::remove(&path).unwrap();
-    assert!(M::load_latest(&path).unwrap().is_none());
+    SortManifest::remove(&path).unwrap();
+    assert!(SortManifest::load_latest(&path).unwrap().is_none());
     assert!(!path.exists() && !prev_path.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn load_latest_falls_back_to_the_previous_valid_generation<M: Payload>() {
-    let (dir, path) = journal_dir::<M>("fallback");
-    save_two_generations::<M>(&path);
+fn load_latest_falls_back_to_the_previous_valid_generation(engine: EngineKind) {
+    let (dir, path) = journal_dir(engine, "fallback");
+    save_two_generations(engine, &path);
     // Tear the newest manifest mid-byte: recovery must pick gen 1.
     flip_byte(&path, |len| len / 2, 0x01);
-    let recovered = M::load_latest(&path).unwrap().unwrap();
-    assert_eq!((recovered.generation(), recovered.pass()), (1, 1));
+    let recovered = SortManifest::load_latest(&path).unwrap().unwrap();
+    assert_eq!((recovered.generation, recovered.pass), (1, 1));
     // With *every* candidate corrupt, recovery refuses loudly — a typed
     // error, not a silent fresh start.
     flip_byte(&manifest_sibling(&path, "prev"), |len| len / 2, 0x01);
-    let err = M::load_latest(&path).unwrap_err();
+    let err = SortManifest::load_latest(&path).unwrap_err();
     assert!(is_checkpoint_error(&err), "{err:?}");
     assert!(err.to_string().contains("corrupt"), "{err}");
     // And with no candidates at all, there is nothing to resume.
-    M::remove(&path).unwrap();
-    assert!(M::load_latest(&path).unwrap().is_none());
+    SortManifest::remove(&path).unwrap();
+    assert!(SortManifest::load_latest(&path).unwrap().is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn a_torn_current_manifest_is_not_rotated_over_the_journal<M: Payload>() {
-    let (dir, path) = journal_dir::<M>("rotate");
-    let mut m = save_two_generations::<M>(&path);
+fn a_torn_current_manifest_is_not_rotated_over_the_journal(engine: EngineKind) {
+    let (dir, path) = journal_dir(engine, "rotate");
+    let mut m = save_two_generations(engine, &path);
     std::fs::write(&path, b"torn garbage").unwrap();
     // The next save must not shove the garbage over the valid gen 1.
-    m.save(&path).unwrap();
-    assert_eq!(m.generation(), 2, "torn gen 2 does not advance the chain");
-    let prev = M::load(&manifest_sibling(&path, "prev")).unwrap();
-    assert_eq!(prev.generation(), 1, "journaled gen 1 survived the torn save");
-    assert_eq!(M::load_latest(&path).unwrap().unwrap().generation(), 2);
+    m.save(&path, None).unwrap();
+    assert_eq!(m.generation, 2, "torn gen 2 does not advance the chain");
+    let prev = SortManifest::load(&manifest_sibling(&path, "prev")).unwrap();
+    assert_eq!(prev.generation, 1, "journaled gen 1 survived the torn save");
+    assert_eq!(SortManifest::load_latest(&path).unwrap().unwrap().generation, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -471,12 +401,12 @@ fn a_torn_current_manifest_is_not_rotated_over_the_journal<M: Payload>() {
 /// still validates, falls back to the journaled predecessor when the
 /// current copy is torn, and never parses to a state that was not
 /// one of the two saved.
-fn generation_fallback_survives_byte_flips<M: Payload>(flips: &[(usize, u8, bool)]) {
-    let (dir, path) = journal_dir::<M>("genfuzz");
+fn generation_fallback_survives_byte_flips(engine: EngineKind, flips: &[(usize, u8, bool)]) {
+    let (dir, path) = journal_dir(engine, "genfuzz");
     let prev_path = manifest_sibling(&path, "prev");
-    let newest = save_two_generations::<M>(&path);
-    let prev = M::load(&prev_path).unwrap();
-    assert_eq!(prev.generation(), 1);
+    let newest = save_two_generations(engine, &path);
+    let prev = SortManifest::load(&prev_path).unwrap();
+    assert_eq!(prev.generation, 1);
 
     let mut cur_touched = false;
     for &(pos, mask, hit_current) in flips {
@@ -484,20 +414,20 @@ fn generation_fallback_survives_byte_flips<M: Payload>(flips: &[(usize, u8, bool
         cur_touched |= hit_current;
     }
 
-    match M::load_latest(&path) {
+    match SortManifest::load_latest(&path) {
         Ok(Some(got)) if got == newest => {}
         Ok(Some(got)) if got == prev => {
             // Fallback is only legitimate when the current manifest
             // really is torn (a flip in trailing whitespace can
             // leave it valid).
             assert!(
-                cur_touched && M::load(&path).is_err(),
+                cur_touched && SortManifest::load(&path).is_err(),
                 "fell back to generation 1 while generation 2 still validates"
             );
         }
         Ok(Some(got)) => panic!(
             "corrupt manifests parsed to a state never saved: gen {}",
-            got.generation()
+            got.generation
         ),
         Ok(None) => panic!("files exist but recovery found nothing"),
         // Both generations torn: a typed error, not a panic.
@@ -514,62 +444,62 @@ fn parity2(dead: &[u32]) -> pdisk::RedundancyInfo {
     }
 }
 
-fn encode_parse_roundtrips_and_corruption_is_detected<M: Payload>() {
-    let m = M::sample(2);
+fn encode_parse_roundtrips_and_corruption_is_detected(engine: EngineKind) {
+    let m = sample(engine, 2);
     let text = m.encode();
-    assert_eq!(M::parse(&text).unwrap(), m);
+    assert_eq!(SortManifest::parse(&text).unwrap(), m);
     // Flip one digit in the first run line.
     let broken = text.replacen("\nrun ", "\nrun 9", 1);
     assert_ne!(broken, text);
-    let err = M::parse(&broken).unwrap_err();
+    let err = SortManifest::parse(&broken).unwrap_err();
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
     // Truncation loses the checksum line, wholly or in part.
-    assert!(M::parse(&text[..text.len() / 2]).is_err());
-    assert!(M::parse(&text[..text.len() - 20]).is_err());
+    assert!(SortManifest::parse(&text[..text.len() / 2]).is_err());
+    assert!(SortManifest::parse(&text[..text.len() - 20]).is_err());
 }
 
-fn redundancy_lines_roundtrip<M: Payload>() {
+fn redundancy_lines_roundtrip(engine: EngineKind) {
     // Degraded snapshot: parity width 2, disk 1 dead.
-    let mut m = M::sample(2);
-    m.set_redundancy(Some(parity2(&[1])));
+    let mut m = sample(engine, 2);
+    m.redundancy = Some(parity2(&[1]));
     let text = m.encode();
     assert!(text.contains("parity 2\n"), "{text}");
     assert!(text.contains("dead 1\n"), "{text}");
-    assert_eq!(M::parse(&text).unwrap(), m);
+    assert_eq!(SortManifest::parse(&text).unwrap(), m);
     // Healthy parity snapshot: no `dead` line at all.
-    m.set_redundancy(Some(parity2(&[])));
+    m.redundancy = Some(parity2(&[]));
     let text = m.encode();
     assert!(!text.contains("dead"), "{text}");
-    assert_eq!(M::parse(&text).unwrap(), m);
+    assert_eq!(SortManifest::parse(&text).unwrap(), m);
     // Plain manifests stay byte-compatible with the v1 wire format.
-    m.set_redundancy(None);
+    m.redundancy = None;
     assert!(!m.encode().contains("parity"));
 }
 
-fn redundancy_lines_are_validated_against_geometry<M: Payload>() {
+fn redundancy_lines_are_validated_against_geometry(engine: EngineKind) {
     // Re-stamp a hand-edited manifest body with a fresh valid checksum so
     // this exercises the *semantic* validation, not the checksum.
     let recheck = |text: String| {
         let body = &text[..text.rfind("checksum ").unwrap()];
         format!("{body}checksum {:016x}\n", pdisk::fnv1a64(body.as_bytes()))
     };
-    let mut m = M::sample(2);
-    m.set_redundancy(Some(parity2(&[1])));
-    assert_eq!(M::parse(&recheck(m.encode())).unwrap(), m);
+    let mut m = sample(engine, 2);
+    m.redundancy = Some(parity2(&[1]));
+    assert_eq!(SortManifest::parse(&recheck(m.encode())).unwrap(), m);
     // Stripe width must equal D.
-    assert!(M::parse(&recheck(m.encode().replace("parity 2", "parity 3"))).is_err());
+    assert!(SortManifest::parse(&recheck(m.encode().replace("parity 2", "parity 3"))).is_err());
     // Dead ids must be in range.
-    assert!(M::parse(&recheck(m.encode().replace("dead 1", "dead 9"))).is_err());
+    assert!(SortManifest::parse(&recheck(m.encode().replace("dead 1", "dead 9"))).is_err());
 }
 
-fn validate_redundancy_refuses_mismatches<M: Payload>() {
-    let mut m = M::sample(2);
-    m.set_redundancy(None);
+fn validate_redundancy_refuses_mismatches(engine: EngineKind) {
+    let mut m = sample(engine, 2);
+    m.redundancy = None;
     // Plain manifest on a plain array: fine.
     m.validate_redundancy(None).unwrap();
     // Plain manifest on a parity array: refused (remap mismatch).
     assert!(m.validate_redundancy(Some(&parity2(&[]))).is_err());
-    m.set_redundancy(Some(parity2(&[1])));
+    m.redundancy = Some(parity2(&[1]));
     // Parity manifest on a plain array: refused.
     assert!(m.validate_redundancy(None).is_err());
     // Array must already treat manifest-dead disks as dead.
@@ -592,10 +522,10 @@ fn validate_redundancy_refuses_mismatches<M: Payload>() {
 /// identical to the original — never panic, never yield a silently
 /// different resume state.  (A flip in trailing whitespace can leave the
 /// content intact; that is the only acceptable "success".)
-fn byte_flips_never_panic_or_resume_wrong<M: Payload>() {
-    let (dir, path) = journal_dir::<M>("fuzz");
-    let mut m = M::sample(2);
-    m.save(&path).unwrap();
+fn byte_flips_never_panic_or_resume_wrong(engine: EngineKind) {
+    let (dir, path) = journal_dir(engine, "fuzz");
+    let mut m = sample(engine, 2);
+    m.save(&path, None).unwrap();
     let valid = std::fs::read(&path).unwrap();
 
     for i in 0..valid.len() {
@@ -603,7 +533,7 @@ fn byte_flips_never_panic_or_resume_wrong<M: Payload>() {
             let mut bytes = valid.clone();
             bytes[i] ^= mask;
             std::fs::write(&path, &bytes).unwrap();
-            match M::load(&path) {
+            match SortManifest::load(&path) {
                 Err(e) => assert!(
                     is_checkpoint_error(&e),
                     "byte {i} ^ {mask:#04x}: wrong error type {e:?}"
@@ -618,68 +548,67 @@ fn byte_flips_never_panic_or_resume_wrong<M: Payload>() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One `#[test]` per store property, each run through both payloads.
+/// One `#[test]` per store property, each run through both `algo` lines.
 mod both_payloads {
-    use super::DsmPayload;
-    use srm_core::SortManifest;
+    use srm_core::EngineKind::{Dsm, Srm};
 
     #[test]
     fn encode_parse_roundtrips_and_corruption_is_detected() {
-        super::encode_parse_roundtrips_and_corruption_is_detected::<SortManifest>();
-        super::encode_parse_roundtrips_and_corruption_is_detected::<DsmPayload>();
+        super::encode_parse_roundtrips_and_corruption_is_detected(Srm);
+        super::encode_parse_roundtrips_and_corruption_is_detected(Dsm);
     }
 
     #[test]
     fn redundancy_lines_roundtrip() {
-        super::redundancy_lines_roundtrip::<SortManifest>();
-        super::redundancy_lines_roundtrip::<DsmPayload>();
+        super::redundancy_lines_roundtrip(Srm);
+        super::redundancy_lines_roundtrip(Dsm);
     }
 
     #[test]
     fn redundancy_lines_are_validated_against_geometry() {
-        super::redundancy_lines_are_validated_against_geometry::<SortManifest>();
-        super::redundancy_lines_are_validated_against_geometry::<DsmPayload>();
+        super::redundancy_lines_are_validated_against_geometry(Srm);
+        super::redundancy_lines_are_validated_against_geometry(Dsm);
     }
 
     #[test]
     fn validate_redundancy_refuses_mismatches() {
-        super::validate_redundancy_refuses_mismatches::<SortManifest>();
-        super::validate_redundancy_refuses_mismatches::<DsmPayload>();
+        super::validate_redundancy_refuses_mismatches(Srm);
+        super::validate_redundancy_refuses_mismatches(Dsm);
     }
 
     #[test]
     fn save_load_roundtrips_and_remove_is_idempotent() {
-        super::save_load_roundtrips_and_remove_is_idempotent::<SortManifest>();
-        super::save_load_roundtrips_and_remove_is_idempotent::<DsmPayload>();
+        super::save_load_roundtrips_and_remove_is_idempotent(Srm);
+        super::save_load_roundtrips_and_remove_is_idempotent(Dsm);
     }
 
     #[test]
     fn saves_journal_the_previous_generation() {
-        super::saves_journal_the_previous_generation::<SortManifest>();
-        super::saves_journal_the_previous_generation::<DsmPayload>();
+        super::saves_journal_the_previous_generation(Srm);
+        super::saves_journal_the_previous_generation(Dsm);
     }
 
     #[test]
     fn load_latest_falls_back_to_the_previous_valid_generation() {
-        super::load_latest_falls_back_to_the_previous_valid_generation::<SortManifest>();
-        super::load_latest_falls_back_to_the_previous_valid_generation::<DsmPayload>();
+        super::load_latest_falls_back_to_the_previous_valid_generation(Srm);
+        super::load_latest_falls_back_to_the_previous_valid_generation(Dsm);
     }
 
     #[test]
     fn a_torn_current_manifest_is_not_rotated_over_the_journal() {
-        super::a_torn_current_manifest_is_not_rotated_over_the_journal::<SortManifest>();
-        super::a_torn_current_manifest_is_not_rotated_over_the_journal::<DsmPayload>();
+        super::a_torn_current_manifest_is_not_rotated_over_the_journal(Srm);
+        super::a_torn_current_manifest_is_not_rotated_over_the_journal(Dsm);
     }
 }
 
 #[test]
 fn srm_manifest_byte_flips_never_panic_or_resume_wrong() {
-    byte_flips_never_panic_or_resume_wrong::<srm_core::SortManifest>();
+    byte_flips_never_panic_or_resume_wrong(EngineKind::Srm);
 }
 
 #[test]
 fn dsm_manifest_byte_flips_never_panic_or_resume_wrong() {
-    byte_flips_never_panic_or_resume_wrong::<DsmPayload>();
+    byte_flips_never_panic_or_resume_wrong(EngineKind::Dsm);
 }
 
 proptest::proptest! {
@@ -692,7 +621,7 @@ proptest::proptest! {
             1..8,
         ),
     ) {
-        generation_fallback_survives_byte_flips::<srm_core::SortManifest>(&flips);
+        generation_fallback_survives_byte_flips(EngineKind::Srm, &flips);
     }
 
     #[test]
@@ -702,7 +631,7 @@ proptest::proptest! {
             1..8,
         ),
     ) {
-        generation_fallback_survives_byte_flips::<DsmPayload>(&flips);
+        generation_fallback_survives_byte_flips(EngineKind::Dsm, &flips);
     }
 }
 
@@ -752,9 +681,9 @@ fn resume_rejects_incompatible_manifests() {
 }
 
 // ---------------------------------------------------------------------
-// Engine conformance: the pass-driver contract, run once per engine
-// through nothing but its public stage / `sort_observed` / read-back
-// trio.  What a pass boundary promises is the same for every engine:
+// Pass-loop conformance: the loop's contract, run under both merge-order
+// rules (`EngineKind::{Srm, Dsm}`) through nothing but the public stage /
+// `sort_observed` / read-back trio.  What a pass boundary promises:
 //
 // * the observer fires exactly once per boundary *completed by this
 //   call* (pass 0 = formation) and is never replayed after a resume;
@@ -770,232 +699,42 @@ fn resume_rejects_incompatible_manifests() {
 mod common;
 
 use common::Probe;
-use pdisk::passes::{Boundary, Checkpointing};
-use pdisk::InterruptFlag;
+use pdisk::{InterruptFlag, StripedRun};
 use std::path::Path;
 
-/// How a conformance sort ended, when it did not complete.
-#[derive(Debug)]
-enum Stop {
-    Interrupted,
-    Failed(String),
-}
-
-/// The slice of an engine the conformance suite drives.
-trait Conformant {
-    type Run: Clone;
-    const TAG: &'static str;
-
-    /// The array a sort of `g`'s machine runs on.
-    fn geometry(g: Geometry) -> Geometry {
-        g
-    }
-
-    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run;
-
-    /// `sort_observed` under the given window and flag; returns the
-    /// sorted run and the report's whole-sort merge-pass count.
-    fn sort<A: DiskArray<U64Record>>(
-        pipeline: bool,
-        flag: &InterruptFlag,
-        a: &mut A,
-        input: &Self::Run,
-        manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64, &mut A),
-    ) -> Result<(Self::Run, u64), Stop>;
-
-    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record>;
-
-    /// The pass named by the newest loadable checkpoint at `manifest`.
-    fn checkpointed_pass(manifest: &Path) -> Option<u64>;
-}
-
-struct Srm;
-
-impl Conformant for Srm {
-    type Run = pdisk::StripedRun;
-    const TAG: &'static str = "srm";
-
-    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
-        write_unsorted_input(a, data).unwrap()
-    }
-
-    fn sort<A: DiskArray<U64Record>>(
-        pipeline: bool,
-        flag: &InterruptFlag,
-        a: &mut A,
-        input: &Self::Run,
-        manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64, &mut A),
-    ) -> Result<(Self::Run, u64), Stop> {
-        SrmSorter::default()
-            .with_pipeline(pipeline)
-            .with_interrupt(flag.clone())
-            .sort_observed(a, input, manifest, |pass, a: &mut A| {
-                observer(pass, a);
-                Ok(())
-            })
-            .map(|(run, report)| (run, report.merge_passes))
-            .map_err(|e| match e {
-                srm_core::SrmError::Interrupted => Stop::Interrupted,
-                e => Stop::Failed(e.to_string()),
-            })
-    }
-
-    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
-        read_run(a, run).unwrap()
-    }
-
-    fn checkpointed_pass(manifest: &Path) -> Option<u64> {
-        srm_core::SortManifest::load_latest(manifest).unwrap().map(|m| m.pass)
+/// The array a sort of `g`'s machine runs on under `engine`.
+fn engine_geometry(engine: EngineKind, g: Geometry) -> Geometry {
+    match engine {
+        EngineKind::Srm => g,
+        EngineKind::Dsm => Geometry::new(1, g.d * g.b, g.m).unwrap(),
     }
 }
 
-struct Dsm;
-
-impl Conformant for Dsm {
-    type Run = pdisk::StripedRun;
-    const TAG: &'static str = "dsm";
-
-    fn geometry(g: Geometry) -> Geometry {
-        Geometry::new(1, g.d * g.b, g.m).unwrap()
-    }
-
-    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
-        write_unsorted_input(a, data).unwrap()
-    }
-
-    fn sort<A: DiskArray<U64Record>>(
-        pipeline: bool,
-        flag: &InterruptFlag,
-        a: &mut A,
-        input: &Self::Run,
-        manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64, &mut A),
-    ) -> Result<(Self::Run, u64), Stop> {
-        dsm()
-            .with_pipeline(pipeline)
-            .with_interrupt(flag.clone())
-            .sort_observed(a, input, manifest, |pass, a: &mut A| {
-                observer(pass, a);
-                Ok(())
-            })
-            .map(|(run, report)| (run, report.merge_passes))
-            .map_err(|e| match e {
-                srm_core::SrmError::Interrupted => Stop::Interrupted,
-                e => Stop::Failed(e.to_string()),
-            })
-    }
-
-    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
-        read_run(a, run).unwrap()
-    }
-
-    fn checkpointed_pass(manifest: &Path) -> Option<u64> {
-        Srm::checkpointed_pass(manifest)
-    }
+/// `sort_observed` under `engine`, the given window and flag; returns the
+/// sorted run and the report's whole-sort merge-pass count.
+fn sort_as<A: DiskArray<U64Record>>(
+    engine: EngineKind,
+    pipeline: bool,
+    flag: &InterruptFlag,
+    a: &mut A,
+    input: &StripedRun,
+    manifest: Option<&Path>,
+    observer: &mut dyn FnMut(u64, &mut A),
+) -> Result<(StripedRun, u64), SrmError> {
+    SrmSorter::default()
+        .with_engine(engine)
+        .with_pipeline(pipeline)
+        .with_interrupt(flag.clone())
+        .sort_observed(a, input, manifest, |pass, a: &mut A| {
+            observer(pass, a);
+            Ok(())
+        })
+        .map(|(run, report)| (run, report.merge_passes))
 }
 
-/// A third engine, the proof that one is "one `impl`": two-way mergesort
-/// over runs laid out like unsorted input, checkpointing in
-/// `SortManifest`, written against [`pdisk::PassEngine`] alone — no
-/// product file knows it exists.  [`Checkpointing::drive`] gives it the
-/// resume rule, the observer, the barrier, the journal, the interrupt
-/// check and manifest retirement.
-struct Toy;
-
-impl pdisk::PassEngine for Toy {
-    type Run = pdisk::StripedRun;
-    type Manifest = SortManifest;
-    type State = ();
-
-    fn merge_order(&self, _: Geometry) -> Result<usize, pdisk::SortError> {
-        Ok(2)
-    }
-
-    fn form<R: Record, A: DiskArray<R>>(
-        &self,
-        a: &mut A,
-        input: &Self::Run,
-    ) -> Result<(Vec<Self::Run>, ()), pdisk::SortError> {
-        let mut records = read_run(a, input)?;
-        let mut runs = Vec::new();
-        for load in records.chunks_mut(a.geometry().m / 2) {
-            load.sort_unstable_by_key(|r| r.key());
-            runs.push(write_unsorted_input(a, load)?);
-        }
-        Ok((runs, ()))
-    }
-
-    fn merge_group<R: Record, A: DiskArray<R>>(
-        &self,
-        a: &mut A,
-        group: &[Self::Run],
-        _: &mut (),
-    ) -> Result<Self::Run, pdisk::SortError> {
-        let mut merged = Vec::new();
-        for run in group {
-            merged.extend(read_run(a, run)?);
-        }
-        merged.sort_by_key(|r| r.key()); // stable: ties keep run order
-        write_unsorted_input(a, &merged)
-    }
-
-    fn checkpoint(&self, _: &(), at: Boundary<Self::Run>) -> Self::Manifest {
-        let Boundary { geometry, records, runs_formed, pass, redundancy, runs } = at;
-        let config = srm_core::SrmConfig::default();
-        SortManifest::new(EngineKind::Srm, &config, geometry, records, runs_formed, pass, 0, redundancy, runs)
-    }
-
-    fn restore(
-        &self,
-        m: &Self::Manifest,
-        geometry: Geometry,
-        records: u64,
-    ) -> Result<(Boundary<Self::Run>, ()), pdisk::SortError> {
-        m.validate(EngineKind::Srm, &srm_core::SrmConfig::default(), geometry, records)?;
-        let (runs_formed, pass) = (m.runs_formed, m.pass);
-        let (redundancy, runs) = (m.redundancy.clone(), m.runs.clone());
-        Ok((Boundary { geometry, records, runs_formed, pass, redundancy, runs }, ()))
-    }
-}
-
-impl Conformant for Toy {
-    type Run = pdisk::StripedRun;
-    const TAG: &'static str = "toy";
-
-    fn stage<A: DiskArray<U64Record>>(a: &mut A, data: &[U64Record]) -> Self::Run {
-        write_unsorted_input(a, data).unwrap()
-    }
-
-    fn sort<A: DiskArray<U64Record>>(
-        _pipeline: bool,
-        flag: &InterruptFlag,
-        a: &mut A,
-        input: &Self::Run,
-        manifest: Option<&Path>,
-        observer: &mut dyn FnMut(u64, &mut A),
-    ) -> Result<(Self::Run, u64), Stop> {
-        let checkpointing = Checkpointing { manifest, interrupt: Some(flag), crash: None };
-        checkpointing
-            .drive(&Toy, a, input, |pass, a: &mut A| {
-                observer(pass, a);
-                Ok(())
-            })
-                .map(|(run, report, ())| (run, report.merge_passes))
-            .map_err(|e| match e {
-                pdisk::SortError::Interrupted => Stop::Interrupted,
-                e => Stop::Failed(e.to_string()),
-            })
-    }
-
-    fn read<A: DiskArray<U64Record>>(a: &mut A, run: &Self::Run) -> Vec<U64Record> {
-        read_run(a, run).unwrap()
-    }
-
-    fn checkpointed_pass(manifest: &Path) -> Option<u64> {
-        Srm::checkpointed_pass(manifest)
-    }
+/// The pass named by the newest loadable checkpoint at `manifest`.
+fn checkpointed_pass(manifest: &Path) -> Option<u64> {
+    SortManifest::load_latest(manifest).unwrap().map(|m| m.pass)
 }
 
 /// The journal is wholly gone: manifest, `.prev` and `.tmp`.
@@ -1011,36 +750,36 @@ fn assert_journal_retired(manifest: &Path) {
 
 /// Interrupt at *every* boundary in turn, alternating the window between
 /// calls, and hold each return against the contract above.
-fn stepping_through_every_boundary_honours_the_contract<E: Conformant>() {
+fn stepping_through_every_boundary_honours_the_contract(engine: EngineKind) {
     let data = random_records(3000, 81);
-    let dir = unique_dir(&format!("conform-step-{}", E::TAG));
+    let dir = unique_dir(&format!("conform-step-{}", engine.as_str()));
     let manifest = dir.join("sort.manifest");
     let flag = InterruptFlag::new();
 
     // Uninterrupted reference: one observer call per boundary, 0..=P.
-    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(E::geometry(geom()));
-    let input = E::stage(&mut clean, &data);
+    let mut clean: MemDiskArray<U64Record> = MemDiskArray::new(engine_geometry(engine, geom()));
+    let input = write_unsorted_input(&mut clean, &data).unwrap();
     let mut boundaries = Vec::new();
     let (run, passes) =
-        E::sort(false, &flag, &mut clean, &input, None, &mut |pass, _| boundaries.push(pass))
+        sort_as(engine, false, &flag, &mut clean, &input, None, &mut |pass, _| boundaries.push(pass))
             .unwrap();
     assert!(passes >= 2, "need a genuinely multi-pass sort");
     assert_eq!(boundaries, (0..=passes).collect::<Vec<_>>());
-    let want = encode_all(&E::read(&mut clean, &run));
+    let want = encode_all(&read_run(&mut clean, &run).unwrap());
 
     // Stepping run: the observer trips the flag at every boundary, so
     // each call completes exactly one pass and stops behind its snapshot.
-    let mut a = Probe::new(MemDiskArray::<U64Record>::new(E::geometry(geom())));
-    let input = E::stage(&mut a, &data);
+    let mut a = Probe::new(MemDiskArray::<U64Record>::new(engine_geometry(engine, geom())));
+    let input = write_unsorted_input(&mut a, &data).unwrap();
     let mut seen = Vec::new();
     let mut interrupts = 0u64;
     let run = loop {
         let pipeline = interrupts % 2 == 1;
-        let before = E::checkpointed_pass(&manifest);
-        let stopped = E::sort(pipeline, &flag, &mut a, &input, Some(&manifest), &mut |pass, a| {
+        let before = checkpointed_pass(&manifest);
+        let stopped = sort_as(engine, pipeline, &flag, &mut a, &input, Some(&manifest), &mut |pass, a| {
             seen.push(pass);
             assert_eq!(
-                E::checkpointed_pass(&manifest),
+                checkpointed_pass(&manifest),
                 before,
                 "pass {pass}: the observer runs before the boundary's snapshot"
             );
@@ -1052,10 +791,10 @@ fn stepping_through_every_boundary_honours_the_contract<E: Conformant>() {
                 assert_eq!(total, passes, "whole-sort pass count survives the resumes");
                 break run;
             }
-            Err(Stop::Interrupted) => {
+            Err(SrmError::Interrupted) => {
                 let at = *seen.last().expect("interrupted before any boundary");
                 assert_eq!(
-                    E::checkpointed_pass(&manifest),
+                    checkpointed_pass(&manifest),
                     Some(at),
                     "Interrupted must leave a loadable manifest naming the boundary"
                 );
@@ -1068,34 +807,34 @@ fn stepping_through_every_boundary_honours_the_contract<E: Conformant>() {
                 interrupts += 1;
                 flag.clear();
             }
-            Err(Stop::Failed(e)) => panic!("{} sort failed: {e}", E::TAG),
+            Err(e) => panic!("{} sort failed: {e}", engine.as_str()),
         }
     };
     // Every boundary once, in order, none replayed by a resume; the last
     // one (a single run left) completes although the flag was set.
     assert_eq!(seen, (0..=passes).collect::<Vec<_>>());
     assert_eq!(interrupts, passes, "one stop per boundary with work left");
-    assert_eq!(encode_all(&E::read(&mut a, &run)), want, "stepped output diverged");
+    assert_eq!(encode_all(&read_run(&mut a, &run).unwrap()), want, "stepped output diverged");
     assert_journal_retired(&manifest);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One memory load, one run, no boundary with work left: a set flag must
 /// not stop the sort, and the formation checkpoint is retired again.
-fn a_set_flag_with_one_run_left_still_completes<E: Conformant>() {
-    let dir = unique_dir(&format!("conform-lone-{}", E::TAG));
+fn a_set_flag_with_one_run_left_still_completes(engine: EngineKind) {
+    let dir = unique_dir(&format!("conform-lone-{}", engine.as_str()));
     let manifest = dir.join("sort.manifest");
     let data: Vec<U64Record> = (0..60u64).rev().map(U64Record).collect();
-    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(E::geometry(Geometry::new(2, 4, 128).unwrap()));
-    let input = E::stage(&mut a, &data);
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(engine_geometry(engine, Geometry::new(2, 4, 128).unwrap()));
+    let input = write_unsorted_input(&mut a, &data).unwrap();
     let flag = InterruptFlag::new();
     flag.trigger();
     let mut seen = Vec::new();
     let (run, passes) =
-        E::sort(false, &flag, &mut a, &input, Some(&manifest), &mut |pass, _| seen.push(pass))
+        sort_as(engine, false, &flag, &mut a, &input, Some(&manifest), &mut |pass, _| seen.push(pass))
             .unwrap();
     assert_eq!((passes, seen), (0, vec![0]));
-    let keys: Vec<u64> = E::read(&mut a, &run).iter().map(|r| r.0).collect();
+    let keys: Vec<u64> = read_run(&mut a, &run).unwrap().iter().map(|r| r.0).collect();
     assert_eq!(keys, (0..60).collect::<Vec<u64>>());
     assert_journal_retired(&manifest);
     let _ = std::fs::remove_dir_all(&dir);
@@ -1104,22 +843,22 @@ fn a_set_flag_with_one_run_left_still_completes<E: Conformant>() {
 /// A flag set before the sort starts: formation still completes and is
 /// journaled, and the sort stops behind that first snapshot — not before
 /// it, where the stepping test's observer-set flag cannot look.
-fn a_flag_set_before_the_sort_stops_behind_the_first_snapshot<E: Conformant>() {
-    let dir = unique_dir(&format!("conform-early-{}", E::TAG));
+fn a_flag_set_before_the_sort_stops_behind_the_first_snapshot(engine: EngineKind) {
+    let dir = unique_dir(&format!("conform-early-{}", engine.as_str()));
     let manifest = dir.join("sort.manifest");
-    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(E::geometry(geom()));
-    let input = E::stage(&mut a, &random_records(3000, 82));
+    let mut a: MemDiskArray<U64Record> = MemDiskArray::new(engine_geometry(engine, geom()));
+    let input = write_unsorted_input(&mut a, &random_records(3000, 82)).unwrap();
     let flag = InterruptFlag::new();
     flag.trigger();
     let mut seen = Vec::new();
-    match E::sort(false, &flag, &mut a, &input, Some(&manifest), &mut |pass, _| seen.push(pass)) {
-        Err(Stop::Interrupted) => {}
-        Err(Stop::Failed(e)) => panic!("{} sort failed: {e}", E::TAG),
-        Ok(_) => panic!("{} sort ignored a set flag with runs left", E::TAG),
+    match sort_as(engine, false, &flag, &mut a, &input, Some(&manifest), &mut |pass, _| seen.push(pass)) {
+        Err(SrmError::Interrupted) => {}
+        Err(e) => panic!("{} sort failed: {e}", engine.as_str()),
+        Ok(_) => panic!("{} sort ignored a set flag with runs left", engine.as_str()),
     }
     assert_eq!(seen, [0]);
     assert_eq!(
-        E::checkpointed_pass(&manifest),
+        checkpointed_pass(&manifest),
         Some(0),
         "Interrupted before the formation snapshot"
     );
@@ -1128,26 +867,23 @@ fn a_flag_set_before_the_sort_stops_behind_the_first_snapshot<E: Conformant>() {
 
 /// One `#[test]` per contract, each run through every engine.
 mod every_engine {
-    use super::{Dsm, Srm, Toy};
+    use srm_core::EngineKind::{Dsm, Srm};
 
     #[test]
     fn stepping_through_every_boundary_honours_the_contract() {
-        super::stepping_through_every_boundary_honours_the_contract::<Srm>();
-        super::stepping_through_every_boundary_honours_the_contract::<Dsm>();
-        super::stepping_through_every_boundary_honours_the_contract::<Toy>();
+        super::stepping_through_every_boundary_honours_the_contract(Srm);
+        super::stepping_through_every_boundary_honours_the_contract(Dsm);
     }
 
     #[test]
     fn a_set_flag_with_one_run_left_still_completes() {
-        super::a_set_flag_with_one_run_left_still_completes::<Srm>();
-        super::a_set_flag_with_one_run_left_still_completes::<Dsm>();
-        super::a_set_flag_with_one_run_left_still_completes::<Toy>();
+        super::a_set_flag_with_one_run_left_still_completes(Srm);
+        super::a_set_flag_with_one_run_left_still_completes(Dsm);
     }
 
     #[test]
     fn a_flag_set_before_the_sort_stops_behind_the_first_snapshot() {
-        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot::<Srm>();
-        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot::<Dsm>();
-        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot::<Toy>();
+        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot(Srm);
+        super::a_flag_set_before_the_sort_stops_behind_the_first_snapshot(Dsm);
     }
 }

@@ -6,8 +6,8 @@
 //! the merge schedule never changes.
 
 use pdisk::{
-    DiskArray, DiskId, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry,
-    Manifest as _, MemDiskArray, ParityDiskArray, Record, U64Record,
+    DiskArray, DiskId, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry, MemDiskArray,
+    ParityDiskArray, Record, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

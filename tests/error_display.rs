@@ -4,7 +4,7 @@
 //! silently rendering empty (or drifting) breaks failure reporting in
 //! ways nothing else tests.
 
-use pdisk::{Geometry, Manifest as _, MemDiskArray, PdiskError, U64Record};
+use pdisk::{Geometry, MemDiskArray, PdiskError, U64Record};
 use srm_core::sort::write_unsorted_input;
 use srm_core::{EngineKind, SortManifest, SrmError, SrmSorter};
 use srm_server::{decode_run, JobError};

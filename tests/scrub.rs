@@ -3,8 +3,7 @@
 //! the array is already degraded (one disk permanently dead).
 
 use pdisk::{
-    DiskArray, Geometry, Manifest as _, MemDiskArray, ParityDiskArray, ScrubOutcome, StripedRun,
-    U64Record,
+    DiskArray, Geometry, MemDiskArray, ParityDiskArray, ScrubOutcome, StripedRun, U64Record,
 };
 use srm_core::{scrub_runs, RunWriter};
 
