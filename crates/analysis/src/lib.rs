@@ -8,6 +8,8 @@
 //! * [`tables`] — generators that recompute Tables 1–4 from the living
 //!   code (Monte-Carlo occupancy for Tables 1–2, the block-level merge
 //!   simulator for Tables 3–4);
+//! * [`plan`] — the pass loop's merge plan and the blocks each pass
+//!   moves under memory-load formation;
 //! * [`paper`] — the numbers printed in the paper, embedded as reference
 //!   constants so every regeneration can be diffed against the original;
 //! * [`render`] — plain-text/markdown rendering used by the `bench`
@@ -21,6 +23,7 @@
 pub mod formulas;
 pub mod memory;
 pub mod paper;
+pub mod plan;
 pub mod render;
 pub mod tables;
 pub mod theorem1;
@@ -29,5 +32,6 @@ pub use formulas::{
     c_dsm, c_srm, dsm_total_ios, srm_total_ios, srm_write_ops, table_memory,
 };
 pub use memory::MemoryBudget;
+pub use plan::{memory_load_passes, pass_plan, pass_volumes, PassPlan, PassVolume};
 pub use render::Grid;
 pub use tables::{table1, table2, table3, table4, Table3Params};

@@ -66,5 +66,7 @@ fn main() {
     println!("\nExpected shape: the measured ratio column sits below 1 whenever");
     println!("both sorters need multiple merge passes (SRM's higher merge order");
     println!("saves passes), and the measured columns track the eq. 40/41");
-    println!("predictions to within the formulas' no-ceiling simplification.");
+    println!("predictions: merge passes are fractional, as the formulas'");
+    println!("are, so what is left is half-memory runs (2N/M of them, not");
+    println!("N/M) and the pass plan's chord of log_R between powers of R.");
 }

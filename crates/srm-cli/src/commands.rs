@@ -9,7 +9,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::simulator::{estimate_overhead_v, SimPlacement};
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, Placement, RunFormation, SrmError, SrmSorter};
+use srm_core::{read_run, Placement, RunFormation, SortReport, SrmError, SrmSorter};
 use srm_server::{EngineKind, JobServer, JobSpec, ServerConfig};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
@@ -570,10 +570,9 @@ impl SortJob<'_> {
 /// a checkpoint — and run `sorter` on it.
 fn sort_on_backend(flags: &Flags, sorter: &SrmSorter, job: &SortJob) -> Result<(), CliError> {
     let resuming = job.resume_point(sorter)?;
-    let dead = resuming.as_deref().unwrap_or_default();
     if !job.durable {
         let array: MemDiskArray<U64Record> = MemDiskArray::new(job.geom);
-        return run_sort(array, sorter, job, None, dead, |_| None);
+        return run_sort(array, sorter, job, None, resuming.as_deref(), |_| None);
     }
     let dir = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("srm-cli-{}", std::process::id()))
@@ -594,7 +593,7 @@ fn sort_on_backend(flags: &Flags, sorter: &SrmSorter, job: &SortJob) -> Result<(
     if let Some(s) = store.as_ref().filter(|_| resuming.is_none()) {
         let _ = std::fs::remove_file(s);
     }
-    run_sort(array, sorter, job, store.as_deref(), dead, |a| Some(file_counters(a)))?;
+    run_sort(array, sorter, job, store.as_deref(), resuming.as_deref(), |a| Some(file_counters(a)))?;
     if !flags.has("keep") {
         let _ = std::fs::remove_dir_all(&dir);
     } else {
@@ -645,7 +644,8 @@ fn parse_kill_spec(s: &str) -> Result<(u32, u64), String> {
 
 /// Run `sorter` on `backend` under the layers this job asks for — fault
 /// injection + retry (`--fault-rate`), rotating parity (`--parity`, with
-/// its sidecar `store` and the disks a resumed manifest records `dead`),
+/// its sidecar `store` and, when `resumed`, the disks the manifest
+/// records dead),
 /// the crash clock (`--crash-at` / `--crash-points`) and the trace
 /// (`--check-model`): stage, sort, verify, report — the report ending with
 /// `backend_counters`' line when the backend keeps counters of its own.
@@ -654,10 +654,11 @@ fn run_sort<A: DiskArray<U64Record>>(
     sorter: &SrmSorter,
     job: &SortJob,
     store: Option<&Path>,
-    dead: &[DiskId],
+    resumed: Option<&[DiskId]>,
     backend_counters: fn(&A) -> Option<String>,
 ) -> Result<(), CliError> {
     let geom = job.geom;
+    let dead = resumed.unwrap_or_default();
     let policy = RetryPolicy::default();
     if job.fault_rate > 0.0 {
         println!(
@@ -730,6 +731,7 @@ fn run_sort<A: DiskArray<U64Record>>(
     )?;
     println!("{}: sorted & verified in {elapsed:.2?} (host time)", job.label);
     println!("  {report}");
+    println!("  {}", pass_plan_line(&report, sorter.config().run_formation, geom, resumed.is_some()));
     if let Some(red) = array.redundancy() {
         if !red.dead.is_empty() {
             let ids: Vec<u32> = red.dead.iter().map(|d| d.0).collect();
@@ -748,6 +750,40 @@ fn run_sort<A: DiskArray<U64Record>>(
         report_model_check(job.geom, &array.take_trace(), &array.stats())?;
     }
     Ok(())
+}
+
+/// The `pass plan:` line: what merge pass 1 does — it merges only enough
+/// runs to leave a power of `R`, and the rest wait — and the blocks the
+/// sort writes, predicted by `analysis` (memory-load formation, whose run
+/// lengths are known up front) beside the count the array kept.
+fn pass_plan_line(report: &SortReport, formation: RunFormation, geom: Geometry, resumed: bool) -> String {
+    let (runs, r) = (report.runs_formed, report.merge_order);
+    let plan = match analysis::pass_plan(runs, r) {
+        Some(p) => format!(
+            "pass 1 merges the last {} of {runs} runs (a group of {}, then {} of {r}) while {} wait, leaving {}",
+            p.merged(r),
+            p.first,
+            p.full,
+            p.untouched,
+            p.runs_after()
+        ),
+        None => format!("{runs} run, no merge pass"),
+    };
+    let actual = report.io.blocks_written;
+    let fraction = match formation {
+        RunFormation::MemoryLoad { fraction } | RunFormation::ParallelMemoryLoad { fraction, .. } => Some(fraction),
+        RunFormation::ReplacementSelection => None,
+    };
+    let blocks = match fraction {
+        _ if resumed => format!("blocks written since the resume: {actual}"),
+        Some(fraction) => {
+            let passes = analysis::memory_load_passes(report.records, geom, fraction, r);
+            let predicted: u64 = passes.iter().map(|p| p.written).sum();
+            format!("blocks written: predicted {predicted}, actual {actual}")
+        }
+        None => format!("blocks written: actual {actual} (replacement selection's runs depend on the input)"),
+    };
+    format!("pass plan: {plan}; {blocks}")
 }
 
 /// Replay a traced sort's event stream through the model checker and

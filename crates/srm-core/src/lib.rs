@@ -71,4 +71,4 @@ pub use run_formation::{form_runs, RunFormation};
 pub use scheduler::{ScheduleStats, Scheduler};
 pub use scrub::{scrub_runs, ScrubReport};
 pub use simulator::{MergeSim, SimInput, SimStats, TraceEvent};
-pub use sort::{EngineKind, Placement, SortReport, SrmConfig, SrmSorter};
+pub use sort::{pass_plan, EngineKind, PassPlan, Placement, SortReport, SrmConfig, SrmSorter};

@@ -22,7 +22,7 @@
 use crate::error::{Result, SrmError};
 use crate::loser_tree::LoserTree;
 use crate::output::{RunWriter, StripeWindow};
-use pdisk::{DiskArray, DiskId, Record, StripedRun};
+use pdisk::{DiskArray, DiskId, Geometry, Record, StripedRun};
 
 /// Strategy for the run-formation pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,8 +106,8 @@ pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
         )));
     }
     let geom = array.geometry();
-    let capacity = ((geom.m as f64 * fraction) as usize).max(geom.b);
-    let load_blocks = capacity.div_ceil(geom.b) as u64;
+    let capacity = load_capacity(geom, fraction);
+    let load_blocks = load_blocks(geom, fraction);
     let depth = if pipeline { (capacity / (geom.d * geom.b)).max(1) } else { 1 };
     let window = |load: u64| StripeWindow::new(input, load * load_blocks..(load + 1) * load_blocks);
     let (mut current, mut next) = (window(0), window(1));
@@ -135,6 +135,17 @@ pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
         (current, next) = (next, window(following));
     }
     Ok(out)
+}
+
+/// Records a memory load holds: `fraction` of `M`, at least one block.
+fn load_capacity(geom: Geometry, fraction: f64) -> usize {
+    ((geom.m as f64 * fraction) as usize).max(geom.b)
+}
+
+/// Input blocks each memory load reads, so every run but the last holds
+/// `load_blocks · B` records: `⌈fraction·M / B⌉`, at least one.
+pub fn load_blocks(geom: Geometry, fraction: f64) -> u64 {
+    load_capacity(geom, fraction).div_ceil(geom.b) as u64
 }
 
 /// Replacement selection: the tournament's leaf *is* the slot holding the

@@ -635,27 +635,57 @@ proptest::proptest! {
     }
 }
 
+/// The read ordinal halfway through merge pass `pass`, aimed from the
+/// plan: formation reads the input a stripe at a time and a merge pass
+/// reads at least its blocks over `D` (`v ≥ 1`), so half the ideal reads
+/// of `pass` past the ideal end of the passes before it lands inside
+/// `pass` unless those passes overran their ideal by that much — and
+/// [`killed_in_pass`] asserts the boundary the kill reached.
+fn mid_pass_read(records: u64, pass: usize) -> u64 {
+    let g = geom();
+    let passes = analysis::memory_load_passes(records, g, 0.5, g.srm_merge_order().unwrap());
+    let ideal = |p: &analysis::PassVolume| p.read.div_ceil(g.d as u64);
+    passes[..pass].iter().map(ideal).sum::<u64>() + ideal(&passes[pass]) / 2
+}
+
+/// Kill a checkpointed sort of `data` halfway through merge pass `pass`;
+/// return the array it left and the staged input.
+fn killed_in_pass(data: &[U64Record], pass: usize, manifest: &Path) -> (MemDiskArray<U64Record>, StripedRun) {
+    let kill = mid_pass_read(data.len() as u64, pass);
+    let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
+    let mut a = pdisk::FaultyDiskArray::new(inner, FaultModel::none().kill_at(FaultOp::Read, kill));
+    let input = write_unsorted_input(&mut a, data).unwrap();
+    assert!(SrmSorter::default().sort_checkpointed(&mut a, &input, manifest).is_err());
+    // The boundary before `pass` is the newest generation on disk.
+    let newest = SortManifest::load(manifest).unwrap();
+    assert_eq!(newest.pass, pass as u64 - 1, "the kill at read {kill} must land inside pass {pass}");
+    (a.into_inner(), input)
+}
+
+/// Tear `manifest`'s current generation: still well-formed text, but its
+/// checksum no longer matches.
+fn tear(manifest: &Path) {
+    let text = std::fs::read_to_string(manifest).unwrap();
+    assert!(text.contains("records 3000"));
+    std::fs::write(manifest, text.replace("records 3000", "records 3001")).unwrap();
+}
+
 /// Resume refuses a manifest that doesn't match the sorter or input —
-/// each mismatch is a checkpoint error, not silent corruption.
+/// each mismatch is a checkpoint error, not silent corruption — and
+/// both halves of the recovery rule hold: a torn current manifest falls
+/// back to a valid predecessor, and with every generation torn the sort
+/// is refused.
 #[test]
 fn resume_rejects_incompatible_manifests() {
     let data = random_records(3000, 74);
+    let (want, _, _) = srm_baseline(&data);
     let dir = unique_dir("srm-reject");
-    let manifest = dir.join("sort.manifest");
 
-    // Produce a real manifest by killing a checkpointed sort mid-merge.
-    let (_, reads, _) = srm_baseline(&data);
-    let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-    let mut a = pdisk::FaultyDiskArray::new(
-        inner,
-        FaultModel::none().kill_at(FaultOp::Read, reads / 2),
-    );
-    let input = write_unsorted_input(&mut a, &data).unwrap();
-    assert!(SrmSorter::default()
-        .sort_checkpointed(&mut a, &input, &manifest)
-        .is_err());
-    assert!(manifest.exists(), "mid-merge kill must leave a manifest");
-    let mut recovered = a.into_inner();
+    // Killed inside pass 1, the sort leaves formation's manifest and no
+    // predecessor.
+    let manifest = dir.join("pass1.manifest");
+    let (mut recovered, input) = killed_in_pass(&data, 1, &manifest);
+    assert!(!manifest_sibling(&manifest, "prev").exists(), "formation's is the first generation");
 
     // Wrong seed.
     let reseeded = SrmSorter::new(srm_core::SrmConfig {
@@ -667,16 +697,29 @@ fn resume_rejects_incompatible_manifests() {
         other => panic!("wrong seed must be refused, got {other:?}"),
     }
 
-    // Corrupted manifest file.
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    assert!(text.contains("records 3000"));
-    std::fs::write(&manifest, text.replace("records 3000", "records 3001")).unwrap();
+    // Every generation torn: nothing valid to fall back to.
+    tear(&manifest);
     match SrmSorter::default().sort_checkpointed(&mut recovered, &input, &manifest) {
         Err(srm_core::SrmError::Checkpoint(msg)) => {
             assert!(msg.contains("checksum mismatch"), "{msg}")
         }
-        other => panic!("torn manifest must be refused, got {other:?}"),
+        other => panic!("a manifest with no valid generation must be refused, got {other:?}"),
     }
+
+    // Killed inside pass 2, the sort leaves pass 1's manifest with
+    // formation's journaled behind it.  Torn, the current generation
+    // falls back to its valid predecessor, and the sort resumes from
+    // formation's boundary byte-identically.
+    let manifest = dir.join("pass2.manifest");
+    let (mut recovered, input) = killed_in_pass(&data, 2, &manifest);
+    assert_eq!(SortManifest::load(&manifest_sibling(&manifest, "prev")).unwrap().pass, 0);
+    tear(&manifest);
+    let (run, report) = SrmSorter::default()
+        .sort_checkpointed(&mut recovered, &input, &manifest)
+        .unwrap_or_else(|e| panic!("a torn manifest with a valid predecessor must resume: {e}"));
+    assert_eq!(encode_all(&read_run(&mut recovered, &run).unwrap()), want);
+    assert_eq!(report.merge_passes, 3);
+    assert!(!manifest.exists() && !manifest_sibling(&manifest, "prev").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

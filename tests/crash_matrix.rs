@@ -134,18 +134,28 @@ fn recovery_is_deterministic_at_a_fixed_crash_point() {
 /// feed these counts, so a layer that starts or stops ticking moves them.
 /// No sweep: dry runs only.
 ///
-/// 1290 / 1518 were 1274 / 1502 while the crash layer numbered a blocking
-/// call `read`/`read-done` (2 boundaries) instead of as the pair it is (4):
-/// this sort issues 8 blocking reads — the initial loads of its merges —
-/// and no blocking write, so each count grew by 8 × 2.
+/// The derivation: a read is a submit/complete pair, 4 boundaries; a
+/// write of `n` frames is 4 plus `n − 1` `write-torn`s; each of the two
+/// journaled snapshots (formation, pass 1) adds `sync`/`sync-done` and
+/// the three manifest ticks; parity adds `parity-update`/`-updated` per
+/// write.  The sort issues 109 reads and 102 writes of 402 blocks:
+/// 4·109 + (3·102 + 402) + 2·5 = 1154, and parity 2·102 more, 1358.
+///
+/// They were 1290 / 1518 (122 reads, 114 writes of 450 blocks) while
+/// pass 1 merged all 10 runs.  The pass plan (10 runs at R = 5 leave 5)
+/// merges a group of 2 and one of 5, and the first 3 runs, 48 blocks,
+/// wait: 12 fewer write stripes and 13 fewer reads, so 4·13 + 3·12 + 48
+/// = 136 fewer boundaries, and parity 2·12 more.  Before that, 1274 /
+/// 1502 while the crash layer numbered a blocking call `read`/`read-done`
+/// (2 boundaries) instead of as the pair it is (4).
 #[test]
 fn dry_run_point_counts_are_pinned() {
     let input = data(600);
     for (tag, pipeline, parity, want) in [
-        ("pin-serial-mem", false, false, 1290u64),
-        ("pin-serial-mem-par", false, true, 1518),
-        ("pin-pipe-mem", true, false, 1290),
-        ("pin-pipe-mem-par", true, true, 1518),
+        ("pin-serial-mem", false, false, 1154u64),
+        ("pin-serial-mem-par", false, true, 1358),
+        ("pin-pipe-mem", true, false, 1154),
+        ("pin-pipe-mem-par", true, true, 1358),
     ] {
         let cfg = config(tag, pipeline, parity, Backend::Mem);
         std::fs::create_dir_all(&cfg.scratch).unwrap();

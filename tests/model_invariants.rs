@@ -9,7 +9,7 @@
 //! sorts; these prove it is not accepting them vacuously.
 
 use modelcheck::{check_trace, Violation, ViolationKind};
-use pdisk::trace::{Tagged, TraceEvent, TraceFlush, TracingDiskArray};
+use pdisk::trace::{Tagged, TraceEvent, TraceFlush, TraceTarget, TracingDiskArray};
 use pdisk::{DiskId, Geometry, MemDiskArray, ParityDiskArray, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -42,15 +42,18 @@ fn clean_trace() -> &'static (Geometry, Vec<Tagged>) {
 }
 
 /// Apply `mutate` to the first event it accepts and return the mutated
-/// trace plus the seq of the event that was changed.
+/// trace plus the seq of the event that was changed.  A mutation that
+/// leaves its event as it was fails here: the checker would rightly pass
+/// the trace, and the test would prove nothing.
 fn mutate_first(
     trace: &[Tagged],
     mut mutate: impl FnMut(&mut TraceEvent) -> bool,
 ) -> (Vec<Tagged>, u64) {
     let mut out = trace.to_vec();
     let mut hit = None;
-    for e in &mut out {
+    for (e, original) in out.iter_mut().zip(trace) {
         if mutate(&mut e.event) {
+            assert_ne!(e.event, original.event, "the mutation at seq {} changed nothing", e.seq);
             hit = Some(e.seq);
             break;
         }
@@ -107,13 +110,16 @@ fn buffer_ledger_drift_is_rejected() {
 
 /// Rule 2c may only evict blocks that are actually resident in `M_R` —
 /// claiming to flush a block that is still being fetched is how a buggy
-/// flush picks a non-farthest-future victim.
+/// flush picks a non-farthest-future victim.  A read may fetch back the
+/// very block its flush evicts, so the mutation picks the first flush
+/// whose victim is not one of that read's targets.
 #[test]
 fn flushing_an_unbuffered_block_is_rejected() {
     let (geom, trace) = clean_trace();
+    let refetched = |targets: &[TraceTarget], f: &TraceFlush| targets.iter().any(|t| (t.run, t.idx) == (f.run, f.idx));
     let (mutated, seq) = mutate_first(trace, |e| match e {
         // Flush legality is judged where the read is submitted.
-        TraceEvent::ReadSubmit { targets, flushed } if !flushed.is_empty() => {
+        TraceEvent::ReadSubmit { targets, flushed } if flushed.first().is_some_and(|f| !refetched(targets, f)) => {
             // Redirect the flush at one of this very read's fetch
             // targets: a real block, but in flight rather than in M_R.
             let t = &targets[0];

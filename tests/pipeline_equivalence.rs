@@ -7,7 +7,8 @@
 //! and model-checker-clean traces — across healthy, transiently-faulty,
 //! parity-protected, degraded (permanent disk death), full production
 //! stack, and checkpoint-resume configurations, on both the in-memory and
-//! the file backend.
+//! the file backend.  One exception: a disk that dies mid-pass leaves
+//! `IoStats` that depend on the window (see [`degraded_equivalent`]).
 //!
 //! Staging (`write_unsorted_input`) and the verification read
 //! (`read_run`) are split-phase at
@@ -23,15 +24,18 @@
 //! This is the contract that makes pipelining safe to turn on: every
 //! scripted fault ordinal, parity commit, reconstruction, and checkpoint
 //! boundary lands at exactly the same operation at every window, because
-//! operations are always *submitted* in the same order and only their
-//! completion moves.
+//! each kind of operation is *submitted* in the same order (reads among
+//! reads, writes among writes) and only completion, and the interleaving
+//! of reads with writes, moves.  A permanent death is the exception: it
+//! changes the fate of every operation after it, so where it falls among
+//! the writes a window has issued ahead shows in `IoStats`.
 
 mod common;
 
 use modelcheck::{check_stats, check_trace};
 use pdisk::trace::TracingDiskArray;
 use pdisk::{
-    DiskArray, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry, IoStats,
+    DiskArray, DiskId, FaultModel, FaultOp, FaultyDiskArray, FileDiskArray, Geometry, IoStats,
     MemDiskArray, ParityDiskArray, Record, RetryPolicy, RetryingDiskArray, Stack, U64Record,
 };
 use rand::rngs::SmallRng;
@@ -133,11 +137,26 @@ fn outcome_of<A: DiskArray<U64Record>>(
     data: &[U64Record],
     w: Window,
 ) -> (Outcome, TracingDiskArray<U64Record, A>) {
+    observed_outcome(sorter, inner, data, w, |_, _| {})
+}
+
+/// [`outcome_of`], calling `observer` at every pass boundary
+/// (`sort_observed`'s: pass 0 is formation).
+fn observed_outcome<A: DiskArray<U64Record>>(
+    sorter: SrmSorter,
+    inner: A,
+    data: &[U64Record],
+    w: Window,
+    mut observer: impl FnMut(u64, &mut TracingDiskArray<U64Record, A>),
+) -> (Outcome, TracingDiskArray<U64Record, A>) {
     let mut a = TracingDiskArray::new(inner);
     let geom = a.geometry();
     let input = write_unsorted_input(&mut a, data).unwrap();
     let (run, _) = sorter
-        .sort(&mut a, &input)
+        .sort_observed(&mut a, &input, None, |pass, a| {
+            observer(pass, a);
+            Ok(())
+        })
         .unwrap_or_else(|e| panic!("sort ({w:?}) failed: {e}"));
     let stats = a.stats();
     let out = read_run(&mut a, &run).unwrap();
@@ -203,29 +222,56 @@ fn parity_equivalent() {
     );
 }
 
+/// A disk dies permanently under parity.  Where the death lands among
+/// the operations depends on the window whenever I/O is in flight:
+/// pipelined formation submits the next load's reads ahead of the current
+/// run's writes, so a read-ordinal kill mid-pass finds a different number
+/// of writes issued, and `blocks_written` / `parity_writes` legitimately
+/// differ.  So the contract is split where the windows can be held to it:
+/// * a death at every pass boundary — `sort_observed`'s observer, where
+///   every window is quiesced — leaves identical `IoStats` too;
+/// * mid-pass deaths, swept across the whole read schedule, leave
+///   byte-identical output and a checker-clean trace at every window.
 #[test]
 fn degraded_equivalent() {
     let geom = Geometry::new(3, 4, 120).unwrap();
     let data = random_records(3000, 0xE5);
-    // Learn a mid-sort read ordinal from a clean run to aim the kill.
-    let reads = {
+    let parity = |faults: FaultModel| {
+        ParityDiskArray::new(FaultyDiskArray::new(MemDiskArray::<U64Record>::new(geom), faults)).unwrap()
+    };
+    type Degraded = ParityDiskArray<U64Record, FaultyDiskArray<U64Record, MemDiskArray<U64Record>>>;
+    let dead = |a: &TracingDiskArray<U64Record, Degraded>| a.redundancy().map(|r| r.dead.len());
+    let (passes, reads) = {
         let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
         let input = write_unsorted_input(&mut a, &data).unwrap();
         a.reset_stats();
-        SrmSorter::default().sort(&mut a, &input).unwrap();
-        a.stats().read_ops
+        let (_, report) = SrmSorter::default().sort(&mut a, &input).unwrap();
+        (report.merge_passes, a.stats().read_ops)
     };
-    assert_srm_invariant(
-        |_| {
-            let faulty = FaultyDiskArray::new(
-                MemDiskArray::<U64Record>::new(geom),
-                FaultModel::none().kill_at(FaultOp::Read, reads / 2),
-            );
-            ParityDiskArray::new(faulty).unwrap()
-        },
-        &data,
-        "degraded (disk death mid-sort)",
-    );
+    for boundary in 0..=passes {
+        assert_window_invariant(&format!("disk death at boundary {boundary}"), &data, |w| {
+            let kill = |pass, a: &mut TracingDiskArray<U64Record, Degraded>| {
+                if pass == boundary {
+                    a.inner_mut().fail_disk(DiskId(1)).unwrap();
+                }
+            };
+            let (outcome, a) = observed_outcome(w.srm(SrmConfig::default()), parity(FaultModel::none()), &data, w, kill);
+            assert_eq!(dead(&a), Some(1), "boundary {boundary} {w:?}");
+            outcome
+        });
+    }
+    let mut sorted = data.clone();
+    sorted.sort();
+    let want = encode_all(&sorted);
+    for k in (1..reads).step_by(reads as usize / 24) {
+        for w in WINDOWS {
+            let faults = FaultModel::none().kill_at(FaultOp::Read, k);
+            // `srm_outcome` replays the trace through the checker.
+            let ((out, _), a) = srm_outcome(parity(faults), SrmConfig::default(), &data, w);
+            assert_eq!(out, want, "disk death at read {k} {w:?}: output must be byte-identical");
+            assert_eq!(dead(&a), Some(1), "read {k} {w:?}");
+        }
+    }
 }
 
 #[test]
