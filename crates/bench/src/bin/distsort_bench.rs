@@ -19,24 +19,31 @@
 //! digest (the global output does not depend on the partitioning).
 //!
 //! Each P's row also carries the coordinator's phase split
-//! (`phase_ms`: split, shards, merge, merge_wait) of its fastest rep,
+//! (`phase_ms`: split, shards, and the fold's tail as `merge` and
+//! `merge_wait`) of its fastest rep,
 //! and under it what each shard's incarnation spent staging, sorting,
 //! verifying and model-checking (`shard_ms`, one entry per shard).
 //!
 //! `--assert-scaling` exits non-zero unless wall-clock improves
 //! monotonically from P=1 through P=4 *and* P=4 reaches the measured
 //! speedup floor over P=1: 2.1x, and 1.75x for the small `--quick`
-//! input, whose fixed costs weigh more.  The floors sit 11–12 % under
+//! input, whose fixed costs weigh more.  They were set 11–12 % under
 //! the slowest of six full (2.38–2.63x) and ten `--quick`
-//! (1.97–2.23x) runs on the 2-core build host.  They are lower than
-//! the 2.5x / 2.0x held while shards sorted at window 0 because a
-//! split-phase shard made P=1 2.4x faster (2.55 s → 1.01–1.12 s) while
-//! the output stream, already at its device floor, stayed ≈ 0.13 s of
-//! every P — the same absolute saving leaves a smaller ratio.  At
-//! `--quick` size a P=2 and a P=4 run both sit on per-shard fixed costs
-//! (60 and 60–61 ms in all ten runs), so there the P=2 → 4 step may
-//! tie within 5 % instead of having to improve.  P=8 typically
-//! oversubscribes CI hosts and is reported but not gated.
+//! (1.97–2.23x) runs on the 2-core build host, while the coordinator
+//! still streamed every shard's output back, one window in flight from
+//! one shard at a time: ≈ 0.13 s at every P, bound by that serial
+//! re-read rather than by any device floor of the sort.  That fixed
+//! term is why they sit under the 2.5x / 2.0x held while shards sorted
+//! at window 0: a split-phase shard made P=1 2.4x faster (2.55 s →
+//! 1.01–1.12 s), and the same absolute saving beside a constant 0.13 s
+//! leaves a smaller ratio.  The stream is gone now — each shard folds
+//! the global digest onto a carried state and the fold's tail after
+//! the last sort takes 0–2 ms — and the same host measured 2.76x full
+//! and 2.63x `--quick` (P=1 928 ms, P=4 336 ms).  The floors are left
+//! where they were, so they only got safer.  At `--quick` size a P=2
+//! and a P=4 run both sit on per-shard fixed costs, so there the P=2 →
+//! 4 step may tie within 5 % instead of having to improve.  P=8
+//! typically oversubscribes CI hosts and is reported but not gated.
 //!
 //! The recovery drill reruns P ∈ {2, 4} with `--kill-node` at the
 //! first merge-pass boundary and reports both the end-to-end overhead
@@ -123,7 +130,7 @@ fn main() {
         records, spec.d, spec.b, spec.m, io_delay_us, reps
     );
     println!(
-        "| P | wall-clock | speedup vs P=1 | efficiency | split / shards / merge (waiting) ms \
+        "| P | wall-clock | speedup vs P=1 | efficiency | split / shards / fold (waiting) ms \
          | slowest shard: stage / sort / verify / check ms |"
     );
     println!("|---|---|---|---|---|---|");

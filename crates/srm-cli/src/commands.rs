@@ -193,7 +193,7 @@ USAGE:
            [--placement random|staggered]
            [--parity] [--dir PATH] [--keep] [--procs]
            [--heartbeat-ms H] [--timeout-ms T] [--io-delay-us U]
-           [--kill-node S@PASS | --kill-node S@merge:K]
+           [--kill-node S@PASS | --kill-node S@merge]
            [--corrupt-disk D] [--net-seed S] [--net-drop R]
            [--net-dup R] [--net-delay R] [--net-max-delay K]
            [--partition NODE:FROM:UNTIL]
@@ -201,33 +201,35 @@ USAGE:
       P-1 splitters, routes records to P shard nodes over a
       fault-injectable message channel, each shard runs a checkpointed
       SRM sort over its own disk cluster (traces model-checked).  The
-      shards' sorted, range-disjoint runs are the output: the
-      coordinator streams them in splitter order, fetched in
-      stripe-wide windows with one request always in flight, checking
-      the order of every key and folding the global digest.  A shard's
-      stage-in, sort and digest read-back all keep their I/O in
+      shards' sorted, range-disjoint runs are the output, left where the
+      shards wrote them: in splitter order, each shard folds its own
+      keys onto the global digest the shards before it carried, checking
+      the order of every key, so no key crosses to the coordinator.  A
+      shard's stage-in, sort and digest read-back all keep their I/O in
       flight: without either window flag the sort runs pipelined at
-      read-ahead 3 (the job default); --pipeline [--read-ahead K]
-      picks the depth as for `srm sort`, and --read-ahead 0 alone asks
-      for window 0, the reference every window is byte- and
-      count-identical to.  Per shard the report prints where its time
-      went (stage / sort / verify / check ms).  Shards are threads by
-      default; --procs spawns real `srm` child processes so the
-      node-death drill is a genuine SIGKILL.  A heartbeat failure
-      detector (--heartbeat-ms / --timeout-ms) declares silent nodes
-      dead, fences the old epoch (its in-flight I/O fails, its stale
-      messages are discarded), and boots a replacement that resumes
-      from the shard's last checkpoint manifest.  --kill-node S@PASS is
-      the drill: kill shard S at pass boundary PASS (or S@merge:K after
-      it has served K stripe-wide output windows, K=0 being before the
-      first); with --parity, --corrupt-disk D also trashes disk D of the
-      victim's cluster so the replacement must rebuild from parity
-      before resuming.  The output stream degrades gracefully: it
-      stalls on a dead shard and resumes when the replacement serves
-      again.  --net-* and --partition inject seeded
-      channel faults (drop/duplicate/delay/partition windows).  The
-      final digest is checked against a centrally sorted oracle; any
-      mismatch exits nonzero.
+      read-ahead 3 (the job default); --pipeline [--read-ahead K] picks
+      the depth as for `srm sort`, and --read-ahead 0 alone asks for
+      window 0, the reference every window is byte- and count-identical
+      to.  Per shard the report prints where its time went (stage / sort
+      / verify / check ms).  Shards are threads by default; --procs
+      spawns real `srm` child processes so the node-death drill is a
+      genuine SIGKILL.  A heartbeat failure detector (--heartbeat-ms /
+      --timeout-ms) declares silent nodes dead, fences the old epoch
+      (its in-flight I/O fails, its stale messages are discarded), and
+      boots a replacement that resumes from the shard's last checkpoint
+      manifest.  --kill-node S@PASS is the drill: kill shard S at pass
+      boundary PASS (or S@merge when its one fold request arrives,
+      before it answers); with --parity, --corrupt-disk D also trashes
+      disk D of the victim's cluster so the replacement must rebuild
+      from parity before resuming.  The fold degrades gracefully: it
+      stalls on a dead shard and asks the replacement, which reads its
+      keys back once.  The phases line splits the wall into split /
+      shards (until the last sort is done) / fold (the chain's tail
+      after that; folds of shards that finish early overlap the others'
+      sorts).  --net-* and --partition inject seeded channel faults
+      (drop/duplicate/delay/partition windows).  The final digest is
+      checked against a centrally sorted oracle; any mismatch exits
+      nonzero.
 
   srm chaos [--target local|distsort|server|all] [--seed S] [--trials N]
            [--records N] [--d D] [--b B] [--m M] [--pipeline]
@@ -266,7 +268,7 @@ USAGE:
 ";
 
 /// The hidden subcommand `--procs` spawns its children as.
-const SHARD_RUN_USAGE: &str = "  srm shard-run --root PATH --shard S [--arm-kill PASS]
+const SHARD_RUN_USAGE: &str = "  srm shard-run --root PATH --shard S [--arm-kill PASS|merge]
       One `srm distsort --procs` shard as a child process (internal).
 ";
 
@@ -1284,11 +1286,11 @@ pub fn distsort(flags: &Flags) -> i32 {
         }
         let ph = report.phase_ms;
         println!(
-            "  phases: split {} ms, shards {} ms, merge {} ms ({} ms waiting on a window)",
+            "  phases: split {} ms, shards {} ms, fold {} ms ({} ms waiting on a shard)",
             ph.split, ph.shards, ph.merge, ph.merge_wait
         );
         println!(
-            "  recoveries: {} total, merge stalls: {}, recovery wall-clock: {:?} ms",
+            "  recoveries: {} total, fold stalls: {}, recovery wall-clock: {:?} ms",
             report.recoveries, report.merge_stalls, report.recovery_ms
         );
         println!(
@@ -1332,7 +1334,7 @@ pub fn shard_run(flags: &Flags) -> i32 {
         let shard: u32 = flags
             .get("shard")?
             .ok_or("`srm shard-run` requires --shard")?;
-        let arm_kill: Option<u64> = flags.get("arm-kill")?;
+        let arm_kill: Option<srm_dist::KillPoint> = flags.get("arm-kill")?;
         srm_dist::shard_run_standalone(&root, shard, arm_kill).map_err(|e| e.to_string())
     };
     match inner() {

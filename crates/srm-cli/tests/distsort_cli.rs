@@ -88,6 +88,22 @@ fn procs_mode_sigkill_drill_is_byte_identical() {
     assert_eq!(digest(&clean), digest(&killed));
 }
 
+/// The fold drill in process mode: child 1 parks when its `FOLD` line
+/// arrives and the parent SIGKILLs it; the replacement boots on the
+/// finished directory, reads its keys back and answers, and the digest
+/// is thread mode's.
+#[test]
+fn procs_mode_sigkill_on_the_fold_request_is_byte_identical() {
+    let threads = distsort("fold-threads", &[]);
+    let killed = distsort("fold-procs-kill", &["--procs", "--kill-node", "1@merge"]);
+    assert!(killed.contains("matches the central oracle"), "{killed}");
+    assert!(
+        killed.contains("recoveries: 1 total, fold stalls: 1"),
+        "the drill must stall the fold once and recover the victim:\n{killed}"
+    );
+    assert_eq!(digest(&threads), digest(&killed));
+}
+
 #[test]
 fn distsort_kill_requires_valid_shard() {
     let dir = scratch("badkill");

@@ -1,6 +1,6 @@
 //! The coordinator: splitter sampling, record routing, heartbeat failure
 //! detection, fence-and-respawn recovery, and the degraded cross-shard
-//! output stream.
+//! fold.
 //!
 //! The protocol has three phases:
 //!
@@ -11,23 +11,24 @@
 //!    before acknowledging, so staging survives any channel fault.
 //! 2. **Sorting** — each shard runs an ordinary checkpointed SRM sort on
 //!    its own disk cluster; the coordinator just watches heartbeats.
-//! 3. **Streaming out** — the shards' sorted runs concatenated in
-//!    splitter order ([`crate::concat`]), fetched in stripe-wide windows
-//!    with one request always in flight, written through
-//!    [`srm_core::RunWriter`] to the coordinator's own output cluster.
+//! 3. **Folding** — the shards' sorted runs, in splitter order, are the
+//!    output, and stay where the shards wrote them.  The coordinator
+//!    checks and digests them through the [`crate::fold`] chain: shard
+//!    `s` folds its own keys onto the carry as soon as shards `0..=s`
+//!    are done, one request per shard, in the same loop that watches
+//!    heartbeats, so the folds overlap the slower shards' sorts.
 //!
 //! The whole time, a heartbeat failure detector watches every shard.  A
 //! silent shard is declared dead, **fenced** (its storage refuses all
 //! further I/O and its epoch is retired), and replaced by a fresh
 //! instance booted on the same durable directory — which resumes from
 //! the journaled checkpoint (rebuilding lost blocks from parity first
-//! when `--parity` is on).  The stream does not abort while this
-//! happens: it *stalls* on the dead shard's window and resumes when the
-//! replacement starts serving, so a node death degrades throughput, not
-//! correctness.
+//! when `--parity` is on).  The fold does not abort while this happens:
+//! it *stalls* on the dead shard and asks its replacement once that is
+//! done, so a node death degrades throughput, not correctness.
 
-use crate::concat::{concat_output, window_blocks, WindowSource};
 use crate::error::{DistError, Result};
+use crate::fold::{Carry, Chain, Step};
 use crate::msg::{Envelope, Msg};
 use crate::net::{Endpoint, NetStats, Network};
 use crate::shard::{run_shard, KillPoint, ShardMs, ShardPlan};
@@ -52,23 +53,18 @@ pub struct KillPlan {
     pub point: KillPoint,
 }
 
-/// Parse a `--kill-node` spec: `N@PASS`, `N@merge`, or `N@merge:K`
-/// (die after serving `K` output windows; default 1).
+/// Parse a `--kill-node` spec: `N@PASS` or `N@merge`.
 pub fn parse_kill_node(s: &str) -> Result<KillPlan> {
-    let bad = || DistError::Config(format!("bad --kill-node `{s}` (want N@PASS or N@merge[:K])"));
+    let bad = || DistError::Config(format!("bad --kill-node `{s}` (want N@PASS or N@merge)"));
     let (shard, point) = s.split_once('@').ok_or_else(bad)?;
     let shard: u32 = shard.parse().map_err(|_| bad())?;
-    let point = if let Some(rest) = point.strip_prefix("merge") {
-        let after = match rest.strip_prefix(':') {
-            Some(k) => k.parse().map_err(|_| bad())?,
-            None if rest.is_empty() => 1,
-            None => return Err(bad()),
-        };
-        KillPoint::Merge(after)
-    } else {
-        KillPoint::Pass(point.parse().map_err(|_| bad())?)
-    };
-    Ok(KillPlan { shard, point })
+    if point.starts_with("merge:") {
+        return Err(DistError::Config(format!(
+            "--kill-node `{s}`: a shard answers one fold request, so it can only die on that one \
+             (write {shard}@merge)"
+        )));
+    }
+    Ok(KillPlan { shard, point: point.parse().map_err(|_| bad())? })
 }
 
 /// Knobs of the distributed run (everything that is not the job itself).
@@ -86,8 +82,8 @@ pub struct DistConfig {
     pub timeout: Duration,
     /// How long one RPC attempt waits before retrying.
     pub rpc_timeout: Duration,
-    /// Retry schedule for staging batches and output-window RPCs
-    /// (attempt count, exponential backoff, jitter).
+    /// Retry schedule for staging batches and fold requests (attempt
+    /// count, exponential backoff, jitter).
     pub retry: RetryPolicy,
     /// Channel fault regime (drops, delays, duplicates, partitions).
     pub net: NetFaultModel,
@@ -199,10 +195,11 @@ pub struct PhaseMs {
     /// Spawning the shards until the last one reported its sort done
     /// (staging included).
     pub shards: u64,
-    /// The cross-shard output stream, first request to last key.
+    /// The fold's tail: from the last shard's sort done until the carry
+    /// has passed every shard.  Folds of shards that finish early run
+    /// inside `shards`.
     pub merge: u64,
-    /// The part of `merge` spent blocked on a window that had not
-    /// arrived yet.
+    /// The part of `merge` spent waiting on a shard's fold reply.
     pub merge_wait: u64,
 }
 
@@ -215,7 +212,7 @@ pub struct DistReport {
     pub shards: u32,
     /// The sampled splitter keys.
     pub splitters: Vec<u64>,
-    /// Digest of the merged global output.
+    /// Digest of the global output (the shards' runs in splitter order).
     pub digest: u64,
     /// The digest matched the centrally computed expectation.
     pub oracle_ok: bool,
@@ -223,7 +220,8 @@ pub struct DistReport {
     pub per_shard: Vec<ShardReport>,
     /// Total fence-and-respawn recoveries.
     pub recoveries: u64,
-    /// Merge stalls (a source went silent mid-merge and was replaced).
+    /// Fold stalls: a shard asked for its fold went silent and was
+    /// replaced.
     pub merge_stalls: u64,
     /// Wall-clock of each recovery, fence to replacement-ready.
     pub recovery_ms: Vec<u64>,
@@ -282,27 +280,11 @@ struct StageProgress {
     resend: Resend,
 }
 
-/// The output stream's one outstanding window request.
-struct Fetch {
+/// The chain's one outstanding fold request.
+struct Ask {
     shard: usize,
-    first: u64,
+    carry: Carry,
     resend: Resend,
-    /// Recoveries this window has stalled through.
-    rounds: u32,
-    /// The window's keys, once a matching reply has been adopted.
-    reply: Option<Vec<u64>>,
-}
-
-impl Fetch {
-    /// Adopt `keys` if they answer this request and nothing has yet: a
-    /// duplicate, or a reply to a window already drained, is refused.
-    fn adopt(&mut self, shard: usize, first: u64, keys: Vec<u64>) -> bool {
-        let fresh = self.shard == shard && self.first == first && self.reply.is_none();
-        if fresh {
-            self.reply = Some(keys);
-        }
-        fresh
-    }
 }
 
 /// Where a shard is in its lifecycle, as the coordinator sees it.
@@ -313,7 +295,7 @@ enum Phase {
     Staging(StageProgress),
     /// It has its input and is sorting.
     Sorting,
-    /// Its sort is done and it is serving output windows.
+    /// Its sort is done and it holds its keys for the fold.
     Done,
 }
 
@@ -342,7 +324,8 @@ struct Coordinator<'a> {
     merge_stalls: u64,
     recovery_ms: Vec<u64>,
     rpc_nonce: u64,
-    fetch: Option<Fetch>,
+    chain: Chain,
+    ask: Option<Ask>,
 }
 
 /// Run a full distributed sort of `spec` across `cfg.shards` simulated
@@ -372,7 +355,7 @@ pub(crate) fn split_input(spec: &JobSpec, shards: u32) -> (Vec<u64>, Vec<Vec<u64
 }
 
 /// Everything after the split: stage `buckets[s]` to shard `s`, sort,
-/// stream out.
+/// fold.
 fn distsort_routed(
     spec: &JobSpec,
     cfg: &DistConfig,
@@ -412,11 +395,12 @@ fn distsort_routed(
         merge_stalls: 0,
         recovery_ms: Vec::new(),
         rpc_nonce: 0,
-        fetch: None,
+        chain: Chain::default(),
+        ask: None,
     };
 
-    // Phase 1+2: spawn every shard (the drill target armed), then drive
-    // staging and watch heartbeats until every sort is done.
+    // Spawn every shard (the drill target armed), then drive staging,
+    // heartbeats and the fold until the carry has passed every shard.
     let now = Instant::now();
     for (shard, endpoint) in endpoints.into_iter().enumerate() {
         let shard = shard as u32;
@@ -511,10 +495,35 @@ impl Coordinator<'_> {
 
     fn run(&mut self) -> Result<DistReport> {
         let spawned = Instant::now();
-        self.await_all_done()?;
-        let shards = spawned.elapsed();
-        let blocks: Vec<u64> = self.nodes.iter().map(|n| n.report.blocks).collect();
-        let out = concat_output(self.geom, &blocks, self)?;
+        let (mut sorted, mut wait) = (None, Duration::ZERO);
+        let out = loop {
+            let done: Vec<Option<u64>> = self
+                .nodes
+                .iter()
+                .map(|n| matches!(n.phase, Phase::Done).then_some(n.report.records))
+                .collect();
+            if sorted.is_none() && done.iter().all(Option::is_some) {
+                sorted = Some(spawned.elapsed());
+            }
+            match self.chain.step(&done) {
+                Step::Complete(carry) => break carry,
+                Step::Ask(shard, carry) if self.ask.is_none() => {
+                    self.ask = Some(Ask { shard, carry, resend: Resend::new(self.cfg) });
+                    self.send_fold();
+                }
+                Step::Ask(..) | Step::Wait => {}
+            }
+            let blocked = Instant::now();
+            let env = self.ep.recv_timeout(self.cfg.heartbeat);
+            if sorted.is_some() {
+                wait += blocked.elapsed();
+            }
+            if let Some(env) = env {
+                self.handle(env)?;
+            }
+            self.tick()?;
+        };
+        let shards = sorted.unwrap_or_default();
         let merge = spawned.elapsed() - shards;
         let per_shard: Vec<ShardReport> = self.nodes.iter().map(|n| n.report.clone()).collect();
         Ok(DistReport {
@@ -534,24 +543,10 @@ impl Coordinator<'_> {
             phase_ms: PhaseMs {
                 shards: shards.as_millis() as u64,
                 merge: merge.as_millis() as u64,
-                merge_wait: out.wait.as_millis() as u64,
+                merge_wait: wait.as_millis() as u64,
                 ..PhaseMs::default()
             },
         })
-    }
-
-    /// Drive staging/sorting until every shard has announced `SortDone`.
-    fn await_all_done(&mut self) -> Result<()> {
-        loop {
-            if self.nodes.iter().all(|n| matches!(n.phase, Phase::Done)) {
-                return Ok(());
-            }
-            let env = self.ep.recv_timeout(self.cfg.heartbeat);
-            if let Some(env) = env {
-                self.handle(env)?;
-            }
-            self.tick()?;
-        }
     }
 
     /// Process one shard message (epoch-checked).
@@ -634,13 +629,12 @@ impl Coordinator<'_> {
                     msg,
                 });
             }
-            // The stream's outstanding request adopts the window that
-            // answers it, whenever it arrives; anything else (a
-            // duplicate, a window already drained) carries bytes the
-            // stream has seen and is dropped.
-            Msg::BlockData { first, keys, .. } => {
-                if let Some(fetch) = &mut self.fetch {
-                    fetch.adopt(s, first, keys);
+            // The chain adopts the reply to its outstanding request,
+            // whenever it arrives; a duplicate, or the late reply to a
+            // resend, finds the carry past this shard and is dropped.
+            Msg::Folded { fold } => {
+                if self.chain.adopt(s, fold, self.nodes[s].report.records)? {
+                    self.ask = None;
                 }
             }
             // Heartbeat already bumped last_seen; Pass is progress-only.
@@ -648,7 +642,7 @@ impl Coordinator<'_> {
             // Shard-bound kinds cannot arrive on the coordinator's
             // mailbox; named, since a wildcard is denied here, so no
             // shard message is ever silently swallowed.
-            Msg::Stage { .. } | Msg::ReadBlocks { .. } | Msg::Shutdown => {}
+            Msg::Stage { .. } | Msg::Fold { .. } | Msg::Shutdown => {}
         }
         Ok(())
     }
@@ -669,7 +663,8 @@ impl Coordinator<'_> {
         );
     }
 
-    /// The periodic work: staging retransmits and the failure detector.
+    /// The periodic work: staging and fold retransmits, and the failure
+    /// detector.
     fn tick(&mut self) -> Result<()> {
         let now = Instant::now();
         for s in 0..self.nodes.len() {
@@ -687,6 +682,19 @@ impl Coordinator<'_> {
                 match p.resend.poll(now, self.cfg, self.rpc_nonce) {
                     Due::NotYet => {}
                     Due::Resend => self.send_batch(s, seq),
+                    Due::Exhausted => self.recover(s)?,
+                }
+            }
+        }
+        // The fold request is polled only while its shard is done: one
+        // being replaced is asked again once its replacement is.
+        self.rpc_nonce += 1;
+        if let Some(ask) = &mut self.ask {
+            let s = ask.shard;
+            if matches!(self.nodes[s].phase, Phase::Done) {
+                match ask.resend.poll(now, self.cfg, self.rpc_nonce) {
+                    Due::NotYet => {}
+                    Due::Resend => self.send_fold(),
                     Due::Exhausted => self.recover(s)?,
                 }
             }
@@ -715,6 +723,12 @@ impl Coordinator<'_> {
         let fence = node.fence.clone();
         let first_recovery = node.report.recoveries == 1;
         self.recoveries += 1;
+        // A fold asked of the dead instance stalls: the chain asks its
+        // replacement afresh once that is done.
+        if self.ask.as_ref().is_some_and(|a| a.shard == s) {
+            self.ask = None;
+            self.merge_stalls += 1;
+        }
         // The drill's optional disk-trashing stage: the victim's death
         // also cost it part of a disk.  Done after the fence (the dead
         // instance can no longer read the rot) and before the
@@ -740,41 +754,13 @@ impl Coordinator<'_> {
         Ok(())
     }
 
-    /// Block until shard `s` is (again) serving, processing all other
-    /// traffic and the failure detector meanwhile.
-    fn await_serving(&mut self, s: usize) -> Result<()> {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if matches!(self.nodes[s].phase, Phase::Done) {
-                return Ok(());
-            }
-            if Instant::now() > deadline {
-                return Err(DistError::Shard {
-                    shard: s as u32,
-                    msg: "replacement did not come back in time".into(),
-                });
-            }
-            if let Some(env) = self.ep.recv_timeout(self.cfg.heartbeat) {
-                self.handle(env)?;
-            }
-            self.tick()?;
-        }
-    }
-
-    /// (Re)send the outstanding window request to its shard's current
+    /// (Re)send the outstanding fold request to its shard's current
     /// epoch.
-    fn send_fetch(&mut self) {
-        let Some(fetch) = &self.fetch else { return };
-        self.rpc_nonce += 1;
-        self.ep.send(
-            fetch.shard as u32,
-            self.nodes[fetch.shard].epoch,
-            Msg::ReadBlocks {
-                req: self.rpc_nonce,
-                first: fetch.first,
-                count: window_blocks(self.geom),
-            },
-        );
+    fn send_fold(&self) {
+        if let Some(ask) = &self.ask {
+            let epoch = self.nodes[ask.shard].epoch;
+            self.ep.send(ask.shard as u32, epoch, Msg::Fold { carry: ask.carry });
+        }
     }
 
     /// Politely stop every shard, then force the issue via the fences
@@ -789,72 +775,6 @@ impl Coordinator<'_> {
             for h in node.handles.drain(..) {
                 let _ = h.join();
             }
-        }
-    }
-}
-
-/// Thread mode's window source: one `ReadBlocks` RPC outstanding
-/// against a serving shard, stalling through node deaths.
-impl WindowSource for Coordinator<'_> {
-    fn request(&mut self, shard: usize, first: u64) -> Result<()> {
-        self.fetch = Some(Fetch {
-            shard,
-            first,
-            resend: Resend::new(self.cfg),
-            rounds: 0,
-            reply: None,
-        });
-        self.send_fetch();
-        Ok(())
-    }
-
-    /// Bounded retries per round; when a round is exhausted — or the
-    /// detector got there first — the shard is dead: the stream stalls
-    /// until its replacement serves, then asks the replacement again.
-    fn wait(&mut self) -> Result<Vec<u64>> {
-        loop {
-            self.rpc_nonce += 1;
-            let fetch = self.fetch.as_mut().ok_or_else(|| {
-                DistError::Net("output stream waited with no window requested".into())
-            })?;
-            if let Some(keys) = fetch.reply.take() {
-                self.fetch = None;
-                return Ok(keys);
-            }
-            let s = fetch.shard;
-            let serving = matches!(self.nodes[s].phase, Phase::Done);
-            let due = if serving {
-                fetch.resend.poll(Instant::now(), self.cfg, self.rpc_nonce)
-            } else {
-                Due::Exhausted
-            };
-            match due {
-                Due::NotYet => {}
-                Due::Resend => self.send_fetch(),
-                Due::Exhausted => {
-                    fetch.rounds += 1;
-                    if fetch.rounds > self.cfg.max_recoveries {
-                        return Err(DistError::Shard {
-                            shard: s as u32,
-                            msg: "output stream could not obtain a window after repeated recoveries"
-                                .into(),
-                        });
-                    }
-                    self.merge_stalls += 1;
-                    if serving {
-                        self.recover(s)?;
-                    }
-                    self.await_serving(s)?;
-                    if let Some(fetch) = &mut self.fetch {
-                        fetch.resend = Resend::new(self.cfg);
-                    }
-                    self.send_fetch();
-                }
-            }
-            if let Some(env) = self.ep.recv_timeout(self.cfg.heartbeat) {
-                self.handle(env)?;
-            }
-            self.tick()?;
         }
     }
 }
@@ -901,20 +821,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// A reply is adopted by the request it answers, once: duplicates
-    /// and replies to other windows never reach the stream.
-    #[test]
-    fn the_outstanding_request_adopts_its_reply_exactly_once() {
-        let cfg = DistConfig::new(2);
-        let mut fetch = Fetch { shard: 1, first: 30, resend: Resend::new(&cfg), rounds: 0, reply: None };
-        assert!(!fetch.adopt(0, 30, vec![9]), "another shard's window");
-        assert!(!fetch.adopt(1, 0, vec![9]), "a window already drained");
-        assert!(!fetch.adopt(1, 60, vec![9]), "a window not yet asked for");
-        assert!(fetch.adopt(1, 30, vec![1, 2]));
-        assert!(!fetch.adopt(1, 30, vec![9]), "a duplicate of the adopted reply");
-        assert_eq!(fetch.reply, Some(vec![1, 2]));
-    }
-
     fn small_spec() -> JobSpec {
         JobSpec { records: 3_000, seed: 0x0DD_BA11, d: 3, b: 16, m: 512, ..JobSpec::default() }
     }
@@ -926,9 +832,9 @@ mod tests {
     }
 
     /// Swap two shards' partitions: every shard still sorts cleanly, but
-    /// the runs no longer ascend in splitter order — the stream must
-    /// refuse with the typed order error rather than write (and digest)
-    /// a mis-ordered output.
+    /// the runs no longer ascend in splitter order — the fold must
+    /// refuse with the typed order error rather than digest a
+    /// mis-ordered output.
     #[test]
     fn swapped_partitions_fail_the_order_check() {
         let (spec, cfg, dir) = (small_spec(), DistConfig::new(3), scratch("swap"));
@@ -946,7 +852,7 @@ mod tests {
 
     /// Splitters that coincide (as they do when P exceeds the number of
     /// distinct keys) leave the first and the middle shards empty: the
-    /// in-flight slot must pass over them without a stall.
+    /// chain must pass over them without a request or a stall.
     #[test]
     fn empty_leading_and_middle_shards_are_skipped() {
         let (spec, cfg, dir) = (small_spec(), DistConfig::new(5), scratch("holes"));

@@ -31,13 +31,13 @@ pub enum DistError {
     Io(String),
     /// A shard's trace violated the model checker's invariants.
     Model(String),
-    /// The cross-shard stream met a key below its predecessor: the
+    /// The cross-shard fold met a key below its predecessor: the
     /// shards' runs are not range-disjoint in splitter order (a record
-    /// was routed to the wrong shard, or a window arrived out of turn).
+    /// was routed to the wrong shard).
     Order {
-        /// The shard whose window held the offending key.
+        /// The shard whose run holds the offending key.
         shard: u32,
-        /// First block of that window.
+        /// The block of that run holding it.
         first: u64,
         /// The offending key.
         key: u64,
@@ -59,8 +59,8 @@ impl std::fmt::Display for DistError {
             DistError::Model(m) => write!(f, "model-rule violation: {m}"),
             DistError::Order { shard, first, key, prev } => write!(
                 f,
-                "output order violated: shard {shard}'s window at block {first} holds key \
-                 {key:#x} after {prev:#x}"
+                "output order violated: shard {shard}'s block {first} holds key {key:#x} after \
+                 {prev:#x}"
             ),
         }
     }

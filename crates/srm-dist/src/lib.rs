@@ -20,15 +20,16 @@
 //! - **Robustness** ([`coord`], [`fence`]): heartbeat failure detection,
 //!   epoch-stamped envelopes, and storage fencing (the STONITH
 //!   analogue) make recovery safe even under false suspicion; the
-//!   cross-shard merge *stalls and resumes* across a node death instead
-//!   of aborting.
+//!   cross-shard fold ([`fold`]), which carries the global digest from
+//!   shard to shard in splitter order, *stalls* on a dead shard and
+//!   resumes with its replacement instead of aborting.
 //! - **Process mode** ([`procs`]): `--procs` runs each shard as a real
 //!   child process and the `--kill-node` drill becomes an actual
 //!   `kill -9`.
 //!
 //! The headline invariant, enforced by the node-death matrix test:
-//! killing any shard at any pass boundary (or mid-merge, or during a
-//! channel partition) yields a global output **byte-identical** to the
+//! killing any shard at any pass boundary (or on its fold request, or
+//! during a channel partition) yields a global output **byte-identical** to the
 //! failure-free run, with every shard's recovery trace checker-clean.
 
 // Library code returns typed errors: clippy denies it a panic (test code
@@ -37,10 +38,10 @@
 #![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![warn(missing_docs)]
 
-mod concat;
 pub mod coord;
 pub mod error;
 pub mod fence;
+pub mod fold;
 pub mod msg;
 pub mod net;
 pub mod procs;
@@ -52,6 +53,7 @@ pub use coord::{
 };
 pub use error::{DistError, Result};
 pub use fence::{FenceFlag, Fenced, FencedDiskArray};
+pub use fold::{Carry, Disorder};
 pub use msg::{Envelope, Msg};
 pub use net::{Endpoint, NetSender, NetStats, Network};
 pub use procs::{run_procs, shard_run_standalone};

@@ -8,8 +8,11 @@
 //! falsely-suspected node that is still running cannot confuse the
 //! protocol after its replacement has been spawned.
 
-/// One message.  Keys travel as raw `u64`s ([`pdisk::U64Record`] is its
-/// key), which keeps the vocabulary independent of record layout.
+use crate::fold::{Carry, Disorder};
+
+/// One message.  Keys travel only in [`Msg::Stage`], as raw `u64`s
+/// ([`pdisk::U64Record`] is its key), which keeps the vocabulary
+/// independent of record layout.
 /// Each dispatch `match` on it denies clippy's wildcard-arm lints, so it
 /// names every kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,16 +30,14 @@ pub enum Msg {
         /// True on the final batch: the shard may stage and sort.
         last: bool,
     },
-    /// Request one window — a whole number of stripes — of the shard's
-    /// sorted output run: blocks `first..first + count`, clamped to the
-    /// run's end.
-    ReadBlocks {
-        /// Request ID, echoed in the reply.
-        req: u64,
-        /// First block of the window within the shard's output run.
-        first: u64,
-        /// Blocks in the window.
-        count: u64,
+    /// Fold the shard's sorted run onto `carry`, the state the shards
+    /// before it in splitter order left.  Sent once the shard's sort is
+    /// done and every shard before it is folded; resent until
+    /// [`Msg::Folded`] arrives, which is safe because the fold is a pure
+    /// function of the carry and the shard's durable run.
+    Fold {
+        /// The fold's state after the shards before this one.
+        carry: Carry,
     },
     /// Finish up: the distributed sort is complete.
     Shutdown,
@@ -88,15 +89,11 @@ pub enum Msg {
         /// The finishing incarnation's wall-clock, by phase.
         ms: crate::shard::ShardMs,
     },
-    /// Reply to [`Msg::ReadBlocks`]: the keys of that window, in order
-    /// (empty when `first` lies past the run's end).
-    BlockData {
-        /// Request ID being answered.
-        req: u64,
-        /// First block of the window being answered.
-        first: u64,
-        /// The window's keys.
-        keys: Vec<u64>,
+    /// Reply to [`Msg::Fold`]: the carry with this shard's run folded
+    /// on, or where a key fell below its predecessor.
+    Folded {
+        /// The fold's outcome.
+        fold: Result<Carry, Disorder>,
     },
     /// The shard hit an unrecoverable error.
     Fatal {

@@ -8,35 +8,39 @@
 //! child per shard.  Children speak a line protocol on stdout:
 //!
 //! ```text
-//! PASS <k>      pass boundary k reached (before its snapshot)
-//! KILLME <k>    armed drill boundary reached; child parks until killed
-//! DONE          sort finished; the output descriptor is journaled
-//! ERR <msg>     unrecoverable failure
+//! PASS <k>                        pass boundary k reached (before its snapshot)
+//! KILLME <k|merge>                armed drill point reached; child parks until killed
+//! DONE                            sort finished; the output descriptor is journaled
+//! FOLDED <digest> <prev> <n>      the carry with this shard's run folded on
+//! DISORDER <block> <key> <prev>   the fold met a key below its predecessor
+//! ERR <msg>                       unrecoverable failure
 //! ```
+//!
+//! and, after `DONE`, read one `FOLD <digest> <prev> <n>` line on stdin:
+//! the same [`crate::fold`] chain as thread mode, which the parent drives
+//! as children finish.  A child exits once it has answered, or when its
+//! stdin closes.
 //!
 //! The `--kill-node N@P` drill arms child `N`: at boundary `P` it prints
 //! `KILLME` and parks *before the checkpoint snapshot*, and the parent
 //! answers with `kill -9` — after which a replacement child is spawned
 //! on the same directory and resumes from the journaled manifest,
-//! exactly like thread mode.  Any child that dies without `DONE` (drill
-//! or otherwise) is likewise replaced, up to the recovery cap.
-//!
-//! After every child reports `DONE`, the parent streams the shard
-//! outputs out of their directories (children have exited; their
-//! clusters' advisory locks are free) through the same order-checking,
-//! digesting stream as thread mode, in the same stripe windows.
+//! exactly like thread mode.  `N@merge` parks the same way when the
+//! fold request arrives; its replacement boots on the finished
+//! directory, reads its keys back and is asked again.  Any child that
+//! dies before the chain has passed it (drill or otherwise) is likewise
+//! replaced, up to the recovery cap.
 
-use crate::concat::{concat_output, window_blocks, WindowSource};
-use crate::coord::{plan_for, split_input, DistConfig, DistReport, KillPlan, PhaseMs, ShardReport};
+use crate::coord::{plan_for, split_input, DistConfig, DistReport, PhaseMs, ShardReport};
 use crate::error::{DistError, Result};
 use crate::fence::FenceFlag;
+use crate::fold::{Carry, Chain, Disorder, Step};
 use crate::net::NetStats;
 use crate::shard::{
-    atomic_write, complete_window, inspect_dir, open_base, shard_stack, sort_shard, submit_window, Boot,
-    KillPoint, Outcome, OutputMeta, ShardPlan, ShardStack, SortInput,
+    atomic_write, inspect_dir, read_output, sort_shard, Boot, KillPoint, Outcome, OutputMeta, ShardPlan,
+    SortInput,
 };
-use pdisk::{StripedRun, U64Record};
-use srm_core::StripeWindow;
+use pdisk::U64Record;
 use srm_server::{expected_digest, JobSpec};
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::{Path, PathBuf};
@@ -44,14 +48,24 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-/// One line of the child protocol, tagged with its shard.
+/// One line of the child protocol the parent acts on (`PASS` is
+/// progress only), tagged with its shard.
 enum Event {
-    Pass,
     KillMe(u32),
     Done(u32),
+    Folded(u32, std::result::Result<Carry, Disorder>),
     Err(u32, String),
     /// Child stdout closed: the process is gone (killed or exited).
     Eof(u32),
+}
+
+/// Three numbers after a line's tag (`FOLD`, `FOLDED`, `DISORDER`).
+fn three(rest: &str) -> Option<[u64; 3]> {
+    let mut it = rest.split(' ').map(str::parse);
+    match (it.next(), it.next(), it.next(), it.next()) {
+        (Some(Ok(a)), Some(Ok(b)), Some(Ok(c)), None) => Some([a, b, c]),
+        _ => None,
+    }
 }
 
 /// Write the plan files a `shard-run` child reads: the job spec and the
@@ -96,25 +110,22 @@ fn keys_path(plan: &ShardPlan) -> PathBuf {
 }
 
 /// Entry point of the hidden `srm shard-run` subcommand: run one shard
-/// incarnation in this process, speaking the stdout line protocol.
-/// `arm_kill` is the drill boundary (first incarnation of the drill
-/// target only).
-pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<u64>) -> Result<()> {
+/// incarnation in this process, speaking the line protocol.  `arm_kill`
+/// is the drill point (first incarnation of the drill target only).
+pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<KillPoint>) -> Result<()> {
     let (spec, cfg) = read_plan(root)?;
     let geom = spec.geometry()?;
     let plan = plan_for(&spec, &cfg, geom, root, shard, None);
-    let say = |line: String| {
-        let mut out = std::io::stdout();
-        let _ = writeln!(out, "{line}");
-        let _ = out.flush();
-    };
 
+    // Never fired: death here is a real SIGKILL.
+    let fence = FenceFlag::new();
     let input = match inspect_dir(&plan)? {
-        Boot::Serve(_) | Boot::Empty => {
-            // Output already durable (a replacement of a shard that died
-            // after finishing): nothing to redo.
-            say("DONE".into());
-            return Ok(());
+        // Output already durable (a replacement of a shard that died
+        // after finishing): nothing to redo but read its keys back.
+        Boot::Done(meta) => return answer_fold(&plan, &read_output(&plan, &fence, &meta)?, arm_kill),
+        Boot::Empty => {
+            atomic_write(&plan.output_path(), &OutputMeta::empty().encode())?;
+            return answer_fold(&plan, &[], arm_kill);
         }
         Boot::Sort(run) => SortInput::Durable(run),
         Boot::Stage => {
@@ -130,35 +141,63 @@ pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<u64>) -> R
             if keys.is_empty() {
                 atomic_write(&plan.input_path(), "empty")?;
                 atomic_write(&plan.output_path(), &OutputMeta::empty().encode())?;
-                say("DONE".into());
-                return Ok(());
+                return answer_fold(&plan, &[], arm_kill);
             }
             SortInput::Fresh(keys.into_iter().map(U64Record).collect())
         }
     };
 
-    let fence = FenceFlag::new(); // never fired: death here is a real SIGKILL
     let mut on_staged = |_records: u64| {};
     let mut on_pass = |pass: u64| {
-        if arm_kill == Some(pass) {
+        if arm_kill == Some(KillPoint::Pass(pass)) {
             // Park before the snapshot and wait for the parent's kill -9:
             // the most adversarial death, with this pass's work unsaved.
-            say(format!("KILLME {pass}"));
-            loop {
-                std::thread::sleep(Duration::from_secs(3600));
-            }
+            park(&format!("KILLME {pass}"));
         }
-        say(format!("PASS {pass}"));
+        say(&format!("PASS {pass}"));
     };
     match sort_shard(&plan, &fence, input, &mut on_staged, &mut on_pass)? {
-        Outcome::Done(_) => {
-            say("DONE".into());
-            Ok(())
-        }
+        Outcome::Done(_, keys) => answer_fold(&plan, &keys, arm_kill),
         // Unreachable: plan.kill is None in process mode (the drill is
         // the parent's SIGKILL), but handle it as a clean exit anyway.
         Outcome::Killed => Ok(()),
     }
+}
+
+/// Print one protocol line on stdout.
+fn say(line: &str) {
+    let mut out = std::io::stdout();
+    let _ = writeln!(out, "{line}");
+    let _ = out.flush();
+}
+
+/// Announce `line` and wait for the parent's kill -9.
+fn park(line: &str) -> ! {
+    say(line);
+    loop {
+        std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+/// Say `DONE`, then answer the fold request on stdin (or exit when the
+/// parent closes it without asking, as it does for an empty shard).
+fn answer_fold(plan: &ShardPlan, keys: &[U64Record], arm_kill: Option<KillPoint>) -> Result<()> {
+    say("DONE");
+    let mut line = String::new();
+    while std::io::stdin().read_line(&mut line).map_err(|e| DistError::Io(format!("read stdin: {e}")))? > 0 {
+        if let Some([digest, prev, records]) = line.trim().strip_prefix("FOLD ").and_then(three) {
+            if arm_kill == Some(KillPoint::Merge) {
+                park("KILLME merge");
+            }
+            match (Carry { digest, prev, records }).fold(keys.iter().map(|r| r.0), plan.geom.b) {
+                Ok(c) => say(&format!("FOLDED {} {} {}", c.digest, c.prev, c.records)),
+                Err(d) => say(&format!("DISORDER {} {} {}", d.first, d.key, d.prev)),
+            }
+            return Ok(());
+        }
+        line.clear();
+    }
+    Ok(())
 }
 
 /// Spawn one shard child and a thread pumping its stdout into `events`.
@@ -166,7 +205,7 @@ fn spawn_child(
     bin: &Path,
     root: &Path,
     shard: u32,
-    arm_kill: Option<u64>,
+    arm_kill: Option<KillPoint>,
     events: &Sender<Event>,
 ) -> Result<Child> {
     let mut cmd = Command::new(bin);
@@ -175,11 +214,14 @@ fn spawn_child(
         .arg(root)
         .arg("--shard")
         .arg(shard.to_string())
+        .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null());
-    if let Some(pass) = arm_kill {
-        cmd.arg("--arm-kill").arg(pass.to_string());
-    }
+    match arm_kill {
+        Some(KillPoint::Pass(pass)) => cmd.arg("--arm-kill").arg(pass.to_string()),
+        Some(KillPoint::Merge) => cmd.arg("--arm-kill").arg("merge"),
+        None => &mut cmd,
+    };
     let mut child = cmd
         .spawn()
         .map_err(|e| DistError::Io(format!("spawn {}: {e}", bin.display())))?;
@@ -192,9 +234,13 @@ fn spawn_child(
         for line in BufReader::new(stdout).lines() {
             let Ok(line) = line else { break };
             let ev = match line.split_once(' ') {
-                Some(("PASS", _)) => Some(Event::Pass),
                 Some(("KILLME", _)) => Some(Event::KillMe(shard)),
                 Some(("ERR", msg)) => Some(Event::Err(shard, msg.to_string())),
+                Some(("FOLDED", rest)) => three(rest)
+                    .map(|[digest, prev, records]| Event::Folded(shard, Ok(Carry { digest, prev, records }))),
+                Some(("DISORDER", rest)) => {
+                    three(rest).map(|[first, key, prev]| Event::Folded(shard, Err(Disorder { first, key, prev })))
+                }
                 None if line == "DONE" => Some(Event::Done(shard)),
                 _ => None,
             };
@@ -213,15 +259,6 @@ fn spawn_child(
 /// `srm` binary to spawn (normally `std::env::current_exe()`).
 pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> Result<DistReport> {
     spec.validate()?;
-    if let Some(KillPlan {
-        point: KillPoint::Merge(_),
-        ..
-    }) = cfg.kill
-    {
-        return Err(DistError::Config(
-            "--kill-node N@merge requires thread mode (process mode has no serve phase)".into(),
-        ));
-    }
     let started = Instant::now();
     std::fs::create_dir_all(root)
         .map_err(|e| DistError::Io(format!("create {}: {e}", root.display())))?;
@@ -231,8 +268,8 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
     let (splitters, buckets) = split_input(spec, cfg.shards);
     let split = started.elapsed();
     let geom = spec.geometry()?;
-    for (shard, bucket) in buckets.iter().enumerate() {
-        let plan = plan_for(spec, cfg, geom, root, shard as u32, None);
+    let plans: Vec<ShardPlan> = (0..cfg.shards).map(|s| plan_for(spec, cfg, geom, root, s, None)).collect();
+    for (plan, bucket) in plans.iter().zip(&buckets) {
         std::fs::create_dir_all(&plan.dir)
             .map_err(|e| DistError::Io(format!("create {}: {e}", plan.dir.display())))?;
         let mut text = String::with_capacity(bucket.len() * 12);
@@ -240,31 +277,53 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
             text.push_str(&k.to_string());
             text.push('\n');
         }
-        atomic_write(&keys_path(&plan), &text)?;
+        atomic_write(&keys_path(plan), &text)?;
     }
 
-    // Spawn the fleet (the drill target armed) and supervise.
+    // Spawn the fleet (the drill target armed), supervise, and drive the
+    // fold as children finish.
     let (tx, rx): (Sender<Event>, Receiver<Event>) = mpsc::channel();
+    let p = cfg.shards as usize;
     let mut children: Vec<Option<Child>> = Vec::new();
-    let mut reports: Vec<ShardReport> = vec![ShardReport::default(); cfg.shards as usize];
-    let mut done = vec![false; cfg.shards as usize];
-    let mut recovery_started: Vec<Option<Instant>> = vec![None; cfg.shards as usize];
+    let mut reports: Vec<ShardReport> = vec![ShardReport::default(); p];
+    // Each live incarnation's sorted record count, once it said DONE.
+    let mut done: Vec<Option<u64>> = vec![None; p];
+    let mut recovery_started: Vec<Option<Instant>> = vec![None; p];
     let mut recovery_ms = Vec::new();
-    let mut recoveries = 0u64;
+    let (mut recoveries, mut merge_stalls) = (0u64, 0u64);
     for shard in 0..cfg.shards {
-        let arm = cfg.kill.and_then(|k| match k.point {
-            KillPoint::Pass(p) if k.shard == shard => Some(p),
-            _ => None,
-        });
+        let arm = cfg.kill.filter(|k| k.shard == shard).map(|k| k.point);
         children.push(Some(spawn_child(bin, root, shard, arm, &tx)?));
     }
 
+    let (mut chain, mut asked) = (Chain::default(), None);
+    let (mut sorted, mut wait) = (None, Duration::ZERO);
     let deadline = Instant::now() + Duration::from_secs(300);
-    while !done.iter().all(|d| *d) {
+    let out = loop {
+        if sorted.is_none() && done.iter().all(Option::is_some) {
+            sorted = Some(started.elapsed());
+        }
+        match chain.step(&done) {
+            Step::Complete(carry) => break carry,
+            Step::Ask(s, carry) if asked.is_none() => {
+                asked = Some(s);
+                // A child that died meanwhile cannot take the line; its
+                // EOF is already on the way and re-asks its replacement.
+                if let Some(stdin) = children[s].as_mut().and_then(|c| c.stdin.as_mut()) {
+                    let _ = writeln!(stdin, "FOLD {} {} {}", carry.digest, carry.prev, carry.records);
+                }
+            }
+            Step::Ask(..) | Step::Wait => {}
+        }
         if Instant::now() > deadline {
             return Err(DistError::Net("process fleet timed out".into()));
         }
-        let ev = match rx.recv_timeout(Duration::from_millis(50)) {
+        let blocked = Instant::now();
+        let ev = rx.recv_timeout(Duration::from_millis(50));
+        if sorted.is_some() {
+            wait += blocked.elapsed();
+        }
+        let ev = match ev {
             Ok(ev) => ev,
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => {
@@ -272,18 +331,34 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
             }
         };
         match ev {
-            Event::Pass => {}
             Event::KillMe(shard) => {
-                // The drill: a real kill -9, mid-pass-boundary.
+                // The drill: a real kill -9, at a pass boundary or on the
+                // fold request.
                 if let Some(child) = children[shard as usize].as_mut() {
                     let _ = child.kill();
                 }
             }
             Event::Done(shard) => {
                 let s = shard as usize;
-                done[s] = true;
+                let meta = read_meta(&plans[s])?;
+                let report = &mut reports[s];
+                report.records = meta.records;
+                report.blocks = meta.run.as_ref().map_or(0, |r| r.len_blocks);
+                report.passes = meta.passes;
+                report.digest = meta.digest;
+                report.trace_events = meta.trace_events;
+                report.trace_clean = meta.trace_clean;
+                report.repaired = meta.repaired;
+                report.ms = meta.ms;
+                done[s] = Some(meta.records);
                 if let Some(t) = recovery_started[s].take() {
                     recovery_ms.push(t.elapsed().as_millis() as u64);
+                }
+            }
+            Event::Folded(shard, fold) => {
+                let s = shard as usize;
+                if chain.adopt(s, fold, reports[s].records)? {
+                    asked = None;
                 }
             }
             Event::Err(shard, msg) => {
@@ -294,12 +369,18 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
                 if let Some(mut child) = children[s].take() {
                     let _ = child.wait();
                 }
-                if done[s] {
-                    continue; // clean exit
+                if !chain.needs(s) {
+                    continue; // answered its fold and exited
                 }
-                // Died without DONE: drill kill or crash — either way,
-                // fence is implicit (the process is gone and its locks
-                // released); boot a replacement on the same directory.
+                // Died before the chain passed it: drill kill or crash —
+                // either way, fence is implicit (the process is gone and
+                // its locks released); boot a replacement on the same
+                // directory, and ask it again if it was asked.
+                done[s] = None;
+                if asked == Some(s) {
+                    asked = None;
+                    merge_stalls += 1;
+                }
                 recoveries += 1;
                 reports[s].recoveries += 1;
                 if reports[s].recoveries > cfg.max_recoveries {
@@ -314,39 +395,13 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
                 children[s] = Some(spawn_child(bin, root, shard, None, &tx)?);
             }
         }
-    }
+    };
+    // Closing stdin releases the children never asked (empty shards).
     for child in children.iter_mut().flatten() {
+        drop(child.stdin.take());
         let _ = child.wait();
     }
-    let shards = started.elapsed() - split;
-
-    // Stream the output straight from the shard directories.
-    let mut src = LocalWindows {
-        plans: Vec::new(),
-        runs: Vec::new(),
-        window: window_blocks(geom),
-        open: None,
-        in_flight: None,
-    };
-    for (shard, report) in (0..cfg.shards).zip(&mut reports) {
-        let plan = plan_for(spec, cfg, geom, root, shard, None);
-        let text = std::fs::read_to_string(plan.output_path()).map_err(|e| {
-            DistError::Io(format!("read {}: {e}", plan.output_path().display()))
-        })?;
-        let meta = OutputMeta::parse(&text)?;
-        report.records = meta.records;
-        report.blocks = meta.run.as_ref().map_or(0, |r| r.len_blocks);
-        report.passes = meta.passes;
-        report.digest = meta.digest;
-        report.trace_events = meta.trace_events;
-        report.trace_clean = meta.trace_clean;
-        report.repaired = meta.repaired;
-        report.ms = meta.ms;
-        src.plans.push(plan);
-        src.runs.push(meta.run);
-    }
-    let blocks: Vec<u64> = reports.iter().map(|r| r.blocks).collect();
-    let out = concat_output(geom, &blocks, &mut src)?;
+    let shards = sorted.unwrap_or_default().saturating_sub(split);
     let merge = started.elapsed() - split - shards;
 
     Ok(DistReport {
@@ -357,7 +412,7 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
         oracle_ok: out.digest == expected_digest(spec) && out.records == spec.records,
         per_shard: reports,
         recoveries,
-        merge_stalls: 0,
+        merge_stalls,
         recovery_ms,
         net: NetStats::default(),
         elapsed_ms: started.elapsed().as_millis() as u64,
@@ -365,40 +420,14 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
             split: split.as_millis() as u64,
             shards: shards.as_millis() as u64,
             merge: merge.as_millis() as u64,
-            merge_wait: out.wait.as_millis() as u64,
+            merge_wait: wait.as_millis() as u64,
         },
     })
 }
 
-/// Process mode's window source: the parent reads each finished
-/// shard's cluster itself, through the stack the shard's plan mandates,
-/// keeping open only the cluster the stream is currently in.
-struct LocalWindows {
-    plans: Vec<ShardPlan>,
-    runs: Vec<Option<StripedRun>>,
-    window: u64,
-    open: Option<(usize, ShardStack)>,
-    in_flight: Option<StripeWindow<U64Record>>,
-}
-
-impl WindowSource for LocalWindows {
-    fn request(&mut self, shard: usize, first: u64) -> Result<()> {
-        if self.open.as_ref().map(|(s, _)| *s) != Some(shard) {
-            // No replacement can own a finished shard's cluster: the
-            // parent reads it behind a fence that never fires.
-            let plan = &self.plans[shard];
-            self.open = Some((shard, shard_stack(plan, open_base(plan, false)?, &FenceFlag::new(), false)?));
-        }
-        if let (Some((_, array)), Some(run)) = (&mut self.open, &self.runs[shard]) {
-            self.in_flight = Some(submit_window(array, run, first, self.window)?);
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self) -> Result<Vec<u64>> {
-        match (&mut self.open, self.in_flight.take()) {
-            (Some((_, array)), Some(window)) => complete_window(array, window),
-            _ => Ok(Vec::new()),
-        }
-    }
+/// A finished shard's journaled output descriptor.
+fn read_meta(plan: &ShardPlan) -> Result<OutputMeta> {
+    let path = plan.output_path();
+    let text = std::fs::read_to_string(&path).map_err(|e| DistError::Io(format!("read {}: {e}", path.display())))?;
+    OutputMeta::parse(&text)
 }

@@ -15,7 +15,8 @@
 //!
 //! Because every state transition is journaled (temp + fsync + rename),
 //! a **replacement node booted on the same directory** re-derives
-//! exactly where its predecessor died: `output` present → serve it;
+//! exactly where its predecessor died: `output` present → read its keys
+//! back for the fold;
 //! `input` present → resume the sort from the newest valid manifest
 //! (rebuilding from parity first when configured); neither → ask the
 //! coordinator to re-stage.  All three paths end byte-identical to the
@@ -31,7 +32,7 @@ use pdisk::{
     RetryPolicy, StackSpec, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter, StripeWindow};
+use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter};
 use srm_server::{decode_run, digest_keys, encode_run};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,10 +50,25 @@ pub enum KillPoint {
     /// announcing the pass but *before* the checkpoint snapshot — the
     /// most adversarial instant, since the pass's work is lost.
     Pass(u64),
-    /// Die while serving the cross-shard output stream, after
-    /// answering this many window requests: the next request (0 = the
-    /// first) goes unanswered, forcing the stream to stall and resume.
-    Merge(u64),
+    /// Die when the fold request arrives, before answering it: the
+    /// chain must stall on this shard and ask its replacement.
+    Merge,
+}
+
+/// The part of a `--kill-node` spec after the `@`: a pass number, or
+/// `merge`.
+impl std::str::FromStr for KillPoint {
+    type Err = DistError;
+
+    fn from_str(s: &str) -> Result<Self> {
+        match s {
+            "merge" => Ok(KillPoint::Merge),
+            pass => pass
+                .parse()
+                .map(KillPoint::Pass)
+                .map_err(|_| DistError::Config(format!("bad kill point `{s}` (want PASS or merge)"))),
+        }
+    }
 }
 
 /// Everything one shard instance needs to boot.
@@ -136,8 +152,10 @@ pub enum Outcome {
     /// The kill drill struck: the incarnation is dead, its directory
     /// holds whatever had become durable.
     Killed,
-    /// The sort finished; the output descriptor is journaled.
-    Done(OutputMeta),
+    /// The sort finished; the output descriptor is journaled.  The
+    /// sorted keys come back too: the verification read already holds
+    /// them, and the shard keeps them for its fold.
+    Done(OutputMeta, Vec<U64Record>),
 }
 
 /// Where one sort incarnation's wall-clock went, in milliseconds.  Every
@@ -158,7 +176,7 @@ pub struct ShardMs {
 }
 
 /// The durable `output` descriptor: what a replacement (or the
-/// cross-shard merge) needs to know about a finished shard sort.
+/// coordinator) needs to know about a finished shard sort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutputMeta {
     /// The sorted output run (`None` for an empty shard).
@@ -296,11 +314,11 @@ pub(crate) fn open_base(plan: &ShardPlan, create: bool) -> Result<FileDiskArray<
 
 /// What the booting shard found durable, and therefore what it will do.
 pub(crate) enum Boot {
-    /// Output descriptor present: serve it.
-    Serve(OutputMeta),
+    /// Output descriptor present: read its keys back for the fold.
+    Done(OutputMeta),
     /// Input present: sort (resuming from the manifest when one exists).
     Sort(StripedRun),
-    /// Empty-bucket marker present: nothing to sort, nothing to serve.
+    /// Empty-bucket marker present: nothing to sort, nothing to fold.
     Empty,
     /// Nothing durable: ask the coordinator to stage.
     Stage,
@@ -311,7 +329,7 @@ pub(crate) fn inspect_dir(plan: &ShardPlan) -> Result<Boot> {
         std::fs::read_to_string(p).map_err(|e| DistError::Io(format!("read {}: {e}", p.display())))
     };
     if plan.output_path().exists() {
-        return Ok(Boot::Serve(OutputMeta::parse(&read(&plan.output_path())?)?));
+        return Ok(Boot::Done(OutputMeta::parse(&read(&plan.output_path())?)?));
     }
     if plan.input_path().exists() {
         let text = read(&plan.input_path())?;
@@ -335,8 +353,8 @@ pub(crate) enum SortInput {
 /// Run one sort incarnation end to end: build the protective stack,
 /// rebuild from parity when recovering, trace the whole thing, sort with
 /// checkpoints, model-check the trace, and journal the output
-/// descriptor.  Drops every array handle before returning, so the
-/// caller (serve loop or a replacement) can reopen the cluster.
+/// descriptor.  Drops every array handle before returning, so a
+/// replacement can reopen the cluster.
 ///
 /// `on_staged(records)` fires once the input descriptor is durable;
 /// `on_pass(pass)` fires at every pass boundary *before* the snapshot —
@@ -444,7 +462,7 @@ pub(crate) fn sort_shard(
         ms,
     };
     atomic_write(&plan.output_path(), &meta.encode())?;
-    Ok(Outcome::Done(meta))
+    Ok(Outcome::Done(meta, out))
 }
 
 /// The one stack a shard's cluster is ever read or written through: the
@@ -459,8 +477,8 @@ pub(crate) type ShardStack = BuiltStack<U64Record, FileDiskArray<U64Record>, Fen
 /// [`FileDiskArray`] read of a run's *logical* address would land on the
 /// wrong frame (or a reserved parity slot).  Without parity, the
 /// `sorting` incarnation gets injector + retry when the plan has a fault
-/// rate or a fill drill, and a finished shard's read-back is bare.  The
-/// sort incarnation is the traced one.
+/// rate or a fill drill, and a replacement's read-back of a finished
+/// shard is bare.  The sort incarnation is the traced one.
 pub(crate) fn shard_stack(
     plan: &ShardPlan,
     base: FileDiskArray<U64Record>,
@@ -487,35 +505,16 @@ pub(crate) fn shard_stack(
     Ok(spec.build(base, Fenced(fence.clone()))?)
 }
 
-/// Start reading blocks `first..first + count` of `run`, clamped to its
-/// end: every stripe of the window is submitted (one parallel I/O each)
-/// before any is awaited, so the per-disk workers run back to back.
-pub(crate) fn submit_window<A: DiskArray<U64Record>>(
-    array: &mut A,
-    run: &StripedRun,
-    first: u64,
-    count: u64,
-) -> Result<StripeWindow<U64Record>> {
-    let mut window = StripeWindow::new(run, first..first.saturating_add(count));
-    window.submit(array, usize::MAX)?;
-    Ok(window)
-}
-
-/// Await a submitted window, stripe by stripe: its keys, in run order.
-pub(crate) fn complete_window<A: DiskArray<U64Record>>(
-    array: &mut A,
-    mut window: StripeWindow<U64Record>,
-) -> Result<Vec<u64>> {
-    let mut keys = Vec::new();
-    while let Some(blocks) = window.complete_oldest(array)? {
-        for block in blocks {
-            keys.extend(block.records.iter().map(|r| r.0));
-        }
+/// A finished shard's sorted keys, read back once through the plan's
+/// stack: what a replacement booted on a finished directory folds.
+pub(crate) fn read_output(plan: &ShardPlan, fence: &FenceFlag, meta: &OutputMeta) -> Result<Vec<U64Record>> {
+    match &meta.run {
+        Some(run) => Ok(read_run(&mut shard_stack(plan, open_base(plan, false)?, fence, false)?, run)?),
+        None => Ok(Vec::new()),
     }
-    Ok(keys)
 }
 
-// ─── thread-mode wiring: heartbeats, staging, serving ────────────────────
+// ─── thread-mode wiring: heartbeats, staging, folding ────────────────────
 
 /// Spawn the heartbeat thread: beacons every interval until `alive`
 /// clears.  Runs beside the sort so a compute-bound shard still beacons.
@@ -592,17 +591,16 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
         );
     };
     let input = match inspect_dir(plan)? {
-        Boot::Serve(meta) => {
+        Boot::Done(meta) => {
             hello(false, None);
-            announce_done(plan, ep, epoch, &meta);
-            return serve(plan, ep, epoch, fence, &meta);
+            let keys = read_output(plan, fence, &meta)?;
+            return answer_fold(plan, ep, epoch, fence, &meta, &keys);
         }
         Boot::Empty => {
             hello(false, None);
             let meta = OutputMeta::empty();
             atomic_write(&plan.output_path(), &meta.encode())?;
-            announce_done(plan, ep, epoch, &meta);
-            return serve(plan, ep, epoch, fence, &meta);
+            return answer_fold(plan, ep, epoch, fence, &meta, &[]);
         }
         Boot::Sort(input_run) => {
             // Refuse early if the manifest belongs to a different sort —
@@ -625,8 +623,7 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
                 ep.send(coord, epoch, Msg::Staged { records: 0 });
                 let meta = OutputMeta::empty();
                 atomic_write(&plan.output_path(), &meta.encode())?;
-                announce_done(plan, ep, epoch, &meta);
-                return serve(plan, ep, epoch, fence, &meta);
+                return answer_fold(plan, ep, epoch, fence, &meta, &[]);
             }
             SortInput::Fresh(keys.into_iter().map(U64Record).collect())
         }
@@ -636,10 +633,7 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
     let mut on_pass = |pass: u64| ep.send(coord, epoch, Msg::Pass { pass });
     match sort_shard(plan, fence, input, &mut on_staged, &mut on_pass)? {
         Outcome::Killed => Ok(Exit::Killed),
-        Outcome::Done(meta) => {
-            announce_done(plan, ep, epoch, &meta);
-            serve(plan, ep, epoch, fence, &meta)
-        }
+        Outcome::Done(meta, keys) => answer_fold(plan, ep, epoch, fence, &meta, &keys),
     }
 }
 
@@ -726,44 +720,40 @@ fn stage_loop(
                 // coordinator will retry the one we actually need.
             }
             Msg::Shutdown => return Ok(None),
-            // ReadBlocks cannot arrive before staging finishes (the
+            // Fold cannot arrive before staging finishes (the
             // coordinator is still batching), and the shard-to-
             // coordinator kinds never land on a shard mailbox; named,
             // since a wildcard is denied here, so no message kind is
             // ever silently swallowed.
-            Msg::ReadBlocks { .. }
+            Msg::Fold { .. }
             | Msg::Hello { .. }
             | Msg::StageAck { .. }
             | Msg::Staged { .. }
             | Msg::Heartbeat
             | Msg::Pass { .. }
             | Msg::SortDone { .. }
-            | Msg::BlockData { .. }
+            | Msg::Folded { .. }
             | Msg::Fatal { .. } => {}
         }
     }
 }
 
-/// Serve the finished sort to the cross-shard stream.  Serving reopens
-/// the cluster (the sort incarnation dropped its stack when it
-/// journaled the output) through the plan's full read stack — a parity
-/// cluster's run addresses are logical, so a bare reopen would read the
-/// wrong physical slots.  Reads are idempotent, post-trace, and still
-/// fenced so a superseded server cannot answer for its replacement.
+/// Announce the finished sort, then hold its keys until the chain's
+/// fold request arrives and answer it.  A request is answered every time
+/// it arrives (a resend means the reply was lost, and the fold is a pure
+/// function of the carry and the keys); the loop ends on shutdown, or
+/// silently when the fence fires.
 #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
-fn serve(
+fn answer_fold(
     plan: &ShardPlan,
     ep: &Endpoint,
     epoch: u64,
     fence: &FenceFlag,
     meta: &OutputMeta,
+    keys: &[U64Record],
 ) -> Result<Exit> {
     let coord = plan.coord();
-    let mut array = match meta.run {
-        Some(_) => Some(shard_stack(plan, open_base(plan, false)?, fence, false)?),
-        None => None,
-    };
-    let mut served = 0u64;
+    announce_done(plan, ep, epoch, meta);
     let mut heard = false;
     let mut idle = 0u32;
     loop {
@@ -772,8 +762,8 @@ fn serve(
         }
         let Some(env) = ep.recv_timeout(plan.heartbeat) else {
             // The one-shot `SortDone` can be lost to the channel; until
-            // the coordinator speaks to this epoch (a merge read or a
-            // shutdown — either proves it knows we are serving),
+            // the coordinator speaks to this epoch (a fold request or a
+            // shutdown — either proves it knows we are done),
             // re-announce so it cannot wait forever on a done shard.
             if !heard {
                 idle += 1;
@@ -789,25 +779,15 @@ fn serve(
         }
         heard = true;
         match env.msg {
-            Msg::ReadBlocks { req, first, count } => {
-                if matches!(plan.kill, Some(KillPoint::Merge(after)) if served >= after) {
+            Msg::Fold { carry } => {
+                if plan.kill == Some(KillPoint::Merge) {
                     return Ok(Exit::Killed);
                 }
-                // A window past the run's end (or any window of an empty
-                // shard) is answered, empty: silence would read as a
-                // dead shard and cost a spurious fence-and-respawn.
-                let keys = match (&meta.run, array.as_mut()) {
-                    (Some(run), Some(arr)) => {
-                        let window = submit_window(arr, run, first, count)?;
-                        complete_window(arr, window)?
-                    }
-                    _ => Vec::new(),
-                };
-                ep.send(coord, epoch, Msg::BlockData { req, first, keys });
-                served += 1;
+                let fold = carry.fold(keys.iter().map(|r| r.0), plan.geom.b);
+                ep.send(coord, epoch, Msg::Folded { fold });
             }
             Msg::Shutdown => return Ok(Exit::Completed),
-            // A serving shard's input is already durable, so Stage is a
+            // A done shard's input is already durable, so Stage is a
             // stale retransmit; the shard-to-coordinator kinds never
             // land on a shard mailbox.  Named, since a wildcard is
             // denied here, so no message kind is swallowed.
@@ -818,7 +798,7 @@ fn serve(
             | Msg::Heartbeat
             | Msg::Pass { .. }
             | Msg::SortDone { .. }
-            | Msg::BlockData { .. }
+            | Msg::Folded { .. }
             | Msg::Fatal { .. } => {}
         }
     }
@@ -827,11 +807,6 @@ fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::concat::window_blocks;
-    use crate::coord::{plan_for, DistConfig};
-    use pdisk::DiskId;
-    use srm_core::RunWriter;
-    use srm_server::JobSpec;
 
     /// The phase timers ride in the durable descriptor: they round-trip,
     /// a descriptor written before they existed reads as zeros, and a
@@ -848,52 +823,5 @@ mod tests {
         let older: String = text.lines().filter(|l| !l.starts_with("ms ")).map(|l| format!("{l}\n")).collect();
         assert_eq!(OutputMeta::parse(&older).unwrap().ms, ShardMs::default());
         assert!(OutputMeta::parse(&text.replace("ms 37 201 31 4", "ms 37 201")).is_err());
-    }
-
-    /// Serving an n-block run window by window costs exactly ceil(n/D)
-    /// parallel reads — only the run's last stripe may be narrow — on
-    /// the bare cluster and through the parity stack alike; a window
-    /// straddling the run's end is clamped and one past it is empty.
-    #[test]
-    fn a_served_run_costs_one_parallel_read_per_stripe() {
-        fn check<A: DiskArray<U64Record>>(mut array: A, geom: Geometry) {
-            let keys: Vec<u64> = (0..(49 * geom.b as u64 + 5)).map(|k| k * 7).collect();
-            let mut writer = RunWriter::new(geom, DiskId(1));
-            for &k in &keys {
-                writer.push(&mut array, U64Record(k)).unwrap();
-            }
-            let run = writer.finish(&mut array).unwrap();
-            assert_eq!(run.len_blocks, 50, "not a multiple of D = 3");
-            array.reset_stats();
-
-            let window = window_blocks(geom);
-            let mut served = Vec::new();
-            for first in (0..run.len_blocks).step_by(window as usize) {
-                let stripes = submit_window(&mut array, &run, first, window).unwrap();
-                assert_eq!(stripes.in_flight() as u64, (window.min(50 - first)).div_ceil(3));
-                served.extend(complete_window(&mut array, stripes).unwrap());
-            }
-            assert_eq!(served, keys);
-            assert_eq!(array.stats().read_ops, 50u64.div_ceil(3));
-            assert_eq!(array.stats().blocks_read, 50);
-
-            let past = submit_window(&mut array, &run, 50, window).unwrap();
-            assert!(complete_window(&mut array, past).unwrap().is_empty());
-            let huge = submit_window(&mut array, &run, 48, u64::MAX).unwrap();
-            assert_eq!(complete_window(&mut array, huge).unwrap(), keys[48 * geom.b..]);
-            assert_eq!(array.stats().read_ops, 50u64.div_ceil(3) + 1);
-        }
-
-        let spec = JobSpec { d: 3, b: 16, m: 512, ..JobSpec::default() };
-        let geom = spec.geometry().unwrap();
-        let root = std::env::temp_dir().join(format!("srm-dist-window-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let mut plan = plan_for(&spec, &DistConfig::new(2), geom, &root, 0, None);
-        std::fs::create_dir_all(&plan.dir).unwrap();
-        check(open_base(&plan, true).unwrap(), geom);
-        plan.parity = true;
-        let base = open_base(&plan, true).unwrap();
-        check(shard_stack(&plan, base, &FenceFlag::new(), false).unwrap(), geom);
-        let _ = std::fs::remove_dir_all(&root);
     }
 }

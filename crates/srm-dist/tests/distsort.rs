@@ -7,7 +7,7 @@
 //! checker-clean.
 
 use pdisk::{NetFault, NetFaultModel};
-use srm_dist::{distsort, DistConfig, DistReport, KillPlan, KillPoint};
+use srm_dist::{distsort, parse_kill_node, DistConfig, DistError, DistReport, KillPlan, KillPoint};
 use srm_server::JobSpec;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,32 +124,22 @@ fn node_death_matrix_is_byte_identical() {
     }
 }
 
-/// Kill a shard while it serves the cross-shard output stream: the
-/// stream must stall, the replacement must come back serving, and the
-/// output must still be byte-identical.  `Merge(K)` dies with K windows
-/// served; at m=512 a window is (512/2)/(3·16) = 5 stripes = 15 blocks,
-/// so a ~188-block shard serves 13.
+/// Kill a shard when its fold request arrives, before it answers: the
+/// chain must stall, the replacement must boot on the finished
+/// directory, read its keys back and fold them, and the output must
+/// still be byte-identical.  Each place in the chain is drilled: the
+/// first shard (the carry is fresh), the middle and the last.
 #[test]
 fn merge_survives_a_serving_node_death() {
-    let p = 2;
-    let clean = run("mergekill-base", &DistConfig::new(p));
-    assert!(clean.oracle_ok && clean.recoveries == 0);
-    let windows = clean.per_shard[0].blocks.div_ceil(15);
-    assert!(windows > 3, "the drill needs a few windows per shard, got {windows}");
-    for (victim, served, what) in [
-        (1, 2, "mid-run"),
-        (0, windows - 1, "on the last window of a shard"),
-        (1, 0, "on the next shard's first window, requested while shard 0's last drains"),
-    ] {
+    let p = 3;
+    let want = baseline(p);
+    for (victim, what) in [(0, "first in the chain"), (1, "middle"), (2, "last")] {
         let mut cfg = DistConfig::new(p);
-        cfg.kill = Some(KillPlan {
-            shard: victim,
-            point: KillPoint::Merge(served),
-        });
+        cfg.kill = Some(KillPlan { shard: victim, point: KillPoint::Merge });
         let report = run("mergekill", &cfg);
-        assert_clean(&report, clean.digest);
-        assert!(report.merge_stalls >= 1, "{what}: the stream must have stalled");
-        assert!(report.per_shard[victim as usize].recoveries >= 1, "{what}");
+        assert_clean(&report, want);
+        assert!(report.merge_stalls >= 1, "{what}: the fold must have stalled");
+        assert!(report.per_shard[victim as usize].recoveries >= 1, "{what}: the victim must be recovered");
     }
 }
 
@@ -158,7 +148,7 @@ fn merge_survives_a_serving_node_death() {
 /// sort: same global digest, and per shard the same partition, run
 /// length, passes and digest (the trace lengths may differ: `Promote`
 /// annotations follow the window) — and it survives a death at a pass
-/// boundary and one while serving.
+/// boundary and one on its fold request.
 #[test]
 fn window_zero_shards_agree_with_the_default_and_survive_the_drills() {
     assert!(spec().pipeline && spec().read_ahead == 3, "the default spec is pipelined");
@@ -173,7 +163,7 @@ fn window_zero_shards_agree_with_the_default_and_survive_the_drills() {
             (b.records, b.blocks, b.passes, b.digest)
         );
     }
-    for point in [KillPoint::Pass(1), KillPoint::Merge(2)] {
+    for point in [KillPoint::Pass(1), KillPoint::Merge] {
         let mut cfg = DistConfig::new(p);
         cfg.kill = Some(KillPlan { shard: 1, point });
         let report = run_spec("w0-kill", &window0, &cfg);
@@ -203,10 +193,11 @@ fn node_death_mid_partition_is_byte_identical() {
 
 /// A lossy, delaying, duplicating channel — no kills — must still
 /// produce the byte-identical output (false suspicions are allowed and
-/// must be harmless thanks to fencing + epochs).  Window replies are
-/// dropped, doubled and overtaken like everything else: a run that
-/// returns at all never tripped the stream's order check, and the
-/// digest shows each window was adopted exactly once, in sequence.
+/// must be harmless thanks to fencing + epochs).  Fold requests and
+/// replies are dropped, doubled and overtaken like everything else: a
+/// run that returns at all never tripped the fold's order check, and
+/// the digest shows each shard's fold was adopted exactly once, in
+/// sequence.
 #[test]
 fn channel_faults_never_corrupt_output() {
     let p = 3;
@@ -291,10 +282,10 @@ fn empty_shard_partitions_are_tolerated() {
     assert_eq!(report.records, 40);
 }
 
-/// The window size is derived from M; the output must not depend on
-/// it.  The smallest M SRM accepts here (two-stripe windows), the
-/// suite's 512 and a 4096 whose window swallows most of a shard all
-/// agree.
+/// The shards' memory M sets their merge order and pass count; the
+/// output must not depend on it.  The smallest M SRM accepts here, the
+/// suite's 512 and a 4096 that merges a shard's runs in fewer passes
+/// all agree.
 #[test]
 fn window_size_never_leaks_into_output() {
     let legal = |m: usize| JobSpec { m, ..spec() }.validate().is_ok();
@@ -323,6 +314,16 @@ fn kill_spec_validation() {
     let err = distsort(&spec(), &cfg, &dir).unwrap_err();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(err.to_string().contains("out of range"), "{err}");
+
+    let plan = parse_kill_node("1@merge").unwrap();
+    assert_eq!((plan.shard, plan.point), (1, KillPoint::Merge));
+    assert_eq!(parse_kill_node("0@2").unwrap().point, KillPoint::Pass(2));
+    // A shard answers exactly one fold request, so there is no K-th.
+    match parse_kill_node("1@merge:2") {
+        Err(DistError::Config(msg)) => assert!(msg.contains("one fold request"), "{msg}"),
+        other => panic!("want a config error, got {other:?}"),
+    }
+    assert!(matches!(parse_kill_node("1@merged"), Err(DistError::Config(_))));
 }
 
 /// Drop a staging batch *and its retransmissions*: stop-and-wait must
@@ -374,12 +375,14 @@ fn duplicated_and_delayed_copies_of_one_batch_apply_once() {
     let p = 2;
     let want = baseline(p);
     let mut cfg = DistConfig::new(p);
-    // Edge coordinator→shard-0: send 1 (a staging batch) is delayed
-    // past the retransmission timeout, so send 2 is the same batch
-    // again — and that retransmission is delivered twice.
+    // Edge coordinator→shard-0: send 0 (shard 0's one staging batch) is
+    // delayed 24 global sends — heartbeats at 15 ms from two shards
+    // take longer than the 80 ms RPC timeout to make them — so send 1
+    // is the same batch again, and that retransmission is delivered
+    // twice.
     cfg.net = NetFaultModel::seeded(0xD0D0)
-        .script(2, 0, 1, NetFault::Delay(6))
-        .script(2, 0, 2, NetFault::Duplicate);
+        .script(2, 0, 0, NetFault::Delay(24))
+        .script(2, 0, 1, NetFault::Duplicate);
     let report = run("dupdelay", &cfg);
     assert_clean(&report, want);
     assert!(report.net.delayed >= 1, "{:?}", report.net);

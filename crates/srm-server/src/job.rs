@@ -434,6 +434,13 @@ impl KeyDigest {
         KeyDigest(0xcbf2_9ce4_8422_2325)
     }
 
+    /// Resume a digest from the `finish()` of a prefix: FNV-1a is a
+    /// left fold, so pushing the rest of the sequence onto it gives the
+    /// whole sequence's digest.
+    pub fn from_state(state: u64) -> Self {
+        KeyDigest(state)
+    }
+
     /// Append one key.
     pub fn push(&mut self, key: u64) {
         for b in key.to_le_bytes() {
