@@ -32,6 +32,8 @@ pub use formulas::{
     c_dsm, c_srm, dsm_total_ios, srm_total_ios, srm_write_ops, table_memory,
 };
 pub use memory::MemoryBudget;
-pub use plan::{memory_load_passes, pass_plan, pass_volumes, PassPlan, PassVolume};
+pub use plan::{
+    load_runs, memory_load_passes, pass_plan, pass_volumes, rs_worst_runs, sort_volumes, PassPlan, PassVolume,
+};
 pub use render::Grid;
 pub use tables::{table1, table2, table3, table4, Table3Params};

@@ -2,59 +2,23 @@
 //!
 //! [`pass_plan`] is the pass loop's own rule (Knuth's dummy-run pattern:
 //! the first pass merges only enough runs to leave a power of `R`, every
-//! later pass is full), re-exported so a prediction can never drift from
-//! the engine.  Under memory-load formation every run's length is known
-//! up front, so [`memory_load_passes`] gives the exact blocks each pass
-//! reads and writes.  Replacement selection's runs depend on the input;
-//! [`pass_volumes`] takes them once formed.
+//! later pass is full), and [`pass_volumes`] the blocks it moves over
+//! runs of given lengths — both re-exported from `srm_core::sort`, whose
+//! formation rule ([`srm_core::sort::choose_formation`]) predicts with
+//! them, so a prediction can never drift from the engine.  Under
+//! memory-load formation every run's length is known up front
+//! ([`load_runs`]), so [`memory_load_passes`] gives the exact blocks each
+//! pass reads and writes; replacement selection's runs depend on the
+//! input, and [`rs_worst_runs`] is its worst case.
 
 use pdisk::Geometry;
-pub use srm_core::sort::{pass_plan, PassPlan};
-
-/// Blocks one pass moves: what it reads once (a block the scheduler
-/// flushes and fetches again counts once) and what it writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PassVolume {
-    /// Blocks read once: the input (formation) or the merged runs.
-    pub read: u64,
-    /// Blocks written: the runs formed, or the merges' output runs.
-    pub written: u64,
-}
-
-/// Records in each run memory-load formation makes of `records` input
-/// records: whole loads of `load_blocks · B` records, the last one short.
-fn memory_load_runs(records: u64, geom: Geometry, fraction: f64) -> Vec<u64> {
-    let load = srm_core::run_formation::load_blocks(geom, fraction) * geom.b as u64;
-    (0..records.div_ceil(load)).map(|i| load.min(records - i * load)).collect()
-}
-
-/// Every merge pass's [`PassVolume`] over runs of the given lengths (in
-/// records, queue order) at merge order `merge_order`, blocks of `b`
-/// records: one entry per pass, pass 1 first.
-pub fn pass_volumes(runs: &[u64], b: usize, merge_order: usize) -> Vec<PassVolume> {
-    let blocks = |rs: &[u64]| rs.iter().map(|r| r.div_ceil(b as u64)).sum::<u64>();
-    let mut queue = runs.to_vec();
-    let mut passes = Vec::new();
-    while let Some(plan) = pass_plan(queue.len(), merge_order) {
-        let mut next = queue[..plan.untouched].to_vec();
-        next.extend(plan.groups(merge_order).map(|g| queue[g].iter().sum::<u64>()));
-        passes.push(PassVolume {
-            read: blocks(&queue[plan.untouched..]),
-            written: blocks(&next[plan.untouched..]),
-        });
-        queue = next;
-    }
-    passes
-}
+pub use srm_core::sort::{load_runs, pass_plan, pass_volumes, rs_worst_runs, sort_volumes, PassPlan, PassVolume};
 
 /// A whole memory-load sort of `records` records on `geom` at merge
 /// order `merge_order`: formation first (it reads the input and writes
 /// the runs), then every merge pass.
 pub fn memory_load_passes(records: u64, geom: Geometry, fraction: f64, merge_order: usize) -> Vec<PassVolume> {
-    let runs = memory_load_runs(records, geom, fraction);
-    let input = records.div_ceil(geom.b as u64);
-    let formation = PassVolume { read: input, written: runs.iter().map(|r| r.div_ceil(geom.b as u64)).sum() };
-    std::iter::once(formation).chain(pass_volumes(&runs, geom.b, merge_order)).collect()
+    sort_volumes(records, &load_runs(records, geom, fraction), geom.b, merge_order)
 }
 
 #[cfg(test)]
@@ -97,7 +61,7 @@ mod tests {
     #[test]
     fn memory_load_volumes() {
         let geom = Geometry::new(2, 4, 96).unwrap();
-        let runs = memory_load_runs(3000, geom, 0.5);
+        let runs = load_runs(3000, geom, 0.5);
         assert_eq!((runs.len(), runs[0], runs[62]), (63, 48, 24));
         let passes = memory_load_passes(3000, geom, 0.5, 6);
         let vol = |read, written| PassVolume { read, written };

@@ -45,6 +45,15 @@
 //! 4 step may tie within 5 % instead of having to improve.  P=8
 //! typically oversubscribes CI hosts and is reported but not gated.
 //!
+//! The per-block delay is also the device a shard chooses its run
+//! formation by (DESIGN.md §14.8).  In the full run every P forms by
+//! replacement selection, and P ≥ 4 merges in one pass instead of two.
+//! Over ten runs each the full speedup read 3.42–3.98x, against
+//! 2.99–3.46x before the rule (P=1 832 ms, P=4 247 ms).  In `--quick`
+//! only P=1 gains: its 20 000 records form by RS, while the 10 000- and
+//! 5 000-record shards of P=2 and P=4 tie and keep loads.  The `--quick`
+//! speedup fell from 2.30–2.63x to 1.91–2.37x, still over its floor.
+//!
 //! The recovery drill reruns P ∈ {2, 4} with `--kill-node` at the
 //! first merge-pass boundary and reports both the end-to-end overhead
 //! against the clean run and the fence-to-replacement-ready time the

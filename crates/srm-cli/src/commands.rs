@@ -170,14 +170,23 @@ USAGE:
       disk reports ENOSPC after N record-writes, so the overflowing
       SUBMIT is refused with the typed `no-space` admission error while
       the server keeps serving (no wedged slot, clean drain).
+      --io-delay-us U models each job's device at U us per block; a
+      job that names no formation then forms its runs by replacement
+      selection when the pass plan predicts fewer blocks moved than
+      half-memory loads, even for runs of only M - 4DB records (its
+      guarantee).  At 0 (the default) it keeps the loads, which cost
+      less host time.
 
       Protocol verbs, one request per line:
         SUBMIT key=value ...   (records=N d=D b=B m=M engine=srm|dsm
                                 seed=S deadline-ms=T fault-rate=R
-                                pipeline=0|1 read-ahead=K ...)
+                                pipeline=0|1 read-ahead=K
+                                formation=load|parload:N|rs ...)
                                A job sorts pipelined at read-ahead 3
                                unless it says otherwise; pipeline=0 is
                                the window-0 reference (DESIGN.md §11.1).
+                               Without formation= the server chooses
+                               (see --io-delay-us); a named one is kept.
         STATUS ID | WATCH ID | CANCEL ID | LIST | STATS | DRAIN |
         PING | QUIT
 
@@ -210,10 +219,15 @@ USAGE:
       read-ahead 3 (the job default); --pipeline [--read-ahead K] picks
       the depth as for `srm sort`, and --read-ahead 0 alone asks for
       window 0, the reference every window is byte- and count-identical
-      to.  Per shard the report prints where its time went (stage / sort
-      / verify / check ms).  Shards are threads by default; --procs
-      spawns real `srm` child processes so the node-death drill is a
-      genuine SIGKILL.  A heartbeat failure detector (--heartbeat-ms /
+      to.  --io-delay-us U models each shard's disks at U us per block,
+      and then a shard forms its runs by replacement selection when the
+      pass plan predicts fewer blocks moved than half-memory loads, even
+      for runs of only M - 4DB records; without a delay, and on a tie,
+      it sorts half-memory loads.  Per shard the report prints its
+      formation (load or rs), its passes, and where its time went
+      (stage / sort / verify / check ms).  Shards are threads by
+      default; --procs spawns real `srm` child processes so the
+      node-death drill is a genuine SIGKILL.  A heartbeat failure detector (--heartbeat-ms /
       --timeout-ms) declares silent nodes dead, fences the old epoch
       (its in-flight I/O fails, its stale messages are discarded), and
       boots a replacement that resumes from the shard's last checkpoint
@@ -399,7 +413,7 @@ pub fn sort(flags: &Flags) -> i32 {
             b: geom.b,
             m: geom.m,
             placement,
-            formation,
+            formation: Some(formation),
             pipeline,
             read_ahead,
             fault_rate,
@@ -733,7 +747,7 @@ fn run_sort<A: DiskArray<U64Record>>(
     )?;
     println!("{}: sorted & verified in {elapsed:.2?} (host time)", job.label);
     println!("  {report}");
-    println!("  {}", pass_plan_line(&report, sorter.config().run_formation, geom, resumed.is_some()));
+    println!("  {}", pass_plan_line(&report, geom));
     if let Some(red) = array.redundancy() {
         if !red.dead.is_empty() {
             let ids: Vec<u32> = red.dead.iter().map(|d| d.0).collect();
@@ -756,9 +770,11 @@ fn run_sort<A: DiskArray<U64Record>>(
 
 /// The `pass plan:` line: what merge pass 1 does — it merges only enough
 /// runs to leave a power of `R`, and the rest wait — and the blocks the
-/// sort writes, predicted by `analysis` (memory-load formation, whose run
-/// lengths are known up front) beside the count the array kept.
-fn pass_plan_line(report: &SortReport, formation: RunFormation, geom: Geometry, resumed: bool) -> String {
+/// sort writes, predicted by `analysis` beside the count the array kept:
+/// exactly under memory-load formation, whose run lengths are known up
+/// front, and for replacement selection its worst case, runs of
+/// `M − 4DB` records.
+fn pass_plan_line(report: &SortReport, geom: Geometry) -> String {
     let (runs, r) = (report.runs_formed, report.merge_order);
     let plan = match analysis::pass_plan(runs, r) {
         Some(p) => format!(
@@ -772,18 +788,19 @@ fn pass_plan_line(report: &SortReport, formation: RunFormation, geom: Geometry, 
         None => format!("{runs} run, no merge pass"),
     };
     let actual = report.io.blocks_written;
-    let fraction = match formation {
-        RunFormation::MemoryLoad { fraction } | RunFormation::ParallelMemoryLoad { fraction, .. } => Some(fraction),
-        RunFormation::ReplacementSelection => None,
+    let written = |runs: &[u64]| -> u64 {
+        analysis::sort_volumes(report.records, runs, geom.b, r).iter().map(|p| p.written).sum()
     };
-    let blocks = match fraction {
-        _ if resumed => format!("blocks written since the resume: {actual}"),
-        Some(fraction) => {
-            let passes = analysis::memory_load_passes(report.records, geom, fraction, r);
-            let predicted: u64 = passes.iter().map(|p| p.written).sum();
+    let blocks = match report.formation {
+        None => format!("blocks written since the resume: {actual}"),
+        Some(RunFormation::MemoryLoad { fraction } | RunFormation::ParallelMemoryLoad { fraction, .. }) => {
+            let predicted = written(&analysis::load_runs(report.records, geom, fraction));
             format!("blocks written: predicted {predicted}, actual {actual}")
         }
-        None => format!("blocks written: actual {actual} (replacement selection's runs depend on the input)"),
+        Some(RunFormation::ReplacementSelection) => {
+            let worst = written(&analysis::rs_worst_runs(report.records, geom));
+            format!("blocks written: predicted {worst} for runs of M - 4DB (RS's worst case), actual {actual}")
+        }
     };
     format!("pass plan: {plan}; {blocks}")
 }
@@ -1270,9 +1287,10 @@ pub fn distsort(flags: &Flags) -> i32 {
         );
         for (s, shard) in report.per_shard.iter().enumerate() {
             println!(
-                "  shard {s}: {} records, {} blocks, {} passes, trace {} ({} events), {} recoveries, {} repaired",
+                "  shard {s}: {} records, {} blocks, formation {}, {} passes, trace {} ({} events), {} recoveries, {} repaired",
                 shard.records,
                 shard.blocks,
+                shard.formation.name(),
                 shard.passes,
                 if shard.trace_clean { "clean" } else { "DIRTY" },
                 shard.trace_events,

@@ -54,6 +54,18 @@ impl Default for RunFormation {
     }
 }
 
+impl RunFormation {
+    /// The strategy's name in reports and job specs: `load`, `parload`
+    /// or `rs`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            RunFormation::MemoryLoad { .. } => "load",
+            RunFormation::ParallelMemoryLoad { .. } => "parload",
+            RunFormation::ReplacementSelection => "rs",
+        }
+    }
+}
+
 /// Form sorted runs from an unsorted input run (records in arbitrary
 /// order, laid out striped).  `place` chooses each new run's start disk.
 ///
@@ -148,6 +160,12 @@ pub fn load_blocks(geom: Geometry, fraction: f64) -> u64 {
     load_capacity(geom, fraction).div_ceil(geom.b) as u64
 }
 
+/// Records replacement selection's tournament holds: `M − 4DB`, at
+/// least one block.  Every run but the last is at least this long.
+pub fn tournament_slots(geom: Geometry) -> usize {
+    geom.m.saturating_sub(4 * geom.d * geom.b).max(geom.b).max(1)
+}
+
 /// Replacement selection: the tournament's leaf *is* the slot holding the
 /// record in place, keyed `(epoch, key)` so that a record frozen for the
 /// next run loses to every current-run record; a slot the input could not
@@ -162,7 +180,7 @@ fn replacement_selection<R: Record, A: DiskArray<R>>(
     mut place: impl FnMut() -> DiskId,
 ) -> Result<Vec<StripedRun>> {
     let geom = array.geometry();
-    let capacity = geom.m.saturating_sub(4 * geom.d * geom.b).max(geom.b).max(1);
+    let capacity = tournament_slots(geom);
     let depth = 1 + usize::from(pipeline);
     let mut window = StripeWindow::new(input, 0..input.len_blocks);
     // The stripe being consumed, and how far into it.

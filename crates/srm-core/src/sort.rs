@@ -22,13 +22,14 @@
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
 use crate::merge::{merge_runs_overlapped, MergeStats, Overlap};
-use crate::run_formation::{form_runs_overlapped, RunFormation};
+use crate::run_formation::{form_runs_overlapped, load_blocks, tournament_slots, RunFormation};
 use crate::scheduler::ScheduleStats;
 use pdisk::{CrashClock, DiskArray, DiskId, Geometry, InterruptFlag, IoStats, Record, StripedRun};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
 use std::path::Path;
+use std::time::Duration;
 
 /// How each run's start disk `d_r` is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,6 +97,9 @@ pub struct SortReport {
     pub merge_order: usize,
     /// Runs produced by the formation pass.
     pub runs_formed: usize,
+    /// How this call formed them ([`SrmSorter::formation`]); `None` when
+    /// it resumed past formation.
+    pub formation: Option<RunFormation>,
     /// Merge passes, `⌈log_R runs_formed⌉` (excludes run formation).  A
     /// pass need not rewrite the whole file: the first merges only what
     /// [`pass_plan`] asks for, and the rest of its runs wait untouched.
@@ -239,6 +243,9 @@ pub struct SrmSorter {
     /// Cooperative stop request; polled at pass boundaries.  See
     /// [`SrmSorter::with_interrupt`].
     interrupt: Option<InterruptFlag>,
+    /// Device time per block the caller declared; zero = no device.
+    /// See [`SrmSorter::with_device_time`].
+    device_time: Duration,
 }
 
 impl SrmSorter {
@@ -251,6 +258,7 @@ impl SrmSorter {
             read_ahead: 0,
             crash: None,
             interrupt: None,
+            device_time: Duration::ZERO,
         }
     }
 
@@ -319,6 +327,34 @@ impl SrmSorter {
     pub fn with_interrupt(mut self, flag: InterruptFlag) -> Self {
         self.interrupt = Some(flag);
         self
+    }
+
+    /// Declare the device the sort runs on: every block read or written
+    /// costs it about `per_block`.  On a declared device a sorter
+    /// configured for the paper's half-memory loads (the default) forms
+    /// its runs by replacement selection instead when
+    /// [`choose_formation`] predicts fewer blocks moved.  Replacement
+    /// selection costs about four times the host time per record, which
+    /// a free device does not repay where it saves little (DESIGN.md
+    /// §14.8), so at zero, the default, the configured formation stands.
+    /// Any other configured formation, and DSM's loads, are kept.  Like
+    /// `pipeline`, not part of [`SrmConfig`]: a resumed sort's runs are
+    /// already formed, so a checkpoint resumes under any device.
+    pub fn with_device_time(mut self, per_block: Duration) -> Self {
+        self.device_time = per_block;
+        self
+    }
+
+    /// The formation a sort of `records` records on `geometry` forms its
+    /// runs by: the configured one, or [`choose_formation`]'s pick on a
+    /// declared device (see [`SrmSorter::with_device_time`]).
+    pub fn formation(&self, geometry: Geometry, records: u64) -> Result<RunFormation> {
+        let configured = self.config.run_formation;
+        let declared = !self.device_time.is_zero() && self.engine == EngineKind::Srm;
+        if !declared || configured != RunFormation::default() {
+            return Ok(configured);
+        }
+        Ok(choose_formation(records, geometry, self.merge_order(geometry)?))
     }
 
     /// The configuration in use.
@@ -453,27 +489,22 @@ impl SrmSorter {
         // it is still to be observed and journaled.  A resumed boundary was,
         // by the call that completed it; only its interrupt check remains.
         let mut completed_here = resume.is_none();
-        let (mut queue, mut pass, runs_formed) = match resume {
+        let (mut queue, mut pass, runs_formed, formation) = match resume {
             Some(m) => {
                 m.validate_redundancy(array.redundancy().as_ref())?;
                 // Draw the start disks an uninterrupted sort would have.
                 placer.fast_forward(m.draws);
-                (m.runs, m.pass, m.runs_formed)
+                (m.runs, m.pass, m.runs_formed, None)
             }
             None => {
+                let formation = self.formation(geometry, records)?;
                 if let Some(sink) = array.trace_sink() {
                     // Run formation is pass 0; merge passes count from 1.
                     sink.begin_pass(0);
                 }
-                let queue = form_runs_overlapped(
-                    array,
-                    input,
-                    self.config.run_formation,
-                    self.pipeline,
-                    || placer.next(),
-                )?;
+                let queue = form_runs_overlapped(array, input, formation, self.pipeline, || placer.next())?;
                 let runs_formed = queue.len() as u64;
-                (queue, 0, runs_formed)
+                (queue, 0, runs_formed, Some(formation))
             }
         };
 
@@ -538,6 +569,7 @@ impl SrmSorter {
             records,
             merge_order,
             runs_formed: runs_formed as usize,
+            formation,
             merge_passes: pass,
             merges,
             schedule,
@@ -631,6 +663,80 @@ pub fn pass_plan(runs: usize, merge_order: usize) -> Option<PassPlan> {
         first,
         full,
     })
+}
+
+/// Blocks one pass moves: what it reads once (a block the scheduler
+/// flushes and fetches again counts once) and what it writes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PassVolume {
+    /// Blocks read once: the input (formation) or the merged runs.
+    pub read: u64,
+    /// Blocks written: the runs formed, or the merges' output runs.
+    pub written: u64,
+}
+
+/// `records` cut into runs of `len`, the last one short.
+fn runs_of(records: u64, len: u64) -> Vec<u64> {
+    (0..records.div_ceil(len)).map(|i| len.min(records - i * len)).collect()
+}
+
+/// Records in each run memory-load formation makes of `records` input
+/// records: whole loads of `load_blocks · B` records, the last one short.
+pub fn load_runs(records: u64, geom: Geometry, fraction: f64) -> Vec<u64> {
+    runs_of(records, load_blocks(geom, fraction) * geom.b as u64)
+}
+
+/// Replacement selection's worst case over `records` records: every run
+/// but the last holds at least the tournament's `M − 4DB` records
+/// ([`tournament_slots`]), so the runs are assumed exactly that long.
+/// On random input they are about twice that.
+pub fn rs_worst_runs(records: u64, geom: Geometry) -> Vec<u64> {
+    runs_of(records, tournament_slots(geom) as u64)
+}
+
+/// Every merge pass's [`PassVolume`] over runs of the given lengths (in
+/// records, queue order) at merge order `merge_order`, blocks of `b`
+/// records: one entry per pass, pass 1 first.
+pub fn pass_volumes(runs: &[u64], b: usize, merge_order: usize) -> Vec<PassVolume> {
+    let blocks = |rs: &[u64]| rs.iter().map(|r| r.div_ceil(b as u64)).sum::<u64>();
+    let mut queue = runs.to_vec();
+    let mut passes = Vec::new();
+    while let Some(plan) = pass_plan(queue.len(), merge_order) {
+        let mut next = queue[..plan.untouched].to_vec();
+        next.extend(plan.groups(merge_order).map(|g| queue[g].iter().sum::<u64>()));
+        passes.push(PassVolume {
+            read: blocks(&queue[plan.untouched..]),
+            written: blocks(&next[plan.untouched..]),
+        });
+        queue = next;
+    }
+    passes
+}
+
+/// A whole sort whose formation makes `runs` (record counts, queue
+/// order) of `records` input records: formation first (it reads the
+/// input and writes the runs), then every merge pass.
+pub fn sort_volumes(records: u64, runs: &[u64], b: usize, merge_order: usize) -> Vec<PassVolume> {
+    let formation = PassVolume {
+        read: records.div_ceil(b as u64),
+        written: runs.iter().map(|r| r.div_ceil(b as u64)).sum(),
+    };
+    std::iter::once(formation).chain(pass_volumes(runs, b, merge_order)).collect()
+}
+
+/// The formation rule on a declared device: replacement selection when
+/// its worst case ([`rs_worst_runs`]) moves strictly fewer blocks,
+/// read and written over the whole sort, than half-memory loads; loads
+/// otherwise, ties included.
+pub fn choose_formation(records: u64, geom: Geometry, merge_order: usize) -> RunFormation {
+    let moved = |runs: &[u64]| -> u64 {
+        sort_volumes(records, runs, geom.b, merge_order).iter().map(|p| p.read + p.written).sum()
+    };
+    if moved(&rs_worst_runs(records, geom)) < moved(&load_runs(records, geom, 0.5)) {
+        RunFormation::ReplacementSelection
+    } else {
+        RunFormation::MemoryLoad { fraction: 0.5 }
+    }
 }
 
 fn accumulate(into: &mut ScheduleStats, merge: &MergeStats) {
@@ -892,5 +998,140 @@ mod tests {
         let geom = Geometry::new(1, 4, 64).unwrap();
         let keys = random_keys(&mut rng, 800);
         sort_and_verify(geom, &keys, SrmConfig::default());
+    }
+
+    /// Blocks a sort moved, counting a block the scheduler flushed and
+    /// fetched again once, as [`PassVolume`] does.
+    fn moved_once(report: &SortReport) -> u64 {
+        report.io.blocks_read - report.schedule.blocks_flushed + report.io.blocks_written
+    }
+
+    fn predicted(records: u64, runs: &[u64], geom: Geometry, r: usize) -> u64 {
+        sort_volumes(records, runs, geom.b, r).iter().map(|p| p.read + p.written).sum()
+    }
+
+    /// `dist_p4`'s shard geometry: D = 3, B = 16, M = 1024, so R = 23, a
+    /// half-memory load is 512 records and the tournament 832.
+    fn shard_geometry() -> Geometry {
+        Geometry::new(3, 16, 1024).unwrap()
+    }
+
+    /// The rule on the geometries the repo's figures quote: a 30 000-record
+    /// shard forms 59 loads (two passes) or at worst 37 RS runs, so RS
+    /// predicts fewer blocks; a 5 000-record shard merges 10 loads or 7
+    /// RS runs in one pass over the same blocks, a tie, so loads stay.
+    #[test]
+    fn the_rule_picks_rs_only_on_strictly_fewer_blocks() {
+        let geom = shard_geometry();
+        let r = geom.srm_merge_order().unwrap();
+        assert_eq!((r, tournament_slots(geom)), (23, 832));
+        let (loads, rs) = (load_runs(30_000, geom, 0.5), rs_worst_runs(30_000, geom));
+        assert_eq!((loads.len(), rs.len()), (59, 37));
+        assert!(predicted(30_000, &rs, geom, r) < predicted(30_000, &loads, geom, r));
+        assert_eq!(choose_formation(30_000, geom, r), RunFormation::ReplacementSelection);
+
+        let (loads, rs) = (load_runs(5_000, geom, 0.5), rs_worst_runs(5_000, geom));
+        assert_eq!((loads.len(), rs.len()), (10, 7));
+        assert_eq!(predicted(5_000, &rs, geom, r), predicted(5_000, &loads, geom, r));
+        assert_eq!(choose_formation(5_000, geom, r), RunFormation::default(), "a tie keeps loads");
+
+        // Everywhere: RS exactly when its worst case moves strictly fewer.
+        for (d, b, m) in [(2, 4, 96), (2, 8, 512), (3, 16, 1024), (4, 64, 3136)] {
+            let geom = Geometry::new(d, b, m).unwrap();
+            let r = geom.srm_merge_order().unwrap();
+            for records in (1..40).map(|i| i * i * 97) {
+                let rs = predicted(records, &rs_worst_runs(records, geom), geom, r);
+                let loads = predicted(records, &load_runs(records, geom, 0.5), geom, r);
+                let want = if rs < loads { RunFormation::ReplacementSelection } else { RunFormation::default() };
+                assert_eq!(choose_formation(records, geom, r), want, "{geom:?} N={records}");
+            }
+        }
+    }
+
+    /// Only a declared device, on SRM's default half-memory loads, hands
+    /// the formation to the rule; every configured alternative is kept.
+    #[test]
+    fn a_declared_device_chooses_and_an_explicit_formation_wins() {
+        let geom = shard_geometry();
+        let device = Duration::from_micros(40);
+        let rs = RunFormation::ReplacementSelection;
+        let formation = |s: SrmSorter, records| s.formation(geom, records).unwrap();
+        assert_eq!(formation(SrmSorter::default(), 30_000), RunFormation::default(), "no device");
+        assert_eq!(formation(SrmSorter::default().with_device_time(Duration::ZERO), 30_000), RunFormation::default());
+        assert_eq!(formation(SrmSorter::default().with_device_time(device), 30_000), rs);
+        assert_eq!(formation(SrmSorter::default().with_device_time(device), 5_000), RunFormation::default());
+        for explicit in [
+            rs,
+            RunFormation::MemoryLoad { fraction: 1.0 },
+            RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 2 },
+        ] {
+            let sorter = SrmSorter::new(SrmConfig { run_formation: explicit, ..SrmConfig::default() });
+            let sorter = sorter.with_device_time(device);
+            assert_eq!(formation(sorter.clone(), 30_000), explicit);
+            assert_eq!(formation(sorter, 5_000), explicit);
+        }
+        let wide = Geometry::new(1, 48, 1024).unwrap();
+        let dsm = SrmSorter::default().with_engine(EngineKind::Dsm).with_device_time(device);
+        assert_eq!(dsm.formation(wide, 30_000).unwrap(), RunFormation::default(), "DSM keeps its loads");
+
+        // The sort forms by the choice and reports it; a resume does not.
+        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
+        let mut rng = SmallRng::seed_from_u64(36);
+        let recs: Vec<U64Record> = (0..30_000).map(|_| U64Record(rng.random())).collect();
+        let input = write_unsorted_input(&mut a, &recs).unwrap();
+        let (_, report) = SrmSorter::default().with_device_time(device).sort(&mut a, &input).unwrap();
+        assert_eq!((report.formation, report.merge_passes), (Some(rs), 1));
+        assert!(report.runs_formed < 37, "random input beats the worst case: {}", report.runs_formed);
+    }
+
+    /// Keys of `n` records in four shapes: sorted, reverse (RS's worst
+    /// case: every run exactly the tournament), Zipf(1.1) over 4096
+    /// values, and uniform.
+    fn shaped_inputs(n: usize, seed: u64) -> Vec<(&'static str, Vec<u64>)> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let weights: Vec<f64> = (1..=4096).map(|k| (k as f64).powf(-1.1)).collect();
+        let total: f64 = weights.iter().sum();
+        let cdf: Vec<f64> = weights.iter().scan(0.0, |acc, w| { *acc += w / total; Some(*acc) }).collect();
+        let zipf = (0..n).map(|_| cdf.partition_point(|&c| c < rng.random::<f64>()) as u64).collect();
+        vec![
+            ("sorted", (0..n as u64).collect()),
+            ("reverse", (0..n as u64).rev().collect()),
+            ("zipf", zipf),
+            ("uniform", (0..n).map(|_| rng.random()).collect()),
+        ]
+    }
+
+    /// A sort the rule sends to RS moves no more blocks than the loads
+    /// it replaced were predicted to, whatever the input: at the
+    /// `dist_p4` shard geometry, and at the server drills' (D = 2,
+    /// B = 4, M = 96, 1 500 records) and `JobSpec`'s default (D = 2,
+    /// B = 8, M = 512).
+    #[test]
+    fn rs_chosen_by_the_rule_is_never_worse_than_loads() {
+        let device = Duration::from_micros(40);
+        let mut chosen = 0;
+        for (geom, n) in [
+            (shard_geometry(), 30_000),
+            (Geometry::new(2, 4, 96).unwrap(), 1_500),
+            (Geometry::new(2, 8, 512).unwrap(), 20_000),
+        ] {
+            let r = geom.srm_merge_order().unwrap();
+            let loads = predicted(n as u64, &load_runs(n as u64, geom, 0.5), geom, r);
+            for (shape, keys) in shaped_inputs(n, 0x5EED ^ n as u64) {
+                let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
+                let recs: Vec<U64Record> = keys.iter().map(|&k| U64Record(k)).collect();
+                let input = write_unsorted_input(&mut a, &recs).unwrap();
+                let (sorted, report) = SrmSorter::default().with_device_time(device).sort(&mut a, &input).unwrap();
+                let mut expected = keys.clone();
+                expected.sort_unstable();
+                let got: Vec<u64> = read_run(&mut a, &sorted).unwrap().iter().map(|r| r.0).collect();
+                assert_eq!(got, expected, "{shape}");
+                if report.formation == Some(RunFormation::ReplacementSelection) {
+                    chosen += 1;
+                    assert!(moved_once(&report) <= loads, "{geom:?} {shape}: RS moved {} > loads' {loads}", moved_once(&report));
+                }
+            }
+        }
+        assert_eq!(chosen, 12, "the rule sends every one of these sorts to RS");
     }
 }

@@ -34,6 +34,7 @@ use crate::net::{Endpoint, NetStats, Network};
 use crate::shard::{run_shard, KillPoint, ShardMs, ShardPlan};
 use crate::split::{route, sample_splitters};
 use pdisk::{NetFaultModel, RetryPolicy, U64Record};
+use srm_core::RunFormation;
 use srm_server::{expected_digest, generate_records, JobSpec};
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
@@ -94,7 +95,9 @@ pub struct DistConfig {
     /// the "node died and took sectors with it" scenario.  The
     /// replacement's pre-resume scrub must heal every lost block.
     pub corrupt_disk: Option<usize>,
-    /// Per-disk I/O service delay on every shard cluster.
+    /// Per-disk I/O service delay on every shard cluster.  Nonzero, it
+    /// is also the device time a shard chooses its formation by, unless
+    /// the spec names one ([`JobSpec::build_on`]).
     pub io_delay: Duration,
     /// Hard cap on recoveries per node — the circuit breaker that turns
     /// a crash loop into an error instead of an infinite fence/respawn
@@ -173,6 +176,9 @@ pub struct ShardReport {
     pub blocks: u64,
     /// Merge passes of its logical sort.
     pub passes: u64,
+    /// How its runs were formed: its sorter's choice for its record
+    /// count, the same in every incarnation.
+    pub formation: RunFormation,
     /// Digest of its sorted partition.
     pub digest: u64,
     /// Model-checker events replayed for its finishing incarnation.
@@ -447,7 +453,7 @@ pub(crate) fn plan_for(
             seed: spec.seed.wrapping_add(salt),
             ..spec.clone()
         }
-        .srm_sorter(),
+        .build_on(cfg.io_delay, None),
         parity: cfg.parity,
         fault_rate: spec.fault_rate,
         fault_seed: spec.fault_seed.wrapping_add(salt),
@@ -609,10 +615,12 @@ impl Coordinator<'_> {
                 repaired,
                 ms,
             } => {
+                let formation = self.plan(env.src, None).sorter.formation(self.geom, records)?;
                 let node = &mut self.nodes[s];
                 node.report.records = records;
                 node.report.blocks = blocks;
                 node.report.passes = passes;
+                node.report.formation = formation;
                 node.report.digest = digest;
                 node.report.trace_events = trace_events;
                 node.report.trace_clean = trace_clean;

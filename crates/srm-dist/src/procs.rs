@@ -345,6 +345,7 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
                 report.records = meta.records;
                 report.blocks = meta.run.as_ref().map_or(0, |r| r.len_blocks);
                 report.passes = meta.passes;
+                report.formation = plans[s].sorter.formation(geom, meta.records)?;
                 report.digest = meta.digest;
                 report.trace_events = meta.trace_events;
                 report.trace_clean = meta.trace_clean;

@@ -35,8 +35,7 @@ use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter};
 use srm_server::{decode_run, digest_keys, encode_run};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// The sentinel a kill drill's observer returns: recognized by the shard
@@ -84,8 +83,9 @@ pub struct ShardPlan {
     pub geom: Geometry,
     /// The shard's sorter: the spec's placement, formation, `pipeline`
     /// and `read_ahead` under a per-shard seed derived deterministically
-    /// from the spec's.  Identical across incarnations, which is what
-    /// makes recovery byte-identical.
+    /// from the spec's, on the cluster's device time.  Identical across
+    /// incarnations, which is what makes recovery byte-identical: every
+    /// incarnation forms runs the same way.
     pub sorter: SrmSorter,
     /// Rotating parity over the shard's disks (enables the
     /// rebuild-from-parity recovery path).
@@ -516,22 +516,24 @@ pub(crate) fn read_output(plan: &ShardPlan, fence: &FenceFlag, meta: &OutputMeta
 
 // ─── thread-mode wiring: heartbeats, staging, folding ────────────────────
 
-/// Spawn the heartbeat thread: beacons every interval until `alive`
-/// clears.  Runs beside the sort so a compute-bound shard still beacons.
-/// Must never block on I/O or a channel — a stuck beacon looks like a
-/// dead shard.  It only sleeps and sends, and `NetSender::send` takes
-/// one short lock and never waits.
+/// Spawn the heartbeat thread: beacons every interval until `stop`
+/// fires or is dropped.  Runs beside the sort so a compute-bound shard
+/// still beacons.  Must never block on I/O or the network — a stuck
+/// beacon looks like a dead shard.  It only waits on `stop` and sends,
+/// and `NetSender::send` takes one short lock and never waits.  Waiting
+/// on `stop` rather than sleeping lets the instance's exit join it at
+/// once, not at the next tick.
 fn spawn_heartbeat(
     tx: NetSender,
     coord: u32,
     epoch: u64,
-    alive: Arc<AtomicBool>,
+    stop: mpsc::Receiver<()>,
     interval: Duration,
 ) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        while alive.load(Ordering::SeqCst) {
-            tx.send(coord, epoch, Msg::Heartbeat);
-            std::thread::sleep(interval);
+    std::thread::spawn(move || loop {
+        tx.send(coord, epoch, Msg::Heartbeat);
+        if stop.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+            return;
         }
     })
 }
@@ -558,16 +560,10 @@ fn is_fence_error(e: &DistError) -> bool {
 /// reporting fatal errors to the coordinator; simulated deaths (drill or
 /// fence) end silently, exactly like a crashed process.
 pub fn run_shard(plan: ShardPlan, ep: Endpoint, epoch: u64, fence: FenceFlag) {
-    let alive = Arc::new(AtomicBool::new(true));
-    let hb = spawn_heartbeat(
-        ep.sender(),
-        plan.coord(),
-        epoch,
-        Arc::clone(&alive),
-        plan.heartbeat,
-    );
+    let (stop, stopped) = mpsc::channel();
+    let hb = spawn_heartbeat(ep.sender(), plan.coord(), epoch, stopped, plan.heartbeat);
     let result = shard_main(&plan, &ep, epoch, &fence);
-    alive.store(false, Ordering::SeqCst);
+    drop(stop);
     if let Err(e) = result {
         if !is_fence_error(&e) {
             ep.send(plan.coord(), epoch, Msg::Fatal { msg: e.to_string() });

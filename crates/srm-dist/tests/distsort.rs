@@ -8,8 +8,10 @@
 
 use pdisk::{NetFault, NetFaultModel};
 use srm_dist::{distsort, parse_kill_node, DistConfig, DistError, DistReport, KillPlan, KillPoint};
+use srm_core::RunFormation;
 use srm_server::JobSpec;
 use std::path::PathBuf;
+use std::time::Duration;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -143,6 +145,33 @@ fn merge_survives_a_serving_node_death() {
     }
 }
 
+/// On a modelled device the shards form their runs by replacement
+/// selection (the rule picks it for these 3 000-record shards), and a
+/// shard killed after formation, or on its fold request, recovers
+/// byte-identical: every incarnation forms its runs the same way.
+#[test]
+fn rs_shards_on_a_device_survive_the_kill_drills() {
+    let p = 2;
+    let want = baseline(p);
+    let mut device = DistConfig::new(p);
+    device.io_delay = Duration::from_micros(20);
+    let clean = run("rs-clean", &device);
+    assert_clean(&clean, want);
+    for shard in &clean.per_shard {
+        assert_eq!(shard.formation, RunFormation::ReplacementSelection);
+    }
+    for point in [KillPoint::Pass(0), KillPoint::Merge] {
+        let mut cfg = device.clone();
+        cfg.kill = Some(KillPlan { shard: 1, point });
+        let report = run("rs-kill", &cfg);
+        assert_clean(&report, want);
+        assert!(report.per_shard[1].recoveries >= 1, "{point:?}: the victim must be recovered");
+        for (a, b) in report.per_shard.iter().zip(&clean.per_shard) {
+            assert_eq!((a.formation, a.blocks, a.passes, a.digest), (b.formation, b.blocks, b.passes, b.digest));
+        }
+    }
+}
+
 /// Every drill above runs the shards at `JobSpec`'s default window
 /// (pipelined, read-ahead 3).  The explicit window-0 spec is the same
 /// sort: same global digest, and per shard the same partition, run
@@ -197,7 +226,10 @@ fn node_death_mid_partition_is_byte_identical() {
 /// replies are dropped, doubled and overtaken like everything else: a
 /// run that returns at all never tripped the fold's order check, and
 /// the digest shows each shard's fold was adopted exactly once, in
-/// sequence.
+/// sequence.  A run makes only about 40 sends, so the seeded rates
+/// alone may miss a fault class; each class is also scripted onto the
+/// coordinator's first send to a shard — its first staging batch, which
+/// every run sends.
 #[test]
 fn channel_faults_never_corrupt_output() {
     let p = 3;
@@ -208,7 +240,10 @@ fn channel_faults_never_corrupt_output() {
             .with_drop_rate(0.05)
             .with_dup_rate(0.10)
             .with_delay_rate(0.15)
-            .with_max_delay(6);
+            .with_max_delay(6)
+            .script(p, 0, 0, NetFault::Drop)
+            .script(p, 1, 0, NetFault::Duplicate)
+            .script(p, 2, 0, NetFault::Delay(3));
         let report = run("lossy", &cfg);
         assert_clean(&report, want);
         assert!(
@@ -399,13 +434,16 @@ fn coordinator_partition_heals_mid_heartbeat() {
     let want = baseline(p);
     let mut cfg = DistConfig::new(p);
     // The coordinator is node P by convention; cut it off for a window
-    // of global sends while shards are staging/heartbeating.  This
+    // of global sends while shards are staging/heartbeating.  A run
+    // makes only about 40 sends, so the window opens at the 8th, which
+    // every run reaches while staging; until it heals, staging cannot
+    // finish, and the heartbeats carry the count past its end.  This
     // drill is about the partition *healing* (false-suspicion recovery
     // has its own drills above), so give the failure detector enough
     // patience that a loaded host can't turn the window into a
     // recovery storm before shard heartbeats close it.
-    cfg.net = NetFaultModel::seeded(0x9A97).partition(p, 40, 110);
-    cfg.timeout = std::time::Duration::from_millis(1500);
+    cfg.net = NetFaultModel::seeded(0x9A97).partition(p, 8, 78);
+    cfg.timeout = Duration::from_millis(1500);
     cfg.max_recoveries = 64;
     let report = run("coordpart", &cfg);
     assert_clean(&report, want);

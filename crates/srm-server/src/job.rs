@@ -29,6 +29,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 pub use srm_core::EngineKind;
 use srm_core::{Placement, RunFormation, SrmConfig, SrmError, SrmSorter};
+use std::time::Duration;
 
 /// Errors surfaced by the job layer and the server built on it.
 #[derive(Debug)]
@@ -152,7 +153,11 @@ pub struct JobSpec {
     /// SRM start-disk policy (moot for DSM's one disk).
     pub placement: Placement,
     /// Run-formation strategy (SRM; DSM always sorts half-memory loads).
-    pub formation: RunFormation,
+    /// `None`, a spec without `formation=`, leaves it to the sorter:
+    /// half-memory loads, or replacement selection on a device where
+    /// that predicts fewer blocks ([`JobSpec::build_on`]).  `Some` is an
+    /// override.
+    pub formation: Option<RunFormation>,
     /// Overlap I/O with merging (the engine's pipelined window).
     pub pipeline: bool,
     /// Forecast-driven read-ahead depth for pipelined merges
@@ -187,7 +192,7 @@ impl Default for JobSpec {
             b: 8,
             m: 512,
             placement: Placement::Random,
-            formation: RunFormation::MemoryLoad { fraction: 0.5 },
+            formation: None,
             pipeline: true,
             read_ahead: 3,
             deadline_ms: None,
@@ -244,7 +249,7 @@ impl JobSpec {
     pub fn srm_config(&self) -> SrmConfig {
         SrmConfig {
             placement: self.placement,
-            run_formation: self.formation,
+            run_formation: self.formation.unwrap_or_default(),
             seed: self.seed,
         }
     }
@@ -283,6 +288,18 @@ impl JobSpec {
         }
     }
 
+    /// [`JobSpec::build`] for a device that spends `per_block` on every
+    /// block, declared to the sorter ([`SrmSorter::with_device_time`])
+    /// when the spec leaves the formation to it.  The job server passes
+    /// its `io_delay`, a distsort shard its cluster's.
+    pub fn build_on(&self, per_block: Duration, interrupt: Option<InterruptFlag>) -> SrmSorter {
+        let sorter = self.build(interrupt);
+        match self.formation {
+            None => sorter.with_device_time(per_block),
+            Some(_) => sorter,
+        }
+    }
+
     /// Deterministically regenerate this job's input records.
     pub fn input_records(&self) -> Vec<U64Record> {
         generate_records(self.records, self.seed)
@@ -290,11 +307,10 @@ impl JobSpec {
 
     /// Key=value pairs, the shared wire/file encoding.
     pub fn to_pairs(&self) -> Vec<(&'static str, String)> {
-        let formation = match self.formation {
-            RunFormation::MemoryLoad { .. } => "load".to_string(),
+        let formation = self.formation.map(|f| match f {
             RunFormation::ParallelMemoryLoad { threads, .. } => format!("parload:{threads}"),
-            RunFormation::ReplacementSelection => "rs".to_string(),
-        };
+            other => other.name().to_string(),
+        });
         let mut pairs = vec![
             ("engine", self.engine.as_str().to_string()),
             ("records", self.records.to_string()),
@@ -309,12 +325,14 @@ impl JobSpec {
                     Placement::Staggered => "staggered".to_string(),
                 },
             ),
-            ("formation", formation),
+        ];
+        pairs.extend(formation.map(|f| ("formation", f)));
+        pairs.extend([
             ("pipeline", u8::from(self.pipeline).to_string()),
             ("read-ahead", self.read_ahead.to_string()),
             ("fault-rate", self.fault_rate.to_string()),
             ("fault-seed", self.fault_seed.to_string()),
-        ];
+        ]);
         if let Some(ms) = self.deadline_ms {
             pairs.push(("deadline-ms", ms.to_string()));
         }
@@ -350,7 +368,7 @@ impl JobSpec {
                     }
                 }
                 "formation" => {
-                    spec.formation = match v.split_once(':') {
+                    spec.formation = Some(match v.split_once(':') {
                         None if v == "load" => RunFormation::MemoryLoad { fraction: 0.5 },
                         None if v == "rs" => RunFormation::ReplacementSelection,
                         Some(("parload", t)) => RunFormation::ParallelMemoryLoad {
@@ -358,7 +376,7 @@ impl JobSpec {
                             threads: t.parse().map_err(|_| bad(k, v))?,
                         },
                         _ => return Err(bad(k, v)),
-                    }
+                    })
                 }
                 "pipeline" => {
                     spec.pipeline = match v {
@@ -486,10 +504,10 @@ mod tests {
             b: 4,
             m: 240,
             placement: Placement::Staggered,
-            formation: RunFormation::ParallelMemoryLoad {
+            formation: Some(RunFormation::ParallelMemoryLoad {
                 fraction: 0.5,
                 threads: 2,
-            },
+            }),
             pipeline: true,
             read_ahead: 4,
             deadline_ms: Some(5000),
@@ -530,10 +548,52 @@ mod tests {
         let resumed = JobSpec::decode(durable).unwrap();
         assert_eq!(
             resumed,
-            JobSpec { pipeline: false, read_ahead: 0, ..JobSpec::default() },
-            "the old default, spelled out"
+            JobSpec {
+                formation: Some(RunFormation::MemoryLoad { fraction: 0.5 }),
+                pipeline: false,
+                read_ahead: 0,
+                ..JobSpec::default()
+            },
+            "the old default, spelled out: `formation=load` is an override now"
         );
         assert_eq!(resumed.encode(), durable, "and it re-encodes byte for byte");
+    }
+
+    /// A spec without `formation=` leaves the choice to the sorter, which
+    /// on a declared device picks RS where it predicts fewer blocks (a
+    /// `dist_p4` shard's 30 000 records) and loads on a free one; `load`,
+    /// `parload:N` and `rs` are overrides a device does not touch, and
+    /// each round-trips through the encoding.
+    #[test]
+    fn an_omitted_formation_is_chosen_and_a_named_one_overrides() {
+        let shard = "records=30000\nd=3\nb=16\nm=1024\n";
+        let chosen = JobSpec::decode(shard).unwrap();
+        assert_eq!(chosen.formation, None);
+        assert!(!chosen.encode().contains("formation"), "None is the key's absence");
+        assert_eq!(JobSpec::decode(&chosen.encode()).unwrap(), chosen);
+        let geom = chosen.geometry().unwrap();
+        let formed = |spec: &JobSpec, delay_us: u64| {
+            spec.build_on(Duration::from_micros(delay_us), None).formation(geom, spec.records).unwrap()
+        };
+        assert_eq!(formed(&chosen, 40), RunFormation::ReplacementSelection);
+        assert_eq!(formed(&chosen, 0), RunFormation::MemoryLoad { fraction: 0.5 });
+        assert_eq!(chosen.build(None).formation(geom, 30_000).unwrap(), RunFormation::MemoryLoad { fraction: 0.5 });
+
+        for (named, want) in [
+            ("load", RunFormation::MemoryLoad { fraction: 0.5 }),
+            ("parload:3", RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 3 }),
+            ("rs", RunFormation::ReplacementSelection),
+        ] {
+            let spec = JobSpec::decode(&format!("{shard}formation={named}\n")).unwrap();
+            assert_eq!(spec.formation, Some(want));
+            assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
+            assert_eq!((formed(&spec, 40), formed(&spec, 0)), (want, want), "{named}");
+        }
+        // DSM keeps its half-memory loads on any device.
+        let dsm = JobSpec { engine: EngineKind::Dsm, ..chosen };
+        let wide = dsm.geometry().unwrap();
+        let sorter = dsm.build_on(Duration::from_micros(40), None);
+        assert_eq!(sorter.formation(wide, 30_000).unwrap(), RunFormation::MemoryLoad { fraction: 0.5 });
     }
 
     #[test]

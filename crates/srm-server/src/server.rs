@@ -66,7 +66,9 @@ pub struct ServerConfig {
     /// with a queue-full rejection.
     pub queue_depth: usize,
     /// Per-I/O delay injected into each job's file backend, to make
-    /// concurrency observable in tests.
+    /// concurrency observable in tests.  Nonzero, it is also the device
+    /// time a job without `formation=` chooses its formation by
+    /// ([`JobSpec::build_on`]).
     pub io_delay: Duration,
     /// Retry policy absorbing each job's transient faults.
     pub retry: RetryPolicy,
@@ -734,7 +736,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
     let manifest = dir.join("manifest");
     let input_path = dir.join("input");
     let geom = spec.geometry()?;
-    let job = spec.build(Some(flag));
+    let job = spec.build_on(inner.cfg.io_delay, Some(flag));
 
     // Resume only when both halves of the crashed world survive: the
     // staged input descriptor and a loadable checkpoint generation.

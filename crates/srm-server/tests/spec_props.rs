@@ -11,18 +11,19 @@ use srm_server::{EngineKind, JobError, JobSpec};
 
 /// Every JobSpec the encoding can represent.  Formation fractions are
 /// pinned to the canonical 0.5 the wire format implies — `load` and
-/// `parload:T` carry no fraction on the wire.
+/// `parload:T` carry no fraction on the wire — and `None`, the sorter's
+/// choice, is a spec without the key.
 fn arb_spec() -> impl Strategy<Value = JobSpec> {
     let engine = prop_oneof![Just(EngineKind::Srm), Just(EngineKind::Dsm)];
     let placement = prop_oneof![Just(Placement::Random), Just(Placement::Staggered)];
-    let formation = prop_oneof![
+    let formation = proptest::option::of(prop_oneof![
         Just(RunFormation::MemoryLoad { fraction: 0.5 }),
         Just(RunFormation::ReplacementSelection),
         (1usize..16).prop_map(|threads| RunFormation::ParallelMemoryLoad {
             fraction: 0.5,
             threads,
         }),
-    ];
+    ]);
     (
         (engine, placement, formation),
         (1u64..1_000_000_000, any::<u64>()),
