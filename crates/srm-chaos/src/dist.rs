@@ -71,16 +71,14 @@ fn dist_config(cfg: &CampaignConfig, events: &[ChaosEvent], seed: u64) -> DistCo
     dc
 }
 
-/// Run one dist trial: fold the schedule into the coordinator config,
-/// sort, and hold the report to the standing oracle.
-pub fn run_trial(
+/// Run one dist trial in the fresh directory `dir`: fold the schedule
+/// into the coordinator config, sort, and hold the report to the
+/// standing oracle.
+pub(crate) fn run_trial(
     cfg: &CampaignConfig,
     events: &[ChaosEvent],
     dir: &Path,
 ) -> Result<TrialOutcome, ChaosError> {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| ChaosError::Io(format!("create {}: {e}", dir.display())))?;
     let spec = cfg.job_spec();
     // Derive the transport seed from the campaign seed and the events
     // so distinct schedules explore distinct delivery interleavings,
@@ -88,15 +86,13 @@ pub fn run_trial(
     let net_seed = cfg.seed ^ (events.len() as u64).wrapping_mul(0x2545_F491_4F6C_DD1D);
     let dc = dist_config(cfg, events, net_seed);
 
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        distsort(&spec, &dc, dir)
-    }));
+    let run = distsort(&spec, &dc, dir);
     let mut outcome = TrialOutcome {
         attempts: 1,
         ..TrialOutcome::default()
     };
     match run {
-        Ok(Ok(report)) => {
+        Ok(report) => {
             outcome.resumed = report.recoveries as u32;
             outcome.attempts += report.recoveries as u32;
             let want = expected_digest(&spec);
@@ -121,18 +117,10 @@ pub fn run_trial(
                 });
             }
         }
-        Ok(Err(e)) => {
+        Err(e) => {
             outcome.violation = Some(Violation::UnexpectedError(format!(
                 "distsort failed under a survivable schedule: {e}"
             )));
-        }
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            outcome.violation = Some(Violation::Panicked(msg));
         }
     }
     let _ = std::fs::remove_dir_all(dir);

@@ -16,6 +16,10 @@
 //!    run, model-checker-clean trace, no panic, no unexpected error,
 //!    no wedged recovery loop, no leaked temp or journal files.
 //!
+//! The crash matrix (`srm crash-matrix`, [`local::crash_matrix`]) is
+//! the local target enumerated instead of drawn: the one-event schedule
+//! `[CrashAt { point: k }]` for every boundary `k` its dry run numbers.
+//!
 //! On a violation, a delta-debugging minimizer ([`minimize`]) shrinks
 //! the schedule to a minimal failing subset and a deterministic replay
 //! artifact ([`repro`], `chaos-repro-*.json`) is written; `srm chaos
@@ -71,6 +75,33 @@ impl Target {
             "server" => Some(Target::Server),
             _ => None,
         }
+    }
+}
+
+/// Which substrate plays the local target's disks, the ones that survive
+/// a crash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// In-memory arrays: the same instance survives the reboot, exactly
+    /// as platters survive a power cut.
+    Mem,
+    /// Real files: the crashed array is dropped (its workers drain) and
+    /// the directory is reopened, exercising torn-frame detection.
+    File,
+}
+
+impl Backend {
+    /// Stable slug for artifacts and CLI flags.
+    pub fn slug(&self) -> &'static str {
+        match self {
+            Backend::Mem => "mem",
+            Backend::File => "file",
+        }
+    }
+
+    /// Parse a CLI/artifact slug.
+    pub fn from_slug(s: &str) -> Option<Backend> {
+        [Backend::Mem, Backend::File].into_iter().find(|b| b.slug() == s)
     }
 }
 
@@ -170,6 +201,10 @@ pub struct TrialOutcome {
     pub attempts: u32,
     /// Incarnations that resumed from a checkpoint manifest.
     pub resumed: u32,
+    /// What the completing incarnation's sort did, its read-back excluded
+    /// (local target).  The empty schedule's is the envelope the
+    /// generator draws ordinals inside.
+    pub envelope: Envelope,
 }
 
 /// One campaign's parameters.
@@ -198,6 +233,11 @@ pub struct CampaignConfig {
     pub sort_seed: u64,
     /// Shards for the dist target.
     pub shards: u32,
+    /// The local target's disks.
+    pub backend: Backend,
+    /// Put rotating parity (with its sidecar store) under the local
+    /// target's sort; a disk kill needs it to be survivable.
+    pub parity: bool,
     /// Arm the deliberately-planted retry-classification bug (the
     /// minimizer's regression fixture): the local stack misclassifies
     /// ENOSPC as transient, so the retry layer spins on a full disk
@@ -230,6 +270,8 @@ impl CampaignConfig {
             read_ahead: 0,
             sort_seed: 0xC4A0_5EED,
             shards: 3,
+            backend: Backend::Mem,
+            parity: true,
             plant_bug: false,
             scratch: scratch.into(),
             server_bin: None,
@@ -286,19 +328,35 @@ pub struct CampaignReport {
     pub violations: Vec<ViolationRecord>,
 }
 
-/// Execute one schedule against the configured target.  This is the
-/// single entry point the campaign loop, the minimizer, and `--replay`
-/// all share — which is what makes a reproducer authoritative.
+/// Execute one schedule against the configured target in a fresh
+/// `trial_dir`; a panic anywhere in it is the [`Violation::Panicked`]
+/// verdict.  This is the single entry point the campaign loop, the
+/// minimizer, the crash matrix and `--replay` all share — which is what
+/// makes a reproducer authoritative.
 pub fn run_trial(
     cfg: &CampaignConfig,
     events: &[ChaosEvent],
     trial_dir: &std::path::Path,
 ) -> Result<TrialOutcome, ChaosError> {
-    match cfg.target {
+    let _ = std::fs::remove_dir_all(trial_dir);
+    std::fs::create_dir_all(trial_dir)
+        .map_err(|e| ChaosError::Io(format!("create {}: {e}", trial_dir.display())))?;
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cfg.target {
         Target::Local => local::run_trial(cfg, events, trial_dir),
         Target::Dist => dist::run_trial(cfg, events, trial_dir),
         Target::Server => server::run_trial(cfg, events, trial_dir),
-    }
+    }));
+    run.unwrap_or_else(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        Ok(TrialOutcome {
+            violation: Some(Violation::Panicked(msg)),
+            ..TrialOutcome::default()
+        })
+    })
 }
 
 /// Run a full campaign: generate, execute, and (on violation) minimize

@@ -6,8 +6,11 @@
 //! every layer on and the chaos layer in its slot:
 //!
 //! ```text
-//! Tracing( Crashing( Retrying( Misclassify( Parity( Faulty( Mem ))))))
+//! Tracing( Crashing( Retrying( Misclassify( Parity( Faulty( backend ))))))
 //! ```
+//!
+//! The backend is [`crate::Backend::Mem`] or [`crate::Backend::File`]
+//! and parity is [`crate::CampaignConfig::parity`]'s to switch off.
 //!
 //! `Misclassify` is normally the identity; with
 //! [`crate::CampaignConfig::plant_bug`] it deliberately relabels
@@ -27,13 +30,17 @@
 //! completing incarnation's trace goes through the model checker, the
 //! output must equal the failure-free result, and the trial directory
 //! must be empty after cleanup.
+//!
+//! [`crash_matrix`] enumerates the one-event schedules
+//! `[CrashAt { point: k }]` over the dry run's boundaries: the proof
+//! that a crash at any I/O boundary recovers, behind `srm crash-matrix`.
 
 use crate::schedule::{ChaosEvent, Envelope};
-use crate::{CampaignConfig, ChaosError, TrialOutcome, Violation};
+use crate::{Backend, CampaignConfig, ChaosError, TrialOutcome, Violation};
 use pdisk::{
     Block, BlockAddr, BuiltStack, CrashClock, DiskArray, DiskId, FaultKind, FaultModel, FaultOp,
-    Geometry, InterruptFlag, Layer, MemDiskArray, ParitySpec, PdiskError, Record, RetryPolicy,
-    ScriptedFault, StackSpec, StripedRun, U64Record,
+    FileDiskArray, InterruptFlag, Layer, MemDiskArray, ParitySpec, PdiskError, Record,
+    RetryPolicy, ScriptedFault, StackSpec, StripedRun, U64Record,
 };
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, SortManifest, SrmError};
@@ -93,23 +100,27 @@ impl<R: Record> Layer<R> for Misclassifying {
     }
 }
 
-type Stack = BuiltStack<U64Record, MemDiskArray<U64Record>, Misclassifying>;
+type Stack<A> = BuiltStack<U64Record, A, Misclassifying>;
+
+/// Where a [`Backend::File`] world keeps its disks, under the trial's
+/// directory.
+const DISKS: &str = "disks";
 
 fn perr(e: PdiskError) -> ChaosError {
     ChaosError::Io(format!("chaos world setup failed: {e}"))
 }
 
-fn build_stack(
-    mem: MemDiskArray<U64Record>,
+fn build_stack<A: DiskArray<U64Record>>(
+    cfg: &CampaignConfig,
+    backend: A,
     model: FaultModel,
     clock: &CrashClock,
-    plant: bool,
     pstore: &Path,
     dead: &[DiskId],
-) -> Result<Stack, ChaosError> {
+) -> Result<Stack<A>, ChaosError> {
     StackSpec {
         faults: Some(model),
-        parity: Some(ParitySpec {
+        parity: cfg.parity.then(|| ParitySpec {
             store: Some(pstore.to_path_buf()),
             dead: dead.to_vec(),
         }),
@@ -119,29 +130,8 @@ fn build_stack(
         crash: Some(clock.clone()),
         trace: true,
     }
-    .build(mem, Misclassifying { armed: plant })
+    .build(backend, Misclassifying { armed: cfg.plant_bug })
     .map_err(perr)
-}
-
-struct Teardown {
-    mem: MemDiskArray<U64Record>,
-    dead: Vec<DiskId>,
-    full: Vec<DiskId>,
-    /// (reads, writes, allocs, syncs) the incarnation issued.
-    ops: (u64, u64, u64, u64),
-}
-
-fn teardown(stack: Stack) -> Teardown {
-    let (full, ops) = stack
-        .faulty()
-        .map(|f| (f.model().full_disks().collect(), f.observed_ops()))
-        .unwrap_or_default();
-    Teardown {
-        dead: stack.redundancy().map(|r| r.dead).unwrap_or_default(),
-        full,
-        ops,
-        mem: stack.into_backend(),
-    }
 }
 
 /// Cumulative per-op issue counts across incarnations, used to decide
@@ -212,102 +202,82 @@ fn incarnation_model(events: &[ChaosEvent], fired: &Fired) -> FaultModel {
     model
 }
 
-/// Fault-free dry run: learn the ordinal envelope for the generator.
+/// Fault-free dry run: the empty schedule's trial, whose one
+/// incarnation measures the ordinal envelope for the generator.
 pub fn dry_run(cfg: &CampaignConfig) -> Result<Envelope, ChaosError> {
     let dir = cfg.scratch.join("dry-run");
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| ChaosError::Io(format!("create {}: {e}", dir.display())))?;
-    let result = dry_run_in(cfg, &dir);
+    let outcome = crate::run_trial(cfg, &[], &dir);
     let _ = std::fs::remove_dir_all(&dir);
-    result
+    let outcome = outcome?;
+    match outcome.violation {
+        None => Ok(outcome.envelope),
+        Some(v) => Err(ChaosError::Io(format!("dry run failed: {v}"))),
+    }
 }
 
-fn dry_run_in(cfg: &CampaignConfig, dir: &Path) -> Result<Envelope, ChaosError> {
-    let spec = cfg.job_spec();
-    let geom = spec
-        .geometry()
-        .map_err(|e| ChaosError::Config(e.to_string()))?;
-    let data = spec.input_records();
-    let pstore = dir.join("parity");
-    let manifest = dir.join("manifest");
-
-    let (mem, input) = stage(geom, &data, &pstore)?;
-    let clock = CrashClock::counting();
-    let mut stack = build_stack(mem, FaultModel::none(), &clock, false, &pstore, &[])?;
-    let sorter = spec.srm_sorter().with_crash_clock(clock.clone());
-    let (_, report) = sorter
-        .sort_checkpointed(&mut stack, &input, &manifest)
-        .map_err(|e| ChaosError::Io(format!("dry run failed: {e}")))?;
-    let t = teardown(stack);
-    Ok(Envelope {
-        reads: t.ops.0,
-        writes: t.ops.1,
-        allocs: t.ops.2,
-        syncs: t.ops.3,
-        points: clock.points(),
-        passes: report.merge_passes,
-        disks: geom.d as u32,
-    })
-}
-
-/// Stage the unsorted input through the parity layer (so the sidecar
-/// covers it) and hand back the bare backend plus the input's run
-/// descriptor.  The staging wrappers are throwaways: fault ordinals
-/// count from the start of each *sort* incarnation, not from staging.
-fn stage(
-    geom: Geometry,
+/// Stage the unsorted input (through the parity layer when it is on,
+/// so the sidecar covers it) and hand back the bare backend plus the
+/// input's run descriptor.  The staging wrappers are throwaways: fault
+/// ordinals count from the start of each *sort* incarnation, not from
+/// staging.
+fn stage<A: DiskArray<U64Record>>(
+    cfg: &CampaignConfig,
+    backend: A,
     data: &[U64Record],
     pstore: &Path,
-) -> Result<(MemDiskArray<U64Record>, StripedRun), ChaosError> {
+) -> Result<(A, StripedRun), ChaosError> {
     let spec = StackSpec {
-        parity: Some(ParitySpec {
+        parity: cfg.parity.then(|| ParitySpec {
             store: Some(pstore.to_path_buf()),
             ..ParitySpec::default()
         }),
         ..StackSpec::default()
     };
-    let mut pa = spec.build(MemDiskArray::new(geom), ()).map_err(perr)?;
+    let mut pa = spec.build(backend, ()).map_err(perr)?;
     let input = write_unsorted_input(&mut pa, data)
         .map_err(|e| ChaosError::Io(format!("staging input failed: {e}")))?;
     Ok((pa.into_backend(), input))
 }
 
-/// Run one composed-fault trial.  See the module docs for the loop's
-/// shape; the returned outcome carries the oracle verdict.
-pub fn run_trial(
+/// Run one composed-fault trial in the fresh directory `dir`.  See the
+/// module docs for the loop's shape; the returned outcome carries the
+/// oracle verdict.
+pub(crate) fn run_trial(
     cfg: &CampaignConfig,
     events: &[ChaosEvent],
     dir: &Path,
 ) -> Result<TrialOutcome, ChaosError> {
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| ChaosError::Io(format!("create {}: {e}", dir.display())))?;
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_trial_in(cfg, events, dir)));
-    match result {
-        Ok(r) => r,
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into());
-            Ok(TrialOutcome {
-                violation: Some(Violation::Panicked(msg)),
-                ..TrialOutcome::default()
+    let geom = cfg
+        .job_spec()
+        .geometry()
+        .map_err(|e| ChaosError::Config(e.to_string()))?;
+    match cfg.backend {
+        // The same instance survives, exactly as platters do.
+        Backend::Mem => run_trial_on(cfg, events, dir, MemDiskArray::new(geom), Ok),
+        Backend::File => {
+            let disks = dir.join(DISKS);
+            let array = FileDiskArray::create(geom, &disks).map_err(perr)?;
+            // Drop the crashed array (its workers drain), then reopen
+            // the directory: torn-frame detection runs here.
+            run_trial_on(cfg, events, dir, array, |crashed| {
+                drop(crashed);
+                FileDiskArray::open(geom, &disks)
             })
         }
     }
 }
 
-fn run_trial_in(
+/// [`run_trial`] on `backend`, whose `reboot` is what a process restart
+/// does to it.
+fn run_trial_on<A: DiskArray<U64Record>>(
     cfg: &CampaignConfig,
     events: &[ChaosEvent],
     dir: &Path,
+    backend: A,
+    reboot: impl Fn(A) -> pdisk::Result<A>,
 ) -> Result<TrialOutcome, ChaosError> {
     let spec = cfg.job_spec();
-    let geom = spec
-        .geometry()
-        .map_err(|e| ChaosError::Config(e.to_string()))?;
+    let geom = backend.geometry();
     let data = spec.input_records();
     let mut expected: Vec<u64> = data.iter().map(|r| r.0).collect();
     expected.sort_unstable();
@@ -321,8 +291,8 @@ fn run_trial_in(
     let mut crash_armed = vec![false; events.len()];
 
     let mut fired = Fired::default();
-    let (staged, input) = stage(geom, &data, &pstore)?;
-    let mut mem = Some(staged);
+    let (staged, input) = stage(cfg, backend, &data, &pstore)?;
+    let mut backend = Some(staged);
     let mut dead: Vec<DiskId> = Vec::new();
     let mut carry_full: Vec<DiskId> = Vec::new();
     let mut outcome = TrialOutcome::default();
@@ -355,8 +325,8 @@ fn run_trial_in(
             None => CrashClock::counting(),
         };
 
-        let backend = mem.take().expect("backend always restored between incarnations");
-        let mut stack = build_stack(backend, model, &clock, cfg.plant_bug, &pstore, &dead)?;
+        let survivor = backend.take().expect("backend always restored between incarnations");
+        let mut stack = build_stack(cfg, survivor, model, &clock, &pstore, &dead)?;
         if SortManifest::load_latest(&manifest)
             .map_err(|e| ChaosError::Io(format!("manifest unreadable: {e}")))?
             .is_some()
@@ -396,7 +366,19 @@ fn run_trial_in(
         // fault model too (a crash point past a short, resumed sort's
         // own boundaries lands here), so its failures take the same
         // repairs: the process died verifying, and the rerun sorts again.
-        let result = sorted.and_then(|(run, _report)| Ok(read_run(&mut stack, &run)?));
+        let result = sorted.and_then(|(run, report)| {
+            let ops = stack.faulty().map(|f| f.observed_ops()).unwrap_or_default();
+            outcome.envelope = Envelope {
+                reads: ops.0,
+                writes: ops.1,
+                allocs: ops.2,
+                syncs: ops.3,
+                points: clock.points(),
+                passes: report.merge_passes,
+                disks: geom.d as u32,
+            };
+            Ok(read_run(&mut stack, &run)?)
+        });
 
         match result {
             Ok(records) => {
@@ -418,24 +400,27 @@ fn run_trial_in(
                 return Ok(outcome);
             }
             Err(e) => {
-                let t = teardown(stack);
-                mem = Some(t.mem);
-                dead = t.dead;
-                fired.absorb(t.ops);
-                match classify(&e) {
-                    Repair::Reboot => {
-                        carry_full = t.full;
-                    }
-                    Repair::FreeSpace => {
-                        // The operator frees space: sticky full-disk
-                        // state does not carry into the next run.
-                        carry_full = Vec::new();
-                    }
-                    Repair::Resume => {
-                        carry_full = t.full;
-                    }
+                // Tear the incarnation down to what survives a restart.
+                let (full, ops) = stack
+                    .faulty()
+                    .map(|f| (f.model().full_disks().collect(), f.observed_ops()))
+                    .unwrap_or_default();
+                dead = stack.redundancy().map(|r| r.dead).unwrap_or_default();
+                fired.absorb(ops);
+                carry_full = match classify(&e) {
+                    Repair::Reboot | Repair::Resume => full,
+                    // The operator frees space: sticky full-disk state
+                    // does not carry into the next run.
+                    Repair::FreeSpace => Vec::new(),
                     Repair::Unexpected => {
                         outcome.violation = Some(Violation::UnexpectedError(e.to_string()));
+                        return Ok(outcome);
+                    }
+                };
+                match reboot(stack.into_backend()) {
+                    Ok(rebooted) => backend = Some(rebooted),
+                    Err(e) => {
+                        outcome.violation = Some(Violation::UnexpectedError(format!("reboot failed: {e}")));
                         return Ok(outcome);
                     }
                 }
@@ -477,9 +462,10 @@ fn classify(e: &SrmError) -> Repair {
     }
 }
 
-/// The leak oracle: after removing the journal and the parity sidecar,
-/// the trial directory must be empty — anything left is a temp file or
-/// stray generation some layer failed to clean up.
+/// The leak oracle: after removing the journal, the parity sidecar and
+/// the disk directory, the trial directory must be empty — anything
+/// left is a temp file or stray generation some layer failed to clean
+/// up.
 fn leaked_files(
     dir: &Path,
     manifest: &Path,
@@ -488,6 +474,7 @@ fn leaked_files(
     SortManifest::remove(manifest)
         .map_err(|e| ChaosError::Io(format!("manifest cleanup failed: {e}")))?;
     let _ = std::fs::remove_file(pstore);
+    let _ = std::fs::remove_dir_all(dir.join(DISKS));
     let mut leaked = Vec::new();
     let entries =
         std::fs::read_dir(dir).map_err(|e| ChaosError::Io(format!("read {}: {e}", dir.display())))?;
@@ -501,4 +488,48 @@ fn leaked_files(
         leaked.sort();
         Ok(Some(Violation::LeakedFiles(leaked.join(", "))))
     }
+}
+
+/// One sweep of [`crash_matrix`].
+#[derive(Debug, Clone, Default)]
+pub struct MatrixReport {
+    /// Boundaries the dry run numbered.
+    pub points: u64,
+    /// Crash points explored: every `every`-th of `0..points`.
+    pub explored: u64,
+    /// Explored points whose recovery resumed from a checkpoint.
+    pub resumed: u64,
+    /// Explored points that struck before the first durable checkpoint,
+    /// so recovery sorted afresh from the staged input.
+    pub fresh: u64,
+}
+
+/// Crash the configured sort at every `every`-th boundary the dry run
+/// numbers, one `[CrashAt { point: k }]` trial each, and require every
+/// trial to pass the oracle.  `progress(k, points)` is called before
+/// each point; the first violation ends the sweep.
+pub fn crash_matrix(
+    cfg: &CampaignConfig,
+    every: usize,
+    mut progress: impl FnMut(u64, u64),
+) -> Result<MatrixReport, String> {
+    let points = dry_run(cfg).map_err(|e| e.to_string())?.points;
+    let mut report = MatrixReport { points, ..MatrixReport::default() };
+    let dir = cfg.scratch.join("crash-point");
+    for k in (0..points).step_by(every) {
+        progress(k, points);
+        let events = [ChaosEvent::CrashAt { point: k }];
+        let outcome = crate::run_trial(cfg, &events, &dir).map_err(|e| e.to_string())?;
+        if let Some(v) = outcome.violation {
+            return Err(format!("crash point {k}: {v}"));
+        }
+        report.explored += 1;
+        if outcome.resumed > 0 {
+            report.resumed += 1;
+        } else {
+            report.fresh += 1;
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    Ok(report)
 }

@@ -15,7 +15,7 @@
 //! an artifact that doesn't round-trip is not a reproducer.
 
 use crate::schedule::ChaosEvent;
-use crate::{CampaignConfig, ChaosError, Target};
+use crate::{Backend, CampaignConfig, ChaosError, Target};
 use pdisk::FaultOp;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -50,6 +50,10 @@ pub struct ReproArtifact {
     pub sort_seed: u64,
     /// Shards (dist target).
     pub shards: u32,
+    /// The local target's disks; written only when not `mem`.
+    pub backend: Backend,
+    /// Parity under the local target; written only when off.
+    pub parity: bool,
     /// Planted retry-classification bug armed?
     pub plant_bug: bool,
     /// Jobs per server trial.
@@ -81,6 +85,8 @@ impl ReproArtifact {
             read_ahead: cfg.read_ahead,
             sort_seed: cfg.sort_seed,
             shards: cfg.shards,
+            backend: cfg.backend,
+            parity: cfg.parity,
             plant_bug: cfg.plant_bug,
             server_jobs: cfg.server_jobs,
             violation: violation.code().to_string(),
@@ -115,6 +121,8 @@ impl ReproArtifact {
         cfg.read_ahead = self.read_ahead;
         cfg.sort_seed = self.sort_seed;
         cfg.shards = self.shards;
+        cfg.backend = self.backend;
+        cfg.parity = self.parity;
         cfg.plant_bug = self.plant_bug;
         cfg.server_jobs = self.server_jobs;
         cfg.server_bin = server_bin;
@@ -140,6 +148,14 @@ impl ReproArtifact {
         field("read_ahead", self.read_ahead.to_string());
         field("sort_seed", self.sort_seed.to_string());
         field("shards", self.shards.to_string());
+        // The defaults are left out, so artifacts from before these
+        // fields existed stay byte-identical.
+        if self.backend != Backend::Mem {
+            field("backend", format!("\"{}\"", self.backend.slug()));
+        }
+        if !self.parity {
+            field("parity", "false".into());
+        }
         field("plant_bug", self.plant_bug.to_string());
         field("server_jobs", self.server_jobs.to_string());
         field("violation", format!("\"{}\"", self.violation));
@@ -174,6 +190,12 @@ impl ReproArtifact {
             read_ahead: get(obj, "read_ahead")?.number("read_ahead")? as usize,
             sort_seed: get(obj, "sort_seed")?.number("sort_seed")?,
             shards: get(obj, "shards")?.number("shards")? as u32,
+            backend: match obj.get("backend").map(|v| v.string("backend")).transpose()? {
+                None => Backend::Mem,
+                Some(slug) => Backend::from_slug(&slug)
+                    .ok_or_else(|| ChaosError::Parse(format!("unknown backend `{slug}`")))?,
+            },
+            parity: obj.get("parity").map_or(Ok(true), |v| v.boolean("parity"))?,
             plant_bug: get(obj, "plant_bug")?.boolean("plant_bug")?,
             server_jobs: get(obj, "server_jobs")?.number("server_jobs")? as u32,
             violation: get(obj, "violation")?.string("violation")?,
@@ -532,9 +554,15 @@ mod tests {
 
     #[test]
     fn round_trips_every_event_kind() {
-        let artifact = sample();
-        let decoded = ReproArtifact::decode(&artifact.encode()).expect("round trip");
-        assert_eq!(decoded, artifact);
+        let mut artifact = sample();
+        // Left out at their defaults, so older artifacts stay byte-identical.
+        let json = artifact.encode();
+        assert!(!json.contains("\"backend\"") && !json.contains("\"parity\""), "{json}");
+        for (backend, parity) in [(Backend::Mem, true), (Backend::File, false)] {
+            (artifact.backend, artifact.parity) = (backend, parity);
+            let decoded = ReproArtifact::decode(&artifact.encode()).expect("round trip");
+            assert_eq!(decoded, artifact);
+        }
     }
 
     #[test]

@@ -137,8 +137,9 @@ fn kill9(proc: &mut ServerProc) -> Result<(), ChaosError> {
     Ok(())
 }
 
-/// Run one server trial.  See the module docs for the drill's shape.
-pub fn run_trial(
+/// Run one server trial in the fresh directory `dir`.  See the module
+/// docs for the drill's shape.
+pub(crate) fn run_trial(
     cfg: &CampaignConfig,
     events: &[ChaosEvent],
     dir: &Path,
@@ -146,9 +147,6 @@ pub fn run_trial(
     let bin: &PathBuf = cfg.server_bin.as_ref().ok_or_else(|| {
         ChaosError::Config("server target needs CampaignConfig::server_bin (the srm binary)".into())
     })?;
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir)
-        .map_err(|e| ChaosError::Io(format!("create {}: {e}", dir.display())))?;
     let store = dir.join("store");
 
     let nospace_after = events.iter().find_map(|e| match e {

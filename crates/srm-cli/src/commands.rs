@@ -6,7 +6,7 @@ use pdisk::{
     ParitySpec, Record, RetryPolicy, StackSpec, U64Record,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use srm_core::simulator::{estimate_overhead_v, SimPlacement};
 use srm_core::sort::write_unsorted_input;
 use srm_core::{read_run, Placement, RunFormation, SortReport, SrmError, SrmSorter};
@@ -144,13 +144,14 @@ USAGE:
 
   srm crash-matrix [--records N] [--d D] [--b B] [--k K | --m M]
            [--seed S] [--pipeline] [--read-ahead K] [--parity]
-           [--backend mem|file] [--dir PATH] [--no-check]
+           [--backend mem|file] [--dir PATH]
       Exhaustive crash-point exploration: dry-run a small checkpointed
-      sort to number its N I/O boundaries, then for every K in 0..N
+      sort to number its N I/O boundaries, then for every K in 0..N run
+      the one-crash chaos schedule [crash-at K] on the local target:
       crash at boundary K, reboot (only the disks and sidecar files
-      survive), recover, and require byte-identical sorted output.
-      Each recovery's own I/O trace is replayed through the model
-      checker unless --no-check is given.
+      survive), recover, and require the chaos oracle: byte-identical
+      sorted output, a checker-clean I/O trace, no panic, no wedged
+      recovery and no leaked files.
 
   srm serve --dir PATH [--port P] [--capacity M] [--workers N]
            [--queue-depth Q] [--io-delay-us U] [--check-model]
@@ -901,75 +902,54 @@ pub fn scrub(flags: &Flags) -> i32 {
 
 /// `srm crash-matrix`
 pub fn crash_matrix(flags: &Flags) -> i32 {
-    use srm_repro::crashmat::{run_matrix, Backend, MatrixConfig};
+    use srm_chaos::{local, Backend, CampaignConfig, Target};
     let inner = || -> Result<(), String> {
-        let records: u64 = flags.get_or("records", 600)?;
-        let d: usize = flags.get_or("d", 4)?;
-        let b: usize = flags.get_or("b", 4)?;
-        let seed: u64 = flags.get_or("seed", 0xC4A5)?;
-        let geom = match flags.get::<usize>("m")? {
-            Some(m) => Geometry::new(d, b, m),
-            None => match flags.get::<usize>("k")? {
-                Some(k) => Geometry::for_table(k, d, b),
-                // Small enough for an exhaustive sweep, big enough
-                // (with the default record count) for two merge passes.
-                None => Geometry::new(d, b, 8 * d * b),
-            },
-        }
-        .map_err(|e| e.to_string())?;
-        let backend = match flags.get_str("backend").unwrap_or("mem") {
-            "mem" => Backend::Mem,
-            "file" => Backend::File,
-            other => return Err(format!("unknown backend `{other}`")),
+        let scratch = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("srm-crash-matrix-{}", std::process::id()))
+        });
+        // The campaign seed draws no schedule here: the matrix enumerates.
+        let mut cfg = CampaignConfig::new(Target::Local, 0, scratch);
+        cfg.records = flags.get_or("records", 600)?;
+        cfg.d = flags.get_or("d", 4)?;
+        cfg.b = flags.get_or("b", 4)?;
+        // One seed draws the input and the placement.
+        cfg.sort_seed = flags.get_or("seed", 0xC4A5)?;
+        cfg.m = match (flags.get::<usize>("m")?, flags.get::<usize>("k")?) {
+            (Some(m), _) => m,
+            (None, Some(k)) => Geometry::for_table(k, cfg.d, cfg.b).map_err(|e| e.to_string())?.m,
+            // Small enough for an exhaustive sweep, big enough (with the
+            // default record count) for two merge passes.
+            (None, None) => 8 * cfg.d * cfg.b,
         };
-        let scratch = flags
-            .get_str("dir")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                std::env::temp_dir().join(format!("srm-crash-matrix-{}", std::process::id()))
-            });
-        let (pipeline, read_ahead) = flags.overlap()?;
-        let cfg = MatrixConfig {
-            geom,
-            seed,
-            pipeline,
-            read_ahead,
-            parity: flags.has("parity"),
-            backend,
-            check_recovery: !flags.has("no-check"),
-            scratch: scratch.clone(),
-        };
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let data: Vec<U64Record> = (0..records).map(|_| U64Record(rng.random())).collect();
+        (cfg.pipeline, cfg.read_ahead) = flags.overlap()?;
+        cfg.parity = flags.has("parity");
+        let backend = flags.get_str("backend").unwrap_or("mem");
+        cfg.backend = Backend::from_slug(backend).ok_or(format!("unknown backend `{backend}`"))?;
         println!(
-            "crash matrix: {records} records on D={} B={} M={} ({} window, parity {}, {} backend)",
-            geom.d,
-            geom.b,
-            geom.m,
+            "crash matrix: {} records on D={} B={} M={} ({} window, parity {}, {backend} backend)",
+            cfg.records,
+            cfg.d,
+            cfg.b,
+            cfg.m,
             if cfg.pipeline { "pipelined" } else { "blocking" },
             if cfg.parity { "on" } else { "off" },
-            if backend == Backend::Mem { "mem" } else { "file" },
         );
         let start = std::time::Instant::now();
-        let report = run_matrix(&cfg, &data, |kk, n| {
-            if kk % 100 == 0 {
-                println!("  exploring crash point {kk}/{n}");
+        let report = local::crash_matrix(&cfg, 1, |k, n| {
+            if k % 100 == 0 {
+                println!("  exploring crash point {k}/{n}");
             }
         })?;
         println!(
             "explored {} crash points in {:.2?}: {} resumed from a checkpoint, {} restarted \
-             fresh; every recovery was byte-identical to the baseline{}",
-            report.points,
+             fresh; every recovery was byte-identical to the sorted input with a checker-clean \
+             I/O trace",
+            report.explored,
             start.elapsed(),
-            report.resumed_from_checkpoint,
-            report.fresh_restarts,
-            if cfg.check_recovery {
-                " with a checker-clean I/O trace"
-            } else {
-                ""
-            },
+            report.resumed,
+            report.fresh,
         );
-        let _ = std::fs::remove_dir_all(&scratch);
+        let _ = std::fs::remove_dir_all(&cfg.scratch);
         Ok(())
     };
     match inner() {

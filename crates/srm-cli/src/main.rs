@@ -11,8 +11,9 @@
 //!   merge itself (Table 3 cells on demand);
 //! * `srm scrub` — walk a checkpointed sort's live runs, verify block
 //!   checksums, and heal latent corruption via parity reconstruction;
-//! * `srm crash-matrix` — exhaustively crash a small checkpointed sort at
-//!   every I/O boundary and prove byte-identical recovery;
+//! * `srm crash-matrix` — crash a small checkpointed sort at every I/O
+//!   boundary, one chaos schedule `[crash-at K]` per boundary on the
+//!   local target, and hold every recovery to the chaos oracle;
 //! * `srm serve` — the sort-as-a-service job server: concurrent jobs over
 //!   a loopback line protocol, Definition-3 admission control, graceful
 //!   drain on SIGINT/SIGTERM, crash-resumable restarts;

@@ -2,7 +2,7 @@
 //!
 //! Historically every driver built its engine by hand — the CLI
 //! assembled an `SrmSorter` from parsed flags, the crash-matrix harness
-//! assembled another from its `MatrixConfig`, and they staged input,
+//! assembled another from its own config, and they staged input,
 //! ran, and read output through engine-specific free functions.  The
 //! job server needs a *third* driver, so this module extracts the
 //! shared shape once:
@@ -11,7 +11,7 @@
 //!   geometry, seed, formation, deadline, fault injection) with a
 //!   key=value encoding shared by the wire protocol and the server's
 //!   durable spec files.  `JobSpec` is the **single construction
-//!   point** for the engine: CLI, crashmat, and server all call
+//!   point** for the engine: CLI, chaos harness, and server all call
 //!   [`JobSpec::srm_sorter`] / [`JobSpec::dsm_sorter`] / [`JobSpec::build`],
 //!   and drive the [`SrmSorter`] through its `resume_point` /
 //!   `sort_observed` pair.  A DSM job is the same engine on

@@ -6,7 +6,7 @@
 //! job runs the same campaigns through the CLI.
 
 use srm_chaos::{
-    replay, run_campaign, run_trial, CampaignConfig, ChaosEvent, ReproArtifact, Target,
+    replay, run_campaign, run_trial, Backend, CampaignConfig, ChaosEvent, ReproArtifact, Target,
 };
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -54,6 +54,33 @@ fn local_campaign_has_zero_violations() {
     );
     // Some trials must actually have exercised recovery, or the
     // campaign is vacuous.
+    assert!(
+        report.attempts > u64::from(report.trials),
+        "no trial ever needed recovery: attempts = {}",
+        report.attempts
+    );
+    let _ = std::fs::remove_dir_all(&cfg.scratch);
+}
+
+/// The same composed faults over real files: every incarnation drops
+/// the array and reopens its directory (torn-frame detection), and the
+/// disk directory must be the only thing the trial leaves behind.
+#[test]
+fn local_campaign_on_files_has_zero_violations() {
+    let mut cfg = local_cfg("local-files", 7);
+    cfg.backend = Backend::File;
+    cfg.trials = 4;
+    let report = run_campaign(&cfg, |_, _| {}).expect("campaign runs");
+    assert_eq!(report.trials, 4);
+    assert!(
+        report.violations.is_empty(),
+        "composed schedules must recover on files too: {:?}",
+        report
+            .violations
+            .iter()
+            .map(|v| (v.trial, v.violation.clone(), v.schedule.clone()))
+            .collect::<Vec<_>>()
+    );
     assert!(
         report.attempts > u64::from(report.trials),
         "no trial ever needed recovery: attempts = {}",

@@ -1,11 +1,14 @@
-//! Exhaustive crash-matrix: crash a checkpointed SRM sort at **every**
-//! numbered I/O boundary, reboot, recover, and require byte-identical
-//! sorted output — at the blocking window (the `serial_*` sweeps) and the
-//! pipelined one, on mem and file backends, with and without parity.
-//! Every recovery's own I/O trace is
-//! replayed through the model checker, so a recovery that reads a frame
-//! whose write never durably completed fails the suite even if its
-//! output happens to be right.
+//! Crash matrix: crash a checkpointed SRM sort at numbered I/O
+//! boundaries, reboot, recover, and require the chaos oracle — sorted
+//! output byte-identical to the failure-free result, a checker-clean
+//! trace, no panic, no wedged recovery and no leaked files — at the
+//! blocking window (the `serial_*` sweeps) and the pipelined one, on mem
+//! and file backends, with and without parity.
+//!
+//! Each point is the one-event chaos schedule `[CrashAt { point: k }]`
+//! run by `srm_chaos::local::crash_matrix`, the enumerator behind `srm
+//! crash-matrix`, in that command's world: 600 records on D = 4, B = 4,
+//! M = 128, seed `0xC4A5` for both the input and the placement.
 //!
 //! This is the proof behind `DESIGN.md`'s crash-consistency claim: the
 //! checkpoint manifests are journaled (write-temp + fsync + rename with
@@ -14,63 +17,58 @@
 //! the way out — so no crash point, including torn parallel writes and a
 //! crash *during* the manifest rename, can lose the sort.
 //!
-//! Point counts: the blocking sweeps number the same boundaries as the
-//! pipelined ones since the engines were merged, because every scheduled
-//! operation is now a `submit_*` followed by a `complete_*` at both
-//! windows and the crash layer numbers each half (`srm crash-matrix
-//! --records 600 --d 4 --b 4`: 810 points before, 1262 after — the count
-//! `--pipeline` always had).  Nothing was renumbered at the pipelined
-//! window.
+//! The sweeps here sample every [`EVERY`]-th boundary; CI's
+//! `crash-matrix` job runs all six exhaustively through the CLI and
+//! checks its counts.
 
-use pdisk::Geometry;
-use pdisk::U64Record;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use srm_repro::crashmat::{dry_run, explore_point, run_matrix, Backend, MatrixConfig};
+use srm_chaos::local::{crash_matrix, dry_run};
+use srm_chaos::{run_trial, Backend, CampaignConfig, ChaosEvent, Target};
 
-const D: usize = 4;
-const B: usize = 4;
+/// The sampling stride: a prime, so the sample walks through every
+/// residue of the boundary labels' short periods (a read is 4 ticks)
+/// instead of landing on one label.
+const EVERY: usize = 7;
 
-fn scratch(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("srm-crashmat-{tag}-{}", std::process::id()))
-}
+/// The matrix's boundaries and its first point that resumes from a
+/// checkpoint (every earlier one restarts fresh), plain and with parity.
+const PLAIN: (u64, u64) = (1138, 420);
+const PARITY: (u64, u64) = (1342, 496);
 
-fn data(records: usize) -> Vec<U64Record> {
-    let mut rng = SmallRng::seed_from_u64(0xC4A5);
-    (0..records).map(|_| U64Record(rng.random())).collect()
-}
-
-/// Small enough for an exhaustive sweep, big enough for two merge passes
-/// (so the matrix covers inter-pass checkpoints, not just formation).
-fn config(tag: &str, pipeline: bool, parity: bool, backend: Backend) -> MatrixConfig {
-    MatrixConfig {
-        geom: Geometry::new(D, B, 8 * D * B).unwrap(),
-        seed: 0x5EED_C4A5,
-        pipeline,
-        // Pipelined sweeps run at read-ahead depth 3: every crash point
-        // must recover cleanly with speculative backend reads in flight
-        // and the full write-behind window torn.
-        read_ahead: if pipeline { 3 } else { 0 },
-        parity,
-        backend,
-        check_recovery: true,
-        scratch: scratch(tag),
-    }
+fn config(tag: &str, pipeline: bool, parity: bool, backend: Backend) -> CampaignConfig {
+    let scratch = std::env::temp_dir().join(format!("srm-crashmat-{tag}-{}", std::process::id()));
+    let mut cfg = CampaignConfig::new(Target::Local, 0, scratch);
+    // Small enough for an exhaustive sweep, big enough for two merge
+    // passes (so the matrix covers inter-pass checkpoints, not just
+    // formation).
+    cfg.records = 600;
+    (cfg.d, cfg.b, cfg.m) = (4, 4, 128);
+    cfg.sort_seed = 0xC4A5;
+    cfg.pipeline = pipeline;
+    // Pipelined sweeps run at read-ahead depth 3: every crash point
+    // must recover cleanly with speculative backend reads in flight and
+    // the full write-behind window torn.
+    cfg.read_ahead = if pipeline { 3 } else { 0 };
+    cfg.parity = parity;
+    cfg.backend = backend;
+    cfg
 }
 
 fn sweep(tag: &str, pipeline: bool, parity: bool, backend: Backend) {
     let cfg = config(tag, pipeline, parity, backend);
-    let input = data(600);
-    let report = run_matrix(&cfg, &input, |_, _| {}).unwrap_or_else(|e| panic!("{tag}: {e}"));
-    assert!(report.points > 0, "{tag}: dry run numbered no boundaries");
-    assert!(
-        report.resumed_from_checkpoint > 0,
-        "{tag}: no crash point ever resumed from a checkpoint \
-         ({} points, {} fresh restarts)",
-        report.points,
-        report.fresh_restarts
-    );
+    let report = crash_matrix(&cfg, EVERY, |_, _| {}).unwrap_or_else(|e| panic!("{tag}: {e}"));
     let _ = std::fs::remove_dir_all(&cfg.scratch);
+    let (points, first_resumed) = if parity { PARITY } else { PLAIN };
+    assert_eq!(report.points, points, "{tag}: the dry run numbers {} boundaries", report.points);
+    assert!(report.resumed > 0, "{tag}: no crash point ever resumed from a checkpoint");
+    assert!(report.fresh > 0, "{tag}: no crash point struck before the first checkpoint");
+    // The sampled points below the first resuming one are the fresh ones.
+    assert_eq!(
+        report.fresh,
+        first_resumed.div_ceil(EVERY as u64),
+        "{tag}: {} of {} sampled points restarted fresh",
+        report.fresh,
+        report.explored
+    );
 }
 
 #[test]
@@ -106,24 +104,28 @@ fn pipelined_file_parity_recovers_from_every_crash_point() {
     sweep("pipe-file-par", true, true, Backend::File);
 }
 
-/// Recovery is deterministic: the same crash point explored twice gives
-/// the same output (and the harness already checks it equals the
-/// baseline).  This is the "identical IoStats on resume" property at the
-/// observable level — a recovery that took a different path would place
-/// blocks differently and diverge.
+/// Recovery is deterministic: the same crash point explored twice takes
+/// the same path (and the oracle already checks its output).  This is
+/// the "identical IoStats on resume" property at the observable level.
 #[test]
 fn recovery_is_deterministic_at_a_fixed_crash_point() {
     let cfg = config("determinism", false, true, Backend::Mem);
     std::fs::create_dir_all(&cfg.scratch).unwrap();
-    let input = data(600);
-    let (points, baseline) = dry_run(&cfg, &input).unwrap();
     // A mid-sort boundary: far enough in to land after checkpoints exist.
-    let k = points / 2;
-    let (first, _) = explore_point(&cfg, &input, k).unwrap();
-    let (second, _) = explore_point(&cfg, &input, k).unwrap();
-    assert_eq!(first, second, "two recoveries from point {k} diverged");
-    assert_eq!(first, baseline, "recovery from point {k} diverged from baseline");
+    let k = dry_run(&cfg).unwrap().points / 2;
+    let crash = [ChaosEvent::CrashAt { point: k }];
+    let dir = cfg.scratch.join("t");
+    let [first, second] = [0, 1].map(|_| run_trial(&cfg, &crash, &dir).unwrap());
     let _ = std::fs::remove_dir_all(&cfg.scratch);
+    for outcome in [&first, &second] {
+        assert_eq!(outcome.violation, None, "recovery from point {k}");
+    }
+    assert_eq!(
+        (first.attempts, first.resumed),
+        (second.attempts, second.resumed),
+        "two recoveries from point {k} diverged"
+    );
+    assert_eq!(first.resumed, 1, "point {k} lies after the first checkpoint");
 }
 
 /// The crash vocabulary, pinned: the boundaries a dry run numbers for the
@@ -138,29 +140,42 @@ fn recovery_is_deterministic_at_a_fixed_crash_point() {
 /// write of `n` frames is 4 plus `n − 1` `write-torn`s; each of the two
 /// journaled snapshots (formation, pass 1) adds `sync`/`sync-done` and
 /// the three manifest ticks; parity adds `parity-update`/`-updated` per
-/// write.  The sort issues 109 reads and 102 writes of 402 blocks:
-/// 4·109 + (3·102 + 402) + 2·5 = 1154, and parity 2·102 more, 1358.
-///
-/// They were 1290 / 1518 (122 reads, 114 writes of 450 blocks) while
-/// pass 1 merged all 10 runs.  The pass plan (10 runs at R = 5 leave 5)
-/// merges a group of 2 and one of 5, and the first 3 runs, 48 blocks,
-/// wait: 12 fewer write stripes and 13 fewer reads, so 4·13 + 3·12 + 48
-/// = 136 fewer boundaries, and parity 2·12 more.  Before that, 1274 /
-/// 1502 while the crash layer numbered a blocking call `read`/`read-done`
-/// (2 boundaries) instead of as the pair it is (4).
+/// write.  The sort issues 105 reads and 102 writes of 402 blocks:
+/// 4·105 + (3·102 + 402) + 2·5 = 1138, and parity 2·102 more, 1342.
+/// The writes and blocks follow from the pass plan alone; the reads
+/// depend on where the seed's random placement puts the blocks.
 #[test]
 fn dry_run_point_counts_are_pinned() {
-    let input = data(600);
     for (tag, pipeline, parity, want) in [
-        ("pin-serial-mem", false, false, 1154u64),
-        ("pin-serial-mem-par", false, true, 1358),
-        ("pin-pipe-mem", true, false, 1154),
-        ("pin-pipe-mem-par", true, true, 1358),
+        ("pin-serial-mem", false, false, PLAIN.0),
+        ("pin-serial-mem-par", false, true, PARITY.0),
+        ("pin-pipe-mem", true, false, PLAIN.0),
+        ("pin-pipe-mem-par", true, true, PARITY.0),
     ] {
         let cfg = config(tag, pipeline, parity, Backend::Mem);
         std::fs::create_dir_all(&cfg.scratch).unwrap();
-        let (points, _) = dry_run(&cfg, &input).unwrap_or_else(|e| panic!("{tag}: {e}"));
+        let points = dry_run(&cfg).unwrap_or_else(|e| panic!("{tag}: {e}")).points;
         let _ = std::fs::remove_dir_all(&cfg.scratch);
         assert_eq!(points, want, "{tag}: the dry run numbers {points} boundaries");
+    }
+}
+
+/// The resumed/fresh split `srm crash-matrix` prints — 718 / 420 plain,
+/// 846 / 496 with parity — pinned where it splits.  A crash before the
+/// first manifest generation is renamed into place finds no checkpoint
+/// and restarts fresh; every later one finds it (or its `.prev`).  So
+/// the fresh count is the first resuming point.
+#[test]
+fn resumed_fresh_splits_are_pinned() {
+    for (tag, parity, (points, first_resumed)) in [("split", false, PLAIN), ("split-par", true, PARITY)] {
+        let cfg = config(tag, false, parity, Backend::Mem);
+        std::fs::create_dir_all(&cfg.scratch).unwrap();
+        let dir = cfg.scratch.join("t");
+        for (k, resumes) in [(first_resumed - 1, false), (first_resumed, true), (points - 1, true)] {
+            let outcome = run_trial(&cfg, &[ChaosEvent::CrashAt { point: k }], &dir).unwrap();
+            assert_eq!(outcome.violation, None, "{tag}: crash point {k}");
+            assert_eq!(outcome.resumed > 0, resumes, "{tag}: crash point {k}");
+        }
+        let _ = std::fs::remove_dir_all(&cfg.scratch);
     }
 }
