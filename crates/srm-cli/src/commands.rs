@@ -215,8 +215,10 @@ USAGE:
       shards wrote them: in splitter order, each shard folds its own
       keys onto the global digest the shards before it carried, checking
       the order of every key, so no key crosses to the coordinator.  A
-      shard's stage-in, sort and digest read-back all keep their I/O in
-      flight: without either window flag the sort runs pipelined at
+      shard forms its runs from the partition it received, held in
+      memory, so it never writes its input to disk only to read it
+      back.  Its sort and digest read-back keep their I/O in flight:
+      without either window flag the sort runs pipelined at
       read-ahead 3 (the job default); --pipeline [--read-ahead K] picks
       the depth as for `srm sort`, and --read-ahead 0 alone asks for
       window 0, the reference every window is byte- and count-identical
@@ -226,13 +228,15 @@ USAGE:
       for runs of only M - 4DB records; without a delay, and on a tie,
       it sorts half-memory loads.  Per shard the report prints its
       formation (load or rs), its passes, and where its time went
-      (stage / sort / verify / check ms).  Shards are threads by
+      (stage = receiving the partition / sort / verify / check ms).  Shards are threads by
       default; --procs spawns real `srm` child processes so the
       node-death drill is a genuine SIGKILL.  A heartbeat failure detector (--heartbeat-ms /
       --timeout-ms) declares silent nodes dead, fences the old epoch
       (its in-flight I/O fails, its stale messages are discarded), and
-      boots a replacement that resumes from the shard's last checkpoint
-      manifest.  --kill-node S@PASS is the drill: kill shard S at pass
+      boots a replacement, which receives its partition again and
+      resumes from the shard's last checkpoint manifest (a shard killed
+      before its pass-0 manifest forms its runs afresh).  --kill-node
+      S@PASS is the drill: kill shard S at pass
       boundary PASS (or S@merge when its one fold request arrives,
       before it answers); with --parity, --corrupt-disk D also trashes
       disk D of the victim's cluster so the replacement must rebuild

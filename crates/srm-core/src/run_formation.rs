@@ -11,9 +11,11 @@
 //!   current run are tagged for the next, producing runs of expected
 //!   length `2M` on random input (and exactly one run on sorted input).
 //!
-//! Both consume the input strictly in order, so both read it through
-//! [`StripeWindow`] like every other sequential reader: whatever a
-//! strategy does with the records, the next stripe is the right read.
+//! Both consume the input strictly in order, so both read a staged input
+//! through [`StripeWindow`] like every other sequential reader: whatever
+//! a strategy does with the records, the next stripe is the right read.
+//! Records a caller already holds ([`Input::InMemory`]) form the same
+//! runs with no reads at all.
 //! Each produced run is written in forecasting format via
 //! [`crate::output::RunWriter`], cyclically striped from a start disk
 //! chosen by the caller-provided placement callback — this is where SRM's
@@ -66,6 +68,32 @@ impl RunFormation {
     }
 }
 
+/// What formation takes its records from, in order.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a, R> {
+    /// An unsorted striped run on the array: the paper's pass 0 reads it.
+    Staged(&'a StripedRun),
+    /// Records the caller already holds (a distsort shard's partition, a
+    /// server job's generated input): formation reads nothing.
+    InMemory(&'a [R]),
+}
+
+impl<R> Input<'_, R> {
+    /// Records in the input.
+    pub fn records(&self) -> u64 {
+        match self {
+            Input::Staged(run) => run.records,
+            Input::InMemory(records) => records.len() as u64,
+        }
+    }
+}
+
+impl<'a, R> From<&'a StripedRun> for Input<'a, R> {
+    fn from(run: &'a StripedRun) -> Self {
+        Input::Staged(run)
+    }
+}
+
 /// Form sorted runs from an unsorted input run (records in arbitrary
 /// order, laid out striped).  `place` chooses each new run's start disk.
 ///
@@ -80,7 +108,7 @@ pub fn form_runs<R: Record, A: DiskArray<R>>(
     strategy: RunFormation,
     place: impl FnMut() -> DiskId,
 ) -> Result<Vec<StripedRun>> {
-    form_runs_overlapped(array, input, strategy, false, place)
+    form_runs_overlapped(array, Input::Staged(input), strategy, false, place)
 }
 
 /// [`form_runs`], with `pipeline` choosing the window.  On, it is the
@@ -98,9 +126,12 @@ pub fn form_runs<R: Record, A: DiskArray<R>>(
 /// reads in flight (the paper's §2.1 double buffer — the other half of
 /// memory when `fraction = 1/2`): while load `k` is sorted and written,
 /// load `k + 1` streams in.
+///
+/// An [`Input::InMemory`] input is cut into the same `load_blocks · B`
+/// record loads (or fed to the same tournament): same runs, no reads.
 pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
     array: &mut A,
-    input: &StripedRun,
+    input: Input<'_, R>,
     strategy: RunFormation,
     pipeline: bool,
     mut place: impl FnMut() -> DiskId,
@@ -118,12 +149,30 @@ pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
         )));
     }
     let geom = array.geometry();
-    let capacity = load_capacity(geom, fraction);
     let load_blocks = load_blocks(geom, fraction);
+    let mut out = Vec::new();
+    let mut write_run = |array: &mut A, mut load: Vec<R>| -> Result<()> {
+        crate::par_sort::par_sort_by_key(&mut load, threads);
+        let mut w = RunWriter::new(geom, place()).write_behind(pipeline);
+        for rec in load {
+            w.push(array, rec)?;
+        }
+        out.push(w.finish(array)?);
+        Ok(())
+    };
+    let input = match input {
+        Input::Staged(run) => run,
+        Input::InMemory(records) => {
+            for load in records.chunks(load_blocks as usize * geom.b) {
+                write_run(array, load.to_vec())?;
+            }
+            return Ok(out);
+        }
+    };
+    let capacity = load_capacity(geom, fraction);
     let depth = if pipeline { (capacity / (geom.d * geom.b)).max(1) } else { 1 };
     let window = |load: u64| StripeWindow::new(input, load * load_blocks..(load + 1) * load_blocks);
     let (mut current, mut next) = (window(0), window(1));
-    let mut out = Vec::new();
     for following in 2.. {
         let mut load: Vec<R> = Vec::with_capacity(capacity);
         loop {
@@ -138,12 +187,7 @@ pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
         if load.is_empty() {
             break;
         }
-        crate::par_sort::par_sort_by_key(&mut load, threads);
-        let mut w = RunWriter::new(geom, place()).write_behind(pipeline);
-        for rec in load {
-            w.push(array, rec)?;
-        }
-        out.push(w.finish(array)?);
+        write_run(array, load)?;
         (current, next) = (next, window(following));
     }
     Ok(out)
@@ -173,19 +217,28 @@ pub fn tournament_slots(geom: Geometry) -> usize {
 /// is just a key).  The `4·D·B` records withheld from the tournament are
 /// an account, not a guess: the stripe being consumed, the one in flight
 /// behind it when pipelined, and [`RunWriter`]'s `2D` pending blocks.
+/// An [`Input::InMemory`] input reads no stripe but keeps the account,
+/// so its runs are the ones the staged input would form.
 fn replacement_selection<R: Record, A: DiskArray<R>>(
     array: &mut A,
-    input: &StripedRun,
+    input: Input<'_, R>,
     pipeline: bool,
     mut place: impl FnMut() -> DiskId,
 ) -> Result<Vec<StripedRun>> {
     let geom = array.geometry();
     let capacity = tournament_slots(geom);
     let depth = 1 + usize::from(pipeline);
-    let mut window = StripeWindow::new(input, 0..input.len_blocks);
+    let records = input.records();
+    let (mut window, mut held) = match input {
+        Input::Staged(run) => (Some(StripeWindow::new(run, 0..run.len_blocks)), [].iter()),
+        Input::InMemory(records) => (None, records.iter()),
+    };
     // The stripe being consumed, and how far into it.
     let (mut stripe, mut taken): (Vec<R>, usize) = (Vec::new(), 0);
     let mut next_record = |array: &mut A| -> Result<Option<R>> {
+        let Some(window) = window.as_mut() else {
+            return Ok(held.next().copied());
+        };
         while taken == stripe.len() {
             stripe.clear();
             taken = 0;
@@ -197,7 +250,7 @@ fn replacement_selection<R: Record, A: DiskArray<R>>(
         Ok(Some(stripe[taken - 1]))
     };
 
-    let mut slots: Vec<R> = Vec::with_capacity(capacity.min(input.records as usize));
+    let mut slots: Vec<R> = Vec::with_capacity(capacity.min(records as usize));
     while slots.len() < capacity {
         match next_record(array)? {
             Some(rec) => slots.push(rec),
@@ -401,14 +454,14 @@ mod tests {
             let input_a = write_input(&mut a, geom, &input_keys);
             a.reset_stats();
             let serial =
-                form_runs_overlapped(&mut a, &input_a, strategy, false, || DiskId(0)).unwrap();
+                form_runs_overlapped(&mut a, Input::Staged(&input_a), strategy, false, || DiskId(0)).unwrap();
             let serial_io = a.stats();
 
             let mut p = MemDiskArray::new(geom);
             let input_p = write_input(&mut p, geom, &input_keys);
             p.reset_stats();
             let piped =
-                form_runs_overlapped(&mut p, &input_p, strategy, true, || DiskId(0)).unwrap();
+                form_runs_overlapped(&mut p, Input::Staged(&input_p), strategy, true, || DiskId(0)).unwrap();
             let piped_io = p.stats();
 
             let ctx = format!("d={d} b={b} m={m} n={n} strategy={strategy:?}");
@@ -425,6 +478,49 @@ mod tests {
                 assert_eq!(sk, qk, "run contents diverged: {ctx}");
             }
             verify_runs(&mut p, &piped, &input_keys);
+        }
+    }
+
+    /// Records held in memory form the staged input's runs: for every
+    /// strategy, at window 0 and pipelined, the same run contents, start
+    /// disks and lengths, the same writes — and not one read.
+    #[test]
+    fn in_memory_input_forms_the_staged_runs() {
+        let parload = RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 3 };
+        let rs = RunFormation::ReplacementSelection;
+        for (d, b, m, n, strategy) in
+            [(2, 4, 64, 300, RunFormation::default()), (4, 8, 256, 777, parload), (3, 4, 96, 1001, rs)]
+        {
+            for pipeline in [false, true] {
+                let geom = Geometry::new(d, b, m).unwrap();
+                let records: Vec<U64Record> = random_input(&mut SmallRng::seed_from_u64(n as u64), n)
+                    .into_iter()
+                    .map(U64Record)
+                    .collect();
+                let form = |array: &mut MemDiskArray<U64Record>, input| {
+                    array.reset_stats();
+                    let mut rng = SmallRng::seed_from_u64(0x5EED);
+                    let mut place = || DiskId(rng.random_range(0..d as u32));
+                    (form_runs_overlapped(array, input, strategy, pipeline, &mut place).unwrap(), array.stats())
+                };
+                let (mut staged, mut held) = (MemDiskArray::new(geom), MemDiskArray::new(geom));
+                let input = pdisk::write_unsorted_input(&mut staged, &records).unwrap();
+                let (want, want_io) = form(&mut staged, Input::Staged(&input));
+                let (got, got_io) = form(&mut held, Input::InMemory(&records));
+
+                let ctx = format!("{strategy:?} pipeline={pipeline}");
+                assert!(want_io.read_ops > 0 && got_io.read_ops == 0 && got_io.blocks_read == 0, "{ctx}");
+                assert_eq!(
+                    (got_io.write_ops, got_io.blocks_written),
+                    (want_io.write_ops, want_io.blocks_written),
+                    "{ctx}"
+                );
+                assert_eq!(got.len(), want.len(), "{ctx}");
+                for (g, w) in got.iter().zip(&want) {
+                    assert_eq!((g.start_disk, g.len_blocks), (w.start_disk, w.len_blocks), "{ctx}");
+                    assert_eq!(read_run(&mut held, g).unwrap(), read_run(&mut staged, w).unwrap(), "{ctx}");
+                }
+            }
         }
     }
 

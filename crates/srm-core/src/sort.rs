@@ -22,7 +22,7 @@
 use crate::checkpoint::SortManifest;
 use crate::error::{Result, SrmError};
 use crate::merge::{merge_runs_overlapped, MergeStats, Overlap};
-use crate::run_formation::{form_runs_overlapped, load_blocks, tournament_slots, RunFormation};
+use crate::run_formation::{form_runs_overlapped, load_blocks, tournament_slots, Input, RunFormation};
 use crate::scheduler::ScheduleStats;
 use pdisk::{CrashClock, DiskArray, DiskId, Geometry, InterruptFlag, IoStats, Record, StripedRun};
 use rand::rngs::SmallRng;
@@ -450,6 +450,9 @@ impl SrmSorter {
     ///
     /// Pass boundaries completed *before* a resume are not replayed.
     ///
+    /// `input` is a staged `&StripedRun` or [`Input::InMemory`] records,
+    /// which form the same runs without being written out and read back.
+    ///
     /// This is the one pass loop, and its order is what makes a resume
     /// byte-identical:
     ///
@@ -463,15 +466,16 @@ impl SrmSorter {
     /// Between boundaries the observer may have mutated the array (a disk
     /// may have died), so nothing array-derived but run handles is kept
     /// across a pass.
-    pub fn sort_observed<R: Record, A: DiskArray<R>>(
+    pub fn sort_observed<'i, R: Record, A: DiskArray<R>>(
         &self,
         array: &mut A,
-        input: &StripedRun,
+        input: impl Into<Input<'i, R>>,
         manifest: Option<&Path>,
         mut observer: impl FnMut(u64, &mut A) -> Result<()>,
     ) -> Result<(StripedRun, SortReport)> {
+        let input = input.into();
         let geometry = array.geometry();
-        let records = input.records;
+        let records = input.records();
         if records == 0 {
             return Err(SrmError::Config("cannot sort an empty input".into()));
         }

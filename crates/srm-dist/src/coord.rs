@@ -7,10 +7,13 @@
 //! 1. **Staging** — sample `P − 1` splitters, route every record to its
 //!    shard, and ship each shard's partition in stop-and-wait batches
 //!    (bounded retries with exponential backoff + jitter, reusing the
-//!    [`pdisk::RetryPolicy`] schedule).  A shard journals its partition
-//!    before acknowledging, so staging survives any channel fault.
+//!    [`pdisk::RetryPolicy`] schedule), so staging survives any channel
+//!    fault.  The shard keeps the partition in memory; the coordinator
+//!    keeps its batches, and re-sends them to any replacement that asks.
 //! 2. **Sorting** — each shard runs an ordinary checkpointed SRM sort on
-//!    its own disk cluster; the coordinator just watches heartbeats.
+//!    its own disk cluster, forming its runs from the partition it holds
+//!    (its pass-0 manifest is its first durable state); the coordinator
+//!    just watches heartbeats.
 //! 3. **Folding** — the shards' sorted runs, in splitter order, are the
 //!    output, and stay where the shards wrote them.  The coordinator
 //!    checks and digests them through the [`crate::fold`] chain: shard
@@ -21,9 +24,10 @@
 //! The whole time, a heartbeat failure detector watches every shard.  A
 //! silent shard is declared dead, **fenced** (its storage refuses all
 //! further I/O and its epoch is retired), and replaced by a fresh
-//! instance booted on the same durable directory — which resumes from
-//! the journaled checkpoint (rebuilding lost blocks from parity first
-//! when `--parity` is on).  The fold does not abort while this happens:
+//! instance booted on the same durable directory — which is staged
+//! again and resumes from the journaled checkpoint (rebuilding lost
+//! blocks from parity first when `--parity` is on), or forms its runs
+//! afresh when it died before the first one.  The fold does not abort while this happens:
 //! it *stalls* on the dead shard and asks its replacement once that is
 //! done, so a node death degrades throughput, not correctness.
 
@@ -578,8 +582,7 @@ impl Coordinator<'_> {
                         });
                         self.send_batch(s, 0);
                     } else {
-                        // It has durable input (or even durable output, in
-                        // which case SortDone follows immediately).
+                        // Its output is durable: SortDone follows.
                         self.nodes[s].phase = Phase::Sorting;
                     }
                 }
@@ -800,7 +803,6 @@ mod tests {
     fn shard_plans_follow_the_specs_window_and_the_windows_agree() {
         use crate::shard::open_base;
         use pdisk::DiskArray as _;
-        use srm_core::sort::write_unsorted_input;
 
         let (pipelined, cfg, root) = (small_spec(), DistConfig::new(3), scratch("windows"));
         let blocking = JobSpec { pipeline: false, ..small_spec() };
@@ -813,9 +815,7 @@ mod tests {
                 assert_ne!(plan.sorter.config().seed, spec.seed);
                 std::fs::create_dir_all(&plan.dir).unwrap();
                 let mut cluster = open_base(&plan, true).unwrap();
-                let input = write_unsorted_input(&mut cluster, &keys).unwrap();
-                cluster.reset_stats();
-                let (run, report) = plan.sorter.sort(&mut cluster, &input).unwrap();
+                let (run, report) = plan.sorter.sort_observed(&mut cluster, srm_core::Input::InMemory(&keys), None, |_, _| Ok(())).unwrap();
                 let out = srm_core::read_run(&mut cluster, &run).unwrap();
                 let window = (plan.sorter.pipeline(), plan.sorter.read_ahead());
                 (window, report.io, cluster.stats(), srm_server::digest_keys(out.iter().map(|r| r.0)))

@@ -27,7 +27,7 @@ pub enum Msg {
         seq: u64,
         /// The records (keys) in this batch.
         keys: Vec<u64>,
-        /// True on the final batch: the shard may stage and sort.
+        /// True on the final batch: the shard may sort.
         last: bool,
     },
     /// Fold the shard's sorted run onto `carry`, the state the shards
@@ -45,22 +45,22 @@ pub enum Msg {
     // ── shard → coordinator ──────────────────────────────────────────
     /// Sent once on boot: what the shard found in its durable directory.
     Hello {
-        /// The shard still needs its input staged (fresh boot, or death
-        /// before the input descriptor became durable).
+        /// The shard needs its partition: every boot but one on a
+        /// finished directory, since the partition is never made durable
+        /// on the shard (a resume re-receives it before its manifest).
         needs_input: bool,
-        /// Merge passes already completed per the recovered checkpoint
-        /// manifest (`None` when starting fresh or already finished).
-        resume_pass: Option<u64>,
     },
     /// Acknowledge staging batch `seq`.
     StageAck {
         /// Sequence number being acknowledged.
         seq: u64,
     },
-    /// The shard's input is durable (descriptor journaled); the
-    /// coordinator may forget the shard's partition.
+    /// The shard holds its whole partition and starts sorting it.
+    /// Nothing of it is durable yet: the pass-0 manifest is the shard's
+    /// first durable state, so the coordinator keeps the partition for
+    /// any replacement that asks again.
     Staged {
-        /// Records staged.
+        /// Records received.
         records: u64,
     },
     /// Liveness beacon, sent every heartbeat interval.

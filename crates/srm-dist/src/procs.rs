@@ -24,12 +24,13 @@
 //! The `--kill-node N@P` drill arms child `N`: at boundary `P` it prints
 //! `KILLME` and parks *before the checkpoint snapshot*, and the parent
 //! answers with `kill -9` — after which a replacement child is spawned
-//! on the same directory and resumes from the journaled manifest,
-//! exactly like thread mode.  `N@merge` parks the same way when the
-//! fold request arrives; its replacement boots on the finished
-//! directory, reads its keys back and is asked again.  Any child that
-//! dies before the chain has passed it (drill or otherwise) is likewise
-//! replaced, up to the recovery cap.
+//! on the same directory, reads its `keys` file again and resumes from
+//! the journaled manifest (or, killed before the pass-0 snapshot, forms
+//! its runs afresh), exactly like thread mode.  `N@merge` parks the
+//! same way when the fold request arrives; its replacement boots on the
+//! finished directory, reads its keys back and is asked again.  Any
+//! child that dies before the chain has passed it (drill or otherwise)
+//! is likewise replaced, up to the recovery cap.
 
 use crate::coord::{plan_for, split_input, DistConfig, DistReport, PhaseMs, ShardReport};
 use crate::error::{DistError, Result};
@@ -38,7 +39,6 @@ use crate::fold::{Carry, Chain, Disorder, Step};
 use crate::net::NetStats;
 use crate::shard::{
     atomic_write, inspect_dir, read_output, sort_shard, Boot, KillPoint, Outcome, OutputMeta, ShardPlan,
-    SortInput,
 };
 use pdisk::U64Record;
 use srm_server::{expected_digest, JobSpec};
@@ -119,35 +119,23 @@ pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<KillPoint>
 
     // Never fired: death here is a real SIGKILL.
     let fence = FenceFlag::new();
-    let input = match inspect_dir(&plan)? {
-        // Output already durable (a replacement of a shard that died
-        // after finishing): nothing to redo but read its keys back.
-        Boot::Done(meta) => return answer_fold(&plan, &read_output(&plan, &fence, &meta)?, arm_kill),
-        Boot::Empty => {
-            atomic_write(&plan.output_path(), &OutputMeta::empty().encode())?;
-            return answer_fold(&plan, &[], arm_kill);
-        }
-        Boot::Sort(run) => SortInput::Durable(run),
-        Boot::Stage => {
-            let path = keys_path(&plan);
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| DistError::Io(format!("read {}: {e}", path.display())))?;
-            let mut keys = Vec::new();
-            for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
-                keys.push(line.parse::<u64>().map_err(|_| {
-                    DistError::Io(format!("bad key line `{line}` in {}", path.display()))
-                })?);
-            }
-            if keys.is_empty() {
-                atomic_write(&plan.input_path(), "empty")?;
-                atomic_write(&plan.output_path(), &OutputMeta::empty().encode())?;
-                return answer_fold(&plan, &[], arm_kill);
-            }
-            SortInput::Fresh(keys.into_iter().map(U64Record).collect())
-        }
-    };
+    // Output already durable (a replacement of a shard that died after
+    // finishing): nothing to redo but read its keys back.
+    if let Boot::Done(meta) = inspect_dir(&plan)? {
+        return answer_fold(&plan, &read_output(&plan, &fence, &meta)?, arm_kill);
+    }
+    // Every other boot reads its partition from the `keys` file, the
+    // channel of this mode.
+    let clock = Instant::now();
+    let path = keys_path(&plan);
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| DistError::Io(format!("read {}: {e}", path.display())))?;
+    let bad = |line: &str| DistError::Io(format!("bad key line `{line}` in {}", path.display()));
+    let keys: Vec<U64Record> = (text.lines().map(str::trim).filter(|l| !l.is_empty()))
+        .map(|line| line.parse().map(U64Record).map_err(|_| bad(line)))
+        .collect::<Result<_>>()?;
+    let stage_ms = clock.elapsed().as_millis() as u64;
 
-    let mut on_staged = |_records: u64| {};
     let mut on_pass = |pass: u64| {
         if arm_kill == Some(KillPoint::Pass(pass)) {
             // Park before the snapshot and wait for the parent's kill -9:
@@ -156,7 +144,7 @@ pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<KillPoint>
         }
         say(&format!("PASS {pass}"));
     };
-    match sort_shard(&plan, &fence, input, &mut on_staged, &mut on_pass)? {
+    match sort_shard(&plan, &fence, &keys, stage_ms, &mut on_pass)? {
         Outcome::Done(_, keys) => answer_fold(&plan, &keys, arm_kill),
         // Unreachable: plan.kill is None in process mode (the drill is
         // the parent's SIGKILL), but handle it as a clean exit anyway.

@@ -8,20 +8,22 @@
 //! shard-003/
 //!   disks/          FileDiskArray cluster (the shard's D disks)
 //!   parity.store    rotating-parity sidecar (with `--parity`)
-//!   input           journaled input-run descriptor (staging is durable)
-//!   manifest[.prev] PR-5 checkpoint manifests (journaled by srm-core)
+//!   manifest[.prev] checkpoint manifests (journaled by srm-core)
 //!   output          journaled output descriptor + digest (sort finished)
+//!   keys            the routed partition (`--procs` only)
 //! ```
 //!
-//! Because every state transition is journaled (temp + fsync + rename),
-//! a **replacement node booted on the same directory** re-derives
-//! exactly where its predecessor died: `output` present → read its keys
-//! back for the fold;
-//! `input` present → resume the sort from the newest valid manifest
-//! (rebuilding from parity first when configured); neither → ask the
-//! coordinator to re-stage.  All three paths end byte-identical to the
-//! failure-free run, because the checkpoint fast-forwards the placement
-//! RNG and staging is deterministic.
+//! The shard forms its runs from the partition it holds in memory, so
+//! the pass-0 manifest is its first durable state.  Every transition is
+//! journaled (temp + fsync + rename), so a **replacement node booted on
+//! the same directory** re-derives where its predecessor died: `output`
+//! present → read its keys back for the fold; otherwise it receives its
+//! partition again and resumes from the newest valid manifest on the
+//! existing cluster (rebuilding from parity first when configured), or,
+//! with none, forms its runs afresh on a new cluster.  Every path ends
+//! byte-identical to the failure-free run, because the checkpoint
+//! fast-forwards the placement RNG and the partition is a pure function
+//! of the spec.
 
 use crate::error::{DistError, Result};
 use crate::fence::{FenceFlag, Fenced};
@@ -31,8 +33,7 @@ use pdisk::{
     BuiltStack, DiskArray, FaultModel, FileDiskArray, Geometry, ParitySpec, PdiskError,
     RetryPolicy, StackSpec, StripedRun, U64Record,
 };
-use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, scrub_runs, SortManifest, SrmError, SrmSorter};
+use srm_core::{read_run, scrub_runs, Input, SrmError, SrmSorter};
 use srm_server::{decode_run, digest_keys, encode_run};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -111,11 +112,6 @@ impl ShardPlan {
         self.shards
     }
 
-    /// Path of the journaled input descriptor.
-    pub fn input_path(&self) -> PathBuf {
-        self.dir.join("input")
-    }
-
     /// Path of the checkpoint manifest.
     pub fn manifest_path(&self) -> PathBuf {
         self.dir.join("manifest")
@@ -158,14 +154,13 @@ pub enum Outcome {
     Done(OutputMeta, Vec<U64Record>),
 }
 
-/// Where one sort incarnation's wall-clock went, in milliseconds.  Every
-/// phase is split-phase I/O on a file cluster: staging writes behind,
-/// the sort runs at the plan's window, the verification read keeps a
-/// few stripes in flight.
+/// Where one sort incarnation's wall-clock went, in milliseconds.  The
+/// I/O phases are split-phase on a file cluster: the sort runs at the
+/// plan's window, the verification read keeps a few stripes in flight.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMs {
-    /// Staging the partition onto the cluster until its descriptor is
-    /// durable (0 for an incarnation that resumed a durable input).
+    /// Receiving the partition: from the `Hello` to its last batch
+    /// (under `--procs`, reading the `keys` file).  Nothing is written.
     pub stage: u64,
     /// The checkpointed sort (of a resumed incarnation: what was left).
     pub sort: u64,
@@ -316,111 +311,78 @@ pub(crate) fn open_base(plan: &ShardPlan, create: bool) -> Result<FileDiskArray<
 pub(crate) enum Boot {
     /// Output descriptor present: read its keys back for the fold.
     Done(OutputMeta),
-    /// Input present: sort (resuming from the manifest when one exists).
-    Sort(StripedRun),
-    /// Empty-bucket marker present: nothing to sort, nothing to fold.
-    Empty,
-    /// Nothing durable: ask the coordinator to stage.
+    /// No output: ask for the partition, then sort it (resuming from the
+    /// manifest when one loads).
     Stage,
 }
 
 pub(crate) fn inspect_dir(plan: &ShardPlan) -> Result<Boot> {
-    let read = |p: &Path| {
-        std::fs::read_to_string(p).map_err(|e| DistError::Io(format!("read {}: {e}", p.display())))
-    };
-    if plan.output_path().exists() {
-        return Ok(Boot::Done(OutputMeta::parse(&read(&plan.output_path())?)?));
+    let path = plan.output_path();
+    if !path.exists() {
+        return Ok(Boot::Stage);
     }
-    if plan.input_path().exists() {
-        let text = read(&plan.input_path())?;
-        let line = text.trim();
-        if line == "empty" {
-            return Ok(Boot::Empty);
-        }
-        return Ok(Boot::Sort(decode_run(line).map_err(DistError::Job)?));
-    }
-    Ok(Boot::Stage)
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| DistError::Io(format!("read {}: {e}", path.display())))?;
+    Ok(Boot::Done(OutputMeta::parse(&text)?))
 }
 
-/// What a sort incarnation starts from.
-pub(crate) enum SortInput {
-    /// Fresh keys to stage onto a brand-new cluster.
-    Fresh(Vec<U64Record>),
-    /// A durable input descriptor on an existing cluster (resume boot).
-    Durable(StripedRun),
-}
-
-/// Run one sort incarnation end to end: build the protective stack,
-/// rebuild from parity when recovering, trace the whole thing, sort with
-/// checkpoints, model-check the trace, and journal the output
-/// descriptor.  Drops every array handle before returning, so a
-/// replacement can reopen the cluster.
+/// Run one sort incarnation of the received partition `keys` end to
+/// end: build the protective stack, rebuild from parity when resuming,
+/// trace the whole thing, sort with checkpoints, model-check the trace,
+/// and journal the output descriptor.  Drops every array handle before
+/// returning, so a replacement can reopen the cluster.
 ///
-/// `on_staged(records)` fires once the input descriptor is durable;
-/// `on_pass(pass)` fires at every pass boundary *before* the snapshot —
-/// which is also where a [`KillPoint::Pass`] drill strikes.
+/// With no loadable manifest the cluster is created afresh and formation
+/// sorts `keys` from memory; with one, the existing cluster is opened and
+/// the sort resumes from it without re-forming.  An empty partition
+/// journals [`OutputMeta::empty`] at once.  `stage_ms` is how long
+/// receiving `keys` took.  `on_pass(pass)` fires at every pass boundary
+/// *before* the snapshot — which is also where a [`KillPoint::Pass`]
+/// drill strikes.
 pub(crate) fn sort_shard(
     plan: &ShardPlan,
     fence: &FenceFlag,
-    input: SortInput,
-    on_staged: &mut dyn FnMut(u64),
+    keys: &[U64Record],
+    stage_ms: u64,
     on_pass: &mut dyn FnMut(u64),
 ) -> Result<Outcome> {
-    let base = open_base(plan, matches!(input, SortInput::Fresh(_)))?;
+    if keys.is_empty() {
+        let meta = OutputMeta::empty();
+        atomic_write(&plan.output_path(), &meta.encode())?;
+        return Ok(Outcome::Done(meta, Vec::new()));
+    }
+    // Refuse early if the manifest belongs to a different sort — it
+    // would fail identically on every resume attempt.
+    let manifest = plan.manifest_path();
+    let resume = plan.sorter.resume_point(plan.geom, keys.len() as u64, &manifest)?;
+    let base = open_base(plan, resume.is_none())?;
     let mut stack = shard_stack(plan, base, fence, true)?;
 
     // Recovery path 2 (`--parity`): before resuming, scrub every run the
-    // resume can still touch — the staged input (a pass-0 resume re-sorts
-    // it) and whatever the newest manifest keeps live — healing any block
-    // the dead node's storage lost; then zero the counters and drop the
-    // scrub's events so the traced sort's stats match its trace exactly.
+    // newest manifest keeps live, healing any block the dead node's
+    // storage lost; then zero the counters and drop the scrub's events
+    // so the traced sort's stats match its trace exactly.
     let mut repaired = 0u64;
-    if plan.parity {
-        if let SortInput::Durable(run) = &input {
-            let mut live = vec![run.clone()];
-            if let Some(m) = SortManifest::load_latest(&plan.manifest_path())? {
-                live.extend(m.runs);
-            }
-            let report = scrub_runs(&mut stack, &live)?;
-            repaired = report.repaired;
-            if report.unrepairable > 0 {
-                return Err(DistError::Shard {
-                    shard: plan.shard,
-                    msg: format!(
-                        "{} block(s) unrepairable even with parity",
-                        report.unrepairable
-                    ),
-                });
-            }
+    if let Some(m) = resume.filter(|_| plan.parity) {
+        let report = scrub_runs(&mut stack, &m.runs)?;
+        repaired = report.repaired;
+        if report.unrepairable > 0 {
+            return Err(DistError::Shard {
+                shard: plan.shard,
+                msg: format!("{} block(s) unrepairable even with parity", report.unrepairable),
+            });
         }
     }
     stack.reset_stats();
     drop(stack.take_trace());
 
-    // Stage fresh input inside the trace (exactly like the CLI), making
-    // the descriptor durable *before* sorting so a death between staging
-    // and the first checkpoint resumes instead of re-staging.
-    let mut ms = ShardMs::default();
-    let clock = Instant::now();
-    let input_run = match input {
-        SortInput::Fresh(records) => {
-            let run = write_unsorted_input(&mut stack, &records)?;
-            stack.sync()?;
-            atomic_write(&plan.input_path(), &encode_run(&run))?;
-            ms.stage = clock.elapsed().as_millis() as u64;
-            on_staged(run.records);
-            run
-        }
-        SortInput::Durable(run) => run,
-    };
-
+    let mut ms = ShardMs { stage: stage_ms, ..ShardMs::default() };
     let kill_at = match plan.kill {
         Some(KillPoint::Pass(p)) => Some(p),
         _ => None,
     };
-    let manifest = plan.manifest_path();
     let clock = Instant::now();
-    let sorted = plan.sorter.sort_observed(&mut stack, &input_run, Some(&manifest), |pass, _a| {
+    let sorted = plan.sorter.sort_observed(&mut stack, Input::InMemory(keys), Some(&manifest), |pass, _a| {
         on_pass(pass);
         if kill_at == Some(pass) {
             return Err(SrmError::Internal(KILL_SENTINEL.into()));
@@ -436,8 +398,8 @@ pub(crate) fn sort_shard(
 
     // Digest the output (the verification read is part of the trace, as
     // in the CLI), then replay the whole incarnation's trace through the
-    // model checker: staging + sort + verification must all obey the
-    // Vitter–Shriver rules.
+    // model checker: sort + verification must obey the Vitter–Shriver
+    // rules.
     let clock = Instant::now();
     let out = read_run(&mut stack, &run)?;
     let digest = digest_keys(out.iter().map(|r| r.0));
@@ -453,7 +415,7 @@ pub(crate) fn sort_shard(
 
     let meta = OutputMeta {
         run: Some(run),
-        records: input_run.records,
+        records: keys.len() as u64,
         digest,
         passes: report.merge_passes,
         trace_events: summary.events,
@@ -576,58 +538,21 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
     std::fs::create_dir_all(&plan.dir)
         .map_err(|e| DistError::Io(format!("create {}: {e}", plan.dir.display())))?;
     let coord = plan.coord();
-    let hello = |needs_input: bool, resume_pass: Option<u64>| {
-        ep.send(
-            coord,
-            epoch,
-            Msg::Hello {
-                needs_input,
-                resume_pass,
-            },
-        );
+    if let Boot::Done(meta) = inspect_dir(plan)? {
+        ep.send(coord, epoch, Msg::Hello { needs_input: false });
+        let keys = read_output(plan, fence, &meta)?;
+        return answer_fold(plan, ep, epoch, fence, &meta, &keys);
+    }
+    let clock = Instant::now();
+    ep.send(coord, epoch, Msg::Hello { needs_input: true });
+    let Some(keys) = stage_loop(plan, ep, epoch, fence)? else {
+        return Ok(Exit::Killed);
     };
-    let input = match inspect_dir(plan)? {
-        Boot::Done(meta) => {
-            hello(false, None);
-            let keys = read_output(plan, fence, &meta)?;
-            return answer_fold(plan, ep, epoch, fence, &meta, &keys);
-        }
-        Boot::Empty => {
-            hello(false, None);
-            let meta = OutputMeta::empty();
-            atomic_write(&plan.output_path(), &meta.encode())?;
-            return answer_fold(plan, ep, epoch, fence, &meta, &[]);
-        }
-        Boot::Sort(input_run) => {
-            // Refuse early if the manifest belongs to a different sort —
-            // it would fail identically on every resume attempt.
-            let pass = plan
-                .sorter
-                .resume_point(plan.geom, input_run.records, &plan.manifest_path())?
-                .map(|at| at.pass);
-            hello(false, pass);
-            SortInput::Durable(input_run)
-        }
-        Boot::Stage => {
-            hello(true, None);
-            let keys = match stage_loop(plan, ep, epoch, fence)? {
-                Some(keys) => keys,
-                None => return Ok(Exit::Killed),
-            };
-            if keys.is_empty() {
-                atomic_write(&plan.input_path(), "empty")?;
-                ep.send(coord, epoch, Msg::Staged { records: 0 });
-                let meta = OutputMeta::empty();
-                atomic_write(&plan.output_path(), &meta.encode())?;
-                return answer_fold(plan, ep, epoch, fence, &meta, &[]);
-            }
-            SortInput::Fresh(keys.into_iter().map(U64Record).collect())
-        }
-    };
-
-    let mut on_staged = |records: u64| ep.send(coord, epoch, Msg::Staged { records });
+    let stage_ms = clock.elapsed().as_millis() as u64;
+    ep.send(coord, epoch, Msg::Staged { records: keys.len() as u64 });
+    let keys: Vec<U64Record> = keys.into_iter().map(U64Record).collect();
     let mut on_pass = |pass: u64| ep.send(coord, epoch, Msg::Pass { pass });
-    match sort_shard(plan, fence, input, &mut on_staged, &mut on_pass)? {
+    match sort_shard(plan, fence, &keys, stage_ms, &mut on_pass)? {
         Outcome::Killed => Ok(Exit::Killed),
         Outcome::Done(meta, keys) => answer_fold(plan, ep, epoch, fence, &meta, &keys),
     }
@@ -678,14 +603,7 @@ fn stage_loop(
                 idle += 1;
                 if idle >= 4 {
                     idle = 0;
-                    ep.send(
-                        coord,
-                        epoch,
-                        Msg::Hello {
-                            needs_input: true,
-                            resume_pass: None,
-                        },
-                    );
+                    ep.send(coord, epoch, Msg::Hello { needs_input: true });
                 }
             }
             continue;
@@ -783,8 +701,8 @@ fn answer_fold(
                 ep.send(coord, epoch, Msg::Folded { fold });
             }
             Msg::Shutdown => return Ok(Exit::Completed),
-            // A done shard's input is already durable, so Stage is a
-            // stale retransmit; the shard-to-coordinator kinds never
+            // A done shard has its whole partition, so Stage is a stale
+            // retransmit; the shard-to-coordinator kinds never
             // land on a shard mailbox.  Named, since a wildcard is
             // denied here, so no message kind is swallowed.
             Msg::Stage { .. }

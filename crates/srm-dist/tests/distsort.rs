@@ -172,6 +172,39 @@ fn rs_shards_on_a_device_survive_the_kill_drills() {
     }
 }
 
+/// `dist_p4`'s spec (srmbench's and CI's: 120k records over 4 shards on
+/// a 40 us/block device).  A shard forms its runs from its received
+/// partition, so its pass-0 manifest is its first durable state: one
+/// killed at pass 0, before that manifest, is staged again and re-forms
+/// its runs on a fresh cluster (its finishing trace is the failure-free
+/// one); one killed at pass 1 is staged again and resumes from the
+/// manifest without a second pass-0 boundary (its trace holds no
+/// formation).  Both end on the spec's pinned digest.
+#[test]
+fn dist_p4_recovers_on_either_side_of_the_pass_0_manifest() {
+    let spec = JobSpec { records: 120_000, seed: 0xC11_5EED, d: 3, b: 16, m: 1024, ..JobSpec::default() };
+    let mut device = DistConfig::new(4);
+    device.io_delay = Duration::from_micros(40);
+    let clean = run_spec("p4-clean", &spec, &device);
+    assert_eq!(clean.digest, 0x7a6d_4366_c4ee_86da);
+    for pass in [0, 1] {
+        let mut cfg = device.clone();
+        cfg.kill = Some(KillPlan { shard: 1, point: KillPoint::Pass(pass) });
+        let report = run_spec("p4-kill", &spec, &cfg);
+        assert!(report.oracle_ok);
+        assert_eq!(report.digest, 0x7a6d_4366_c4ee_86da, "S@{pass}");
+        let (victim, want) = (&report.per_shard[1], &clean.per_shard[1]);
+        assert_eq!(victim.recoveries, 1, "S@{pass}");
+        assert!(victim.trace_clean);
+        assert_eq!((victim.records, victim.blocks, victim.passes), (want.records, want.blocks, want.passes));
+        if pass == 0 {
+            assert_eq!(victim.trace_events, want.trace_events, "S@0 re-formed its runs");
+        } else {
+            assert!(victim.trace_events < want.trace_events, "S@1 resumed past formation");
+        }
+    }
+}
+
 /// Every drill above runs the shards at `JobSpec`'s default window
 /// (pipelined, read-ahead 3).  The explicit window-0 spec is the same
 /// sort: same global digest, and per shard the same partition, run

@@ -8,7 +8,6 @@
 //! ```text
 //! job-000001/
 //!   spec       job description (JobSpec key=value encoding), atomic
-//!   input      staged-input run descriptor, written before the sort
 //!   disks/     the FileDiskArray backend (survives crashes)
 //!   manifest   PR-5 checkpoint manifest (journaled at pass boundaries)
 //!   done       terminal marker: digest + report (atomic rename)
@@ -21,8 +20,8 @@
 //! manifest survives resumes from its last checkpoint byte-identically
 //! (the spec pins the data seed and the placement RNG; the manifest
 //! pins the pass and the RNG fast-forward count).  A re-queued job
-//! without a manifest re-sorts its staged input from scratch — same
-//! spec, same bytes.
+//! without a manifest regenerates its input from the spec and sorts it
+//! from memory afresh — same spec, same bytes.
 //!
 //! ## Admission invariant
 //!
@@ -32,15 +31,14 @@
 //! capacity, and jobs start in submission order.
 
 use crate::drain::DrainReport;
-use crate::job::{decode_run, digest_keys, encode_run, expected_digest, JobError, JobSpec};
+use crate::job::{digest_keys, encode_run, expected_digest, JobError, JobSpec};
 use crate::queue::Admission;
 use pdisk::manifest::atomic_write as atomic_write_raw;
 use pdisk::sync::Mutex;
 use pdisk::{
-    DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, StackSpec, StripedRun, U64Record,
+    DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, StackSpec, U64Record,
 };
-use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, SrmSorter};
+use srm_core::{read_run, Input, SrmSorter};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -734,33 +732,22 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
     let dir = inner.job_dir(id);
     let disks = dir.join("disks");
     let manifest = dir.join("manifest");
-    let input_path = dir.join("input");
     let geom = spec.geometry()?;
     let job = spec.build_on(inner.cfg.io_delay, Some(flag));
 
-    // Resume only when both halves of the crashed world survive: the
-    // staged input descriptor and a loadable checkpoint generation.
-    let resume = input_path.exists()
-        && job.resume_point(geom, spec.records, &manifest)?.is_some();
-    let (file, input) = if resume {
-        let f: FileDiskArray<U64Record> = FileDiskArray::open(geom, &disks)?;
-        let text = std::fs::read_to_string(&input_path)
-            .map_err(|e| JobError::Io(format!("read {}: {e}", input_path.display())))?;
-        (f, decode_run(text.trim())?)
+    // The input is generated from the spec and sorted from memory, so
+    // the pass-0 manifest is the job's first durable state: a loadable
+    // manifest is exactly what a resume needs.
+    let file: FileDiskArray<U64Record> = if job.resume_point(geom, spec.records, &manifest)?.is_some() {
+        FileDiskArray::open(geom, &disks)?
     } else {
         // Partial leftovers (a crash before the first checkpoint) are
-        // wiped; the job re-stages deterministically from its spec.
+        // wiped; the job re-forms deterministically from its spec.
         let _ = std::fs::remove_dir_all(&disks);
-        let _ = std::fs::remove_file(&manifest);
-        let _ = std::fs::remove_file(manifest.with_extension("prev"));
-        let mut f: FileDiskArray<U64Record> = FileDiskArray::create(geom, &disks)?;
-        let data = spec.input_records();
-        let input = write_unsorted_input(&mut f, &data)?;
-        f.sync()?;
-        atomic_write(&input_path, &encode_run(&input))?;
-        (f, input)
+        FileDiskArray::create(geom, &disks)?
     };
     file.set_io_delay(inner.cfg.io_delay);
+    let data = spec.input_records();
 
     // The protected stack every job runs on: retries over injected
     // transient faults over the durable file backend.  With the spec's
@@ -790,7 +777,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
         }
     };
 
-    let digest = sort_and_digest(&job, &mut stack, &input, &manifest, &mut observer)?;
+    let digest = sort_and_digest(&job, &mut stack, &data, &manifest, &mut observer)?;
     if inner.cfg.check_model {
         modelcheck::check_trace(geom, &stack.take_trace())
             .map_err(|v| JobError::Model(v.to_string()))?;
@@ -812,11 +799,11 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
 fn sort_and_digest<A: DiskArray<U64Record>>(
     job: &SrmSorter,
     array: &mut A,
-    input: &StripedRun,
+    input: &[U64Record],
     manifest: &Path,
     observer: &mut dyn FnMut(u64),
 ) -> Result<u64, JobError> {
-    let (run, report) = job.sort_observed(array, input, Some(manifest), |pass, _| {
+    let (run, report) = job.sort_observed(array, Input::InMemory(input), Some(manifest), |pass, _| {
         observer(pass);
         Ok(())
     })?;

@@ -207,6 +207,42 @@ fn drain_suspends_and_restart_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A job sorts its generated input from memory: the pass-0 manifest is
+/// its first durable state, and its directory never holds an `input`
+/// file.  Drained once that manifest is journaled, it resumes from it on
+/// restart and finishes with the uninterrupted digest.
+#[test]
+fn a_job_drained_after_its_pass_0_checkpoint_resumes_without_an_input_file() {
+    let dir = scratch("pass0");
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.workers = 1;
+    cfg.io_delay = Duration::from_millis(1);
+    cfg.check_model = true;
+    let server = JobServer::open(cfg.clone()).unwrap();
+    let id = server.submit(spec(9)).unwrap();
+    let job = dir.join(format!("job-{id:06}"));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !job.join("manifest").exists() {
+        assert!(Instant::now() < deadline, "no pass-0 checkpoint: {:?}", server.status(id).map(|s| s.state));
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let report = server.shutdown();
+    assert_eq!(report.suspended, 1, "{report}");
+    assert_eq!(server.status(id).unwrap().state, JobState::Suspended);
+    assert!(!job.join("input").exists(), "a job stages no input");
+
+    let mut cfg2 = cfg;
+    cfg2.io_delay = Duration::ZERO;
+    let server2 = JobServer::open(cfg2).unwrap();
+    wait_all_terminal(&server2, Duration::from_secs(60));
+    let s = server2.status(id).unwrap();
+    assert_eq!(s.state, JobState::Done, "{}", s.detail);
+    assert_eq!(s.digest, Some(expected_digest(&spec(9))));
+    assert!(!job.join("input").exists(), "a resumed job stages no input");
+    server2.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn cancel_interrupts_a_running_job_at_a_checkpoint() {
     let dir = scratch("cancel");

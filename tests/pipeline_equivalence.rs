@@ -41,7 +41,7 @@ use pdisk::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::{write_unsorted_input, SrmConfig};
-use srm_core::{read_run, EngineKind, SrmError, SrmSorter};
+use srm_core::{read_run, EngineKind, Input, SrmError, SrmSorter};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -377,11 +377,21 @@ struct Incarnation {
 }
 
 fn incarnation<A: DiskArray<U64Record>>(stack: A, data: &[U64Record]) -> Incarnation {
+    incarnation_of(stack, data, true)
+}
+
+/// [`incarnation`], staging `data` first or (`stage` off) sorting it
+/// from memory, as a distsort shard does.
+fn incarnation_of<A: DiskArray<U64Record>>(stack: A, data: &[U64Record], stage: bool) -> Incarnation {
     let mut a = TracingDiskArray::new(common::Probe::new(stack));
     let geom = a.geometry();
-    let input = write_unsorted_input(&mut a, data).unwrap();
+    let input = stage.then(|| write_unsorted_input(&mut a, data).unwrap());
     let staged = a.stats();
-    let (run, _) = Window::pipelined(3).srm(SrmConfig::default()).sort(&mut a, &input).unwrap();
+    let sorter = Window::pipelined(3).srm(SrmConfig::default());
+    let (run, _) = match &input {
+        Some(input) => sorter.sort(&mut a, input).unwrap(),
+        None => sorter.sort_observed(&mut a, Input::InMemory(data), None, |_, _| Ok(())).unwrap(),
+    };
     // The sort writes split-phase only (its blocking reads are each
     // merge's initial loads); staging and the read-back must not fall
     // back to a blocking call either.
@@ -461,6 +471,50 @@ fn stage_in_and_read_back_match_the_eager_backend() {
         assert_eq!(run.pending, run.tickets, "{tag}: a layer completed an operation inside its submit");
         assert_eq!(run.max_writes_out, pdisk::WRITE_BEHIND_LIMIT as u64, "{tag}: write tickets in flight");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same incarnation with the records held in memory, as a distsort
+/// shard and a server job run it: nothing is staged and formation reads
+/// nothing, and the file stack still leaves the eager backend's bytes,
+/// [`IoStats`] and trace, with every ticket handed up in flight.  It
+/// writes what the staged incarnation's sort writes, and reads less.
+#[test]
+fn held_input_sort_and_read_back_match_the_eager_backend() {
+    let geom = Geometry::new(4, 8, 256).unwrap();
+    let data = random_records(8000, 0xEB);
+    let dir = unique_dir("held");
+    fn stack<B: DiskArray<U64Record>>(base: B, store: PathBuf) -> impl DiskArray<U64Record> {
+        let faulty = FaultyDiskArray::new(base, FaultModel::random(0x5EED).with_rate(0.01));
+        let parity = ParityDiskArray::new(faulty).unwrap().with_store(store).unwrap();
+        RetryingDiskArray::new(parity, RetryPolicy::new(8, Duration::ZERO))
+    }
+    let file = FileDiskArray::<U64Record>::create(geom, dir.join("disks")).unwrap();
+    let eager = incarnation_of(stack(MemDiskArray::<U64Record>::new(geom), dir.join("mem.parity")), &data, false);
+    let split = incarnation_of(stack(file, dir.join("file.parity")), &data, false);
+    let staged = incarnation(MemDiskArray::<U64Record>::new(geom), &data);
+    let held = incarnation_of(MemDiskArray::<U64Record>::new(geom), &data, false);
+
+    let mut sorted = data.clone();
+    sorted.sort();
+    assert_eq!(eager.bytes, encode_all(&sorted));
+    assert_eq!(eager.staged, IoStats::default(), "nothing is staged");
+    assert!(eager.total.total_retries() > 0, "the fault rate must bite");
+    assert_eq!(split.bytes, eager.bytes, "file: sorted bytes");
+    assert_eq!(split.total, eager.total, "file: sort + read-back IoStats");
+    assert!(split.trace == eager.trace, "file: the trace differs from the eager backend's");
+    assert_eq!(split.tickets, eager.tickets, "file: tickets");
+    assert_eq!(split.pending, split.tickets, "file: a layer completed an operation inside its submit");
+
+    let sort_io = staged.total.since(&staged.staged);
+    assert_eq!(held.bytes, staged.bytes);
+    assert_eq!(
+        (held.total.write_ops, held.total.blocks_written),
+        (sort_io.write_ops, sort_io.blocks_written),
+        "the held input's runs are the staged input's"
+    );
+    assert!(held.total.read_ops < sort_io.read_ops, "formation reads nothing");
+    assert_eq!(sort_io.blocks_read - held.total.blocks_read, data.len().div_ceil(geom.b) as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
