@@ -13,16 +13,17 @@
 //! `--reps` runs (default 3), which filters host scheduling noise.  A
 //! per-block service delay puts genuine I/O latency on every shard's
 //! private disk cluster, so the shards have real waiting to overlap —
-//! with a zero-cost disk the coordinator's splitter scan dominates and
-//! P changes nothing.  Every run's digest is checked against the
+//! with a zero-cost disk the splitter scan and each shard's pass over
+//! the generator dominate and P changes nothing.  Every run's digest is checked against the
 //! centrally sorted oracle, and every P must produce the *same*
 //! digest (the global output does not depend on the partitioning).
 //!
 //! Each P's row also carries the coordinator's phase split
 //! (`phase_ms`: split, shards, and the fold's tail as `merge` and
 //! `merge_wait`) of its fastest rep,
-//! and under it what each shard's incarnation spent staging, sorting,
-//! verifying and model-checking (`shard_ms`, one entry per shard).
+//! and under it what each shard's incarnation spent deriving its
+//! partition from the spec (`stage`), sorting, verifying and
+//! model-checking (`shard_ms`, one entry per shard).
 //!
 //! `--assert-scaling` exits non-zero unless wall-clock improves
 //! monotonically from P=1 through P=4 *and* P=4 reaches the measured

@@ -112,6 +112,11 @@ impl std::fmt::Display for SlotFormat {
     }
 }
 
+/// The file holding disk `d` of the array under `dir`.
+pub fn disk_path(dir: &Path, d: usize) -> PathBuf {
+    dir.join(format!("disk_{d:04}.bin"))
+}
+
 /// The slot format the record in `dir` states: v1 when there is none,
 /// and a refusal when it holds anything but a record this build wrote.
 fn read_format(dir: &Path) -> Result<SlotFormat> {
@@ -569,7 +574,7 @@ impl<R: Record> FileDiskArray<R> {
         let mut next_free = vec![0u64; geom.d];
         let mut torn_dropped = vec![0u64; geom.d];
         for (d, free) in next_free.iter_mut().enumerate() {
-            let path = dir.join(format!("disk_{d:04}.bin"));
+            let path = disk_path(&dir, d);
             let file = OpenOptions::new()
                 .read(true)
                 .write(true)
@@ -742,6 +747,12 @@ impl<R: Record> FileDiskArray<R> {
     /// Bytes a block slot occupies on disk.
     pub fn slot_bytes(&self) -> usize {
         self.layout.slot_bytes
+    }
+
+    /// Bytes a block slot of an array of `geom` occupies on disk, known
+    /// before any array is opened.
+    pub fn slot_bytes_for(geom: Geometry) -> usize {
+        SlotLayout::new::<R>(geom).slot_bytes
     }
 
     /// Which checksum this array's slots carry.
@@ -1415,6 +1426,24 @@ mod tests {
         let (initial, next) = golden_blocks(rec);
         let frame = |b: &Block<R>| hex(&parity.layer.encode_frame(b).unwrap());
         (frame(&initial), frame(&next))
+    }
+
+    /// What a tool outside the array may know of its files — where disk
+    /// `d` lives and how long a slot is — is what the array itself uses.
+    #[test]
+    fn the_exposed_slot_size_and_disk_path_are_the_arrays() {
+        for (d, b) in [(1, 1), (3, 16), (4, 64)] {
+            let geom = Geometry::new(d, b, 16 * d * b).unwrap();
+            let dir = tmpdir(&format!("exposed-{d}-{b}"));
+            let u64s = FileDiskArray::<U64Record>::create(geom, &dir).unwrap();
+            assert_eq!(FileDiskArray::<U64Record>::slot_bytes_for(geom), u64s.slot_bytes());
+            assert!((0..d).all(|i| disk_path(&dir, i).is_file()));
+            drop(u64s);
+            let kp24 = FileDiskArray::<KeyPayloadRecord<24>>::create(geom, &dir).unwrap();
+            assert_eq!(FileDiskArray::<KeyPayloadRecord<24>>::slot_bytes_for(geom), kp24.slot_bytes());
+            drop(kp24);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// The on-disk slot format, byte for byte: an array written by any

@@ -208,16 +208,17 @@ USAGE:
            [--net-dup R] [--net-delay R] [--net-max-delay K]
            [--partition NODE:FROM:UNTIL]
       Distributed sort that survives node death: a coordinator samples
-      P-1 splitters, routes records to P shard nodes over a
-      fault-injectable message channel, each shard runs a checkpointed
-      SRM sort over its own disk cluster (traces model-checked).  The
+      P-1 splitters and boots P shard nodes, each with its key range;
+      a shard derives its partition itself (the spec's keys in its
+      range, in generation order), so no key crosses the
+      fault-injectable message channel, and runs a checkpointed SRM
+      sort over its own disk cluster (traces model-checked).  The
       shards' sorted, range-disjoint runs are the output, left where the
       shards wrote them: in splitter order, each shard folds its own
       keys onto the global digest the shards before it carried, checking
       the order of every key, so no key crosses to the coordinator.  A
-      shard forms its runs from the partition it received, held in
-      memory, so it never writes its input to disk only to read it
-      back.  Its sort and digest read-back keep their I/O in flight:
+      shard forms its runs from the partition it holds in memory, so
+      it never writes its input to disk only to read it back.  Its sort and digest read-back keep their I/O in flight:
       without either window flag the sort runs pipelined at
       read-ahead 3 (the job default); --pipeline [--read-ahead K] picks
       the depth as for `srm sort`, and --read-ahead 0 alone asks for
@@ -228,12 +229,12 @@ USAGE:
       for runs of only M - 4DB records; without a delay, and on a tie,
       it sorts half-memory loads.  Per shard the report prints its
       formation (load or rs), its passes, and where its time went
-      (stage = receiving the partition / sort / verify / check ms).  Shards are threads by
+      (stage = deriving the partition / sort / verify / check ms).  Shards are threads by
       default; --procs spawns real `srm` child processes so the
       node-death drill is a genuine SIGKILL.  A heartbeat failure detector (--heartbeat-ms /
       --timeout-ms) declares silent nodes dead, fences the old epoch
       (its in-flight I/O fails, its stale messages are discarded), and
-      boots a replacement, which receives its partition again and
+      boots a replacement, which derives its partition again and
       resumes from the shard's last checkpoint manifest (a shard killed
       before its pass-0 manifest forms its runs afresh).  --kill-node
       S@PASS is the drill: kill shard S at pass
@@ -246,7 +247,8 @@ USAGE:
       shards (until the last sort is done) / fold (the chain's tail
       after that; folds of shards that finish early overlap the others'
       sorts).  --net-* and --partition inject seeded channel faults
-      (drop/duplicate/delay/partition windows).  The final digest is
+      (drop/duplicate/delay/partition windows) in thread mode; --procs
+      has no channel and refuses them.  The final digest is
       checked against a centrally sorted oracle; any mismatch exits
       nonzero.
 

@@ -35,8 +35,10 @@ fn distsort(name: &str, extra: &[&str]) -> String {
     cmd.args(extra);
     let out = cmd.output().expect("run srm distsort");
     let gathered = dir.join("global").exists();
+    let keys_files = (0..2).filter(|s| dir.join(format!("shard-{s:03}/keys")).exists()).count();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!gathered, "distsort {extra:?}: the shards' runs are the output; nothing gathers a copy");
+    assert_eq!(keys_files, 0, "distsort {extra:?}: a shard derives its partition; none is written for it");
     assert!(
         out.status.success(),
         "distsort {extra:?} failed\nstdout: {}\nstderr: {}",
@@ -73,6 +75,29 @@ fn distsort_thread_and_procs_modes_agree() {
     );
 }
 
+/// Two records over six shards leave most shards an empty range: a
+/// `--procs` child boots on a directory nobody made for it and journals
+/// its empty output, and both modes agree.
+#[test]
+fn empty_shards_agree_in_both_modes() {
+    let run = |name: &str, extra: &[&str]| {
+        let dir = scratch(name);
+        let out = bin()
+            .args(["distsort", "--shards", "6", "--records", "2", "--d", "2", "--b", "8", "--m", "256"])
+            .args(extra)
+            .arg("--dir")
+            .arg(&dir)
+            .output()
+            .expect("run srm distsort");
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = stdout(&out);
+        assert!(out.status.success(), "{extra:?}: {report}\n{}", String::from_utf8_lossy(&out.stderr));
+        assert!(report.contains(" 0 records"), "{extra:?}: no empty shard\n{report}");
+        digest(&report)
+    };
+    assert_eq!(run("empty-threads", &[]), run("empty-procs", &["--procs"]));
+}
+
 /// The headline drill: `--procs --kill-node` SIGKILLs a real child
 /// process mid-sort; the respawned replacement resumes from its
 /// checkpoint and the output is byte-identical to the clean run.
@@ -104,24 +129,65 @@ fn procs_mode_sigkill_on_the_fold_request_is_byte_identical() {
     assert_eq!(digest(&threads), digest(&killed));
 }
 
-#[test]
-fn distsort_kill_requires_valid_shard() {
-    let dir = scratch("badkill");
+/// Run `srm distsort` on 2 shards with `args`, expecting a refusal
+/// before any shard starts: exit 2, `want` on stderr, no shard
+/// directory.
+fn refused(name: &str, args: &[&str], want: &str) {
+    let dir = scratch(name);
     let out = bin()
-        .args([
-            "distsort", "--shards", "2", "--records", "100", "--kill-node", "9@0",
-        ])
+        .args(["distsort", "--shards", "2", "--records", "2000", "--d", "2", "--b", "8", "--m", "256"])
+        .args(args)
         .arg("--dir")
         .arg(&dir)
         .output()
         .expect("run srm distsort");
+    let shard_dirs = std::fs::read_dir(&dir).map(|d| d.filter(|e| e.is_ok()).count()).unwrap_or(0);
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("out of range"),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: stdout {}\nstderr {err}", stdout(&out));
+    assert!(err.contains("configuration error") && err.contains(want), "{args:?}: stderr {err}");
+    assert!(!stdout(&out).contains("matches the central oracle"), "{args:?} ran");
+    assert_eq!(shard_dirs, 0, "{args:?}: refused, yet it left shard directories");
+}
+
+#[test]
+fn distsort_kill_requires_valid_shard() {
+    refused("badkill", &["--kill-node", "9@0"], "out of range");
+    refused("badkill-procs", &["--procs", "--kill-node", "7@1"], "--kill-node shard 7 out of range");
+}
+
+/// `--corrupt-disk D` with `D` >= the spec's `d` is refused up front in
+/// both modes, not after the kill it rides on.
+#[test]
+fn an_out_of_range_corrupt_disk_is_refused_before_any_shard_starts() {
+    let drill = ["--parity", "--kill-node", "0@1", "--corrupt-disk", "7"];
+    refused("baddisk", &drill, "--corrupt-disk 7 out of range (D = 2)");
+    refused("baddisk-procs", &[&["--procs"][..], &drill].concat(), "--corrupt-disk 7 out of range (D = 2)");
+}
+
+/// `--procs` children talk over pipes: the channel-fault options have
+/// nothing to fault there, so they are refused rather than ignored.
+#[test]
+fn procs_mode_refuses_channel_faults() {
+    refused("netdrop-procs", &["--procs", "--net-drop", "0.5"], "--net-drop");
+    refused("partition-procs", &["--procs", "--partition", "2:0:10"], "--partition");
+}
+
+/// The parity drill fires under `--procs` too: the parent trashes the
+/// victim's disk after reaping it, and the replacement heals it.
+#[test]
+fn procs_mode_corrupt_disk_drill_repairs() {
+    let threads = distsort("corrupt-threads", &[]);
+    let drill = distsort("corrupt-procs", &["--procs", "--parity", "--kill-node", "0@1", "--corrupt-disk", "1"]);
+    assert!(drill.contains("recoveries: 1 total"), "{drill}");
+    let repaired: u64 = drill
+        .lines()
+        .find(|l| l.trim_start().starts_with("shard 0:"))
+        .and_then(|l| l.split(", ").find_map(|f| f.strip_suffix(" repaired")))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no shard 0 line:\n{drill}"));
+    assert!(repaired >= 1, "the replacement must heal the trashed disk:\n{drill}");
+    assert_eq!(digest(&threads), digest(&drill));
 }
 
 /// Satellite drill: a client racing a still-booting server.  The

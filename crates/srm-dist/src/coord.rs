@@ -1,15 +1,12 @@
-//! The coordinator: splitter sampling, record routing, heartbeat failure
-//! detection, fence-and-respawn recovery, and the degraded cross-shard
-//! fold.
+//! The coordinator: splitter sampling, heartbeat failure detection,
+//! fence-and-respawn recovery, and the degraded cross-shard fold.
 //!
 //! The protocol has three phases:
 //!
-//! 1. **Staging** — sample `P − 1` splitters, route every record to its
-//!    shard, and ship each shard's partition in stop-and-wait batches
-//!    (bounded retries with exponential backoff + jitter, reusing the
-//!    [`pdisk::RetryPolicy`] schedule), so staging survives any channel
-//!    fault.  The shard keeps the partition in memory; the coordinator
-//!    keeps its batches, and re-sends them to any replacement that asks.
+//! 1. **Splitting** — sample `P − 1` splitters from the spec's input.
+//!    Shard `s` is booted with its [`KeyRange`] and derives its own
+//!    partition from the spec's generator, so no key crosses the
+//!    channel.
 //! 2. **Sorting** — each shard runs an ordinary checkpointed SRM sort on
 //!    its own disk cluster, forming its runs from the partition it holds
 //!    (its pass-0 manifest is its first durable state); the coordinator
@@ -18,36 +15,36 @@
 //!    output, and stay where the shards wrote them.  The coordinator
 //!    checks and digests them through the [`crate::fold`] chain: shard
 //!    `s` folds its own keys onto the carry as soon as shards `0..=s`
-//!    are done, one request per shard, in the same loop that watches
-//!    heartbeats, so the folds overlap the slower shards' sorts.
+//!    are done, one request per shard (resent with bounded retries,
+//!    exponential backoff and jitter, reusing the [`pdisk::RetryPolicy`]
+//!    schedule), in the same loop that watches heartbeats, so the folds
+//!    overlap the slower shards' sorts.
 //!
 //! The whole time, a heartbeat failure detector watches every shard.  A
 //! silent shard is declared dead, **fenced** (its storage refuses all
 //! further I/O and its epoch is retired), and replaced by a fresh
-//! instance booted on the same durable directory — which is staged
-//! again and resumes from the journaled checkpoint (rebuilding lost
-//! blocks from parity first when `--parity` is on), or forms its runs
-//! afresh when it died before the first one.  The fold does not abort while this happens:
-//! it *stalls* on the dead shard and asks its replacement once that is
-//! done, so a node death degrades throughput, not correctness.
+//! instance booted on the same durable directory — which derives its
+//! partition again and resumes from the journaled checkpoint (rebuilding
+//! lost blocks from parity first when `--parity` is on), or forms its
+//! runs afresh when it died before the first one.  The fold does not
+//! abort while this happens: it *stalls* on the dead shard and asks its
+//! replacement once that is done, so a node death degrades throughput,
+//! not correctness.
 
 use crate::error::{DistError, Result};
 use crate::fold::{Carry, Chain, Step};
 use crate::msg::{Envelope, Msg};
 use crate::net::{Endpoint, NetStats, Network};
 use crate::shard::{run_shard, KillPoint, ShardMs, ShardPlan};
-use crate::split::{route, sample_splitters};
-use pdisk::{NetFaultModel, RetryPolicy, U64Record};
+use crate::split::{sample_splitters, KeyRange};
+use pdisk::{FileDiskArray, Geometry, NetFaultModel, RetryPolicy, U64Record};
 use srm_core::RunFormation;
-use srm_server::{expected_digest, generate_records, JobSpec};
+use srm_server::{expected_digest, JobSpec};
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fence::FenceFlag;
-
-/// Keys per staging batch.
-const STAGE_BATCH: usize = 4096;
 
 /// A `--kill-node` drill: which shard to strike, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,8 +84,8 @@ pub struct DistConfig {
     pub timeout: Duration,
     /// How long one RPC attempt waits before retrying.
     pub rpc_timeout: Duration,
-    /// Retry schedule for staging batches and fold requests (attempt
-    /// count, exponential backoff, jitter).
+    /// Retry schedule for fold requests (attempt count, exponential
+    /// backoff, jitter).
     pub retry: RetryPolicy,
     /// Channel fault regime (drops, delays, duplicates, partitions).
     pub net: NetFaultModel,
@@ -135,7 +132,9 @@ impl DistConfig {
         }
     }
 
-    fn validate(&self) -> Result<()> {
+    /// Refuse a configuration before any shard starts: every drill must
+    /// name a shard, and a disk, that the run has.
+    pub(crate) fn validate(&self, geom: Geometry) -> Result<()> {
         if self.shards == 0 {
             return Err(DistError::Config("at least one shard is required".into()));
         }
@@ -158,6 +157,9 @@ impl DistConfig {
                     "--corrupt-disk destroys data; only --parity can rebuild it".into(),
                 ));
             }
+        }
+        if let Some(disk) = self.corrupt_disk.filter(|&d| d >= geom.d) {
+            return Err(DistError::Config(format!("--corrupt-disk {disk} out of range (D = {})", geom.d)));
         }
         if let Some((shard, _)) = self.fill_write {
             if shard >= self.shards {
@@ -200,10 +202,10 @@ pub struct ShardReport {
 /// Where a distributed sort's wall-clock went, in milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseMs {
-    /// Generate, sample splitters, route.
+    /// Generate the input and sample the splitters.
     pub split: u64,
     /// Spawning the shards until the last one reported its sort done
-    /// (staging included).
+    /// (each shard deriving its partition included).
     pub shards: u64,
     /// The fold's tail: from the last shard's sort done until the carry
     /// has passed every shard.  Folds of shards that finish early run
@@ -284,12 +286,6 @@ impl Resend {
     }
 }
 
-/// A shard's staging progress (stop-and-wait, one batch in flight).
-struct StageProgress {
-    next: usize,
-    resend: Resend,
-}
-
 /// The chain's one outstanding fold request.
 struct Ask {
     shard: usize,
@@ -297,24 +293,13 @@ struct Ask {
     resend: Resend,
 }
 
-/// Where a shard is in its lifecycle, as the coordinator sees it.
-enum Phase {
-    /// Spawned; waiting for its `Hello`.
-    Waiting,
-    /// Feeding it staging batches.
-    Staging(StageProgress),
-    /// It has its input and is sorting.
-    Sorting,
-    /// Its sort is done and it holds its keys for the fold.
-    Done,
-}
-
 /// Coordinator-side state of one node slot.
 struct Node {
     epoch: u64,
     fence: FenceFlag,
     last_seen: Instant,
-    phase: Phase,
+    /// Its sort is done and it holds its keys for the fold.
+    done: bool,
     report: ShardReport,
     recovery_started: Option<Instant>,
     handles: Vec<JoinHandle<()>>,
@@ -323,13 +308,13 @@ struct Node {
 struct Coordinator<'a> {
     spec: &'a JobSpec,
     cfg: &'a DistConfig,
-    geom: pdisk::Geometry,
+    geom: Geometry,
     root: PathBuf,
     net: Network,
     ep: Endpoint,
     nodes: Vec<Node>,
-    batches: Vec<Vec<Vec<u64>>>,
     splitters: Vec<u64>,
+    ranges: Vec<KeyRange>,
     recoveries: u64,
     merge_stalls: u64,
     recovery_ms: Vec<u64>,
@@ -343,49 +328,36 @@ struct Coordinator<'a> {
 /// is that shard's share of the output).  Returns the report; the
 /// directory tree is left in place for the caller to inspect or delete.
 pub fn distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<DistReport> {
-    cfg.validate()?;
     spec.validate()?;
+    cfg.validate(spec.geometry()?)?;
     let started = Instant::now();
-    let (splitters, buckets) = split_input(spec, cfg.shards);
+    let splitters = sample_input(spec, cfg.shards);
     let split = started.elapsed();
-    let mut report = distsort_routed(spec, cfg, root, splitters, buckets)?;
+    let ranges = (0..cfg.shards).map(|s| KeyRange::of(&splitters, s)).collect();
+    let mut report = distsort_ranged(spec, cfg, root, splitters, ranges)?;
     report.phase_ms.split = split.as_millis() as u64;
     report.elapsed_ms = started.elapsed().as_millis() as u64;
     Ok(report)
 }
 
-/// Phase 0, shared by both modes: generate, sample, route.  Splitters
-/// are a pure function of (spec, P), so any replacement re-staged later
-/// gets the same partition the failure-free run would have.
-pub(crate) fn split_input(spec: &JobSpec, shards: u32) -> (Vec<u64>, Vec<Vec<u64>>) {
-    let records = generate_records(spec.records, spec.seed);
-    let splitters = sample_splitters(&records, shards, spec.seed);
-    let buckets = route(&records, &splitters, shards);
-    (splitters, buckets)
+/// Phase 0, shared by both modes: generate the input and sample its
+/// splitters, a pure function of (spec, P) — so any replacement derives
+/// the partition the failure-free run sorted.
+pub(crate) fn sample_input(spec: &JobSpec, shards: u32) -> Vec<u64> {
+    sample_splitters(&spec.input_records(), shards, spec.seed)
 }
 
-/// Everything after the split: stage `buckets[s]` to shard `s`, sort,
+/// Everything after the split: boot shard `s` on `ranges[s]`, sort,
 /// fold.
-fn distsort_routed(
+fn distsort_ranged(
     spec: &JobSpec,
     cfg: &DistConfig,
     root: &Path,
     splitters: Vec<u64>,
-    buckets: Vec<Vec<u64>>,
+    ranges: Vec<KeyRange>,
 ) -> Result<DistReport> {
     std::fs::create_dir_all(root)
         .map_err(|e| DistError::Io(format!("create {}: {e}", root.display())))?;
-    let batches: Vec<Vec<Vec<u64>>> = buckets
-        .into_iter()
-        .map(|bucket| {
-            if bucket.is_empty() {
-                vec![Vec::new()] // one empty, final batch
-            } else {
-                bucket.chunks(STAGE_BATCH).map(<[u64]>::to_vec).collect()
-            }
-        })
-        .collect();
-
     let (net, mut endpoints) = Network::new(cfg.shards + 1, cfg.net.clone());
     let ep = endpoints.pop().ok_or_else(|| {
         DistError::Net("network built without a coordinator endpoint".into())
@@ -399,8 +371,8 @@ fn distsort_routed(
         net,
         ep,
         nodes: Vec::new(),
-        batches,
         splitters,
+        ranges,
         recoveries: 0,
         merge_stalls: 0,
         recovery_ms: Vec::new(),
@@ -409,8 +381,8 @@ fn distsort_routed(
         ask: None,
     };
 
-    // Spawn every shard (the drill target armed), then drive staging,
-    // heartbeats and the fold until the carry has passed every shard.
+    // Spawn every shard (the drill target armed), then drive heartbeats
+    // and the fold until the carry has passed every shard.
     let now = Instant::now();
     for (shard, endpoint) in endpoints.into_iter().enumerate() {
         let shard = shard as u32;
@@ -423,7 +395,7 @@ fn distsort_routed(
             epoch: 0,
             fence,
             last_seen: now,
-            phase: Phase::Waiting,
+            done: false,
             report: ShardReport::default(),
             recovery_started: None,
             handles: vec![handle],
@@ -442,9 +414,10 @@ fn distsort_routed(
 pub(crate) fn plan_for(
     spec: &JobSpec,
     cfg: &DistConfig,
-    geom: pdisk::Geometry,
+    geom: Geometry,
     root: &Path,
     shard: u32,
+    keys: KeyRange,
     kill: Option<KillPoint>,
 ) -> ShardPlan {
     let salt = (u64::from(shard) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -453,6 +426,8 @@ pub(crate) fn plan_for(
         shards: cfg.shards,
         dir: root.join(format!("shard-{shard:03}")),
         geom,
+        spec: spec.clone(),
+        keys,
         sorter: JobSpec {
             seed: spec.seed.wrapping_add(salt),
             ..spec.clone()
@@ -475,20 +450,13 @@ pub(crate) fn plan_for(
 /// trailing) slots so the damage lands on checkpointed runs rather than
 /// in the reopen recovery's torn-tail window, and `0xFF` fill so every
 /// touched frame fails its checksum instead of decoding by accident.
-fn corrupt_disk_file(plan: &ShardPlan, disk: usize) -> Result<()> {
-    use pdisk::Record as _;
-    if disk >= plan.geom.d {
-        return Err(DistError::Config(format!(
-            "--corrupt-disk {disk} out of range (D = {})",
-            plan.geom.d
-        )));
-    }
-    let path = plan.disks_dir().join(format!("disk_{disk:04}.bin"));
+/// [`DistConfig::validate`] has checked `disk` against the geometry.
+pub(crate) fn corrupt_disk_file(plan: &ShardPlan, disk: usize) -> Result<()> {
+    let path = pdisk::file::disk_path(&plan.disks_dir(), disk);
     let io = |e: std::io::Error| DistError::Io(format!("corrupt {}: {e}", path.display()));
-    let slot_bytes =
-        8 + 8 + 8 * plan.geom.d.max(1) + plan.geom.b * U64Record::ENCODED_LEN;
+    let slot_bytes = FileDiskArray::<U64Record>::slot_bytes_for(plan.geom) as u64;
     let len = std::fs::metadata(&path).map_err(io)?.len();
-    let damage = ((slot_bytes * 6) as u64).min(len) as usize;
+    let damage = (slot_bytes * 6).min(len) as usize;
     let file = std::fs::OpenOptions::new()
         .write(true)
         .open(&path)
@@ -500,7 +468,7 @@ fn corrupt_disk_file(plan: &ShardPlan, disk: usize) -> Result<()> {
 
 impl Coordinator<'_> {
     fn plan(&self, shard: u32, kill: Option<KillPoint>) -> ShardPlan {
-        plan_for(self.spec, self.cfg, self.geom, &self.root, shard, kill)
+        plan_for(self.spec, self.cfg, self.geom, &self.root, shard, self.ranges[shard as usize], kill)
     }
 
     fn run(&mut self) -> Result<DistReport> {
@@ -510,7 +478,7 @@ impl Coordinator<'_> {
             let done: Vec<Option<u64>> = self
                 .nodes
                 .iter()
-                .map(|n| matches!(n.phase, Phase::Done).then_some(n.report.records))
+                .map(|n| n.done.then_some(n.report.records))
                 .collect();
             if sorted.is_none() && done.iter().all(Option::is_some) {
                 sorted = Some(spawned.elapsed());
@@ -568,46 +536,6 @@ impl Coordinator<'_> {
         }
         self.nodes[s].last_seen = Instant::now();
         match env.msg {
-            Msg::Hello { needs_input, .. } => {
-                // Only a `Waiting` node's Hello moves the state machine:
-                // shards re-announce while unacknowledged, and the
-                // channel can duplicate or delay, so a Hello arriving
-                // after progress (staging underway, or even SortDone)
-                // must be a no-op — never a phase regression.
-                if matches!(self.nodes[s].phase, Phase::Waiting) {
-                    if needs_input {
-                        self.nodes[s].phase = Phase::Staging(StageProgress {
-                            next: 0,
-                            resend: Resend::new(self.cfg),
-                        });
-                        self.send_batch(s, 0);
-                    } else {
-                        // Its output is durable: SortDone follows.
-                        self.nodes[s].phase = Phase::Sorting;
-                    }
-                }
-            }
-            Msg::StageAck { seq } => {
-                let total = self.batches[s].len();
-                let mut advance = None;
-                if let Phase::Staging(p) = &mut self.nodes[s].phase {
-                    if seq as usize == p.next {
-                        p.next += 1;
-                        p.resend = Resend::new(self.cfg);
-                        advance = Some(p.next);
-                    }
-                }
-                match advance {
-                    Some(next) if next >= total => self.nodes[s].phase = Phase::Sorting,
-                    Some(next) => self.send_batch(s, next),
-                    None => {}
-                }
-            }
-            Msg::Staged { .. } => {
-                if matches!(self.nodes[s].phase, Phase::Staging(_)) {
-                    self.nodes[s].phase = Phase::Sorting;
-                }
-            }
             Msg::SortDone {
                 records,
                 blocks,
@@ -629,7 +557,7 @@ impl Coordinator<'_> {
                 node.report.trace_clean = trace_clean;
                 node.report.repaired += repaired;
                 node.report.ms = ms;
-                node.phase = Phase::Done;
+                node.done = true;
                 if let Some(t) = node.recovery_started.take() {
                     self.recovery_ms.push(t.elapsed().as_millis() as u64);
                 }
@@ -653,48 +581,20 @@ impl Coordinator<'_> {
             // Shard-bound kinds cannot arrive on the coordinator's
             // mailbox; named, since a wildcard is denied here, so no
             // shard message is ever silently swallowed.
-            Msg::Stage { .. } | Msg::Fold { .. } | Msg::Shutdown => {}
+            Msg::Fold { .. } | Msg::Shutdown => {}
         }
         Ok(())
     }
 
-    fn send_batch(&mut self, shard: usize, seq: usize) {
-        let batches = &self.batches[shard];
-        let Some(batch) = batches.get(seq) else {
-            return;
-        };
-        self.ep.send(
-            shard as u32,
-            self.nodes[shard].epoch,
-            Msg::Stage {
-                seq: seq as u64,
-                keys: batch.clone(),
-                last: seq + 1 == batches.len(),
-            },
-        );
-    }
-
-    /// The periodic work: staging and fold retransmits, and the failure
-    /// detector.
+    /// The periodic work: the failure detector and the fold request's
+    /// retransmits.
     fn tick(&mut self) -> Result<()> {
         let now = Instant::now();
         for s in 0..self.nodes.len() {
-            // Failure detector: a silent node is dead (or unreachable,
-            // which must be treated the same — fencing makes the
-            // distinction harmless).
+            // A silent node is dead (or unreachable, which must be
+            // treated the same — fencing makes the distinction harmless).
             if now.duration_since(self.nodes[s].last_seen) > self.cfg.timeout {
                 self.recover(s)?;
-                continue;
-            }
-            // Stop-and-wait retransmission with backoff + jitter.
-            self.rpc_nonce += 1;
-            if let Phase::Staging(p) = &mut self.nodes[s].phase {
-                let seq = p.next;
-                match p.resend.poll(now, self.cfg, self.rpc_nonce) {
-                    Due::NotYet => {}
-                    Due::Resend => self.send_batch(s, seq),
-                    Due::Exhausted => self.recover(s)?,
-                }
             }
         }
         // The fold request is polled only while its shard is done: one
@@ -702,7 +602,7 @@ impl Coordinator<'_> {
         self.rpc_nonce += 1;
         if let Some(ask) = &mut self.ask {
             let s = ask.shard;
-            if matches!(self.nodes[s].phase, Phase::Done) {
+            if self.nodes[s].done {
                 match ask.resend.poll(now, self.cfg, self.rpc_nonce) {
                     Due::NotYet => {}
                     Due::Resend => self.send_fold(),
@@ -758,7 +658,7 @@ impl Coordinator<'_> {
         let node = &mut self.nodes[s];
         node.handles.push(handle);
         node.last_seen = Instant::now();
-        node.phase = Phase::Waiting;
+        node.done = false;
         if node.recovery_started.is_none() {
             node.recovery_started = Some(Instant::now());
         }
@@ -807,11 +707,11 @@ mod tests {
         let (pipelined, cfg, root) = (small_spec(), DistConfig::new(3), scratch("windows"));
         let blocking = JobSpec { pipeline: false, ..small_spec() };
         let geom = pipelined.geometry().unwrap();
-        let (_, buckets) = split_input(&pipelined, cfg.shards);
-        for (shard, bucket) in buckets.iter().enumerate() {
-            let keys: Vec<U64Record> = bucket.iter().copied().map(U64Record).collect();
+        let splitters = sample_input(&pipelined, cfg.shards);
+        for shard in 0..cfg.shards {
             let sort = |spec: &JobSpec| {
-                let plan = plan_for(spec, &cfg, geom, &root, shard as u32, None);
+                let plan = plan_for(spec, &cfg, geom, &root, shard, KeyRange::of(&splitters, shard), None);
+                let keys = plan.partition();
                 assert_ne!(plan.sorter.config().seed, spec.seed);
                 std::fs::create_dir_all(&plan.dir).unwrap();
                 let mut cluster = open_base(&plan, true).unwrap();
@@ -839,16 +739,21 @@ mod tests {
         dir
     }
 
-    /// Swap two shards' partitions: every shard still sorts cleanly, but
+    fn ranges(splitters: &[u64], shards: u32) -> Vec<KeyRange> {
+        (0..shards).map(|s| KeyRange::of(splitters, s)).collect()
+    }
+
+    /// Swap two shards' key ranges: every shard still sorts cleanly, but
     /// the runs no longer ascend in splitter order — the fold must
     /// refuse with the typed order error rather than digest a
     /// mis-ordered output.
     #[test]
     fn swapped_partitions_fail_the_order_check() {
         let (spec, cfg, dir) = (small_spec(), DistConfig::new(3), scratch("swap"));
-        let (splitters, mut buckets) = split_input(&spec, cfg.shards);
-        buckets.swap(0, 1);
-        let err = distsort_routed(&spec, &cfg, &dir, splitters.clone(), buckets).unwrap_err();
+        let splitters = sample_input(&spec, cfg.shards);
+        let mut swapped = ranges(&splitters, cfg.shards);
+        swapped.swap(0, 1);
+        let err = distsort_ranged(&spec, &cfg, &dir, splitters.clone(), swapped).unwrap_err();
         let _ = std::fs::remove_dir_all(&dir);
         match err {
             DistError::Order { shard: 1, first: 0, key, prev } => {
@@ -864,15 +769,11 @@ mod tests {
     #[test]
     fn empty_leading_and_middle_shards_are_skipped() {
         let (spec, cfg, dir) = (small_spec(), DistConfig::new(5), scratch("holes"));
-        let records = generate_records(spec.records, spec.seed);
         let splitters = vec![0, 1 << 63, 1 << 63, 1 << 63];
-        let buckets = route(&records, &splitters, cfg.shards);
-        assert_eq!(
-            buckets.iter().map(|b| b.is_empty()).collect::<Vec<_>>(),
-            [true, false, true, true, false]
-        );
-        let report = distsort_routed(&spec, &cfg, &dir, splitters, buckets).unwrap();
+        let report = distsort_ranged(&spec, &cfg, &dir, splitters.clone(), ranges(&splitters, cfg.shards)).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+        let records: Vec<u64> = report.per_shard.iter().map(|s| s.records).collect();
+        assert_eq!(records.iter().map(|&n| n == 0).collect::<Vec<_>>(), [true, false, true, true, false]);
         assert!(report.oracle_ok);
         assert_eq!(report.records, spec.records);
         assert_eq!((report.merge_stalls, report.recoveries), (0, 0));

@@ -1,9 +1,9 @@
 //! The cross-shard fold, one chain for thread and process mode.
 //!
-//! [`crate::split::shard_of`] is monotone in the key and the splitters
-//! are a pure function of `(spec, P)`, so every key of shard `i` is
-//! `<=` every key of shard `i + 1`: the global output *is* the shards'
-//! sorted runs **in splitter order**, left where the shards wrote them.
+//! The shards' [`crate::split::KeyRange`]s ascend with the shard index
+//! and the splitters are a pure function of `(spec, P)`, so every key of
+//! shard `i` is `<=` every key of shard `i + 1`: the global output *is*
+//! the shards' sorted runs **in splitter order**, left where the shards wrote them.
 //! What the oracle needs of it — the FNV-1a digest of every key in
 //! order, `key >= previous` on every key, and the record count — is a
 //! left fold, so it travels as a [`Carry`]: the coordinator asks each

@@ -4,7 +4,8 @@
 //! pieces the rest of the workspace already trusts:
 //!
 //! - **Partitioning** ([`split`]): sample-based range splitters
-//!   (Rahn/Sanders/Singler style) route every record to a shard; shard
+//!   (Rahn/Sanders/Singler style) give each shard a key range, and the
+//!   shard derives its partition from the spec's generator itself; shard
 //!   sorts then never need to talk to each other, and their sorted runs
 //!   in splitter order are the output.
 //! - **Transport** ([`net`], [`pdisk::NetFaultModel`]): an in-process
@@ -58,4 +59,4 @@ pub use msg::{Envelope, Msg};
 pub use net::{Endpoint, NetSender, NetStats, Network};
 pub use procs::{run_procs, shard_run_standalone};
 pub use shard::{KillPoint, OutputMeta, ShardMs, ShardPlan};
-pub use split::{route, sample_splitters, shard_of};
+pub use split::{sample_splitters, KeyRange};

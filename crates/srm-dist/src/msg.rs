@@ -10,26 +10,14 @@
 
 use crate::fold::{Carry, Disorder};
 
-/// One message.  Keys travel only in [`Msg::Stage`], as raw `u64`s
-/// ([`pdisk::U64Record`] is its key), which keeps the vocabulary
-/// independent of record layout.
+/// One message.  No message carries keys: each shard derives its own
+/// partition from the spec ([`crate::split::KeyRange`]), and the fold
+/// travels as a [`Carry`].
 /// Each dispatch `match` on it denies clippy's wildcard-arm lints, so it
 /// names every kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
     // ── coordinator → shard ──────────────────────────────────────────
-    /// One batch of the shard's input partition.  Stop-and-wait: the
-    /// coordinator sends batch `seq` and retries it until [`Msg::StageAck`]
-    /// for `seq` arrives; the shard deduplicates by `seq`, so drops,
-    /// delays, and duplicates are all safe.
-    Stage {
-        /// Batch sequence number, starting at 0.
-        seq: u64,
-        /// The records (keys) in this batch.
-        keys: Vec<u64>,
-        /// True on the final batch: the shard may sort.
-        last: bool,
-    },
     /// Fold the shard's sorted run onto `carry`, the state the shards
     /// before it in splitter order left.  Sent once the shard's sort is
     /// done and every shard before it is folded; resent until
@@ -43,26 +31,6 @@ pub enum Msg {
     Shutdown,
 
     // ── shard → coordinator ──────────────────────────────────────────
-    /// Sent once on boot: what the shard found in its durable directory.
-    Hello {
-        /// The shard needs its partition: every boot but one on a
-        /// finished directory, since the partition is never made durable
-        /// on the shard (a resume re-receives it before its manifest).
-        needs_input: bool,
-    },
-    /// Acknowledge staging batch `seq`.
-    StageAck {
-        /// Sequence number being acknowledged.
-        seq: u64,
-    },
-    /// The shard holds its whole partition and starts sorting it.
-    /// Nothing of it is durable yet: the pass-0 manifest is the shard's
-    /// first durable state, so the coordinator keeps the partition for
-    /// any replacement that asks again.
-    Staged {
-        /// Records received.
-        records: u64,
-    },
     /// Liveness beacon, sent every heartbeat interval.
     Heartbeat,
     /// A pass boundary was reached (0 = run formation done).

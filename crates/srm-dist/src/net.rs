@@ -225,7 +225,7 @@ mod tests {
     use pdisk::NetFaultModel;
 
     fn ping(i: u64) -> Msg {
-        Msg::StageAck { seq: i }
+        Msg::Pass { pass: i }
     }
 
     #[test]
@@ -256,7 +256,7 @@ mod tests {
         }
         let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
             .map(|e| match e.msg {
-                Msg::StageAck { seq } => seq,
+                Msg::Pass { pass } => pass,
                 _ => u64::MAX,
             })
             .collect();
@@ -275,7 +275,7 @@ mod tests {
         }
         let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
             .map(|e| match e.msg {
-                Msg::StageAck { seq } => seq,
+                Msg::Pass { pass } => pass,
                 _ => u64::MAX,
             })
             .collect();
@@ -293,7 +293,7 @@ mod tests {
         }
         let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
             .map(|e| match e.msg {
-                Msg::StageAck { seq } => seq,
+                Msg::Pass { pass } => pass,
                 _ => u64::MAX,
             })
             .collect();
@@ -314,7 +314,7 @@ mod tests {
         a.send(1, 0, ping(3)); // global 3: healed, delivered
         let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
             .map(|e| match e.msg {
-                Msg::StageAck { seq } => seq,
+                Msg::Pass { pass } => pass,
                 _ => u64::MAX,
             })
             .collect();

@@ -1,11 +1,11 @@
 //! Process mode (`--procs`): each shard is a real child `srm` process,
 //! so node death is a genuine `SIGKILL`, not a simulation.
 //!
-//! The parent routes each shard's partition to a durable `keys` file in
-//! the shard's directory (the staging channel of thread mode, made
-//! trivially reliable), writes the job spec and dist settings to plan
-//! files at the root, and spawns one `srm shard-run --root R --shard I`
-//! child per shard.  Children speak a line protocol on stdout:
+//! The parent samples the splitters, writes the job spec and the dist
+//! settings (splitters included) to plan files at the root, and spawns
+//! one `srm shard-run --root R --shard I` child per shard, which derives
+//! its partition from the two as a thread-mode shard does.  Children
+//! speak a line protocol on stdout:
 //!
 //! ```text
 //! PASS <k>                        pass boundary k reached (before its snapshot)
@@ -24,15 +24,18 @@
 //! The `--kill-node N@P` drill arms child `N`: at boundary `P` it prints
 //! `KILLME` and parks *before the checkpoint snapshot*, and the parent
 //! answers with `kill -9` — after which a replacement child is spawned
-//! on the same directory, reads its `keys` file again and resumes from
+//! on the same directory, derives its partition again and resumes from
 //! the journaled manifest (or, killed before the pass-0 snapshot, forms
-//! its runs afresh), exactly like thread mode.  `N@merge` parks the
-//! same way when the fold request arrives; its replacement boots on the
-//! finished directory, reads its keys back and is asked again.  Any
-//! child that dies before the chain has passed it (drill or otherwise)
-//! is likewise replaced, up to the recovery cap.
+//! its runs afresh), exactly like thread mode; with `--parity`,
+//! `--corrupt-disk D` trashes disk `D` of the victim's cluster between
+//! the reaping and the respawn.  `N@merge` parks the same way when the
+//! fold request arrives; its replacement boots on the finished
+//! directory, reads its keys back and is asked again.  Any child that
+//! dies before the chain has passed it (drill or otherwise) is likewise
+//! replaced, up to the recovery cap.  There is no message channel, so
+//! the channel-fault options (`--net-*`, `--partition`) are refused.
 
-use crate::coord::{plan_for, split_input, DistConfig, DistReport, PhaseMs, ShardReport};
+use crate::coord::{corrupt_disk_file, plan_for, sample_input, DistConfig, DistReport, PhaseMs, ShardReport};
 use crate::error::{DistError, Result};
 use crate::fence::FenceFlag;
 use crate::fold::{Carry, Chain, Disorder, Step};
@@ -40,10 +43,11 @@ use crate::net::NetStats;
 use crate::shard::{
     atomic_write, inspect_dir, read_output, sort_shard, Boot, KillPoint, Outcome, OutputMeta, ShardPlan,
 };
+use crate::split::KeyRange;
 use pdisk::U64Record;
 use srm_server::{expected_digest, JobSpec};
 use std::io::{BufRead, BufReader, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
@@ -69,53 +73,59 @@ fn three(rest: &str) -> Option<[u64; 3]> {
 }
 
 /// Write the plan files a `shard-run` child reads: the job spec and the
-/// dist settings, both in the `key value` line format.
-fn write_plan(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<()> {
+/// dist settings with the splitters, both in the `key value` line format.
+fn write_plan(spec: &JobSpec, cfg: &DistConfig, splitters: &[u64], root: &Path) -> Result<()> {
     atomic_write(&root.join("spec"), &spec.encode())?;
+    let splitters: Vec<String> = splitters.iter().map(u64::to_string).collect();
     let dist = format!(
-        "shards {}\nparity {}\nio-delay-us {}\n",
+        "shards {}\nparity {}\nio-delay-us {}\nsplitters {}\n",
         cfg.shards,
         cfg.parity,
-        cfg.io_delay.as_micros()
+        cfg.io_delay.as_micros(),
+        splitters.join(" ")
     );
     atomic_write(&root.join("dist"), &dist)
 }
 
 /// Read the plan files back (child side).
-fn read_plan(root: &Path) -> Result<(JobSpec, DistConfig)> {
+fn read_plan(root: &Path) -> Result<(JobSpec, DistConfig, Vec<u64>)> {
     let read = |name: &str| {
         let p = root.join(name);
         std::fs::read_to_string(&p)
             .map_err(|e| DistError::Io(format!("read {}: {e}", p.display())))
     };
     let spec = JobSpec::decode(&read("spec")?).map_err(DistError::Job)?;
-    let mut cfg = DistConfig::new(1);
+    let (mut cfg, mut splitters) = (DistConfig::new(1), Vec::new());
     for line in read("dist")?.lines().map(str::trim).filter(|l| !l.is_empty()) {
         let bad = || DistError::Io(format!("bad dist plan line `{line}`"));
-        let (k, v) = line.split_once(' ').ok_or_else(bad)?;
+        // One shard has no splitters: its line is the bare key.
+        let (k, v) = line.split_once(' ').unwrap_or((line, ""));
         match k {
             "shards" => cfg.shards = v.parse().map_err(|_| bad())?,
             "parity" => cfg.parity = v.parse().map_err(|_| bad())?,
             "io-delay-us" => {
                 cfg.io_delay = Duration::from_micros(v.parse().map_err(|_| bad())?)
             }
+            "splitters" => {
+                let keys: std::result::Result<Vec<u64>, _> = v.split_whitespace().map(str::parse).collect();
+                splitters = keys.map_err(|_| bad())?;
+            }
             _ => return Err(bad()),
         }
     }
-    Ok((spec, cfg))
-}
-
-fn keys_path(plan: &ShardPlan) -> PathBuf {
-    plan.dir.join("keys")
+    if splitters.len() + 1 != cfg.shards as usize {
+        return Err(DistError::Io(format!("dist plan has {} splitters for {} shards", splitters.len(), cfg.shards)));
+    }
+    Ok((spec, cfg, splitters))
 }
 
 /// Entry point of the hidden `srm shard-run` subcommand: run one shard
 /// incarnation in this process, speaking the line protocol.  `arm_kill`
 /// is the drill point (first incarnation of the drill target only).
 pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<KillPoint>) -> Result<()> {
-    let (spec, cfg) = read_plan(root)?;
+    let (spec, cfg, splitters) = read_plan(root)?;
     let geom = spec.geometry()?;
-    let plan = plan_for(&spec, &cfg, geom, root, shard, None);
+    let plan = plan_for(&spec, &cfg, geom, root, shard, KeyRange::of(&splitters, shard), None);
 
     // Never fired: death here is a real SIGKILL.
     let fence = FenceFlag::new();
@@ -124,18 +134,6 @@ pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<KillPoint>
     if let Boot::Done(meta) = inspect_dir(&plan)? {
         return answer_fold(&plan, &read_output(&plan, &fence, &meta)?, arm_kill);
     }
-    // Every other boot reads its partition from the `keys` file, the
-    // channel of this mode.
-    let clock = Instant::now();
-    let path = keys_path(&plan);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| DistError::Io(format!("read {}: {e}", path.display())))?;
-    let bad = |line: &str| DistError::Io(format!("bad key line `{line}` in {}", path.display()));
-    let keys: Vec<U64Record> = (text.lines().map(str::trim).filter(|l| !l.is_empty()))
-        .map(|line| line.parse().map(U64Record).map_err(|_| bad(line)))
-        .collect::<Result<_>>()?;
-    let stage_ms = clock.elapsed().as_millis() as u64;
-
     let mut on_pass = |pass: u64| {
         if arm_kill == Some(KillPoint::Pass(pass)) {
             // Park before the snapshot and wait for the parent's kill -9:
@@ -144,7 +142,7 @@ pub fn shard_run_standalone(root: &Path, shard: u32, arm_kill: Option<KillPoint>
         }
         say(&format!("PASS {pass}"));
     };
-    match sort_shard(&plan, &fence, &keys, stage_ms, &mut on_pass)? {
+    match sort_shard(&plan, &fence, &mut on_pass)? {
         Outcome::Done(_, keys) => answer_fold(&plan, &keys, arm_kill),
         // Unreachable: plan.kill is None in process mode (the drill is
         // the parent's SIGKILL), but handle it as a clean exit anyway.
@@ -247,26 +245,26 @@ fn spawn_child(
 /// `srm` binary to spawn (normally `std::env::current_exe()`).
 pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> Result<DistReport> {
     spec.validate()?;
+    let geom = spec.geometry()?;
+    cfg.validate(geom)?;
+    if cfg.net.is_active() {
+        return Err(DistError::Config(
+            "--net-drop, --net-dup, --net-delay and --partition fault thread mode's message channel, \
+             which --procs does not have (its children talk over pipes)"
+                .into(),
+        ));
+    }
+    if cfg.fill_write.is_some() {
+        return Err(DistError::Config("the disk-full drill runs in thread mode only".into()));
+    }
     let started = Instant::now();
+    let splitters = sample_input(spec, cfg.shards);
+    let split = started.elapsed();
     std::fs::create_dir_all(root)
         .map_err(|e| DistError::Io(format!("create {}: {e}", root.display())))?;
-    write_plan(spec, cfg, root)?;
-
-    // Route each shard's partition to a durable keys file.
-    let (splitters, buckets) = split_input(spec, cfg.shards);
-    let split = started.elapsed();
-    let geom = spec.geometry()?;
-    let plans: Vec<ShardPlan> = (0..cfg.shards).map(|s| plan_for(spec, cfg, geom, root, s, None)).collect();
-    for (plan, bucket) in plans.iter().zip(&buckets) {
-        std::fs::create_dir_all(&plan.dir)
-            .map_err(|e| DistError::Io(format!("create {}: {e}", plan.dir.display())))?;
-        let mut text = String::with_capacity(bucket.len() * 12);
-        for k in bucket {
-            text.push_str(&k.to_string());
-            text.push('\n');
-        }
-        atomic_write(&keys_path(plan), &text)?;
-    }
+    write_plan(spec, cfg, &splitters, root)?;
+    let plans: Vec<ShardPlan> =
+        (0..cfg.shards).map(|s| plan_for(spec, cfg, geom, root, s, KeyRange::of(&splitters, s), None)).collect();
 
     // Spawn the fleet (the drill target armed), supervise, and drive the
     // fold as children finish.
@@ -364,8 +362,13 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
                 // Died before the chain passed it: drill kill or crash —
                 // either way, fence is implicit (the process is gone and
                 // its locks released); boot a replacement on the same
-                // directory, and ask it again if it was asked.
+                // directory, and ask it again if it was asked.  The
+                // drill's victim may take part of a disk with it first.
                 done[s] = None;
+                let victim = cfg.kill.is_some_and(|k| k.shard == shard) && reports[s].recoveries == 0;
+                if let Some(disk) = cfg.corrupt_disk.filter(|_| victim) {
+                    corrupt_disk_file(&plans[s], disk)?;
+                }
                 if asked == Some(s) {
                     asked = None;
                     merge_stalls += 1;

@@ -10,31 +10,33 @@
 //!   parity.store    rotating-parity sidecar (with `--parity`)
 //!   manifest[.prev] checkpoint manifests (journaled by srm-core)
 //!   output          journaled output descriptor + digest (sort finished)
-//!   keys            the routed partition (`--procs` only)
 //! ```
 //!
-//! The shard forms its runs from the partition it holds in memory, so
-//! the pass-0 manifest is its first durable state.  Every transition is
-//! journaled (temp + fsync + rename), so a **replacement node booted on
-//! the same directory** re-derives where its predecessor died: `output`
-//! present → read its keys back for the fold; otherwise it receives its
-//! partition again and resumes from the newest valid manifest on the
-//! existing cluster (rebuilding from parity first when configured), or,
-//! with none, forms its runs afresh on a new cluster.  Every path ends
-//! byte-identical to the failure-free run, because the checkpoint
-//! fast-forwards the placement RNG and the partition is a pure function
-//! of the spec.
+//! The shard derives its partition itself: it streams the spec's input
+//! generator and keeps the keys of its [`KeyRange`], in generation
+//! order, in memory, and forms its runs from them — so the pass-0
+//! manifest is its first durable state, and no key ever reaches it over
+//! the channel.  Every transition is journaled (temp + fsync + rename),
+//! so a **replacement node booted on the same directory** re-derives
+//! where its predecessor died: `output` present → read its keys back for
+//! the fold; otherwise it derives its partition again and resumes from
+//! the newest valid manifest on the existing cluster (rebuilding from
+//! parity first when configured), or, with none, forms its runs afresh
+//! on a new cluster.  Every path ends byte-identical to the failure-free
+//! run, because the checkpoint fast-forwards the placement RNG and the
+//! partition is a pure function of the spec and the splitters.
 
 use crate::error::{DistError, Result};
 use crate::fence::{FenceFlag, Fenced};
 use crate::msg::Msg;
 use crate::net::{Endpoint, NetSender};
+use crate::split::KeyRange;
 use pdisk::{
     BuiltStack, DiskArray, FaultModel, FileDiskArray, Geometry, ParitySpec, PdiskError,
     RetryPolicy, StackSpec, StripedRun, U64Record,
 };
 use srm_core::{read_run, scrub_runs, Input, SrmError, SrmSorter};
-use srm_server::{decode_run, digest_keys, encode_run};
+use srm_server::{decode_run, digest_keys, encode_run, JobSpec};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
@@ -82,6 +84,11 @@ pub struct ShardPlan {
     pub dir: PathBuf,
     /// Per-shard disk-array geometry.
     pub geom: Geometry,
+    /// The job: its input generator is the stream the shard takes its
+    /// partition from.
+    pub spec: JobSpec,
+    /// The keys this shard owns, from the coordinator's splitters.
+    pub keys: KeyRange,
     /// The shard's sorter: the spec's placement, formation, `pipeline`
     /// and `read_ahead` under a per-shard seed derived deterministically
     /// from the spec's, on the cluster's device time.  Identical across
@@ -131,16 +138,12 @@ impl ShardPlan {
     pub fn parity_store(&self) -> PathBuf {
         self.dir.join("parity.store")
     }
-}
 
-/// How a shard instance ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exit {
-    /// Ran to completion (shutdown received).
-    Completed,
-    /// Simulated death: the instance stopped mid-flight without a word
-    /// (kill drill or fence), exactly like a crashed process.
-    Killed,
+    /// The shard's partition: the spec's keys in its range, in
+    /// generation order.
+    pub fn partition(&self) -> Vec<U64Record> {
+        self.keys.partition(self.spec.input_keys())
+    }
 }
 
 /// How one sort incarnation ended.
@@ -159,8 +162,8 @@ pub enum Outcome {
 /// plan's window, the verification read keeps a few stripes in flight.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMs {
-    /// Receiving the partition: from the `Hello` to its last batch
-    /// (under `--procs`, reading the `keys` file).  Nothing is written.
+    /// Deriving the partition from the spec's generator.  Nothing is
+    /// written.
     pub stage: u64,
     /// The checkpointed sort (of a resumed incarnation: what was left).
     pub sort: u64,
@@ -311,41 +314,40 @@ pub(crate) fn open_base(plan: &ShardPlan, create: bool) -> Result<FileDiskArray<
 pub(crate) enum Boot {
     /// Output descriptor present: read its keys back for the fold.
     Done(OutputMeta),
-    /// No output: ask for the partition, then sort it (resuming from the
+    /// No output: derive the partition and sort it (resuming from the
     /// manifest when one loads).
-    Stage,
+    Sort,
 }
 
+/// Boot on the shard's directory, creating it on the first boot.
 pub(crate) fn inspect_dir(plan: &ShardPlan) -> Result<Boot> {
+    std::fs::create_dir_all(&plan.dir)
+        .map_err(|e| DistError::Io(format!("create {}: {e}", plan.dir.display())))?;
     let path = plan.output_path();
     if !path.exists() {
-        return Ok(Boot::Stage);
+        return Ok(Boot::Sort);
     }
     let text = std::fs::read_to_string(&path)
         .map_err(|e| DistError::Io(format!("read {}: {e}", path.display())))?;
     Ok(Boot::Done(OutputMeta::parse(&text)?))
 }
 
-/// Run one sort incarnation of the received partition `keys` end to
-/// end: build the protective stack, rebuild from parity when resuming,
-/// trace the whole thing, sort with checkpoints, model-check the trace,
-/// and journal the output descriptor.  Drops every array handle before
-/// returning, so a replacement can reopen the cluster.
+/// Run one sort incarnation end to end: derive the partition, build the
+/// protective stack, rebuild from parity when resuming, trace the whole
+/// thing, sort with checkpoints, model-check the trace, and journal the
+/// output descriptor.  Drops every array handle before returning, so a
+/// replacement can reopen the cluster.
 ///
 /// With no loadable manifest the cluster is created afresh and formation
-/// sorts `keys` from memory; with one, the existing cluster is opened and
-/// the sort resumes from it without re-forming.  An empty partition
-/// journals [`OutputMeta::empty`] at once.  `stage_ms` is how long
-/// receiving `keys` took.  `on_pass(pass)` fires at every pass boundary
-/// *before* the snapshot — which is also where a [`KillPoint::Pass`]
-/// drill strikes.
-pub(crate) fn sort_shard(
-    plan: &ShardPlan,
-    fence: &FenceFlag,
-    keys: &[U64Record],
-    stage_ms: u64,
-    on_pass: &mut dyn FnMut(u64),
-) -> Result<Outcome> {
+/// sorts the partition from memory; with one, the existing cluster is
+/// opened and the sort resumes from it without re-forming.  An empty
+/// partition journals [`OutputMeta::empty`] at once.  `on_pass(pass)`
+/// fires at every pass boundary *before* the snapshot — which is also
+/// where a [`KillPoint::Pass`] drill strikes.
+pub(crate) fn sort_shard(plan: &ShardPlan, fence: &FenceFlag, on_pass: &mut dyn FnMut(u64)) -> Result<Outcome> {
+    let clock = Instant::now();
+    let keys = plan.partition();
+    let stage = clock.elapsed().as_millis() as u64;
     if keys.is_empty() {
         let meta = OutputMeta::empty();
         atomic_write(&plan.output_path(), &meta.encode())?;
@@ -376,13 +378,13 @@ pub(crate) fn sort_shard(
     stack.reset_stats();
     drop(stack.take_trace());
 
-    let mut ms = ShardMs { stage: stage_ms, ..ShardMs::default() };
+    let mut ms = ShardMs { stage, ..ShardMs::default() };
     let kill_at = match plan.kill {
         Some(KillPoint::Pass(p)) => Some(p),
         _ => None,
     };
     let clock = Instant::now();
-    let sorted = plan.sorter.sort_observed(&mut stack, Input::InMemory(keys), Some(&manifest), |pass, _a| {
+    let sorted = plan.sorter.sort_observed(&mut stack, Input::InMemory(&keys), Some(&manifest), |pass, _a| {
         on_pass(pass);
         if kill_at == Some(pass) {
             return Err(SrmError::Internal(KILL_SENTINEL.into()));
@@ -476,7 +478,7 @@ pub(crate) fn read_output(plan: &ShardPlan, fence: &FenceFlag, meta: &OutputMeta
     }
 }
 
-// ─── thread-mode wiring: heartbeats, staging, folding ────────────────────
+// ─── thread-mode wiring: heartbeats, folding ──────────────────────────────
 
 /// Spawn the heartbeat thread: beacons every interval until `stop`
 /// fires or is dropped.  Runs beside the sort so a compute-bound shard
@@ -534,26 +536,17 @@ pub fn run_shard(plan: ShardPlan, ep: Endpoint, epoch: u64, fence: FenceFlag) {
     let _ = hb.join();
 }
 
-fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) -> Result<Exit> {
-    std::fs::create_dir_all(&plan.dir)
-        .map_err(|e| DistError::Io(format!("create {}: {e}", plan.dir.display())))?;
-    let coord = plan.coord();
+/// One instance, to its end: `Ok` on shutdown and on a simulated death
+/// (kill drill or fence), which stops it without a word, exactly like a
+/// crashed process.
+fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) -> Result<()> {
     if let Boot::Done(meta) = inspect_dir(plan)? {
-        ep.send(coord, epoch, Msg::Hello { needs_input: false });
         let keys = read_output(plan, fence, &meta)?;
         return answer_fold(plan, ep, epoch, fence, &meta, &keys);
     }
-    let clock = Instant::now();
-    ep.send(coord, epoch, Msg::Hello { needs_input: true });
-    let Some(keys) = stage_loop(plan, ep, epoch, fence)? else {
-        return Ok(Exit::Killed);
-    };
-    let stage_ms = clock.elapsed().as_millis() as u64;
-    ep.send(coord, epoch, Msg::Staged { records: keys.len() as u64 });
-    let keys: Vec<U64Record> = keys.into_iter().map(U64Record).collect();
-    let mut on_pass = |pass: u64| ep.send(coord, epoch, Msg::Pass { pass });
-    match sort_shard(plan, fence, &keys, stage_ms, &mut on_pass)? {
-        Outcome::Killed => Ok(Exit::Killed),
+    let mut on_pass = |pass: u64| ep.send(plan.coord(), epoch, Msg::Pass { pass });
+    match sort_shard(plan, fence, &mut on_pass)? {
+        Outcome::Killed => Ok(()),
         Outcome::Done(meta, keys) => answer_fold(plan, ep, epoch, fence, &meta, &keys),
     }
 }
@@ -575,83 +568,6 @@ fn announce_done(plan: &ShardPlan, ep: &Endpoint, epoch: u64, meta: &OutputMeta)
     );
 }
 
-/// Receive the shard's partition, stop-and-wait, deduplicating by batch
-/// sequence number so dropped/duplicated/delayed batches are all safe.
-/// Returns `None` on a silent death (fence or shutdown mid-staging).
-#[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
-fn stage_loop(
-    plan: &ShardPlan,
-    ep: &Endpoint,
-    epoch: u64,
-    fence: &FenceFlag,
-) -> Result<Option<Vec<u64>>> {
-    let coord = plan.coord();
-    let mut keys: Vec<u64> = Vec::new();
-    let mut next_seq = 0u64;
-    let mut idle = 0u32;
-    loop {
-        if fence.is_fired() {
-            return Ok(None);
-        }
-        let Some(env) = ep.recv_timeout(plan.heartbeat) else {
-            // The Hello itself can be lost (drop or partition), and the
-            // coordinator has no way to probe for it — a silent shard in
-            // `Waiting` looks identical to one mid-sort.  Until the first
-            // batch proves the Hello landed, keep re-introducing
-            // ourselves; the coordinator treats duplicates as no-ops.
-            if next_seq == 0 {
-                idle += 1;
-                if idle >= 4 {
-                    idle = 0;
-                    ep.send(coord, epoch, Msg::Hello { needs_input: true });
-                }
-            }
-            continue;
-        };
-        if env.epoch != epoch {
-            continue; // stale traffic for a predecessor or successor
-        }
-        match env.msg {
-            Msg::Stage { seq, keys: batch, last } => {
-                if seq == next_seq {
-                    keys.extend_from_slice(&batch);
-                    next_seq += 1;
-                    ep.send(coord, epoch, Msg::StageAck { seq });
-                    if last {
-                        return Ok(Some(keys));
-                    }
-                } else if seq < next_seq {
-                    // Duplicate of an already-applied batch: re-ack (the
-                    // first ack may have been dropped)...
-                    ep.send(coord, epoch, Msg::StageAck { seq });
-                    // ...and if it was the final batch, its ack's loss
-                    // means staging already finished.
-                    if last && seq + 1 == next_seq {
-                        return Ok(Some(keys));
-                    }
-                }
-                // seq > next_seq: a delayed batch arrived early; the
-                // coordinator will retry the one we actually need.
-            }
-            Msg::Shutdown => return Ok(None),
-            // Fold cannot arrive before staging finishes (the
-            // coordinator is still batching), and the shard-to-
-            // coordinator kinds never land on a shard mailbox; named,
-            // since a wildcard is denied here, so no message kind is
-            // ever silently swallowed.
-            Msg::Fold { .. }
-            | Msg::Hello { .. }
-            | Msg::StageAck { .. }
-            | Msg::Staged { .. }
-            | Msg::Heartbeat
-            | Msg::Pass { .. }
-            | Msg::SortDone { .. }
-            | Msg::Folded { .. }
-            | Msg::Fatal { .. } => {}
-        }
-    }
-}
-
 /// Announce the finished sort, then hold its keys until the chain's
 /// fold request arrives and answer it.  A request is answered every time
 /// it arrives (a resend means the reply was lost, and the fold is a pure
@@ -665,14 +581,14 @@ fn answer_fold(
     fence: &FenceFlag,
     meta: &OutputMeta,
     keys: &[U64Record],
-) -> Result<Exit> {
+) -> Result<()> {
     let coord = plan.coord();
     announce_done(plan, ep, epoch, meta);
     let mut heard = false;
     let mut idle = 0u32;
     loop {
         if fence.is_fired() {
-            return Ok(Exit::Killed);
+            return Ok(());
         }
         let Some(env) = ep.recv_timeout(plan.heartbeat) else {
             // The one-shot `SortDone` can be lost to the channel; until
@@ -695,21 +611,16 @@ fn answer_fold(
         match env.msg {
             Msg::Fold { carry } => {
                 if plan.kill == Some(KillPoint::Merge) {
-                    return Ok(Exit::Killed);
+                    return Ok(());
                 }
                 let fold = carry.fold(keys.iter().map(|r| r.0), plan.geom.b);
                 ep.send(coord, epoch, Msg::Folded { fold });
             }
-            Msg::Shutdown => return Ok(Exit::Completed),
-            // A done shard has its whole partition, so Stage is a stale
-            // retransmit; the shard-to-coordinator kinds never
-            // land on a shard mailbox.  Named, since a wildcard is
-            // denied here, so no message kind is swallowed.
-            Msg::Stage { .. }
-            | Msg::Hello { .. }
-            | Msg::StageAck { .. }
-            | Msg::Staged { .. }
-            | Msg::Heartbeat
+            Msg::Shutdown => return Ok(()),
+            // The shard-to-coordinator kinds never land on a shard
+            // mailbox.  Named, since a wildcard is denied here, so no
+            // message kind is swallowed.
+            Msg::Heartbeat
             | Msg::Pass { .. }
             | Msg::SortDone { .. }
             | Msg::Folded { .. }

@@ -173,13 +173,13 @@ fn rs_shards_on_a_device_survive_the_kill_drills() {
 }
 
 /// `dist_p4`'s spec (srmbench's and CI's: 120k records over 4 shards on
-/// a 40 us/block device).  A shard forms its runs from its received
-/// partition, so its pass-0 manifest is its first durable state: one
-/// killed at pass 0, before that manifest, is staged again and re-forms
-/// its runs on a fresh cluster (its finishing trace is the failure-free
-/// one); one killed at pass 1 is staged again and resumes from the
-/// manifest without a second pass-0 boundary (its trace holds no
-/// formation).  Both end on the spec's pinned digest.
+/// a 40 us/block device).  A shard forms its runs from the partition it
+/// derives, so its pass-0 manifest is its first durable state: one
+/// killed at pass 0, before that manifest, derives its partition again
+/// and re-forms its runs on a fresh cluster (its finishing trace is the
+/// failure-free one); one killed at pass 1 derives it again and resumes
+/// from the manifest without a second pass-0 boundary (its trace holds
+/// no formation).  Both end on the spec's pinned digest and partitions.
 #[test]
 fn dist_p4_recovers_on_either_side_of_the_pass_0_manifest() {
     let spec = JobSpec { records: 120_000, seed: 0xC11_5EED, d: 3, b: 16, m: 1024, ..JobSpec::default() };
@@ -187,6 +187,8 @@ fn dist_p4_recovers_on_either_side_of_the_pass_0_manifest() {
     device.io_delay = Duration::from_micros(40);
     let clean = run_spec("p4-clean", &spec, &device);
     assert_eq!(clean.digest, 0x7a6d_4366_c4ee_86da);
+    let records: Vec<u64> = clean.per_shard.iter().map(|s| s.records).collect();
+    assert_eq!(records, [31_091, 27_494, 30_273, 31_142]);
     for pass in [0, 1] {
         let mut cfg = device.clone();
         cfg.kill = Some(KillPlan { shard: 1, point: KillPoint::Pass(pass) });
@@ -259,10 +261,10 @@ fn node_death_mid_partition_is_byte_identical() {
 /// replies are dropped, doubled and overtaken like everything else: a
 /// run that returns at all never tripped the fold's order check, and
 /// the digest shows each shard's fold was adopted exactly once, in
-/// sequence.  A run makes only about 40 sends, so the seeded rates
+/// sequence.  A run makes only about 20 sends, so the seeded rates
 /// alone may miss a fault class; each class is also scripted onto the
-/// coordinator's first send to a shard — its first staging batch, which
-/// every run sends.
+/// coordinator's first send to a shard — its fold request, which every
+/// run sends to each of these non-empty shards.
 #[test]
 fn channel_faults_never_corrupt_output() {
     let p = 3;
@@ -287,21 +289,20 @@ fn channel_faults_never_corrupt_output() {
     }
 }
 
-/// A scripted drop of a staging batch exercises the stop-and-wait
-/// retransmission path deterministically.
+/// A scripted drop of a fold request exercises the retransmission path
+/// deterministically: the coordinator's first send to shard 0 is its
+/// fold request, and the second its first resend.
 #[test]
-fn scripted_staging_drop_is_retransmitted() {
+fn scripted_fold_request_drop_is_retransmitted() {
     let p = 2;
     let want = baseline(p);
     let mut cfg = DistConfig::new(p);
-    // Drop the first two coordinator→shard-0 messages (Hello's reply
-    // traffic/staging batches), forcing retransmission.
     cfg.net = NetFaultModel::seeded(9)
         .script(2, 0, 0, NetFault::Drop)
         .script(2, 0, 1, NetFault::Drop);
     let report = run("script", &cfg);
     assert_clean(&report, want);
-    assert!(report.net.dropped >= 2);
+    assert_eq!(report.net.dropped, 2, "{:?}", report.net);
 }
 
 /// With `--parity`, corrupt one of the dead shard's disk files between
@@ -394,59 +395,78 @@ fn kill_spec_validation() {
     assert!(matches!(parse_kill_node("1@merged"), Err(DistError::Config(_))));
 }
 
-/// Drop a staging batch *and its retransmissions*: stop-and-wait must
-/// keep re-offering the same batch until one copy lands, and the
-/// output must be byte-identical.
+/// `--corrupt-disk D` names a disk of every shard's cluster: one the
+/// spec's `D` does not have is refused before any shard starts, so no
+/// shard directory is left behind.
+#[test]
+fn an_out_of_range_corrupt_disk_is_refused_before_any_shard_starts() {
+    let mut cfg = DistConfig::new(2);
+    cfg.parity = true;
+    cfg.kill = Some(KillPlan { shard: 0, point: KillPoint::Pass(1) });
+    cfg.corrupt_disk = Some(spec().d);
+    let dir = scratch("baddisk");
+    let err = distsort(&spec(), &cfg, &dir).unwrap_err();
+    let shard_dirs = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+    let _ = std::fs::remove_dir_all(&dir);
+    match err {
+        DistError::Config(msg) => assert!(msg.contains("--corrupt-disk 3 out of range"), "{msg}"),
+        other => panic!("want a config error, got {other}"),
+    }
+    assert_eq!(shard_dirs, 0);
+}
+
+/// Drop a fold request *and its retransmissions*: the coordinator must
+/// keep re-asking until one copy lands, and the output must be
+/// byte-identical.
 #[test]
 fn repeated_retransmission_loss_still_converges() {
     let p = 2;
     let want = baseline(p);
     let mut cfg = DistConfig::new(p);
-    // Coordinator→shard-0 sends 0, 1, and 2 all vanish: the original
-    // batch and its first two retransmissions.  The third retry lands.
+    // Coordinator→shard-0 sends 0, 1, and 2 all vanish: the fold request
+    // and its first two retransmissions.  The third retry lands.
     cfg.net = NetFaultModel::seeded(0x7E7A)
         .script(2, 0, 0, NetFault::Drop)
         .script(2, 0, 1, NetFault::Drop)
         .script(2, 0, 2, NetFault::Drop);
     let report = run("redrop", &cfg);
     assert_clean(&report, want);
-    assert!(
-        report.net.dropped >= 3,
-        "all three scripted drops must fire, got {:?}",
-        report.net
-    );
+    assert_eq!(report.net.dropped, 3, "all three scripted drops must fire, got {:?}", report.net);
 }
 
-/// Drop a StageAck for a batch the shard already applied: the
-/// coordinator retransmits the batch, and the shard must take the
-/// duplicate-of-applied-batch path and re-ack rather than re-apply.
+/// Drop shard 0's fold reply: the shard has folded, the coordinator
+/// never heard, so it asks again and the shard must fold again from its
+/// held run (the fold is pure), the carry advancing once.  The reply's
+/// place on the shard's edge is fixed once heartbeats are slower than
+/// the sort: one boot heartbeat, a `Pass` per boundary (formation and
+/// each merge pass), `SortDone`, then the reply.
 #[test]
-fn dropped_ack_forces_reack_not_reapply() {
+fn dropped_fold_reply_forces_a_refold_not_a_readopt() {
+    let p = 2;
+    let clean = run("reply-clean", &DistConfig::new(p));
+    let mut cfg = DistConfig::new(p);
+    cfg.heartbeat = Duration::from_millis(500);
+    cfg.timeout = Duration::from_secs(10);
+    let reply = 1 + (clean.per_shard[0].passes + 1) + 1;
+    cfg.net = NetFaultModel::seeded(0xACC).script(0, 2, reply, NetFault::Drop);
+    let report = run("replydrop", &cfg);
+    assert_clean(&report, clean.digest);
+    assert_eq!((report.net.dropped, report.recoveries), (1, 0), "{:?}", report.net);
+}
+
+/// Duplicate and delay copies of one fold request: with the delayed
+/// original overtaken by its own retransmission (which is itself
+/// duplicated), the request arrives three ways and the shard answers
+/// each; the chain must adopt exactly one reply.
+#[test]
+fn duplicated_and_delayed_copies_of_one_fold_request_adopt_once() {
     let p = 2;
     let want = baseline(p);
     let mut cfg = DistConfig::new(p);
-    // Shard 0's send 0 to the coordinator is its Hello; send 1 is the
-    // first StageAck.  Losing the ack (not the batch) means the batch
-    // was applied — a re-delivery must not double-apply the keys.
-    cfg.net = NetFaultModel::seeded(0xACC) .script(0, 2, 1, NetFault::Drop);
-    let report = run("ackdrop", &cfg);
-    assert_clean(&report, want);
-    assert!(report.net.dropped >= 1, "{:?}", report.net);
-}
-
-/// Duplicate and delay copies of the same logical staging batch: with
-/// the delayed original overtaken by its own retransmission (which is
-/// itself duplicated), the same `seq` arrives three ways; dedup by
-/// sequence number must keep exactly one application.
-#[test]
-fn duplicated_and_delayed_copies_of_one_batch_apply_once() {
-    let p = 2;
-    let want = baseline(p);
-    let mut cfg = DistConfig::new(p);
-    // Edge coordinator→shard-0: send 0 (shard 0's one staging batch) is
+    // Edge coordinator→shard-0: send 0 (shard 0's fold request) is
     // delayed 24 global sends — heartbeats at 15 ms from two shards
     // take longer than the 80 ms RPC timeout to make them — so send 1
-    // is the same batch again, and that retransmission is delivered
+    // is the same request again, and that retransmission is delivered
     // twice.
     cfg.net = NetFaultModel::seeded(0xD0D0)
         .script(2, 0, 0, NetFault::Delay(24))
@@ -457,25 +477,27 @@ fn duplicated_and_delayed_copies_of_one_batch_apply_once() {
     assert!(report.net.duplicated >= 1, "{:?}", report.net);
 }
 
-/// Partition the *coordinator* mid-heartbeat: beacons and acks die in
-/// both directions for a window of sends, false suspicions may spawn
-/// replacements, and after the window heals the sort must still finish
-/// byte-identical (epoch fencing makes the suspicions harmless).
+/// Partition the *coordinator* mid-heartbeat: beacons, `SortDone`s and
+/// fold traffic die in both directions for a window of sends, false
+/// suspicions may spawn replacements, and after the window heals the
+/// sort must still finish byte-identical (epoch fencing makes the
+/// suspicions harmless).
 #[test]
 fn coordinator_partition_heals_mid_heartbeat() {
     let p = 3;
     let want = baseline(p);
     let mut cfg = DistConfig::new(p);
     // The coordinator is node P by convention; cut it off for a window
-    // of global sends while shards are staging/heartbeating.  A run
-    // makes only about 40 sends, so the window opens at the 8th, which
-    // every run reaches while staging; until it heals, staging cannot
-    // finish, and the heartbeats carry the count past its end.  This
-    // drill is about the partition *healing* (false-suspicion recovery
-    // has its own drills above), so give the failure detector enough
-    // patience that a loaded host can't turn the window into a
-    // recovery storm before shard heartbeats close it.
-    cfg.net = NetFaultModel::seeded(0x9A97).partition(p, 8, 78);
+    // of global sends.  A run makes about 20 sends and cannot finish in
+    // fewer than nine (three `SortDone`s, three fold requests, three
+    // replies), so a window opening at the 4th always cuts live
+    // traffic; until it heals no `SortDone` or reply lands, and the
+    // heartbeats (and the done shards' re-announcements) carry the
+    // count past its end.  This drill is about the partition *healing*
+    // (false-suspicion recovery has its own drills above), so give the
+    // failure detector enough patience that a loaded host can't turn
+    // the window into a recovery storm before shard heartbeats close it.
+    cfg.net = NetFaultModel::seeded(0x9A97).partition(p, 4, 74);
     cfg.timeout = Duration::from_millis(1500);
     cfg.max_recoveries = 64;
     let report = run("coordpart", &cfg);

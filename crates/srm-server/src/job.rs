@@ -305,6 +305,13 @@ impl JobSpec {
         generate_records(self.records, self.seed)
     }
 
+    /// The same input as a stream of keys, never resident as a whole:
+    /// a distsort shard keeps only the keys of its own range.
+    pub fn input_keys(&self) -> impl Iterator<Item = u64> {
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        (0..self.records).map(move |_| rng.random())
+    }
+
     /// Key=value pairs, the shared wire/file encoding.
     pub fn to_pairs(&self) -> Vec<(&'static str, String)> {
         let formation = self.formation.map(|f| match f {
@@ -426,8 +433,8 @@ impl JobSpec {
 /// `seed`, matching the CLI's generator — so a job is fully described
 /// by its spec and any two runs of it sort identical data.
 pub fn generate_records(records: u64, seed: u64) -> Vec<U64Record> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..records).map(|_| U64Record(rng.random())).collect()
+    let spec = JobSpec { records, seed, ..JobSpec::default() };
+    spec.input_keys().map(U64Record).collect()
 }
 
 /// FNV-1a over the little-endian key bytes in sequence order: the
