@@ -229,17 +229,21 @@ USAGE:
       for runs of only M - 4DB records; without a delay, and on a tie,
       it sorts half-memory loads.  Per shard the report prints its
       formation (load or rs), its passes, and where its time went
-      (stage = deriving the partition / sort / verify / check ms).  Shards are threads by
-      default; --procs spawns real `srm` child processes so the
-      node-death drill is a genuine SIGKILL.  A heartbeat failure detector (--heartbeat-ms /
-      --timeout-ms) declares silent nodes dead, fences the old epoch
-      (its in-flight I/O fails, its stale messages are discarded), and
-      boots a replacement, which derives its partition again and
+      (stage = deriving the partition / sort / verify / check ms).
+      Shards are threads by default; --procs runs each as a real `srm`
+      child process, driven by the same coordinator over its stdin and
+      stdout.  A heartbeat failure detector (--heartbeat-ms /
+      --timeout-ms, which must exceed the heartbeat) declares silent
+      nodes dead in either mode, fences the old epoch (a thread's
+      in-flight I/O fails, a child is killed and reaped, stale messages
+      are discarded), and boots a replacement, which derives its partition again and
       resumes from the shard's last checkpoint manifest (a shard killed
       before its pass-0 manifest forms its runs afresh).  --kill-node
       S@PASS is the drill: kill shard S at pass
-      boundary PASS (or S@merge when its one fold request arrives,
-      before it answers); with --parity, --corrupt-disk D also trashes
+      boundary PASS, before its snapshot (or S@merge when its one fold
+      request arrives, before it answers) — under --procs the child
+      calls exit there, so nothing is flushed, as under SIGKILL; with
+      --parity, --corrupt-disk D also trashes
       disk D of the victim's cluster so the replacement must rebuild
       from parity before resuming.  The fold degrades gracefully: it
       stalls on a dead shard and asks the replacement, which reads its
@@ -247,10 +251,11 @@ USAGE:
       shards (until the last sort is done) / fold (the chain's tail
       after that; folds of shards that finish early overlap the others'
       sorts).  --net-* and --partition inject seeded channel faults
-      (drop/duplicate/delay/partition windows) in thread mode; --procs
-      has no channel and refuses them.  The final digest is
-      checked against a centrally sorted oracle; any mismatch exits
-      nonzero.
+      (drop/duplicate/delay/partition windows) in either mode: a
+      --procs child's messages cross the same channel.  The final
+      digest is checked against a centrally sorted oracle; any mismatch
+      exits nonzero.  Without --dir or --keep the shard tree is a temp
+      directory, removed whatever the outcome.
 
   srm chaos [--target local|distsort|server|all] [--seed S] [--trials N]
            [--records N] [--d D] [--b B] [--m M] [--pipeline]
@@ -1254,11 +1259,12 @@ pub fn distsort(flags: &Flags) -> i32 {
             srm_dist::run_procs(&spec, &cfg, &dir, &bin)
         } else {
             srm_dist::distsort(&spec, &cfg, &dir)
-        }
-        .map_err(|e| e.to_string())?;
+        };
+        // The tree goes whatever the outcome, unless it was asked for.
         if !keep {
             let _ = std::fs::remove_dir_all(&dir);
         }
+        let report = report.map_err(|e| e.to_string())?;
 
         println!(
             "distsort: {} records over {} shards in {} ms ({} mode)",
@@ -1343,13 +1349,7 @@ pub fn shard_run(flags: &Flags) -> i32 {
     };
     match inner() {
         Ok(()) => 0,
-        Err(e) => {
-            // The parent parses stdout; report the failure there too so a
-            // child that dies before its monitor sees ERR is still
-            // diagnosable.
-            println!("ERR {e}");
-            fail(e)
-        }
+        Err(e) => fail(e),
     }
 }
 

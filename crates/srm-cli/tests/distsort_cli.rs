@@ -1,7 +1,7 @@
 //! End-to-end drills of `srm distsort` as a subprocess, including the
 //! `--procs` path where shard nodes are real child processes and the
-//! kill drill is a genuine SIGKILL, plus the `srm client` connect-retry
-//! contract against a late-starting server.
+//! kill drill ends one with `exit` (no destructor, no flush), plus the
+//! `srm client` connect-retry contract against a late-starting server.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
@@ -98,9 +98,10 @@ fn empty_shards_agree_in_both_modes() {
     assert_eq!(run("empty-threads", &[]), run("empty-procs", &["--procs"]));
 }
 
-/// The headline drill: `--procs --kill-node` SIGKILLs a real child
-/// process mid-sort; the respawned replacement resumes from its
-/// checkpoint and the output is byte-identical to the clean run.
+/// The headline drill: under `--procs --kill-node` a real child process
+/// exits mid-sort, before its pass's snapshot; the coordinator hears its
+/// heartbeats stop, and the respawned replacement resumes from its
+/// checkpoint with output byte-identical to the clean run.
 #[test]
 fn procs_mode_sigkill_drill_is_byte_identical() {
     let clean = distsort("procs-clean", &["--procs"]);
@@ -113,10 +114,9 @@ fn procs_mode_sigkill_drill_is_byte_identical() {
     assert_eq!(digest(&clean), digest(&killed));
 }
 
-/// The fold drill in process mode: child 1 parks when its `FOLD` line
-/// arrives and the parent SIGKILLs it; the replacement boots on the
-/// finished directory, reads its keys back and answers, and the digest
-/// is thread mode's.
+/// The fold drill in process mode: child 1 exits when its fold request
+/// arrives; the replacement boots on the finished directory, reads its
+/// keys back and answers, and the digest is thread mode's.
 #[test]
 fn procs_mode_sigkill_on_the_fold_request_is_byte_identical() {
     let threads = distsort("fold-threads", &[]);
@@ -156,6 +156,40 @@ fn distsort_kill_requires_valid_shard() {
     refused("badkill-procs", &["--procs", "--kill-node", "7@1"], "--kill-node shard 7 out of range");
 }
 
+/// A timeout no longer than the heartbeat would declare every live
+/// shard dead: refused in both modes before any shard starts.
+#[test]
+fn a_deaf_failure_detector_is_refused() {
+    let deaf = ["--timeout-ms", "1", "--heartbeat-ms", "100000"];
+    refused("deaf", &deaf, "--timeout-ms 1 must exceed --heartbeat-ms 100000");
+    refused("deaf-procs", &[&["--procs"][..], &deaf].concat(), "--timeout-ms 1 must exceed --heartbeat-ms 100000");
+}
+
+/// Without `--dir` or `--keep`, the temp tree goes even when the sort
+/// fails: here the coordinator is partitioned from every shard until the
+/// crash-loop cap gives up — under `--procs` too, whose children sit
+/// behind the same faulty channel.
+#[test]
+fn a_failed_run_leaves_no_temp_tree() {
+    for mode in [&[][..], &["--procs"]] {
+        let tmp = scratch(&format!("tmpdir{}", mode.len()));
+        std::fs::create_dir_all(&tmp).expect("create TMPDIR");
+        let out = bin()
+            .args(["distsort", "--shards", "2", "--records", "2000", "--d", "2", "--b", "8", "--m", "256"])
+            .args(["--partition", "2:0:1000000000", "--heartbeat-ms", "10", "--timeout-ms", "50"])
+            .args(mode)
+            .env("TMPDIR", &tmp)
+            .output()
+            .expect("run srm distsort");
+        let left: Vec<_> = std::fs::read_dir(&tmp).expect("read TMPDIR").filter_map(|e| e.ok()).map(|e| e.path()).collect();
+        let _ = std::fs::remove_dir_all(&tmp);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{mode:?}: {err}");
+        assert!(err.contains("crash loop"), "{mode:?}: {err}");
+        assert!(left.is_empty(), "{mode:?} left {left:?}");
+    }
+}
+
 /// `--corrupt-disk D` with `D` >= the spec's `d` is refused up front in
 /// both modes, not after the kill it rides on.
 #[test]
@@ -165,12 +199,24 @@ fn an_out_of_range_corrupt_disk_is_refused_before_any_shard_starts() {
     refused("baddisk-procs", &[&["--procs"][..], &drill].concat(), "--corrupt-disk 7 out of range (D = 2)");
 }
 
-/// `--procs` children talk over pipes: the channel-fault options have
-/// nothing to fault there, so they are refused rather than ignored.
+/// A `--procs` child is an endpoint of the same faulty channel as a
+/// thread: CI's lossy fold drill matches the oracle and thread mode's
+/// digest, and the channel did drop messages.
 #[test]
-fn procs_mode_refuses_channel_faults() {
-    refused("netdrop-procs", &["--procs", "--net-drop", "0.5"], "--net-drop");
-    refused("partition-procs", &["--procs", "--partition", "2:0:10"], "--partition");
+fn procs_mode_runs_channel_faults() {
+    let lossy = ["--net-seed", "7", "--net-drop", "0.03", "--net-dup", "0.03", "--net-delay", "0.05"];
+    let drill = [&lossy[..], &["--kill-node", "1@merge"]].concat();
+    let threads = distsort("lossy-threads", &drill);
+    let procs = distsort("lossy-procs", &[&drill[..], &["--procs"]].concat());
+    assert!(procs.contains("matches the central oracle"), "{procs}");
+    assert_eq!(digest(&threads), digest(&procs));
+    let dropped: u64 = procs
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("net: "))
+        .and_then(|l| l.split(", ").find_map(|f| f.strip_suffix(" dropped")))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no net line:\n{procs}"));
+    assert!(dropped > 0, "the lossy channel dropped nothing under --procs:\n{procs}");
 }
 
 /// The parity drill fires under `--procs` too: the parent trashes the

@@ -21,8 +21,9 @@
 //!    overlap the slower shards' sorts.
 //!
 //! The whole time, a heartbeat failure detector watches every shard.  A
-//! silent shard is declared dead, **fenced** (its storage refuses all
-//! further I/O and its epoch is retired), and replaced by a fresh
+//! silent shard is declared dead, **fenced** (a thread's storage refuses
+//! all further I/O, a child process is killed and reaped, and its epoch
+//! is retired), and replaced by a fresh
 //! instance booted on the same durable directory — which derives its
 //! partition again and resumes from the journaled checkpoint (rebuilding
 //! lost blocks from parity first when `--parity` is on), or forms its
@@ -30,21 +31,27 @@
 //! abort while this happens: it *stalls* on the dead shard and asks its
 //! replacement once that is done, so a node death degrades throughput,
 //! not correctness.
+//!
+//! This one loop drives both modes: a shard incarnation is a thread of
+//! this process or, under `--procs`, a child process behind two pipes
+//! ([`crate::procs`]).  The modes differ only in how an incarnation
+//! starts and how it is fenced.
 
 use crate::error::{DistError, Result};
+use crate::fence::FenceFlag;
 use crate::fold::{Carry, Chain, Step};
 use crate::msg::{Envelope, Msg};
 use crate::net::{Endpoint, NetStats, Network};
+use crate::procs::{spawn_child, write_plan};
 use crate::shard::{run_shard, KillPoint, ShardMs, ShardPlan};
 use crate::split::{sample_splitters, KeyRange};
 use pdisk::{FileDiskArray, Geometry, NetFaultModel, RetryPolicy, U64Record};
 use srm_core::RunFormation;
 use srm_server::{expected_digest, JobSpec};
 use std::path::{Path, PathBuf};
+use std::process::Child;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crate::fence::FenceFlag;
 
 /// A `--kill-node` drill: which shard to strike, and when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,10 +140,17 @@ impl DistConfig {
     }
 
     /// Refuse a configuration before any shard starts: every drill must
-    /// name a shard, and a disk, that the run has.
+    /// name a shard, and a disk, that the run has, and the failure
+    /// detector must be able to hear a live shard.
     pub(crate) fn validate(&self, geom: Geometry) -> Result<()> {
         if self.shards == 0 {
             return Err(DistError::Config("at least one shard is required".into()));
+        }
+        if self.timeout <= self.heartbeat {
+            let (timeout, heartbeat) = (self.timeout.as_millis(), self.heartbeat.as_millis());
+            return Err(DistError::Config(format!(
+                "--timeout-ms {timeout} must exceed --heartbeat-ms {heartbeat}, or every live shard is declared dead"
+            )));
         }
         if let Some(k) = &self.kill {
             if k.shard >= self.shards {
@@ -297,17 +311,37 @@ struct Ask {
 struct Node {
     epoch: u64,
     fence: FenceFlag,
+    /// The current incarnation's process, under `--procs`.
+    child: Option<Child>,
     last_seen: Instant,
     /// Its sort is done and it holds its keys for the fold.
     done: bool,
     report: ShardReport,
     recovery_started: Option<Instant>,
+    /// Every thread any incarnation ran on: the shard's own, or a
+    /// child's two pumps.
     handles: Vec<JoinHandle<()>>,
+}
+
+impl Node {
+    /// Fence the current incarnation: fire its flag, which a thread's
+    /// storage and a child's pumps obey, and kill and reap a child, so
+    /// its successor never races it and the kernel frees its lock.
+    fn fence(&mut self) {
+        self.fence.fire();
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 struct Coordinator<'a> {
     spec: &'a JobSpec,
     cfg: &'a DistConfig,
+    /// Under `--procs`, the `srm` binary each incarnation is a child
+    /// process of; a thread of this process otherwise.
+    procs: Option<&'a Path>,
     geom: Geometry,
     root: PathBuf,
     net: Network,
@@ -328,13 +362,19 @@ struct Coordinator<'a> {
 /// is that shard's share of the output).  Returns the report; the
 /// directory tree is left in place for the caller to inspect or delete.
 pub fn distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path) -> Result<DistReport> {
+    run_distsort(spec, cfg, root, None)
+}
+
+/// [`distsort`], each shard incarnation a thread or, with `procs`, a
+/// child process of that `srm` binary.
+pub(crate) fn run_distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path, procs: Option<&Path>) -> Result<DistReport> {
     spec.validate()?;
     cfg.validate(spec.geometry()?)?;
     let started = Instant::now();
     let splitters = sample_input(spec, cfg.shards);
     let split = started.elapsed();
     let ranges = (0..cfg.shards).map(|s| KeyRange::of(&splitters, s)).collect();
-    let mut report = distsort_ranged(spec, cfg, root, splitters, ranges)?;
+    let mut report = distsort_ranged(spec, cfg, root, splitters, ranges, procs)?;
     report.phase_ms.split = split.as_millis() as u64;
     report.elapsed_ms = started.elapsed().as_millis() as u64;
     Ok(report)
@@ -355,9 +395,13 @@ fn distsort_ranged(
     root: &Path,
     splitters: Vec<u64>,
     ranges: Vec<KeyRange>,
+    procs: Option<&Path>,
 ) -> Result<DistReport> {
     std::fs::create_dir_all(root)
         .map_err(|e| DistError::Io(format!("create {}: {e}", root.display())))?;
+    if procs.is_some() {
+        write_plan(spec, cfg, &splitters, root)?;
+    }
     let (net, mut endpoints) = Network::new(cfg.shards + 1, cfg.net.clone());
     let ep = endpoints.pop().ok_or_else(|| {
         DistError::Net("network built without a coordinator endpoint".into())
@@ -366,6 +410,7 @@ fn distsort_ranged(
     let mut coord = Coordinator {
         spec,
         cfg,
+        procs,
         geom: spec.geometry()?,
         root: root.to_path_buf(),
         net,
@@ -381,35 +426,32 @@ fn distsort_ranged(
         ask: None,
     };
 
-    // Spawn every shard (the drill target armed), then drive heartbeats
+    // Start every shard (the drill target armed), then drive heartbeats
     // and the fold until the carry has passed every shard.
-    let now = Instant::now();
-    for (shard, endpoint) in endpoints.into_iter().enumerate() {
-        let shard = shard as u32;
-        let fence = FenceFlag::new();
-        let kill = cfg.kill.filter(|k| k.shard == shard).map(|k| k.point);
-        let plan = coord.plan(shard, kill);
-        let ep_fence = fence.clone();
-        let handle = std::thread::spawn(move || run_shard(plan, endpoint, 0, ep_fence));
-        coord.nodes.push(Node {
-            epoch: 0,
-            fence,
-            last_seen: now,
-            done: false,
-            report: ShardReport::default(),
-            recovery_started: None,
-            handles: vec![handle],
-        });
-    }
-
-    let result = coord.run();
+    let result = endpoints
+        .into_iter()
+        .enumerate()
+        .try_for_each(|(s, endpoint)| {
+            coord.nodes.push(Node {
+                epoch: 0,
+                fence: FenceFlag::new(),
+                child: None,
+                last_seen: Instant::now(),
+                done: false,
+                report: ShardReport::default(),
+                recovery_started: None,
+                handles: Vec::new(),
+            });
+            coord.boot(s, endpoint, cfg.kill.filter(|k| k.shard as usize == s).map(|k| k.point))
+        })
+        .and_then(|()| coord.run());
     coord.shutdown();
     result
 }
 
-/// Build shard `shard`'s plan — THE one derivation both the thread-mode
-/// coordinator and the process-mode children use, so every incarnation
-/// of a shard (original, replacement, or child process) makes identical
+/// Build shard `shard`'s plan — THE one derivation the coordinator and
+/// the `--procs` children use, so every incarnation of a shard
+/// (original, replacement, thread or child process) makes identical
 /// randomized choices.
 pub(crate) fn plan_for(
     spec: &JobSpec,
@@ -439,6 +481,7 @@ pub(crate) fn plan_for(
         io_delay: cfg.io_delay,
         heartbeat: cfg.heartbeat,
         kill,
+        process: false,
         fill_write: cfg
             .fill_write
             .and_then(|(s, n)| (s == shard).then_some(n)),
@@ -469,6 +512,24 @@ pub(crate) fn corrupt_disk_file(plan: &ShardPlan, disk: usize) -> Result<()> {
 impl Coordinator<'_> {
     fn plan(&self, shard: u32, kill: Option<KillPoint>) -> ShardPlan {
         plan_for(self.spec, self.cfg, self.geom, &self.root, shard, self.ranges[shard as usize], kill)
+    }
+
+    /// Start shard `s`'s current incarnation on `ep`, armed with `kill`:
+    /// a thread, or a child process behind two pumps.
+    fn boot(&mut self, s: usize, ep: Endpoint, kill: Option<KillPoint>) -> Result<()> {
+        let plan = self.plan(s as u32, kill);
+        let node = &mut self.nodes[s];
+        let (epoch, fence) = (node.epoch, node.fence.clone());
+        match self.procs {
+            None => node.handles.push(std::thread::spawn(move || run_shard(plan, ep, epoch, fence))),
+            Some(bin) => {
+                let (child, pumps) = spawn_child(bin, &self.root, &plan, ep, epoch, fence)?;
+                node.child = Some(child);
+                node.handles.extend(pumps);
+            }
+        }
+        node.last_seen = Instant::now();
+        Ok(())
     }
 
     fn run(&mut self) -> Result<DistReport> {
@@ -536,27 +597,21 @@ impl Coordinator<'_> {
         }
         self.nodes[s].last_seen = Instant::now();
         match env.msg {
-            Msg::SortDone {
-                records,
-                blocks,
-                passes,
-                digest,
-                trace_events,
-                trace_clean,
-                repaired,
-                ms,
-            } => {
-                let formation = self.plan(env.src, None).sorter.formation(self.geom, records)?;
+            Msg::SortDone { meta } => {
+                let formation = self.plan(env.src, None).sorter.formation(self.geom, meta.records)?;
                 let node = &mut self.nodes[s];
-                node.report.records = records;
-                node.report.blocks = blocks;
-                node.report.passes = passes;
-                node.report.formation = formation;
-                node.report.digest = digest;
-                node.report.trace_events = trace_events;
-                node.report.trace_clean = trace_clean;
-                node.report.repaired += repaired;
-                node.report.ms = ms;
+                node.report = ShardReport {
+                    records: meta.records,
+                    blocks: meta.run.map_or(0, |r| r.len_blocks),
+                    passes: meta.passes,
+                    formation,
+                    digest: meta.digest,
+                    trace_events: meta.trace_events,
+                    trace_clean: meta.trace_clean,
+                    repaired: node.report.repaired + meta.repaired,
+                    recoveries: node.report.recoveries,
+                    ms: meta.ms,
+                };
                 node.done = true;
                 if let Some(t) = node.recovery_started.take() {
                     self.recovery_ms.push(t.elapsed().as_millis() as u64);
@@ -613,8 +668,8 @@ impl Coordinator<'_> {
         Ok(())
     }
 
-    /// Declare shard `s` dead: fire its fence, retire its epoch, rebind
-    /// its mailbox, and boot a replacement on the same directory.
+    /// Declare shard `s` dead: fence it, retire its epoch, rebind its
+    /// mailbox, and boot a replacement on the same directory.
     fn recover(&mut self, s: usize) -> Result<()> {
         let node = &mut self.nodes[s];
         if node.report.recoveries >= self.cfg.max_recoveries {
@@ -626,12 +681,10 @@ impl Coordinator<'_> {
                 ),
             });
         }
-        node.fence.fire();
+        node.fence();
         node.epoch += 1;
         node.fence = FenceFlag::new();
         node.report.recoveries += 1;
-        let epoch = node.epoch;
-        let fence = node.fence.clone();
         let first_recovery = node.report.recoveries == 1;
         self.recoveries += 1;
         // A fold asked of the dead instance stalls: the chain asks its
@@ -651,13 +704,10 @@ impl Coordinator<'_> {
                 corrupt_disk_file(&self.plan(s as u32, None), disk)?;
             }
         }
-        let endpoint = self.net.reconnect(s as u32);
         // Replacements boot unarmed: the drill kills a node once.
-        let plan = self.plan(s as u32, None);
-        let handle = std::thread::spawn(move || run_shard(plan, endpoint, epoch, fence));
+        let endpoint = self.net.reconnect(s as u32);
+        self.boot(s, endpoint, None)?;
         let node = &mut self.nodes[s];
-        node.handles.push(handle);
-        node.last_seen = Instant::now();
         node.done = false;
         if node.recovery_started.is_none() {
             node.recovery_started = Some(Instant::now());
@@ -682,7 +732,7 @@ impl Coordinator<'_> {
             self.ep.send(s as u32, node.epoch, Msg::Shutdown);
         }
         for node in &mut self.nodes {
-            node.fence.fire();
+            node.fence();
             for h in node.handles.drain(..) {
                 let _ = h.join();
             }
@@ -753,7 +803,7 @@ mod tests {
         let splitters = sample_input(&spec, cfg.shards);
         let mut swapped = ranges(&splitters, cfg.shards);
         swapped.swap(0, 1);
-        let err = distsort_ranged(&spec, &cfg, &dir, splitters.clone(), swapped).unwrap_err();
+        let err = distsort_ranged(&spec, &cfg, &dir, splitters.clone(), swapped, None).unwrap_err();
         let _ = std::fs::remove_dir_all(&dir);
         match err {
             DistError::Order { shard: 1, first: 0, key, prev } => {
@@ -770,7 +820,8 @@ mod tests {
     fn empty_leading_and_middle_shards_are_skipped() {
         let (spec, cfg, dir) = (small_spec(), DistConfig::new(5), scratch("holes"));
         let splitters = vec![0, 1 << 63, 1 << 63, 1 << 63];
-        let report = distsort_ranged(&spec, &cfg, &dir, splitters.clone(), ranges(&splitters, cfg.shards)).unwrap();
+        let report =
+            distsort_ranged(&spec, &cfg, &dir, splitters.clone(), ranges(&splitters, cfg.shards), None).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         let records: Vec<u64> = report.per_shard.iter().map(|s| s.records).collect();
         assert_eq!(records.iter().map(|&n| n == 0).collect::<Vec<_>>(), [true, false, true, true, false]);

@@ -1,4 +1,4 @@
-//! The cross-shard fold, one chain for thread and process mode.
+//! The cross-shard fold: the carry, and the coordinator's chain.
 //!
 //! The shards' [`crate::split::KeyRange`]s ascend with the shard index
 //! and the splitters are a pure function of `(spec, P)`, so every key of
@@ -121,11 +121,6 @@ impl Chain {
             }
         }
     }
-
-    /// Does the chain still need shard `s`'s run?
-    pub(crate) fn needs(&self, s: usize) -> bool {
-        s >= self.next
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +130,7 @@ mod tests {
     use proptest::prelude::*;
     use srm_server::digest_keys;
 
-    /// Drive a chain over canned runs the way both coordinators do: ask
+    /// Drive a chain over canned runs the way the coordinator does: ask
     /// whichever shard is due, fold its run (`b` = 4), adopt the reply.
     /// Returns the shards asked, in order, and the outcome.
     fn drive(runs: &[Vec<u64>], reported: &[u64]) -> (Vec<usize>, Result<Carry>) {
@@ -204,7 +199,6 @@ mod tests {
         assert!(!chain.adopt(1, carry.fold([3, 4, 5], 4), 3).unwrap(), "a shard not yet asked");
         assert!(chain.adopt(0, first, 2).unwrap());
         assert!(!chain.adopt(0, first, 2).unwrap(), "a duplicate of the adopted reply");
-        assert!(!chain.needs(0) && chain.needs(1));
         let Step::Ask(1, next) = chain.step(&records) else { panic!("shard 1 is due") };
         assert_eq!(Ok(next), first);
         assert!(chain.adopt(1, next.fold([3, 4, 5], 4), 3).unwrap());

@@ -25,8 +25,9 @@
 //!   shard to shard in splitter order, *stalls* on a dead shard and
 //!   resumes with its replacement instead of aborting.
 //! - **Process mode** ([`procs`]): `--procs` runs each shard as a real
-//!   child process and the `--kill-node` drill becomes an actual
-//!   `kill -9`.
+//!   child process, one more endpoint of the same coordinator reached
+//!   through its stdin and stdout ([`Envelope::encode`] lines), and the
+//!   `--kill-node` drill ends it with `exit` at the armed point.
 //!
 //! The headline invariant, enforced by the node-death matrix test:
 //! killing any shard at any pass boundary (or on its fold request, or

@@ -59,11 +59,6 @@ pub struct NetSender {
 }
 
 impl NetSender {
-    /// This sender's node ID.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
     /// Offer `msg` to the network; the fault model decides its fate.
     pub fn send(&self, dst: u32, epoch: u64, msg: Msg) {
         let env = Envelope {
@@ -126,11 +121,6 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    /// This endpoint's node ID.
-    pub fn node(&self) -> u32 {
-        self.sender.node()
-    }
-
     /// A cloneable sending half (for heartbeat threads).
     pub fn sender(&self) -> NetSender {
         self.sender.clone()
@@ -228,6 +218,16 @@ mod tests {
         Msg::Pass { pass: i }
     }
 
+    /// The pings waiting in `ep`'s mailbox, in delivery order.
+    fn passes(ep: &Endpoint) -> Vec<u64> {
+        std::iter::from_fn(|| ep.try_recv())
+            .map(|e| match e.msg {
+                Msg::Pass { pass } => pass,
+                _ => u64::MAX,
+            })
+            .collect()
+    }
+
     #[test]
     fn quiet_network_delivers_in_order() {
         let (net, mut eps) = Network::new(2, NetFaultModel::none());
@@ -254,12 +254,7 @@ mod tests {
         for i in 0..5 {
             a.send(1, 0, ping(i));
         }
-        let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
-            .map(|e| match e.msg {
-                Msg::Pass { pass } => pass,
-                _ => u64::MAX,
-            })
-            .collect();
+        let got = passes(&b);
         assert_eq!(got, vec![0, 1, 3, 4]);
         assert_eq!(net.stats().dropped, 1);
     }
@@ -273,12 +268,7 @@ mod tests {
         for i in 0..3 {
             a.send(1, 0, ping(i));
         }
-        let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
-            .map(|e| match e.msg {
-                Msg::Pass { pass } => pass,
-                _ => u64::MAX,
-            })
-            .collect();
+        let got = passes(&b);
         assert_eq!(got, vec![0, 1, 1, 2]);
     }
 
@@ -291,12 +281,7 @@ mod tests {
         for i in 0..4 {
             a.send(1, 0, ping(i));
         }
-        let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
-            .map(|e| match e.msg {
-                Msg::Pass { pass } => pass,
-                _ => u64::MAX,
-            })
-            .collect();
+        let got = passes(&b);
         // Message 0 waits until two further sends have entered the net.
         assert_eq!(got, vec![1, 2, 0, 3]);
     }
@@ -312,12 +297,7 @@ mod tests {
         a.send(2, 0, ping(1)); // global 1: 0→2 does not cross, delivered
         a.send(1, 0, ping(2)); // global 2: dropped
         a.send(1, 0, ping(3)); // global 3: healed, delivered
-        let got: Vec<u64> = std::iter::from_fn(|| b.try_recv())
-            .map(|e| match e.msg {
-                Msg::Pass { pass } => pass,
-                _ => u64::MAX,
-            })
-            .collect();
+        let got = passes(&b);
         assert_eq!(got, vec![3]);
         assert_eq!(net.stats().dropped, 2);
     }

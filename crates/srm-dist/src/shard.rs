@@ -1,6 +1,7 @@
 //! One shard node: a durable directory plus an ordinary checkpointed
-//! SRM sort, driven over the message network (thread mode) or over
-//! stdout lines (process mode, see [`crate::procs`]).
+//! SRM sort, driven over the message network — from a thread of the
+//! coordinator's process, or from a `--procs` child, whose loopback
+//! network [`crate::procs`] pumps through its stdin and stdout.
 //!
 //! A shard's entire world lives in its directory:
 //!
@@ -108,6 +109,11 @@ pub struct ShardPlan {
     pub heartbeat: Duration,
     /// Armed kill drill for *this instance* (replacements boot unarmed).
     pub kill: Option<KillPoint>,
+    /// The instance is a whole process (a `--procs` child): the drill
+    /// ends it with [`std::process::exit`] where a thread unwinds on the
+    /// kill sentinel, so no destructor runs on any thread and nothing is
+    /// flushed or synced — the cluster is left as a SIGKILL leaves it.
+    pub process: bool,
     /// Disk-full drill: this instance's cluster hits ENOSPC on the
     /// given write ordinal.  The resulting fault is sticky and
     /// non-retryable, so the shard surfaces it as a fatal typed error.
@@ -117,6 +123,14 @@ pub struct ShardPlan {
 impl ShardPlan {
     fn coord(&self) -> u32 {
         self.shards
+    }
+
+    /// The armed drill strikes: a process exits on the spot; a thread
+    /// returns, to unwind on the sentinel.
+    fn strike(&self) {
+        if self.process {
+            std::process::exit(137);
+        }
     }
 
     /// Path of the checkpoint manifest.
@@ -147,7 +161,7 @@ impl ShardPlan {
 }
 
 /// How one sort incarnation ended.
-pub enum Outcome {
+enum Outcome {
     /// The kill drill struck: the incarnation is dead, its directory
     /// holds whatever had become durable.
     Killed,
@@ -175,7 +189,7 @@ pub struct ShardMs {
 
 /// The durable `output` descriptor: what a replacement (or the
 /// coordinator) needs to know about a finished shard sort.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutputMeta {
     /// The sorted output run (`None` for an empty shard).
     pub run: Option<StripedRun>,
@@ -272,32 +286,32 @@ pub(crate) fn atomic_write(path: &Path, text: &str) -> Result<()> {
         .map_err(|e| DistError::Io(format!("write {}: {e}", path.display())))
 }
 
-/// Open (or create) the shard's file-backed disk cluster.
+/// Open the shard's file-backed disk cluster, or with `create` clear it
+/// and create it afresh.
 ///
 /// A replacement may race its fenced predecessor for the cluster's
 /// `pdisk.lock`: the fence guarantees the old instance does no further
 /// I/O, but its handle is only released when its thread observes the
-/// fence and drops the array — so opening retries briefly, modelling
-/// "wait for the old lease to expire".
+/// fence and drops the array — so either way the step retries briefly,
+/// modelling "wait for the old lease to expire".  A fresh cluster is
+/// cleared on every attempt, so whatever the predecessor held goes too.
 pub(crate) fn open_base(plan: &ShardPlan, create: bool) -> Result<FileDiskArray<U64Record>> {
     let disks = plan.disks_dir();
-    if create {
-        if disks.exists() {
-            std::fs::remove_dir_all(&disks)
-                .map_err(|e| DistError::Io(format!("clear {}: {e}", disks.display())))?;
-        }
-        let store = plan.parity_store();
-        if store.exists() {
-            std::fs::remove_file(&store)
-                .map_err(|e| DistError::Io(format!("clear {}: {e}", store.display())))?;
-        }
-        let arr = FileDiskArray::create(plan.geom, &disks)?;
-        arr.set_io_delay(plan.io_delay);
-        return Ok(arr);
-    }
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        match FileDiskArray::open(plan.geom, &disks) {
+        if create {
+            if disks.exists() {
+                std::fs::remove_dir_all(&disks)
+                    .map_err(|e| DistError::Io(format!("clear {}: {e}", disks.display())))?;
+            }
+            let store = plan.parity_store();
+            if store.exists() {
+                std::fs::remove_file(&store)
+                    .map_err(|e| DistError::Io(format!("clear {}: {e}", store.display())))?;
+            }
+        }
+        let opened = if create { FileDiskArray::create(plan.geom, &disks) } else { FileDiskArray::open(plan.geom, &disks) };
+        match opened {
             Ok(arr) => {
                 arr.set_io_delay(plan.io_delay);
                 return Ok(arr);
@@ -310,26 +324,20 @@ pub(crate) fn open_base(plan: &ShardPlan, create: bool) -> Result<FileDiskArray<
     }
 }
 
-/// What the booting shard found durable, and therefore what it will do.
-pub(crate) enum Boot {
-    /// Output descriptor present: read its keys back for the fold.
-    Done(OutputMeta),
-    /// No output: derive the partition and sort it (resuming from the
-    /// manifest when one loads).
-    Sort,
-}
-
-/// Boot on the shard's directory, creating it on the first boot.
-pub(crate) fn inspect_dir(plan: &ShardPlan) -> Result<Boot> {
+/// Boot on the shard's directory, creating it on the first boot: the
+/// journaled output descriptor of a finished sort, whose keys the shard
+/// reads back for the fold, or `None` — derive the partition and sort it
+/// (resuming from the manifest when one loads).
+fn finished(plan: &ShardPlan) -> Result<Option<OutputMeta>> {
     std::fs::create_dir_all(&plan.dir)
         .map_err(|e| DistError::Io(format!("create {}: {e}", plan.dir.display())))?;
     let path = plan.output_path();
     if !path.exists() {
-        return Ok(Boot::Sort);
+        return Ok(None);
     }
     let text = std::fs::read_to_string(&path)
         .map_err(|e| DistError::Io(format!("read {}: {e}", path.display())))?;
-    Ok(Boot::Done(OutputMeta::parse(&text)?))
+    OutputMeta::parse(&text).map(Some)
 }
 
 /// Run one sort incarnation end to end: derive the partition, build the
@@ -344,7 +352,7 @@ pub(crate) fn inspect_dir(plan: &ShardPlan) -> Result<Boot> {
 /// partition journals [`OutputMeta::empty`] at once.  `on_pass(pass)`
 /// fires at every pass boundary *before* the snapshot — which is also
 /// where a [`KillPoint::Pass`] drill strikes.
-pub(crate) fn sort_shard(plan: &ShardPlan, fence: &FenceFlag, on_pass: &mut dyn FnMut(u64)) -> Result<Outcome> {
+fn sort_shard(plan: &ShardPlan, fence: &FenceFlag, on_pass: &mut dyn FnMut(u64)) -> Result<Outcome> {
     let clock = Instant::now();
     let keys = plan.partition();
     let stage = clock.elapsed().as_millis() as u64;
@@ -387,6 +395,7 @@ pub(crate) fn sort_shard(plan: &ShardPlan, fence: &FenceFlag, on_pass: &mut dyn 
     let sorted = plan.sorter.sort_observed(&mut stack, Input::InMemory(&keys), Some(&manifest), |pass, _a| {
         on_pass(pass);
         if kill_at == Some(pass) {
+            plan.strike();
             return Err(SrmError::Internal(KILL_SENTINEL.into()));
         }
         Ok(())
@@ -469,16 +478,7 @@ pub(crate) fn shard_stack(
     Ok(spec.build(base, Fenced(fence.clone()))?)
 }
 
-/// A finished shard's sorted keys, read back once through the plan's
-/// stack: what a replacement booted on a finished directory folds.
-pub(crate) fn read_output(plan: &ShardPlan, fence: &FenceFlag, meta: &OutputMeta) -> Result<Vec<U64Record>> {
-    match &meta.run {
-        Some(run) => Ok(read_run(&mut shard_stack(plan, open_base(plan, false)?, fence, false)?, run)?),
-        None => Ok(Vec::new()),
-    }
-}
-
-// ─── thread-mode wiring: heartbeats, folding ──────────────────────────────
+// ─── the node's wiring: heartbeats, folding ───────────────────────────────
 
 /// Spawn the heartbeat thread: beacons every interval until `stop`
 /// fires or is dropped.  Runs beside the sort so a compute-bound shard
@@ -520,9 +520,9 @@ fn is_fence_error(e: &DistError) -> bool {
     }
 }
 
-/// Thread entry point for one shard instance.  Runs the state machine,
-/// reporting fatal errors to the coordinator; simulated deaths (drill or
-/// fence) end silently, exactly like a crashed process.
+/// Entry point of one shard instance, on its own thread.  Runs the
+/// state machine, reporting fatal errors to the coordinator; simulated
+/// deaths (drill or fence) end silently, exactly like a crashed process.
 pub fn run_shard(plan: ShardPlan, ep: Endpoint, epoch: u64, fence: FenceFlag) {
     let (stop, stopped) = mpsc::channel();
     let hb = spawn_heartbeat(ep.sender(), plan.coord(), epoch, stopped, plan.heartbeat);
@@ -540,8 +540,12 @@ pub fn run_shard(plan: ShardPlan, ep: Endpoint, epoch: u64, fence: FenceFlag) {
 /// (kill drill or fence), which stops it without a word, exactly like a
 /// crashed process.
 fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) -> Result<()> {
-    if let Boot::Done(meta) = inspect_dir(plan)? {
-        let keys = read_output(plan, fence, &meta)?;
+    if let Some(meta) = finished(plan)? {
+        // Read the finished run's keys back once, through the plan's stack.
+        let keys = match &meta.run {
+            Some(run) => read_run(&mut shard_stack(plan, open_base(plan, false)?, fence, false)?, run)?,
+            None => Vec::new(),
+        };
         return answer_fold(plan, ep, epoch, fence, &meta, &keys);
     }
     let mut on_pass = |pass: u64| ep.send(plan.coord(), epoch, Msg::Pass { pass });
@@ -549,23 +553,6 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
         Outcome::Killed => Ok(()),
         Outcome::Done(meta, keys) => answer_fold(plan, ep, epoch, fence, &meta, &keys),
     }
-}
-
-fn announce_done(plan: &ShardPlan, ep: &Endpoint, epoch: u64, meta: &OutputMeta) {
-    ep.send(
-        plan.coord(),
-        epoch,
-        Msg::SortDone {
-            records: meta.records,
-            blocks: meta.run.as_ref().map_or(0, |r| r.len_blocks),
-            passes: meta.passes,
-            digest: meta.digest,
-            trace_events: meta.trace_events,
-            trace_clean: meta.trace_clean,
-            repaired: meta.repaired,
-            ms: meta.ms,
-        },
-    );
 }
 
 /// Announce the finished sort, then hold its keys until the chain's
@@ -583,7 +570,8 @@ fn answer_fold(
     keys: &[U64Record],
 ) -> Result<()> {
     let coord = plan.coord();
-    announce_done(plan, ep, epoch, meta);
+    let announce_done = || ep.send(coord, epoch, Msg::SortDone { meta: meta.clone() });
+    announce_done();
     let mut heard = false;
     let mut idle = 0u32;
     loop {
@@ -599,7 +587,7 @@ fn answer_fold(
                 idle += 1;
                 if idle >= 4 {
                     idle = 0;
-                    announce_done(plan, ep, epoch, meta);
+                    announce_done();
                 }
             }
             continue;
@@ -611,6 +599,7 @@ fn answer_fold(
         match env.msg {
             Msg::Fold { carry } => {
                 if plan.kill == Some(KillPoint::Merge) {
+                    plan.strike();
                     return Ok(());
                 }
                 let fold = carry.fold(keys.iter().map(|r| r.0), plan.geom.b);
@@ -632,6 +621,24 @@ fn answer_fold(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A replacement that must form afresh waits out its fenced
+    /// predecessor's hold on the cluster, as a resuming one does.
+    #[test]
+    fn a_fresh_cluster_waits_for_the_predecessors_lock() {
+        let spec = JobSpec { records: 100, ..JobSpec::default() };
+        let root = std::env::temp_dir().join(format!("srm-dist-shard-lock-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cfg = crate::DistConfig::new(1);
+        let plan = crate::coord::plan_for(&spec, &cfg, spec.geometry().unwrap(), &root, 0, KeyRange::of(&[], 0), None);
+        let held = FileDiskArray::<U64Record>::create(plan.geom, plan.disks_dir()).unwrap();
+        let opener = std::thread::spawn(move || open_base(&plan, true).map(drop));
+        std::thread::sleep(Duration::from_millis(100));
+        drop(held);
+        let opened = opener.join().unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        opened.unwrap();
+    }
 
     /// The phase timers ride in the durable descriptor: they round-trip,
     /// a descriptor written before they existed reads as zeros, and a
