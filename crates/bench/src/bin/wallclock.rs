@@ -259,10 +259,10 @@ fn case(
 fn srm_sorter(case: &Case) -> SrmSorter {
     let config = if case.threads > 1 {
         SrmConfig {
-            run_formation: RunFormation::ParallelMemoryLoad {
+            run_formation: Some(RunFormation::ParallelMemoryLoad {
                 fraction: 0.5,
                 threads: case.threads,
-            },
+            }),
             ..SrmConfig::default()
         }
     } else {
@@ -368,8 +368,9 @@ fn run_case(case: Case, seed: u64, reps: usize) -> Outcome {
     assert_eq!(serial_out, sorted, "serial output unsorted or corrupt");
 
     // The headline case must also hold up in front of the invariant
-    // checker: replay a traced pipelined sort (untimed, no delay), at
-    // the case's full depth and thread count.
+    // checker: replay a traced pipelined sort (untimed), at the case's
+    // full depth and thread count, on the case's device, so that it
+    // forms its runs as the timed sort did.
     let model_checked = if case.headline && case.algo == "srm" {
         let dir = base.with_extension("trace");
         let _ = std::fs::remove_dir_all(&dir);
@@ -378,10 +379,13 @@ fn run_case(case: Case, seed: u64, reps: usize) -> Outcome {
         let spec = StackSpec { trace: true, ..StackSpec::default() };
         let mut traced = spec.build(file, ()).expect("stack");
         let input = write_unsorted_input(&mut traced, &data).expect("stage");
+        traced.backend().set_io_delay(delay);
+        let staged = traced.stats();
         srm_sorter(&case)
             .with_pipeline(true)
             .sort(&mut traced, &input)
             .expect("traced sort");
+        assert_eq!(traced.stats().since(&staged), pipe_io, "the replay sorts as the timed sort did");
         let trace = traced.take_trace();
         modelcheck::check_trace(geom, &trace)
             .unwrap_or_else(|v| panic!("model-rule violation: {v}"));

@@ -363,6 +363,14 @@ pub trait DiskArray<R: Record> {
         None
     }
 
+    /// What one block costs the backend's device, by which a sorter
+    /// chooses its run formation (DESIGN.md §14.8): read off the pool
+    /// handle the backend lends out, so every wrapper that forwards the
+    /// pool forwards it.
+    fn device_time(&self) -> std::time::Duration {
+        self.buffer_pool().map_or(std::time::Duration::ZERO, BufferPool::device_time)
+    }
+
     /// Reserve space for a run of `len_blocks` blocks (holding `records`
     /// records) striped cyclically from `start_disk` (§3's layout).
     ///

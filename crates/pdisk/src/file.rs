@@ -653,7 +653,7 @@ impl<R: Record> FileDiskArray<R> {
             stats: IoStats::default(),
             layout,
             trace: None,
-            pool: BufferPool::new(),
+            pool: BufferPool::new().on_device(Arc::clone(&io_delay_us)),
             io_delay_us,
             torn_dropped,
             prefetched: HashMap::new(),
@@ -992,7 +992,7 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
     }
 
     fn install_pool(&mut self, pool: BufferPool<R>) {
-        self.pool = pool;
+        self.pool = pool.on_device(Arc::clone(&self.io_delay_us));
     }
 
     fn buffer_pool(&self) -> Option<&BufferPool<R>> {

@@ -25,7 +25,9 @@
 //! simply dropped.  [`PoolStats`] counts fresh vs. reused draws, which is
 //! how the tests prove the steady state really is allocation-free.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::sync::Mutex;
 
@@ -83,16 +85,19 @@ struct PoolInner<R> {
 }
 
 /// Shared recycling pool of record and byte buffers.  Cloning shares the
-/// pool.
+/// pool.  A handle a backend lends out names its device too.
 #[derive(Debug)]
 pub struct BufferPool<R> {
     inner: Arc<Mutex<PoolInner<R>>>,
+    /// The lending backend's time per block in µs; 0 = no device.
+    device_us: Arc<AtomicU64>,
 }
 
 impl<R> Clone for BufferPool<R> {
     fn clone(&self) -> Self {
         BufferPool {
             inner: Arc::clone(&self.inner),
+            device_us: Arc::clone(&self.device_us),
         }
     }
 }
@@ -124,7 +129,20 @@ impl<R> BufferPool<R> {
                 cap_per_kind,
                 stats: PoolStats::default(),
             })),
+            device_us: Arc::new(AtomicU64::new(0)),
         }
+    }
+
+    /// This handle, sharing its buffers, lent out by a backend whose
+    /// time per block `device_us` holds.
+    pub(crate) fn on_device(self, device_us: Arc<AtomicU64>) -> Self {
+        BufferPool { device_us, ..self }
+    }
+
+    /// What one block transfer costs the device of the backend that
+    /// lent this handle out; zero is a free device.
+    pub fn device_time(&self) -> Duration {
+        Duration::from_micros(self.device_us.load(Ordering::Relaxed))
     }
 
     /// An empty record buffer with capacity at least `cap`.

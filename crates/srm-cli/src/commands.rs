@@ -171,12 +171,12 @@ USAGE:
       disk reports ENOSPC after N record-writes, so the overflowing
       SUBMIT is refused with the typed `no-space` admission error while
       the server keeps serving (no wedged slot, clean drain).
-      --io-delay-us U models each job's device at U us per block; a
-      job that names no formation then forms its runs by replacement
-      selection when the pass plan predicts fewer blocks moved than
-      half-memory loads, even for runs of only M - 4DB records (its
-      guarantee).  At 0 (the default) it keeps the loads, which cost
-      less host time.
+      --io-delay-us U models each job's disks at U us per block, and
+      the sorter reads that device off the job's array: a job that
+      names no formation then forms its runs by replacement selection
+      when the pass plan predicts fewer blocks moved than half-memory
+      loads, even for runs of only M - 4DB records (its guarantee).  At
+      0 (the default) it keeps the loads, which cost less host time.
 
       Protocol verbs, one request per line:
         SUBMIT key=value ...   (records=N d=D b=B m=M engine=srm|dsm
@@ -186,8 +186,8 @@ USAGE:
                                A job sorts pipelined at read-ahead 3
                                unless it says otherwise; pipeline=0 is
                                the window-0 reference (DESIGN.md §11.1).
-                               Without formation= the server chooses
-                               (see --io-delay-us); a named one is kept.
+                               Without formation= the job's device
+                               chooses (--io-delay-us); a named one stays.
         STATUS ID | WATCH ID | CANCEL ID | LIST | STATS | DRAIN |
         PING | QUIT
 
@@ -224,10 +224,10 @@ USAGE:
       the depth as for `srm sort`, and --read-ahead 0 alone asks for
       window 0, the reference every window is byte- and count-identical
       to.  --io-delay-us U models each shard's disks at U us per block,
-      and then a shard forms its runs by replacement selection when the
-      pass plan predicts fewer blocks moved than half-memory loads, even
-      for runs of only M - 4DB records; without a delay, and on a tie,
-      it sorts half-memory loads.  Per shard the report prints its
+      which a shard's sorter reads off its array: it forms its runs by
+      replacement selection when the pass plan predicts fewer blocks
+      moved than half-memory loads even for runs of M - 4DB records,
+      and sorts half-memory loads otherwise.  Per shard the report prints its
       formation (load or rs), its passes, and where its time went
       (stage = deriving the partition / sort / verify / check ms).
       Shards are threads by default; --procs runs each as a real `srm`

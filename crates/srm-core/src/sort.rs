@@ -72,8 +72,9 @@ impl EngineKind {
 pub struct SrmConfig {
     /// Start-disk policy.
     pub placement: Placement,
-    /// Run-formation strategy.
-    pub run_formation: RunFormation,
+    /// Run-formation strategy; `None`, the default, is the sorter's
+    /// choice by device ([`SrmSorter::formation`]).
+    pub run_formation: Option<RunFormation>,
     /// Seed for the (limited) internal randomization.
     pub seed: u64,
 }
@@ -82,7 +83,7 @@ impl Default for SrmConfig {
     fn default() -> Self {
         SrmConfig {
             placement: Placement::Random,
-            run_formation: RunFormation::default(),
+            run_formation: None,
             seed: 0x5EED_0001,
         }
     }
@@ -243,9 +244,6 @@ pub struct SrmSorter {
     /// Cooperative stop request; polled at pass boundaries.  See
     /// [`SrmSorter::with_interrupt`].
     interrupt: Option<InterruptFlag>,
-    /// Device time per block the caller declared; zero = no device.
-    /// See [`SrmSorter::with_device_time`].
-    device_time: Duration,
 }
 
 impl SrmSorter {
@@ -258,7 +256,6 @@ impl SrmSorter {
             read_ahead: 0,
             crash: None,
             interrupt: None,
-            device_time: Duration::ZERO,
         }
     }
 
@@ -329,32 +326,19 @@ impl SrmSorter {
         self
     }
 
-    /// Declare the device the sort runs on: every block read or written
-    /// costs it about `per_block`.  On a declared device a sorter
-    /// configured for the paper's half-memory loads (the default) forms
-    /// its runs by replacement selection instead when
-    /// [`choose_formation`] predicts fewer blocks moved.  Replacement
-    /// selection costs about four times the host time per record, which
-    /// a free device does not repay where it saves little (DESIGN.md
-    /// §14.8), so at zero, the default, the configured formation stands.
-    /// Any other configured formation, and DSM's loads, are kept.  Like
-    /// `pipeline`, not part of [`SrmConfig`]: a resumed sort's runs are
-    /// already formed, so a checkpoint resumes under any device.
-    pub fn with_device_time(mut self, per_block: Duration) -> Self {
-        self.device_time = per_block;
-        self
-    }
-
     /// The formation a sort of `records` records on `geometry` forms its
-    /// runs by: the configured one, or [`choose_formation`]'s pick on a
-    /// declared device (see [`SrmSorter::with_device_time`]).
-    pub fn formation(&self, geometry: Geometry, records: u64) -> Result<RunFormation> {
-        let configured = self.config.run_formation;
-        let declared = !self.device_time.is_zero() && self.engine == EngineKind::Srm;
-        if !declared || configured != RunFormation::default() {
-            return Ok(configured);
+    /// runs by on a device of `device` per block (the sort asks its
+    /// array, [`DiskArray::device_time`]): the configured one or, left
+    /// open, [`choose_formation`]'s pick on a modelled device and loads
+    /// on a free one, which would not repay RS's host time (DESIGN.md
+    /// §14.8).  DSM keeps its loads.  A resume forms no runs, so a
+    /// checkpoint resumes on any device.
+    pub fn formation(&self, geometry: Geometry, records: u64, device: Duration) -> Result<RunFormation> {
+        match self.config.run_formation {
+            Some(configured) => Ok(configured),
+            None if device.is_zero() || self.engine == EngineKind::Dsm => Ok(RunFormation::default()),
+            None => Ok(choose_formation(records, geometry, self.merge_order(geometry)?)),
         }
-        Ok(choose_formation(records, geometry, self.merge_order(geometry)?))
     }
 
     /// The configuration in use.
@@ -501,7 +485,7 @@ impl SrmSorter {
                 (m.runs, m.pass, m.runs_formed, None)
             }
             None => {
-                let formation = self.formation(geometry, records)?;
+                let formation = self.formation(geometry, records, array.device_time())?;
                 if let Some(sink) = array.trace_sink() {
                     // Run formation is pass 0; merge passes count from 1.
                     sink.begin_pass(0);
@@ -728,7 +712,7 @@ pub fn sort_volumes(records: u64, runs: &[u64], b: usize, merge_order: usize) ->
     std::iter::once(formation).chain(pass_volumes(runs, b, merge_order)).collect()
 }
 
-/// The formation rule on a declared device: replacement selection when
+/// The formation rule on a modelled device: replacement selection when
 /// its worst case ([`rs_worst_runs`]) moves strictly fewer blocks,
 /// read and written over the whole sort, than half-memory loads; loads
 /// otherwise, ties included.
@@ -806,7 +790,7 @@ mod tests {
             geom,
             &keys,
             SrmConfig {
-                run_formation: RunFormation::MemoryLoad { fraction: 1.0 },
+                run_formation: Some(RunFormation::MemoryLoad { fraction: 1.0 }),
                 ..SrmConfig::default()
             },
         );
@@ -839,7 +823,7 @@ mod tests {
             geom,
             &keys,
             SrmConfig {
-                run_formation: RunFormation::ReplacementSelection,
+                run_formation: Some(RunFormation::ReplacementSelection),
                 ..SrmConfig::default()
             },
         );
@@ -1052,40 +1036,57 @@ mod tests {
         }
     }
 
-    /// Only a declared device, on SRM's default half-memory loads, hands
-    /// the formation to the rule; every configured alternative is kept.
+    /// A file array in a fresh directory whose device costs 1 µs a
+    /// block: the rule asks only whether the device is modelled.
+    fn modelled_device(geom: Geometry, tag: &str) -> (FileDiskArray<U64Record>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("srm-core-device-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let array = FileDiskArray::create(geom, &dir).unwrap();
+        array.set_io_delay(Duration::from_micros(1));
+        (array, dir)
+    }
+
+    /// Only a modelled device, under a formation the configuration
+    /// leaves open, hands the choice to the rule; every configured
+    /// formation is kept, the default half-memory loads included.
     #[test]
     fn a_declared_device_chooses_and_an_explicit_formation_wins() {
         let geom = shard_geometry();
-        let device = Duration::from_micros(40);
+        let (mut a, dir) = modelled_device(geom, "chooses");
+        let device = a.device_time();
         let rs = RunFormation::ReplacementSelection;
-        let formation = |s: SrmSorter, records| s.formation(geom, records).unwrap();
-        assert_eq!(formation(SrmSorter::default(), 30_000), RunFormation::default(), "no device");
-        assert_eq!(formation(SrmSorter::default().with_device_time(Duration::ZERO), 30_000), RunFormation::default());
-        assert_eq!(formation(SrmSorter::default().with_device_time(device), 30_000), rs);
-        assert_eq!(formation(SrmSorter::default().with_device_time(device), 5_000), RunFormation::default());
+        let formation = |s: &SrmSorter, records, device| s.formation(geom, records, device).unwrap();
+        let free = MemDiskArray::<U64Record>::new(geom).device_time();
+        assert_eq!(formation(&SrmSorter::default(), 30_000, free), RunFormation::default(), "no device");
+        a.set_io_delay(Duration::ZERO);
+        assert_eq!(formation(&SrmSorter::default(), 30_000, a.device_time()), RunFormation::default());
+        a.set_io_delay(device);
+        assert_eq!(formation(&SrmSorter::default(), 30_000, device), rs);
+        assert_eq!(formation(&SrmSorter::default(), 5_000, device), RunFormation::default());
         for explicit in [
             rs,
+            RunFormation::MemoryLoad { fraction: 0.5 },
             RunFormation::MemoryLoad { fraction: 1.0 },
             RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 2 },
         ] {
-            let sorter = SrmSorter::new(SrmConfig { run_formation: explicit, ..SrmConfig::default() });
-            let sorter = sorter.with_device_time(device);
-            assert_eq!(formation(sorter.clone(), 30_000), explicit);
-            assert_eq!(formation(sorter, 5_000), explicit);
+            let sorter = SrmSorter::new(SrmConfig { run_formation: Some(explicit), ..SrmConfig::default() });
+            assert_eq!(formation(&sorter, 30_000, device), explicit);
+            assert_eq!(formation(&sorter, 5_000, device), explicit);
         }
         let wide = Geometry::new(1, 48, 1024).unwrap();
-        let dsm = SrmSorter::default().with_engine(EngineKind::Dsm).with_device_time(device);
-        assert_eq!(dsm.formation(wide, 30_000).unwrap(), RunFormation::default(), "DSM keeps its loads");
+        let dsm = SrmSorter::default().with_engine(EngineKind::Dsm);
+        assert_eq!(dsm.formation(wide, 30_000, device).unwrap(), RunFormation::default(), "DSM keeps its loads");
 
-        // The sort forms by the choice and reports it; a resume does not.
-        let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
+        // The sort reads the device off its array, forms by the choice
+        // and reports it; a resume does not.
         let mut rng = SmallRng::seed_from_u64(36);
         let recs: Vec<U64Record> = (0..30_000).map(|_| U64Record(rng.random())).collect();
         let input = write_unsorted_input(&mut a, &recs).unwrap();
-        let (_, report) = SrmSorter::default().with_device_time(device).sort(&mut a, &input).unwrap();
+        let (_, report) = SrmSorter::default().sort(&mut a, &input).unwrap();
         assert_eq!((report.formation, report.merge_passes), (Some(rs), 1));
         assert!(report.runs_formed < 37, "random input beats the worst case: {}", report.runs_formed);
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Keys of `n` records in four shapes: sorted, reverse (RS's worst
@@ -1112,7 +1113,6 @@ mod tests {
     /// B = 8, M = 512).
     #[test]
     fn rs_chosen_by_the_rule_is_never_worse_than_loads() {
-        let device = Duration::from_micros(40);
         let mut chosen = 0;
         for (geom, n) in [
             (shard_geometry(), 30_000),
@@ -1122,10 +1122,10 @@ mod tests {
             let r = geom.srm_merge_order().unwrap();
             let loads = predicted(n as u64, &load_runs(n as u64, geom, 0.5), geom, r);
             for (shape, keys) in shaped_inputs(n, 0x5EED ^ n as u64) {
-                let mut a: MemDiskArray<U64Record> = MemDiskArray::new(geom);
+                let (mut a, dir) = modelled_device(geom, shape);
                 let recs: Vec<U64Record> = keys.iter().map(|&k| U64Record(k)).collect();
                 let input = write_unsorted_input(&mut a, &recs).unwrap();
-                let (sorted, report) = SrmSorter::default().with_device_time(device).sort(&mut a, &input).unwrap();
+                let (sorted, report) = SrmSorter::default().sort(&mut a, &input).unwrap();
                 let mut expected = keys.clone();
                 expected.sort_unstable();
                 let got: Vec<u64> = read_run(&mut a, &sorted).unwrap().iter().map(|r| r.0).collect();
@@ -1134,6 +1134,8 @@ mod tests {
                     chosen += 1;
                     assert!(moved_once(&report) <= loads, "{geom:?} {shape}: RS moved {} > loads' {loads}", moved_once(&report));
                 }
+                drop(a);
+                let _ = std::fs::remove_dir_all(&dir);
             }
         }
         assert_eq!(chosen, 12, "the rule sends every one of these sorts to RS");

@@ -103,9 +103,8 @@ pub struct DistConfig {
     /// the "node died and took sectors with it" scenario.  The
     /// replacement's pre-resume scrub must heal every lost block.
     pub corrupt_disk: Option<usize>,
-    /// Per-disk I/O service delay on every shard cluster.  Nonzero, it
-    /// is also the device time a shard chooses its formation by, unless
-    /// the spec names one ([`JobSpec::build_on`]).
+    /// Per-disk I/O service delay on every shard cluster: the device a
+    /// shard's sorter chooses its formation by, unless the spec names one.
     pub io_delay: Duration,
     /// Hard cap on recoveries per node — the circuit breaker that turns
     /// a crash loop into an error instead of an infinite fence/respawn
@@ -249,7 +248,8 @@ pub struct DistReport {
     /// Fold stalls: a shard asked for its fold went silent and was
     /// replaced.
     pub merge_stalls: u64,
-    /// Wall-clock of each recovery, fence to replacement-ready.
+    /// Wall-clock of each recovery, fence to replacement-ready, or to the
+    /// fence of the next recovery of the shard, which supersedes it.
     pub recovery_ms: Vec<u64>,
     /// Channel-level delivery counters.
     pub net: NetStats,
@@ -474,7 +474,7 @@ pub(crate) fn plan_for(
             seed: spec.seed.wrapping_add(salt),
             ..spec.clone()
         }
-        .build_on(cfg.io_delay, None),
+        .build(None),
         parity: cfg.parity,
         fault_rate: spec.fault_rate,
         fault_seed: spec.fault_seed.wrapping_add(salt),
@@ -598,7 +598,7 @@ impl Coordinator<'_> {
         self.nodes[s].last_seen = Instant::now();
         match env.msg {
             Msg::SortDone { meta } => {
-                let formation = self.plan(env.src, None).sorter.formation(self.geom, meta.records)?;
+                let formation = self.plan(env.src, None).sorter.formation(self.geom, meta.records, self.cfg.io_delay)?;
                 let node = &mut self.nodes[s];
                 node.report = ShardReport {
                     records: meta.records,
@@ -686,6 +686,9 @@ impl Coordinator<'_> {
         node.fence = FenceFlag::new();
         node.report.recoveries += 1;
         let first_recovery = node.report.recoveries == 1;
+        if let Some(superseded) = node.recovery_started.replace(Instant::now()) {
+            self.recovery_ms.push(superseded.elapsed().as_millis() as u64);
+        }
         self.recoveries += 1;
         // A fold asked of the dead instance stalls: the chain asks its
         // replacement afresh once that is done.
@@ -707,11 +710,7 @@ impl Coordinator<'_> {
         // Replacements boot unarmed: the drill kills a node once.
         let endpoint = self.net.reconnect(s as u32);
         self.boot(s, endpoint, None)?;
-        let node = &mut self.nodes[s];
-        node.done = false;
-        if node.recovery_started.is_none() {
-            node.recovery_started = Some(Instant::now());
-        }
+        self.nodes[s].done = false;
         Ok(())
     }
 

@@ -117,13 +117,37 @@ fn node_death_matrix_is_byte_identical() {
                     report.per_shard[victim as usize].recoveries >= 1,
                     "P={p} kill {victim}@{pass}: the victim must be the one recovered"
                 );
-                assert!(
-                    !report.recovery_ms.is_empty(),
-                    "recovery wall-clock must be measured"
+                assert_eq!(
+                    report.recovery_ms.len() as u64,
+                    report.recoveries,
+                    "every recovery's wall-clock must be measured"
                 );
             }
         }
     }
+}
+
+/// Cut one shard off for a window of sends a few detector timeouts
+/// long: it is replaced, and its replacement, cut off too, is replaced
+/// before it could ever report, so the second recovery supersedes the
+/// first.  Every recovery, the superseded one included, is timed on its
+/// own.  The timeout is many times a shard's sort, so every victim is a
+/// done shard, which writes nothing.
+#[test]
+fn a_shard_recovered_twice_times_every_recovery() {
+    let p = 2;
+    let want = baseline(p);
+    let mut cfg = DistConfig::new(p);
+    cfg.heartbeat = Duration::from_millis(100);
+    cfg.timeout = Duration::from_secs(1);
+    cfg.max_recoveries = 64;
+    // Sends run at about 25 a second here, so the window stays shut for
+    // about 3.5 s: two or three recoveries of shard 1, a second apart.
+    cfg.net = NetFaultModel::seeded(0x2EC0).partition(1, 2, 90);
+    let report = run("twice", &cfg);
+    assert_clean(&report, want);
+    assert!(report.per_shard[1].recoveries >= 2, "the cut-off shard must be replaced twice: {:?}", report.per_shard[1]);
+    assert_eq!(report.recovery_ms.len() as u64, report.recoveries, "{:?}", report.recovery_ms);
 }
 
 /// Kill a shard when its fold request arrives, before it answers: the

@@ -29,7 +29,6 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 pub use srm_core::EngineKind;
 use srm_core::{Placement, RunFormation, SrmConfig, SrmError, SrmSorter};
-use std::time::Duration;
 
 /// Errors surfaced by the job layer and the server built on it.
 #[derive(Debug)]
@@ -154,9 +153,9 @@ pub struct JobSpec {
     pub placement: Placement,
     /// Run-formation strategy (SRM; DSM always sorts half-memory loads).
     /// `None`, a spec without `formation=`, leaves it to the sorter:
-    /// half-memory loads, or replacement selection on a device where
-    /// that predicts fewer blocks ([`JobSpec::build_on`]).  `Some` is an
-    /// override.
+    /// half-memory loads, or replacement selection on a modelled device
+    /// where that predicts fewer blocks ([`SrmSorter::formation`]).
+    /// `Some` is an override.
     pub formation: Option<RunFormation>,
     /// Overlap I/O with merging (the engine's pipelined window).
     pub pipeline: bool,
@@ -249,7 +248,7 @@ impl JobSpec {
     pub fn srm_config(&self) -> SrmConfig {
         SrmConfig {
             placement: self.placement,
-            run_formation: self.formation.unwrap_or_default(),
+            run_formation: self.formation,
             seed: self.seed,
         }
     }
@@ -266,7 +265,7 @@ impl JobSpec {
     /// wide disk.
     pub fn dsm_sorter(&self) -> SrmSorter {
         let config = SrmConfig {
-            run_formation: RunFormation::MemoryLoad { fraction: 0.5 },
+            run_formation: Some(RunFormation::MemoryLoad { fraction: 0.5 }),
             ..self.srm_config()
         };
         SrmSorter::new(config)
@@ -285,18 +284,6 @@ impl JobSpec {
         match interrupt {
             Some(f) => s.with_interrupt(f),
             None => s,
-        }
-    }
-
-    /// [`JobSpec::build`] for a device that spends `per_block` on every
-    /// block, declared to the sorter ([`SrmSorter::with_device_time`])
-    /// when the spec leaves the formation to it.  The job server passes
-    /// its `io_delay`, a distsort shard its cluster's.
-    pub fn build_on(&self, per_block: Duration, interrupt: Option<InterruptFlag>) -> SrmSorter {
-        let sorter = self.build(interrupt);
-        match self.formation {
-            None => sorter.with_device_time(per_block),
-            Some(_) => sorter,
         }
     }
 
@@ -497,7 +484,8 @@ pub fn expected_digest(spec: &JobSpec) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::MemDiskArray;
+    use pdisk::{DiskArray, FileDiskArray, MemDiskArray};
+    use std::time::Duration;
     use srm_core::read_run;
     use srm_core::sort::write_unsorted_input;
 
@@ -567,10 +555,10 @@ mod tests {
     }
 
     /// A spec without `formation=` leaves the choice to the sorter, which
-    /// on a declared device picks RS where it predicts fewer blocks (a
-    /// `dist_p4` shard's 30 000 records) and loads on a free one; `load`,
-    /// `parload:N` and `rs` are overrides a device does not touch, and
-    /// each round-trips through the encoding.
+    /// on a modelled device (the array's delay) picks RS where it
+    /// predicts fewer blocks (a `dist_p4` shard's 30 000 records) and
+    /// loads on a free one; `load`, `parload:N` and `rs` are overrides a
+    /// device does not touch, and each round-trips through the encoding.
     #[test]
     fn an_omitted_formation_is_chosen_and_a_named_one_overrides() {
         let shard = "records=30000\nd=3\nb=16\nm=1024\n";
@@ -579,12 +567,19 @@ mod tests {
         assert!(!chosen.encode().contains("formation"), "None is the key's absence");
         assert_eq!(JobSpec::decode(&chosen.encode()).unwrap(), chosen);
         let geom = chosen.geometry().unwrap();
-        let formed = |spec: &JobSpec, delay_us: u64| {
-            spec.build_on(Duration::from_micros(delay_us), None).formation(geom, spec.records).unwrap()
+        let dir = std::env::temp_dir().join(format!("srm-job-formation-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let array: FileDiskArray<U64Record> = FileDiskArray::create(geom, &dir).unwrap();
+        let device = |delay_us: u64| {
+            array.set_io_delay(Duration::from_micros(delay_us));
+            array.device_time()
         };
-        assert_eq!(formed(&chosen, 40), RunFormation::ReplacementSelection);
+        let formed = |spec: &JobSpec, delay_us: u64| {
+            spec.build(None).formation(geom, spec.records, device(delay_us)).unwrap()
+        };
+        assert_eq!(formed(&chosen, 1), RunFormation::ReplacementSelection);
         assert_eq!(formed(&chosen, 0), RunFormation::MemoryLoad { fraction: 0.5 });
-        assert_eq!(chosen.build(None).formation(geom, 30_000).unwrap(), RunFormation::MemoryLoad { fraction: 0.5 });
+        assert_eq!(chosen.build(None).formation(geom, 30_000, Duration::ZERO).unwrap(), RunFormation::MemoryLoad { fraction: 0.5 });
 
         for (named, want) in [
             ("load", RunFormation::MemoryLoad { fraction: 0.5 }),
@@ -594,13 +589,15 @@ mod tests {
             let spec = JobSpec::decode(&format!("{shard}formation={named}\n")).unwrap();
             assert_eq!(spec.formation, Some(want));
             assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
-            assert_eq!((formed(&spec, 40), formed(&spec, 0)), (want, want), "{named}");
+            assert_eq!((formed(&spec, 1), formed(&spec, 0)), (want, want), "{named}");
         }
         // DSM keeps its half-memory loads on any device.
         let dsm = JobSpec { engine: EngineKind::Dsm, ..chosen };
         let wide = dsm.geometry().unwrap();
-        let sorter = dsm.build_on(Duration::from_micros(40), None);
-        assert_eq!(sorter.formation(wide, 30_000).unwrap(), RunFormation::MemoryLoad { fraction: 0.5 });
+        let sorter = dsm.build(None);
+        assert_eq!(sorter.formation(wide, 30_000, device(1)).unwrap(), RunFormation::MemoryLoad { fraction: 0.5 });
+        drop(array);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

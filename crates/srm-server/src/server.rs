@@ -64,9 +64,9 @@ pub struct ServerConfig {
     /// with a queue-full rejection.
     pub queue_depth: usize,
     /// Per-I/O delay injected into each job's file backend, to make
-    /// concurrency observable in tests.  Nonzero, it is also the device
-    /// time a job without `formation=` chooses its formation by
-    /// ([`JobSpec::build_on`]).
+    /// concurrency observable in tests.  It is the array's device time,
+    /// so, nonzero, it is also what a job without `formation=` chooses
+    /// its formation by ([`srm_core::SrmSorter::formation`]).
     pub io_delay: Duration,
     /// Retry policy absorbing each job's transient faults.
     pub retry: RetryPolicy,
@@ -733,7 +733,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
     let disks = dir.join("disks");
     let manifest = dir.join("manifest");
     let geom = spec.geometry()?;
-    let job = spec.build_on(inner.cfg.io_delay, Some(flag));
+    let job = spec.build(Some(flag));
 
     // The input is generated from the spec and sorted from memory, so
     // the pass-0 manifest is the job's first durable state: a loadable

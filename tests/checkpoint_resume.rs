@@ -125,7 +125,7 @@ fn srm_killed_at_any_point_resumes_byte_identical() {
 fn srm_replacement_selection_killed_in_and_at_pass_0_resumes_byte_identical() {
     let data = random_records(3000, 76);
     let config = srm_core::SrmConfig {
-        run_formation: srm_core::run_formation::RunFormation::ReplacementSelection,
+        run_formation: Some(srm_core::run_formation::RunFormation::ReplacementSelection),
         ..srm_core::SrmConfig::default()
     };
     let (want, _, _, report) = baseline_of(&SrmSorter::new(config), &data);

@@ -2,12 +2,15 @@
 //! memory budgets; measured I/O versus the closed forms of eq. (40)/(41);
 //! the real-file backend versus the in-memory backend.
 
-use pdisk::{DiskArray, FileDiskArray, Geometry, MemDiskArray, U64Record};
+use pdisk::{
+    DiskArray, FaultModel, FileDiskArray, Geometry, MemDiskArray, ParitySpec, RetryPolicy, StackSpec, U64Record,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_repro as _;
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, EngineKind, SrmSorter};
+use srm_core::{read_run, EngineKind, RunFormation, SrmConfig, SrmSorter};
+use std::time::Duration;
 
 fn random_records(n: u64, seed: u64) -> Vec<U64Record> {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -183,4 +186,47 @@ fn whole_pipeline_deterministic() {
     let (out2, rep2) = srm_sort(geom, &data);
     assert_eq!(out1, out2);
     assert_eq!(rep1, rep2);
+}
+
+/// `sort_stacked`'s production stack, `Retrying(Parity(Faulty(File)))`
+/// at its geometry and 200 µs a block: the sorter reads the device
+/// through every layer and forms by replacement selection, which the
+/// rule predicts moves fewer blocks (one merge pass, not two), and the
+/// output is the one half-memory loads leave.  A named formation is
+/// kept on the same device.
+#[test]
+fn the_stacked_device_forms_by_rs_and_sorts_as_loads_do() {
+    let geom = Geometry::for_table(4, 4, 512).unwrap();
+    let data = random_records(200_000, 0x57AC);
+    let delay = Duration::from_micros(200);
+    let sort = |tag: &str, formation: Option<RunFormation>| {
+        let dir = std::env::temp_dir().join(format!("srm-e2e-stacked-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let file = FileDiskArray::<U64Record>::create(geom, dir.join("disks")).unwrap();
+        let spec = StackSpec {
+            faults: Some(FaultModel::random(0xFA17).with_rate(0.001)),
+            parity: Some(ParitySpec { store: Some(dir.join("parity.store")), dead: Vec::new() }),
+            retry: Some(RetryPolicy::default()),
+            ..StackSpec::default()
+        };
+        let mut a = spec.build(file, ()).unwrap();
+        let input = write_unsorted_input(&mut a, &data).unwrap();
+        a.backend().set_io_delay(delay);
+        assert_eq!(a.device_time(), delay, "{tag}: the device reaches the top of the stack");
+        let sorter = SrmSorter::new(SrmConfig { run_formation: formation, ..SrmConfig::default() });
+        let (run, report) = sorter.with_pipeline(true).with_read_ahead(3).sort(&mut a, &input).unwrap();
+        a.backend().set_io_delay(Duration::ZERO);
+        let out: Vec<u64> = read_run(&mut a, &run).unwrap().iter().map(|r| r.0).collect();
+        drop(a);
+        let _ = std::fs::remove_dir_all(&dir);
+        (out, report)
+    };
+    let loads = RunFormation::MemoryLoad { fraction: 0.5 };
+    let (chosen, rs) = sort("chosen", None);
+    let (pinned, load) = sort("loads", Some(loads));
+    assert_eq!((rs.formation, rs.merge_passes), (Some(RunFormation::ReplacementSelection), 1));
+    assert_eq!((load.formation, load.merge_passes), (Some(loads), 2));
+    assert_eq!(chosen.len(), data.len());
+    assert!(chosen.windows(2).all(|w| w[0] <= w[1]), "sorted");
+    assert!(chosen == pinned, "RS leaves the bytes (and so the digest) loads leave");
 }

@@ -416,7 +416,7 @@ fn a_fault_inside_replacement_selection_quiesces_its_window() {
     let data = records(4000, 32);
     let stripes = 4000u64.div_ceil(8).div_ceil(4); // staging writes; formation reads
     let config = srm_core::SrmConfig {
-        run_formation: RunFormation::ReplacementSelection,
+        run_formation: Some(RunFormation::ReplacementSelection),
         ..srm_core::SrmConfig::default()
     };
     let strike = |tag: &str, model: FaultModel, typed: fn(&PdiskError) -> bool| {

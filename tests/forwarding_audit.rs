@@ -16,14 +16,18 @@
 //! the pair and no layer has a hook for them, so they never travel: the
 //! last rows call them on each stacked array and require the array below
 //! to see the submit and the complete, not a blocking call.
+//!
+//! `device_time` is not audited as forwarded: its default reads the pool
+//! handle the backend lends out, so it travels with `buffer_pool`, up a
+//! wrapper written by hand as well as up a `Stack`.
 
 mod common;
 
 use common::{Log, Probe, Transparent};
 use pdisk::{
     Block, BlockAddr, BufferPool, CrashClock, CrashingDiskArray, DiskArray, DiskId, FaultModel,
-    FaultyDiskArray, Forecast, Geometry, MemDiskArray, ParityDiskArray, ParitySpec, RetryPolicy,
-    RetryingDiskArray, Stack, StackSpec, TraceSink, TracingDiskArray, U64Record,
+    FaultyDiskArray, FileDiskArray, Forecast, Geometry, MemDiskArray, ParityDiskArray, ParitySpec,
+    RetryPolicy, RetryingDiskArray, Stack, StackSpec, TraceSink, TracingDiskArray, U64Record,
 };
 use srm_chaos::local::Misclassifying;
 use srm_dist::{FenceFlag, Fenced};
@@ -197,4 +201,22 @@ fn an_absent_layer_declines_nothing_and_the_builder_what_its_one_layer_declines(
     findings.extend(audit("Fenced", |p| spec().build(p, Fenced(FenceFlag::new())).unwrap()));
     findings.extend(audit("Misclassifying", |p| spec().build(p, Misclassifying { armed: true }).unwrap()));
     assert!(findings.is_empty(), "forwarding audit:\n{}", findings.join("\n"));
+}
+
+/// A file array's delay reaches the top of a stack whose bottom wrapper
+/// forwards by hand and says nothing of a device: `Probe` passes the
+/// pool up, and the device with it.
+#[test]
+fn the_device_travels_with_the_pool_through_a_hand_written_wrapper() {
+    let dir = std::env::temp_dir().join(format!("forwarding-audit-device-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let file: FileDiskArray<Rec> = FileDiskArray::create(Geometry::new(2, 2, 100).unwrap(), &dir).unwrap();
+    file.set_io_delay(std::time::Duration::from_micros(200));
+    let probe = Probe::new(file);
+    let log = probe.log.clone();
+    let stack = TracingDiskArray::new(RetryingDiskArray::new(probe, RetryPolicy::default()));
+    assert_eq!(stack.device_time(), std::time::Duration::from_micros(200));
+    assert!(log.borrow().contains("buffer_pool"), "read off the pool below the probe");
+    drop(stack);
+    let _ = std::fs::remove_dir_all(&dir);
 }

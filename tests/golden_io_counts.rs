@@ -85,7 +85,7 @@ fn golden_replacement_selection_counts() {
     let mut a = TracingDiskArray::new(MemDiskArray::<U64Record>::new(geom));
     let input = write_unsorted_input(&mut a, &data).unwrap();
     a.reset_stats();
-    let config = SrmConfig { run_formation: RunFormation::ReplacementSelection, ..SrmConfig::default() };
+    let config = SrmConfig { run_formation: Some(RunFormation::ReplacementSelection), ..SrmConfig::default() };
     let (_, report) = SrmSorter::new(config).sort(&mut a, &input).unwrap();
     check_trace(geom, &a.take_trace())
         .unwrap_or_else(|v| panic!("golden replacement-selection trace violates the model: {v}"));
@@ -220,7 +220,7 @@ fn golden_dsm_counts() {
 fn total_ios_follow_the_papers_formula() {
     use srm_core::run_formation::RunFormation;
     use srm_core::{EngineKind, SrmConfig};
-    let config = SrmConfig { run_formation: RunFormation::MemoryLoad { fraction: 1.0 }, ..SrmConfig::default() };
+    let config = SrmConfig { run_formation: Some(RunFormation::MemoryLoad { fraction: 1.0 }), ..SrmConfig::default() };
     for (d, b, m) in [(2usize, 4usize, 96usize), (4, 8, 256), (3, 7, 500), (4, 8, 400)] {
         for n in [12_000u64, 30_000, 70_000] {
             let mut rng = SmallRng::seed_from_u64(n ^ m as u64);

@@ -307,7 +307,7 @@ fn deep_read_ahead_and_threads_equivalent() {
         ("threads", RunFormation::ParallelMemoryLoad { fraction: 1.0, threads: 4 }),
         ("rs", RunFormation::ReplacementSelection),
     ] {
-        let config = SrmConfig { run_formation, ..SrmConfig::default() };
+        let config = SrmConfig { run_formation: Some(run_formation), ..SrmConfig::default() };
         assert_window_invariant(&format!("deep read-ahead + {tag}"), &data, |w| {
             let file = FileDiskArray::<U64Record>::create(geom, dir.join(tag).join(w.slug())).unwrap();
             srm_outcome(file, config, &data, w).0

@@ -36,7 +36,7 @@ fn pooled_sort(
     // Snapshot the pool after merge pass 1: by then one full merge has
     // cycled every buffer class through the pool at the pass's R.
     let warm: Cell<Option<PoolStats>> = Cell::new(None);
-    let (sorted, report) = SrmSorter::new(SrmConfig { run_formation, ..SrmConfig::default() })
+    let (sorted, report) = SrmSorter::new(SrmConfig { run_formation: Some(run_formation), ..SrmConfig::default() })
         .with_pipeline(true)
         .with_read_ahead(3)
         .sort_observed(&mut a, &input, None, |pass, a: &mut FileDiskArray<U64Record>| {

@@ -71,7 +71,7 @@ proptest! {
         let input = write_unsorted_input(&mut a, &recs).unwrap();
         let config = SrmConfig {
             seed,
-            run_formation: RunFormation::ReplacementSelection,
+            run_formation: Some(RunFormation::ReplacementSelection),
             ..SrmConfig::default()
         };
         let (run, _) = SrmSorter::new(config).sort(&mut a, &input).unwrap();
