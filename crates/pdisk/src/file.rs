@@ -199,21 +199,30 @@ fn pid_alive(pid: u32) -> bool {
 /// Exclusive claim on one array directory, held for the lifetime of a
 /// [`FileDiskArray`].  Two live handles on the same directory would
 /// share allocator state by accident and silently interleave writes, so
-/// the second open fails with [`PdiskError::ArrayLocked`] instead.
+/// the second claim fails with [`PdiskError::ArrayLocked`] instead.
 ///
 /// Within a process the claim is a registry of canonicalized paths; a
 /// cross-process claim is an advisory `pdisk.lock` file recording the
 /// holder's PID.  A lock whose holder is no longer alive (a crash) is
 /// stale and silently reclaimed, so recovery never needs a manual
 /// unlock step.
+///
+/// [`FileDiskArray::create`] and [`FileDiskArray::open`] take it
+/// themselves; taking it first ([`ArrayLease::take`], then
+/// [`FileDiskArray::on_lease`]) lets the holder decide between the two
+/// on state the lease protects, such as a checkpoint beside the array.
 #[derive(Debug)]
-struct DirLock {
+pub struct ArrayLease {
+    dir: PathBuf,
     canonical: PathBuf,
     lock_path: PathBuf,
 }
 
-impl DirLock {
-    fn acquire(dir: &Path) -> Result<Self> {
+impl ArrayLease {
+    /// Claim `dir`, creating it if it does not exist.
+    pub fn take(dir: impl AsRef<Path>) -> Result<Self> {
+        let dir = dir.as_ref().to_path_buf();
+        std::fs::create_dir_all(&dir)?;
         let canonical = dir.canonicalize()?;
         let lock_path = dir.join(LOCK_FILE);
         let me = std::process::id();
@@ -236,14 +245,15 @@ impl DirLock {
         }
         std::fs::write(&lock_path, format!("{me}\n"))?;
         dirs.insert(canonical.clone());
-        Ok(DirLock {
+        Ok(ArrayLease {
+            dir,
             canonical,
             lock_path,
         })
     }
 }
 
-impl Drop for DirLock {
+impl Drop for ArrayLease {
     fn drop(&mut self) {
         OPEN_DIRS.lock().remove(&self.canonical);
         let _ = std::fs::remove_file(&self.lock_path);
@@ -524,14 +534,14 @@ pub struct FileDiskArray<R: Record> {
     prefetched: HashMap<BlockAddr, BlockReply<R>>,
     prefetch_stats: PrefetchStats,
     completion_waits: u64,
-    _lock: DirLock,
+    _lease: ArrayLease,
 }
 
 impl<R: Record> FileDiskArray<R> {
     /// Create (or truncate) `D` disk files under `dir`, record the array
     /// as v2, and start the worker threads.
     pub fn create(geom: Geometry, dir: impl AsRef<Path>) -> Result<Self> {
-        Self::build(geom, dir, Some(SlotFormat::V2))
+        Self::on_lease(geom, ArrayLease::take(dir)?, true)
     }
 
     /// Reopen an existing array without truncating: every block written
@@ -551,15 +561,19 @@ impl<R: Record> FileDiskArray<R> {
     /// reopen under the wrong geometry still fails with
     /// [`PdiskError::Corrupt`] instead of shearing real data.
     pub fn open(geom: Geometry, dir: impl AsRef<Path>) -> Result<Self> {
-        Self::build(geom, dir, None)
+        Self::on_lease(geom, ArrayLease::take(dir)?, false)
     }
 
-    /// Truncate the array under `dir` to empty in format `fresh` (v2 in
+    /// [`Self::create`] (`truncate`) or [`Self::open`] the array whose
+    /// directory `lease` holds.
+    pub fn on_lease(geom: Geometry, lease: ArrayLease, truncate: bool) -> Result<Self> {
+        Self::build(geom, lease, truncate.then_some(SlotFormat::V2))
+    }
+
+    /// Truncate the leased array to empty in format `fresh` (v2 in
     /// product code; tests also lay down v1), or reopen it if `None`.
-    fn build(geom: Geometry, dir: impl AsRef<Path>, fresh: Option<SlotFormat>) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        let lock = DirLock::acquire(&dir)?;
+    fn build(geom: Geometry, lease: ArrayLease, fresh: Option<SlotFormat>) -> Result<Self> {
+        let dir = lease.dir.clone();
         let truncate = fresh.is_some();
         let format = fresh.map_or_else(|| read_format(&dir), Ok)?;
         let layout = SlotLayout { format, ..SlotLayout::new::<R>(geom) };
@@ -659,7 +673,7 @@ impl<R: Record> FileDiskArray<R> {
             prefetched: HashMap::new(),
             prefetch_stats: PrefetchStats::default(),
             completion_waits: 0,
-            _lock: lock,
+            _lease: lease,
         })
     }
 
@@ -1373,7 +1387,7 @@ mod tests {
     /// return the two disk files as hex.
     fn golden_slots_on_disk<R: Record>(tag: &str, rec: fn(u64) -> R, f: SlotFormat) -> (String, String) {
         let dir = tmpdir(tag);
-        let mut a: FileDiskArray<R> = FileDiskArray::build(golden_geometry(), &dir, Some(f)).unwrap();
+        let mut a: FileDiskArray<R> = FileDiskArray::build(golden_geometry(), ArrayLease::take(&dir).unwrap(), Some(f)).unwrap();
         let (initial, next) = golden_blocks(rec);
         let o0 = a.alloc_contiguous(DiskId(0), 1).unwrap();
         let o1 = a.alloc_contiguous(DiskId(1), 1).unwrap();
@@ -1563,7 +1577,7 @@ mod tests {
     /// A fresh array in `format`, under a directory of its own.
     fn fresh(g: Geometry, tag: &str, format: SlotFormat) -> (FileDiskArray<U64Record>, PathBuf) {
         let dir = tmpdir(&format!("{tag}-{format}"));
-        (FileDiskArray::build(g, &dir, Some(format)).unwrap(), dir)
+        (FileDiskArray::build(g, ArrayLease::take(&dir).unwrap(), Some(format)).unwrap(), dir)
     }
 
     /// XOR `mask` into byte `at` of one disk file, behind the array's back.

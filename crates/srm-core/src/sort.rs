@@ -455,6 +455,28 @@ impl SrmSorter {
         array: &mut A,
         input: impl Into<Input<'i, R>>,
         manifest: Option<&Path>,
+        observer: impl FnMut(u64, &mut A) -> Result<()>,
+    ) -> Result<(StripedRun, SortReport)> {
+        let input = input.into();
+        // Recovery rule: newest valid manifest generation wins; a torn
+        // current manifest falls back to its journaled predecessor.
+        let resume = match manifest {
+            Some(path) => self.resume_point(array.geometry(), input.records(), path)?,
+            None => None,
+        };
+        self.sort_from(array, input, manifest, resume, observer)
+    }
+
+    /// [`SrmSorter::sort_observed`] from a `resume` point the caller has
+    /// already read: what [`SrmSorter::resume_point`] returned for
+    /// `manifest`, read once, under whatever keeps the manifest and the
+    /// array in step (a durable job's array lease).
+    pub fn sort_from<'i, R: Record, A: DiskArray<R>>(
+        &self,
+        array: &mut A,
+        input: impl Into<Input<'i, R>>,
+        manifest: Option<&Path>,
+        resume: Option<SortManifest>,
         mut observer: impl FnMut(u64, &mut A) -> Result<()>,
     ) -> Result<(StripedRun, SortReport)> {
         let input = input.into();
@@ -467,12 +489,6 @@ impl SrmSorter {
         let io_before = array.stats();
         let mut placer = Placer::new(self.config.placement, self.config.seed, geometry.d as u32);
 
-        // Recovery rule: newest valid manifest generation wins; a torn
-        // current manifest falls back to its journaled predecessor.
-        let resume = match manifest {
-            Some(path) => self.resume_point(geometry, records, path)?,
-            None => None,
-        };
         // `completed_here`: the current boundary was reached by this call, so
         // it is still to be observed and journaled.  A resumed boundary was,
         // by the call that completed it; only its interrupt check remains.

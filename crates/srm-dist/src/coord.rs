@@ -43,11 +43,11 @@ use crate::fold::{Carry, Chain, Step};
 use crate::msg::{Envelope, Msg};
 use crate::net::{Endpoint, NetStats, Network};
 use crate::procs::{spawn_child, write_plan};
-use crate::shard::{run_shard, KillPoint, ShardMs, ShardPlan};
+use crate::shard::{run_shard, KillPoint, ShardPlan};
 use crate::split::{sample_splitters, KeyRange};
 use pdisk::{FileDiskArray, Geometry, NetFaultModel, RetryPolicy, U64Record};
 use srm_core::RunFormation;
-use srm_server::{expected_digest, JobSpec};
+use srm_server::{expected_digest, JobSpec, ShardMs};
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::thread::JoinHandle;
@@ -597,20 +597,21 @@ impl Coordinator<'_> {
         }
         self.nodes[s].last_seen = Instant::now();
         match env.msg {
-            Msg::SortDone { meta } => {
-                let formation = self.plan(env.src, None).sorter.formation(self.geom, meta.records, self.cfg.io_delay)?;
+            Msg::SortDone { done } => {
+                let formation = self.plan(env.src, None).sorter.formation(self.geom, done.records, self.cfg.io_delay)?;
                 let node = &mut self.nodes[s];
                 node.report = ShardReport {
-                    records: meta.records,
-                    blocks: meta.run.map_or(0, |r| r.len_blocks),
-                    passes: meta.passes,
+                    records: done.records,
+                    blocks: done.run.map_or(0, |r| r.len_blocks),
+                    passes: done.passes,
                     formation,
-                    digest: meta.digest,
-                    trace_events: meta.trace_events,
-                    trace_clean: meta.trace_clean,
-                    repaired: node.report.repaired + meta.repaired,
+                    digest: done.digest,
+                    trace_events: done.trace_events,
+                    // A descriptor is published only once its checks pass.
+                    trace_clean: true,
+                    repaired: node.report.repaired + done.repaired,
                     recoveries: node.report.recoveries,
-                    ms: meta.ms,
+                    ms: done.ms,
                 };
                 node.done = true;
                 if let Some(t) = node.recovery_started.take() {
@@ -750,7 +751,6 @@ mod tests {
     /// the same bytes.
     #[test]
     fn shard_plans_follow_the_specs_window_and_the_windows_agree() {
-        use crate::shard::open_base;
         use pdisk::DiskArray as _;
 
         let (pipelined, cfg, root) = (small_spec(), DistConfig::new(3), scratch("windows"));
@@ -762,8 +762,7 @@ mod tests {
                 let plan = plan_for(spec, &cfg, geom, &root, shard, KeyRange::of(&splitters, shard), None);
                 let keys = plan.partition();
                 assert_ne!(plan.sorter.config().seed, spec.seed);
-                std::fs::create_dir_all(&plan.dir).unwrap();
-                let mut cluster = open_base(&plan, true).unwrap();
+                let mut cluster = FileDiskArray::<U64Record>::create(plan.geom, plan.disks_dir()).unwrap();
                 let (run, report) = plan.sorter.sort_observed(&mut cluster, srm_core::Input::InMemory(&keys), None, |_, _| Ok(())).unwrap();
                 let out = srm_core::read_run(&mut cluster, &run).unwrap();
                 let window = (plan.sorter.pipeline(), plan.sorter.read_ahead());

@@ -29,8 +29,6 @@ pub enum DistError {
     Job(JobError),
     /// Filesystem failure around the durable shard directories.
     Io(String),
-    /// A shard's trace violated the model checker's invariants.
-    Model(String),
     /// The cross-shard fold met a key below its predecessor: the
     /// shards' runs are not range-disjoint in splitter order (a record
     /// was routed to the wrong shard).
@@ -56,7 +54,6 @@ impl std::fmt::Display for DistError {
             DistError::Sort(e) => write!(f, "sort error: {e}"),
             DistError::Job(e) => write!(f, "job error: {e}"),
             DistError::Io(m) => write!(f, "i/o error: {m}"),
-            DistError::Model(m) => write!(f, "model-rule violation: {m}"),
             DistError::Order { shard, first, key, prev } => write!(
                 f,
                 "output order violated: shard {shard}'s block {first} holds key {key:#x} after \

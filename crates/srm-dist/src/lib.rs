@@ -13,11 +13,12 @@
 //!   scriptable fault model — drops, bounded delays, duplicates, and
 //!   timed partitions — so the protocol is tested against the same kind
 //!   of adversary the disk stack faces.
-//! - **Shards** ([`shard`]): each shard runs an ordinary *checkpointed*
-//!   SRM sort (PR 5) over its own pdisk cluster, traced end to end and
-//!   replayed through the model checker; every state transition is
-//!   journaled in the shard's directory, so a replacement instance can
-//!   always pick up where a dead one stopped.
+//! - **Shards** ([`shard`]): each shard is a durable job
+//!   ([`srm_server::job::sort_durable`], the `srm serve` job's sort) over
+//!   its own pdisk cluster, traced end to end and replayed through the
+//!   model checker; every state transition is journaled in the shard's
+//!   directory, so a replacement instance can always pick up where a
+//!   dead one stopped.
 //! - **Robustness** ([`coord`], [`fence`]): heartbeat failure detection,
 //!   epoch-stamped envelopes, and storage fencing (the STONITH
 //!   analogue) make recovery safe even under false suspicion; the
@@ -59,5 +60,6 @@ pub use fold::{Carry, Disorder};
 pub use msg::{Envelope, Msg};
 pub use net::{Endpoint, NetSender, NetStats, Network};
 pub use procs::{run_procs, shard_run_standalone};
-pub use shard::{KillPoint, OutputMeta, ShardMs, ShardPlan};
+pub use shard::{KillPoint, ShardPlan};
 pub use split::{sample_splitters, KeyRange};
+pub use srm_server::{Descriptor, ShardMs};

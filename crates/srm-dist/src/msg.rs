@@ -12,14 +12,14 @@
 //! one [`Envelope::encode`] line: `SRC DST EPOCH Kind fields…`, the kind
 //! named as its variant and its fields as decimal numbers in declaration
 //! order (a `Folded` outcome says `ok` or `err` first) — except that
-//! `SortDone` and `Fatal` end in text, the output descriptor's
-//! ([`OutputMeta::encode`]) or the message, with `\\`, newline and
+//! `SortDone` and `Fatal` end in text, the descriptor's
+//! ([`Descriptor::encode`]) or the message, with `\\`, newline and
 //! carriage return escaped.  [`Envelope::decode`] takes exactly that
 //! back; any other line is a typed error, never a plausible message.
 
 use crate::error::DistError;
 use crate::fold::{Carry, Disorder};
-use crate::shard::OutputMeta;
+use srm_server::Descriptor;
 
 /// One message.  No message carries keys: each shard derives its own
 /// partition from the spec ([`crate::split::KeyRange`]), and the fold
@@ -49,11 +49,11 @@ pub enum Msg {
         /// The completed pass.
         pass: u64,
     },
-    /// The shard's sort finished and its output descriptor is durable.
+    /// The shard's sort finished and its descriptor is published.
     SortDone {
         /// The descriptor: the run, its digest, the finishing
         /// incarnation's trace and phase timers.
-        meta: OutputMeta,
+        done: Descriptor,
     },
     /// Reply to [`Msg::Fold`]: the carry with this shard's run folded
     /// on, or where a key fell below its predecessor.
@@ -95,7 +95,7 @@ impl Envelope {
             Msg::Shutdown => "Shutdown".into(),
             Msg::Heartbeat => "Heartbeat".into(),
             Msg::Pass { pass } => format!("Pass {pass}"),
-            Msg::SortDone { meta } => format!("SortDone {}", escape(&meta.encode())),
+            Msg::SortDone { done } => format!("SortDone {}", escape(&done.encode())),
             Msg::Fatal { msg } => format!("Fatal {}", escape(msg)),
         };
         format!("{} {} {} {body}\n", self.src, self.dst, self.epoch)
@@ -117,7 +117,7 @@ impl Envelope {
         let outcome = (kind == "Folded" && !fields.is_empty()).then(|| fields.remove(0));
         let n: std::result::Result<Vec<u64>, _> = fields.iter().map(|f| f.parse()).collect();
         let msg = match (kind, outcome, &n.unwrap_or_default()[..]) {
-            ("SortDone", ..) => Msg::SortDone { meta: OutputMeta::parse(&text()?).map_err(|_| bad())? },
+            ("SortDone", ..) => Msg::SortDone { done: Descriptor::parse(&text()?).map_err(|_| bad())? },
             ("Fatal", ..) => Msg::Fatal { msg: text()? },
             ("Fold", None, &[digest, prev, records]) => Msg::Fold { carry: Carry { digest, prev, records } },
             ("Folded", Some("ok"), &[digest, prev, records]) => Msg::Folded { fold: Ok(Carry { digest, prev, records }) },

@@ -31,9 +31,10 @@ use crate::error::{DistError, Result};
 use crate::fence::FenceFlag;
 use crate::msg::{Envelope, Msg};
 use crate::net::{Endpoint, Network};
-use crate::shard::{atomic_write, run_shard, KillPoint, ShardPlan};
+use crate::shard::{run_shard, KillPoint, ShardPlan};
 use crate::split::KeyRange;
 use pdisk::NetFaultModel;
+use srm_server::job::publish;
 use srm_server::JobSpec;
 use std::io::{BufRead, BufReader, Write as _};
 use std::path::Path;
@@ -50,7 +51,7 @@ pub fn run_procs(spec: &JobSpec, cfg: &DistConfig, root: &Path, bin: &Path) -> R
 /// Write the plan files a `shard-run` child reads: the job spec and the
 /// dist settings with the splitters, both in the `key value` line format.
 pub(crate) fn write_plan(spec: &JobSpec, cfg: &DistConfig, splitters: &[u64], root: &Path) -> Result<()> {
-    atomic_write(&root.join("spec"), &spec.encode())?;
+    publish(root, "spec", &spec.encode())?;
     let splitters: Vec<String> = splitters.iter().map(u64::to_string).collect();
     let mut dist = format!(
         "shards {}\nparity {}\nio-delay-us {}\nheartbeat-us {}\nsplitters {}\n",
@@ -63,7 +64,7 @@ pub(crate) fn write_plan(spec: &JobSpec, cfg: &DistConfig, splitters: &[u64], ro
     if let Some((shard, write)) = cfg.fill_write {
         dist += &format!("fill-write {shard} {write}\n");
     }
-    atomic_write(&root.join("dist"), &dist)
+    Ok(publish(root, "dist", &dist)?)
 }
 
 /// Read the plan files back (child side).

@@ -1,11 +1,31 @@
 //! The pipe codec a `--procs` child speaks: every message kind survives
 //! `Envelope::encode` → `Envelope::decode` exactly, as one line, and a
-//! line the codec did not write is a typed error.
+//! line the codec did not write is a typed error.  A `SortDone` carries
+//! the durable sort's `Descriptor`, whose text is also the `done` file's,
+//! so its round-trip is the file's too.
 
 use pdisk::{DiskId, StripedRun};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use srm_dist::{Carry, Disorder, DistError, Envelope, Msg, OutputMeta, ShardMs};
+use srm_dist::{Carry, Descriptor, Disorder, DistError, Envelope, Msg, ShardMs};
+
+/// A descriptor from eleven numbers, with a run or without one.
+fn descriptor(with_run: bool, n: &[u64]) -> Descriptor {
+    Descriptor {
+        run: with_run.then(|| StripedRun {
+            start_disk: DiskId(n[3] as u32 % 4),
+            len_blocks: n[4],
+            records: n[0],
+            base_offsets: n[5..9].to_vec(),
+        }),
+        records: n[0],
+        digest: n[1],
+        passes: n[2],
+        trace_events: n[3],
+        repaired: n[5],
+        ms: ShardMs { stage: n[7], sort: n[8], verify: n[9], check: n[10] },
+    }
+}
 
 /// Every kind, from a kind selector, eleven numbers and a text.
 fn msg(kind: u8, n: &[u64], text: String) -> Msg {
@@ -15,23 +35,7 @@ fn msg(kind: u8, n: &[u64], text: String) -> Msg {
         1 => Msg::Shutdown,
         2 => Msg::Heartbeat,
         3 => Msg::Pass { pass: n[0] },
-        4 | 5 => Msg::SortDone {
-            meta: OutputMeta {
-                run: (kind == 4).then(|| StripedRun {
-                    start_disk: DiskId(n[3] as u32 % 4),
-                    len_blocks: n[4],
-                    records: n[0],
-                    base_offsets: n[5..9].to_vec(),
-                }),
-                records: n[0],
-                digest: n[1],
-                passes: n[2],
-                trace_events: n[3],
-                trace_clean: n[4].is_multiple_of(2),
-                repaired: n[5],
-                ms: ShardMs { stage: n[7], sort: n[8], verify: n[9], check: n[10] },
-            },
-        },
+        4 | 5 => Msg::SortDone { done: descriptor(kind == 4, n) },
         6 => Msg::Folded { fold: Ok(carry) },
         7 => Msg::Folded { fold: Err(Disorder { first: n[0], key: n[1], prev: n[2] }) },
         _ => Msg::Fatal { msg: text },
@@ -55,6 +59,20 @@ proptest! {
         prop_assert!(line.ends_with('\n') && line.matches('\n').count() == 1, "{line:?}");
         prop_assert_eq!(Envelope::decode(&line).unwrap(), env.clone());
         prop_assert_eq!(Envelope::decode(line.trim_end_matches('\n')).unwrap(), env);
+    }
+}
+
+/// A descriptor written before the phase timers reads them as zeros, and
+/// a torn `ms` line, a line without `=` or an unknown key is an error,
+/// never a plausible report.
+#[test]
+fn a_descriptor_without_timers_reads_zeros_and_a_torn_one_is_refused() {
+    let done = Descriptor { records: 9, ms: ShardMs { stage: 37, sort: 201, verify: 31, check: 4 }, ..Descriptor::empty() };
+    let text = done.encode();
+    let older: String = text.lines().filter(|l| !l.starts_with("ms=")).map(|l| format!("{l}\n")).collect();
+    assert_eq!(Descriptor::parse(&older).unwrap().ms, ShardMs::default());
+    for torn in [text.replace("ms=37 201 31 4", "ms=37 201"), text.replace("records=9", "records 9"), format!("{text}colour=blue\n")] {
+        assert!(Descriptor::parse(&torn).is_err(), "{torn:?}");
     }
 }
 
@@ -83,6 +101,7 @@ fn malformed_lines_are_typed_errors() {
         "1 4 2 Shutdown now",
         "1 4 2 SortDone",
         "1 4 2 SortDone records 7",
+        "1 4 2 SortDone records=7",
         "1 4 2 Fatal bad\\escape",
         "1 4 2 Fatal trailing\\",
         torn,

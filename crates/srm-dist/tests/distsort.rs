@@ -132,7 +132,8 @@ fn node_death_matrix_is_byte_identical() {
 /// before it could ever report, so the second recovery supersedes the
 /// first.  Every recovery, the superseded one included, is timed on its
 /// own.  The timeout is many times a shard's sort, so every victim is a
-/// done shard, which writes nothing.
+/// done shard; `a_shard_recovered_while_it_sorts_…` has victims that are
+/// still sorting.
 #[test]
 fn a_shard_recovered_twice_times_every_recovery() {
     let p = 2;
@@ -148,6 +149,53 @@ fn a_shard_recovered_twice_times_every_recovery() {
     assert_clean(&report, want);
     assert!(report.per_shard[1].recoveries >= 2, "the cut-off shard must be replaced twice: {:?}", report.per_shard[1]);
     assert_eq!(report.recovery_ms.len() as u64, report.recoveries, "{:?}", report.recovery_ms);
+}
+
+/// A detector timeout of a few heartbeats, and shard 1 cut off early:
+/// its first incarnations are recovered while they are still sorting, so
+/// a fenced predecessor can journal a manifest after its replacement has
+/// booted.  The replacement reads the manifest only under the cluster's
+/// lease, so it resumes what the cluster holds, byte-identical.
+#[test]
+fn a_shard_recovered_while_it_sorts_resumes_what_its_cluster_holds() {
+    let p = 2;
+    let want = baseline(p);
+    let mut cfg = DistConfig::new(p);
+    cfg.heartbeat = Duration::from_millis(10);
+    cfg.timeout = Duration::from_millis(40);
+    cfg.net = NetFaultModel::seeded(0x50F7).partition(1, 2, 60);
+    let report = run("midsort", &cfg);
+    assert_clean(&report, want);
+    assert!(report.per_shard[1].recoveries >= 1, "{:?}", report.per_shard[1]);
+}
+
+/// A shard directory a parent-era shard finished holds an `output` file
+/// of `key value` lines, not `done`: a replacement boots on it as
+/// finished (its phase timers are the file's, so it did not sort again),
+/// reads its keys back and folds them to the oracle's digest.
+#[test]
+fn a_shard_finished_before_the_descriptor_boots_as_finished() {
+    let (spec, cfg) = (spec(), DistConfig::new(2));
+    let dir = scratch("legacy");
+    let first = distsort(&spec, &cfg, &dir).expect("distsort failed");
+    for s in 0..cfg.shards {
+        let shard = dir.join(format!("shard-{s:03}"));
+        let done = srm_dist::Descriptor::load(&shard).unwrap().expect("a finished shard");
+        let run = done.run.as_ref().map_or_else(|| "empty".into(), srm_server::encode_run);
+        let output = format!(
+            "run {run}\nrecords {}\ndigest {:#x}\npasses {}\ntrace-events {}\ntrace-clean true\nrepaired 0\nms 7 11 13 {s}\n",
+            done.records, done.digest, done.passes, done.trace_events
+        );
+        std::fs::write(shard.join("output"), output).unwrap();
+        std::fs::remove_file(shard.join("done")).unwrap();
+    }
+    let again = distsort(&spec, &cfg, &dir).expect("distsort over finished shards failed");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(again.oracle_ok && again.digest == first.digest);
+    for (s, shard) in again.per_shard.iter().enumerate() {
+        assert_eq!(shard.ms, srm_dist::ShardMs { stage: 7, sort: 11, verify: 13, check: s as u64 }, "shard {s} sorted again");
+        assert_eq!((shard.records, shard.trace_events), (first.per_shard[s].records, first.per_shard[s].trace_events));
+    }
 }
 
 /// Kill a shard when its fold request arrives, before it answers: the

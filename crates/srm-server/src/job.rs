@@ -17,18 +17,27 @@
 //!   `sort_observed` pair.  A DSM job is the same engine on
 //!   its one wide disk ([`JobSpec::geometry`]);
 //! * [`encode_run`] / [`decode_run`] — a run handle as one line of the
-//!   server's durable job state.
+//!   server's durable job state;
+//! * [`sort_durable`] — the one durable sort in a directory, a `srm
+//!   serve` job's and a distsort shard's alike, which publishes its
+//!   [`Descriptor`] once every check has passed (DESIGN §11.3).
 //!
 //! Admission control prices a job with [`JobSpec::budget_records`]: the
 //! Definition-3 partition of the job's array at its merge order,
 //! rendered in records.
 
 use analysis::MemoryBudget;
-use pdisk::{Geometry, InterruptFlag, PdiskError, StripedRun, U64Record};
+use pdisk::manifest::atomic_write;
+use pdisk::{
+    ArrayLease, BuiltStack, DiskArray, FileDiskArray, Geometry, InterruptFlag, Layer, PdiskError, StackSpec,
+    StripedRun, U64Record,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 pub use srm_core::EngineKind;
-use srm_core::{Placement, RunFormation, SrmConfig, SrmError, SrmSorter};
+use srm_core::{read_run, scrub_runs, Placement, RunFormation, SrmConfig, SrmError, SrmSorter};
+use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Errors surfaced by the job layer and the server built on it.
 #[derive(Debug)]
@@ -391,29 +400,28 @@ impl JobSpec {
 
     /// Multi-line `key=value` rendering for the durable spec file.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in self.to_pairs() {
-            out.push_str(k);
-            out.push('=');
-            out.push_str(&v);
-            out.push('\n');
-        }
-        out
+        encode_fields(self.to_pairs())
     }
 
     /// Parse [`JobSpec::encode`] output.
     pub fn decode(text: &str) -> Result<Self, JobError> {
-        let pairs: Vec<(&str, &str)> = text
-            .lines()
-            .map(str::trim)
-            .filter(|l| !l.is_empty())
-            .map(|l| {
-                l.split_once('=')
-                    .ok_or_else(|| JobError::Io(format!("bad spec line `{l}`")))
-            })
-            .collect::<Result<_, _>>()?;
-        Self::from_pairs(pairs)
+        Self::from_pairs(decode_fields(text)?)
     }
+}
+
+/// The one line format of a durable sort's files — the `spec`, the
+/// [`Descriptor`] and the `fail` marker: one `key=value` per line.
+pub(crate) fn encode_fields<'a>(pairs: impl IntoIterator<Item = (&'a str, String)>) -> String {
+    pairs.into_iter().map(|(k, v)| format!("{k}={v}\n")).collect()
+}
+
+/// Parse [`encode_fields`] output; a line without `=` is an error.
+pub(crate) fn decode_fields(text: &str) -> Result<Vec<(&str, &str)>, JobError> {
+    text.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty())
+        .map(|l| l.split_once('=').ok_or_else(|| JobError::Io(format!("bad line `{l}`"))))
+        .collect()
 }
 
 /// The standard job input: `records` pseudo-random u64 keys from
@@ -481,10 +489,327 @@ pub fn expected_digest(spec: &JobSpec) -> u64 {
     digest_keys(keys)
 }
 
+// ─── the durable sort: a `srm serve` job's or a distsort shard's ─────────
+
+/// The cluster's disk files, under a durable sort's directory.
+pub const DISKS: &str = "disks";
+/// A parity stack's sidecar, beside them.
+pub const PARITY_STORE: &str = "parity.store";
+/// The checkpoint manifest (`manifest.prev` is its journaled predecessor).
+pub const MANIFEST: &str = "manifest";
+/// The [`Descriptor`], published once every check has passed.
+pub const DONE: &str = "done";
+
+/// How long a durable sort waits for its cluster's lease: a fenced
+/// predecessor still holding the array releases it when it drops it.
+const LEASE_WAIT: Duration = Duration::from_secs(5);
+
+/// Where one durable sort's wall-clock went, in milliseconds.  The I/O
+/// phases are split-phase on a file cluster: the sort runs at the
+/// sorter's window, the verification read keeps a few stripes in flight.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardMs {
+    /// Deriving the records in hand (a job's generation, a shard's
+    /// partition).  Nothing is written.
+    pub stage: u64,
+    /// The checkpointed sort (of a resumed incarnation: what was left).
+    pub sort: u64,
+    /// Reading the output back and digesting it.
+    pub verify: u64,
+    /// Replaying the trace through the model checker.
+    pub check: u64,
+}
+
+/// What a finished durable sort publishes as its directory's `done`
+/// file, and a shard announces in its `SortDone`: everything a restart,
+/// a replacement or a coordinator needs to know of it.  It exists only
+/// once every check has passed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Descriptor {
+    /// The sorted output run (`None` for an empty input).
+    pub run: Option<StripedRun>,
+    /// Records in the run.
+    pub records: u64,
+    /// FNV-1a digest of the sorted keys.
+    pub digest: u64,
+    /// Merge passes performed over the whole logical sort.
+    pub passes: u64,
+    /// Trace events the model checker replayed (0 untraced).
+    pub trace_events: u64,
+    /// Blocks healed by the parity scrub before a resume.
+    pub repaired: u64,
+    /// The finishing incarnation's wall-clock, by phase.
+    pub ms: ShardMs,
+}
+
+impl Descriptor {
+    /// The descriptor of an empty input.
+    pub fn empty() -> Self {
+        Descriptor {
+            run: None,
+            records: 0,
+            digest: digest_keys(std::iter::empty()),
+            passes: 0,
+            trace_events: 0,
+            repaired: 0,
+            ms: ShardMs::default(),
+        }
+    }
+
+    /// The `done` file's text, in the [`encode_fields`] format.
+    pub fn encode(&self) -> String {
+        let ShardMs { stage, sort, verify, check } = self.ms;
+        encode_fields([
+            ("run", self.run.as_ref().map_or_else(|| "empty".into(), encode_run)),
+            ("records", self.records.to_string()),
+            ("digest", format!("{:#x}", self.digest)),
+            ("passes", self.passes.to_string()),
+            ("trace-events", self.trace_events.to_string()),
+            ("repaired", self.repaired.to_string()),
+            ("ms", format!("{stage} {sort} {verify} {check}")),
+        ])
+    }
+
+    /// Parse [`Descriptor::encode`] output, and a server job's `done`
+    /// file from before the descriptor: its decimal digest and
+    /// `merge-passes`, and the keys nothing reads, are taken as they
+    /// stand.  A malformed line is a typed error, never a plausible
+    /// wrong answer.
+    pub fn parse(text: &str) -> Result<Self, JobError> {
+        let mut done = Descriptor::empty();
+        let mut saw_digest = false;
+        for (key, val) in decode_fields(text)? {
+            let bad = || JobError::Io(format!("bad descriptor line `{key}={val}`"));
+            let num = || val.parse::<u64>().map_err(|_| bad());
+            match key {
+                "run" if val == "empty" => done.run = None,
+                "run" => done.run = Some(decode_run(val)?),
+                "records" => done.records = num()?,
+                "digest" => {
+                    done.digest = match val.strip_prefix("0x") {
+                        Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| bad())?,
+                        None => num()?,
+                    };
+                    saw_digest = true;
+                }
+                "passes" | "merge-passes" => done.passes = num()?,
+                "trace-events" => done.trace_events = num()?,
+                "repaired" => done.repaired = num()?,
+                "ms" => {
+                    let ms: Vec<u64> = val.split(' ').map(str::parse).collect::<Result<_, _>>().map_err(|_| bad())?;
+                    let [stage, sort, verify, check] = ms[..] else { return Err(bad()) };
+                    done.ms = ShardMs { stage, sort, verify, check };
+                }
+                "runs-formed" | "merge-order" | "trace-clean" => {}
+                _ => return Err(bad()),
+            }
+        }
+        if !saw_digest {
+            return Err(JobError::Io("descriptor without a digest".into()));
+        }
+        Ok(done)
+    }
+
+    /// The descriptor `dir` holds, if its sort finished.  A distsort
+    /// shard from before the descriptor published an `output` file of
+    /// `key value` lines, read here once as the same fields.
+    pub fn load(dir: &Path) -> Result<Option<Self>, JobError> {
+        let read = |name: &str| match std::fs::read_to_string(dir.join(name)) {
+            Ok(text) => Ok(Some(text)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(JobError::Io(format!("read {}/{name}: {e}", dir.display()))),
+        };
+        let text = match read(DONE)? {
+            Some(text) => text,
+            None => match read("output")? {
+                Some(old) => old.lines().map(|l| format!("{}\n", l.replacen(' ', "=", 1))).collect(),
+                None => return Ok(None),
+            },
+        };
+        Self::parse(&text).map(Some)
+    }
+}
+
+/// Publish `text` at `dir/name` through the checkpoint journal's temp +
+/// fsync + rename, so a crash leaves the old file or the new one.
+pub fn publish(dir: &Path, name: &str, text: &str) -> Result<(), JobError> {
+    let path = dir.join(name);
+    atomic_write(&path, text.as_bytes()).map_err(|e| JobError::Io(format!("write {}: {e}", path.display())))
+}
+
+/// Read a finished durable sort's output `run` back through `stack`
+/// with `slot` (a replacement's fold needs the keys), under the lease.
+pub fn read_back<X: Layer<U64Record>>(
+    dir: &Path,
+    geom: Geometry,
+    run: &StripedRun,
+    stack: StackSpec,
+    slot: X,
+    io_delay: Duration,
+) -> Result<Vec<U64Record>, JobError> {
+    let file = FileDiskArray::on_lease(geom, lease(&dir.join(DISKS))?, false)?;
+    file.set_io_delay(io_delay);
+    Ok(read_run(&mut stack_on(dir, stack, file, slot)?, run)?)
+}
+
+/// `stack` over the cluster `file`, a parity layer's sidecar at
+/// [`PARITY_STORE`].
+fn stack_on<X: Layer<U64Record>>(
+    dir: &Path,
+    mut stack: StackSpec,
+    file: FileDiskArray<U64Record>,
+    slot: X,
+) -> Result<BuiltStack<U64Record, FileDiskArray<U64Record>, X>, JobError> {
+    if let Some(parity) = &mut stack.parity {
+        parity.store = Some(dir.join(PARITY_STORE));
+    }
+    Ok(stack.build(file, slot)?)
+}
+
+/// Take the lease on the cluster at `disks`, retrying `ArrayLocked` for
+/// up to [`LEASE_WAIT`].
+fn lease(disks: &Path) -> Result<ArrayLease, JobError> {
+    let deadline = Instant::now() + LEASE_WAIT;
+    loop {
+        match ArrayLease::take(disks) {
+            Err(PdiskError::ArrayLocked { .. }) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            taken => return Ok(taken?),
+        }
+    }
+}
+
+/// One durable sort: what [`sort_durable`] sorts, where and how.
+#[derive(Debug)]
+pub struct DurableSort<'a, X> {
+    /// The directory (DESIGN §11.3): [`DISKS`], [`PARITY_STORE`],
+    /// [`MANIFEST`] and its predecessor, [`DONE`].
+    pub dir: &'a Path,
+    /// The cluster's geometry.
+    pub geom: Geometry,
+    /// The sorter; every incarnation must build the same one.
+    pub sorter: &'a SrmSorter,
+    /// The records in hand, which formation sorts from memory.
+    pub records: &'a [U64Record],
+    /// What deriving them took, in ms: the descriptor's `stage`.
+    pub stage_ms: u64,
+    /// The layers over the cluster.  A parity stack's sidecar is
+    /// cleared with a fresh cluster; a traced stack is model-checked.
+    pub stack: StackSpec,
+    /// The stack's slot layer: `()`, or a shard's fence.
+    pub slot: X,
+    /// The cluster's device time per I/O.
+    pub io_delay: Duration,
+    /// The output digest the caller knows the sort must have, if any.
+    pub expect: Option<u64>,
+}
+
+/// Sort `job.records` durably in `job.dir`, resuming whatever an earlier
+/// incarnation left there, and publish its [`Descriptor`] once every
+/// check has passed:
+///
+/// 1. take the cluster's lease, waiting out a predecessor's hold;
+/// 2. read the manifest, once, under the lease;
+/// 3. reopen the cluster for a resume, or truncate it;
+/// 4. scrub the manifest's runs first when a resume runs on parity;
+/// 5. sort, calling `observer(pass)` at every boundary before its
+///    snapshot (an `Err` stops the sort and comes back);
+/// 6. read the output back and digest it;
+/// 7. replay a traced stack's trace and stats through the model checker,
+///    and compare the digest with `job.expect`;
+/// 8. publish the descriptor at [`DONE`].
+///
+/// Returns it with the sorted keys.  Every array handle is dropped on
+/// return, so a successor can take the lease.  An empty input publishes
+/// [`Descriptor::empty`] at once.
+pub fn sort_durable<X: Layer<U64Record>>(
+    job: DurableSort<'_, X>,
+    mut observer: impl FnMut(u64) -> srm_core::Result<()>,
+) -> Result<(Descriptor, Vec<U64Record>), JobError> {
+    let DurableSort { dir, geom, sorter, records, stage_ms, stack, slot, io_delay, expect } = job;
+    let mut ms = ShardMs { stage: stage_ms, ..ShardMs::default() };
+    if records.is_empty() {
+        std::fs::create_dir_all(dir).map_err(|e| JobError::Io(format!("create {}: {e}", dir.display())))?;
+        let done = Descriptor { ms, ..Descriptor::empty() };
+        publish(dir, DONE, &done.encode())?;
+        return Ok((done, Vec::new()));
+    }
+    let held = lease(&dir.join(DISKS))?;
+    let manifest = dir.join(MANIFEST);
+    let resume = sorter.resume_point(geom, records.len() as u64, &manifest)?;
+    let file = FileDiskArray::on_lease(geom, held, resume.is_none())?;
+    file.set_io_delay(io_delay);
+    let parity = stack.parity.is_some();
+    if parity && resume.is_none() {
+        let store = dir.join(PARITY_STORE);
+        match std::fs::remove_file(&store) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(JobError::Io(format!("clear {}: {e}", store.display())));
+            }
+            _ => {}
+        }
+    }
+    let traced = stack.trace;
+    let mut array = stack_on(dir, stack, file, slot)?;
+
+    // A resume on parity heals every block its runs lost first; the
+    // scrub's counters and events are dropped, so the sort's stats match
+    // its trace exactly.
+    let mut repaired = 0;
+    if let Some(m) = resume.as_ref().filter(|_| parity) {
+        let scrub = scrub_runs(&mut array, &m.runs)?;
+        if scrub.unrepairable > 0 {
+            return Err(JobError::Checkpoint(format!(
+                "{} block(s) unrepairable even with parity",
+                scrub.unrepairable
+            )));
+        }
+        repaired = scrub.repaired;
+    }
+    array.reset_stats();
+    drop(array.take_trace());
+
+    let clock = Instant::now();
+    let input = srm_core::Input::InMemory(records);
+    let (run, report) = sorter.sort_from(&mut array, input, Some(&manifest), resume, |pass, _| observer(pass))?;
+    ms.sort = clock.elapsed().as_millis() as u64;
+
+    let clock = Instant::now();
+    let out = read_run(&mut array, &run)?;
+    let digest = digest_keys(out.iter().map(|r| r.0));
+    ms.verify = clock.elapsed().as_millis() as u64;
+
+    let clock = Instant::now();
+    let mut trace_events = 0;
+    if traced {
+        let stats = array.stats();
+        let trace = array.take_trace();
+        trace_events = modelcheck::check_trace(geom, &trace).map_err(|v| JobError::Model(v.to_string()))?.events;
+        modelcheck::check_stats(&trace, &stats).map_err(|v| JobError::Model(format!("trace/stats drift: {v}")))?;
+    }
+    ms.check = clock.elapsed().as_millis() as u64;
+    if let Some(want) = expect.filter(|&want| want != digest) {
+        return Err(JobError::Engine(format!("output digest {digest:#018x} != expected {want:#018x}")));
+    }
+
+    let done = Descriptor {
+        run: Some(run),
+        records: records.len() as u64,
+        digest,
+        passes: report.merge_passes,
+        trace_events,
+        repaired,
+        ms,
+    };
+    publish(dir, DONE, &done.encode())?;
+    Ok((done, out))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::{DiskArray, FileDiskArray, MemDiskArray};
+    use pdisk::MemDiskArray;
     use std::time::Duration;
     use srm_core::read_run;
     use srm_core::sort::write_unsorted_input;

@@ -10,7 +10,9 @@
 //!
 //! * [`job`] — [`JobSpec`](job::JobSpec), the single construction point
 //!   for the engine shared by the CLI, the crash-matrix harness, and this
-//!   server: an `srm_core::SrmSorter`, SRM- or DSM-configured;
+//!   server: an `srm_core::SrmSorter`, SRM- or DSM-configured; and
+//!   [`sort_durable`](job::sort_durable), the one durable sort in a
+//!   directory, a job's and a distsort shard's;
 //! * [`queue`] — admission control: the Definition-3 memory partition
 //!   (`M/B ≥ 2R + 4D + RD/B`) prices each job, and the server admits
 //!   only combinations whose summed budgets fit the configured `M`;
@@ -39,8 +41,8 @@ pub mod server;
 
 pub use drain::DrainReport;
 pub use job::{
-    decode_run, digest_keys, encode_run, expected_digest, generate_records, EngineKind, JobError,
-    JobSpec, KeyDigest,
+    decode_run, digest_keys, encode_run, expected_digest, generate_records, Descriptor, EngineKind,
+    JobError, JobSpec, KeyDigest, ShardMs,
 };
 pub use net::serve;
 pub use queue::Admission;

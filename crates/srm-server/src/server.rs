@@ -3,25 +3,23 @@
 //!
 //! ## Durability layout
 //!
-//! Every job owns a directory `jobs_dir/job-NNNNNN/`:
+//! Every job owns a directory `jobs_dir/job-NNNNNN/`, a durable sort's
+//! (DESIGN §11.3, [`crate::job::sort_durable`]) plus its `spec`:
 //!
 //! ```text
 //! job-000001/
 //!   spec       job description (JobSpec key=value encoding), atomic
-//!   disks/     the FileDiskArray backend (survives crashes)
-//!   manifest   PR-5 checkpoint manifest (journaled at pass boundaries)
-//!   done       terminal marker: digest + report (atomic rename)
-//!   fail       terminal marker: kind=cancelled|deadline|failed
+//!   disks/     the FileDiskArray cluster (survives crashes)
+//!   manifest   checkpoint manifest (journaled at pass boundaries)
+//!   done       the Descriptor, published once every check has passed
+//!   fail       terminal marker: kind=cancelled|deadline|failed, detail
 //! ```
 //!
 //! Everything the server knows is reconstructible from this layout:
 //! [`JobServer::open`] scans it, marks jobs with a terminal marker as
-//! finished, and re-queues the rest in id order.  A re-queued job whose
-//! manifest survives resumes from its last checkpoint byte-identically
-//! (the spec pins the data seed and the placement RNG; the manifest
-//! pins the pass and the RNG fast-forward count).  A re-queued job
-//! without a manifest regenerates its input from the spec and sorts it
-//! from memory afresh — same spec, same bytes.
+//! finished, and re-queues the rest in id order.  A re-queued job
+//! resumes from its manifest byte-identically, or, with none, regenerates
+//! its input from the spec and sorts it afresh — same spec, same bytes.
 //!
 //! ## Admission invariant
 //!
@@ -31,14 +29,14 @@
 //! capacity, and jobs start in submission order.
 
 use crate::drain::DrainReport;
-use crate::job::{digest_keys, encode_run, expected_digest, JobError, JobSpec};
-use crate::queue::Admission;
-use pdisk::manifest::atomic_write as atomic_write_raw;
-use pdisk::sync::Mutex;
-use pdisk::{
-    DiskArray, FaultModel, FileDiskArray, InterruptFlag, RetryPolicy, StackSpec, U64Record,
+use crate::job::{
+    decode_fields, encode_fields, expected_digest, publish, sort_durable, Descriptor, DurableSort, JobError,
+    JobSpec,
 };
-use srm_core::{read_run, Input, SrmSorter};
+use crate::queue::Admission;
+use pdisk::manifest::atomic_write;
+use pdisk::sync::Mutex;
+use pdisk::{FaultModel, InterruptFlag, RetryPolicy, StackSpec};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -298,21 +296,33 @@ pub struct JobServer {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// Publish a marker through the checkpoint journal's own temp + fsync +
-/// rename ([`pdisk::manifest::atomic_write`]).
-fn atomic_write(path: &Path, contents: &str) -> Result<(), JobError> {
-    atomic_write_raw(path, contents.as_bytes())
-        .map_err(|e| JobError::Io(format!("write {}: {e}", path.display())))
+/// The terminal marker of a job that did not finish: its `kind`
+/// (`cancelled`, `deadline`, `failed`) and `detail`, one line each.
+const FAIL: &str = "fail";
+
+fn write_fail(dir: &Path, kind: &str, detail: &str) -> Result<(), JobError> {
+    publish(dir, FAIL, &encode_fields([("kind", kind.to_string()), ("detail", detail.replace('\n', " "))]))
 }
 
-fn read_marker(path: &Path) -> Option<BTreeMap<String, String>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Some(
-        text.lines()
-            .filter_map(|l| l.split_once('='))
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect(),
-    )
+/// A job directory's terminal state, from its markers: `fail` first, so
+/// a store whose job failed a check after an older server had already
+/// published its `done` reads as the failure it was.
+fn terminal(dir: &Path) -> (JobState, Option<u64>, String) {
+    if let Ok(text) = std::fs::read_to_string(dir.join(FAIL)) {
+        let fields = decode_fields(&text).unwrap_or_default();
+        let field = |k: &str| fields.iter().find(|(key, _)| *key == k).map(|(_, v)| *v);
+        let state = match field("kind") {
+            Some("cancelled") => JobState::Cancelled,
+            Some("deadline") => JobState::DeadlineExceeded,
+            _ => JobState::Failed,
+        };
+        return (state, None, field("detail").unwrap_or_default().to_string());
+    }
+    match Descriptor::load(dir) {
+        Ok(Some(done)) => (JobState::Done, Some(done.digest), String::new()),
+        Ok(None) => (JobState::Queued, None, String::new()),
+        Err(e) => (JobState::Failed, None, e.to_string()),
+    }
 }
 
 impl JobServer {
@@ -344,20 +354,7 @@ impl JobServer {
                 .map_err(|e| JobError::Io(format!("read {}/spec: {e}", dir.display())))?;
             let spec = JobSpec::decode(&spec_text)?;
             let cost = spec.budget_records()?;
-            let (state, digest, detail) = if let Some(done) = read_marker(&dir.join("done")) {
-                let digest = done.get("digest").and_then(|d| d.parse().ok());
-                (JobState::Done, digest, String::new())
-            } else if let Some(fail) = read_marker(&dir.join("fail")) {
-                let state = match fail.get("kind").map(String::as_str) {
-                    Some("cancelled") => JobState::Cancelled,
-                    Some("deadline") => JobState::DeadlineExceeded,
-                    _ => JobState::Failed,
-                };
-                let detail = fail.get("detail").cloned().unwrap_or_default();
-                (state, None, detail)
-            } else {
-                (JobState::Queued, None, String::new())
-            };
+            let (state, digest, detail) = terminal(&dir);
             jobs.insert(
                 id,
                 Job {
@@ -456,7 +453,7 @@ impl JobServer {
             }
         }
         let persist = std::fs::create_dir_all(&dir)
-            .and_then(|()| atomic_write_raw(&dir.join("spec"), spec.encode().as_bytes()));
+            .and_then(|()| atomic_write(&dir.join("spec"), spec.encode().as_bytes()));
         if let Err(e) = persist {
             // Best-effort cleanup: an unpersisted job directory must not
             // confuse a future restart scan.
@@ -529,11 +526,7 @@ impl JobServer {
             }
         };
         if marker {
-            let dir = self.inner.job_dir(id);
-            let _ = atomic_write(
-                &dir.join("fail"),
-                "kind=cancelled\ndetail=cancelled before running\n",
-            );
+            let _ = write_fail(&self.inner.job_dir(id), "cancelled", "cancelled before running");
         }
         true
     }
@@ -624,7 +617,8 @@ fn acquire_lock(jobs_dir: &Path) -> Result<(), JobError> {
             }
         }
     }
-    atomic_write(&lock, &format!("{}\n", std::process::id()))
+    atomic_write(&lock, format!("{}\n", std::process::id()).as_bytes())
+        .map_err(|e| JobError::Io(format!("write {}: {e}", lock.display())))
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
@@ -696,7 +690,7 @@ fn execute(inner: &Arc<Inner>, id: u64, cost: u64) {
                 job.state = JobState::Done;
                 job.digest = Some(digest);
                 job.detail.clear();
-                marker = None; // `done` was written inside run_job
+                marker = None; // `done` was published inside run_job
             }
             Err(JobError::Interrupted) => {
                 if job.cancel_requested {
@@ -722,103 +716,50 @@ fn execute(inner: &Arc<Inner>, id: u64, cost: u64) {
         }
     }
     if let Some((kind, detail)) = marker {
-        let _ = atomic_write(&dir.join("fail"), &format!("kind={kind}\ndetail={detail}\n"));
+        let _ = write_fail(&dir, &kind, &detail);
     }
 }
 
-/// Build (or reopen) the job's world and sort.  Returns the verified
-/// output digest on completion.
+/// Sort the job durably in its directory: the protected stack every job
+/// runs on — retries over injected transient faults (a no-op at the
+/// spec's rate 0) over the file cluster — an observer that records each
+/// pass and trips the deadline, and the spec's expected digest as the
+/// last check before `done` is published.  Returns the verified digest.
 fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> Result<u64, JobError> {
-    let dir = inner.job_dir(id);
-    let disks = dir.join("disks");
-    let manifest = dir.join("manifest");
-    let geom = spec.geometry()?;
-    let job = spec.build(Some(flag));
-
-    // The input is generated from the spec and sorted from memory, so
-    // the pass-0 manifest is the job's first durable state: a loadable
-    // manifest is exactly what a resume needs.
-    let file: FileDiskArray<U64Record> = if job.resume_point(geom, spec.records, &manifest)?.is_some() {
-        FileDiskArray::open(geom, &disks)?
-    } else {
-        // Partial leftovers (a crash before the first checkpoint) are
-        // wiped; the job re-forms deterministically from its spec.
-        let _ = std::fs::remove_dir_all(&disks);
-        FileDiskArray::create(geom, &disks)?
-    };
-    file.set_io_delay(inner.cfg.io_delay);
-    let data = spec.input_records();
-
-    // The protected stack every job runs on: retries over injected
-    // transient faults over the durable file backend.  With the spec's
-    // fault rate at 0 the fault layer is a no-op passthrough, so one
-    // stack shape serves both faulty and clean jobs.
-    let mut stack = StackSpec {
+    let clock = Instant::now();
+    let records = spec.input_records();
+    let stage_ms = clock.elapsed().as_millis() as u64;
+    let stack = StackSpec {
         faults: Some(FaultModel::random(spec.fault_seed).with_rate(spec.fault_rate)),
         retry: Some(inner.cfg.retry),
         trace: inner.cfg.check_model,
         ..StackSpec::default()
-    }
-    .build(file, ())?;
-
+    };
     let started = Instant::now();
     let deadline = spec.deadline_ms.map(Duration::from_millis);
-    let inner_obs = Arc::clone(inner);
-    let mut observer = move |pass: u64| {
-        let mut st = inner_obs.state.lock();
+    let observer = |pass: u64| {
+        let mut st = inner.state.lock();
         if let Some(j) = st.jobs.get_mut(&id) {
             j.passes = pass;
-            if let Some(limit) = deadline {
-                if started.elapsed() >= limit {
-                    j.deadline_hit = true;
-                    j.flag.trigger();
-                }
+            if deadline.is_some_and(|limit| started.elapsed() >= limit) {
+                j.deadline_hit = true;
+                j.flag.trigger();
             }
         }
-    };
-
-    let digest = sort_and_digest(&job, &mut stack, &data, &manifest, &mut observer)?;
-    if inner.cfg.check_model {
-        modelcheck::check_trace(geom, &stack.take_trace())
-            .map_err(|v| JobError::Model(v.to_string()))?;
-    }
-
-    let expected = expected_digest(spec);
-    if digest != expected {
-        return Err(JobError::Engine(format!(
-            "output digest {digest:#018x} != expected {expected:#018x}"
-        )));
-    }
-    Ok(digest)
-}
-
-/// Sort (or resume), read the output back through the same stack, and
-/// digest it.  On completion the `done` marker is journaled before the
-/// caller flips in-memory state, so a crash between the two leaves a
-/// resumable-but-finished job, never a lost result.
-fn sort_and_digest<A: DiskArray<U64Record>>(
-    job: &SrmSorter,
-    array: &mut A,
-    input: &[U64Record],
-    manifest: &Path,
-    observer: &mut dyn FnMut(u64),
-) -> Result<u64, JobError> {
-    let (run, report) = job.sort_observed(array, Input::InMemory(input), Some(manifest), |pass, _| {
-        observer(pass);
         Ok(())
-    })?;
-    let out = read_run(array, &run)?;
-    let digest = digest_keys(out.iter().map(|r| r.0));
-    let done = format!(
-        "digest={digest}\nrecords={}\nruns-formed={}\nmerge-passes={}\nmerge-order={}\nrun={}\n",
-        report.records,
-        report.runs_formed,
-        report.merge_passes,
-        report.merge_order,
-        encode_run(&run),
-    );
-    atomic_write(&manifest.with_file_name("done"), &done)?;
-    Ok(digest)
+    };
+    let job = DurableSort {
+        dir: &inner.job_dir(id),
+        geom: spec.geometry()?,
+        sorter: &spec.build(Some(flag)),
+        records: &records,
+        stage_ms,
+        stack,
+        slot: (),
+        io_delay: inner.cfg.io_delay,
+        expect: Some(expected_digest(spec)),
+    };
+    Ok(sort_durable(job, observer)?.0.digest)
 }
 
 #[cfg(test)]

@@ -10,6 +10,8 @@
 //! * cancellation and deadlines — both abort at a checkpoint boundary,
 //!   leaving a journaled manifest behind.
 
+use pdisk::{FileDiskArray, InterruptFlag, U64Record};
+use srm_core::{Input, SrmError};
 use srm_server::{
     expected_digest, EngineKind, JobServer, JobSpec, JobState, ServerConfig, SubmitError,
 };
@@ -488,6 +490,76 @@ fn store_enospc_is_typed_leaves_no_wedged_slot_and_drains_clean() {
     let c = server.submit(spec(0xE)).expect("space was freed");
     assert!(c > b, "id sequence survives the ENOSPC episode");
     wait_all_terminal(&server, Duration::from_secs(30));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job whose output fails its digest check is `failed`, and still
+/// reads so after a restart: nothing is published before every check has
+/// passed.  The failing check is planted as a pass-0 checkpoint of other
+/// records of the job's shape — its geometry, seed and count, one key
+/// changed — which the job resumes and merges to a digest its spec does
+/// not predict.
+#[test]
+fn a_job_failing_its_digest_check_reads_as_failed_after_a_restart() {
+    let dir = scratch("failcheck");
+    let job = dir.join("job-000001");
+    std::fs::create_dir_all(&job).unwrap();
+    std::fs::write(job.join("spec"), spec(5).encode()).unwrap();
+    let mut other = spec(5).input_records();
+    other[0] = U64Record(other[0].0 ^ 1);
+    let stop = InterruptFlag::new();
+    stop.trigger();
+    let mut disks: FileDiskArray<U64Record> = FileDiskArray::create(spec(5).geometry().unwrap(), job.join("disks")).unwrap();
+    let planted = spec(5).build(Some(stop)).sort_observed(&mut disks, Input::InMemory(&other), Some(&job.join("manifest")), |_, _| Ok(()));
+    assert!(matches!(planted, Err(SrmError::Interrupted)), "{planted:?}");
+    drop(disks);
+
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::new(&dir) };
+    let server = JobServer::open(cfg.clone()).unwrap();
+    wait_all_terminal(&server, Duration::from_secs(60));
+    let failed = server.status(1).unwrap();
+    assert_eq!(failed.state, JobState::Failed, "{}", failed.detail);
+    assert!(failed.detail.contains("!= expected"), "{}", failed.detail);
+    server.shutdown();
+    assert!(!job.join("done").exists(), "a job that fails a check publishes no descriptor");
+
+    let reopened = JobServer::open(cfg).unwrap();
+    let s = reopened.status(1).unwrap();
+    assert_eq!((s.state, s.digest), (JobState::Failed, None), "{}", s.detail);
+    reopened.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store an older server wrote loads as it did: its `done` marker (a
+/// decimal digest and keys the descriptor does not have) reads as done
+/// with that digest, and each `fail` marker keeps its kind and detail.
+#[test]
+fn a_store_from_before_the_descriptor_classifies_as_it_did() {
+    let dir = scratch("older-store");
+    let job = |id: u64, marker: &str, text: &str| {
+        let job = dir.join(format!("job-{id:06}"));
+        std::fs::create_dir_all(&job).unwrap();
+        std::fs::write(job.join("spec"), spec(1).encode()).unwrap();
+        std::fs::write(job.join(marker), text).unwrap();
+    };
+    job(
+        1,
+        "done",
+        "digest=5764198708317311365\nrecords=1500\nruns-formed=32\nmerge-passes=2\nmerge-order=6\n\
+         run=striped 1 375 1500 374,376\n",
+    );
+    job(2, "fail", "kind=cancelled\ndetail=cancelled before running\n");
+    job(3, "fail", "kind=deadline\ndetail=deadline overrun: checkpointed, then aborted\n");
+    job(4, "fail", "kind=failed\ndetail=disk error: gave up after 4 attempts\n");
+    let server = JobServer::open(ServerConfig { workers: 1, ..ServerConfig::new(&dir) }).unwrap();
+    let got = |id| server.status(id).map(|s| (s.state, s.digest, s.detail)).unwrap();
+    assert_eq!(got(1), (JobState::Done, Some(5764198708317311365), String::new()));
+    assert_eq!(expected_digest(&spec(1)), 5764198708317311365, "the fixture is the spec's own job");
+    assert_eq!(got(2), (JobState::Cancelled, None, "cancelled before running".into()));
+    assert_eq!(got(3), (JobState::DeadlineExceeded, None, "deadline overrun: checkpointed, then aborted".into()));
+    assert_eq!(got(4), (JobState::Failed, None, "disk error: gave up after 4 attempts".into()));
+    assert_eq!(server.stats().queued, 0, "no finished job runs again");
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
