@@ -15,9 +15,9 @@
 //! the pipeline moves waiting, never work (DESIGN.md §9, §14).  Windows
 //! are interleaved and each is timed as the minimum of `--reps` runs
 //! (default 3), which filters host scheduling noise.  The headline case
-//! (SRM, `D = 8`, realistic per-block delay, depth-3 read-ahead, 4
-//! formation threads) is additionally run under the tracing wrapper and
-//! replayed through the modelcheck invariant checker.
+//! (SRM, `D = 8`, realistic per-block delay, depth-3 read-ahead) is
+//! additionally run under the tracing wrapper and replayed through the
+//! modelcheck invariant checker.
 //! `--assert-speedup 1.5` exits non-zero unless the headline pipelined
 //! sort is at least 1.5x faster than serial; `--assert-zero-delay 1.0`
 //! gates the `io_delay = 0` SRM case the same way (the pipeline must never
@@ -33,7 +33,7 @@
 //! { "bench": "pipeline", "quick": false, "headline_speedup": 1.62,
 //!   "cases": [ { "algo": "srm", "d": 8, "b": 16, "m": 1792,
 //!                "records": 120000, "io_delay_us": 60,
-//!                "depth": 3, "threads": 4,
+//!                "depth": 3,
 //!                "serial_ms": 2812.4, "pipelined_ms": 1731.0,
 //!                "formation_ms": 402.1, "merge_ms": 1328.9,
 //!                "speedup": 1.62, "read_ops": 3121, "write_ops": 2430,
@@ -48,7 +48,6 @@
 use pdisk::{DiskArray, FileDiskArray, Geometry, IoStats, StackSpec, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use srm_core::run_formation::RunFormation;
 use srm_core::sort::{write_unsorted_input, SrmConfig};
 use srm_core::{read_run, EngineKind, SrmSorter};
 use std::path::PathBuf;
@@ -65,8 +64,6 @@ struct Case {
     /// Forecast-driven read-ahead depth for the pipelined engine
     /// (0 = submit/complete only, no prefetch hints).
     depth: usize,
-    /// Worker threads for run formation's internal sort (both engines).
-    threads: usize,
     /// The acceptance-gate case: `D >= 4` with realistic latency.
     headline: bool,
 }
@@ -131,7 +128,7 @@ fn main() {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json")
     });
 
-    // (algo, D, B, k, records, delay_us, depth, threads, headline).
+    // (algo, D, B, k, records, delay_us, depth, headline).
     // `--quick` keeps one SRM, one zero-delay SRM, and one DSM case at
     // reduced scale for CI smoke.
     //
@@ -144,39 +141,39 @@ fn main() {
     // geometry fixed and varies only the read-ahead depth.
     let cases: Vec<Case> = if quick {
         vec![
-            case("srm", 4, 16, 4, 30_000, 60, 3, 1, true),
-            case("srm", 4, 16, 4, 30_000, 0, 3, 1, false),
-            case("dsm", 4, 16, 4, 30_000, 60, 0, 1, false),
+            case("srm", 4, 16, 4, 30_000, 60, 3, true),
+            case("srm", 4, 16, 4, 30_000, 0, 3, false),
+            case("dsm", 4, 16, 4, 30_000, 60, 0, false),
         ]
     } else {
         vec![
             // Depth sweep over the headline geometry.
-            case("srm", 8, 16, 4, 120_000, 60, 0, 4, false),
-            case("srm", 8, 16, 4, 120_000, 60, 1, 4, false),
-            case("srm", 8, 16, 4, 120_000, 60, 3, 4, true),
-            case("srm", 8, 16, 4, 120_000, 60, 6, 4, false),
+            case("srm", 8, 16, 4, 120_000, 60, 0, false),
+            case("srm", 8, 16, 4, 120_000, 60, 1, false),
+            case("srm", 8, 16, 4, 120_000, 60, 3, true),
+            case("srm", 8, 16, 4, 120_000, 60, 6, false),
             // Breadth: other geometries, block sizes, memory factors.
-            case("srm", 2, 16, 4, 60_000, 60, 3, 1, false),
-            case("srm", 4, 32, 4, 100_000, 60, 3, 1, false),
-            case("srm", 4, 64, 4, 100_000, 60, 3, 1, false),
-            case("srm", 4, 32, 2, 100_000, 60, 3, 1, false),
+            case("srm", 2, 16, 4, 60_000, 60, 3, false),
+            case("srm", 4, 32, 4, 100_000, 60, 3, false),
+            case("srm", 4, 64, 4, 100_000, 60, 3, false),
+            case("srm", 4, 32, 2, 100_000, 60, 3, false),
             // Zero-delay floor: overlap machinery must not cost time.
-            case("srm", 4, 32, 4, 100_000, 0, 3, 1, false),
-            case("dsm", 4, 32, 4, 100_000, 60, 0, 1, false),
-            case("dsm", 2, 16, 4, 60_000, 60, 0, 1, false),
+            case("srm", 4, 32, 4, 100_000, 0, 3, false),
+            case("dsm", 4, 32, 4, 100_000, 60, 0, false),
+            case("dsm", 2, 16, 4, 60_000, 60, 0, false),
         ]
     };
 
     println!("# Wall-clock: blocking (serial) vs pipelined window (file backend)\n");
     println!("(seed={seed:#x}; every case asserts identical output bytes and identical IoStats)\n");
-    println!("| algo | D | B | M | records | delay | depth | thr | serial | pipelined | form | merge | speedup |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("| algo | D | B | M | records | delay | depth | serial | pipelined | form | merge | speedup |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|");
 
     let mut outcomes: Vec<Outcome> = Vec::new();
     for case in cases {
         let o = run_case(case, seed, reps);
         println!(
-            "| {} | {} | {} | {} | {} | {}us | {} | {} | {:.1}ms | {:.1}ms | {:.1}ms | {:.1}ms | {:.2}x |",
+            "| {} | {} | {} | {} | {} | {}us | {} | {:.1}ms | {:.1}ms | {:.1}ms | {:.1}ms | {:.2}x |",
             o.case.algo,
             o.case.d,
             o.case.b,
@@ -184,7 +181,6 @@ fn main() {
             o.case.records,
             o.case.io_delay_us,
             o.case.depth,
-            o.case.threads,
             o.serial_ms,
             o.pipelined_ms,
             o.formation_ms,
@@ -201,12 +197,11 @@ fn main() {
         .find(|o| o.case.headline)
         .expect("a headline case must be configured");
     println!(
-        "\nheadline (SRM D={} B={} delay={}us depth={} threads={}): {:.2}x speedup, model check {}",
+        "\nheadline (SRM D={} B={} delay={}us depth={}): {:.2}x speedup, model check {}",
         headline.case.d,
         headline.case.b,
         headline.case.io_delay_us,
         headline.case.depth,
-        headline.case.threads,
         headline.speedup(),
         if headline.model_checked { "clean" } else { "SKIPPED" },
     );
@@ -247,28 +242,16 @@ fn case(
     records: u64,
     io_delay_us: u64,
     depth: usize,
-    threads: usize,
     headline: bool,
 ) -> Case {
-    Case { algo, d, b, k, records, io_delay_us, depth, threads, headline }
+    Case { algo, d, b, k, records, io_delay_us, depth, headline }
 }
 
-/// The SRM sorter for a case: formation threads and read-ahead depth
-/// applied identically at both windows (the blocking one sends no
-/// hints), so the two timed runs differ *only* in pipelining.
+/// The SRM sorter for a case: read-ahead depth applied identically at
+/// both windows (the blocking one sends no hints), so the two timed runs
+/// differ *only* in pipelining.
 fn srm_sorter(case: &Case) -> SrmSorter {
-    let config = if case.threads > 1 {
-        SrmConfig {
-            run_formation: Some(RunFormation::ParallelMemoryLoad {
-                fraction: 0.5,
-                threads: case.threads,
-            }),
-            ..SrmConfig::default()
-        }
-    } else {
-        SrmConfig::default()
-    };
-    SrmSorter::new(config).with_read_ahead(case.depth)
+    SrmSorter::new(SrmConfig::default()).with_read_ahead(case.depth)
 }
 
 /// Stage `data` on a fresh file array in `dir`, switch on the service
@@ -369,7 +352,7 @@ fn run_case(case: Case, seed: u64, reps: usize) -> Outcome {
 
     // The headline case must also hold up in front of the invariant
     // checker: replay a traced pipelined sort (untimed), at the case's
-    // full depth and thread count, on the case's device, so that it
+    // full depth, on the case's device, so that it
     // forms its runs as the timed sort did.
     let model_checked = if case.headline && case.algo == "srm" {
         let dir = base.with_extension("trace");
@@ -425,7 +408,7 @@ fn render_json(outcomes: &[Outcome], quick: bool, headline_speedup: f64) -> Stri
     for (i, o) in outcomes.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"algo\": \"{}\", \"d\": {}, \"b\": {}, \"m\": {}, \"records\": {}, \
-             \"io_delay_us\": {}, \"depth\": {}, \"threads\": {}, \
+             \"io_delay_us\": {}, \"depth\": {}, \
              \"serial_ms\": {:.3}, \"pipelined_ms\": {:.3}, \
              \"formation_ms\": {:.3}, \"merge_ms\": {:.3}, \
              \"speedup\": {:.4}, \"read_ops\": {}, \"write_ops\": {}, \
@@ -438,7 +421,6 @@ fn render_json(outcomes: &[Outcome], quick: bool, headline_speedup: f64) -> Stri
             o.case.records,
             o.case.io_delay_us,
             o.case.depth,
-            o.case.threads,
             o.serial_ms,
             o.pipelined_ms,
             o.formation_ms,

@@ -128,6 +128,10 @@ pub enum PdiskError {
         /// the double-open is within one process).
         holder: u32,
     },
+    /// A [`crate::FileDiskArray`] reopen found no format record at this
+    /// path: the directory holds no array, or one laid down before the
+    /// record, whose slot checksums this build does not read.
+    Unformatted(std::path::PathBuf),
 }
 
 impl PdiskError {
@@ -189,6 +193,14 @@ impl std::fmt::Display for PdiskError {
                     "disk array directory {} is already open (held by pid {holder}); \
                      a second handle would interleave writes",
                     dir.display()
+                )
+            }
+            PdiskError::Unformatted(path) => {
+                write!(
+                    f,
+                    "no format record {}: the directory holds no array, or one \
+                     laid down before slot format 2, which this build does not read",
+                    path.display()
                 )
             }
         }

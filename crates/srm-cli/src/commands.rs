@@ -46,8 +46,8 @@ srm — Simple Randomized Mergesort on parallel disks (SPAA '96 reproduction)
 USAGE:
   srm sort [--records N] [--d D] [--b B] [--k K | --m M] [--algo srm|dsm|both]
            [--backend mem|file] [--dir PATH] [--seed S]
-           [--placement random|staggered] [--formation load|parload|rs]
-           [--threads N] [--pipeline] [--read-ahead K] [--keep]
+           [--placement random|staggered] [--formation load|rs]
+           [--pipeline] [--read-ahead K] [--keep]
            [--fault-rate R] [--fault-seed S] [--resume MANIFEST]
            [--parity] [--kill-disk D@PASS] [--check-model]
            [--crash-at K] [--crash-points]
@@ -70,10 +70,6 @@ USAGE:
       --read-ahead K additionally hints the next K forecast-predicted
       blocks per disk to the backend as speculative reads (DESIGN.md
       §14; needs --pipeline, default 0).
-      --threads N sizes parallel run formation (and implies
-      --formation parload when --formation is not given); under
-      --formation load or rs, which sort on one thread, it is a usage
-      error.
 
       --fault-rate R injects transient faults on reads and writes with
       per-disk probability R (0 <= R < 1, seeded by --fault-seed) and
@@ -182,12 +178,14 @@ USAGE:
         SUBMIT key=value ...   (records=N d=D b=B m=M engine=srm|dsm
                                 seed=S deadline-ms=T fault-rate=R
                                 pipeline=0|1 read-ahead=K
-                                formation=load|parload:N|rs ...)
+                                formation=load|rs ...)
                                A job sorts pipelined at read-ahead 3
                                unless it says otherwise; pipeline=0 is
                                the window-0 reference (DESIGN.md §11.1).
                                Without formation= the job's device
                                chooses (--io-delay-us); a named one stays.
+                               An older store's threaded formation
+                               reads as load.
         STATUS ID | WATCH ID | CANCEL ID | LIST | STATS | DRAIN |
         PING | QUIT
 
@@ -345,15 +343,8 @@ pub fn sort(flags: &Flags) -> i32 {
             "staggered" => Placement::Staggered,
             other => return Err(format!("unknown placement `{other}`").into()),
         };
-        let (formation, threads) = flags.formation()?;
-        let formation = match formation {
+        let formation = match flags.get_str("formation").unwrap_or("load") {
             "load" => RunFormation::MemoryLoad { fraction: 0.5 },
-            "parload" => RunFormation::ParallelMemoryLoad {
-                fraction: 0.5,
-                threads: threads.unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(4, |p| p.get())
-                }),
-            },
             "rs" => RunFormation::ReplacementSelection,
             other => return Err(format!("unknown formation `{other}`").into()),
         };
@@ -630,17 +621,15 @@ fn sort_on_backend(flags: &Flags, sorter: &SrmSorter, job: &SortJob) -> Result<(
     Ok(())
 }
 
-/// The file backend's own counters, one line: which checksum its slots
-/// carry, whether a parallel I/O reached the workers as one event,
-/// whether read-ahead hints landed, and whether buffers came out of the
-/// pool.
+/// The file backend's own counters, one line: whether a parallel I/O
+/// reached the workers as one event, whether read-ahead hints landed,
+/// and whether buffers came out of the pool.
 fn file_counters(a: &FileDiskArray<U64Record>) -> String {
     let (q, pf) = (a.queue_stats(), a.prefetch_stats());
     let pool = a.buffer_pool().map(|p| p.stats()).unwrap_or_default();
     format!(
-        "slot format {}; {} submissions, {} notifications, {} completion waits; read-ahead {} issued, \
+        "{} submissions, {} notifications, {} completion waits; read-ahead {} issued, \
          {} hit, {} invalidated; pool hit rate {:.4} ({} misses)",
-        a.slot_format(),
         q.submissions,
         q.notifications,
         q.completion_waits,
@@ -805,7 +794,7 @@ fn pass_plan_line(report: &SortReport, geom: Geometry) -> String {
     };
     let blocks = match report.formation {
         None => format!("blocks written since the resume: {actual}"),
-        Some(RunFormation::MemoryLoad { fraction } | RunFormation::ParallelMemoryLoad { fraction, .. }) => {
+        Some(RunFormation::MemoryLoad { fraction }) => {
             let predicted = written(&analysis::load_runs(report.records, geom, fraction));
             format!("blocks written: predicted {predicted}, actual {actual}")
         }

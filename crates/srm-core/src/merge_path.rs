@@ -1,4 +1,9 @@
-//! Merge Path parallel two-way merging (Green, Odeh & Birk).
+//! Merge Path parallel two-way merging (Green, Odeh & Birk), kept only as
+//! a benchmark kernel.
+//!
+//! No sort merges with it: the engine's merge is the loser tree.
+//! `srmbench`'s `merge_path` kernel and [`crate::par_sort`] (itself kept
+//! only for `srmbench`) are its callers, and it goes together with them.
 //!
 //! A two-way merge of sorted sequences `a` and `b` traces a monotone
 //! staircase through the `|a| × |b|` grid: step right when the next

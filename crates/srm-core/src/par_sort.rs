@@ -1,19 +1,16 @@
-//! Multi-threaded internal sorting for run formation.
+//! A fork-join internal sort, kept only as a benchmark kernel.
 //!
-//! The paper's run-formation pass sorts one memory-load at a time; on a
-//! modern multi-core host that internal sort is CPU-bound while the I/O
-//! system idles.  This module provides a fork-join sort built on
-//! `std::thread::scope`: split the load into per-thread chunks,
-//! `sort_unstable` each in parallel, then merge the sorted chunks
-//! pairwise with [`crate::merge_path`]'s diagonal partitioning, so the
-//! merge phase is also spread across the workers instead of running on
-//! one core (the single-threaded tournament tree it replaces was the
-//! CPU bottleneck of the sort).
+//! No sort forms runs with it: run formation sorts each memory load with
+//! `sort_unstable_by_key` on the caller's thread, as the paper's §2.1 does
+//! on its one processor.  `srmbench`'s `par_sort` kernel still times this
+//! function, which is the only reason it stays; it goes together with that
+//! kernel.
 //!
-//! Determinism: for a fixed `threads` the result is deterministic.  Like
-//! `sort_unstable`, the relative order of *equal keys* is unspecified
-//! (and may differ across `threads` values); all sorters in this
-//! repository order by key only, so sorted output is unaffected.
+//! `par_sort_by_key` splits the load into per-thread chunks, sorts each
+//! with `sort_unstable` inside `std::thread::scope`, then merges the
+//! sorted chunks pairwise with [`crate::merge_path`].  For a fixed
+//! `threads` the result is deterministic; the relative order of equal keys
+//! may differ across `threads` values.
 
 use crate::merge_path::par_merge_sorted_chunks;
 use pdisk::Record;

@@ -35,16 +35,6 @@ pub enum RunFormation {
         /// Fraction of `M` records sorted per run.
         fraction: f64,
     },
-    /// Memory-load sorting with the internal sort fork-joined across
-    /// `threads` host threads ([`crate::par_sort`]); identical run layout
-    /// and I/O to [`RunFormation::MemoryLoad`], faster wall clock on
-    /// multi-core hosts.
-    ParallelMemoryLoad {
-        /// Fraction of `M` records sorted per run.
-        fraction: f64,
-        /// Worker threads for the internal sort.
-        threads: usize,
-    },
     /// Replacement selection on a tournament of `M − 4DB` slots (the rest
     /// of memory holds the stripes being read and written).
     ReplacementSelection,
@@ -57,12 +47,10 @@ impl Default for RunFormation {
 }
 
 impl RunFormation {
-    /// The strategy's name in reports and job specs: `load`, `parload`
-    /// or `rs`.
+    /// The strategy's name in reports and job specs: `load` or `rs`.
     pub fn name(&self) -> &'static str {
         match self {
             RunFormation::MemoryLoad { .. } => "load",
-            RunFormation::ParallelMemoryLoad { .. } => "parload",
             RunFormation::ReplacementSelection => "rs",
         }
     }
@@ -136,9 +124,8 @@ pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
     pipeline: bool,
     mut place: impl FnMut() -> DiskId,
 ) -> Result<Vec<StripedRun>> {
-    let (fraction, threads) = match strategy {
-        RunFormation::MemoryLoad { fraction } => (fraction, 1),
-        RunFormation::ParallelMemoryLoad { fraction, threads } => (fraction, threads.max(1)),
+    let fraction = match strategy {
+        RunFormation::MemoryLoad { fraction } => fraction,
         RunFormation::ReplacementSelection => {
             return replacement_selection(array, input, pipeline, place)
         }
@@ -152,7 +139,7 @@ pub(crate) fn form_runs_overlapped<R: Record, A: DiskArray<R>>(
     let load_blocks = load_blocks(geom, fraction);
     let mut out = Vec::new();
     let mut write_run = |array: &mut A, mut load: Vec<R>| -> Result<()> {
-        crate::par_sort::par_sort_by_key(&mut load, threads);
+        load.sort_unstable_by_key(|r| r.key());
         let mut w = RunWriter::new(geom, place()).write_behind(pipeline);
         for rec in load {
             w.push(array, rec)?;
@@ -401,40 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_memory_load_matches_serial() {
-        let mut rng = SmallRng::seed_from_u64(9);
-        let geom = Geometry::new(2, 4, 64).unwrap();
-        let input_keys = random_input(&mut rng, 400);
-        // Serial.
-        let mut a = MemDiskArray::new(geom);
-        let input = write_input(&mut a, geom, &input_keys);
-        let serial = form_runs(
-            &mut a,
-            &input,
-            RunFormation::MemoryLoad { fraction: 0.5 },
-            || DiskId(0),
-        )
-        .unwrap();
-        // Parallel with 4 threads.
-        let mut b = MemDiskArray::new(geom);
-        let input = write_input(&mut b, geom, &input_keys);
-        let parallel = form_runs(
-            &mut b,
-            &input,
-            RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 4 },
-            || DiskId(0),
-        )
-        .unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            let sk: Vec<u64> = read_run(&mut a, s).unwrap().iter().map(|r| r.0).collect();
-            let pk: Vec<u64> = read_run(&mut b, p).unwrap().iter().map(|r| r.0).collect();
-            assert_eq!(sk, pk, "run contents must match serial formation");
-        }
-        verify_runs(&mut b, &parallel, &input_keys);
-    }
-
-    #[test]
     fn formation_is_window_invariant() {
         // Same runs, layouts, and IoStats with and without the §2.1
         // overlap, across shapes that exercise partial final blocks,
@@ -443,7 +396,7 @@ mod tests {
             (2usize, 4usize, 64usize, 300usize, RunFormation::MemoryLoad { fraction: 0.5 }),
             (4, 8, 256, 1_000, RunFormation::MemoryLoad { fraction: 0.5 }),
             (3, 4, 96, 233, RunFormation::MemoryLoad { fraction: 1.0 }),
-            (4, 8, 256, 777, RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 3 }),
+            (4, 8, 256, 777, RunFormation::MemoryLoad { fraction: 0.5 }),
             (2, 4, 64, 150, RunFormation::ReplacementSelection),
         ] {
             let mut rng = SmallRng::seed_from_u64(0xF0);
@@ -486,10 +439,10 @@ mod tests {
     /// disks and lengths, the same writes — and not one read.
     #[test]
     fn in_memory_input_forms_the_staged_runs() {
-        let parload = RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 3 };
+        let half = RunFormation::MemoryLoad { fraction: 0.5 };
         let rs = RunFormation::ReplacementSelection;
         for (d, b, m, n, strategy) in
-            [(2, 4, 64, 300, RunFormation::default()), (4, 8, 256, 777, parload), (3, 4, 96, 1001, rs)]
+            [(2, 4, 64, 300, RunFormation::default()), (4, 8, 256, 777, half), (3, 4, 96, 1001, rs)]
         {
             for pipeline in [false, true] {
                 let geom = Geometry::new(d, b, m).unwrap();

@@ -1083,7 +1083,6 @@ mod tests {
             rs,
             RunFormation::MemoryLoad { fraction: 0.5 },
             RunFormation::MemoryLoad { fraction: 1.0 },
-            RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 2 },
         ] {
             let sorter = SrmSorter::new(SrmConfig { run_formation: Some(explicit), ..SrmConfig::default() });
             assert_eq!(formation(&sorter, 30_000, device), explicit);

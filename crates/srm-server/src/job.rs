@@ -310,10 +310,7 @@ impl JobSpec {
 
     /// Key=value pairs, the shared wire/file encoding.
     pub fn to_pairs(&self) -> Vec<(&'static str, String)> {
-        let formation = self.formation.map(|f| match f {
-            RunFormation::ParallelMemoryLoad { threads, .. } => format!("parload:{threads}"),
-            other => other.name().to_string(),
-        });
+        let formation = self.formation.map(|f| f.name().to_string());
         let mut pairs = vec![
             ("engine", self.engine.as_str().to_string()),
             ("records", self.records.to_string()),
@@ -374,10 +371,11 @@ impl JobSpec {
                     spec.formation = Some(match v.split_once(':') {
                         None if v == "load" => RunFormation::MemoryLoad { fraction: 0.5 },
                         None if v == "rs" => RunFormation::ReplacementSelection,
-                        Some(("parload", t)) => RunFormation::ParallelMemoryLoad {
-                            fraction: 0.5,
-                            threads: t.parse().map_err(|_| bad(k, v))?,
-                        },
+                        // A stored spec from when loads could be sorted on
+                        // threads: `parload:N` formed `load`'s runs.
+                        Some(("parload", t)) if t.parse::<usize>().is_ok() => {
+                            RunFormation::MemoryLoad { fraction: 0.5 }
+                        }
                         _ => return Err(bad(k, v)),
                     })
                 }
@@ -824,10 +822,7 @@ mod tests {
             b: 4,
             m: 240,
             placement: Placement::Staggered,
-            formation: Some(RunFormation::ParallelMemoryLoad {
-                fraction: 0.5,
-                threads: 2,
-            }),
+            formation: Some(RunFormation::ReplacementSelection),
             pipeline: true,
             read_ahead: 4,
             deadline_ms: Some(5000),
@@ -882,8 +877,9 @@ mod tests {
     /// A spec without `formation=` leaves the choice to the sorter, which
     /// on a modelled device (the array's delay) picks RS where it
     /// predicts fewer blocks (a `dist_p4` shard's 30 000 records) and
-    /// loads on a free one; `load`, `parload:N` and `rs` are overrides a
-    /// device does not touch, and each round-trips through the encoding.
+    /// loads on a free one; `load` and `rs` are overrides a device does
+    /// not touch, and each round-trips through the encoding.  A stored
+    /// `parload:N` reads as `load` and re-encodes as it.
     #[test]
     fn an_omitted_formation_is_chosen_and_a_named_one_overrides() {
         let shard = "records=30000\nd=3\nb=16\nm=1024\n";
@@ -908,7 +904,6 @@ mod tests {
 
         for (named, want) in [
             ("load", RunFormation::MemoryLoad { fraction: 0.5 }),
-            ("parload:3", RunFormation::ParallelMemoryLoad { fraction: 0.5, threads: 3 }),
             ("rs", RunFormation::ReplacementSelection),
         ] {
             let spec = JobSpec::decode(&format!("{shard}formation={named}\n")).unwrap();
@@ -916,6 +911,10 @@ mod tests {
             assert_eq!(JobSpec::decode(&spec.encode()).unwrap(), spec);
             assert_eq!((formed(&spec, 1), formed(&spec, 0)), (want, want), "{named}");
         }
+        let legacy = JobSpec::decode(&format!("{shard}formation=parload:3\n")).unwrap();
+        assert_eq!(legacy.formation, Some(RunFormation::MemoryLoad { fraction: 0.5 }));
+        assert!(legacy.encode().contains("formation=load\n"));
+        assert!(JobSpec::decode(&format!("{shard}formation=parload:x\n")).is_err());
         // DSM keeps its half-memory loads on any device.
         let dsm = JobSpec { engine: EngineKind::Dsm, ..chosen };
         let wide = dsm.geometry().unwrap();

@@ -11,7 +11,7 @@
 //!   leaving a journaled manifest behind.
 
 use pdisk::{FileDiskArray, InterruptFlag, U64Record};
-use srm_core::{Input, SrmError};
+use srm_core::{Input, RunFormation, SrmError};
 use srm_server::{
     expected_digest, EngineKind, JobServer, JobSpec, JobState, ServerConfig, SubmitError,
 };
@@ -560,6 +560,28 @@ fn a_store_from_before_the_descriptor_classifies_as_it_did() {
     assert_eq!(got(3), (JobState::DeadlineExceeded, None, "deadline overrun: checkpointed, then aborted".into()));
     assert_eq!(got(4), (JobState::Failed, None, "disk error: gave up after 4 attempts".into()));
     assert_eq!(server.stats().queued, 0, "no finished job runs again");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec an older server stored with `formation=parload:2` (the bytes
+/// its `JobSpec::encode` wrote), from when loads could be sorted on
+/// threads: the store opens, the job reads it as `load`, which formed
+/// the same runs, and finishes with the input's digest.
+#[test]
+fn a_stored_parload_spec_runs_as_load() {
+    let dir = scratch("parload-store");
+    let text = "engine=srm\nrecords=1500\nseed=5\nd=2\nb=4\nm=96\nplacement=random\n\
+                formation=parload:2\npipeline=1\nread-ahead=3\nfault-rate=0\nfault-seed=1024023\n";
+    let stored = JobSpec::decode(text).unwrap();
+    assert_eq!(stored, JobSpec { formation: Some(RunFormation::MemoryLoad { fraction: 0.5 }), ..spec(5) });
+    let job = dir.join("job-000001");
+    std::fs::create_dir_all(&job).unwrap();
+    std::fs::write(job.join("spec"), text).unwrap();
+    let server = JobServer::open(ServerConfig { workers: 1, ..ServerConfig::new(&dir) }).unwrap();
+    wait_all_terminal(&server, Duration::from_secs(60));
+    let s = server.status(1).unwrap();
+    assert_eq!((s.state, s.digest), (JobState::Done, Some(expected_digest(&stored))), "{}", s.detail);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

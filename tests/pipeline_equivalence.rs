@@ -291,20 +291,19 @@ fn file_backend_equivalent() {
 
 /// Depth-K read-ahead and the formation strategy's own machinery are pure
 /// wall-clock knobs: on the file backend — the one whose speculative
-/// prefetch cache actually acts on the hints — a sort with 4 formation
-/// threads, and one by replacement selection (its input stripe window
-/// one read deep at window 0, two pipelined), is byte- and op-identical
-/// at every window, depth 8 included, and its trace replays
-/// checker-clean.
+/// prefetch cache actually acts on the hints — a sort by full-memory
+/// loads, and one by replacement selection (its input stripe window one
+/// read deep at window 0, two pipelined), is byte- and op-identical at
+/// every window, depth 8 included, and its trace replays checker-clean.
 #[test]
-fn deep_read_ahead_and_threads_equivalent() {
+fn deep_read_ahead_and_rs_equivalent() {
     use srm_core::run_formation::RunFormation;
 
     let geom = Geometry::new(4, 8, 256).unwrap();
     let data = random_records(8000, 0xE9);
     let dir = unique_dir("deep");
     for (tag, run_formation) in [
-        ("threads", RunFormation::ParallelMemoryLoad { fraction: 1.0, threads: 4 }),
+        ("load", RunFormation::MemoryLoad { fraction: 1.0 }),
         ("rs", RunFormation::ReplacementSelection),
     ] {
         let config = SrmConfig { run_formation: Some(run_formation), ..SrmConfig::default() };
