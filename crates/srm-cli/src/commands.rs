@@ -432,7 +432,8 @@ pub fn sort(flags: &Flags) -> i32 {
         // manifest to journal, so the sort simply stops early.
         let interrupt = InterruptFlag::new();
         srm_repro::signals::install();
-        srm_repro::signals::watch(interrupt.clone(), || false);
+        let forward = interrupt.clone();
+        srm_repro::signals::watch(move || forward.trigger(), || false);
         let trip: Option<(InterruptFlag, u64)> = flags
             .get::<u64>("interrupt-after-pass")?
             .map(|k| (interrupt.clone(), k));
@@ -1057,7 +1058,8 @@ pub fn serve(flags: &Flags) -> i32 {
         // stop admitting, checkpoint every running job at its next pass
         // boundary, exit.  A restarted server resumes them all.
         srm_repro::signals::install();
-        srm_repro::signals::watch(server.shutdown_flag(), || false);
+        let forward = std::sync::Arc::clone(&server);
+        srm_repro::signals::watch(move || forward.request_shutdown(), || false);
 
         let stats = server.stats();
         println!(

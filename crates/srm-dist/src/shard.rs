@@ -251,7 +251,7 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
         stack: shard_stack(plan, true),
         slot: Fenced(fence.clone()),
         io_delay: plan.io_delay,
-        expect: None,
+        oracle: false,
     };
     // A pass boundary is announced, then — before its snapshot — is where
     // a `KillPoint::Pass` drill strikes.

@@ -36,7 +36,7 @@ fn a_replacement_resumes_the_manifest_its_predecessor_journals_under_the_lease()
             stack: StackSpec { trace: true, ..StackSpec::default() },
             slot: Fenced(FenceFlag::new()),
             io_delay: Duration::ZERO,
-            expect: None,
+            oracle: false,
         };
         sort_durable(job, |_| Ok(()))
     };

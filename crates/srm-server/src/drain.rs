@@ -3,13 +3,12 @@
 //! A drain is the server-wide analogue of a single sort's interrupt:
 //! stop admitting work, let every running job reach its next pass
 //! boundary (where the PR-5 checkpoint path journals a manifest
-//! atomically), and only then stop.  The signal is one
-//! [`pdisk::InterruptFlag`] ([`crate::JobServer::shutdown_flag`]), shared
-//! by the signal handler, the network front end, and the `DRAIN`
-//! protocol verb.  [`DrainReport`] is the accounting a completed drain
-//! hands back: what finished, what was suspended mid-sort (resumable on
-//! restart, byte-identically), what was cancelled, and what was still
-//! queued.
+//! atomically), and only then stop.  The signal handler and the `DRAIN`
+//! protocol verb both ask through one method,
+//! [`crate::JobServer::request_shutdown`].  [`DrainReport`] is the
+//! accounting a completed drain hands back: what finished, what was
+//! suspended mid-sort (resumable on restart, byte-identically), what was
+//! cancelled, and what was still queued.
 
 /// What a completed drain left behind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -479,10 +479,15 @@ impl Default for KeyDigest {
     }
 }
 
-/// The expected output digest of a job: generate its input, sort in
-/// host memory, digest.  What the disks must agree with.
+/// The expected output digest of a job: [`oracle_digest`] of its input.
 pub fn expected_digest(spec: &JobSpec) -> u64 {
-    let mut keys: Vec<u64> = spec.input_records().iter().map(|r| r.0).collect();
+    oracle_digest(&spec.input_records())
+}
+
+/// The digest of `records` sorted in host memory, independently of the
+/// engine: what the disks must agree with.
+pub(crate) fn oracle_digest(records: &[U64Record]) -> u64 {
+    let mut keys: Vec<u64> = records.iter().map(|r| r.0).collect();
     keys.sort_unstable();
     digest_keys(keys)
 }
@@ -699,8 +704,9 @@ pub struct DurableSort<'a, X> {
     pub slot: X,
     /// The cluster's device time per I/O.
     pub io_delay: Duration,
-    /// The output digest the caller knows the sort must have, if any.
-    pub expect: Option<u64>,
+    /// Check the output against [`oracle_digest`] of the records, which
+    /// a helper thread computes while the engine sorts.
+    pub oracle: bool,
 }
 
 /// Sort `job.records` durably in `job.dir`, resuming whatever an earlier
@@ -715,7 +721,7 @@ pub struct DurableSort<'a, X> {
 ///    snapshot (an `Err` stops the sort and comes back);
 /// 6. read the output back and digest it;
 /// 7. replay a traced stack's trace and stats through the model checker,
-///    and compare the digest with `job.expect`;
+///    and, with `job.oracle`, compare the digest with the oracle's;
 /// 8. publish the descriptor at [`DONE`].
 ///
 /// Returns it with the sorted keys.  Every array handle is dropped on
@@ -725,7 +731,7 @@ pub fn sort_durable<X: Layer<U64Record>>(
     job: DurableSort<'_, X>,
     mut observer: impl FnMut(u64) -> srm_core::Result<()>,
 ) -> Result<(Descriptor, Vec<U64Record>), JobError> {
-    let DurableSort { dir, geom, sorter, records, stage_ms, stack, slot, io_delay, expect } = job;
+    let DurableSort { dir, geom, sorter, records, stage_ms, stack, slot, io_delay, oracle } = job;
     let mut ms = ShardMs { stage: stage_ms, ..ShardMs::default() };
     if records.is_empty() {
         std::fs::create_dir_all(dir).map_err(|e| JobError::Io(format!("create {}: {e}", dir.display())))?;
@@ -770,7 +776,13 @@ pub fn sort_durable<X: Layer<U64Record>>(
 
     let clock = Instant::now();
     let input = srm_core::Input::InMemory(records);
-    let (run, report) = sorter.sort_from(&mut array, input, Some(&manifest), resume, |pass, _| observer(pass))?;
+    let (sorted, expect) = std::thread::scope(|s| {
+        let expect = oracle.then(|| s.spawn(|| oracle_digest(records)));
+        let sorted = sorter.sort_from(&mut array, input, Some(&manifest), resume, |pass, _| observer(pass));
+        (sorted, expect.map(|h| h.join().map_err(|_| JobError::Engine("the oracle's thread panicked".into()))))
+    });
+    let (run, report) = sorted?;
+    let expect = expect.transpose()?;
     ms.sort = clock.elapsed().as_millis() as u64;
 
     let clock = Instant::now();

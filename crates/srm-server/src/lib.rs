@@ -20,9 +20,9 @@
 //!   every running job reach its next checkpoint boundary (journaled
 //!   via the PR-5 atomic manifest path), then stop;
 //! * [`server`] — the [`JobServer`](server::JobServer): durable per-job
-//!   directories, a polling worker pool, deadlines, cancellation, and a
-//!   restart scan that resumes every in-flight job from `load_latest`
-//!   manifests byte-identically;
+//!   directories, a worker pool that waits on the server's state,
+//!   deadlines, cancellation, and a restart scan that resumes every
+//!   in-flight job from `load_latest` manifests byte-identically;
 //! * [`protocol`] / [`net`] — the line protocol (`SUBMIT`, `STATUS`,
 //!   `WATCH`, `CANCEL`, `LIST`, `STATS`, `DRAIN`, `PING`) and the
 //!   loopback TCP front end.

@@ -1,69 +1,74 @@
 //! The loopback TCP front end: accept connections, speak the line
-//! protocol, and turn `DRAIN` (or an external trigger of
-//! [`JobServer::shutdown_flag`], e.g. from a SIGTERM handler) into a
-//! graceful server drain.
-//!
-//! Everything here polls — the accept loop runs the listener
-//! non-blocking and connection reads use short timeouts — so a shutdown
-//! request is observed within tens of milliseconds without any
-//! condition-variable machinery.
+//! protocol, and turn `DRAIN` (or [`JobServer::request_shutdown`] from
+//! elsewhere, e.g. the CLI's SIGTERM bridge) into a graceful server
+//! drain.  Nothing here polls: `accept` and `read` block until the drain
+//! wakes them (DESIGN §11.4), and `WATCH` waits on the server's state.
 
 use crate::drain::DrainReport;
 use crate::protocol::{parse_request, status_fields, stats_fields, submit_error_line, Request};
-use crate::server::JobServer;
+use crate::server::{JobServer, JobState};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Accept-loop poll interval.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-/// Per-connection read timeout (how fast a connection notices drain).
-const READ_POLL: Duration = Duration::from_millis(50);
-/// WATCH streaming interval.
-const WATCH_POLL: Duration = Duration::from_millis(20);
-
-/// Serve the line protocol on `listener` until the server's shutdown
-/// flag is triggered (by `DRAIN`, or externally by a signal handler),
-/// then drain gracefully and report.  Every running job reaches its
-/// next checkpoint boundary before this returns.
+/// Serve the line protocol on `listener` until
+/// [`JobServer::request_shutdown`] is called (by `DRAIN`, or externally
+/// by a signal handler), then drain gracefully and report.  Every
+/// running job reaches its next checkpoint boundary before this returns.
 pub fn serve(server: Arc<JobServer>, listener: TcpListener) -> std::io::Result<DrainReport> {
-    listener.set_nonblocking(true)?;
-    let shutdown = server.shutdown_flag();
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.is_set() {
-        match listener.accept() {
-            Ok((stream, _addr)) => {
-                let server = Arc::clone(&server);
-                conns.push(std::thread::spawn(move || {
-                    let _ = handle_conn(&server, stream);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            Err(e) => return Err(e),
+    let waker = {
+        let server = Arc::clone(&server);
+        let addr = listener.local_addr()?;
+        std::thread::spawn(move || {
+            server.wait_draining();
+            // Wakes the `accept` below; what it connects to is dropped.
+            let _ = TcpStream::connect(addr);
+        })
+    };
+    // Each connection's thread, and a handle on its socket to shut.
+    let mut conns: Vec<(std::thread::JoinHandle<()>, TcpStream)> = Vec::new();
+    let accepted = loop {
+        let mut stream = match listener.accept() {
+            Ok((stream, _addr)) => stream,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => break Err(e),
+        };
+        if server.is_draining() {
+            let _ = send_line(&mut stream, "BYE draining".into());
+            break Ok(());
         }
-        conns.retain(|h| !h.is_finished());
+        let Ok(kept) = stream.try_clone() else { continue };
+        let server = Arc::clone(&server);
+        conns.push((
+            std::thread::spawn(move || {
+                let _ = handle_conn(&server, &mut stream);
+                // `kept` is another handle on this socket: close the
+                // connection itself, not just this handle.
+                let _ = stream.shutdown(Shutdown::Both);
+            }),
+            kept,
+        ));
+        conns.retain(|(h, _)| !h.is_finished());
+    };
+    // Stopped, or the listener failed: either way the server stops.
+    server.request_shutdown();
+    for (_, kept) in &conns {
+        let _ = kept.shutdown(Shutdown::Read);
     }
-    // The flag is set: drain jobs first (connections keep answering
-    // STATUS/WATCH while jobs checkpoint), then close connections.
     let report = server.shutdown();
-    for h in conns {
+    for (h, _) in conns {
         let _ = h.join();
     }
-    Ok(report)
+    let _ = waker.join();
+    accepted.map(|()| report)
 }
 
-/// Read complete lines from a non-blocking-ish stream, dispatching each
-/// through the protocol.  Returns when the peer closes, sends `QUIT`,
-/// or the server shuts down.
-// Observes the shutdown flag only to stop *accepting work* — jobs
-// checkpoint via the drain path, not here (`Interrupted` below is
-// io::ErrorKind).
-fn handle_conn(server: &Arc<JobServer>, mut stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
+/// Read complete lines from the stream, dispatching each through the
+/// protocol.  Returns when the peer closes, sends `QUIT`, or the server
+/// stops (`serve` shuts the read half, so a blocked read returns).
+fn handle_conn(server: &Arc<JobServer>, stream: &mut TcpStream) -> std::io::Result<()> {
     // Replies are single short lines a client waits on: send them now.
     stream.set_nodelay(true)?;
-    let shutdown = server.shutdown_flag();
     let mut pending = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
@@ -71,19 +76,19 @@ fn handle_conn(server: &Arc<JobServer>, mut stream: TcpStream) -> std::io::Resul
         while let Some(nl) = pending.iter().position(|b| *b == b'\n') {
             let line: Vec<u8> = pending.drain(..=nl).collect();
             let line = String::from_utf8_lossy(&line).into_owned();
-            if !dispatch(server, &mut stream, line.trim())? {
+            if !dispatch(server, stream, line.trim())? {
                 return Ok(());
             }
         }
-        if shutdown.is_set() {
+        if server.is_draining() {
             // Jobs are checkpointing; tell the client and hang up.
-            let _ = send_line(&mut stream, "BYE draining".into());
+            let _ = send_line(stream, "BYE draining".into());
             return Ok(());
         }
         match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()),
+            Ok(0) if !server.is_draining() => return Ok(()),
+            // 0 here is `serve` shutting the read half: the BYE goes out above.
             Ok(n) => pending.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -130,25 +135,27 @@ fn dispatch(
             None => send_line(stream, format!("ERR code=not-found job {id}"))?,
         },
         Request::Watch(id) => {
-            let shutdown = server.shutdown_flag();
+            // One line per change of this job's state or passes; the
+            // terminal line the moment it settles.
+            let (mut seen, mut sent) = (0, None);
             loop {
-                let Some(s) = server.status(id) else {
+                let Some((generation, s)) = server.watch(id, seen) else {
                     send_line(stream, format!("ERR code=not-found job {id}"))?;
                     break;
                 };
-                let settled = s.state.is_terminal() || s.state == crate::server::JobState::Suspended;
-                if settled {
+                seen = generation;
+                if s.state.is_terminal() || s.state == JobState::Suspended {
                     send_line(stream, format!("OK {}", status_fields(&s)))?;
                     break;
                 }
-                send_line(stream, format!("EVENT {}", status_fields(&s)))?;
-                if shutdown.is_set() {
-                    // The drain will settle it; one final status follows
-                    // on the next WATCH. Don't hold the connection.
-                    send_line(stream, "BYE draining".into())?;
+                if sent != Some((s.state, s.passes)) {
+                    sent = Some((s.state, s.passes));
+                    send_line(stream, format!("EVENT {}", status_fields(&s)))?;
+                }
+                if server.is_draining() {
+                    // The drain settles it, and the connection says BYE.
                     break;
                 }
-                std::thread::sleep(WATCH_POLL);
             }
         }
         Request::Cancel(id) => {
@@ -169,7 +176,7 @@ fn dispatch(
         Request::Stats => send_line(stream, format!("OK {}", stats_fields(&server.stats())))?,
         Request::Drain => {
             send_line(stream, "OK draining".into())?;
-            server.shutdown_flag().trigger();
+            server.request_shutdown();
         }
     }
     Ok(true)

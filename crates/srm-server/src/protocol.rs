@@ -6,7 +6,7 @@
 //! ```text
 //! SUBMIT key=value [key=value ...]   queue a job (JobSpec keys)
 //! STATUS <id>                        one job's state
-//! WATCH <id>                         stream state until it settles
+//! WATCH <id>                         a line per change until it settles
 //! CANCEL <id>                        cancel queued or running job
 //! LIST                               every job, one line each
 //! STATS                              server counters
@@ -31,7 +31,7 @@ pub enum Request {
     Submit(JobSpec),
     /// One job's state.
     Status(u64),
-    /// Stream a job's state until it settles.
+    /// A line per change of a job's state or pass until it settles.
     Watch(u64),
     /// Cancel a job.
     Cancel(u64),

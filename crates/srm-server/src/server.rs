@@ -27,11 +27,14 @@
 //! [`Admission::try_admit`] accepts the job's Definition-3 price; so at
 //! every instant the summed budgets of running jobs fit the configured
 //! capacity, and jobs start in submission order.
+//!
+//! Nothing waits on a timer: every change of state bumps a generation
+//! and notifies one `Condvar`, which every waiter parks on
+//! ([`Inner::wait_for`], DESIGN §11.4).
 
 use crate::drain::DrainReport;
 use crate::job::{
-    decode_fields, encode_fields, expected_digest, publish, sort_durable, Descriptor, DurableSort, JobError,
-    JobSpec,
+    decode_fields, encode_fields, publish, sort_durable, Descriptor, DurableSort, JobError, JobSpec,
 };
 use crate::queue::Admission;
 use pdisk::manifest::atomic_write;
@@ -39,13 +42,8 @@ use pdisk::sync::Mutex;
 use pdisk::{FaultModel, InterruptFlag, RetryPolicy, StackSpec};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
-
-/// How long a worker sleeps between queue polls.  Polling is a choice,
-/// not a constraint — the state sits behind a `Mutex`, which has a
-/// `Condvar` — and ROADMAP item 6 revisits it.
-const WORKER_POLL: Duration = Duration::from_millis(10);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -250,6 +248,22 @@ struct Job {
 }
 
 impl Job {
+    /// A job in `state`, with its digest and detail (what [`terminal`]
+    /// reads), at no pass yet.
+    fn new(spec: JobSpec, cost: u64, (state, digest, detail): (JobState, Option<u64>, String)) -> Job {
+        Job {
+            spec,
+            cost,
+            state,
+            flag: InterruptFlag::new(),
+            cancel_requested: false,
+            deadline_hit: false,
+            passes: 0,
+            digest,
+            detail,
+        }
+    }
+
     fn status(&self, id: u64) -> JobStatus {
         JobStatus {
             id,
@@ -269,15 +283,20 @@ struct State {
     queue: VecDeque<u64>,
     admission: Admission,
     next_id: u64,
+    /// Nothing more is admitted or claimed, and workers exit.
     draining: bool,
     running: usize,
+    /// Bumped at every change of state ([`Inner::touch`]); from 1, so a
+    /// watcher that has seen nothing passes 0.
+    generation: u64,
 }
 
 #[derive(Debug)]
 struct Inner {
     cfg: ServerConfig,
     state: Mutex<State>,
-    shutdown: InterruptFlag,
+    /// Notified at every bump of [`State::generation`].
+    changed: Condvar,
     /// Successful job-store spec writes, for the
     /// [`ServerConfig::store_nospace_after`] injection hook.
     store_writes: std::sync::atomic::AtomicU64,
@@ -286,6 +305,29 @@ struct Inner {
 impl Inner {
     fn job_dir(&self, id: u64) -> PathBuf {
         self.cfg.jobs_dir.join(format!("job-{id:06}"))
+    }
+
+    /// Publish a change made to `st`: bump the generation and wake every
+    /// waiter to re-check.
+    fn touch(&self, st: &mut State) {
+        st.generation += 1;
+        self.changed.notify_all();
+    }
+
+    /// Wait until `ready`, run under the lock after every change, finds
+    /// what the caller waits for.  If it changes the state it touches it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the job server's one wait: workers, WATCH and serve's drain waiter park here until the state changes"
+    )]
+    fn wait_for<R>(&self, mut ready: impl FnMut(&mut State) -> Option<R>) -> R {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(found) = ready(&mut st) {
+                return found;
+            }
+            st = st.wait(&self.changed);
+        }
     }
 }
 
@@ -354,21 +396,7 @@ impl JobServer {
                 .map_err(|e| JobError::Io(format!("read {}/spec: {e}", dir.display())))?;
             let spec = JobSpec::decode(&spec_text)?;
             let cost = spec.budget_records()?;
-            let (state, digest, detail) = terminal(&dir);
-            jobs.insert(
-                id,
-                Job {
-                    spec,
-                    cost,
-                    state,
-                    flag: InterruptFlag::new(),
-                    cancel_requested: false,
-                    deadline_hit: false,
-                    passes: 0,
-                    digest,
-                    detail,
-                },
-            );
+            jobs.insert(id, Job::new(spec, cost, terminal(&dir)));
         }
         // BTreeMap iteration is id order, so restart preserves FIFO.
         let queue: VecDeque<u64> = jobs
@@ -385,8 +413,9 @@ impl JobServer {
                 next_id,
                 draining: false,
                 running: 0,
+                generation: 1,
             }),
-            shutdown: InterruptFlag::new(),
+            changed: Condvar::new(),
             cfg,
             store_writes: std::sync::atomic::AtomicU64::new(0),
         });
@@ -402,10 +431,24 @@ impl JobServer {
         })
     }
 
-    /// The flag that requests a server-wide drain-and-stop; share it
-    /// with signal handlers and the network front end.
-    pub fn shutdown_flag(&self) -> InterruptFlag {
-        self.inner.shutdown.clone()
+    /// Request a drain-and-stop and wake every waiter: nothing more is
+    /// admitted or claimed, running jobs stop at their next checkpoint
+    /// boundary, then workers exit.  `DRAIN` and the signal bridge call it.
+    pub fn request_shutdown(&self) {
+        let mut st = self.inner.state.lock();
+        st.draining = true;
+        st.jobs.values().filter(|j| j.state == JobState::Running).for_each(|j| j.flag.trigger());
+        self.inner.touch(&mut st);
+    }
+
+    /// Whether a drain has been requested.
+    pub(crate) fn is_draining(&self) -> bool {
+        self.inner.state.lock().draining
+    }
+
+    /// Block until a drain is requested.
+    pub(crate) fn wait_draining(&self) {
+        self.inner.wait_for(|st| st.draining.then_some(()));
     }
 
     /// Server configuration.
@@ -424,7 +467,7 @@ impl JobServer {
             .budget_records()
             .map_err(|e| SubmitError::Invalid(e.to_string()))?;
         let mut st = self.inner.state.lock();
-        if st.draining || self.inner.shutdown.is_set() {
+        if st.draining {
             return Err(SubmitError::Draining);
         }
         if !st.admission.ever_fits(cost) {
@@ -466,27 +509,24 @@ impl JobServer {
             });
         }
         st.next_id += 1;
-        st.jobs.insert(
-            id,
-            Job {
-                spec,
-                cost,
-                state: JobState::Queued,
-                flag: InterruptFlag::new(),
-                cancel_requested: false,
-                deadline_hit: false,
-                passes: 0,
-                digest: None,
-                detail: String::new(),
-            },
-        );
+        st.jobs.insert(id, Job::new(spec, cost, (JobState::Queued, None, String::new())));
         st.queue.push_back(id);
+        self.inner.touch(&mut st);
         Ok(id)
     }
 
     /// Status of one job, if it exists.
     pub fn status(&self, id: u64) -> Option<JobStatus> {
         self.inner.state.lock().jobs.get(&id).map(|j| j.status(id))
+    }
+
+    /// Status of one job, and the generation it was read at, once the
+    /// state has moved past generation `seen` (0 at first) or a drain is
+    /// requested.  `None` for an unknown job.  `WATCH` waits here.
+    pub fn watch(&self, id: u64, seen: u64) -> Option<(u64, JobStatus)> {
+        self.inner.wait_for(|st| {
+            (st.generation != seen || st.draining).then(|| st.jobs.get(&id).map(|j| (st.generation, j.status(id))))
+        })
     }
 
     /// Status of every job, in id order.
@@ -510,7 +550,7 @@ impl JobServer {
             let Some(job) = st.jobs.get_mut(&id) else {
                 return false;
             };
-            match job.state {
+            let marker = match job.state {
                 JobState::Queued | JobState::Suspended => {
                     job.state = JobState::Cancelled;
                     job.detail = "cancelled before running".into();
@@ -520,10 +560,12 @@ impl JobServer {
                 JobState::Running => {
                     job.cancel_requested = true;
                     job.flag.trigger();
-                    return true;
+                    false
                 }
                 _ => return false,
-            }
+            };
+            self.inner.touch(&mut st);
+            marker
         };
         if marker {
             let _ = write_fail(&self.inner.job_dir(id), "cancelled", "cancelled before running");
@@ -554,28 +596,17 @@ impl JobServer {
         s
     }
 
-    /// Drain: stop admitting, interrupt every running job at its next
-    /// checkpoint boundary, and wait until no job is running.  Queued
-    /// jobs stay queued (durably) for the next server.
-    pub fn drain(&self) -> DrainReport {
-        {
-            let mut st = self.inner.state.lock();
-            st.draining = true;
-            for job in st.jobs.values() {
-                if job.state == JobState::Running {
-                    job.flag.trigger();
-                }
-            }
+    /// Drain and stop: request the shutdown, join the workers (each exits
+    /// once its job has settled, so no job is running after), release
+    /// the server lock, and report.  Queued jobs stay queued (durably)
+    /// for the next server.
+    pub fn shutdown(&self) -> DrainReport {
+        self.request_shutdown();
+        let handles: Vec<_> = self.workers.lock().drain(..).collect();
+        for h in handles {
+            let _ = h.join();
         }
-        loop {
-            {
-                let st = self.inner.state.lock();
-                if st.running == 0 {
-                    break;
-                }
-            }
-            std::thread::sleep(WORKER_POLL);
-        }
+        let _ = std::fs::remove_file(self.inner.cfg.jobs_dir.join("server.lock"));
         let stats = self.stats();
         DrainReport {
             completed: stats.done,
@@ -584,18 +615,6 @@ impl JobServer {
             failed: stats.failed,
             queued: stats.queued,
         }
-    }
-
-    /// Drain, stop the workers, release the server lock, and report.
-    pub fn shutdown(&self) -> DrainReport {
-        let report = self.drain();
-        self.inner.shutdown.trigger();
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        let _ = std::fs::remove_file(self.inner.cfg.jobs_dir.join("server.lock"));
-        report
     }
 }
 
@@ -622,59 +641,41 @@ fn acquire_lock(jobs_dir: &Path) -> Result<(), JobError> {
 }
 
 fn worker_loop(inner: &Arc<Inner>) {
-    loop {
-        if inner.shutdown.is_set() {
-            return;
-        }
-        let claimed = {
-            let mut st = inner.state.lock();
-            if st.draining {
-                None
-            } else {
-                // Strict FIFO: only the head is considered, so a large
-                // job is never starved by smaller ones slipping past it.
-                // Claim and drain are serialized by the state mutex: a
-                // drain either sees this job still queued (and leaves it
-                // for the next server) or already Running with the fresh
-                // flag it will trigger.
-                match st.queue.front().copied() {
-                    Some(id) => {
-                        let cost = st.jobs.get(&id).map_or(0, |j| j.cost);
-                        if st.admission.try_admit(cost) {
-                            st.queue.pop_front();
-                            st.running += 1;
-                            if let Some(job) = st.jobs.get_mut(&id) {
-                                job.state = JobState::Running;
-                                job.flag = InterruptFlag::new();
-                                job.cancel_requested = false;
-                                job.deadline_hit = false;
-                            }
-                            Some((id, cost))
-                        } else {
-                            None
-                        }
-                    }
-                    None => None,
-                }
-            }
-        };
-        match claimed {
-            Some((id, cost)) => execute(inner, id, cost),
-            None => std::thread::sleep(WORKER_POLL),
-        }
+    // A drain is `Some(None)`: the worker exits.
+    while let Some(claimed) = inner.wait_for(|st| if st.draining { Some(None) } else { claim(inner, st).map(Some) }) {
+        execute(inner, claimed);
     }
+}
+
+/// A claimed job: its id, admission price, spec and fresh interrupt flag.
+type Claimed = (u64, u64, JobSpec, InterruptFlag);
+
+/// Claim the queue head if admission accepts its price.  Strict FIFO:
+/// only the head is considered, so a large job is never starved by
+/// smaller ones slipping past it.  Claim and drain are serialized by the
+/// state mutex: a drain either sees this job still queued (and leaves it
+/// for the next server) or already Running with the fresh flag it will
+/// trigger.
+fn claim(inner: &Inner, st: &mut State) -> Option<Claimed> {
+    let id = st.queue.front().copied()?;
+    let job = st.jobs.get_mut(&id)?;
+    if !st.admission.try_admit(job.cost) {
+        return None;
+    }
+    job.state = JobState::Running;
+    job.flag = InterruptFlag::new();
+    job.cancel_requested = false;
+    job.deadline_hit = false;
+    let claimed = (id, job.cost, job.spec.clone(), job.flag.clone());
+    st.queue.pop_front();
+    st.running += 1;
+    inner.touch(st);
+    Some(claimed)
 }
 
 /// Run one claimed job to a terminal or suspended state and write its
 /// durable marker.
-fn execute(inner: &Arc<Inner>, id: u64, cost: u64) {
-    let (spec, flag) = {
-        let st = inner.state.lock();
-        match st.jobs.get(&id) {
-            Some(job) => (job.spec.clone(), job.flag.clone()),
-            None => return,
-        }
-    };
+fn execute(inner: &Arc<Inner>, (id, cost, spec, flag): Claimed) {
     let result = run_job(inner, id, &spec, flag);
     let dir = inner.job_dir(id);
     let marker: Option<(String, String)>;
@@ -682,6 +683,8 @@ fn execute(inner: &Arc<Inner>, id: u64, cost: u64) {
         let mut st = inner.state.lock();
         st.running -= 1;
         st.admission.release(cost);
+        // Waiters re-check once the whole settlement is in.
+        inner.touch(&mut st);
         let Some(job) = st.jobs.get_mut(&id) else {
             return;
         };
@@ -723,7 +726,7 @@ fn execute(inner: &Arc<Inner>, id: u64, cost: u64) {
 /// Sort the job durably in its directory: the protected stack every job
 /// runs on — retries over injected transient faults (a no-op at the
 /// spec's rate 0) over the file cluster — an observer that records each
-/// pass and trips the deadline, and the spec's expected digest as the
+/// pass and trips the deadline, and the input's oracle digest as the
 /// last check before `done` is published.  Returns the verified digest.
 fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> Result<u64, JobError> {
     let clock = Instant::now();
@@ -745,6 +748,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
                 j.deadline_hit = true;
                 j.flag.trigger();
             }
+            inner.touch(&mut st);
         }
         Ok(())
     };
@@ -757,7 +761,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
         stack,
         slot: (),
         io_delay: inner.cfg.io_delay,
-        expect: Some(expected_digest(spec)),
+        oracle: true,
     };
     Ok(sort_durable(job, observer)?.0.digest)
 }
@@ -765,7 +769,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::EngineKind;
+    use crate::job::{expected_digest, EngineKind};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("srm-server-unit-{tag}-{}", std::process::id()));

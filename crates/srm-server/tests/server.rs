@@ -13,8 +13,10 @@
 use pdisk::{FileDiskArray, InterruptFlag, U64Record};
 use srm_core::{Input, RunFormation, SrmError};
 use srm_server::{
-    expected_digest, EngineKind, JobServer, JobSpec, JobState, ServerConfig, SubmitError,
+    expected_digest, serve, DrainReport, EngineKind, JobServer, JobSpec, JobState, ServerConfig, SubmitError,
 };
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -583,5 +585,180 @@ fn a_stored_parload_spec_runs_as_load() {
     let s = server.status(1).unwrap();
     assert_eq!((s.state, s.digest), (JobState::Done, Some(expected_digest(&stored))), "{}", s.detail);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ─── the front end waits on the server's state, never on a timer ─────────
+
+/// Run `body` on its own thread and hand back what it returns; fail
+/// naming `what` if it has not returned within `limit`.  A lost wakeup
+/// reads as this failure, not as a hung test.
+fn within<T: Send + 'static>(limit: Duration, what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let out = body();
+        let _ = done.send(());
+        out
+    });
+    match finished.recv_timeout(limit) {
+        Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            handle.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("{what}: not done after {limit:?}"),
+    }
+}
+
+/// `serve` on a loopback port: the server, its address, and the thread
+/// that returns the drain report.
+fn serve_on_loopback(
+    cfg: ServerConfig,
+) -> (Arc<JobServer>, SocketAddr, std::thread::JoinHandle<std::io::Result<DrainReport>>) {
+    let server = Arc::new(JobServer::open(cfg).unwrap());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let serving = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || serve(server, listener))
+    };
+    (server, addr, serving)
+}
+
+/// One protocol connection, a line at a time.
+struct Client(BufReader<TcpStream>);
+
+impl Client {
+    fn connect(addr: SocketAddr) -> Client {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        Client(BufReader::new(stream))
+    }
+
+    fn send(&mut self, line: &str) {
+        self.0.get_mut().write_all(format!("{line}\n").as_bytes()).unwrap();
+    }
+
+    fn line(&mut self) -> String {
+        let mut line = String::new();
+        self.0.read_line(&mut line).unwrap();
+        line.trim_end().to_string()
+    }
+
+    fn request(&mut self, line: &str) -> String {
+        self.send(line);
+        self.line()
+    }
+}
+
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    line.split_whitespace().find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+}
+
+/// `WATCH` writes a line when its job moves, not on a clock: a job on a
+/// delayed device runs for a second or more, and the stream is at most
+/// one `EVENT` per state (queued, running) and per pass boundary, then
+/// the terminal line.
+#[test]
+fn watch_sends_an_event_only_when_its_job_changes() {
+    let dir = scratch("watch-events");
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.workers = 1;
+    cfg.io_delay = Duration::from_millis(1);
+    let (server, addr, serving) = serve_on_loopback(cfg);
+    let mut client = Client::connect(addr);
+    let submitted = client.request("SUBMIT records=1500 seed=12 d=2 b=4 m=96");
+    let id = field(&submitted, "id").unwrap_or_else(|| panic!("{submitted}")).to_string();
+    client.send(&format!("WATCH {id}"));
+    let started = Instant::now();
+    let mut events = Vec::new();
+    let last = loop {
+        let line = client.line();
+        if !line.starts_with("EVENT ") {
+            break line;
+        }
+        events.push(line);
+    };
+    let ran = started.elapsed();
+    assert!(last.starts_with("OK ") && field(&last, "state") == Some("done"), "{last}");
+    assert_eq!(field(&last, "digest"), Some(expected_digest(&spec(12)).to_string().as_str()));
+    let passes: usize = field(&last, "passes").unwrap().parse().unwrap();
+    assert!(
+        events.len() <= passes + 2,
+        "{} EVENT lines over {ran:?} for a job of {passes} passes: {events:#?}",
+        events.len()
+    );
+    assert!(ran > Duration::from_millis(200), "the job ran {ran:?}: too short to tell a clock from a change");
+    server.request_shutdown();
+    serving.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An idle server drains at once, however it is asked: by the `DRAIN`
+/// verb, and by `request_shutdown`, which the CLI's SIGINT/SIGTERM
+/// bridge calls.  An idle client connection, blocked in its read on the
+/// server side, still hears `BYE draining`.
+#[test]
+fn an_idle_server_drains_at_once_by_the_verb_and_by_the_signal_bridge() {
+    for by_verb in [true, false] {
+        let how = if by_verb { "the DRAIN verb" } else { "request_shutdown" };
+        let dir = scratch(if by_verb { "idle-drain-verb" } else { "idle-drain-signal" });
+        let (server, addr, serving) = serve_on_loopback(ServerConfig::new(&dir));
+        let mut idle = Client::connect(addr);
+        assert_eq!(idle.request("PING"), "OK pong");
+        let report = within(Duration::from_secs(10), &format!("an idle server drained by {how}"), move || {
+            if by_verb {
+                assert_eq!(Client::connect(addr).request("DRAIN"), "OK draining");
+            } else {
+                server.request_shutdown();
+            }
+            let report = serving.join().unwrap().unwrap();
+            assert_eq!(idle.line(), "BYE draining", "the idle client, drained by {how}");
+            report
+        });
+        assert_eq!(report.total(), 0, "{report}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Lost wakeups: four threads submit 25 tiny jobs each against two
+/// workers and room for one job at a time, then wait for each through
+/// `JobServer::watch`.  A claim, settlement or watch that missed a
+/// notification would leave a job unclaimed or a waiter parked.
+#[test]
+fn a_hundred_tiny_jobs_from_four_submitters_all_settle() {
+    let dir = scratch("wakeups");
+    let tiny = |seed: u64| JobSpec { records: 200, ..spec(seed) };
+    let mut cfg = ServerConfig::new(&dir);
+    cfg.workers = 2;
+    cfg.capacity = tiny(0).budget_records().unwrap();
+    cfg.queue_depth = 100;
+    let server = Arc::new(JobServer::open(cfg).unwrap());
+    let report = within(Duration::from_secs(120), "100 tiny jobs from 4 submitters", move || {
+        let submitters: Vec<_> = (0..4u64)
+            .map(|t| {
+                let server = Arc::clone(&server);
+                std::thread::spawn(move || {
+                    let seeds: Vec<u64> = (0..25).map(|i| 1000 + 25 * t + i).collect();
+                    let ids: Vec<u64> = seeds.iter().map(|&seed| server.submit(tiny(seed)).unwrap()).collect();
+                    for (id, seed) in ids.into_iter().zip(seeds) {
+                        let mut seen = 0;
+                        let s = loop {
+                            let (generation, s) = server.watch(id, seen).unwrap();
+                            if s.state.is_terminal() {
+                                break s;
+                            }
+                            seen = generation;
+                        };
+                        assert_eq!(s.state, JobState::Done, "job {id}: {}", s.detail);
+                        assert_eq!(s.digest, Some(expected_digest(&tiny(seed))), "job {id}");
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().unwrap();
+        }
+        server.shutdown()
+    });
+    assert_eq!(report.completed, 100, "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }

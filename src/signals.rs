@@ -4,16 +4,15 @@
 //! or `signal-hook` this module declares the one C function it needs —
 //! `signal(2)` — and keeps the handler to the only thing that is
 //! async-signal-safe anyway: flipping a process-global atomic.  The
-//! watcher thread ([`watch`]) bridges that atomic to an
-//! [`InterruptFlag`], which the sorters check at pass boundaries
-//! (journaling a checkpoint before stopping) and the job server treats
-//! as a drain request.
+//! watcher thread ([`watch`]) bridges that atomic to an action: trigger
+//! a sort's [`pdisk::InterruptFlag`], which the sorters check at pass
+//! boundaries (journaling a checkpoint before stopping), or call
+//! `JobServer::request_shutdown`, which drains the job server.
 //!
 //! This is deliberately the *only* `unsafe` in the repository.  Every
 //! `crates/*` package inherits the workspace's `unsafe_code = "forbid"`;
 //! this package denies it, and [`install`] alone allows it.
 
-use pdisk::InterruptFlag;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -59,14 +58,14 @@ pub fn reset() {
     TRIGGERED.store(false, Ordering::Release);
 }
 
-/// Spawn a watcher that forwards the process signal latch to `flag`
-/// (e.g. a sorter's [`InterruptFlag`] or the job server's shutdown
-/// flag).  The thread exits once it has forwarded a
-/// trigger or when `stop` returns true.
-pub fn watch(flag: InterruptFlag, stop: impl Fn() -> bool + Send + 'static) {
+/// Spawn a watcher that forwards the process signal latch to
+/// `on_signal` (e.g. triggering a sorter's [`pdisk::InterruptFlag`], or
+/// asking the job server to drain).  The thread exits once it has
+/// forwarded a delivery or when `stop` returns true.
+pub fn watch(on_signal: impl FnOnce() + Send + 'static, stop: impl Fn() -> bool + Send + 'static) {
     std::thread::spawn(move || loop {
         if triggered() {
-            flag.trigger();
+            on_signal();
             return;
         }
         if stop() {
@@ -79,6 +78,7 @@ pub fn watch(flag: InterruptFlag, stop: impl Fn() -> bool + Send + 'static) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdisk::InterruptFlag;
 
     // One sequential test: the latch is process-global state, so the
     // scenarios must not interleave.
@@ -91,7 +91,8 @@ mod tests {
         // An unsignalled watcher honours its stop request and leaves
         // the flag alone.
         let idle = InterruptFlag::new();
-        watch(idle.clone(), || true);
+        let forward = idle.clone();
+        watch(move || forward.trigger(), || true);
         std::thread::sleep(Duration::from_millis(80));
         assert!(!idle.is_set());
 
@@ -100,7 +101,8 @@ mod tests {
         on_signal(SIGINT);
         assert!(triggered());
         let flag = InterruptFlag::new();
-        watch(flag.clone(), || false);
+        let forward = flag.clone();
+        watch(move || forward.trigger(), || false);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while !flag.is_set() {
             assert!(std::time::Instant::now() < deadline, "watcher never fired");
