@@ -20,7 +20,7 @@
 //! it cannot drift between operation kinds.
 
 use crate::addr::{BlockAddr, DiskId};
-use crate::backend::{DiskArray, ReadTicket, WriteTicket};
+use crate::backend::{DiskArray, ReadTicket, ScrubOutcome, WriteTicket};
 use crate::block::Block;
 use crate::error::{FaultOp, PdiskError, Result};
 use crate::layer::{Layer, Stack};
@@ -349,6 +349,12 @@ impl<R: Record> Layer<R> for Retrying {
             None => a.read(&addrs),
         })
         .0
+    }
+
+    /// A scrub reads below this layer (the parity layer's slot read), so a
+    /// transient fault there is retried, as a read, by re-issuing the scrub.
+    fn scrub_block(&mut self, inner: &mut impl DiskArray<R>, addr: BlockAddr) -> Result<ScrubOutcome> {
+        retried(&self.policy, &mut self.reads, inner, FaultOp::Read, 1, |a| a.scrub_block(addr)).0
     }
 
     fn submit_write(

@@ -43,7 +43,7 @@ use crate::retry::{RetryPolicy, Retrying};
 use crate::trace::{Tagged, TraceSink, Tracing};
 
 /// The parity layer's share of a [`StackSpec`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ParitySpec {
     /// Sidecar file the stripe state persists to and is reloaded from
     /// ([`ParityDiskArray::with_store`]).

@@ -18,16 +18,17 @@
 //! exists to catch, kept as a fixture so the campaign, minimizer, and
 //! replay path are themselves regression-tested end to end.
 //!
-//! A trial stages the input once, then loops incarnations: each builds
-//! fresh wrappers over the surviving backend (exactly what a process
-//! restart discards and keeps), re-marks sticky state (dead disks,
-//! full disks), arms at most one crash point, re-runs
-//! `sort_checkpointed` against the same manifest and reads the output
-//! back through the same stack.  Typed outcomes the
-//! schedule explains (crash, interrupt, ENOSPC, sync failure,
-//! exhausted retries) trigger the scripted repair for that fault and
-//! another incarnation; anything else is an oracle violation.  The
-//! completing incarnation's trace goes through the model checker, the
+//! A trial is a loop of incarnations of the one durable sort,
+//! [`srm_server::job::sort_durable`], in the trial's directory — the
+//! sequence a server job and a distsort shard run: lease, manifest,
+//! open-or-truncate (a fresh start stages the input), parity scrub,
+//! sort, read-back, trace/stats check, publish.  Each incarnation builds
+//! fresh layers over the surviving disks (exactly what a process restart
+//! discards and keeps), re-marks sticky state (dead disks, full disks)
+//! and arms at most one crash point.  Typed outcomes the schedule
+//! explains (crash, interrupt, ENOSPC, sync failure, exhausted retries)
+//! trigger the scripted repair for that fault and another incarnation;
+//! a model-check failure or anything else is an oracle violation.  The
 //! output must equal the failure-free result, and the trial directory
 //! must be empty after cleanup.
 //!
@@ -39,11 +40,14 @@ use crate::schedule::{ChaosEvent, Envelope};
 use crate::{Backend, CampaignConfig, ChaosError, TrialOutcome, Violation};
 use pdisk::{
     Block, BlockAddr, BuiltStack, CrashClock, DiskArray, DiskId, FaultKind, FaultModel, FaultOp,
-    FileDiskArray, InterruptFlag, Layer, MemDiskArray, ParitySpec, PdiskError, Record,
-    RetryPolicy, ScriptedFault, StackSpec, StripedRun, U64Record,
+    InterruptFlag, Layer, ParitySpec, PdiskError, Record, RetryPolicy, ScriptedFault, StackSpec,
+    U64Record,
 };
-use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, SortManifest, SrmError};
+use srm_core::SortManifest;
+use srm_server::job::{
+    sort_durable, Cluster, DurableSort, FileCluster, JobError, MemCluster, DISKS, DONE, MANIFEST,
+    PARITY_STORE,
+};
 use std::path::Path;
 use std::time::Duration;
 
@@ -98,40 +102,6 @@ impl<R: Record> Layer<R> for Misclassifying {
     fn complete_write(&mut self, inner: &mut impl DiskArray<R>, ticket: pdisk::WriteTicket) -> pdisk::Result<()> {
         inner.complete_write(ticket).map_err(|e| self.remap(e))
     }
-}
-
-type Stack<A> = BuiltStack<U64Record, A, Misclassifying>;
-
-/// Where a [`Backend::File`] world keeps its disks, under the trial's
-/// directory.
-const DISKS: &str = "disks";
-
-fn perr(e: PdiskError) -> ChaosError {
-    ChaosError::Io(format!("chaos world setup failed: {e}"))
-}
-
-fn build_stack<A: DiskArray<U64Record>>(
-    cfg: &CampaignConfig,
-    backend: A,
-    model: FaultModel,
-    clock: &CrashClock,
-    pstore: &Path,
-    dead: &[DiskId],
-) -> Result<Stack<A>, ChaosError> {
-    StackSpec {
-        faults: Some(model),
-        parity: cfg.parity.then(|| ParitySpec {
-            store: Some(pstore.to_path_buf()),
-            dead: dead.to_vec(),
-        }),
-        // A generous budget so scripted transient storms are absorbed, but
-        // finite so a misclassified permanent condition exhausts visibly.
-        retry: Some(RetryPolicy::new(6, Duration::from_millis(1))),
-        crash: Some(clock.clone()),
-        trace: true,
-    }
-    .build(backend, Misclassifying { armed: cfg.plant_bug })
-    .map_err(perr)
 }
 
 /// Cumulative per-op issue counts across incarnations, used to decide
@@ -215,30 +185,6 @@ pub fn dry_run(cfg: &CampaignConfig) -> Result<Envelope, ChaosError> {
     }
 }
 
-/// Stage the unsorted input (through the parity layer when it is on,
-/// so the sidecar covers it) and hand back the bare backend plus the
-/// input's run descriptor.  The staging wrappers are throwaways: fault
-/// ordinals count from the start of each *sort* incarnation, not from
-/// staging.
-fn stage<A: DiskArray<U64Record>>(
-    cfg: &CampaignConfig,
-    backend: A,
-    data: &[U64Record],
-    pstore: &Path,
-) -> Result<(A, StripedRun), ChaosError> {
-    let spec = StackSpec {
-        parity: cfg.parity.then(|| ParitySpec {
-            store: Some(pstore.to_path_buf()),
-            ..ParitySpec::default()
-        }),
-        ..StackSpec::default()
-    };
-    let mut pa = spec.build(backend, ()).map_err(perr)?;
-    let input = write_unsorted_input(&mut pa, data)
-        .map_err(|e| ChaosError::Io(format!("staging input failed: {e}")))?;
-    Ok((pa.into_backend(), input))
-}
-
 /// Run one composed-fault trial in the fresh directory `dir`.  See the
 /// module docs for the loop's shape; the returned outcome carries the
 /// oracle verdict.
@@ -247,42 +193,69 @@ pub(crate) fn run_trial(
     events: &[ChaosEvent],
     dir: &Path,
 ) -> Result<TrialOutcome, ChaosError> {
-    let geom = cfg
-        .job_spec()
-        .geometry()
-        .map_err(|e| ChaosError::Config(e.to_string()))?;
     match cfg.backend {
-        // The same instance survives, exactly as platters do.
-        Backend::Mem => run_trial_on(cfg, events, dir, MemDiskArray::new(geom), Ok),
-        Backend::File => {
-            let disks = dir.join(DISKS);
-            let array = FileDiskArray::create(geom, &disks).map_err(perr)?;
-            // Drop the crashed array (its workers drain), then reopen
-            // the directory: torn-frame detection runs here.
-            run_trial_on(cfg, events, dir, array, |crashed| {
-                drop(crashed);
-                FileDiskArray::open(geom, &disks)
-            })
-        }
+        // The same platters survive, as they do a power cut.
+        Backend::Mem => run_trial_on(cfg, events, dir, MemCluster::default()),
+        // The crashed array is dropped (its workers drain) and the
+        // directory reopened: torn-frame detection runs there.
+        Backend::File => run_trial_on(cfg, events, dir, FileCluster::default()),
     }
 }
 
-/// [`run_trial`] on `backend`, whose `reboot` is what a process restart
-/// does to it.
-fn run_trial_on<A: DiskArray<U64Record>>(
+/// What survives one incarnation besides the disks: the repair state the
+/// trial reads off the stack `cluster` hands back.
+struct Survivor<C> {
+    cluster: C,
+    /// Disks the parity layer had marked dead.
+    dead: Vec<DiskId>,
+    /// Disks the fault model had filled.
+    full: Vec<DiskId>,
+    /// The fault layer's op counters.
+    ops: (u64, u64, u64, u64),
+    /// Incarnations that reopened their disks to resume a checkpoint.
+    resumed: u32,
+}
+
+impl<C: Cluster> Cluster for Survivor<C> {
+    type Disks = C::Disks;
+    type Lease = C::Lease;
+
+    fn lease(&mut self, dir: &Path) -> Result<C::Lease, JobError> {
+        self.cluster.lease(dir)
+    }
+
+    fn disks(&mut self, lease: C::Lease, geom: pdisk::Geometry, fresh: bool) -> Result<C::Disks, JobError> {
+        self.resumed += u32::from(!fresh);
+        self.cluster.disks(lease, geom, fresh)
+    }
+
+    fn settle<X: Layer<U64Record>>(&mut self, stack: BuiltStack<U64Record, C::Disks, X>) {
+        (self.full, self.ops) = stack
+            .faulty()
+            .map(|f| (f.model().full_disks().collect(), f.observed_ops()))
+            .unwrap_or_default();
+        self.dead = stack.redundancy().map(|r| r.dead).unwrap_or_default();
+        self.cluster.settle(stack);
+    }
+
+    fn counters(disks: &C::Disks) -> Option<String> {
+        C::counters(disks)
+    }
+}
+
+/// [`run_trial`] on `cluster`: a loop of incarnations of the one durable
+/// sort, with the repair the schedule prescribes between them.
+fn run_trial_on<C: Cluster>(
     cfg: &CampaignConfig,
     events: &[ChaosEvent],
     dir: &Path,
-    backend: A,
-    reboot: impl Fn(A) -> pdisk::Result<A>,
+    cluster: C,
 ) -> Result<TrialOutcome, ChaosError> {
     let spec = cfg.job_spec();
-    let geom = backend.geometry();
+    let geom = spec.geometry().map_err(|e| ChaosError::Config(e.to_string()))?;
     let data = spec.input_records();
     let mut expected: Vec<u64> = data.iter().map(|r| r.0).collect();
     expected.sort_unstable();
-    let pstore = dir.join("parity");
-    let manifest = dir.join("manifest");
 
     // Observer-driven events get one fired-flag each; crash points are
     // armed one per incarnation in schedule order.
@@ -291,9 +264,7 @@ fn run_trial_on<A: DiskArray<U64Record>>(
     let mut crash_armed = vec![false; events.len()];
 
     let mut fired = Fired::default();
-    let (staged, input) = stage(cfg, backend, &data, &pstore)?;
-    let mut backend = Some(staged);
-    let mut dead: Vec<DiskId> = Vec::new();
+    let mut world = Survivor { cluster, dead: Vec::new(), full: Vec::new(), ops: (0, 0, 0, 0), resumed: 0 };
     let mut carry_full: Vec<DiskId> = Vec::new();
     let mut outcome = TrialOutcome::default();
     // Every scheduled event fires (or is repaired) at most once, so a
@@ -324,70 +295,71 @@ fn run_trial_on<A: DiskArray<U64Record>>(
             }
             None => CrashClock::counting(),
         };
-
-        let survivor = backend.take().expect("backend always restored between incarnations");
-        let mut stack = build_stack(cfg, survivor, model, &clock, &pstore, &dead)?;
-        if SortManifest::load_latest(&manifest)
-            .map_err(|e| ChaosError::Io(format!("manifest unreadable: {e}")))?
-            .is_some()
-        {
-            outcome.resumed += 1;
-        }
-
         let flag = InterruptFlag::new();
         let sorter = spec
             .srm_sorter()
             .with_crash_clock(clock.clone())
             .with_interrupt(flag.clone());
-        let sorted = {
-            let flag = &flag;
-            let kill_fired = &mut kill_fired;
-            let interrupt_fired = &mut interrupt_fired;
-            sorter.sort_observed(&mut stack, &input, Some(&manifest), move |pass, a| {
-                for (i, ev) in events.iter().enumerate() {
-                    match ev {
-                        ChaosEvent::KillDisk { disk, pass: at } if !kill_fired[i] && pass == *at => {
-                            kill_fired[i] = true;
-                            a.fail_disk(DiskId(*disk))?;
-                        }
-                        ChaosEvent::Interrupt { pass: at }
-                            if !interrupt_fired[i] && pass == *at =>
-                        {
-                            interrupt_fired[i] = true;
-                            flag.trigger();
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(())
-            })
+        let job = DurableSort {
+            dir,
+            geom,
+            sorter: &sorter,
+            records: &data,
+            staged: true,
+            stage_ms: 0,
+            stack: StackSpec {
+                faults: Some(model),
+                parity: cfg.parity.then(|| ParitySpec { store: None, dead: world.dead.clone() }),
+                // A generous budget so scripted transient storms are
+                // absorbed, but finite so a misclassified permanent
+                // condition exhausts visibly.
+                retry: Some(RetryPolicy::new(6, Duration::from_millis(1))),
+                crash: Some(clock.clone()),
+                trace: true,
+            },
+            slot: Misclassifying { armed: cfg.plant_bug },
+            cluster: &mut world,
+            oracle: false,
         };
-        // The verification read runs under the incarnation's clock and
-        // fault model too (a crash point past a short, resumed sort's
-        // own boundaries lands here), so its failures take the same
-        // repairs: the process died verifying, and the rerun sorts again.
-        let result = sorted.and_then(|(run, report)| {
-            let ops = stack.faulty().map(|f| f.observed_ops()).unwrap_or_default();
-            outcome.envelope = Envelope {
+        // The last boundary's counters are the sort's, its read-back
+        // excluded: the envelope the generator draws ordinals inside.
+        let mut envelope = Envelope::default();
+        let sorted = sort_durable(job, |pass, a| {
+            let ops = a.faulty().map(|f| f.observed_ops()).unwrap_or_default();
+            envelope = Envelope {
                 reads: ops.0,
                 writes: ops.1,
                 allocs: ops.2,
                 syncs: ops.3,
                 points: clock.points(),
-                passes: report.merge_passes,
+                passes: pass,
                 disks: geom.d as u32,
             };
-            Ok(read_run(&mut stack, &run)?)
-        });
-
-        match result {
-            Ok(records) => {
-                let keys: Vec<u64> = records.iter().map(|r| r.0).collect();
-                let trace = stack.take_trace();
-                if let Err(v) = modelcheck::check_trace(geom, &trace) {
-                    outcome.violation = Some(Violation::ModelViolation(v.to_string()));
-                    return Ok(outcome);
+            for (i, ev) in events.iter().enumerate() {
+                match ev {
+                    ChaosEvent::KillDisk { disk, pass: at } if !kill_fired[i] && pass == *at => {
+                        kill_fired[i] = true;
+                        a.fail_disk(DiskId(*disk))?;
+                    }
+                    ChaosEvent::Interrupt { pass: at } if !interrupt_fired[i] && pass == *at => {
+                        interrupt_fired[i] = true;
+                        flag.trigger();
+                    }
+                    _ => {}
                 }
+            }
+            Ok(())
+        });
+        outcome.resumed = world.resumed;
+
+        // The verification read runs under the incarnation's clock and
+        // fault model too (a crash point past a short, resumed sort's own
+        // boundaries lands there), so its failures take the same repairs:
+        // the process died verifying, and the rerun sorts again.
+        let e = match sorted {
+            Ok(sorted) => {
+                outcome.envelope = envelope;
+                let keys: Vec<u64> = sorted.keys.iter().map(|r| r.0).collect();
                 if keys != expected {
                     outcome.violation = Some(Violation::DigestMismatch {
                         got: srm_server::digest_keys(keys),
@@ -395,37 +367,27 @@ fn run_trial_on<A: DiskArray<U64Record>>(
                     });
                     return Ok(outcome);
                 }
-                drop(stack);
-                outcome.violation = leaked_files(dir, &manifest, &pstore)?;
+                outcome.violation = leaked_files(dir)?;
                 return Ok(outcome);
             }
-            Err(e) => {
-                // Tear the incarnation down to what survives a restart.
-                let (full, ops) = stack
-                    .faulty()
-                    .map(|f| (f.model().full_disks().collect(), f.observed_ops()))
-                    .unwrap_or_default();
-                dead = stack.redundancy().map(|r| r.dead).unwrap_or_default();
-                fired.absorb(ops);
-                carry_full = match classify(&e) {
-                    Repair::Reboot | Repair::Resume => full,
-                    // The operator frees space: sticky full-disk state
-                    // does not carry into the next run.
-                    Repair::FreeSpace => Vec::new(),
-                    Repair::Unexpected => {
-                        outcome.violation = Some(Violation::UnexpectedError(e.to_string()));
-                        return Ok(outcome);
-                    }
-                };
-                match reboot(stack.into_backend()) {
-                    Ok(rebooted) => backend = Some(rebooted),
-                    Err(e) => {
-                        outcome.violation = Some(Violation::UnexpectedError(format!("reboot failed: {e}")));
-                        return Ok(outcome);
-                    }
-                }
+            Err(JobError::Model(v)) => {
+                outcome.violation = Some(Violation::ModelViolation(v));
+                return Ok(outcome);
             }
-        }
+            Err(e) => e,
+        };
+        // Tear the incarnation down to what survives a restart.
+        fired.absorb(world.ops);
+        carry_full = match classify(&e) {
+            Repair::Reboot | Repair::Resume => std::mem::take(&mut world.full),
+            // The operator frees space: sticky full-disk state does not
+            // carry into the next run.
+            Repair::FreeSpace => Vec::new(),
+            Repair::Unexpected => {
+                outcome.violation = Some(Violation::UnexpectedError(e.to_string()));
+                return Ok(outcome);
+            }
+        };
     }
 }
 
@@ -446,34 +408,32 @@ enum Repair {
 /// events are *specified* to produce are expected, so any drift in the
 /// error taxonomy (e.g. ENOSPC surfacing as a retry storm) turns into
 /// an oracle violation instead of being absorbed.
-fn classify(e: &SrmError) -> Repair {
+fn classify(e: &JobError) -> Repair {
     match e {
-        SrmError::Disk(PdiskError::Crashed { .. }) => Repair::Reboot,
-        SrmError::Interrupted => Repair::Resume,
-        SrmError::Disk(PdiskError::Fault {
+        JobError::Disk(PdiskError::Crashed { .. }) => Repair::Reboot,
+        JobError::Interrupted => Repair::Resume,
+        JobError::Disk(PdiskError::Fault {
             kind: FaultKind::NoSpace,
             ..
         }) => Repair::FreeSpace,
-        SrmError::Disk(PdiskError::Fault {
+        JobError::Disk(PdiskError::Fault {
             op: FaultOp::Sync, ..
         }) => Repair::Resume,
-        SrmError::Disk(PdiskError::RetriesExhausted { .. }) => Repair::Resume,
+        JobError::Disk(PdiskError::RetriesExhausted { .. }) => Repair::Resume,
         _ => Repair::Unexpected,
     }
 }
 
-/// The leak oracle: after removing the journal, the parity sidecar and
-/// the disk directory, the trial directory must be empty — anything
-/// left is a temp file or stray generation some layer failed to clean
-/// up.
-fn leaked_files(
-    dir: &Path,
-    manifest: &Path,
-    pstore: &Path,
-) -> Result<Option<Violation>, ChaosError> {
-    SortManifest::remove(manifest)
+/// The leak oracle: after removing the journal, the descriptor, the
+/// parity sidecar and the disk directory, the trial directory must be
+/// empty — anything left is a temp file or stray generation some layer
+/// failed to clean up.
+fn leaked_files(dir: &Path) -> Result<Option<Violation>, ChaosError> {
+    SortManifest::remove(&dir.join(MANIFEST))
         .map_err(|e| ChaosError::Io(format!("manifest cleanup failed: {e}")))?;
-    let _ = std::fs::remove_file(pstore);
+    for file in [DONE, PARITY_STORE] {
+        let _ = std::fs::remove_file(dir.join(file));
+    }
     let _ = std::fs::remove_dir_all(dir.join(DISKS));
     let mut leaked = Vec::new();
     let entries =

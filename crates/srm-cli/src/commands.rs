@@ -2,15 +2,17 @@
 
 use crate::args::Flags;
 use pdisk::{
-    CrashClock, DiskArray, DiskId, FaultModel, FileDiskArray, Geometry, InterruptFlag, MemDiskArray,
-    ParitySpec, Record, RetryPolicy, StackSpec, U64Record,
+    CrashClock, DiskId, FaultModel, FileDiskArray, Geometry, InterruptFlag, ParitySpec, Record, RetryPolicy,
+    StackSpec, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use srm_core::simulator::{estimate_overhead_v, SimPlacement};
-use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, Placement, RunFormation, SortReport, SrmError, SrmSorter};
-use srm_server::{EngineKind, JobServer, JobSpec, ServerConfig};
+use srm_core::{Placement, RunFormation, SortReport, SrmSorter};
+use srm_server::job::{
+    sort_durable, Cluster, DurableSort, FileCluster, MemCluster, Sorted, DISKS, MANIFEST, PARITY_STORE,
+};
+use srm_server::{EngineKind, JobError, JobServer, JobSpec, ServerConfig};
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::{Path, PathBuf};
 
@@ -48,7 +50,7 @@ USAGE:
            [--backend mem|file] [--dir PATH] [--seed S]
            [--placement random|staggered] [--formation load|rs]
            [--pipeline] [--read-ahead K] [--keep]
-           [--fault-rate R] [--fault-seed S] [--resume MANIFEST]
+           [--fault-rate R] [--fault-seed S]
            [--parity] [--kill-disk D@PASS] [--check-model]
            [--crash-at K] [--crash-points]
       Generate N random records, stage them on the simulated disk array,
@@ -66,7 +68,7 @@ USAGE:
       Without it every parallel I/O is waited for where it is issued —
       the same engine at window 0.  The operation sequence, I/O
       accounting, and output bytes are identical either way — only the
-      waiting overlaps — so --check-model and --resume work unchanged.
+      waiting overlaps — so --check-model and a resume work unchanged.
       --read-ahead K additionally hints the next K forecast-predicted
       blocks per disk to the backend as speculative reads (DESIGN.md
       §14; needs --pipeline, default 0).
@@ -74,17 +76,18 @@ USAGE:
       --fault-rate R injects transient faults on reads and writes with
       per-disk probability R (0 <= R < 1, seeded by --fault-seed) and
       absorbs them with the bounded-retry wrapper; retry counts appear in
-      the I/O line.  --resume MANIFEST checkpoints the sort to MANIFEST
-      after every pass and, when the file already exists, resumes from it
-      (with --backend file the disk files are reopened, not truncated —
-      a killed sort picks up from its last completed pass).  DSM is the
-      same engine, so --algo dsm honours --backend, --resume, Ctrl-C
-      checkpointing and the crash drills exactly as --algo srm does.
-      One manifest names one sort: under --algo both it is the SRM
-      sort's, and DSM runs unjournaled.  Memory disks die
-      with their process, so --backend mem refuses a MANIFEST that
-      survives from an earlier run (delete it, or sort on --backend
-      file --dir D --keep).
+      the I/O line.
+
+      Each engine sorts durably in PATH/srm or PATH/dsm (DESIGN.md
+      §11.3), as a `srm serve` job and a distsort shard do: the
+      checkpoint is journaled after every pass, and rerunning the same
+      command over a PATH that holds one resumes it (with --backend file
+      the disk files are reopened, not truncated).  Without --dir, PATH
+      is a fresh temporary directory; a finished sort removes it unless
+      --backend file --keep.  Memory disks die with their process, so
+      --backend mem leaves no temporary directory even when it fails, and
+      refuses a checkpoint an earlier run left in --dir (delete it, or
+      sort with --backend file --dir D --keep).
 
       --parity adds rotating-parity redundancy (RAID-5 style): the array
       survives one permanent disk death, serving the dead disk's blocks by
@@ -94,7 +97,7 @@ USAGE:
       permanently right after pass PASS (0 = run formation) and the sort
       completes degraded, byte-identical to the failure-free run.
       Checkpoint manifests record the parity geometry and dead-disk
-      set, so --resume works from a degraded array.  --kill-disk
+      set, so a resume works from a degraded array.  --kill-disk
       requires --parity, and both require --algo srm: rotating parity
       needs at least 2 disks, and DSM sorts on one.
 
@@ -102,9 +105,9 @@ USAGE:
       counting crash clock and reports the total N after success;
       --crash-at K then kills the process state at boundary K exactly
       (including torn parallel writes where only a prefix of the stripe
-      lands) and exits nonzero.  Rerun without --crash-at (keeping
-      --resume MANIFEST and, with --backend file, the same --dir) to
-      recover from the last durable checkpoint.  Both flags name one
+      lands) and exits nonzero.  Rerun without --crash-at (with
+      --backend file and the same --dir) to recover from the last
+      durable checkpoint.  Both flags name one
       sort (--algo srm or --algo dsm, not both) and cannot be combined
       with --kill-disk.
 
@@ -115,11 +118,11 @@ USAGE:
       §8).  Any violation aborts with a typed, located error naming the
       pass, disk, and block involved.
 
-      Ctrl-C (SIGINT) or SIGTERM interrupts either sort gracefully:
-      with --resume MANIFEST the current pass finishes, the checkpoint
-      is journaled, and the process exits with code 130; rerunning with
-      the same flags (on --backend file) resumes byte-identically from
-      that boundary.  (The hidden --interrupt-after-pass K flag trips
+      Ctrl-C (SIGINT) or SIGTERM interrupts either sort gracefully: the
+      current pass finishes, the checkpoint is journaled, and the
+      process exits with code 130; rerunning with the same flags (on
+      --backend file, with --dir) resumes byte-identically from that
+      boundary.  (The hidden --interrupt-after-pass K flag trips
       the same path from tests without a signal.)
 
   srm occupancy --k K --d D [--trials N] [--seed S]
@@ -130,11 +133,13 @@ USAGE:
       Estimate Table 3's overhead v(k, D) by simulating the SRM merge of
       kD runs of L blocks on average-case input.
 
-  srm scrub --dir PATH --manifest MANIFEST [--parity]
-      Walk every live run recorded in a sort's checkpoint manifest,
+  srm scrub --dir PATH [--parity]
+      Walk every live run recorded in the checkpoint manifest of the
+      durable sort directory PATH (`srm sort --dir D` leaves D/srm),
       verify block checksums, and (with --parity) self-heal latent
       corruption by parity reconstruction.  Geometry and the dead-disk
-      set come from the manifest; disk files are reopened from --dir.
+      set come from the manifest; disk files are reopened from
+      PATH/disks.
       Exits 0 when every block verified clean or was repaired, 1 when
       any block is unrepairable.
 
@@ -354,7 +359,6 @@ pub fn sort(flags: &Flags) -> i32 {
             return Err(format!("--fault-rate {fault_rate} outside [0, 1)").into());
         }
         let fault_seed: u64 = flags.get_or("fault-seed", 0xFA_017)?;
-        let resume = flags.get_str("resume").map(PathBuf::from);
 
         // Crash drills: a counting clock numbers the boundaries, an
         // armed clock kills the process state at one of them.
@@ -382,12 +386,11 @@ pub fn sort(flags: &Flags) -> i32 {
         if let Some((disk, _)) = kill.filter(|&(d, _)| d as usize >= geom.d) {
             return Err(format!("disk {disk} out of range for D={}", geom.d).into());
         }
-        let popts = parity.then_some(ParityOpts { kill });
         if crash.is_some() {
             if algo == "both" {
                 return Err("--crash-at / --crash-points name one sort: give --algo srm or --algo dsm".into());
             }
-            if popts.as_ref().is_some_and(|p| p.kill.is_some()) {
+            if kill.is_some() {
                 return Err("--crash-at / --crash-points cannot be combined with --kill-disk".into());
             }
         }
@@ -405,9 +408,9 @@ pub fn sort(flags: &Flags) -> i32 {
         println!("input: {records} random u64 records (seed {seed:#x})\n");
         // One construction path everywhere: the CLI builds and validates
         // the same JobSpec the job server and the crash-matrix harness
-        // use, so `srm sort`, `srm serve`, and `srm crash-matrix` can
-        // never drift in how they wire a sorter, generate input, or
-        // resume.
+        // use, and sorts it through the same durable sort, so `srm sort`,
+        // `srm serve`, and `srm crash-matrix` can never drift in how they
+        // wire a sorter, generate input, or resume.
         let spec = JobSpec {
             engine: EngineKind::Srm,
             records,
@@ -428,29 +431,24 @@ pub fn sort(flags: &Flags) -> i32 {
         // Graceful interruption: SIGINT/SIGTERM (or the test hook
         // --interrupt-after-pass K) trip this flag; the sorter stops at
         // the next pass boundary *after* journaling its checkpoint, and
-        // the process exits with code 130.  Without --resume there is no
-        // manifest to journal, so the sort simply stops early.
+        // the process exits with code 130.
         let interrupt = InterruptFlag::new();
         srm_repro::signals::install();
         let forward = interrupt.clone();
         srm_repro::signals::watch(move || forward.trigger(), || false);
-        let trip: Option<(InterruptFlag, u64)> = flags
-            .get::<u64>("interrupt-after-pass")?
-            .map(|k| (interrupt.clone(), k));
+        let trip = flags.get::<u64>("interrupt-after-pass")?;
 
-        let job = |label: &'static str, geom: Geometry, resume: Option<&Path>| SortJob {
-            label,
-            data: &data,
-            geom,
-            fault_rate,
-            fault_seed,
-            resume: resume.map(Path::to_path_buf),
-            durable: backend == "file",
-            parity: popts.clone(),
-            check_model: flags.has("check-model"),
-            crash: crash.clone(),
-            trip: trip.clone(),
-        };
+        // Without --dir the sort gets a directory of its own, named so that
+        // no later process (pids are reused) meets its checkpoint.
+        let named = flags.get_str("dir").is_some();
+        let root = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
+            let nanos = std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |t| t.as_nanos());
+            std::env::temp_dir().join(format!("srm-cli-{}-{nanos:x}", std::process::id()))
+        });
+        let file = backend == "file";
+        let keep = flags.has("keep");
         if pipeline {
             println!("window: pipelined (reads in flight + write-behind)");
         }
@@ -464,8 +462,6 @@ pub fn sort(flags: &Flags) -> i32 {
             spec.validate().map_err(|e| e.to_string())?;
             let label = if engine == EngineKind::Dsm { "DSM" } else { "SRM" };
             let geom = spec.geometry().map_err(|e| e.to_string())?;
-            // One manifest names one sort: under `--algo both` it is SRM's.
-            let resume = resume.as_deref().filter(|_| engines.len() == 1 || engine == EngineKind::Srm);
             let sorter = spec.build(Some(interrupt.clone()));
             // The sorter ticks its own manifest-write boundaries on the
             // same clock the array layers use, so boundary numbering is
@@ -474,7 +470,84 @@ pub fn sort(flags: &Flags) -> i32 {
                 Some(c) => sorter.with_crash_clock(c.clone()),
                 None => sorter,
             };
-            sort_on_backend(flags, &sorter, &job(label, geom, resume))?;
+            let dir = root.join(engine.as_str());
+            let policy = RetryPolicy::default();
+            if file {
+                println!("file backend at {}", dir.display());
+            }
+            if fault_rate > 0.0 {
+                println!(
+                    "fault injection: transient rate {fault_rate} per disk (seed {fault_seed:#x}), up to {} attempts per op",
+                    policy.max_attempts
+                );
+            }
+            if parity {
+                println!(
+                    "parity: rotating parity over {} disks ({} of every {} blocks usable); survives one disk death",
+                    geom.d,
+                    geom.d - 1,
+                    geom.d
+                );
+            }
+            // The injector and retry go in with parity or a fault rate; a
+            // plain sort runs on the bare backend.
+            let protected = parity || fault_rate > 0.0;
+            let job = Incarnation {
+                dir: &dir,
+                geom,
+                sorter: &sorter,
+                records: &data,
+                stack: StackSpec {
+                    faults: protected.then(|| FaultModel::random(fault_seed).with_rate(fault_rate)),
+                    parity: parity.then(ParitySpec::default),
+                    retry: protected.then_some(policy),
+                    // Crash drills also number the parity layer's
+                    // read-modify-write boundaries, so --crash-at can land
+                    // between a data write and its parity commit.
+                    crash: crash.clone(),
+                    trace: flags.has("check-model"),
+                },
+                kill,
+                trip: trip.map(|after| (&interrupt, after)),
+            };
+            let sorted = if file { job.run(FileCluster::default()) } else { job.run(MemCluster::default()) };
+            if !file && !named {
+                // Memory disks die with this process, and so does any
+                // checkpoint on them: nothing here can be resumed.
+                let _ = std::fs::remove_dir_all(&root);
+            }
+            let sorted = sorted.map_err(|e| failure(e, &dir, file, named))?;
+            verify_sorted(&sorted.keys, &data)?;
+            if let Some(dead) = &sorted.resumed {
+                println!("resuming from {}", dir.join(MANIFEST).display());
+                for d in dead {
+                    println!("manifest records disk {} dead; resuming degraded", d.0);
+                }
+            }
+            println!("{label}: sorted & verified in {:.2?} (host time)", sorted.elapsed);
+            println!("  {}", sorted.report);
+            println!("  {}", pass_plan_line(&sorted.report, geom));
+            if !sorted.dead.is_empty() {
+                let ids: Vec<u32> = sorted.dead.iter().map(|d| d.0).collect();
+                println!("  degraded: completed with disk(s) {ids:?} dead; output identical to the failure-free run");
+            }
+            println!("  I/O (sort only): {}", sorted.io);
+            if let Some(line) = &sorted.counters {
+                println!("  file backend (staging included): {line}");
+            }
+            println!();
+            if let Some(m) = sorted.model {
+                println!(
+                    "  model check: clean — {} events replayed ({} scheduled reads, {} blocks flushed, \
+                     {} runs written, {} parity commits, {} reconstructions)",
+                    m.events, m.sched_reads, m.flushed_blocks, m.runs_written, m.parity_commits, m.reconstructs,
+                );
+            }
+            if file && keep {
+                println!("disk files kept at {}", dir.display());
+            } else {
+                let _ = std::fs::remove_dir_all(&dir);
+            }
             if let Some(c) = crash.as_ref().filter(|_| crash_points) {
                 println!(
                     "crash boundaries numbered: {} (explore with --crash-at 0..{})",
@@ -483,6 +556,8 @@ pub fn sort(flags: &Flags) -> i32 {
                 );
             }
         }
+        // The root goes too once every engine's directory has.
+        let _ = std::fs::remove_dir(&root);
         Ok(())
     };
     match inner() {
@@ -495,158 +570,81 @@ pub fn sort(flags: &Flags) -> i32 {
     }
 }
 
-/// What one `srm sort` run hands down the chain besides the array and
-/// the sorter.
-struct SortJob<'a> {
-    /// The engine's name in the report (`SRM` / `DSM`).
-    label: &'static str,
-    data: &'a [U64Record],
+/// One engine's `srm sort`: an incarnation of the durable sort in `dir`,
+/// whichever cluster it runs on.
+struct Incarnation<'a> {
+    dir: &'a Path,
     geom: Geometry,
-    fault_rate: f64,
-    fault_seed: u64,
-    /// `--resume`: the manifest this sort journals to and resumes from.
-    resume: Option<PathBuf>,
-    /// Whether the disks outlive the process (`--backend file`): only
-    /// then can a journaled checkpoint actually be resumed.
-    durable: bool,
-    parity: Option<ParityOpts>,
-    check_model: bool,
-    crash: Option<CrashClock>,
-    /// `--interrupt-after-pass K`, standing in for a human Ctrl-C.
-    trip: Option<(InterruptFlag, u64)>,
-}
-
-/// Why a checkpoint under `--backend mem` cannot be resumed, and the two
-/// ways out.
-fn memory_disks_die(manifest: &Path, consequence: &str) -> String {
-    format!(
-        "--backend mem disks die with their process, so {consequence}; delete {} to start \
-         over, or sort with --backend file --dir D --keep for a resumable one",
-        manifest.display()
-    )
-}
-
-impl SortJob<'_> {
-    /// Render a sort failure with the advice that fits it: what a rerun
-    /// would do, or why it cannot help.
-    fn failure(&self, e: SrmError) -> CliError {
-        match (&e, self.resume.as_deref(), self.durable) {
-            (SrmError::Interrupted, Some(m), true) => CliError::Interrupted(format!(
-                "checkpoint journaled; rerun with the same flags to resume from {}",
-                m.display()
-            )),
-            (SrmError::Interrupted, Some(m), false) => CliError::Interrupted(format!(
-                "checkpoint journaled at {}, but {}",
-                m.display(),
-                memory_disks_die(m, "it cannot be resumed")
-            )),
-            (SrmError::Interrupted, None, _) => CliError::Interrupted(
-                "this sort had no --resume manifest (under --algo both it is the SRM sort's), \
-                 so nothing was checkpointed; rerun to start over"
-                    .into(),
-            ),
-            // A bad manifest will fail the same way on every rerun — the
-            // only way out is to discard it.
-            (SrmError::Checkpoint(_), Some(m), _) => CliError::Msg(format!(
-                "{e}; delete {} to start a fresh sort",
-                m.display()
-            )),
-            (_, Some(m), true) => CliError::Msg(format!(
-                "{e}; rerun with the same flags to resume from {}",
-                m.display()
-            )),
-            _ => CliError::Msg(e.to_string()),
-        }
-    }
-
-    /// Whether `sorter` would resume from `--resume` — asked before the
-    /// array is built, since a resume reopens the disk files instead of
-    /// truncating them — and if so, the disks the checkpoint records dead,
-    /// for the parity layer to re-mark.
-    fn resume_point(&self, sorter: &SrmSorter) -> Result<Option<Vec<DiskId>>, CliError> {
-        let Some(path) = self.resume.as_deref() else {
-            return Ok(None);
-        };
-        let at = sorter
-            .resume_point(self.geom, self.data.len() as u64, path)
-            .map_err(|e| self.failure(e))?;
-        let Some(at) = at else {
-            return Ok(None);
-        };
-        if !self.durable {
-            return Err(format!(
-                "{} holds a checkpoint from an earlier run, but {}",
-                path.display(),
-                memory_disks_die(path, "the runs it names are gone")
-            )
-            .into());
-        }
-        println!("resuming from {}", path.display());
-        Ok(Some(at.redundancy.map(|r| r.dead).unwrap_or_default()))
-    }
-}
-
-/// Build the `--backend` array — fresh, or reopened when `--resume` finds
-/// a checkpoint — and run `sorter` on it.
-fn sort_on_backend(flags: &Flags, sorter: &SrmSorter, job: &SortJob) -> Result<(), CliError> {
-    let resuming = job.resume_point(sorter)?;
-    if !job.durable {
-        let array: MemDiskArray<U64Record> = MemDiskArray::new(job.geom);
-        return run_sort(array, sorter, job, None, resuming.as_deref(), |_| None);
-    }
-    let dir = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("srm-cli-{}", std::process::id()))
-    });
-    println!("file backend at {}", dir.display());
-    // Resuming from a manifest means the disk files hold prior progress:
-    // reopen them instead of truncating.
-    let array: FileDiskArray<U64Record> = if resuming.is_some() {
-        FileDiskArray::open(job.geom, &dir).map_err(|e| e.to_string())?
-    } else {
-        FileDiskArray::create(job.geom, &dir).map_err(|e| e.to_string())?
-    };
-    // Parity frames persist next to the disk files so a degraded sort can
-    // be resumed after a crash.  A fresh sort truncates the disks, so any
-    // sidecar left by an earlier (crashed) run is stale and must go with
-    // them.
-    let store = job.parity.as_ref().map(|_| dir.join("parity.store"));
-    if let Some(s) = store.as_ref().filter(|_| resuming.is_none()) {
-        let _ = std::fs::remove_file(s);
-    }
-    run_sort(array, sorter, job, store.as_deref(), resuming.as_deref(), |a| Some(file_counters(a)))?;
-    if !flags.has("keep") {
-        let _ = std::fs::remove_dir_all(&dir);
-    } else {
-        println!("disk files kept at {}", dir.display());
-    }
-    Ok(())
-}
-
-/// The file backend's own counters, one line: whether a parallel I/O
-/// reached the workers as one event, whether read-ahead hints landed,
-/// and whether buffers came out of the pool.
-fn file_counters(a: &FileDiskArray<U64Record>) -> String {
-    let (q, pf) = (a.queue_stats(), a.prefetch_stats());
-    let pool = a.buffer_pool().map(|p| p.stats()).unwrap_or_default();
-    format!(
-        "{} submissions, {} notifications, {} completion waits; read-ahead {} issued, \
-         {} hit, {} invalidated; pool hit rate {:.4} ({} misses)",
-        q.submissions,
-        q.notifications,
-        q.completion_waits,
-        pf.issued,
-        pf.hits,
-        pf.invalidated,
-        pool.hit_rate().unwrap_or(0.0),
-        pool.misses(),
-    )
-}
-
-/// Redundancy drill options parsed from `--parity` and friends.
-#[derive(Debug, Clone)]
-struct ParityOpts {
+    sorter: &'a SrmSorter,
+    records: &'a [U64Record],
+    /// The layers the flags switch on.
+    stack: StackSpec,
     /// `--kill-disk D@PASS`: disk D dies permanently right after PASS.
     kill: Option<(u32, u64)>,
+    /// `--interrupt-after-pass K`, standing in for a human Ctrl-C.
+    trip: Option<(&'a InterruptFlag, u64)>,
+}
+
+impl Incarnation<'_> {
+    /// Sort on `cluster`, the drills in the observer.
+    fn run<C: Cluster>(self, mut cluster: C) -> Result<Sorted, JobError> {
+        let job = DurableSort {
+            dir: self.dir,
+            geom: self.geom,
+            sorter: self.sorter,
+            records: self.records,
+            staged: true,
+            stage_ms: 0,
+            stack: self.stack,
+            slot: (),
+            cluster: &mut cluster,
+            oracle: false,
+        };
+        sort_durable(job, |pass, a| {
+            // The observer runs at the boundary *before* the snapshot and
+            // the interrupt check, so tripping here drains at this pass.
+            if let Some((flag, _)) = self.trip.filter(|&(_, after)| pass >= after) {
+                flag.trigger();
+            }
+            if let Some((disk, at)) = self.kill.filter(|&(_, at)| pass == at) {
+                println!("drill: disk {disk} dies permanently after pass {at}");
+                a.fail_disk(DiskId(disk))?;
+            }
+            Ok(())
+        })
+    }
+}
+
+/// A failed sort of `dir`, with the advice that fits it: what a rerun
+/// would do, or why it cannot help.  Only a `named` (`--dir`) memory
+/// sort leaves its checkpoint behind.
+fn failure(e: JobError, dir: &Path, file: bool, named: bool) -> CliError {
+    let resume = format!(
+        "rerun with the same flags and --dir {} to resume from {}",
+        dir.parent().unwrap_or(dir).display(),
+        dir.join(MANIFEST).display()
+    );
+    let resumable = "sort with --backend file --dir D --keep for a resumable one";
+    let start_over = format!("delete {} to start over, or {resumable}", dir.display());
+    match (e, file, named) {
+        (JobError::Interrupted, true, _) => CliError::Interrupted(format!("checkpoint journaled; {resume}")),
+        (JobError::Interrupted, false, true) => CliError::Interrupted(format!(
+            "checkpoint journaled at {}, but --backend mem disks die with their process, so it \
+             cannot be resumed; {start_over}",
+            dir.join(MANIFEST).display()
+        )),
+        (JobError::Interrupted, false, false) => CliError::Interrupted(format!(
+            "--backend mem disks die with their process, so this sort cannot be resumed; {resumable}"
+        )),
+        // A bad manifest fails the same way on every rerun: the only way
+        // out is to discard it.
+        (e @ JobError::Checkpoint(_), true, _) => {
+            CliError::Msg(format!("{e}; delete {} to start a fresh sort", dir.display()))
+        }
+        (e @ JobError::Checkpoint(_), false, true) => CliError::Msg(format!("{e}; {start_over}")),
+        (e, true, _) => CliError::Msg(format!("{e}; {resume}")),
+        (e, false, _) => CliError::Msg(e.to_string()),
+    }
 }
 
 fn parse_kill_spec(s: &str) -> Result<(u32, u64), String> {
@@ -658,116 +656,6 @@ fn parse_kill_spec(s: &str) -> Result<(u32, u64), String> {
         pass.parse()
             .map_err(|_| format!("--kill-disk {s}: bad pass number"))?,
     ))
-}
-
-/// Run `sorter` on `backend` under the layers this job asks for — fault
-/// injection + retry (`--fault-rate`), rotating parity (`--parity`, with
-/// its sidecar `store` and, when `resumed`, the disks the manifest
-/// records dead),
-/// the crash clock (`--crash-at` / `--crash-points`) and the trace
-/// (`--check-model`): stage, sort, verify, report — the report ending with
-/// `backend_counters`' line when the backend keeps counters of its own.
-fn run_sort<A: DiskArray<U64Record>>(
-    backend: A,
-    sorter: &SrmSorter,
-    job: &SortJob,
-    store: Option<&Path>,
-    resumed: Option<&[DiskId]>,
-    backend_counters: fn(&A) -> Option<String>,
-) -> Result<(), CliError> {
-    let geom = job.geom;
-    let dead = resumed.unwrap_or_default();
-    let policy = RetryPolicy::default();
-    if job.fault_rate > 0.0 {
-        println!(
-            "fault injection: transient rate {} per disk (seed {:#x}), up to {} attempts per op",
-            job.fault_rate, job.fault_seed, policy.max_attempts
-        );
-    }
-    let parity = job.parity.as_ref().map(|_| {
-        println!(
-            "parity: rotating parity over {} disks ({} of every {} blocks usable); survives one disk death",
-            geom.d,
-            geom.d - 1,
-            geom.d
-        );
-        // A degraded resume re-marks the manifest's dead disks in the
-        // build, *before* the sorter validates redundancy.
-        for dd in dead {
-            println!("manifest records disk {} dead; resuming degraded", dd.0);
-        }
-        ParitySpec {
-            store: store.map(Path::to_path_buf),
-            dead: dead.to_vec(),
-        }
-    });
-    // The injector and retry go in with parity or a fault rate; a plain
-    // sort runs on the bare backend.
-    let protected = parity.is_some() || job.fault_rate > 0.0;
-    let spec = StackSpec {
-        faults: protected.then(|| FaultModel::random(job.fault_seed).with_rate(job.fault_rate)),
-        parity,
-        retry: protected.then_some(policy),
-        // Crash drills also number the parity layer's read-modify-write
-        // boundaries, so --crash-at can land between a data write and its
-        // parity commit.
-        crash: job.crash.clone(),
-        trace: job.check_model,
-    };
-    let array = &mut spec.build(backend, ()).map_err(|e| e.to_string())?;
-
-    let input = write_unsorted_input(array, job.data).map_err(|e| e.to_string())?;
-    let staged = array.stats();
-    let start = std::time::Instant::now();
-    // Crash drills exclude --kill-disk (validated at parse time).
-    let kill = job.parity.as_ref().and_then(|p| p.kill);
-    let (sorted, report) = sorter
-        .sort_observed(array, &input, job.resume.as_deref(), |pass, a| {
-            // The --interrupt-after-pass test hook stands in for a human
-            // Ctrl-C: the observer runs at the boundary *before* the
-            // snapshot and the interrupt check, so tripping here drains
-            // at this very pass.
-            if let Some((flag, after)) = &job.trip {
-                if pass >= *after {
-                    flag.trigger();
-                }
-            }
-            // The `--kill-disk` injection point.
-            if let Some((disk, at)) = kill {
-                if pass == at {
-                    println!("drill: disk {disk} dies permanently after pass {pass}");
-                    a.fail_disk(DiskId(disk))?;
-                }
-            }
-            Ok(())
-        })
-        .map_err(|e| job.failure(e))?;
-    let elapsed = start.elapsed();
-    verify_sorted(
-        &read_run(array, &sorted).map_err(|e| e.to_string())?,
-        job.data,
-    )?;
-    println!("{}: sorted & verified in {elapsed:.2?} (host time)", job.label);
-    println!("  {report}");
-    println!("  {}", pass_plan_line(&report, geom));
-    if let Some(red) = array.redundancy() {
-        if !red.dead.is_empty() {
-            let ids: Vec<u32> = red.dead.iter().map(|d| d.0).collect();
-            println!(
-                "  degraded: completed with disk(s) {ids:?} dead; output identical to the failure-free run"
-            );
-        }
-    }
-    let io = array.stats().since(&staged);
-    println!("  I/O (sort only): {io}");
-    if let Some(line) = backend_counters(array.backend()) {
-        println!("  file backend (staging included): {line}");
-    }
-    println!();
-    if job.check_model {
-        report_model_check(job.geom, &array.take_trace(), &array.stats())?;
-    }
-    Ok(())
 }
 
 /// The `pass plan:` line: what merge pass 1 does — it merges only enough
@@ -807,25 +695,6 @@ fn pass_plan_line(report: &SortReport, geom: Geometry) -> String {
     format!("pass plan: {plan}; {blocks}")
 }
 
-/// Replay a traced sort's event stream through the model checker and
-/// report the verdict (the CLI's `--check-model` back end).
-fn report_model_check(geom: Geometry, trace: &[pdisk::trace::Tagged], stats: &pdisk::IoStats) -> Result<(), String> {
-    let summary = modelcheck::check_trace(geom, trace)
-        .map_err(|v| format!("model-rule violation: {v}"))?;
-    modelcheck::check_stats(trace, stats).map_err(|v| format!("trace/stats drift: {v}"))?;
-    println!(
-        "  model check: clean — {} events replayed ({} scheduled reads, {} blocks flushed, \
-         {} runs written, {} parity commits, {} reconstructions)",
-        summary.events,
-        summary.sched_reads,
-        summary.flushed_blocks,
-        summary.runs_written,
-        summary.parity_commits,
-        summary.reconstructs,
-    );
-    Ok(())
-}
-
 fn verify_sorted(got: &[U64Record], original: &[U64Record]) -> Result<(), String> {
     if got.len() != original.len() {
         return Err(format!(
@@ -852,10 +721,7 @@ pub fn scrub(flags: &Flags) -> i32 {
             .get_str("dir")
             .map(std::path::PathBuf::from)
             .ok_or("`srm scrub` requires --dir")?;
-        let manifest = flags
-            .get_str("manifest")
-            .map(std::path::PathBuf::from)
-            .ok_or("`srm scrub` requires --manifest")?;
+        let manifest = dir.join(MANIFEST);
         let parity = flags.has("parity");
         let m = srm_core::SortManifest::load_latest(&manifest)
             .map_err(|e| e.to_string())?
@@ -870,7 +736,7 @@ pub fn scrub(flags: &Flags) -> i32 {
             geom.b
         );
         let fa: FileDiskArray<U64Record> =
-            FileDiskArray::open(geom, &dir).map_err(|e| e.to_string())?;
+            FileDiskArray::open(geom, dir.join(DISKS)).map_err(|e| e.to_string())?;
         // Under --parity the scrub reads through the parity layer, the
         // manifest's dead disks re-marked; without it, the bare files.
         let dead = m.redundancy.as_ref().map(|red| red.dead.clone()).unwrap_or_default();
@@ -880,7 +746,7 @@ pub fn scrub(flags: &Flags) -> i32 {
                     println!("manifest records disk {} dead; scrubbing degraded", dd.0);
                 }
                 ParitySpec {
-                    store: Some(dir.join("parity.store")),
+                    store: Some(dir.join(PARITY_STORE)),
                     dead,
                 }
             }),

@@ -17,13 +17,11 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// A fresh manifest path under a scratch directory of its own.
-fn scratch_manifest(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+/// A fresh scratch directory of its own, for `srm sort --dir`.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("srm-cli-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let manifest = dir.join("sort.manifest");
-    (dir, manifest)
+    dir
 }
 
 #[test]
@@ -54,6 +52,8 @@ fn unknown_flags_are_usage_errors() {
         &["sort", "--read-ahed", "3", "--pipeline"][..],
         &["sort", "--slow-disk", "2:8", "--parity"][..],
         &["sort", "--hedge-after", "4", "--parity"][..],
+        // A sort resumes its directory's checkpoint; no flag names one.
+        &["sort", "--resume", "sort.manifest"][..],
     ] {
         let out = srm(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -133,15 +133,16 @@ fn sort_refuses_parity_and_kill_disk_without_algo_srm() {
 }
 
 /// DSM carries the crash clock: `--crash-points` numbers its boundaries,
-/// `--crash-at K` kills it at one, and the rerun resumes from the last
-/// durable checkpoint to the same sorted output.
+/// `--crash-at K` kills it at one, and the same command rerun over the
+/// directory resumes from the last durable checkpoint to the same sorted
+/// output.
 #[test]
 fn sort_dsm_crash_at_a_boundary_then_resume_matches_the_clean_sort() {
-    let (dir, manifest) = scratch_manifest("dsm-crash");
-    let disks = dir.join("disks");
+    let dir = scratch_dir("dsm-crash");
+    let manifest = dir.join("dsm").join("manifest");
     let base = [
         "sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "dsm",
-        "--backend", "file", "--keep", "--dir", disks.to_str().unwrap(),
+        "--backend", "file", "--keep", "--dir", dir.to_str().unwrap(),
     ];
     let run = |extra: &[&str]| srm(&[&base[..], extra].concat());
     let report = |out: &Output| {
@@ -159,14 +160,15 @@ fn sort_dsm_crash_at_a_boundary_then_resume_matches_the_clean_sort() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no crash count in: {}", stdout(&clean)));
     assert!(points > 100, "{points} boundaries");
+    assert!(!stdout(&clean).contains("resuming from"), "a finished sort leaves nothing to resume");
 
-    let crashed = run(&["--crash-at", &(points / 2).to_string(), "--resume", manifest.to_str().unwrap()]);
+    let crashed = run(&["--crash-at", &(points / 2).to_string()]);
     assert_ne!(crashed.status.code(), Some(0), "the crash must stop the sort");
     assert!(manifest.exists(), "a mid-sort crash leaves the last durable checkpoint");
 
-    let resumed = run(&["--resume", manifest.to_str().unwrap()]);
+    let resumed = run(&[]);
     assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
-    assert!(stdout(&resumed).contains("resuming from"), "{}", stdout(&resumed));
+    assert!(stdout(&resumed).contains(&format!("resuming from {}", manifest.display())), "{}", stdout(&resumed));
     assert!(stdout(&resumed).contains("DSM: sorted & verified"), "{}", stdout(&resumed));
     let whole_sort = |line: String| line.split(", flushes").next().map(str::to_owned);
     assert_eq!(whole_sort(report(&resumed)), whole_sort(report(&clean)));
@@ -185,17 +187,18 @@ fn sort_dsm_absorbs_transient_faults() {
     assert!(text.contains("retries="), "retry counts belong in the I/O line: {text}");
 }
 
-/// `--algo dsm` drives the same chain as SRM: `--resume` journals, the
-/// interrupt hook stops the sort behind its checkpoint, exit 130.
+/// `--algo dsm` drives the same chain as SRM: the sort journals in its
+/// engine's directory, and the interrupt hook stops it behind its
+/// checkpoint, exit 130.
 #[test]
 fn sort_dsm_honours_resume_and_interrupt() {
-    let (dir, manifest) = scratch_manifest("dsm-resume");
+    let dir = scratch_dir("dsm-resume");
     let out = srm(&[
         "sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "dsm",
-        "--resume", manifest.to_str().unwrap(), "--interrupt-after-pass", "0",
+        "--dir", dir.to_str().unwrap(), "--interrupt-after-pass", "0",
     ]);
     assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
-    let checkpoint = srm_core::SortManifest::load_latest(&manifest)
+    let checkpoint = srm_core::SortManifest::load_latest(&dir.join("dsm").join("manifest"))
         .expect("the manifest must load")
         .expect("the interrupt must leave a manifest behind");
     assert_eq!((checkpoint.pass, checkpoint.records), (0, 3000));
@@ -210,11 +213,11 @@ fn sort_dsm_honours_resume_and_interrupt() {
 /// and both ways out — not with a disk error that recurs on every rerun.
 #[test]
 fn mem_backend_refuses_a_manifest_from_an_earlier_process() {
-    let (dir, manifest) = scratch_manifest("mem-resume");
+    let dir = scratch_dir("mem-resume");
     let run = |extra: &[&str]| {
         let mut args = vec![
             "sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "srm",
-            "--resume", manifest.to_str().unwrap(),
+            "--dir", dir.to_str().unwrap(),
         ];
         args.extend_from_slice(extra);
         srm(&args)
@@ -223,16 +226,113 @@ fn mem_backend_refuses_a_manifest_from_an_earlier_process() {
     assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
     let said = stderr(&out);
     assert!(said.contains("checkpoint journaled") && said.contains("cannot be resumed"), "{said}");
-    assert!(!said.contains("rerun with the same flags to resume"), "{said}");
+    assert!(!said.contains("rerun with the same flags"), "{said}");
 
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
     let said = stderr(&out);
-    assert!(said.contains("--backend mem disks die with their process"), "{said}");
+    assert!(said.contains("memory disks, which died with the process that wrote them"), "{said}");
     assert!(said.contains("delete") && said.contains("--backend file --dir D --keep"), "{said}");
     assert!(!said.contains("rerun with the same flags"), "{said}");
     assert!(!stdout(&out).contains("sorted & verified"));
+    assert!(!stdout(&out).contains("resuming from"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A memory sort without `--dir` journals to a temporary directory of its
+/// own, and an interrupt leaves nothing there: its checkpoint could never
+/// be resumed, and no later process may meet it.
+#[test]
+fn an_interrupted_mem_sort_leaves_no_temporary_directory() {
+    let tmp = scratch_dir("mem-tmp");
+    std::fs::create_dir_all(&tmp).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_srm"))
+        .args(["sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "both"])
+        .args(["--interrupt-after-pass", "0"])
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("spawn srm binary");
+    assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
+    let said = stderr(&out);
+    assert!(said.contains("cannot be resumed") && said.contains("--backend file --dir D --keep"), "{said}");
+    assert!(!said.contains("checkpoint journaled at") && !said.contains("delete"), "{said}");
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// A sort on the file backend takes its cluster's lease before it reads
+/// its manifest: a second sort over a held directory that holds a
+/// checkpoint waits the lease out, then fails typed, and touches neither
+/// the manifest nor the disk files.
+#[test]
+fn a_held_lease_stops_a_resume_before_it_reads_the_manifest() {
+    let dir = scratch_dir("held-lease");
+    let run = |extra: &[&str]| {
+        let args = [
+            &["sort", "--records", "3000", "--d", "2", "--b", "4", "--m", "96", "--algo", "srm",
+              "--backend", "file", "--keep", "--dir", dir.to_str().unwrap()][..],
+            extra,
+        ];
+        srm(&args.concat())
+    };
+    let out = run(&["--interrupt-after-pass", "1"]);
+    assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
+    let durable = dir.join("srm");
+    let snapshot = || {
+        let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = [durable.join("manifest"), durable.join("manifest.prev")]
+            .into_iter()
+            .chain(std::fs::read_dir(durable.join("disks")).unwrap().map(|e| e.unwrap().path()))
+            .filter(|p| p.file_name().is_some_and(|n| n != "pdisk.lock"))
+            .filter_map(|p| std::fs::read(&p).ok().map(|bytes| (p, bytes)))
+            .collect();
+        files.sort();
+        files
+    };
+    let before = snapshot();
+    assert!(before.iter().any(|(p, _)| p.ends_with("manifest")), "the interrupt left a checkpoint");
+
+    let lease = pdisk::ArrayLease::take(durable.join("disks")).expect("take the lease");
+    let started = std::time::Instant::now();
+    let out = run(&[]);
+    let waited = started.elapsed();
+    drop(lease);
+    assert_eq!(out.status.code(), Some(2), "stdout: {}", stdout(&out));
+    assert!(stderr(&out).contains("is already open"), "{}", stderr(&out));
+    assert!(waited >= std::time::Duration::from_secs(5), "the lease was waited out: {waited:?}");
+    assert!(!stdout(&out).contains("resuming from"), "{}", stdout(&out));
+    assert!(snapshot() == before, "the manifest and disk files are byte-identical");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A degraded checkpoint resumes through the one durable path: the disk
+/// killed at pass 1 is journaled dead with the pass-1 checkpoint, and
+/// the same command rerun re-marks it before the sorter sees the array,
+/// then sorts, verifies and says it ran degraded.  (Two merge passes, so
+/// the rerun's only boundary is the last, where an interrupt stops
+/// nothing.)
+#[test]
+fn a_degraded_checkpoint_resumes_with_its_dead_disk() {
+    let dir = scratch_dir("degraded-resume");
+    let args = [
+        "sort", "--records", "20000", "--d", "4", "--b", "8", "--k", "4", "--algo", "srm",
+        "--backend", "file", "--dir", dir.to_str().unwrap(), "--parity", "--kill-disk", "1@1",
+        "--interrupt-after-pass", "1", "--check-model",
+    ];
+    let out = srm(&args);
+    assert_eq!(out.status.code(), Some(130), "stderr: {}", stderr(&out));
+    assert!(stdout(&out).contains("drill: disk 1 dies permanently after pass 1"), "{}", stdout(&out));
+
+    let out = srm(&args);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("resuming from"), "{text}");
+    assert!(text.contains("manifest records disk 1 dead; resuming degraded"), "{text}");
+    assert!(!text.contains("drill:"), "pass 1 is not run again: {text}");
+    assert!(text.contains("SRM: sorted & verified"), "{text}");
+    assert!(text.contains("degraded: completed with disk(s) [1] dead"), "{text}");
+    assert!(text.contains("model check: clean"), "{text}");
+    assert!(!dir.exists(), "a finished sort removes its directory without --keep");
 }
 
 /// `--algo` is validated with the other flags, before any work or output.
@@ -267,7 +367,7 @@ fn sort_file_backend_names_its_slot_format() {
     ]);
     assert!(out.status.success(), "stderr: {}", stderr(&out));
     assert!(stdout(&out).contains("file backend (staging included): "), "{}", stdout(&out));
-    assert_eq!(std::fs::read(dir.join("pdisk.format")).unwrap(), b"pdisk slot format 2\n");
+    assert_eq!(std::fs::read(dir.join("srm/disks/pdisk.format")).unwrap(), b"pdisk slot format 2\n");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -44,16 +44,14 @@ fn wait_for(mut done: impl FnMut() -> bool, what: &str) {
 fn sort_interrupt_exits_130_and_rerun_resumes() {
     for (algo, records) in [("srm", "2000"), ("dsm", "2001")] {
         let root = scratch(&format!("interrupt-{algo}"));
-        let disks = root.join("disks");
-        let manifest = root.join("manifest");
+        let manifest = root.join(algo).join("manifest");
         let run = |extra: &[&str]| {
             let mut cmd = bin();
             cmd.args([
                 "sort", "--records", records, "--d", "2", "--b", "4", "--m", "96", "--algo", algo,
                 "--backend", "file", "--keep",
             ]);
-            cmd.arg("--dir").arg(&disks);
-            cmd.arg("--resume").arg(&manifest);
+            cmd.arg("--dir").arg(&root);
             cmd.args(extra);
             cmd.output().expect("run srm sort")
         };

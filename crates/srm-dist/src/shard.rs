@@ -34,7 +34,7 @@ use crate::net::{Endpoint, NetSender};
 use crate::split::KeyRange;
 use pdisk::{FaultModel, Geometry, ParitySpec, PdiskError, RetryPolicy, StackSpec, U64Record};
 use srm_core::{SrmError, SrmSorter};
-use srm_server::job::{read_back, sort_durable, DurableSort, DISKS};
+use srm_server::job::{read_back, sort_durable, DurableSort, FileCluster, Sorted, DISKS};
 use srm_server::{Descriptor, JobError, JobSpec};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -247,15 +247,16 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
         geom: plan.geom,
         sorter: &plan.sorter,
         records: &keys,
+        staged: false,
         stage_ms: clock.elapsed().as_millis() as u64,
         stack: shard_stack(plan, true),
         slot: Fenced(fence.clone()),
-        io_delay: plan.io_delay,
+        cluster: &mut FileCluster { io_delay: plan.io_delay },
         oracle: false,
     };
     // A pass boundary is announced, then — before its snapshot — is where
     // a `KillPoint::Pass` drill strikes.
-    let sorted = sort_durable(job, |pass| {
+    let sorted = sort_durable(job, |pass, _| {
         ep.send(plan.coord(), epoch, Msg::Pass { pass });
         if plan.kill == Some(KillPoint::Pass(pass)) {
             plan.strike();
@@ -264,7 +265,7 @@ fn shard_main(plan: &ShardPlan, ep: &Endpoint, epoch: u64, fence: &FenceFlag) ->
         Ok(())
     });
     match sorted {
-        Ok((done, keys)) => answer_fold(plan, ep, epoch, fence, &done, &keys),
+        Ok(Sorted { done, keys, .. }) => answer_fold(plan, ep, epoch, fence, &done, &keys),
         Err(JobError::Engine(msg)) if msg == KILL_SENTINEL => Ok(()),
         Err(e) => Err(e.into()),
     }

@@ -67,7 +67,7 @@ proptest! {
 /// never a plausible report.
 #[test]
 fn a_descriptor_without_timers_reads_zeros_and_a_torn_one_is_refused() {
-    let done = Descriptor { records: 9, ms: ShardMs { stage: 37, sort: 201, verify: 31, check: 4 }, ..Descriptor::empty() };
+    let done = Descriptor { records: 9, ms: ShardMs { stage: 37, sort: 201, verify: 31, check: 4 }, ..Descriptor::default() };
     let text = done.encode();
     let older: String = text.lines().filter(|l| !l.starts_with("ms=")).map(|l| format!("{l}\n")).collect();
     assert_eq!(Descriptor::parse(&older).unwrap().ms, ShardMs::default());

@@ -9,7 +9,7 @@
 use pdisk::{FileDiskArray, InterruptFlag, StackSpec, U64Record};
 use srm_core::{Input, SrmError};
 use srm_dist::{FenceFlag, Fenced};
-use srm_server::job::{sort_durable, DurableSort, DISKS, MANIFEST};
+use srm_server::job::{sort_durable, DurableSort, FileCluster, DISKS, MANIFEST};
 use srm_server::{digest_keys, JobSpec};
 use std::path::Path;
 use std::time::Duration;
@@ -32,13 +32,14 @@ fn a_replacement_resumes_the_manifest_its_predecessor_journals_under_the_lease()
             geom,
             sorter: &sorter,
             records: &records,
+            staged: false,
             stage_ms: 0,
             stack: StackSpec { trace: true, ..StackSpec::default() },
             slot: Fenced(FenceFlag::new()),
-            io_delay: Duration::ZERO,
+            cluster: &mut FileCluster::default(),
             oracle: false,
         };
-        sort_durable(job, |_| Ok(()))
+        sort_durable(job, |_, _| Ok(())).map(|sorted| (sorted.done, sorted.keys))
     };
     let (clean, _) = durable(&root.join("clean")).unwrap();
 

@@ -12,30 +12,33 @@
 //!   key=value encoding shared by the wire protocol and the server's
 //!   durable spec files.  `JobSpec` is the **single construction
 //!   point** for the engine: CLI, chaos harness, and server all call
-//!   [`JobSpec::srm_sorter`] / [`JobSpec::dsm_sorter`] / [`JobSpec::build`],
-//!   and drive the [`SrmSorter`] through its `resume_point` /
-//!   `sort_observed` pair.  A DSM job is the same engine on
-//!   its one wide disk ([`JobSpec::geometry`]);
+//!   [`JobSpec::srm_sorter`] / [`JobSpec::dsm_sorter`] / [`JobSpec::build`].
+//!   A DSM job is the same engine on its one wide disk
+//!   ([`JobSpec::geometry`]);
 //! * [`encode_run`] / [`decode_run`] — a run handle as one line of the
 //!   server's durable job state;
-//! * [`sort_durable`] — the one durable sort in a directory, a `srm
-//!   serve` job's and a distsort shard's alike, which publishes its
-//!   [`Descriptor`] once every check has passed (DESIGN §11.3).
+//! * [`sort_durable`] — the one durable sort in a directory, the one
+//!   driver of the [`SrmSorter`]'s `resume_point` / `sort_from` pair,
+//!   which publishes its [`Descriptor`] once every check has passed
+//!   (DESIGN §11.3): a job's, a shard's, `srm sort`'s and the chaos
+//!   target's.
 //!
 //! Admission control prices a job with [`JobSpec::budget_records`]: the
 //! Definition-3 partition of the job's array at its merge order,
 //! rendered in records.
 
 use analysis::MemoryBudget;
+use modelcheck::CheckSummary;
 use pdisk::manifest::atomic_write;
 use pdisk::{
-    ArrayLease, BuiltStack, DiskArray, FileDiskArray, Geometry, InterruptFlag, Layer, PdiskError, StackSpec,
-    StripedRun, U64Record,
+    ArrayLease, BuiltStack, DiskArray, DiskId, FileDiskArray, Geometry, InterruptFlag, IoStats, Layer, MemDiskArray,
+    PdiskError, StackSpec, StripedRun, TraceEvent, U64Record,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 pub use srm_core::EngineKind;
-use srm_core::{read_run, scrub_runs, Placement, RunFormation, SrmConfig, SrmError, SrmSorter};
+use srm_core::sort::write_unsorted_input;
+use srm_core::{read_run, scrub_runs, Placement, RunFormation, SortReport, SrmConfig, SrmError, SrmSorter};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -513,7 +516,7 @@ const LEASE_WAIT: Duration = Duration::from_secs(5);
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMs {
     /// Deriving the records in hand (a job's generation, a shard's
-    /// partition).  Nothing is written.
+    /// partition), and writing them out for a staged sort.
     pub stage: u64,
     /// The checkpointed sort (of a resumed incarnation: what was left).
     pub sort: u64,
@@ -545,9 +548,9 @@ pub struct Descriptor {
     pub ms: ShardMs,
 }
 
-impl Descriptor {
-    /// The descriptor of an empty input.
-    pub fn empty() -> Self {
+/// The descriptor of an empty input.
+impl Default for Descriptor {
+    fn default() -> Self {
         Descriptor {
             run: None,
             records: 0,
@@ -558,7 +561,9 @@ impl Descriptor {
             ms: ShardMs::default(),
         }
     }
+}
 
+impl Descriptor {
     /// The `done` file's text, in the [`encode_fields`] format.
     pub fn encode(&self) -> String {
         let ShardMs { stage, sort, verify, check } = self.ms;
@@ -579,7 +584,7 @@ impl Descriptor {
     /// stand.  A malformed line is a typed error, never a plausible
     /// wrong answer.
     pub fn parse(text: &str) -> Result<Self, JobError> {
-        let mut done = Descriptor::empty();
+        let mut done = Descriptor::default();
         let mut saw_digest = false;
         for (key, val) in decode_fields(text)? {
             let bad = || JobError::Io(format!("bad descriptor line `{key}={val}`"));
@@ -646,27 +651,17 @@ pub fn read_back<X: Layer<U64Record>>(
     dir: &Path,
     geom: Geometry,
     run: &StripedRun,
-    stack: StackSpec,
+    mut stack: StackSpec,
     slot: X,
     io_delay: Duration,
 ) -> Result<Vec<U64Record>, JobError> {
-    let file = FileDiskArray::on_lease(geom, lease(&dir.join(DISKS))?, false)?;
-    file.set_io_delay(io_delay);
-    Ok(read_run(&mut stack_on(dir, stack, file, slot)?, run)?)
-}
-
-/// `stack` over the cluster `file`, a parity layer's sidecar at
-/// [`PARITY_STORE`].
-fn stack_on<X: Layer<U64Record>>(
-    dir: &Path,
-    mut stack: StackSpec,
-    file: FileDiskArray<U64Record>,
-    slot: X,
-) -> Result<BuiltStack<U64Record, FileDiskArray<U64Record>, X>, JobError> {
+    let mut cluster = FileCluster { io_delay };
+    let lease = cluster.lease(dir)?;
+    let file = cluster.disks(lease, geom, false)?;
     if let Some(parity) = &mut stack.parity {
         parity.store = Some(dir.join(PARITY_STORE));
     }
-    Ok(stack.build(file, slot)?)
+    Ok(read_run(&mut stack.build(file, slot)?, run)?)
 }
 
 /// Take the lease on the cluster at `disks`, retrying `ArrayLocked` for
@@ -683,9 +678,106 @@ fn lease(disks: &Path) -> Result<ArrayLease, JobError> {
     }
 }
 
+/// The disks a durable sort runs on, and what of them outlives one
+/// incarnation of it (DESIGN §11.3).
+pub trait Cluster {
+    /// The backend the stack is built on.
+    type Disks: DiskArray<U64Record>;
+    /// What keeps the manifest and the disks in step while the sort
+    /// reads the one and opens the other.
+    type Lease;
+    /// Take the lease; the manifest is read after it.
+    fn lease(&mut self, dir: &Path) -> Result<Self::Lease, JobError>;
+    /// The disks on `lease`: reopened for a resume, truncated when `fresh`.
+    fn disks(&mut self, lease: Self::Lease, geom: Geometry, fresh: bool) -> Result<Self::Disks, JobError>;
+    /// Take the built stack back, on every exit of the sort after it was
+    /// built, success or error.
+    fn settle<X: Layer<U64Record>>(&mut self, stack: BuiltStack<U64Record, Self::Disks, X>) {
+        drop(stack);
+    }
+    /// The backend's own counters, one line, where it keeps any.
+    fn counters(_disks: &Self::Disks) -> Option<String> {
+        None
+    }
+}
+
+/// The cluster of a job, a shard and `srm sort --backend file`: the disk
+/// files at [`DISKS`], on a lease a fenced predecessor is waited out for.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FileCluster {
+    /// The device time per I/O (DESIGN §14.8).
+    pub io_delay: Duration,
+}
+
+impl Cluster for FileCluster {
+    type Disks = FileDiskArray<U64Record>;
+    type Lease = ArrayLease;
+
+    fn lease(&mut self, dir: &Path) -> Result<ArrayLease, JobError> {
+        lease(&dir.join(DISKS))
+    }
+
+    fn disks(&mut self, lease: ArrayLease, geom: Geometry, fresh: bool) -> Result<Self::Disks, JobError> {
+        let file = FileDiskArray::on_lease(geom, lease, fresh)?;
+        file.set_io_delay(self.io_delay);
+        Ok(file)
+    }
+
+    /// Whether a parallel I/O reached the workers as one event, whether
+    /// read-ahead hints landed, and whether buffers came out of the pool.
+    fn counters(a: &Self::Disks) -> Option<String> {
+        let (q, pf) = (a.queue_stats(), a.prefetch_stats());
+        let pool = a.buffer_pool().map(|p| p.stats()).unwrap_or_default();
+        Some(format!(
+            "{} submissions, {} notifications, {} completion waits; read-ahead {} issued, \
+             {} hit, {} invalidated; pool hit rate {:.4} ({} misses)",
+            q.submissions,
+            q.notifications,
+            q.completion_waits,
+            pf.issued,
+            pf.hits,
+            pf.invalidated,
+            pool.hit_rate().unwrap_or(0.0),
+            pool.misses(),
+        ))
+    }
+}
+
+/// Memory disks: platters that survive from one incarnation to the next
+/// only inside one process (`srm sort --backend mem`, the chaos target's
+/// `mem` backend).
+#[derive(Debug, Default)]
+pub struct MemCluster {
+    platters: Option<MemDiskArray<U64Record>>,
+}
+
+impl Cluster for MemCluster {
+    type Disks = MemDiskArray<U64Record>;
+    type Lease = ();
+
+    fn lease(&mut self, _dir: &Path) -> Result<(), JobError> {
+        Ok(())
+    }
+
+    fn disks(&mut self, (): (), geom: Geometry, fresh: bool) -> Result<Self::Disks, JobError> {
+        if fresh {
+            return Ok(MemDiskArray::new(geom));
+        }
+        self.platters.take().ok_or_else(|| {
+            JobError::Checkpoint(
+                "the checkpoint names runs on memory disks, which died with the process that wrote them".into(),
+            )
+        })
+    }
+
+    fn settle<X: Layer<U64Record>>(&mut self, stack: BuiltStack<U64Record, Self::Disks, X>) {
+        self.platters = Some(stack.into_backend());
+    }
+}
+
 /// One durable sort: what [`sort_durable`] sorts, where and how.
 #[derive(Debug)]
-pub struct DurableSort<'a, X> {
+pub struct DurableSort<'a, X, C> {
     /// The directory (DESIGN §11.3): [`DISKS`], [`PARITY_STORE`],
     /// [`MANIFEST`] and its predecessor, [`DONE`].
     pub dir: &'a Path,
@@ -693,20 +785,50 @@ pub struct DurableSort<'a, X> {
     pub geom: Geometry,
     /// The sorter; every incarnation must build the same one.
     pub sorter: &'a SrmSorter,
-    /// The records in hand, which formation sorts from memory.
+    /// The records in hand.
     pub records: &'a [U64Record],
+    /// Write the records to the disks on a fresh start and form the runs
+    /// from there, the paper's pass 0 (DESIGN §14.9); otherwise formation
+    /// sorts them from memory.
+    pub staged: bool,
     /// What deriving them took, in ms: the descriptor's `stage`.
     pub stage_ms: u64,
     /// The layers over the cluster.  A parity stack's sidecar is
     /// cleared with a fresh cluster; a traced stack is model-checked.
     pub stack: StackSpec,
-    /// The stack's slot layer: `()`, or a shard's fence.
+    /// The stack's slot layer: `()`, a shard's fence, or the chaos
+    /// target's misclassifier.
     pub slot: X,
-    /// The cluster's device time per I/O.
-    pub io_delay: Duration,
+    /// The disks, and what becomes of them between incarnations.
+    pub cluster: &'a mut C,
     /// Check the output against [`oracle_digest`] of the records, which
     /// a helper thread computes while the engine sorts.
     pub oracle: bool,
+}
+
+/// What [`sort_durable`] hands back once it has published.
+#[derive(Debug, Default)]
+pub struct Sorted {
+    /// The published descriptor.
+    pub done: Descriptor,
+    /// The sorted keys, as read back.
+    pub keys: Vec<U64Record>,
+    /// What this incarnation's sort did.
+    pub report: SortReport,
+    /// A traced stack's model check.
+    pub model: Option<CheckSummary>,
+    /// On a resume, the disks the manifest recorded dead; `None` on a
+    /// fresh start.
+    pub resumed: Option<Vec<DiskId>>,
+    /// The disks dead at the end.
+    pub dead: Vec<DiskId>,
+    /// The array's I/O: the sort's and the read-back's.
+    pub io: IoStats,
+    /// The sort's host time (the descriptor keeps whole ms).
+    pub elapsed: Duration,
+    /// The backend's own counters ([`Cluster::counters`]), staging
+    /// included.
+    pub counters: Option<String>,
 }
 
 /// Sort `job.records` durably in `job.dir`, resuming whatever an earlier
@@ -715,114 +837,144 @@ pub struct DurableSort<'a, X> {
 ///
 /// 1. take the cluster's lease, waiting out a predecessor's hold;
 /// 2. read the manifest, once, under the lease;
-/// 3. reopen the cluster for a resume, or truncate it;
+/// 3. reopen the cluster for a resume, re-marking the disks the manifest
+///    records dead, or truncate it — and stage a `staged` input;
 /// 4. scrub the manifest's runs first when a resume runs on parity;
-/// 5. sort, calling `observer(pass)` at every boundary before its
+/// 5. sort, calling `observer(pass, stack)` at every boundary before its
 ///    snapshot (an `Err` stops the sort and comes back);
 /// 6. read the output back and digest it;
 /// 7. replay a traced stack's trace and stats through the model checker,
 ///    and, with `job.oracle`, compare the digest with the oracle's;
 /// 8. publish the descriptor at [`DONE`].
 ///
-/// Returns it with the sorted keys.  Every array handle is dropped on
-/// return, so a successor can take the lease.  An empty input publishes
-/// [`Descriptor::empty`] at once.
-pub fn sort_durable<X: Layer<U64Record>>(
-    job: DurableSort<'_, X>,
-    mut observer: impl FnMut(u64) -> srm_core::Result<()>,
-) -> Result<(Descriptor, Vec<U64Record>), JobError> {
-    let DurableSort { dir, geom, sorter, records, stage_ms, stack, slot, io_delay, oracle } = job;
+/// The stack goes back to the cluster on every exit once it is built.
+/// Every array handle is dropped on return, so a successor can take the
+/// lease.  An empty input publishes [`Descriptor::default`] at once.
+pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
+    job: DurableSort<'_, X, C>,
+    mut observer: impl FnMut(u64, &mut BuiltStack<U64Record, C::Disks, X>) -> srm_core::Result<()>,
+) -> Result<Sorted, JobError> {
+    let DurableSort { dir, geom, sorter, records, staged, stage_ms, mut stack, slot, cluster, oracle } = job;
     let mut ms = ShardMs { stage: stage_ms, ..ShardMs::default() };
+    std::fs::create_dir_all(dir).map_err(|e| JobError::Io(format!("create {}: {e}", dir.display())))?;
     if records.is_empty() {
-        std::fs::create_dir_all(dir).map_err(|e| JobError::Io(format!("create {}: {e}", dir.display())))?;
-        let done = Descriptor { ms, ..Descriptor::empty() };
+        let done = Descriptor { ms, ..Descriptor::default() };
         publish(dir, DONE, &done.encode())?;
-        return Ok((done, Vec::new()));
+        return Ok(Sorted { done, ..Sorted::default() });
     }
-    let held = lease(&dir.join(DISKS))?;
+    let held = cluster.lease(dir)?;
     let manifest = dir.join(MANIFEST);
     let resume = sorter.resume_point(geom, records.len() as u64, &manifest)?;
-    let file = FileDiskArray::on_lease(geom, held, resume.is_none())?;
-    file.set_io_delay(io_delay);
+    let resumed: Option<Vec<DiskId>> =
+        resume.as_ref().map(|m| m.redundancy.iter().flat_map(|r| r.dead.iter().copied()).collect());
+    let disks = cluster.disks(held, geom, resume.is_none())?;
     let parity = stack.parity.is_some();
-    if parity && resume.is_none() {
+    if let Some(spec) = &mut stack.parity {
         let store = dir.join(PARITY_STORE);
-        match std::fs::remove_file(&store) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                return Err(JobError::Io(format!("clear {}: {e}", store.display())));
-            }
-            _ => {}
+        match &resumed {
+            Some(dead) => spec.dead.extend(dead.iter().copied()),
+            None => match std::fs::remove_file(&store) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(JobError::Io(format!("clear {}: {e}", store.display())));
+                }
+                _ => {}
+            },
         }
+        spec.store = Some(store);
     }
-    let traced = stack.trace;
-    let mut array = stack_on(dir, stack, file, slot)?;
-
-    // A resume on parity heals every block its runs lost first; the
-    // scrub's counters and events are dropped, so the sort's stats match
-    // its trace exactly.
-    let mut repaired = 0;
-    if let Some(m) = resume.as_ref().filter(|_| parity) {
-        let scrub = scrub_runs(&mut array, &m.runs)?;
-        if scrub.unrepairable > 0 {
-            return Err(JobError::Checkpoint(format!(
-                "{} block(s) unrepairable even with parity",
-                scrub.unrepairable
-            )));
-        }
-        repaired = scrub.repaired;
-    }
-    array.reset_stats();
-    drop(array.take_trace());
-
+    // A staged input is written through the parity layer alone (so its
+    // sidecar covers it): off the crash clock, the fault ordinals, the
+    // trace and the stats of the sort.
     let clock = Instant::now();
-    let input = srm_core::Input::InMemory(records);
-    let (sorted, expect) = std::thread::scope(|s| {
-        let expect = oracle.then(|| s.spawn(|| oracle_digest(records)));
-        let sorted = sorter.sort_from(&mut array, input, Some(&manifest), resume, |pass, _| observer(pass));
-        (sorted, expect.map(|h| h.join().map_err(|_| JobError::Engine("the oracle's thread panicked".into()))))
-    });
-    let (run, report) = sorted?;
-    let expect = expect.transpose()?;
-    ms.sort = clock.elapsed().as_millis() as u64;
-
-    let clock = Instant::now();
-    let out = read_run(&mut array, &run)?;
-    let digest = digest_keys(out.iter().map(|r| r.0));
-    ms.verify = clock.elapsed().as_millis() as u64;
-
-    let clock = Instant::now();
-    let mut trace_events = 0;
-    if traced {
-        let stats = array.stats();
-        let trace = array.take_trace();
-        trace_events = modelcheck::check_trace(geom, &trace).map_err(|v| JobError::Model(v.to_string()))?.events;
-        modelcheck::check_stats(&trace, &stats).map_err(|v| JobError::Model(format!("trace/stats drift: {v}")))?;
-    }
-    ms.check = clock.elapsed().as_millis() as u64;
-    if let Some(want) = expect.filter(|&want| want != digest) {
-        return Err(JobError::Engine(format!("output digest {digest:#018x} != expected {want:#018x}")));
-    }
-
-    let done = Descriptor {
-        run: Some(run),
-        records: records.len() as u64,
-        digest,
-        passes: report.merge_passes,
-        trace_events,
-        repaired,
-        ms,
+    let (disks, input) = if staged && resume.is_none() {
+        let mut staging = StackSpec { parity: stack.parity.clone(), ..StackSpec::default() }.build(disks, ())?;
+        let run = write_unsorted_input(&mut staging, records)?;
+        (staging.into_backend(), Some(run))
+    } else {
+        (disks, None)
     };
-    publish(dir, DONE, &done.encode())?;
-    Ok((done, out))
+    ms.stage += clock.elapsed().as_millis() as u64;
+    let traced = stack.trace;
+    let mut array = stack.build(disks, slot)?;
+    let sorted = (|| {
+        // A resume on parity heals every block its runs lost first; the
+        // scrub's counters and events are dropped, so the sort's stats
+        // match its trace exactly.
+        let mut repaired = 0;
+        if let Some(m) = resume.as_ref().filter(|_| parity) {
+            let scrub = scrub_runs(&mut array, &m.runs)?;
+            if scrub.unrepairable > 0 {
+                return Err(JobError::Checkpoint(format!(
+                    "{} block(s) unrepairable even with parity",
+                    scrub.unrepairable
+                )));
+            }
+            repaired = scrub.repaired;
+        }
+        array.reset_stats();
+        drop(array.take_trace());
+        // The trace starts on the array as the sort finds it: the checker
+        // learns the disks an earlier incarnation saw die.
+        if let Some(sink) = array.trace_sink() {
+            for disk in array.redundancy().map(|r| r.dead).unwrap_or_default() {
+                sink.emit(TraceEvent::DiskDeath { disk });
+            }
+        }
+
+        let clock = Instant::now();
+        let input = match &input {
+            Some(run) => srm_core::Input::Staged(run),
+            None => srm_core::Input::InMemory(records),
+        };
+        let (sorted, expect) = std::thread::scope(|s| {
+            let expect = oracle.then(|| s.spawn(|| oracle_digest(records)));
+            let sorted = sorter.sort_from(&mut array, input, Some(&manifest), resume, &mut observer);
+            (sorted, expect.map(|h| h.join().map_err(|_| JobError::Engine("the oracle's thread panicked".into()))))
+        });
+        let (run, report) = sorted?;
+        let expect = expect.transpose()?;
+        let elapsed = clock.elapsed();
+        ms.sort = elapsed.as_millis() as u64;
+
+        let clock = Instant::now();
+        let keys = read_run(&mut array, &run)?;
+        let digest = digest_keys(keys.iter().map(|r| r.0));
+        ms.verify = clock.elapsed().as_millis() as u64;
+
+        let clock = Instant::now();
+        let io = array.stats();
+        let mut model = None;
+        if traced {
+            let trace = array.take_trace();
+            model = Some(modelcheck::check_trace(geom, &trace).map_err(|v| JobError::Model(v.to_string()))?);
+            modelcheck::check_stats(&trace, &io).map_err(|v| JobError::Model(format!("trace/stats drift: {v}")))?;
+        }
+        ms.check = clock.elapsed().as_millis() as u64;
+        if let Some(want) = expect.filter(|&want| want != digest) {
+            return Err(JobError::Engine(format!("output digest {digest:#018x} != expected {want:#018x}")));
+        }
+        let done = Descriptor {
+            run: Some(run),
+            records: records.len() as u64,
+            digest,
+            passes: report.merge_passes,
+            trace_events: model.as_ref().map_or(0, |m| m.events),
+            repaired,
+            ms,
+        };
+        // Published under the lease, before the stack goes back.
+        publish(dir, DONE, &done.encode())?;
+        let dead = array.redundancy().map(|r| r.dead).unwrap_or_default();
+        let counters = C::counters(array.backend());
+        Ok(Sorted { done, keys, report, model, resumed, dead, io, elapsed, counters })
+    })();
+    cluster.settle(array);
+    sorted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdisk::MemDiskArray;
-    use std::time::Duration;
-    use srm_core::read_run;
-    use srm_core::sort::write_unsorted_input;
 
     #[test]
     fn spec_roundtrips_through_encoding() {

@@ -12,7 +12,8 @@
 //!   for the engine shared by the CLI, the crash-matrix harness, and this
 //!   server: an `srm_core::SrmSorter`, SRM- or DSM-configured; and
 //!   [`sort_durable`](job::sort_durable), the one durable sort in a
-//!   directory, a job's and a distsort shard's;
+//!   directory: a job's, a distsort shard's, `srm sort`'s and the chaos
+//!   target's;
 //! * [`queue`] — admission control: the Definition-3 memory partition
 //!   (`M/B ≥ 2R + 4D + RD/B`) prices each job, and the server admits
 //!   only combinations whose summed budgets fit the configured `M`;

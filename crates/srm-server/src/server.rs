@@ -34,7 +34,7 @@
 
 use crate::drain::DrainReport;
 use crate::job::{
-    decode_fields, encode_fields, publish, sort_durable, Descriptor, DurableSort, JobError, JobSpec,
+    decode_fields, encode_fields, publish, sort_durable, Descriptor, DurableSort, FileCluster, JobError, JobSpec,
 };
 use crate::queue::Admission;
 use pdisk::manifest::atomic_write;
@@ -248,9 +248,10 @@ struct Job {
 }
 
 impl Job {
-    /// A job in `state`, with its digest and detail (what [`terminal`]
-    /// reads), at no pass yet.
-    fn new(spec: JobSpec, cost: u64, (state, digest, detail): (JobState, Option<u64>, String)) -> Job {
+    /// A job in `state`, with the digest and passes of its descriptor and
+    /// its detail (what [`terminal`] reads); without a descriptor, at no
+    /// pass yet.
+    fn new(spec: JobSpec, cost: u64, (state, done, detail): (JobState, Option<Descriptor>, String)) -> Job {
         Job {
             spec,
             cost,
@@ -258,8 +259,8 @@ impl Job {
             flag: InterruptFlag::new(),
             cancel_requested: false,
             deadline_hit: false,
-            passes: 0,
-            digest,
+            passes: done.as_ref().map_or(0, |d| d.passes),
+            digest: done.map(|d| d.digest),
             detail,
         }
     }
@@ -349,7 +350,7 @@ fn write_fail(dir: &Path, kind: &str, detail: &str) -> Result<(), JobError> {
 /// A job directory's terminal state, from its markers: `fail` first, so
 /// a store whose job failed a check after an older server had already
 /// published its `done` reads as the failure it was.
-fn terminal(dir: &Path) -> (JobState, Option<u64>, String) {
+fn terminal(dir: &Path) -> (JobState, Option<Descriptor>, String) {
     if let Ok(text) = std::fs::read_to_string(dir.join(FAIL)) {
         let fields = decode_fields(&text).unwrap_or_default();
         let field = |k: &str| fields.iter().find(|(key, _)| *key == k).map(|(_, v)| *v);
@@ -361,7 +362,7 @@ fn terminal(dir: &Path) -> (JobState, Option<u64>, String) {
         return (state, None, field("detail").unwrap_or_default().to_string());
     }
     match Descriptor::load(dir) {
-        Ok(Some(done)) => (JobState::Done, Some(done.digest), String::new()),
+        Ok(Some(done)) => (JobState::Done, Some(done), String::new()),
         Ok(None) => (JobState::Queued, None, String::new()),
         Err(e) => (JobState::Failed, None, e.to_string()),
     }
@@ -689,9 +690,10 @@ fn execute(inner: &Arc<Inner>, (id, cost, spec, flag): Claimed) {
             return;
         };
         match result {
-            Ok(digest) => {
+            Ok(done) => {
                 job.state = JobState::Done;
-                job.digest = Some(digest);
+                job.digest = Some(done.digest);
+                job.passes = done.passes;
                 job.detail.clear();
                 marker = None; // `done` was published inside run_job
             }
@@ -727,8 +729,9 @@ fn execute(inner: &Arc<Inner>, (id, cost, spec, flag): Claimed) {
 /// runs on — retries over injected transient faults (a no-op at the
 /// spec's rate 0) over the file cluster — an observer that records each
 /// pass and trips the deadline, and the input's oracle digest as the
-/// last check before `done` is published.  Returns the verified digest.
-fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> Result<u64, JobError> {
+/// last check before `done` is published.  Returns the published
+/// descriptor.
+fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> Result<Descriptor, JobError> {
     let clock = Instant::now();
     let records = spec.input_records();
     let stage_ms = clock.elapsed().as_millis() as u64;
@@ -740,7 +743,7 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
     };
     let started = Instant::now();
     let deadline = spec.deadline_ms.map(Duration::from_millis);
-    let observer = |pass: u64| {
+    let observer = |pass: u64, _: &mut _| {
         let mut st = inner.state.lock();
         if let Some(j) = st.jobs.get_mut(&id) {
             j.passes = pass;
@@ -757,13 +760,14 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> 
         geom: spec.geometry()?,
         sorter: &spec.build(Some(flag)),
         records: &records,
+        staged: false,
         stage_ms,
         stack,
         slot: (),
-        io_delay: inner.cfg.io_delay,
+        cluster: &mut FileCluster { io_delay: inner.cfg.io_delay },
         oracle: true,
     };
-    Ok(sort_durable(job, observer)?.0.digest)
+    Ok(sort_durable(job, observer)?.done)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use pdisk::{FileDiskArray, InterruptFlag, U64Record};
 use srm_core::{Input, RunFormation, SrmError};
 use srm_server::{
-    expected_digest, serve, DrainReport, EngineKind, JobServer, JobSpec, JobState, ServerConfig, SubmitError,
+    expected_digest, serve, Descriptor, DrainReport, EngineKind, JobServer, JobSpec, JobState, ServerConfig, SubmitError,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -585,6 +585,29 @@ fn a_stored_parload_spec_runs_as_load() {
     let s = server.status(1).unwrap();
     assert_eq!((s.state, s.digest), (JobState::Done, Some(expected_digest(&stored))), "{}", s.detail);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A finished job reports the passes its descriptor published, before a
+/// restart and after it: a reopened server reads them from `done`, not
+/// from a pass observer it never ran.
+#[test]
+fn a_finished_job_keeps_its_passes_across_a_restart() {
+    let dir = scratch("passes");
+    let cfg = ServerConfig { workers: 1, ..ServerConfig::new(&dir) };
+    let server = JobServer::open(cfg.clone()).unwrap();
+    let id = server.submit(JobSpec { records: 20_000, ..JobSpec::default() }).unwrap();
+    wait_all_terminal(&server, Duration::from_secs(120));
+    let before = server.status(id).unwrap();
+    server.shutdown();
+    let done = Descriptor::load(&dir.join(format!("job-{id:06}"))).unwrap().expect("the job published");
+    assert!(done.passes > 0, "{done:?}");
+    assert_eq!((before.state, before.passes), (JobState::Done, done.passes), "{}", before.detail);
+
+    let reopened = JobServer::open(cfg).unwrap();
+    let after = reopened.status(id).unwrap();
+    assert_eq!((after.state, after.passes, after.digest), (JobState::Done, done.passes, Some(done.digest)));
+    reopened.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

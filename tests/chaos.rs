@@ -284,3 +284,22 @@ fn a_crash_during_the_verification_read_is_rebooted_through() {
     assert!(rebooted_twice > 0, "no second crash ever fired");
     let _ = std::fs::remove_dir_all(&cfg.scratch);
 }
+
+/// A resume on parity scrubs the checkpoint's runs before it sorts, under
+/// the incarnation's fault model like every read of the sort, so a
+/// transient read fault there is the retry layer's to absorb: this is the
+/// composition seed 7's local campaign drew (crash, then a transient read
+/// inside the resumed incarnation's scrub).
+#[test]
+fn a_transient_read_in_a_resumes_scrub_is_retried() {
+    let cfg = CampaignConfig::new(Target::Local, 7, scratch("scrub-transient"));
+    std::fs::create_dir_all(&cfg.scratch).unwrap();
+    let events = [
+        ChaosEvent::CrashAt { point: 3296 },
+        ChaosEvent::Transient { op: pdisk::FaultOp::Read, ordinal: 273 },
+    ];
+    let outcome = run_trial(&cfg, &events, &cfg.scratch.join("t")).expect("harness ok");
+    assert_eq!(outcome.violation, None);
+    assert_eq!((outcome.attempts, outcome.resumed), (2, 1), "one crash, one resume");
+    let _ = std::fs::remove_dir_all(&cfg.scratch);
+}
