@@ -467,7 +467,8 @@ pub struct MatrixReport {
 /// Crash the configured sort at every `every`-th boundary the dry run
 /// numbers, one `[CrashAt { point: k }]` trial each, and require every
 /// trial to pass the oracle.  `progress(k, points)` is called before
-/// each point; the first violation ends the sweep.
+/// each point; the first violation ends the sweep.  The trials run in
+/// `cfg.scratch/crash-point`, which is removed on every exit.
 pub fn crash_matrix(
     cfg: &CampaignConfig,
     every: usize,
@@ -476,7 +477,7 @@ pub fn crash_matrix(
     let points = dry_run(cfg).map_err(|e| e.to_string())?.points;
     let mut report = MatrixReport { points, ..MatrixReport::default() };
     let dir = cfg.scratch.join("crash-point");
-    for k in (0..points).step_by(every) {
+    let swept = (0..points).step_by(every).try_for_each(|k| {
         progress(k, points);
         let events = [ChaosEvent::CrashAt { point: k }];
         let outcome = crate::run_trial(cfg, &events, &dir).map_err(|e| e.to_string())?;
@@ -489,7 +490,8 @@ pub fn crash_matrix(
         } else {
             report.fresh += 1;
         }
-    }
+        Ok(())
+    });
     let _ = std::fs::remove_dir_all(&dir);
-    Ok(report)
+    swept.map(|()| report)
 }

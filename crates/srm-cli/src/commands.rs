@@ -152,7 +152,9 @@ USAGE:
       crash at boundary K, reboot (only the disks and sidecar files
       survive), recover, and require the chaos oracle: byte-identical
       sorted output, a checker-clean I/O trace, no panic, no wedged
-      recovery and no leaked files.
+      recovery and no leaked files.  The trials run under --dir PATH,
+      which is kept (only what the matrix made in it is removed), or
+      else under a temp directory removed on exit.
 
   srm serve --dir PATH [--port P] [--capacity M] [--workers N]
            [--queue-depth Q] [--io-delay-us U] [--check-model]
@@ -770,12 +772,15 @@ pub fn scrub(flags: &Flags) -> i32 {
 /// `srm crash-matrix`
 pub fn crash_matrix(flags: &Flags) -> i32 {
     use srm_chaos::{local, Backend, CampaignConfig, Target};
+    // A directory the caller named is kept: the matrix removes only what
+    // it made inside it.  The default temp directory goes on every exit.
+    let named = flags.get_str("dir").map(PathBuf::from);
+    let scratch = named.clone().unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("srm-crash-matrix-{}", std::process::id()))
+    });
     let inner = || -> Result<(), String> {
-        let scratch = flags.get_str("dir").map(PathBuf::from).unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("srm-crash-matrix-{}", std::process::id()))
-        });
         // The campaign seed draws no schedule here: the matrix enumerates.
-        let mut cfg = CampaignConfig::new(Target::Local, 0, scratch);
+        let mut cfg = CampaignConfig::new(Target::Local, 0, scratch.clone());
         cfg.records = flags.get_or("records", 600)?;
         cfg.d = flags.get_or("d", 4)?;
         cfg.b = flags.get_or("b", 4)?;
@@ -816,10 +821,13 @@ pub fn crash_matrix(flags: &Flags) -> i32 {
             report.resumed,
             report.fresh,
         );
-        let _ = std::fs::remove_dir_all(&cfg.scratch);
         Ok(())
     };
-    match inner() {
+    let result = inner();
+    if named.is_none() {
+        let _ = std::fs::remove_dir_all(&scratch);
+    }
+    match result {
         Ok(()) => 0,
         Err(e) => fail(e),
     }

@@ -261,6 +261,33 @@ fn an_interrupted_mem_sort_leaves_no_temporary_directory() {
     let _ = std::fs::remove_dir_all(&tmp);
 }
 
+/// `srm crash-matrix --dir D` keeps `D` and what the caller put there,
+/// removing only what the matrix made; without `--dir` its temporary
+/// directory goes.
+#[test]
+fn crash_matrix_keeps_a_named_dir_and_removes_its_temp_dir() {
+    let tmp = scratch_dir("matrix-tmp");
+    let named = tmp.join("named");
+    std::fs::create_dir_all(&named).unwrap();
+    std::fs::write(named.join("precious.txt"), "keep me").unwrap();
+    let matrix = ["crash-matrix", "--records", "200", "--d", "2", "--b", "4"];
+    let out = srm(&[&matrix[..], &["--dir", named.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let left: Vec<_> = std::fs::read_dir(&named).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left, ["precious.txt"], "the named dir holds only the caller's file");
+    std::fs::remove_dir_all(&named).unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_srm"))
+        .args(matrix)
+        .env("TMPDIR", &tmp)
+        .output()
+        .expect("spawn srm binary");
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let left: Vec<_> = std::fs::read_dir(&tmp).unwrap().map(|e| e.unwrap().path()).collect();
+    assert!(left.is_empty(), "left behind: {left:?}");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
 /// A sort on the file backend takes its cluster's lease before it reads
 /// its manifest: a second sort over a held directory that holds a
 /// checkpoint waits the lease out, then fails typed, and touches neither

@@ -185,8 +185,8 @@ pub struct JobSpec {
 }
 
 /// Pipelined with forecast read-ahead 3 — the window every wall-clock
-/// figure of the repo is measured at (`BENCH_pipeline.json`'s headline,
-/// srmbench's sort and serve workloads) — so a `SUBMIT` without a
+/// figure of the repo is measured at (srmbench's sort, serve and
+/// distsort workloads) — so a `SUBMIT` without a
 /// `pipeline` key, a distsort shard and `srm distsort` without flags all
 /// overlap their I/O.  The window never changes the I/O schedule, the
 /// output or the [`pdisk::IoStats`] (DESIGN.md §9), so `pipeline=0` stays

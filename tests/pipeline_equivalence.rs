@@ -639,11 +639,18 @@ fn checkpoint_resume_equivalent() {
 fn dsm_equivalent() {
     // DSM is the engine on one wide disk — (3, 4, 120) as one disk of
     // 12-record blocks — so its sweep, read-ahead depths included, is
-    // the same contract.
+    // the same contract, on the eager memory backend and on the file
+    // backend, whose split-phase reads complete on worker threads.
     let wide = Geometry::new(1, 12, 120).unwrap();
     let data = random_records(3000, 0xE8);
-    assert_window_invariant("dsm", &data, |w| {
-        let dsm = w.srm(SrmConfig::default()).with_engine(EngineKind::Dsm);
-        outcome_of(dsm, MemDiskArray::<U64Record>::new(wide), &data, w).0
+    let dsm = |w: Window| w.srm(SrmConfig::default()).with_engine(EngineKind::Dsm);
+    assert_window_invariant("dsm mem", &data, |w| {
+        outcome_of(dsm(w), MemDiskArray::<U64Record>::new(wide), &data, w).0
     });
+    let dir = unique_dir("dsm-file");
+    assert_window_invariant("dsm file", &data, |w| {
+        let file = FileDiskArray::<U64Record>::create(wide, dir.join(w.slug())).unwrap();
+        outcome_of(dsm(w), file, &data, w).0
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
