@@ -223,7 +223,7 @@ USAGE:
       keys onto the global digest the shards before it carried, checking
       the order of every key, so no key crosses to the coordinator.  A
       shard forms its runs from the partition it holds in memory, so
-      it never writes its input to disk only to read it back.  Its sort and digest read-back keep their I/O in flight:
+      it never writes its input to disk only to read it back.  Its sort keeps its I/O in flight:
       without either window flag the sort runs pipelined at
       read-ahead 3 (the job default); --pipeline [--read-ahead K] picks
       the depth as for `srm sort`, and --read-ahead 0 alone asks for
@@ -234,7 +234,9 @@ USAGE:
       moved than half-memory loads even for runs of M - 4DB records,
       and sorts half-memory loads otherwise.  Per shard the report prints its
       formation (load or rs), its passes, and where its time went
-      (stage = deriving the partition / sort / verify / check ms).
+      (stage = deriving the partition / sort / verify = digesting the
+      output the last merge kept as it wrote it, or, under --parity,
+      the output read back / check ms).
       Shards are threads by default; --procs runs each as a real `srm`
       child process, driven by the same coordinator over its stdin and
       stdout.  A heartbeat failure detector (--heartbeat-ms /
@@ -533,7 +535,7 @@ pub fn sort(flags: &Flags) -> i32 {
                 let ids: Vec<u32> = sorted.dead.iter().map(|d| d.0).collect();
                 println!("  degraded: completed with disk(s) {ids:?} dead; output identical to the failure-free run");
             }
-            println!("  I/O (sort only): {}", sorted.io);
+            println!("  I/O (sort only): {}", sorted.report.io);
             if let Some(line) = &sorted.counters {
                 println!("  file backend (staging included): {line}");
             }

@@ -173,16 +173,18 @@ pub fn merge_runs<R: Record, A: DiskArray<R>>(
     runs: &[StripedRun],
     out_start_disk: DiskId,
 ) -> Result<MergeOutcome> {
-    merge_runs_overlapped(array, runs, out_start_disk, Overlap::None)
+    merge_runs_overlapped(array, runs, out_start_disk, Overlap::None, false).map(|(out, _)| out)
 }
 
-/// [`merge_runs`] under the given window.
+/// [`merge_runs`] under the given window; with `keep`, the output run's
+/// records too ([`RunWriter::keeping`]).
 pub(crate) fn merge_runs_overlapped<R: Record, A: DiskArray<R>>(
     array: &mut A,
     runs: &[StripedRun],
     out_start_disk: DiskId,
     overlap: Overlap,
-) -> Result<MergeOutcome> {
+    keep: bool,
+) -> Result<(MergeOutcome, Option<Vec<R>>)> {
     let geom = array.geometry();
     if runs.is_empty() {
         return Err(SrmError::Config("merge of zero runs".into()));
@@ -230,7 +232,9 @@ pub(crate) fn merge_runs_overlapped<R: Record, A: DiskArray<R>>(
         sched: Scheduler::new(runs.len(), geom.d, geom.fetch_pool(runs.len())),
         tree: LoserTree::new(vec![u64::MAX; runs.len()]),
         buffers: HashMap::new(),
-        writer: RunWriter::new(geom, out_start_disk).write_behind(overlap.pipelined()),
+        writer: RunWriter::new(geom, out_start_disk)
+            .write_behind(overlap.pipelined())
+            .keeping(keep.then(|| runs.iter().map(|r| r.records).sum())),
         in_flight: None,
         overlap,
         pool: array.buffer_pool().cloned(),
@@ -610,7 +614,7 @@ impl<R: Record> Merger<'_, R> {
 
     /// Run the merge to completion, quiescing in-flight tickets if the
     /// main loop errors.
-    fn run_to_completion<A: DiskArray<R>>(mut self, array: &mut A) -> Result<MergeOutcome> {
+    fn run_to_completion<A: DiskArray<R>>(mut self, array: &mut A) -> Result<(MergeOutcome, Option<Vec<R>>)> {
         if let Err(e) = self.main_loop(array) {
             // Quiesce before unwinding: abandon split-phase tickets
             // without touching the (possibly crashed) array.  The ops
@@ -729,27 +733,24 @@ impl<R: Record> Merger<'_, R> {
         }
     }
 
-    fn finish_merge<A: DiskArray<R>>(self, array: &mut A) -> Result<MergeOutcome> {
+    fn finish_merge<A: DiskArray<R>>(self, array: &mut A) -> Result<(MergeOutcome, Option<Vec<R>>)> {
         debug_assert!(self.buffers.is_empty(), "leftover buffered blocks");
         debug_assert!(self.sched.fds().is_empty(), "unread blocks at completion");
         self.sched.assert_capacities();
         let records_out = self.writer.records();
         let runs_merged = self.runs.len();
         let schedule = self.sched.stats();
-        let writer = self.writer;
-        let run = writer.finish(array)?;
+        let (run, kept) = self.writer.finish_kept(array)?;
         if let Some(sink) = &self.trace {
             sink.emit(TraceEvent::MergeEnd);
         }
-        Ok(MergeOutcome {
-            stats: MergeStats {
-                schedule,
-                write_ops: run.len_blocks.div_ceil(self.geom.d as u64),
-                records_out,
-                runs_merged,
-            },
-            run,
-        })
+        let stats = MergeStats {
+            schedule,
+            write_ops: run.len_blocks.div_ceil(self.geom.d as u64),
+            records_out,
+            runs_merged,
+        };
+        Ok((MergeOutcome { stats, run }, kept))
     }
 }
 
@@ -925,9 +926,11 @@ mod tests {
                 .map(|(keys, &s)| put_run(&mut a, geom, s, keys))
                 .collect();
             a.reset_stats();
-            let out = merge_runs_overlapped(&mut a, &handles, DiskId(0), overlap).unwrap();
+            let (out, kept) = merge_runs_overlapped(&mut a, &handles, DiskId(0), overlap, true).unwrap();
             let io = a.stats();
-            let keys: Vec<u64> = read_run(&mut a, &out.run).unwrap().iter().map(|r| r.0).collect();
+            let back = read_run(&mut a, &out.run).unwrap();
+            assert_eq!(kept.as_deref(), Some(&back[..]), "{ctx} {overlap:?}: the kept copy is the run");
+            let keys: Vec<u64> = back.iter().map(|r| r.0).collect();
             (keys, out.stats, io)
         };
         let blocking = drive(WINDOWS[0]);

@@ -15,7 +15,6 @@
 //! for the run's start disk — we implant the off-by-one-corrected set, the
 //! same `D` keys of storage.  DESIGN.md §3 records this deviation.)
 
-use crate::key::RunId;
 use pdisk::trace::TraceEvent;
 use pdisk::block::NO_BLOCK;
 use pdisk::window::WriteBehind;
@@ -51,10 +50,12 @@ pub struct RunWriter<R: Record> {
     base_offsets: Vec<Option<u64>>,
     records: u64,
     last_key: Option<u64>,
-    stripes_written: u64,
     finished: bool,
     /// Stripe writes in flight.
     behind: WriteBehind,
+    /// A copy of every block enqueued, when the caller keeps the run
+    /// ([`RunWriter::keeping`]).
+    kept: Option<Vec<R>>,
 }
 
 impl<R: Record> RunWriter<R> {
@@ -72,9 +73,9 @@ impl<R: Record> RunWriter<R> {
             base_offsets: vec![None; geom.d],
             records: 0,
             last_key: None,
-            stripes_written: 0,
             finished: false,
             behind: WriteBehind::new(0),
+            kept: None,
         }
     }
 
@@ -86,6 +87,13 @@ impl<R: Record> RunWriter<R> {
     /// flight ([`WriteBehind`]).
     pub(crate) fn write_behind(mut self, on: bool) -> Self {
         self.behind = WriteBehind::new(if on { pdisk::WRITE_BEHIND_LIMIT } else { 0 });
+        self
+    }
+
+    /// With `Some(records)`, keep a copy of the records the run's stripes
+    /// carry, block by block as each is enqueued, for [`RunWriter::finish_kept`].
+    pub(crate) fn keeping(mut self, records: Option<u64>) -> Self {
+        self.kept = records.map(|n| Vec::with_capacity(n as usize));
         self
     }
 
@@ -125,6 +133,9 @@ impl<R: Record> RunWriter<R> {
 
     fn enqueue_block(&mut self, block: Vec<R>) {
         debug_assert!(!block.is_empty());
+        if let Some(kept) = &mut self.kept {
+            kept.extend_from_slice(&block);
+        }
         self.pending_min_keys.push_back(block[0].key());
         self.pending.push_back(block);
     }
@@ -180,7 +191,6 @@ impl<R: Record> RunWriter<R> {
             ));
         }
         self.behind.submit(array, writes)?;
-        self.stripes_written += 1;
         Ok(())
     }
 
@@ -195,16 +205,17 @@ impl<R: Record> RunWriter<R> {
         self.records
     }
 
-    /// Parallel write operations issued so far.
-    pub fn stripes_written(&self) -> u64 {
-        self.stripes_written
-    }
-
     /// Flush everything and return the run's layout.
     ///
     /// # Panics
     /// Panics if no records were pushed (empty runs are never written).
-    pub fn finish<A: DiskArray<R>>(mut self, array: &mut A) -> Result<StripedRun, PdiskError> {
+    pub fn finish<A: DiskArray<R>>(self, array: &mut A) -> Result<StripedRun, PdiskError> {
+        self.finish_kept(array).map(|(run, _)| run)
+    }
+
+    /// [`RunWriter::finish`], handing back the records a
+    /// [`RunWriter::keeping`] writer kept (`None` otherwise).
+    pub(crate) fn finish_kept<A: DiskArray<R>>(mut self, array: &mut A) -> pdisk::Result<(StripedRun, Option<Vec<R>>)> {
         assert!(self.records > 0, "refusing to write an empty run");
         self.finished = true;
         if !self.cur.is_empty() {
@@ -222,7 +233,7 @@ impl<R: Record> RunWriter<R> {
                 len_blocks,
             });
         }
-        Ok(StripedRun {
+        let run = StripedRun {
             start_disk: self.start_disk,
             len_blocks,
             records: self.records,
@@ -231,12 +242,10 @@ impl<R: Record> RunWriter<R> {
                 .iter()
                 .map(|o| o.unwrap_or(0))
                 .collect(),
-        })
+        };
+        Ok((run, self.kept))
     }
 }
-
-/// Identifier newtype re-export for writer users.
-pub type OutputRunId = RunId;
 
 #[cfg(test)]
 mod tests {

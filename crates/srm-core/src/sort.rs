@@ -444,7 +444,7 @@ impl SrmSorter {
     /// resume rule ─► formation ─► ┌ observer ─► sync ─► journaled snapshot ┐
     ///                             │      └──────── boundary p ─────────────┤
     ///                             │ interrupt check ─► merge pass p+1 ─────┘
-    ///                             └► one run left: retire the manifest
+    ///                             └► one run left: sync, retire the manifest
     /// ```
     ///
     /// Between boundaries the observer may have mutated the array (a disk
@@ -464,21 +464,24 @@ impl SrmSorter {
             Some(path) => self.resume_point(array.geometry(), input.records(), path)?,
             None => None,
         };
-        self.sort_from(array, input, manifest, resume, observer)
+        self.sort_from(array, input, manifest, resume, false, observer).map(|(sorted, report, _)| (sorted, report))
     }
 
     /// [`SrmSorter::sort_observed`] from a `resume` point the caller has
     /// already read: what [`SrmSorter::resume_point`] returned for
     /// `manifest`, read once, under whatever keeps the manifest and the
     /// array in step (a durable job's array lease).
+    /// With `keep_output`, the merge that leaves one run also hands back
+    /// the records it wrote; `None` when no such merge ran in this call.
     pub fn sort_from<'i, R: Record, A: DiskArray<R>>(
         &self,
         array: &mut A,
         input: impl Into<Input<'i, R>>,
         manifest: Option<&Path>,
         resume: Option<SortManifest>,
+        keep_output: bool,
         mut observer: impl FnMut(u64, &mut A) -> Result<()>,
-    ) -> Result<(StripedRun, SortReport)> {
+    ) -> Result<(StripedRun, SortReport, Option<Vec<R>>)> {
         let input = input.into();
         let geometry = array.geometry();
         let records = input.records();
@@ -513,7 +516,7 @@ impl SrmSorter {
         };
 
         let overlap = Overlap::new(self.pipeline, self.read_ahead);
-        let (mut merges, mut schedule) = (0, ScheduleStats::default());
+        let (mut merges, mut schedule, mut kept) = (0, ScheduleStats::default(), None);
         loop {
             if completed_here {
                 observer(pass, array)?;
@@ -553,8 +556,11 @@ impl SrmSorter {
             // The head waits this pass out; a resumed queue is planned
             // like any other.
             let mut next = queue[..plan.untouched].to_vec();
+            // A pass that leaves one run is one merge: the output's.
+            let keep = keep_output && plan.runs_after() == 1;
             for group in plan.groups(merge_order) {
-                let out = merge_runs_overlapped(array, &queue[group], placer.next(), overlap)?;
+                let (out, records) = merge_runs_overlapped(array, &queue[group], placer.next(), overlap, keep)?;
+                kept = records;
                 merges += 1;
                 accumulate(&mut schedule, &out.stats);
                 next.push(out.run);
@@ -567,6 +573,8 @@ impl SrmSorter {
             .ok_or_else(|| SrmError::Internal("merge queue drained to empty".into()))?;
         debug_assert_eq!(sorted.records, records);
         if let Some(path) = manifest {
+            // The output is durable before the caller's `done` names it.
+            array.sync()?;
             SortManifest::remove(path)?;
         }
         let report = SortReport {
@@ -579,7 +587,7 @@ impl SrmSorter {
             schedule,
             io: array.stats().since(&io_before),
         };
-        Ok((sorted, report))
+        Ok((sorted, report, kept))
     }
 
     /// Journal `snapshot` to `path`.  Durability barrier first: every

@@ -31,7 +31,7 @@ use analysis::MemoryBudget;
 use modelcheck::CheckSummary;
 use pdisk::manifest::atomic_write;
 use pdisk::{
-    ArrayLease, BuiltStack, DiskArray, DiskId, FileDiskArray, Geometry, InterruptFlag, IoStats, Layer, MemDiskArray,
+    ArrayLease, BuiltStack, DiskArray, DiskId, FileDiskArray, Geometry, InterruptFlag, Layer, MemDiskArray,
     PdiskError, StackSpec, StripedRun, TraceEvent, U64Record,
 };
 use rand::rngs::SmallRng;
@@ -510,9 +510,9 @@ pub const DONE: &str = "done";
 /// predecessor still holding the array releases it when it drops it.
 const LEASE_WAIT: Duration = Duration::from_secs(5);
 
-/// Where one durable sort's wall-clock went, in milliseconds.  The I/O
-/// phases are split-phase on a file cluster: the sort runs at the
-/// sorter's window, the verification read keeps a few stripes in flight.
+/// Where one durable sort's wall-clock went, in milliseconds.  The sort
+/// runs at the sorter's window; a verification read, where one runs,
+/// keeps a few stripes in flight.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMs {
     /// Deriving the records in hand (a job's generation, a shard's
@@ -520,7 +520,7 @@ pub struct ShardMs {
     pub stage: u64,
     /// The checkpointed sort (of a resumed incarnation: what was left).
     pub sort: u64,
-    /// Reading the output back and digesting it.
+    /// Digesting the output, kept by the last merge or read back (step 6).
     pub verify: u64,
     /// Replaying the trace through the model checker.
     pub check: u64,
@@ -811,9 +811,9 @@ pub struct DurableSort<'a, X, C> {
 pub struct Sorted {
     /// The published descriptor.
     pub done: Descriptor,
-    /// The sorted keys, as read back.
+    /// The sorted keys, as the last merge wrote them or read back (step 6).
     pub keys: Vec<U64Record>,
-    /// What this incarnation's sort did.
+    /// What this incarnation's sort did; its `io` is the sort's alone.
     pub report: SortReport,
     /// A traced stack's model check.
     pub model: Option<CheckSummary>,
@@ -822,8 +822,6 @@ pub struct Sorted {
     pub resumed: Option<Vec<DiskId>>,
     /// The disks dead at the end.
     pub dead: Vec<DiskId>,
-    /// The array's I/O: the sort's and the read-back's.
-    pub io: IoStats,
     /// The sort's host time (the descriptor keeps whole ms).
     pub elapsed: Duration,
     /// The backend's own counters ([`Cluster::counters`]), staging
@@ -842,7 +840,10 @@ pub struct Sorted {
 /// 4. scrub the manifest's runs first when a resume runs on parity;
 /// 5. sort, calling `observer(pass, stack)` at every boundary before its
 ///    snapshot (an `Err` stops the sort and comes back);
-/// 6. read the output back and digest it;
+/// 6. digest the output: the records the last merge kept as it wrote
+///    them, or the run read back — on a stack with a fault injector or a
+///    crash clock, whose oracles look for lost, torn or corrupted writes
+///    on the disks, and when no merge ran in this call;
 /// 7. replay a traced stack's trace and stats through the model checker,
 ///    and, with `job.oracle`, compare the digest with the oracle's;
 /// 8. publish the descriptor at [`DONE`].
@@ -895,6 +896,7 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
     };
     ms.stage += clock.elapsed().as_millis() as u64;
     let traced = stack.trace;
+    let tap = stack.faults.is_none() && stack.crash.is_none();
     let mut array = stack.build(disks, slot)?;
     let sorted = (|| {
         // A resume on parity heals every block its runs lost first; the
@@ -928,16 +930,16 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
         };
         let (sorted, expect) = std::thread::scope(|s| {
             let expect = oracle.then(|| s.spawn(|| oracle_digest(records)));
-            let sorted = sorter.sort_from(&mut array, input, Some(&manifest), resume, &mut observer);
+            let sorted = sorter.sort_from(&mut array, input, Some(&manifest), resume, tap, &mut observer);
             (sorted, expect.map(|h| h.join().map_err(|_| JobError::Engine("the oracle's thread panicked".into()))))
         });
-        let (run, report) = sorted?;
+        let (run, report, kept) = sorted?;
         let expect = expect.transpose()?;
         let elapsed = clock.elapsed();
         ms.sort = elapsed.as_millis() as u64;
 
         let clock = Instant::now();
-        let keys = read_run(&mut array, &run)?;
+        let keys = kept.map_or_else(|| read_run(&mut array, &run), Ok)?;
         let digest = digest_keys(keys.iter().map(|r| r.0));
         ms.verify = clock.elapsed().as_millis() as u64;
 
@@ -966,7 +968,7 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
         publish(dir, DONE, &done.encode())?;
         let dead = array.redundancy().map(|r| r.dead).unwrap_or_default();
         let counters = C::counters(array.backend());
-        Ok(Sorted { done, keys, report, model, resumed, dead, io, elapsed, counters })
+        Ok(Sorted { done, keys, report, model, resumed, dead, elapsed, counters })
     })();
     cluster.settle(array);
     sorted

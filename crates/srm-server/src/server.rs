@@ -725,18 +725,18 @@ fn execute(inner: &Arc<Inner>, (id, cost, spec, flag): Claimed) {
     }
 }
 
-/// Sort the job durably in its directory: the protected stack every job
-/// runs on — retries over injected transient faults (a no-op at the
-/// spec's rate 0) over the file cluster — an observer that records each
-/// pass and trips the deadline, and the input's oracle digest as the
-/// last check before `done` is published.  Returns the published
-/// descriptor.
+/// Sort the job durably in its directory: retries over the file cluster,
+/// with the fault injector under them only at a nonzero rate (without
+/// it the output is digested as the last merge writes it), an observer
+/// that records each pass and trips the deadline, and the input's
+/// oracle digest as the last check before `done` is published.  Returns
+/// the published descriptor.
 fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> Result<Descriptor, JobError> {
     let clock = Instant::now();
     let records = spec.input_records();
     let stage_ms = clock.elapsed().as_millis() as u64;
     let stack = StackSpec {
-        faults: Some(FaultModel::random(spec.fault_seed).with_rate(spec.fault_rate)),
+        faults: (spec.fault_rate > 0.0).then(|| FaultModel::random(spec.fault_seed).with_rate(spec.fault_rate)),
         retry: Some(inner.cfg.retry),
         trace: inner.cfg.check_model,
         ..StackSpec::default()

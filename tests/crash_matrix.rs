@@ -165,13 +165,25 @@ fn dry_run_point_counts_are_pinned() {
 /// first manifest generation is renamed into place finds no checkpoint
 /// and restarts fresh; every later one finds it (or its `.prev`).  So
 /// the fresh count is the first resuming point.
+///
+/// Past the last boundary, which ends the dry run's count, the sort makes
+/// its output durable (`sync`, `sync-done`) before it retires the
+/// manifest, so a crash at either resumes; the next boundary, the
+/// read-back's first, finds the manifest gone and sorts afresh.
 #[test]
 fn resumed_fresh_splits_are_pinned() {
     for (tag, parity, (points, first_resumed)) in [("split", false, PLAIN), ("split-par", true, PARITY)] {
         let cfg = config(tag, false, parity, Backend::Mem);
         std::fs::create_dir_all(&cfg.scratch).unwrap();
         let dir = cfg.scratch.join("t");
-        for (k, resumes) in [(first_resumed - 1, false), (first_resumed, true), (points - 1, true)] {
+        for (k, resumes) in [
+            (first_resumed - 1, false),
+            (first_resumed, true),
+            (points - 1, true),
+            (points, true),
+            (points + 1, true),
+            (points + 2, false),
+        ] {
             let outcome = run_trial(&cfg, &[ChaosEvent::CrashAt { point: k }], &dir).unwrap();
             assert_eq!(outcome.violation, None, "{tag}: crash point {k}");
             assert_eq!(outcome.resumed > 0, resumes, "{tag}: crash point {k}");
