@@ -172,7 +172,7 @@ fn srm_checkpoint_resume_is_checker_clean() {
 
     // Session 2: resume from the manifest and finish.
     let (_, report) = SrmSorter::default()
-        .sort_checkpointed(&mut a, &input, &manifest)
+        .sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(()))
         .unwrap();
     assert_eq!(report.merge_passes, 3, "whole-sort pass count");
     let second = a.take_trace();

@@ -80,13 +80,6 @@ impl<R: Record> Block<R> {
         self.records.first().expect("non-empty block").key()
     }
 
-    /// Largest key in the block.
-    #[inline]
-    #[expect(clippy::expect_used, reason = "documented # Panics contract")]
-    pub fn max_key(&self) -> u64 {
-        self.records.last().expect("non-empty block").key()
-    }
-
     /// Number of records currently held.
     #[inline]
     pub fn len(&self) -> usize {
@@ -110,10 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_len() {
+    fn min_len() {
         let b = blk(&[3, 5, 9]);
         assert_eq!(b.min_key(), 3);
-        assert_eq!(b.max_key(), 9);
         assert_eq!(b.len(), 3);
         assert!(!b.is_empty());
     }

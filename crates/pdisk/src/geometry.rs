@@ -149,12 +149,6 @@ impl Geometry {
         rest.min(r + self.d)
     }
 
-    /// `ceil(n / B)`: blocks needed to hold `n` records.
-    #[inline]
-    pub fn blocks_for_records(&self, n: usize) -> usize {
-        n.div_ceil(self.b)
-    }
-
     /// Validate that a set of addresses touches each disk at most once and
     /// that every disk index is in range — the defining constraint of one
     /// parallel I/O operation in the model.
@@ -264,14 +258,5 @@ mod tests {
             g.check_parallel_op([DiskId(3)].into_iter()),
             Err(PdiskError::NoSuchDisk(DiskId(3)))
         ));
-    }
-
-    #[test]
-    fn blocks_for_records_rounds_up() {
-        let g = Geometry::new(2, 10, 1000).unwrap();
-        assert_eq!(g.blocks_for_records(0), 0);
-        assert_eq!(g.blocks_for_records(1), 1);
-        assert_eq!(g.blocks_for_records(10), 1);
-        assert_eq!(g.blocks_for_records(11), 2);
     }
 }

@@ -37,8 +37,8 @@
 //!   (`RetryingDiskArray<R, A>` = `Stack<R, Retrying, A>`);
 //! * [`faulty`] / [`retry`] — the fault-tolerance layer: a scriptable
 //!   transient/permanent fault model ([`FaultModel`]) and a bounded-retry
-//!   wrapper ([`RetryingDiskArray`]) that absorbs transient faults with
-//!   simulated backoff while counting retries in [`IoStats`];
+//!   wrapper ([`RetryingDiskArray`]) that absorbs transient faults by
+//!   re-issuing them while counting retries in [`IoStats`];
 //! * [`parity`] — single-disk-failure tolerance: [`ParityDiskArray`] adds
 //!   RAID-5-style rotating parity over any backend and serves a dead
 //!   disk's blocks by reconstruction (degraded mode);

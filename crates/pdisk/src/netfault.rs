@@ -149,16 +149,6 @@ impl NetFaultModel {
         self
     }
 
-    /// True if any configured fault source could fire (lets callers skip
-    /// bookkeeping entirely on the fault-free path).
-    pub fn is_active(&self) -> bool {
-        self.drop_rate > 0.0
-            || self.dup_rate > 0.0
-            || self.delay_rate > 0.0
-            || !self.scripted.is_empty()
-            || !self.partitions.is_empty()
-    }
-
     /// True if a `src → dst` message at `global_ordinal` crosses an open
     /// partition boundary.
     pub fn partitioned(&self, src: u32, dst: u32, global_ordinal: u64) -> bool {
@@ -230,7 +220,6 @@ mod tests {
         for i in 0..100 {
             assert_eq!(m.decide(0, 1, i, i), Delivery::Deliver);
         }
-        assert!(!m.is_active());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bounded retry with simulated backoff.
+//! Bounded retry.
 //!
 //! [`RetryingDiskArray`] wraps any backend and transparently re-issues
 //! operations that fail with a *retryable* error (see
@@ -8,10 +8,9 @@
 //! returns [`PdiskError::RetriesExhausted`] carrying the final
 //! attempt's error as its `source()`.
 //!
-//! Backoff is *simulated*: instead of sleeping, the wrapper accrues the
-//! wait it would have performed into [`RetryingDiskArray::total_backoff`]
-//! — experiments stay fast and deterministic while recovery cost remains
-//! measurable.
+//! A re-issue follows its failure at once: the wrapper never sleeps.  The
+//! policy's backoff schedule ([`RetryPolicy::jittered_backoff`]) times
+//! the distributed sort's real resend waits.
 //! Retry counts are folded into the [`IoStats`] this wrapper reports,
 //! per operation kind (`read_retries` / `write_retries` /
 //! `alloc_retries`, and the matching `*_exhausted` give-up counters),
@@ -29,14 +28,13 @@ use crate::stats::IoStats;
 use crate::trace::TraceEvent;
 use std::time::Duration;
 
-/// Jitter applied to the simulated backoff schedule.
+/// Jitter applied to the backoff schedule.
 ///
 /// `Full` implements "full jitter": each wait is drawn uniformly from
 /// `[0, capped_backoff]`.  The draw is a pure hash of `(seed, issue
-/// counter)`, so a fixed operation sequence always accrues the same
-/// backoff — the policy stays `Copy` and experiments stay replayable,
-/// while concurrent tenants with different seeds desynchronise their
-/// retry storms.
+/// counter)`, so a fixed sequence of retries always waits the same — the
+/// policy stays `Copy` and runs stay replayable, while concurrent tenants
+/// with different seeds desynchronise their retry storms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Jitter {
     /// Deterministic schedule: wait exactly the capped exponential value.
@@ -49,52 +47,33 @@ pub enum Jitter {
     },
 }
 
-/// Default ceiling on a single simulated backoff wait: high enough that
-/// the historical 4-attempt/1 ms default schedule is unaffected, low
-/// enough that misconfigured long schedules cannot accrue unbounded
-/// virtual waits.
+/// Ceiling on a single backoff wait: the doubling schedule saturates
+/// here, so a caller's `timeout + jittered_backoff` cannot overflow.
 pub const DEFAULT_BACKOFF_CAP: Duration = Duration::from_secs(10);
 
-/// How many times to try, and how long to (virtually) wait in between.
+/// How many times to try, and how long to wait in between.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Total attempts per operation, including the first; at least 1.
     pub max_attempts: u32,
-    /// Simulated wait before the first retry.
+    /// Wait before the first retry; each later one doubles it, up to
+    /// [`DEFAULT_BACKOFF_CAP`].
     pub base_backoff: Duration,
-    /// Factor applied to the wait after each failed retry (exponential
-    /// backoff when `> 1`).
-    pub multiplier: u32,
-    /// Ceiling on any single wait: the exponential schedule saturates
-    /// here instead of growing without bound.
-    pub max_backoff: Duration,
     /// Randomisation of the per-wait duration (deterministic given the
     /// seed; see [`Jitter`]).
     pub jitter: Jitter,
 }
 
 impl RetryPolicy {
-    /// Up to `max_attempts` tries with exponential backoff from `base`,
-    /// capped at [`DEFAULT_BACKOFF_CAP`], no jitter.
-    pub fn new(max_attempts: u32, base: Duration) -> Self {
+    /// Up to `max_attempts` tries with doubling backoff from `base`, no
+    /// jitter.
+    pub const fn new(max_attempts: u32, base: Duration) -> Self {
         assert!(max_attempts >= 1, "at least one attempt is required");
-        RetryPolicy {
-            max_attempts,
-            base_backoff: base,
-            multiplier: 2,
-            max_backoff: DEFAULT_BACKOFF_CAP,
-            jitter: Jitter::None,
-        }
-    }
-
-    /// Same schedule with the per-wait ceiling replaced by `cap`.
-    pub fn with_backoff_cap(mut self, cap: Duration) -> Self {
-        self.max_backoff = cap;
-        self
+        RetryPolicy { max_attempts, base_backoff: base, jitter: Jitter::None }
     }
 
     /// Same schedule with full jitter drawn deterministically from `seed`.
-    pub fn with_full_jitter(mut self, seed: u64) -> Self {
+    pub const fn with_full_jitter(mut self, seed: u64) -> Self {
         self.jitter = Jitter::Full { seed };
         self
     }
@@ -104,21 +83,20 @@ impl RetryPolicy {
         Self::new(1, Duration::ZERO)
     }
 
-    /// Simulated wait before retry number `retry` (1-based), before
-    /// jitter: the exponential value saturated at `max_backoff`.
+    /// Wait before retry number `retry` (1-based), before jitter: the
+    /// doubling value saturated at [`DEFAULT_BACKOFF_CAP`].
     pub fn backoff_for(&self, retry: u32) -> Duration {
         debug_assert!(retry >= 1);
-        let exp = self
-            .multiplier
+        let exp = 2u32
             .checked_pow(retry - 1)
             .map(|f| self.base_backoff.saturating_mul(f))
             .unwrap_or(Duration::MAX);
-        exp.min(self.max_backoff)
+        exp.min(DEFAULT_BACKOFF_CAP)
     }
 
-    /// The wait actually charged for retry number `retry` when it is
-    /// issue number `nonce` of its counter — [`Self::backoff_for`] with
-    /// this policy's [`Jitter`] applied.  Pure in `(self, retry, nonce)`.
+    /// The wait for retry number `retry` when it is issue number `nonce`
+    /// of its counter — [`Self::backoff_for`] with this policy's
+    /// [`Jitter`] applied.  Pure in `(self, retry, nonce)`.
     pub fn jittered_backoff(&self, retry: u32, nonce: u64) -> Duration {
         let capped = self.backoff_for(retry);
         match self.jitter {
@@ -142,13 +120,12 @@ impl RetryPolicy {
 
     /// Run `op` to completion under this policy, charging `counters`.
     ///
-    /// This is the *single* implementation of the retry/backoff schedule:
-    /// every call site (reads, writes, allocations) goes through here, so
-    /// the schedule is deterministic by construction (jitter, when
-    /// enabled, is a pure hash of the issue counter) and cannot drift
-    /// between operation kinds.  Non-retryable errors pass
-    /// through on the first attempt; exhaustion returns
-    /// [`PdiskError::RetriesExhausted`] and bumps `counters.exhausted`.
+    /// This is the *single* implementation of the retry schedule: every
+    /// call site (reads, writes, allocations) goes through here, so it is
+    /// deterministic by construction and cannot drift between operation
+    /// kinds.  Non-retryable errors pass through on the first attempt;
+    /// exhaustion returns [`PdiskError::RetriesExhausted`] and bumps
+    /// `counters.exhausted`.
     pub fn run<T>(
         &self,
         counters: &mut RetryCounters,
@@ -186,7 +163,6 @@ impl RetryPolicy {
                 }
                 Err(_) => {
                     counters.attempted += 1;
-                    counters.backoff += self.jittered_backoff(attempt, counters.attempted);
                     attempt += 1;
                 }
             }
@@ -201,13 +177,11 @@ pub struct RetryCounters {
     pub attempted: u64,
     /// Operations that failed every attempt.
     pub exhausted: u64,
-    /// Simulated backoff accrued by the re-issues.
-    pub backoff: Duration,
 }
 
 impl Default for RetryPolicy {
-    /// Four attempts, 1 ms base, exponential: absorbs any plausible
-    /// transient-fault rate while keeping give-up latency bounded.
+    /// Four attempts, 1 ms base: absorbs any plausible transient-fault
+    /// rate while keeping give-up bounded.
     fn default() -> Self {
         Self::new(4, Duration::from_millis(1))
     }
@@ -246,11 +220,6 @@ impl<R: Record, A: DiskArray<R>> RetryingDiskArray<R, A> {
     /// order: reads, writes, allocations.
     pub fn counters(&self) -> (RetryCounters, RetryCounters, RetryCounters) {
         (self.layer.reads, self.layer.writes, self.layer.allocs)
-    }
-
-    /// Total simulated backoff wait accrued by all retries.
-    pub fn total_backoff(&self) -> Duration {
-        self.layer.reads.backoff + self.layer.writes.backoff + self.layer.allocs.backoff
     }
 }
 
@@ -427,7 +396,6 @@ pub(crate) mod tests {
         let got = a.read(&[BlockAddr::new(DiskId(0), 0)]).unwrap();
         assert_eq!(got[0].records[0], U64Record(0));
         assert_eq!(a.retries(), (1, 0));
-        assert!(a.total_backoff() > Duration::ZERO);
         let stats = a.stats();
         assert_eq!(stats.read_retries, 1);
         assert_eq!(stats.read_ops, 1, "only the successful attempt counts");
@@ -447,7 +415,6 @@ pub(crate) mod tests {
         assert_eq!(stats.alloc_retries, 1, "alloc retry charged to allocs");
         let (r, w, al) = a.counters();
         assert_eq!((r.attempted, w.attempted, al.attempted), (0, 1, 1));
-        assert!(al.backoff > Duration::ZERO);
     }
 
     #[test]
@@ -488,9 +455,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn policy_run_is_the_single_backoff_implementation() {
-        // Deterministic, jitterless: two identical runs accrue identical
-        // backoff, and the schedule matches backoff_for exactly.
+    fn policy_run_is_the_single_retry_implementation() {
+        // Deterministic: two identical runs count identically.
         let p = RetryPolicy::new(3, Duration::from_millis(5));
         let run_once = || {
             let mut c = RetryCounters::default();
@@ -515,7 +481,6 @@ pub(crate) mod tests {
         assert_eq!(c1, c2, "schedule must be deterministic");
         assert_eq!(c1.attempted, 2);
         assert_eq!(c1.exhausted, 0);
-        assert_eq!(c1.backoff, p.backoff_for(1) + p.backoff_for(2));
     }
 
     #[test]
@@ -525,7 +490,6 @@ pub(crate) mod tests {
         assert_eq!(a.stats().read_retries, 1);
         a.reset_stats();
         assert_eq!(a.stats().read_retries, 0);
-        assert_eq!(a.total_backoff(), Duration::ZERO);
     }
 
     #[test]
@@ -538,21 +502,18 @@ pub(crate) mod tests {
 
     #[test]
     fn backoff_saturates_at_the_cap() {
-        let p = RetryPolicy::new(10, Duration::from_millis(3))
-            .with_backoff_cap(Duration::from_millis(10));
-        assert_eq!(p.backoff_for(1), Duration::from_millis(3));
-        assert_eq!(p.backoff_for(2), Duration::from_millis(6));
-        assert_eq!(p.backoff_for(3), Duration::from_millis(10), "12 ms capped to 10");
-        assert_eq!(p.backoff_for(9), Duration::from_millis(10));
+        let p = RetryPolicy::new(10, Duration::from_secs(3));
+        assert_eq!(p.backoff_for(1), Duration::from_secs(3));
+        assert_eq!(p.backoff_for(2), Duration::from_secs(6));
+        assert_eq!(p.backoff_for(3), DEFAULT_BACKOFF_CAP, "12 s capped to 10");
+        assert_eq!(p.backoff_for(9), DEFAULT_BACKOFF_CAP);
         // Absurd retry numbers must not overflow the exponent.
-        assert_eq!(p.backoff_for(64), Duration::from_millis(10));
+        assert_eq!(p.backoff_for(64), DEFAULT_BACKOFF_CAP);
     }
 
     #[test]
     fn full_jitter_is_bounded_deterministic_and_seed_sensitive() {
-        let p = RetryPolicy::new(8, Duration::from_millis(4))
-            .with_backoff_cap(Duration::from_millis(20))
-            .with_full_jitter(42);
+        let p = RetryPolicy::new(8, Duration::from_millis(4)).with_full_jitter(42);
         for retry in 1..8 {
             for nonce in 0..32 {
                 let w = p.jittered_backoff(retry, nonce);
@@ -570,9 +531,8 @@ pub(crate) mod tests {
 
     #[test]
     fn jittered_runs_keep_counters_exact_and_replayable() {
-        // Same wrapper config + same fault script => identical counters,
-        // including the accrued (jittered) backoff; retry counts are
-        // unaffected by jitter.
+        // Same wrapper config + same fault script => identical counters;
+        // retry counts are unaffected by jitter.
         let policy = RetryPolicy::new(4, Duration::from_millis(2)).with_full_jitter(99);
         let run_once = || {
             // Fault read ops 0 and 2: each logical read's first attempt
@@ -599,10 +559,6 @@ pub(crate) mod tests {
         assert_eq!(c1, c2, "jittered schedule must be replayable");
         assert_eq!(c1.attempted, 2);
         assert_eq!(c1.exhausted, 0);
-        // The two waits use distinct nonces (issue counter 1 and 2), so
-        // the accrual is the sum of two different draws.
-        let expect = policy.jittered_backoff(1, 1) + policy.jittered_backoff(1, 2);
-        assert_eq!(c1.backoff, expect);
     }
 
     /// Split-phase test double: submits and completions fail retryably a

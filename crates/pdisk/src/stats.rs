@@ -85,30 +85,6 @@ impl IoStats {
         self.blocks_written += blocks as u64;
     }
 
-    /// Record one read retry after a transient fault.
-    #[inline]
-    pub fn record_read_retry(&mut self) {
-        self.read_retries += 1;
-    }
-
-    /// Record one write retry after a transient fault.
-    #[inline]
-    pub fn record_write_retry(&mut self) {
-        self.write_retries += 1;
-    }
-
-    /// Record one block served by parity reconstruction.
-    #[inline]
-    pub fn record_reconstructed_read(&mut self) {
-        self.reconstructed_reads += 1;
-    }
-
-    /// Record one parity block written or updated.
-    #[inline]
-    pub fn record_parity_write(&mut self) {
-        self.parity_writes += 1;
-    }
-
     /// Total operations re-issued after transient faults.
     #[inline]
     pub fn total_retries(&self) -> u64 {
@@ -253,18 +229,14 @@ mod tests {
 
     #[test]
     fn retries_tracked_separately_from_logical_ops() {
-        let mut s = IoStats::default();
+        let mut s = IoStats { read_retries: 2, write_retries: 1, ..IoStats::default() };
         s.record_read(4);
-        s.record_read_retry();
-        s.record_read_retry();
-        s.record_write_retry();
         assert_eq!(s.read_ops, 1, "retries must not inflate logical ops");
         assert_eq!(s.read_retries, 2);
         assert_eq!(s.write_retries, 1);
         assert_eq!(s.total_retries(), 3);
         assert!(s.to_string().contains("retries=2r/1w"));
-        let mut other = IoStats::default();
-        other.record_write_retry();
+        let other = IoStats { write_retries: 1, ..IoStats::default() };
         assert_eq!(s.merged(&other).write_retries, 2);
         assert_eq!(s.since(&IoStats::default()).read_retries, 2);
     }
@@ -291,11 +263,8 @@ mod tests {
 
     #[test]
     fn parity_counters_are_separate_from_logical_ops() {
-        let mut s = IoStats::default();
+        let mut s = IoStats { reconstructed_reads: 1, parity_writes: 2, ..IoStats::default() };
         s.record_read(4);
-        s.record_reconstructed_read();
-        s.record_parity_write();
-        s.record_parity_write();
         assert_eq!(s.read_ops, 1, "reconstruction must not inflate read ops");
         assert_eq!(s.write_ops, 0, "parity updates must not inflate write ops");
         assert_eq!(s.reconstructed_reads, 1);

@@ -52,13 +52,6 @@ impl StripedRun {
             1 + (self.len_blocks - 1 - first) / d
         }
     }
-
-    /// Index of the first block of the run that lives on `disk`, if any.
-    pub fn first_block_on_disk(&self, disk: DiskId) -> Option<u64> {
-        let d = self.base_offsets.len() as u64;
-        let first = (disk.0 as u64 + d - self.start_disk.0 as u64) % d;
-        (first < self.len_blocks).then_some(first)
-    }
 }
 
 #[cfg(test)]
@@ -109,17 +102,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn first_block_on_disk_matches_enumeration() {
-        let r = run(3, 6, 4);
-        for disk in 0..4u32 {
-            let expected = (0..6).find(|&i| r.disk_of(i) == DiskId(disk));
-            assert_eq!(r.first_block_on_disk(DiskId(disk)), expected);
-        }
-        let short = run(1, 2, 4); // disks 1,2 only
-        assert_eq!(short.first_block_on_disk(DiskId(0)), None);
-        assert_eq!(short.first_block_on_disk(DiskId(3)), None);
     }
 }

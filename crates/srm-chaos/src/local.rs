@@ -43,10 +43,8 @@ use pdisk::{
     InterruptFlag, Layer, ParitySpec, PdiskError, Record, RetryPolicy, ScriptedFault, StackSpec,
     U64Record,
 };
-use srm_core::SortManifest;
 use srm_server::job::{
-    sort_durable, Cluster, DurableSort, FileCluster, JobError, MemCluster, DISKS, DONE, MANIFEST,
-    PARITY_STORE,
+    sort_durable, Cluster, DurableSort, FileCluster, JobError, MemCluster, DISKS, DONE, PARITY_STORE,
 };
 use std::path::Path;
 use std::time::Duration;
@@ -321,8 +319,9 @@ fn run_trial_on<C: Cluster>(
             cluster: &mut world,
             oracle: false,
         };
-        // The last boundary's counters are the sort's, its read-back
+        // The last boundary's op counters are the sort's, its read-back
         // excluded: the envelope the generator draws ordinals inside.
+        // Its crash points are the whole incarnation's, set on return.
         let mut envelope = Envelope::default();
         let sorted = sort_durable(job, |pass, a| {
             let ops = a.faulty().map(|f| f.observed_ops()).unwrap_or_default();
@@ -331,7 +330,7 @@ fn run_trial_on<C: Cluster>(
                 writes: ops.1,
                 allocs: ops.2,
                 syncs: ops.3,
-                points: clock.points(),
+                points: 0,
                 passes: pass,
                 disks: geom.d as u32,
             };
@@ -358,7 +357,7 @@ fn run_trial_on<C: Cluster>(
         // the process died verifying, and the rerun sorts again.
         let e = match sorted {
             Ok(sorted) => {
-                outcome.envelope = envelope;
+                outcome.envelope = Envelope { points: clock.points(), ..envelope };
                 let keys: Vec<u64> = sorted.keys.iter().map(|r| r.0).collect();
                 if keys != expected {
                     outcome.violation = Some(Violation::DigestMismatch {
@@ -424,13 +423,11 @@ fn classify(e: &JobError) -> Repair {
     }
 }
 
-/// The leak oracle: after removing the journal, the descriptor, the
-/// parity sidecar and the disk directory, the trial directory must be
-/// empty — anything left is a temp file or stray generation some layer
-/// failed to clean up.
+/// The leak oracle: after removing the descriptor, the parity sidecar
+/// and the disk directory, the trial directory must be empty — anything
+/// left is a temp file, a journal the finished sort did not retire or a
+/// stray generation some layer failed to clean up.
 fn leaked_files(dir: &Path) -> Result<Option<Violation>, ChaosError> {
-    SortManifest::remove(&dir.join(MANIFEST))
-        .map_err(|e| ChaosError::Io(format!("manifest cleanup failed: {e}")))?;
     for file in [DONE, PARITY_STORE] {
         let _ = std::fs::remove_file(dir.join(file));
     }

@@ -147,7 +147,8 @@ pub struct Envelope {
     pub allocs: u64,
     /// Durability barriers issued.
     pub syncs: u64,
-    /// Crash-clock boundaries ticked.
+    /// Crash-clock boundaries ticked by the whole durable sort, its
+    /// read-back included.
     pub points: u64,
     /// Merge passes (run formation is pass 0's boundary).
     pub passes: u64,

@@ -175,6 +175,48 @@ fn sort_dsm_crash_at_a_boundary_then_resume_matches_the_clean_sort() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A crash after the sort's last snapshot — here at the read-back's first
+/// boundary, 1140 of the 1292 this sort numbers (= 1292 − 4 × ⌈150 / 4⌉
+/// stripe reads) — leaves the manifest its message names, and the rerun
+/// resumes it: only the last pass's 39 reads and 38 writes, not the
+/// whole sort's 105 and 102.  Once `done` is published the manifest is
+/// retired; a fresh sort over the kept directory clears the old `done`
+/// first, so no `done` sits beside a manifest it does not describe.
+#[test]
+fn a_crash_in_the_read_back_resumes_the_last_pass() {
+    let dir = scratch_dir("read-back-crash");
+    let manifest = dir.join("srm").join("manifest");
+    let base = [
+        "sort", "--records", "600", "--d", "4", "--b", "4", "--m", "128", "--seed", "50341", "--algo", "srm",
+        "--backend", "file", "--keep", "--dir", dir.to_str().unwrap(),
+    ];
+    let run = |extra: &[&str]| srm(&[&base[..], extra].concat());
+
+    let clean = run(&["--crash-points"]);
+    assert!(clean.status.success(), "stderr: {}", stderr(&clean));
+    assert!(stdout(&clean).contains("crash boundaries numbered: 1292 "), "{}", stdout(&clean));
+    assert!(stdout(&clean).contains("reads=105 (404 blocks"), "{}", stdout(&clean));
+    assert!(!manifest.exists(), "a finished sort retires its manifest");
+    let done = dir.join("srm").join("done");
+    assert!(done.exists(), "beside its published `done`");
+
+    let crashed = run(&["--crash-at", "1140"]);
+    assert_eq!(crashed.status.code(), Some(2), "stdout: {}", stdout(&crashed));
+    assert!(stderr(&crashed).contains("I/O boundary 1140 (read-submit)"), "{}", stderr(&crashed));
+    assert!(stderr(&crashed).contains(&format!("resume from {}", manifest.display())), "{}", stderr(&crashed));
+    assert!(manifest.exists(), "the manifest the message names is there");
+    assert!(!done.exists(), "the fresh sort cleared the finished one's `done`");
+
+    let resumed = run(&[]);
+    let text = stdout(&resumed);
+    assert!(resumed.status.success(), "stderr: {}", stderr(&resumed));
+    assert!(text.contains(&format!("resuming from {}", manifest.display())), "{text}");
+    assert!(text.contains("I/O (sort only): reads=39 (152 blocks"), "only the last pass is redone: {text}");
+    assert!(text.contains("writes=38 (150 blocks"), "{text}");
+    assert!(!manifest.exists(), "the finished sort retires its manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// DSM behind the fault-injection + retry stack at the default geometry.
 #[test]
 fn sort_dsm_absorbs_transient_faults() {

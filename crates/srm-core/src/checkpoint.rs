@@ -5,7 +5,7 @@
 //! of sorted runs.  [`SortManifest`] records that set — plus everything
 //! needed to replay the remaining passes exactly — so a sort killed
 //! mid-pass can resume from the last completed pass instead of starting
-//! over (see [`crate::SrmSorter::sort_checkpointed`]).
+//! over (see [`crate::SrmSorter::sort_observed`]).
 //!
 //! The manifest is a small versioned text file:
 //!

@@ -370,38 +370,6 @@ impl SrmSorter {
         self.sort_observed(array, input, None, |_, _| Ok(()))
     }
 
-    /// Like [`SrmSorter::sort`], but checkpointing progress to `manifest`
-    /// after run formation and after every completed merge pass, and
-    /// **resuming** from `manifest` when the file already exists.
-    ///
-    /// A sort killed mid-pass loses only the interrupted pass: rerunning
-    /// the same sorter against the same array (or a
-    /// [`pdisk::FileDiskArray`] reopened with
-    /// [`pdisk::FileDiskArray::open`]) skips formation and every
-    /// completed pass, fast-forwards the placement RNG by the manifest's
-    /// draw count, and redoes the interrupted pass — producing the same
-    /// record sequence an uninterrupted sort would.  Blocks written by
-    /// the interrupted pass are abandoned (the space is not reclaimed;
-    /// the substrate is append-only within a sort).
-    ///
-    /// The manifest is deleted on successful completion.  In the returned
-    /// report, `merge_passes` and `runs_formed` cover the *whole logical
-    /// sort* (including passes done before a resume), while `io`,
-    /// `merges`, and `schedule` cover only the work this call performed.
-    ///
-    /// Resuming validates that geometry, seed, placement, and record
-    /// count match the manifest; any mismatch is an
-    /// [`SrmError::Checkpoint`], since silently continuing would corrupt
-    /// the output.
-    pub fn sort_checkpointed<R: Record, A: DiskArray<R>>(
-        &self,
-        array: &mut A,
-        input: &StripedRun,
-        manifest: &Path,
-    ) -> Result<(StripedRun, SortReport)> {
-        self.sort_observed(array, input, Some(manifest), |_, _| Ok(()))
-    }
-
     /// The checkpoint a sort of `records` on `geometry` would resume from,
     /// or `None` when `manifest` holds none (never started, or completed
     /// and retired) — asked *before* building the world a resume needs:
@@ -423,16 +391,35 @@ impl SrmSorter {
         Ok(Some(m))
     }
 
-    /// Like [`SrmSorter::sort_checkpointed`] (pass `manifest: None` for an
-    /// unsnapshotted sort), but calling `observer` at every pass boundary
-    /// **completed by this call**: once after run formation (`pass` = 0)
-    /// and once after each merge pass, each time *before* the snapshot is
-    /// taken.  The observer may mutate the array — this is the injection
-    /// point for fault drills (`--kill-disk D@PASS` in the CLI kills a
-    /// disk here, so the subsequent snapshot records the death and the
-    /// next pass runs degraded).  An observer error aborts the sort.
+    /// Like [`SrmSorter::sort`], but with `manifest`, checkpointing
+    /// progress to it after run formation and after every merge pass that
+    /// leaves more than one run, and **resuming** from it when it holds a
+    /// checkpoint of this sort.  A sort killed mid-pass loses only the
+    /// interrupted pass: rerunning the same sorter against the same array
+    /// (or a [`pdisk::FileDiskArray`] reopened with
+    /// [`pdisk::FileDiskArray::open`]) skips formation and every completed
+    /// pass, fast-forwards the placement RNG by the manifest's draw count
+    /// and redoes the interrupted pass, producing the same record sequence
+    /// an uninterrupted sort would; the blocks the interrupted pass wrote
+    /// are abandoned (the substrate is append-only within a sort).
+    /// Resuming validates that geometry, seed, placement and record count
+    /// match the manifest; a mismatch is an [`SrmError::Checkpoint`].
     ///
-    /// Pass boundaries completed *before* a resume are not replayed.
+    /// The sort only journals: on success the last boundary's manifest is
+    /// left for the caller, who retires it once the output is accounted
+    /// for (`srm_server::job::sort_durable` does, after publishing its
+    /// `done`).  A rerun before that resumes the last pass.
+    ///
+    /// `observer` is called at every pass boundary **completed by this
+    /// call**: once after run formation (`pass` = 0) and once after each
+    /// merge pass, each time *before* the snapshot is taken.  The observer
+    /// may mutate the array — this is the injection point for fault drills
+    /// (`--kill-disk D@PASS` in the CLI kills a disk here, so the
+    /// subsequent snapshot records the death and the next pass runs
+    /// degraded).  An observer error aborts the sort.  Pass boundaries
+    /// completed *before* a resume are not replayed.  In the returned
+    /// report, `merge_passes` and `runs_formed` cover the whole logical
+    /// sort, while `io`, `merges` and `schedule` cover this call's work.
     ///
     /// `input` is a staged `&StripedRun` or [`Input::InMemory`] records,
     /// which form the same runs without being written out and read back.
@@ -444,7 +431,7 @@ impl SrmSorter {
     /// resume rule ─► formation ─► ┌ observer ─► sync ─► journaled snapshot ┐
     ///                             │      └──────── boundary p ─────────────┤
     ///                             │ interrupt check ─► merge pass p+1 ─────┘
-    ///                             └► one run left: sync, retire the manifest
+    ///                             └► one run left: sync
     /// ```
     ///
     /// Between boundaries the observer may have mutated the array (a disk
@@ -572,10 +559,9 @@ impl SrmSorter {
             .pop()
             .ok_or_else(|| SrmError::Internal("merge queue drained to empty".into()))?;
         debug_assert_eq!(sorted.records, records);
-        if let Some(path) = manifest {
+        if manifest.is_some() {
             // The output is durable before the caller's `done` names it.
             array.sync()?;
-            SortManifest::remove(path)?;
         }
         let report = SortReport {
             records,

@@ -89,11 +89,6 @@ pub struct DistConfig {
     /// Failure-detector timeout: a shard silent this long is declared
     /// dead, fenced, and replaced.
     pub timeout: Duration,
-    /// How long one RPC attempt waits before retrying.
-    pub rpc_timeout: Duration,
-    /// Retry schedule for fold requests (attempt count, exponential
-    /// backoff, jitter).
-    pub retry: RetryPolicy,
     /// Channel fault regime (drops, delays, duplicates, partitions).
     pub net: NetFaultModel,
     /// Armed node-death drill, if any.
@@ -119,16 +114,14 @@ pub struct DistConfig {
 }
 
 impl DistConfig {
-    /// Defaults tuned for tests: tight heartbeats, a detector timeout a
-    /// few multiples above them, and a jittered exponential retry.
+    /// Defaults tuned for tests: tight heartbeats and a detector timeout a
+    /// few multiples above them.
     pub fn new(shards: u32) -> Self {
         DistConfig {
             shards,
             parity: false,
             heartbeat: Duration::from_millis(15),
             timeout: Duration::from_millis(250),
-            rpc_timeout: Duration::from_millis(80),
-            retry: RetryPolicy::new(6, Duration::from_millis(5)).with_full_jitter(0xD1_57),
             net: NetFaultModel::none(),
             kill: None,
             corrupt_disk: None,
@@ -259,6 +252,13 @@ pub struct DistReport {
     pub phase_ms: PhaseMs,
 }
 
+/// How long one fold request waits before it is sent again.
+const RPC_TIMEOUT: Duration = Duration::from_millis(80);
+
+/// The fold requests' retry schedule: six attempts, each resend waiting
+/// [`RPC_TIMEOUT`] plus a jittered doubling backoff from 5 ms.
+const FOLD_RETRY: RetryPolicy = RetryPolicy::new(6, Duration::from_millis(5)).with_full_jitter(0xD1_57);
+
 /// Stop-and-wait retransmission state of one outstanding request.
 struct Resend {
     attempts: u32,
@@ -276,26 +276,26 @@ enum Due {
 }
 
 impl Resend {
-    fn new(cfg: &DistConfig) -> Self {
+    fn new() -> Self {
         Resend {
             attempts: 1,
             sent_at: Instant::now(),
-            wait: cfg.rpc_timeout,
+            wait: RPC_TIMEOUT,
         }
     }
 
     /// Advance the schedule to `now`: each retransmission waits the RPC
     /// timeout plus a jittered exponential backoff.
-    fn poll(&mut self, now: Instant, cfg: &DistConfig, nonce: u64) -> Due {
+    fn poll(&mut self, now: Instant, nonce: u64) -> Due {
         if now.duration_since(self.sent_at) <= self.wait {
             return Due::NotYet;
         }
-        if self.attempts >= cfg.retry.max_attempts {
+        if self.attempts >= FOLD_RETRY.max_attempts {
             return Due::Exhausted;
         }
         self.attempts += 1;
         self.sent_at = now;
-        self.wait = cfg.rpc_timeout + cfg.retry.jittered_backoff(self.attempts, nonce);
+        self.wait = RPC_TIMEOUT + FOLD_RETRY.jittered_backoff(self.attempts, nonce);
         Due::Resend
     }
 }
@@ -547,7 +547,7 @@ impl Coordinator<'_> {
             match self.chain.step(&done) {
                 Step::Complete(carry) => break carry,
                 Step::Ask(shard, carry) if self.ask.is_none() => {
-                    self.ask = Some(Ask { shard, carry, resend: Resend::new(self.cfg) });
+                    self.ask = Some(Ask { shard, carry, resend: Resend::new() });
                     self.send_fold();
                 }
                 Step::Ask(..) | Step::Wait => {}
@@ -659,7 +659,7 @@ impl Coordinator<'_> {
         if let Some(ask) = &mut self.ask {
             let s = ask.shard;
             if self.nodes[s].done {
-                match ask.resend.poll(now, self.cfg, self.rpc_nonce) {
+                match ask.resend.poll(now, self.rpc_nonce) {
                     Due::NotYet => {}
                     Due::Resend => self.send_fold(),
                     Due::Exhausted => self.recover(s)?,

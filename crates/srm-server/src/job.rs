@@ -38,7 +38,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 pub use srm_core::EngineKind;
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, scrub_runs, Placement, RunFormation, SortReport, SrmConfig, SrmError, SrmSorter};
+use srm_core::{
+    read_run, scrub_runs, Placement, RunFormation, SortManifest, SortReport, SrmConfig, SrmError, SrmSorter,
+};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -501,7 +503,8 @@ pub(crate) fn oracle_digest(records: &[U64Record]) -> u64 {
 pub const DISKS: &str = "disks";
 /// A parity stack's sidecar, beside them.
 pub const PARITY_STORE: &str = "parity.store";
-/// The checkpoint manifest (`manifest.prev` is its journaled predecessor).
+/// The checkpoint manifest (`manifest.prev` is its journaled predecessor),
+/// retired once [`DONE`] is published: a `done` beside one is finished.
 pub const MANIFEST: &str = "manifest";
 /// The [`Descriptor`], published once every check has passed.
 pub const DONE: &str = "done";
@@ -662,6 +665,16 @@ pub fn read_back<X: Layer<U64Record>>(
         parity.store = Some(dir.join(PARITY_STORE));
     }
     Ok(read_run(&mut stack.build(file, slot)?, run)?)
+}
+
+/// Remove `path`; a missing file is already clear.
+fn clear(path: &Path) -> Result<(), JobError> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            Err(JobError::Io(format!("clear {}: {e}", path.display())))
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Take the lease on the cluster at `disks`, retrying `ArrayLocked` for
@@ -836,7 +849,8 @@ pub struct Sorted {
 /// 1. take the cluster's lease, waiting out a predecessor's hold;
 /// 2. read the manifest, once, under the lease;
 /// 3. reopen the cluster for a resume, re-marking the disks the manifest
-///    records dead, or truncate it — and stage a `staged` input;
+///    records dead, or clear an earlier sort's `done` and truncate it —
+///    and stage a `staged` input;
 /// 4. scrub the manifest's runs first when a resume runs on parity;
 /// 5. sort, calling `observer(pass, stack)` at every boundary before its
 ///    snapshot (an `Err` stops the sort and comes back);
@@ -846,7 +860,7 @@ pub struct Sorted {
 ///    on the disks, and when no merge ran in this call;
 /// 7. replay a traced stack's trace and stats through the model checker,
 ///    and, with `job.oracle`, compare the digest with the oracle's;
-/// 8. publish the descriptor at [`DONE`].
+/// 8. publish the descriptor at [`DONE`], then retire the manifest.
 ///
 /// The stack goes back to the cluster on every exit once it is built.
 /// Every array handle is dropped on return, so a successor can take the
@@ -868,18 +882,18 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
     let resume = sorter.resume_point(geom, records.len() as u64, &manifest)?;
     let resumed: Option<Vec<DiskId>> =
         resume.as_ref().map(|m| m.redundancy.iter().flat_map(|r| r.dead.iter().copied()).collect());
+    if resume.is_none() {
+        // Before the truncation: an earlier sort's `done` names runs it
+        // removes, and beside this sort's manifest would read as finished.
+        clear(&dir.join(DONE))?;
+    }
     let disks = cluster.disks(held, geom, resume.is_none())?;
     let parity = stack.parity.is_some();
     if let Some(spec) = &mut stack.parity {
         let store = dir.join(PARITY_STORE);
         match &resumed {
             Some(dead) => spec.dead.extend(dead.iter().copied()),
-            None => match std::fs::remove_file(&store) {
-                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                    return Err(JobError::Io(format!("clear {}: {e}", store.display())));
-                }
-                _ => {}
-            },
+            None => clear(&store)?,
         }
         spec.store = Some(store);
     }
@@ -964,8 +978,11 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
             repaired,
             ms,
         };
-        // Published under the lease, before the stack goes back.
+        // Published under the lease, before the stack goes back; only then
+        // is the manifest retired, so a death before this point resumes
+        // the last snapshot and one after it finds `done`.
         publish(dir, DONE, &done.encode())?;
+        SortManifest::remove(&manifest)?;
         let dead = array.redundancy().map(|r| r.dead).unwrap_or_default();
         let counters = C::counters(array.backend());
         Ok(Sorted { done, keys, report, model, resumed, dead, elapsed, counters })

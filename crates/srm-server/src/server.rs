@@ -64,8 +64,6 @@ pub struct ServerConfig {
     /// so, nonzero, it is also what a job without `formation=` chooses
     /// its formation by ([`srm_core::SrmSorter::formation`]).
     pub io_delay: Duration,
-    /// Retry policy absorbing each job's transient faults.
-    pub retry: RetryPolicy,
     /// Trace every job's I/O and replay it through the model checker;
     /// a violation fails the job.
     pub check_model: bool,
@@ -79,7 +77,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// Defaults: capacity 8192 records, 2 workers, queue depth 16, no
-    /// injected delay, default retry policy, model checking off.
+    /// injected delay, model checking off.
     pub fn new(jobs_dir: impl Into<PathBuf>) -> Self {
         ServerConfig {
             jobs_dir: jobs_dir.into(),
@@ -87,7 +85,6 @@ impl ServerConfig {
             workers: 2,
             queue_depth: 16,
             io_delay: Duration::ZERO,
-            retry: RetryPolicy::default(),
             check_model: false,
             store_nospace_after: None,
         }
@@ -725,19 +722,19 @@ fn execute(inner: &Arc<Inner>, (id, cost, spec, flag): Claimed) {
     }
 }
 
-/// Sort the job durably in its directory: retries over the file cluster,
-/// with the fault injector under them only at a nonzero rate (without
-/// it the output is digested as the last merge writes it), an observer
-/// that records each pass and trips the deadline, and the input's
-/// oracle digest as the last check before `done` is published.  Returns
-/// the published descriptor.
+/// Sort the job durably in its directory: the default retry policy over
+/// the file cluster, with the fault injector under it only at a nonzero
+/// rate (without it the output is digested as the last merge writes it),
+/// an observer that records each pass and trips the deadline, and the
+/// input's oracle digest as the last check before `done` is published.
+/// Returns the published descriptor.
 fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> Result<Descriptor, JobError> {
     let clock = Instant::now();
     let records = spec.input_records();
     let stage_ms = clock.elapsed().as_millis() as u64;
     let stack = StackSpec {
         faults: (spec.fault_rate > 0.0).then(|| FaultModel::random(spec.fault_seed).with_rate(spec.fault_rate)),
-        retry: Some(inner.cfg.retry),
+        retry: Some(RetryPolicy::default()),
         trace: inner.cfg.check_model,
         ..StackSpec::default()
     };

@@ -6,7 +6,7 @@
 
 use pdisk::{BlockAddr, DiskArray, FaultModel, InterruptFlag, Layer, PdiskError, ReadTicket, Record, StackSpec};
 use srm_core::RunFormation;
-use srm_server::job::{read_back, sort_durable, DurableSort, FileCluster, Sorted};
+use srm_server::job::{read_back, sort_durable, DurableSort, FileCluster, Sorted, DONE, MANIFEST};
 use srm_server::{digest_keys, Descriptor, EngineKind, JobError, JobSpec};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,8 +67,13 @@ fn incarnation(
 }
 
 /// The keys and digest `sorted` carries are those of the run `dir`'s
-/// descriptor publishes, read back; returns the run's blocks.
+/// descriptor publishes, read back; returns the run's blocks.  The
+/// finished sort has retired its manifest and the journal behind it.
 fn assert_published(dir: &Path, spec: &JobSpec, sorted: &Sorted, ctx: &str) -> u64 {
+    assert!(dir.join(DONE).exists(), "{ctx}: `done` is published");
+    for left in [MANIFEST, "manifest.prev"] {
+        assert!(!dir.join(left).exists(), "{ctx}: a finished sort leaves no {left}");
+    }
     let done = Descriptor::load(dir).unwrap().expect("a published descriptor");
     let run = done.run.expect("a published run");
     let back = read_back(dir, spec.geometry().unwrap(), &run, StackSpec::default(), (), Duration::ZERO).unwrap();

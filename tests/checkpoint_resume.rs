@@ -79,12 +79,12 @@ fn kill_and_resume(
         let mut a = pdisk::FaultyDiskArray::new(inner, FaultModel::none().kill_at(op, ordinal));
         let input = write_unsorted_input(&mut a, data).unwrap();
 
-        let killed = sorter().sort_checkpointed(&mut a, &input, &manifest);
+        let killed = sorter().sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(()));
         assert!(killed.is_err(), "{tag}: kill at {op} op {ordinal} must abort the sort");
 
         let mut recovered = a.into_inner();
         let (run, report) = sorter()
-            .sort_checkpointed(&mut recovered, &input, &manifest)
+            .sort_observed(&mut recovered, &input, Some(&manifest), |_, _| Ok(()))
             .unwrap_or_else(|e| panic!("{tag}: resume after kill at {op} op {ordinal} failed: {e}"));
         let out = read_run(&mut recovered, &run).unwrap();
         assert_eq!(
@@ -94,7 +94,7 @@ fn kill_and_resume(
         );
         assert_eq!(report.records, data.len() as u64);
         assert_eq!(report.merge_passes, passes, "{tag}: whole-sort pass count survives resume");
-        assert!(!manifest.exists(), "manifest must be deleted on completion");
+        assert_last_snapshot_left(&manifest, passes);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -160,7 +160,7 @@ fn srm_file_backend_survives_process_death() {
             pdisk::FaultyDiskArray::new(files, FaultModel::none().kill_at(FaultOp::Read, reads / 2));
         let input = write_unsorted_input(&mut a, &data).unwrap();
         assert!(SrmSorter::default()
-            .sort_checkpointed(&mut a, &input, &manifest)
+            .sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(()))
             .is_err());
         assert!(manifest.exists(), "a mid-merge kill leaves a manifest behind");
         input
@@ -169,12 +169,12 @@ fn srm_file_backend_survives_process_death() {
 
     // Second "process": reopen the same files, resume from the manifest.
     let mut files = FileDiskArray::<U64Record>::open(geom(), &disks).unwrap();
-    let (run, _) = SrmSorter::default()
-        .sort_checkpointed(&mut files, &input, &manifest)
+    let (run, report) = SrmSorter::default()
+        .sort_observed(&mut files, &input, Some(&manifest), |_, _| Ok(()))
         .unwrap();
     let out = read_run(&mut files, &run).unwrap();
     assert_eq!(encode_all(&out), want, "cross-process resume must be byte-identical");
-    assert!(!manifest.exists());
+    assert_last_snapshot_left(&manifest, report.merge_passes);
     drop(files);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -209,7 +209,7 @@ fn dsm_killed_mid_pass_resumes_byte_identical() {
         let mut a =
             pdisk::FaultyDiskArray::new(inner, FaultModel::none().kill_at(FaultOp::Read, ordinal));
         let input = write_unsorted_input(&mut a, &data).unwrap();
-        assert!(dsm().sort_checkpointed(&mut a, &input, &manifest).is_err());
+        assert!(dsm().sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(())).is_err());
         assert!(
             std::fs::read_to_string(&manifest).is_ok_and(|t| t.contains("\nalgo dsm\n")),
             "a DSM checkpoint names its merge-order rule"
@@ -217,14 +217,14 @@ fn dsm_killed_mid_pass_resumes_byte_identical() {
         // Neither rule resumes the other's checkpoint.
         let mut recovered = a.into_inner();
         assert!(matches!(
-            SrmSorter::default().sort_checkpointed(&mut recovered, &input, &manifest),
+            SrmSorter::default().sort_observed(&mut recovered, &input, Some(&manifest), |_, _| Ok(())),
             Err(srm_core::SrmError::Checkpoint(_))
         ));
-        let (run, report) = dsm().sort_checkpointed(&mut recovered, &input, &manifest).unwrap();
+        let (run, report) = dsm().sort_observed(&mut recovered, &input, Some(&manifest), |_, _| Ok(())).unwrap();
         let out = read_run(&mut recovered, &run).unwrap();
         assert_eq!(encode_all(&out), want, "kill at read op {ordinal}");
         assert_eq!(report.records, 3000);
-        assert!(!manifest.exists());
+        assert_last_snapshot_left(&manifest, report.merge_passes);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -249,14 +249,14 @@ fn srm_pipelined_killed_mid_merge_resumes_byte_identical() {
         let input = write_unsorted_input(&mut a, &data).unwrap();
         let sorter = SrmSorter::default().with_pipeline(true);
         assert!(
-            sorter.sort_checkpointed(&mut a, &input, &manifest).is_err(),
+            sorter.sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(())).is_err(),
             "kill at read op {ordinal} must abort the pipelined sort"
         );
 
         let mut recovered = a.into_inner();
         let (run, report) = SrmSorter::default()
             .with_pipeline(true)
-            .sort_checkpointed(&mut recovered, &input, &manifest)
+            .sort_observed(&mut recovered, &input, Some(&manifest), |_, _| Ok(()))
             .unwrap_or_else(|e| panic!("pipelined resume after kill at op {ordinal} failed: {e}"));
         let out = read_run(&mut recovered, &run).unwrap();
         assert_eq!(
@@ -265,7 +265,7 @@ fn srm_pipelined_killed_mid_merge_resumes_byte_identical() {
             "kill at read op {ordinal}: pipelined resume diverged"
         );
         assert_eq!(report.records, 3000);
-        assert!(!manifest.exists());
+        assert_last_snapshot_left(&manifest, report.merge_passes);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -655,7 +655,7 @@ fn killed_in_pass(data: &[U64Record], pass: usize, manifest: &Path) -> (MemDiskA
     let inner: MemDiskArray<U64Record> = MemDiskArray::new(geom());
     let mut a = pdisk::FaultyDiskArray::new(inner, FaultModel::none().kill_at(FaultOp::Read, kill));
     let input = write_unsorted_input(&mut a, data).unwrap();
-    assert!(SrmSorter::default().sort_checkpointed(&mut a, &input, manifest).is_err());
+    assert!(SrmSorter::default().sort_observed(&mut a, &input, Some(manifest), |_, _| Ok(())).is_err());
     // The boundary before `pass` is the newest generation on disk.
     let newest = SortManifest::load(manifest).unwrap();
     assert_eq!(newest.pass, pass as u64 - 1, "the kill at read {kill} must land inside pass {pass}");
@@ -692,14 +692,14 @@ fn resume_rejects_incompatible_manifests() {
         seed: 0xBAD_5EED,
         ..srm_core::SrmConfig::default()
     });
-    match reseeded.sort_checkpointed(&mut recovered, &input, &manifest) {
+    match reseeded.sort_observed(&mut recovered, &input, Some(&manifest), |_, _| Ok(())) {
         Err(srm_core::SrmError::Checkpoint(msg)) => assert!(msg.contains("seed"), "{msg}"),
         other => panic!("wrong seed must be refused, got {other:?}"),
     }
 
     // Every generation torn: nothing valid to fall back to.
     tear(&manifest);
-    match SrmSorter::default().sort_checkpointed(&mut recovered, &input, &manifest) {
+    match SrmSorter::default().sort_observed(&mut recovered, &input, Some(&manifest), |_, _| Ok(())) {
         Err(srm_core::SrmError::Checkpoint(msg)) => {
             assert!(msg.contains("checksum mismatch"), "{msg}")
         }
@@ -715,11 +715,11 @@ fn resume_rejects_incompatible_manifests() {
     assert_eq!(SortManifest::load(&manifest_sibling(&manifest, "prev")).unwrap().pass, 0);
     tear(&manifest);
     let (run, report) = SrmSorter::default()
-        .sort_checkpointed(&mut recovered, &input, &manifest)
+        .sort_observed(&mut recovered, &input, Some(&manifest), |_, _| Ok(()))
         .unwrap_or_else(|e| panic!("a torn manifest with a valid predecessor must resume: {e}"));
     assert_eq!(encode_all(&read_run(&mut recovered, &run).unwrap()), want);
     assert_eq!(report.merge_passes, 3);
-    assert!(!manifest.exists() && !manifest_sibling(&manifest, "prev").exists());
+    assert_last_snapshot_left(&manifest, 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -735,7 +735,7 @@ fn resume_rejects_incompatible_manifests() {
 // * every snapshot sits behind a `sync()` barrier with no write issued
 //   between the observer and the return;
 // * a set flag with one run left still completes;
-// * success retires the manifest and its whole journal;
+// * success leaves the last snapshot for the caller to retire;
 // * resuming under the other window is byte-identical.
 // ---------------------------------------------------------------------
 
@@ -780,15 +780,18 @@ fn checkpointed_pass(manifest: &Path) -> Option<u64> {
     SortManifest::load_latest(manifest).unwrap().map(|m| m.pass)
 }
 
-/// The journal is wholly gone: manifest, `.prev` and `.tmp`.
-fn assert_journal_retired(manifest: &Path) {
-    for p in [
-        manifest.to_path_buf(),
-        manifest_sibling(manifest, "prev"),
-        manifest_sibling(manifest, "tmp"),
-    ] {
-        assert!(!p.exists(), "{} must be retired on success", p.display());
-    }
+/// The pass loop only journals: a finished sort of `passes` merge passes
+/// leaves its last snapshot for the caller to retire — the boundary
+/// before the final merge, or formation's when no merge ran — and no
+/// `.tmp`.
+fn assert_last_snapshot_left(manifest: &Path, passes: u64) {
+    assert_eq!(
+        checkpointed_pass(manifest),
+        Some(passes.saturating_sub(1)),
+        "{} must hold the last snapshot for the caller",
+        manifest.display()
+    );
+    assert!(!manifest_sibling(manifest, "tmp").exists(), "a finished sort leaves no temp generation");
 }
 
 /// Interrupt at *every* boundary in turn, alternating the window between
@@ -858,12 +861,12 @@ fn stepping_through_every_boundary_honours_the_contract(engine: EngineKind) {
     assert_eq!(seen, (0..=passes).collect::<Vec<_>>());
     assert_eq!(interrupts, passes, "one stop per boundary with work left");
     assert_eq!(encode_all(&read_run(&mut a, &run).unwrap()), want, "stepped output diverged");
-    assert_journal_retired(&manifest);
+    assert_last_snapshot_left(&manifest, passes);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One memory load, one run, no boundary with work left: a set flag must
-/// not stop the sort, and the formation checkpoint is retired again.
+/// not stop the sort, and formation's checkpoint is left for the caller.
 fn a_set_flag_with_one_run_left_still_completes(engine: EngineKind) {
     let dir = unique_dir(&format!("conform-lone-{}", engine.as_str()));
     let manifest = dir.join("sort.manifest");
@@ -879,7 +882,7 @@ fn a_set_flag_with_one_run_left_still_completes(engine: EngineKind) {
     assert_eq!((passes, seen), (0, vec![0]));
     let keys: Vec<u64> = read_run(&mut a, &run).unwrap().iter().map(|r| r.0).collect();
     assert_eq!(keys, (0..60).collect::<Vec<u64>>());
-    assert_journal_retired(&manifest);
+    assert_last_snapshot_left(&manifest, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -31,8 +31,8 @@ const EVERY: usize = 7;
 
 /// The matrix's boundaries and its first point that resumes from a
 /// checkpoint (every earlier one restarts fresh), plain and with parity.
-const PLAIN: (u64, u64) = (1138, 420);
-const PARITY: (u64, u64) = (1342, 496);
+const PLAIN: (u64, u64) = (1292, 420);
+const PARITY: (u64, u64) = (1496, 496);
 
 fn config(tag: &str, pipeline: bool, parity: bool, backend: Backend) -> CampaignConfig {
     let scratch = std::env::temp_dir().join(format!("srm-crashmat-{tag}-{}", std::process::id()));
@@ -129,19 +129,21 @@ fn recovery_is_deterministic_at_a_fixed_crash_point() {
 }
 
 /// The crash vocabulary, pinned: the boundaries a dry run numbers for the
-/// four mem configurations.  Every tick label of the crash layer
-/// (`*-submit`/`*-submitted`/`*-complete`/`*-completed` for reads and
-/// writes, `write-torn`, `sync`/`sync-done`), the parity layer's
-/// `parity-update`/`parity-updated` and the pass driver's manifest ticks
-/// feed these counts, so a layer that starts or stops ticking moves them.
-/// No sweep: dry runs only.
+/// four mem configurations, over the whole durable sort.  Every tick
+/// label of the crash layer (`*-submit`/`*-submitted`/`*-complete`/
+/// `*-completed` for reads and writes, `write-torn`, `sync`/`sync-done`),
+/// the parity layer's `parity-update`/`parity-updated` and the pass
+/// driver's manifest ticks feed these counts, so a layer that starts or
+/// stops ticking moves them.  No sweep: dry runs only.
 ///
 /// The derivation: a read is a submit/complete pair, 4 boundaries; a
 /// write of `n` frames is 4 plus `n − 1` `write-torn`s; each of the two
 /// journaled snapshots (formation, pass 1) adds `sync`/`sync-done` and
 /// the three manifest ticks; parity adds `parity-update`/`-updated` per
 /// write.  The sort issues 105 reads and 102 writes of 402 blocks:
-/// 4·105 + (3·102 + 402) + 2·5 = 1138, and parity 2·102 more, 1342.
+/// 4·105 + (3·102 + 402) + 2·5 = 1138 at its last boundary, and parity
+/// 2·102 more, 1342.  Then the output's `sync`/`sync-done` (2) and its
+/// read-back, ⌈150 / 4⌉ = 38 stripe reads (152): 1292, and 1496.
 /// The writes and blocks follow from the pass plan alone; the reads
 /// depend on where the seed's random placement puts the blocks.
 #[test]
@@ -160,16 +162,14 @@ fn dry_run_point_counts_are_pinned() {
     }
 }
 
-/// The resumed/fresh split `srm crash-matrix` prints — 718 / 420 plain,
-/// 846 / 496 with parity — pinned where it splits.  A crash before the
+/// The resumed/fresh split `srm crash-matrix` prints — 872 / 420 plain,
+/// 1000 / 496 with parity — pinned where it splits.  A crash before the
 /// first manifest generation is renamed into place finds no checkpoint
-/// and restarts fresh; every later one finds it (or its `.prev`).  So
-/// the fresh count is the first resuming point.
-///
-/// Past the last boundary, which ends the dry run's count, the sort makes
-/// its output durable (`sync`, `sync-done`) before it retires the
-/// manifest, so a crash at either resumes; the next boundary, the
-/// read-back's first, finds the manifest gone and sorts afresh.
+/// and restarts fresh; every later one finds it (or its `.prev`), up to
+/// the last boundary the durable sort numbers: the output's `sync`, its
+/// read-back and the checks all come before `done` is published and the
+/// manifest retired.  So the fresh count is the first resuming point.  A
+/// crash point past the count never fires.
 #[test]
 fn resumed_fresh_splits_are_pinned() {
     for (tag, parity, (points, first_resumed)) in [("split", false, PLAIN), ("split-par", true, PARITY)] {
@@ -180,13 +180,12 @@ fn resumed_fresh_splits_are_pinned() {
             (first_resumed - 1, false),
             (first_resumed, true),
             (points - 1, true),
-            (points, true),
-            (points + 1, true),
-            (points + 2, false),
+            (points, false),
         ] {
             let outcome = run_trial(&cfg, &[ChaosEvent::CrashAt { point: k }], &dir).unwrap();
             assert_eq!(outcome.violation, None, "{tag}: crash point {k}");
             assert_eq!(outcome.resumed > 0, resumes, "{tag}: crash point {k}");
+            assert_eq!(outcome.attempts, if k < points { 2 } else { 1 }, "{tag}: crash point {k}");
         }
         let _ = std::fs::remove_dir_all(&cfg.scratch);
     }

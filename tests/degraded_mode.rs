@@ -12,7 +12,7 @@ use pdisk::{
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use srm_core::sort::write_unsorted_input;
-use srm_core::{read_run, SrmError, SrmSorter};
+use srm_core::{read_run, SortManifest, SrmError, SrmSorter};
 use std::path::PathBuf;
 
 fn random_records(n: u64, seed: u64) -> Vec<U64Record> {
@@ -140,7 +140,7 @@ fn srm_degraded_kill_resume_matrix_per_pass_boundary() {
         // A plain array must be refused: the manifest was written under
         // parity and one disk's data exists only as parity.
         let mut plain: MemDiskArray<U64Record> = MemDiskArray::new(geom());
-        match SrmSorter::default().sort_checkpointed(&mut plain, &input, &manifest) {
+        match SrmSorter::default().sort_observed(&mut plain, &input, Some(&manifest), |_, _| Ok(())) {
             Err(SrmError::Checkpoint(msg)) => assert!(msg.contains("parity"), "{msg}"),
             other => panic!("boundary {boundary}: plain-array resume must be refused, got {other:?}"),
         }
@@ -148,7 +148,7 @@ fn srm_degraded_kill_resume_matrix_per_pass_boundary() {
         // Session 2: same degraded array (it already knows the disk is
         // dead), same manifest — resume and finish.
         let (run, report) = SrmSorter::default()
-            .sort_checkpointed(&mut a, &input, &manifest)
+            .sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(()))
             .unwrap_or_else(|e| panic!("boundary {boundary}: degraded resume failed: {e}"));
         let out = read_run(&mut a, &run).unwrap();
         assert_eq!(
@@ -162,7 +162,11 @@ fn srm_degraded_kill_resume_matrix_per_pass_boundary() {
             a.stats().reconstructed_reads > 0,
             "boundary {boundary}: degraded passes must reconstruct the dead disk's blocks"
         );
-        assert!(!manifest.exists(), "manifest deleted on completion");
+        assert_eq!(
+            SortManifest::load_latest(&manifest).unwrap().map(|m| m.pass),
+            Some(2),
+            "the last boundary's manifest is left for the caller"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -212,7 +216,7 @@ fn srm_file_backend_degraded_resume_with_parity_store() {
 
     // Second process: reopen everything from disk, re-mark the dead set
     // recorded in the manifest (as the CLI does), then resume.
-    let m = srm_core::SortManifest::load(&manifest).unwrap();
+    let m = SortManifest::load(&manifest).unwrap();
     let dead = m.redundancy.as_ref().expect("manifest carries parity info").dead.clone();
     assert_eq!(dead, vec![victim]);
     let files = FileDiskArray::<U64Record>::open(geom(), &disks).unwrap();
@@ -223,13 +227,14 @@ fn srm_file_backend_degraded_resume_with_parity_store() {
     for d in dead {
         a.fail_disk(d).unwrap();
     }
-    let (run, _) = SrmSorter::default()
-        .sort_checkpointed(&mut a, &input, &manifest)
+    let (run, report) = SrmSorter::default()
+        .sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(()))
         .unwrap();
     let out = read_run(&mut a, &run).unwrap();
     assert_eq!(encode_all(&out), want, "cross-process degraded resume must be byte-identical");
     assert!(a.stats().reconstructed_reads > 0);
-    assert!(!manifest.exists());
+    let left = SortManifest::load_latest(&manifest).unwrap().map(|m| m.pass);
+    assert_eq!(left, Some(report.merge_passes - 1), "the last boundary's manifest is left for the caller");
     drop(a);
     let _ = std::fs::remove_dir_all(&dir);
 }

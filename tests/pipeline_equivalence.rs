@@ -622,7 +622,7 @@ fn checkpoint_resume_equivalent() {
         check_trace(geom, &first).unwrap_or_else(|v| panic!("session 1 violation ({w:?}): {v}"));
 
         // Session 2: resume from the manifest and finish.
-        let (run, _) = sorter.sort_checkpointed(&mut a, &input, &manifest).unwrap();
+        let (run, _) = sorter.sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(())).unwrap();
         let stats = a.stats();
         let out = read_run(&mut a, &run).unwrap();
         let second = a.take_trace();

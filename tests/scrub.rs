@@ -226,7 +226,7 @@ fn chaos_crash_plus_latent_corruption_scrub_heals_then_resume_is_byte_identical(
     // output is byte-identical to the failure-free oracle.
     assert!(m.pass >= 1, "the checkpoint is mid-sort, so session 2 must resume");
     let (run, _) = SrmSorter::default()
-        .sort_checkpointed(&mut a, &input, &manifest)
+        .sort_observed(&mut a, &input, Some(&manifest), |_, _| Ok(()))
         .expect("resume completes");
     let got: Vec<u64> = srm_core::read_run(&mut a, &run)
         .unwrap()
