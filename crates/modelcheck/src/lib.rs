@@ -17,8 +17,10 @@
 //! involved.
 //!
 //! [`check_trace`] / [`check_trace_collect`] / [`check_stats`] judge an
-//! engine trace recorded by `pdisk::trace::TraceSink` (both sorters and
-//! the CLI's `--check-model`).  The block-granularity simulator is not
+//! engine trace recorded by `pdisk::trace::TraceSink`; [`StreamCheck`]
+//! gives the first and the last verdict as the sink streams the events
+//! to it, which is how every durable sort (the CLI's `--check-model`, a
+//! traced job, shard or chaos trial) is checked.  The block-granularity simulator is not
 //! checked separately: `tests/simulator_vs_engine.rs` requires its
 //! schedule to equal, event for event, a checker-clean engine trace.
 //!
@@ -49,5 +51,5 @@
 pub mod replay;
 pub mod violation;
 
-pub use replay::{check_stats, check_trace, check_trace_collect, CheckSummary, Replay};
+pub use replay::{check_stats, check_trace, check_trace_collect, CheckSummary, Replay, StreamCheck};
 pub use violation::{BlockRef, Violation, ViolationKind};

@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use pdisk::trace::{Tagged, TraceBlock, TraceEvent, TraceFlush, TraceRunMeta, TraceTarget};
+use pdisk::trace::{Tagged, TraceBlock, TraceConsumer, TraceEvent, TraceFlush, TraceRunMeta, TraceTarget};
 use pdisk::{BlockAddr, DiskId, FaultKind, FaultOp, Geometry, IoStats};
 
 use crate::violation::{BlockRef, Violation, ViolationKind};
@@ -986,42 +986,61 @@ pub fn check_trace_collect(geom: Geometry, events: &[Tagged]) -> (CheckSummary, 
 /// parity-protected blocks perform additional inner I/O with no logical
 /// event, and are out of scope.
 pub fn check_stats(events: &[Tagged], stats: &IoStats) -> Result<(), Box<Violation>> {
-    let mut reads = 0u64;
-    let mut writes = 0u64;
-    let mut blocks_read = 0u64;
-    let mut blocks_written = 0u64;
-    let mut reconstructs = 0u64;
-    let mut parity_commits = 0u64;
-    let mut retries = [0u64; 3];
-    let mut dead: BTreeSet<DiskId> = BTreeSet::new();
+    let mut tally = StatsTally::default();
     for e in events {
+        tally.push(e);
+    }
+    tally.check(stats)
+}
+
+/// [`check_stats`]' counters, one event at a time.
+#[derive(Debug, Default)]
+struct StatsTally {
+    reads: u64,
+    writes: u64,
+    blocks_read: u64,
+    blocks_written: u64,
+    reconstructs: u64,
+    parity_commits: u64,
+    retries: [u64; 3],
+    dead: BTreeSet<DiskId>,
+    /// Events tallied, and the last one's pass: where a mismatch is
+    /// reported.
+    seq: u64,
+    pass: u64,
+}
+
+impl StatsTally {
+    fn push(&mut self, e: &Tagged) {
+        self.seq += 1;
+        self.pass = e.pass;
         match &e.event {
             TraceEvent::Read { addrs } => {
-                let live = addrs.iter().filter(|a| !dead.contains(&a.disk)).count();
+                let live = addrs.iter().filter(|a| !self.dead.contains(&a.disk)).count();
                 if live > 0 {
-                    reads += 1;
-                    blocks_read += live as u64;
+                    self.reads += 1;
+                    self.blocks_read += live as u64;
                 }
             }
             TraceEvent::Write { addrs } => {
-                let live = addrs.iter().filter(|a| !dead.contains(&a.disk)).count();
+                let live = addrs.iter().filter(|a| !self.dead.contains(&a.disk)).count();
                 if live > 0 {
-                    writes += 1;
-                    blocks_written += live as u64;
+                    self.writes += 1;
+                    self.blocks_written += live as u64;
                 }
             }
             TraceEvent::Reconstruct { siblings, .. } => {
-                reconstructs += 1;
+                self.reconstructs += 1;
                 if !siblings.is_empty() {
-                    reads += 1;
-                    blocks_read += siblings.len() as u64;
+                    self.reads += 1;
+                    self.blocks_read += siblings.len() as u64;
                 }
             }
-            TraceEvent::ParityCommit { .. } => parity_commits += 1,
+            TraceEvent::ParityCommit { .. } => self.parity_commits += 1,
             TraceEvent::Retry { op } => match op {
-                FaultOp::Read => retries[0] += 1,
-                FaultOp::Write => retries[1] += 1,
-                FaultOp::Alloc => retries[2] += 1,
+                FaultOp::Read => self.retries[0] += 1,
+                FaultOp::Write => self.retries[1] += 1,
+                FaultOp::Alloc => self.retries[2] += 1,
                 // Sync faults are never retryable (fsyncgate), so a
                 // retried sync in a trace is itself a protocol bug;
                 // it would surface as a retry-count mismatch below.
@@ -1032,46 +1051,113 @@ pub fn check_stats(events: &[Tagged], stats: &IoStats) -> Result<(), Box<Violati
                 disk: Some(d),
                 ..
             } => {
-                dead.insert(*d);
+                self.dead.insert(*d);
             }
             TraceEvent::DiskDeath { disk } => {
-                dead.insert(*disk);
+                self.dead.insert(*disk);
             }
             _ => {}
         }
     }
-    let seq = events.len() as u64;
-    let pass = events.last().map(|e| e.pass).unwrap_or(0);
-    let pairs: [(&'static str, u64, u64); 9] = [
-        ("read_ops", reads, stats.read_ops),
-        ("write_ops", writes, stats.write_ops),
-        ("blocks_read", blocks_read, stats.blocks_read),
-        ("blocks_written", blocks_written, stats.blocks_written),
-        ("reconstructed_reads", reconstructs, stats.reconstructed_reads),
-        ("parity_writes", parity_commits, stats.parity_writes),
-        ("read_retries", retries[0], stats.read_retries),
-        ("write_retries", retries[1], stats.write_retries),
-        ("alloc_retries", retries[2], stats.alloc_retries),
-    ];
-    for (counter, from_trace, from_stats) in pairs {
-        if from_trace != from_stats {
-            return Err(Box::new(Violation::new(
-                seq,
-                pass,
-                ViolationKind::StatsMismatch {
-                    counter,
-                    from_trace,
-                    from_stats,
-                },
-            )));
+
+    fn check(&self, stats: &IoStats) -> Result<(), Box<Violation>> {
+        let pairs: [(&'static str, u64, u64); 9] = [
+            ("read_ops", self.reads, stats.read_ops),
+            ("write_ops", self.writes, stats.write_ops),
+            ("blocks_read", self.blocks_read, stats.blocks_read),
+            ("blocks_written", self.blocks_written, stats.blocks_written),
+            ("reconstructed_reads", self.reconstructs, stats.reconstructed_reads),
+            ("parity_writes", self.parity_commits, stats.parity_writes),
+            ("read_retries", self.retries[0], stats.read_retries),
+            ("write_retries", self.retries[1], stats.write_retries),
+            ("alloc_retries", self.retries[2], stats.alloc_retries),
+        ];
+        for (counter, from_trace, from_stats) in pairs {
+            if from_trace != from_stats {
+                return Err(Box::new(Violation::new(
+                    self.seq,
+                    self.pass,
+                    ViolationKind::StatsMismatch {
+                        counter,
+                        from_trace,
+                        from_stats,
+                    },
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// [`check_trace`] and [`check_stats`] as the events are emitted: the
+/// [`TraceConsumer`] a durable sort streams its trace into
+/// ([`pdisk::TraceSink::stream`]), so it never holds the trace.  The
+/// replay stops at its first violation, which it keeps with its seq and
+/// pass, as `check_trace` returns it; the stats tally sees every event.
+#[derive(Debug)]
+pub struct StreamCheck {
+    replay: Replay,
+    first: Option<Box<Violation>>,
+    tally: StatsTally,
+}
+
+impl StreamCheck {
+    /// A streaming checker for traces recorded under `geom`.
+    pub fn new(geom: Geometry) -> Self {
+        StreamCheck { replay: Replay::new(geom), first: None, tally: StatsTally::default() }
+    }
+
+    /// [`check_trace`]'s verdict on the events streamed so far.
+    pub fn verdict(&self) -> Result<CheckSummary, Box<Violation>> {
+        match &self.first {
+            Some(v) => Err(v.clone()),
+            None => Ok(self.replay.summary.clone()),
         }
     }
-    Ok(())
+
+    /// [`check_stats`]' verdict on the events streamed so far.
+    pub fn check_stats(&self, stats: &IoStats) -> Result<(), Box<Violation>> {
+        self.tally.check(stats)
+    }
+}
+
+impl TraceConsumer for StreamCheck {
+    fn consume(&mut self, event: &Tagged) {
+        if self.first.is_none() {
+            self.first = self.replay.apply(event).err();
+        }
+        self.tally.push(event);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The events streamed, one at a time, into a [`StreamCheck`].
+    fn streamed(geom: Geometry, events: &[Tagged]) -> StreamCheck {
+        let mut check = StreamCheck::new(geom);
+        for e in events {
+            check.consume(e);
+        }
+        check
+    }
+
+    /// [`super::check_trace`], whose verdict every test here also
+    /// requires of the streamed check: the same violation at the same
+    /// event, or the same summary.
+    fn check_trace(geom: Geometry, events: &[Tagged]) -> Result<CheckSummary, Box<Violation>> {
+        let whole = super::check_trace(geom, events);
+        assert_eq!(streamed(geom, events).verdict(), whole, "the streamed verdict");
+        whole
+    }
+
+    /// [`super::check_stats`], likewise held to the streamed tally's.
+    fn check_stats(events: &[Tagged], stats: &IoStats) -> Result<(), Box<Violation>> {
+        let whole = super::check_stats(events, stats);
+        assert_eq!(streamed(geom(), events).check_stats(stats), whole, "the streamed tally");
+        whole
+    }
 
     fn geom() -> Geometry {
         match Geometry::new(3, 4, 96) {

@@ -111,5 +111,5 @@ pub use retry::{Jitter, RetryCounters, RetryPolicy, RetryingDiskArray};
 pub use stack::{BuiltStack, ParitySpec, StackSpec};
 pub use stats::IoStats;
 pub use striping::StripedRun;
-pub use trace::{TraceEvent, TraceSink, TracingDiskArray};
+pub use trace::{TraceConsumer, TraceEvent, TraceSink, TracingDiskArray};
 pub use window::{read_run, write_unsorted_input, StripeWindow, WriteBehind};

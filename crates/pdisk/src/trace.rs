@@ -26,8 +26,14 @@
 //! the *logical* operation stream exactly as the algorithm issued it
 //! (above any parity remapping or retry absorption).
 //!
+//! A sink logs its events for [`TraceSink::take`] by default;
+//! [`TraceSink::stream`] instead hands each to a [`TraceConsumer`] as it
+//! is emitted (a durable sort's model check), so a trace of any length
+//! is checked in the checker's own memory.
+//!
 //! [`DiskArray::install_trace`]: crate::DiskArray::install_trace
 
+use std::any::Any;
 use std::sync::Arc;
 
 use crate::addr::{BlockAddr, DiskId};
@@ -314,13 +320,31 @@ pub struct Tagged {
     pub event: TraceEvent,
 }
 
+/// What a [`TraceSink`] feeds each event to as it is emitted, under the
+/// sink's lock, instead of logging it ([`TraceSink::stream`]): a checker
+/// whose memory is its own state, not the trace's length.  It must take
+/// no lock (DESIGN §13.2).
+pub trait TraceConsumer: Any + Send + std::fmt::Debug {
+    /// Take one event, stamped.
+    fn consume(&mut self, event: &Tagged);
+}
+
+/// The consumer a sink streams to, and the next sequence number.
+#[derive(Debug)]
+struct Stream {
+    consumer: Box<dyn TraceConsumer>,
+    seq: u64,
+}
+
 #[derive(Debug, Default)]
 struct TraceBuf {
     events: Vec<Tagged>,
     pass: u64,
+    stream: Option<Stream>,
 }
 
-/// Shared, append-only event log.  Cloning shares the log.
+/// Shared, append-only event log, or a stream into a [`TraceConsumer`].
+/// Cloning shares it.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     buf: Arc<Mutex<TraceBuf>>,
@@ -332,12 +356,31 @@ impl TraceSink {
         Self::default()
     }
 
-    /// Append one event, stamping sequence number and pass.
+    /// Append one event, stamping sequence number and pass — or, while
+    /// streaming, hand it to the consumer.
     pub fn emit(&self, event: TraceEvent) {
         let mut buf = self.buf.lock();
-        let seq = buf.events.len() as u64;
-        let pass = buf.pass;
-        buf.events.push(Tagged { seq, pass, event });
+        let TraceBuf { events, pass, stream } = &mut *buf;
+        match stream {
+            Some(s) => {
+                s.consumer.consume(&Tagged { seq: s.seq, pass: *pass, event });
+                s.seq += 1;
+            }
+            None => events.push(Tagged { seq: events.len() as u64, pass: *pass, event }),
+        }
+    }
+
+    /// From now on, feed every event to `consumer` as it is emitted,
+    /// numbered from 0 as a fresh log's would be, and log none.
+    pub fn stream(&self, consumer: impl TraceConsumer) {
+        self.buf.lock().stream = Some(Stream { consumer: Box::new(consumer), seq: 0 });
+    }
+
+    /// Stop streaming and hand the consumer back, if it is a `C`.
+    pub fn finish_stream<C: TraceConsumer>(&self) -> Option<C> {
+        let stream = self.buf.lock().stream.take()?;
+        let consumer: Box<dyn Any> = stream.consumer;
+        consumer.downcast().ok().map(|c| *c)
     }
 
     /// Set the pass tag for subsequent events and record the boundary.
@@ -349,7 +392,7 @@ impl TraceSink {
         self.emit(TraceEvent::PassBegin { pass });
     }
 
-    /// Number of events recorded so far.
+    /// Number of events logged so far (none while streaming).
     pub fn len(&self) -> usize {
         self.buf.lock().events.len()
     }
@@ -526,6 +569,36 @@ mod tests {
         let t = a.take_trace();
         assert!(matches!(t[0].event, TraceEvent::PassBegin { pass: 3 }));
         assert_eq!(t[1].pass, 3);
+    }
+
+    /// A streaming sink hands each event to its consumer, numbered from
+    /// 0 and pass-tagged as a fresh log's would be, and logs none; once
+    /// the consumer is handed back the sink logs again.
+    #[test]
+    fn a_streaming_sink_feeds_its_consumer_and_logs_nothing() {
+        #[derive(Debug, Default)]
+        struct Seen(Vec<(u64, u64)>);
+        impl TraceConsumer for Seen {
+            fn consume(&mut self, e: &Tagged) {
+                self.0.push((e.seq, e.pass));
+            }
+        }
+        let geom = Geometry::new(2, 2, 100).unwrap();
+        let mut a = TracingDiskArray::new(MemDiskArray::<U64Record>::new(geom));
+        a.alloc_contiguous(DiskId(0), 1).unwrap();
+        assert_eq!(a.take_trace().len(), 1);
+        a.sink().stream(Seen::default());
+        a.sink().begin_pass(2);
+        let o = a.alloc_contiguous(DiskId(1), 1).unwrap();
+        a.write(vec![(BlockAddr::new(DiskId(1), o), blk(&[1]))]).unwrap();
+        assert!(a.sink().is_empty(), "a streaming sink logs nothing");
+        let seen = a.sink().finish_stream::<Seen>().unwrap();
+        // PassBegin, Alloc, PhysWrite, Write, WriteDurable.
+        assert_eq!(seen.0, [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2)]);
+        assert!(a.sink().finish_stream::<Seen>().is_none(), "handed back once");
+        a.alloc_contiguous(DiskId(0), 1).unwrap();
+        let t = a.take_trace();
+        assert_eq!((t.len(), t[0].seq, t[0].pass), (1, 0, 2));
     }
 
     #[test]

@@ -259,10 +259,13 @@ USAGE:
       after that; folds of shards that finish early overlap the others'
       sorts).  --net-* and --partition inject seeded channel faults
       (drop/duplicate/delay/partition windows) in either mode: a
-      --procs child's messages cross the same channel.  The final
-      digest is checked against a centrally sorted oracle; any mismatch
-      exits nonzero.  Without --dir or --keep the shard tree is a temp
-      directory, removed whatever the outcome.
+      --procs child's messages cross the same channel.  The output is
+      checked in the fold's one scan, with no sort: every key in order,
+      and the record count and multiset fingerprint of the input the
+      coordinator generated for its splitters (so the digest is the
+      sorted input's); any mismatch exits nonzero.  Without --dir or
+      --keep the shard tree is a temp directory, removed whatever the
+      outcome.
 
   srm chaos [--target local|distsort|server|all] [--seed S] [--trials N]
            [--records N] [--d D] [--b B] [--m M] [--pipeline]

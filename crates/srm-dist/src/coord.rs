@@ -47,7 +47,7 @@ use crate::shard::{run_shard, KillPoint, ShardPlan};
 use crate::split::{sample_splitters, KeyRange};
 use pdisk::{FileDiskArray, Geometry, NetFaultModel, RetryPolicy, U64Record};
 use srm_core::RunFormation;
-use srm_server::{expected_digest, JobSpec, ShardMs};
+use srm_server::{fingerprint, JobSpec, ShardMs};
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::thread::JoinHandle;
@@ -232,7 +232,9 @@ pub struct DistReport {
     pub splitters: Vec<u64>,
     /// Digest of the global output (the shards' runs in splitter order).
     pub digest: u64,
-    /// The digest matched the centrally computed expectation.
+    /// The output is the input sorted: the fold found every key in
+    /// order, and its last carry holds the input's count and
+    /// fingerprint, so its digest is the input's sorted digest.
     pub oracle_ok: bool,
     /// Per-shard accounting.
     pub per_shard: Vec<ShardReport>,
@@ -348,6 +350,8 @@ struct Coordinator<'a> {
     ep: Endpoint,
     nodes: Vec<Node>,
     splitters: Vec<u64>,
+    /// The input's [`fingerprint`].
+    input: u64,
     ranges: Vec<KeyRange>,
     recoveries: u64,
     merge_stalls: u64,
@@ -371,29 +375,31 @@ pub(crate) fn run_distsort(spec: &JobSpec, cfg: &DistConfig, root: &Path, procs:
     spec.validate()?;
     cfg.validate(spec.geometry()?)?;
     let started = Instant::now();
-    let splitters = sample_input(spec, cfg.shards);
+    let (splitters, input) = sample_input(spec, cfg.shards);
     let split = started.elapsed();
     let ranges = (0..cfg.shards).map(|s| KeyRange::of(&splitters, s)).collect();
-    let mut report = distsort_ranged(spec, cfg, root, splitters, ranges, procs)?;
+    let mut report = distsort_ranged(spec, cfg, root, (splitters, input), ranges, procs)?;
     report.phase_ms.split = split.as_millis() as u64;
     report.elapsed_ms = started.elapsed().as_millis() as u64;
     Ok(report)
 }
 
-/// Phase 0, shared by both modes: generate the input and sample its
-/// splitters, a pure function of (spec, P) — so any replacement derives
-/// the partition the failure-free run sorted.
-pub(crate) fn sample_input(spec: &JobSpec, shards: u32) -> Vec<u64> {
-    sample_splitters(&spec.input_records(), shards, spec.seed)
+/// Phase 0, shared by both modes: generate the input, sample its
+/// splitters — a pure function of (spec, P), so any replacement derives
+/// the partition the failure-free run sorted — and take its
+/// [`fingerprint`], which the fold's last carry must hold.
+pub(crate) fn sample_input(spec: &JobSpec, shards: u32) -> (Vec<u64>, u64) {
+    let records = spec.input_records();
+    (sample_splitters(&records, shards, spec.seed), fingerprint(records.iter().map(|r| r.0)))
 }
 
-/// Everything after the split: boot shard `s` on `ranges[s]`, sort,
-/// fold.
+/// Everything after the split (the splitters and the input's
+/// fingerprint): boot shard `s` on `ranges[s]`, sort, fold.
 fn distsort_ranged(
     spec: &JobSpec,
     cfg: &DistConfig,
     root: &Path,
-    splitters: Vec<u64>,
+    (splitters, input): (Vec<u64>, u64),
     ranges: Vec<KeyRange>,
     procs: Option<&Path>,
 ) -> Result<DistReport> {
@@ -417,6 +423,7 @@ fn distsort_ranged(
         ep,
         nodes: Vec::new(),
         splitters,
+        input,
         ranges,
         recoveries: 0,
         merge_stalls: 0,
@@ -570,7 +577,7 @@ impl Coordinator<'_> {
             shards: self.cfg.shards,
             splitters: std::mem::take(&mut self.splitters),
             digest: out.digest,
-            oracle_ok: out.digest == expected_digest(self.spec) && out.records == self.spec.records,
+            oracle_ok: out.holds(self.spec.records, self.input),
             per_shard,
             recoveries: self.recoveries,
             merge_stalls: self.merge_stalls,
@@ -756,7 +763,7 @@ mod tests {
         let (pipelined, cfg, root) = (small_spec(), DistConfig::new(3), scratch("windows"));
         let blocking = JobSpec { pipeline: false, ..small_spec() };
         let geom = pipelined.geometry().unwrap();
-        let splitters = sample_input(&pipelined, cfg.shards);
+        let (splitters, _) = sample_input(&pipelined, cfg.shards);
         for shard in 0..cfg.shards {
             let sort = |spec: &JobSpec| {
                 let plan = plan_for(spec, &cfg, geom, &root, shard, KeyRange::of(&splitters, shard), None);
@@ -798,10 +805,10 @@ mod tests {
     #[test]
     fn swapped_partitions_fail_the_order_check() {
         let (spec, cfg, dir) = (small_spec(), DistConfig::new(3), scratch("swap"));
-        let splitters = sample_input(&spec, cfg.shards);
+        let (splitters, input) = sample_input(&spec, cfg.shards);
         let mut swapped = ranges(&splitters, cfg.shards);
         swapped.swap(0, 1);
-        let err = distsort_ranged(&spec, &cfg, &dir, splitters.clone(), swapped, None).unwrap_err();
+        let err = distsort_ranged(&spec, &cfg, &dir, (splitters.clone(), input), swapped, None).unwrap_err();
         let _ = std::fs::remove_dir_all(&dir);
         match err {
             DistError::Order { shard: 1, first: 0, key, prev } => {
@@ -818,8 +825,9 @@ mod tests {
     fn empty_leading_and_middle_shards_are_skipped() {
         let (spec, cfg, dir) = (small_spec(), DistConfig::new(5), scratch("holes"));
         let splitters = vec![0, 1 << 63, 1 << 63, 1 << 63];
-        let report =
-            distsort_ranged(&spec, &cfg, &dir, splitters.clone(), ranges(&splitters, cfg.shards), None).unwrap();
+        let input = sample_input(&spec, cfg.shards).1;
+        let split = (splitters.clone(), input);
+        let report = distsort_ranged(&spec, &cfg, &dir, split, ranges(&splitters, cfg.shards), None).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         let records: Vec<u64> = report.per_shard.iter().map(|s| s.records).collect();
         assert_eq!(records.iter().map(|&n| n == 0).collect::<Vec<_>>(), [true, false, true, true, false]);

@@ -4,63 +4,18 @@
 //! and the splitters are a pure function of `(spec, P)`, so every key of
 //! shard `i` is `<=` every key of shard `i + 1`: the global output *is*
 //! the shards' sorted runs **in splitter order**, left where the shards wrote them.
-//! What the oracle needs of it — the FNV-1a digest of every key in
-//! order, `key >= previous` on every key, and the record count — is a
-//! left fold, so it travels as a [`Carry`]: the coordinator asks each
-//! non-empty shard in turn to fold its own keys onto the carry the
-//! shards before it left ([`Chain`]).  No key crosses to the
-//! coordinator, and the global digest is byte-identical to digesting
-//! the concatenation, by construction.
+//! What the check needs of it — the FNV-1a digest of every key in
+//! order, `key >= previous` on every key, the record count and the
+//! multiset [`srm_server::fingerprint`] — is a left fold, so it travels
+//! as a [`Carry`]: the coordinator asks each non-empty shard in turn to
+//! fold its own keys onto the carry the shards before it left
+//! ([`Chain`]), and holds the last carry to the input's count and
+//! fingerprint ([`Carry::holds`]).  No key crosses to the coordinator,
+//! and the global digest is byte-identical to digesting the
+//! concatenation, by construction.
 
 use crate::error::{DistError, Result};
-use srm_server::KeyDigest;
-
-/// The fold's state after a prefix of the shards, in splitter order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Carry {
-    /// FNV-1a digest of every key folded so far.
-    pub digest: u64,
-    /// The last key folded (`0` before the first).
-    pub prev: u64,
-    /// Records folded so far.
-    pub records: u64,
-}
-
-/// A fold met a key below its predecessor: the shards' runs are not
-/// range-disjoint in splitter order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Disorder {
-    /// The block of the folding shard's run that holds the key.
-    pub first: u64,
-    /// The offending key.
-    pub key: u64,
-    /// The key folded just before it.
-    pub prev: u64,
-}
-
-impl Default for Carry {
-    fn default() -> Self {
-        Carry { digest: KeyDigest::new().finish(), prev: u64::MIN, records: 0 }
-    }
-}
-
-impl Carry {
-    /// Fold one shard's run — its keys in order, `b` to a block — onto
-    /// this carry.
-    pub fn fold(self, keys: impl IntoIterator<Item = u64>, b: usize) -> std::result::Result<Carry, Disorder> {
-        let (mut digest, mut prev) = (KeyDigest::from_state(self.digest), self.prev);
-        let mut folded = 0u64;
-        for key in keys {
-            if key < prev {
-                return Err(Disorder { first: folded / b as u64, key, prev });
-            }
-            prev = key;
-            digest.push(key);
-            folded += 1;
-        }
-        Ok(Carry { digest: digest.finish(), prev, records: self.records + folded })
-    }
-}
+pub use srm_server::{Carry, Disorder};
 
 /// What the chain needs next.
 #[derive(Debug, PartialEq, Eq)]
@@ -206,6 +161,30 @@ mod tests {
         assert_eq!(chain.step(&records), Step::Wait, "shard 2 still sorts");
     }
 
+    /// The coordinator's verdict, `oracle_ok`, is the last carry holding
+    /// the input's count and fingerprint: a shard whose run gained or
+    /// lost a key — its sort reporting the count it holds, so the chain
+    /// adopts its fold — or swapped one for another fails it.
+    #[test]
+    fn a_carry_that_gains_or_loses_a_key_fails_the_verdict() {
+        let input: Vec<u64> = (0..40).map(|k| k * 3).collect();
+        let want = (input.len() as u64, srm_server::fingerprint(input.iter().copied()));
+        let verdict = |runs: [Vec<u64>; 2]| {
+            let reported = [runs[0].len() as u64, runs[1].len() as u64];
+            drive(&runs, &reported).1.unwrap().holds(want.0, want.1)
+        };
+        let (lo, hi) = (input[..25].to_vec(), input[25..].to_vec());
+        assert!(verdict([lo.clone(), hi.clone()]));
+        let lost: Vec<u64> = lo.iter().copied().filter(|&k| k != 30).collect();
+        assert!(!verdict([lost, hi.clone()]), "a lost key");
+        let mut gained = hi.clone();
+        gained.insert(3, gained[3]);
+        assert!(!verdict([lo.clone(), gained]), "a gained key");
+        let mut swapped = hi.clone();
+        swapped[0] += 1;
+        assert!(!verdict([lo, swapped]), "a substituted key");
+    }
+
     proptest! {
         /// Folding any split of a sorted key sequence through the carry,
         /// empty pieces included, is `digest_keys` of the whole.
@@ -228,6 +207,7 @@ mod tests {
             prop_assert_eq!(carry.digest, digest_keys(keys.iter().copied()));
             prop_assert_eq!(carry.records, keys.len() as u64);
             prop_assert_eq!(carry.prev, keys.last().copied().unwrap_or(0));
+            prop_assert!(carry.holds(keys.len() as u64, srm_server::fingerprint(keys.iter().rev().copied())));
         }
     }
 }

@@ -89,8 +89,10 @@ impl Envelope {
     #[deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
     pub fn encode(&self) -> String {
         let body = match &self.msg {
-            Msg::Fold { carry: c } => format!("Fold {} {} {}", c.digest, c.prev, c.records),
-            Msg::Folded { fold: Ok(c) } => format!("Folded ok {} {} {}", c.digest, c.prev, c.records),
+            Msg::Fold { carry: c } => format!("Fold {} {} {} {}", c.digest, c.prev, c.records, c.fingerprint),
+            Msg::Folded { fold: Ok(c) } => {
+                format!("Folded ok {} {} {} {}", c.digest, c.prev, c.records, c.fingerprint)
+            }
             Msg::Folded { fold: Err(d) } => format!("Folded err {} {} {}", d.first, d.key, d.prev),
             Msg::Shutdown => "Shutdown".into(),
             Msg::Heartbeat => "Heartbeat".into(),
@@ -119,8 +121,12 @@ impl Envelope {
         let msg = match (kind, outcome, &n.unwrap_or_default()[..]) {
             ("SortDone", ..) => Msg::SortDone { done: Descriptor::parse(&text()?).map_err(|_| bad())? },
             ("Fatal", ..) => Msg::Fatal { msg: text()? },
-            ("Fold", None, &[digest, prev, records]) => Msg::Fold { carry: Carry { digest, prev, records } },
-            ("Folded", Some("ok"), &[digest, prev, records]) => Msg::Folded { fold: Ok(Carry { digest, prev, records }) },
+            ("Fold", None, &[digest, prev, records, fingerprint]) => {
+                Msg::Fold { carry: Carry { digest, prev, records, fingerprint } }
+            }
+            ("Folded", Some("ok"), &[digest, prev, records, fingerprint]) => {
+                Msg::Folded { fold: Ok(Carry { digest, prev, records, fingerprint }) }
+            }
             ("Folded", Some("err"), &[first, key, prev]) => Msg::Folded { fold: Err(Disorder { first, key, prev }) },
             ("Shutdown", None, []) if rest.is_none() => Msg::Shutdown,
             ("Heartbeat", None, []) if rest.is_none() => Msg::Heartbeat,

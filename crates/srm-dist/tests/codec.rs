@@ -29,7 +29,7 @@ fn descriptor(with_run: bool, n: &[u64]) -> Descriptor {
 
 /// Every kind, from a kind selector, eleven numbers and a text.
 fn msg(kind: u8, n: &[u64], text: String) -> Msg {
-    let carry = Carry { digest: n[0], prev: n[1], records: n[2] };
+    let carry = Carry { digest: n[0], prev: n[1], records: n[2], fingerprint: n[3] };
     match kind {
         0 => Msg::Fold { carry },
         1 => Msg::Shutdown,
@@ -95,9 +95,12 @@ fn malformed_lines_are_typed_errors() {
         "1 4 2 Pass 1 2",
         "1 4 2 Pass x",
         "1 4 2 Fold 1 2",
+        "1 4 2 Fold 1 2 3 4 5",
         "1 4 2 Folded 1 2 3",
         "1 4 2 Folded maybe 1 2 3",
         "1 4 2 Folded ok 1 2",
+        "1 4 2 Folded ok 1 2 3 4 5",
+        "1 4 2 Folded err 1 2 3 4",
         "1 4 2 Shutdown now",
         "1 4 2 SortDone",
         "1 4 2 SortDone records 7",
@@ -111,4 +114,26 @@ fn malformed_lines_are_typed_errors() {
             other => panic!("{line:?} decoded as {other:?}"),
         }
     }
+}
+
+/// A `Fold` / `Folded` line carries the carry's fingerprint as its fourth
+/// field.  A line from before it, with the three fields of digest, prev
+/// and records, is refused as malformed — never read as a carry whose
+/// fingerprint is some default — while a `Folded err` keeps its three.
+#[test]
+fn a_carry_without_its_fingerprint_is_refused() {
+    let carry = Carry { digest: 0xcbf2_9ce4_8422_2325, prev: 41, records: 7, fingerprint: u64::MAX };
+    for msg in [Msg::Fold { carry }, Msg::Folded { fold: Ok(carry) }] {
+        let env = Envelope { src: 2, dst: 4, epoch: 1, msg };
+        let line = env.encode();
+        assert!(line.ends_with(" 14695981039346656037 41 7 18446744073709551615\n"), "{line:?}");
+        assert_eq!(Envelope::decode(&line).unwrap(), env);
+        let old = line.replace(" 18446744073709551615", "");
+        match Envelope::decode(&old) {
+            Err(DistError::Net(m)) => assert!(m.contains("malformed message line"), "{old:?}: {m}"),
+            other => panic!("{old:?} decoded as {other:?}"),
+        }
+    }
+    let disorder = Envelope { src: 2, dst: 4, epoch: 1, msg: Msg::Folded { fold: Err(Disorder { first: 3, key: 5, prev: 9 }) } };
+    assert_eq!(disorder.encode(), "2 4 1 Folded err 3 5 9\n");
 }

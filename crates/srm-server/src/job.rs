@@ -28,7 +28,7 @@
 //! rendered in records.
 
 use analysis::MemoryBudget;
-use modelcheck::CheckSummary;
+use modelcheck::{CheckSummary, StreamCheck};
 use pdisk::manifest::atomic_write;
 use pdisk::{
     ArrayLease, BuiltStack, DiskArray, DiskId, FileDiskArray, Geometry, InterruptFlag, Layer, MemDiskArray,
@@ -484,17 +484,112 @@ impl Default for KeyDigest {
     }
 }
 
-/// The expected output digest of a job: [`oracle_digest`] of its input.
+/// The expected output digest of a job: its input sorted in host memory,
+/// independently of the engine, and digested.  The tests', the chaos
+/// campaigns' and srmbench's oracle; the product checks a sort in one
+/// scan instead ([`check_sorted`], [`Carry::holds`]).
 pub fn expected_digest(spec: &JobSpec) -> u64 {
-    oracle_digest(&spec.input_records())
-}
-
-/// The digest of `records` sorted in host memory, independently of the
-/// engine: what the disks must agree with.
-pub(crate) fn oracle_digest(records: &[U64Record]) -> u64 {
+    let records = spec.input_records();
     let mut keys: Vec<u64> = records.iter().map(|r| r.0).collect();
     keys.sort_unstable();
     digest_keys(keys)
+}
+
+/// splitmix64's finalizer: a bijection of `u64`, so two distinct keys
+/// never mix to the same word.
+fn mix(key: u64) -> u64 {
+    let z = (key ^ (key >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The multiset fingerprint of `keys`: the wrapping sum of [`mix`] over
+/// them, blind to their order.  Replacing one key by another always
+/// changes it; any other change of the multiset at a given count, unless
+/// crafted against the mix, leaves it equal with probability about
+/// 2⁻⁶⁴, the odds of a 64-bit digest compare.
+pub fn fingerprint(keys: impl IntoIterator<Item = u64>) -> u64 {
+    keys.into_iter().fold(0, |sum, k| sum.wrapping_add(mix(k)))
+}
+
+/// One left fold over a sequence that should ascend: what the one-scan
+/// check needs of a sorted output, carried from piece to piece (a
+/// distsort's shards, in splitter order, fold their runs onto it in
+/// turn).  A sequence is a sorted permutation of an input exactly when
+/// its fold succeeds and [`Carry::holds`] the input's count and
+/// [`fingerprint`]; its digest is then the input's [`expected_digest`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Carry {
+    /// FNV-1a digest of every key folded so far.
+    pub digest: u64,
+    /// The last key folded (`0` before the first).
+    pub prev: u64,
+    /// Records folded so far.
+    pub records: u64,
+    /// The [`fingerprint`] of every key folded so far.
+    pub fingerprint: u64,
+}
+
+/// A fold met a key below its predecessor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Disorder {
+    /// The block of the folded piece that holds the key.
+    pub first: u64,
+    /// The offending key.
+    pub key: u64,
+    /// The key folded just before it.
+    pub prev: u64,
+}
+
+impl Default for Carry {
+    fn default() -> Self {
+        Carry { digest: KeyDigest::new().finish(), prev: u64::MIN, records: 0, fingerprint: 0 }
+    }
+}
+
+impl Carry {
+    /// Fold one piece — its keys in order, `b` to a block — onto this
+    /// carry, in the one scan that digests it.
+    pub fn fold(self, keys: impl IntoIterator<Item = u64>, b: usize) -> Result<Carry, Disorder> {
+        let (mut digest, mut prev, mut sum) = (KeyDigest::from_state(self.digest), self.prev, self.fingerprint);
+        let mut folded = 0u64;
+        for key in keys {
+            if key < prev {
+                return Err(Disorder { first: folded / b as u64, key, prev });
+            }
+            prev = key;
+            digest.push(key);
+            sum = sum.wrapping_add(mix(key));
+            folded += 1;
+        }
+        Ok(Carry { digest: digest.finish(), prev, records: self.records + folded, fingerprint: sum })
+    }
+
+    /// Whether the keys folded are a multiset of `records` keys with
+    /// this [`fingerprint`]: with a successful fold, the sorted input.
+    pub fn holds(&self, records: u64, fingerprint: u64) -> bool {
+        (self.records, self.fingerprint) == (records, fingerprint)
+    }
+}
+
+/// The one-scan check of a sort: `output` is `input` sorted exactly
+/// when it ascends, has `input`'s count and `input`'s [`fingerprint`]
+/// (`b` records to a block, to locate a disorder).  O(N) time and O(1)
+/// memory; returns the output's digest.
+pub fn check_sorted(input: &[U64Record], output: &[U64Record], b: usize) -> Result<u64, JobError> {
+    let out = Carry::default().fold(output.iter().map(|r| r.0), b).map_err(|Disorder { first, key, prev }| {
+        JobError::Engine(format!("output key {key:#x} in block {first} is below its predecessor {prev:#x}"))
+    })?;
+    let want = fingerprint(input.iter().map(|r| r.0));
+    if !out.holds(input.len() as u64, want) {
+        return Err(JobError::Engine(format!(
+            "output is not a permutation of its input: {} records, fingerprint {:#018x} != expected {} records, {want:#018x}",
+            out.records,
+            out.fingerprint,
+            input.len()
+        )));
+    }
+    Ok(out.digest)
 }
 
 // ─── the durable sort: a `srm serve` job's or a distsort shard's ─────────
@@ -525,7 +620,8 @@ pub struct ShardMs {
     pub sort: u64,
     /// Digesting the output, kept by the last merge or read back (step 6).
     pub verify: u64,
-    /// Replaying the trace through the model checker.
+    /// Taking the model check's verdict: the trace streamed into the
+    /// checker as the sort ran, so this is the stats comparison alone.
     pub check: u64,
 }
 
@@ -814,8 +910,8 @@ pub struct DurableSort<'a, X, C> {
     pub slot: X,
     /// The disks, and what becomes of them between incarnations.
     pub cluster: &'a mut C,
-    /// Check the output against [`oracle_digest`] of the records, which
-    /// a helper thread computes while the engine sorts.
+    /// Check in one scan that the output is the records sorted
+    /// ([`check_sorted`]).
     pub oracle: bool,
 }
 
@@ -857,9 +953,11 @@ pub struct Sorted {
 /// 6. digest the output: the records the last merge kept as it wrote
 ///    them, or the run read back — on a stack with a fault injector or a
 ///    crash clock, whose oracles look for lost, torn or corrupted writes
-///    on the disks, and when no merge ran in this call;
-/// 7. replay a traced stack's trace and stats through the model checker,
-///    and, with `job.oracle`, compare the digest with the oracle's;
+///    on the disks, and when no merge ran in this call — with
+///    `job.oracle`, in the scan that checks it is the records sorted
+///    ([`check_sorted`]);
+/// 7. take the model check's verdict on a traced stack's trace and stats
+///    (the trace streamed into it as the sort ran), then the scan's;
 /// 8. publish the descriptor at [`DONE`], then retire the manifest.
 ///
 /// The stack goes back to the cluster on every exit once it is built.
@@ -909,7 +1007,6 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
         (disks, None)
     };
     ms.stage += clock.elapsed().as_millis() as u64;
-    let traced = stack.trace;
     let tap = stack.faults.is_none() && stack.crash.is_none();
     let mut array = stack.build(disks, slot)?;
     let sorted = (|| {
@@ -929,9 +1026,11 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
         }
         array.reset_stats();
         drop(array.take_trace());
-        // The trace starts on the array as the sort finds it: the checker
-        // learns the disks an earlier incarnation saw die.
+        // The trace streams into the checker as the sort runs, starting
+        // on the array as the sort finds it: the checker learns the disks
+        // an earlier incarnation saw die.
         if let Some(sink) = array.trace_sink() {
+            sink.stream(StreamCheck::new(geom));
             for disk in array.redundancy().map(|r| r.dead).unwrap_or_default() {
                 sink.emit(TraceEvent::DiskDeath { disk });
             }
@@ -942,33 +1041,28 @@ pub fn sort_durable<X: Layer<U64Record>, C: Cluster>(
             Some(run) => srm_core::Input::Staged(run),
             None => srm_core::Input::InMemory(records),
         };
-        let (sorted, expect) = std::thread::scope(|s| {
-            let expect = oracle.then(|| s.spawn(|| oracle_digest(records)));
-            let sorted = sorter.sort_from(&mut array, input, Some(&manifest), resume, tap, &mut observer);
-            (sorted, expect.map(|h| h.join().map_err(|_| JobError::Engine("the oracle's thread panicked".into()))))
-        });
-        let (run, report, kept) = sorted?;
-        let expect = expect.transpose()?;
+        let (run, report, kept) = sorter.sort_from(&mut array, input, Some(&manifest), resume, tap, &mut observer)?;
         let elapsed = clock.elapsed();
         ms.sort = elapsed.as_millis() as u64;
 
+        // The verdict waits for the model check's, which comes first.
         let clock = Instant::now();
         let keys = kept.map_or_else(|| read_run(&mut array, &run), Ok)?;
-        let digest = digest_keys(keys.iter().map(|r| r.0));
+        let digest = match oracle {
+            true => check_sorted(records, &keys, geom.b),
+            false => Ok(digest_keys(keys.iter().map(|r| r.0))),
+        };
         ms.verify = clock.elapsed().as_millis() as u64;
 
         let clock = Instant::now();
         let io = array.stats();
         let mut model = None;
-        if traced {
-            let trace = array.take_trace();
-            model = Some(modelcheck::check_trace(geom, &trace).map_err(|v| JobError::Model(v.to_string()))?);
-            modelcheck::check_stats(&trace, &io).map_err(|v| JobError::Model(format!("trace/stats drift: {v}")))?;
+        if let Some(check) = array.trace_sink().and_then(|sink| sink.finish_stream::<StreamCheck>()) {
+            model = Some(check.verdict().map_err(|v| JobError::Model(v.to_string()))?);
+            check.check_stats(&io).map_err(|v| JobError::Model(format!("trace/stats drift: {v}")))?;
         }
         ms.check = clock.elapsed().as_millis() as u64;
-        if let Some(want) = expect.filter(|&want| want != digest) {
-            return Err(JobError::Engine(format!("output digest {digest:#018x} != expected {want:#018x}")));
-        }
+        let digest = digest?;
         let done = Descriptor {
             run: Some(run),
             records: records.len() as u64,

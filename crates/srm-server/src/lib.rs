@@ -42,8 +42,8 @@ pub mod server;
 
 pub use drain::DrainReport;
 pub use job::{
-    decode_run, digest_keys, encode_run, expected_digest, generate_records, Descriptor, EngineKind,
-    JobError, JobSpec, KeyDigest, ShardMs,
+    check_sorted, decode_run, digest_keys, encode_run, expected_digest, fingerprint, generate_records, Carry,
+    Descriptor, Disorder, EngineKind, JobError, JobSpec, KeyDigest, ShardMs,
 };
 pub use net::serve;
 pub use queue::Admission;

@@ -726,7 +726,8 @@ fn execute(inner: &Arc<Inner>, (id, cost, spec, flag): Claimed) {
 /// the file cluster, with the fault injector under it only at a nonzero
 /// rate (without it the output is digested as the last merge writes it),
 /// an observer that records each pass and trips the deadline, and the
-/// input's oracle digest as the last check before `done` is published.
+/// one-scan check that the output is the input sorted as the last check
+/// before `done` is published.
 /// Returns the published descriptor.
 fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, flag: InterruptFlag) -> Result<Descriptor, JobError> {
     let clock = Instant::now();

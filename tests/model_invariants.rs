@@ -8,8 +8,8 @@
 //! tests in `crates/modelcheck/tests/` prove the checker accepts correct
 //! sorts; these prove it is not accepting them vacuously.
 
-use modelcheck::{check_trace, Violation, ViolationKind};
-use pdisk::trace::{Tagged, TraceEvent, TraceFlush, TraceTarget, TracingDiskArray};
+use modelcheck::{check_trace, CheckSummary, StreamCheck, Violation, ViolationKind};
+use pdisk::trace::{Tagged, TraceConsumer, TraceEvent, TraceFlush, TraceTarget, TracingDiskArray};
 use pdisk::{DiskId, Geometry, MemDiskArray, ParityDiskArray, U64Record};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +33,7 @@ fn clean_trace() -> &'static (Geometry, Vec<Tagged>) {
         SrmSorter::default().sort(&mut a, &input).unwrap();
         let trace = a.take_trace();
         let summary = check_trace(geom, &trace).unwrap_or_else(|v| panic!("not clean: {v}"));
+        assert_eq!(streamed(geom, &trace), Ok(summary.clone()), "the streamed verdict");
         assert!(
             summary.flushed_blocks > 0,
             "mutations need a trace that exercises rule 2c: {summary:?}"
@@ -61,10 +62,26 @@ fn mutate_first(
     (out, hit.expect("no event accepted the mutation"))
 }
 
+/// `trace` fed one event at a time into a [`StreamCheck`], as a durable
+/// sort's sink streams it: the streamed verdict.  The events keep their
+/// tags, so a mutation that removed one keeps its gap.
+fn streamed(geom: Geometry, trace: &[Tagged]) -> Result<CheckSummary, Box<Violation>> {
+    let mut check = StreamCheck::new(geom);
+    for e in trace {
+        check.consume(e);
+    }
+    check.verdict()
+}
+
+/// The checker's violation of `trace`, which the streamed check finds at
+/// the same event.
 fn expect_violation(geom: Geometry, trace: &[Tagged]) -> Violation {
     match check_trace(geom, trace) {
         Ok(s) => panic!("mutated trace passed the checker: {s:?}"),
-        Err(v) => *v,
+        Err(v) => {
+            assert_eq!(streamed(geom, trace), Err(v.clone()), "the streamed verdict");
+            *v
+        }
     }
 }
 
