@@ -25,7 +25,7 @@ pub(crate) type BlockReply<R> = crate::queue::SlotWait<Result<(Block<R>, Vec<u8>
 pub(crate) enum ReadState<R: Record> {
     /// The backend executed the read eagerly; the blocks are here.
     Ready(Vec<Block<R>>),
-    /// The read is in flight on per-disk worker threads; one completion
+    /// The read is in flight on the backend's worker threads; one completion
     /// slot per requested block, in request order.
     Pending(Vec<BlockReply<R>>),
 }

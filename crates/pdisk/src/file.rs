@@ -1,9 +1,9 @@
 //! Real-file disk array.
 //!
 //! Each simulated disk is one file; the per-disk transfers of a parallel
-//! I/O operation execute concurrently on dedicated worker threads (one per
-//! disk, owning that disk's file handle), so a `D`-wide operation issues `D`
-//! positioned reads/writes in parallel exactly as the model intends.
+//! I/O operation run on a pool of `D` worker threads sharing the files,
+//! one transfer per disk at a time (`crate::queue`), so a `D`-wide
+//! operation's transfers proceed in parallel as the model intends.
 //!
 //! On-disk format: fixed-size block slots.  Each slot is
 //!
@@ -39,10 +39,10 @@
 //! ways in parallel and none of it delays the merge.
 //!
 //! An operation reaches the workers whole (`crate::queue`): its jobs are
-//! built first, pushed onto the per-disk queues under one lock, and the
-//! workers are woken once, after the last job is queued — one scheduling
-//! event per parallel I/O, not one per block.  Its results come back
-//! through one completion record with a slot per job.
+//! built first, pushed onto the per-disk queues under one lock, and at
+//! most one worker is woken after the last job is queued, none if one is
+//! awake — not one wake per block.  Its results come back through one
+//! completion record with a slot per job.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
@@ -51,7 +51,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::addr::{BlockAddr, DiskId};
 use crate::backend::{
@@ -420,23 +420,23 @@ enum Job<R: Record> {
         pool: BufferPool<R>,
         reply: SlotFill<io::Result<Vec<u8>>>,
     },
-    /// Durability barrier: `fsync` the disk file.  Because each worker
-    /// processes its queue in order, the barrier also *drains* every
-    /// write queued before it — a sync reply means those writes are on
+    /// Durability barrier: `fsync` the disk file.  Because each disk's
+    /// queue runs one job at a time in order, the barrier also *drains*
+    /// every write queued before it — a sync reply means those writes are on
     /// stable storage, not merely in flight.
     Sync {
         reply: SlotFill<io::Result<()>>,
     },
 }
 
-/// The per-disk worker threads and the queues that feed them.
+/// The worker pool and the per-disk queues that feed it.
 struct Workers<R: Record> {
     queues: Arc<DiskQueues<Job<R>>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl<R: Record> Drop for Workers<R> {
-    /// Workers exit on *closed and empty*, so this returns — with every
+    /// Workers exit on *closed and drained*, so this returns — with every
     /// queued write carried out — whatever tickets and prefetches are
     /// still outstanding: their results are filled into completion
     /// records nobody waits on.
@@ -463,22 +463,22 @@ pub struct PrefetchStats {
     pub invalidated: u64,
 }
 
-/// Counters for the dispatch path.  *Queue everything, then wake* keeps
-/// `notifications` at or below `submissions` whatever an operation's
-/// width — the in-product check that a parallel I/O is one scheduling
-/// event.
+/// Counters for the dispatch path.  *Queue everything, then wake at most
+/// one* keeps `notifications` at or below `submissions` whatever an
+/// operation's width — the in-product check that a parallel I/O is at
+/// most one scheduling event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Operations (reads, writes, hints, barriers) queued whole under
     /// one lock acquisition.
     pub submissions: u64,
-    /// Submissions that found a worker they touch asleep and notified.
+    /// Submissions that woke a parked worker.
     pub notifications: u64,
     /// Times a completing thread slept waiting for a result.
     pub completion_waits: u64,
 }
 
-/// A disk array backed by one file per disk, with per-disk I/O threads.
+/// A disk array backed by one file per disk, served by `D` I/O threads.
 pub struct FileDiskArray<R: Record> {
     geom: Geometry,
     dir: PathBuf,
@@ -489,7 +489,7 @@ pub struct FileDiskArray<R: Record> {
     trace: Option<TraceSink>,
     pool: BufferPool<R>,
     /// Artificial per-job service time in microseconds, shared with the
-    /// worker threads (0 = none).  Used by benchmarks to emulate a
+    /// worker pool (0 = none).  Used by benchmarks to emulate a
     /// device whose transfers take real time, making I/O–compute
     /// overlap measurable even on a fast local filesystem.
     io_delay_us: Arc<AtomicU64>,
@@ -511,7 +511,7 @@ pub struct FileDiskArray<R: Record> {
 
 impl<R: Record> FileDiskArray<R> {
     /// Create (or truncate) `D` disk files under `dir`, write the format
-    /// record, and start the worker threads.
+    /// record, and start the worker pool.
     pub fn create(geom: Geometry, dir: impl AsRef<Path>) -> Result<Self> {
         Self::on_lease(geom, ArrayLease::take(dir)?, true)
     }
@@ -549,11 +549,12 @@ impl<R: Record> FileDiskArray<R> {
         // Owns the threads from the first spawn on: an error below closes
         // the queues and joins what was started.
         let mut workers = Workers {
-            queues: Arc::new(DiskQueues::new(geom.d)),
+            queues: Arc::new(DiskQueues::new(geom.d, Arc::clone(&io_delay_us))),
             handles: Vec::with_capacity(geom.d),
         };
         let mut next_free = vec![0u64; geom.d];
         let mut torn_dropped = vec![0u64; geom.d];
+        let mut files = Vec::with_capacity(geom.d);
         for (d, free) in next_free.iter_mut().enumerate() {
             let path = disk_path(&dir, d);
             let file = OpenOptions::new()
@@ -617,8 +618,11 @@ impl<R: Record> FileDiskArray<R> {
                 torn_dropped[d] = dropped + u64::from(rem != 0);
                 *free = keep;
             }
-            let queues = Arc::clone(&workers.queues);
-            workers.handles.push(Self::spawn_worker(d, file, layout, Arc::clone(&io_delay_us), queues)?);
+            files.push(file);
+        }
+        let files: Arc<[File]> = files.into();
+        for idx in 0..geom.d {
+            workers.handles.push(Self::spawn_worker(idx, Arc::clone(&files), layout, Arc::clone(&workers.queues))?);
         }
         // After truncating, so a crash leaves no slot in a format the
         // record does not state; the directory sync makes its name durable.
@@ -644,48 +648,31 @@ impl<R: Record> FileDiskArray<R> {
         })
     }
 
-    // The disk worker thread: ALL of its blocking I/O (positioned
+    // A pool worker thread: ALL of its blocking I/O (positioned
     // reads/writes, fsync) lives in this one fn, and its wait for work in
     // `QueueWorker::next_job`, whose `Condvar` wait clippy's
     // `disallowed-methods` admits only under an `#[expect]`.  The slot
     // codec it calls is pure.
     fn spawn_worker(
         idx: usize,
-        file: File,
+        files: Arc<[File]>,
         layout: SlotLayout,
-        delay_us: Arc<AtomicU64>,
         queues: Arc<DiskQueues<Job<R>>>,
     ) -> Result<std::thread::JoinHandle<()>> {
         let handle = std::thread::Builder::new()
             .name(format!("pdisk-io-{idx}"))
             .spawn(move || {
-                // Virtual device clock for the simulated service time:
-                // a disk that has been continuously busy completes one
-                // block every `delay` of *modeled* time, so the worker
-                // tracks `busy_until` and sleeps toward that deadline
-                // rather than sleeping a fixed amount per job.  A bare
-                // per-job `thread::sleep` overshoots sub-millisecond
-                // requests by ~2x (kernel timer slack), which would
-                // silently halve the simulated device bandwidth; with a
-                // deadline, overshoot on one job shortens the next sleep,
-                // so a backlogged queue drains at exactly one block per
-                // `delay` while an idle disk still charges full latency.
-                let mut busy_until = std::time::Instant::now();
-                // Retires the disk when the thread ends, however it ends.
-                let worker = queues.worker(idx);
-                while let Some((job, backlogged)) = worker.next_job() {
-                    let d = delay_us.load(Ordering::Relaxed);
-                    if d > 0 {
-                        let now = std::time::Instant::now();
-                        if !backlogged && busy_until < now {
-                            // The device sat idle until this job arrived.
-                            busy_until = now;
-                        }
-                        busy_until += Duration::from_micros(d);
-                        if busy_until > now {
-                            std::thread::sleep(busy_until - now);
-                        }
+                // Leaves the pool when the thread ends, however it ends;
+                // ending mid-job retires that job's disk.
+                let mut worker = queues.worker();
+                while let Some((disk, job, due)) = worker.next_job() {
+                    // The modelled device is done at `due` (`crate::queue`'s
+                    // clock); a late wake only shortens the next sleep, so a
+                    // busy disk still moves one block per service time.
+                    if let Some(due) = due {
+                        std::thread::sleep(due.saturating_duration_since(Instant::now()));
                     }
+                    let file = &files[disk];
                     match job {
                         // Filling a slot never blocks; when the ticket
                         // was dropped the result is abandoned with the
@@ -927,7 +914,7 @@ impl<R: Record> DiskArray<R> for FileDiskArray<R> {
     /// adopts its half and skips the device wait.  Hints are *not* parallel I/O operations: nothing is
     /// charged to [`IoStats`], no trace events are emitted, and bad or
     /// already-cached addresses are silently skipped — but each
-    /// speculative read does occupy its disk's worker (including any
+    /// speculative read does occupy its disk (including any
     /// simulated service delay), so the device time is physically
     /// honest; prefetching only ever moves it earlier.
     fn prefetch(&mut self, addrs: &[BlockAddr]) {
@@ -1261,30 +1248,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One parallel I/O is one scheduling event: a full-width write that
-    /// finds every worker asleep notifies once, not `D` times.
-    #[test]
-    fn a_full_width_write_on_idle_workers_notifies_once() {
-        let g = Geometry::new(4, 2, 1000).unwrap();
-        let dir = tmpdir("notify-once");
-        let mut a: FileDiskArray<U64Record> = FileDiskArray::create(g, &dir).unwrap();
-        let stripe: Vec<_> = (0..4)
-            .map(|d| {
-                let o = a.alloc_contiguous(DiskId(d), 1).unwrap();
-                (BlockAddr::new(DiskId(d), o), blk(&[d as u64], Forecast::Next(9)))
-            })
-            .collect();
-        a.workers.queues.until_asleep(0..4);
-        let before = a.queue_stats();
-        a.write(stripe).unwrap();
-        let after = a.queue_stats();
-        assert_eq!(after.submissions - before.submissions, 1);
-        assert_eq!(after.notifications - before.notifications, 1);
-        drop(a);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// With one disk's worker dead, an operation touching that disk is
+    /// With one disk retired, an operation touching that disk is
     /// refused whole: nothing reaches the other disks, nothing is
     /// charged, and a hint leaves no cache entry behind.
     #[test]
@@ -1299,8 +1263,8 @@ mod tests {
         }
         a.write(stripe(1)).unwrap();
         let stats = a.stats();
-        // Retire disk 2 the way its worker would on the way out.
-        drop(a.workers.queues.worker(2));
+        // Retire disk 2 the way a worker exiting mid-job would.
+        a.workers.queues.retire(2);
 
         assert!(matches!(a.write(stripe(2)).unwrap_err(), PdiskError::Io(_)));
         assert!(matches!(a.read(&[at(0), at(2)]).unwrap_err(), PdiskError::Io(_)));

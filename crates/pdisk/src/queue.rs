@@ -1,18 +1,21 @@
 //! The two primitives between the file backend and its disk workers:
-//! the per-disk job queues and the per-operation completion.
+//! the per-disk job queues with the worker pool that serves them, and
+//! the per-operation completion.  Both are generic over what they carry
+//! and touch no file, so their tests run under miri too.
 //!
-//! Both are generic over what they carry and touch no file, so their
-//! tests run everywhere the crate's do, miri included.
-//!
-//! [`DiskQueues`] holds the `D` per-disk FIFO queues behind **one** lock.
-//! A parallel I/O is submitted whole: every job is built first, all of
-//! them are pushed under a single acquisition, and only then — and only
-//! if a worker the operation touches is asleep — is the one condvar
-//! notified.  Waking a parked thread costs tens of microseconds and can
-//! preempt the submitting thread, so *queue everything, then wake* is
-//! what makes a `D`-wide operation one scheduling event instead of `D`.
-//! A submit is all or nothing: if any touched disk's worker has died,
-//! nothing is queued.
+//! [`DiskQueues`] holds the `D` per-disk FIFO queues behind **one** lock,
+//! served by a work-conserving pool: any awake worker takes the next job
+//! of any disk no other worker holds and *claims* the disk until it comes
+//! for its next job, so each disk runs one job at a time, in order.  An
+//! operation is pushed whole, all or nothing, and a wake (tens of
+//! microseconds, and a preempted submitter) is rationed: a parked worker
+//! is woken only when unclaimed work exists and fewer workers are
+//! runnable than the cores beside the submitter.  Each disk keeps its
+//! modelled device's clock: a job starts when the disk is free or when
+//! it arrived, whichever is later, and is due one service time after; a
+//! worker about to sleep toward that deadline stops counting as runnable
+//! and hands off under the same rule.  A worker that exits holding a
+//! claim retires that disk, and the last worker out closes the queues.
 //!
 //! A [`completion`] is one record per operation with a slot per job.
 //! The worker half of a slot ([`SlotFill`]) fills it, or reports the
@@ -24,7 +27,9 @@
 //! taken under either (the lock rule, [`crate::sync`]).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, OnceLock};
+use std::time::{Duration, Instant};
 
 use crate::error::{PdiskError, Result};
 use crate::sync::Mutex;
@@ -35,131 +40,217 @@ fn worker_gone() -> PdiskError {
 }
 
 struct Disk<J> {
-    jobs: VecDeque<J>,
-    /// The worker is parked on the condvar (or about to be).
-    asleep: bool,
-    /// The worker has exited; nothing may be queued for it.
+    /// Queued jobs, each with the instant it was submitted.
+    jobs: VecDeque<(J, Instant)>,
+    /// A worker is running this disk's job.
+    claimed: bool,
+    /// Retired: nothing may be queued.
     gone: bool,
+    /// The modelled device is busy until this instant.
+    free_at: Instant,
 }
 
 struct State<J> {
     disks: Vec<Disk<J>>,
     closed: bool,
-    /// Operations queued, and how many of them notified.
+    /// Workers in the pool; those using a core (neither parked nor asleep
+    /// on a deadline); those parked and not yet handed a wake; and wakes
+    /// handed and not yet taken up.
+    live: usize,
+    runnable: usize,
+    parked: usize,
+    wakes: usize,
+    /// Where the scan for work starts, so no disk waits behind a lower one.
+    scan: usize,
+    /// Operations queued, and how many of them woke a worker.
     submissions: u64,
     notifications: u64,
 }
 
-/// `D` per-disk job queues behind one lock and one condvar.
+impl<J> State<J> {
+    /// The first disk from `scan` on with a queued job and no claim.
+    fn unclaimed(&self) -> Option<usize> {
+        let n = self.disks.len();
+        (0..n).map(|i| (self.scan + i) % n).find(|&d| !self.disks[d].claimed && !self.disks[d].jobs.is_empty())
+    }
+
+    /// The wake rule.  The woken worker counts as runnable from here on,
+    /// so a second burst before it runs wakes nobody else.
+    fn hand_off(&mut self, cores: usize) -> bool {
+        let wake = self.parked > 0 && self.runnable < cores && self.unclaimed().is_some();
+        if wake {
+            self.parked -= 1;
+            self.wakes += 1;
+            self.runnable += 1;
+        }
+        wake
+    }
+}
+
+/// `D` per-disk job queues, and the pool bookkeeping, behind one lock.
 pub(crate) struct DiskQueues<J> {
     state: Mutex<State<J>>,
     wake: Condvar,
+    /// The wake rule's bound on runnable workers.
+    cores: usize,
+    /// Service time per block in µs (0 = none), read at each claim.
+    device: Arc<AtomicU64>,
 }
 
 impl<J> DiskQueues<J> {
-    pub(crate) fn new(d: usize) -> Self {
-        let disk = || Disk { jobs: VecDeque::new(), asleep: false, gone: false };
-        DiskQueues {
-            state: Mutex::new(State {
-                disks: (0..d).map(|_| disk()).collect(),
-                closed: false,
-                submissions: 0,
-                notifications: 0,
-            }),
-            wake: Condvar::new(),
-        }
+    /// `d` empty queues on `device`.  The wake rule allows the cores left
+    /// beside the submitting thread, at least one, read once per process.
+    pub(crate) fn new(d: usize, device: Arc<AtomicU64>) -> Self {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get().saturating_sub(1).max(1)));
+        Self::with_cores(d, cores, device)
     }
 
-    /// Queue one operation's jobs, each on its disk, then wake.  Refused
-    /// whole — nothing queued — when the queues are closed or the worker
-    /// of any touched disk is gone.
+    fn with_cores(d: usize, cores: usize, device: Arc<AtomicU64>) -> Self {
+        let now = Instant::now();
+        let disk = || Disk { jobs: VecDeque::new(), claimed: false, gone: false, free_at: now };
+        let disks = (0..d).map(|_| disk()).collect();
+        let state =
+            State { disks, closed: false, live: 0, runnable: 0, parked: 0, wakes: 0, scan: 0, submissions: 0, notifications: 0 };
+        DiskQueues { state: Mutex::new(state), wake: Condvar::new(), cores, device }
+    }
+
+    /// Queue one operation's jobs, each on its disk, then wake a worker if
+    /// the wake rule asks for one.  Refused whole — nothing queued — when
+    /// the queues are closed or any touched disk is retired.
     pub(crate) fn submit(&self, jobs: Vec<(usize, J)>) -> Result<()> {
+        let arrived = Instant::now();
         let mut st = self.state.lock();
         if st.closed || jobs.iter().any(|(d, _)| st.disks[*d].gone) {
             drop(st);
             return Err(worker_gone());
         }
-        let mut wake = false;
         for (d, job) in jobs {
-            wake |= st.disks[d].asleep;
-            st.disks[d].jobs.push_back(job);
+            st.disks[d].jobs.push_back((job, arrived));
         }
         st.submissions += 1;
+        let wake = st.hand_off(self.cores);
         st.notifications += u64::from(wake);
         drop(st);
         if wake {
-            self.wake.notify_all();
+            self.wake.notify_one();
         }
         Ok(())
     }
 
-    /// The worker's end of `disk`'s queue; dropping it retires the disk.
-    pub(crate) fn worker(&self, disk: usize) -> QueueWorker<'_, J> {
-        QueueWorker { queues: self, disk }
+    /// Join the pool; dropping the handle leaves it.
+    pub(crate) fn worker(&self) -> QueueWorker<'_, J> {
+        let mut st = self.state.lock();
+        st.live += 1;
+        st.runnable += 1;
+        QueueWorker { queues: self, claim: None, runnable: true }
     }
 
-    /// Stop accepting work and let the workers exit once their queues
-    /// are empty.
+    /// Stop accepting work and let the workers exit once no job is left.
     pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.wake.notify_all();
     }
 
-    /// Operations submitted so far, and how many of them had to notify.
+    /// Operations submitted so far, and how many of them woke a worker.
     pub(crate) fn counts(&self) -> (u64, u64) {
         let st = self.state.lock();
         (st.submissions, st.notifications)
     }
-}
 
-#[cfg(test)]
-impl<J> DiskQueues<J> {
-    /// Block until the workers of `disks` are parked on the condvar.
-    pub(crate) fn until_asleep(&self, disks: std::ops::Range<usize>) {
-        while !disks.clone().all(|d| self.state.lock().disks[d].asleep) {
-            std::thread::yield_now();
-        }
+    /// Retire `disk`: a worker joins and exits holding its claim.
+    #[cfg(test)]
+    pub(crate) fn retire(&self, disk: usize) {
+        let mut dying = self.worker();
+        dying.claim = Some(disk);
     }
 }
 
-/// One worker's handle on its disk's queue.
+/// One pool worker's handle: the disk it holds while a job runs.
 pub(crate) struct QueueWorker<'a, J> {
     queues: &'a DiskQueues<J>,
-    disk: usize,
+    claim: Option<usize>,
+    /// Counted in `runnable`: false while asleep on a device deadline.
+    runnable: bool,
 }
 
 impl<J> QueueWorker<'_, J> {
-    /// The next job of this disk, in submission order, with whether it
-    /// was *backlogged*: already waiting when the worker came for one, as
-    /// opposed to arriving while it slept.  `None` once the queues are
-    /// closed and this one is empty.
+    /// Release the last job's disk, then claim the next job of any
+    /// unclaimed disk, parking while there is none: its disk, the job, and
+    /// on a modelled device the instant the device is done with it, which
+    /// the caller sleeps toward.  `None` once the queues are closed and no
+    /// unclaimed job is left (a job behind a claim is the claimant's).
     #[expect(clippy::disallowed_methods, reason = "a disk worker's wait for work")]
-    pub(crate) fn next_job(&self) -> Option<(J, bool)> {
-        let mut st = self.queues.state.lock();
-        let mut backlogged = true;
+    pub(crate) fn next_job(&mut self) -> Option<(usize, J, Option<Instant>)> {
+        let queues = self.queues;
+        let mut st = queues.state.lock();
+        if let Some(d) = self.claim.take() {
+            st.disks[d].claimed = false;
+        }
+        st.runnable += usize::from(!std::mem::replace(&mut self.runnable, true));
         loop {
-            if let Some(job) = st.disks[self.disk].jobs.pop_front() {
-                return Some((job, backlogged));
+            if let Some(d) = st.unclaimed() {
+                st.scan = (d + 1) % st.disks.len();
+                let disk = &mut st.disks[d];
+                let (job, arrived) = disk.jobs.pop_front()?; // `unclaimed` found it non-empty
+                disk.claimed = true;
+                self.claim = Some(d);
+                let service = Duration::from_micros(queues.device.load(Ordering::Relaxed));
+                let due = (!service.is_zero()).then(|| {
+                    disk.free_at = disk.free_at.max(arrived) + service;
+                    disk.free_at
+                });
+                if due.is_some_and(|t| t > Instant::now()) {
+                    st.runnable -= 1;
+                    self.runnable = false;
+                }
+                let wake = st.hand_off(queues.cores);
+                drop(st);
+                if wake {
+                    queues.wake.notify_one();
+                }
+                return Some((d, job, due));
             }
             if st.closed {
                 return None;
             }
-            backlogged = false;
-            st.disks[self.disk].asleep = true;
-            st = st.wait(&self.queues.wake);
-            st.disks[self.disk].asleep = false;
+            st.runnable -= 1;
+            st.parked += 1;
+            loop {
+                st = st.wait(&queues.wake);
+                if st.wakes > 0 {
+                    // The waker already counted this worker runnable.
+                    st.wakes -= 1;
+                    break;
+                }
+                if st.closed {
+                    st.parked -= 1;
+                    st.runnable += 1;
+                    break;
+                }
+            }
         }
     }
 }
 
 impl<J> Drop for QueueWorker<'_, J> {
-    /// The worker is exiting (or unwinding): refuse further work for its
-    /// disk and drop what was queued — outside the lock — so that every
-    /// job's completion half reports the worker gone.
+    /// The worker is exiting (or unwinding).  A claim it still holds
+    /// retires that disk, and the last worker out closes the queues; what
+    /// either leaves queued is dropped outside the lock, so each job's
+    /// completion half reports the worker gone.
     fn drop(&mut self) {
         let mut st = self.queues.state.lock();
-        st.disks[self.disk].gone = true;
-        let orphans = std::mem::take(&mut st.disks[self.disk].jobs);
+        st.live -= 1;
+        st.runnable -= usize::from(self.runnable);
+        let mut orphans = Vec::new();
+        if let Some(d) = self.claim {
+            st.disks[d].gone = true;
+            orphans.push(std::mem::take(&mut st.disks[d].jobs));
+        }
+        if st.live == 0 {
+            st.closed = true;
+            orphans.extend(st.disks.iter_mut().map(|disk| std::mem::take(&mut disk.jobs)));
+        }
         drop(st);
         drop(orphans);
     }
@@ -267,110 +358,180 @@ impl<T> SlotWait<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use std::thread;
+
+    /// `d` queues, `cores` beside the submitter, on no device time.
+    fn queues<J>(d: usize, cores: usize) -> DiskQueues<J> {
+        DiskQueues::with_cores(d, cores, Arc::default())
+    }
 
     fn queued<J>(q: &DiskQueues<J>) -> Vec<usize> {
         q.state.lock().disks.iter().map(|d| d.jobs.len()).collect()
     }
 
+    fn until_parked<J>(q: &DiskQueues<J>, n: usize) {
+        while q.state.lock().parked < n {
+            thread::yield_now();
+        }
+    }
+
+    /// Closed, the queues refuse work and the workers drain them.  Two
+    /// workers take turns, each releasing its claim only by coming for
+    /// its next job: disks 0 and 1 pass between them mid-queue, and `v`
+    /// takes nothing while `b1'` and `c1` wait behind `w`'s claim.
     #[test]
-    fn one_disks_jobs_come_out_in_submission_order_across_operations() {
-        let q = DiskQueues::new(3);
+    fn one_disks_jobs_come_out_in_submission_order_whichever_worker_serves_them() {
+        let q = queues(3, 1);
         q.submit(vec![(0, "a0"), (1, "a1")]).unwrap();
         q.submit(vec![(1, "b1"), (2, "b2"), (1, "b1'")]).unwrap();
         q.submit(vec![(0, "c0"), (1, "c1")]).unwrap();
         q.close();
-        let drain = |d| {
-            let w = q.worker(d);
-            std::iter::from_fn(|| w.next_job()).map(|(job, _)| job).collect::<Vec<_>>()
-        };
-        assert_eq!(drain(1), ["a1", "b1", "b1'", "c1"]);
-        assert_eq!(drain(0), ["a0", "c0"]);
-        assert_eq!(drain(2), ["b2"]);
+        assert!(q.submit(vec![(0, "late")]).is_err());
+        let (mut w, mut v) = (q.worker(), q.worker());
+        // Turn by turn, what `w` and `v` take, as (disk, job, due).
+        let turns = [
+            (Some((0, "a0", None)), Some((1, "a1", None))),
+            (Some((2, "b2", None)), Some((0, "c0", None))),
+            (Some((1, "b1", None)), None),
+            (Some((1, "b1'", None)), None),
+            (Some((1, "c1", None)), None),
+            (None, None),
+        ];
+        for turn in turns {
+            assert_eq!((w.next_job(), v.next_job()), turn);
+        }
+        assert_eq!(queued(&q), [0, 0, 0], "close drains every queue");
     }
 
+    /// Four workers over four disks, fed by four producers: a per-disk
+    /// in-flight counter never passes 1, each producer's jobs for a disk
+    /// run in its submission order, and no job is lost or run twice.
     #[test]
-    fn backlogged_means_found_waiting_not_received_after_a_sleep() {
-        let q = DiskQueues::new(1);
-        q.submit(vec![(0, 1), (0, 2)]).unwrap();
+    fn at_most_one_job_per_disk_is_in_flight() {
+        const PER_PRODUCER: usize = if cfg!(miri) { 100 } else { 10_000 };
+        let q = queues(4, 4);
+        let in_flight: [AtomicUsize; 4] = Default::default();
+        let served: [Mutex<Vec<usize>>; 4] = Default::default();
         thread::scope(|s| {
-            let worker = s.spawn(|| {
-                let w = q.worker(0);
-                [w.next_job(), w.next_job(), w.next_job(), w.next_job()]
-            });
-            q.until_asleep(0..1);
-            q.submit(vec![(0, 3)]).unwrap();
-            q.until_asleep(0..1);
-            q.close();
-            let got = worker.join().unwrap();
-            assert_eq!(got, [Some((1, true)), Some((2, true)), Some((3, false)), None]);
-        });
-    }
-
-    #[test]
-    fn an_operation_notifies_once_if_a_touched_worker_sleeps_and_never_otherwise() {
-        let q = DiskQueues::new(3);
-        // Nobody is asleep (nobody has even started): no notification.
-        q.submit(vec![(0, 0), (1, 0), (2, 0)]).unwrap();
-        assert_eq!(q.counts(), (1, 0));
-        thread::scope(|s| {
-            for d in 0..3 {
-                let q = &q;
-                s.spawn(move || {
-                    let w = q.worker(d);
-                    while w.next_job().is_some() {}
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let mut w = q.worker();
+                    while let Some((d, job, _)) = w.next_job() {
+                        assert_eq!(in_flight[d].fetch_add(1, Ordering::SeqCst), 0, "disk {d} ran two jobs at once");
+                        served[d].lock().push(job);
+                        thread::yield_now();
+                        in_flight[d].fetch_sub(1, Ordering::SeqCst);
+                    }
                 });
             }
-            // One full-width operation over three sleeping workers: one.
-            q.until_asleep(0..3);
-            q.submit(vec![(0, 1), (1, 1), (2, 1)]).unwrap();
-            assert_eq!(q.counts(), (2, 1));
-            q.until_asleep(0..3);
+            thread::scope(|producers| {
+                for p in 0..4 {
+                    let q = &q;
+                    producers.spawn(move || {
+                        // Operations of width 1–4 over rotating disks.
+                        let mut job = p * PER_PRODUCER;
+                        while job < (p + 1) * PER_PRODUCER {
+                            let width = (1 + job % 4).min((p + 1) * PER_PRODUCER - job);
+                            q.submit((job..job + width).map(|j| (j % 4, j)).collect()).unwrap();
+                            job += width;
+                        }
+                    });
+                }
+            });
             q.close();
+        });
+        let served = served.map(|jobs| std::mem::take(&mut *jobs.lock()));
+        for (d, jobs) in served.iter().enumerate() {
+            assert!(jobs.iter().all(|j| j % 4 == d), "disk {d} ran another disk's job");
+            for p in 0..4 {
+                let of_p: Vec<_> = jobs.iter().filter(|&&j| j / PER_PRODUCER == p).collect();
+                assert!(of_p.windows(2).all(|w| w[0] < w[1]), "disk {d} reordered producer {p}");
+            }
+        }
+        let mut all: Vec<usize> = served.into_iter().flatten().collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..4 * PER_PRODUCER).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_submission_while_a_worker_is_runnable_notifies_nobody() {
+        let q = queues(4, 1);
+        let burst = |k: u32| (0..4).map(|d| (d, k)).collect::<Vec<_>>();
+        // Nobody to wake; then a worker that has not parked yet.
+        q.submit(burst(0)).unwrap();
+        let mut w = q.worker();
+        q.submit(burst(1)).unwrap();
+        assert_eq!(q.counts(), (2, 0));
+        thread::scope(|s| {
+            let worker = s.spawn(move || std::iter::from_fn(|| w.next_job()).count());
+            // Drained, it parks, and the next burst wakes it: once.
+            until_parked(&q, 1);
+            q.submit(burst(2)).unwrap();
+            let counts = q.counts();
+            q.close();
+            assert_eq!((counts, worker.join().unwrap()), ((3, 1), 12));
         });
     }
 
-    /// The bugfix: with disk 2's worker dead, an operation over disks 0–3
-    /// is refused before anything is queued anywhere.
+    /// `w` runs disk 0's `a` with no device time, so it stays runnable
+    /// and its peer stays parked; its next job, disk 1's `b`, is due an
+    /// hour on, so before sleeping `w` hands disk 0's `c` to the peer.
+    /// Every deadline runs from the burst's arrival.
     #[test]
-    fn a_refused_operation_queues_nothing() {
-        let q = DiskQueues::new(4);
-        drop(q.worker(2));
-        let (fills, waits): (Vec<_>, Vec<_>) = completion::<u8>(4).unzip();
+    fn a_worker_about_to_sleep_on_a_device_deadline_hands_off_to_a_peer() {
+        let service = Duration::from_secs(3600);
+        let q = &queues(2, 1);
+        thread::scope(|s| {
+            let (took, first) = std::sync::mpsc::channel();
+            let peer = s.spawn(move || {
+                let mut p = q.worker();
+                took.send(p.next_job()).unwrap();
+                while p.next_job().is_some() {}
+            });
+            until_parked(q, 1);
+            let mut w = q.worker();
+            q.submit(vec![(0, 'a'), (1, 'b'), (0, 'c'), (1, 'd')]).unwrap();
+            let arrived = q.state.lock().disks[0].jobs[0].1;
+            let a = w.next_job();
+            let parked = q.state.lock().parked;
+            q.device.store(service.as_micros() as u64, Ordering::Relaxed);
+            let b = w.next_job();
+            // Before any close, only the hand-off wakes the peer.
+            let c = first.recv_timeout(Duration::from_secs(10));
+            q.close();
+            peer.join().unwrap();
+            assert_eq!((q.counts(), a, parked), ((1, 0), Some((0, 'a', None)), 1));
+            assert_eq!(b, Some((1, 'b', Some(arrived + service))));
+            assert_eq!(c, Ok(Some((0, 'c', Some(arrived + service)))));
+            assert_eq!(w.next_job(), Some((1, 'd', Some(arrived + 2 * service))));
+        });
+    }
+
+    /// A worker that exits holding disk 1 retires it: the job queued
+    /// behind fails, and an operation touching disk 1 is refused whole,
+    /// queued nowhere, while disk 0 still takes work — until the last
+    /// worker leaves, failing what is left and refusing every submit.
+    #[test]
+    fn a_retired_claim_fails_its_disks_queue_and_the_last_worker_out_closes() {
+        let q = queues(2, 1);
+        let (fills, waits): (Vec<_>, Vec<_>) = completion::<u8>(2).unzip();
+        q.submit(fills.into_iter().map(|fill| (1, fill)).collect()).unwrap();
+        let stays = q.worker();
+        let mut dies = q.worker();
+        assert_eq!(dies.next_job().map(|(d, _, _)| d), Some(1));
+        drop(dies);
+        assert!(waits.into_iter().all(|wait| wait.wait_slot(&mut 0).is_err()));
+        let (fills, waits): (Vec<_>, Vec<_>) = completion::<u8>(2).unzip();
         let err = q.submit(fills.into_iter().enumerate().collect()).unwrap_err();
         assert!(matches!(err, PdiskError::Io(_)), "got {err:?}");
-        assert_eq!(queued(&q), [0, 0, 0, 0]);
-        assert_eq!(q.counts(), (0, 0));
-        // The refused jobs were dropped: their completions say so.
-        for wait in waits {
-            assert!(wait.wait_slot(&mut 0).is_err());
-        }
-        // The other disks still take work; a closed queue takes none.
-        q.submit(vec![]).unwrap();
-        q.close();
-        assert!(q.submit(vec![]).is_err());
-    }
-
-    #[test]
-    fn a_retiring_worker_fails_the_jobs_left_in_its_queue() {
-        let q = DiskQueues::new(2);
+        assert_eq!((queued(&q), q.counts()), (vec![0, 0], (1, 0)));
+        assert!(waits.into_iter().all(|wait| wait.wait_slot(&mut 0).is_err()));
         let (fill, wait) = completion::<u8>(1).next().unwrap();
-        q.submit(vec![(1, fill)]).unwrap();
-        drop(q.worker(1));
-        assert_eq!(queued(&q), [0, 0]);
+        q.submit(vec![(0, fill)]).unwrap();
+        drop(stays);
         assert!(wait.wait_slot(&mut 0).is_err());
-    }
-
-    #[test]
-    fn close_drains_the_queues_before_the_workers_exit() {
-        let q = DiskQueues::new(2);
-        q.submit(vec![(0, 10), (1, 11)]).unwrap();
-        q.submit(vec![(0, 20)]).unwrap();
-        q.close();
-        let w = q.worker(0);
-        assert_eq!([w.next_job(), w.next_job(), w.next_job()], [Some((10, true)), Some((20, true)), None]);
-        let w = q.worker(1);
-        assert_eq!([w.next_job(), w.next_job()], [Some((11, true)), None]);
+        assert!(q.submit(vec![]).is_err());
     }
 
     #[test]
@@ -402,52 +563,5 @@ mod tests {
             assert_eq!(last.wait_slot(&mut waits).unwrap(), 11);
         });
         assert_eq!(waits, 1);
-    }
-
-    #[test]
-    fn producers_and_workers_lose_and_duplicate_nothing() {
-        const PER_PRODUCER: usize = if cfg!(miri) { 100 } else { 10_000 };
-        let q = DiskQueues::new(4);
-        let seen: Vec<Vec<usize>> = thread::scope(|s| {
-            let workers: Vec<_> = (0..4)
-                .map(|d| {
-                    let q = &q;
-                    s.spawn(move || {
-                        let w = q.worker(d);
-                        std::iter::from_fn(|| w.next_job()).map(|(job, _)| job).collect::<Vec<usize>>()
-                    })
-                })
-                .collect();
-            let producers: Vec<_> = (0..4)
-                .map(|p| {
-                    let q = &q;
-                    s.spawn(move || {
-                        // Operations of width 1–4 over rotating disks.
-                        let mut job = p * PER_PRODUCER;
-                        while job < (p + 1) * PER_PRODUCER {
-                            let width = (1 + job % 4).min((p + 1) * PER_PRODUCER - job);
-                            q.submit((job..job + width).map(|j| (j % 4, j)).collect()).unwrap();
-                            job += width;
-                        }
-                    })
-                })
-                .collect();
-            for p in producers {
-                p.join().unwrap();
-            }
-            q.close();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        for (d, jobs) in seen.iter().enumerate() {
-            assert!(jobs.iter().all(|j| j % 4 == d), "disk {d} saw another disk's job");
-            // One producer's jobs for a disk arrive in its submission order.
-            for p in 0..4 {
-                let of_p: Vec<_> = jobs.iter().filter(|&&j| j / PER_PRODUCER == p).collect();
-                assert!(of_p.windows(2).all(|w| w[0] < w[1]), "disk {d} reordered producer {p}");
-            }
-        }
-        let mut all: Vec<usize> = seen.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..4 * PER_PRODUCER).collect::<Vec<_>>());
     }
 }

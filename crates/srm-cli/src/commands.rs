@@ -49,7 +49,7 @@ USAGE:
   srm sort [--records N] [--d D] [--b B] [--k K | --m M] [--algo srm|dsm|both]
            [--backend mem|file] [--dir PATH] [--seed S]
            [--placement random|staggered] [--formation load|rs]
-           [--pipeline] [--read-ahead K] [--keep]
+           [--read-ahead K] [--keep]
            [--fault-rate R] [--fault-seed S]
            [--parity] [--kill-disk D@PASS] [--check-model]
            [--crash-at K] [--crash-points]
@@ -62,16 +62,16 @@ USAGE:
       full stripe), merging eq. 41's R_DSM = (M/B - 2D)/2D runs at a
       time; --algo both runs SRM, then DSM.
 
-      --pipeline opens the engine's I/O window: the next scheduled
-      read is in flight while the merge drains the current buffers, and
-      output stripes are written behind the merge (DESIGN.md §9).
-      Without it every parallel I/O is waited for where it is issued —
-      the same engine at window 0.  The operation sequence, I/O
-      accounting, and output bytes are identical either way — only the
-      waiting overlaps — so --check-model and a resume work unchanged.
-      --read-ahead K additionally hints the next K forecast-predicted
-      blocks per disk to the backend as speculative reads (DESIGN.md
-      §14; needs --pipeline, default 0).
+      The sort runs in the job's window, as a `srm serve` job and a
+      distsort shard do: the next scheduled read is in flight while the
+      merge drains the current buffers, output stripes are written
+      behind it (DESIGN.md §9), and the next K forecast-predicted blocks
+      per disk are hinted to the backend as speculative reads (§14;
+      --read-ahead K, default 3).  --read-ahead 0 is window 0: every
+      parallel I/O is waited for where it is issued.  The operation
+      sequence, I/O accounting, and output bytes are identical in every
+      window — only the waiting overlaps — so --check-model and a
+      resume work unchanged.
 
       --fault-rate R injects transient faults on reads and writes with
       per-disk probability R (0 <= R < 1, seeded by --fault-seed) and
@@ -225,8 +225,8 @@ USAGE:
       shard forms its runs from the partition it holds in memory, so
       it never writes its input to disk only to read it back.  Its sort keeps its I/O in flight:
       without either window flag the sort runs pipelined at
-      read-ahead 3 (the job default); --pipeline [--read-ahead K] picks
-      the depth as for `srm sort`, and --read-ahead 0 alone asks for
+      read-ahead 3 (the job default, as `srm sort` does); --pipeline
+      [--read-ahead K] picks the depth, and --read-ahead 0 alone asks for
       window 0, the reference every window is byte- and count-identical
       to.  --io-delay-us U models each shard's disks at U us per block,
       which a shard's sorter reads off its array: it forms its runs by
@@ -360,7 +360,9 @@ pub fn sort(flags: &Flags) -> i32 {
             "rs" => RunFormation::ReplacementSelection,
             other => return Err(format!("unknown formation `{other}`").into()),
         };
-        let (pipeline, read_ahead) = flags.overlap()?;
+        // The job's window (pipelined, read-ahead 3); depth 0 is window 0.
+        let read_ahead = flags.get_or("read-ahead", JobSpec::default().read_ahead)?;
+        let pipeline = read_ahead > 0;
         let fault_rate: f64 = flags.get_or("fault-rate", 0.0)?;
         if !(0.0..1.0).contains(&fault_rate) {
             return Err(format!("--fault-rate {fault_rate} outside [0, 1)").into());

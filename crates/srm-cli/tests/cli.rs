@@ -44,7 +44,8 @@ fn unknown_subcommand_fails_with_usage() {
 /// A flag the subcommand's help does not name is a usage error naming
 /// both, and nothing runs: before this check `srm sort --bogus-flag 1` and
 /// `srm sort --read-ahed 3 --pipeline` ran the default sort and exited 0.
-/// `--slow-disk` and `--hedge-after` went with straggler hedging.
+/// `--slow-disk` and `--hedge-after` went with straggler hedging, and
+/// `--pipeline` when `srm sort` took the job's window.
 #[test]
 fn unknown_flags_are_usage_errors() {
     for args in [
@@ -52,6 +53,7 @@ fn unknown_flags_are_usage_errors() {
         &["sort", "--read-ahed", "3", "--pipeline"][..],
         &["sort", "--slow-disk", "2:8", "--parity"][..],
         &["sort", "--hedge-after", "4", "--parity"][..],
+        &["sort", "--pipeline", "--read-ahead", "3"][..],
         // A sort resumes its directory's checkpoint; no flag names one.
         &["sort", "--resume", "sort.manifest"][..],
     ] {
@@ -98,6 +100,23 @@ fn every_subcommand_checks_its_flags_against_its_own_usage() {
         assert_eq!(out.status.code(), Some(2), "srm {sub} {accepted:?} is a usage error of its own");
         assert!(!stderr(&out).contains("unknown flag"), "srm {sub} {accepted:?}: {}", stderr(&out));
     }
+}
+
+/// `srm sort` runs the job's window, pipelined at read-ahead 3, and
+/// `--read-ahead 0` is window 0: the same operations, counted alike.
+#[test]
+fn sort_runs_the_jobs_window_and_read_ahead_0_is_window_0() {
+    let run = |extra: &[&str]| {
+        let out = srm(&[&["sort", "--records", "5000", "--d", "2", "--b", "8", "--algo", "srm"][..], extra].concat());
+        assert!(out.status.success(), "{extra:?}: {}", stderr(&out));
+        stdout(&out)
+    };
+    let io = |text: &str| text.lines().find(|l| l.contains("I/O (sort only)")).map(str::to_owned);
+    let (default, zero) = (run(&[]), run(&["--read-ahead", "0"]));
+    assert!(default.contains("window: pipelined"), "{default}");
+    assert!(!zero.contains("window:"), "{zero}");
+    assert_eq!(io(&default), io(&zero));
+    assert!(io(&zero).is_some(), "{zero}");
 }
 
 #[test]

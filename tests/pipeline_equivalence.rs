@@ -277,7 +277,7 @@ fn degraded_equivalent() {
 #[test]
 fn file_backend_equivalent() {
     // The file backend is the one with *native* async split-phase I/O
-    // (per-disk worker threads), so this is where completion genuinely
+    // (its pool of disk worker threads), so this is where completion genuinely
     // overlaps with merging — and where equivalence is least trivial.
     let geom = Geometry::new(4, 8, 256).unwrap();
     let dir = unique_dir("file");
